@@ -26,9 +26,9 @@ Memory virtualization:
 * ``NESTED`` -- two-dimensional walks through guest tables and an
   EPT-style second level, with the classic walk-amplification cost.
 * ``HMODE`` -- the H-mode extension: an architected hardware guest mode
-  with HEDELEG/HIDELEG trap delegation and a hardware-walked two-stage
-  translation path (:class:`repro.cpu.mmu.HModeMMU`). Combine with
-  ``HW_ASSIST`` for the sixth engine configuration.
+  with HEDELEG/HIDELEG trap delegation over the same two-stage
+  translation (:class:`repro.cpu.mmu.TwoStageMMU` serves both modes).
+  Combine with ``HW_ASSIST`` for the sixth engine configuration.
 """
 
 from repro.core.modes import VirtMode, MMUVirtMode

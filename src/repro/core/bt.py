@@ -80,14 +80,18 @@ class TranslatedBlock:
 
 
 class BTEngine:
-    """Per-vCPU binary translator with block cache and chaining."""
+    """Per-vCPU binary translator with block cache and chaining.
+
+    The vCPU's MMU is always a :class:`~repro.core.shadow.ShadowMMU`
+    (``GuestConfig.validate`` rejects BT over anything else).
+    """
 
     def __init__(
         self,
         vcpu: VCPU,
         costs: CostModel,
         port_bus=None,
-        hypercall_handler: Optional[Callable[[VCPU, int], None]] = None,
+        hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
         cache_enabled: bool = True,
         chaining_enabled: bool = True,
         compile_enabled: bool = True,
@@ -263,9 +267,7 @@ class BTEngine:
         )
 
     def _key(self, va: int) -> Tuple[Optional[int], int]:
-        mmu = self.vcpu.cpu.mmu
-        root = getattr(mmu, "guest_root", None)
-        return (root, va)
+        return (self.vcpu.cpu.mmu.guest_root, va)
 
     def _translate(self, va: int) -> Optional[TranslatedBlock]:
         """Decode one basic block starting at ``va``.
@@ -303,7 +305,7 @@ class BTEngine:
                 )
                 return None
             mmu = cpu.mmu
-            if hasattr(mmu, "_guest_walk") and getattr(mmu, "guest_root", None) is not None:
+            if mmu.guest_root is not None:
                 code_gfns.add(mmu._guest_walk(cursor, AccessType.EXEC).gfn)
             else:
                 # Guest paging off: VA is the guest-physical address.
@@ -430,7 +432,9 @@ class BTEngine:
                 raise RuntimeError("BT guest issued VMCALL with no handler")
             vm.stats.hypercalls += 1
             cpu.cycles += self.costs.hypercall_cycles
-            self.hypercall_handler(vcpu, ins.simm12 & 0xFFF)
+            self.hypercall_handler(
+                vcpu, ins.simm12 & 0xFFF, (cpu.pc + ins.length) & 0xFFFFFFFF
+            )
             if vcpu.halted or vcpu.virtual_mode != MODE_KERNEL:
                 return True
             return self._post_retire_inject()

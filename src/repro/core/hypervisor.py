@@ -17,12 +17,12 @@ inside HVM guests.
 """
 
 import enum
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bt import BTEngine
 from repro.core.emulate import emulate_guest_store, emulate_privileged
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.nested import NestedMMU
 from repro.core.policies import DeprivilegedPolicy, HModePolicy, HWAssistPolicy
 from repro.core.shadow import ShadowMMU
 from repro.core.vcpu import VCPU
@@ -32,7 +32,7 @@ from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, Op,
 )
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
@@ -145,8 +145,6 @@ class Hypervisor:
         #: nobody claims, the hypervisor demand-zeroes the page.
         self._ept_fault_handlers: List[Tuple[str, Callable]] = []
         self._ept_fault_fallbacks: List[Tuple[str, Callable]] = []
-        self._legacy_ept_hook: Optional[Callable] = None
-        self._legacy_ept_wrapper: Optional[Callable] = None
         #: Write-fault (dirty-log exit) dispatch chain, same claim /
         #: decline contract with ``(vm, gfn) -> bool`` handlers. The
         #: page sharer's copy-on-write break lives here.
@@ -221,30 +219,6 @@ class Hypervisor:
                 return True
         return False
 
-    @property
-    def ept_fault_hook(self) -> Optional[Callable]:
-        """Legacy single-owner hook, kept as a chain adapter.
-
-        Assigning a callable registers a claim-everything handler (the
-        old contract: the hook services every fault and leaves the gfn
-        mapped); assigning None removes it. New code should register a
-        chain handler with claim/decline semantics instead.
-        """
-        return self._legacy_ept_hook
-
-    @ept_fault_hook.setter
-    def ept_fault_hook(self, hook: Optional[Callable]) -> None:
-        if self._legacy_ept_wrapper is not None:
-            self.unregister_ept_fault_handler(self._legacy_ept_wrapper)
-            self._legacy_ept_wrapper = None
-        self._legacy_ept_hook = hook
-        if hook is not None:
-            def wrapper(vm, gfn, access, _hook=hook):
-                _hook(vm, gfn, access)
-                return True
-            self._legacy_ept_wrapper = wrapper
-            self.register_ept_fault_handler(wrapper, name="legacy_hook")
-
     def _dispatch_ept_fault(self, vm: VirtualMachine, gfn: int, access) -> str:
         """Walk the chain until a handler claims; demand-zero otherwise.
 
@@ -295,29 +269,20 @@ class Hypervisor:
                 ring_compression=config.virt_mode is not VirtMode.HW_ASSIST,
                 trap_pt_writes=config.virt_mode is not VirtMode.PARAVIRT,
             )
-        elif config.mmu_mode is MMUVirtMode.HMODE:
-            mmu = HModeMMU(
-                self.physmem,
-                self.allocator,
-                guest_mem,
-                self.costs,
-                tlb_entries=self.tlb_entries,
-            )
-            mmu.stall_fn = self._hmode_stall_cycles
-            if config.prealloc:
-                for gfn, hfn in guest_mem.map.items():
-                    mmu.ept_map(gfn, hfn)
         else:
-            mmu = NestedMMU(
+            hmode = config.mmu_mode is MMUVirtMode.HMODE
+            mmu = TwoStageMMU(
                 self.physmem,
                 self.allocator,
                 guest_mem,
                 self.costs,
                 tlb_entries=self.tlb_entries,
+                hmode=hmode,
             )
-            if config.prealloc:
-                for gfn, hfn in guest_mem.map.items():
-                    mmu.ept_map(gfn, hfn)
+            if hmode:
+                mmu.stall_fn = self._hmode_stall_cycles
+            for gfn, hfn in guest_mem.map.items():
+                mmu.map_gfn(gfn, hfn)
 
         cpu = CPUCore(mmu, self.costs, port_bus=None, cpu_id=0)
         vcpu = VCPU(vm, cpu, index=0)
@@ -348,7 +313,7 @@ class Hypervisor:
                 vcpu,
                 self.costs,
                 port_bus=vm.port_bus,
-                hypercall_handler=lambda vc, num: self._do_hypercall(vm, vc, num),
+                hypercall_handler=partial(self._do_hypercall, vm),
             )
         else:
             vm.bt = None
@@ -405,9 +370,7 @@ class Hypervisor:
 
     def destroy_vm(self, vm: VirtualMachine) -> None:
         """Tear a VM down and return every host frame it held."""
-        mmu = vm.vcpus[0].cpu.mmu
-        if hasattr(mmu, "destroy"):
-            mmu.destroy()
+        vm.vcpus[0].cpu.mmu.destroy()
         for gfn in list(vm.guest_mem.map):
             hfn = vm.guest_mem.unmap_page(gfn)
             if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
@@ -674,6 +637,9 @@ class Hypervisor:
         vm.stats.world_switches += 1
         handler_cycles = 0
         detail = ""
+        # Where an intercepted instruction resumes once emulated: past
+        # its real encoding (4 bytes, or 8 with an immediate word).
+        next_pc = (vcpu.cpu.pc + exit_.instruction_length) & 0xFFFFFFFF
 
         if reason is ExitReason.GUEST_TRAP:
             info: TrapInfo = exit_.qual("trap")
@@ -707,7 +673,7 @@ class Hypervisor:
                 detail = info.cause.name.lower()
                 handler_cycles = costs.trap_cycles
         elif reason is ExitReason.VMCALL:
-            detail = self._do_hypercall(vm, vcpu, exit_.qual("num"))
+            detail = self._do_hypercall(vm, vcpu, exit_.qual("num"), next_pc)
         elif reason in (ExitReason.IO_IN, ExitReason.IO_OUT):
             handler_cycles = costs.emulate_cycles
             port = exit_.qual("port")
@@ -717,23 +683,23 @@ class Hypervisor:
             else:
                 ins = cpu.fetch(cpu.pc)
                 cpu.write_reg(ins.rd, vm.port_bus.io_in(port))
-            cpu.pc = (cpu.pc + 4) & 0xFFFFFFFF
+            cpu.pc = next_pc
             detail = f"port_{port:#x}"
         elif reason is ExitReason.CSR_WRITE:
             # HW-assist + shadow: intercepted PTBR write.
             value = exit_.qual("value")
             vcpu.cpu.csr[CSR.PTBR] = value & 0xFFFFFFFF
             vcpu.cpu.mmu.switch_guest_root(value)
-            vcpu.cpu.pc = (vcpu.cpu.pc + 4) & 0xFFFFFFFF
+            vcpu.cpu.pc = next_pc
             handler_cycles = costs.emulate_cycles
             detail = "ptbr"
         elif reason is ExitReason.PRIV_INSTR and exit_.qual("op") is Op.INVLPG:
             vcpu.cpu.mmu.invlpg(exit_.qual("va"))
-            vcpu.cpu.pc = (vcpu.cpu.pc + 4) & 0xFFFFFFFF
+            vcpu.cpu.pc = next_pc
             handler_cycles = costs.emulate_cycles
             detail = "invlpg"
         elif reason is ExitReason.HLT:
-            vcpu.cpu.pc = (vcpu.cpu.pc + 4) & 0xFFFFFFFF
+            vcpu.cpu.pc = next_pc
             vcpu.cpu.halted = True
             vcpu.halted = True
             detail = "hlt"
@@ -802,13 +768,15 @@ class Hypervisor:
                     f"unmapped in {vm.name}"
                 )
             if mmu.ept.lookup(gfn << PAGE_SHIFT) is None:
-                mmu.ept_map(gfn, hfn)
+                mmu.map_gfn(gfn, hfn)
             return "ept_violation", costs.shadow_fill_cycles
         raise GuestError(f"unknown memory exit kind {kind!r}")
 
     # -- hypercalls ---------------------------------------------------------
 
-    def _do_hypercall(self, vm: VirtualMachine, vcpu: VCPU, num: int) -> str:
+    def _do_hypercall(self, vm: VirtualMachine, vcpu: VCPU, num: int,
+                      next_pc: int) -> str:
+        """Service hypercall ``num``; ``next_pc`` is the pc past the VMCALL."""
         cpu = vcpu.cpu
         a0, a1 = cpu.regs[1], cpu.regs[2]
         advance = True
@@ -816,7 +784,7 @@ class Hypervisor:
             call = HypercallNumbers(num)
         except ValueError:
             cpu.write_reg(1, 0xFFFFFFFF)  # unknown hypercall: -1
-            cpu.pc = (cpu.pc + 4) & 0xFFFFFFFF
+            cpu.pc = next_pc
             return "unknown"
 
         if call is HypercallNumbers.SET_VBAR:
@@ -862,7 +830,7 @@ class Hypervisor:
         elif call is HypercallNumbers.BALLOON_TAKE:
             self._balloon_take(vm, vcpu, a0)
         if advance:
-            cpu.pc = (cpu.pc + 4) & 0xFFFFFFFF
+            cpu.pc = next_pc
         return call.name.lower()
 
     def _balloon_give(self, vm: VirtualMachine, vcpu: VCPU, gfn: int) -> None:
@@ -883,12 +851,7 @@ class Hypervisor:
         """
         if gfn >= vm.num_pages or not vm.guest_mem.is_mapped(gfn):
             return False
-        mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, ShadowMMU):
-            mmu.drop_gfn(gfn)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is not None:
-                mmu.ept_unmap(gfn)
+        vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
         hfn = vm.guest_mem.unmap_page(gfn)
         if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
             self.allocator.free(hfn)
@@ -904,9 +867,7 @@ class Hypervisor:
         hfn = self.allocator.alloc()
         vm.guest_mem.map_page(gfn, hfn)
         vm.ballooned_gfns.discard(gfn)
-        mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, (NestedMMU, HModeMMU)):
-            mmu.ept_map(gfn, hfn)
+        vm.vcpus[0].cpu.mmu.map_gfn(gfn, hfn)
         self.registry.counter("overcommit.balloon.deflations").inc()
         self.registry.counter("overcommit.operations").inc()
         return True

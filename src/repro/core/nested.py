@@ -2,216 +2,19 @@
 
 The guest owns its page tables natively -- no PT write protection, no
 fill exits, PTBR writes and INVLPG stay in the guest. The price is the
-walk: a guest-TLB miss must walk the guest tables, but every guest
-table *access* is itself a guest-physical address that must be walked
-through the EPT. For 2-level guest tables and a 2-level EPT that is
+walk: every guest table *access* on a TLB miss is itself a
+guest-physical address that must be walked through the EPT.
 
-    2 guest levels x (2 EPT refs + 1 entry read) + 2 final EPT refs = 8
-
-memory references versus 2 for shadow/native -- the classic
-(n+1)(m+1)-1 amplification measured in experiment E3.
-
-EPT permissions double as the host-control plane: an unmapped guest
-frame raises an *EPT violation* exit (demand allocation, post-copy
-migration, swap-in), and a write to a read-only EPT entry raises a
-*dirty-log* violation (pre-copy migration round tracking).
+The mechanism is :class:`repro.cpu.mmu.TwoStageMMU`, shared with the
+H-mode engine; :data:`NestedMMU` binds it to VT-x-style behaviour (every
+reference priced at ``mem_ref_cycles``, no EPT A/D maintenance). The
+hw-nested and hw-hmode engines differ in their *policy*
+(:class:`~repro.core.policies.HWAssistPolicy` vs
+:class:`~repro.core.policies.HModePolicy`), not in their MMU.
 """
 
-from typing import Optional, Set, Tuple
+from functools import partial
 
-from repro.cpu.exits import ExitReason, VMExit
-from repro.cpu.mmu import MMUBase
-from repro.mem.costs import CostModel
-from repro.mem.paging import (
-    AccessType,
-    AddressSpace,
-    PTE_ACCESSED,
-    PTE_DIRTY,
-    PTE_NOEXEC,
-    PTE_PRESENT,
-    PTE_USER,
-    PTE_WRITABLE,
-    PageFault,
-    pte_frame,
-    split_vaddr,
-)
-from repro.mem.physmem import FrameAllocator, PhysicalMemory
-from repro.mem.tlb import TLB
-from repro.util.units import PAGE_SHIFT
+from repro.cpu.mmu import TwoStageMMU
 
-
-class NestedMMU(MMUBase):
-    """Two-dimensional translation: guest tables over an EPT."""
-
-    def __init__(
-        self,
-        host_physmem: PhysicalMemory,
-        host_allocator: FrameAllocator,
-        guest_mem,
-        costs: CostModel,
-        tlb_entries: int = 64,
-    ):
-        self.physmem = host_physmem
-        self.costs = costs
-        self.guest_mem = guest_mem
-        self.tlb = TLB(tlb_entries)
-        self.ept = AddressSpace(host_physmem, host_allocator)
-        self.guest_root: Optional[int] = None
-        #: gfns whose EPT entry is write-protected for dirty logging.
-        self.write_protected_gfns: Set[int] = set()
-
-        self.nested_walks = 0
-        self.walk_mem_refs = 0
-
-    # -- EPT management (host side) ------------------------------------------
-
-    def ept_map(self, gfn: int, hfn: int, writable: bool = True) -> None:
-        flags = PTE_PRESENT | PTE_USER | (PTE_WRITABLE if writable else 0)
-        self.ept.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, flags)
-
-    def ept_unmap(self, gfn: int) -> None:
-        self.ept.unmap(gfn << PAGE_SHIFT)
-        self.tlb.flush()  # conservatively drop combined translations
-
-    def write_protect_gfn(self, gfn: int) -> None:
-        pte = self.ept.lookup(gfn << PAGE_SHIFT)
-        if pte is None:
-            return
-        self.write_protected_gfns.add(gfn)
-        self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
-        self.tlb.flush()
-
-    def unprotect_gfn(self, gfn: int) -> None:
-        self.write_protected_gfns.discard(gfn)
-        pte = self.ept.lookup(gfn << PAGE_SHIFT)
-        if pte is not None:
-            self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
-
-    # -- MMUBase interface ----------------------------------------------------
-
-    def translate(self, va: int, access: AccessType, user: bool) -> Tuple[int, int]:
-        va &= 0xFFFFFFFF
-        vpn = va >> PAGE_SHIFT
-        pte = self.tlb.lookup(vpn, access, user)
-        if pte is not None:
-            return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
-
-        refs = 0
-        self.nested_walks += 1
-        if self.guest_root is None:
-            # Guest paging off: VA is a gPA; one EPT walk.
-            hpa, r = self._ept_walk(va, access)
-            refs += r
-            flags = PTE_PRESENT | PTE_USER | PTE_ACCESSED
-            if access is AccessType.WRITE:
-                flags |= PTE_WRITABLE | PTE_DIRTY
-            self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
-            self.walk_mem_refs += refs
-            return hpa, self.costs.tlb_hit_cycles + refs * self.costs.mem_ref_cycles
-
-        dir_idx, tbl_idx, offset = split_vaddr(va)
-
-        # Level 1: guest PDE (its gPA goes through the EPT).
-        pde_gpa = self.guest_root + dir_idx * 4
-        pde_hpa, r = self._ept_walk(pde_gpa, AccessType.READ)
-        refs += r + 1
-        pde = self.physmem.read_u32(pde_hpa)
-        if not pde & PTE_PRESENT:
-            raise PageFault(va, access, user, present=False)
-
-        # Level 2: guest PTE.
-        pte_gpa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte_hpa, r = self._ept_walk(pte_gpa, AccessType.READ)
-        refs += r + 1
-        gpte = self.physmem.read_u32(pte_hpa)
-        if not gpte & PTE_PRESENT:
-            raise PageFault(va, access, user, present=False)
-
-        combined = pde & gpte
-        if user and not combined & PTE_USER:
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and gpte & PTE_NOEXEC:
-            raise PageFault(va, access, user, present=True)
-
-        # Guest A/D updates. A write to a guest PT entry is itself a
-        # guest-physical write and must respect EPT write permission --
-        # which is exactly how page-table pages get captured by dirty
-        # logging on real hardware.
-        if not pde & PTE_ACCESSED:
-            pde_hpa_w, r = self._ept_walk(pde_gpa, AccessType.WRITE)
-            refs += r
-            self.physmem.write_u32(pde_hpa_w, pde | PTE_ACCESSED)
-        new_gpte = gpte | PTE_ACCESSED
-        if access is AccessType.WRITE:
-            new_gpte |= PTE_DIRTY
-        if new_gpte != gpte:
-            pte_hpa_w, r = self._ept_walk(pte_gpa, AccessType.WRITE)
-            refs += r
-            self.physmem.write_u32(pte_hpa_w, new_gpte)
-            gpte = new_gpte
-
-        # Final level: the data page itself through the EPT.
-        gpa = (pte_frame(gpte) << PAGE_SHIFT) | offset
-        hpa, r = self._ept_walk(gpa, access)
-        refs += r
-
-        flags = PTE_PRESENT | PTE_ACCESSED
-        flags |= combined & PTE_USER
-        flags |= gpte & PTE_NOEXEC
-        if access is AccessType.WRITE:
-            # Lazy-W: cache write permission only once D is set, so the
-            # next write after a dirty-log round re-walks.
-            flags |= PTE_WRITABLE | PTE_DIRTY
-        self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
-        self.walk_mem_refs += refs
-        return hpa, self.costs.tlb_hit_cycles + refs * self.costs.mem_ref_cycles
-
-    def set_root(self, root_pa: int) -> None:
-        """Guest PTBR write: entirely guest-local under nested paging."""
-        self.guest_root = root_pa & ~0xFFF
-        self.tlb.flush()
-
-    def invlpg(self, va: int) -> None:
-        self.tlb.invalidate((va & 0xFFFFFFFF) >> PAGE_SHIFT)
-
-    def flush(self) -> None:
-        self.tlb.flush()
-
-    def destroy(self) -> None:
-        self.ept.destroy()
-        self.tlb.flush()
-
-    # -- internals -------------------------------------------------------------
-
-    def _ept_walk(self, gpa: int, access: AccessType) -> Tuple[int, int]:
-        """Walk the EPT for one gPA; returns (hpa, mem_refs).
-
-        Raises :class:`VMExit` (EPT violation) when unmapped or when a
-        write hits a write-protected entry.
-        """
-        dir_idx, tbl_idx, offset = split_vaddr(gpa)
-        pde = self.physmem.read_u32(self.ept.root_pa + dir_idx * 4)
-        if not pde & PTE_PRESENT:
-            raise VMExit(
-                ExitReason.PAGE_FAULT, kind="ept_violation",
-                gpa=gpa, access=access,
-            )
-        pte = self.physmem.read_u32((pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4)
-        if not pte & PTE_PRESENT:
-            raise VMExit(
-                ExitReason.PAGE_FAULT, kind="ept_violation",
-                gpa=gpa, access=access,
-            )
-        if access is AccessType.WRITE and not (pde & pte & PTE_WRITABLE):
-            kind = (
-                "dirty_log"
-                if (gpa >> PAGE_SHIFT) in self.write_protected_gfns
-                else "ept_violation"
-            )
-            raise VMExit(
-                ExitReason.PAGE_FAULT, kind=kind,
-                gpa=gpa, gfn=gpa >> PAGE_SHIFT, access=access,
-            )
-        return (pte_frame(pte) << PAGE_SHIFT) | offset, 2
+NestedMMU = partial(TwoStageMMU, hmode=False)

@@ -38,28 +38,29 @@ class HWAssistPolicy(VirtPolicy):
         self.vcpu = vcpu
         self.intercept_paging = intercept_paging
 
-    def io(self, cpu: CPUCore, is_in: bool, port: int, value: int):
+    def io(self, cpu: CPUCore, is_in: bool, port: int, value: int, ins):
         reason = ExitReason.IO_IN if is_in else ExitReason.IO_OUT
-        raise VMExit(reason, guest_pc=cpu.pc, instruction_length=4,
+        raise VMExit(reason, guest_pc=cpu.pc, instruction_length=ins.length,
                      port=port, value=value)
 
-    def vmcall(self, cpu: CPUCore, num: int):
+    def vmcall(self, cpu: CPUCore, num: int, ins):
         raise VMExit(ExitReason.VMCALL, guest_pc=cpu.pc,
-                     instruction_length=4, num=num)
+                     instruction_length=ins.length, num=num)
 
-    def hlt(self, cpu: CPUCore):
-        raise VMExit(ExitReason.HLT, guest_pc=cpu.pc, instruction_length=4)
+    def hlt(self, cpu: CPUCore, ins):
+        raise VMExit(ExitReason.HLT, guest_pc=cpu.pc,
+                     instruction_length=ins.length)
 
-    def csr_write(self, cpu: CPUCore, csr: int, value: int):
+    def csr_write(self, cpu: CPUCore, csr: int, value: int, ins):
         if csr == CSR.PTBR and self.intercept_paging:
             raise VMExit(ExitReason.CSR_WRITE, guest_pc=cpu.pc,
-                         instruction_length=4, csr=csr, value=value)
+                         instruction_length=ins.length, csr=csr, value=value)
         return NATIVE
 
-    def invlpg(self, cpu: CPUCore, va: int):
+    def invlpg(self, cpu: CPUCore, va: int, ins):
         if self.intercept_paging:
             raise VMExit(ExitReason.PRIV_INSTR, guest_pc=cpu.pc,
-                         instruction_length=4, op=Op.INVLPG, va=va)
+                         instruction_length=ins.length, op=Op.INVLPG, va=va)
         return NATIVE
 
 
@@ -130,11 +131,11 @@ class HModePolicy(HWAssistPolicy):
             return self.vcpu.vcsr[csr]
         return NATIVE
 
-    def csr_write(self, cpu: CPUCore, csr: int, value: int):
+    def csr_write(self, cpu: CPUCore, csr: int, value: int, ins):
         if csr in (int(CSR.HEDELEG), int(CSR.HIDELEG)):
             self.vcpu.vcsr[csr] = value & 0xFFFFFFFF
             return HANDLED
-        return super().csr_write(cpu, csr, value)
+        return super().csr_write(cpu, csr, value, ins)
 
 
 class DeprivilegedPolicy(VirtPolicy):
@@ -152,9 +153,9 @@ class DeprivilegedPolicy(VirtPolicy):
             ins=ins,
         )
 
-    def vmcall(self, cpu: CPUCore, num: int):
+    def vmcall(self, cpu: CPUCore, num: int, ins):
         raise VMExit(ExitReason.VMCALL, guest_pc=cpu.pc,
-                     instruction_length=4, num=num)
+                     instruction_length=ins.length, num=num)
 
     # Sensitive non-trapping instructions and public-CSR reads stay
     # NATIVE deliberately: the guest silently sees *hardware* state.

@@ -255,6 +255,9 @@ class ShadowMMU(MMUBase):
     def unprotect_gfn(self, gfn: int) -> None:
         self.write_protected_gfns.discard(gfn)
 
+    def map_gfn(self, gfn: int, hfn: int) -> None:
+        """The host backed ``gfn``: nothing to do, shadows fill lazily."""
+
     def drop_gfn(self, gfn: int) -> None:
         """Remove every shadow mapping of a guest frame (balloon, swap,
         sharing break)."""

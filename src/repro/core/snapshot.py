@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
-from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestConfig, VirtualMachine
-from repro.cpu.isa import CSR, Cause
+from repro.cpu.isa import Cause
 from repro.util.errors import ConfigError
 from repro.util.units import PAGE_SIZE
 
@@ -238,9 +235,7 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
     # Drop frames that were not mapped at snapshot time (balloon).
     for gfn in list(vm.guest_mem.map):
         if gfn not in snapshot.mapped_gfns:
-            mmu = vm.vcpus[0].cpu.mmu
-            if isinstance(mmu, (NestedMMU, HModeMMU)):
-                mmu.ept_unmap(gfn)
+            vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
             hypervisor.allocator.free(vm.guest_mem.unmap_page(gfn))
     for gfn, content in snapshot.pages.items():
         vm.guest_mem.write_gfn(gfn, content)
@@ -276,19 +271,7 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
         (vblk.queue.desc_gpa, vblk.queue.avail_gpa, vblk.queue.used_gpa,
          vblk.queue.size, vblk.queue.last_avail_idx) = snapshot.virtio_blk_queue
 
-    # Rebuild translation structures from the restored root.
-    mmu = cpu.mmu
-    if isinstance(mmu, ShadowMMU):
-        root = (cpu.csr[CSR.PTBR]
-                if config.virt_mode is VirtMode.HW_ASSIST
-                else vcpu.vcsr[CSR.PTBR])
-        if root:
-            mmu.switch_guest_root(root)
-            if mmu.ring_compression:
-                mmu.set_view(kernel=not vcpu.virtual_user)
-    elif isinstance(mmu, (NestedMMU, HModeMMU)):
-        if cpu.csr[CSR.PTBR]:
-            mmu.set_root(cpu.csr[CSR.PTBR])
+    vcpu.rebuild_translation()
     return vm
 
 

@@ -12,6 +12,7 @@ core's CSR file *is* the guest's and ``vcsr`` is unused.
 
 from typing import List, Optional
 
+from repro.core.modes import VirtMode
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, TrapInfo
 from repro.cpu.isa import CSR, Cause, MODE_KERNEL, MODE_USER
@@ -57,6 +58,21 @@ class VCPU:
             self.vcsr[CSR.MODE] = mode
             if self.on_virtual_mode_change is not None:
                 self.on_virtual_mode_change(mode == MODE_KERNEL)
+
+    def rebuild_translation(self) -> None:
+        """Rebuild host-local translation state from the guest's PTBR.
+
+        Shadow tables and combined TLB entries never travel with a
+        snapshot or a migration; after the architectural state has been
+        restored, point the MMU at the restored root (and, for a
+        ring-compressed shadow, at the restored privilege view).
+        """
+        hw = self.vm.config.virt_mode is VirtMode.HW_ASSIST
+        root = self.cpu.csr[CSR.PTBR] if hw else self.vcsr[CSR.PTBR]
+        if root:
+            self.cpu.mmu.set_root(root)
+            if self.on_virtual_mode_change is not None:
+                self.on_virtual_mode_change(not self.virtual_user)
 
     # -- trap reflection -----------------------------------------------------
 

@@ -87,7 +87,9 @@ class VirtPolicy:
     """Default policy: everything native. VMM policies override hooks.
 
     Hooks may raise :class:`VMExit`; any other return contract is given
-    per method. ``cpu`` is the calling core.
+    per method. ``cpu`` is the calling core and ``ins`` the decoded
+    instruction at ``cpu.pc`` (an exit reports ``ins.length`` so the
+    handler can step over the 4- or 8-byte form alike).
     """
 
     def trap(self, cpu: "CPUCore", info: TrapInfo, ins: Optional[Instruction]):
@@ -98,23 +100,25 @@ class VirtPolicy:
         """Return the value to load, or NATIVE."""
         return NATIVE
 
-    def csr_write(self, cpu: "CPUCore", csr: int, value: int):
+    def csr_write(self, cpu: "CPUCore", csr: int, value: int,
+                  ins: Instruction):
         """Return HANDLED if emulated, or NATIVE."""
         return NATIVE
 
-    def io(self, cpu: "CPUCore", is_in: bool, port: int, value: int):
+    def io(self, cpu: "CPUCore", is_in: bool, port: int, value: int,
+           ins: Instruction):
         """For IN return the value read; for OUT return HANDLED; or NATIVE."""
         return NATIVE
 
-    def vmcall(self, cpu: "CPUCore", num: int):
+    def vmcall(self, cpu: "CPUCore", num: int, ins: Instruction):
         """Return HANDLED / a result, or NATIVE (VMCALL is then illegal)."""
         return NATIVE
 
-    def hlt(self, cpu: "CPUCore"):
+    def hlt(self, cpu: "CPUCore", ins: Instruction):
         """Return HANDLED to swallow the halt, or NATIVE to stop the loop."""
         return NATIVE
 
-    def invlpg(self, cpu: "CPUCore", va: int):
+    def invlpg(self, cpu: "CPUCore", va: int, ins: Instruction):
         """Return HANDLED if emulated, or NATIVE."""
         return NATIVE
 
@@ -728,7 +732,7 @@ class CPUCore:
             return
         if op is Op.VMCALL:
             if policy is not None:
-                outcome = policy.vmcall(self, ins.simm12 & 0xFFF)
+                outcome = policy.vmcall(self, ins.simm12 & 0xFFF, ins)
                 if outcome is not NATIVE:
                     self.pc = next_pc
                     return
@@ -768,7 +772,7 @@ class CPUCore:
             return
         if op is Op.HLT:
             if policy is not None:
-                outcome = policy.hlt(self)
+                outcome = policy.hlt(self, ins)
                 if outcome is HANDLED:
                     self.pc = next_pc
                     return
@@ -778,7 +782,7 @@ class CPUCore:
         if op is Op.INVLPG:
             va = self.regs[ins.ra]
             if policy is not None:
-                outcome = policy.invlpg(self, va)
+                outcome = policy.invlpg(self, va, ins)
                 if outcome is HANDLED:
                     self.pc = next_pc
                     return
@@ -825,7 +829,7 @@ class CPUCore:
             self._trap(Cause.PRIV, int(Op.CSRW), epc=pc, ins=ins)
             return
         if self.policy is not None:
-            outcome = self.policy.csr_write(self, csr, value)
+            outcome = self.policy.csr_write(self, csr, value, ins)
             if outcome is HANDLED:
                 self.pc = next_pc
                 return
@@ -843,7 +847,7 @@ class CPUCore:
         if op is Op.OUT:
             value = self.regs[ins.ra]
             if self.policy is not None:
-                outcome = self.policy.io(self, False, port, value)
+                outcome = self.policy.io(self, False, port, value, ins)
                 if outcome is HANDLED:
                     self.pc = next_pc
                     return
@@ -853,7 +857,7 @@ class CPUCore:
             return
         # IN
         if self.policy is not None:
-            outcome = self.policy.io(self, True, port, 0)
+            outcome = self.policy.io(self, True, port, 0, ins)
             if outcome is not NATIVE:
                 self.write_reg(ins.rd, int(outcome) & 0xFFFFFFFF)
                 self.pc = next_pc

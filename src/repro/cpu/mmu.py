@@ -4,16 +4,34 @@ The CPU calls :meth:`MMUBase.translate` for every fetch, load, and
 store. Swapping the MMU object is how the hypervisor interposes on
 address translation:
 
-* :class:`BareMMU` -- native execution and hardware-assisted guests with
-  nested paging disabled: walks the tables named by PTBR directly.
-* ``ShadowMMU`` / ``NestedMMU`` (in :mod:`repro.core.shadow` and
-  :mod:`repro.core.nested`) -- virtualized translation.
+* :class:`BareMMU` -- native execution: walks the tables named by PTBR
+  directly.
+* ``ShadowMMU`` (in :mod:`repro.core.shadow`) -- software MMU
+  virtualization: the hardware only ever sees VMM-built shadow tables.
+* :class:`TwoStageMMU` -- hardware MMU virtualization (EPT/NPT, the
+  H-mode G-stage): one implementation behind both
+  ``MMUVirtMode.NESTED`` and ``MMUVirtMode.HMODE``. It lives in the CPU
+  package because two-stage translation is part of the architecture,
+  not a VMM construction.
 
 ``translate`` returns ``(physical_address, extra_cycles)``; it raises
 :class:`repro.mem.paging.PageFault` for guest-visible faults and may
 raise :class:`repro.cpu.exits.VMExit` for faults the VMM must service.
+
+The two virtualized MMUs also share one **host memory-control surface**,
+so the hypervisor, overcommit and migration code call the MMU instead
+of branching on its class:
+
+* ``map_gfn(gfn, hfn)`` -- the host backed a guest frame (eager under
+  two-stage paging; a no-op under shadow, which refills lazily);
+* ``drop_gfn(gfn)`` -- forget every translation of a guest frame before
+  the host takes its backing away (balloon, swap, sharing);
+* ``write_protect_gfn(gfn)`` / ``unprotect_gfn(gfn)`` -- dirty logging
+  and copy-on-write (the next write raises a ``dirty_log`` exit);
+* ``destroy()`` -- return every table page to the host allocator.
 """
 
+from functools import partial
 from typing import Callable, Optional, Set, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
@@ -119,22 +137,32 @@ class BareMMU(MMUBase):
         self.tlb.flush()
 
 
-class HModeMMU(MMUBase):
-    """Hardware two-stage translation for H-mode guests.
+class TwoStageMMU(MMUBase):
+    """Two-dimensional translation: guest tables over a host-owned EPT.
 
-    The architected "hardware" MMU of the H-mode extension: guest VA ->
-    guest PA through the guest's own tables, guest PA -> host PA through
-    a host-owned G-stage table, both walked by the
+    Guest VA -> guest PA through the guest's own tables, guest PA ->
+    host PA through the second-stage table (``ept``; the G-stage of the
+    H-mode extension), both walked by the
     :class:`~repro.mem.paging.TwoStageWalker` with combined translations
     cached in one TLB. The guest keeps PTBR/INVLPG native (no MMU
-    exits); the host programs the G-stage exactly like an EPT, so this
-    class deliberately duck-types :class:`~repro.core.nested.NestedMMU`'s
-    host-control surface (``ept``/``ept_map``/``ept_unmap``/
-    ``write_protect_gfn``/``unprotect_gfn``) and raises the same
-    ``ept_violation``/``dirty_log`` exits -- demand paging, ballooning,
-    dirty logging and post-copy compose unchanged. It lives in the CPU
-    package because H-mode makes two-stage translation part of the
-    architecture, not a VMM construction.
+    exits). For 2-level tables on both sides a cold walk is
+
+        2 guest levels x (2 EPT refs + 1 entry read) + 2 final EPT refs = 8
+
+    entry references versus 2 for shadow/native -- the classic
+    (n+1)(m+1)-1 amplification measured in experiment E3.
+
+    EPT permissions double as the host-control plane: an unmapped guest
+    frame raises an ``ept_violation`` exit (demand allocation, post-copy
+    migration, swap-in), and a write to a write-protected entry raises a
+    ``dirty_log`` exit (pre-copy round tracking, copy-on-write).
+
+    ``hmode`` selects the two things the hw-nested and hw-hmode engines
+    really differ in: False prices every reference at
+    ``mem_ref_cycles`` and leaves the EPT's own A/D bits alone
+    (VT-x-style nested paging); True prices second-stage references at
+    ``gstage_ref_cycles``, maintains A/D at both stages and consults
+    ``stall_fn`` (the architected H-mode walker).
     """
 
     def __init__(
@@ -144,53 +172,56 @@ class HModeMMU(MMUBase):
         guest_mem,
         costs: CostModel,
         tlb_entries: int = 64,
+        *,
+        hmode: bool,
     ):
         self.physmem = host_physmem
         self.costs = costs
         self.guest_mem = guest_mem
+        self.hmode = hmode
         self.tlb = TLB(tlb_entries)
-        #: The G-stage table (gPA -> hPA), host-owned.
-        self.gstage = AddressSpace(host_physmem, host_allocator)
-        self.walker = TwoStageWalker(host_physmem)
+        #: The second-stage table (gPA -> hPA), host-owned.
+        self.ept = AddressSpace(host_physmem, host_allocator)
+        self.walker = TwoStageWalker(host_physmem, gstage_ad=hmode)
         self.guest_root: Optional[int] = None
-        #: gfns whose G-stage entry is write-protected for dirty logging.
+        #: gfns whose EPT entry is write-protected for dirty logging.
         self.write_protected_gfns: Set[int] = set()
         #: Optional fault-injection hook (``hmode.gstage_stall``):
         #: called once per two-stage TLB miss, returns extra cycles.
         self.stall_fn: Optional[Callable[[], int]] = None
 
-        self.two_stage_walks = 0
-        self.walk_mem_refs = 0  # guest page-table entry reads
-        self.gstage_mem_refs = 0  # G-stage page-table entry reads
+    # -- host memory control ---------------------------------------------------
 
-    # -- G-stage management (host side, NestedMMU-compatible) ----------------
+    def map_gfn(self, gfn: int, hfn: int) -> None:
+        """Back guest frame ``gfn`` with host frame ``hfn`` in the EPT."""
+        self.ept.map(
+            gfn << PAGE_SHIFT, hfn << PAGE_SHIFT,
+            PTE_PRESENT | PTE_USER | PTE_WRITABLE,
+        )
 
-    @property
-    def ept(self) -> AddressSpace:
-        """The G-stage table under its EPT-compatible name."""
-        return self.gstage
-
-    def ept_map(self, gfn: int, hfn: int, writable: bool = True) -> None:
-        flags = PTE_PRESENT | PTE_USER | (PTE_WRITABLE if writable else 0)
-        self.gstage.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, flags)
-
-    def ept_unmap(self, gfn: int) -> None:
-        self.gstage.unmap(gfn << PAGE_SHIFT)
-        self.tlb.flush()  # conservatively drop combined translations
+    def drop_gfn(self, gfn: int) -> None:
+        """Unmap ``gfn`` from the EPT; its next access is an EPT violation."""
+        if self.ept.lookup(gfn << PAGE_SHIFT) is not None:
+            self.ept.unmap(gfn << PAGE_SHIFT)
+            self.tlb.flush()  # conservatively drop combined translations
 
     def write_protect_gfn(self, gfn: int) -> None:
-        pte = self.gstage.lookup(gfn << PAGE_SHIFT)
+        pte = self.ept.lookup(gfn << PAGE_SHIFT)
         if pte is None:
             return
         self.write_protected_gfns.add(gfn)
-        self.gstage.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
+        self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
         self.tlb.flush()
 
     def unprotect_gfn(self, gfn: int) -> None:
         self.write_protected_gfns.discard(gfn)
-        pte = self.gstage.lookup(gfn << PAGE_SHIFT)
+        pte = self.ept.lookup(gfn << PAGE_SHIFT)
         if pte is not None:
-            self.gstage.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
+            self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
+
+    def destroy(self) -> None:
+        self.ept.destroy()
+        self.tlb.flush()
 
     # -- MMUBase interface ----------------------------------------------------
 
@@ -203,32 +234,29 @@ class HModeMMU(MMUBase):
                 (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF),
                 self.costs.tlb_hit_cycles,
             )
-        self.two_stage_walks += 1
         stall = self.stall_fn() if self.stall_fn is not None else 0
         costs = self.costs
+        ept_ref_cycles = (
+            costs.gstage_ref_cycles if self.hmode else costs.mem_ref_cycles
+        )
         if self.guest_root is None:
-            # Guest paging off: VA is a gPA; one G-stage walk.
+            # Guest paging off: VA is a gPA; one EPT walk.
             try:
-                hpa, refs = self.walker.gstage_walk(
-                    self.gstage.root_pa, va, access
-                )
+                hpa, refs = self.walker.gstage_walk(self.ept.root_pa, va, access)
             except GStageFault as fault:
-                raise self._gstage_exit(fault) from None
+                raise self._ept_exit(fault) from None
             flags = PTE_PRESENT | PTE_USER | PTE_ACCESSED
             if access is AccessType.WRITE:
                 flags |= PTE_WRITABLE | PTE_DIRTY
             self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
-            self.gstage_mem_refs += refs
-            return hpa, (
-                costs.tlb_hit_cycles + refs * costs.gstage_ref_cycles + stall
-            )
+            return hpa, costs.tlb_hit_cycles + refs * ept_ref_cycles + stall
 
         try:
             res = self.walker.walk(
-                self.gstage.root_pa, self.guest_root, va, access, user
+                self.ept.root_pa, self.guest_root, va, access, user
             )
         except GStageFault as fault:
-            raise self._gstage_exit(fault) from None
+            raise self._ept_exit(fault) from None
         flags = PTE_PRESENT | PTE_ACCESSED
         flags |= res.combined & PTE_USER
         flags |= res.pte & PTE_NOEXEC
@@ -239,12 +267,10 @@ class HModeMMU(MMUBase):
         self.tlb.insert(
             vpn, ((res.hpaddr >> PAGE_SHIFT) << PAGE_SHIFT) | flags
         )
-        self.walk_mem_refs += res.guest_refs
-        self.gstage_mem_refs += res.gstage_refs
         return res.hpaddr, (
             costs.tlb_hit_cycles
             + res.guest_refs * costs.mem_ref_cycles
-            + res.gstage_refs * costs.gstage_ref_cycles
+            + res.gstage_refs * ept_ref_cycles
             + stall
         )
 
@@ -259,14 +285,10 @@ class HModeMMU(MMUBase):
     def flush(self) -> None:
         self.tlb.flush()
 
-    def destroy(self) -> None:
-        self.gstage.destroy()
-        self.tlb.flush()
-
     # -- internals -------------------------------------------------------------
 
-    def _gstage_exit(self, fault: GStageFault) -> VMExit:
-        """Map a G-stage fault onto the architected exit kinds."""
+    def _ept_exit(self, fault: GStageFault) -> VMExit:
+        """Map a second-stage fault onto the architected exit kinds."""
         gfn = fault.gpa >> PAGE_SHIFT
         kind = (
             "dirty_log"
@@ -277,3 +299,8 @@ class HModeMMU(MMUBase):
             ExitReason.PAGE_FAULT, kind=kind,
             gpa=fault.gpa, gfn=gfn, access=fault.access,
         )
+
+
+#: The H-mode binding of the one two-stage implementation
+#: (``MMUVirtMode.HMODE``); :data:`repro.core.nested.NestedMMU` is the other.
+HModeMMU = partial(TwoStageMMU, hmode=True)

@@ -224,7 +224,7 @@ class GStageFault(Exception):
     This is the memory-layer analogue of an EPT violation: ``present``
     distinguishes a write denied by a read-only G-stage entry (True,
     e.g. dirty logging) from an unmapped guest frame (False). The
-    H-mode MMU maps it onto a :class:`~repro.cpu.exits.VMExit`; the
+    two-stage MMU maps it onto a :class:`~repro.cpu.exits.VMExit`; the
     memory layer itself stays free of CPU-package imports.
     """
 
@@ -253,33 +253,33 @@ class TwoStageResult:
 
 
 class TwoStageWalker:
-    """Hardware-walked two-stage translation (H-mode; VS-stage over G-stage).
+    """Hardware-walked two-stage translation (guest stage over G-stage/EPT).
 
     Both stages are ordinary 2-level tables in the same PTE format. The
     guest stage lives in guest-physical memory, so each of its entry
     reads is itself G-stage translated; with 2-level tables on both
     sides a cold walk costs ``2 x (2 + 1) + 2 = 8`` entry references --
-    the same (n+1)(m+1)-1 amplification as software nested paging,
-    but walked "in hardware": no exits, and the walker maintains
-    accessed/dirty bits at *both* stages (the G-stage A/D updates are
-    what pre-copy migration reads instead of write-protection exits).
+    the (n+1)(m+1)-1 amplification of nested paging -- walked "in
+    hardware": no exits. With ``gstage_ad`` (the H-mode
+    walker) accessed/dirty bits are maintained at *both* stages; without
+    it (VT-x-style nested paging) the G-stage entries are left untouched.
     """
 
-    def __init__(self, physmem: PhysicalMemory):
+    def __init__(self, physmem: PhysicalMemory, gstage_ad: bool):
         self.physmem = physmem
+        self.gstage_ad = gstage_ad
         self.walks = 0
         self.faults = 0
         self.gstage_faults = 0
 
     def gstage_walk(
-        self, gstage_root: int, gpa: int, access: AccessType,
-        set_ad: bool = True,
+        self, gstage_root: int, gpa: int, access: AccessType
     ) -> Tuple[int, int]:
         """Translate one gPA through the G-stage; return (hpa, refs).
 
         Raises :class:`GStageFault` when unmapped or when a write hits
-        a non-writable entry. On success sets ACCESSED at both G-stage
-        levels and DIRTY at the leaf for writes.
+        a non-writable entry. On success, under ``gstage_ad``, sets
+        ACCESSED at both G-stage levels and DIRTY at the leaf for writes.
         """
         dir_idx, tbl_idx, offset = split_vaddr(gpa)
         pde_pa = gstage_root + dir_idx * 4
@@ -295,7 +295,7 @@ class TwoStageWalker:
         if access is AccessType.WRITE and not (pde & pte & PTE_WRITABLE):
             self.gstage_faults += 1
             raise GStageFault(gpa, access, present=True)
-        if set_ad:
+        if self.gstage_ad:
             new_pde = pde | PTE_ACCESSED
             if new_pde != pde:
                 self.physmem.write_u32(pde_pa, new_pde)
@@ -320,8 +320,7 @@ class TwoStageWalker:
         Guest-visible behaviour (fault order, guest A/D updates) is
         identical to :class:`PageTableWalker`; every guest table access
         additionally passes through the G-stage, including the write-back
-        of guest A/D bits (so dirty logging captures page-table pages,
-        exactly as under software nested paging).
+        of guest A/D bits (so dirty logging captures page-table pages).
         """
         self.walks += 1
         guest_refs = 0

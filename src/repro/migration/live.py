@@ -26,10 +26,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
-from repro.core.modes import MMUVirtMode
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
-from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestConfig, VirtualMachine
 from repro.faults.recovery import RetryPolicy
 from repro.util.errors import LinkError, MigrationError
@@ -333,19 +329,7 @@ class LiveMigrator:
         d.halted = s.halted
         d.incorrectness_observed = s.incorrectness_observed
 
-        # Rebuild translation structures on the destination from the
-        # migrated guest root (shadows/EPT mappings are host-local).
-        mmu = d.cpu.mmu
-        if isinstance(mmu, ShadowMMU):
-            root = d.vcsr[1] if src_vm.config.mmu_mode is MMUVirtMode.SHADOW else 0
-            if src_vm.config.virt_mode.value == "hw_assist":
-                root = d.cpu.csr[1]
-            if root:
-                mmu.switch_guest_root(root)
-                mmu.set_view(kernel=not d.virtual_user)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if d.cpu.csr[1]:
-                mmu.set_root(d.cpu.csr[1])
+        d.rebuild_translation()
 
     def _copy_devices(self, src_vm: VirtualMachine, dst_vm: VirtualMachine) -> None:
         # Console: preserve everything printed so far.

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
+from repro.core.modes import MMUVirtMode
 from repro.core.vm import VirtualMachine
 from repro.overcommit.balloon import BalloonPolicy
 from repro.overcommit.sharing import PageSharer
@@ -262,13 +261,12 @@ class MemoryPressureController:
     def _inflate(self, vm: VirtualMachine, cold: Set[int], want: int) -> int:
         """Balloon out up to ``want`` cold, unshared, all-zero pages.
 
-        Only nested-MMU guests are ballooned: their refault path is the
-        EPT dispatch chain, whose demand-zero tail rebuilds the page
+        Only two-stage-MMU guests are ballooned: their refault path is
+        the EPT dispatch chain, whose demand-zero tail rebuilds the page
         bit-identically. (A shadow-MMU guest's fill path cannot promise
         that, so the controller leaves it to sharing and swap.)
         """
-        mmu = vm.vcpus[0].cpu.mmu
-        if not isinstance(mmu, (NestedMMU, HModeMMU)):
+        if vm.config.mmu_mode is MMUVirtMode.SHADOW:
             return 0
         want = min(want, self.config.max_balloon_per_tick)
         given = 0

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
-from repro.core.shadow import ShadowMMU
 from repro.core.vm import VirtualMachine
 from repro.obs.registry import counter_attr
 from repro.util.errors import MemoryError_
@@ -102,7 +99,7 @@ class PageSharer:
             for _vm, _gfn, hfn in group:
                 alias_refs[hfn] = alias_refs.get(hfn, 0) + 1
             canon_vm, canon_gfn, canon_hfn = group[0]
-            self._protect(canon_vm, canon_gfn)
+            self._mmu(canon_vm).write_protect_gfn(canon_gfn)
             self.refcount.setdefault(canon_hfn, 1)
             self._sharers.add((canon_vm.name, canon_gfn))
             for vm, gfn, hfn in group[1:]:
@@ -113,11 +110,11 @@ class PageSharer:
                     # shared frame under every other sharer.
                     if (vm.name, gfn) not in self._sharers:
                         self.refcount[canon_hfn] += 1
-                        self._protect(vm, gfn)
+                        self._mmu(vm).write_protect_gfn(gfn)
                         self._sharers.add((vm.name, gfn))
                         result.pages_merged += 1
                     continue
-                self._drop_mappings(vm, gfn)
+                self._mmu(vm).drop_gfn(gfn)
                 vm.guest_mem.unmap_page(gfn)
                 self._sharers.discard((vm.name, gfn))
                 alias_refs[hfn] -= 1
@@ -133,8 +130,8 @@ class PageSharer:
                     result.frames_freed += 1
                 vm.guest_mem.map_page(gfn, canon_hfn)
                 self.refcount[canon_hfn] += 1
-                self._remap(vm, gfn, canon_hfn)
-                self._protect(vm, gfn)
+                self._mmu(vm).map_gfn(gfn, canon_hfn)
+                self._mmu(vm).write_protect_gfn(gfn)
                 self._sharers.add((vm.name, gfn))
                 result.pages_merged += 1
 
@@ -156,13 +153,13 @@ class PageSharer:
             raise MemoryError_(f"COW break for non-shared ({vm.name}, {gfn})")
         shared_hfn = vm.guest_mem.map[gfn]
         content = self.hv.physmem.read_frame(shared_hfn)
-        self._drop_mappings(vm, gfn)
+        self._mmu(vm).drop_gfn(gfn)
         vm.guest_mem.unmap_page(gfn)
         new_hfn = self.hv.allocator.alloc(zero=False)
         self.hv.physmem.write_frame(new_hfn, content)
         vm.guest_mem.map_page(gfn, new_hfn)
-        self._remap(vm, gfn, new_hfn)
-        self._unprotect(vm, gfn)
+        self._mmu(vm).map_gfn(gfn, new_hfn)
+        self._mmu(vm).unprotect_gfn(gfn)
         self._sharers.discard((vm.name, gfn))
         self.cow_breaks += 1
         self._ops.inc()
@@ -203,23 +200,3 @@ class PageSharer:
 
     def _mmu(self, vm: VirtualMachine):
         return vm.vcpus[0].cpu.mmu
-
-    def _protect(self, vm: VirtualMachine, gfn: int) -> None:
-        self._mmu(vm).write_protect_gfn(gfn)
-
-    def _unprotect(self, vm: VirtualMachine, gfn: int) -> None:
-        self._mmu(vm).unprotect_gfn(gfn)
-
-    def _drop_mappings(self, vm: VirtualMachine, gfn: int) -> None:
-        mmu = self._mmu(vm)
-        if isinstance(mmu, ShadowMMU):
-            mmu.drop_gfn(gfn)
-        elif isinstance(mmu, (NestedMMU, HModeMMU)):
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is not None:
-                mmu.ept_unmap(gfn)
-
-    def _remap(self, vm: VirtualMachine, gfn: int, hfn: int) -> None:
-        mmu = self._mmu(vm)
-        if isinstance(mmu, (NestedMMU, HModeMMU)):
-            mmu.ept_map(gfn, hfn)
-        # Shadow MMUs refill lazily on the next access.

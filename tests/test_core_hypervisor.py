@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench.common import MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import HypercallNumbers, RunOutcome, shared_info_gfn
+from repro.core.machine import Machine
 from repro.cpu.assembler import Assembler
+from repro.cpu.isa import Op, encode
 from repro.util.errors import ConfigError, GuestError
 from repro.util.units import MIB
 
@@ -208,6 +211,80 @@ class TestHypercalls:
     hlt
 """)
         assert vm.vcpus[0].cpu.regs[4] == 0xFFFFFFFF
+
+
+def long_form(op, rd=0, ra=0, simm12=0):
+    """``op`` in its 8-byte form (IMM_FLAG set), as assembler ``.word`` lines.
+
+    The immediate word is not a decodable instruction, so a handler
+    that resumes 4 bytes on -- inside it -- cannot go unnoticed.
+    """
+    raw = encode(op, rd, ra, 0, simm12, imm32=0xDEADBEEF)
+    return "\n".join(
+        f"    .word {int.from_bytes(raw[i:i + 4], 'little'):#x}"
+        for i in (0, 4)
+    )
+
+
+class TestLongFormExits:
+    """Intercepted instructions resume past their real encoding.
+
+    Any opcode may carry IMM_FLAG; the exit handler used to advance pc
+    by a literal 4, so under hardware assist the 8-byte OUT/IN/HLT/
+    VMCALL forms resumed inside the immediate word and a host
+    DecodeError escaped ``Hypervisor.run``.
+    """
+
+    #: The six VMM rows of the experiment matrix (all but "native").
+    CONFIGS = [row for row in MODE_MATRIX if row[1] is not None]
+    all_configs = pytest.mark.parametrize(
+        "virt_mode,mmu_mode", [c[1:3] for c in CONFIGS],
+        ids=[c[0] for c in CONFIGS])
+
+    # s0 = r9, a1 = r2: 'A' out, console status (1) in, 'B' out, halt.
+    PORT_IO = f"""
+    li s0, 65
+{long_form(Op.OUT, ra=9, simm12=0x10)}
+{long_form(Op.IN, rd=2, simm12=0x11)}
+    add s0, s0, a1
+    out 0x10, s0
+{long_form(Op.HLT)}
+"""
+
+    @all_configs
+    def test_out_in_hlt_match_the_bare_machine(self, virt_mode, mmu_mode):
+        machine = Machine()
+        machine.load_program(Assembler().assemble(".org 0x1000\n" + self.PORT_IO))
+        machine.cpu.reset(0x1000)
+        bare_outcome = machine.run(max_instructions=1000)
+        assert machine.console.text == "AB"
+
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = make_vm(hv, virt_mode=virt_mode, mmu_mode=mmu_mode)
+        outcome = load_and_run(hv, vm, self.PORT_IO, max_instructions=1000)
+        assert vm.devices["console"].text == machine.console.text
+        assert vm.vcpus[0].cpu.pc == machine.cpu.pc
+        assert outcome.value == bare_outcome.value == "halted"
+
+    @all_configs
+    def test_vmcall(self, virt_mode, mmu_mode):
+        # VMCALL is illegal on the bare machine, so the six engines are
+        # held to the one architected answer instead.
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = make_vm(hv, virt_mode=virt_mode, mmu_mode=mmu_mode)
+        outcome = load_and_run(hv, vm, f"""
+    li a0, 86            ; 'V'
+{long_form(Op.VMCALL, simm12=int(HypercallNumbers.CONSOLE_PUTC))}
+{long_form(Op.VMCALL, simm12=999)}
+    mov a3, a0
+    li a0, 1
+    out 0xf0, a0
+    hlt
+""", max_instructions=1000)
+        assert outcome is RunOutcome.SHUTDOWN
+        assert vm.devices["console"].text == "V"
+        assert vm.vcpus[0].cpu.regs[4] == 0xFFFFFFFF  # unknown hypercall: -1
+        assert vm.stats.hypercalls == 2
 
 
 class TestSharedInfo:

@@ -1,10 +1,15 @@
-"""Nested MMU: 2-D walks, EPT violations, dirty logging, walk costs."""
+"""Two-stage MMU: 2-D walks, EPT violations, dirty logging, walk costs.
+
+The module-level tests run under the ``NestedMMU`` binding;
+``TestHModeBinding`` runs every one of them again under ``HModeMMU``.
+"""
 
 import pytest
 
 from repro.core.nested import NestedMMU
 from repro.core.vm import GuestMemory
 from repro.cpu.exits import ExitReason, VMExit
+from repro.cpu.mmu import HModeMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
@@ -26,16 +31,16 @@ PT_GPA = 0x11000
 
 
 class NestedEnv:
-    def __init__(self, prealloc=True):
+    def __init__(self, make_mmu, prealloc=True, costs=None):
         self.pm = PhysicalMemory(4 * MIB)
         self.alloc = FrameAllocator(self.pm, reserved_frames=8)
         self.gm = GuestMemory(self.pm, GUEST_PAGES)
-        self.mmu = NestedMMU(self.pm, self.alloc, self.gm, CostModel())
+        self.mmu = make_mmu(self.pm, self.alloc, self.gm, costs or CostModel())
         if prealloc:
             for gfn in range(GUEST_PAGES):
                 hfn = self.alloc.alloc()
                 self.gm.map_page(gfn, hfn)
-                self.mmu.ept_map(gfn, hfn)
+                self.mmu.map_gfn(gfn, hfn)
 
     def guest_map(self, va, gfn, flags):
         dir_idx, tbl_idx, _ = split_vaddr(va)
@@ -50,15 +55,20 @@ class NestedEnv:
                           make_pte(gfn, flags | PTE_PRESENT))
 
 
-def test_real_mode_goes_through_ept():
-    env = NestedEnv()
+@pytest.fixture
+def make_mmu():
+    return NestedMMU
+
+
+def test_real_mode_goes_through_ept(make_mmu):
+    env = NestedEnv(make_mmu)
     pa, cycles = env.mmu.translate(0x2000, AccessType.READ, user=False)
     assert pa == env.gm.gpa_to_hpa(0x2000)
     assert cycles > 0  # one EPT walk
 
 
-def test_two_dimensional_walk_cost():
-    env = NestedEnv()
+def test_two_dimensional_walk_cost(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     costs = env.mmu.costs
@@ -74,8 +84,8 @@ def test_two_dimensional_walk_cost():
     assert c2 == costs.tlb_hit_cycles
 
 
-def test_guest_ad_bits_maintained():
-    env = NestedEnv()
+def test_guest_ad_bits_maintained(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
@@ -87,15 +97,15 @@ def test_guest_ad_bits_maintained():
     assert pte & PTE_DIRTY
 
 
-def test_guest_fault_is_guest_visible():
-    env = NestedEnv()
+def test_guest_fault_is_guest_visible(make_mmu):
+    env = NestedEnv(make_mmu)
     env.mmu.set_root(ROOT_GPA)
     with pytest.raises(PageFault):
         env.mmu.translate(0x40000000, AccessType.READ, user=True)
 
 
-def test_guest_permission_checks():
-    env = NestedEnv()
+def test_guest_permission_checks(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE)  # kernel only
     env.mmu.set_root(ROOT_GPA)
     with pytest.raises(PageFault):
@@ -103,8 +113,8 @@ def test_guest_permission_checks():
     env.mmu.translate(0x40000000, AccessType.READ, user=False)
 
 
-def test_ept_violation_on_unmapped_gfn():
-    env = NestedEnv(prealloc=False)
+def test_ept_violation_on_unmapped_gfn(make_mmu):
+    env = NestedEnv(make_mmu, prealloc=False)
     with pytest.raises(VMExit) as info:
         env.mmu.translate(0x3000, AccessType.READ, user=False)
     assert info.value.reason is ExitReason.PAGE_FAULT
@@ -112,8 +122,8 @@ def test_ept_violation_on_unmapped_gfn():
     assert info.value.qual("gpa") == 0x3000
 
 
-def test_dirty_log_protect_and_unprotect():
-    env = NestedEnv()
+def test_dirty_log_protect_and_unprotect(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
@@ -128,10 +138,10 @@ def test_dirty_log_protect_and_unprotect():
     env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
 
 
-def test_dirty_logging_catches_guest_pt_pages_via_ad_writes():
+def test_dirty_logging_catches_guest_pt_pages_via_ad_writes(make_mmu):
     # Setting the guest A bit writes guest PT memory, which must respect
     # EPT write protection -- PT pages get dirty-logged automatically.
-    env = NestedEnv()
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     pt_gfn = PT_GPA >> 12
@@ -142,18 +152,18 @@ def test_dirty_logging_catches_guest_pt_pages_via_ad_writes():
     assert info.value.qual("gfn") == pt_gfn
 
 
-def test_ept_unmap_forces_refault():
-    env = NestedEnv()
+def test_ept_unmap_forces_refault(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
-    env.mmu.ept_unmap(5)
+    env.mmu.drop_gfn(5)
     with pytest.raises(VMExit):
         env.mmu.translate(0x40000000, AccessType.READ, user=True)
 
 
-def test_set_root_flushes_tlb():
-    env = NestedEnv()
+def test_set_root_flushes_tlb(make_mmu):
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
@@ -162,13 +172,53 @@ def test_set_root_flushes_tlb():
     assert len(env.mmu.tlb) == 0
 
 
-def test_lazy_write_caching_after_dirty_round():
+def test_lazy_write_caching_after_dirty_round(make_mmu):
     # After a read fill, the TLB entry is not write-permitting, so the
     # next write re-walks (and can be caught by dirty logging).
-    env = NestedEnv()
+    env = NestedEnv(make_mmu)
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
     env.mmu.write_protect_gfn(5)
     with pytest.raises(VMExit):
         env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
+
+
+class TestHModeBinding:
+    """Every test above again, under the H-mode binding."""
+
+    @pytest.fixture
+    def make_mmu(self):
+        return HModeMMU
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestHModeBinding, _name, staticmethod(_test))
+
+
+def test_hmode_prices_gstage_refs_separately():
+    costs = CostModel(mem_ref_cycles=30, gstage_ref_cycles=7)
+    env = NestedEnv(HModeMMU, costs=costs)
+    env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
+    _, cycles = env.mmu.translate(0x2000, AccessType.READ, user=False)
+    assert cycles == costs.tlb_hit_cycles + 2 * 7  # real mode: one G-stage walk
+    env.mmu.set_root(ROOT_GPA)
+    _, cycles = env.mmu.translate(0x40000050, AccessType.READ, user=True)
+    # 2 guest entry reads; 3 G-stage walks + 2 A-bit write-back walks.
+    assert cycles == costs.tlb_hit_cycles + 2 * 30 + 10 * 7
+    # The nested binding prices the same 12 references uniformly.
+    env = NestedEnv(NestedMMU, costs=costs)
+    env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
+    env.mmu.set_root(ROOT_GPA)
+    _, cycles = env.mmu.translate(0x40000050, AccessType.READ, user=True)
+    assert cycles == costs.tlb_hit_cycles + 12 * 30
+
+
+def test_gstage_ad_bits_only_under_hmode():
+    for make_mmu, expect_ad in ((NestedMMU, False), (HModeMMU, True)):
+        env = NestedEnv(make_mmu)
+        env.mmu.translate(0x2000, AccessType.WRITE, user=False)
+        pte = env.mmu.ept.lookup(0x2000)
+        assert bool(pte & PTE_ACCESSED) is expect_ad
+        assert bool(pte & PTE_DIRTY) is expect_ad

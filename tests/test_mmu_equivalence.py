@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.nested import NestedMMU
+from repro.cpu.mmu import HModeMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestMemory
 from repro.cpu.exits import VMExit
@@ -129,17 +130,19 @@ class TestShadowNestedEquivalence:
                            ring_compression=False, trap_pt_writes=False)
         shadow.switch_guest_root(ROOT_GPA)
 
-        pm_n, alloc_n, gm_n = build_guest(mappings)
-        nested = NestedMMU(pm_n, alloc_n, gm_n, CostModel())
-        for gfn, hfn in gm_n.map.items():
-            nested.ept_map(gfn, hfn)
-        nested.set_root(ROOT_GPA)
+        two_stage = []
+        for name, make_mmu in (("nested", NestedMMU), ("hmode", HModeMMU)):
+            pm_n, alloc_n, gm_n = build_guest(mappings)
+            mmu = make_mmu(pm_n, alloc_n, gm_n, CostModel())
+            for gfn, hfn in gm_n.map.items():
+                mmu.map_gfn(gfn, hfn)
+            mmu.set_root(ROOT_GPA)
+            two_stage.append((name, mmu, gm_n))
 
         for dir_idx, tbl_idx, offset, access, user in accesses:
             va = (dir_idx << 22) | (tbl_idx << 12) | offset
             expected_gfn = oracle(mappings, dir_idx, tbl_idx, access, user)
-            for name, mmu, gm in (("shadow", shadow, gm_s),
-                                  ("nested", nested, gm_n)):
+            for name, mmu, gm in [("shadow", shadow, gm_s)] + two_stage:
                 if expected_gfn is None:
                     with pytest.raises(PageFault):
                         translate_fully(mmu, va, access, user)

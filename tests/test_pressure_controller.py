@@ -114,22 +114,23 @@ class TestDispatchChainComposition:
         # And nothing of the migrant leaked into the chain afterwards.
         assert "postcopy_fetch" not in [n for n, _ in dst._ept_fault_handlers]
 
-    def test_legacy_hook_adapter_claims_all_then_restores(self):
+    def test_handler_installs_then_restores(self):
         hv = Hypervisor(memory_bytes=64 * MIB)
-        vm = hv.create_vm(GuestConfig(name="legacy", memory_bytes=GUEST_MEM,
+        vm = hv.create_vm(GuestConfig(name="single", memory_bytes=GUEST_MEM,
                                       virt_mode=VirtMode.HW_ASSIST,
                                       mmu_mode=MMUVirtMode.NESTED,
                                       prealloc=False))
         seen = []
 
-        def hook(fault_vm, gfn, access):
+        def handler(fault_vm, gfn, access):
             seen.append(gfn)
             fault_vm.guest_mem.map_page(gfn, hv.allocator.alloc())
+            return True
 
-        hv.ept_fault_hook = hook
-        assert hv._dispatch_ept_fault(vm, 7, "w") == "legacy_hook"
+        hv.register_ept_fault_handler(handler, name="single_owner")
+        assert hv._dispatch_ept_fault(vm, 7, "w") == "single_owner"
         assert seen == [7]
-        hv.ept_fault_hook = None
+        assert hv.unregister_ept_fault_handler(handler)
         assert hv._dispatch_ept_fault(vm, 8, "w") == "demand_zero"
         assert vm.guest_mem.is_mapped(8)
 
