@@ -16,7 +16,6 @@ Run:  python examples/memory_overcommit.py
 """
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
-from repro.core.hypervisor import RunOutcome
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.overcommit import HostSwap, PageSharer, estimate_wss

@@ -1,7 +1,7 @@
 """Shared experiment plumbing: run a workload in any execution mode."""
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core import (
     GuestConfig,
@@ -10,8 +10,6 @@ from repro.core import (
     MMUVirtMode,
     VirtMode,
 )
-from repro.core.hypervisor import RunOutcome
-from repro.core.machine import MachineOutcome
 from repro.cpu.assembler import Program
 from repro.guest import (
     DiagReport,

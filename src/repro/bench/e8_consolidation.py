@@ -13,7 +13,6 @@ from typing import Dict, List
 
 from repro.bench.common import ExperimentResult
 from repro.cluster import (
-    ConsolidationSavings,
     Host,
     HostSpec,
     Placement,

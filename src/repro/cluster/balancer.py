@@ -16,10 +16,9 @@ from repro.cluster.placement import ConstraintSet
 from repro.migration.model import MigrationConfig, simulate_precopy
 from repro.obs.clock import SimClock
 from repro.obs.registry import MetricsRegistry
-from repro.sim.kernel import Simulator
 from repro.sim.link import NetworkLink
 from repro.util.errors import ConfigError
-from repro.util.units import MIB, PAGE_SIZE
+from repro.util.units import PAGE_SIZE
 
 
 @dataclass

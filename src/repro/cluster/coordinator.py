@@ -41,7 +41,7 @@ the configuration and seed.
 import hashlib
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import plan_rebalance

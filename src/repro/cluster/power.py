@@ -1,7 +1,6 @@
 """Host power, energy, and money: the consolidation-savings report."""
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.cluster.host import Host, Placement
 from repro.util.errors import ConfigError

@@ -37,7 +37,6 @@ from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.core.vcpu import VCPU
 from repro.core.shadow import ShadowMMU
 from repro.core.nested import NestedMMU
-from repro.core.policies import HModePolicy
 from repro.core.hypervisor import Hypervisor, HypercallNumbers
 from repro.core.nestedvirt import (
     AliasedPhysicalMemory,
@@ -61,7 +60,6 @@ __all__ = [
     "VCPU",
     "ShadowMMU",
     "NestedMMU",
-    "HModePolicy",
     "Hypervisor",
     "HypercallNumbers",
     "AliasedPhysicalMemory",

@@ -90,6 +90,7 @@ class BTEngine:
         self,
         vcpu: VCPU,
         costs: CostModel,
+        inject_virq: Callable[[VCPU], bool],
         port_bus=None,
         hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
         cache_enabled: bool = True,
@@ -100,6 +101,10 @@ class BTEngine:
         self.costs = costs
         self.port_bus = port_bus
         self.hypercall_handler = hypercall_handler
+        #: The hypervisor's virq injector: delivers one pending virtual
+        #: IRQ if the guest's virtual IE allows; True if it injected
+        #: (guest pc now at its vector).
+        self.inject_virq = inject_virq
         self.cache_enabled = cache_enabled
         self.chaining_enabled = chaining_enabled
         #: When True, blocks execute as fused host closures; False keeps
@@ -153,11 +158,9 @@ class BTEngine:
                 # raise can wake a virtually-halted guest, exactly as
                 # the hardware-assist core wakes in its run loop.
                 events.fire_due(cpu.instret)
-            if vm.pending_virqs and self.vcpu.vcsr[CSR.IE]:
-                # Unmasked pending virq: deliver before the next fetch
+            if self.inject_virq(self.vcpu):
+                # Unmasked pending virq: delivered before the next fetch
                 # (the same edge the hardware-assist core delivers at).
-                self.vcpu.halted = False
-                self.vcpu.try_inject_virq()
                 prev_block_va = None
                 continue
             if self.vcpu.virtual_mode != MODE_KERNEL or self.vcpu.halted:
@@ -201,7 +204,7 @@ class BTEngine:
                 # A scheduled edge falls inside this block: walk it
                 # item-by-item so the event fires (and delivers) at the
                 # exact retire edge instead of the block boundary.
-                self._execute_block_edge(block, events)
+                self._execute_block_interp(block, events)
             else:
                 self._execute_block(block)
         return "halted" if self.vcpu.halted else "mode_switch"
@@ -340,43 +343,17 @@ class BTEngine:
             fn = block.fn = compile_bt_block(self, block)
         fn(self.vcpu.cpu)
 
-    def _execute_block_edge(self, block: TranslatedBlock, events) -> None:
-        """Per-item walk honouring retire-edge event delivery.
-
-        Used instead of the fused closure when a scheduled event edge
-        lands inside the block. Cycle charges are identical to
-        :meth:`_execute_block_interp` (which the closures match
-        cycle-for-cycle), so which executor ran is invisible to the
-        differential comparison.
-        """
-        vcpu = self.vcpu
-        cpu = vcpu.cpu
-        vm = vcpu.vm
-        costs = self.costs
-        epoch = self._epoch
-        e0 = epoch[0]
-        last = block.items[-1]
-        for item in block.items:
-            kind, ins = item
-            if cpu.instret >= events.next_due:
-                events.fire_due(cpu.instret)
-                if vm.pending_virqs and vcpu.vcsr[CSR.IE]:
-                    vcpu.halted = False
-                    vcpu.try_inject_virq()
-                    return
-            if kind == "native":
-                cpu.cycles += costs.instr_cycles
-                cpu.execute(ins)  # VMExit may propagate (guest fault)
-                if ins.op in _STORE_OPS and epoch[0] != e0 and item is not last:
-                    return
-            else:
-                cpu.cycles += costs.bt_callout_cycles
-                if self._callout(ins):
-                    return
-
-    def _execute_block_interp(self, block: TranslatedBlock) -> None:
+    def _execute_block_interp(self, block: TranslatedBlock,
+                              events=None) -> None:
         """Reference per-item walk; the oracle the fused closures must
-        match cycle-for-cycle (see tests/test_cpu_jit.py)."""
+        match cycle-for-cycle (see tests/test_cpu_jit.py).
+
+        With ``events`` (a scheduled edge lands inside the block) each
+        item boundary also fires due events and delivers an unmasked
+        virq at that exact retire edge. Cycle charges do not depend on
+        it, so which executor ran is invisible to the differential
+        comparison.
+        """
         cpu = self.vcpu.cpu
         costs = self.costs
         epoch = self._epoch
@@ -384,6 +361,10 @@ class BTEngine:
         last = block.items[-1]
         for item in block.items:
             kind, ins = item
+            if events is not None and cpu.instret >= events.next_due:
+                events.fire_due(cpu.instret)
+                if self.inject_virq(self.vcpu):
+                    return
             if kind == "native":
                 cpu.cycles += costs.instr_cycles
                 cpu.execute(ins)  # VMExit may propagate (guest fault)
@@ -464,7 +445,4 @@ class BTEngine:
         events = cpu.events
         if events is not None and cpu.instret >= events.next_due:
             events.fire_due(cpu.instret)
-        if vcpu.vm.pending_virqs and vcpu.vcsr[CSR.IE]:
-            vcpu.try_inject_virq()
-            return True
-        return False
+        return self.inject_virq(vcpu)

@@ -5,10 +5,8 @@ binary translator (as inline callouts): decode-and-execute one guest
 privileged instruction against the vCPU's *virtual* state.
 """
 
-from typing import Optional
-
 from repro.cpu.interp import TrapInfo
-from repro.cpu.isa import CSR, Cause, Instruction, MODE_USER, Op
+from repro.cpu.isa import CSR, Cause, Instruction, Op
 from repro.mem.paging import AccessType
 from repro.util.errors import GuestError
 from repro.util.units import PAGE_SHIFT

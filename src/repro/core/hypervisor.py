@@ -23,7 +23,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.bt import BTEngine
 from repro.core.emulate import emulate_guest_store, emulate_privileged
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.policies import DeprivilegedPolicy, HModePolicy, HWAssistPolicy
+from repro.core.policies import (
+    DEPRIVILEGED, HW_ASSIST_NESTED, HW_ASSIST_SHADOW, hmode_controls,
+)
 from repro.core.shadow import ShadowMMU
 from repro.core.vcpu import VCPU
 from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
@@ -288,23 +290,20 @@ class Hypervisor:
         vcpu = VCPU(vm, cpu, index=0)
         vm.vcpus.append(vcpu)
 
-        if config.virt_mode is VirtMode.HW_ASSIST:
-            if config.mmu_mode is MMUVirtMode.HMODE:
-                cpu.policy = HModePolicy(
-                    vcpu, HEDELEG_ALL, HIDELEG_ALL,
-                    deleg_miss_fn=self._hmode_deleg_miss,
-                )
-                self.registry.counter("core.hmode.vms_created").inc()
-            else:
-                cpu.policy = HWAssistPolicy(
-                    vcpu,
-                    intercept_paging=config.mmu_mode is MMUVirtMode.SHADOW,
-                )
-        else:
-            cpu.policy = DeprivilegedPolicy(vcpu)
+        if config.virt_mode is not VirtMode.HW_ASSIST:
+            cpu.controls = DEPRIVILEGED
             if isinstance(mmu, ShadowMMU):
                 vcpu.on_virtual_mode_change = mmu.set_view
                 mmu.set_view(kernel=True)
+        elif config.mmu_mode is MMUVirtMode.HMODE:
+            cpu.controls = hmode_controls(
+                HEDELEG_ALL, HIDELEG_ALL, self._hmode_deleg_miss
+            )
+            self.registry.counter("core.hmode.vms_created").inc()
+        elif config.mmu_mode is MMUVirtMode.SHADOW:
+            cpu.controls = HW_ASSIST_SHADOW
+        else:
+            cpu.controls = HW_ASSIST_NESTED
 
         self._attach_devices(vm)
 
@@ -312,6 +311,7 @@ class Hypervisor:
             vm.bt = BTEngine(
                 vcpu,
                 self.costs,
+                partial(self._maybe_inject, vm),
                 port_bus=vm.port_bus,
                 hypercall_handler=partial(self._do_hypercall, vm),
             )
@@ -564,9 +564,11 @@ class Hypervisor:
             )
         return vcpu.vcsr[CSR.IE]
 
-    def _maybe_inject(self, vm: VirtualMachine, vcpu: VCPU) -> None:
+    def _maybe_inject(self, vm: VirtualMachine, vcpu: VCPU) -> bool:
+        """Deliver one pending virq (timer before device) if the guest's
+        virtual IE allows; True if it injected."""
         if not vm.pending_virqs or not self._guest_ie(vm, vcpu):
-            return
+            return False
         for cause in (Cause.IRQ_TIMER, Cause.IRQ_DEVICE):
             if cause in vm.pending_virqs:
                 vm.pending_virqs.discard(cause)
@@ -574,7 +576,8 @@ class Hypervisor:
                 vm.stats.injected_irqs += 1
                 vcpu.halted = False
                 vcpu.cpu.halted = False
-                return
+                return True
+        return False
 
     def _reflect(self, vm: VirtualMachine, vcpu: VCPU, info: TrapInfo) -> None:
         pv = vm.config.virt_mode is VirtMode.PARAVIRT

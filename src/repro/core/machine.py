@@ -10,7 +10,7 @@ VM isolates the virtualization tax.
 import enum
 from typing import Optional
 
-from repro.cpu.interp import CPUCore, StopReason
+from repro.cpu.interp import CPUCore
 from repro.cpu.mmu import BareMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
 from repro.devices.bus import PortBus

@@ -8,9 +8,9 @@ guest-physical address that must be walked through the EPT.
 The mechanism is :class:`repro.cpu.mmu.TwoStageMMU`, shared with the
 H-mode engine; :data:`NestedMMU` binds it to VT-x-style behaviour (every
 reference priced at ``mem_ref_cycles``, no EPT A/D maintenance). The
-hw-nested and hw-hmode engines differ in their *policy*
-(:class:`~repro.core.policies.HWAssistPolicy` vs
-:class:`~repro.core.policies.HModePolicy`), not in their MMU.
+hw-nested and hw-hmode engines differ in their execution controls
+(:data:`~repro.core.policies.HW_ASSIST_NESTED` vs
+:func:`~repro.core.policies.hmode_controls`), not in their MMU.
 """
 
 from functools import partial

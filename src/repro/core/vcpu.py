@@ -10,13 +10,12 @@ Under HW_ASSIST the hardware tracks guest state natively, so the real
 core's CSR file *is* the guest's and ``vcsr`` is unused.
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.modes import VirtMode
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, TrapInfo
-from repro.cpu.isa import CSR, Cause, MODE_KERNEL, MODE_USER
-from repro.util.errors import GuestError
+from repro.cpu.isa import CSR, MODE_KERNEL, MODE_USER
 
 
 class VCPU:
@@ -107,24 +106,6 @@ class VCPU:
         self.vcsr[CSR.IE] = (estatus >> 1) & 1
         self.set_virtual_mode(estatus & 1)
         self.cpu.pc = self.vcsr[CSR.EPC]
-
-    # -- virtual interrupts ---------------------------------------------------
-
-    def try_inject_virq(self) -> bool:
-        """Inject one pending virtual IRQ if the guest's virtual IE allows.
-
-        Returns True if an injection happened (guest pc now at its
-        vector). Called by the VMM at entry boundaries.
-        """
-        if not self.vcsr[CSR.IE] or not self.vm.pending_virqs:
-            return False
-        for cause in (Cause.IRQ_TIMER, Cause.IRQ_DEVICE):
-            if cause in self.vm.pending_virqs:
-                self.vm.pending_virqs.discard(cause)
-                self.reflect_trap(TrapInfo(cause, 0, epc=self.cpu.pc))
-                self.vm.stats.injected_irqs += 1
-                return True
-        return False
 
     def __repr__(self) -> str:
         return f"<VCPU {self.vm.name}#{self.index} pc={self.cpu.pc:#x}>"

@@ -6,16 +6,16 @@ DMA goes through it (and marks pages dirty for migration), ballooning
 unmaps through it, page sharing re-points it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.isa import Cause
 from repro.obs.registry import MetricsRegistry
-from repro.mem.physmem import FrameAllocator, PhysicalMemory
+from repro.mem.physmem import PhysicalMemory
 from repro.util.errors import ConfigError, MemoryError_
-from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE, bytes_to_pages
+from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE
 
 
 @dataclass
@@ -26,7 +26,6 @@ class GuestConfig:
     memory_bytes: int = 4 * MIB
     virt_mode: VirtMode = VirtMode.HW_ASSIST
     mmu_mode: MMUVirtMode = MMUVirtMode.NESTED
-    tlb_entries: int = 64
     #: Allocate and map all guest frames up front (False = demand-page
     #: through EPT violations; only meaningful with nested paging).
     prealloc: bool = True

@@ -32,11 +32,11 @@ from repro.cpu.isa import (
     SENSITIVE_UNPRIV_OPS,
     PUBLIC_CSRS,
 )
-from repro.cpu.exits import VMExit, ExitReason
+from repro.cpu.exits import ExecControls, VMExit, ExitReason
 from repro.cpu.assembler import Assembler, Program, AssemblyError
 from repro.cpu.disasm import disassemble, disassemble_one
 from repro.cpu.mmu import MMUBase, BareMMU
-from repro.cpu.interp import CPUCore, RunResult, StopReason, TrapInfo, VirtPolicy
+from repro.cpu.interp import CPUCore, RunResult, StopReason, TrapInfo
 
 __all__ = [
     "Op",
@@ -51,6 +51,7 @@ __all__ = [
     "PRIVILEGED_OPS",
     "SENSITIVE_UNPRIV_OPS",
     "PUBLIC_CSRS",
+    "ExecControls",
     "VMExit",
     "ExitReason",
     "Assembler",
@@ -64,5 +65,4 @@ __all__ = [
     "RunResult",
     "StopReason",
     "TrapInfo",
-    "VirtPolicy",
 ]

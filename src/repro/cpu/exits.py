@@ -2,19 +2,22 @@
 
 On real hardware these are defined by the virtualization extension
 (VT-x exit reasons / SVM exit codes); placing them in the CPU package
-mirrors that. The interpreter raises :class:`VMExit` at an exit point;
-the hypervisor run loop catches it, handles it, and re-enters.
+mirrors that. Which events exit is register state the VMM programs once
+(:class:`ExecControls`: VT-x execution controls, RISC-V
+``hedeleg``/``hideleg``), not code the core calls out to. The
+interpreter tests the record and raises :class:`VMExit` at an exit
+point; the hypervisor run loop catches it, handles it, and re-enters.
 """
 
 import enum
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 
 class ExitReason(enum.Enum):
     """Why the guest stopped running."""
 
     PRIV_INSTR = "priv_instr"  # trapping privileged instruction
-    SENSITIVE = "sensitive"  # BT callout for a non-trapping sensitive op
     CSR_WRITE = "csr_write"  # write to an intercepted CSR (e.g. PTBR)
     IO_IN = "io_in"
     IO_OUT = "io_out"
@@ -23,8 +26,35 @@ class ExitReason(enum.Enum):
     PAGE_FAULT = "page_fault"  # shadow fill or nested (EPT-style) violation
     GUEST_TRAP = "guest_trap"  # trap that must be reflected into the guest
     TRIPLE_FAULT = "triple_fault"
-    EXTERNAL_IRQ = "external_irq"  # host interrupt while guest running
-    PREEMPT = "preempt"  # scheduling quantum expired
+
+
+@dataclass(frozen=True)
+class ExecControls:
+    """Which guest events leave the guest (a core's ``controls``).
+
+    ``None`` on the core is the bare machine. An all-default record
+    intercepts nothing but still marks the core as a guest: a triple
+    fault exits instead of raising, and the block JIT stays off.
+    """
+
+    #: IN/OUT exit with IO_IN / IO_OUT.
+    io: bool = False
+    #: VMCALL exits as a hypercall (otherwise it is an illegal opcode).
+    vmcall: bool = False
+    hlt: bool = False
+    #: PTBR writes (CSR_WRITE) and INVLPG (PRIV_INSTR) exit: the VMM
+    #: maintains shadow page tables.
+    paging: bool = False
+    #: Bit per :class:`~repro.cpu.isa.Cause`: a set bit makes that trap
+    #: exit with GUEST_TRAP instead of vectoring into the guest.
+    trap_exits: int = 0
+    #: H-mode delegation: a trap that stays in the guest additionally
+    #: costs ``CostModel.hmode_deleg_extra_cycles``.
+    hmode: bool = False
+    #: The ``hmode.delegation_miss`` fault hook: when it returns True
+    #: one delegated trap exits anyway (tagged ``deleg_miss``) and the
+    #: VMM re-injects it.
+    delegation_miss: Optional[Callable[[], bool]] = None
 
 
 class VMExit(Exception):

@@ -2,16 +2,17 @@
 
 One :class:`CPUCore` executes instructions against a pluggable MMU and
 port bus, charging cycles from a :class:`~repro.mem.costs.CostModel`.
-Virtualization interposes through a :class:`VirtPolicy`: every
-architecturally sensitive point (traps, CSR access, I/O, HLT, VMCALL,
-INVLPG) first offers the event to the policy, which can
+Virtualization interposes through ``CPUCore.controls``, an immutable
+:class:`~repro.cpu.exits.ExecControls` record the VMM programs once: at
+each architecturally sensitive point (trap delivery, PTBR write, I/O,
+HLT, VMCALL, INVLPG) the core tests the matching field and either
+applies bare-hardware semantics or raises
+:class:`~repro.cpu.exits.VMExit` -- a world switch to the VMM. Which
+instructions leave the guest is therefore plain data, readable without
+executing anything. ALU, memory and branch instructions never consult
+the record.
 
-* return :data:`NATIVE` -- the CPU applies bare-hardware semantics;
-* return a replacement value / handled marker -- the policy emulated the
-  event against virtual state;
-* raise :class:`~repro.cpu.exits.VMExit` -- a world switch to the VMM.
-
-With ``policy=None`` the core is exactly a bare machine; this is the
+With ``controls=None`` the core is exactly a bare machine; this is the
 "native" baseline in experiment E1.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cpu.exits import ExitReason, VMExit
+from repro.cpu.exits import ExecControls, ExitReason, VMExit
 from repro.cpu.isa import (
     CSR,
     Cause,
@@ -35,11 +36,6 @@ from repro.cpu.mmu import BareMMU, MMUBase
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
-
-#: Sentinel returned by policy hooks meaning "apply native semantics".
-NATIVE = object()
-#: Sentinel returned by policy hooks meaning "event fully handled".
-HANDLED = object()
 
 #: Decode-cache sizing: evict the oldest ``_DECODE_EVICT`` entries once
 #: the cache passes ``_DECODE_CACHE_MAX`` instead of dropping everything.
@@ -83,50 +79,6 @@ class RunResult:
     exit: Optional[VMExit] = None
 
 
-class VirtPolicy:
-    """Default policy: everything native. VMM policies override hooks.
-
-    Hooks may raise :class:`VMExit`; any other return contract is given
-    per method. ``cpu`` is the calling core and ``ins`` the decoded
-    instruction at ``cpu.pc`` (an exit reports ``ins.length`` so the
-    handler can step over the 4- or 8-byte form alike).
-    """
-
-    def trap(self, cpu: "CPUCore", info: TrapInfo, ins: Optional[Instruction]):
-        """A trap is about to be delivered to the guest vector."""
-        return NATIVE
-
-    def csr_read(self, cpu: "CPUCore", csr: int, user: bool):
-        """Return the value to load, or NATIVE."""
-        return NATIVE
-
-    def csr_write(self, cpu: "CPUCore", csr: int, value: int,
-                  ins: Instruction):
-        """Return HANDLED if emulated, or NATIVE."""
-        return NATIVE
-
-    def io(self, cpu: "CPUCore", is_in: bool, port: int, value: int,
-           ins: Instruction):
-        """For IN return the value read; for OUT return HANDLED; or NATIVE."""
-        return NATIVE
-
-    def vmcall(self, cpu: "CPUCore", num: int, ins: Instruction):
-        """Return HANDLED / a result, or NATIVE (VMCALL is then illegal)."""
-        return NATIVE
-
-    def hlt(self, cpu: "CPUCore", ins: Instruction):
-        """Return HANDLED to swallow the halt, or NATIVE to stop the loop."""
-        return NATIVE
-
-    def invlpg(self, cpu: "CPUCore", va: int, ins: Instruction):
-        """Return HANDLED if emulated, or NATIVE."""
-        return NATIVE
-
-    def sensitive(self, cpu: "CPUCore", op: Op):
-        """User-mode STI/CLI. Return HANDLED to emulate, NATIVE to ignore."""
-        return NATIVE
-
-
 class CPUCore:
     """One VISA hardware thread."""
 
@@ -141,7 +93,8 @@ class CPUCore:
         self.mmu = mmu
         self.costs = costs or CostModel()
         self.port_bus = port_bus
-        self.policy: Optional[VirtPolicy] = None
+        #: Which events exit to a VMM; None = bare machine.
+        self.controls: Optional[ExecControls] = None
 
         self.regs: List[int] = [0] * 16
         self.pc = 0
@@ -171,7 +124,7 @@ class CPUCore:
         #: physmem write watcher fires :meth:`_on_code_write` for these.
         self._code_pfns: Set[int] = set()
         #: True/False = explicit; None = default on. The compiled path
-        #: additionally requires a plain BareMMU and no policy.
+        #: additionally requires a plain BareMMU and no controls.
         self.jit_enabled = True if jit is None else jit
         self._jit = None  # lazily: BlockJIT, or False if unsupported
         physmem = getattr(mmu, "physmem", None)
@@ -246,7 +199,7 @@ class CPUCore:
         """
         vbar = self.csr[CSR.VBAR]
         if vbar == 0:
-            if self.policy is not None:
+            if self.controls is not None:
                 raise VMExit(ExitReason.TRIPLE_FAULT, guest_pc=self.pc,
                              cause=info.cause, value=info.value)
             raise GuestError(
@@ -265,12 +218,36 @@ class CPUCore:
     def _trap(self, cause: Cause, value: int, epc: int,
               ins: Optional[Instruction] = None) -> None:
         info = TrapInfo(cause, value, epc)
-        if self.policy is not None:
-            outcome = self.policy.trap(self, info, ins)
-            if outcome is HANDLED:
-                return
-            assert outcome is NATIVE, f"bad trap-hook return {outcome!r}"
+        ctl = self.controls
+        if ctl is not None:
+            exits = (ctl.trap_exits >> cause) & 1
+            deleg_miss = False
+            if ctl.hmode and not exits:
+                # Delegated. Charged whether delivery completes natively
+                # or via the injected-after-spurious-exit path: the
+                # guest cycle stream stays identical either way.
+                self.cycles += self.costs.hmode_deleg_extra_cycles
+                deleg_miss = (ctl.delegation_miss is not None
+                              and ctl.delegation_miss())
+            if exits or deleg_miss:
+                raise VMExit(
+                    ExitReason.GUEST_TRAP,
+                    guest_pc=self.pc,
+                    instruction_length=ins.length if ins is not None else 0,
+                    trap=info,
+                    ins=ins,
+                    deleg_miss=deleg_miss,
+                )
         self.deliver_trap(info)
+
+    def _intercept(self, reason: ExitReason, ins: Instruction, **qual):
+        """Leave the guest at the intercepted instruction ``ins``.
+
+        The exit reports ``ins.length`` so the handler can step over
+        the 4- or 8-byte form alike.
+        """
+        raise VMExit(reason, guest_pc=self.pc,
+                     instruction_length=ins.length, **qual)
 
     # -- fetch/decode ---------------------------------------------------------
 
@@ -365,7 +342,7 @@ class CPUCore:
                 # (so run() would never terminate -- no instruction ever
                 # retires). Same terminal condition as a trap with no
                 # vector installed.
-                if self.policy is not None:
+                if self.controls is not None:
                     raise VMExit(ExitReason.TRIPLE_FAULT, guest_pc=pc,
                                  cause=Cause.PF_EXEC, value=fault.vaddr)
                 raise GuestError(
@@ -453,7 +430,7 @@ class CPUCore:
         """Run until halt, a limit, or a VM exit.
 
         Dispatches to the compiled-block engine when it can reproduce
-        the reference semantics bit-for-bit (plain BareMMU, no policy,
+        the reference semantics bit-for-bit (plain BareMMU, no controls,
         no cycle budget); otherwise runs the reference interpreter loop.
 
         ``cycle_guard`` is a coarse safety net against guests that burn
@@ -465,7 +442,7 @@ class CPUCore:
         part of the bit-identical interp/JIT contract (the differential
         fuzzer compares guard trips by class only).
         """
-        if self.jit_enabled and max_cycles is None and self.policy is None:
+        if self.jit_enabled and max_cycles is None and self.controls is None:
             jit = self._jit
             if jit is None:
                 jit = self._jit_setup()
@@ -721,7 +698,7 @@ class CPUCore:
 
     def _system(self, ins: Instruction, op: Op, pc: int, next_pc: int) -> None:
         user = self.user_mode
-        policy = self.policy
+        ctl = self.controls
 
         if op is Op.SYSCALL:
             # EPC points past the instruction so IRET resumes after it.
@@ -731,20 +708,16 @@ class CPUCore:
             self._trap(Cause.BREAK, 0, epc=next_pc, ins=ins)
             return
         if op is Op.VMCALL:
-            if policy is not None:
-                outcome = policy.vmcall(self, ins.simm12 & 0xFFF, ins)
-                if outcome is not NATIVE:
-                    self.pc = next_pc
-                    return
+            if ctl is not None and ctl.vmcall:
+                self._intercept(ExitReason.VMCALL, ins, num=ins.simm12 & 0xFFF)
             self._trap(Cause.ILLEGAL, 0, epc=pc, ins=ins)
             return
 
         if op is Op.STI or op is Op.CLI:
             if user:
                 # Sensitive, non-trapping: silently ignored in user mode
-                # (the Popek-Goldberg violation), unless a policy fixes it.
-                if policy is not None:
-                    policy.sensitive(self, op)
+                # (the Popek-Goldberg violation). No control intercepts
+                # it: a deprivileged guest kernel really loses the write.
                 self.pc = next_pc
                 return
             self.csr[CSR.IE] = 1 if op is Op.STI else 0
@@ -771,21 +744,15 @@ class CPUCore:
             self.cycles += self.costs.iret_cycles
             return
         if op is Op.HLT:
-            if policy is not None:
-                outcome = policy.hlt(self, ins)
-                if outcome is HANDLED:
-                    self.pc = next_pc
-                    return
+            if ctl is not None and ctl.hlt:
+                self._intercept(ExitReason.HLT, ins)
             self.pc = next_pc
             self.halted = True
             return
         if op is Op.INVLPG:
             va = self.regs[ins.ra]
-            if policy is not None:
-                outcome = policy.invlpg(self, va, ins)
-                if outcome is HANDLED:
-                    self.pc = next_pc
-                    return
+            if ctl is not None and ctl.paging:
+                self._intercept(ExitReason.PRIV_INSTR, ins, op=op, va=va)
             self.mmu.invlpg(va)
             self.pc = next_pc
             return
@@ -804,12 +771,6 @@ class CPUCore:
             # Non-public CSR from user mode: privileged trap.
             self._trap(Cause.PRIV, int(Op.CSRR), epc=pc, ins=ins)
             return
-        if self.policy is not None:
-            outcome = self.policy.csr_read(self, csr, user)
-            if outcome is not NATIVE:
-                self.write_reg(ins.rd, int(outcome) & 0xFFFFFFFF)
-                self.pc = next_pc
-                return
         if csr == CSR.CYCLES:
             value = self.cycles & 0xFFFFFFFF
         elif csr == CSR.INSTRET:
@@ -828,11 +789,9 @@ class CPUCore:
         if user:
             self._trap(Cause.PRIV, int(Op.CSRW), epc=pc, ins=ins)
             return
-        if self.policy is not None:
-            outcome = self.policy.csr_write(self, csr, value, ins)
-            if outcome is HANDLED:
-                self.pc = next_pc
-                return
+        ctl = self.controls
+        if ctl is not None and ctl.paging and csr == CSR.PTBR:
+            self._intercept(ExitReason.CSR_WRITE, ins, csr=csr, value=value)
         if csr in _READONLY_CSRS or not 0 <= csr < len(self.csr):
             self._trap(Cause.ILLEGAL, csr, epc=pc, ins=ins)
             return
@@ -844,24 +803,19 @@ class CPUCore:
     def _io(self, ins: Instruction, op: Op, next_pc: int) -> None:
         port = ins.simm12 & 0xFFF
         self.cycles += self.costs.io_port_cycles
+        ctl = self.controls
+        intercepted = ctl is not None and ctl.io
         if op is Op.OUT:
             value = self.regs[ins.ra]
-            if self.policy is not None:
-                outcome = self.policy.io(self, False, port, value, ins)
-                if outcome is HANDLED:
-                    self.pc = next_pc
-                    return
+            if intercepted:
+                self._intercept(ExitReason.IO_OUT, ins, port=port, value=value)
             if self.port_bus is not None:
                 self.port_bus.io_out(port, value)
             self.pc = next_pc
             return
         # IN
-        if self.policy is not None:
-            outcome = self.policy.io(self, True, port, 0, ins)
-            if outcome is not NATIVE:
-                self.write_reg(ins.rd, int(outcome) & 0xFFFFFFFF)
-                self.pc = next_pc
-                return
+        if intercepted:
+            self._intercept(ExitReason.IO_IN, ins, port=port, value=0)
         value = self.port_bus.io_in(port) if self.port_bus is not None else 0
         self.write_reg(ins.rd, value & 0xFFFFFFFF)
         self.pc = next_pc

@@ -578,8 +578,8 @@ def _compile_items(
             src.emit(depth + 1, f"cpu.pc = {va}")
             if guarded:
                 # Everything is committed (the DIV0 retires, like the
-                # interpreter's _alu path).  Under a deprivileging
-                # policy _trap raises VMExit(GUEST_TRAP), which would
+                # interpreter's _alu path).  Under deprivileged
+                # controls _trap raises VMExit(GUEST_TRAP), which would
                 # land in our own except-_VX handler and roll state
                 # back to the last *memory* op's boundary -- disarm it,
                 # exactly as the callout path does.

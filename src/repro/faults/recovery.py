@@ -14,7 +14,7 @@ subsystem with transient faults).
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.core.snapshot import VMSnapshot, restore_vm, snapshot_vm
 from repro.obs.registry import counter_attr

@@ -9,7 +9,7 @@ Two comparison groups run the same guest image:
 * **vmm** -- four full-virtualization configs under the hypervisor:
   hardware-assist with shadow paging, hardware-assist with nested
   paging, hardware-assist with H-mode two-stage paging (delegated
-  traps deliver natively; the delegation CSRs are virtualized), and
+  traps deliver natively, with no VM exit in between), and
   binary translation (shadow). Only *guest-visible* state is
   compared: registers, pc, the guest CSR view, halt state, pending
   interrupt causes, console output, and guest memory with the
@@ -72,9 +72,10 @@ HMODE_FAULT_SITES = ("hmode.delegation_miss", "hmode.gstage_stall")
 
 #: CSRs that form the guest-visible control state (counters excluded).
 #: HEDELEG/HIDELEG are plain storage to a guest in every engine --
-#: native CSR-file slots under hardware assist, virtualized into vcsr
-#: by the H-mode policy and the software monitors -- so their values
-#: are comparable across all four configs.
+#: native CSR-file slots under hardware assist (H-mode included: the
+#: host's delegation masks live in the core's controls), vcsr under
+#: the software monitors -- so their values are comparable across all
+#: four configs.
 GUEST_CSRS = (CSR.MODE, CSR.PTBR, CSR.VBAR, CSR.IE, CSR.EPC, CSR.ECAUSE,
               CSR.EVAL, CSR.SCRATCH, CSR.ESTATUS, CSR.HEDELEG, CSR.HIDELEG)
 
@@ -205,7 +206,7 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
                     tlb_entries=64)
     vm = hv.create_vm(GuestConfig(
         name="fuzz", memory_bytes=gen.MEM_BYTES, virt_mode=virt_mode,
-        mmu_mode=mmu_mode, tlb_entries=64, prealloc=True,
+        mmu_mode=mmu_mode, prealloc=True,
         with_virtio=True, with_emulated_io=False,
     ))
     if fault_rate > 0.0:
@@ -257,13 +258,6 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
 
     csr_src = cpu.csr if hw else vcpu.vcsr
     pending = cpu.pending_irqs if hw else vm.pending_virqs
-    csr_view = {c.name: csr_src[c] for c in GUEST_CSRS}
-    if mmu_mode is MMUVirtMode.HMODE:
-        # The H-mode policy virtualizes the delegation CSRs into vcsr
-        # (the native slots hold the *host's* masks conceptually); the
-        # guest-visible values live beside the software monitors'.
-        for c in (CSR.HEDELEG, CSR.HIDELEG):
-            csr_view[c.name] = vcpu.vcsr[c]
     return {
         "name": config_name,
         "outcome": outcome,
@@ -271,7 +265,7 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
         "pc": cpu.pc,
         "halted": bool(cpu.halted or vcpu.halted),
         "regs": list(cpu.regs),
-        "csr_view": csr_view,
+        "csr_view": {c.name: csr_src[c] for c in GUEST_CSRS},
         "pending": sorted(c.name for c in pending),
         "console": vm.devices["console"].text,
         "instret": cpu.instret,

@@ -725,9 +725,9 @@ class _BodyGen:
 
     # H-mode surface: the delegation CSRs are plain storage to a guest
     # in every engine (native CSR-file slots under hardware assist,
-    # virtualized into vcsr by the H-mode policy and the software
-    # monitors), and page-table churn is exactly where the two-stage
-    # walker's behaviour must stay invisible.
+    # vcsr under the software monitors), and page-table churn is
+    # exactly where the two-stage walker's behaviour must stay
+    # invisible.
 
     def t_hdeleg(self):
         """Delegation-CSR churn: write HEDELEG/HIDELEG, read one back.

@@ -11,10 +11,10 @@ instructions (an unmodified OS); ``pv=True`` emits hypercalls, batched
 MMU updates, and shared-info-page reads instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cpu.assembler import Assembler, Program
-from repro.guest.layout import DIAG_MAGIC, DiagField, GuestLayout as L
+from repro.guest.layout import DIAG_MAGIC, GuestLayout as L
 from repro.util.units import MIB
 
 

@@ -8,7 +8,6 @@ from repro.core.vm import VirtualMachine
 from repro.cpu.assembler import Program
 from repro.guest.layout import DIAG_MAGIC, DiagField, GuestLayout as L
 from repro.util.errors import GuestError
-from repro.util.units import MIB
 
 #: Guest RAM the NanoOS layout requires.
 MIN_GUEST_MEMORY = L.MIN_MEMORY

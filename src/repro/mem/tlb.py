@@ -8,7 +8,7 @@ cached by a read still faults (or misses to set the dirty bit -- see
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.paging import (

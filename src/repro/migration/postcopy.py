@@ -13,8 +13,8 @@ fetch trigger); that matches reality — production post-copy (userfaultd
 / KVM) relies on second-level translation faults.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from typing import Optional, Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.modes import MMUVirtMode, VirtMode
@@ -22,7 +22,7 @@ from repro.core.vm import GuestConfig, VirtualMachine
 from repro.util.errors import MigrationError
 from repro.util.units import PAGE_SIZE
 
-from repro.migration.live import CPU_STATE_BYTES, LiveMigrator
+from repro.migration.live import CPU_STATE_BYTES, copy_machine_state
 
 
 @dataclass
@@ -133,12 +133,7 @@ class PostCopyMigrator:
         )
         try:
             # Downtime: vCPU + device state only.
-            borrowed = LiveMigrator(self.source, self.destination,
-                                    self.bytes_per_cycle)
-            borrowed._copy_vcpu(vm, dst_vm)
-            borrowed._copy_devices(vm, dst_vm)
-            dst_vm.pending_virqs = set(vm.pending_virqs)
-            dst_vm.ballooned_gfns = set(vm.ballooned_gfns)
+            copy_machine_state(vm, dst_vm)
             downtime = int(CPU_STATE_BYTES / self.bytes_per_cycle)
             dst_vm.stats.vmm_cycles += downtime
 

@@ -9,7 +9,7 @@ hypervisor's write-fault dispatch chain and
 :meth:`PageSharer.on_write_fault` breaks the share with a private copy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hypervisor import Hypervisor

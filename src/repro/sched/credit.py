@@ -15,7 +15,7 @@ refinements, both switchable for the E5/E9 ablations:
 """
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
 from repro.sched.base import Scheduler
 from repro.sched.entities import VCpuTask

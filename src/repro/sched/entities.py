@@ -3,7 +3,7 @@
 import enum
 from typing import Iterator, List, Optional, Tuple
 
-from repro.sim.kernel import MSEC, USEC
+from repro.sim.kernel import MSEC
 from repro.util.errors import SchedulerError
 
 #: Workload phase kinds.

@@ -7,7 +7,7 @@ and the preempted task is requeued. This is the mechanism behind the
 credit scheduler's BOOST latency win in experiment E5.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.clock import SimClock
 from repro.obs.registry import MetricsRegistry, counter_attr
@@ -105,11 +105,9 @@ class SchedHost:
                 continue
             self._running[core_id] = task
             start = sim.now
-            preempted = False
             try:
                 yield Timeout(slice_)
             except Interrupted:
-                preempted = True
                 self.preempt_interrupts += 1
             finally:
                 self._running.pop(core_id, None)

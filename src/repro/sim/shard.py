@@ -26,7 +26,7 @@ the same code with no pool at all.
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from repro.util.errors import ConfigError
 

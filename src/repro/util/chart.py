@@ -6,7 +6,7 @@ chart so the knee/crossover/blow-up is visible in test logs.
 """
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Markers assigned to series in insertion order.
 MARKERS = "*o+x#%@&"

@@ -4,8 +4,6 @@ The full-size runs with shape assertions live in benchmarks/; these
 keep `pytest tests/` exercising the harness code end to end.
 """
 
-import pytest
-
 from repro.bench import (
     run_e1,
     run_e2,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.emulate import emulate_guest_store, emulate_privileged
-from repro.cpu.isa import CSR, MODE_KERNEL, MODE_USER, Op, decode, encode
+from repro.cpu.isa import CSR, MODE_USER, Op, decode, encode
 from repro.util.errors import GuestError
 from repro.util.units import MIB
 

@@ -1,5 +1,7 @@
 """Hypervisor: VM lifecycle, exits, hypercalls, ballooning."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.bench.common import MODE_MATRIX
@@ -7,7 +9,8 @@ from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import HypercallNumbers, RunOutcome, shared_info_gfn
 from repro.core.machine import Machine
 from repro.cpu.assembler import Assembler
-from repro.cpu.isa import Op, encode
+from repro.cpu.exits import ExitReason
+from repro.cpu.isa import Cause, Op, encode
 from repro.util.errors import ConfigError, GuestError
 from repro.util.units import MIB
 
@@ -285,6 +288,89 @@ class TestLongFormExits:
         assert vm.devices["console"].text == "V"
         assert vm.vcpus[0].cpu.regs[4] == 0xFFFFFFFF  # unknown hypercall: -1
         assert vm.stats.hypercalls == 2
+
+
+class TestInterceptMatrix:
+    """Which instructions leave the guest, per engine row.
+
+    One kernel-mode guest issues every interceptable event; the exit
+    reasons each row records are the table its execution controls
+    encode (and, for binary translation, what the translator keeps out
+    of the exit path altogether).
+    """
+
+    R = ExitReason
+    HW = {R.IO_OUT, R.IO_IN, R.VMCALL, R.HLT}
+    EXPECTED = {
+        # Deprivileged: every privileged instruction and trap arrives
+        # as GUEST_TRAP; shadow paging adds its fill exits.
+        "trap-emulate": {R.GUEST_TRAP, R.VMCALL, R.PAGE_FAULT},
+        "paravirt": {R.GUEST_TRAP, R.VMCALL, R.PAGE_FAULT},
+        # Translated kernel code calls out inline (VMCALL included); only
+        # the natively executed DIVU's trap exits.
+        "bin-transl": {R.GUEST_TRAP, R.PAGE_FAULT},
+        # Hardware assist: traps deliver natively; paging instructions
+        # exit only where the VMM maintains shadows.
+        "hw+shadow": HW | {R.CSR_WRITE, R.PRIV_INSTR, R.PAGE_FAULT},
+        "hw+nested": HW,
+        "hw+hmode": HW,
+    }
+
+    # Identity-maps the code page, then: OUT, IN, CSRW PTBR, INVLPG,
+    # SYSCALL, DIVU by zero, VMCALL, HLT. The handler steps over the
+    # DIVU (its EPC is the faulting pc) and returns.
+    GUEST = f"""
+    li a0, handler
+    csrw VBAR, a0
+    li t0, 0x10000
+    li t1, 0x11003
+    st [t0+0], t1        ; PD[0] -> PT, present|writable
+    li t0, 0x11000
+    li t1, 0x1003
+    st [t0+4], t1        ; PT[1] -> this code page
+    li s0, 65            ; 'A'
+    out 0x10, s0
+    in a1, 0x11
+    li t0, 0x10000
+    csrw PTBR, t0
+    li t1, 0x2000
+    invlpg t1
+    syscall 7
+    divu a2, s0, zero
+    li a0, 86            ; 'V'
+    vmcall {int(HypercallNumbers.CONSOLE_PUTC)}
+    hlt
+handler:
+    csrr t2, ECAUSE
+    li t3, {int(Cause.DIV0)}
+    bne t2, t3, done
+    csrr t2, EPC
+    li t3, 4
+    add t2, t2, t3
+    csrw EPC, t2
+done:
+    iret
+"""
+
+    @TestLongFormExits.all_configs
+    def test_exit_reasons_per_row(self, virt_mode, mmu_mode):
+        row = next(r[0] for r in MODE_MATRIX if r[1:3] == (virt_mode, mmu_mode))
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = make_vm(hv, virt_mode=virt_mode, mmu_mode=mmu_mode)
+        outcome = load_and_run(hv, vm, self.GUEST, max_instructions=1000)
+        assert outcome is RunOutcome.HALTED
+        assert vm.devices["console"].text == "AV"
+        seen = {ExitReason(key.split(":")[0]) for key in vm.exit_stats.counts}
+        assert seen == self.EXPECTED[row]
+
+    def test_controls_are_immutable(self):
+        # Deprivileged guests share one record: a vCPU must not be able
+        # to reprogram every other guest through it.
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = make_vm(hv, virt_mode=VirtMode.TRAP_EMULATE,
+                     mmu_mode=MMUVirtMode.SHADOW)
+        with pytest.raises(FrozenInstanceError):
+            vm.vcpus[0].cpu.controls.io = True
 
 
 class TestSharedInfo:

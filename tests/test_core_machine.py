@@ -1,7 +1,5 @@
 """Native machine: baseline semantics and device pump."""
 
-import pytest
-
 from repro.core.machine import Machine, MachineOutcome
 from repro.cpu.assembler import Assembler
 from repro.util.units import MIB

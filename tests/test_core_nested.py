@@ -23,7 +23,7 @@ from repro.mem.paging import (
     split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
-from repro.util.units import MIB, PAGE_SIZE
+from repro.util.units import MIB
 
 GUEST_PAGES = 64
 ROOT_GPA = 0x10000

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.assembler import Assembler
 from repro.cpu.interp import CPUCore, StopReason
-from repro.cpu.isa import CSR, Cause, MODE_USER
+from repro.cpu.isa import Cause
 from repro.cpu.mmu import BareMMU
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory

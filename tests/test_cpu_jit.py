@@ -608,10 +608,10 @@ class TestEngineManagement:
         assert stats["blocks_compiled"] == 0
 
     def test_policy_forces_reference_path(self):
-        from repro.cpu.interp import VirtPolicy
+        from repro.cpu.exits import ExecControls
 
         cpu, pm = _make_cpu(jit=True)
-        cpu.policy = VirtPolicy()
+        cpu.controls = ExecControls()
         pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
         pm.write_bytes(0x1008, encode(Op.HLT))
         cpu.run(max_instructions=100)

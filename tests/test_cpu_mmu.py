@@ -7,7 +7,6 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
     AddressSpace,
-    PTE_USER,
     PTE_WRITABLE,
     PageFault,
 )

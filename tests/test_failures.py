@@ -7,10 +7,9 @@ corrupting a guest. These tests drive the unhappy paths.
 import pytest
 
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
-from repro.core.hypervisor import RunOutcome
 from repro.cpu.assembler import Assembler
 from repro.cpu.isa import Cause
-from repro.guest import KernelOptions, boot_vm, build_kernel, read_diag, workloads
+from repro.guest import KernelOptions, boot_vm, build_kernel
 from repro.migration import LiveMigrator
 from repro.util.errors import GuestError, MemoryError_
 from repro.util.units import MIB

@@ -261,7 +261,6 @@ def test_virtio_stuck_ring_recovers_on_reset(hypervisor):
     dev = vm.devices["virtio_blk"]
     dev.injector = inj
     # Configure a minimal one-descriptor ring by hand.
-    mem = vm.guest_mem
     dev.queue.desc_gpa, dev.queue.avail_gpa, dev.queue.used_gpa = (
         0x1000, 0x2000, 0x3000,
     )

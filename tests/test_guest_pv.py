@@ -1,7 +1,5 @@
 """Paravirtualization specifics: hypercalls, shared info, MMU batching."""
 
-import pytest
-
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import shared_info_gfn
 from repro.guest import (
@@ -10,7 +8,7 @@ from repro.guest import (
     build_kernel,
     workloads,
 )
-from repro.util.units import MIB, PAGE_SIZE
+from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
 

@@ -83,7 +83,7 @@ def _run_hmode(due):
     hv = Hypervisor(memory_bytes=8 * MEM, costs=_costs(), tlb_entries=64)
     vm = hv.create_vm(GuestConfig(
         name="t", memory_bytes=MEM, virt_mode=VirtMode.HW_ASSIST,
-        mmu_mode=MMUVirtMode.HMODE, tlb_entries=64, prealloc=True))
+        mmu_mode=MMUVirtMode.HMODE, prealloc=True))
     for addr, data in _image().items():
         vm.guest_mem.write_bytes(addr, data)
     hv.reset_vcpu(vm, ENTRY)

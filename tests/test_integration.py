@@ -6,8 +6,6 @@ live-migrated or snapshotted -- all while the guests keep computing
 correct results.
 """
 
-import pytest
-
 from repro.core import (
     GuestConfig,
     Hypervisor,

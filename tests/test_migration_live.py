@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.devices.console import CONS_STATUS, CONS_TX
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.migration import LiveMigrator
@@ -43,6 +44,25 @@ def test_migrated_guest_finishes_correctly(vmode, mmode):
     assert outcome is RunOutcome.SHUTDOWN
     assert diag.user_result == expected_memtouch(PAGES, PASSES)
     assert diag.fault_cause == 0
+
+
+@pytest.mark.parametrize("vmode,mmode", [
+    (VirtMode.HW_ASSIST, MMUVirtMode.NESTED),
+    (VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW),
+])
+def test_unread_console_input_survives_migration(vmode, mmode):
+    # The RX byte's IRQ line was always copied (pic.pending); the byte
+    # itself used to be dropped, so a guest handler running on the
+    # destination would have read an empty status.
+    src, dst, vm = start_guest(vmode, mmode)
+    vm.devices["console"].push_input(0x41)
+    migrator = LiveMigrator(src, dst, bytes_per_cycle=4.0)
+    result = migrator.migrate(vm, quantum_instructions=30_000, max_rounds=3)
+    console = result.dest_vm.devices["console"]
+    assert result.dest_vm.pic.pending == vm.pic.pending
+    assert console.port_read(CONS_STATUS) & 2
+    assert console.port_read(CONS_TX) == 0x41
+    assert console.chars_received == vm.devices["console"].chars_received + 1
 
 
 def test_rounds_track_working_set():

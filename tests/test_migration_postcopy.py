@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.devices.console import CONS_STATUS, CONS_TX
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.migration import LiveMigrator, PostCopyMigrator
@@ -36,6 +37,17 @@ def test_guest_resumes_remotely_and_finishes_correctly():
     assert result.outcome is RunOutcome.SHUTDOWN
     assert diag.user_result == expected_memtouch(PAGES, PASSES)
     assert diag.fault_cause == 0
+
+
+def test_unread_console_input_survives_postcopy():
+    src, dst, vm = start_guest()
+    vm.devices["console"].push_input(0x41)
+    migrator = PostCopyMigrator(src, dst, bytes_per_cycle=4.0)
+    result = migrator.migrate_and_run(vm)
+    console = result.dest_vm.devices["console"]
+    assert result.outcome is RunOutcome.SHUTDOWN
+    assert console.port_read(CONS_STATUS) & 2
+    assert console.port_read(CONS_TX) == 0x41
 
 
 def test_every_page_arrives_exactly_once():

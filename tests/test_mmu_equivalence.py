@@ -24,7 +24,6 @@ from repro.mem.paging import (
     PTE_WRITABLE,
     PageFault,
     make_pte,
-    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE

@@ -39,7 +39,8 @@ def start_vm(hv, name, mmu_mode=MMUVirtMode.NESTED, pages=16, passes=2000,
 class TestPageSharer:
     def test_scan_merges_identical_frames(self):
         hv = Hypervisor(memory_bytes=96 * MIB)
-        vms = [start_vm(hv, f"v{i}") for i in range(2)]
+        for i in range(2):
+            start_vm(hv, f"v{i}")
         free_before = hv.allocator.free_frames
         sharer = PageSharer(hv)
         result = sharer.scan()

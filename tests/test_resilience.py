@@ -9,14 +9,12 @@ from repro.cluster import (
     EvacuationConfig,
     Host,
     HostSpec,
-    Placement,
     RELAX_ORDER,
     ResilienceController,
     VMSpec,
     failover,
     first_fit,
     reservation_satisfied,
-    worst_fit,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.util.errors import ConfigError

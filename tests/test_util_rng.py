@@ -1,7 +1,7 @@
 """Deterministic RNG behaviour and statistical sanity."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.util.rng import DeterministicRNG
 

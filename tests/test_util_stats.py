@@ -1,7 +1,5 @@
 """Statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
