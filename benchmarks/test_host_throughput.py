@@ -24,14 +24,21 @@ def test_host_throughput_quick(benchmark, show):
         assert ("native", workload, "interp") in layers
         assert ("native", workload, "compiled") in layers
 
+    # ...and so did every VMM config, on the vCPU's jit_enabled switch.
+    for config in ("hw-shadow", "hw-nested", "hw-hmode", "trap-emulate"):
+        for workload in ("cpu_bound", "memtouch"):
+            assert (f"vmm/{config}", workload, "compiled") in layers
+
     # Compute-bound code is where closure compilation pays off most;
-    # this ratio is stable even at quick scale.
+    # this ratio is stable even at quick scale, under a VMM too.
     assert result.speedups["native/cpu_bound"] > 2.0
+    assert result.speedups["vmm/hw-nested/cpu_bound"] > 2.0
 
     # The compiler actually engaged and reported its counters, and
     # system instructions went through the reference fallback path.
     assert result.jit_counters["blocks_compiled"] > 0
     assert result.jit_counters["fallback_steps"] > 0
+    assert result.jit_counters["cold_steps"] > 0  # boot code ran once
 
     # The JSON payload is complete and serializable.
     payload = json.loads(json.dumps(result.to_json()))

@@ -2,10 +2,13 @@
 
 Unlike E1-E10, which measure *simulated* cycles (the paper's data), this
 bench measures the **simulator itself**: how many guest instructions per
-host wall-clock second each execution engine retires. Two comparisons:
+host wall-clock second each execution engine retires. Three comparisons:
 
 * ``native`` rows -- bare-metal NanoOS runs with the closure compiler
   (:mod:`repro.cpu.jit`) off vs. on;
+* ``vmm/<config>`` rows -- the same guests under the hypervisor
+  (hardware assist over shadow, nested and H-mode paging, and
+  trap-and-emulate), the vCPU's ``jit_enabled`` off vs. on;
 * ``bt`` rows -- binary-translation guests with the per-item block walk
   vs. fused block closures (``BTEngine.compile_enabled``).
 
@@ -21,6 +24,7 @@ import json
 import platform
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -72,13 +76,25 @@ _NATIVE_WORKLOADS: List[Tuple[str, Callable[[], Program], Callable[[], Program]]
 #: Workloads also run under binary translation (kernel-heavy subset).
 _BT_WORKLOADS = ("cpu_bound", "syscall_storm")
 
+#: Workloads also run under each VMM config below.
+_VMM_WORKLOADS = ("cpu_bound", "memtouch")
+
+#: (label, virt mode, mmu mode) -- one per MMU the compiler serves under
+#: a VMM, plus the deprivileged core.
+_VMM_CONFIGS = (
+    ("hw-shadow", VirtMode.HW_ASSIST, MMUVirtMode.SHADOW),
+    ("hw-nested", VirtMode.HW_ASSIST, MMUVirtMode.NESTED),
+    ("hw-hmode", VirtMode.HW_ASSIST, MMUVirtMode.HMODE),
+    ("trap-emulate", VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW),
+)
+
 
 @dataclass
 class EngineRow:
     """One (workload, engine) measurement."""
 
     workload: str
-    layer: str  # "native" | "bt"
+    layer: str  # "native" | "bt" | "vmm/<config>"
     engine: str  # "interp" | "compiled"
     wall_s: float
     instructions: int
@@ -190,6 +206,18 @@ class HostBenchResult:
         return "\n".join(lines)
 
 
+def _row(layer: str, compiled: bool, wall: float, cpu, sim_cycles: int) -> EngineRow:
+    return EngineRow(
+        workload="",
+        layer=layer,
+        engine="compiled" if compiled else "interp",
+        wall_s=wall,
+        instructions=cpu.instret,
+        sim_cycles=sim_cycles,
+        guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
+    )
+
+
 def _measure_native(
     kernel: Program, workload: Program, jit: bool
 ) -> Tuple[EngineRow, Machine]:
@@ -200,51 +228,40 @@ def _measure_native(
     if not diag.clean:
         raise GuestError(f"host bench native run unclean: {diag}")
     cpu = machine.cpu
-    return (
-        EngineRow(
-            workload="",
-            layer="native",
-            engine="compiled" if jit else "interp",
-            wall_s=wall,
-            instructions=cpu.instret,
-            sim_cycles=cpu.cycles,
-            guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
-        ),
-        machine,
-    )
+    return _row("native", jit, wall, cpu, cpu.cycles), machine
 
 
-def _measure_bt(
-    kernel: Program, workload: Program, fused: bool
+def _measure_vm(
+    kernel: Program,
+    layer: str,
+    virt_mode: VirtMode,
+    mmu_mode: MMUVirtMode,
+    workload: Program,
+    compiled: bool,
 ) -> Tuple[EngineRow, Any]:
+    """One guest under the hypervisor; ``compiled`` picks the engine the
+    layer compares: the translator's fused closures for ``bt``, the
+    vCPU's block compiler for the ``vmm/*`` rows."""
     hv = Hypervisor(memory_bytes=HOST_MEMORY)
     vm = hv.create_vm(
         GuestConfig(
             name="hostbench",
             memory_bytes=GUEST_MEMORY,
-            virt_mode=VirtMode.BINARY_TRANSLATION,
-            mmu_mode=MMUVirtMode.SHADOW,
+            virt_mode=virt_mode,
+            mmu_mode=mmu_mode,
         )
     )
-    vm.bt.compile_enabled = fused
+    if vm.bt is not None:
+        vm.bt.compile_enabled = compiled
+    else:
+        vm.vcpus[0].cpu.jit_enabled = compiled
     start = perf_counter()
     diag = boot_vm(hv, vm, kernel, workload, max_guest_instructions=200_000_000)
     wall = perf_counter() - start
     if not diag.clean:
-        raise GuestError(f"host bench BT run unclean: {diag}")
+        raise GuestError(f"host bench {layer} run unclean: {diag}")
     cpu = vm.vcpus[0].cpu
-    return (
-        EngineRow(
-            workload="",
-            layer="bt",
-            engine="compiled" if fused else "interp",
-            wall_s=wall,
-            instructions=cpu.instret,
-            sim_cycles=cpu.cycles,
-            guest_mips=cpu.instret / wall / 1e6 if wall > 0 else 0.0,
-        ),
-        vm,
-    )
+    return _row(layer, compiled, wall, cpu, cpu.cycles + vm.stats.vmm_cycles), vm
 
 
 def _assert_identical(name: str, interp: EngineRow, compiled: EngineRow) -> None:
@@ -317,39 +334,48 @@ def run_host_throughput(
         "blocks_compiled": 0,
         "blocks_invalidated": 0,
         "fallback_steps": 0,
+        "cold_steps": 0,
     }
     results: Dict[str, int] = {}
+    builders = {
+        name: quick_builder if quick else full_builder
+        for name, quick_builder, full_builder in _NATIVE_WORKLOADS
+    }
 
-    for name, quick_builder, full_builder in _NATIVE_WORKLOADS:
-        builder = quick_builder if quick else full_builder
-        interp_row, _ = _measure_native(kernel, builder(), jit=False)
-        compiled_row, machine = _measure_native(kernel, builder(), jit=True)
+    def pair(layer: str, name: str, measure) -> Any:
+        """``measure(workload, compiled)`` on both engines; returns what
+        ran compiled."""
+        interp_row, _ = measure(builders[name](), False)
+        compiled_row, ran = measure(builders[name](), True)
         interp_row.workload = compiled_row.workload = name
-        _assert_identical(f"native/{name}", interp_row, compiled_row)
-        rows += [interp_row, compiled_row]
-        speedups[f"native/{name}"] = (
+        _assert_identical(f"{layer}/{name}", interp_row, compiled_row)
+        rows.extend((interp_row, compiled_row))
+        speedups[f"{layer}/{name}"] = (
             compiled_row.guest_mips / interp_row.guest_mips
             if interp_row.guest_mips
             else 0.0
         )
+        return ran
+
+    for name in builders:
+        machine = pair("native", name, partial(_measure_native, kernel))
         for key in jit_counters:
             jit_counters[key] += machine.cpu.jit_stats()[key]
         results[name] = machine.cpu.instret
 
-    bt_names = _BT_WORKLOADS[:1] if quick else _BT_WORKLOADS
-    for name, quick_builder, full_builder in _NATIVE_WORKLOADS:
-        if name not in bt_names:
-            continue
-        builder = quick_builder if quick else full_builder
-        interp_row, _ = _measure_bt(kernel, builder(), fused=False)
-        compiled_row, _vm = _measure_bt(kernel, builder(), fused=True)
-        interp_row.workload = compiled_row.workload = name
-        _assert_identical(f"bt/{name}", interp_row, compiled_row)
-        rows += [interp_row, compiled_row]
-        speedups[f"bt/{name}"] = (
-            compiled_row.guest_mips / interp_row.guest_mips
-            if interp_row.guest_mips
-            else 0.0
+    for label, virt_mode, mmu_mode in _VMM_CONFIGS:
+        layer = f"vmm/{label}"
+        for name in _VMM_WORKLOADS:
+            pair(
+                layer, name,
+                partial(_measure_vm, kernel, layer, virt_mode, mmu_mode),
+            )
+
+    for name in _BT_WORKLOADS[:1] if quick else _BT_WORKLOADS:
+        pair(
+            "bt", name,
+            partial(_measure_vm, kernel, "bt",
+                    VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW),
         )
 
     hotspots: Optional[List[Dict[str, Any]]] = None

@@ -34,7 +34,7 @@ from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, Op,
 )
-from repro.cpu.mmu import TwoStageMMU
+from repro.cpu.mmu import GSTAGE_STALL_REFS, TwoStageMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
@@ -370,7 +370,13 @@ class Hypervisor:
 
     def destroy_vm(self, vm: VirtualMachine) -> None:
         """Tear a VM down and return every host frame it held."""
-        vm.vcpus[0].cpu.mmu.destroy()
+        cpu = vm.vcpus[0].cpu
+        cpu.mmu.destroy()
+        # The core (and the translator) watch host memory for writes to
+        # their code pages; the host outlives them.
+        self.physmem.unwatch_writes(cpu._on_code_write)
+        if vm.bt is not None:
+            self.physmem.unwatch_writes(vm.bt._on_code_write)
         for gfn in list(vm.guest_mem.map):
             hfn = vm.guest_mem.unmap_page(gfn)
             if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
@@ -527,7 +533,7 @@ class Hypervisor:
         # one slice (trap-delivery livelock): without it the
         # instruction-bounded core run would never come back to the
         # pump loop's cycle check.
-        result = cpu.run(max_instructions=slice_, cycle_guard=cycle_budget)
+        result = cpu.run(max_instructions=slice_, max_cycles=cycle_budget)
         if result.stop is StopReason.VMEXIT:
             raise result.exit
         if result.stop is StopReason.HALT:
@@ -607,7 +613,7 @@ class Hypervisor:
         """
         if self.injector is not None and self.injector.fires("hmode.gstage_stall"):
             self.registry.counter("core.hmode.gstage_stalls").inc()
-            return 8 * self.costs.gstage_ref_cycles
+            return GSTAGE_STALL_REFS * self.costs.gstage_ref_cycles
         return 0
 
     def _hmode_deleg_miss(self) -> bool:

@@ -134,6 +134,17 @@ class ShadowMMU(MMUBase):
             self.costs.tlb_hit_cycles + result.mem_refs * self.costs.mem_ref_cycles,
         )
 
+    @property
+    def tlb_active(self) -> bool:
+        return self.guest_root is not None
+
+    def real_pa(self, pc: int) -> int:
+        return self.guest_mem.gpa_to_hpa(pc & 0xFFFFFFFF)
+
+    @property
+    def translate_bound(self) -> int:
+        return self.costs.tlb_hit_cycles + 2 * self.costs.mem_ref_cycles
+
     def set_root(self, root_pa: int) -> None:
         """CSRW PTBR reached the MMU: the operand is a *guest* PA."""
         self.switch_guest_root(root_pa)

@@ -14,6 +14,14 @@ the record.
 
 With ``controls=None`` the core is exactly a bare machine; this is the
 "native" baseline in experiment E1.
+
+:meth:`CPUCore.run` executes compiled blocks (:mod:`repro.cpu.jit`)
+under every MMU and every controls record: a block holds only ALU,
+memory and branch instructions, so each intercept is still tested in
+``_trap`` / ``_system`` / ``_csr_write`` / ``_io``, which compiled code
+reaches only through :meth:`CPUCore.step` or ``_trap``. The reference
+loop :meth:`CPUCore._run_interp` (``jit_enabled = False``) stays the
+oracle.
 """
 
 import enum
@@ -32,7 +40,7 @@ from repro.cpu.isa import (
     PUBLIC_CSRS,
     decode,
 )
-from repro.cpu.mmu import BareMMU, MMUBase
+from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
@@ -123,10 +131,10 @@ class CPUCore:
         #: Frames holding cached decodes and/or compiled blocks; the
         #: physmem write watcher fires :meth:`_on_code_write` for these.
         self._code_pfns: Set[int] = set()
-        #: True/False = explicit; None = default on. The compiled path
-        #: additionally requires a plain BareMMU and no controls.
+        #: True/False = explicit; None = default on. False is the
+        #: reference run the differential tests compare against.
         self.jit_enabled = True if jit is None else jit
-        self._jit = None  # lazily: BlockJIT, or False if unsupported
+        self._jit = None  # lazily: BlockJIT
         physmem = getattr(mmu, "physmem", None)
         if physmem is not None and hasattr(physmem, "watch_writes"):
             physmem.watch_writes(self._code_pfns, self._on_code_write)
@@ -425,130 +433,97 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
-        cycle_guard: Optional[int] = None,
     ) -> RunResult:
-        """Run until halt, a limit, or a VM exit.
+        """Run until halt, a limit, an event exit, or a VM exit.
 
-        Dispatches to the compiled-block engine when it can reproduce
-        the reference semantics bit-for-bit (plain BareMMU, no controls,
-        no cycle budget); otherwise runs the reference interpreter loop.
-
-        ``cycle_guard`` is a coarse safety net against guests that burn
-        cycles without retiring instructions (trap-delivery livelock):
-        unlike ``max_cycles`` it does not demote the core to the
-        reference interpreter, and the compiled engine only honours it
-        at block boundaries. A guard trip returns
-        :data:`StopReason.CYCLE_LIMIT`; the precise stop state is *not*
-        part of the bit-identical interp/JIT contract (the differential
-        fuzzer compares guard trips by class only).
+        Executes compiled blocks unless ``jit_enabled`` is False; both
+        loops stop at the same retire edge with the same state, under
+        every MMU and controls record.
         """
-        if self.jit_enabled and max_cycles is None and self.controls is None:
+        if self.jit_enabled:
             jit = self._jit
             if jit is None:
-                jit = self._jit_setup()
-            if jit:
-                return self._run_compiled(jit, max_instructions, cycle_guard)
-        return self._run_interp(max_instructions, max_cycles, cycle_guard)
+                from repro.cpu.jit import BlockJIT
 
-    def _jit_setup(self):
-        """Probe once whether this core supports compiled blocks."""
-        if type(self.mmu) is BareMMU:
-            from repro.cpu.jit import BlockJIT
-
-            self._jit = BlockJIT(self)
-        else:
-            self._jit = False
-        return self._jit
+                jit = self._jit = BlockJIT(self)
+            return self._run_compiled(jit, max_instructions, max_cycles)
+        return self._run_interp(max_instructions, max_cycles)
 
     def _run_compiled(
         self,
         jit,
         max_instructions: Optional[int],
-        cycle_guard: Optional[int] = None,
+        max_cycles: Optional[int],
     ) -> RunResult:
-        """Block-at-a-time loop; falls back to :meth:`step` per slow case."""
+        """Block-at-a-time loop; falls back to :meth:`step` per slow case.
+
+        Same loop-top order as :meth:`_run_interp`. A block is entered
+        only if it cannot retire past the instruction limit or the next
+        event edge and its worst-case charge fits the cycle budget --
+        then every instruction in it starts inside the budget, as the
+        reference loop requires of each step; otherwise one ``step()``.
+        """
         jit.check_costs()
         start_instr = self.instret
         start_cycles = self.cycles
-        limit = max_instructions
         events = self.events
-        limit_stop = start_instr + limit if limit is not None else 1 << 62
-        # Self-looping closures honour _loop_stop at every loop edge, so
-        # folding the next event edge into it is the irq-poll guard: the
-        # closure returns to this dispatcher exactly at the due edge.
-        self._loop_stop = (
+        limit_stop = (
+            start_instr + max_instructions
+            if max_instructions is not None else 1 << 62
+        )
+        cycle_stop = (
+            start_cycles + max_cycles if max_cycles is not None else 1 << 62
+        )
+        # Self-looping closures honour both ceilings at every loop edge;
+        # folding the next event edge into _loop_stop is the irq-poll
+        # guard: the closure returns to this dispatcher exactly at the
+        # due edge.
+        instr_stop = self._loop_stop = (
             min(limit_stop, events.next_due) if events is not None
             else limit_stop
         )
-        self._cycle_stop = (
-            start_cycles + cycle_guard if cycle_guard is not None else 1 << 62
-        )
+        self._cycle_stop = cycle_stop
         lookup = jit.lookup
         step = self.step
         csr = self.csr
         ie = int(CSR.IE)
         mo = int(CSR.MODE)
+        stop = None
         while True:
             if events is not None and self.instret >= events.next_due:
-                events.fire_due(self.instret)
-                self._loop_stop = min(limit_stop, events.next_due)
-            if cycle_guard is not None and (
-                self.cycles - start_cycles >= cycle_guard
-            ):
-                return RunResult(
-                    StopReason.CYCLE_LIMIT,
-                    self.instret - start_instr,
-                    self.cycles - start_cycles,
-                )
+                fired = events.fire_due(self.instret)
+                instr_stop = self._loop_stop = min(limit_stop, events.next_due)
+                if fired and events.exit_on_fire:
+                    stop = StopReason.EVENT
+                    break
             if self.halted:
                 if csr[ie] and self.pending_irqs:
                     self.halted = False
                 else:
-                    return RunResult(
-                        StopReason.HALT,
-                        self.instret - start_instr,
-                        self.cycles - start_cycles,
-                    )
+                    stop = StopReason.HALT
+                    break
+            if self.instret >= limit_stop:
+                stop = StopReason.INSTR_LIMIT
+                break
+            if self.cycles >= cycle_stop:
+                stop = StopReason.CYCLE_LIMIT
+                break
             try:
                 if csr[ie] and self.pending_irqs:
-                    if limit is not None and (
-                        self.instret - start_instr >= limit
-                    ):
-                        return RunResult(
-                            StopReason.INSTR_LIMIT,
-                            self.instret - start_instr,
-                            self.cycles - start_cycles,
-                        )
                     step()
                     continue
-                if limit is None:
-                    blk = lookup(self.pc, csr[mo])
-                    if blk is None or (
-                        events is not None
-                        and blk[1] > events.next_due - self.instret
-                    ):
-                        # No straight-line block may retire past a due
-                        # event edge: fall back to stepping so the edge
-                        # lands between instructions, like the oracle.
-                        step()
-                    else:
-                        blk[0](self)
+                blk = lookup(self.pc, csr[mo])
+                if (
+                    blk is None
+                    or self.instret + blk[1] > instr_stop
+                    or self.cycles + blk[2] >= cycle_stop
+                ):
+                    # No straight-line block may retire past a budget or
+                    # a due event edge: step, so the edge lands between
+                    # instructions, like the oracle.
+                    step()
                 else:
-                    done = self.instret - start_instr
-                    if done >= limit:
-                        return RunResult(
-                            StopReason.INSTR_LIMIT,
-                            done,
-                            self.cycles - start_cycles,
-                        )
-                    blk = lookup(self.pc, csr[mo])
-                    if blk is None or blk[1] > limit - done or (
-                        events is not None
-                        and blk[1] > events.next_due - self.instret
-                    ):
-                        step()
-                    else:
-                        blk[0](self)
+                    blk[0](self)
             except VMExit as exit_:
                 return RunResult(
                     StopReason.VMEXIT,
@@ -556,6 +531,9 @@ class CPUCore:
                     self.cycles - start_cycles,
                     exit=exit_,
                 )
+        return RunResult(
+            stop, self.instret - start_instr, self.cycles - start_cycles
+        )
 
     def jit_stats(self) -> Dict[str, int]:
         """Host-compiler counters (all zero when the JIT never engaged)."""
@@ -566,6 +544,7 @@ class CPUCore:
             "blocks_compiled": 0,
             "blocks_invalidated": 0,
             "fallback_steps": 0,
+            "cold_steps": 0,
             "blocks_cached": 0,
             "ic_hits": 0,
             "pc_cache_entries": 0,
@@ -578,15 +557,10 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
-        cycle_guard: Optional[int] = None,
     ) -> RunResult:
         """The reference interpreter loop (the correctness oracle)."""
         start_instr = self.instret
         start_cycles = self.cycles
-        if cycle_guard is not None and (
-            max_cycles is None or cycle_guard < max_cycles
-        ):
-            max_cycles = cycle_guard
         events = self.events
         while True:
             if events is not None and self.instret >= events.next_due:

@@ -30,6 +30,14 @@ DESIGN.md, "JIT memory fast path"):
   and cycle budgets are honoured at each loop edge via limits the
   dispatcher publishes on the core (``_loop_stop`` / ``_cycle_stop``).
 
+One compiler serves every MMU (bare, shadow, two-stage) and every
+controls record: blocks hold no system instruction, so intercepts are
+tested where the interpreter tests them, and the MMU is reached through
+``translate`` plus the three dispatcher facts on ``MMUBase`` (DESIGN.md,
+"Compiled execution under a VMM"). Compilation is paid for by a
+process-wide cache of code objects and a hotness tier (``_block_code``,
+``BlockJIT._block_at``).
+
 Correctness contract (enforced by the differential tests): simulated
 ``cycles``/``instret``/register/CSR state, TLB statistics and TLB LRU
 order are **bit-identical** to the reference interpreter. Anything the
@@ -50,12 +58,12 @@ Two consumers:
 * :func:`compile_bt_block` -- fuses a :class:`TranslatedBlock`'s item
   list (native runs inlined, callouts as captured calls) so the binary
   translator stops re-walking its tag list on every execution. The BT
-  layer keeps the conservative translate-per-access path: its MMU is
-  virtualized and may exit to the monitor.
+  layer keeps the conservative translate-per-access path (callouts may
+  change translation state mid-block).
 """
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import VMExit
 from repro.cpu.isa import Cause, DecodeError, Instruction, Op, decode
@@ -70,6 +78,22 @@ MAX_BLOCK_INSTRUCTIONS = 32
 
 #: Dispatch/pc-cache size bound (cleared wholesale when exceeded).
 _PC_CACHE_MAX = 16384
+
+#: Dispatches of a block head the process has never compiled before it
+#: is: host ``compile()`` costs what ~45 interpreted visits of a short
+#: block do, so code that runs once (fuzz bodies, the boot path of a
+#: never-seen image) must never meet it.
+HOT = 32
+
+#: Entry bound of the process-wide code cache.
+CODE_CACHE_MAX = 1024
+
+#: key -> (make, static_cycles, mem_ops, head); see :func:`_block_code`.
+_CODE: Dict[Tuple, Tuple] = {}
+#: ``(va, first word, paging, bare, cost signature)`` of every cpu-layer
+#: block in ``_CODE``: a head found here is compiled on sight (almost
+#: always a cache hit), any other is interpreted until it is hot.
+_HEADS: Set[Tuple] = set()
 
 _MEM_OPS = frozenset({Op.LD, Op.ST, Op.LDB, Op.STB})
 _STORE_OPS = frozenset({Op.ST, Op.STB})
@@ -175,25 +199,74 @@ def _item_const_cycles(costs, kind: str, ins: Instruction, fetch_c: int) -> int:
     return c
 
 
-def _compile_items(
+def _cost_sig(costs) -> Tuple[int, ...]:
+    """Every cost the emitted source embeds as a literal."""
+    return (
+        costs.instr_cycles,
+        costs.mul_extra_cycles,
+        costs.div_extra_cycles,
+        costs.tlb_hit_cycles,
+        costs.tlb_miss_cycles,
+        costs.bt_callout_cycles,
+    )
+
+
+def _block_code(
     costs,
     items: List[Tuple[str, Instruction, int]],
     *,
     layer: str,  # "cpu" | "bt"
     paging: bool = False,
-    vpn: int = 0,
-    epoch_cell: Optional[list] = None,
-    ic_cell: Optional[list] = None,
-    callout: Optional[Callable[[Instruction], bool]] = None,
-) -> Callable:
-    """Generate and compile one block closure from classified items.
+    bare: bool = False,
+    head: Optional[Tuple] = None,
+) -> Tuple[Callable, int, int]:
+    """The process-wide half of a block: ``(make, static_cycles, mem_ops)``.
+
+    Host ``compile()`` is ~1 ms a block and every VM of a run boots the
+    same few kernels, so code objects are shared: the key is everything
+    the emitted source depends on, and ``make(epoch_cell, callout,
+    ic_cell, worst_cycles)`` instantiates one core's closure from it
+    (inline caches and epoch cells stay per core). Bounded, LRU.
+    ``head`` is remembered while the entry lives (the hotness tier's
+    "known" test, see :class:`BlockJIT`).
+    """
+    key = (tuple(items), layer, paging, bare, _cost_sig(costs))
+    entry = _CODE.pop(key, None)
+    if entry is None:
+        entry = _emit_block(costs, items, layer, paging, bare) + (head,)
+        if len(_CODE) >= CODE_CACHE_MAX:
+            evicted = _CODE.pop(next(iter(_CODE)))
+            _HEADS.discard(evicted[3])
+    _CODE[key] = entry  # youngest: eviction takes the least recently used
+    if head is not None:
+        _HEADS.add(head)
+    return entry[:3]
+
+
+def _emit_block(
+    costs,
+    items: List[Tuple[str, Instruction, int]],
+    layer: str,
+    paging: bool,
+    bare: bool,
+) -> Tuple[Callable, int, int]:
+    """Generate and compile one block's closure factory.
 
     ``items`` is a list of ("native" | "callout", instruction, va); the
     cycle/instret/trap semantics produced are bit-identical to the
     reference paths (``CPUCore.step`` / ``BTEngine._execute_block``).
+    ``bare`` says the MMU is the plain hardware one (``BareMMU``): only
+    then is a real-mode address its own physical address, and only then
+    may the reference walk be inlined (``deep``). Every other MMU is
+    reached through ``mmu.translate``.
     """
     n = len(items)
+    vpn = items[0][2] >> 12
     track_tlb = layer == "cpu" and paging
+    # Real-mode data accesses go straight to physmem only on the bare
+    # MMU; elsewhere (BT, shadow real mode: VA is a guest-physical
+    # address) each one is translated.
+    via_tr = layer == "bt" or paging or not bare
     fetch_c = costs.tlb_hit_cycles if track_tlb else 0
     hit_c = costs.tlb_hit_cycles
 
@@ -226,11 +299,12 @@ def _compile_items(
     guarded = has_mem  # only memory accesses can raise mid-block
     snapshot = guarded or has_div_reg or has_callout
     # Both layers bail at a store that invalidated compiled code (the
-    # BT engine shares its invalidation epoch the same way the bare
-    # core's BlockJIT does), so rewritten code is fetched fresh.
-    smc_check = has_store and epoch_cell is not None
-    # Inline-cached translations: only for directly-walked paging blocks
-    # (the BT/virtualized MMUs may VM-exit inside translate).
+    # BT engine shares its invalidation epoch the same way the core's
+    # BlockJIT does), so rewritten code is fetched fresh.
+    smc_check = has_store
+    # Inline-cached translations: for blocks fetched through a TLB. The
+    # hit path is a pure function of the cached PTE; the miss path
+    # calls ``mmu.translate``, which under a VMM may VM-exit.
     fast_mem = track_tlb and has_mem
     # A conditional branch back to the block's own start re-enters the
     # closure directly (budgets permitting) instead of re-dispatching.
@@ -245,9 +319,10 @@ def _compile_items(
     # slow path additionally inlines the whole reference translate
     # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
     # into the closure, replicating translate/walk_quick/TLB.insert
-    # statement for statement. Dispatcher-bound blocks keep the plain
-    # `tr()` call: their preamble must stay cheap.
-    deep = fast_mem and selfloop
+    # statement for statement -- BareMMU's, so only over it.
+    # Dispatcher-bound blocks keep the plain `tr()` call: their
+    # preamble must stay cheap.
+    deep = fast_mem and selfloop and bare
     miss_c = costs.tlb_miss_cycles
 
     # Static forwarding plan: memory op k may reuse the translation of
@@ -289,7 +364,7 @@ def _compile_items(
     # must be read live instead of hoisted.
     u_expr = "u"
     if has_mem:
-        if layer == "bt" or paging:
+        if via_tr:
             src.emit(1, "mmu = cpu.mmu")
             src.emit(1, "tr = mmu.translate")
             if has_callout:
@@ -408,13 +483,11 @@ def _compile_items(
                 return f"w8({loc}, {_r(ins.rb)} & 0xFF)"
 
             if not fast_mem:
-                # Conservative path (BT layer, paging-off blocks): every
+                # Conservative path (BT layer, real-mode blocks): every
                 # access goes through translate / direct physmem.
                 src.emit(depth, f"_n = {k}")
-                if track_tlb:
-                    src.emit(depth, f"mv({vpn})")
                 addr = _addr_expr(ins)
-                if layer == "bt" or paging:
+                if via_tr:
                     at = "_AW" if is_store else "_AR"
                     src.emit(depth, f"_a, _c = tr({addr}, {at}, {u_expr})")
                     src.emit(depth, "mc += _c")
@@ -623,7 +696,8 @@ def _compile_items(
                     src.emit(depth + 1, f"cpu.pc = {ins.imm32}")
                     src.emit(
                         depth + 1,
-                        f"if cpu.instret + {n} <= _is and cpu.cycles < _cs:",
+                        f"if cpu.instret + {n} <= _is "
+                        f"and cpu.cycles + _W < _cs:",
                     )
                     src.emit(depth + 2, "continue")
                     src.emit(depth + 1, "return")
@@ -693,6 +767,15 @@ def _compile_items(
             if tail != "raise":
                 src.emit(2, "return")
 
+    # Everything per core arrives as an argument of the factory; the
+    # module namespace holds only what every instance can share.
+    make = _Src()
+    make.emit(0, "def _make(_jw, _co, _ich, _W):")
+    if fast_mem:
+        # [mode, site0_vpn, site0_pte, site0_base, site1_vpn, ...]
+        make.emit(1, f"_ic = [False] + [-1, 0, 0] * {len(mem_indices)}")
+    make.lines.extend("    " + line for line in src.lines)
+    make.emit(1, "return _block")
     ns: Dict[str, object] = {
         "_P": tuple(pre),
         "_V": tuple(va for _, _, va in items),
@@ -706,19 +789,11 @@ def _compile_items(
         "_PFR": Cause.PF_READ,
         "_DIV0": Cause.DIV0,
         "_sgn": _sgn,
-        "_jw": epoch_cell,
-        "_co": callout,
+        "_ICR": (-1, 0, 0) * len(mem_indices),
+        "_up": _U32.unpack_from,
     }
-    if fast_mem:
-        nsites = len(mem_indices)
-        # [mode, site0_vpn, site0_pte, site0_base, site1_vpn, ...]
-        ns["_ic"] = [False] + [-1, 0, 0] * nsites
-        ns["_ICR"] = (-1, 0, 0) * nsites
-        ns["_ich"] = ic_cell if ic_cell is not None else [0]
-        if deep:
-            ns["_up"] = _U32.unpack_from
-    exec(compile(src.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
-    return ns["_block"]  # type: ignore[return-value]
+    exec(compile(make.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
+    return ns["_make"], pre[n], len(mem_indices)
 
 
 def compile_bt_block(engine, block) -> Callable:
@@ -734,36 +809,52 @@ def compile_bt_block(engine, block) -> Callable:
     for kind, ins in block.items:
         items.append((kind, ins, va))
         va = (va + ins.length) & 0xFFFFFFFF
-    return _compile_items(
-        engine.costs, items, layer="bt", callout=engine._callout,
-        epoch_cell=engine._epoch,
+    # Not through the shared cache: the translator compiles each block
+    # on its first visit, and run-once blocks would crowd out hot ones.
+    make, _static, _mem_ops = _emit_block(
+        engine.costs, items, "bt", False, False
     )
+    return make(engine._epoch, engine._callout, None, 0)
 
 
 class BlockJIT:
     """Per-core compiled-block cache behind ``CPUCore.run()``.
 
-    Supported only over :class:`BareMMU` (native machines); virtualized
-    MMUs conservatively stay on the reference interpreter. Blocks are
-    keyed ``(pa, va, paging)`` -- content-addressed by physical start so
-    a root switch never runs stale code -- and dropped when a physmem
-    write watcher reports a store into their frame. Dispatch goes
-    through a per-``(pc, mode)`` cache revalidated by one PTE compare
-    against the live TLB entry, so flush / invlpg / eviction / PTE
-    change all force a fresh EXEC probe before any stale block runs.
+    Serves every MMU alike. Blocks are keyed ``(pa, va, paging)`` --
+    content-addressed by physical start so a root switch never runs
+    stale code -- and dropped when a physmem write watcher reports a
+    store into their frame. With the TLB in front of fetches
+    (``mmu.tlb_active``) dispatch goes through a per-``(pc, mode)``
+    cache revalidated by one PTE compare against the live TLB entry, so
+    flush / invlpg / eviction / PTE change -- and under a VMM every
+    host-side remap, which flushes or invalidates the same TLB -- force
+    a fresh EXEC probe before any stale block runs. In real mode there
+    is no entry to compare, so each dispatch re-asks the MMU for the
+    pc's physical address (``mmu.real_pa``: the gfn -> hfn map under
+    shadow paging, the identity on bare hardware).
+
+    Compilation is tiered: a head this process has compiled before
+    (``_HEADS``) is compiled on sight out of the shared code cache; any
+    other is left to :meth:`CPUCore.step` until it has been dispatched
+    ``HOT`` times.
     """
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
-        self.mmu: BareMMU = cpu.mmu
+        self.mmu = cpu.mmu
         self.physmem = cpu.mmu.physmem
+        #: The one MMU-class fact the compiler uses (see _emit_block).
+        self._bare = type(cpu.mmu) is BareMMU
         self._blocks: Dict[Tuple[int, int, bool], Tuple] = {}
         self._frame_keys: Dict[int, set] = {}
         #: Dispatch caches: (pc << 1) | mode -> (block, vpn, pte) under
-        #: paging; pc -> block with paging off. Entries self-invalidate
-        #: by PTE compare; SMC and cost changes clear them wholesale.
+        #: paging; pc -> (block, pa) in real mode. Entries
+        #: self-invalidate by PTE / pa compare; SMC and cost changes
+        #: clear them wholesale.
         self._pc_pg: Dict[int, Tuple] = {}
-        self._pc_bare: Dict[int, Tuple] = {}
+        self._pc_real: Dict[int, Tuple] = {}
+        #: Block key -> dispatches while cold (the hotness tier).
+        self._heat: Dict[Tuple[int, int, bool], int] = {}
         self._epoch_cell = [0]
         #: Shared across closures: data accesses served by inline caches
         #: or forwarding (host-side telemetry; sim stats are unaffected).
@@ -772,17 +863,12 @@ class BlockJIT:
         self.blocks_compiled = 0
         self.blocks_invalidated = 0
         self.fallback_steps = 0
+        self.cold_steps = 0
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _sig(self) -> Tuple[int, int, int, int]:
-        c = self.cpu.costs
-        return (
-            c.instr_cycles,
-            c.mul_extra_cycles,
-            c.div_extra_cycles,
-            c.tlb_hit_cycles,
-        )
+    def _sig(self) -> Tuple[int, ...]:
+        return _cost_sig(self.cpu.costs) + (self.mmu.translate_bound,)
 
     def check_costs(self) -> None:
         """Drop compiled code if the cost model changed since compile."""
@@ -795,7 +881,7 @@ class BlockJIT:
         self._blocks.clear()
         self._frame_keys.clear()
         self._pc_pg.clear()
-        self._pc_bare.clear()
+        self._pc_real.clear()
         self._epoch_cell[0] += 1
 
     def invalidate_pfn(self, pfn: int) -> None:
@@ -809,7 +895,7 @@ class BlockJIT:
                 self.blocks_invalidated += 1
         # The dispatch caches hold direct references to dropped blocks.
         self._pc_pg.clear()
-        self._pc_bare.clear()
+        self._pc_real.clear()
         self._epoch_cell[0] += 1
 
     def stats(self) -> Dict[str, int]:
@@ -817,24 +903,26 @@ class BlockJIT:
             "blocks_compiled": self.blocks_compiled,
             "blocks_invalidated": self.blocks_invalidated,
             "fallback_steps": self.fallback_steps,
+            "cold_steps": self.cold_steps,
             "blocks_cached": len(self._blocks),
             "ic_hits": self._ic_cell[0],
-            "pc_cache_entries": len(self._pc_pg) + len(self._pc_bare),
+            "pc_cache_entries": len(self._pc_pg) + len(self._pc_real),
         }
 
     # -- dispatch --------------------------------------------------------
 
     def lookup(self, pc: int, mode: int = 0) -> Optional[Tuple]:
-        """Return ``(closure, n_instructions)`` for ``pc``, or None.
+        """Return ``(closure, n_instructions, worst_cycles)``, or None.
 
         None means "take one reference-interpreter step": EXEC
         translation not cached right now (TLB miss -- the step will
-        walk and refill), or the block starts with something the
-        compiler does not handle (system ops, page-straddling code).
-        ``mode`` is the live MODE csr (privilege is part of the key).
+        walk and refill), the block starts with something the compiler
+        does not handle (system ops, page-straddling code), or its head
+        is still cold. ``mode`` is the live MODE csr (privilege is part
+        of the key).
         """
         mmu = self.mmu
-        if mmu.paging_enabled:
+        if mmu.tlb_active:
             key = (pc << 1) | mode
             ent = self._pc_pg.get(key)
             if ent is not None and mmu.tlb.entry_get(ent[1]) == ent[2]:
@@ -845,31 +933,61 @@ class BlockJIT:
                 if pte is None:
                     self.fallback_steps += 1
                     return None
-                pa = (pte >> 12 << 12) | (pc & 0xFFF)
-                bkey = (pa, pc, True)
-                blk = self._blocks.get(bkey)
+                blk = self._block_at((pte >> 12 << 12) | (pc & 0xFFF), pc, True)
                 if blk is None:
-                    blk = self._compile(bkey, pa, pc, True)
+                    return None
                 if len(self._pc_pg) > _PC_CACHE_MAX:
                     self._pc_pg.clear()
                 self._pc_pg[key] = (blk, vpn, pte)
         else:
-            blk = self._pc_bare.get(pc)
-            if blk is None:
-                pa = pc & 0xFFFFFFFF
-                bkey = (pa, pc, False)
-                blk = self._blocks.get(bkey)
+            try:
+                pa = mmu.real_pa(pc)
+            except MemoryError_:
+                self.fallback_steps += 1
+                return None  # the step's fetch raises it
+            ent = self._pc_real.get(pc)
+            if ent is not None and ent[1] == pa:
+                blk = ent[0]
+            else:
+                blk = self._block_at(pa, pc, False)
                 if blk is None:
-                    blk = self._compile(bkey, pa, pc, False)
-                if len(self._pc_bare) > _PC_CACHE_MAX:
-                    self._pc_bare.clear()
-                self._pc_bare[pc] = blk
+                    return None
+                if len(self._pc_real) > _PC_CACHE_MAX:
+                    self._pc_real.clear()
+                self._pc_real[pc] = (blk, pa)
         if blk:
             return blk
         self.fallback_steps += 1
         return None
 
-    def _compile(self, key, pa: int, va: int, paging: bool) -> Tuple:
+    def _block_at(self, pa: int, va: int, paging: bool) -> Optional[Tuple]:
+        """This core's block for ``(pa, va)``; None while its head is cold."""
+        key = (pa, va, paging)
+        blk = self._blocks.get(key)
+        if blk is not None:
+            return blk
+        try:
+            word = self.physmem.read_u32(pa)
+        except MemoryError_:
+            word = -1
+        if (word >> 24) & 0x7F > Op.BGEU:
+            # A system op (or nothing decodable) starts here: there is
+            # no block to be hot or cold about.
+            return self._compile(key, pa, va, paging, None)
+        # The tier, decided before any decode: hot enough, or a head
+        # the process already holds code for.
+        heat = self._heat.get(key, 0) + 1
+        head = (va, word, paging, self._bare, self._costs_sig)
+        if heat < HOT and head not in _HEADS:
+            if len(self._heat) > _PC_CACHE_MAX:
+                self._heat.clear()
+            self._heat[key] = heat
+            self.cold_steps += 1
+            return None
+        self._heat.pop(key, None)
+        return self._compile(key, pa, va, paging, head)
+
+    def _compile(self, key, pa: int, va: int, paging: bool, head) -> Tuple:
         physmem = self.physmem
         items: List[Tuple[str, Instruction, int]] = []
         off = va & 0xFFF
@@ -897,16 +1015,15 @@ class BlockJIT:
         except (DecodeError, MemoryError_):
             pass  # undecodable/unmapped tail: block ends before it
         if items:
-            fn = _compile_items(
-                self.cpu.costs,
-                items,
-                layer="cpu",
-                paging=paging,
-                vpn=va >> 12,
-                epoch_cell=self._epoch_cell,
-                ic_cell=self._ic_cell,
+            make, static_cycles, mem_ops = _block_code(
+                self.cpu.costs, items, layer="cpu", paging=paging,
+                bare=self._bare, head=head,
             )
-            blk: Tuple = (fn, len(items))
+            # What the block charges if every access walks: the
+            # dispatcher's test that it fits a cycle budget.
+            worst = static_cycles + mem_ops * self.mmu.translate_bound
+            fn = make(self._epoch_cell, None, self._ic_cell, worst)
+            blk: Tuple = (fn, len(items), worst)
             self.blocks_compiled += 1
         else:
             blk = _UNCOMPILABLE

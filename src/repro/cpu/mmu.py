@@ -55,6 +55,10 @@ from repro.util.units import PAGE_SHIFT
 
 _WD = PTE_WRITABLE | PTE_DIRTY
 
+#: The most a ``TwoStageMMU.stall_fn`` may charge for one walk, in
+#: G-stage references (``translate_bound`` counts on it).
+GSTAGE_STALL_REFS = 8
+
 
 class MMUBase:
     """Abstract translation interface used by :class:`CPUCore`."""
@@ -73,6 +77,35 @@ class MMUBase:
 
     def flush(self) -> None:
         """Invalidate the whole TLB."""
+        raise NotImplementedError
+
+    # -- what the block compiler's dispatcher asks ---------------------------
+
+    @property
+    def tlb_active(self) -> bool:
+        """Is the TLB in front of instruction fetches right now?
+
+        True: a fetch probes ``self.tlb`` and a compiled block is valid
+        only while the entry it was dispatched under is still cached.
+        False ("real mode"): fetches bypass the TLB and
+        :meth:`real_pa` names the code's physical address.
+        """
+        raise NotImplementedError
+
+    def real_pa(self, pc: int) -> int:
+        """Physical address of ``pc`` while :attr:`tlb_active` is False.
+
+        Side-effect free; raises ``MemoryError_`` where a fetch would.
+        """
+        raise NotImplementedError
+
+    @property
+    def translate_bound(self) -> int:
+        """Upper bound on the cycles one successful ``translate`` returns.
+
+        The dispatcher admits a block under a cycle budget only when
+        every access in it could be this slow and still fit.
+        """
         raise NotImplementedError
 
 
@@ -124,6 +157,17 @@ class BareMMU(MMUBase):
         pte = self.walker.walk_quick(self.root_pa, va, access, user)
         tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
+
+    @property
+    def tlb_active(self) -> bool:
+        return self.paging_enabled
+
+    def real_pa(self, pc: int) -> int:
+        return pc & 0xFFFFFFFF
+
+    @property
+    def translate_bound(self) -> int:
+        return self.costs.tlb_miss_cycles
 
     def set_root(self, root_pa: int) -> None:
         self.root_pa = root_pa & ~0xFFF
@@ -187,7 +231,8 @@ class TwoStageMMU(MMUBase):
         #: gfns whose EPT entry is write-protected for dirty logging.
         self.write_protected_gfns: Set[int] = set()
         #: Optional fault-injection hook (``hmode.gstage_stall``):
-        #: called once per two-stage TLB miss, returns extra cycles.
+        #: called once per two-stage TLB miss, returns extra cycles (at
+        #: most ``GSTAGE_STALL_REFS`` G-stage references' worth).
         self.stall_fn: Optional[Callable[[], int]] = None
 
     # -- host memory control ---------------------------------------------------
@@ -272,6 +317,24 @@ class TwoStageMMU(MMUBase):
             + res.guest_refs * costs.mem_ref_cycles
             + res.gstage_refs * ept_ref_cycles
             + stall
+        )
+
+    #: Guest paging off still walks the EPT through the TLB.
+    tlb_active = True
+
+    @property
+    def translate_bound(self) -> int:
+        # Cold walk with every A/D write-back: 2 guest entry reads,
+        # 5 G-stage walks of 2 references each, one walker stall.
+        costs = self.costs
+        ept_ref_cycles = (
+            costs.gstage_ref_cycles if self.hmode else costs.mem_ref_cycles
+        )
+        return (
+            costs.tlb_hit_cycles
+            + 2 * costs.mem_ref_cycles
+            + 10 * ept_ref_cycles
+            + GSTAGE_STALL_REFS * costs.gstage_ref_cycles
         )
 
     def set_root(self, root_pa: int) -> None:

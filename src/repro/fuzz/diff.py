@@ -144,7 +144,7 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
     outcome, abort = None, None
     try:
         result = cpu.run(max_instructions=max_instructions,
-                         cycle_guard=bare_cycle_guard(max_instructions))
+                         max_cycles=bare_cycle_guard(max_instructions))
         outcome = {
             StopReason.HALT: "halted",
             StopReason.INSTR_LIMIT: "instr_limit",

@@ -38,6 +38,15 @@ class PhysicalMemory:
         """Register a write watcher over ``frames`` (a live, caller-owned set)."""
         self._watchers.append((frames, callback))
 
+    def unwatch_writes(self, callback: Callable[[int], None]) -> None:
+        """Remove the watcher registered with ``callback`` (no-op if none).
+
+        Whoever tears down a core on long-lived memory calls this:
+        a watcher left behind is walked by every later store and keeps
+        the dead core, and everything it compiled, reachable.
+        """
+        self._watchers = [w for w in self._watchers if w[1] != callback]
+
     def _notify(self, pa: int, length: int) -> None:
         first = pa >> PAGE_SHIFT
         last = (pa + length - 1) >> PAGE_SHIFT

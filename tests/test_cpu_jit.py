@@ -5,10 +5,20 @@ oracle) and ``CPUCore(jit=True)`` -- and asserts the full architectural
 state is bit-identical: regs, CSRs, cycles, instret, pc, halted, the
 trap sequence, memory, and (when paging) TLB statistics, contents, and
 LRU order.
+
+The compiler is tiered: a block head the process has not compiled
+before is interpreted until it has been dispatched ``jit.HOT`` times.
+So that straight-line programs still exercise compiled code,
+``_run_pair`` first *heats* the image -- runs it ``HOT`` times on a
+scratch core, after which every head on its path is known to the
+process-wide code cache and the measured core compiles it on sight.
+(:mod:`tests.test_jit_vmm_parity` holds the same comparison under the
+six VMM engine configs.)
 """
 
 import pytest
 
+from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.interp import CPUCore, StopReason
 from repro.cpu.isa import CSR, Op, encode
@@ -53,18 +63,43 @@ def _snapshot(cpu, pm):
     }
 
 
+def _load(cpu, pm, image, setup, org=0x1000):
+    pm.write_bytes(org, image)
+    pm.write_bytes(VEC, encode(Op.HLT))
+    cpu.csr[CSR.VBAR] = VEC
+    if setup is not None:
+        setup(cpu, pm)
+
+
+def _heat(image, *, setup=None, max_instructions=50_000, org=0x1000,
+          tlb_entries=64, cpu=None, pm=None):
+    """Dispatch every block head on the image's path ``HOT`` times.
+
+    Runs on a scratch core unless given one; afterwards the heads are
+    in the process-wide code cache, so any core compiles them on sight.
+    """
+    if cpu is None:
+        cpu, pm = _make_cpu(True, tlb_entries=tlb_entries)
+    for _ in range(jitmod.HOT):
+        cpu.reset(org)
+        _load(cpu, pm, image, setup, org)
+        try:
+            cpu.run(max_instructions=max_instructions)
+        except Exception:  # the measured pair compares it
+            pass
+    return cpu
+
+
 def _run_pair(image, *, setup=None, max_instructions=50_000, org=0x1000,
               tlb_entries=64):
     """Run ``image`` on both engines; assert identical outcomes."""
+    _heat(image, setup=setup, max_instructions=max_instructions, org=org,
+          tlb_entries=tlb_entries)
     outcomes = []
     cpus = []
     for jit in (False, True):
         cpu, pm = _make_cpu(jit, tlb_entries=tlb_entries)
-        pm.write_bytes(org, image)
-        pm.write_bytes(VEC, encode(Op.HLT))
-        cpu.csr[CSR.VBAR] = VEC
-        if setup is not None:
-            setup(cpu, pm)
+        _load(cpu, pm, image, setup, org)
         traps = []
         orig = cpu.deliver_trap
 
@@ -607,30 +642,58 @@ class TestEngineManagement:
         assert stats["enabled"] == 0 and stats["active"] == 0
         assert stats["blocks_compiled"] == 0
 
-    def test_policy_forces_reference_path(self):
-        from repro.cpu.exits import ExecControls
-
-        cpu, pm = _make_cpu(jit=True)
-        cpu.controls = ExecControls()
-        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
-        pm.write_bytes(0x1008, encode(Op.HLT))
-        cpu.run(max_instructions=100)
-        assert cpu.jit_stats()["blocks_compiled"] == 0
+    _TINY = encode(Op.MOVI, rd=3, imm32=5) + encode(Op.HLT)
 
     def test_cost_model_change_flushes_blocks(self):
-        cpu, pm = _make_cpu(jit=True)
-        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
-        pm.write_bytes(0x1008, encode(Op.HLT))
-        cpu.run(max_instructions=100)
-        jit = cpu._jit
-        assert jit and jit.stats()["blocks_cached"] > 0
         import dataclasses
 
+        cpu, pm = _make_cpu(jit=True)
+        _heat(self._TINY, cpu=cpu, pm=pm)
+        jit = cpu._jit
+        assert jit and jit.stats()["blocks_cached"] > 0
         cpu.costs = dataclasses.replace(
             cpu.costs, instr_cycles=cpu.costs.instr_cycles + 1
         )
         jit.check_costs()
         assert jit.stats()["blocks_cached"] == 0
+
+    def test_miss_cost_change_flushes_paging_self_loop(self):
+        # A self-looping paging block inlines the reference walk and
+        # with it the TLB-miss charge as a literal; a new miss cost
+        # must reach it. 80 pages through a 64-entry TLB: every
+        # iteration's store walks.
+        import dataclasses
+
+        image = _asm(
+            """
+.org 0x1000
+    li s0, 0x100000
+    li s1, 80
+loop:
+    st [s0+0], s1
+    add s0, s0, 4096
+    sub s1, s1, 1
+    bnez s1, loop
+    hlt
+"""
+        )
+        costs = dataclasses.replace(CostModel(), mem_ref_cycles=77)
+        assert costs.tlb_miss_cycles != CostModel().tlb_miss_cycles
+        cycles = []
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            _load(cpu, pm, image, TestPaging._setup_paging)
+            if jit:
+                cpu.run(max_instructions=50_000)  # compiles at the old cost
+                assert cpu.halted and cpu.jit_stats()["blocks_compiled"] > 0
+                cpu.reset(0x1000)
+                _load(cpu, pm, image, TestPaging._setup_paging)
+                cpu.cycles = cpu.instret = 0
+            cpu.costs = cpu.mmu.costs = costs
+            cpu.run(max_instructions=50_000)
+            assert cpu.halted
+            cycles.append(cpu.cycles)
+        assert cycles[0] == cycles[1]
 
     def test_decode_cache_bounded_eviction(self, monkeypatch):
         import repro.cpu.interp as interp
@@ -654,19 +717,118 @@ class TestEngineManagement:
 
     def test_mid_run_invalidation_then_recompile(self):
         cpu, pm = _make_cpu(jit=True)
-        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=5))
-        pm.write_bytes(0x1008, encode(Op.HLT))
-        cpu.run(max_instructions=100)
+        _heat(self._TINY, cpu=cpu, pm=pm)
         compiled_before = cpu.jit_stats()["blocks_compiled"]
         assert compiled_before >= 1
         # External write to the code page (e.g. DMA) drops the block...
-        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=9))
+        patched = encode(Op.MOVI, rd=3, imm32=9) + encode(Op.HLT)
+        pm.write_bytes(0x1000, patched)
         assert cpu.jit_stats()["blocks_invalidated"] >= 1
-        # ...and a re-run recompiles and executes the new code.
+        # ...the new code runs at once (interpreted while it is cold)...
         cpu.reset(0x1000)
         cpu.run(max_instructions=100)
         assert cpu.regs[3] == 9
+        # ...and is recompiled once it is hot again.
+        _heat(patched, cpu=cpu, pm=pm)
+        assert cpu.regs[3] == 9
         assert cpu.jit_stats()["blocks_compiled"] > compiled_before
+
+
+class TestHotnessTier:
+    """Unknown heads are interpreted until hot; known ones never are."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_code_cache(self, monkeypatch):
+        monkeypatch.setattr(jitmod, "_CODE", {})
+        monkeypatch.setattr(jitmod, "_HEADS", set())
+
+    _LOOP = """
+.org 0x1000
+    li s0, {n}
+loop:
+    add s1, s1, s0
+    sub s0, s0, 1
+    bnez s0, loop
+    hlt
+"""
+
+    def _run(self, n):
+        cpu, pm = _make_cpu(jit=True)
+        pm.write_bytes(0x1000, _asm(self._LOOP.format(n=n)))
+        cpu.run(max_instructions=10_000)
+        assert cpu.halted
+        return cpu.jit_stats()
+
+    def test_run_once_code_never_compiles(self):
+        stats = self._run(jitmod.HOT - 1)  # loop head seen HOT-1 times
+        assert stats["blocks_compiled"] == 0
+        assert stats["cold_steps"] == 1 + 3 * (jitmod.HOT - 1)
+        assert stats["fallback_steps"] == 1  # the HLT: nothing to enter
+        assert not jitmod._CODE
+
+    def test_head_compiles_on_its_hot_th_dispatch(self):
+        stats = self._run(200)
+        assert stats["blocks_compiled"] == 1  # the loop, nothing else
+        # Three pcs a lap, HOT-1 cold laps, plus the li on the way in.
+        assert stats["cold_steps"] == 1 + 3 * (jitmod.HOT - 1)
+
+    def test_known_head_compiles_on_sight_from_the_shared_cache(self, monkeypatch):
+        self._run(200)
+        assert len(jitmod._CODE) == 1
+        compiles = []
+        real = jitmod._emit_block
+        monkeypatch.setattr(
+            jitmod, "_emit_block",
+            lambda *a: compiles.append(a) or real(*a))
+        stats = self._run(200)  # a second core, same image
+        assert stats["blocks_compiled"] == 1 and not compiles
+        assert stats["cold_steps"] == 1  # only the li
+
+    def test_cores_sharing_code_keep_their_own_inline_caches(self):
+        image = _asm(
+            """
+.org 0x1000
+    li s0, 0x100000
+    li s1, 40
+loop:
+    st [s0+0], s1
+    ld s2, [s0+0]
+    sub s1, s1, 1
+    bnez s1, loop
+    hlt
+"""
+        )
+        cores = []
+        for _ in range(2):
+            cpu, pm = _make_cpu(jit=True)
+            _load(cpu, pm, image, TestPaging._setup_paging)
+            cpu.run(max_instructions=10_000)
+            assert cpu.halted
+            cores.append(cpu)
+        assert len(jitmod._CODE) == 1
+        a, b = (next(iter(c._jit._blocks.values()))[0] for c in cores)
+        assert a is not b and a.__code__ is b.__code__
+        ics = [dict(zip(f.__code__.co_freevars,
+                        (c.cell_contents for c in f.__closure__)))["_ic"]
+               for f in (a, b)]
+        assert ics[0] is not ics[1]
+        assert all(c.jit_stats()["ic_hits"] > 0 for c in cores)
+
+    def test_code_cache_is_entry_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(jitmod, "CODE_CACHE_MAX", 2)
+        costs = CostModel()
+
+        def block(k):
+            ins = jitmod.decode(
+                int.from_bytes(encode(Op.ADD, rd=1, ra=1, rb=2), "little"))
+            return [("native", ins, 0x1000 + 4 * k)]
+
+        for k in (0, 1):
+            jitmod._block_code(costs, block(k), layer="cpu", head=("h", k))
+        jitmod._block_code(costs, block(0), layer="cpu", head=("h", 0))  # touch
+        jitmod._block_code(costs, block(2), layer="cpu", head=("h", 2))
+        assert len(jitmod._CODE) == 2
+        assert jitmod._HEADS == {("h", 0), ("h", 2)}  # 1 was the oldest
 
 
 class TestCompiledMatchesOracleOnWorkloads:
