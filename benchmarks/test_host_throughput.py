@@ -18,21 +18,25 @@ def test_host_throughput_quick(benchmark, show):
     )
     show(result)
 
-    # Every native workload ran on both engines, plus the bt pair.
+    # Every native workload ran on both engines...
     layers = {(row.layer, row.workload, row.engine) for row in result.rows}
     for workload in ("cpu_bound", "memtouch", "syscall_storm"):
         assert ("native", workload, "interp") in layers
         assert ("native", workload, "compiled") in layers
 
-    # ...and so did every VMM config, on the vCPU's jit_enabled switch.
-    for config in ("hw-shadow", "hw-nested", "hw-hmode", "trap-emulate"):
+    # ...and so did every VMM config, on the vCPU's jit_enabled switch
+    # (nothing else: the translator has one executor).
+    for config in ("hw-shadow", "hw-nested", "hw-hmode", "trap-emulate",
+                   "bin-transl"):
         for workload in ("cpu_bound", "memtouch"):
             assert (f"vmm/{config}", workload, "compiled") in layers
+    assert {layer.split("/")[0] for layer, _w, _e in layers} == {"native", "vmm"}
 
     # Compute-bound code is where closure compilation pays off most;
     # this ratio is stable even at quick scale, under a VMM too.
     assert result.speedups["native/cpu_bound"] > 2.0
     assert result.speedups["vmm/hw-nested/cpu_bound"] > 2.0
+    assert result.speedups["vmm/bin-transl/cpu_bound"] > 2.0
 
     # The compiler actually engaged and reported its counters, and
     # system instructions went through the reference fallback path.

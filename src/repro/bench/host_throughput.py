@@ -2,15 +2,14 @@
 
 Unlike E1-E10, which measure *simulated* cycles (the paper's data), this
 bench measures the **simulator itself**: how many guest instructions per
-host wall-clock second each execution engine retires. Three comparisons:
+host wall-clock second each execution engine retires. Two comparisons:
 
 * ``native`` rows -- bare-metal NanoOS runs with the closure compiler
   (:mod:`repro.cpu.jit`) off vs. on;
 * ``vmm/<config>`` rows -- the same guests under the hypervisor
-  (hardware assist over shadow, nested and H-mode paging, and
-  trap-and-emulate), the vCPU's ``jit_enabled`` off vs. on;
-* ``bt`` rows -- binary-translation guests with the per-item block walk
-  vs. fused block closures (``BTEngine.compile_enabled``).
+  (hardware assist over shadow, nested and H-mode paging,
+  trap-and-emulate, and binary translation, whose user-mode half runs
+  on the core), the vCPU's ``jit_enabled`` off vs. on.
 
 Every pair is also a differential test: the simulated cycles, instret,
 and workload result must be bit-identical between engines, so the bench
@@ -73,19 +72,17 @@ _NATIVE_WORKLOADS: List[Tuple[str, Callable[[], Program], Callable[[], Program]]
     ),
 ]
 
-#: Workloads also run under binary translation (kernel-heavy subset).
-_BT_WORKLOADS = ("cpu_bound", "syscall_storm")
-
 #: Workloads also run under each VMM config below.
 _VMM_WORKLOADS = ("cpu_bound", "memtouch")
 
 #: (label, virt mode, mmu mode) -- one per MMU the compiler serves under
-#: a VMM, plus the deprivileged core.
+#: a VMM, plus the two deprivileged cores.
 _VMM_CONFIGS = (
     ("hw-shadow", VirtMode.HW_ASSIST, MMUVirtMode.SHADOW),
     ("hw-nested", VirtMode.HW_ASSIST, MMUVirtMode.NESTED),
     ("hw-hmode", VirtMode.HW_ASSIST, MMUVirtMode.HMODE),
     ("trap-emulate", VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW),
+    ("bin-transl", VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW),
 )
 
 
@@ -94,7 +91,7 @@ class EngineRow:
     """One (workload, engine) measurement."""
 
     workload: str
-    layer: str  # "native" | "bt" | "vmm/<config>"
+    layer: str  # "native" | "vmm/<config>"
     engine: str  # "interp" | "compiled"
     wall_s: float
     instructions: int
@@ -208,8 +205,8 @@ class HostBenchResult:
 
 def _row(layer: str, compiled: bool, wall: float, cpu, sim_cycles: int) -> EngineRow:
     return EngineRow(
-        workload="",
-        layer=layer,
+        "",  # workload: filled in by pair()
+        layer,
         engine="compiled" if compiled else "interp",
         wall_s=wall,
         instructions=cpu.instret,
@@ -239,9 +236,8 @@ def _measure_vm(
     workload: Program,
     compiled: bool,
 ) -> Tuple[EngineRow, Any]:
-    """One guest under the hypervisor; ``compiled`` picks the engine the
-    layer compares: the translator's fused closures for ``bt``, the
-    vCPU's block compiler for the ``vmm/*`` rows."""
+    """One guest under the hypervisor, the vCPU's block compiler on or
+    off."""
     hv = Hypervisor(memory_bytes=HOST_MEMORY)
     vm = hv.create_vm(
         GuestConfig(
@@ -251,10 +247,7 @@ def _measure_vm(
             mmu_mode=mmu_mode,
         )
     )
-    if vm.bt is not None:
-        vm.bt.compile_enabled = compiled
-    else:
-        vm.vcpus[0].cpu.jit_enabled = compiled
+    vm.vcpus[0].cpu.jit_enabled = compiled
     start = perf_counter()
     diag = boot_vm(hv, vm, kernel, workload, max_guest_instructions=200_000_000)
     wall = perf_counter() - start
@@ -370,13 +363,6 @@ def run_host_throughput(
                 layer, name,
                 partial(_measure_vm, kernel, layer, virt_mode, mmu_mode),
             )
-
-    for name in _BT_WORKLOADS[:1] if quick else _BT_WORKLOADS:
-        pair(
-            "bt", name,
-            partial(_measure_vm, kernel, "bt",
-                    VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW),
-        )
 
     hotspots: Optional[List[Dict[str, Any]]] = None
     if profiler is not None:

@@ -29,38 +29,22 @@ from repro.core.emulate import emulate_privileged
 from repro.core.vcpu import VCPU
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
-from repro.cpu.jit import _STORE_OPS, compile_bt_block
-from repro.cpu.isa import CSR, Cause, Instruction, MODE_KERNEL, Op
+from repro.cpu.isa import (
+    BRANCH_OPS,
+    CSR,
+    Cause,
+    DecodeError,
+    Instruction,
+    LAST_BRANCH_OP,
+    MODE_KERNEL,
+    Op,
+    STORE_OPS,
+)
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 
 #: Maximum instructions per translated block.
 MAX_BLOCK_INSTRUCTIONS = 32
-
-#: Instructions that end a block (control transfers; the callout
-#: terminators IRET/HLT/SYSCALL/VMCALL/BRK and PTBR writes end
-#: blocks too).
-_TERMINATORS = frozenset(
-    {Op.JAL, Op.JALR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU}
-)
-
-#: Instructions rewritten into monitor callouts.
-_CALLOUT_OPS = frozenset(
-    {
-        Op.CSRR,
-        Op.CSRW,
-        Op.IRET,
-        Op.HLT,
-        Op.STI,
-        Op.CLI,
-        Op.IN,
-        Op.OUT,
-        Op.INVLPG,
-        Op.VMCALL,
-        Op.SYSCALL,
-        Op.BRK,
-    }
-)
 
 
 @dataclass
@@ -70,13 +54,6 @@ class TranslatedBlock:
     start_va: int
     items: List[Tuple[str, Instruction]]  # ("native" | "callout", ins)
     code_gfns: Set[int] = field(default_factory=set)
-    #: Fused host closure for the item list (compiled lazily on first
-    #: execution; cleared when the cost model changes).
-    fn: Optional[Callable] = None
-
-    @property
-    def num_instructions(self) -> int:
-        return len(self.items)
 
 
 class BTEngine:
@@ -95,7 +72,6 @@ class BTEngine:
         hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
         cache_enabled: bool = True,
         chaining_enabled: bool = True,
-        compile_enabled: bool = True,
     ):
         self.vcpu = vcpu
         self.costs = costs
@@ -107,14 +83,10 @@ class BTEngine:
         self.inject_virq = inject_virq
         self.cache_enabled = cache_enabled
         self.chaining_enabled = chaining_enabled
-        #: When True, blocks execute as fused host closures; False keeps
-        #: the per-item reference walk (the correctness oracle).
-        self.compile_enabled = compile_enabled
 
         self._cache: Dict[Tuple[Optional[int], int], TranslatedBlock] = {}
         self._chains: Set[Tuple[int, int]] = set()
         self._gfn_blocks: Dict[int, Set[Tuple[Optional[int], int]]] = {}
-        self._costs_sig = self._cost_signature()
         #: Self-modifying-code protection: host frames backing translated
         #: guest code, watched for writes on the physical memory (stores
         #: the translator runs natively, hypercall side effects and
@@ -122,11 +94,11 @@ class BTEngine:
         #: backed by the written frame's guest page(s).
         self._watched_hfns: Set[int] = set()
         self._hfn_gfns: Dict[int, Set[int]] = {}
-        #: Invalidation epoch, shared with fused closures: bumped on
-        #: every cache invalidation so an in-flight block can bail at
-        #: the store that rewrote translated code. The next fetch then
-        #: re-translates from the new bytes -- same strict
-        #: SMC-visible-at-next-fetch rule the bare-core JIT enforces.
+        #: Invalidation epoch: bumped on every cache invalidation so an
+        #: in-flight block can bail at the store that rewrote
+        #: translated code. The next fetch then re-translates from the
+        #: new bytes -- same strict SMC-visible-at-next-fetch rule the
+        #: bare-core JIT enforces.
         self._epoch = [0]
         self.vcpu.cpu.mmu.physmem.watch_writes(
             self._watched_hfns, self._on_code_write
@@ -146,11 +118,6 @@ class BTEngine:
         cpu = self.vcpu.cpu
         start_cycles = cpu.cycles
         prev_block_va: Optional[int] = None
-        sig = self._cost_signature()
-        if sig != self._costs_sig:
-            self._costs_sig = sig
-            for cached in self._cache.values():
-                cached.fn = None  # closures bake costs in; recompile
         events = cpu.events
         while True:
             if events is not None and cpu.instret >= events.next_due:
@@ -197,16 +164,7 @@ class BTEngine:
             else:
                 cpu.cycles += self.costs.bt_dispatch_cycles
             prev_block_va = block.start_va
-            if (
-                events is not None
-                and block.num_instructions > events.next_due - cpu.instret
-            ):
-                # A scheduled edge falls inside this block: walk it
-                # item-by-item so the event fires (and delivers) at the
-                # exact retire edge instead of the block boundary.
-                self._execute_block_interp(block, events)
-            else:
-                self._execute_block(block)
+            self._execute_block(block, events)
         return "halted" if self.vcpu.halted else "mode_switch"
 
     def invalidate_gfn(self, gfn: int) -> None:
@@ -260,15 +218,6 @@ class BTEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _cost_signature(self) -> Tuple[int, int, int, int]:
-        c = self.costs
-        return (
-            c.instr_cycles,
-            c.mul_extra_cycles,
-            c.div_extra_cycles,
-            c.bt_callout_cycles,
-        )
-
     def _key(self, va: int) -> Tuple[Optional[int], int]:
         return (self.vcpu.cpu.mmu.guest_root, va)
 
@@ -283,6 +232,10 @@ class BTEngine:
         execution re-enters at the cursor and faults architecturally
         then. (Without this, a guest jump to a non-executable page
         escaped as a host-level PageFault instead of a guest trap.)
+        An undecodable word is handled the same way: decoding ahead
+        must not abort on bytes the guest may never execute, so the
+        block ends before it; on the first instruction -- the guest
+        really is about to execute it -- the error propagates.
         """
         cpu = self.vcpu.cpu
         vm = self.vcpu.vm
@@ -292,6 +245,10 @@ class BTEngine:
         for _ in range(MAX_BLOCK_INSTRUCTIONS):
             try:
                 ins = cpu.fetch(cursor)  # may raise VMExit (shadow fill)
+            except DecodeError:
+                if items:
+                    break
+                raise
             except PageFault as fault:
                 if items:
                     break
@@ -313,7 +270,7 @@ class BTEngine:
             else:
                 # Guest paging off: VA is the guest-physical address.
                 code_gfns.add(cursor >> 12)
-            if ins.op in _CALLOUT_OPS:
+            if ins.op > LAST_BRANCH_OP:  # system op: monitor callout
                 items.append(("callout", ins))
                 if ins.op in (Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK):
                     break
@@ -327,32 +284,19 @@ class BTEngine:
                     break
             else:
                 items.append(("native", ins))
-                if ins.op in _TERMINATORS:
+                if ins.op in BRANCH_OPS:
                     break
             cursor += ins.length
         cpu.cycles += self.costs.bt_translate_cycles * len(items)
         vm.stats.bt_translated_instructions += len(items)
         return TranslatedBlock(start_va=va, items=items, code_gfns=code_gfns)
 
-    def _execute_block(self, block: TranslatedBlock) -> None:
-        if not self.compile_enabled:
-            self._execute_block_interp(block)
-            return
-        fn = block.fn
-        if fn is None:
-            fn = block.fn = compile_bt_block(self, block)
-        fn(self.vcpu.cpu)
+    def _execute_block(self, block: TranslatedBlock, events) -> None:
+        """Walk the block item by item.
 
-    def _execute_block_interp(self, block: TranslatedBlock,
-                              events=None) -> None:
-        """Reference per-item walk; the oracle the fused closures must
-        match cycle-for-cycle (see tests/test_cpu_jit.py).
-
-        With ``events`` (a scheduled edge lands inside the block) each
-        item boundary also fires due events and delivers an unmasked
-        virq at that exact retire edge. Cycle charges do not depend on
-        it, so which executor ran is invisible to the differential
-        comparison.
+        When a scheduled edge lands inside the block, the item boundary
+        it is due at fires it and delivers an unmasked virq at that
+        exact retire edge instead of the block boundary.
         """
         cpu = self.vcpu.cpu
         costs = self.costs
@@ -371,7 +315,7 @@ class BTEngine:
                 # The store may have rewritten translated code (ours
                 # included): stop at the boundary so the next fetch
                 # re-translates from the new bytes.
-                if ins.op in _STORE_OPS and epoch[0] != e0 and item is not last:
+                if ins.op in STORE_OPS and epoch[0] != e0 and item is not last:
                     return
             else:
                 cpu.cycles += costs.bt_callout_cycles

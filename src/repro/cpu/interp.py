@@ -34,6 +34,9 @@ from repro.cpu.isa import (
     CSR,
     Cause,
     Instruction,
+    LAST_ALU_OP,
+    LAST_BRANCH_OP,
+    LAST_MEM_OP,
     MODE_KERNEL,
     MODE_USER,
     Op,
@@ -374,7 +377,7 @@ class CPUCore:
         op = ins.op
         regs = self.regs
 
-        if op.value <= Op.MOVI.value:  # ALU / moves
+        if op <= LAST_ALU_OP:  # ALU / moves
             if op is Op.MOVI:
                 self.write_reg(ins.rd, ins.imm32)
             elif op is Op.MOV:
@@ -392,7 +395,7 @@ class CPUCore:
             self.pc = next_pc
             return
 
-        if op.value <= Op.STB.value:  # loads/stores
+        if op <= LAST_MEM_OP:  # loads/stores
             addr = (regs[ins.ra] + ins.simm12) & 0xFFFFFFFF
             try:
                 if op is Op.LD:
@@ -423,7 +426,7 @@ class CPUCore:
             self.pc = next_pc
             return
 
-        if op.value <= Op.BGEU.value:  # control transfer
+        if op <= LAST_BRANCH_OP:  # control transfer
             self._control(ins, op, next_pc)
             return
 

@@ -73,6 +73,22 @@ class Op(enum.IntEnum):
     BRK = 0x2B
 
 
+#: Opcode classes. The encoding orders them -- ALU/moves, loads/stores,
+#: control transfers, system instructions -- so membership is one int
+#: compare against the last opcode of a class (``op <= LAST_ALU_OP``;
+#: a system op is ``op > LAST_BRANCH_OP``).
+LAST_ALU_OP = int(Op.MOVI)
+LAST_MEM_OP = int(Op.STB)
+LAST_BRANCH_OP = int(Op.BGEU)
+
+MEM_OPS = frozenset({Op.LD, Op.ST, Op.LDB, Op.STB})
+STORE_OPS = frozenset({Op.ST, Op.STB})
+#: Control transfers: every one ends a basic block.
+BRANCH_OPS = frozenset(
+    {Op.JAL, Op.JALR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU}
+)
+
+
 class CSR(enum.IntEnum):
     """Control and status registers."""
 

@@ -47,31 +47,36 @@ instruction-budget boundaries -- restores the precise architectural
 boundary state and either delivers the trap exactly as the interpreter
 would or falls back to :meth:`CPUCore.step`.
 
-Two consumers:
-
-* :class:`BlockJIT` -- per-core engine behind ``CPUCore.run()``. Blocks
-  are keyed by *physical* start address (content-addressed), validated
-  against physmem write watchers (self-modifying code) and a per-pc
-  dispatch cache revalidated by PTE compare (so ``set_root``,
-  ``invlpg``, flushes and evictions all stop the fast path until the
-  next successful re-probe).
-* :func:`compile_bt_block` -- fuses a :class:`TranslatedBlock`'s item
-  list (native runs inlined, callouts as captured calls) so the binary
-  translator stops re-walking its tag list on every execution. The BT
-  layer keeps the conservative translate-per-access path (callouts may
-  change translation state mid-block).
+One consumer: :class:`BlockJIT`, the per-core engine behind
+``CPUCore.run()``. Blocks are keyed by *physical* start address
+(content-addressed), validated against physmem write watchers
+(self-modifying code) and a per-pc dispatch cache revalidated by PTE
+compare (so ``set_root``, ``invlpg``, flushes and evictions all stop the
+fast path until the next successful re-probe). The binary translator's
+kernel-mode half does not come here (DESIGN.md, "Why the translator has
+no compiled path"); its user-mode half does, through ``cpu.run``.
 """
 
 import struct
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import VMExit
-from repro.cpu.isa import Cause, DecodeError, Instruction, Op, decode
+from repro.cpu.isa import (
+    BRANCH_OPS,
+    Cause,
+    DecodeError,
+    Instruction,
+    LAST_BRANCH_OP,
+    MEM_OPS,
+    Op,
+    STORE_OPS,
+    decode,
+)
 from repro.cpu.mmu import BareMMU
 from repro.mem.paging import AccessType, PageFault, PTE_DIRTY, PTE_WRITABLE
 from repro.util.errors import MemoryError_
 
-__all__ = ["BlockJIT", "compile_bt_block"]
+__all__ = ["BlockJIT"]
 
 #: Maximum instructions fused into one compiled block.
 MAX_BLOCK_INSTRUCTIONS = 32
@@ -90,16 +95,11 @@ CODE_CACHE_MAX = 1024
 
 #: key -> (make, static_cycles, mem_ops, head); see :func:`_block_code`.
 _CODE: Dict[Tuple, Tuple] = {}
-#: ``(va, first word, paging, bare, cost signature)`` of every cpu-layer
-#: block in ``_CODE``: a head found here is compiled on sight (almost
+#: ``(va, first word, paging, bare, cost signature)`` of every block in
+#: ``_CODE``: a head found here is compiled on sight (almost
 #: always a cache hit), any other is interpreted until it is hot.
 _HEADS: Set[Tuple] = set()
 
-_MEM_OPS = frozenset({Op.LD, Op.ST, Op.LDB, Op.STB})
-_STORE_OPS = frozenset({Op.ST, Op.STB})
-_TERMINATORS = frozenset(
-    {Op.JAL, Op.JALR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU}
-)
 _BRANCH_COND = {
     Op.BEQ: ("==", False),
     Op.BNE: ("!=", False),
@@ -187,10 +187,8 @@ class _Src:
         return "\n".join(self.lines) + "\n"
 
 
-def _item_const_cycles(costs, kind: str, ins: Instruction, fetch_c: int) -> int:
+def _item_const_cycles(costs, ins: Instruction, fetch_c: int) -> int:
     """Compile-time-known cycle charge for one block item."""
-    if kind == "callout":
-        return costs.bt_callout_cycles
     c = costs.instr_cycles + fetch_c
     if ins.op is Op.MUL:
         c += costs.mul_extra_cycles
@@ -207,15 +205,13 @@ def _cost_sig(costs) -> Tuple[int, ...]:
         costs.div_extra_cycles,
         costs.tlb_hit_cycles,
         costs.tlb_miss_cycles,
-        costs.bt_callout_cycles,
     )
 
 
 def _block_code(
     costs,
-    items: List[Tuple[str, Instruction, int]],
+    items: List[Tuple[Instruction, int]],
     *,
-    layer: str,  # "cpu" | "bt"
     paging: bool = False,
     bare: bool = False,
     head: Optional[Tuple] = None,
@@ -224,16 +220,16 @@ def _block_code(
 
     Host ``compile()`` is ~1 ms a block and every VM of a run boots the
     same few kernels, so code objects are shared: the key is everything
-    the emitted source depends on, and ``make(epoch_cell, callout,
-    ic_cell, worst_cycles)`` instantiates one core's closure from it
+    the emitted source depends on, and ``make(epoch_cell, ic_cell,
+    worst_cycles)`` instantiates one core's closure from it
     (inline caches and epoch cells stay per core). Bounded, LRU.
     ``head`` is remembered while the entry lives (the hotness tier's
     "known" test, see :class:`BlockJIT`).
     """
-    key = (tuple(items), layer, paging, bare, _cost_sig(costs))
+    key = (tuple(items), paging, bare, _cost_sig(costs))
     entry = _CODE.pop(key, None)
     if entry is None:
-        entry = _emit_block(costs, items, layer, paging, bare) + (head,)
+        entry = _emit_block(costs, items, paging, bare) + (head,)
         if len(_CODE) >= CODE_CACHE_MAX:
             evicted = _CODE.pop(next(iter(_CODE)))
             _HEADS.discard(evicted[3])
@@ -245,76 +241,57 @@ def _block_code(
 
 def _emit_block(
     costs,
-    items: List[Tuple[str, Instruction, int]],
-    layer: str,
+    items: List[Tuple[Instruction, int]],
     paging: bool,
     bare: bool,
 ) -> Tuple[Callable, int, int]:
     """Generate and compile one block's closure factory.
 
-    ``items`` is a list of ("native" | "callout", instruction, va); the
-    cycle/instret/trap semantics produced are bit-identical to the
-    reference paths (``CPUCore.step`` / ``BTEngine._execute_block``).
+    ``items`` is a list of (instruction, va) holding no system
+    instruction; the cycle/instret/trap semantics produced are
+    bit-identical to the reference path (``CPUCore.step``).
+    ``paging`` says fetches and data accesses go through the TLB
+    (``mmu.tlb_active``): fetch hits are then counted and charged.
     ``bare`` says the MMU is the plain hardware one (``BareMMU``): only
     then is a real-mode address its own physical address, and only then
     may the reference walk be inlined (``deep``). Every other MMU is
     reached through ``mmu.translate``.
     """
     n = len(items)
-    vpn = items[0][2] >> 12
-    track_tlb = layer == "cpu" and paging
+    vpn = items[0][1] >> 12
     # Real-mode data accesses go straight to physmem only on the bare
-    # MMU; elsewhere (BT, shadow real mode: VA is a guest-physical
-    # address) each one is translated.
-    via_tr = layer == "bt" or paging or not bare
-    fetch_c = costs.tlb_hit_cycles if track_tlb else 0
+    # MMU; elsewhere (shadow real mode: VA is a guest-physical address)
+    # each one is translated.
+    via_tr = paging or not bare
+    fetch_c = costs.tlb_hit_cycles if paging else 0
     hit_c = costs.tlb_hit_cycles
 
     pre = [0]
-    reta: List[int] = []  # retired instruction count *after* item k
-    retired = 0
-    for kind, ins, _va in items:
-        pre.append(pre[-1] + _item_const_cycles(costs, kind, ins, fetch_c))
-        # Callouts retire too (the bump itself happens inside
-        # BTEngine._callout, shared with the reference walk): a guest
-        # instruction rewritten into monitor emulation still retires
-        # architecturally, exactly as its intercepted-and-emulated
-        # counterpart does under hardware assist.
-        retired += 1
-        reta.append(retired)
+    for ins, _va in items:
+        pre.append(pre[-1] + _item_const_cycles(costs, ins, fetch_c))
 
     mem_indices = [
-        k for k, (kind, ins, _va) in enumerate(items)
-        if kind == "native" and ins.op in _MEM_OPS
+        k for k, (ins, _va) in enumerate(items) if ins.op in MEM_OPS
     ]
     has_mem = bool(mem_indices)
-    has_store = any(
-        k == "native" and i.op in _STORE_OPS for k, i, _ in items
-    )
+    has_store = any(ins.op in STORE_OPS for ins, _ in items)
     has_div_reg = any(
-        k == "native" and i.op in (Op.DIVU, Op.REMU) and not i.has_imm32
-        for k, i, _ in items
+        ins.op in (Op.DIVU, Op.REMU) and not ins.has_imm32
+        for ins, _ in items
     )
-    has_callout = any(k == "callout" for k, i, _ in items)
     guarded = has_mem  # only memory accesses can raise mid-block
-    snapshot = guarded or has_div_reg or has_callout
-    # Both layers bail at a store that invalidated compiled code (the
-    # BT engine shares its invalidation epoch the same way the core's
-    # BlockJIT does), so rewritten code is fetched fresh.
+    snapshot = guarded or has_div_reg
+    # A store that invalidated compiled code bails at its boundary, so
+    # rewritten code is fetched fresh.
     smc_check = has_store
     # Inline-cached translations: for blocks fetched through a TLB. The
     # hit path is a pure function of the cached PTE; the miss path
     # calls ``mmu.translate``, which under a VMM may VM-exit.
-    fast_mem = track_tlb and has_mem
+    fast_mem = paging and has_mem
     # A conditional branch back to the block's own start re-enters the
     # closure directly (budgets permitting) instead of re-dispatching.
-    last_kind, last_ins, _lv = items[-1]
-    selfloop = (
-        layer == "cpu"
-        and last_kind == "native"
-        and last_ins.op in _BRANCH_COND
-        and last_ins.imm32 == items[0][2]
-    )
+    last_ins = items[-1][0]
+    selfloop = last_ins.op in _BRANCH_COND and last_ins.imm32 == items[0][1]
     # Self-looping blocks are hot by construction, so their IC-miss
     # slow path additionally inlines the whole reference translate
     # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
@@ -340,7 +317,7 @@ def _emit_block(
     need_fwd = bool(prev_mem)
 
     def _is_store(k: int) -> bool:
-        return items[k][1].op in _STORE_OPS
+        return items[k][0].op in STORE_OPS
 
     # A store forwarding from a load must re-check W|D on the cached
     # PTE, so every path then has to keep the last PTE in a local.
@@ -351,7 +328,7 @@ def _emit_block(
     src = _Src()
     src.emit(0, "def _block(cpu):")
     src.emit(1, "regs = cpu.regs")
-    if track_tlb:
+    if paging:
         src.emit(1, "te = cpu.mmu.tlb")
         src.emit(1, "st = te.stats")
         src.emit(1, "mv = te._entries.move_to_end")
@@ -359,22 +336,15 @@ def _emit_block(
             src.emit(1, "eg = te.entry_get")
     if smc_check:
         src.emit(1, "j0 = _jw[0]")
-    # With callouts in the block, monitor emulation could in principle
-    # change the real MODE csr mid-block, so the user flag for translate
-    # must be read live instead of hoisted.
-    u_expr = "u"
     if has_mem:
         if via_tr:
             src.emit(1, "mmu = cpu.mmu")
             src.emit(1, "tr = mmu.translate")
-            if has_callout:
-                u_expr = "cpu.csr[0] == 1"
-            else:
-                src.emit(1, "u = cpu.csr[0] == 1")
+            src.emit(1, "u = cpu.csr[0] == 1")
             src.emit(1, "pm = mmu.physmem")
         else:
             src.emit(1, "pm = cpu.mmu.physmem")
-        ops_used = {i.op for k, i, _ in items if k == "native"}
+        ops_used = {ins.op for ins, _ in items}
         if Op.LD in ops_used:
             src.emit(1, "r32 = pm.read_u32")
         if Op.ST in ops_used:
@@ -423,16 +393,17 @@ def _emit_block(
     if guarded:
         src.emit(depth, "_n = -1")
 
-    def counters(d: int, j: int, ret: int, mv_mode: Optional[str]) -> None:
-        """Commit cycles/instret (+TLB fetch stats) at boundary ``j``."""
+    def counters(d: int, j: int, mv_mode: Optional[str]) -> None:
+        """Commit cycles/instret (+TLB fetch stats) at boundary ``j``
+        (``j`` items retired)."""
         hits_extra = f" + _h * {hit_c}" if fast_mem and hit_c else ""
         if snapshot:
             src.emit(d, f"cpu.cycles = c0 + {pre[j]} + mc{hits_extra}")
-            src.emit(d, f"cpu.instret = i0 + {ret}")
+            src.emit(d, f"cpu.instret = i0 + {j}")
         else:
             src.emit(d, f"cpu.cycles += {pre[j]}")
-            src.emit(d, f"cpu.instret += {ret}")
-        if track_tlb:
+            src.emit(d, f"cpu.instret += {j}")
+        if paging:
             if fast_mem:
                 src.emit(d, f"st.hits += {j} + _h")
                 src.emit(d, "_ich[0] += _h")
@@ -444,32 +415,13 @@ def _emit_block(
                 src.emit(d, f"if {vpn} in te._entries:")
                 src.emit(d + 1, f"mv({vpn})")
 
-    for k, (kind, ins, va) in enumerate(items):
+    for k, (ins, va) in enumerate(items):
         op = ins.op
         nxt = (va + ins.length) & 0xFFFFFFFF
         last = k == n - 1
 
-        if kind == "callout":
-            src.emit(depth, f"cpu.cycles = c0 + {pre[k + 1]} + mc")
-            # reta[k] - 1: everything *before* this callout; _co itself
-            # retires the callout instruction (BTEngine._callout).
-            src.emit(depth, f"cpu.instret = i0 + {reta[k] - 1}")
-            src.emit(depth, f"cpu.pc = {va}")
-            if guarded:
-                src.emit(depth, "_n = -1")
-            if last:
-                # The callout (emulation / reflection / IRET) leaves pc
-                # and cycles in their final architectural state.
-                src.emit(depth, f"_co(_I[{k}])")
-                src.emit(depth, "return")
-            else:
-                src.emit(depth, f"if _co(_I[{k}]):")
-                src.emit(depth + 1, "return")
-                src.emit(depth, f"mc = cpu.cycles - c0 - {pre[k + 1]}")
-            continue
-
-        if op in _MEM_OPS:
-            is_store = op in _STORE_OPS
+        if op in MEM_OPS:
+            is_store = op in STORE_OPS
 
             def access_stmt(loc: str) -> str:
                 if op is Op.LD:
@@ -483,13 +435,13 @@ def _emit_block(
                 return f"w8({loc}, {_r(ins.rb)} & 0xFF)"
 
             if not fast_mem:
-                # Conservative path (BT layer, real-mode blocks): every
-                # access goes through translate / direct physmem.
+                # Conservative path (real-mode blocks): every access
+                # goes through translate / direct physmem.
                 src.emit(depth, f"_n = {k}")
                 addr = _addr_expr(ins)
                 if via_tr:
                     at = "_AW" if is_store else "_AR"
-                    src.emit(depth, f"_a, _c = tr({addr}, {at}, {u_expr})")
+                    src.emit(depth, f"_a, _c = tr({addr}, {at}, u)")
                     src.emit(depth, "mc += _c")
                     loc = "_a"
                 else:
@@ -499,7 +451,7 @@ def _emit_block(
                 # the exact boundary so the next fetch re-validates.
                 if is_store and smc_check and not last:
                     src.emit(depth, "if _jw[0] != j0:")
-                    counters(depth + 1, k + 1, reta[k], None)
+                    counters(depth + 1, k + 1, None)
                     src.emit(depth + 1, f"cpu.pc = {nxt}")
                     src.emit(depth + 1, "return")
                 continue
@@ -517,7 +469,7 @@ def _emit_block(
             def smc_bail(d: int) -> None:
                 if is_store and not last:
                     src.emit(d, "if _jw[0] != j0:")
-                    counters(d + 1, k + 1, reta[k], None)
+                    counters(d + 1, k + 1, None)
                     src.emit(d + 1, f"cpu.pc = {nxt}")
                     src.emit(d + 1, "return")
 
@@ -639,7 +591,7 @@ def _emit_block(
                 conds.append("_jw[0] != j0")
             if not last:
                 src.emit(depth + 1, f"if {' or '.join(conds)}:")
-                counters(depth + 2, k + 1, reta[k], None)
+                counters(depth + 2, k + 1, None)
                 src.emit(depth + 2, f"cpu.pc = {nxt}")
                 src.emit(depth + 2, "return")
             continue
@@ -647,15 +599,14 @@ def _emit_block(
         if op in (Op.DIVU, Op.REMU) and not ins.has_imm32:
             src.emit(depth, f"_b = {_r(ins.rb)}")
             src.emit(depth, "if not _b:")
-            counters(depth + 1, k + 1, reta[k], "guarded" if track_tlb else None)
+            counters(depth + 1, k + 1, "guarded" if paging else None)
             src.emit(depth + 1, f"cpu.pc = {va}")
             if guarded:
                 # Everything is committed (the DIV0 retires, like the
                 # interpreter's _alu path).  Under deprivileged
                 # controls _trap raises VMExit(GUEST_TRAP), which would
                 # land in our own except-_VX handler and roll state
-                # back to the last *memory* op's boundary -- disarm it,
-                # exactly as the callout path does.
+                # back to the last *memory* op's boundary -- disarm it.
                 src.emit(depth + 1, "_n = -1")
             src.emit(depth + 1, f"cpu._trap(_DIV0, 0, {va})")
             src.emit(depth + 1, "return")
@@ -670,9 +621,9 @@ def _emit_block(
                 src.emit(depth, f"regs[{ins.rd}] = {_r(ins.ra)} {sym} {ins.imm32}")
             continue
 
-        if op in _TERMINATORS:
-            mv_mode = "plain" if track_tlb else None
-            counters(depth, n, reta[-1], mv_mode)
+        if op in BRANCH_OPS:
+            mv_mode = "plain" if paging else None
+            counters(depth, n, mv_mode)
             if op is Op.JAL:
                 if ins.rd:
                     src.emit(depth, f"regs[{ins.rd}] = {nxt}")
@@ -716,21 +667,13 @@ def _emit_block(
             continue
         src.emit(depth, f"regs[{ins.rd}] = {_alu_expr(op, ins)}")
 
-    # Fall-through block end (size/page limit, or trailing non-stop
-    # callout which already left pc == end va).
-    if not (last_kind == "native" and last_ins.op in _TERMINATORS):
-        if last_kind == "callout":
-            pass  # everything committed around the callout
-        else:
-            end_va = (items[-1][2] + items[-1][1].length) & 0xFFFFFFFF
-            mv_mode = (
-                "plain"
-                if track_tlb and last_ins.op not in _MEM_OPS
-                else None
-            )
-            counters(depth, n, reta[-1], mv_mode)
-            src.emit(depth, f"cpu.pc = {end_va}")
-            src.emit(depth, "return")
+    # Fall-through block end (size/page limit).
+    if last_ins.op not in BRANCH_OPS:
+        end_va = (items[-1][1] + last_ins.length) & 0xFFFFFFFF
+        mv_mode = "plain" if paging and last_ins.op not in MEM_OPS else None
+        counters(depth, n, mv_mode)
+        src.emit(depth, f"cpu.pc = {end_va}")
+        src.emit(depth, "return")
 
     if guarded:
         # A page fault retires the faulting access (the trap is
@@ -741,12 +684,12 @@ def _emit_block(
         for handler, retired, tail in (
             (
                 "except _PF as f:",
-                "_RA[_n]",
+                "_n + 1",
                 f"cpu._trap(_PFW if f.access is _AW else _PFR, "
                 f"f.vaddr, _V[_n], _I[_n])",
             ),
-            ("except _VX:", "_RA[_n] - 1", "raise"),
-            ("except BaseException:", "_RA[_n]", "raise"),
+            ("except _VX:", "_n", "raise"),
+            ("except BaseException:", "_n + 1", "raise"),
         ):
             src.emit(1, handler)
             src.emit(2, "if _n < 0:")
@@ -754,7 +697,7 @@ def _emit_block(
             hits_extra = f" + _h * {hit_c}" if fast_mem and hit_c else ""
             src.emit(2, f"cpu.cycles = c0 + _P[_n + 1] + mc{hits_extra}")
             src.emit(2, f"cpu.instret = i0 + {retired}")
-            if track_tlb:
+            if paging:
                 if fast_mem:
                     src.emit(2, "st.hits += _n + 1 + _h")
                     src.emit(2, "_ich[0] += _h")
@@ -770,7 +713,7 @@ def _emit_block(
     # Everything per core arrives as an argument of the factory; the
     # module namespace holds only what every instance can share.
     make = _Src()
-    make.emit(0, "def _make(_jw, _co, _ich, _W):")
+    make.emit(0, "def _make(_jw, _ich, _W):")
     if fast_mem:
         # [mode, site0_vpn, site0_pte, site0_base, site1_vpn, ...]
         make.emit(1, f"_ic = [False] + [-1, 0, 0] * {len(mem_indices)}")
@@ -778,9 +721,8 @@ def _emit_block(
     make.emit(1, "return _block")
     ns: Dict[str, object] = {
         "_P": tuple(pre),
-        "_V": tuple(va for _, _, va in items),
-        "_I": tuple(ins for _, ins, _ in items),
-        "_RA": tuple(reta),
+        "_V": tuple(va for _, va in items),
+        "_I": tuple(ins for ins, _ in items),
         "_PF": PageFault,
         "_VX": VMExit,
         "_AW": AccessType.WRITE,
@@ -794,27 +736,6 @@ def _emit_block(
     }
     exec(compile(make.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
     return ns["_make"], pre[n], len(mem_indices)
-
-
-def compile_bt_block(engine, block) -> Callable:
-    """Fuse a :class:`~repro.core.bt.TranslatedBlock` into one closure.
-
-    Semantics are bit-identical to ``BTEngine._execute_block``: natives
-    charge ``instr_cycles`` (+ALU extras) and execute inline; callouts
-    charge ``bt_callout_cycles`` and call ``engine._callout`` with
-    cycles/instret/pc committed, so emulation sees live state.
-    """
-    items: List[Tuple[str, Instruction, int]] = []
-    va = block.start_va
-    for kind, ins in block.items:
-        items.append((kind, ins, va))
-        va = (va + ins.length) & 0xFFFFFFFF
-    # Not through the shared cache: the translator compiles each block
-    # on its first visit, and run-once blocks would crowd out hot ones.
-    make, _static, _mem_ops = _emit_block(
-        engine.costs, items, "bt", False, False
-    )
-    return make(engine._epoch, engine._callout, None, 0)
 
 
 class BlockJIT:
@@ -970,7 +891,7 @@ class BlockJIT:
             word = self.physmem.read_u32(pa)
         except MemoryError_:
             word = -1
-        if (word >> 24) & 0x7F > Op.BGEU:
+        if (word >> 24) & 0x7F > LAST_BRANCH_OP:
             # A system op (or nothing decodable) starts here: there is
             # no block to be hot or cold about.
             return self._compile(key, pa, va, paging, None)
@@ -989,7 +910,7 @@ class BlockJIT:
 
     def _compile(self, key, pa: int, va: int, paging: bool, head) -> Tuple:
         physmem = self.physmem
-        items: List[Tuple[str, Instruction, int]] = []
+        items: List[Tuple[Instruction, int]] = []
         off = va & 0xFFF
         cursor_pa, cursor_va = pa, va
         try:
@@ -1002,27 +923,27 @@ class BlockJIT:
                 imm_word = physmem.read_u32(cursor_pa + 4) if has_imm else 0
                 ins = decode(word, imm_word)
                 op = ins.op
-                if op.value > Op.BGEU.value:
+                if op > LAST_BRANCH_OP:
                     break  # system ops take the reference path
                 if op in (Op.DIVU, Op.REMU) and ins.has_imm32 and not ins.imm32:
                     break  # constant DIV0 always traps: reference path
-                items.append(("native", ins, cursor_va))
+                items.append((ins, cursor_va))
                 off += length
                 cursor_pa += length
                 cursor_va = (cursor_va + length) & 0xFFFFFFFF
-                if op in _TERMINATORS:
+                if op in BRANCH_OPS:
                     break
         except (DecodeError, MemoryError_):
             pass  # undecodable/unmapped tail: block ends before it
         if items:
             make, static_cycles, mem_ops = _block_code(
-                self.cpu.costs, items, layer="cpu", paging=paging,
-                bare=self._bare, head=head,
+                self.cpu.costs, items, paging=paging, bare=self._bare,
+                head=head,
             )
             # What the block charges if every access walks: the
             # dispatcher's test that it fits a cycle budget.
             worst = static_cycles + mem_ops * self.mmu.translate_bound
-            fn = make(self._epoch_cell, None, self._ic_cell, worst)
+            fn = make(self._epoch_cell, self._ic_cell, worst)
             blk: Tuple = (fn, len(items), worst)
             self.blocks_compiled += 1
         else:

@@ -1,7 +1,5 @@
 """Binary-translation engine: correctness, caching, chaining, callouts."""
 
-import pytest
-
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.cpu.assembler import Assembler
@@ -205,17 +203,12 @@ def test_unrelated_invalidation_keeps_chains():
     assert vm.vcpus[0].cpu.regs[2] == 50  # far ran 50 times in total
 
 
-DIV0_IN_GUARDED = """
+DECODE_AHEAD = """
     li a0, vec
-    csrw VBAR, a0        ; callout: the block keeps going
-    li a1, 40
-    li a2, 0x800
-    st [a2+0], a1        ; memory op arms the closure's fault bookkeeping
-    ld a3, [a2+0]
+    csrw VBAR, a0
     li t0, 0
-    remu t1, a1, t0      ; DIV0 trap *after* the guarded accesses
-    li a3, 0xbeef        ; must not run before the trap
-    hlt
+    divu t1, a0, t0      ; DIV0: control leaves for vec here ...
+    .word 0x44000000     ; ... so this undecodable word is never fetched
 vec:
     csrr a2, ECAUSE
     li a0, 1
@@ -224,30 +217,25 @@ vec:
 """
 
 
-@pytest.mark.parametrize(
-    "src",
-    [BASIC, TWO_PAGE, DIV0_IN_GUARDED],
-    ids=["basic", "two_page", "div0_guarded"],
-)
-def test_fused_blocks_match_item_interpreter(src):
-    """Closure-fused translated blocks must be cycle-exact with the
-    per-item reference walk."""
+def test_decode_ahead_stops_before_an_undecodable_word():
+    """The translator decodes a whole block before running any of it;
+    bytes past the point where control leaves must not abort the run.
+    Hardware assist, which decodes only what it executes, is the
+    reference."""
     states = []
-    for fused in (False, True):
+    for virt_mode in (VirtMode.HW_ASSIST, VirtMode.BINARY_TRANSLATION):
         hv = Hypervisor(memory_bytes=64 * MIB)
-        vm = bt_vm(hv)
-        vm.bt.compile_enabled = fused
-        prog = Assembler().assemble(".org 0x1000\n" + src)
+        vm = hv.create_vm(
+            GuestConfig(name="vm", memory_bytes=GUEST_MEM,
+                        virt_mode=virt_mode, mmu_mode=MMUVirtMode.SHADOW))
+        prog = Assembler().assemble(".org 0x1000\n" + DECODE_AHEAD)
         hv.load_program(vm, prog)
         hv.reset_vcpu(vm, 0x1000)
         outcome = hv.run(vm, max_guest_instructions=200_000)
-        cpu = vm.vcpus[0].cpu
-        states.append((
-            outcome, cpu.cycles, cpu.instret, cpu.pc,
-            tuple(cpu.regs), tuple(cpu.csr), tuple(vm.vcpus[0].vcsr),
-            vm.stats.bt_callouts, vm.stats.bt_chained,
-        ))
-    assert states[0] == states[1]
+        states.append((outcome, tuple(vm.vcpus[0].cpu.regs)))
+    assert states[0][0] is RunOutcome.SHUTDOWN
+    assert states[0][1][3] == 9  # the vector saw Cause.DIV0
+    assert states[1] == states[0]
 
 
 PTBR_SWITCH = """

@@ -821,12 +821,12 @@ loop:
         def block(k):
             ins = jitmod.decode(
                 int.from_bytes(encode(Op.ADD, rd=1, ra=1, rb=2), "little"))
-            return [("native", ins, 0x1000 + 4 * k)]
+            return [(ins, 0x1000 + 4 * k)]
 
         for k in (0, 1):
-            jitmod._block_code(costs, block(k), layer="cpu", head=("h", k))
-        jitmod._block_code(costs, block(0), layer="cpu", head=("h", 0))  # touch
-        jitmod._block_code(costs, block(2), layer="cpu", head=("h", 2))
+            jitmod._block_code(costs, block(k), head=("h", k))
+        jitmod._block_code(costs, block(0), head=("h", 0))  # touch
+        jitmod._block_code(costs, block(2), head=("h", 2))
         assert len(jitmod._CODE) == 2
         assert jitmod._HEADS == {("h", 0), ("h", 2)}  # 1 was the oldest
 
