@@ -36,7 +36,6 @@ from repro.core.stats import ExitStats, VMStats
 from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.core.vcpu import VCPU
 from repro.core.shadow import ShadowMMU
-from repro.core.nested import NestedMMU
 from repro.core.hypervisor import Hypervisor, HypercallNumbers
 from repro.core.nestedvirt import (
     AliasedPhysicalMemory,
@@ -59,7 +58,6 @@ __all__ = [
     "VirtualMachine",
     "VCPU",
     "ShadowMMU",
-    "NestedMMU",
     "Hypervisor",
     "HypercallNumbers",
     "AliasedPhysicalMemory",

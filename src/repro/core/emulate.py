@@ -6,7 +6,7 @@ privileged instruction against the vCPU's *virtual* state.
 """
 
 from repro.cpu.interp import TrapInfo
-from repro.cpu.isa import CSR, Cause, Instruction, Op
+from repro.cpu.isa import CSR, Cause, Instruction, Op, READONLY_CSRS
 from repro.mem.paging import AccessType
 from repro.util.errors import GuestError
 from repro.util.units import PAGE_SHIFT
@@ -26,9 +26,6 @@ _VIRTUAL_CSRS = frozenset(
         int(CSR.ESTATUS),
     }
 )
-
-_READONLY = frozenset({int(CSR.MODE), int(CSR.CYCLES),
-                       int(CSR.INSTRET), int(CSR.CPUID)})
 
 
 def emulate_privileged(vcpu, ins: Instruction, port_bus=None) -> str:
@@ -68,7 +65,7 @@ def emulate_privileged(vcpu, ins: Instruction, port_bus=None) -> str:
     if op is Op.CSRW:
         csr = ins.simm12 & 0xFFF
         value = cpu.regs[ins.ra]
-        if csr in _READONLY or csr >= len(vcsr):
+        if csr in READONLY_CSRS or csr >= len(vcsr):
             vcpu.reflect_trap(TrapInfo(Cause.ILLEGAL, csr, epc=cpu.pc))
             return "illegal_csr"
         vcsr[csr] = value & 0xFFFFFFFF

@@ -27,9 +27,16 @@ Accepts the syntax used throughout :mod:`repro.guest`::
         push  s0
         pop   s0
 
-Expressions in immediate positions are ``term (('+'|'-') term)*`` where a
-term is an integer literal (decimal, 0x hex, 0b binary, possibly negative)
-or a symbol (label or .equ constant).
+Every numeric position -- 32-bit immediates, displacements, port, syscall
+and CSR numbers, ``.word`` -- takes an expression ``term (('+'|'-')
+term)*`` where a term is an integer literal (decimal, 0x hex, 0b binary,
+possibly negative) or a symbol (label or .equ constant), so ``.equ``
+constants work in all of them. ``.org``, ``.space`` and ``.equ`` values
+take the same expressions over the symbols defined above them.
+
+Operand grammar comes from :data:`repro.cpu.isa.OPS`: each mnemonic's
+``form`` is parsed slot by slot, and pseudo-instructions are templates
+over real ones (:data:`PSEUDOS`).
 
 Pass 1 parses and sizes every statement (instruction length is decidable
 syntactically: the B operand is an immediate iff its token is not a
@@ -40,11 +47,29 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cpu.isa import CSR, Op, REG_NAMES, encode
+from repro.cpu.isa import CSR, OPS, Op, REG_NAMES, encode
 
 _MEM_RE = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*([+-]\s*[^\]]+)?\]$")
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*):")
 _INT_RE = re.compile(r"^-?(0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)$")
+
+_MNEMONICS: Dict[str, Op] = {spec.mnemonic: op for op, spec in OPS.items()}
+
+#: Pseudo-instructions: real instructions over the operands ``{0}``, ``{1}``.
+PSEUDOS: Dict[str, Tuple[str, ...]] = {
+    "li": ("movi {0}, {1}",),
+    "call": ("jal lr, {0}",),
+    "jmp": ("jal zero, {0}",),
+    "ret": ("jalr zero, lr",),
+    "beqz": ("beq {0}, zero, {1}",),
+    "bnez": ("bne {0}, zero, {1}",),
+    "push": ("add sp, sp, -4", "st [sp+0], {0}"),
+    "pop": ("ld {0}, [sp+0]", "add sp, sp, 4"),
+}
+_PSEUDO_ARITY = {
+    name: len(set(re.findall(r"\{\d\}", "".join(templates))))
+    for name, templates in PSEUDOS.items()
+}
 
 
 class AssemblyError(Exception):
@@ -197,7 +222,7 @@ class Assembler:
         if name == ".org":
             if len(operands) != 1:
                 raise AssemblyError(".org needs one operand", line_no, raw)
-            value = int(operands[0], 0)
+            value = self._now(operands[0], line_no, raw)
             if self._statements or self._origin is not None:
                 raise AssemblyError(
                     ".org must appear once, before any code", line_no, raw
@@ -210,19 +235,23 @@ class Assembler:
             symbol = operands[0]
             if symbol in self._symbols:
                 raise AssemblyError(f"duplicate symbol {symbol!r}", line_no, raw)
-            self._symbols[symbol] = int(operands[1], 0)
+            self._symbols[symbol] = self._now(operands[1], line_no, raw)
         elif name == ".word":
             for op_text in operands:
                 self._emit_data(4, self._word_emitter(op_text, line_no, raw))
         elif name == ".space":
             if len(operands) != 1:
                 raise AssemblyError(".space needs a byte count", line_no, raw)
-            count = int(operands[0], 0)
+            count = self._now(operands[0], line_no, raw)
             if count < 0:
                 raise AssemblyError(".space count must be >= 0", line_no, raw)
             self._emit_data(count, lambda _r, n=count: b"\x00" * n)
         else:
             raise AssemblyError(f"unknown directive {name}", line_no, raw)
+
+    def _now(self, text: str, line_no: int, raw: str) -> int:
+        """A directive operand: evaluated in pass 1, over symbols so far."""
+        return _Resolver(self._symbols).expr(text, line_no, raw)
 
     def _word_emitter(self, text: str, line_no: int, raw: str):
         def emit(resolver: _Resolver) -> bytes:
@@ -242,6 +271,26 @@ class Assembler:
         self, mnemonic: str, ops: List[str], line_no: int, raw: str
     ) -> List[Tuple[int, Callable]]:
         """Return [(size, emit_fn), ...] -- pseudos expand to several."""
+        templates = PSEUDOS.get(mnemonic)
+        if templates is None:
+            return [self._instruction(mnemonic, ops, line_no, raw)]
+        if len(ops) != _PSEUDO_ARITY[mnemonic]:
+            raise AssemblyError(
+                f"{mnemonic} needs {_PSEUDO_ARITY[mnemonic]} operand(s)",
+                line_no, raw,
+            )
+        out = []
+        for template in templates:
+            real, _, rest = template.format(*ops).partition(" ")
+            out.append(
+                self._instruction(real, _split_operands(rest), line_no, raw)
+            )
+        return out
+
+    def _instruction(
+        self, mnemonic: str, ops: List[str], line_no: int, raw: str
+    ) -> Tuple[int, Callable]:
+        """Parse one real instruction's operands by its :data:`OPS` form."""
         err = lambda msg: AssemblyError(msg, line_no, raw)  # noqa: E731
 
         def reg(token: str) -> int:
@@ -250,199 +299,43 @@ class Assembler:
                 raise err(f"not a register: {token!r}")
             return r
 
-        def is_reg(token: str) -> bool:
-            return token.lower() in REG_NAMES
+        op = _MNEMONICS.get(mnemonic)
+        if op is None:
+            raise err(f"unknown mnemonic {mnemonic!r}")
+        spec = OPS[op]
+        if len(ops) != len(spec.slots):
+            raise err(f"{mnemonic} needs {spec.form or 'no operands'}")
+        regs = {"rd": 0, "ra": 0, "rb": 0}
+        simm_text = imm_text = None
+        for slot, token in zip(spec.slots, ops):
+            if slot == "[ra+simm]":
+                m = _MEM_RE.match(token)
+                if not m:
+                    raise err(f"bad memory operand {token!r} (want [reg+off])")
+                regs["ra"] = reg(m.group(1))
+                simm_text = m.group(2) or "0"
+            elif slot in regs:
+                regs[slot] = reg(token)
+            elif slot == "b" and token.lower() in REG_NAMES:
+                regs["rb"] = reg(token)
+            elif slot in ("b", "imm"):
+                imm_text = token
+            elif slot == "csr" and token.upper() in CSR.__members__:
+                simm_text = str(int(CSR[token.upper()]))
+            else:  # simm / port / csr number
+                simm_text = token
 
-        def simple(op: Op, rd=0, ra=0, rb=0, simm12=0) -> Tuple[int, Callable]:
-            return 4, lambda _r: encode(op, rd, ra, rb, simm12)
+        def emit(resolver: _Resolver) -> bytes:
+            simm, imm = 0, None
+            if simm_text is not None:
+                simm = resolver.expr(simm_text, line_no, raw)
+                if not -2048 <= simm <= 2047:
+                    raise err(f"{mnemonic} operand {simm} outside simm12")
+            if imm_text is not None:
+                imm = resolver.expr(imm_text, line_no, raw)
+            return encode(op, simm12=simm, imm32=imm, **regs)
 
-        def with_imm(op: Op, rd, ra, expr_text) -> Tuple[int, Callable]:
-            def emit(resolver: _Resolver) -> bytes:
-                value = resolver.expr(expr_text, line_no, raw)
-                return encode(op, rd, ra, 0, 0, imm32=value)
-
-            return 8, [emit][0]
-
-        def alu3(op: Op) -> List[Tuple[int, Callable]]:
-            if len(ops) != 3:
-                raise err(f"{mnemonic} needs rd, ra, rb/imm")
-            rd, ra = reg(ops[0]), reg(ops[1])
-            if is_reg(ops[2]):
-                return [simple(op, rd, ra, reg(ops[2]))]
-            return [with_imm(op, rd, ra, ops[2])]
-
-        def mem_operand(token: str) -> Tuple[int, str]:
-            m = _MEM_RE.match(token)
-            if not m:
-                raise err(f"bad memory operand {token!r} (want [reg+off])")
-            base_reg = reg(m.group(1))
-            off_text = (m.group(2) or "+0").replace(" ", "")
-            return base_reg, off_text
-
-        def load_store(op: Op, data_first: bool) -> List[Tuple[int, Callable]]:
-            if len(ops) != 2:
-                raise err(f"{mnemonic} needs two operands")
-            if data_first:  # ld rd, [ra+off]
-                rd, (ra, off_text) = reg(ops[0]), mem_operand(ops[1])
-                rb = 0
-            else:  # st [ra+off], rb
-                (ra, off_text), rb = mem_operand(ops[0]), reg(ops[1])
-                rd = 0
-
-            def emit(resolver: _Resolver) -> bytes:
-                off = resolver.expr(off_text, line_no, raw)
-                if not -2048 <= off <= 2047:
-                    raise err(f"displacement {off} outside simm12")
-                return encode(op, rd, ra, rb, off)
-
-            return [(4, emit)]
-
-        def branch(op: Op) -> List[Tuple[int, Callable]]:
-            if len(ops) != 3:
-                raise err(f"{mnemonic} needs ra, rb, target")
-            ra, rb = reg(ops[0]), reg(ops[1])
-
-            def emit(resolver: _Resolver) -> bytes:
-                target = resolver.expr(ops[2], line_no, raw)
-                return encode(op, 0, ra, rb, 0, imm32=target)
-
-            return [(8, emit)]
-
-        def small_imm(op: Op) -> List[Tuple[int, Callable]]:
-            number = int(ops[0], 0) if ops else 0
-            if not -2048 <= number <= 2047:
-                raise err(f"{mnemonic} number {number} outside simm12")
-            return [simple(op, simm12=number)]
-
-        def csr_num(token: str) -> int:
-            try:
-                return int(CSR[token.upper()])
-            except KeyError:
-                pass
-            if _INT_RE.match(token):
-                return int(token, 0)
-            raise err(f"unknown CSR {token!r}")
-
-        table: Dict[str, Callable[[], List[Tuple[int, Callable]]]] = {
-            "nop": lambda: [simple(Op.NOP)],
-            "add": lambda: alu3(Op.ADD),
-            "sub": lambda: alu3(Op.SUB),
-            "mul": lambda: alu3(Op.MUL),
-            "divu": lambda: alu3(Op.DIVU),
-            "remu": lambda: alu3(Op.REMU),
-            "and": lambda: alu3(Op.AND),
-            "or": lambda: alu3(Op.OR),
-            "xor": lambda: alu3(Op.XOR),
-            "shl": lambda: alu3(Op.SHL),
-            "shr": lambda: alu3(Op.SHR),
-            "sar": lambda: alu3(Op.SAR),
-            "slt": lambda: alu3(Op.SLT),
-            "sltu": lambda: alu3(Op.SLTU),
-            "ld": lambda: load_store(Op.LD, data_first=True),
-            "st": lambda: load_store(Op.ST, data_first=False),
-            "ldb": lambda: load_store(Op.LDB, data_first=True),
-            "stb": lambda: load_store(Op.STB, data_first=False),
-            "beq": lambda: branch(Op.BEQ),
-            "bne": lambda: branch(Op.BNE),
-            "blt": lambda: branch(Op.BLT),
-            "bge": lambda: branch(Op.BGE),
-            "bltu": lambda: branch(Op.BLTU),
-            "bgeu": lambda: branch(Op.BGEU),
-            "syscall": lambda: small_imm(Op.SYSCALL),
-            "vmcall": lambda: small_imm(Op.VMCALL),
-            "iret": lambda: [simple(Op.IRET)],
-            "hlt": lambda: [simple(Op.HLT)],
-            "sti": lambda: [simple(Op.STI)],
-            "cli": lambda: [simple(Op.CLI)],
-            "brk": lambda: [simple(Op.BRK)],
-        }
-
-        if mnemonic in table:
-            return table[mnemonic]()
-
-        # Forms with irregular operands:
-        if mnemonic in ("li", "movi"):
-            if len(ops) != 2:
-                raise err("li needs rd, imm")
-            return [with_imm(Op.MOVI, reg(ops[0]), 0, ops[1])]
-        if mnemonic == "mov":
-            if len(ops) != 2:
-                raise err("mov needs rd, ra")
-            return [simple(Op.MOV, reg(ops[0]), reg(ops[1]))]
-        if mnemonic == "csrr":
-            if len(ops) != 2:
-                raise err("csrr needs rd, csr")
-            return [simple(Op.CSRR, reg(ops[0]), simm12=csr_num(ops[1]))]
-        if mnemonic == "csrw":
-            if len(ops) != 2:
-                raise err("csrw needs csr, ra")
-            return [simple(Op.CSRW, ra=reg(ops[1]), simm12=csr_num(ops[0]))]
-        if mnemonic == "out":
-            if len(ops) != 2:
-                raise err("out needs port, ra")
-            return [simple(Op.OUT, ra=reg(ops[1]), simm12=int(ops[0], 0))]
-        if mnemonic == "in":
-            if len(ops) != 2:
-                raise err("in needs rd, port")
-            return [simple(Op.IN, rd=reg(ops[0]), simm12=int(ops[1], 0))]
-        if mnemonic == "invlpg":
-            if len(ops) != 1:
-                raise err("invlpg needs ra")
-            return [simple(Op.INVLPG, ra=reg(ops[0]))]
-        if mnemonic == "jal":
-            if len(ops) != 2:
-                raise err("jal needs rd, target")
-            return [with_imm(Op.JAL, reg(ops[0]), 0, ops[1])]
-        if mnemonic == "jalr":
-            if len(ops) != 2:
-                raise err("jalr needs rd, ra")
-            return [simple(Op.JALR, reg(ops[0]), reg(ops[1]))]
-
-        # Pseudo-instructions:
-        if mnemonic == "call":
-            if len(ops) != 1:
-                raise err("call needs a target")
-            return [with_imm(Op.JAL, REG_NAMES["lr"], 0, ops[0])]
-        if mnemonic == "jmp":
-            if len(ops) != 1:
-                raise err("jmp needs a target")
-            return [with_imm(Op.JAL, 0, 0, ops[0])]
-        if mnemonic == "ret":
-            return [simple(Op.JALR, 0, REG_NAMES["lr"])]
-        if mnemonic == "beqz":
-            if len(ops) != 2:
-                raise err("beqz needs ra, target")
-            ra = reg(ops[0])
-            return [
-                (8, lambda r, ra=ra: encode(Op.BEQ, 0, ra, 0, 0,
-                                            imm32=r.expr(ops[1], line_no, raw)))
-            ]
-        if mnemonic == "bnez":
-            if len(ops) != 2:
-                raise err("bnez needs ra, target")
-            ra = reg(ops[0])
-            return [
-                (8, lambda r, ra=ra: encode(Op.BNE, 0, ra, 0, 0,
-                                            imm32=r.expr(ops[1], line_no, raw)))
-            ]
-        if mnemonic == "push":
-            if len(ops) != 1:
-                raise err("push needs a register")
-            sp, src = REG_NAMES["sp"], reg(ops[0])
-            return [
-                (8, lambda _r: encode(Op.ADD, sp, sp, 0, 0, imm32=-4 & 0xFFFFFFFF)),
-                (4, lambda _r: encode(Op.ST, 0, sp, src, 0)),
-            ]
-        if mnemonic == "pop":
-            if len(ops) != 1:
-                raise err("pop needs a register")
-            sp, dst = REG_NAMES["sp"], reg(ops[0])
-            return [
-                (4, lambda _r: encode(Op.LD, dst, sp, 0, 0)),
-                (8, lambda _r: encode(Op.ADD, sp, sp, 0, 0, imm32=4)),
-            ]
-
-        raise err(f"unknown mnemonic {mnemonic!r}")
+        return (4 if imm_text is None else 8), emit
 
 
 def _split_operands(text: str) -> List[str]:

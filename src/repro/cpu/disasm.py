@@ -2,7 +2,7 @@
 
 from typing import List, Tuple
 
-from repro.cpu.isa import CSR, Instruction, Op, REG_ALIASES, decode
+from repro.cpu.isa import CSR, Instruction, OPS, Op, REG_ALIASES, Reg, decode
 
 
 def _reg(n: int) -> str:
@@ -16,52 +16,32 @@ def _csr(n: int) -> str:
         return str(n)
 
 
+#: How each operand slot of an :data:`OPS` form is printed.
+_SLOT_TEXT = {
+    "rd": lambda ins: _reg(ins.rd),
+    "ra": lambda ins: _reg(ins.ra),
+    "rb": lambda ins: _reg(ins.rb),
+    "b": lambda ins: f"{ins.imm32:#x}" if ins.has_imm32 else _reg(ins.rb),
+    "imm": lambda ins: f"{ins.imm32:#x}",
+    "simm": lambda ins: str(ins.simm12),
+    "port": lambda ins: f"{ins.simm12:#x}",
+    "csr": lambda ins: _csr(ins.simm12),
+    "[ra+simm]": lambda ins: f"[{_reg(ins.ra)}{ins.simm12:+d}]",
+}
+
+
 def format_instruction(ins: Instruction) -> str:
     """Render one decoded instruction in assembler syntax."""
-    imm, bval = ins.operand_b
-    b = f"{bval:#x}" if imm else _reg(bval)
-
     op = ins.op
-    if op is Op.NOP:
-        return "nop"
-    if op in (Op.ADD, Op.SUB, Op.MUL, Op.DIVU, Op.REMU, Op.AND, Op.OR,
-              Op.XOR, Op.SHL, Op.SHR, Op.SAR, Op.SLT, Op.SLTU):
-        return f"{op.name.lower()} {_reg(ins.rd)}, {_reg(ins.ra)}, {b}"
-    if op is Op.MOV:
-        return f"mov {_reg(ins.rd)}, {_reg(ins.ra)}"
-    if op is Op.MOVI:
-        return f"li {_reg(ins.rd)}, {ins.imm32:#x}"
-    if op in (Op.LD, Op.LDB):
-        return f"{op.name.lower()} {_reg(ins.rd)}, [{_reg(ins.ra)}{ins.simm12:+d}]"
-    if op in (Op.ST, Op.STB):
-        return f"{op.name.lower()} [{_reg(ins.ra)}{ins.simm12:+d}], {_reg(ins.rb)}"
-    if op is Op.JAL:
-        if ins.rd == 0:
-            return f"jmp {ins.imm32:#x}"
-        return f"jal {_reg(ins.rd)}, {ins.imm32:#x}"
-    if op is Op.JALR:
-        if ins.rd == 0:
-            return "ret" if ins.ra == 14 else f"jalr zero, {_reg(ins.ra)}"
-        return f"jalr {_reg(ins.rd)}, {_reg(ins.ra)}"
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-        return (
-            f"{op.name.lower()} {_reg(ins.ra)}, {_reg(ins.rb)}, {ins.imm32:#x}"
-        )
-    if op is Op.SYSCALL:
-        return f"syscall {ins.simm12}"
-    if op is Op.VMCALL:
-        return f"vmcall {ins.simm12}"
-    if op is Op.CSRR:
-        return f"csrr {_reg(ins.rd)}, {_csr(ins.simm12)}"
-    if op is Op.CSRW:
-        return f"csrw {_csr(ins.simm12)}, {_reg(ins.ra)}"
-    if op is Op.OUT:
-        return f"out {ins.simm12:#x}, {_reg(ins.ra)}"
-    if op is Op.IN:
-        return f"in {_reg(ins.rd)}, {ins.simm12:#x}"
-    if op is Op.INVLPG:
-        return f"invlpg {_reg(ins.ra)}"
-    return op.name.lower()  # iret, hlt, sti, cli, brk
+    # The assembler's pseudo spellings, where one reads better.
+    if op is Op.JAL and ins.rd == 0:
+        return f"jmp {ins.imm32:#x}"
+    if op is Op.JALR and ins.rd == 0 and ins.ra == Reg.LR:
+        return "ret"
+    spec = OPS[op]
+    mnemonic = "li" if op is Op.MOVI else spec.mnemonic
+    operands = ", ".join(_SLOT_TEXT[slot](ins) for slot in spec.slots)
+    return f"{mnemonic} {operands}".rstrip()
 
 
 def disassemble_one(data: bytes, offset: int = 0) -> Tuple[str, int]:

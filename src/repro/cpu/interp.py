@@ -33,15 +33,19 @@ from repro.cpu.exits import ExecControls, ExitReason, VMExit
 from repro.cpu.isa import (
     CSR,
     Cause,
+    DIV_OPS,
     Instruction,
     LAST_ALU_OP,
     LAST_BRANCH_OP,
     LAST_MEM_OP,
     MODE_KERNEL,
     MODE_USER,
+    OPS,
     Op,
-    PUBLIC_CSRS,
+    READONLY_CSRS,
+    SENSITIVE_UNPRIV_OPS,
     decode,
+    is_privileged,
 )
 from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
@@ -52,10 +56,6 @@ from repro.util.errors import GuestError
 #: the cache passes ``_DECODE_CACHE_MAX`` instead of dropping everything.
 _DECODE_CACHE_MAX = 65536
 _DECODE_EVICT = 8192
-
-_READONLY_CSRS = frozenset(
-    {int(CSR.MODE), int(CSR.CYCLES), int(CSR.INSTRET), int(CSR.CPUID)}
-)
 
 #: IRQ delivery priority (first match wins).
 _IRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
@@ -378,20 +378,17 @@ class CPUCore:
         regs = self.regs
 
         if op <= LAST_ALU_OP:  # ALU / moves
-            if op is Op.MOVI:
-                self.write_reg(ins.rd, ins.imm32)
-            elif op is Op.MOV:
-                self.write_reg(ins.rd, regs[ins.ra])
-            elif op is Op.NOP:
-                pass
-            else:
-                a = regs[ins.ra]
-                is_imm, bsrc = ins.operand_b
-                b = bsrc if is_imm else regs[bsrc]
-                value = self._alu(op, a, b, pc)
-                if value is None:  # DIV0 trap was raised
-                    return
-                self.write_reg(ins.rd, value)
+            spec = OPS[op]
+            if spec.fn is not None:  # not NOP
+                is_imm, b = ins.operand_b
+                if not is_imm:
+                    b = regs[b]
+                if spec.extra:
+                    self.cycles += getattr(self.costs, spec.extra)
+                    if not b and op in DIV_OPS:
+                        self._trap(Cause.DIV0, 0, epc=pc)
+                        return
+                self.write_reg(ins.rd, spec.fn(regs[ins.ra], b))
             self.pc = next_pc
             return
 
@@ -427,7 +424,15 @@ class CPUCore:
             return
 
         if op <= LAST_BRANCH_OP:  # control transfer
-            self._control(ins, op, next_pc)
+            taken = OPS[op].fn
+            if taken is not None:
+                if taken(regs[ins.ra], regs[ins.rb]):
+                    next_pc = ins.imm32
+                self.pc = next_pc
+                return
+            target = ins.imm32 if op is Op.JAL else regs[ins.ra]
+            self.write_reg(ins.rd, next_pc)
+            self.pc = target
             return
 
         self._system(ins, op, pc, next_pc)
@@ -613,146 +618,66 @@ class CPUCore:
                     exit=exit_,
                 )
 
-    # -- opcode groups -----------------------------------------------------
-
-    def _alu(self, op: Op, a: int, b: int, pc: int) -> Optional[int]:
-        if op is Op.ADD:
-            return (a + b) & 0xFFFFFFFF
-        if op is Op.SUB:
-            return (a - b) & 0xFFFFFFFF
-        if op is Op.AND:
-            return a & b
-        if op is Op.OR:
-            return a | b
-        if op is Op.XOR:
-            return a ^ b
-        if op is Op.SHL:
-            return (a << (b & 31)) & 0xFFFFFFFF
-        if op is Op.SHR:
-            return (a & 0xFFFFFFFF) >> (b & 31)
-        if op is Op.SAR:
-            return (_signed(a) >> (b & 31)) & 0xFFFFFFFF
-        if op is Op.SLT:
-            return 1 if _signed(a) < _signed(b) else 0
-        if op is Op.SLTU:
-            return 1 if (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF) else 0
-        if op is Op.MUL:
-            self.cycles += self.costs.mul_extra_cycles
-            return (a * b) & 0xFFFFFFFF
-        if op is Op.DIVU or op is Op.REMU:
-            self.cycles += self.costs.div_extra_cycles
-            if b == 0:
-                self._trap(Cause.DIV0, 0, epc=pc)
-                return None
-            return (a // b if op is Op.DIVU else a % b) & 0xFFFFFFFF
-        raise AssertionError(f"not an ALU op: {op}")
-
-    def _control(self, ins: Instruction, op: Op, next_pc: int) -> None:
-        regs = self.regs
-        if op is Op.JAL:
-            self.write_reg(ins.rd, next_pc)
-            self.pc = ins.imm32
-            return
-        if op is Op.JALR:
-            target = regs[ins.ra]
-            self.write_reg(ins.rd, next_pc)
-            self.pc = target & 0xFFFFFFFF
-            return
-        a, b = regs[ins.ra], regs[ins.rb]
-        if op is Op.BEQ:
-            taken = a == b
-        elif op is Op.BNE:
-            taken = a != b
-        elif op is Op.BLT:
-            taken = _signed(a) < _signed(b)
-        elif op is Op.BGE:
-            taken = _signed(a) >= _signed(b)
-        elif op is Op.BLTU:
-            taken = a < b
-        else:  # BGEU
-            taken = a >= b
-        self.pc = ins.imm32 if taken else next_pc
+    # -- system instructions --------------------------------------------------
 
     def _system(self, ins: Instruction, op: Op, pc: int, next_pc: int) -> None:
-        user = self.user_mode
+        if self.user_mode:
+            if is_privileged(op, ins.simm12 & 0xFFF):
+                self._trap(Cause.PRIV, int(op), epc=pc, ins=ins)
+                return
+            if op in SENSITIVE_UNPRIV_OPS:
+                # Non-trapping: silently ignored in user mode (the
+                # Popek-Goldberg violation). No control intercepts it:
+                # a deprivileged guest kernel really loses the write.
+                self.pc = next_pc
+                return
         ctl = self.controls
+        extra = OPS[op].extra
+        if extra:
+            self.cycles += getattr(self.costs, extra)
 
         if op is Op.SYSCALL:
             # EPC points past the instruction so IRET resumes after it.
             self._trap(Cause.SYSCALL, ins.simm12 & 0xFFF, epc=next_pc, ins=ins)
-            return
-        if op is Op.BRK:
+        elif op is Op.BRK:
             self._trap(Cause.BREAK, 0, epc=next_pc, ins=ins)
-            return
-        if op is Op.VMCALL:
+        elif op is Op.VMCALL:
             if ctl is not None and ctl.vmcall:
                 self._intercept(ExitReason.VMCALL, ins, num=ins.simm12 & 0xFFF)
             self._trap(Cause.ILLEGAL, 0, epc=pc, ins=ins)
-            return
-
-        if op is Op.STI or op is Op.CLI:
-            if user:
-                # Sensitive, non-trapping: silently ignored in user mode
-                # (the Popek-Goldberg violation). No control intercepts
-                # it: a deprivileged guest kernel really loses the write.
-                self.pc = next_pc
-                return
+        elif op is Op.STI or op is Op.CLI:
             self.csr[CSR.IE] = 1 if op is Op.STI else 0
             self.pc = next_pc
-            return
-
-        if op is Op.CSRR:
-            self._csr_read(ins, pc, next_pc, user)
-            return
-        if op is Op.CSRW:
-            self._csr_write(ins, pc, next_pc, user)
-            return
-
-        # Remaining ops are privileged: trap from user mode.
-        if user:
-            self._trap(Cause.PRIV, int(op), epc=pc, ins=ins)
-            return
-
-        if op is Op.IRET:
+        elif op is Op.CSRR:
+            self._csr_read(ins, pc, next_pc)
+        elif op is Op.CSRW:
+            self._csr_write(ins, pc, next_pc)
+        elif op is Op.IRET:
             estatus = self.csr[CSR.ESTATUS]
             self.csr[CSR.MODE] = estatus & 1
             self.csr[CSR.IE] = (estatus >> 1) & 1
             self.pc = self.csr[CSR.EPC]
-            self.cycles += self.costs.iret_cycles
-            return
-        if op is Op.HLT:
+        elif op is Op.HLT:
             if ctl is not None and ctl.hlt:
                 self._intercept(ExitReason.HLT, ins)
             self.pc = next_pc
             self.halted = True
-            return
-        if op is Op.INVLPG:
+        elif op is Op.INVLPG:
             va = self.regs[ins.ra]
             if ctl is not None and ctl.paging:
                 self._intercept(ExitReason.PRIV_INSTR, ins, op=op, va=va)
             self.mmu.invlpg(va)
             self.pc = next_pc
-            return
-        if op is Op.OUT or op is Op.IN:
+        else:  # OUT / IN
             self._io(ins, op, next_pc)
-            return
-        raise AssertionError(f"unhandled system op {op}")
 
-    def _csr_read(self, ins: Instruction, pc: int, next_pc: int, user: bool) -> None:
+    def _csr_read(self, ins: Instruction, pc: int, next_pc: int) -> None:
         csr = ins.simm12 & 0xFFF
-        try:
-            is_public = CSR(csr) in PUBLIC_CSRS
-        except ValueError:
-            is_public = False
-        if user and not is_public:
-            # Non-public CSR from user mode: privileged trap.
-            self._trap(Cause.PRIV, int(Op.CSRR), epc=pc, ins=ins)
-            return
         if csr == CSR.CYCLES:
             value = self.cycles & 0xFFFFFFFF
         elif csr == CSR.INSTRET:
             value = self.instret & 0xFFFFFFFF
-        elif 0 <= csr < len(self.csr):
+        elif csr < len(self.csr):
             value = self.csr[csr]
         else:
             self._trap(Cause.ILLEGAL, csr, epc=pc, ins=ins)
@@ -760,16 +685,13 @@ class CPUCore:
         self.write_reg(ins.rd, value)
         self.pc = next_pc
 
-    def _csr_write(self, ins: Instruction, pc: int, next_pc: int, user: bool) -> None:
+    def _csr_write(self, ins: Instruction, pc: int, next_pc: int) -> None:
         csr = ins.simm12 & 0xFFF
         value = self.regs[ins.ra]
-        if user:
-            self._trap(Cause.PRIV, int(Op.CSRW), epc=pc, ins=ins)
-            return
         ctl = self.controls
         if ctl is not None and ctl.paging and csr == CSR.PTBR:
             self._intercept(ExitReason.CSR_WRITE, ins, csr=csr, value=value)
-        if csr in _READONLY_CSRS or not 0 <= csr < len(self.csr):
+        if csr in READONLY_CSRS or csr >= len(self.csr):
             self._trap(Cause.ILLEGAL, csr, epc=pc, ins=ins)
             return
         self.csr[csr] = value & 0xFFFFFFFF
@@ -779,7 +701,6 @@ class CPUCore:
 
     def _io(self, ins: Instruction, op: Op, next_pc: int) -> None:
         port = ins.simm12 & 0xFFF
-        self.cycles += self.costs.io_port_cycles
         ctl = self.controls
         intercepted = ctl is not None and ctl.io
         if op is Op.OUT:
@@ -796,8 +717,3 @@ class CPUCore:
         value = self.port_bus.io_in(port) if self.port_bus is not None else 0
         self.write_reg(ins.rd, value & 0xFFFFFFFF)
         self.pc = next_pc
-
-
-def _signed(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - 0x100000000 if value & 0x80000000 else value

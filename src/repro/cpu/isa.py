@@ -15,8 +15,8 @@ Register r0 is hardwired to zero (writes are discarded), RISC-V style.
 """
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
 MODE_KERNEL = 0
 MODE_USER = 1
@@ -73,6 +73,115 @@ class Op(enum.IntEnum):
     BRK = 0x2B
 
 
+#: Popek-Goldberg class of an opcode (:attr:`OpSpec.klass`).
+INNOCUOUS = "innocuous"
+#: Traps with ``Cause.PRIV`` when executed in user mode.
+PRIVILEGED = "privileged"
+#: Sensitive but unprivileged: executes in user mode without trapping
+#: and silently misbehaves (STI/CLI are ignored). These are what break
+#: pure trap-and-emulate.
+SENSITIVE = "sensitive"
+#: CSRR: decided by its CSR operand -- privileged unless the register is
+#: in :data:`PUBLIC_CSRS`, of which MODE and IE are the sensitive reads.
+BY_CSR = "by-csr"
+
+#: Operand slots a :attr:`OpSpec.form` is written in. ``b`` is a register
+#: or a 32-bit immediate (which sets :data:`IMM_FLAG`), ``imm`` always
+#: the immediate word; ``simm``/``port``/``csr`` name the 12-bit field
+#: (they differ in how it is spelled: decimal, hex, CSR name).
+SLOTS = frozenset(
+    {"rd", "ra", "rb", "b", "imm", "simm", "port", "csr", "[ra+simm]"}
+)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the ISA says about one opcode (a row of :data:`OPS`)."""
+
+    mnemonic: str
+    #: Operand grammar, in assembler order: :data:`SLOTS` joined by ", ".
+    form: str = ""
+    #: ALU result, or branch-taken condition, as Python source over
+    #: ``{a}`` (``regs[ra]``) and ``{b}`` (the B operand). Call-free, so
+    #: the block compiler's immediates constant-fold; operands and
+    #: results are u32. Empty: the semantics are code (see DESIGN.md).
+    expr: str = ""
+    #: ``CostModel`` field charged on top of ``instr_cycles``.
+    extra: str = ""
+    klass: str = INNOCUOUS
+    #: ``form`` split into slots, and ``expr`` compiled to
+    #: ``lambda a, b`` (None when empty); both derived.
+    slots: Tuple[str, ...] = field(init=False)
+    fn: Optional[Callable[[int, int], int]] = field(init=False)
+
+    def __post_init__(self):
+        slots = tuple(self.form.split(", ")) if self.form else ()
+        fn = None
+        if self.expr:
+            source = "lambda a, b: " + self.expr.format(a="a", b="b")
+            fn = eval(source)  # noqa: S307
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "fn", fn)
+
+
+#: The two recurring forms: three-operand ALU, compare-and-branch.
+_ALU3 = "rd, ra, b"
+_CMPBR = "ra, rb, imm"
+
+#: Signed views of the operands for compares: flipping the sign bit
+#: maps two's-complement order onto unsigned order.
+_SA, _SB = "({a} ^ 0x80000000)", "({b} ^ 0x80000000)"
+
+#: The ISA, one row per opcode. The interpreter, the block compiler, the
+#: assembler and the disassembler all read this table; none of them
+#: names an ALU or branch opcode.
+OPS: Dict[Op, OpSpec] = {
+    Op.NOP: OpSpec("nop"),
+    Op.ADD: OpSpec("add", _ALU3, "({a} + {b}) & 0xFFFFFFFF"),
+    Op.SUB: OpSpec("sub", _ALU3, "({a} - {b}) & 0xFFFFFFFF"),
+    Op.MUL: OpSpec("mul", _ALU3, "({a} * {b}) & 0xFFFFFFFF", "mul_extra_cycles"),
+    # A zero divisor traps DIV0 instead (after the charge; see DIV_OPS).
+    Op.DIVU: OpSpec("divu", _ALU3, "{a} // {b}", "div_extra_cycles"),
+    Op.REMU: OpSpec("remu", _ALU3, "{a} % {b}", "div_extra_cycles"),
+    Op.AND: OpSpec("and", _ALU3, "{a} & {b}"),
+    Op.OR: OpSpec("or", _ALU3, "{a} | {b}"),
+    Op.XOR: OpSpec("xor", _ALU3, "{a} ^ {b}"),
+    Op.SHL: OpSpec("shl", _ALU3, "({a} << ({b} & 31)) & 0xFFFFFFFF"),
+    Op.SHR: OpSpec("shr", _ALU3, "{a} >> ({b} & 31)"),
+    Op.SAR: OpSpec(
+        "sar", _ALU3, f"(({_SA} - 0x80000000) >> ({{b}} & 31)) & 0xFFFFFFFF"
+    ),
+    Op.SLT: OpSpec("slt", _ALU3, f"1 if {_SA} < {_SB} else 0"),
+    Op.SLTU: OpSpec("sltu", _ALU3, "1 if {a} < {b} else 0"),
+    Op.MOV: OpSpec("mov", "rd, ra", "{a}"),
+    # Reads the immediate word whether or not IMM_FLAG is set (then 0).
+    Op.MOVI: OpSpec("movi", "rd, imm", "{b}"),
+    Op.LD: OpSpec("ld", "rd, [ra+simm]"),
+    Op.ST: OpSpec("st", "[ra+simm], rb"),
+    Op.LDB: OpSpec("ldb", "rd, [ra+simm]"),
+    Op.STB: OpSpec("stb", "[ra+simm], rb"),
+    Op.JAL: OpSpec("jal", "rd, imm"),
+    Op.JALR: OpSpec("jalr", "rd, ra"),
+    Op.BEQ: OpSpec("beq", _CMPBR, "{a} == {b}"),
+    Op.BNE: OpSpec("bne", _CMPBR, "{a} != {b}"),
+    Op.BLT: OpSpec("blt", _CMPBR, f"{_SA} < {_SB}"),
+    Op.BGE: OpSpec("bge", _CMPBR, f"{_SA} >= {_SB}"),
+    Op.BLTU: OpSpec("bltu", _CMPBR, "{a} < {b}"),
+    Op.BGEU: OpSpec("bgeu", _CMPBR, "{a} >= {b}"),
+    Op.SYSCALL: OpSpec("syscall", "simm"),
+    Op.IRET: OpSpec("iret", extra="iret_cycles", klass=PRIVILEGED),
+    Op.HLT: OpSpec("hlt", klass=PRIVILEGED),
+    Op.CSRR: OpSpec("csrr", "rd, csr", klass=BY_CSR),
+    Op.CSRW: OpSpec("csrw", "csr, ra", klass=PRIVILEGED),
+    Op.OUT: OpSpec("out", "port, ra", extra="io_port_cycles", klass=PRIVILEGED),
+    Op.IN: OpSpec("in", "rd, port", extra="io_port_cycles", klass=PRIVILEGED),
+    Op.VMCALL: OpSpec("vmcall", "simm"),
+    Op.INVLPG: OpSpec("invlpg", "ra", klass=PRIVILEGED),
+    Op.STI: OpSpec("sti", klass=SENSITIVE),
+    Op.CLI: OpSpec("cli", klass=SENSITIVE),
+    Op.BRK: OpSpec("brk"),
+}
+
 #: Opcode classes. The encoding orders them -- ALU/moves, loads/stores,
 #: control transfers, system instructions -- so membership is one int
 #: compare against the last opcode of a class (``op <= LAST_ALU_OP``;
@@ -81,11 +190,16 @@ LAST_ALU_OP = int(Op.MOVI)
 LAST_MEM_OP = int(Op.STB)
 LAST_BRANCH_OP = int(Op.BGEU)
 
-MEM_OPS = frozenset({Op.LD, Op.ST, Op.LDB, Op.STB})
-STORE_OPS = frozenset({Op.ST, Op.STB})
+MEM_OPS = frozenset(op for op, s in OPS.items() if "[ra+simm]" in s.slots)
+STORE_OPS = frozenset(op for op in MEM_OPS if "rb" in OPS[op].slots)
 #: Control transfers: every one ends a basic block.
-BRANCH_OPS = frozenset(
-    {Op.JAL, Op.JALR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU}
+BRANCH_OPS = frozenset(op for op in OPS if LAST_MEM_OP < op <= LAST_BRANCH_OP)
+#: The divider: a zero B operand traps ``Cause.DIV0``.
+DIV_OPS = frozenset(op for op, s in OPS.items() if s.extra == "div_extra_cycles")
+#: Instructions that trap with Cause.PRIV when executed in user mode.
+PRIVILEGED_OPS = frozenset(op for op, s in OPS.items() if s.klass == PRIVILEGED)
+SENSITIVE_UNPRIV_OPS = frozenset(
+    op for op, s in OPS.items() if s.klass == SENSITIVE
 )
 
 
@@ -114,15 +228,8 @@ class CSR(enum.IntEnum):
 #: instead of its virtual ones. CYCLES/INSTRET/CPUID are benign reads.
 PUBLIC_CSRS = frozenset({CSR.MODE, CSR.IE, CSR.CYCLES, CSR.INSTRET, CSR.CPUID})
 
-#: Instructions that trap with Cause.PRIV when executed in user mode.
-PRIVILEGED_OPS = frozenset(
-    {Op.IRET, Op.HLT, Op.CSRW, Op.OUT, Op.IN, Op.INVLPG}
-)
-
-#: Sensitive-but-unprivileged instructions: execute in user mode without
-#: trapping and silently misbehave (STI/CLI are ignored; CSRR of MODE/IE
-#: reads hardware state). These are what break pure trap-and-emulate.
-SENSITIVE_UNPRIV_OPS = frozenset({Op.STI, Op.CLI})
+#: CSRs a CSRW may not write (traps ILLEGAL).
+READONLY_CSRS = frozenset({CSR.MODE, CSR.CYCLES, CSR.INSTRET, CSR.CPUID})
 
 
 class Cause(enum.IntEnum):
@@ -230,8 +337,12 @@ class Instruction:
 
     @property
     def operand_b(self) -> Tuple[bool, int]:
-        """(is_immediate, value-or-register): the B operand source."""
-        if self.has_imm32:
+        """(is_immediate, value-or-register): the B operand source.
+
+        An ``imm`` form reads the immediate word whether or not
+        :data:`IMM_FLAG` was set (then it is 0).
+        """
+        if self.has_imm32 or "imm" in OPS[self.op].slots:
             return True, self.imm32
         return False, self.rb
 
@@ -302,29 +413,6 @@ def decode(word: int, imm_word: int = 0) -> Instruction:
 
 
 def is_privileged(op: Op, csr: int = -1) -> bool:
-    """True if this (op, csr) combination traps in user mode.
-
-    CSRR is privileged only for non-public CSRs; the public ones are the
-    sensitive non-trapping reads.
-    """
-    if op in PRIVILEGED_OPS:
-        return True
-    if op is Op.CSRR:
-        try:
-            return CSR(csr) not in PUBLIC_CSRS
-        except ValueError:
-            return True  # unknown CSR: privileged (and will fault anyway)
-    return False
-
-
-def is_sensitive(op: Op, csr: int = -1) -> bool:
-    """True for Popek-Goldberg-violating instructions (user-mode silent).
-
-    These execute in user mode without trapping yet read or (fail to)
-    write privileged state: STI, CLI, and CSRR of MODE/IE.
-    """
-    if op in SENSITIVE_UNPRIV_OPS:
-        return True
-    if op is Op.CSRR and csr in (int(CSR.MODE), int(CSR.IE)):
-        return True
-    return False
+    """True if this (op, csr) combination traps in user mode."""
+    klass = OPS[op].klass
+    return klass == PRIVILEGED or (klass == BY_CSR and csr not in PUBLIC_CSRS)

@@ -64,10 +64,12 @@ from repro.cpu.exits import VMExit
 from repro.cpu.isa import (
     BRANCH_OPS,
     Cause,
+    DIV_OPS,
     DecodeError,
     Instruction,
     LAST_BRANCH_OP,
     MEM_OPS,
+    OPS,
     Op,
     STORE_OPS,
     decode,
@@ -100,15 +102,6 @@ _CODE: Dict[Tuple, Tuple] = {}
 #: always a cache hit), any other is interpreted until it is hot.
 _HEADS: Set[Tuple] = set()
 
-_BRANCH_COND = {
-    Op.BEQ: ("==", False),
-    Op.BNE: ("!=", False),
-    Op.BLT: ("<", True),
-    Op.BGE: (">=", True),
-    Op.BLTU: ("<", False),
-    Op.BGEU: (">=", False),
-}
-
 #: Store-forwarding W|D mask: a store may reuse a load's translation
 #: only if the cached PTE is already writable *and* dirty (otherwise the
 #: reference lookup misses and walks to set D).
@@ -118,11 +111,6 @@ _WD = PTE_WRITABLE | PTE_DIRTY
 _UNCOMPILABLE: Tuple = ()
 
 _U32 = struct.Struct("<I")
-
-
-def _sgn(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - 0x100000000 if value & 0x80000000 else value
 
 
 def _r(index: int) -> str:
@@ -136,42 +124,10 @@ def _addr_expr(ins: Instruction) -> str:
     return f"(regs[{ins.ra}] + {ins.simm12}) & 0xFFFFFFFF"
 
 
-def _alu_expr(op: Op, ins: Instruction) -> str:
-    """Expression for a pure ALU result (DIVU/REMU handled by caller)."""
-    a = _r(ins.ra)
+def _ab(ins: Instruction) -> Tuple[str, str]:
+    """An ALU instruction's ``{a}``/``{b}`` for its :data:`OPS` expr."""
     is_imm, b = ins.operand_b
-    bx = str(b) if is_imm else _r(b)
-    if op is Op.ADD:
-        return f"({a} + {bx}) & 0xFFFFFFFF"
-    if op is Op.SUB:
-        return f"({a} - {bx}) & 0xFFFFFFFF"
-    if op is Op.MUL:
-        return f"({a} * {bx}) & 0xFFFFFFFF"
-    if op is Op.AND:
-        return f"{a} & {bx}"
-    if op is Op.OR:
-        return f"{a} | {bx}"
-    if op is Op.XOR:
-        return f"{a} ^ {bx}"
-    if op is Op.SHL:
-        sh = str(b & 31) if is_imm else f"({bx} & 31)"
-        return f"({a} << {sh}) & 0xFFFFFFFF"
-    if op is Op.SHR:
-        sh = str(b & 31) if is_imm else f"({bx} & 31)"
-        return f"{a} >> {sh}"
-    if op is Op.SAR:
-        sh = str(b & 31) if is_imm else f"({bx} & 31)"
-        return f"(_sgn({a}) >> {sh}) & 0xFFFFFFFF"
-    if op is Op.SLT:
-        bs = str(_sgn(b)) if is_imm else f"_sgn({bx})"
-        return f"(1 if _sgn({a}) < {bs} else 0)"
-    if op is Op.SLTU:
-        return f"(1 if {a} < {bx} else 0)"
-    if op is Op.MOV:
-        return a
-    if op is Op.MOVI:
-        return str(ins.imm32)
-    raise AssertionError(f"not a pure ALU op: {op}")
+    return _r(ins.ra), str(b) if is_imm else _r(b)
 
 
 class _Src:
@@ -187,25 +143,20 @@ class _Src:
         return "\n".join(self.lines) + "\n"
 
 
+#: Every cost the emitted source embeds as a literal.
+_COST_FIELDS = ("instr_cycles", "tlb_hit_cycles", "tlb_miss_cycles") + tuple(
+    sorted({s.extra for op, s in OPS.items() if op <= LAST_BRANCH_OP and s.extra})
+)
+
+
 def _item_const_cycles(costs, ins: Instruction, fetch_c: int) -> int:
     """Compile-time-known cycle charge for one block item."""
-    c = costs.instr_cycles + fetch_c
-    if ins.op is Op.MUL:
-        c += costs.mul_extra_cycles
-    elif ins.op in (Op.DIVU, Op.REMU):
-        c += costs.div_extra_cycles
-    return c
+    extra = OPS[ins.op].extra
+    return costs.instr_cycles + fetch_c + (getattr(costs, extra) if extra else 0)
 
 
 def _cost_sig(costs) -> Tuple[int, ...]:
-    """Every cost the emitted source embeds as a literal."""
-    return (
-        costs.instr_cycles,
-        costs.mul_extra_cycles,
-        costs.div_extra_cycles,
-        costs.tlb_hit_cycles,
-        costs.tlb_miss_cycles,
-    )
+    return tuple(getattr(costs, name) for name in _COST_FIELDS)
 
 
 def _block_code(
@@ -275,12 +226,9 @@ def _emit_block(
     ]
     has_mem = bool(mem_indices)
     has_store = any(ins.op in STORE_OPS for ins, _ in items)
-    has_div_reg = any(
-        ins.op in (Op.DIVU, Op.REMU) and not ins.has_imm32
-        for ins, _ in items
-    )
+    has_div = any(ins.op in DIV_OPS for ins, _ in items)
     guarded = has_mem  # only memory accesses can raise mid-block
-    snapshot = guarded or has_div_reg
+    snapshot = guarded or has_div
     # A store that invalidated compiled code bails at its boundary, so
     # rewritten code is fetched fresh.
     smc_check = has_store
@@ -291,7 +239,11 @@ def _emit_block(
     # A conditional branch back to the block's own start re-enters the
     # closure directly (budgets permitting) instead of re-dispatching.
     last_ins = items[-1][0]
-    selfloop = last_ins.op in _BRANCH_COND and last_ins.imm32 == items[0][1]
+    selfloop = (
+        last_ins.op in BRANCH_OPS
+        and OPS[last_ins.op].expr != ""
+        and last_ins.imm32 == items[0][1]
+    )
     # Self-looping blocks are hot by construction, so their IC-miss
     # slow path additionally inlines the whole reference translate
     # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
@@ -596,14 +548,15 @@ def _emit_block(
                 src.emit(depth + 2, "return")
             continue
 
-        if op in (Op.DIVU, Op.REMU) and not ins.has_imm32:
-            src.emit(depth, f"_b = {_r(ins.rb)}")
+        if op in DIV_OPS:
+            a, b = _ab(ins)
+            src.emit(depth, f"_b = {b}")
             src.emit(depth, "if not _b:")
             counters(depth + 1, k + 1, "guarded" if paging else None)
             src.emit(depth + 1, f"cpu.pc = {va}")
             if guarded:
-                # Everything is committed (the DIV0 retires, like the
-                # interpreter's _alu path).  Under deprivileged
+                # Everything is committed (the DIV0 retires, as in
+                # CPUCore.execute).  Under deprivileged
                 # controls _trap raises VMExit(GUEST_TRAP), which would
                 # land in our own except-_VX handler and roll state
                 # back to the last *memory* op's boundary -- disarm it.
@@ -611,14 +564,8 @@ def _emit_block(
             src.emit(depth + 1, f"cpu._trap(_DIV0, 0, {va})")
             src.emit(depth + 1, "return")
             if ins.rd:
-                sym = "//" if op is Op.DIVU else "%"
-                src.emit(depth, f"regs[{ins.rd}] = {_r(ins.ra)} {sym} _b")
-            continue
-
-        if op in (Op.DIVU, Op.REMU):  # immediate divisor, known nonzero
-            if ins.rd:
-                sym = "//" if op is Op.DIVU else "%"
-                src.emit(depth, f"regs[{ins.rd}] = {_r(ins.ra)} {sym} {ins.imm32}")
+                expr = OPS[op].expr.format(a=a, b="_b")
+                src.emit(depth, f"regs[{ins.rd}] = {expr}")
             continue
 
         if op in BRANCH_OPS:
@@ -634,16 +581,13 @@ def _emit_block(
                     src.emit(depth, f"regs[{ins.rd}] = {nxt}")
                 src.emit(depth, "cpu.pc = _t")
             else:
-                sym, signed = _BRANCH_COND[op]
-                a, b = _r(ins.ra), _r(ins.rb)
-                if signed:
-                    a, b = f"_sgn({a})", f"_sgn({b})"
+                taken = OPS[op].expr.format(a=_r(ins.ra), b=_r(ins.rb))
                 if selfloop:
                     # Loop back without re-dispatching while both budget
                     # ceilings allow a whole further iteration; any
                     # other condition returns to the dispatcher, which
                     # re-validates everything before the next entry.
-                    src.emit(depth, f"if {a} {sym} {b}:")
+                    src.emit(depth, f"if {taken}:")
                     src.emit(depth + 1, f"cpu.pc = {ins.imm32}")
                     src.emit(
                         depth + 1,
@@ -657,15 +601,15 @@ def _emit_block(
                     continue
                 src.emit(
                     depth,
-                    f"cpu.pc = {ins.imm32} if {a} {sym} {b} else {nxt}",
+                    f"cpu.pc = {ins.imm32} if {taken} else {nxt}",
                 )
             src.emit(depth, "return")
             continue
 
         # Pure ALU / moves.
-        if op is Op.NOP or ins.rd == 0:
-            continue
-        src.emit(depth, f"regs[{ins.rd}] = {_alu_expr(op, ins)}")
+        if ins.rd and OPS[op].expr:
+            a, b = _ab(ins)
+            src.emit(depth, f"regs[{ins.rd}] = {OPS[op].expr.format(a=a, b=b)}")
 
     # Fall-through block end (size/page limit).
     if last_ins.op not in BRANCH_OPS:
@@ -730,7 +674,6 @@ def _emit_block(
         "_PFW": Cause.PF_WRITE,
         "_PFR": Cause.PF_READ,
         "_DIV0": Cause.DIV0,
-        "_sgn": _sgn,
         "_ICR": (-1, 0, 0) * len(mem_indices),
         "_up": _U32.unpack_from,
     }
@@ -925,8 +868,6 @@ class BlockJIT:
                 op = ins.op
                 if op > LAST_BRANCH_OP:
                     break  # system ops take the reference path
-                if op in (Op.DIVU, Op.REMU) and ins.has_imm32 and not ins.imm32:
-                    break  # constant DIV0 always traps: reference path
                 items.append((ins, cursor_va))
                 off += length
                 cursor_pa += length

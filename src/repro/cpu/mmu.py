@@ -31,7 +31,6 @@ of branching on its class:
 * ``destroy()`` -- return every table page to the host allocator.
 """
 
-from functools import partial
 from typing import Callable, Optional, Set, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
@@ -362,8 +361,3 @@ class TwoStageMMU(MMUBase):
             ExitReason.PAGE_FAULT, kind=kind,
             gpa=fault.gpa, gfn=gfn, access=fault.access,
         )
-
-
-#: The H-mode binding of the one two-stage implementation
-#: (``MMUVirtMode.HMODE``); :data:`repro.core.nested.NestedMMU` is the other.
-HModeMMU = partial(TwoStageMMU, hmode=True)

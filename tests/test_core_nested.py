@@ -1,15 +1,17 @@
 """Two-stage MMU: 2-D walks, EPT violations, dirty logging, walk costs.
 
-The module-level tests run under the ``NestedMMU`` binding;
-``TestHModeBinding`` runs every one of them again under ``HModeMMU``.
+The module-level tests run under ``TwoStageMMU(hmode=False)``
+(``NestedMMU`` here); ``TestHModeBinding`` runs every one of them again
+under ``hmode=True`` (``HModeMMU``).
 """
+
+from functools import partial
 
 import pytest
 
-from repro.core.nested import NestedMMU
 from repro.core.vm import GuestMemory
 from repro.cpu.exits import ExitReason, VMExit
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
@@ -24,6 +26,9 @@ from repro.mem.paging import (
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB
+
+NestedMMU = partial(TwoStageMMU, hmode=False)
+HModeMMU = partial(TwoStageMMU, hmode=True)
 
 GUEST_PAGES = 64
 ROOT_GPA = 0x10000

@@ -108,6 +108,29 @@ class TestInstructions:
         assert first_instruction(assemble("syscall 7\n")).simm12 == 7
         assert first_instruction(assemble("vmcall 3\n")).simm12 == 3
 
+    def test_equ_in_every_twelve_bit_position(self):
+        equ = ".equ PORT, 0x40\n.equ NUM, 7\n.equ SCRATCH_NO, 7\n"
+        for line, op, simm12 in (
+            ("out PORT, a0", Op.OUT, 0x40),
+            ("in a0, PORT+1", Op.IN, 0x41),
+            ("syscall NUM", Op.SYSCALL, 7),
+            ("vmcall NUM-1", Op.VMCALL, 6),
+            ("csrw SCRATCH_NO, a0", Op.CSRW, 7),
+            ("csrr a0, SCRATCH_NO", Op.CSRR, 7),
+            ("ld a0, [sp+NUM]", Op.LD, 7),
+        ):
+            ins = first_instruction(assemble(equ + line + "\n"))
+            assert (ins.op, ins.simm12) == (op, simm12), line
+
+    def test_csr_name_wins_over_a_symbol(self):
+        ins = first_instruction(assemble(".equ PTBR, 9\ncsrw PTBR, a0\n"))
+        assert ins.simm12 == 1
+
+    def test_directive_values_are_expressions(self):
+        prog = assemble(".equ BASE, 0x2000\n.org BASE+0x10\n"
+                        ".equ N, 4\n.space N+4\nend:\n")
+        assert prog.base == 0x2010 and prog.symbols["end"] == 0x2018
+
 
 class TestPseudoInstructions:
     def test_call_ret_jmp(self):
@@ -156,6 +179,29 @@ class TestErrors:
             assemble("nop\nbogus x\n")
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("bad", [
+        "out foo, a0",
+        "in a0, PORT",
+        "syscall x",
+        ".org zzz",
+        ".space q",
+        ".equ A, b",
+        "out 5000, a0",
+        "csrr a0, 4096",
+    ])
+    def test_bad_number_is_an_assembly_error_with_its_line(self, bad):
+        # Every numeric operand goes through the expression resolver: no
+        # host ValueError from a bare int().
+        with pytest.raises(AssemblyError) as info:
+            assemble("nop\n" + bad + "\n")
+        assert "line 2" in str(info.value)
+
+    @pytest.mark.parametrize("bad", ["ret a0", "push", "pop a0, a1",
+                                     "jmp", "nop a0", "hlt 1"])
+    def test_pseudo_and_bare_operand_counts_checked(self, bad):
+        with pytest.raises(AssemblyError):
+            assemble(bad + "\n")
+
 
 class TestComments:
     def test_both_comment_styles(self):
@@ -167,6 +213,37 @@ class TestComments:
         word = int.from_bytes(prog.data[4:8], "little")
         imm = int.from_bytes(prog.data[8:12], "little")
         assert decode(word, imm).imm32 == prog.base + 8
+
+
+@pytest.mark.parametrize("jit", [False, True])
+def test_movi_without_the_immediate_flag_loads_zero(jit):
+    # The assembler never emits it, but fuzz bodies reach this
+    # encoding: MOVI reads the (absent) immediate word as 0, not rb.
+    from repro.cpu.interp import CPUCore
+    from repro.cpu.isa import encode
+    from repro.cpu.mmu import BareMMU
+    from repro.mem.costs import CostModel
+    from repro.mem.physmem import PhysicalMemory
+    from repro.util.units import MIB
+
+    pm = PhysicalMemory(1 * MIB)
+    # 40 laps so the loop block gets hot and really is compiled.
+    pm.write_bytes(0x1000, assemble("""
+        li   s0, 40
+    loop:
+        li   a0, 0x55
+        nop
+        sub  s0, s0, 1
+        bnez s0, loop
+        hlt
+    """, base=0x1000).data)
+    pm.write_bytes(0x1010, encode(Op.MOVI, rd=1, rb=2))  # over the nop
+    cpu = CPUCore(BareMMU(pm, CostModel()), jit=jit)
+    cpu.reset(0x1000)
+    cpu.regs[2] = 0x77
+    cpu.run(max_instructions=1000)
+    assert cpu.halted and cpu.regs[1] == 0
+    assert bool(cpu.jit_stats()["blocks_compiled"]) is jit
 
 
 def test_load_into_physmem():

@@ -1,22 +1,34 @@
 """ISA encoding/decoding and sensitivity classification."""
 
+import ast
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cpu.assembler import Assembler
+from repro.cpu.disasm import format_instruction
 from repro.cpu.isa import (
+    BRANCH_OPS,
     CSR,
     Cause,
+    DIV_OPS,
     DecodeError,
     IMM_FLAG,
+    MEM_OPS,
+    OPS,
     Op,
     PRIVILEGED_OPS,
     PUBLIC_CSRS,
+    READONLY_CSRS,
     SENSITIVE_UNPRIV_OPS,
+    SLOTS,
+    STORE_OPS,
     decode,
     encode,
     is_privileged,
-    is_sensitive,
 )
+from repro.mem.costs import CostModel
 
 
 def _decode_bytes(data: bytes):
@@ -100,12 +112,25 @@ class TestSensitivityClassification:
         assert is_privileged(Op.CSRR, 999)  # unknown CSR
 
     def test_sensitive_unprivileged_set(self):
-        assert is_sensitive(Op.STI)
-        assert is_sensitive(Op.CLI)
-        assert is_sensitive(Op.CSRR, int(CSR.MODE))
-        assert is_sensitive(Op.CSRR, int(CSR.IE))
-        assert not is_sensitive(Op.CSRR, int(CSR.CYCLES))
-        assert not is_sensitive(Op.CSRW, int(CSR.IE))  # traps: fine
+        assert SENSITIVE_UNPRIV_OPS == {Op.STI, Op.CLI}
+        # The sensitive reads: CSRR of MODE/IE does not trap in user mode.
+        assert not is_privileged(Op.CSRR, int(CSR.MODE))
+        assert not is_privileged(Op.CSRR, int(CSR.IE))
+        assert is_privileged(Op.CSRW, int(CSR.IE))  # traps: fine
+
+    def test_derived_sets(self):
+        assert PRIVILEGED_OPS == {Op.IRET, Op.HLT, Op.CSRW, Op.OUT, Op.IN,
+                                  Op.INVLPG}
+        assert MEM_OPS == {Op.LD, Op.ST, Op.LDB, Op.STB}
+        assert STORE_OPS == {Op.ST, Op.STB}
+        assert BRANCH_OPS == {Op.JAL, Op.JALR, Op.BEQ, Op.BNE, Op.BLT,
+                              Op.BGE, Op.BLTU, Op.BGEU}
+        assert DIV_OPS == {Op.DIVU, Op.REMU}
+
+    def test_csr_sets_answer_plain_ints(self):
+        assert int(CSR.MODE) in PUBLIC_CSRS and 999 not in PUBLIC_CSRS
+        assert int(CSR.CPUID) in READONLY_CSRS
+        assert int(CSR.PTBR) not in READONLY_CSRS
 
     def test_popek_goldberg_violation_exists(self):
         # The ISA deliberately has sensitive instructions that are not
@@ -115,6 +140,67 @@ class TestSensitivityClassification:
 
     def test_public_csrs_include_the_trap(self):
         assert CSR.MODE in PUBLIC_CSRS and CSR.IE in PUBLIC_CSRS
+
+
+def _sample(op, imm_b=False):
+    """An instruction of ``op`` with a distinct value in every slot of
+    its form and zero everywhere else (so it prints completely)."""
+    fields = {}
+    for slot in OPS[op].slots:
+        if slot in ("rd", "ra", "rb"):
+            fields[slot] = {"rd": 3, "ra": 5, "rb": 7}[slot]
+        elif slot == "b":
+            fields.update({"imm32": 0x12345678} if imm_b else {"rb": 7})
+        elif slot == "imm":
+            fields["imm32"] = 0x9ABCDEF0
+        elif slot == "[ra+simm]":
+            fields.update(ra=5, simm12=-12)
+        else:  # simm / port / csr
+            fields["simm12"] = 9
+    return encode(op, **fields)
+
+
+class TestOpsTable:
+    """The table is total and self-consistent, so a new opcode is
+    covered by adding its row."""
+
+    def test_every_op_has_a_row_and_a_unique_mnemonic(self):
+        assert set(OPS) == set(Op)
+        mnemonics = [spec.mnemonic for spec in OPS.values()]
+        assert len(set(mnemonics)) == len(mnemonics)
+
+    @pytest.mark.parametrize("op", sorted(Op), ids=lambda op: op.name)
+    def test_row_is_well_formed(self, op):
+        spec = OPS[op]
+        assert set(spec.slots) <= SLOTS
+        assert len(set(spec.slots)) == len(spec.slots)
+        cost_fields = {f.name for f in dataclasses.fields(CostModel)}
+        assert spec.extra == "" or spec.extra in cost_fields
+        if spec.expr:
+            value = spec.fn(6, 3)
+            assert isinstance(value, int) and 0 <= value <= 0xFFFFFFFF
+            # Call-free over a and b only: the block compiler pastes it.
+            tree = ast.parse(spec.expr.format(a="a", b="b"), mode="eval")
+            nodes = list(ast.walk(tree))
+            assert not any(isinstance(n, ast.Call) for n in nodes)
+            assert {n.id for n in nodes if isinstance(n, ast.Name)} <= {"a", "b"}
+        else:
+            assert spec.fn is None
+
+    def test_rows_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            OPS[Op.ADD].expr = "0"
+
+    @pytest.mark.parametrize("op", sorted(Op), ids=lambda op: op.name)
+    def test_print_reassemble_round_trip(self, op):
+        variants = [_sample(op)]
+        if "b" in OPS[op].slots:
+            variants.append(_sample(op, imm_b=True))
+        for data in variants:
+            word = int.from_bytes(data[:4], "little")
+            imm = int.from_bytes(data[4:8], "little") if len(data) > 4 else 0
+            text = format_instruction(decode(word, imm))
+            assert Assembler().assemble(text).data == data, text
 
 
 def test_cause_values_distinct():

@@ -1,8 +1,11 @@
 """Property-based CPU tests: ALU oracle, disasm/asm fuzz, determinism."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.disasm import disassemble_one
 from repro.cpu.interp import CPUCore
@@ -20,7 +23,8 @@ def _signed(v):
     return v - (1 << 32) if v & 0x80000000 else v
 
 
-#: Python oracle for each ALU operation.
+#: Python oracle for each ALU operation and each branch condition,
+#: written independently of ``repro.cpu.isa.OPS``.
 _ORACLE = {
     Op.ADD: lambda a, b: (a + b) & _U32,
     Op.SUB: lambda a, b: (a - b) & _U32,
@@ -35,7 +39,18 @@ _ORACLE = {
     Op.SLTU: lambda a, b: int(a < b),
     Op.DIVU: lambda a, b: (a // b) & _U32 if b else None,
     Op.REMU: lambda a, b: (a % b) & _U32 if b else None,
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLT: lambda a, b: _signed(a) < _signed(b),
+    Op.BGE: lambda a, b: _signed(a) >= _signed(b),
+    Op.BLTU: lambda a, b: a < b,
+    Op.BGEU: lambda a, b: a >= b,
 }
+_BRANCHES = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU})
+_ALU = sorted(set(_ORACLE) - _BRANCHES)
+
+#: Where signed and unsigned order disagree.
+_SIGN_EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF)
 
 
 def fresh_cpu():
@@ -45,10 +60,69 @@ def fresh_cpu():
     return cpu, pm
 
 
+def _result(op, a, b, compiled, imm_form=False):
+    """Execute one ``op`` on (a, b) -- by ``step()`` or inside a compiled
+    block -- and return what it computed: rd for an ALU op, taken or not
+    for a branch."""
+    cpu, pm = fresh_cpu()
+    if op in _BRANCHES:
+        code = encode(op, ra=1, rb=2, imm32=0x2000)
+    elif imm_form:
+        code = encode(op, rd=3, ra=1, imm32=b)
+    else:
+        code = encode(op, rd=3, ra=1, rb=2)
+    pm.write_bytes(0x1000, code + encode(Op.HLT))
+    pm.write_bytes(0x2000, encode(Op.HLT))
+    cpu.regs[1], cpu.regs[2] = a, b
+    if compiled:
+        with mock.patch.object(jitmod, "HOT", 1):
+            cpu.run(max_instructions=8)
+        assert cpu.jit_stats()["blocks_compiled"] == 1
+        assert cpu.halted
+        taken = cpu.pc == 0x2004
+    else:
+        cpu.step()
+        taken = cpu.pc == 0x2000
+    return taken if op in _BRANCHES else cpu.regs[3]
+
+
 class TestALUOracle:
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("op", sorted(_ORACLE), ids=lambda op: op.name)
+    def test_sign_boundaries_in_both_engines(self, op):
+        for a in _SIGN_EDGES:
+            for b in _SIGN_EDGES:
+                expected = _ORACLE[op](a, b)
+                if expected is None:
+                    continue  # division by zero traps; covered elsewhere
+                for compiled in (False, True):
+                    assert _result(op, a, b, compiled) == expected, (
+                        f"{op.name}({a:#x}, {b:#x}) compiled={compiled}")
+
+    @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(sorted(_ORACLE)),
+        st.integers(min_value=0, max_value=_U32),
+        st.integers(min_value=0, max_value=_U32),
+        st.booleans(),
+    )
+    def test_compiled_block_matches_oracle(self, op, a, b, imm_form):
+        expected = _ORACLE[op](a, b)
+        if expected is None:
+            return
+        assert _result(op, a, b, True, imm_form) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(_BRANCHES)),
+        st.integers(min_value=0, max_value=_U32),
+        st.integers(min_value=0, max_value=_U32),
+    )
+    def test_branch_matches_oracle(self, op, a, b):
+        assert _result(op, a, b, False) == _ORACLE[op](a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_ALU),
         st.integers(min_value=0, max_value=_U32),
         st.integers(min_value=0, max_value=_U32),
     )
@@ -65,7 +139,7 @@ class TestALUOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(sorted(_ORACLE)),
+        st.sampled_from(_ALU),
         st.integers(min_value=0, max_value=_U32),
         st.integers(min_value=0, max_value=_U32),
     )

@@ -10,8 +10,7 @@ memory virtualization: the guest cannot tell which MMU it runs on.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.nested import NestedMMU
-from repro.cpu.mmu import HModeMMU
+from repro.cpu.mmu import TwoStageMMU
 from repro.core.shadow import ShadowMMU
 from repro.core.vm import GuestMemory
 from repro.cpu.exits import VMExit
@@ -130,9 +129,9 @@ class TestShadowNestedEquivalence:
         shadow.switch_guest_root(ROOT_GPA)
 
         two_stage = []
-        for name, make_mmu in (("nested", NestedMMU), ("hmode", HModeMMU)):
+        for name, hmode in (("nested", False), ("hmode", True)):
             pm_n, alloc_n, gm_n = build_guest(mappings)
-            mmu = make_mmu(pm_n, alloc_n, gm_n, CostModel())
+            mmu = TwoStageMMU(pm_n, alloc_n, gm_n, CostModel(), hmode=hmode)
             for gfn, hfn in gm_n.map.items():
                 mmu.map_gfn(gfn, hfn)
             mmu.set_root(ROOT_GPA)
