@@ -26,11 +26,22 @@ def test_host_throughput_quick(benchmark, show):
 
     # ...and so did every VMM config, on the vCPU's jit_enabled switch
     # (nothing else: the translator has one executor).
-    for config in ("hw-shadow", "hw-nested", "hw-hmode", "trap-emulate",
-                   "bin-transl"):
-        for workload in ("cpu_bound", "memtouch"):
+    configs = ("trap-emulate", "bin-transl", "paravirt", "hw-shadow",
+               "hw-nested", "hw-hmode")
+    for config in configs:
+        for workload in ("cpu_bound", "memtouch", "syscall_storm"):
+            assert (f"vmm/{config}", workload, "interp") in layers
             assert (f"vmm/{config}", workload, "compiled") in layers
     assert {layer.split("/")[0] for layer, _w, _e in layers} == {"native", "vmm"}
+
+    # The exit rows: the same port-write loop on the bare core and under
+    # each config. An exit is never free, and a translator callout (no
+    # world switch on the host either) is the cheapest of the six.
+    assert ("native", "port_storm", "compiled") in layers
+    for config in configs:
+        assert (f"vmm/{config}", "port_storm", "compiled") in layers
+        assert 0.0 < result.speedups[f"exit/{config}"] < 1.5
+    assert result.speedups["exit/bin-transl"] > result.speedups["exit/hw-nested"]
 
     # Compute-bound code is where closure compilation pays off most;
     # this ratio is stable even at quick scale, under a VMM too.

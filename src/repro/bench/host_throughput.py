@@ -6,33 +6,44 @@ host wall-clock second each execution engine retires. Two comparisons:
 
 * ``native`` rows -- bare-metal NanoOS runs with the closure compiler
   (:mod:`repro.cpu.jit`) off vs. on;
-* ``vmm/<config>`` rows -- the same guests under the hypervisor
-  (hardware assist over shadow, nested and H-mode paging,
-  trap-and-emulate, and binary translation, whose user-mode half runs
-  on the core), the vCPU's ``jit_enabled`` off vs. on.
+* ``vmm/<config>`` rows -- the same guests under the hypervisor (the
+  six VMM rows of ``MODE_MATRIX``; under binary translation the
+  user-mode half runs on the core), the vCPU's ``jit_enabled`` off
+  vs. on;
+* ``exit/<config>`` rows -- what a VM exit costs the host: the time the
+  bare compiled core takes for ``port_storm`` (one port write in every
+  three instructions, no NanoOS) over the time the same guest takes
+  under the config, where every write is an exit (under binary
+  translation, a callout). 1.0 would be a free exit.
 
-Every pair is also a differential test: the simulated cycles, instret,
-and workload result must be bit-identical between engines, so the bench
-fails loudly if the fast path ever diverges from the oracle. Results are
-emitted as ``BENCH_HOST.json`` (schema ``pyvisor.bench.host/1``) for the
-CI regression gate, which compares *speedup ratios* (hardware-
-independent) against a committed baseline.
+Every interp/compiled pair is also a differential test: the simulated
+cycles, instret, and workload result must be bit-identical between
+engines, so the bench fails loudly if the fast path ever diverges from
+the oracle. Results are emitted as ``BENCH_HOST.json`` (schema
+``pyvisor.bench.host/1``) for the CI regression gate, which compares
+*ratios* (hardware-independent; higher is better) against a committed
+baseline.
 """
 
+import gc
 import json
 import platform
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.common import (
     GUEST_MEMORY,
     HOST_MEMORY,
+    MODE_MATRIX,
     new_run_registry,
 )
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
+from repro.core.hypervisor import RunOutcome
+from repro.core.machine import MachineOutcome
 from repro.cpu.assembler import Program
 from repro.guest import KernelOptions, boot_native, boot_vm, build_kernel
 from repro.guest import workloads
@@ -73,17 +84,20 @@ _NATIVE_WORKLOADS: List[Tuple[str, Callable[[], Program], Callable[[], Program]]
 ]
 
 #: Workloads also run under each VMM config below.
-_VMM_WORKLOADS = ("cpu_bound", "memtouch")
+_VMM_WORKLOADS = ("cpu_bound", "memtouch", "syscall_storm")
 
-#: (label, virt mode, mmu mode) -- one per MMU the compiler serves under
-#: a VMM, plus the two deprivileged cores.
-_VMM_CONFIGS = (
-    ("hw-shadow", VirtMode.HW_ASSIST, MMUVirtMode.SHADOW),
-    ("hw-nested", VirtMode.HW_ASSIST, MMUVirtMode.NESTED),
-    ("hw-hmode", VirtMode.HW_ASSIST, MMUVirtMode.HMODE),
-    ("trap-emulate", VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW),
-    ("bin-transl", VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW),
+#: (label, virt mode, mmu mode, pv kernel): the six VMM rows ('+' is not
+#: used in row keys).
+_VMM_CONFIGS = tuple(
+    (label.replace("+", "-"), virt_mode, mmu_mode, pv)
+    for label, virt_mode, mmu_mode, pv in MODE_MATRIX[1:]
 )
+
+#: Port writes of the ``exit/<config>`` guest, and how many times each
+#: side runs it: the runs are short, the best one counts.
+_PORT_STORM_WRITES_QUICK = 5_000
+_PORT_STORM_WRITES_FULL = 30_000
+_PORT_STORM_RUNS = 3
 
 
 @dataclass
@@ -116,7 +130,9 @@ class HostBenchResult:
 
     quick: bool
     rows: List[EngineRow]
-    speedups: Dict[str, float]  # "<layer>/<workload>" -> compiled/interp
+    #: "<layer>/<workload>" -> compiled/interp guest-MIPS;
+    #: "exit/<config>" -> bare/VMM host time of port_storm.
+    speedups: Dict[str, float]
     jit_counters: Dict[str, int]
     table: Table
     metrics: Optional[MetricsRegistry] = None
@@ -175,7 +191,7 @@ class HostBenchResult:
                 continue
             if got < floor * REGRESSION_TOLERANCE:
                 failures.append(
-                    f"{key}: speedup {got:.2f}x is more than 20% below "
+                    f"{key}: ratio {got:.2f}x is more than 20% below "
                     f"the baseline {floor:.2f}x"
                 )
         return failures
@@ -203,6 +219,13 @@ class HostBenchResult:
         return "\n".join(lines)
 
 
+def _settle() -> None:
+    """Before a timed region: collect the garbage earlier rows left (a
+    few VMs' worth of decode caches and page tables), so that a full
+    collection they made due does not land inside this row's time."""
+    gc.collect()
+
+
 def _row(layer: str, compiled: bool, wall: float, cpu, sim_cycles: int) -> EngineRow:
     return EngineRow(
         "",  # workload: filled in by pair()
@@ -219,6 +242,7 @@ def _measure_native(
     kernel: Program, workload: Program, jit: bool
 ) -> Tuple[EngineRow, Machine]:
     machine = Machine(memory_bytes=GUEST_MEMORY, jit=jit)
+    _settle()
     start = perf_counter()
     diag = boot_native(machine, kernel, workload, max_instructions=200_000_000)
     wall = perf_counter() - start
@@ -248,6 +272,7 @@ def _measure_vm(
         )
     )
     vm.vcpus[0].cpu.jit_enabled = compiled
+    _settle()
     start = perf_counter()
     diag = boot_vm(hv, vm, kernel, workload, max_guest_instructions=200_000_000)
     wall = perf_counter() - start
@@ -255,6 +280,59 @@ def _measure_vm(
         raise GuestError(f"host bench {layer} run unclean: {diag}")
     cpu = vm.vcpus[0].cpu
     return _row(layer, compiled, wall, cpu, cpu.cycles + vm.stats.vmm_cycles), vm
+
+
+_WALL = attrgetter("wall_s")
+
+
+def _run_port_storm(
+    layer: str, config: Optional[Tuple[VirtMode, MMUVirtMode]], image: Program,
+    writes: int,
+) -> EngineRow:
+    """``port_storm`` once: on the bare compiled core (``config`` None)
+    or under a VMM config."""
+    if config is None:
+        machine = Machine(memory_bytes=GUEST_MEMORY, jit=True)
+        machine.load_program(image)
+        machine.cpu.reset(image.entry)
+        _settle()
+        start = perf_counter()
+        off = machine.run(max_instructions=200_000_000) is MachineOutcome.SHUTDOWN
+        wall = perf_counter() - start
+        cpu, console = machine.cpu, machine.console
+        sim_cycles = cpu.cycles
+    else:
+        hv = Hypervisor(memory_bytes=HOST_MEMORY)
+        vm = hv.create_vm(GuestConfig(
+            name="hostbench", memory_bytes=GUEST_MEMORY,
+            virt_mode=config[0], mmu_mode=config[1]))
+        hv.load_program(vm, image)
+        hv.reset_vcpu(vm, image.entry)
+        _settle()
+        start = perf_counter()
+        off = hv.run(vm, max_guest_instructions=200_000_000) is RunOutcome.SHUTDOWN
+        wall = perf_counter() - start
+        cpu, console = vm.vcpus[0].cpu, vm.devices["console"]
+        sim_cycles = cpu.cycles + vm.stats.vmm_cycles
+    if not off or console.chars_written != writes:
+        raise GuestError(f"host bench {layer} port_storm run unclean")
+    row = _row(layer, True, wall, cpu, sim_cycles)
+    row.workload = "port_storm"
+    return row
+
+
+def _measure_exit_pair(
+    layer: str, config: Tuple[VirtMode, MMUVirtMode], writes: int
+) -> Tuple[EngineRow, EngineRow]:
+    """(bare row, VMM row) for one ``exit/<config>`` ratio: the runs
+    alternate, so both sides see the same stretch of host speed, and
+    the best run of each side counts."""
+    image = workloads.port_storm(writes)
+    bare, under = [], []
+    for _ in range(_PORT_STORM_RUNS):
+        bare.append(_run_port_storm("native", None, image, writes))
+        under.append(_run_port_storm(layer, config, image, writes))
+    return min(bare, key=_WALL), min(under, key=_WALL)
 
 
 def _assert_identical(name: str, interp: EngineRow, compiled: EngineRow) -> None:
@@ -312,9 +390,11 @@ def run_host_throughput(
     equally); profiled runs are for diagnosis, not for ratio floors.
     """
     registry = registry if registry is not None else new_run_registry()
-    kernel = build_kernel(
-        KernelOptions(pv=False, memory_bytes=GUEST_MEMORY, timer_period=0)
-    )
+    kernels = {
+        pv: build_kernel(
+            KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY, timer_period=0))
+        for pv in (False, True)
+    }
     profiler = None
     if profile_top:
         import cProfile
@@ -351,18 +431,28 @@ def run_host_throughput(
         return ran
 
     for name in builders:
-        machine = pair("native", name, partial(_measure_native, kernel))
+        machine = pair("native", name, partial(_measure_native, kernels[False]))
         for key in jit_counters:
             jit_counters[key] += machine.cpu.jit_stats()[key]
         results[name] = machine.cpu.instret
 
-    for label, virt_mode, mmu_mode in _VMM_CONFIGS:
+    for label, virt_mode, mmu_mode, pv in _VMM_CONFIGS:
         layer = f"vmm/{label}"
         for name in _VMM_WORKLOADS:
             pair(
                 layer, name,
-                partial(_measure_vm, kernel, layer, virt_mode, mmu_mode),
+                partial(_measure_vm, kernels[pv], layer, virt_mode, mmu_mode),
             )
+
+    writes = _PORT_STORM_WRITES_QUICK if quick else _PORT_STORM_WRITES_FULL
+    bare_rows = []
+    for label, virt_mode, mmu_mode, _pv in _VMM_CONFIGS:
+        bare_row, row = _measure_exit_pair(
+            f"vmm/{label}", (virt_mode, mmu_mode), writes)
+        bare_rows.append(bare_row)
+        rows.append(row)
+        speedups[f"exit/{label}"] = bare_row.wall_s / row.wall_s
+    rows.append(min(bare_rows, key=_WALL))
 
     hotspots: Optional[List[Dict[str, Any]]] = None
     if profiler is not None:
@@ -377,11 +467,14 @@ def run_host_throughput(
         "Host throughput: guest-MIPS by execution engine",
         [
             "workload", "layer", "engine", "wall s",
-            "instructions", "guest-MIPS", "speedup",
+            "instructions", "guest-MIPS", "ratio",
         ],
     )
     for row in rows:
-        key = f"{row.layer}/{row.workload}"
+        if row.workload == "port_storm":
+            ratio = speedups.get("exit/" + row.layer.partition("/")[2])
+        else:
+            ratio = speedups[f"{row.layer}/{row.workload}"]
         table.add_row(
             row.workload,
             row.layer,
@@ -389,7 +482,7 @@ def run_host_throughput(
             f"{row.wall_s:.3f}",
             row.instructions,
             f"{row.guest_mips:.3f}",
-            f"{speedups[key]:.2f}x" if row.engine == "compiled" else "",
+            f"{ratio:.2f}x" if ratio and row.engine == "compiled" else "",
         )
     return HostBenchResult(
         quick=quick,

@@ -17,7 +17,7 @@ inside HVM guests.
 """
 
 import enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bt import BTEngine
@@ -107,6 +107,15 @@ def shared_info_gfn(vm: VirtualMachine) -> int:
 
 
 _SHARED_IE_OFFSET = 0
+
+#: Exit-table detail of a reflected or injected guest trap, by cause.
+_CAUSE_DETAIL = {cause: cause.name.lower() for cause in Cause}
+
+
+@lru_cache(maxsize=None)  # one entry per port number: 12 bits
+def _port_detail(port: int) -> str:
+    """Exit-table detail of an intercepted IN/OUT."""
+    return f"port_{port:#x}"
 
 
 class Hypervisor:
@@ -419,6 +428,16 @@ class Hypervisor:
     ) -> RunOutcome:
         """Run vCPU 0 of ``vm`` until halt/shutdown/budget.
 
+        The loop below is the *pump*: each pass checks shutdown and the
+        budgets, ticks the timer, fires due events, decides idle/wake,
+        injects a pending virq, evaluates the ``vcpu.stall`` site, beats
+        the watchdog, then enters the guest for at most ``PUMP_SLICE``
+        instructions. A VM exit does not come back here as such: the
+        core calls ``service`` (below) where it catches one, and the
+        guest resumes in place unless the pump could act on what the
+        handler left behind (DESIGN.md "The exit path"). The pump runs
+        once per slice and once per exit ``service`` answers False to.
+
         ``watchdog`` (a
         :class:`~repro.faults.watchdog.GuestProgressWatchdog`) is beat
         with the retired-instruction counter immediately before each
@@ -426,7 +445,10 @@ class Hypervisor:
         point without pending work, so it cannot false-positive. When
         the watchdog declares a hang, ``run`` returns
         :data:`RunOutcome.HUNG` and leaves the VM as-is for recovery
-        (see :class:`~repro.faults.recovery.MicroRebooter`).
+        (see :class:`~repro.faults.recovery.MicroRebooter`). A watchdog,
+        like an injector that plans ``vcpu.stall``, counts guest
+        entries: with either present every exit returns to the pump, so
+        both see one entry per exit and one per slice.
         """
         vcpu = vm.vcpus[0]
         cpu = vcpu.cpu
@@ -434,7 +456,36 @@ class Hypervisor:
         start_cycles = self._vm_time(vm)
         timer: TimerDevice = vm.devices["timer"]
         power: PowerControl = vm.devices["power"]
+        vmm = vm.stats.vmm_cycles_counter
         stalled_pumps = 0
+
+        def service(exit_: VMExit) -> bool:
+            """Service ``exit_``; may the guest resume without the pump?"""
+            before = vmm.value
+            self._handle_exit(vm, vcpu, exit_)
+            if (
+                power.shutdown_requested  # the pump returns SHUTDOWN
+                or vcpu.halted or cpu.halted  # idle / wake / HALTED: pump's call
+                or timer.deadline is not None  # tick cadence is simulated state
+                or vm.pending_virqs  # deprivileged: the pump injects
+                or watchdog is not None  # beats once per guest entry
+                or (self.injector is not None  # draws once per guest entry
+                    and self.injector.plans("vcpu.stall"))
+                # The translator, not the core, runs BT guest-kernel mode.
+                or (vm.bt is not None and vcpu.virtual_mode == MODE_KERNEL)
+                # A spent budget: the pump returns before anything due
+                # at this edge fires.
+                or (max_guest_instructions is not None and
+                    cpu.instret - start_instret >= max_guest_instructions)
+            ):
+                return False
+            if max_cycles is not None:
+                if cpu.cycles + vmm.value - start_cycles >= max_cycles:
+                    return False
+                # VM time = core cycles + VMM cycles: what this exit
+                # cost the VMM comes off the core's ceiling.
+                cpu.charge_cycle_budget(vmm.value - before)
+            return True
 
         while True:
             if power.shutdown_requested:
@@ -491,22 +542,11 @@ class Hypervisor:
             cycle_budget = None
             if max_cycles is not None:
                 cycle_budget = max_cycles - (self._vm_time(vm) - start_cycles)
-            try:
-                self._enter_guest(vm, vcpu, max_guest_instructions,
-                                  start_instret, cycle_budget)
-            except VMExit as exit_:
-                try:
-                    self._handle_exit(vm, vcpu, exit_)
-                except VMExit as nested:
-                    # Servicing an exit can itself exit -- e.g. the
-                    # emulator reflects a trap into a guest whose
-                    # vector is gone (triple fault). One re-dispatch
-                    # suffices: the only nested exit reflection can
-                    # produce is TRIPLE_FAULT, which is terminal.
-                    self._handle_exit(vm, vcpu, nested)
+            self._enter_guest(vm, vcpu, max_guest_instructions,
+                              start_instret, cycle_budget, service)
 
     def _enter_guest(self, vm, vcpu, max_guest_instructions, start_instret,
-                     cycle_budget=None) -> None:
+                     cycle_budget, service) -> None:
         cpu = vcpu.cpu
         slice_ = PUMP_SLICE
         if max_guest_instructions is not None:
@@ -526,16 +566,20 @@ class Hypervisor:
             bt_budget = slice_ * 4
             if cycle_budget is not None:
                 bt_budget = min(bt_budget, cycle_budget)
-            vm.bt.run(max_cycles=bt_budget)
+            try:
+                vm.bt.run(max_cycles=bt_budget)
+            except VMExit as exit_:
+                # These exits leave the translator, not the core: same
+                # service, and the pump follows whatever it answers.
+                service(exit_)
             return
         # A per-entry cycle bound keeps ``max_cycles`` honest even when
         # the guest burns cycles without retiring instructions inside
         # one slice (trap-delivery livelock): without it the
         # instruction-bounded core run would never come back to the
         # pump loop's cycle check.
-        result = cpu.run(max_instructions=slice_, max_cycles=cycle_budget)
-        if result.stop is StopReason.VMEXIT:
-            raise result.exit
+        result = cpu.run(max_instructions=slice_, max_cycles=cycle_budget,
+                         on_exit=service)
         if result.stop is StopReason.HALT:
             # Native HLT semantics can only be reached by HW_ASSIST
             # guests with nested paging and HLT interception off; treat
@@ -630,100 +674,36 @@ class Hypervisor:
     # -- exit dispatch -----------------------------------------------------
 
     def _vm_time(self, vm: VirtualMachine) -> int:
-        return vm.vcpus[0].cpu.cycles + vm.stats.vmm_cycles
+        return vm.vcpus[0].cpu.cycles + vm.stats.vmm_cycles_counter.value
 
     def _handle_exit(self, vm: VirtualMachine, vcpu: VCPU, exit_: VMExit) -> None:
+        """Service one VM exit: the world-switch charge, the reason's
+        handler (``_EXIT_HANDLERS``), then the accounting."""
         costs = self.costs
-        mode = vm.config.virt_mode
+        stats = vm.stats
         reason = exit_.reason
         if reason is ExitReason.VMCALL:
             switch = costs.hypercall_cycles
-            vm.stats.hypercalls += 1
-        elif mode is VirtMode.BINARY_TRANSLATION:
+            stats.hypercalls_counter.value += 1
+        elif vm.bt is not None:
             switch = costs.bt_reflect_cycles
         else:
             switch = costs.vmexit_cycles
-        vm.stats.world_switches += 1
-        handler_cycles = 0
-        detail = ""
+        stats.world_switches_counter.value += 1
         # Where an intercepted instruction resumes once emulated: past
         # its real encoding (4 bytes, or 8 with an immediate word).
         next_pc = (vcpu.cpu.pc + exit_.instruction_length) & 0xFFFFFFFF
-
-        if reason is ExitReason.GUEST_TRAP:
-            info: TrapInfo = exit_.qual("trap")
-            ins = exit_.qual("ins")
-            if mode is VirtMode.HW_ASSIST:
-                # H-mode: a non-delegated guest trap (or a delegation
-                # miss injected by the fault site). Inject it exactly as
-                # hardware event injection on VM entry would: the core's
-                # own delivery microcode runs against real guest state,
-                # so the result is bit-identical to native delegation.
-                vcpu.cpu.deliver_trap(info)
-                detail = info.cause.name.lower()
-                if exit_.qual("deleg_miss"):
-                    detail = f"deleg_miss.{detail}"
-                handler_cycles = costs.emulate_cycles
-                self.registry.counter("core.hmode.trap_exits").inc()
-            elif info.cause is Cause.PRIV and not vcpu.virtual_user:
-                # Only the guest *kernel* (deprivileged onto real user
-                # mode) gets its privileged instructions emulated. A
-                # PRIV trap raised while the virtual mode is user is the
-                # guest's own application touching privileged state; the
-                # hardware answer is a trap into the guest kernel, so
-                # reflect it -- emulating here would be a guest-level
-                # privilege escalation (and diverges from HW_ASSIST).
-                if ins is None:
-                    ins = vcpu.cpu.fetch(vcpu.cpu.pc)
-                detail = emulate_privileged(vcpu, ins, port_bus=vm.port_bus)
-                handler_cycles = costs.emulate_cycles
-            else:
-                self._reflect(vm, vcpu, info)
-                detail = info.cause.name.lower()
-                handler_cycles = costs.trap_cycles
-        elif reason is ExitReason.VMCALL:
-            detail = self._do_hypercall(vm, vcpu, exit_.qual("num"), next_pc)
-        elif reason in (ExitReason.IO_IN, ExitReason.IO_OUT):
-            handler_cycles = costs.emulate_cycles
-            port = exit_.qual("port")
-            cpu = vcpu.cpu
-            if reason is ExitReason.IO_OUT:
-                vm.port_bus.io_out(port, exit_.qual("value"))
-            else:
-                ins = cpu.fetch(cpu.pc)
-                cpu.write_reg(ins.rd, vm.port_bus.io_in(port))
-            cpu.pc = next_pc
-            detail = f"port_{port:#x}"
-        elif reason is ExitReason.CSR_WRITE:
-            # HW-assist + shadow: intercepted PTBR write.
-            value = exit_.qual("value")
-            vcpu.cpu.csr[CSR.PTBR] = value & 0xFFFFFFFF
-            vcpu.cpu.mmu.switch_guest_root(value)
-            vcpu.cpu.pc = next_pc
-            handler_cycles = costs.emulate_cycles
-            detail = "ptbr"
-        elif reason is ExitReason.PRIV_INSTR and exit_.qual("op") is Op.INVLPG:
-            vcpu.cpu.mmu.invlpg(exit_.qual("va"))
-            vcpu.cpu.pc = next_pc
-            handler_cycles = costs.emulate_cycles
-            detail = "invlpg"
-        elif reason is ExitReason.HLT:
-            vcpu.cpu.pc = next_pc
-            vcpu.cpu.halted = True
-            vcpu.halted = True
-            detail = "hlt"
-        elif reason is ExitReason.PAGE_FAULT:
-            detail, handler_cycles = self._handle_memory_exit(vm, vcpu, exit_)
-        elif reason is ExitReason.TRIPLE_FAULT:
-            raise GuestError(
-                f"VM {vm.name}: triple fault (cause="
-                f"{exit_.qual('cause')}, value={exit_.qual('value'):#x}, "
-                f"pc={exit_.guest_pc:#x})"
-            )
-        else:
-            raise GuestError(f"unhandled VM exit {exit_!r}")
-
-        vm.stats.vmm_cycles += switch + handler_cycles
+        try:
+            detail, handler_cycles = self._EXIT_HANDLERS[reason](
+                self, vm, vcpu, exit_, next_pc)
+        except VMExit as nested:
+            # Servicing an exit can itself exit -- e.g. the emulator
+            # reflects a trap into a guest whose vector is gone (triple
+            # fault). One re-dispatch suffices: the only nested exit
+            # reflection can produce is TRIPLE_FAULT, which is terminal.
+            self._handle_exit(vm, vcpu, nested)
+            return
+        stats.vmm_cycles_counter.value += switch + handler_cycles
         vm.exit_stats.record(reason, switch + handler_cycles, detail)
         if self.trace is not None:
             self.trace.emit(
@@ -732,18 +712,97 @@ class Hypervisor:
                 cycles=switch + handler_cycles,
             )
 
-    def _handle_memory_exit(self, vm, vcpu, exit_):
+    # One handler per ExitReason: (vm, vcpu, exit_, next_pc) ->
+    # (detail for the exit table, handler cycles on top of the switch).
+
+    def _exit_guest_trap(self, vm, vcpu, exit_, _next_pc):
+        costs = self.costs
+        info: TrapInfo = exit_.qualification["trap"]
+        if vm.config.virt_mode is VirtMode.HW_ASSIST:
+            # H-mode: a non-delegated guest trap (or a delegation
+            # miss injected by the fault site). Inject it exactly as
+            # hardware event injection on VM entry would: the core's
+            # own delivery microcode runs against real guest state,
+            # so the result is bit-identical to native delegation.
+            vcpu.cpu.deliver_trap(info)
+            detail = _CAUSE_DETAIL[info.cause]
+            if exit_.qualification["deleg_miss"]:
+                detail = f"deleg_miss.{detail}"
+            self.registry.counter("core.hmode.trap_exits").inc()
+            return detail, costs.emulate_cycles
+        if info.cause is Cause.PRIV and not vcpu.virtual_user:
+            # Only the guest *kernel* (deprivileged onto real user
+            # mode) gets its privileged instructions emulated. A
+            # PRIV trap raised while the virtual mode is user is the
+            # guest's own application touching privileged state; the
+            # hardware answer is a trap into the guest kernel, so
+            # reflect it -- emulating here would be a guest-level
+            # privilege escalation (and diverges from HW_ASSIST).
+            ins = exit_.qualification["ins"]
+            if ins is None:
+                ins = vcpu.cpu.fetch(vcpu.cpu.pc)
+            return (emulate_privileged(vcpu, ins, port_bus=vm.port_bus),
+                    costs.emulate_cycles)
+        self._reflect(vm, vcpu, info)
+        return _CAUSE_DETAIL[info.cause], costs.trap_cycles
+
+    def _exit_vmcall(self, vm, vcpu, exit_, next_pc):
+        return self._do_hypercall(vm, vcpu, exit_.qualification["num"], next_pc), 0
+
+    def _exit_io_out(self, vm, vcpu, exit_, next_pc):
+        port = exit_.qualification["port"]
+        vm.port_bus.io_out(port, exit_.qualification["value"])
+        vcpu.cpu.pc = next_pc
+        return _port_detail(port), self.costs.emulate_cycles
+
+    def _exit_io_in(self, vm, vcpu, exit_, next_pc):
+        port = exit_.qualification["port"]
+        cpu = vcpu.cpu
+        ins = cpu.fetch(cpu.pc)
+        cpu.write_reg(ins.rd, vm.port_bus.io_in(port))
+        cpu.pc = next_pc
+        return _port_detail(port), self.costs.emulate_cycles
+
+    def _exit_csr_write(self, vm, vcpu, exit_, next_pc):
+        # HW-assist + shadow: intercepted PTBR write.
+        value = exit_.qualification["value"]
+        vcpu.cpu.csr[CSR.PTBR] = value & 0xFFFFFFFF
+        vcpu.cpu.mmu.switch_guest_root(value)
+        vcpu.cpu.pc = next_pc
+        return "ptbr", self.costs.emulate_cycles
+
+    def _exit_priv_instr(self, vm, vcpu, exit_, next_pc):
+        if exit_.qualification["op"] is not Op.INVLPG:
+            raise GuestError(f"unhandled VM exit {exit_!r}")
+        vcpu.cpu.mmu.invlpg(exit_.qualification["va"])
+        vcpu.cpu.pc = next_pc
+        return "invlpg", self.costs.emulate_cycles
+
+    def _exit_hlt(self, vm, vcpu, exit_, next_pc):
+        vcpu.cpu.pc = next_pc
+        vcpu.cpu.halted = True
+        vcpu.halted = True
+        return "hlt", 0
+
+    def _exit_triple_fault(self, vm, vcpu, exit_, _next_pc):
+        raise GuestError(
+            f"VM {vm.name}: triple fault (cause="
+            f"{exit_.qual('cause')}, value={exit_.qual('value'):#x}, "
+            f"pc={exit_.guest_pc:#x})"
+        )
+
+    def _handle_memory_exit(self, vm, vcpu, exit_, _next_pc):
         costs = self.costs
         kind = exit_.qual("kind")
         mmu = vcpu.cpu.mmu
         if kind == "shadow_fill":
             mmu.fill(exit_.qual("va"), exit_.qual("access"))
-            vm.stats.shadow_fills += 1
+            vm.stats.shadow_fills_counter.value += 1
             return "shadow_fill", costs.shadow_fill_cycles
         if kind == "pt_write":
             ins = vcpu.cpu.fetch(vcpu.cpu.pc)
             emulate_guest_store(vcpu, ins, vm.guest_mem, mmu)
-            vm.stats.shadow_pt_writes += 1
+            vm.stats.shadow_pt_writes_counter.value += 1
             return "pt_write", costs.shadow_ptwrite_cycles
         if kind == "dirty_log":
             gfn = exit_.qual("gfn")
@@ -758,7 +817,7 @@ class Hypervisor:
         if kind == "ept_violation":
             gpa = exit_.qual("gpa")
             gfn = gpa >> PAGE_SHIFT
-            vm.stats.ept_violations += 1
+            vm.stats.ept_violations_counter.value += 1
             if gfn >= vm.num_pages:
                 raise GuestError(
                     f"VM {vm.name}: access to gPA {gpa:#x} beyond guest RAM"
@@ -780,6 +839,18 @@ class Hypervisor:
                 mmu.map_gfn(gfn, hfn)
             return "ept_violation", costs.shadow_fill_cycles
         raise GuestError(f"unknown memory exit kind {kind!r}")
+
+    _EXIT_HANDLERS = {
+        ExitReason.GUEST_TRAP: _exit_guest_trap,
+        ExitReason.VMCALL: _exit_vmcall,
+        ExitReason.IO_OUT: _exit_io_out,
+        ExitReason.IO_IN: _exit_io_in,
+        ExitReason.CSR_WRITE: _exit_csr_write,
+        ExitReason.PRIV_INSTR: _exit_priv_instr,
+        ExitReason.HLT: _exit_hlt,
+        ExitReason.PAGE_FAULT: _handle_memory_exit,
+        ExitReason.TRIPLE_FAULT: _exit_triple_fault,
+    }
 
     # -- hypercalls ---------------------------------------------------------
 
@@ -803,13 +874,14 @@ class Hypervisor:
             cpu.mmu.set_root(a0)
         elif call is HypercallNumbers.MMU_BATCH:
             count = a1
+            vmm = vm.stats.vmm_cycles_counter
             for i in range(count):
                 gpa = vm.guest_mem.read_u32(a0 + i * 8)
                 value = vm.guest_mem.read_u32(a0 + i * 8 + 4)
                 vm.guest_mem.write_u32(gpa, value)
                 if isinstance(cpu.mmu, ShadowMMU):
                     cpu.mmu.handle_guest_pt_write(gpa)
-                vm.stats.vmm_cycles += 2 * self.costs.mem_ref_cycles
+                vmm.value += 2 * self.costs.mem_ref_cycles
             cpu.write_reg(1, count)
         elif call is HypercallNumbers.SET_IE:
             vcpu.vcsr[CSR.IE] = a0 & 1

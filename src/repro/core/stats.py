@@ -30,20 +30,21 @@ class ExitStats:
 
     def __init__(self, metrics: Optional[MetricsScope] = None):
         self.metrics = metrics if metrics is not None else _private_scope()
-        # Hot path: one dict hit per recorded exit, not two registry walks.
-        self._pairs: Dict[str, Tuple[ObsCounter, ObsCounter]] = {}
+        # Hot path: one dict hit per recorded exit -- no registry walk,
+        # and the "reason:detail" name is built once per distinct pair.
+        self._pairs: Dict[Tuple[ExitReason, str],
+                          Tuple[ObsCounter, ObsCounter]] = {}
 
     def _pair(self, key: str) -> Tuple[ObsCounter, ObsCounter]:
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = (self.metrics.counter(_EXITS + key),
-                    self.metrics.counter(_EXIT_CYCLES + key))
-            self._pairs[key] = pair
-        return pair
+        return (self.metrics.counter(_EXITS + key),
+                self.metrics.counter(_EXIT_CYCLES + key))
 
     def record(self, reason: ExitReason, cycles: int, detail: str = "") -> None:
-        key = f"{reason.value}:{detail}" if detail else reason.value
-        count, spent = self._pair(key)
+        pair = self._pairs.get((reason, detail))
+        if pair is None:
+            pair = self._pairs[reason, detail] = self._pair(
+                f"{reason.value}:{detail}" if detail else reason.value)
+        count, spent = pair
         count.value += 1
         spent.value += cycles
 

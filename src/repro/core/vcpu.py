@@ -98,7 +98,7 @@ class VCPU:
         self.vcsr[CSR.ECAUSE] = int(info.cause)
         self.vcsr[CSR.EVAL] = info.value & 0xFFFFFFFF
         self.cpu.pc = vbar
-        self.vm.stats.reflected_traps += 1
+        self.vm.stats.reflected_traps_counter.value += 1
 
     def emulate_iret(self) -> None:
         """The guest kernel executed IRET; apply it to virtual state."""

@@ -6,7 +6,11 @@ mirrors that. Which events exit is register state the VMM programs once
 (:class:`ExecControls`: VT-x execution controls, RISC-V
 ``hedeleg``/``hideleg``), not code the core calls out to. The
 interpreter tests the record and raises :class:`VMExit` at an exit
-point; the hypervisor run loop catches it, handles it, and re-enters.
+point. The core's run loop catches it and hands it to the exit service
+its caller lent it for that run (``CPUCore.run(on_exit=...)``); the
+service -- ``Hypervisor.run``'s -- handles the exit and says whether the
+guest may resume in place or the VMM's pump must see it first. Without
+a service the exception reaches whoever called ``run``.
 """
 
 import enum
@@ -72,11 +76,15 @@ class VMExit(Exception):
         instruction_length: int = 0,
         **qualification: Any,
     ):
-        super().__init__(reason.value)
+        # No super().__init__: one of these is built per exit, and
+        # __str__ below is all the base class would have kept.
         self.reason = reason
         self.guest_pc = guest_pc
         self.instruction_length = instruction_length
         self.qualification: Dict[str, Any] = qualification
+
+    def __str__(self) -> str:
+        return self.reason.value
 
     def qual(self, key: str, default: Optional[Any] = None) -> Any:
         return self.qualification.get(key, default)

@@ -27,7 +27,7 @@ oracle.
 import enum
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import ExecControls, ExitReason, VMExit
 from repro.cpu.isa import (
@@ -74,9 +74,10 @@ class StopReason(enum.Enum):
     HALT = "halt"
     INSTR_LIMIT = "instr_limit"
     CYCLE_LIMIT = "cycle_limit"
-    VMEXIT = "vmexit"
-    #: An attached EventSchedule fired with ``exit_on_fire`` set: the
-    #: caller (a VMM pump) gets control to inject before re-entry.
+    #: The caller (a VMM pump) gets control before re-entry: an attached
+    #: EventSchedule fired with ``exit_on_fire`` set (the pump injects),
+    #: or the exit service passed to :meth:`CPUCore.run` serviced a VM
+    #: exit and answered that the guest may not simply resume.
     EVENT = "event"
 
 
@@ -87,7 +88,6 @@ class RunResult:
     stop: StopReason
     instructions: int
     cycles: int
-    exit: Optional[VMExit] = None
 
 
 class CPUCore:
@@ -122,8 +122,9 @@ class CPUCore:
         self.events = None
         #: Budget ceilings published for self-looping compiled blocks:
         #: absolute instret/cycles values past which a block must return
-        #: to the dispatcher instead of looping in place. Set per run by
-        #: :meth:`_run_compiled`; the sentinel means "no budget".
+        #: to the dispatcher instead of looping in place. Set per run;
+        #: the sentinel means "no budget". ``_cycle_stop`` is also the
+        #: run loops' own cycle ceiling (:meth:`charge_cycle_budget`).
         self._loop_stop = 1 << 62
         self._cycle_stop = 1 << 62
 
@@ -243,8 +244,8 @@ class CPUCore:
             if exits or deleg_miss:
                 raise VMExit(
                     ExitReason.GUEST_TRAP,
-                    guest_pc=self.pc,
-                    instruction_length=ins.length if ins is not None else 0,
+                    self.pc,
+                    ins.length if ins is not None else 0,
                     trap=info,
                     ins=ins,
                     deleg_miss=deleg_miss,
@@ -257,8 +258,7 @@ class CPUCore:
         The exit reports ``ins.length`` so the handler can step over
         the 4- or 8-byte form alike.
         """
-        raise VMExit(reason, guest_pc=self.pc,
-                     instruction_length=ins.length, **qual)
+        raise VMExit(reason, self.pc, ins.length, **qual)
 
     # -- fetch/decode ---------------------------------------------------------
 
@@ -441,12 +441,21 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
+        on_exit: Optional[Callable[[VMExit], bool]] = None,
     ) -> RunResult:
-        """Run until halt, a limit, an event exit, or a VM exit.
+        """Run until halt, a limit, or an event stop.
 
         Executes compiled blocks unless ``jit_enabled`` is False; both
         loops stop at the same retire edge with the same state, under
         every MMU and controls record.
+
+        ``on_exit`` is a VMM's exit service, lent for this call only
+        (nothing is kept on the core). The loop calls it with each
+        :class:`VMExit` where it catches it. True: the exit is serviced
+        and the guest resumes at the loop-top, which polls due events,
+        halt, both budgets and pending IRQs exactly as after any other
+        instruction. False: the run returns :data:`StopReason.EVENT`.
+        Without a service a :class:`VMExit` propagates to the caller.
         """
         if self.jit_enabled:
             jit = self._jit
@@ -454,14 +463,26 @@ class CPUCore:
                 from repro.cpu.jit import BlockJIT
 
                 jit = self._jit = BlockJIT(self)
-            return self._run_compiled(jit, max_instructions, max_cycles)
-        return self._run_interp(max_instructions, max_cycles)
+            return self._run_compiled(jit, max_instructions, max_cycles, on_exit)
+        return self._run_interp(max_instructions, max_cycles, on_exit)
+
+    def charge_cycle_budget(self, cycles: int) -> None:
+        """Count ``cycles`` spent outside the core against ``max_cycles``
+        of the run in progress.
+
+        An exit service whose caller budgets in VM time (core cycles +
+        VMM cycles) calls this with what the exit cost the VMM, so the
+        budget ends on the same retire edge as if the core had been left
+        and re-entered with the remainder.
+        """
+        self._cycle_stop -= cycles
 
     def _run_compiled(
         self,
         jit,
         max_instructions: Optional[int],
         max_cycles: Optional[int],
+        on_exit: Optional[Callable[[VMExit], bool]],
     ) -> RunResult:
         """Block-at-a-time loop; falls back to :meth:`step` per slow case.
 
@@ -479,7 +500,7 @@ class CPUCore:
             start_instr + max_instructions
             if max_instructions is not None else 1 << 62
         )
-        cycle_stop = (
+        cycle_stop = self._cycle_stop = (
             start_cycles + max_cycles if max_cycles is not None else 1 << 62
         )
         # Self-looping closures honour both ceilings at every loop edge;
@@ -490,13 +511,11 @@ class CPUCore:
             min(limit_stop, events.next_due) if events is not None
             else limit_stop
         )
-        self._cycle_stop = cycle_stop
         lookup = jit.lookup
         step = self.step
         csr = self.csr
         ie = int(CSR.IE)
         mo = int(CSR.MODE)
-        stop = None
         while True:
             if events is not None and self.instret >= events.next_due:
                 fired = events.fire_due(self.instret)
@@ -533,12 +552,12 @@ class CPUCore:
                 else:
                     blk[0](self)
             except VMExit as exit_:
-                return RunResult(
-                    StopReason.VMEXIT,
-                    self.instret - start_instr,
-                    self.cycles - start_cycles,
-                    exit=exit_,
-                )
+                if on_exit is None:
+                    raise
+                if not on_exit(exit_):
+                    stop = StopReason.EVENT
+                    break
+                cycle_stop = self._cycle_stop  # charge_cycle_budget
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
@@ -565,11 +584,19 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
+        on_exit: Optional[Callable[[VMExit], bool]] = None,
     ) -> RunResult:
         """The reference interpreter loop (the correctness oracle)."""
         start_instr = self.instret
         start_cycles = self.cycles
         events = self.events
+        limit_stop = (
+            start_instr + max_instructions
+            if max_instructions is not None else 1 << 62
+        )
+        cycle_stop = self._cycle_stop = (
+            start_cycles + max_cycles if max_cycles is not None else 1 << 62
+        )
         while True:
             if events is not None and self.instret >= events.next_due:
                 # The architected delivery rule: an event due at retire
@@ -578,45 +605,32 @@ class CPUCore:
                 # N+1. Firing precedes the halt check so a raise can
                 # wake a halted core.
                 if events.fire_due(self.instret) and events.exit_on_fire:
-                    return RunResult(
-                        StopReason.EVENT,
-                        self.instret - start_instr,
-                        self.cycles - start_cycles,
-                    )
+                    stop = StopReason.EVENT
+                    break
             if self.halted:
                 if self.csr[CSR.IE] and self.pending_irqs:
                     self.halted = False
                 else:
-                    return RunResult(
-                        StopReason.HALT,
-                        self.instret - start_instr,
-                        self.cycles - start_cycles,
-                    )
-            if max_instructions is not None and (
-                self.instret - start_instr >= max_instructions
-            ):
-                return RunResult(
-                    StopReason.INSTR_LIMIT,
-                    self.instret - start_instr,
-                    self.cycles - start_cycles,
-                )
-            if max_cycles is not None and (
-                self.cycles - start_cycles >= max_cycles
-            ):
-                return RunResult(
-                    StopReason.CYCLE_LIMIT,
-                    self.instret - start_instr,
-                    self.cycles - start_cycles,
-                )
+                    stop = StopReason.HALT
+                    break
+            if self.instret >= limit_stop:
+                stop = StopReason.INSTR_LIMIT
+                break
+            if self.cycles >= cycle_stop:
+                stop = StopReason.CYCLE_LIMIT
+                break
             try:
                 self.step()
             except VMExit as exit_:
-                return RunResult(
-                    StopReason.VMEXIT,
-                    self.instret - start_instr,
-                    self.cycles - start_cycles,
-                    exit=exit_,
-                )
+                if on_exit is None:
+                    raise
+                if not on_exit(exit_):
+                    stop = StopReason.EVENT
+                    break
+                cycle_stop = self._cycle_stop  # charge_cycle_budget
+        return RunResult(
+            stop, self.instret - start_instr, self.cycles - start_cycles
+        )
 
     # -- system instructions --------------------------------------------------
 

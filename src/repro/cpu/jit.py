@@ -723,6 +723,7 @@ class BlockJIT:
         #: Shared across closures: data accesses served by inline caches
         #: or forwarding (host-side telemetry; sim stats are unaffected).
         self._ic_cell = [0]
+        self._cpu_costs, self._mmu_costs = cpu.costs, cpu.mmu.costs
         self._costs_sig = self._sig()
         self.blocks_compiled = 0
         self.blocks_invalidated = 0
@@ -735,7 +736,16 @@ class BlockJIT:
         return _cost_sig(self.cpu.costs) + (self.mmu.translate_bound,)
 
     def check_costs(self) -> None:
-        """Drop compiled code if the cost model changed since compile."""
+        """Drop compiled code if the cost model changed since compile.
+
+        A ``CostModel`` is frozen, so the signature is a function of
+        which two objects are installed: it is rebuilt only when one
+        was swapped (this runs on every guest entry).
+        """
+        cpu_costs, mmu_costs = self.cpu.costs, self.mmu.costs
+        if cpu_costs is self._cpu_costs and mmu_costs is self._mmu_costs:
+            return
+        self._cpu_costs, self._mmu_costs = cpu_costs, mmu_costs
         sig = self._sig()
         if sig != self._costs_sig:
             self._costs_sig = sig

@@ -253,6 +253,10 @@ class FaultInjector:
         #: Every decision taken: (site, opportunity index, fired).
         self.trace: List[Tuple[str, int, bool]] = []
 
+    def plans(self, site: str) -> bool:
+        """True when the plan has a spec for ``site`` (it can ever fire)."""
+        return site in self._sites
+
     def fires(self, site: str) -> bool:
         """Record one opportunity at ``site``; True when the fault fires."""
         state = self._sites.get(site)

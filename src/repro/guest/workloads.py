@@ -5,6 +5,9 @@ loaded at ``USER_BASE``. Workloads end with ``syscall SYS_EXIT`` and an
 exit value (usually a checksum the host verifies), so every run is
 self-validating: a virtualization mode that corrupts guest state
 produces the wrong exit value, not just different timing.
+
+:func:`port_storm` is the exception: a guest *without* NanoOS, loaded
+at ``KERNEL_BASE`` and run from reset to power-off.
 """
 
 from repro.cpu.assembler import Assembler, Program
@@ -372,4 +375,27 @@ def hello() -> Program:
     syscall 1
     li   a0, 42
     syscall 0
+""")
+
+
+def port_storm(iterations: int = 9000, writes: bool = True) -> Program:
+    """A guest without NanoOS: a kernel-mode loop that writes the
+    console port ``iterations`` times and powers off (code 1).
+
+    One intercepted instruction in every three, where NanoOS's densest
+    path (a block request) manages one in ten: the exit path measured
+    almost alone. ``writes=False`` is the same loop with an ``add`` for
+    the ``out``, its exit-free twin. Self-validating through the
+    console's ``chars_written`` and the power-off code.
+    """
+    return Assembler().assemble(f"""
+.org {L.KERNEL_BASE:#x}
+start:
+    li   s0, {iterations}
+loop:
+    {"out  0x10, s0" if writes else "add  s1, s1, s0"}
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   t0, 1
+    out  0xf0, t0            ; power off
 """)

@@ -301,13 +301,21 @@ class counter_attr:
     :class:`MetricsScope`) *before* the attribute is first touched. The
     bound :class:`Counter` is cached in the instance ``__dict__`` so the
     hot path is one dict hit, not a dotted-path lookup.
+
+    ``obj.<name>`` still pays the descriptor protocol on every read and
+    write. Code that bumps a counter per VM exit takes the handle
+    instead: ``obj.<name>_counter`` is the bound :class:`Counter`
+    itself (``stats.world_switches_counter.value += 1``), created in the
+    registry at first touch exactly like ``obj.<name>`` and from then on
+    a plain instance attribute.
     """
 
     __slots__ = ("name", "_key")
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
-        self._key = "_counter_" + name
+        self._key = name + "_counter"
+        setattr(owner, self._key, _CounterHandle(self))
 
     def _counter(self, obj) -> Counter:
         cache = obj.__dict__
@@ -324,3 +332,19 @@ class counter_attr:
 
     def __set__(self, obj, value) -> None:
         self._counter(obj).value = value
+
+
+class _CounterHandle:
+    """``obj.<name>_counter``: binds on first access. Having no
+    ``__set__``, it is shadowed by the instance ``__dict__`` entry
+    :meth:`counter_attr._counter` leaves behind."""
+
+    __slots__ = ("attr",)
+
+    def __init__(self, attr: counter_attr):
+        self.attr = attr
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return self.attr._counter(obj)

@@ -657,6 +657,29 @@ class TestEngineManagement:
         jit.check_costs()
         assert jit.stats()["blocks_cached"] == 0
 
+    def test_equal_valued_cost_object_does_not_flush(self):
+        # check_costs compares object identities first; a swapped-in
+        # object is then compared by value, so an equal one costs a
+        # signature rebuild and nothing else.
+        cpu, pm = _make_cpu(jit=True)
+        _heat(self._TINY, cpu=cpu, pm=pm)
+        jit = cpu._jit
+        cached = jit.stats()["blocks_cached"]
+        assert cached > 0
+        cpu.costs = cpu.mmu.costs = cpu.costs.with_()
+        jit.check_costs()
+        assert jit.stats()["blocks_cached"] == cached
+
+    def test_mmu_cost_change_alone_flushes(self):
+        # translate_bound (a block's worst-case charge) reads mmu.costs.
+        cpu, pm = _make_cpu(jit=True)
+        _heat(self._TINY, cpu=cpu, pm=pm)
+        jit = cpu._jit
+        assert jit.stats()["blocks_cached"] > 0
+        cpu.mmu.costs = cpu.mmu.costs.with_(mem_ref_cycles=77)
+        jit.check_costs()
+        assert jit.stats()["blocks_cached"] == 0
+
     def test_miss_cost_change_flushes_paging_self_loop(self):
         # A self-looping paging block inlines the reference walk and
         # with it the TLB-miss charge as a literal; a new miss cost

@@ -1,0 +1,320 @@
+"""A VM exit serviced in place is the exit serviced by the pump.
+
+``Hypervisor.run`` lends the core its exit service (``cpu.run(...,
+on_exit=service)``); where nothing the pump's loop-top looks at has
+changed, the guest resumes inside the same ``cpu.run`` call. A
+``watchdog`` passed to ``run`` makes the service answer False on every
+exit -- its beat cadence is per guest entry -- which is the path every
+exit took before: unwind to the pump, loop-top, re-entry. So every test
+here runs a guest twice, once plainly and once under a watchdog that
+can never trip, and compares everything the simulation can observe.
+"""
+
+import inspect
+
+import pytest
+
+from repro.core.hypervisor import PUMP_SLICE, RunOutcome
+from repro.bench.common import GUEST_MEMORY
+from repro.cpu import jit as jitmod
+from repro.cpu.assembler import Assembler
+from repro.cpu.exits import ExitReason, VMExit
+from repro.cpu.interp import CPUCore
+from repro.faults.watchdog import GuestProgressWatchdog
+from repro.guest import KernelOptions, build_kernel
+from repro.guest import workloads as programs
+from repro.guest.layout import GuestLayout
+from repro.util.errors import GuestError
+from tests.test_jit_vmm_parity import (
+    BY_LABEL, ROW_IDS, _create, _kernel, _state,
+)
+
+
+@pytest.fixture(autouse=True)
+def compile_on_first_visit(monkeypatch):
+    monkeypatch.setattr(jitmod, "HOT", 1)
+
+
+def _never_trips():
+    return GuestProgressWatchdog(idle_pump_limit=1 << 60)
+
+
+def _bare(body):
+    return Assembler().assemble(
+        f".org {GuestLayout.KERNEL_BASE:#x}\nstart:\n{body}")
+
+
+#: Exits, then a HLT nothing can wake: the run ends HALTED.
+HLT_NO_WAKE = """
+    li   s0, 3
+loop:
+    out  0x10, s0
+    sub  s0, s0, 1
+    bnez s0, loop
+    hlt
+"""
+
+#: Arms the one-shot timer (from here on every exit goes to the pump),
+#: enables interrupts and halts; the expiry wakes it into ``vec``.
+HLT_WAKE = """
+    li   a0, vec
+    csrw VBAR, a0
+    li   a0, 2000
+    out  0x40, a0            ; TIMER_PERIOD
+    li   a0, 1
+    out  0x41, a0            ; TIMER_CTRL: one-shot
+    out  0x10, a0
+    sti
+    hlt
+    out  0x10, a0
+vec:
+    li   a0, 1
+    out  0xf0, a0
+"""
+
+#: Power-off in the middle of a slice, with code after it that must
+#: not run.
+POWER_OFF_MID_SLICE = """
+    li   s0, 5
+loop:
+    out  0x10, s0
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   t0, 1
+    out  0xf0, t0
+    li   a3, 0xbeef
+    out  0x10, a3
+    hlt
+"""
+
+
+def _nanoos(program, **kernel_options):
+    """Scenario: NanoOS (built with ``kernel_options``) + one program."""
+    def load(hv, vm, pv):
+        kernel = (_kernel(pv) if not kernel_options else build_kernel(
+            KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY, **kernel_options)))
+        hv.load_program(vm, kernel)
+        hv.load_program(vm, program())
+        hv.reset_vcpu(vm, kernel.entry)
+    return load
+
+
+def _alone(image):
+    """Scenario: a guest without NanoOS, from reset."""
+    def load(hv, vm, _pv):
+        program = image()
+        hv.load_program(vm, program)
+        hv.reset_vcpu(vm, program.entry)
+    return load
+
+
+def _run_to_end(hv, vm, watchdog):
+    return [hv.run(vm, max_guest_instructions=2_000_000, watchdog=watchdog)]
+
+
+def _run_with_console_input(hv, vm, watchdog):
+    """Console RX pushed between two runs: the IRQ is pending (on the
+    core, or as a virq) when the guest next exits."""
+    outcomes = [hv.run(vm, max_guest_instructions=1_500, watchdog=watchdog)]
+    vm.devices["console"].push_input(ord("k"))
+    outcomes.append(hv.run(vm, max_guest_instructions=2_000_000,
+                           watchdog=watchdog))
+    return outcomes
+
+
+#: name -> (loader, driver)
+SCENARIOS = {
+    "syscall_storm": (_nanoos(lambda: programs.syscall_storm(30)), _run_to_end),
+    "pt_mix": (_nanoos(lambda: programs.pt_mix(12, 80, 8, 3)), _run_to_end),
+    "blk_write": (_nanoos(lambda: programs.blk_write(4)), _run_to_end),
+    "vblk_write": (_nanoos(lambda: programs.vblk_write(2, 3)), _run_to_end),
+    "port_storm": (_alone(lambda: programs.port_storm(60)), _run_to_end),
+    # Timer armed: the pump follows every exit, as it always did.
+    "timer_kernel": (_nanoos(lambda: programs.idle_ticks(3),
+                             timer_period=6_000), _run_to_end),
+    "console_rx": (_nanoos(lambda: programs.syscall_storm(30)),
+                   _run_with_console_input),
+    "hlt_no_wake": (_alone(lambda: _bare(HLT_NO_WAKE)), _run_to_end),
+    "hlt_wake": (_alone(lambda: _bare(HLT_WAKE)), _run_to_end),
+    "power_off_mid_slice": (_alone(lambda: _bare(POWER_OFF_MID_SLICE)),
+                            _run_to_end),
+}
+
+
+def _full_state(vm, outcomes):
+    return {
+        **_state(vm),
+        "outcomes": outcomes,
+        "exit_cycles": dict(vm.exit_stats.cycles),
+        "world_switches": vm.stats.world_switches,
+        "hypercalls": vm.stats.hypercalls,
+        "reflected_traps": vm.stats.reflected_traps,
+    }
+
+
+def _both_paths(label, jit, load, drive):
+    """[state with exits resumed in place, state with the pump after
+    every exit]."""
+    states = []
+    for watchdog in (None, _never_trips()):
+        hv, vm = _create(label, jit)
+        load(hv, vm, BY_LABEL[label][3])
+        states.append(_full_state(vm, drive(hv, vm, watchdog)))
+    return states
+
+
+@pytest.mark.parametrize("jit", [True, False], ids=["compiled", "interp"])
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_resume_in_place_equals_pump(label, scenario, jit):
+    resumed, pumped = _both_paths(label, jit, *SCENARIOS[scenario])
+    differing = [k for k in pumped if pumped[k] != resumed[k]]
+    assert not differing, f"{label}/{scenario}: " + ", ".join(
+        f"{k} ({pumped[k]!r} != {resumed[k]!r})"
+        for k in differing if k != "memory")
+    # (The translator runs guest kernel mode itself: its port writes
+    # are callouts, not exits.)
+    assert sum(pumped["exits"].values()) > 0 or label == "bin-transl"
+
+
+def test_scenarios_end_the_way_their_names_say():
+    # The comparison above holds for whatever a scenario does; this
+    # pins that each one does what it was written for (on one row).
+    expect = {
+        "hlt_no_wake": RunOutcome.HALTED,
+        "hlt_wake": RunOutcome.SHUTDOWN,
+        "power_off_mid_slice": RunOutcome.SHUTDOWN,
+        "timer_kernel": RunOutcome.SHUTDOWN,
+        "console_rx": RunOutcome.SHUTDOWN,
+    }
+    for scenario, outcome in expect.items():
+        hv, vm = _create("hw+nested", True)
+        load, drive = SCENARIOS[scenario]
+        load(hv, vm, False)
+        assert drive(hv, vm, None)[-1] is outcome, scenario
+        if scenario == "power_off_mid_slice":
+            assert vm.vcpus[0].cpu.regs[4] != 0xBEEF
+        if scenario == "console_rx":
+            assert vm.stats.injected_irqs == 0  # HW assist delivers natively
+            assert not vm.vcpus[0].cpu.pending_irqs
+
+
+def _load_exit_dense(hv, vm, label):
+    """A guest whose exits reach ``cpu.run`` under ``label``, positioned
+    in its loop. The translator runs guest kernel mode itself, so under
+    it that is NanoOS's *user* half making syscalls; elsewhere the
+    kernel-mode port loop."""
+    if label != "bin-transl":
+        _alone(lambda: programs.port_storm(400))(hv, vm, False)
+        return
+    _nanoos(lambda: programs.syscall_storm(400))(hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=8_000) is RunOutcome.INSTR_LIMIT
+
+
+@pytest.mark.parametrize("quantum", [3001, 4517, 9973])
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_cycle_budget_stops_at_the_same_edge(label, quantum):
+    # max_cycles is VM time (core + VMM cycles). Resuming in place, the
+    # core's own ceiling drops by what each exit charged the VMM, so
+    # six budgets in a row end where six pump-serviced ones do.
+    trails = []
+    for watchdog in (False, True):
+        hv, vm = _create(label, True)
+        _load_exit_dense(hv, vm, label)
+        cpu = vm.vcpus[0].cpu
+        before = vm.stats.world_switches
+        trail = []
+        for _ in range(6):
+            outcome = hv.run(vm, max_cycles=quantum,
+                             watchdog=_never_trips() if watchdog else None)
+            trail.append((outcome, cpu.cycles, cpu.instret, cpu.pc,
+                          vm.stats.vmm_cycles, vm.stats.world_switches))
+        trails.append(trail)
+    assert trails[0] == trails[1]
+    assert all(step[0] is RunOutcome.CYCLE_LIMIT for step in trails[0])
+    assert trails[0][-1][5] > before + 6  # the budgets spanned many exits
+
+
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_instruction_budget_spent_on_an_exit_edge(label):
+    # The budget runs out exactly as an intercepted OUT retires: the
+    # pump returns before anything due at that edge fires, either way.
+    trails = []
+    for watchdog in (False, True):
+        hv, vm = _create(label, True)
+        _alone(lambda: programs.port_storm(50))(hv, vm, False)
+        cpu = vm.vcpus[0].cpu
+        trail = []
+        for budget in (2, 3, 3, 1, 7, 3):
+            outcome = hv.run(vm, max_guest_instructions=budget,
+                             watchdog=_never_trips() if watchdog else None)
+            trail.append((outcome, cpu.cycles, cpu.instret, cpu.pc,
+                          vm.stats.vmm_cycles, vm.stats.world_switches))
+        trails.append(trail)
+    assert trails[0] == trails[1]
+    assert all(step[0] is RunOutcome.INSTR_LIMIT for step in trails[0])
+
+
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_triple_fault_text_is_the_same(label):
+    # No vector installed. Deprivileged rows: the SYSCALL exit's handler
+    # reflects the trap and that raises a *nested* TRIPLE_FAULT exit,
+    # which the service re-dispatches once. Hardware-assist rows: the
+    # core's own delivery exits with TRIPLE_FAULT directly.
+    texts = []
+    for watchdog in (None, _never_trips()):
+        hv, vm = _create(label, True)
+        _alone(lambda: _bare("    out  0x10, a0\n    syscall 3\n"))(
+            hv, vm, False)
+        with pytest.raises(GuestError, match="triple fault") as info:
+            hv.run(vm, max_guest_instructions=100, watchdog=watchdog)
+        texts.append((str(info.value), vm.stats.world_switches,
+                      dict(vm.exit_stats.counts)))
+    assert texts[0] == texts[1]
+
+
+def test_core_entries_scale_with_slices_not_exits(monkeypatch):
+    entries = []
+    core_run = CPUCore.run
+
+    def counting_run(self, *args, **kwargs):
+        entries.append(self.instret)
+        return core_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CPUCore, "run", counting_run)
+    hv, vm = _create("hw+nested", True)
+    _alone(lambda: programs.port_storm(3000))(hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
+    instret = vm.vcpus[0].cpu.instret
+    assert vm.exit_stats.total_exits == 3001
+    assert len(entries) <= instret // PUMP_SLICE + 2
+
+    # With the timer armed the pump follows every exit, as before.
+    del entries[:]
+    hv, vm = _create("hw+nested", True)
+    SCENARIOS["timer_kernel"][0](hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=2_000_000) is RunOutcome.SHUTDOWN
+    assert vm.devices["timer"].expirations >= 3
+    assert len(entries) > vm.exit_stats.total_exits // 2
+
+
+def test_service_is_lent_for_the_call_only():
+    hv, vm = _create("hw+nested", True)
+    _alone(lambda: programs.port_storm(5))(hv, vm, False)
+    cpu = vm.vcpus[0].cpu
+    attributes = set(vars(cpu))
+    assert hv.run(vm, max_guest_instructions=5) is RunOutcome.INSTR_LIMIT
+    assert vm.exit_stats.total_exits == 2
+    # Nothing of the service stays behind on the core...
+    assert set(vars(cpu)) == attributes
+    assert not [k for k, v in vars(cpu).items() if inspect.isroutine(v)]
+    # ...so a bare cpu.run() under controls has nobody to service an
+    # exit: the VMExit reaches the caller, raised at the intercepted
+    # instruction (which has retired; its pc has not moved).
+    pc, instret = cpu.pc, cpu.instret
+    with pytest.raises(VMExit) as info:
+        cpu.run(max_instructions=10)
+    assert info.value.reason is ExitReason.IO_OUT
+    assert info.value.guest_pc == cpu.pc
+    assert (cpu.pc, cpu.instret) != (pc, instret)
+    assert vm.exit_stats.total_exits == 2
