@@ -42,6 +42,10 @@ def test_host_throughput_quick(benchmark, show):
         assert (f"vmm/{config}", "port_storm", "compiled") in layers
         assert 0.0 < result.speedups[f"exit/{config}"] < 1.5
     assert result.speedups["exit/bin-transl"] > result.speedups["exit/hw-nested"]
+    # The same guest with every exit sent back to the pump (the harness
+    # raises if its simulated numbers differ from the resumed run's).
+    assert ("vmm/hw-nested/pumped", "port_storm", "compiled") in layers
+    assert 0.0 < result.speedups["exit/hw-nested/pumped"] < 1.5
 
     # Compute-bound code is where closure compilation pays off most;
     # this ratio is stable even at quick scale, under a VMM too.

@@ -14,7 +14,11 @@ host wall-clock second each execution engine retires. Two comparisons:
   bare compiled core takes for ``port_storm`` (one port write in every
   three instructions, no NanoOS) over the time the same guest takes
   under the config, where every write is an exit (under binary
-  translation, a callout). 1.0 would be a free exit.
+  translation, a callout). 1.0 would be a free exit. These guests
+  resume in place after every exit (DESIGN.md "The exit path");
+  ``exit/hw-nested/pumped`` is the same run with a watchdog that cannot
+  trip, so every exit goes back to the pump -- what a guest with an
+  armed timer pays on each exit.
 
 Every interp/compiled pair is also a differential test: the simulated
 cycles, instret, and workload result must be bit-identical between
@@ -45,6 +49,7 @@ from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.core.machine import MachineOutcome
 from repro.cpu.assembler import Program
+from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, boot_native, boot_vm, build_kernel
 from repro.guest import workloads
 from repro.obs.manifest import build_manifest
@@ -99,6 +104,9 @@ _PORT_STORM_WRITES_QUICK = 5_000
 _PORT_STORM_WRITES_FULL = 30_000
 _PORT_STORM_RUNS = 3
 
+#: The config that also gets an ``exit/<config>/pumped`` row.
+_PUMPED_CONFIG = "hw-nested"
+
 
 @dataclass
 class EngineRow:
@@ -131,7 +139,7 @@ class HostBenchResult:
     quick: bool
     rows: List[EngineRow]
     #: "<layer>/<workload>" -> compiled/interp guest-MIPS;
-    #: "exit/<config>" -> bare/VMM host time of port_storm.
+    #: "exit/<config>[/pumped]" -> bare/VMM host time of port_storm.
     speedups: Dict[str, float]
     jit_counters: Dict[str, int]
     table: Table
@@ -220,9 +228,12 @@ class HostBenchResult:
 
 
 def _settle() -> None:
-    """Before a timed region: collect the garbage earlier rows left (a
-    few VMs' worth of decode caches and page tables), so that a full
-    collection they made due does not land inside this row's time."""
+    """Before a timed region: free what earlier rows left. Their
+    hypervisors are cyclic garbage, and the young-generation collection
+    that frees one takes 8-26 ms -- several times a quick compiled
+    ``cpu_bound`` run -- in whichever later row the allocation count
+    happens to trigger it (``benchmarks/perf/harness.py::run_op``
+    collects before its timed region for the same reason)."""
     gc.collect()
 
 
@@ -287,10 +298,12 @@ _WALL = attrgetter("wall_s")
 
 def _run_port_storm(
     layer: str, config: Optional[Tuple[VirtMode, MMUVirtMode]], image: Program,
-    writes: int,
+    writes: int, pumped: bool = False,
 ) -> EngineRow:
     """``port_storm`` once: on the bare compiled core (``config`` None)
-    or under a VMM config."""
+    or under a VMM config; ``pumped`` passes ``Hypervisor.run`` a
+    watchdog that cannot trip, which sends every exit back to the pump
+    and changes no simulated number."""
     if config is None:
         machine = Machine(memory_bytes=GUEST_MEMORY, jit=True)
         machine.load_program(image)
@@ -308,9 +321,12 @@ def _run_port_storm(
             virt_mode=config[0], mmu_mode=config[1]))
         hv.load_program(vm, image)
         hv.reset_vcpu(vm, image.entry)
+        watchdog = (GuestProgressWatchdog(idle_pump_limit=1 << 60)
+                    if pumped else None)
         _settle()
         start = perf_counter()
-        off = hv.run(vm, max_guest_instructions=200_000_000) is RunOutcome.SHUTDOWN
+        off = hv.run(vm, max_guest_instructions=200_000_000,
+                     watchdog=watchdog) is RunOutcome.SHUTDOWN
         wall = perf_counter() - start
         cpu, console = vm.vcpus[0].cpu, vm.devices["console"]
         sim_cycles = cpu.cycles + vm.stats.vmm_cycles
@@ -322,7 +338,8 @@ def _run_port_storm(
 
 
 def _measure_exit_pair(
-    layer: str, config: Tuple[VirtMode, MMUVirtMode], writes: int
+    layer: str, config: Tuple[VirtMode, MMUVirtMode], writes: int,
+    pumped: bool = False,
 ) -> Tuple[EngineRow, EngineRow]:
     """(bare row, VMM row) for one ``exit/<config>`` ratio: the runs
     alternate, so both sides see the same stretch of host speed, and
@@ -331,20 +348,22 @@ def _measure_exit_pair(
     bare, under = [], []
     for _ in range(_PORT_STORM_RUNS):
         bare.append(_run_port_storm("native", None, image, writes))
-        under.append(_run_port_storm(layer, config, image, writes))
+        under.append(_run_port_storm(layer, config, image, writes, pumped))
     return min(bare, key=_WALL), min(under, key=_WALL)
 
 
-def _assert_identical(name: str, interp: EngineRow, compiled: EngineRow) -> None:
-    """The differential bar: host speed is the only permitted delta."""
-    if (interp.instructions, interp.sim_cycles) != (
-        compiled.instructions,
-        compiled.sim_cycles,
+def _assert_identical(name: str, first: EngineRow, second: EngineRow) -> None:
+    """The differential bar: host speed is the only permitted delta
+    between the two runs of a pair (interpreter and compiled; resumed
+    in place and pumped)."""
+    if (first.instructions, first.sim_cycles) != (
+        second.instructions,
+        second.sim_cycles,
     ):
         raise GuestError(
-            f"{name}: compiled engine diverged from the interpreter "
-            f"(instret {interp.instructions} vs {compiled.instructions}, "
-            f"cycles {interp.sim_cycles} vs {compiled.sim_cycles})"
+            f"{name}: the two runs diverged "
+            f"(instret {first.instructions} vs {second.instructions}, "
+            f"cycles {first.sim_cycles} vs {second.sim_cycles})"
         )
 
 
@@ -446,12 +465,21 @@ def run_host_throughput(
 
     writes = _PORT_STORM_WRITES_QUICK if quick else _PORT_STORM_WRITES_FULL
     bare_rows = []
-    for label, virt_mode, mmu_mode, _pv in _VMM_CONFIGS:
-        bare_row, row = _measure_exit_pair(
-            f"vmm/{label}", (virt_mode, mmu_mode), writes)
+
+    def exit_pair(label: str, config, pumped: bool = False) -> EngineRow:
+        key = label + "/pumped" if pumped else label
+        bare_row, row = _measure_exit_pair(f"vmm/{key}", config, writes, pumped)
         bare_rows.append(bare_row)
         rows.append(row)
-        speedups[f"exit/{label}"] = bare_row.wall_s / row.wall_s
+        speedups[f"exit/{key}"] = bare_row.wall_s / row.wall_s
+        return row
+
+    for label, virt_mode, mmu_mode, _pv in _VMM_CONFIGS:
+        config = (virt_mode, mmu_mode)
+        row = exit_pair(label, config)
+        if label == _PUMPED_CONFIG:
+            _assert_identical(
+                f"exit/{label}/pumped", row, exit_pair(label, config, pumped=True))
     rows.append(min(bare_rows, key=_WALL))
 
     hotspots: Optional[List[Dict[str, Any]]] = None

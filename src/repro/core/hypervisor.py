@@ -27,6 +27,7 @@ from repro.core.policies import (
     DEPRIVILEGED, HW_ASSIST_NESTED, HW_ASSIST_SHADOW, hmode_controls,
 )
 from repro.core.shadow import ShadowMMU
+from repro.core.stats import VMStats
 from repro.core.vcpu import VCPU
 from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.cpu.exits import ExitReason, VMExit
@@ -456,7 +457,7 @@ class Hypervisor:
         start_cycles = self._vm_time(vm)
         timer: TimerDevice = vm.devices["timer"]
         power: PowerControl = vm.devices["power"]
-        vmm = vm.stats.vmm_cycles_counter
+        vmm = VMStats.vmm_cycles.bound(vm.stats)
         stalled_pumps = 0
 
         def service(exit_: VMExit) -> bool:
@@ -674,7 +675,7 @@ class Hypervisor:
     # -- exit dispatch -----------------------------------------------------
 
     def _vm_time(self, vm: VirtualMachine) -> int:
-        return vm.vcpus[0].cpu.cycles + vm.stats.vmm_cycles_counter.value
+        return vm.vcpus[0].cpu.cycles + vm.stats.vmm_cycles
 
     def _handle_exit(self, vm: VirtualMachine, vcpu: VCPU, exit_: VMExit) -> None:
         """Service one VM exit: the world-switch charge, the reason's
@@ -684,12 +685,12 @@ class Hypervisor:
         reason = exit_.reason
         if reason is ExitReason.VMCALL:
             switch = costs.hypercall_cycles
-            stats.hypercalls_counter.value += 1
+            VMStats.hypercalls.bound(stats).value += 1
         elif vm.bt is not None:
             switch = costs.bt_reflect_cycles
         else:
             switch = costs.vmexit_cycles
-        stats.world_switches_counter.value += 1
+        VMStats.world_switches.bound(stats).value += 1
         # Where an intercepted instruction resumes once emulated: past
         # its real encoding (4 bytes, or 8 with an immediate word).
         next_pc = (vcpu.cpu.pc + exit_.instruction_length) & 0xFFFFFFFF
@@ -703,7 +704,7 @@ class Hypervisor:
             # reflection can produce is TRIPLE_FAULT, which is terminal.
             self._handle_exit(vm, vcpu, nested)
             return
-        stats.vmm_cycles_counter.value += switch + handler_cycles
+        VMStats.vmm_cycles.bound(stats).value += switch + handler_cycles
         vm.exit_stats.record(reason, switch + handler_cycles, detail)
         if self.trace is not None:
             self.trace.emit(
@@ -797,12 +798,12 @@ class Hypervisor:
         mmu = vcpu.cpu.mmu
         if kind == "shadow_fill":
             mmu.fill(exit_.qual("va"), exit_.qual("access"))
-            vm.stats.shadow_fills_counter.value += 1
+            VMStats.shadow_fills.bound(vm.stats).value += 1
             return "shadow_fill", costs.shadow_fill_cycles
         if kind == "pt_write":
             ins = vcpu.cpu.fetch(vcpu.cpu.pc)
             emulate_guest_store(vcpu, ins, vm.guest_mem, mmu)
-            vm.stats.shadow_pt_writes_counter.value += 1
+            VMStats.shadow_pt_writes.bound(vm.stats).value += 1
             return "pt_write", costs.shadow_ptwrite_cycles
         if kind == "dirty_log":
             gfn = exit_.qual("gfn")
@@ -817,7 +818,7 @@ class Hypervisor:
         if kind == "ept_violation":
             gpa = exit_.qual("gpa")
             gfn = gpa >> PAGE_SHIFT
-            vm.stats.ept_violations_counter.value += 1
+            VMStats.ept_violations.bound(vm.stats).value += 1
             if gfn >= vm.num_pages:
                 raise GuestError(
                     f"VM {vm.name}: access to gPA {gpa:#x} beyond guest RAM"
@@ -874,7 +875,7 @@ class Hypervisor:
             cpu.mmu.set_root(a0)
         elif call is HypercallNumbers.MMU_BATCH:
             count = a1
-            vmm = vm.stats.vmm_cycles_counter
+            vmm = VMStats.vmm_cycles.bound(vm.stats)
             for i in range(count):
                 gpa = vm.guest_mem.read_u32(a0 + i * 8)
                 value = vm.guest_mem.read_u32(a0 + i * 8 + 4)

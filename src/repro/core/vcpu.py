@@ -13,6 +13,7 @@ core's CSR file *is* the guest's and ``vcsr`` is unused.
 from typing import List
 
 from repro.core.modes import VirtMode
+from repro.core.stats import VMStats
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, TrapInfo
 from repro.cpu.isa import CSR, MODE_KERNEL, MODE_USER
@@ -98,7 +99,7 @@ class VCPU:
         self.vcsr[CSR.ECAUSE] = int(info.cause)
         self.vcsr[CSR.EVAL] = info.value & 0xFFFFFFFF
         self.cpu.pc = vbar
-        self.vm.stats.reflected_traps_counter.value += 1
+        VMStats.reflected_traps.bound(self.vm.stats).value += 1
 
     def emulate_iret(self) -> None:
         """The guest kernel executed IRET; apply it to virtual state."""

@@ -302,22 +302,21 @@ class counter_attr:
     bound :class:`Counter` is cached in the instance ``__dict__`` so the
     hot path is one dict hit, not a dotted-path lookup.
 
-    ``obj.<name>`` still pays the descriptor protocol on every read and
-    write. Code that bumps a counter per VM exit takes the handle
-    instead: ``obj.<name>_counter`` is the bound :class:`Counter`
-    itself (``stats.world_switches_counter.value += 1``), created in the
-    registry at first touch exactly like ``obj.<name>`` and from then on
-    a plain instance attribute.
+    ``obj.<name> += 1`` is a descriptor read and a descriptor write.
+    Code that bumps a counter per VM exit asks the descriptor for the
+    :class:`Counter` instead and bumps its ``value``:
+    ``VMStats.world_switches.bound(stats).value += 1``.
     """
 
     __slots__ = ("name", "_key")
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
-        self._key = name + "_counter"
-        setattr(owner, self._key, _CounterHandle(self))
+        self._key = "_counter_" + name
 
-    def _counter(self, obj) -> Counter:
+    def bound(self, obj) -> Counter:
+        """``obj``'s :class:`Counter` behind this attribute (created in
+        the registry on first touch, like ``obj.<name>``)."""
         cache = obj.__dict__
         ctr = cache.get(self._key)
         if ctr is None:
@@ -328,23 +327,7 @@ class counter_attr:
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        return self._counter(obj).value
+        return self.bound(obj).value
 
     def __set__(self, obj, value) -> None:
-        self._counter(obj).value = value
-
-
-class _CounterHandle:
-    """``obj.<name>_counter``: binds on first access. Having no
-    ``__set__``, it is shadowed by the instance ``__dict__`` entry
-    :meth:`counter_attr._counter` leaves behind."""
-
-    __slots__ = ("attr",)
-
-    def __init__(self, attr: counter_attr):
-        self.attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return self.attr._counter(obj)
+        self.bound(obj).value = value
