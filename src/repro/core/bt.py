@@ -5,12 +5,13 @@ basic blocks on first touch, classifies each instruction, and caches a
 *translated block*:
 
 * innocuous instructions are executed natively (interpreter fast path);
-* privileged and sensitive instructions become **inline callouts** into
-  monitor emulation against the vCPU's virtual state -- no hardware
-  world switch, cost :attr:`~repro.mem.costs.CostModel.bt_callout_cycles`
-  each. This both restores Popek-Goldberg correctness (user-mode STI /
-  CLI / CSRR of MODE and IE are rewritten, so the guest sees virtual
-  state) and removes the trap-per-instruction tax of trap-and-emulate.
+* privileged and sensitive instructions become **inline callouts** that
+  run the core's own :meth:`~repro.cpu.interp.CPUCore.system` against
+  the vCPU's virtual state -- no hardware world switch, cost
+  :attr:`~repro.mem.costs.CostModel.bt_callout_cycles` each. This both
+  restores Popek-Goldberg correctness (user-mode STI / CLI / CSRR of
+  MODE and IE are rewritten, so the guest sees virtual state) and
+  removes the trap-per-instruction tax of trap-and-emulate.
 
 Blocks end at control transfers. Block dispatch costs
 ``bt_dispatch_cycles`` (translation-cache hash lookup) unless the
@@ -25,7 +26,6 @@ translator on virtual privilege transitions.
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.emulate import emulate_privileged
 from repro.core.vcpu import VCPU
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
@@ -68,14 +68,12 @@ class BTEngine:
         vcpu: VCPU,
         costs: CostModel,
         inject_virq: Callable[[VCPU], bool],
-        port_bus=None,
         hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
         cache_enabled: bool = True,
         chaining_enabled: bool = True,
     ):
         self.vcpu = vcpu
         self.costs = costs
-        self.port_bus = port_bus
         self.hypercall_handler = hypercall_handler
         #: The hypervisor's virq injector: delivers one pending virtual
         #: IRQ if the guest's virtual IE allows; True if it injected
@@ -344,14 +342,6 @@ class BTEngine:
         cpu.instret += 1
         op = ins.op
 
-        if op is Op.SYSCALL or op is Op.BRK:
-            cause = Cause.SYSCALL if op is Op.SYSCALL else Cause.BREAK
-            cpu.cycles += self.costs.trap_cycles
-            vcpu.reflect_trap(
-                TrapInfo(cause, ins.simm12 & 0xFFF, epc=cpu.pc + ins.length)
-            )
-            return True
-
         if op is Op.VMCALL:
             if self.hypercall_handler is None:
                 raise RuntimeError("BT guest issued VMCALL with no handler")
@@ -360,17 +350,19 @@ class BTEngine:
             self.hypercall_handler(
                 vcpu, ins.simm12 & 0xFFF, (cpu.pc + ins.length) & 0xFFFFFFFF
             )
-            if vcpu.halted or vcpu.virtual_mode != MODE_KERNEL:
+        else:
+            if op in (Op.IN, Op.OUT):
+                cpu.cycles += self.costs.emulate_cycles
+            elif op in (Op.SYSCALL, Op.BRK):
+                cpu.cycles += self.costs.trap_cycles
+            pc = cpu.pc
+            if cpu.system(vcpu, None, ins, op, pc,
+                          (pc + ins.length) & 0xFFFFFFFF):
+                # It trapped into the guest (SYSCALL, BRK, an illegal
+                # CSR): pc is at the vector, the rest of this block is
+                # not what executes next.
                 return True
-            return self._post_retire_inject()
-
-        if op in (Op.IN, Op.OUT):
-            cpu.cycles += self.costs.emulate_cycles
-        emulate_privileged(vcpu, ins, port_bus=self.port_bus)
-        if op is Op.IRET:
-            if vcpu.virtual_mode != MODE_KERNEL:
-                return True
-        elif op is Op.HLT:
+        if vcpu.halted or vcpu.virtual_mode != MODE_KERNEL:
             return True
         return self._post_retire_inject()
 

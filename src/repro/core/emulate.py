@@ -1,113 +1,36 @@
-"""In-monitor emulation of guest privileged instructions.
+"""In-monitor emulation of trapped guest instructions.
 
-Shared by the trap-and-emulate exit handler (after a PRIV exit) and the
-binary translator (as inline callouts): decode-and-execute one guest
-privileged instruction against the vCPU's *virtual* state.
+A deprivileged guest kernel's privileged instruction traps PRIV to the
+monitor, which then does to the vCPU's *virtual* state exactly what the
+hardware would have done to real state -- by running the hardware's own
+routine, :meth:`~repro.cpu.interp.CPUCore.system`, with the vCPU as the
+privileged-state holder and nothing intercepted. (The binary translator
+calls the same routine from its callouts.) A trapped store to a
+write-protected page-table page is completed here too.
 """
 
-from repro.cpu.interp import TrapInfo
-from repro.cpu.isa import CSR, Cause, Instruction, Op, READONLY_CSRS
+from repro.cpu.isa import Instruction, LAST_BRANCH_OP, OPS, Op
 from repro.mem.paging import AccessType
 from repro.util.errors import GuestError
 from repro.util.units import PAGE_SHIFT
 
-#: Virtual CSRs an emulated CSRR/CSRW accesses (everything else reads
-#: through to the core: CYCLES, INSTRET, CPUID are shared with the host).
-_VIRTUAL_CSRS = frozenset(
-    {
-        int(CSR.MODE),
-        int(CSR.IE),
-        int(CSR.PTBR),
-        int(CSR.VBAR),
-        int(CSR.EPC),
-        int(CSR.ECAUSE),
-        int(CSR.EVAL),
-        int(CSR.SCRATCH),
-        int(CSR.ESTATUS),
-    }
-)
 
-
-def emulate_privileged(vcpu, ins: Instruction, port_bus=None) -> str:
+def emulate_privileged(vcpu, ins: Instruction) -> str:
     """Apply one privileged/sensitive guest instruction to virtual state.
 
-    Returns a short mnemonic for exit accounting. Advances the guest pc
-    unless the instruction is itself a control transfer (IRET).
+    Returns the detail for exit accounting: the mnemonic, or
+    ``"illegal_csr"`` when the instruction itself trapped into the guest
+    (an unknown or read-only CSR; native semantics, not a host error --
+    guests probing CSR space behave the same under every mode).
     """
     cpu = vcpu.cpu
-    vcsr = vcpu.vcsr
     op = ins.op
-
-    if op is Op.CSRR:
-        csr = ins.simm12 & 0xFFF
-        if csr in _VIRTUAL_CSRS:
-            value = vcsr[csr]
-        elif csr == CSR.CYCLES:
-            value = cpu.cycles & 0xFFFFFFFF
-        elif csr == CSR.INSTRET:
-            value = cpu.instret & 0xFFFFFFFF
-        elif csr == CSR.CPUID:
-            value = cpu.csr[CSR.CPUID]
-        elif csr < len(vcsr):
-            # Architecturally-unassigned-but-in-range CSRs are guest
-            # scratch on bare hardware; keep them in virtual state.
-            value = vcsr[csr]
-        else:
-            # Native semantics: ILLEGAL trap into the *guest*, not a
-            # host error -- guests probing CSR space must behave the
-            # same under every virtualization mode.
-            vcpu.reflect_trap(TrapInfo(Cause.ILLEGAL, csr, epc=cpu.pc))
-            return "illegal_csr"
-        cpu.write_reg(ins.rd, value)
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "csrr"
-
-    if op is Op.CSRW:
-        csr = ins.simm12 & 0xFFF
-        value = cpu.regs[ins.ra]
-        if csr in READONLY_CSRS or csr >= len(vcsr):
-            vcpu.reflect_trap(TrapInfo(Cause.ILLEGAL, csr, epc=cpu.pc))
-            return "illegal_csr"
-        vcsr[csr] = value & 0xFFFFFFFF
-        if csr == CSR.PTBR:
-            cpu.mmu.set_root(value)
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "csrw"
-
-    if op is Op.IRET:
-        vcpu.emulate_iret()
-        return "iret"
-
-    if op is Op.HLT:
-        vcpu.halted = True
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "hlt"
-
-    if op is Op.STI or op is Op.CLI:
-        vcsr[CSR.IE] = 1 if op is Op.STI else 0
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "sti" if op is Op.STI else "cli"
-
-    if op is Op.INVLPG:
-        cpu.mmu.invlpg(cpu.regs[ins.ra])
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "invlpg"
-
-    if op is Op.OUT:
-        if port_bus is None:
-            raise GuestError("guest OUT with no virtual port bus")
-        port_bus.io_out(ins.simm12 & 0xFFF, cpu.regs[ins.ra])
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "out"
-
-    if op is Op.IN:
-        if port_bus is None:
-            raise GuestError("guest IN with no virtual port bus")
-        cpu.write_reg(ins.rd, port_bus.io_in(ins.simm12 & 0xFFF))
-        cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
-        return "in"
-
-    raise GuestError(f"cannot emulate {op.name} (pc={cpu.pc:#x})")
+    if op <= LAST_BRANCH_OP:
+        raise GuestError(f"cannot emulate {op.name} (pc={cpu.pc:#x})")
+    pc = cpu.pc
+    if cpu.system(vcpu, None, ins, op, pc, (pc + ins.length) & 0xFFFFFFFF):
+        return "illegal_csr"
+    return OPS[op].mnemonic
 
 
 def emulate_guest_store(vcpu, ins: Instruction, guest_mem, shadow) -> int:

@@ -322,7 +322,6 @@ class Hypervisor:
                 vcpu,
                 self.costs,
                 partial(self._maybe_inject, vm),
-                port_bus=vm.port_bus,
                 hypercall_handler=partial(self._do_hypercall, vm),
             )
         else:
@@ -742,8 +741,7 @@ class Hypervisor:
             ins = exit_.qualification["ins"]
             if ins is None:
                 ins = vcpu.cpu.fetch(vcpu.cpu.pc)
-            return (emulate_privileged(vcpu, ins, port_bus=vm.port_bus),
-                    costs.emulate_cycles)
+            return emulate_privileged(vcpu, ins), costs.emulate_cycles
         self._reflect(vm, vcpu, info)
         return _CAUSE_DETAIL[info.cause], costs.trap_cycles
 
@@ -892,7 +890,7 @@ class Hypervisor:
                     a0 & 1,
                 )
         elif call is HypercallNumbers.IRET:
-            vcpu.emulate_iret()
+            cpu.leave_trap(vcpu)
             if vm.config.virt_mode is VirtMode.PARAVIRT:
                 vm.guest_mem.write_u32(
                     (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET,

@@ -7,14 +7,19 @@ privileged state -- its MODE, IE, VBAR, PTBR, trap CSRs -- lives here in
 the real core's CSRs belong to the host.
 
 Under HW_ASSIST the hardware tracks guest state natively, so the real
-core's CSR file *is* the guest's and ``vcsr`` is unused.
+core's CSR file *is* the guest's; ``vcsr`` is then written only by the
+PV hypercalls that name it (``SET_VBAR`` / ``SET_PTBR`` / ``SET_IE``
+from an HVM guest's PV driver) and still travels in the snapshot blob.
+
+A :class:`VCPU` is a privileged-state holder in the sense of
+:mod:`repro.cpu.interp`: the monitor emulates a system instruction, a
+trap entry or an IRET by running the core's own routine against it.
 """
 
 from typing import List
 
 from repro.core.modes import VirtMode
 from repro.core.stats import VMStats
-from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, TrapInfo
 from repro.cpu.isa import CSR, MODE_KERNEL, MODE_USER
 
@@ -43,7 +48,25 @@ class VCPU:
         #: a micro-reboot clears it by construction.
         self.stalled = False
 
-    # -- virtual privilege ----------------------------------------------------
+    # -- the privileged-state holder (see repro.cpu.interp) ---------------------
+
+    @property
+    def csr(self) -> List[int]:
+        """The list that holds this guest's privileged registers: the
+        core's own under HW_ASSIST, ``vcsr`` when deprivileged."""
+        if self.vm.config.virt_mode is VirtMode.HW_ASSIST:
+            return self.cpu.csr
+        return self.vcsr
+
+    @property
+    def port_bus(self):
+        return self.vm.port_bus
+
+    # The virtual privilege level stays on ``vcsr`` rather than going
+    # through ``csr``: only the deprivileged engines consult it, and the
+    # translator reads it at every block dispatch, where the accessor's
+    # cost shows. Under HW_ASSIST nothing reads it; the one writer there
+    # is a PV IRET hypercall issued by an HVM guest.
 
     @property
     def virtual_mode(self) -> int:
@@ -53,11 +76,26 @@ class VCPU:
     def virtual_user(self) -> bool:
         return self.vcsr[CSR.MODE] == MODE_USER
 
-    def set_virtual_mode(self, mode: int) -> None:
+    def set_mode(self, mode: int) -> None:
         if self.vcsr[CSR.MODE] != mode:
             self.vcsr[CSR.MODE] = mode
             if self.on_virtual_mode_change is not None:
                 self.on_virtual_mode_change(mode == MODE_KERNEL)
+
+    def trap(self, cause, value: int, epc: int, ins=None) -> None:
+        self.reflect_trap(TrapInfo(cause, value, epc))
+
+    def reflect_trap(self, info: TrapInfo) -> None:
+        """Deliver a trap into the guest using *virtual* state.
+
+        This is what the VMM does after intercepting a guest-destined
+        trap (syscall, guest page fault, virtual interrupt) in a
+        deprivileged mode: perform, in software, exactly what the
+        hardware trap-delivery microcode would have done -- by running
+        that microcode (:meth:`CPUCore.enter_trap`) against this vCPU.
+        """
+        self.cpu.enter_trap(self, info)
+        VMStats.reflected_traps.bound(self.vm.stats).value += 1
 
     def rebuild_translation(self) -> None:
         """Rebuild host-local translation state from the guest's PTBR.
@@ -67,46 +105,11 @@ class VCPU:
         restored, point the MMU at the restored root (and, for a
         ring-compressed shadow, at the restored privilege view).
         """
-        hw = self.vm.config.virt_mode is VirtMode.HW_ASSIST
-        root = self.cpu.csr[CSR.PTBR] if hw else self.vcsr[CSR.PTBR]
+        root = self.csr[CSR.PTBR]
         if root:
             self.cpu.mmu.set_root(root)
             if self.on_virtual_mode_change is not None:
                 self.on_virtual_mode_change(not self.virtual_user)
-
-    # -- trap reflection -----------------------------------------------------
-
-    def reflect_trap(self, info: TrapInfo) -> None:
-        """Deliver a trap into the guest using *virtual* state.
-
-        This is what the VMM does after intercepting a guest-destined
-        trap (syscall, guest page fault, virtual interrupt) in a
-        deprivileged mode: perform, in software, exactly what the
-        hardware trap-delivery microcode would have done.
-        """
-        vbar = self.vcsr[CSR.VBAR]
-        if vbar == 0:
-            raise VMExit(
-                ExitReason.TRIPLE_FAULT,
-                guest_pc=self.cpu.pc,
-                cause=info.cause,
-                value=info.value,
-            )
-        self.vcsr[CSR.ESTATUS] = self.vcsr[CSR.MODE] | (self.vcsr[CSR.IE] << 1)
-        self.set_virtual_mode(MODE_KERNEL)
-        self.vcsr[CSR.IE] = 0
-        self.vcsr[CSR.EPC] = info.epc & 0xFFFFFFFF
-        self.vcsr[CSR.ECAUSE] = int(info.cause)
-        self.vcsr[CSR.EVAL] = info.value & 0xFFFFFFFF
-        self.cpu.pc = vbar
-        VMStats.reflected_traps.bound(self.vm.stats).value += 1
-
-    def emulate_iret(self) -> None:
-        """The guest kernel executed IRET; apply it to virtual state."""
-        estatus = self.vcsr[CSR.ESTATUS]
-        self.vcsr[CSR.IE] = (estatus >> 1) & 1
-        self.set_virtual_mode(estatus & 1)
-        self.cpu.pc = self.vcsr[CSR.EPC]
 
     def __repr__(self) -> str:
         return f"<VCPU {self.vm.name}#{self.index} pc={self.cpu.pc:#x}>"

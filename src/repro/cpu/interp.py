@@ -18,10 +18,19 @@ With ``controls=None`` the core is exactly a bare machine; this is the
 :meth:`CPUCore.run` executes compiled blocks (:mod:`repro.cpu.jit`)
 under every MMU and every controls record: a block holds only ALU,
 memory and branch instructions, so each intercept is still tested in
-``_trap`` / ``_system`` / ``_csr_write`` / ``_io``, which compiled code
-reaches only through :meth:`CPUCore.step` or ``_trap``. The reference
+:meth:`CPUCore.trap` / :meth:`CPUCore.system`, which compiled code
+reaches only through :meth:`CPUCore.step` or ``trap``. The reference
 loop :meth:`CPUCore._run_interp` (``jit_enabled = False``) stays the
 oracle.
+
+What a system instruction, trap entry and IRET *do* is written once,
+in :meth:`CPUCore.system` / :meth:`CPUCore.enter_trap` /
+:meth:`CPUCore.leave_trap`, against a *privileged-state holder*: the
+object with the guest's ``csr`` list, its ``halted`` flag, its
+``port_bus``, ``set_mode(mode)`` and ``trap(cause, value, epc, ins)``.
+The core is its own holder; a deprivileged guest's is its
+:class:`~repro.core.vcpu.VCPU`, which the monitor passes in to emulate
+the same instruction against virtual state.
 """
 
 import enum
@@ -202,14 +211,11 @@ class CPUCore:
 
     # -- trap machinery -----------------------------------------------------
 
-    def deliver_trap(self, info: TrapInfo) -> None:
-        """Unconditionally vector a trap into the (guest) kernel.
-
-        Public because VMMs use it to *inject* events (reflected traps,
-        virtual interrupts) exactly the way hardware event injection
-        works on VM entry.
-        """
-        vbar = self.csr[CSR.VBAR]
+    def enter_trap(self, h, info: TrapInfo) -> None:
+        """Trap entry against holder ``h``: save MODE/IE in ESTATUS, enter
+        kernel mode with interrupts off, record EPC/ECAUSE/EVAL, vector."""
+        csr = h.csr
+        vbar = csr[CSR.VBAR]
         if vbar == 0:
             if self.controls is not None:
                 raise VMExit(ExitReason.TRIPLE_FAULT, guest_pc=self.pc,
@@ -218,17 +224,35 @@ class CPUCore:
                 f"triple fault: trap {info.cause.name} with no vector "
                 f"installed (pc={self.pc:#x}, value={info.value:#x})"
             )
-        self.csr[CSR.ESTATUS] = self.csr[CSR.MODE] | (self.csr[CSR.IE] << 1)
-        self.csr[CSR.MODE] = MODE_KERNEL
-        self.csr[CSR.IE] = 0
-        self.csr[CSR.EPC] = info.epc & 0xFFFFFFFF
-        self.csr[CSR.ECAUSE] = int(info.cause)
-        self.csr[CSR.EVAL] = info.value & 0xFFFFFFFF
+        csr[CSR.ESTATUS] = csr[CSR.MODE] | (csr[CSR.IE] << 1)
+        h.set_mode(MODE_KERNEL)
+        csr[CSR.IE] = 0
+        csr[CSR.EPC] = info.epc & 0xFFFFFFFF
+        csr[CSR.ECAUSE] = int(info.cause)
+        csr[CSR.EVAL] = info.value & 0xFFFFFFFF
         self.pc = vbar
+
+    def leave_trap(self, h) -> None:
+        """IRET against holder ``h``: restore MODE/IE from ESTATUS, resume
+        at EPC."""
+        csr = h.csr
+        estatus = csr[CSR.ESTATUS]
+        h.set_mode(estatus & 1)
+        csr[CSR.IE] = (estatus >> 1) & 1
+        self.pc = csr[CSR.EPC]
+
+    def deliver_trap(self, info: TrapInfo) -> None:
+        """Unconditionally vector a trap into the (guest) kernel.
+
+        Public because VMMs use it to *inject* events (reflected traps,
+        virtual interrupts) exactly the way hardware event injection
+        works on VM entry.
+        """
+        self.enter_trap(self, info)
         self.cycles += self.costs.trap_cycles
 
-    def _trap(self, cause: Cause, value: int, epc: int,
-              ins: Optional[Instruction] = None) -> None:
+    def trap(self, cause: Cause, value: int, epc: int,
+             ins: Optional[Instruction] = None) -> None:
         info = TrapInfo(cause, value, epc)
         ctl = self.controls
         if ctl is not None:
@@ -251,14 +275,6 @@ class CPUCore:
                     deleg_miss=deleg_miss,
                 )
         self.deliver_trap(info)
-
-    def _intercept(self, reason: ExitReason, ins: Instruction, **qual):
-        """Leave the guest at the intercepted instruction ``ins``.
-
-        The exit reports ``ins.length`` so the handler can step over
-        the 4- or 8-byte form alike.
-        """
-        raise VMExit(reason, self.pc, ins.length, **qual)
 
     # -- fetch/decode ---------------------------------------------------------
 
@@ -339,7 +355,7 @@ class CPUCore:
             for cause in _IRQ_PRIORITY:
                 if cause in self.pending_irqs:
                     self.pending_irqs.discard(cause)
-                    self._trap(cause, 0, epc=self.pc)
+                    self.trap(cause, 0, epc=self.pc)
                     return
         pc = self.pc
         try:
@@ -360,7 +376,7 @@ class CPUCore:
                     f"triple fault: PF_EXEC fetching the trap vector "
                     f"(pc={pc:#x}, value={fault.vaddr:#x})"
                 )
-            self._trap(Cause.PF_EXEC, fault.vaddr, epc=pc)
+            self.trap(Cause.PF_EXEC, fault.vaddr, epc=pc)
             return
         self.cycles += self.costs.instr_cycles
         self.execute(ins)
@@ -386,7 +402,7 @@ class CPUCore:
                 if spec.extra:
                     self.cycles += getattr(self.costs, spec.extra)
                     if not b and op in DIV_OPS:
-                        self._trap(Cause.DIV0, 0, epc=pc)
+                        self.trap(Cause.DIV0, 0, epc=pc)
                         return
                 self.write_reg(ins.rd, spec.fn(regs[ins.ra], b))
             self.pc = next_pc
@@ -409,7 +425,7 @@ class CPUCore:
                     if fault.access is AccessType.WRITE
                     else Cause.PF_READ
                 )
-                self._trap(cause, fault.vaddr, epc=pc, ins=ins)
+                self.trap(cause, fault.vaddr, epc=pc, ins=ins)
                 return
             except VMExit:
                 # The monitor services the exit (shadow fill, dirty
@@ -435,7 +451,23 @@ class CPUCore:
             self.pc = target
             return
 
-        self._system(ins, op, pc, next_pc)
+        # System instruction. Privilege and the row's extra charge are
+        # the executing core's business; what the instruction then does
+        # is system()'s, against this core's own privileged state.
+        if self.csr[CSR.MODE] == MODE_USER:
+            if is_privileged(op, ins.simm12 & 0xFFF):
+                self.trap(Cause.PRIV, int(op), epc=pc, ins=ins)
+                return
+            if op in SENSITIVE_UNPRIV_OPS:
+                # Non-trapping: silently ignored in user mode (the
+                # Popek-Goldberg violation). No control intercepts it:
+                # a deprivileged guest kernel really loses the write.
+                self.pc = next_pc
+                return
+        extra = OPS[op].extra
+        if extra:
+            self.cycles += getattr(self.costs, extra)
+        self.system(self, self.controls, ins, op, pc, next_pc)
 
     def run(
         self,
@@ -634,100 +666,84 @@ class CPUCore:
 
     # -- system instructions --------------------------------------------------
 
-    def _system(self, ins: Instruction, op: Op, pc: int, next_pc: int) -> None:
-        if self.user_mode:
-            if is_privileged(op, ins.simm12 & 0xFFF):
-                self._trap(Cause.PRIV, int(op), epc=pc, ins=ins)
-                return
-            if op in SENSITIVE_UNPRIV_OPS:
-                # Non-trapping: silently ignored in user mode (the
-                # Popek-Goldberg violation). No control intercepts it:
-                # a deprivileged guest kernel really loses the write.
-                self.pc = next_pc
-                return
-        ctl = self.controls
-        extra = OPS[op].extra
-        if extra:
-            self.cycles += getattr(self.costs, extra)
+    def system(self, h, ctl: Optional[ExecControls], ins: Instruction,
+               op: Op, pc: int, next_pc: int) -> bool:
+        """What system instruction ``ins`` at ``pc`` does; True if it trapped.
 
+        ``h`` is the privileged-state holder (module docstring): this
+        core with ``ctl`` its installed controls when the instruction
+        runs natively, a vCPU with ``ctl=None`` when a monitor emulates
+        it. The caller has checked privilege and charged the row.
+        """
         if op is Op.SYSCALL:
             # EPC points past the instruction so IRET resumes after it.
-            self._trap(Cause.SYSCALL, ins.simm12 & 0xFFF, epc=next_pc, ins=ins)
-        elif op is Op.BRK:
-            self._trap(Cause.BREAK, 0, epc=next_pc, ins=ins)
-        elif op is Op.VMCALL:
-            if ctl is not None and ctl.vmcall:
-                self._intercept(ExitReason.VMCALL, ins, num=ins.simm12 & 0xFFF)
-            self._trap(Cause.ILLEGAL, 0, epc=pc, ins=ins)
-        elif op is Op.STI or op is Op.CLI:
-            self.csr[CSR.IE] = 1 if op is Op.STI else 0
-            self.pc = next_pc
-        elif op is Op.CSRR:
-            self._csr_read(ins, pc, next_pc)
+            h.trap(Cause.SYSCALL, ins.simm12 & 0xFFF, next_pc, ins)
+            return True
+        if op is Op.BRK:
+            h.trap(Cause.BREAK, 0, next_pc, ins)
+            return True
+        if op is Op.IRET:
+            self.leave_trap(h)
+            return False
+        if op is Op.CSRR:
+            n = ins.simm12 & 0xFFF
+            csr = h.csr
+            if n == CSR.CYCLES:
+                value = self.cycles & 0xFFFFFFFF
+            elif n == CSR.INSTRET:
+                value = self.instret & 0xFFFFFFFF
+            elif n < len(csr):
+                value = csr[n]
+            else:
+                h.trap(Cause.ILLEGAL, n, pc, ins)
+                return True
+            self.write_reg(ins.rd, value)
         elif op is Op.CSRW:
-            self._csr_write(ins, pc, next_pc)
-        elif op is Op.IRET:
-            estatus = self.csr[CSR.ESTATUS]
-            self.csr[CSR.MODE] = estatus & 1
-            self.csr[CSR.IE] = (estatus >> 1) & 1
-            self.pc = self.csr[CSR.EPC]
+            n = ins.simm12 & 0xFFF
+            csr = h.csr
+            value = self.regs[ins.ra]
+            if ctl is not None and ctl.paging and n == CSR.PTBR:
+                raise VMExit(ExitReason.CSR_WRITE, pc, ins.length,
+                             csr=n, value=value)
+            if n in READONLY_CSRS or n >= len(csr):
+                h.trap(Cause.ILLEGAL, n, pc, ins)
+                return True
+            csr[n] = value & 0xFFFFFFFF
+            if n == CSR.PTBR:
+                self.mmu.set_root(value)
+        elif op is Op.OUT:
+            port = ins.simm12 & 0xFFF
+            value = self.regs[ins.ra]
+            if ctl is not None and ctl.io:
+                raise VMExit(ExitReason.IO_OUT, pc, ins.length,
+                             port=port, value=value)
+            bus = h.port_bus
+            if bus is not None:
+                bus.io_out(port, value)
+        elif op is Op.IN:
+            port = ins.simm12 & 0xFFF
+            if ctl is not None and ctl.io:
+                raise VMExit(ExitReason.IO_IN, pc, ins.length,
+                             port=port, value=0)
+            bus = h.port_bus
+            self.write_reg(ins.rd, bus.io_in(port) if bus is not None else 0)
+        elif op is Op.STI or op is Op.CLI:
+            h.csr[CSR.IE] = 1 if op is Op.STI else 0
         elif op is Op.HLT:
             if ctl is not None and ctl.hlt:
-                self._intercept(ExitReason.HLT, ins)
-            self.pc = next_pc
-            self.halted = True
+                raise VMExit(ExitReason.HLT, pc, ins.length)
+            h.halted = True
         elif op is Op.INVLPG:
             va = self.regs[ins.ra]
             if ctl is not None and ctl.paging:
-                self._intercept(ExitReason.PRIV_INSTR, ins, op=op, va=va)
+                raise VMExit(ExitReason.PRIV_INSTR, pc, ins.length,
+                             op=op, va=va)
             self.mmu.invlpg(va)
-            self.pc = next_pc
-        else:  # OUT / IN
-            self._io(ins, op, next_pc)
-
-    def _csr_read(self, ins: Instruction, pc: int, next_pc: int) -> None:
-        csr = ins.simm12 & 0xFFF
-        if csr == CSR.CYCLES:
-            value = self.cycles & 0xFFFFFFFF
-        elif csr == CSR.INSTRET:
-            value = self.instret & 0xFFFFFFFF
-        elif csr < len(self.csr):
-            value = self.csr[csr]
-        else:
-            self._trap(Cause.ILLEGAL, csr, epc=pc, ins=ins)
-            return
-        self.write_reg(ins.rd, value)
+        else:  # VMCALL
+            if ctl is not None and ctl.vmcall:
+                raise VMExit(ExitReason.VMCALL, pc, ins.length,
+                             num=ins.simm12 & 0xFFF)
+            h.trap(Cause.ILLEGAL, 0, pc, ins)
+            return True
         self.pc = next_pc
-
-    def _csr_write(self, ins: Instruction, pc: int, next_pc: int) -> None:
-        csr = ins.simm12 & 0xFFF
-        value = self.regs[ins.ra]
-        ctl = self.controls
-        if ctl is not None and ctl.paging and csr == CSR.PTBR:
-            self._intercept(ExitReason.CSR_WRITE, ins, csr=csr, value=value)
-        if csr in READONLY_CSRS or csr >= len(self.csr):
-            self._trap(Cause.ILLEGAL, csr, epc=pc, ins=ins)
-            return
-        self.csr[csr] = value & 0xFFFFFFFF
-        if csr == CSR.PTBR:
-            self.mmu.set_root(value)
-        self.pc = next_pc
-
-    def _io(self, ins: Instruction, op: Op, next_pc: int) -> None:
-        port = ins.simm12 & 0xFFF
-        ctl = self.controls
-        intercepted = ctl is not None and ctl.io
-        if op is Op.OUT:
-            value = self.regs[ins.ra]
-            if intercepted:
-                self._intercept(ExitReason.IO_OUT, ins, port=port, value=value)
-            if self.port_bus is not None:
-                self.port_bus.io_out(port, value)
-            self.pc = next_pc
-            return
-        # IN
-        if intercepted:
-            self._intercept(ExitReason.IO_IN, ins, port=port, value=0)
-        value = self.port_bus.io_in(port) if self.port_bus is not None else 0
-        self.write_reg(ins.rd, value & 0xFFFFFFFF)
-        self.pc = next_pc
+        return False

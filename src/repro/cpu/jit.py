@@ -557,11 +557,11 @@ def _emit_block(
             if guarded:
                 # Everything is committed (the DIV0 retires, as in
                 # CPUCore.execute).  Under deprivileged
-                # controls _trap raises VMExit(GUEST_TRAP), which would
+                # controls trap raises VMExit(GUEST_TRAP), which would
                 # land in our own except-_VX handler and roll state
                 # back to the last *memory* op's boundary -- disarm it.
                 src.emit(depth + 1, "_n = -1")
-            src.emit(depth + 1, f"cpu._trap(_DIV0, 0, {va})")
+            src.emit(depth + 1, f"cpu.trap(_DIV0, 0, {va})")
             src.emit(depth + 1, "return")
             if ins.rd:
                 expr = OPS[op].expr.format(a=a, b="_b")
@@ -629,7 +629,7 @@ def _emit_block(
             (
                 "except _PF as f:",
                 "_n + 1",
-                f"cpu._trap(_PFW if f.access is _AW else _PFR, "
+                f"cpu.trap(_PFW if f.access is _AW else _PFR, "
                 f"f.vaddr, _V[_n], _I[_n])",
             ),
             ("except _VX:", "_n", "raise"),

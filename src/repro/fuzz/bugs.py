@@ -25,14 +25,14 @@ def _step_without_triple_fault_guard(self) -> None:
         for cause in _IRQ_PRIORITY:
             if cause in self.pending_irqs:
                 self.pending_irqs.discard(cause)
-                self._trap(cause, 0, epc=self.pc)
+                self.trap(cause, 0, epc=self.pc)
                 return
     pc = self.pc
     try:
         ins = self.fetch(pc)
     except PageFault as fault:
         self.cycles += self.costs.instr_cycles
-        self._trap(Cause.PF_EXEC, fault.vaddr, epc=pc)
+        self.trap(Cause.PF_EXEC, fault.vaddr, epc=pc)
         return
     self.cycles += self.costs.instr_cycles
     self.execute(ins)

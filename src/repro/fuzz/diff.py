@@ -256,7 +256,6 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
         outcome = "abort"
         abort = f"{type(exc).__name__}: {exc}"
 
-    csr_src = cpu.csr if hw else vcpu.vcsr
     pending = cpu.pending_irqs if hw else vm.pending_virqs
     return {
         "name": config_name,
@@ -265,7 +264,7 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
         "pc": cpu.pc,
         "halted": bool(cpu.halted or vcpu.halted),
         "regs": list(cpu.regs),
-        "csr_view": {c.name: csr_src[c] for c in GUEST_CSRS},
+        "csr_view": {c.name: vcpu.csr[c] for c in GUEST_CSRS},
         "pending": sorted(c.name for c in pending),
         "console": vm.devices["console"].text,
         "instret": cpu.instret,

@@ -13,7 +13,6 @@ directory named by the vCPU's (virtual) PTBR.
 from typing import Iterator, List, Set, Tuple
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.modes import VirtMode
 from repro.core.vm import VirtualMachine
 from repro.cpu.isa import CSR
 from repro.mem.paging import (
@@ -27,11 +26,7 @@ from repro.util.units import PAGE_SHIFT
 
 
 def _guest_root(vm: VirtualMachine) -> int:
-    vcpu = vm.vcpus[0]
-    if vm.config.virt_mode is VirtMode.HW_ASSIST:
-        root = vcpu.cpu.csr[CSR.PTBR]
-    else:
-        root = vcpu.vcsr[CSR.PTBR]
+    root = vm.vcpus[0].csr[CSR.PTBR]
     if root == 0:
         raise GuestError(f"VM {vm.name} has not enabled paging yet")
     return root & ~0xFFF

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.emulate import emulate_guest_store, emulate_privileged
-from repro.cpu.isa import CSR, MODE_USER, Op, decode, encode
+from repro.cpu.exits import ExitReason, VMExit
+from repro.cpu.interp import TrapInfo
+from repro.cpu.isa import CSR, Cause, MODE_USER, Op, decode, encode
 from repro.util.errors import GuestError
 from repro.util.units import MIB
 
@@ -55,8 +57,6 @@ class TestCSRs:
         # Native semantics: a write to a read-only CSR is an ILLEGAL
         # trap delivered to the *guest*, not a host error. With a guest
         # vector installed the trap is reflected there...
-        from repro.cpu.isa import Cause
-
         vcpu.vcsr[CSR.VBAR] = 0x3000
         name = emulate_privileged(vcpu, ins(Op.CSRW, ra=1,
                                             simm12=int(CSR.MODE)))
@@ -67,10 +67,37 @@ class TestCSRs:
         assert vcpu.vcsr[CSR.EPC] == 0x1000  # the faulting pc, not advanced
 
     def test_unknown_csr_write_without_vector_triple_faults(self, vcpu):
-        from repro.cpu.exits import VMExit
-
         with pytest.raises(VMExit):
             emulate_privileged(vcpu, ins(Op.CSRW, ra=1, simm12=999))
+
+    @pytest.mark.parametrize("probe", [
+        dict(op=Op.CSRR, rd=3, simm12=100),
+        dict(op=Op.CSRW, ra=1, simm12=100),
+    ], ids=["csrr", "csrw"])
+    def test_out_of_range_csr_is_illegal_both_directions(self, vcpu, probe):
+        vcpu.vcsr[CSR.VBAR] = 0x3000
+        vcpu.cpu.regs[3] = 0x55
+        assert emulate_privileged(vcpu, ins(**probe)) == "illegal_csr"
+        assert vcpu.cpu.pc == 0x3000
+        assert vcpu.cpu.regs[3] == 0x55  # rd untouched
+        assert vcpu.vcsr[CSR.ECAUSE] == int(Cause.ILLEGAL)
+        assert vcpu.vcsr[CSR.EVAL] == 100
+        assert vcpu.vcsr[CSR.EPC] == 0x1000
+        assert vcpu.vm.stats.reflected_traps == 1
+
+    def test_trap_without_vector_triple_faults_from_either_holder(self, vcpu):
+        # One trap-entry routine: with VBAR = 0 it exits TRIPLE_FAULT
+        # whether the privileged state is the vCPU's or the core's own.
+        cpu = vcpu.cpu
+        info = TrapInfo(Cause.ILLEGAL, 7, epc=0x1000)
+        for deliver in (vcpu.reflect_trap, cpu.deliver_trap):
+            with pytest.raises(VMExit) as exc:
+                deliver(info)
+            assert exc.value.reason is ExitReason.TRIPLE_FAULT
+            assert exc.value.qual("cause") is Cause.ILLEGAL
+            assert exc.value.qual("value") == 7
+        assert vcpu.vcsr[CSR.EPC] == 0 and cpu.csr[CSR.EPC] == 0
+        assert vcpu.vm.stats.reflected_traps == 0
 
 
 class TestModeChanges:
@@ -107,18 +134,24 @@ class TestModeChanges:
 class TestIO:
     def test_out_reaches_virtual_bus(self, vcpu):
         vcpu.cpu.regs[1] = ord("Z")
-        emulate_privileged(vcpu, ins(Op.OUT, ra=1, simm12=0x10),
-                           port_bus=vcpu.vm.port_bus)
+        emulate_privileged(vcpu, ins(Op.OUT, ra=1, simm12=0x10))
         assert vcpu.vm.devices["console"].text == "Z"
 
     def test_in_reads_virtual_bus(self, vcpu):
-        emulate_privileged(vcpu, ins(Op.IN, rd=2, simm12=0x11),
-                           port_bus=vcpu.vm.port_bus)
+        emulate_privileged(vcpu, ins(Op.IN, rd=2, simm12=0x11))
         assert vcpu.cpu.regs[2] == 1  # console status
 
-    def test_io_without_bus_rejected(self, vcpu):
-        with pytest.raises(GuestError):
-            emulate_privileged(vcpu, ins(Op.IN, rd=1, simm12=0x10))
+    def test_io_reaches_the_vms_own_bus(self, vcpu):
+        # Nothing is handed in: the vCPU, as the privileged-state holder,
+        # knows its VM's bus (the core's own port_bus stays None).
+        assert vcpu.cpu.port_bus is None
+        assert vcpu.port_bus is vcpu.vm.port_bus
+        vcpu.cpu.regs[1] = ord("Q")
+        assert emulate_privileged(vcpu, ins(Op.OUT, ra=1, simm12=0x10)) == "out"
+        assert emulate_privileged(vcpu, ins(Op.IN, rd=2, simm12=0x11)) == "in"
+        assert vcpu.vm.devices["console"].text == "Q"
+        assert vcpu.cpu.regs[2] == 1  # console status read back
+        assert vcpu.cpu.pc == 0x1008
 
 
 class TestGuestStore:

@@ -20,7 +20,7 @@ import hashlib
 import pytest
 
 from repro.bench.common import GUEST_MEMORY, MODE_MATRIX
-from repro.core import GuestConfig, Hypervisor, VirtMode
+from repro.core import GuestConfig, Hypervisor
 from repro.core.emulate import emulate_guest_store
 from repro.core.hypervisor import RunOutcome
 from repro.core.schedule import VMScheduler
@@ -385,8 +385,7 @@ def _finish(hv, vm):
 def _gfn_of(vm, va):
     """Walk the guest's own page tables (None if ``va`` is unmapped)."""
     vcpu = vm.vcpus[0]
-    hw = vm.config.virt_mode is VirtMode.HW_ASSIST
-    root = (vcpu.cpu.csr if hw else vcpu.vcsr)[CSR.PTBR] & ~0xFFF
+    root = vcpu.csr[CSR.PTBR] & ~0xFFF
     read = vm.guest_mem.read_u32
     pde = read(root + (va >> 22) * 4)
     if not pde & 1:
