@@ -41,7 +41,7 @@ the configuration and seed.
 import hashlib
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.balancer import plan_rebalance
@@ -178,6 +178,7 @@ class ShardState:
                  epoch_us: int, demand_jitter: float, virt_overhead: float):
         self.shard_id = shard_id
         self.hosts = hosts
+        self.host_by_name: Dict[str, Host] = {h.name: h for h in hosts}
         self.registry = registry
         self.rng = rng
         self.injector = injector
@@ -192,12 +193,6 @@ class ShardState:
         #: Next outgoing message sequence number (monotonic per shard).
         self.seq = 0
         self.scope = registry.scope(f"cluster.shard.{shard_id:03d}")
-
-    def _host_by_name(self, name: str) -> Optional[Host]:
-        for host in self.hosts:
-            if host.name == name:
-                return host
-        return None
 
     def next_seq(self) -> int:
         self.seq += 1
@@ -234,7 +229,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
     for msg in inbox:
         if msg.kind == "arrive":
             vm, host_name = msg.payload
-            host = state._host_by_name(host_name)
+            host = state.host_by_name.get(host_name)
             if host is not None and host.fits(vm):
                 host.place(vm)
                 state.base_demand[vm.name] = vm.cpu_demand
@@ -250,7 +245,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
                     payload=(vm, host_name)))
         elif msg.kind == "depart":
             vm_name, host_name = msg.payload
-            host = state._host_by_name(host_name)
+            host = state.host_by_name.get(host_name)
             if host is not None and vm_name in host.vms:
                 host.remove(vm_name)
                 state.base_demand.pop(vm_name, None)
@@ -271,8 +266,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
                 if base is None:
                     continue
                 factor = 1.0 + (state.rng.random() * 2.0 - 1.0) * jitter
-                host.vms[name] = replace(host.vms[name],
-                                         cpu_demand=round(base * factor, 3))
+                host.set_demand(name, round(base * factor, 3))
 
     if state.injector is not None:
         for host in state.hosts:
@@ -312,7 +306,7 @@ class _BarrierHost:
     """Coordinator's working copy of one host between summary and plan."""
 
     __slots__ = ("name", "shard", "domain", "alive", "cpu_capacity",
-                 "memory_bytes", "vms")
+                 "memory_bytes", "vms", "memory_used")
 
     def __init__(self, summary: HostSummary):
         self.name = summary.name
@@ -321,11 +315,17 @@ class _BarrierHost:
         self.alive = summary.alive
         self.cpu_capacity = summary.cpu_capacity
         self.memory_bytes = summary.memory_bytes
+        #: Written only by :meth:`add` / :meth:`drop`, which keep
+        #: ``memory_used`` the sum of the residents' ``memory_bytes``.
         self.vms: Dict[str, VMSpec] = {vm.name: vm for vm in summary.vms}
+        self.memory_used = summary.memory_used
 
-    @property
-    def memory_used(self) -> int:
-        return sum(vm.memory_bytes for vm in self.vms.values())
+    def add(self, vm: VMSpec) -> None:
+        self.vms[vm.name] = vm
+        self.memory_used += vm.memory_bytes
+
+    def drop(self, name: str) -> None:
+        self.memory_used -= self.vms.pop(name).memory_bytes
 
     @property
     def memory_free(self) -> int:
@@ -505,7 +505,7 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                 if candidates:
                     target = max(candidates,
                                  key=lambda h: (h.memory_free, h.name))
-                    target.vms[vm.name] = vm
+                    target.add(vm)
                     send("arrive", target.shard, (vm, target.name))
                     coord.counter("evac.replaced").inc()
                 else:
@@ -522,8 +522,8 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                     max_moves=config.max_moves_per_epoch)
                 for move in moves:
                     src, dst = by_name[move.src], by_name[move.dst]
-                    del src.vms[move.vm.name]
-                    dst.vms[move.vm.name] = move.vm
+                    src.drop(move.vm.name)
+                    dst.add(move.vm)
                     send("depart", move.src_shard, (move.vm.name, move.src))
                     send("arrive", move.dst_shard, (move.vm, move.dst))
                     coord.counter("balancer.moves").inc()
@@ -544,9 +544,9 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                 if target is None:
                     coord.counter("admission.rejected.capacity").inc()
                     continue
-                target.vms[vm.name] = vm
+                target.add(vm)
                 if not _reserve_satisfied(work, config.reserve_failures):
-                    del target.vms[vm.name]
+                    target.drop(vm.name)
                     coord.counter("admission.rejected.reserve").inc()
                     continue
                 send("arrive", target.shard, (vm, target.name))

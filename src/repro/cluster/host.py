@@ -68,7 +68,11 @@ class Host:
         #: whole cluster into one registry.
         self.metrics = (metrics if metrics is not None else
                         MetricsRegistry().scope(f"cluster.host.{self.name}"))
+        #: Resident VMs by name. Written only by :meth:`place`,
+        #: :meth:`remove` and :meth:`set_demand`, which is what keeps
+        #: ``memory_used`` equal to the sum of their ``memory_bytes``.
         self.vms: Dict[str, VMSpec] = {}
+        self.memory_used = 0
         self.alive = True
 
     # -- failure model -------------------------------------------------------
@@ -98,15 +102,13 @@ class Host:
         return False
 
     @property
-    def memory_used(self) -> int:
-        return sum(vm.memory_bytes for vm in self.vms.values())
-
-    @property
     def memory_free(self) -> int:
         return self.spec.memory_bytes - self.memory_used
 
     @property
     def cpu_demand(self) -> float:
+        # Summed on demand, in ``vms`` order: float addition is not
+        # associative and this sum reaches the manifests.
         return sum(vm.cpu_demand for vm in self.vms.values())
 
     @property
@@ -127,13 +129,22 @@ class Host:
         if not self.fits(vm):
             raise ConfigError(f"VM {vm.name} does not fit on {self.name}")
         self.vms[vm.name] = vm
+        self.memory_used += vm.memory_bytes
         self.placements += 1
 
     def remove(self, name: str) -> VMSpec:
         try:
-            return self.vms.pop(name)
+            vm = self.vms.pop(name)
         except KeyError:
             raise ConfigError(f"VM {name} not on {self.name}") from None
+        self.memory_used -= vm.memory_bytes
+        return vm
+
+    def set_demand(self, name: str, cpu_demand: float) -> None:
+        """Reprice a resident VM's CPU demand; it keeps its place in ``vms``."""
+        vm = self.vms[name]
+        self.vms[name] = VMSpec(name, cpu_demand, vm.memory_bytes,
+                                vm.interactive)
 
     def summary(self, shard: int = 0) -> "HostSummary":
         """A frozen, picklable snapshot for coordinator-side decisions.

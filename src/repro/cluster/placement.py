@@ -189,27 +189,112 @@ def _choose_constrained(
     return None, RELAX_ORDER[-1]
 
 
-def _place(
-    vms: Sequence[VMSpec],
-    hosts: List[Host],
-    choose: Callable[[VMSpec, List[Host]], Optional[Host]],
+def choose_host(
+    vm: VMSpec,
+    hosts: Sequence[Host],
+    policy: PlacementPolicy,
+    constraints: Optional[ConstraintSet] = None,
+) -> Tuple[Optional[Host], str]:
+    """Which host takes ``vm`` right now: ``(host or None, relax level)``.
+
+    Without constraints the policy's chooser picks among the hosts that
+    fit; with them the relax ladder is walked (and reservation may raise
+    :class:`AdmissionError`). One pick is one pass over ``hosts``.
+    """
+    choose = _CHOOSERS[policy]
+    if constraints is None or constraints.is_empty():
+        return choose(vm, [h for h in hosts if h.fits(vm)]), RELAX_ORDER[0]
+    return _choose_constrained(vm, hosts, choose, constraints)
+
+
+class _FreeIndex:
+    """Max-tree over positions in ``hosts``, keyed by free memory.
+
+    Lives for one :func:`place` pass. A dead host is keyed -1 and a VM
+    needs at least one byte, so "free >= need" is exactly
+    :meth:`Host.fits`. Both queries descend left-first, which resolves
+    ties to the leftmost list position -- what ``cs[0]`` and
+    ``max(cs, key=memory_free)`` over the filtered scan return.
+    """
+
+    def __init__(self, hosts: Sequence[Host]):
+        size = 1
+        while size < len(hosts):
+            size *= 2
+        self.size = size
+        self.tree = tree = [-1] * (2 * size)
+        for pos, host in enumerate(hosts):
+            if host.alive:
+                tree[size + pos] = host.memory_free
+        for node in range(size - 1, 0, -1):
+            tree[node] = max(tree[2 * node], tree[2 * node + 1])
+
+    def first(self, need: int) -> Optional[int]:
+        """Leftmost position with free >= ``need`` (first-fit)."""
+        tree = self.tree
+        if tree[1] < need:
+            return None
+        node = 1
+        while node < self.size:
+            node *= 2
+            if tree[node] < need:
+                node += 1
+        return node - self.size
+
+    def emptiest(self, need: int) -> Optional[int]:
+        """Leftmost position holding the most free memory, if ``need``
+        fits there (worst-fit)."""
+        return self.first(max(need, self.tree[1]))
+
+    def update(self, pos: int, free: int) -> None:
+        tree = self.tree
+        node = self.size + pos
+        tree[node] = free
+        while node > 1:
+            node //= 2
+            top = max(tree[2 * node], tree[2 * node + 1])
+            if tree[node] == top:
+                break
+            tree[node] = top
+
+
+def _commit(vm: VMSpec, host: Optional[Host]) -> None:
+    if host is None:
+        raise ConfigError(
+            f"no host can fit VM {vm.name} "
+            f"({vm.memory_bytes} bytes of memory)"
+        )
+    host.place(vm)
+
+
+def place(
+    vms: Sequence[VMSpec], hosts: List[Host], policy: PlacementPolicy,
     constraints: Optional[ConstraintSet] = None,
 ) -> Placement:
+    """Place ``vms`` in order onto ``hosts`` under ``policy``.
+
+    Unconstrained first-fit and worst-fit ask a :class:`_FreeIndex`
+    built for this pass; best-fit and constrained placement pick each
+    VM's host with :func:`choose_host`.
+    """
     relaxations: Dict[str, str] = {}
-    for vm in vms:
-        vm.validate()
-        if constraints is None or constraints.is_empty():
-            host = choose(vm, [h for h in hosts if h.fits(vm)])
-        else:
-            host, level = _choose_constrained(vm, hosts, choose, constraints)
-            if host is not None and level != RELAX_ORDER[0]:
+    if (policy is not PlacementPolicy.BEST_FIT
+            and (constraints is None or constraints.is_empty())):
+        index = _FreeIndex(hosts)
+        find = (index.first if policy is PlacementPolicy.FIRST_FIT
+                else index.emptiest)
+        for vm in vms:
+            vm.validate()
+            pos = find(vm.memory_bytes)
+            _commit(vm, None if pos is None else hosts[pos])
+            index.update(pos, hosts[pos].memory_free)
+    else:
+        for vm in vms:
+            vm.validate()
+            host, level = choose_host(vm, hosts, policy, constraints)
+            _commit(vm, host)
+            if level != RELAX_ORDER[0]:
                 relaxations[vm.name] = level
-        if host is None:
-            raise ConfigError(
-                f"no host can fit VM {vm.name} "
-                f"({vm.memory_bytes} bytes of memory)"
-            )
-        host.place(vm)
     return Placement(hosts=hosts, relaxations=relaxations)
 
 
@@ -218,8 +303,7 @@ def first_fit(
     constraints: Optional[ConstraintSet] = None,
 ) -> Placement:
     """Place each VM on the first host with room."""
-    return _place(vms, hosts, _CHOOSERS[PlacementPolicy.FIRST_FIT],
-                  constraints)
+    return place(vms, hosts, PlacementPolicy.FIRST_FIT, constraints)
 
 
 def best_fit(
@@ -227,8 +311,7 @@ def best_fit(
     constraints: Optional[ConstraintSet] = None,
 ) -> Placement:
     """Tightest fit: the candidate with the least free memory left."""
-    return _place(vms, hosts, _CHOOSERS[PlacementPolicy.BEST_FIT],
-                  constraints)
+    return place(vms, hosts, PlacementPolicy.BEST_FIT, constraints)
 
 
 def worst_fit(
@@ -236,16 +319,7 @@ def worst_fit(
     constraints: Optional[ConstraintSet] = None,
 ) -> Placement:
     """Loosest fit: spread load onto the emptiest candidate."""
-    return _place(vms, hosts, _CHOOSERS[PlacementPolicy.WORST_FIT],
-                  constraints)
-
-
-def place(
-    vms: Sequence[VMSpec], hosts: List[Host], policy: PlacementPolicy,
-    constraints: Optional[ConstraintSet] = None,
-) -> Placement:
-    """Dispatch by policy enum."""
-    return _place(vms, hosts, _CHOOSERS[policy], constraints)
+    return place(vms, hosts, PlacementPolicy.WORST_FIT, constraints)
 
 
 @dataclass
@@ -335,7 +409,6 @@ def failover(
     :class:`RetryPolicy` budget is spent, the VM is abandoned to
     ``lost`` (and ``gave_up``).
     """
-    choose = _CHOOSERS[policy]
     replace_constraints = None
     if constraints is not None and constraints.anti_affinity_groups:
         # Reservation-free view: failover never refuses for headroom.
@@ -356,14 +429,8 @@ def failover(
         )
         for vm in stranded:
             host.remove(vm.name)
-            if replace_constraints is None:
-                candidates = [h for h in placement.hosts if h.fits(vm)]
-                target = choose(vm, candidates)
-                level = RELAX_ORDER[0]
-            else:
-                target, level = _choose_constrained(
-                    vm, placement.hosts, choose, replace_constraints
-                )
+            target, level = choose_host(vm, placement.hosts, policy,
+                                        replace_constraints)
             if target is None:
                 report.lost.append(vm)
                 continue

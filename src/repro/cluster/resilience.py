@@ -29,13 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.host import Placement, VMSpec
 from repro.cluster.placement import (
-    _CHOOSERS,
-    _choose_constrained,
     RELAX_ORDER,
     AdmissionError,
     ConstraintSet,
     EvacuationConfig,
     PlacementPolicy,
+    choose_host,
 )
 from repro.migration.model import simulate_precopy
 from repro.obs.registry import MetricsRegistry
@@ -123,12 +122,9 @@ class ResilienceController:
     # -- evacuate / re-place -------------------------------------------------
 
     def _pick_target(self, vm: VMSpec):
-        choose = _CHOOSERS[self.policy]
-        hosts = self.placement.hosts
-        if self.constraints is None:
-            return choose(vm, [h for h in hosts if h.fits(vm)]), RELAX_ORDER[0]
         try:
-            return _choose_constrained(vm, hosts, choose, self.constraints)
+            return choose_host(vm, self.placement.hosts, self.policy,
+                               self.constraints)
         except AdmissionError:  # pragma: no cover - reservation stripped
             return None, RELAX_ORDER[-1]
 

@@ -1,21 +1,31 @@
 """Cluster: hosts, placement, interference, power, balancing."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
+    DEFAULT_CATALOGUE,
+    RELAX_ORDER,
+    ConstraintSet,
     Host,
     HostSpec,
     LoadBalancer,
     Placement,
+    PlacementPolicy,
     PowerModel,
     VMSpec,
+    ResilienceController,
     best_fit,
     consolidation_savings,
+    failover,
     first_fit,
     host_performance,
+    place,
     plan_consolidation,
     worst_fit,
 )
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sim.kernel import Simulator
 from repro.sim.link import NetworkLink
 from repro.util.errors import ConfigError
@@ -227,3 +237,185 @@ class TestBalancer:
     def test_watermark_validation(self):
         with pytest.raises(ConfigError):
             LoadBalancer(self._link(), high_watermark=0.5, low_watermark=0.8)
+
+
+def balanced(hosts):
+    """The books: every host's maintained byte count equals a recount."""
+    return all(h.memory_used == sum(v.memory_bytes for v in h.vms.values())
+               for h in hosts)
+
+
+class TestBooks:
+    """``memory_used`` is maintained, not recounted; whoever moves VMs
+    must leave it equal to the recount."""
+
+    def _loaded(self, n=6):
+        hosts = [Host(SPEC, i, domain=f"rack{i % 3}") for i in range(n)]
+        return first_fit([vm(f"v{i}", cpu=0.9, mem=(1 + i % 3) * GIB)
+                          for i in range(5 * n)], hosts)
+
+    def test_place_remove_set_demand(self):
+        host = Host(SPEC, 0)
+        host.place(vm("a", mem=3 * GIB))
+        host.place(vm("b", mem=5 * GIB))
+        host.set_demand("a", 2.5)
+        assert host.vms["a"] == vm("a", cpu=2.5, mem=3 * GIB)
+        assert list(host.vms) == ["a", "b"]  # repricing keeps its place
+        assert host.memory_used == 8 * GIB
+        host.remove("a")
+        with pytest.raises(ConfigError):
+            host.remove("a")
+        with pytest.raises(ConfigError):
+            host.place(vm("b", mem=1 * GIB))
+        assert host.memory_used == 5 * GIB and balanced([host])
+
+    def test_failover(self):
+        placement = self._loaded()
+        placement.hosts[0].fail()
+        report = failover(placement)
+        assert report.recovered and not placement.hosts[0].vms
+        assert balanced(placement.hosts)
+
+    def test_resilience_controller_under_cascades(self):
+        placement = self._loaded()
+        placement.hosts[0].fail()
+        injector = FaultInjector(FaultPlan(seed=5, specs=[
+            FaultSpec("host.crash", rate=1.0, after=3, count=2)]))
+        report = ResilienceController(placement, injector=injector).run()
+        assert report.cascade_failures and report.moves
+        assert balanced(placement.hosts)
+
+    def test_load_balancer(self):
+        placement = self._loaded(n=3)  # first-fit leaves host-0 hot
+        link = NetworkLink(Simulator(), bandwidth_bytes_per_sec=125 * MIB,
+                           latency=100)
+        report = LoadBalancer(link).rebalance(placement)
+        assert report.migration_count > 0
+        assert balanced(placement.hosts)
+
+
+# -- place() against the per-VM scan it replaced ------------------------------
+
+
+def scan_pick(v, hosts, policy, cons):
+    """Reference: filter every host by fits(), then cs[0] / min / max
+    (first of equals), walking the anti-affinity relax ladder."""
+    peers = cons.peers_of(v.name) if cons is not None else frozenset()
+    for level, name in enumerate(RELAX_ORDER):
+        cs = [h for h in hosts if h.fits(v)]
+        if peers and level == 0:
+            census = {}
+            for h in hosts:
+                if h.alive:
+                    census[h.domain] = (census.get(h.domain, 0)
+                                        + len(peers.intersection(h.vms)))
+            cs = [h for h in cs if census[h.domain] < cons.max_per_domain]
+        elif peers and level == 1:
+            cs = [h for h in cs if not peers.intersection(h.vms)]
+        if cs:
+            if policy is PlacementPolicy.FIRST_FIT:
+                return cs[0], name
+            pick = min if policy is PlacementPolicy.BEST_FIT else max
+            return pick(cs, key=lambda h: h.memory_free), name
+    return None, RELAX_ORDER[-1]
+
+
+def scan_place(vms, hosts, policy, cons):
+    relaxations = {}
+    for v in vms:
+        host, level = scan_pick(v, hosts, policy, cons)
+        if host is None:
+            raise ConfigError(f"no host can fit VM {v.name}")
+        host.place(v)
+        if level != RELAX_ORDER[0]:
+            relaxations[v.name] = level
+    return relaxations
+
+
+def twin_fleets(rng):
+    """Two identical host lists: 1-70 hosts of mixed size over three
+    racks, some dead before anything is placed."""
+    sizes = [rng.choice((8 * GIB, 16 * GIB, 16 * GIB, 24 * GIB,
+                         16 * GIB + 12345)) for _ in range(rng.randint(1, 70))]
+    dead = {i for i in range(len(sizes)) if rng.random() < 0.15}
+    twins = []
+    for _ in range(2):
+        hosts = [Host(HostSpec(cores=4, cpu_capacity=4.0, memory_bytes=size),
+                      i, domain=f"rack{i % 3}")
+                 for i, size in enumerate(sizes)]
+        for i in dead:
+            hosts[i].fail()
+        twins.append(hosts)
+    return twins
+
+
+def random_batch(rng, hosts, tag):
+    """Catalogue sizes, odd byte counts, and sizes that exactly fill
+    some host's remaining room."""
+    batch = []
+    for i in range(rng.randint(1, 60)):
+        kind = rng.random()
+        if kind < 0.6:
+            mem = rng.choice(DEFAULT_CATALOGUE).memory_bytes
+        elif kind < 0.8:
+            mem = rng.randrange(1, 5 * GIB) | 1
+        else:
+            mem = max(1, rng.choice(hosts).memory_free)
+        batch.append(vm(f"{tag}-{i}", cpu=0.5, mem=mem))
+    return batch
+
+
+CONSTRAINTS = {
+    "none": lambda names: None,
+    "empty": lambda names: ConstraintSet(),
+    # Non-empty, but no placed VM has peers: the ladder's first rung.
+    "strangers": lambda names: ConstraintSet({"svc": ["x", "y"]}),
+    "groups": lambda names: ConstraintSet(
+        {f"svc{g}": names[g::7] for g in range(7)}, max_per_domain=2),
+}
+
+
+class TestPlaceMatchesScan:
+    @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))
+    @pytest.mark.parametrize("policy", list(PlacementPolicy))
+    def test_same_host_for_every_vm(self, policy, kind):
+        refused = relaxed = 0
+        for seed in range(25):
+            rng = random.Random(seed)
+            ours, theirs = twin_fleets(rng)
+            cons = CONSTRAINTS[kind]([f"b{b}-{i}" for b in range(3)
+                                      for i in range(60)])
+            for round_ in range(3):
+                batch = random_batch(rng, theirs, f"b{round_}")
+                try:
+                    expected = scan_place(batch, theirs, policy, cons)
+                except ConfigError:
+                    refused += 1
+                    with pytest.raises(ConfigError):
+                        place(batch, ours, policy, cons)
+                else:
+                    got = place(batch, ours, policy, cons)
+                    assert got.relaxations == expected
+                    relaxed += len(expected)
+                # Same VMs, same hosts, same arrival order -- including
+                # the prefix placed before a refusal.
+                assert ([list(h.vms) for h in ours]
+                        == [list(h.vms) for h in theirs]), (seed, round_)
+                assert balanced(ours)
+                for mine, twin in zip(ours, theirs):
+                    for name in [n for n in mine.vms if rng.random() < 0.3]:
+                        mine.remove(name)
+                        twin.remove(name)
+        assert refused  # the nothing-fits path was exercised
+        assert relaxed or kind != "groups"
+
+    def test_ties_go_to_the_leftmost_host(self):
+        # n-1 equal VMs, worst-fit, over a dead host and n-1 equal live
+        # ones: every pick is a tie among the still-empty hosts, and
+        # any tie-break but the leftmost permutes the result.
+        for n in (2, 3, 5, 8, 13, 64, 70):
+            hosts = [Host(SPEC, i) for i in range(n)]
+            hosts[0].fail()
+            worst_fit([vm(f"v{i}") for i in range(n - 1)], hosts)
+            assert ([list(h.vms) for h in hosts]
+                    == [[]] + [[f"v{i}"] for i in range(n - 1)])

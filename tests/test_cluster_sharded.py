@@ -1,9 +1,12 @@
 """The sharded cluster simulation: determinism, parity, fault plans."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.e8_scale import run_e8_scale
+from repro.cluster import coordinator
 from repro.cluster.balancer import plan_rebalance
 from repro.cluster.coordinator import (
     ClusterSimConfig,
@@ -13,8 +16,10 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.host import Host, HostSpec, VMSpec
 from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
+from repro.sim.shard import COORDINATOR, ShardMessage
 from repro.util.errors import ConfigError
 from repro.util.units import GIB
+from tests.test_cluster import balanced
 
 CFG = ClusterSimConfig(fleet_size=80, shards=4, epochs=4, seed=11,
                        crash_rate=0.02, arrivals_per_epoch=2)
@@ -70,6 +75,75 @@ def test_epoch_function_is_pure_under_pickling():
     _, summaries_b, out_b = run_cluster_shard_epoch((clone, 0, ()))
     assert summaries_a == summaries_b
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("crash_rate, moved", [
+    (CFG.crash_rate, ("balancer.moves", "admission.accepted")),
+    # CFG's seed crashes nobody in four epochs; this one evacuates 16 VMs.
+    (0.05, ("balancer.moves", "admission.accepted", "evac.replaced")),
+])
+def test_books_balance_through_a_run(crash_rate, moved, monkeypatch):
+    # Audit the shards' hosts after every epoch, and the coordinator's
+    # working hosts where it reads them for the N+R check: after
+    # evacuation re-placement, rebalancing and each tentative admission.
+    epoch = coordinator.run_cluster_shard_epoch
+    reserve = coordinator._reserve_satisfied
+    audits = {"shard": 0, "barrier": 0}
+
+    def audited_epoch(task):
+        result = epoch(task)
+        assert balanced(result[0].hosts)
+        audits["shard"] += 1
+        return result
+
+    def audited_reserve(work, count):
+        assert balanced(work)
+        audits["barrier"] += 1
+        return reserve(work, count)
+
+    monkeypatch.setattr(coordinator, "run_cluster_shard_epoch", audited_epoch)
+    monkeypatch.setattr(coordinator, "_reserve_satisfied", audited_reserve)
+    cfg = replace(CFG, crash_rate=crash_rate)
+    report = run_sharded_cluster(cfg, jobs=1)
+    assert audits["shard"] == cfg.shards * cfg.epochs and audits["barrier"]
+    metrics = report.manifest["metrics"]
+    for name in moved:
+        assert metrics[f"cluster.coordinator.{name}"]["value"] > 0
+
+
+def test_books_survive_a_pickled_round_trip():
+    state = _build_shards(CFG)[0]
+    host = state.hosts[0]
+    leaving = next(iter(host.vms.values()))
+    # One VM leaves and another takes exactly the room it frees.
+    inbox = (
+        ShardMessage(time=0, src_shard=COORDINATOR, seq=1, kind="depart",
+                     dst_shard=0, payload=(leaving.name, host.name)),
+        ShardMessage(time=0, src_shard=COORDINATOR, seq=2, kind="arrive",
+                     dst_shard=0, payload=(
+                         VMSpec("late", memory_bytes=host.memory_free
+                                + leaving.memory_bytes), host.name)),
+    )
+    clone = pickle.loads(pickle.dumps(state))
+    assert balanced(clone.hosts)
+    # The name index travelled in the same pickle graph as the list.
+    assert all(clone.host_by_name[h.name] is h for h in clone.hosts)
+    clone, _, _ = run_cluster_shard_epoch((clone, 0, inbox))
+    arrived = clone.hosts[0]
+    assert leaving.name not in arrived.vms and "late" in arrived.vms
+    assert arrived.memory_free == 0 and balanced(clone.hosts)
+
+
+#: EXPERIMENTS.md's E8s rows (seed 4099, 8 shards, 6 epochs).
+E8S_SHAS = {200: "ac912e0f7ff7", 1000: "80f26952a123",
+            4000: "5879623f063a", 10000: "f46e2f02ac80"}
+
+
+def test_e8s_manifest_shas_are_pinned():
+    reports = run_e8_scale().raw["reports"]
+    assert {n: r.sha256[:12] for n, r in reports.items()} == E8S_SHAS
+    pooled = run_e8_scale(fleet_sizes=[10000], jobs=2).raw["reports"]
+    assert pooled[10000].sha256 == reports[10000].sha256
 
 
 def test_per_shard_fault_plans_are_decoupled_and_reproducible():
