@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Snapshot a running VM, serialize it, and clone it twice.
 
-Pauses a guest mid-computation, captures a snapshot (zero pages and
-untouched disks elided), round-trips it through the binary codec, and
-restores it twice: once on the original host and once on a second
-hypervisor. All three instances -- original and both clones -- finish
-independently with the same correct result.
+Pauses a guest mid-computation, captures a snapshot, round-trips it
+through the binary codec, and restores it twice: once on the original
+host and once on a second hypervisor. All three instances -- original
+and both clones -- finish independently with the same correct result.
+
+A snapshot carries the configuration, the machine-state tree
+(``repro.core.snapshot.capture_state``: vCPU registers and CSRs,
+pending interrupts, the PIC, and whatever each attached device
+declares as its state -- console text and unread input, timer, disk
+images and request registers, NIC registers and queued frames, virtio
+ring addresses and positions) and the non-zero guest pages; zero pages
+and untouched disks are elided.
 
 Run:  python examples/snapshot_clone.py
 """

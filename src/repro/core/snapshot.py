@@ -1,34 +1,93 @@
-"""VM snapshot and restore.
+"""VM snapshot and restore, and the one enumeration of a paused machine.
 
-A snapshot captures everything a paused VM is: configuration, vCPU
-architectural + virtual state, device state, and guest memory (zero
-pages are elided -- freshly booted guests are mostly zeros). Snapshots
-serialize to a self-describing binary blob (`to_bytes`/`from_bytes`),
-so they can be written to disk and restored into any hypervisor later
--- the same machinery real platforms use for suspend/resume, cloning,
-and crash-consistent backups.
+:func:`capture_state` / :func:`apply_state` are what "everything but
+RAM" means: vCPU architectural + virtual state, pending events, the
+PIC and every attached device, each device saying for itself which of
+its attributes are state (``STATE``, :mod:`repro.devices.bus`).
+Snapshot, micro-reboot and both migrators move a machine through that
+pair, so there is no second list to drift.
 
-The format is a plain struct-based codec (no pickle): a tampered or
-truncated blob fails loudly, and blobs are stable across Python
-versions.
+A snapshot adds the configuration and guest memory (zero pages are
+elided -- freshly booted guests are mostly zeros) and serializes to a
+self-describing binary blob (`to_bytes`/`from_bytes`), so it can be
+written to disk and restored into any hypervisor later -- the same
+machinery real platforms use for suspend/resume, cloning, and
+crash-consistent backups.
+
+Blob v2: magic, version, then the configuration and the state tree
+through one tagged value codec, then the mapped gfns and the non-zero
+pages in bulk. It is a plain struct-based format that can only ever
+yield plain values, never a general-purpose object serializer: a
+tampered or truncated blob fails loudly, and blobs are stable across
+Python versions.
 """
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, Optional, Set
 
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.vm import GuestConfig, VirtualMachine
 from repro.cpu.isa import Cause
+from repro.devices.bus import apply_fields, capture_fields
 from repro.util.errors import ConfigError
 from repro.util.units import PAGE_SIZE
 
 _MAGIC = b"PVSN"
-_VERSION = 1
+_VERSION = 2
 _ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+
+#: What the core and the vCPU hold for the guest (``vcpu.stalled`` is
+#: hypervisor-private fault state and stays behind).
+_CPU_FIELDS = ("regs", "pc", "csr", "cycles", "instret", "halted")
+_VCPU_FIELDS = ("vcsr", "halted", "incorrectness_observed")
+_TREE_KEYS = {"cpu", "vcpu", "pending_irqs", "pending_virqs",
+              "ballooned_gfns", "pic", "devices"}
+
+
+def capture_state(vm: VirtualMachine) -> Dict[str, object]:
+    """Everything a paused VM is, RAM excepted, as a tree of plain
+    values (int, bool, None, str, bytes, list, str-keyed dict)."""
+    vcpu = vm.vcpus[0]
+    return {
+        "cpu": capture_fields(vcpu.cpu, _CPU_FIELDS),
+        "vcpu": capture_fields(vcpu, _VCPU_FIELDS),
+        "pending_irqs": sorted(int(c) for c in vcpu.cpu.pending_irqs),
+        "pending_virqs": sorted(int(c) for c in vm.pending_virqs),
+        "ballooned_gfns": sorted(vm.ballooned_gfns),
+        "pic": capture_fields(vm.pic),
+        "devices": {name: capture_fields(device)
+                    for name, device in vm.devices.items()},
+    }
+
+
+def apply_state(vm: VirtualMachine, tree: Dict[str, object]) -> None:
+    """Write a :func:`capture_state` tree into a freshly created VM.
+
+    Translation state never travels: it is rebuilt from the restored
+    PTBR once the architectural state is in place.
+    """
+    if not isinstance(tree, dict) or set(tree) != _TREE_KEYS:
+        raise ConfigError(
+            f"machine state does not name exactly {sorted(_TREE_KEYS)}"
+        )
+    if set(tree["devices"]) != set(vm.devices):
+        raise ConfigError(
+            f"machine state carries devices {sorted(tree['devices'])} but "
+            f"VM {vm.name!r} attaches {sorted(vm.devices)}"
+        )
+    vcpu = vm.vcpus[0]
+    apply_fields(vcpu.cpu, tree["cpu"], _CPU_FIELDS)
+    apply_fields(vcpu, tree["vcpu"], _VCPU_FIELDS)
+    vcpu.cpu.pending_irqs = {Cause(c) for c in tree["pending_irqs"]}
+    vm.pending_virqs = {Cause(c) for c in tree["pending_virqs"]}
+    vm.ballooned_gfns = set(tree["ballooned_gfns"])
+    apply_fields(vm.pic, tree["pic"])
+    for name, device in vm.devices.items():
+        apply_fields(device, tree["devices"][name])
+    vcpu.rebuild_translation()
 
 
 @dataclass
@@ -36,28 +95,20 @@ class VMSnapshot:
     """In-memory snapshot of one paused VM."""
 
     config: GuestConfig
-    regs: List[int]
-    pc: int
-    csr: List[int]
-    vcsr: List[int]
-    cycles: int
-    instret: int
-    pending_irqs: Set[int]
-    cpu_halted: bool
-    vcpu_halted: bool
-    pending_virqs: Set[int]
-    ballooned_gfns: Set[int]
-    console_text: str
-    timer_state: Tuple[int, int, Optional[int], int]  # period, mode, deadline, expirations
-    power_state: Tuple[bool, int]
-    pic_pending: List[bool]
-    block_data: bytes
-    virtio_blk_data: bytes
-    virtio_blk_queue: Tuple[int, int, int, int, int]
+    #: the :func:`capture_state` tree
+    state: Dict[str, object]
     #: non-zero guest pages only: gfn -> page bytes
     pages: Dict[int, bytes] = field(default_factory=dict)
     #: every mapped gfn (zero pages included by membership)
     mapped_gfns: Set[int] = field(default_factory=set)
+
+    @property
+    def cycles(self) -> int:
+        return self.state["cpu"]["cycles"]
+
+    @property
+    def instret(self) -> int:
+        return self.state["cpu"]["instret"]
 
     @property
     def stored_bytes(self) -> int:
@@ -69,49 +120,21 @@ class VMSnapshot:
         out = bytearray()
         out += _MAGIC
         out += _U32.pack(_VERSION)
-        _pack_str(out, self.config.name)
-        out += _U64.pack(self.config.memory_bytes)
-        _pack_str(out, self.config.virt_mode.value)
-        _pack_str(out, self.config.mmu_mode.value)
-        out += bytes([
-            int(self.config.with_virtio),
-            int(self.config.with_emulated_io),
-            int(self.cpu_halted),
-            int(self.vcpu_halted),
-            int(self.power_state[0]),
-        ])
-        for reg in self.regs:
-            out += _U32.pack(reg & 0xFFFFFFFF)
-        out += _U32.pack(self.pc)
-        for value in self.csr:
-            out += _U32.pack(value & 0xFFFFFFFF)
-        for value in self.vcsr:
-            out += _U32.pack(value & 0xFFFFFFFF)
-        out += _U64.pack(self.cycles)
-        out += _U64.pack(self.instret)
-        _pack_u32_list(out, sorted(self.pending_irqs))
-        _pack_u32_list(out, sorted(self.pending_virqs))
-        _pack_u32_list(out, sorted(self.ballooned_gfns))
-        _pack_str(out, self.console_text)
-        period, mode, deadline, expirations = self.timer_state
-        out += _U64.pack(period)
-        out += _U32.pack(mode)
-        out += _U64.pack(0xFFFFFFFFFFFFFFFF if deadline is None
-                         else deadline)
-        out += _U64.pack(expirations)
-        out += _U32.pack(self.power_state[1])
-        out += _U32.pack(len(self.pic_pending))
-        out += bytes(int(p) for p in self.pic_pending)
-        _pack_bytes(out, self.block_data)
-        _pack_bytes(out, self.virtio_blk_data)
-        for value in self.virtio_blk_queue:
-            out += _U32.pack(value)
-        _pack_u32_list(out, sorted(self.mapped_gfns))
+        config = asdict(self.config)
+        config["virt_mode"] = self.config.virt_mode.value
+        config["mmu_mode"] = self.config.mmu_mode.value
+        _pack(out, config)
+        _pack(out, self.state)
+        gfns = sorted(self.mapped_gfns)
+        out += _U32.pack(len(gfns))
+        out += struct.pack(f"<{len(gfns)}I", *gfns)
         out += _U32.pack(len(self.pages))
+        # Pages are joined, not appended: one allocation of the final
+        # size instead of a 4 MiB buffer grown page by page and copied.
+        parts = [out]
         for gfn in sorted(self.pages):
-            out += _U32.pack(gfn)
-            out += self.pages[gfn]
-        return bytes(out)
+            parts += (_U32.pack(gfn), self.pages[gfn])
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "VMSnapshot":
@@ -121,66 +144,31 @@ class VMSnapshot:
         version = reader.u32()
         if version != _VERSION:
             raise ConfigError(f"unsupported snapshot version {version}")
-        name = reader.string()
-        memory_bytes = reader.u64()
-        virt_mode = VirtMode(reader.string())
-        mmu_mode = MMUVirtMode(reader.string())
-        flags = reader.take(5)
-        config = GuestConfig(
-            name=name, memory_bytes=memory_bytes, virt_mode=virt_mode,
-            mmu_mode=mmu_mode, with_virtio=bool(flags[0]),
-            with_emulated_io=bool(flags[1]),
-        )
-        regs = [reader.u32() for _ in range(16)]
-        pc = reader.u32()
-        csr = [reader.u32() for _ in range(16)]
-        vcsr = [reader.u32() for _ in range(16)]
-        cycles = reader.u64()
-        instret = reader.u64()
-        pending_irqs = set(reader.u32_list())
-        pending_virqs = set(reader.u32_list())
-        ballooned = set(reader.u32_list())
-        console_text = reader.string()
-        period = reader.u64()
-        mode = reader.u32()
-        deadline_raw = reader.u64()
-        deadline = None if deadline_raw == 0xFFFFFFFFFFFFFFFF else deadline_raw
-        expirations = reader.u64()
-        power_code = reader.u32()
-        pic_len = reader.u32()
-        pic_pending = [bool(b) for b in reader.take(pic_len)]
-        block_data = reader.blob()
-        vblk_data = reader.blob()
-        vblk_queue = tuple(reader.u32() for _ in range(5))
-        mapped = set(reader.u32_list())
+        config = _unpack(reader)
+        try:
+            config = GuestConfig(**{
+                **config,
+                "virt_mode": VirtMode(config["virt_mode"]),
+                "mmu_mode": MMUVirtMode(config["mmu_mode"]),
+            })
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(
+                f"snapshot carries no valid guest configuration: {config!r}"
+            ) from err
+        state = _unpack(reader)
         count = reader.u32()
+        mapped = set(struct.unpack(f"<{count}I", reader.take(4 * count)))
         pages = {}
-        for _ in range(count):
+        for _ in range(reader.u32()):
             gfn = reader.u32()
             pages[gfn] = reader.take(PAGE_SIZE)
         reader.expect_end()
-        return cls(
-            config=config, regs=regs, pc=pc, csr=csr, vcsr=vcsr,
-            cycles=cycles, instret=instret, pending_irqs=pending_irqs,
-            cpu_halted=bool(flags[2]), vcpu_halted=bool(flags[3]),
-            pending_virqs=pending_virqs, ballooned_gfns=ballooned,
-            console_text=console_text,
-            timer_state=(period, mode, deadline, expirations),
-            power_state=(bool(flags[4]), power_code),
-            pic_pending=pic_pending, block_data=block_data,
-            virtio_blk_data=vblk_data, virtio_blk_queue=vblk_queue,
-            pages=pages, mapped_gfns=mapped,
-        )
+        return cls(config=config, state=state, pages=pages,
+                   mapped_gfns=mapped)
 
 
 def snapshot_vm(vm: VirtualMachine) -> VMSnapshot:
     """Capture a paused VM (the caller must not run it concurrently)."""
-    vcpu = vm.vcpus[0]
-    cpu = vcpu.cpu
-    timer = vm.devices["timer"]
-    power = vm.devices["power"]
-    block = vm.devices.get("block")
-    vblk = vm.devices.get("virtio_blk")
     pages: Dict[int, bytes] = {}
     mapped: Set[int] = set()
     for gfn in vm.guest_mem.map:
@@ -188,50 +176,15 @@ def snapshot_vm(vm: VirtualMachine) -> VMSnapshot:
         content = vm.guest_mem.read_gfn(gfn)
         if content != _ZERO_PAGE:
             pages[gfn] = content
-    queue = (
-        (vblk.queue.desc_gpa, vblk.queue.avail_gpa, vblk.queue.used_gpa,
-         vblk.queue.size, vblk.queue.last_avail_idx)
-        if vblk is not None else (0, 0, 0, 0, 0)
-    )
-    return VMSnapshot(
-        config=vm.config,
-        regs=list(cpu.regs),
-        pc=cpu.pc,
-        csr=list(cpu.csr),
-        vcsr=list(vcpu.vcsr),
-        cycles=cpu.cycles,
-        instret=cpu.instret,
-        pending_irqs={int(c) for c in cpu.pending_irqs},
-        cpu_halted=cpu.halted,
-        vcpu_halted=vcpu.halted,
-        pending_virqs={int(c) for c in vm.pending_virqs},
-        ballooned_gfns=set(vm.ballooned_gfns),
-        console_text=vm.devices["console"].text,
-        timer_state=(timer.period, timer.mode, timer.deadline,
-                     timer.expirations),
-        power_state=(power.shutdown_requested, power.code),
-        pic_pending=list(vm.pic.pending),
-        block_data=_elide_zeros(block.data) if block is not None else b"",
-        virtio_blk_data=_elide_zeros(vblk.data) if vblk is not None else b"",
-        virtio_blk_queue=queue,
-        pages=pages,
-        mapped_gfns=mapped,
-    )
+    return VMSnapshot(config=vm.config, state=capture_state(vm),
+                      pages=pages, mapped_gfns=mapped)
 
 
 def restore_vm(hypervisor, snapshot: VMSnapshot,
                name: Optional[str] = None) -> VirtualMachine:
     """Materialize a snapshot as a fresh (paused) VM."""
-    config = GuestConfig(
-        name=name or snapshot.config.name,
-        memory_bytes=snapshot.config.memory_bytes,
-        virt_mode=snapshot.config.virt_mode,
-        mmu_mode=snapshot.config.mmu_mode,
-        with_virtio=snapshot.config.with_virtio,
-        with_emulated_io=snapshot.config.with_emulated_io,
-        prealloc=True,
-    )
-    vm = hypervisor.create_vm(config)
+    vm = hypervisor.create_vm(replace(
+        snapshot.config, name=name or snapshot.config.name, prealloc=True))
     # Drop frames that were not mapped at snapshot time (balloon).
     for gfn in list(vm.guest_mem.map):
         if gfn not in snapshot.mapped_gfns:
@@ -239,66 +192,81 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
             hypervisor.allocator.free(vm.guest_mem.unmap_page(gfn))
     for gfn, content in snapshot.pages.items():
         vm.guest_mem.write_gfn(gfn, content)
-
-    vcpu = vm.vcpus[0]
-    cpu = vcpu.cpu
-    cpu.regs = list(snapshot.regs)
-    cpu.pc = snapshot.pc
-    cpu.csr = list(snapshot.csr)
-    cpu.cycles = snapshot.cycles
-    cpu.instret = snapshot.instret
-    cpu.pending_irqs = {Cause(c) for c in snapshot.pending_irqs}
-    cpu.halted = snapshot.cpu_halted
-    vcpu.vcsr = list(snapshot.vcsr)
-    vcpu.halted = snapshot.vcpu_halted
-    vm.pending_virqs = {Cause(c) for c in snapshot.pending_virqs}
-    vm.ballooned_gfns = set(snapshot.ballooned_gfns)
-
-    console = vm.devices["console"]
-    console._chars = list(snapshot.console_text)
-    timer = vm.devices["timer"]
-    timer.period, timer.mode, timer.deadline, timer.expirations = (
-        snapshot.timer_state
-    )
-    power = vm.devices["power"]
-    power.shutdown_requested, power.code = snapshot.power_state
-    vm.pic.pending = list(snapshot.pic_pending)
-    if "block" in vm.devices and snapshot.block_data:
-        vm.devices["block"].data[:] = snapshot.block_data
-    if "virtio_blk" in vm.devices and snapshot.virtio_blk_data:
-        vblk = vm.devices["virtio_blk"]
-        vblk.data[:] = snapshot.virtio_blk_data
-        (vblk.queue.desc_gpa, vblk.queue.avail_gpa, vblk.queue.used_gpa,
-         vblk.queue.size, vblk.queue.last_avail_idx) = snapshot.virtio_blk_queue
-
-    vcpu.rebuild_translation()
+    try:
+        apply_state(vm, snapshot.state)
+    except ConfigError:
+        # A state tree that does not fit this machine: leave no
+        # half-restored VM registered under the name.
+        hypervisor.destroy_vm(vm)
+        raise
     return vm
-
-
-def _elide_zeros(data) -> bytes:
-    """Untouched (all-zero) disk images need not be stored."""
-    content = bytes(data)
-    return b"" if content.count(0) == len(content) else content
 
 
 # -- codec helpers -----------------------------------------------------------
 
 
-def _pack_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += _U32.pack(len(data))
-    out += data
+def _pack(out: bytearray, value) -> None:
+    """Append one plain value, tagged by type; integers are signed."""
+    kind = type(value)
+    if value is None:
+        out += b"N"
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is int:
+        raw = value.to_bytes(value.bit_length() // 8 + 1, "little",
+                             signed=True)
+        out += b"I"
+        out.append(len(raw))
+        out += raw
+    elif kind is str:
+        data = value.encode("utf-8")
+        out += b"S" + _U32.pack(len(data)) + data
+    elif kind is bytes:  # a disk image: appended in place, not re-copied
+        out += b"B" + _U32.pack(len(value))
+        out += value
+    elif kind is list:
+        out += b"L"
+        out += _U32.pack(len(value))
+        for item in value:
+            _pack(out, item)
+    elif kind is dict and all(type(key) is str for key in value):
+        out += b"D"
+        out += _U32.pack(len(value))
+        for key, item in value.items():
+            _pack(out, key)
+            _pack(out, item)
+    else:
+        raise ConfigError(
+            f"machine state holds a {kind.__name__}, which is not a plain "
+            f"value: {value!r}"
+        )
 
 
-def _pack_bytes(out: bytearray, data: bytes) -> None:
-    out += _U32.pack(len(data))
-    out += data
-
-
-def _pack_u32_list(out: bytearray, values) -> None:
-    out += _U32.pack(len(values))
-    for value in values:
-        out += _U32.pack(value)
+def _unpack(reader: "_Reader"):
+    """Read one :func:`_pack`-ed value; can yield nothing but plain ones."""
+    tag = reader.take(1)
+    if tag == b"I":
+        return int.from_bytes(reader.take(reader.take(1)[0]), "little",
+                              signed=True)
+    if tag == b"T" or tag == b"F":
+        return tag == b"T"
+    if tag == b"N":
+        return None
+    if tag == b"S":
+        return reader.string()
+    if tag == b"B":
+        return reader.take(reader.u32())
+    if tag == b"L":
+        return [_unpack(reader) for _ in range(reader.u32())]
+    if tag == b"D":
+        value = {}
+        for _ in range(reader.u32()):
+            if reader.take(1) != b"S":
+                raise ConfigError("snapshot dict key is not a string")
+            key = reader.string()
+            value[key] = _unpack(reader)
+        return value
+    raise ConfigError(f"unknown tag {tag!r} in snapshot")
 
 
 class _Reader:
@@ -316,17 +284,11 @@ class _Reader:
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
 
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def u32_list(self):
-        return [self.u32() for _ in range(self.u32())]
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError("snapshot holds a malformed string") from err
 
     def expect_end(self) -> None:
         if self._pos != len(self._blob):

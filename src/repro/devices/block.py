@@ -48,6 +48,8 @@ class BlockDevice(PortDevice):
     :class:`~repro.faults.watchdog.DeviceTimeoutMonitor` recovery path).
     """
 
+    STATE = ("data", "_sector", "_count", "_dma", "status")
+
     reads = counter_attr()
     writes = counter_attr()
     io_errors = counter_attr()

@@ -24,6 +24,10 @@ CONS_STATUS = CONSOLE_BASE + 1
 class ConsoleDevice(PortDevice):
     """Character console with a capture buffer and an input queue."""
 
+    #: everything printed so far, and input the guest has not read yet
+    #: (its IRQ line travels with the PIC's ``pending``).
+    STATE = ("text", "chars_written", "_rx", "chars_received")
+
     def __init__(self, capacity: int = 1 << 20, irq=None):
         self._chars = []
         self.capacity = capacity
@@ -35,6 +39,10 @@ class ConsoleDevice(PortDevice):
     @property
     def text(self) -> str:
         return "".join(self._chars)
+
+    @text.setter
+    def text(self, value: str) -> None:
+        self._chars = list(value)
 
     def lines(self):
         return self.text.splitlines()

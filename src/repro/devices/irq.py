@@ -59,6 +59,8 @@ class IRQLine:
 class InterruptController(PortDevice):
     """16-line level-ish interrupt controller."""
 
+    STATE = ("pending",)
+
     def __init__(self, sink=None, injector=None, metrics=None):
         self.sink = sink
         self.injector = injector

@@ -38,6 +38,8 @@ MAX_FRAME = 9000  # jumbo-sized sanity cap
 class NetDevice(PortDevice):
     """Port-programmed NIC with host-side tx sink and rx queue."""
 
+    STATE = ("_tx_addr", "_tx_len", "_rx_addr", "_rx_len", "_rx_queue")
+
     tx_frames = counter_attr()
     tx_bytes = counter_attr()
     rx_frames = counter_attr()

@@ -13,6 +13,8 @@ POWER_BASE = 0xF0
 class PowerControl(PortDevice):
     """One-port power-off latch."""
 
+    STATE = ("shutdown_requested", "code")
+
     def __init__(self):
         self.shutdown_requested = False
         self.code = 0  # value written at shutdown (guest exit status)

@@ -33,6 +33,10 @@ MODE_PERIODIC = 2
 class TimerDevice(PortDevice):
     """Cycle-driven interval timer."""
 
+    #: ``deadline`` is absolute: the cycle counter it is measured
+    #: against travels with the vCPU.
+    STATE = ("period", "mode", "deadline", "expirations")
+
     expirations = counter_attr()
 
     def __init__(self, irq: IRQLine, metrics=None):

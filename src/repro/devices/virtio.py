@@ -70,6 +70,10 @@ BLK_S_ERROR = 1
 class VirtQueue:
     """Device-side view of one split ring in guest memory."""
 
+    #: where the guest put the ring and how far the device has read it
+    #: (the rings themselves are guest memory).
+    STATE = ("desc_gpa", "avail_gpa", "used_gpa", "size", "last_avail_idx")
+
     kicks = counter_attr()
     requests = counter_attr()
 
@@ -144,6 +148,8 @@ class VirtQueue:
 class _VirtQueuePorts(PortDevice):
     """Shared port plumbing for one queue block of 6 ports."""
 
+    STATE = ("queue",)
+
     def __init__(self, mem, base: int, metrics=None):
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry().scope("dev.virtio"))
@@ -194,6 +200,8 @@ class VirtioBlockDevice(_VirtQueuePorts):
     The host-side :meth:`reset` clears the wedge and serves the backlog
     (:class:`~repro.faults.watchdog.DeviceTimeoutMonitor` drives it).
     """
+
+    STATE = _VirtQueuePorts.STATE + ("data",)
 
     stalled_kicks = counter_attr()
     resets = counter_attr()
@@ -320,6 +328,8 @@ class VirtioBlockDevice(_VirtQueuePorts):
 
 class VirtioNetDevice(PortDevice):
     """Paravirtual NIC: tx queue at ``base``, rx queue at ``base + 8``."""
+
+    STATE = ("tx", "rx")
 
     tx_frames = counter_attr()
     tx_bytes = counter_attr()

@@ -22,11 +22,12 @@ to the final :class:`~repro.util.errors.LinkError`.
 import zlib
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
-from repro.core.vm import GuestConfig, VirtualMachine
+from repro.core.snapshot import apply_state, capture_state
+from repro.core.vm import VirtualMachine
 from repro.faults.recovery import RetryPolicy
 from repro.util.errors import LinkError, MigrationError
 from repro.util.units import PAGE_SIZE
@@ -55,66 +56,6 @@ class LiveMigrationResult:
     #: and the cycles they burned.
     stalls: int = 0
     stall_cycles: int = 0
-
-
-def copy_machine_state(src_vm: VirtualMachine, dst_vm: VirtualMachine) -> None:
-    """Copy everything but RAM: vCPU, device and pending-event state.
-
-    What pre-copy moves in its stop-and-copy phase and post-copy moves
-    up front (the downtime of either).
-    """
-    s, d = src_vm.vcpus[0], dst_vm.vcpus[0]
-    d.cpu.regs = list(s.cpu.regs)
-    d.cpu.pc = s.cpu.pc
-    d.cpu.csr = list(s.cpu.csr)
-    d.cpu.cycles = s.cpu.cycles
-    d.cpu.instret = s.cpu.instret
-    d.cpu.pending_irqs = set(s.cpu.pending_irqs)
-    d.cpu.halted = s.cpu.halted
-    d.vcsr = list(s.vcsr)
-    d.halted = s.halted
-    d.incorrectness_observed = s.incorrectness_observed
-
-    d.rebuild_translation()
-
-    # Console: everything printed so far, and input the guest has
-    # not read yet (its IRQ line travels with pic.pending below).
-    sc, dc = src_vm.devices["console"], dst_vm.devices["console"]
-    dc._chars, dc.chars_written = list(sc._chars), sc.chars_written
-    dc._rx, dc.chars_received = list(sc._rx), sc.chars_received
-
-    st, dt = src_vm.devices["timer"], dst_vm.devices["timer"]
-    dt.period, dt.mode = st.period, st.mode
-    dt.expirations = st.expirations
-    dt.deadline = st.deadline  # cycles are migrated with the vCPU
-
-    sp, dp = src_vm.devices["power"], dst_vm.devices["power"]
-    dp.shutdown_requested, dp.code = sp.shutdown_requested, sp.code
-
-    dst_vm.pic.pending = list(src_vm.pic.pending)
-
-    if "block" in src_vm.devices and "block" in dst_vm.devices:
-        sb, db = src_vm.devices["block"], dst_vm.devices["block"]
-        db.data[:] = sb.data
-        db._sector, db._count, db._dma = sb._sector, sb._count, sb._dma
-        db.status = sb.status
-    if "virtio_blk" in src_vm.devices and "virtio_blk" in dst_vm.devices:
-        sb, db = src_vm.devices["virtio_blk"], dst_vm.devices["virtio_blk"]
-        db.data[:] = sb.data
-        for attr in ("desc_gpa", "avail_gpa", "used_gpa", "size",
-                     "last_avail_idx"):
-            setattr(db.queue, attr, getattr(sb.queue, attr))
-    if "virtio_net" in src_vm.devices and "virtio_net" in dst_vm.devices:
-        sn, dn = src_vm.devices["virtio_net"], dst_vm.devices["virtio_net"]
-        for side in ("tx", "rx"):
-            sq = getattr(sn, side).queue
-            dq = getattr(dn, side).queue
-            for attr in ("desc_gpa", "avail_gpa", "used_gpa", "size",
-                         "last_avail_idx"):
-                setattr(dq, attr, getattr(sq, attr))
-
-    dst_vm.pending_virqs = set(src_vm.pending_virqs)
-    dst_vm.ballooned_gfns = set(src_vm.ballooned_gfns)
 
 
 class LiveMigrator:
@@ -166,18 +107,9 @@ class LiveMigrator:
         src = self.source
         vcpu = vm.vcpus[0]
         mmu = vcpu.cpu.mmu
-        config = vm.config
 
-        dest_config = GuestConfig(
-            name=dest_name or f"{vm.name}-dst",
-            memory_bytes=config.memory_bytes,
-            virt_mode=config.virt_mode,
-            mmu_mode=config.mmu_mode,
-            prealloc=True,
-            with_virtio=config.with_virtio,
-            with_emulated_io=config.with_emulated_io,
-        )
-        dst_vm = self.destination.create_vm(dest_config)
+        dst_vm = self.destination.create_vm(replace(
+            vm.config, name=dest_name or f"{vm.name}-dst", prealloc=True))
 
         dirty: Set[int] = set()
         src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)
@@ -250,7 +182,7 @@ class LiveMigrator:
             pages_copied += sent
             round_sizes.append(sent)
 
-            copy_machine_state(vm, dst_vm)
+            apply_state(dst_vm, capture_state(vm))
         finally:
             # Detach logging from the source -- on success (the source
             # is now dead) and on an abandoned migration alike, so the

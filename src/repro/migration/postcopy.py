@@ -13,16 +13,17 @@ fetch trigger); that matches reality — production post-copy (userfaultd
 / KVM) relies on second-level translation faults.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.modes import MMUVirtMode, VirtMode
-from repro.core.vm import GuestConfig, VirtualMachine
+from repro.core.snapshot import apply_state, capture_state
+from repro.core.vm import VirtualMachine
 from repro.util.errors import MigrationError
 from repro.util.units import PAGE_SIZE
 
-from repro.migration.live import CPU_STATE_BYTES, copy_machine_state
+from repro.migration.live import CPU_STATE_BYTES
 
 
 @dataclass
@@ -91,16 +92,10 @@ class PostCopyMigrator:
                 "(vCPU state must be architectural)"
             )
         src_mem = vm.guest_mem
-        dest_config = GuestConfig(
-            name=dest_name or f"{vm.name}-dst",
-            memory_bytes=vm.config.memory_bytes,
-            virt_mode=VirtMode.HW_ASSIST,
-            mmu_mode=MMUVirtMode.NESTED,
-            prealloc=False,
-            with_virtio=vm.config.with_virtio,
-            with_emulated_io=vm.config.with_emulated_io,
-        )
-        dst_vm = self.destination.create_vm(dest_config)
+        dst_vm = self.destination.create_vm(replace(
+            vm.config, name=dest_name or f"{vm.name}-dst",
+            virt_mode=VirtMode.HW_ASSIST, mmu_mode=MMUVirtMode.NESTED,
+            prealloc=False))
 
         remaining: Set[int] = set(src_mem.map)
         total_pages = len(remaining)
@@ -133,7 +128,7 @@ class PostCopyMigrator:
         )
         try:
             # Downtime: vCPU + device state only.
-            copy_machine_state(vm, dst_vm)
+            apply_state(dst_vm, capture_state(vm))
             downtime = int(CPU_STATE_BYTES / self.bytes_per_cycle)
             dst_vm.stats.vmm_cycles += downtime
 
