@@ -12,6 +12,7 @@ Usage::
 import argparse
 import json
 import sys
+from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import (
@@ -240,9 +241,11 @@ def _cmd_fuzz(args) -> int:
         opts["events"] = False
     opts["bug"] = args.bug
 
+    started = perf_counter()
     out = run_campaign(args.seed, args.cases, jobs=max(1, args.jobs),
                        opts=opts, shrink=args.shrink, out_dir=args.out,
                        log=lambda msg: print(msg, file=sys.stderr))
+    elapsed = perf_counter() - started
     if args.json:
         print(json.dumps(out["manifest"], indent=2, sort_keys=True))
     else:
@@ -251,6 +254,10 @@ def _cmd_fuzz(args) -> int:
         print(f"cases             : {fz['cases']}")
         print(f"failures          : {len(fz['failures'])}")
         print(f"shrunk repros     : {len(fz['shrunk'])}")
+        # Host wall-clock, shrinking included: in this report only,
+        # never in the manifest (--jobs parity compares those).
+        print(f"elapsed           : {elapsed:.2f} s")
+        print(f"cases/s           : {fz['cases'] / elapsed:.1f}")
         print("outcome classes   :")
         for outcome, count in fz["outcome_classes"].items():
             print(f"  {outcome:14s} {count}")

@@ -35,7 +35,7 @@ from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, Op,
 )
-from repro.cpu.mmu import GSTAGE_STALL_REFS, TwoStageMMU
+from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
@@ -59,6 +59,7 @@ from repro.devices.virtio import (
     VirtioNetDevice,
 )
 from repro.mem.costs import CostModel
+from repro.mem.paging import AddressSpace
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ConfigError, GuestError, MemoryError_
@@ -253,25 +254,44 @@ class Hypervisor:
     # -- VM construction --------------------------------------------------
 
     def create_vm(self, config: GuestConfig) -> VirtualMachine:
+        """Back a guest's memory, then build the machine on it.
+
+        The first half is here: the guest's frames (``prealloc``) and,
+        under two-stage paging, the G-stage that maps them.
+        :meth:`_build_machine` is the second half, which
+        :meth:`recycle_vm` re-runs over frames it kept.
+        """
         config.validate()
         if config.name in self.vms:
             raise ConfigError(f"duplicate VM name {config.name!r}")
-        pages = bytes_to_pages(config.memory_bytes)
-        guest_mem = GuestMemory(self.physmem, pages)
+        guest_mem = GuestMemory(self.physmem, bytes_to_pages(config.memory_bytes))
+        if config.prealloc:
+            for gfn in range(guest_mem.num_pages):
+                guest_mem.map_page(gfn, self.allocator.alloc())
+        gstage = None
+        if config.mmu_mode is not MMUVirtMode.SHADOW:
+            gstage = AddressSpace(self.physmem, self.allocator)
+            for gfn, hfn in guest_mem.map.items():
+                gstage.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, GSTAGE_BACKED)
+            gstage.checkpoint()
+        return self._build_machine(config, guest_mem, gstage)
+
+    def _build_machine(
+        self, config: GuestConfig, guest_mem: GuestMemory,
+        gstage: Optional[AddressSpace],
+    ) -> VirtualMachine:
+        """Everything above the frames, new: MMU (TLB, shadow spaces),
+        core, vCPU, PIC and devices, translator, ``vm.<name>.*``."""
         # A VM recreated under the same name (micro-reboot, snapshot
-        # restore) starts its telemetry from zero, exactly as the old
-        # per-VM stat structs did.
+        # restore, recycling) starts its telemetry from zero, exactly
+        # as the old per-VM stat structs did.
         self.registry.reset(f"vm.{config.name}.")
         vm = VirtualMachine(
             config, guest_mem, metrics=self.registry.scope(f"vm.{config.name}")
         )
         self.registry.counter("core.vms_created").inc()
 
-        if config.prealloc:
-            for gfn in range(pages):
-                guest_mem.map_page(gfn, self.allocator.alloc())
-
-        if config.mmu_mode is MMUVirtMode.SHADOW:
+        if gstage is None:
             mmu = ShadowMMU(
                 self.physmem,
                 self.allocator,
@@ -290,11 +310,10 @@ class Hypervisor:
                 self.costs,
                 tlb_entries=self.tlb_entries,
                 hmode=hmode,
+                ept=gstage,
             )
             if hmode:
                 mmu.stall_fn = self._hmode_stall_cycles
-            for gfn, hfn in guest_mem.map.items():
-                mmu.map_gfn(gfn, hfn)
 
         cpu = CPUCore(mmu, self.costs, port_bus=None, cpu_id=0)
         vcpu = VCPU(vm, cpu, index=0)
@@ -377,21 +396,71 @@ class Hypervisor:
             vm.devices["virtio_net"] = vnet
         self.registry.counter("devices.attached").inc(len(vm.devices))
 
-    def destroy_vm(self, vm: VirtualMachine) -> None:
-        """Tear a VM down and return every host frame it held."""
+    def _dismantle(self, vm: VirtualMachine) -> Optional[AddressSpace]:
+        """Undo :meth:`_build_machine`; the guest's frames stay mapped.
+
+        Returns the G-stage that maps them (None under shadow paging),
+        which is backing, not machine: the caller frees or keeps it.
+        """
         cpu = vm.vcpus[0].cpu
-        cpu.mmu.destroy()
         # The core (and the translator) watch host memory for writes to
         # their code pages; the host outlives them.
         self.physmem.unwatch_writes(cpu._on_code_write)
         if vm.bt is not None:
             self.physmem.unwatch_writes(vm.bt._on_code_write)
+        if isinstance(cpu.mmu, ShadowMMU):
+            cpu.mmu.destroy()
+            return None
+        return cpu.mmu.ept
+
+    def destroy_vm(self, vm: VirtualMachine) -> None:
+        """Tear a VM down and return every host frame it held."""
+        gstage = self._dismantle(vm)
+        if gstage is not None:
+            gstage.destroy()
         for gfn in list(vm.guest_mem.map):
             hfn = vm.guest_mem.unmap_page(gfn)
             if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
                 self.allocator.free(hfn)
         self.vms.pop(vm.name, None)
         self.dirty_handlers.pop(vm.name, None)
+
+    def recycle_vm(self, vm: VirtualMachine) -> VirtualMachine:
+        """A power-on machine on the frames ``vm`` holds; ``vm`` is gone.
+
+        Equal to ``destroy_vm(vm)`` + ``create_vm(vm.config)`` on a
+        host where that hands back the same frames, without freeing,
+        reallocating and remapping them: the frames are zeroed where
+        they are, a G-stage is rolled back to its as-built bytes, and
+        everything above them is built anew by :meth:`_build_machine`,
+        so no state of the old machine can survive by being forgotten.
+        Refused, with ``vm`` untouched, when its frames are not this
+        VM's alone to zero or are not all there.
+        """
+        guest_mem = vm.guest_mem
+        mmu = vm.vcpus[0].cpu.mmu
+        if self.vms.get(vm.name) is not vm:  # e.g. recycled once already
+            why = "it is not (or no longer) a VM of this host"
+        elif self.sharing is not None:
+            why = "page sharing is installed on this host"
+        elif vm.name in self.dirty_handlers:
+            why = "a dirty-page handler is registered for it"
+        elif not vm.config.prealloc:
+            why = "it is demand-paged (prealloc=False)"
+        elif len(guest_mem.map) != guest_mem.num_pages:  # balloon, swap
+            why = (f"only {len(guest_mem.map)} of its {guest_mem.num_pages} "
+                   "pages are backed")
+        # Asked last: a rollback that succeeds has already written.
+        elif isinstance(mmu, TwoStageMMU) and not mmu.ept.rollback():
+            why = "the host edited its G-stage after building it"
+        else:
+            why = None
+        if why is not None:
+            raise ConfigError(f"cannot recycle VM {vm.name!r}: {why}")
+        gstage = self._dismantle(vm)
+        for hpa, nbytes in guest_mem.host_runs(0, guest_mem.size):
+            self.physmem.write_bytes(hpa, bytes(nbytes))
+        return self._build_machine(vm.config, guest_mem, gstage)
 
     def load_program(self, vm: VirtualMachine, program) -> None:
         """Copy an assembled image into guest-physical memory."""

@@ -16,7 +16,7 @@ L0-level machinery (snapshots, dirty logging, ballooning) truthful
 about the nested state.
 
 One caveat is inherent to the aliasing: stores through the inner view
-bypass the *outer* memory's write watchers (the decode-cache
+bypass the *outer* memory's write watchers (the compiled-code
 invalidation tap). That is fine here because the L1 vCPU does not
 execute VISA code concurrently with the inner VMM -- the inner VMM *is*
 the model of the L1 guest's software.

@@ -7,7 +7,7 @@ unmaps through it, page sharing re-points it.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
@@ -115,14 +115,28 @@ class GuestMemory:
 
     # -- bulk accessors (page-crossing safe) --------------------------------
 
-    def read_bytes(self, gpa: int, length: int) -> bytes:
-        chunks = []
+    def host_runs(self, gpa: int, length: int) -> Iterator[Tuple[int, int]]:
+        """Yield ``(hpa, nbytes)`` for each host-contiguous run backing
+        ``[gpa, gpa + length)``: one per page at worst, one for the
+        whole range when consecutive gfns sit in consecutive frames (a
+        preallocated guest). Raises where :meth:`gpa_to_hpa` would."""
+        gfn_to_hfn = self.map.get
         while length > 0:
-            in_page = min(length, PAGE_SIZE - (gpa & (PAGE_SIZE - 1)))
-            chunks.append(self.host.read_bytes(self.gpa_to_hpa(gpa), in_page))
-            gpa += in_page
-            length -= in_page
-        return b"".join(chunks)
+            hpa = self.gpa_to_hpa(gpa)
+            run = PAGE_SIZE - (gpa & (PAGE_SIZE - 1))  # to the page's end
+            while (run < length and gfn_to_hfn((gpa + run) >> PAGE_SHIFT)
+                   == (hpa + run) >> PAGE_SHIFT):
+                run += PAGE_SIZE
+            run = min(run, length)
+            yield hpa, run
+            gpa += run
+            length -= run
+
+    def read_bytes(self, gpa: int, length: int) -> bytes:
+        if 0 < length <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
+            return self.host.read_bytes(self.gpa_to_hpa(gpa), length)
+        read = self.host.read_bytes
+        return b"".join([read(hpa, n) for hpa, n in self.host_runs(gpa, length)])
 
     def write_bytes(self, gpa: int, data: bytes) -> None:
         offset = 0

@@ -35,13 +35,13 @@ the same instruction against virtual state.
 
 import enum
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.cpu.exits import ExecControls, ExitReason, VMExit
 from repro.cpu.isa import (
     CSR,
     Cause,
+    DECODED,
     DIV_OPS,
     Instruction,
     LAST_ALU_OP,
@@ -60,11 +60,6 @@ from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
-
-#: Decode-cache sizing: evict the oldest ``_DECODE_EVICT`` entries once
-#: the cache passes ``_DECODE_CACHE_MAX`` instead of dropping everything.
-_DECODE_CACHE_MAX = 65536
-_DECODE_EVICT = 8192
 
 #: IRQ delivery priority (first match wins).
 _IRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
@@ -137,12 +132,8 @@ class CPUCore:
         self._loop_stop = 1 << 62
         self._cycle_stop = 1 << 62
 
-        self._decode_cache: Dict[Tuple[int, int], Instruction] = {}
-        #: pfn -> decode-cache keys living in that frame (for targeted
-        #: invalidation when a store lands on cached code).
-        self._decode_frames: Dict[int, Set[Tuple[int, int]]] = {}
-        #: Frames holding cached decodes and/or compiled blocks; the
-        #: physmem write watcher fires :meth:`_on_code_write` for these.
+        #: Frames holding compiled blocks; the physmem write watcher
+        #: fires :meth:`_on_code_write` for these.
         self._code_pfns: Set[int] = set()
         #: True/False = explicit; None = default on. False is the
         #: reference run the differential tests compare against.
@@ -279,69 +270,31 @@ class CPUCore:
     # -- fetch/decode ---------------------------------------------------------
 
     def fetch(self, va: int) -> Instruction:
-        """Fetch and decode the instruction at ``va`` (charges MMU cycles)."""
+        """Fetch and decode the instruction at ``va`` (charges MMU cycles).
+
+        The bytes are read on every fetch and the decode memo is keyed
+        by them alone, so code a store (or DMA) has rewritten decodes
+        as what is there now: nothing to invalidate.
+        """
         pa, cyc = self.mmu.translate(va, AccessType.EXEC, self.user_mode)
         self.cycles += cyc
         word = self.mmu.physmem.read_u32(pa)
-        cached = self._decode_cache.get((pa, word))
-        if cached is not None and not cached.has_imm32:
-            return cached
-        imm_word = 0
-        if (word >> 24) & 0x80:
-            imm_va = va + 4
-            if (va & 0xFFF) + 8 > 0x1000:
-                imm_pa, cyc2 = self.mmu.translate(
-                    imm_va, AccessType.EXEC, self.user_mode
-                )
-                self.cycles += cyc2
-            else:
-                imm_pa = pa + 4
-            imm_word = self.mmu.physmem.read_u32(imm_pa)
-        key = (pa, word)
-        cached = self._decode_cache.get(key)
-        if cached is not None and cached.imm32 == (imm_word & 0xFFFFFFFF):
-            return cached
-        ins = decode(word, imm_word)
-        if len(self._decode_cache) > _DECODE_CACHE_MAX:
-            self._evict_decode_entries()
-        self._decode_cache[key] = ins
-        pfn = pa >> 12
-        frames = self._decode_frames.get(pfn)
-        if frames is None:
-            frames = self._decode_frames[pfn] = set()
-            self._code_pfns.add(pfn)
-        frames.add(key)
-        return ins
-
-    def _evict_decode_entries(self) -> None:
-        """Drop the oldest decode entries (dict preserves insert order)."""
-        cache = self._decode_cache
-        frames = self._decode_frames
-        for key in list(islice(iter(cache), _DECODE_EVICT)):
-            del cache[key]
-            pfn = key[0] >> 12
-            keys = frames.get(pfn)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del frames[pfn]
-                    self._unwatch_pfn_if_unused(pfn)
-
-    def _unwatch_pfn_if_unused(self, pfn: int) -> None:
-        if pfn in self._decode_frames:
-            return
-        jit = self._jit
-        if jit and pfn in jit._frame_keys:
-            return
-        self._code_pfns.discard(pfn)
+        if not (word >> 24) & 0x80:
+            return DECODED.get(word) or decode(word)
+        if (va & 0xFFF) + 8 > 0x1000:
+            # The immediate word is on the next page: its own EXEC
+            # translation, charged on every fetch.
+            imm_pa, cyc = self.mmu.translate(
+                va + 4, AccessType.EXEC, self.user_mode
+            )
+            self.cycles += cyc
+        else:
+            imm_pa = pa + 4
+        imm_word = self.mmu.physmem.read_u32(imm_pa)
+        return DECODED.get((word, imm_word)) or decode(word, imm_word)
 
     def _on_code_write(self, pfn: int) -> None:
-        """Physmem write watcher: a store landed on cached code."""
-        keys = self._decode_frames.pop(pfn, None)
-        if keys:
-            cache = self._decode_cache
-            for key in keys:
-                cache.pop(key, None)
+        """Physmem write watcher: a store landed on compiled code."""
         jit = self._jit
         if jit:
             jit.invalidate_pfn(pfn)
@@ -599,7 +552,6 @@ class CPUCore:
         stats = {
             "enabled": int(self.jit_enabled),
             "active": int(bool(self._jit)),
-            "decode_cache_entries": len(self._decode_cache),
             "blocks_compiled": 0,
             "blocks_invalidated": 0,
             "fallback_steps": 0,

@@ -386,30 +386,49 @@ def encode(
     return out
 
 
+#: Every instruction this process has decoded, by content: ``word`` for
+#: a 4-byte instruction, ``(word, imm_word)`` for an 8-byte one. A
+#: decoded instruction is a pure function of those bytes and frozen, so
+#: every core, the block compiler and the translator share one object;
+#: whoever holds the bytes it just read (``CPUCore.fetch``) may probe
+#: this directly. Cleared wholesale when full (:func:`decode` refills).
+DECODED: Dict[object, Instruction] = {}
+_DECODED_MAX = 65536
+
+
 def decode(word: int, imm_word: int = 0) -> Instruction:
     """Decode from the first word (and the immediate word if flagged).
 
     The caller fetches ``imm_word`` only when ``word``'s opcode has
-    :data:`IMM_FLAG` set; interpreters typically fetch 4 bytes, test the
-    flag, then fetch 4 more.
+    :data:`IMM_FLAG` set (it is ignored otherwise); interpreters
+    typically fetch 4 bytes, test the flag, then fetch 4 more. Results
+    are memoised in :data:`DECODED`; a :class:`DecodeError` never is.
     """
     raw_op = (word >> 24) & 0xFF
     has_imm = bool(raw_op & IMM_FLAG)
-    base = raw_op & ~IMM_FLAG
+    imm32 = imm_word & 0xFFFFFFFF if has_imm else 0
+    key = (word, imm32) if has_imm else word
+    ins = DECODED.get(key)
+    if ins is not None:
+        return ins
     try:
-        op = Op(base)
+        op = Op(raw_op & ~IMM_FLAG)
     except ValueError:
         raise DecodeError(f"invalid opcode {raw_op:#x}") from None
-    return Instruction(
+    ins = Instruction(
         op=op,
         rd=(word >> 20) & 0xF,
         ra=(word >> 16) & 0xF,
         rb=(word >> 12) & 0xF,
         simm12=_sext12(word),
-        imm32=imm_word & 0xFFFFFFFF,
+        imm32=imm32,
         has_imm32=has_imm,
         length=8 if has_imm else 4,
     )
+    if len(DECODED) >= _DECODED_MAX:
+        DECODED.clear()
+    DECODED[key] = ins
+    return ins
 
 
 def is_privileged(op: Op, csr: int = -1) -> bool:

@@ -27,8 +27,12 @@ of branching on its class:
 * ``drop_gfn(gfn)`` -- forget every translation of a guest frame before
   the host takes its backing away (balloon, swap, sharing);
 * ``write_protect_gfn(gfn)`` / ``unprotect_gfn(gfn)`` -- dirty logging
-  and copy-on-write (the next write raises a ``dirty_log`` exit);
-* ``destroy()`` -- return every table page to the host allocator.
+  and copy-on-write (the next write raises a ``dirty_log`` exit).
+
+Teardown is where they differ: shadow tables are derived from the
+guest's and die with the MMU (``ShadowMMU.destroy()``); the second-stage
+table is the host's own record of the guest's backing, so the
+hypervisor frees -- or, recycling a VM, keeps -- ``TwoStageMMU.ept``.
 """
 
 from typing import Callable, Optional, Set, Tuple
@@ -53,6 +57,9 @@ from repro.mem.tlb import TLB
 from repro.util.units import PAGE_SHIFT
 
 _WD = PTE_WRITABLE | PTE_DIRTY
+
+#: Second-stage entry flags of a guest frame the host has backed.
+GSTAGE_BACKED = PTE_PRESENT | PTE_USER | PTE_WRITABLE
 
 #: The most a ``TwoStageMMU.stall_fn`` may charge for one walk, in
 #: G-stage references (``translate_bound`` counts on it).
@@ -217,14 +224,18 @@ class TwoStageMMU(MMUBase):
         tlb_entries: int = 64,
         *,
         hmode: bool,
+        ept: Optional[AddressSpace] = None,
     ):
         self.physmem = host_physmem
         self.costs = costs
         self.guest_mem = guest_mem
         self.hmode = hmode
         self.tlb = TLB(tlb_entries)
-        #: The second-stage table (gPA -> hPA), host-owned.
-        self.ept = AddressSpace(host_physmem, host_allocator)
+        #: The second-stage table (gPA -> hPA), host-owned: built here,
+        #: empty, unless the host hands over one that already maps the
+        #: guest (it outlives this MMU when a VM is recycled).
+        self.ept = (ept if ept is not None
+                    else AddressSpace(host_physmem, host_allocator))
         self.walker = TwoStageWalker(host_physmem, gstage_ad=hmode)
         self.guest_root: Optional[int] = None
         #: gfns whose EPT entry is write-protected for dirty logging.
@@ -238,10 +249,7 @@ class TwoStageMMU(MMUBase):
 
     def map_gfn(self, gfn: int, hfn: int) -> None:
         """Back guest frame ``gfn`` with host frame ``hfn`` in the EPT."""
-        self.ept.map(
-            gfn << PAGE_SHIFT, hfn << PAGE_SHIFT,
-            PTE_PRESENT | PTE_USER | PTE_WRITABLE,
-        )
+        self.ept.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, GSTAGE_BACKED)
 
     def drop_gfn(self, gfn: int) -> None:
         """Unmap ``gfn`` from the EPT; its next access is an EPT violation."""
@@ -262,10 +270,6 @@ class TwoStageMMU(MMUBase):
         pte = self.ept.lookup(gfn << PAGE_SHIFT)
         if pte is not None:
             self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
-
-    def destroy(self) -> None:
-        self.ept.destroy()
-        self.tlb.flush()
 
     # -- MMUBase interface ----------------------------------------------------
 

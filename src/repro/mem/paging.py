@@ -16,7 +16,7 @@ successful walk; the dirty bit is set at the leaf on writes.
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.errors import MemoryError_
@@ -404,6 +404,9 @@ class AddressSpace:
         self.root_pfn = allocator.alloc(zero=True)
         self._table_frames = [self.root_pfn]
         self.mapped_pages = 0
+        #: Table bytes as of :meth:`checkpoint`, one per table frame;
+        #: None once map / unmap / protect / clear_pde edits the tree.
+        self._checkpoint: Optional[List[bytes]] = None
 
     @property
     def root_pa(self) -> int:
@@ -415,6 +418,7 @@ class AddressSpace:
             raise MemoryError_(f"physical address {pa:#x} not page-aligned")
         if va & _FLAGS_MASK:
             raise MemoryError_(f"virtual address {va:#x} not page-aligned")
+        self._checkpoint = None
         dir_idx, tbl_idx, _ = split_vaddr(va)
         pde_pa = self.root_pa + dir_idx * 4
         pde = self.physmem.read_u32(pde_pa)
@@ -436,6 +440,7 @@ class AddressSpace:
         pte_pa = self._pte_pa(va)
         if pte_pa is None:
             return
+        self._checkpoint = None
         if self.physmem.read_u32(pte_pa) & PTE_PRESENT:
             self.mapped_pages -= 1
         self.physmem.write_u32(pte_pa, 0)
@@ -448,6 +453,7 @@ class AddressSpace:
         pte = self.physmem.read_u32(pte_pa)
         if not pte & PTE_PRESENT:
             raise MemoryError_(f"protect of non-present address {va:#x}")
+        self._checkpoint = None
         self.physmem.write_u32(
             pte_pa, make_pte(pte_frame(pte), (flags | PTE_PRESENT) & _FLAGS_MASK)
         )
@@ -464,6 +470,7 @@ class AddressSpace:
         pde = self.physmem.read_u32(pde_pa)
         if not pde & PTE_PRESENT:
             return
+        self._checkpoint = None
         table_pfn = pte_frame(pde)
         table_pa = table_pfn << PAGE_SHIFT
         for tbl_idx in range(ENTRIES_PER_TABLE):
@@ -494,12 +501,33 @@ class AddressSpace:
                 if pte & PTE_PRESENT:
                     yield ((dir_idx << 22) | (tbl_idx << 12), pte)
 
+    def checkpoint(self) -> None:
+        """Remember the tables' bytes as they are now (:meth:`rollback`)."""
+        self._checkpoint = [self.physmem.read_frame(pfn)
+                            for pfn in self._table_frames]
+
+    def rollback(self) -> bool:
+        """Rewrite the tables to their checkpointed bytes.
+
+        Undoes what a hardware walker wrote into them (accessed / dirty
+        bits), which is all that can differ: any edit made through this
+        object since the checkpoint discarded it, and then nothing is
+        written and the answer is False -- those edits are the owner's
+        intent, not to be undone behind its back.
+        """
+        if self._checkpoint is None:
+            return False
+        for pfn, data in zip(self._table_frames, self._checkpoint):
+            self.physmem.write_frame(pfn, data)
+        return True
+
     def destroy(self) -> None:
         """Free every page-table page this space allocated."""
         for pfn in self._table_frames:
             self.allocator.free(pfn)
         self._table_frames = []
         self.mapped_pages = 0
+        self._checkpoint = None
 
     def _pte_pa(self, va: int) -> Optional[int]:
         dir_idx, tbl_idx, _ = split_vaddr(va)

@@ -28,8 +28,8 @@ class PhysicalMemory:
         self._data = bytearray(nbytes)
         #: Write watchers: (watched pfn set, callback(pfn)). The caller
         #: owns and mutates the set; the callback fires after any store
-        #: that touches a watched frame. CPU cores use this to invalidate
-        #: decode-cache entries and compiled blocks on code-page writes.
+        #: that touches a watched frame. CPU cores and the binary
+        #: translator use this to drop compiled code on code-page writes.
         self._watchers: List[Tuple[Set[int], Callable[[int], None]]] = []
 
     def watch_writes(

@@ -93,6 +93,20 @@ def test_fuzz_no_faults_flag(capsys):
     assert manifest["extra"]["fuzz"]["opts"]["fault_rate"] == 0.0
 
 
+def test_fuzz_text_report_carries_the_wall_clock(capsys):
+    # Aim 1's "wall-clock for a campaign" as a number -- in the text
+    # report only: the manifest is what --jobs parity compares.
+    import re
+
+    assert main(["fuzz", "--seed", "1", "--cases", "2"]) == 0
+    report = capsys.readouterr().out
+    assert re.search(r"^elapsed +: \d+\.\d\d s$", report, re.M)
+    assert re.search(r"^cases/s +: \d+\.\d$", report, re.M)
+    assert main(["fuzz", "--seed", "1", "--cases", "2", "--json"]) == 0
+    manifest = capsys.readouterr().out
+    assert "elapsed" not in manifest and "cases/s" not in manifest
+
+
 def test_shardbench_writes_payload(tmp_path, capsys):
     out = tmp_path / "BENCH_SHARD.json"
     baseline = tmp_path / "baseline.json"

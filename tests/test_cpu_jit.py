@@ -21,7 +21,7 @@ import pytest
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.interp import CPUCore, StopReason
-from repro.cpu.isa import CSR, Op, encode
+from repro.cpu.isa import CSR, DecodeError, Op, decode, encode
 from repro.cpu.mmu import BareMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
@@ -309,14 +309,74 @@ class TestSelfModifyingCode:
         assert cpu.jit_stats()["blocks_invalidated"] >= 1
 
     def test_decode_cache_invalidated_on_code_write(self):
+        # Decode is memoised by content and the word is read on every
+        # fetch, so rewritten code runs as what is there now -- there is
+        # nothing to invalidate, interpreted or compiled.
+        old = encode(Op.MOVI, rd=3, imm32=1) + encode(Op.HLT)
+        new_word = int.from_bytes(encode(Op.MOVI, rd=4, imm32=1)[:4], "little")
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            _heat(old, cpu=cpu, pm=pm)
+            assert (cpu.regs[3], cpu.regs[4]) == (1, 0)
+            pm.write_u32(0x1000, new_word)
+            patched = pm.read_bytes(0x1000, len(old))
+            cpu.reset(0x1000)
+            cpu.run(max_instructions=10)
+            assert (cpu.regs[3], cpu.regs[4]) == (0, 1), f"jit={jit}"
+            _heat(patched, cpu=cpu, pm=pm)  # and once it is compiled again
+            assert (cpu.regs[3], cpu.regs[4]) == (0, 1), f"jit={jit}"
+        assert cpu.jit_stats()["blocks_compiled"] >= 2
+
+
+class TestDecodeMemo:
+    """``isa.decode`` is memoised by content, process-wide."""
+
+    def test_same_content_is_one_object_across_cores(self):
+        a, pm_a = _make_cpu(jit=False)
+        b, pm_b = _make_cpu(jit=True)
+        for code in (encode(Op.ADD, rd=1, ra=2, rb=3),
+                     encode(Op.MOVI, rd=5, imm32=0xCAFE)):
+            pm_a.write_bytes(0x1000, code)
+            pm_b.write_bytes(0x2340, code)
+            assert a.fetch(0x1000) is b.fetch(0x2340)
+        # The immediate is part of an 8-byte instruction's content.
+        pm_b.write_bytes(0x2340, encode(Op.MOVI, rd=5, imm32=0xBEEF))
+        assert a.fetch(0x1000).imm32 == 0xCAFE
+        assert b.fetch(0x2340).imm32 == 0xBEEF
+
+    def test_decode_error_is_raised_every_time(self):
         cpu, pm = _make_cpu(jit=False)
-        pm.write_bytes(0x1000, encode(Op.MOVI, rd=3, imm32=1))
-        pm.write_bytes(0x1008, encode(Op.HLT))
-        cpu.run(max_instructions=10)
-        assert any(key[0] == 0x1000 for key in cpu._decode_cache)
-        # Overwrite the cached code page; targeted entries must go.
-        pm.write_u32(0x1000, int.from_bytes(encode(Op.NOP), "little"))
-        assert not any(key[0] == 0x1000 for key in cpu._decode_cache)
+        pm.write_u32(0x1000, 0x7F << 24)
+        for _ in range(2):
+            with pytest.raises(DecodeError):
+                decode(0x7F << 24)
+            with pytest.raises(DecodeError):
+                cpu.fetch(0x1000)
+
+    def test_straddling_immediate_is_translated_on_every_fetch(self):
+        # The ADD's immediate word is on the next page: its EXEC
+        # translation is a TLB touch and a cycle charge of every fetch,
+        # memo hit or not. Numbers pinned from before the memo existed
+        # (17 touches = 14 instructions + 3 straddling fetches).
+        image = b"".join([
+            encode(Op.MOVI, rd=10, imm32=3),            # 0x1FF0
+            encode(Op.NOP),                              # 0x1FF8 <- loop
+            encode(Op.ADD, rd=3, ra=3, imm32=5),         # 0x1FFC | 0x2000
+            encode(Op.SUB, rd=10, ra=10, imm32=1),       # 0x2004
+            encode(Op.BNE, ra=10, rb=0, imm32=0x1FF8),   # 0x200C
+            encode(Op.HLT),                              # 0x2014
+        ])
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            cpu.reset(0x1FF0)
+            pm.write_bytes(0x1FF0, image)
+            TestPaging._setup_paging(cpu, pm, pages=0)
+            assert cpu.run(max_instructions=100).stop is StopReason.HALT
+            assert (cpu.regs[3], cpu.cycles, cpu.instret) == (15, 134, 14)
+            assert vars(cpu.mmu.tlb.stats) == {
+                "hits": 15, "misses": 2, "flushes": 1,
+                "invalidations": 0, "evictions": 0,
+            }
 
 
 class TestPaging:
@@ -719,24 +779,25 @@ loop:
         assert cycles[0] == cycles[1]
 
     def test_decode_cache_bounded_eviction(self, monkeypatch):
-        import repro.cpu.interp as interp
+        import repro.cpu.isa as isa
 
-        monkeypatch.setattr(interp, "_DECODE_CACHE_MAX", 32)
-        monkeypatch.setattr(interp, "_DECODE_EVICT", 8)
+        monkeypatch.setattr(isa, "_DECODED_MAX", 32)
+        isa.DECODED.clear()  # whatever earlier tests left: it is a memo
         cpu, pm = _make_cpu(jit=False)
-        # 64 distinct MOVI instructions then HLT: more than the cap.
+        # 64 distinct MOVI instructions then HLT: twice the bound, so
+        # the memo is cleared mid-run and refilled.
         addr = 0x1000
         for i in range(64):
             pm.write_bytes(addr, encode(Op.MOVI, rd=3, imm32=i))
             addr += 8
         pm.write_bytes(addr, encode(Op.HLT))
+        for i in range(64):
+            cpu.step()
+            assert cpu.regs[3] == i
+            assert len(isa.DECODED) <= 32
         result = cpu.run(max_instructions=1000)
         assert result.stop is StopReason.HALT
-        assert cpu.regs[3] == 63
-        assert len(cpu._decode_cache) <= 33
-        # The frame index stays consistent with the cache contents.
-        indexed = {k for keys in cpu._decode_frames.values() for k in keys}
-        assert indexed == set(cpu._decode_cache)
+        assert cpu.instret == 65
 
     def test_mid_run_invalidation_then_recompile(self):
         cpu, pm = _make_cpu(jit=True)

@@ -238,26 +238,18 @@ FUZZ_ROOT = 0x51D
 FUZZ_CASES = 60
 
 
-def _run_fuzz_vmm(monkeypatch, segments, config, jit, **common):
-    """``fuzz.diff.run_vmm`` with the vCPU's engine chosen; returns its
-    guest-visible result and the full simulated state."""
-    made = []
-    create_vm = Hypervisor.create_vm
-
-    def create(self, cfg):
-        vm = create_vm(self, cfg)
-        vm.vcpus[0].cpu.jit_enabled = jit
-        made.append(vm)
-        return vm
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Hypervisor, "create_vm", create)
-        result = diff.run_vmm(segments, config, **common)
-    return result, _state(made[0]), made[0]
+def _run_fuzz_vmm(segments, config, jit, **common):
+    """A fuzz case on a machine built here, with the vCPU's engine
+    chosen; returns its guest-visible result and the full simulated
+    state."""
+    hv, vm = diff.build_machine(config)
+    vm.vcpus[0].cpu.jit_enabled = jit
+    result = diff.run_on(hv, vm, segments, **common)
+    return result, _state(vm), vm
 
 
 @pytest.mark.parametrize("config", [name for name, _v, _m in diff.VMM_CONFIGS])
-def test_generated_cases_match_interpreter(config, monkeypatch):
+def test_generated_cases_match_interpreter(config):
     compiled = 0
     for index in range(FUZZ_CASES):
         spec = gen.generate_case(FUZZ_ROOT, index)
@@ -266,7 +258,7 @@ def test_generated_cases_match_interpreter(config, monkeypatch):
         common = dict(max_instructions=diff.DEFAULT_MAX_INSTRUCTIONS,
                       fault_rate=0.05, fault_seed=fault_seed,
                       event_seed=fault_seed ^ 0x9E3779B9)
-        runs = [_run_fuzz_vmm(monkeypatch, segments, config, jit, **common)
+        runs = [_run_fuzz_vmm(segments, config, jit, **common)
                 for jit in (False, True)]
         (ref_result, ref_state, _), (jit_result, jit_state, vm) = runs
         assert ref_result == jit_result, f"{config} case {index}"

@@ -118,6 +118,32 @@ class TestAddressSpace:
         assert space.mapped_pages == 0
         assert alloc.allocated_frames == before - 1  # PT page returned
 
+    def test_rollback_undoes_walker_writes_only(self, env):
+        pm, alloc = env
+        space = AddressSpace(pm, alloc)
+        assert space.rollback() is False  # nothing checkpointed yet
+        space.map(0x1000, 0x2000, PTE_WRITABLE)
+        space.map(0x400000, 0x3000, PTE_WRITABLE)
+        space.checkpoint()
+        as_built = dict(space.mappings())
+        # A hardware walk sets accessed / dirty behind the space's back.
+        PageTableWalker(pm).walk(space.root_pa, 0x1000, AccessType.WRITE, False)
+        assert dict(space.mappings()) != as_built
+        assert space.rollback() is True
+        assert dict(space.mappings()) == as_built
+        assert space.rollback() is True  # the checkpoint stands
+        # An edit through the space is its owner's intent: it discards
+        # the checkpoint rather than be undone by a later rollback.
+        for edit in (lambda: space.map(0x5000, 0x6000, 0),
+                     lambda: space.unmap(0x1000),
+                     lambda: space.protect(0x400000, PTE_USER),
+                     lambda: space.clear_pde(1)):
+            space.checkpoint()
+            edit()
+            after_edit = dict(space.mappings())
+            assert space.rollback() is False
+            assert dict(space.mappings()) == after_edit
+
     def test_destroy_frees_table_frames(self, env):
         pm, alloc = env
         before = alloc.allocated_frames
