@@ -237,19 +237,21 @@ class Hypervisor:
 
         Returns the claiming handler's name (``core.ept_dispatch.*``
         counts claims per owner, the raw table behind the E7 routing
-        regression test).
+        regression test). New backing is new content as far as a
+        pre-copy destination knows, so it is logged dirty.
         """
-        for name, handler in self._ept_fault_handlers:
+        chain = self._ept_fault_handlers + self._ept_fault_fallbacks
+        for name, handler in chain:
             if handler(vm, gfn, access):
-                self.registry.counter(f"core.ept_dispatch.{name}").inc()
-                return name
-        for name, handler in self._ept_fault_fallbacks:
-            if handler(vm, gfn, access):
-                self.registry.counter(f"core.ept_dispatch.{name}").inc()
-                return name
-        vm.guest_mem.map_page(gfn, self.allocator.alloc())
-        self.registry.counter("core.ept_dispatch.demand_zero").inc()
-        return "demand_zero"
+                break
+        else:
+            name = "demand_zero"
+            vm.guest_mem.map_page(gfn, self.allocator.alloc())
+        self.registry.counter(f"core.ept_dispatch.{name}").inc()
+        dirty_handler = self.dirty_handlers.get(vm.name)
+        if dirty_handler is not None:
+            dirty_handler(vm, gfn)
+        return name
 
     # -- VM construction --------------------------------------------------
 

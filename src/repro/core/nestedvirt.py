@@ -76,7 +76,8 @@ class AliasedPhysicalMemory(PhysicalMemory):
         super().__init__(nbytes)
         self.backing = backing
         self.base_pa = base_pa
-        self._data = memoryview(backing._data)[base_pa : base_pa + nbytes]
+        self._data = self._view = (
+            memoryview(backing._data)[base_pa : base_pa + nbytes])
 
 
 @dataclass

@@ -44,7 +44,6 @@ from repro.mem.paging import (
     PageFault,
     PageTableWalker,
     pte_frame,
-    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB
@@ -103,7 +102,9 @@ class ShadowMMU(MMUBase):
         #: called with gfn, must leave guest_mem mapped or raise.
         self.page_in_hook = None
 
-        self._writable_fills: Dict[int, Set[Tuple[Tuple[int, bool], int]]] = {}
+        #: gfn -> every (space key, page va) a fill mapped it at; what
+        #: drop / rebind / write-protect of a guest frame has to visit.
+        self._fills: Dict[int, Set[Tuple[Tuple[int, bool], int]]] = {}
         self._pt_backrefs: Dict[int, Set[Tuple[Tuple[int, bool], int]]] = {}
 
         self.fills = 0
@@ -124,14 +125,14 @@ class ShadowMMU(MMUBase):
             return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         space = self._current_space()
         try:
-            result = self.walker.walk(space.root_pa, va, access, user)
+            pte = self.walker.walk(space.root_pa, va, access, user)
         except PageFault:
             self._miss(va, access, user)  # always raises
             raise AssertionError("unreachable")
-        self.tlb.insert(vpn, result.pte)
+        self.tlb.insert(vpn, pte)
         return (
-            result.paddr,
-            self.costs.tlb_hit_cycles + result.mem_refs * self.costs.mem_ref_cycles,
+            (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF),
+            self.costs.tlb_hit_cycles + 2 * self.costs.mem_ref_cycles,
         )
 
     @property
@@ -229,11 +230,9 @@ class ShadowMMU(MMUBase):
         page_va = va & ~0xFFF
         space.map(page_va, hfn << PAGE_SHIFT, flags)
         self.tlb.invalidate(va >> PAGE_SHIFT)
-        if flags & PTE_WRITABLE:
-            self._writable_fills.setdefault(gfn, set()).add((space_key, page_va))
+        self._fills.setdefault(gfn, set()).add((space_key, page_va))
         self._pt_backrefs.setdefault(walk.pt_gfn, set()).add(
-            (space_key, split_vaddr(va)[0])
-        )
+            (space_key, va >> 22))
         self.fills += 1
 
     def handle_guest_pt_write(self, gpa: int) -> None:
@@ -272,19 +271,19 @@ class ShadowMMU(MMUBase):
     def drop_gfn(self, gfn: int) -> None:
         """Remove every shadow mapping of a guest frame (balloon, swap,
         sharing break)."""
-        for space_key, page_va in self._writable_fills.pop(gfn, set()):
+        for space_key, page_va in self._fills.pop(gfn, ()):
             space = self._spaces.get(space_key)
             if space is not None:
                 space.unmap(page_va)
-            self.tlb.invalidate(page_va >> PAGE_SHIFT)
-        # Read-only fills are not back-mapped individually, so sweep
-        # every space for remaining mappings of this frame. Coarse but
-        # safe; drop_gfn is off the hot path (balloon/swap/share only).
-        for space in self._spaces.values():
-            for va, pte in list(space.mappings()):
-                if pte_frame(pte) == self.guest_mem.map.get(gfn, -1):
-                    space.unmap(va)
         self.tlb.flush()
+
+    def rebind_gfn(self, gfn: int, hfn: int, writable: bool) -> None:
+        """``gfn`` is now backed by ``hfn``: refill from there, lazily."""
+        self.drop_gfn(gfn)
+        if writable:
+            self.write_protected_gfns.discard(gfn)
+        else:
+            self.write_protected_gfns.add(gfn)
 
     def destroy(self) -> None:
         for space in self._spaces.values():
@@ -336,14 +335,13 @@ class ShadowMMU(MMUBase):
         if effective_user is None:
             effective_user = self.guest_user_mode if self.ring_compression else False
         assert self.guest_root is not None
-        dir_idx, tbl_idx, _ = split_vaddr(va)
-        pde_gpa = self.guest_root + dir_idx * 4
+        pde_gpa = self.guest_root + (va >> 22) * 4
         pde = self._read_guest_u32(pde_gpa)
         if not pde & PTE_PRESENT:
             raise PageFault(va, access, effective_user, present=False)
         pt_gfn = pte_frame(pde)
         self._register_pt_gfn(pt_gfn)
-        pte_gpa = (pt_gfn << PAGE_SHIFT) + tbl_idx * 4
+        pte_gpa = (pt_gfn << PAGE_SHIFT) + ((va >> 12) & 0x3FF) * 4
         pte = self._read_guest_u32(pte_gpa)
         if not pte & PTE_PRESENT:
             raise PageFault(va, access, effective_user, present=False)
@@ -373,15 +371,12 @@ class ShadowMMU(MMUBase):
 
     def _downgrade_writable(self, gfn: int) -> None:
         """Make every existing writable shadow mapping of gfn read-only."""
-        for space_key, page_va in self._writable_fills.pop(gfn, set()):
+        for space_key, page_va in self._fills.get(gfn, ()):
             space = self._spaces.get(space_key)
-            if space is None:
-                continue
-            pte = space.lookup(page_va)
-            if pte is None:
-                continue
-            space.protect(page_va, (pte & 0xFFF & ~PTE_WRITABLE) | PTE_PRESENT)
-            self.tlb.invalidate(page_va >> PAGE_SHIFT)
+            if space is not None and (
+                space.rewrite_leaf(page_va, ~PTE_WRITABLE, 0) & PTE_WRITABLE
+            ):
+                self.tlb.invalidate(page_va >> PAGE_SHIFT)
 
     def _space_key(self) -> Tuple[int, bool]:
         view = self.kernel_view if self.ring_compression else True

@@ -139,6 +139,10 @@ class GuestMemory:
         return b"".join([read(hpa, n) for hpa, n in self.host_runs(gpa, length)])
 
     def write_bytes(self, gpa: int, data: bytes) -> None:
+        if 0 < len(data) <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
+            self.host.write_bytes(self.gpa_to_hpa(gpa), data)
+            self._note_write(gpa >> PAGE_SHIFT)
+            return
         offset = 0
         while offset < len(data):
             in_page = min(
@@ -150,12 +154,13 @@ class GuestMemory:
             offset += in_page
 
     def read_gfn(self, gfn: int) -> bytes:
-        return self.read_bytes(gfn << PAGE_SHIFT, PAGE_SIZE)
+        return self.host.read_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT), PAGE_SIZE)
 
     def write_gfn(self, gfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise MemoryError_("write_gfn needs exactly one page of data")
-        self.write_bytes(gfn << PAGE_SHIFT, data)
+        self.host.write_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT), data)
+        self._note_write(gfn)
 
     def _note_write(self, gfn: int) -> None:
         if self.write_hook is not None:

@@ -247,7 +247,7 @@ def _emit_block(
     # Self-looping blocks are hot by construction, so their IC-miss
     # slow path additionally inlines the whole reference translate
     # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
-    # into the closure, replicating translate/walk_quick/TLB.insert
+    # into the closure, replicating translate/walker.walk/TLB.insert
     # statement for statement -- BareMMU's, so only over it.
     # Dispatcher-bound blocks keep the plain `tr()` call: their
     # preamble must stay cheap.
@@ -455,7 +455,7 @@ def _emit_block(
             if deep:
                 # Inline replica of BareMMU.translate on this access
                 # class: probe (reference lookup conditions + stats +
-                # LRU), then walk_quick (raw reads, fault order, A/D
+                # LRU), then walker.walk (raw reads, fault order, A/D
                 # write visibility), then TLB.insert (LRU refresh or
                 # evict + epoch), then the IC/forwarding fill.
                 hit_cond = "not u or _pte & 4"

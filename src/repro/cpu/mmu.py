@@ -24,8 +24,11 @@ of branching on its class:
 
 * ``map_gfn(gfn, hfn)`` -- the host backed a guest frame (eager under
   two-stage paging; a no-op under shadow, which refills lazily);
+* ``rebind_gfn(gfn, hfn, writable)`` -- ``gfn`` is now backed by
+  ``hfn``, whatever backed it before, and a write to it does or does
+  not raise a ``dirty_log`` exit (sharing: merge and copy-on-write);
 * ``drop_gfn(gfn)`` -- forget every translation of a guest frame before
-  the host takes its backing away (balloon, swap, sharing);
+  the host takes its backing away (balloon, swap);
 * ``write_protect_gfn(gfn)`` / ``unprotect_gfn(gfn)`` -- dirty logging
   and copy-on-write (the next write raises a ``dirty_log`` exit).
 
@@ -156,11 +159,7 @@ class BareMMU(MMUBase):
             tlb.stats.hits += 1
             return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         tlb.stats.misses += 1
-        # walk_quick is the allocation-free twin of walker.walk: same
-        # counters, same fault order, same A/D write visibility. The
-        # frame bits of the returned PTE equal WalkResult.paddr's frame
-        # (A/D updates never touch the frame field).
-        pte = self.walker.walk_quick(self.root_pa, va, access, user)
+        pte = self.walker.walk(self.root_pa, va, access, user)
         tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 
@@ -249,27 +248,33 @@ class TwoStageMMU(MMUBase):
 
     def map_gfn(self, gfn: int, hfn: int) -> None:
         """Back guest frame ``gfn`` with host frame ``hfn`` in the EPT."""
-        self.ept.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, GSTAGE_BACKED)
+        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0,
+                              (hfn << PAGE_SHIFT) | GSTAGE_BACKED)
+
+    def rebind_gfn(self, gfn: int, hfn: int, writable: bool) -> None:
+        """``gfn`` is now backed by ``hfn``, whatever backed it before."""
+        leaf = (hfn << PAGE_SHIFT) | GSTAGE_BACKED
+        if writable:
+            self.write_protected_gfns.discard(gfn)
+        else:
+            self.write_protected_gfns.add(gfn)
+            leaf &= ~PTE_WRITABLE
+        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0, leaf)
+        self.tlb.flush()  # conservatively drop combined translations
 
     def drop_gfn(self, gfn: int) -> None:
         """Unmap ``gfn`` from the EPT; its next access is an EPT violation."""
-        if self.ept.lookup(gfn << PAGE_SHIFT) is not None:
-            self.ept.unmap(gfn << PAGE_SHIFT)
+        if self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0, 0):
             self.tlb.flush()  # conservatively drop combined translations
 
     def write_protect_gfn(self, gfn: int) -> None:
-        pte = self.ept.lookup(gfn << PAGE_SHIFT)
-        if pte is None:
-            return
-        self.write_protected_gfns.add(gfn)
-        self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) & ~PTE_WRITABLE)
-        self.tlb.flush()
+        if self.ept.rewrite_leaf(gfn << PAGE_SHIFT, ~PTE_WRITABLE, 0):
+            self.write_protected_gfns.add(gfn)
+            self.tlb.flush()
 
     def unprotect_gfn(self, gfn: int) -> None:
         self.write_protected_gfns.discard(gfn)
-        pte = self.ept.lookup(gfn << PAGE_SHIFT)
-        if pte is not None:
-            self.ept.protect(gfn << PAGE_SHIFT, (pte & 0xFFF) | PTE_WRITABLE)
+        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, -1, PTE_WRITABLE)
 
     # -- MMUBase interface ----------------------------------------------------
 
@@ -287,40 +292,27 @@ class TwoStageMMU(MMUBase):
         ept_ref_cycles = (
             costs.gstage_ref_cycles if self.hmode else costs.mem_ref_cycles
         )
-        if self.guest_root is None:
-            # Guest paging off: VA is a gPA; one EPT walk.
-            try:
-                hpa, refs = self.walker.gstage_walk(self.ept.root_pa, va, access)
-            except GStageFault as fault:
-                raise self._ept_exit(fault) from None
-            flags = PTE_PRESENT | PTE_USER | PTE_ACCESSED
-            if access is AccessType.WRITE:
-                flags |= PTE_WRITABLE | PTE_DIRTY
-            self.tlb.insert(vpn, ((hpa >> PAGE_SHIFT) << PAGE_SHIFT) | flags)
-            return hpa, costs.tlb_hit_cycles + refs * ept_ref_cycles + stall
-
-        try:
-            res = self.walker.walk(
-                self.ept.root_pa, self.guest_root, va, access, user
-            )
-        except GStageFault as fault:
-            raise self._ept_exit(fault) from None
         flags = PTE_PRESENT | PTE_ACCESSED
-        flags |= res.combined & PTE_USER
-        flags |= res.pte & PTE_NOEXEC
         if access is AccessType.WRITE:
             # Lazy-W: cache write permission only once D is set, so the
             # next write after a dirty-log round re-walks.
             flags |= PTE_WRITABLE | PTE_DIRTY
-        self.tlb.insert(
-            vpn, ((res.hpaddr >> PAGE_SHIFT) << PAGE_SHIFT) | flags
-        )
-        return res.hpaddr, (
-            costs.tlb_hit_cycles
-            + res.guest_refs * costs.mem_ref_cycles
-            + res.gstage_refs * ept_ref_cycles
-            + stall
-        )
+        try:
+            if self.guest_root is None:
+                # Guest paging off: VA is a gPA; one EPT walk.
+                hpa = self.walker.gstage_walk(self.ept.root_pa, va, access)
+                flags |= PTE_USER
+                walk_cycles = 2 * ept_ref_cycles
+            else:
+                hpa, perms, refs = self.walker.walk(
+                    self.ept.root_pa, self.guest_root, va, access, user
+                )
+                flags |= perms
+                walk_cycles = 2 * costs.mem_ref_cycles + refs * ept_ref_cycles
+        except GStageFault as fault:
+            raise self._ept_exit(fault) from None
+        self.tlb.insert(vpn, (hpa >> PAGE_SHIFT << PAGE_SHIFT) | flags)
+        return hpa, costs.tlb_hit_cycles + walk_cycles + stall
 
     #: Guest paging off still walks the EPT through the TLB.
     tlb_active = True

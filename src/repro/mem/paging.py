@@ -30,6 +30,7 @@ PTE_DIRTY = 1 << 4
 PTE_NOEXEC = 1 << 5
 
 _FLAGS_MASK = (1 << PAGE_SHIFT) - 1
+_FRAME_MASK = ~_FLAGS_MASK
 
 _U32 = struct.Struct("<I")
 
@@ -87,16 +88,6 @@ def split_vaddr(va: int) -> Tuple[int, int, int]:
     return (va >> 22) & 0x3FF, (va >> 12) & 0x3FF, va & 0xFFF
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    """Outcome of a successful page-table walk."""
-
-    paddr: int
-    pte_paddr: int  # physical address of the leaf PTE (for W^X tricks, dirty scan)
-    pte: int
-    mem_refs: int  # memory references the walk performed (2 for 2 levels)
-
-
 class PageTableWalker:
     """Walks 2-level tables stored in a :class:`PhysicalMemory`."""
 
@@ -105,89 +96,29 @@ class PageTableWalker:
         self.walks = 0
         self.faults = 0
 
-    def walk(
-        self,
-        root_pa: int,
-        va: int,
-        access: AccessType,
-        user: bool,
-        set_ad: bool = True,
-    ) -> WalkResult:
-        """Translate ``va``; raise :class:`PageFault` on failure.
+    def walk(self, root_pa: int, va: int, access: AccessType, user: bool) -> int:
+        """Translate ``va``; return the leaf PTE, accessed/dirty bits set.
 
-        ``root_pa`` is the physical address of the page directory.
-        ``user`` is the privilege of the access (True = user mode).
-        """
-        self.walks += 1
-        dir_idx, tbl_idx, offset = split_vaddr(va)
-
-        pde_pa = root_pa + dir_idx * 4
-        pde = self.physmem.read_u32(pde_pa)
-        if not pde & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte = self.physmem.read_u32(pte_pa)
-        if not pte & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        combined = pde & pte
-        if user and not combined & PTE_USER:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-
-        if set_ad:
-            new_pde = pde | PTE_ACCESSED
-            if new_pde != pde:
-                self.physmem.write_u32(pde_pa, new_pde)
-            new_pte = pte | PTE_ACCESSED
-            if access is AccessType.WRITE:
-                new_pte |= PTE_DIRTY
-            if new_pte != pte:
-                self.physmem.write_u32(pte_pa, new_pte)
-                pte = new_pte
-
-        return WalkResult(
-            paddr=(pte_frame(pte) << PAGE_SHIFT) | offset,
-            pte_paddr=pte_pa,
-            pte=pte,
-            mem_refs=2,
-        )
-
-    def walk_quick(
-        self, root_pa: int, va: int, access: AccessType, user: bool
-    ) -> int:
-        """Translate ``va`` and return the post-A/D leaf PTE.
-
-        Semantically identical to :meth:`walk` with ``set_ad=True`` --
-        same walk/fault counting, same fault order, same A/D update
-        order -- but reads table entries straight from the backing
-        buffer and skips the :class:`WalkResult` allocation. A/D
-        updates still go through ``physmem.write_u32`` so write
-        watchers (SMC invalidation, dirty tracking) observe them. This
-        is the hot translate path of :class:`~repro.cpu.mmu.BareMMU`;
-        the virtualized MMUs keep the structured :meth:`walk`.
+        ``root_pa`` is the physical address of the page directory,
+        ``user`` the privilege of the access (True = user mode); the
+        translation is the leaf's frame plus ``va``'s page offset.
+        Raises :class:`PageFault` on failure. Entries are read straight
+        from the backing buffer (out of RAM raises through ``read_u32``);
+        A/D updates go through ``write_u32`` so write watchers (SMC
+        invalidation, dirty tracking) observe them.
         """
         self.walks += 1
         pm = self.physmem
         buf = pm._data
         size = pm.size
-        pde_pa = root_pa + ((va >> 22) & 0x3FF) * 4
+        pde_pa = root_pa + ((va >> 20) & 0xFFC)
         if pde_pa + 4 > size:
             pm.read_u32(pde_pa)  # out of RAM: raise the canonical error
         pde = _U32.unpack_from(buf, pde_pa)[0]
         if not pde & PTE_PRESENT:
             self.faults += 1
             raise PageFault(va, access, user, present=False)
-        pte_pa = (pde >> PAGE_SHIFT << PAGE_SHIFT) + ((va >> 12) & 0x3FF) * 4
+        pte_pa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
         if pte_pa + 4 > size:
             pm.read_u32(pte_pa)
         pte = _U32.unpack_from(buf, pte_pa)[0]
@@ -240,18 +171,6 @@ class GStageFault(Exception):
         )
 
 
-@dataclass(frozen=True)
-class TwoStageResult:
-    """Outcome of a successful hardware two-stage walk."""
-
-    hpaddr: int  # host-physical address of the data
-    gpaddr: int  # guest-physical address (after the guest stage)
-    pte: int  # guest leaf PTE, post-A/D
-    combined: int  # guest PDE & PTE (joint permission bits)
-    guest_refs: int  # guest page-table entry reads
-    gstage_refs: int  # G-stage page-table entry reads
-
-
 class TwoStageWalker:
     """Hardware-walked two-stage translation (guest stage over G-stage/EPT).
 
@@ -272,40 +191,45 @@ class TwoStageWalker:
         self.faults = 0
         self.gstage_faults = 0
 
-    def gstage_walk(
-        self, gstage_root: int, gpa: int, access: AccessType
-    ) -> Tuple[int, int]:
-        """Translate one gPA through the G-stage; return (hpa, refs).
+    def gstage_walk(self, gstage_root: int, gpa: int, access: AccessType) -> int:
+        """Translate one gPA through the G-stage: two entry references.
 
         Raises :class:`GStageFault` when unmapped or when a write hits
         a non-writable entry. On success, under ``gstage_ad``, sets
         ACCESSED at both G-stage levels and DIRTY at the leaf for writes.
+        Reads and writes memory the way :meth:`PageTableWalker.walk` does.
         """
-        dir_idx, tbl_idx, offset = split_vaddr(gpa)
-        pde_pa = gstage_root + dir_idx * 4
-        pde = self.physmem.read_u32(pde_pa)
+        pm = self.physmem
+        buf = pm._data
+        size = pm.size
+        pde_pa = gstage_root + ((gpa >> 20) & 0xFFC)
+        if pde_pa + 4 > size:
+            pm.read_u32(pde_pa)  # out of RAM: raise the canonical error
+        pde = _U32.unpack_from(buf, pde_pa)[0]
         if not pde & PTE_PRESENT:
             self.gstage_faults += 1
             raise GStageFault(gpa, access, present=False)
-        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte = self.physmem.read_u32(pte_pa)
+        pte_pa = (pde & _FRAME_MASK) + ((gpa >> 10) & 0xFFC)
+        if pte_pa + 4 > size:
+            pm.read_u32(pte_pa)
+        pte = _U32.unpack_from(buf, pte_pa)[0]
         if not pte & PTE_PRESENT:
             self.gstage_faults += 1
             raise GStageFault(gpa, access, present=False)
-        if access is AccessType.WRITE and not (pde & pte & PTE_WRITABLE):
+        if access is AccessType.WRITE and not pde & pte & PTE_WRITABLE:
             self.gstage_faults += 1
             raise GStageFault(gpa, access, present=True)
         if self.gstage_ad:
             new_pde = pde | PTE_ACCESSED
             if new_pde != pde:
-                self.physmem.write_u32(pde_pa, new_pde)
+                pm.write_u32(pde_pa, new_pde)
             new_pte = pte | PTE_ACCESSED
             if access is AccessType.WRITE:
                 new_pte |= PTE_DIRTY
             if new_pte != pte:
-                self.physmem.write_u32(pte_pa, new_pte)
+                pm.write_u32(pte_pa, new_pte)
                 pte = new_pte
-        return (pte_frame(pte) << PAGE_SHIFT) | offset, 2
+        return (pte & _FRAME_MASK) | (gpa & 0xFFF)
 
     def walk(
         self,
@@ -314,8 +238,14 @@ class TwoStageWalker:
         va: int,
         access: AccessType,
         user: bool,
-    ) -> TwoStageResult:
+    ) -> Tuple[int, int, int]:
         """Full two-stage translation of a guest virtual address.
+
+        Returns ``(hpa, perms, gstage_refs)``: the host-physical address
+        of the data, the guest's verdict a TLB must keep (USER of
+        PDE & PTE, NOEXEC of the PTE) and the G-stage entry references
+        made -- 6, plus 2 per guest entry whose A/D bits were written
+        back; the guest's own two entry reads are on top.
 
         Guest-visible behaviour (fault order, guest A/D updates) is
         identical to :class:`PageTableWalker`; every guest table access
@@ -323,24 +253,25 @@ class TwoStageWalker:
         of guest A/D bits (so dirty logging captures page-table pages).
         """
         self.walks += 1
-        guest_refs = 0
-        gstage_refs = 0
-        dir_idx, tbl_idx, offset = split_vaddr(va)
+        pm = self.physmem
+        size = pm.size
+        gstage_walk = self.gstage_walk
+        gstage_refs = 6
 
-        pde_gpa = guest_root + dir_idx * 4
-        pde_hpa, r = self.gstage_walk(gstage_root, pde_gpa, AccessType.READ)
-        gstage_refs += r
-        guest_refs += 1
-        pde = self.physmem.read_u32(pde_hpa)
+        pde_gpa = guest_root + ((va >> 20) & 0xFFC)
+        pde_hpa = gstage_walk(gstage_root, pde_gpa, AccessType.READ)
+        if pde_hpa + 4 > size:
+            pm.read_u32(pde_hpa)  # out of RAM: raise the canonical error
+        pde = _U32.unpack_from(pm._data, pde_hpa)[0]
         if not pde & PTE_PRESENT:
             self.faults += 1
             raise PageFault(va, access, user, present=False)
 
-        pte_gpa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        pte_hpa, r = self.gstage_walk(gstage_root, pte_gpa, AccessType.READ)
-        gstage_refs += r
-        guest_refs += 1
-        gpte = self.physmem.read_u32(pte_hpa)
+        pte_gpa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
+        pte_hpa = gstage_walk(gstage_root, pte_gpa, AccessType.READ)
+        if pte_hpa + 4 > size:
+            pm.read_u32(pte_hpa)
+        gpte = _U32.unpack_from(pm._data, pte_hpa)[0]
         if not gpte & PTE_PRESENT:
             self.faults += 1
             raise PageFault(va, access, user, present=False)
@@ -359,34 +290,21 @@ class TwoStageWalker:
         # Guest A/D write-back: a guest-physical *write*, re-walked
         # through the G-stage with write permission.
         if not pde & PTE_ACCESSED:
-            pde_hpa_w, r = self.gstage_walk(
-                gstage_root, pde_gpa, AccessType.WRITE
-            )
-            gstage_refs += r
-            self.physmem.write_u32(pde_hpa_w, pde | PTE_ACCESSED)
+            pm.write_u32(gstage_walk(gstage_root, pde_gpa, AccessType.WRITE),
+                         pde | PTE_ACCESSED)
+            gstage_refs += 2
         new_gpte = gpte | PTE_ACCESSED
         if access is AccessType.WRITE:
             new_gpte |= PTE_DIRTY
         if new_gpte != gpte:
-            pte_hpa_w, r = self.gstage_walk(
-                gstage_root, pte_gpa, AccessType.WRITE
-            )
-            gstage_refs += r
-            self.physmem.write_u32(pte_hpa_w, new_gpte)
+            pm.write_u32(gstage_walk(gstage_root, pte_gpa, AccessType.WRITE),
+                         new_gpte)
+            gstage_refs += 2
             gpte = new_gpte
 
-        gpa = (pte_frame(gpte) << PAGE_SHIFT) | offset
-        hpa, r = self.gstage_walk(gstage_root, gpa, access)
-        gstage_refs += r
-
-        return TwoStageResult(
-            hpaddr=hpa,
-            gpaddr=gpa,
-            pte=gpte,
-            combined=combined,
-            guest_refs=guest_refs,
-            gstage_refs=gstage_refs,
-        )
+        gpa = (gpte & _FRAME_MASK) | (va & 0xFFF)
+        return (gstage_walk(gstage_root, gpa, access),
+                (combined & PTE_USER) | (gpte & PTE_NOEXEC), gstage_refs)
 
 
 class AddressSpace:
@@ -412,51 +330,57 @@ class AddressSpace:
     def root_pa(self) -> int:
         return self.root_pfn << PAGE_SHIFT
 
+    def rewrite_leaf(self, va: int, keep: int, put: int) -> int:
+        """Find the leaf of ``va`` once and store ``(leaf & keep) | put``.
+
+        The one edit under :meth:`map`, :meth:`unmap`, :meth:`protect`
+        and the MMUs' host memory control. An absent leaf reads as 0
+        and one absent before and after is not written; one made
+        present gets its inner table allocated. Returns the leaf as it
+        was (0 when absent).
+        """
+        pm = self.physmem
+        pde_pa = (self.root_pfn << PAGE_SHIFT) + ((va >> 20) & 0xFFC)
+        pde = _U32.unpack_from(pm._data, pde_pa)[0]
+        if not pde & PTE_PRESENT:
+            if not put & PTE_PRESENT:
+                return 0
+            table_pfn = self.allocator.alloc(zero=True)
+            self._table_frames.append(table_pfn)
+            # Directory entries carry the union of permissions; leaf PTEs
+            # then restrict. Granting W|U here matches common kernels.
+            pde = make_pte(table_pfn, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
+            pm.write_u32(pde_pa, pde)
+        pte_pa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
+        old = _U32.unpack_from(pm._data, pte_pa)[0]
+        if not old & PTE_PRESENT:
+            old = 0
+        new = (old & keep) | put
+        if not new & PTE_PRESENT:
+            new = 0
+        if new != old:
+            self._checkpoint = None
+            self.mapped_pages += (new & PTE_PRESENT) - (old & PTE_PRESENT)
+            pm.write_u32(pte_pa, new)
+        return old
+
     def map(self, va: int, pa: int, flags: int) -> None:
         """Install a 4 KiB mapping; allocates an inner table if needed."""
         if pa & _FLAGS_MASK:
             raise MemoryError_(f"physical address {pa:#x} not page-aligned")
         if va & _FLAGS_MASK:
             raise MemoryError_(f"virtual address {va:#x} not page-aligned")
-        self._checkpoint = None
-        dir_idx, tbl_idx, _ = split_vaddr(va)
-        pde_pa = self.root_pa + dir_idx * 4
-        pde = self.physmem.read_u32(pde_pa)
-        if not pde & PTE_PRESENT:
-            table_pfn = self.allocator.alloc(zero=True)
-            self._table_frames.append(table_pfn)
-            # Directory entries carry the union of permissions; leaf PTEs
-            # then restrict. Granting W|U here matches common kernels.
-            pde = make_pte(table_pfn, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
-            self.physmem.write_u32(pde_pa, pde)
-        pte_pa = (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4
-        old = self.physmem.read_u32(pte_pa)
-        if not old & PTE_PRESENT:
-            self.mapped_pages += 1
-        self.physmem.write_u32(pte_pa, make_pte(pa >> PAGE_SHIFT, flags | PTE_PRESENT))
+        self.rewrite_leaf(va, 0, make_pte(pa >> PAGE_SHIFT, flags | PTE_PRESENT))
 
     def unmap(self, va: int) -> None:
         """Remove a mapping (leaves inner tables in place)."""
-        pte_pa = self._pte_pa(va)
-        if pte_pa is None:
-            return
-        self._checkpoint = None
-        if self.physmem.read_u32(pte_pa) & PTE_PRESENT:
-            self.mapped_pages -= 1
-        self.physmem.write_u32(pte_pa, 0)
+        self.rewrite_leaf(va, 0, 0)
 
     def protect(self, va: int, flags: int) -> None:
         """Replace the flag bits of an existing mapping."""
-        pte_pa = self._pte_pa(va)
-        if pte_pa is None:
+        if self.lookup(va) is None:
             raise MemoryError_(f"protect of unmapped address {va:#x}")
-        pte = self.physmem.read_u32(pte_pa)
-        if not pte & PTE_PRESENT:
-            raise MemoryError_(f"protect of non-present address {va:#x}")
-        self._checkpoint = None
-        self.physmem.write_u32(
-            pte_pa, make_pte(pte_frame(pte), (flags | PTE_PRESENT) & _FLAGS_MASK)
-        )
+        self.rewrite_leaf(va, _FRAME_MASK, (flags | PTE_PRESENT) & _FLAGS_MASK)
 
     def clear_pde(self, dir_idx: int) -> None:
         """Drop one directory entry and its whole 4 MiB leaf table.
@@ -483,11 +407,7 @@ class AddressSpace:
 
     def lookup(self, va: int) -> Optional[int]:
         """Return the PTE for ``va`` (no side effects), or None."""
-        pte_pa = self._pte_pa(va)
-        if pte_pa is None:
-            return None
-        pte = self.physmem.read_u32(pte_pa)
-        return pte if pte & PTE_PRESENT else None
+        return self.rewrite_leaf(va, -1, 0) or None
 
     def mappings(self) -> Iterator[Tuple[int, int]]:
         """Yield (va, pte) for every present leaf mapping."""
@@ -528,10 +448,3 @@ class AddressSpace:
         self._table_frames = []
         self.mapped_pages = 0
         self._checkpoint = None
-
-    def _pte_pa(self, va: int) -> Optional[int]:
-        dir_idx, tbl_idx, _ = split_vaddr(va)
-        pde = self.physmem.read_u32(self.root_pa + dir_idx * 4)
-        if not pde & PTE_PRESENT:
-            return None
-        return (pte_frame(pde) << PAGE_SHIFT) + tbl_idx * 4

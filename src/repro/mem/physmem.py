@@ -26,6 +26,8 @@ class PhysicalMemory:
         self.size = nbytes
         self.num_frames = nbytes >> PAGE_SHIFT
         self._data = bytearray(nbytes)
+        #: The same bytes, sliceable without a copy (bulk reads make one).
+        self._view = memoryview(self._data)
         #: Write watchers: (watched pfn set, callback(pfn)). The caller
         #: owns and mutates the set; the callback fires after any store
         #: that touches a watched frame. CPU cores and the binary
@@ -71,11 +73,13 @@ class PhysicalMemory:
             self._notify(pa, 1)
 
     def read_u32(self, pa: int) -> int:
-        self._check(pa, 4)
+        if pa < 0 or pa + 4 > self.size:
+            self._check(pa, 4)
         return _U32.unpack_from(self._data, pa)[0]
 
     def write_u32(self, pa: int, value: int) -> None:
-        self._check(pa, 4)
+        if pa < 0 or pa + 4 > self.size:
+            self._check(pa, 4)
         _U32.pack_into(self._data, pa, value & 0xFFFFFFFF)
         if self._watchers:
             self._notify(pa, 4)
@@ -83,11 +87,13 @@ class PhysicalMemory:
     # -- bulk access --------------------------------------------------------
 
     def read_bytes(self, pa: int, length: int) -> bytes:
-        self._check(pa, length)
-        return bytes(self._data[pa : pa + length])
+        if pa < 0 or pa + length > self.size:
+            self._check(pa, length)
+        return bytes(self._view[pa : pa + length])
 
     def write_bytes(self, pa: int, data: bytes) -> None:
-        self._check(pa, len(data))
+        if pa < 0 or pa + len(data) > self.size:
+            self._check(pa, len(data))
         self._data[pa : pa + len(data)] = data
         if self._watchers and data:
             self._notify(pa, len(data))
@@ -111,7 +117,7 @@ class PhysicalMemory:
         """Cheap content hash of one frame (used by the sharing scanner)."""
         base = pfn << PAGE_SHIFT
         self._check(base, PAGE_SIZE)
-        return hash(bytes(self._data[base : base + PAGE_SIZE]))
+        return hash(bytes(self._view[base : base + PAGE_SIZE]))
 
     def _check(self, pa: int, length: int) -> None:
         if pa < 0 or pa + length > self.size:

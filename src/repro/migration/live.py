@@ -29,7 +29,8 @@ from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.snapshot import apply_state, capture_state
 from repro.core.vm import VirtualMachine
 from repro.faults.recovery import RetryPolicy
-from repro.util.errors import LinkError, MigrationError
+from repro.mem.paging import AccessType
+from repro.util.errors import LinkError, MemoryError_, MigrationError
 from repro.util.units import PAGE_SIZE
 
 #: Serialized vCPU + device state, charged to downtime.
@@ -174,9 +175,25 @@ class LiveMigrator:
 
             # Stop-and-copy the residue plus machine state: the downtime.
             final_batch = sorted(g for g in dirty if vm.guest_mem.is_mapped(g))
+            absent = [g for g in range(vm.num_pages)
+                      if not (vm.guest_mem.is_mapped(g)
+                              or g in vm.ballooned_gfns)]
             with self._span("migration.stop_and_copy", vm=vm.name):
                 sent = self._send_with_retry(vm, dst_vm, deque(final_batch),
                                              stats)
+                # What the host holds elsewhere (swap) comes in and goes
+                # out page by page: making room for one may evict
+                # another, which by then has been sent.
+                for gfn in absent:
+                    try:
+                        src._dispatch_ept_fault(vm, gfn, AccessType.READ)
+                    except MemoryError_ as err:
+                        raise MigrationError(
+                            f"migration of {vm.name} abandoned: gfn {gfn} "
+                            f"cannot be made resident to be sent"
+                        ) from err
+                    sent += self._send_with_retry(vm, dst_vm, deque([gfn]),
+                                                  stats)
             downtime = self._cycles(sent * PAGE_SIZE + CPU_STATE_BYTES)
             transfer_cycles += downtime
             pages_copied += sent
@@ -205,7 +222,7 @@ class LiveMigrator:
             dest_vm=dst_vm,
             rounds=rounds,
             pages_copied=pages_copied,
-            final_round_pages=len(final_batch),
+            final_round_pages=len(final_batch) + len(absent),
             downtime_cycles=downtime,
             total_transfer_cycles=transfer_cycles,
             guest_instructions_during=vcpu.cpu.instret - instructions_before,

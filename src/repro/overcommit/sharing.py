@@ -114,8 +114,6 @@ class PageSharer:
                         self._sharers.add((vm.name, gfn))
                         result.pages_merged += 1
                     continue
-                self._mmu(vm).drop_gfn(gfn)
-                vm.guest_mem.unmap_page(gfn)
                 self._sharers.discard((vm.name, gfn))
                 alias_refs[hfn] -= 1
                 if hfn in self.refcount:
@@ -130,8 +128,7 @@ class PageSharer:
                     result.frames_freed += 1
                 vm.guest_mem.map_page(gfn, canon_hfn)
                 self.refcount[canon_hfn] += 1
-                self._mmu(vm).map_gfn(gfn, canon_hfn)
-                self._mmu(vm).write_protect_gfn(gfn)
+                self._mmu(vm).rebind_gfn(gfn, canon_hfn, writable=False)
                 self._sharers.add((vm.name, gfn))
                 result.pages_merged += 1
 
@@ -152,14 +149,11 @@ class PageSharer:
         if (vm.name, gfn) not in self._sharers:
             raise MemoryError_(f"COW break for non-shared ({vm.name}, {gfn})")
         shared_hfn = vm.guest_mem.map[gfn]
-        content = self.hv.physmem.read_frame(shared_hfn)
-        self._mmu(vm).drop_gfn(gfn)
-        vm.guest_mem.unmap_page(gfn)
         new_hfn = self.hv.allocator.alloc(zero=False)
-        self.hv.physmem.write_frame(new_hfn, content)
+        self.hv.physmem.write_frame(
+            new_hfn, self.hv.physmem.read_frame(shared_hfn))
         vm.guest_mem.map_page(gfn, new_hfn)
-        self._mmu(vm).map_gfn(gfn, new_hfn)
-        self._mmu(vm).unprotect_gfn(gfn)
+        self._mmu(vm).rebind_gfn(gfn, new_hfn, writable=True)
         self._sharers.discard((vm.name, gfn))
         self.cow_breaks += 1
         self._ops.inc()

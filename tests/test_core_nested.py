@@ -220,6 +220,26 @@ def test_hmode_prices_gstage_refs_separately():
     assert cycles == costs.tlb_hit_cycles + 12 * 30
 
 
+def test_walk_charge_is_6_8_or_10_second_stage_references():
+    """A miss pays for 2 guest entry reads plus 6 second-stage
+    references, and 2 more for each guest entry whose A/D bits it had
+    to write back: 10 cold, 8 when only the leaf changes (first write
+    to a page already read), 6 once both entries carry their bits."""
+    costs = CostModel(mem_ref_cycles=30, gstage_ref_cycles=7)
+    for make_mmu, expected in ((HModeMMU, (130, 116, 102)),
+                               (NestedMMU, (360, 300, 240))):
+        env = NestedEnv(make_mmu, costs=costs)
+        env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
+        env.mmu.set_root(ROOT_GPA)
+        charged = []
+        for access in (AccessType.READ, AccessType.WRITE, AccessType.WRITE):
+            env.mmu.flush()
+            _, cycles = env.mmu.translate(0x40000050, access, user=True)
+            charged.append(cycles)
+        assert tuple(charged) == expected
+        assert env.mmu.walker.walks == 3 and env.mmu.walker.faults == 0
+
+
 def test_gstage_ad_bits_only_under_hmode():
     for make_mmu, expect_ad in ((NestedMMU, False), (HModeMMU, True)):
         env = NestedEnv(make_mmu)

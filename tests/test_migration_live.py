@@ -8,7 +8,8 @@ from repro.devices.console import CONS_STATUS, CONS_TX
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.migration import LiveMigrator
-from repro.util.errors import MigrationError
+from repro.overcommit.swap import HostSwap
+from repro.util.errors import MemoryError_, MigrationError
 from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
@@ -63,6 +64,57 @@ def test_unread_console_input_survives_migration(vmode, mmode):
     assert console.port_read(CONS_STATUS) & 2
     assert console.port_read(CONS_TX) == 0x41
     assert console.chars_received == vm.devices["console"].chars_received + 1
+
+
+@pytest.mark.parametrize("mmode", [MMUVirtMode.NESTED, MMUVirtMode.HMODE])
+def test_host_swapped_pages_reach_the_destination(mmode):
+    # Pages the host swap holds are not in guest_mem.map: round 0 used
+    # to skip them and the destination triple-faulted on its first
+    # touch of one. Some come back mid-round (the guest touches them,
+    # and their new backing has to be logged), the rest are still out
+    # at stop-and-copy (and have to be brought in to be sent).
+    src, dst, vm = start_guest(VirtMode.HW_ASSIST, mmode, warmup=12_000)
+    swap = HostSwap(src)
+    swap.install(vm)
+    content = {g: vm.guest_mem.read_gfn(g) for g in sorted(vm.guest_mem.map)}
+    victims = [g for g, page in content.items() if any(page)][:40]
+    for gfn in victims:
+        swap.swap_out(vm, gfn)
+    cpu, swap_in, came_in_at = vm.vcpus[0].cpu, swap.swap_in, []
+    swap.swap_in = lambda vm_, gfn: (came_in_at.append(cpu.instret),
+                                     swap_in(vm_, gfn))
+    result = LiveMigrator(src, dst, bytes_per_cycle=4.0).migrate(
+        vm, quantum_instructions=3_000, max_rounds=4)
+    assert result.round_sizes[0] == vm.num_pages - len(victims)
+    while_running = [at for at in came_in_at if at < cpu.instret]
+    assert 0 < len(while_running) < len(came_in_at) == len(victims)
+    assert swap.swapped_pages == 0
+    assert (result.dest_vm.guest_mem.read_bytes(0, vm.guest_mem.size)
+            == vm.guest_mem.read_bytes(0, vm.guest_mem.size))
+    outcome = dst.run(result.dest_vm, max_guest_instructions=60_000_000)
+    diag = read_diag(result.dest_vm.guest_mem)
+    assert outcome is RunOutcome.SHUTDOWN
+    assert diag.user_result == expected_memtouch(PAGES, PASSES)
+    assert diag.fault_cause == 0
+
+
+def test_unbackable_page_abandons_the_migration():
+    # A demand-paged guest on a host with no frame left: the pages it
+    # never touched cannot be made resident, and the migration says so
+    # instead of handing over a destination that differs.
+    src = Hypervisor(memory_bytes=64 * MIB)
+    dst = Hypervisor(memory_bytes=64 * MIB)
+    vm = src.create_vm(GuestConfig(
+        name="m", memory_bytes=GUEST_MEM, virt_mode=VirtMode.HW_ASSIST,
+        mmu_mode=MMUVirtMode.NESTED, prealloc=False))
+    for gfn in range(8):
+        vm.guest_mem.map_page(gfn, src.allocator.alloc())
+    while src.allocator.free_frames:
+        src.allocator.alloc()
+    with pytest.raises(MigrationError) as info:
+        LiveMigrator(src, dst, bytes_per_cycle=4.0).migrate(vm, max_rounds=1)
+    assert isinstance(info.value.__cause__, MemoryError_)
+    assert vm.name not in src.dirty_handlers and vm.guest_mem.write_hook is None
 
 
 def test_rounds_track_working_set():

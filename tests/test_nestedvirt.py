@@ -65,6 +65,27 @@ def test_l1_ram_window_is_contiguous():
         assert hfn == (base >> PAGE_SHIFT) + gfn
 
 
+def test_inner_memory_is_the_l1_guests_bytes_both_ways():
+    """Every accessor of the inner view -- scalar, bulk, fingerprint --
+    reads what was written through the backing after the view was
+    built, and the backing reads what was written through the view."""
+    host = build_nested_host()
+    outer, inner = host.outer.physmem, host.inner.physmem
+    base, _size = host.window
+    page = bytes(range(256)) * 16
+    outer.write_bytes(base + 0x3000, page)
+    outer.write_u32(base + 0x5008, 0xDEADBEEF)
+    assert inner.read_bytes(0x3000, len(page)) == page
+    assert inner.read_frame(3) == page
+    assert inner.read_u32(0x5008) == 0xDEADBEEF
+    assert inner.frame_fingerprint(3) == outer.frame_fingerprint(
+        (base >> PAGE_SHIFT) + 3)
+    inner.write_bytes(0x7000, page[::-1])
+    inner.zero_frame(3)
+    assert outer.read_bytes(base + 0x7000, len(page)) == page[::-1]
+    assert outer.read_frame((base >> PAGE_SHIFT) + 3) == bytes(len(page))
+
+
 def test_guest_ram_window_rejects_holes_and_scatter():
     hv = Hypervisor(memory_bytes=64 * MIB)
     vm = hv.create_vm(GuestConfig(name="g", memory_bytes=4 * MIB,
