@@ -16,10 +16,10 @@ With ``controls=None`` the core is exactly a bare machine; this is the
 "native" baseline in experiment E1.
 
 :meth:`CPUCore.run` executes compiled blocks (:mod:`repro.cpu.jit`)
-under every MMU and every controls record: a block holds only ALU,
-memory and branch instructions, so each intercept is still tested in
-:meth:`CPUCore.trap` / :meth:`CPUCore.system`, which compiled code
-reaches only through :meth:`CPUCore.step` or ``trap``. The reference
+under every MMU and every controls record: a block spells out ALU,
+memory and branch instructions only and *calls* :meth:`CPUCore.system`
+for the system instruction that ends it, so each intercept is still
+tested in :meth:`CPUCore.trap` / :meth:`CPUCore.system`. The reference
 loop :meth:`CPUCore._run_interp` (``jit_enabled = False``) stays the
 oracle.
 
@@ -476,6 +476,9 @@ class CPUCore:
         event edge and its worst-case charge fits the cycle budget --
         then every instruction in it starts inside the budget, as the
         reference loop requires of each step; otherwise one ``step()``.
+        Where ``lookup`` answers a va instead (a cold head: where its
+        block ends) the core is stepped on up to there -- each
+        instruction behind the full loop-top -- before it is asked again.
         """
         jit.check_costs()
         start_instr = self.instret
@@ -501,6 +504,7 @@ class CPUCore:
         csr = self.csr
         ie = int(CSR.IE)
         mo = int(CSR.MODE)
+        cold_pc = cold_end = -1  # a cold block's next pc, and its end
         while True:
             if events is not None and self.instret >= events.next_due:
                 fired = events.fire_due(self.instret)
@@ -524,18 +528,26 @@ class CPUCore:
                 if csr[ie] and self.pending_irqs:
                     step()
                     continue
-                blk = lookup(self.pc, csr[mo])
-                if (
-                    blk is None
-                    or self.instret + blk[1] > instr_stop
-                    or self.cycles + blk[2] >= cycle_stop
-                ):
-                    # No straight-line block may retire past a budget or
-                    # a due event edge: step, so the edge lands between
-                    # instructions, like the oracle.
-                    step()
-                else:
-                    blk[0](self)
+                pc = self.pc
+                if pc != cold_pc:
+                    blk = lookup(pc, csr[mo])
+                    if blk.__class__ is int:
+                        cold_end = blk  # interpret to there (0: one step)
+                    elif (
+                        self.instret + blk[1] > instr_stop
+                        or self.cycles + blk[2] >= cycle_stop
+                    ):
+                        # No straight-line block may retire past a budget
+                        # or a due event edge: step, so the edge lands
+                        # between instructions.
+                        cold_end = 0
+                    else:
+                        blk[0](self)
+                        continue
+                cold_pc = -1  # a trap, a taken branch, a VMExit end the run
+                step()
+                if pc < self.pc < cold_end:
+                    cold_pc = self.pc
             except VMExit as exit_:
                 if on_exit is None:
                     raise
@@ -548,7 +560,13 @@ class CPUCore:
         )
 
     def jit_stats(self) -> Dict[str, int]:
-        """Host-compiler counters (all zero when the JIT never engaged)."""
+        """Host-compiler counters (all zero when the JIT never engaged).
+
+        ``cold_steps``: entries of a block whose head was not hot yet
+        (one probe, then interpreted to its end). ``fallback_steps``:
+        single steps where no block could start (EXEC translation not
+        cached, nothing compilable); budget misfits are not counted.
+        """
         stats = {
             "enabled": int(self.jit_enabled),
             "active": int(bool(self._jit)),

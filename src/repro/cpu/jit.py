@@ -31,11 +31,13 @@ DESIGN.md, "JIT memory fast path"):
   dispatcher publishes on the core (``_loop_stop`` / ``_cycle_stop``).
 
 One compiler serves every MMU (bare, shadow, two-stage) and every
-controls record: blocks hold no system instruction, so intercepts are
-tested where the interpreter tests them, and the MMU is reached through
-``translate`` plus the three dispatcher facts on ``MMUBase`` (DESIGN.md,
-"Compiled execution under a VMM"). Compilation is paid for by a
-process-wide cache of code objects and a hotness tier (``_block_code``,
+controls record: a system instruction ends its block, which commits the
+boundary and calls ``CPUCore.system`` / ``trap`` with the instruction
+already decoded, so intercepts are tested where the interpreter tests
+them, and the MMU is reached through ``translate`` plus the three
+dispatcher facts on ``MMUBase`` (DESIGN.md, "Compiled execution under a
+VMM"). Compilation is paid for by a process-wide cache of code objects
+and a hotness tier counted per block entry (``_block_code``,
 ``BlockJIT._block_at``).
 
 Correctness contract (enforced by the differential tests): simulated
@@ -68,11 +70,14 @@ from repro.cpu.isa import (
     DecodeError,
     Instruction,
     LAST_BRANCH_OP,
+    LAST_MEM_OP,
     MEM_OPS,
     OPS,
     Op,
+    SENSITIVE_UNPRIV_OPS,
     STORE_OPS,
     decode,
+    is_privileged,
 )
 from repro.cpu.mmu import BareMMU
 from repro.mem.paging import AccessType, PageFault, PTE_DIRTY, PTE_WRITABLE
@@ -145,13 +150,14 @@ class _Src:
 
 #: Every cost the emitted source embeds as a literal.
 _COST_FIELDS = ("instr_cycles", "tlb_hit_cycles", "tlb_miss_cycles") + tuple(
-    sorted({s.extra for op, s in OPS.items() if op <= LAST_BRANCH_OP and s.extra})
+    sorted({s.extra for s in OPS.values() if s.extra})
 )
 
 
 def _item_const_cycles(costs, ins: Instruction, fetch_c: int) -> int:
-    """Compile-time-known cycle charge for one block item."""
-    extra = OPS[ins.op].extra
+    """One block item's charge on every path through it (a system
+    instruction's ``extra`` comes after its privilege test)."""
+    extra = OPS[ins.op].extra if ins.op <= LAST_BRANCH_OP else ""
     return costs.instr_cycles + fetch_c + (getattr(costs, extra) if extra else 0)
 
 
@@ -198,9 +204,10 @@ def _emit_block(
 ) -> Tuple[Callable, int, int]:
     """Generate and compile one block's closure factory.
 
-    ``items`` is a list of (instruction, va) holding no system
-    instruction; the cycle/instret/trap semantics produced are
-    bit-identical to the reference path (``CPUCore.step``).
+    ``items`` is a list of (instruction, va) in which only the last may
+    be a branch or a system instruction; the cycle/instret/trap
+    semantics produced are bit-identical to the reference path
+    (``CPUCore.step``).
     ``paging`` says fetches and data accesses go through the TLB
     (``mmu.tlb_active``): fetch hits are then counted and charged.
     ``bare`` says the MMU is the plain hardware one (``BareMMU``): only
@@ -606,13 +613,36 @@ def _emit_block(
             src.emit(depth, "return")
             continue
 
+        if op > LAST_BRANCH_OP:
+            # Ends the block: commit the boundary as before a branch,
+            # then what CPUCore.execute does after fetch. Block keys
+            # carry no mode, so privilege is a run-time test.
+            counters(depth, n, "plain" if paging else None)
+            src.emit(depth, f"cpu.pc = {va}")
+            if guarded:
+                src.emit(depth, "_n = -1")  # as for DIV0: ours no more
+            user = ""  # what user mode does instead: trap, or ignore it
+            if is_privileged(op, ins.simm12 & 0xFFF):
+                user = f"cpu.trap(_PRIV, {int(op)}, {va}, _T)"
+            elif op in SENSITIVE_UNPRIV_OPS:
+                user = f"cpu.pc = {nxt}"
+            if user:
+                src.emit(depth, "if cpu.csr[0] == 1:")
+                src.emit(depth + 1, user)
+                src.emit(depth + 1, "return")
+            if OPS[op].extra:
+                src.emit(depth, f"cpu.cycles += {getattr(costs, OPS[op].extra)}")
+            src.emit(depth, f"cpu.system(cpu, cpu.controls, _T, _T.op, {va}, {nxt})")
+            src.emit(depth, "return")
+            continue
+
         # Pure ALU / moves.
         if ins.rd and OPS[op].expr:
             a, b = _ab(ins)
             src.emit(depth, f"regs[{ins.rd}] = {OPS[op].expr.format(a=a, b=b)}")
 
     # Fall-through block end (size/page limit).
-    if last_ins.op not in BRANCH_OPS:
+    if last_ins.op <= LAST_MEM_OP:
         end_va = (items[-1][1] + last_ins.length) & 0xFFFFFFFF
         mv_mode = "plain" if paging and last_ins.op not in MEM_OPS else None
         counters(depth, n, mv_mode)
@@ -667,6 +697,7 @@ def _emit_block(
         "_P": tuple(pre),
         "_V": tuple(va for _, va in items),
         "_I": tuple(ins for ins, _ in items),
+        "_T": last_ins,
         "_PF": PageFault,
         "_VX": VMExit,
         "_AW": AccessType.WRITE,
@@ -674,6 +705,7 @@ def _emit_block(
         "_PFW": Cause.PF_WRITE,
         "_PFR": Cause.PF_READ,
         "_DIV0": Cause.DIV0,
+        "_PRIV": Cause.PRIV,
         "_ICR": (-1, 0, 0) * len(mem_indices),
         "_up": _U32.unpack_from,
     }
@@ -785,15 +817,16 @@ class BlockJIT:
 
     # -- dispatch --------------------------------------------------------
 
-    def lookup(self, pc: int, mode: int = 0) -> Optional[Tuple]:
-        """Return ``(closure, n_instructions, worst_cycles)``, or None.
+    def lookup(self, pc: int, mode: int = 0):
+        """Return ``(closure, n_instructions, worst_cycles)``, or an int:
+        the va to interpret up to before asking again.
 
-        None means "take one reference-interpreter step": EXEC
-        translation not cached right now (TLB miss -- the step will
-        walk and refill), the block starts with something the compiler
-        does not handle (system ops, page-straddling code), or its head
-        is still cold. ``mode`` is the live MODE csr (privilege is part
-        of the key).
+        0 is one ``step()`` (compiled code may start at the very next
+        pc): EXEC translation not cached right now (the step will walk
+        and refill), or nothing here compiles (undecodable or
+        page-straddling code). Otherwise the head is still cold and the
+        va is where its block ends, so heat counts block entries.
+        ``mode`` is the live MODE csr (privilege is part of the key).
         """
         mmu = self.mmu
         if mmu.tlb_active:
@@ -806,10 +839,10 @@ class BlockJIT:
                 pte = mmu.tlb.peek(vpn, AccessType.EXEC, mode == 1)
                 if pte is None:
                     self.fallback_steps += 1
-                    return None
+                    return 0
                 blk = self._block_at((pte >> 12 << 12) | (pc & 0xFFF), pc, True)
-                if blk is None:
-                    return None
+                if blk.__class__ is int:
+                    return blk
                 if len(self._pc_pg) > _PC_CACHE_MAX:
                     self._pc_pg.clear()
                 self._pc_pg[key] = (blk, vpn, pte)
@@ -818,24 +851,25 @@ class BlockJIT:
                 pa = mmu.real_pa(pc)
             except MemoryError_:
                 self.fallback_steps += 1
-                return None  # the step's fetch raises it
+                return 0  # the step's fetch raises it
             ent = self._pc_real.get(pc)
             if ent is not None and ent[1] == pa:
                 blk = ent[0]
             else:
                 blk = self._block_at(pa, pc, False)
-                if blk is None:
-                    return None
+                if blk.__class__ is int:
+                    return blk
                 if len(self._pc_real) > _PC_CACHE_MAX:
                     self._pc_real.clear()
                 self._pc_real[pc] = (blk, pa)
         if blk:
             return blk
         self.fallback_steps += 1
-        return None
+        return 0
 
-    def _block_at(self, pa: int, va: int, paging: bool) -> Optional[Tuple]:
-        """This core's block for ``(pa, va)``; None while its head is cold."""
+    def _block_at(self, pa: int, va: int, paging: bool):
+        """This core's block for ``(pa, va)`` (``()`` if nothing there
+        compiles); while its head is cold, the va it would end at."""
         key = (pa, va, paging)
         blk = self._blocks.get(key)
         if blk is not None:
@@ -844,10 +878,6 @@ class BlockJIT:
             word = self.physmem.read_u32(pa)
         except MemoryError_:
             word = -1
-        if (word >> 24) & 0x7F > LAST_BRANCH_OP:
-            # A system op (or nothing decodable) starts here: there is
-            # no block to be hot or cold about.
-            return self._compile(key, pa, va, paging, None)
         # The tier, decided before any decode: hot enough, or a head
         # the process already holds code for.
         heat = self._heat.get(key, 0) + 1
@@ -857,35 +887,42 @@ class BlockJIT:
                 self._heat.clear()
             self._heat[key] = heat
             self.cold_steps += 1
-            return None
+            # To where _compile would stop, or to a head already heating
+            # (a run resumed mid-block must not step past it).
+            return va + self._line(pa, va, paging, self._heat)[-1]
         self._heat.pop(key, None)
         return self._compile(key, pa, va, paging, head)
 
+    def _line(self, pa: int, va: int, paging: bool, heads=()) -> List[int]:
+        """Byte offsets of the block that starts at ``(pa, va)``: where
+        each instruction begins, then where the block ends. Read off the
+        opcode bytes (top byte: class and length): the first branch or
+        system instruction ends it, as do ``MAX_BLOCK_INSTRUCTIONS``, the
+        page (one that straddles it is the interpreter's) and a key in
+        ``heads``."""
+        data, off, offs = self.physmem._data, 0, [0]
+        room = 0x1000 - (va & 0xFFF) if pa < len(data) else 0
+        while off + 4 <= room and len(offs) <= MAX_BLOCK_INSTRUCTIONS:
+            opcode = data[pa + off + 3]
+            off += 8 if opcode & 0x80 else 4
+            if off > room:
+                break
+            offs.append(off)
+            if (opcode & 0x7F > LAST_MEM_OP
+                    or (pa + off, va + off, paging) in heads):
+                break
+        return offs
+
     def _compile(self, key, pa: int, va: int, paging: bool, head) -> Tuple:
-        physmem = self.physmem
+        read_u32 = self.physmem.read_u32
         items: List[Tuple[Instruction, int]] = []
-        off = va & 0xFFF
-        cursor_pa, cursor_va = pa, va
+        offs = self._line(pa, va, paging)
         try:
-            while len(items) < MAX_BLOCK_INSTRUCTIONS and off + 4 <= 0x1000:
-                word = physmem.read_u32(cursor_pa)
-                has_imm = bool((word >> 24) & 0x80)
-                length = 8 if has_imm else 4
-                if off + length > 0x1000:
-                    break  # straddles the page: interpreter handles it
-                imm_word = physmem.read_u32(cursor_pa + 4) if has_imm else 0
-                ins = decode(word, imm_word)
-                op = ins.op
-                if op > LAST_BRANCH_OP:
-                    break  # system ops take the reference path
-                items.append((ins, cursor_va))
-                off += length
-                cursor_pa += length
-                cursor_va = (cursor_va + length) & 0xFFFFFFFF
-                if op in BRANCH_OPS:
-                    break
-        except (DecodeError, MemoryError_):
-            pass  # undecodable/unmapped tail: block ends before it
+            for off, end in zip(offs, offs[1:]):
+                imm_word = read_u32(pa + off + 4) if end - off == 8 else 0
+                items.append((decode(read_u32(pa + off), imm_word), va + off))
+        except DecodeError:
+            pass  # undecodable tail: the block ends before it
         if items:
             make, static_cycles, mem_ops = _block_code(
                 self.cpu.costs, items, paging=paging, bare=self._bare,

@@ -21,7 +21,7 @@ import pytest
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.interp import CPUCore, StopReason
-from repro.cpu.isa import CSR, DecodeError, Op, decode, encode
+from repro.cpu.isa import CSR, Cause, DecodeError, Op, decode, encode
 from repro.cpu.mmu import BareMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
@@ -778,6 +778,42 @@ loop:
             cycles.append(cpu.cycles)
         assert cycles[0] == cycles[1]
 
+    def test_system_charge_change_flushes_a_block_ending_in_out(self):
+        # A block that ends in a system instruction embeds that row's
+        # extra charge (io_port_cycles, iret_cycles) as a literal, so
+        # the cost signature covers every OPS row: a model that differs
+        # in nothing else must still reach compiled code.
+        import dataclasses
+
+        image = _asm(
+            """
+.org 0x1000
+    li s0, 60
+loop:
+    add s1, s1, s0
+    out 0x10, s1
+    sub s0, s0, 1
+    bnez s0, loop
+    hlt
+"""
+        )
+        costs = dataclasses.replace(
+            CostModel(), io_port_cycles=CostModel().io_port_cycles + 7)
+        cycles = []
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            _load(cpu, pm, image, None)
+            if jit:
+                cpu.run(max_instructions=50_000)  # compiles at the old cost
+                assert cpu.halted and cpu.jit_stats()["blocks_compiled"] > 0
+                cpu.reset(0x1000)
+                cpu.cycles = cpu.instret = 0
+            cpu.costs = cpu.mmu.costs = costs
+            cpu.run(max_instructions=50_000)
+            assert cpu.halted
+            cycles.append(cpu.cycles)
+        assert cycles[0] == cycles[1]
+
     def test_decode_cache_bounded_eviction(self, monkeypatch):
         import repro.cpu.isa as isa
 
@@ -844,17 +880,22 @@ loop:
         return cpu.jit_stats()
 
     def test_run_once_code_never_compiles(self):
-        stats = self._run(jitmod.HOT - 1)  # loop head seen HOT-1 times
+        stats = self._run(jitmod.HOT - 1)  # HOT-1 laps
         assert stats["blocks_compiled"] == 0
-        assert stats["cold_steps"] == 1 + 3 * (jitmod.HOT - 1)
-        assert stats["fallback_steps"] == 1  # the HLT: nothing to enter
+        # One probe a cold block entry, not one an instruction: the
+        # li's block takes the first lap with it, each later lap is an
+        # entry of the loop head's, then the HLT's.
+        assert stats["cold_steps"] == 1 + (jitmod.HOT - 2) + 1
+        assert stats["fallback_steps"] == 0
         assert not jitmod._CODE
 
     def test_head_compiles_on_its_hot_th_dispatch(self):
         stats = self._run(200)
         assert stats["blocks_compiled"] == 1  # the loop, nothing else
-        # Three pcs a lap, HOT-1 cold laps, plus the li on the way in.
-        assert stats["cold_steps"] == 1 + 3 * (jitmod.HOT - 1)
+        # The li's block (lap 1 with it), HOT-1 cold entries of the loop
+        # head (it compiles on the HOT-th and loops in place), then the
+        # HLT's head, entered once.
+        assert stats["cold_steps"] == 1 + (jitmod.HOT - 1) + 1
 
     def test_known_head_compiles_on_sight_from_the_shared_cache(self, monkeypatch):
         self._run(200)
@@ -866,7 +907,8 @@ loop:
             lambda *a: compiles.append(a) or real(*a))
         stats = self._run(200)  # a second core, same image
         assert stats["blocks_compiled"] == 1 and not compiles
-        assert stats["cold_steps"] == 1  # only the li
+        # The li's block takes the first lap with it; the HLT's head.
+        assert stats["cold_steps"] == 2
 
     def test_cores_sharing_code_keep_their_own_inline_caches(self):
         image = _asm(
@@ -913,6 +955,240 @@ loop:
         jitmod._block_code(costs, block(2), head=("h", 2))
         assert len(jitmod._CODE) == 2
         assert jitmod._HEADS == {("h", 0), ("h", 2)}  # 1 was the oldest
+
+
+class TestColdRuns:
+    """A cold head costs one probe: its block is stepped to the end,
+    every instruction behind the dispatcher's full loop-top, and the
+    JIT is asked again only where that run ends."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_code_cache(self, monkeypatch):
+        monkeypatch.setattr(jitmod, "_CODE", {})
+        monkeypatch.setattr(jitmod, "_HEADS", set())
+
+    #: Ten straight-line instructions and a HLT: one block, never hot.
+    _LINE = """
+.org 0x1000
+    li s0, 3
+    add s1, s0, 4
+    mul s2, s1, 5
+    xor t0, s2, s1
+    sub t1, t0, 1
+    shl t2, t1, 2
+    add s1, s1, t2
+    or s2, s2, s0
+    add t0, t0, t1
+    sub t2, t2, 9
+    hlt
+"""
+    _VECTOR = "    add k0, k0, 1\n    iret\n"
+
+    @staticmethod
+    def _spy(cpu):
+        """The list of every pc ``cpu``'s dispatcher asks its JIT about."""
+        probed = []
+        engine = cpu._jit = jitmod.BlockJIT(cpu)
+        real = engine.lookup
+        engine.lookup = lambda pc, mode: probed.append(pc) or real(pc, mode)
+        return probed
+
+    def _pair(self, source, setup=None, **run_kwargs):
+        """Run ``source`` on both engines; return the compiled core, the
+        pcs it probed, and the (asserted equal) outcome."""
+        outcomes = []
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            pm.write_bytes(0x1000, _asm(source))
+            pm.write_bytes(VEC, _asm(".org 0x3000\n" + self._VECTOR))
+            cpu.csr[CSR.VBAR] = VEC
+            probed = self._spy(cpu) if jit else []
+            if setup is not None:
+                setup(cpu)
+            result = cpu.run(**run_kwargs)
+            outcomes.append((result.stop, result.instructions, result.cycles,
+                             sorted(c.name for c in cpu.pending_irqs),
+                             _snapshot(cpu, pm)))
+        assert outcomes[0] == outcomes[1]
+        return cpu, probed, outcomes[1]
+
+    def test_budgets_end_inside_a_cold_run_on_the_interpreters_edge(self):
+        for limit in range(1, 12):
+            cpu, probed, out = self._pair(self._LINE, max_instructions=limit)
+            assert probed == [0x1000], limit  # one probe, however far it got
+            assert out[1] == limit
+        stops = set()
+        for budget in range(1, 60, 3):
+            _cpu, probed, out = self._pair(self._LINE, max_cycles=budget)
+            assert probed == [0x1000], budget
+            stops.add(out[0])
+        assert stops == {StopReason.CYCLE_LIMIT, StopReason.HALT}
+
+    @pytest.mark.parametrize("exit_on_fire", [False, True])
+    def test_event_due_inside_a_cold_run(self, exit_on_fire):
+        from repro.devices.irq import IRQ_TIMER_LINE, InterruptController
+        from repro.devices.schedule import EventSchedule
+
+        def setup(cpu):
+            cpu.csr[CSR.IE] = 1
+            cpu.events = EventSchedule(
+                [(4, IRQ_TIMER_LINE)], InterruptController(sink=cpu),
+                exit_on_fire=exit_on_fire)
+
+        cpu, probed, out = self._pair(self._LINE, setup, max_instructions=100)
+        if exit_on_fire:
+            assert out[0] is StopReason.EVENT and out[1] == 4
+            assert probed == [0x1000]
+        else:
+            # Delivered at edge 4: the vector's block, then the rest of
+            # the line from where the handler returned to.
+            assert out[0] is StopReason.HALT and cpu.regs[15] == 1
+            assert probed[:2] == [0x1000, VEC] and len(probed) == 3
+
+    def test_irq_made_pending_before_an_sti_inside_the_line(self):
+        source = self._LINE.replace("    xor t0, s2, s1\n",
+                                    "    xor t0, s2, s1\n    sti\n")
+        cpu, probed, out = self._pair(
+            source, lambda cpu: cpu.assert_irq(Cause.IRQ_TIMER),
+            max_instructions=100)
+        assert out[0] is StopReason.HALT and cpu.regs[15] == 1
+        assert probed[1] == VEC  # taken at the edge right after the STI
+
+    def test_a_taken_branch_and_a_trap_end_the_run(self):
+        taken = """
+.org 0x1000
+    li s0, 3
+    add s1, s0, 4
+    beq s0, s0, over
+    add s1, s1, 100         ; skipped
+over:
+    add s2, s1, 1
+    hlt
+"""
+        cpu, probed, _ = self._pair(taken, max_instructions=100)
+        over = 0x1000 + 8 + 8 + 8 + 8
+        assert probed == [0x1000, over] and cpu.regs[11] == 8
+        trap = """
+.org 0x1000
+    li s0, 3
+    divu s1, s0, s2         ; s2 = 0: DIV0
+    add s2, s1, 1
+    hlt
+"""
+        cpu, probed, _ = self._pair(trap, max_instructions=100)
+        # The vector's block; IRET lands back on the DIVU, which is cold
+        # too and traps again... until the budget: two probes a lap.
+        assert probed[:3] == [0x1000, VEC, 0x1008]
+        assert cpu.regs[15] > 1
+
+    def test_a_store_that_rewrites_the_next_instruction_is_what_runs(self):
+        # Nothing of a cold run is kept but where to ask again: every
+        # instruction is fetched by step(), so the new word executes.
+        # The add below becomes a sub (its immediate word stays).
+        new = int.from_bytes(encode(Op.SUB, rd=11, ra=11, imm32=0)[:4], "little")
+        source = f"""
+.org 0x1000
+    li s0, {new}
+    li s1, patch
+    st [s1+0], s0
+patch:
+    add s2, s2, 1000
+    hlt
+"""
+        cpu, probed, _ = self._pair(source, max_instructions=100)
+        assert cpu.regs[11] == -1000 & 0xFFFFFFFF and probed == [0x1000]
+
+    def test_a_vmexit_ends_the_run(self):
+        from repro.core.policies import HW_ASSIST_NESTED
+
+        source = """
+.org 0x1000
+    li s0, 3
+    out 0x10, s0
+    add s1, s0, 4
+    hlt
+"""
+        for jit in (False, True):
+            cpu, pm = _make_cpu(jit)
+            pm.write_bytes(0x1000, _asm(source))
+            cpu.controls = HW_ASSIST_NESTED
+            seen = []
+
+            def service(exit_, cpu=cpu, seen=seen):
+                seen.append((exit_.reason.value, exit_.guest_pc, cpu.instret))
+                if exit_.reason.value == "hlt":
+                    cpu.halted = True
+                cpu.pc += exit_.instruction_length
+                return True
+
+            probed = self._spy(cpu) if jit else []
+            cpu.run(max_instructions=100, on_exit=service)
+            assert seen == [("io_out", 0x1008, 2), ("hlt", 0x1014, 4)]
+            assert cpu.halted and cpu.regs[10] == 7
+        assert probed == [0x1000, 0x100C]
+
+    def test_heat_counts_block_entries_not_instructions(self):
+        laps = jitmod.HOT - 2
+        source = TestHotnessTier._LOOP.format(n=laps)
+        cpu, probed, out = self._pair(source, max_instructions=10_000)
+        assert out[0] is StopReason.HALT
+        assert out[1] == 1 + 3 * laps + 1  # what was interpreted ...
+        assert len(probed) == laps + 1  # ... for one probe a block entry
+        assert cpu.jit_stats()["blocks_compiled"] == 0
+
+    def test_a_cold_extent_is_the_block_compile_builds(self, monkeypatch):
+        # One walker (``BlockJIT._line``) says what ends a block; the cold
+        # answer and ``_compile`` both read it. Random decodable code,
+        # heads all over the page: short lines, lines longer than
+        # MAX_BLOCK_INSTRUCTIONS, lines cut by the page end, with and
+        # without an instruction that straddles it.
+        import random
+
+        built = []
+        real = jitmod._block_code
+
+        def spy(costs, items, **kwargs):
+            built.append(items)
+            return real(costs, items, **kwargs)
+
+        monkeypatch.setattr(jitmod, "_block_code", spy)
+        rng = random.Random(23)
+        enders = [Op.JAL, Op.BEQ, Op.JALR, Op.OUT, Op.SYSCALL, Op.HLT, Op.IRET]
+        plain = [Op.ADD, Op.XOR, Op.MUL, Op.LD, Op.ST, Op.MOVI, Op.NOP]
+        for _ in range(15):
+            cpu, pm = _make_cpu(True)
+            code = bytearray()
+            while len(code) < 2 * PAGE_SIZE:
+                op = rng.choice(enders if rng.random() < 0.04 else plain)
+                imm = rng.getrandbits(32) if rng.random() < 0.4 else None
+                code += encode(op, rd=rng.randrange(16), ra=rng.randrange(16),
+                               rb=rng.randrange(16), imm32=imm)
+            pm.write_bytes(0x1000, bytes(code))
+            engine = jitmod.BlockJIT(cpu)
+            va = 0x1000
+            while va < 0x1000 + PAGE_SIZE:
+                length = 8 if pm.read_u8(va + 3) & 0x80 else 4
+                if rng.random() < 0.1 or va + length >= 0x1000 + PAGE_SIZE - 8:
+                    end = engine._block_at(va, va, False)
+                    assert end.__class__ is int  # cold: first time asked
+                    engine._heat.clear()
+                    del built[:]
+                    blk = engine._compile((va, va, False), va, va, False, None)
+                    items = built[0] if blk else []
+                    assert not items or items[0][1] == va
+                    assert end == va + sum(ins.length for ins, _v in items)
+                    assert end <= 0x1000 + PAGE_SIZE
+                va += length
+
+    def test_tlb_miss_fallback_takes_one_step_and_asks_again(self):
+        # No EXEC translation cached: not "cold" -- compiled code may
+        # start at the very next pc -- so one step, then a fresh probe.
+        cpu, probed, _ = self._pair(
+            self._LINE, lambda cpu: TestPaging._setup_paging(cpu, cpu.mmu.physmem, 0),
+            max_instructions=100)
+        assert probed == [0x1000, 0x1008]
+        stats = cpu.jit_stats()
+        assert (stats["fallback_steps"], stats["cold_steps"]) == (1, 1)
 
 
 class TestCompiledMatchesOracleOnWorkloads:

@@ -106,6 +106,24 @@ vec:
 """
 
 
+#: The intercepted OUT is the last item of a block it does not start.
+#: The exit handlers resume from ``vcpu.cpu.pc``, not from the exit's
+#: ``guest_pc``: a terminator that left ``pc`` at the block's head would
+#: re-run the ALU ops after every exit -- same console bytes, twice the
+#: ``instret``.
+ALU_THEN_OUT_LOOP = f"""
+    li s0, {PORT_LOOP_WRITES}
+loop:
+    add s1, s1, s0
+    xor s2, s1, s0
+    out 0x10, s2
+    sub s0, s0, 1
+    bnez s0, loop
+    li t0, 1
+    out 0xf0, t0
+"""
+
+
 def _kernel_mode(source):
     return lambda: Assembler().assemble(".org 0x1000\n" + source)
 
@@ -118,6 +136,7 @@ BARE = {
     "kernel_basic": _kernel_mode(BASIC),
     "kernel_two_page": _kernel_mode(TWO_PAGE),
     "kernel_div0_guarded": _kernel_mode(DIV0_IN_GUARDED),
+    "alu_then_out_loop": _kernel_mode(ALU_THEN_OUT_LOOP),
 }
 
 PROGRAMS = {
