@@ -4,7 +4,7 @@ Guest **kernel** code never executes directly: the translator decodes
 basic blocks on first touch, classifies each instruction, and caches a
 *translated block*:
 
-* innocuous instructions are executed natively (interpreter fast path);
+* innocuous instructions are executed natively (``CPUCore.execute``);
 * privileged and sensitive instructions become **inline callouts** that
   run the core's own :meth:`~repro.cpu.interp.CPUCore.system` against
   the vCPU's virtual state -- no hardware world switch, cost
@@ -13,6 +13,8 @@ basic blocks on first touch, classifies each instruction, and caches a
   MODE and IE are rewritten, so the guest sees virtual state) and
   removes the trap-per-instruction tax of trap-and-emulate.
 
+Which of the two an item is is decided at translate time, and a write
+to any guest page a byte of the block lies on drops the block.
 Blocks end at control transfers. Block dispatch costs
 ``bt_dispatch_cycles`` (translation-cache hash lookup) unless the
 (predecessor, successor) pair has been *chained*, after which dispatch
@@ -26,6 +28,7 @@ translator on virtual privilege transitions.
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.stats import VMStats
 from repro.core.vcpu import VCPU
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
@@ -38,7 +41,6 @@ from repro.cpu.isa import (
     LAST_BRANCH_OP,
     MODE_KERNEL,
     Op,
-    STORE_OPS,
 )
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
@@ -46,13 +48,19 @@ from repro.mem.paging import AccessType, PageFault
 #: Maximum instructions per translated block.
 MAX_BLOCK_INSTRUCTIONS = 32
 
+#: The per-block and per-callout counters, bumped through their
+#: registry ``Counter`` (``counter_attr.bound``; created on first bump).
+_block_hits = VMStats.bt_block_hits.bound
+_chained = VMStats.bt_chained.bound
+_callouts = VMStats.bt_callouts.bound
+
 
 @dataclass
 class TranslatedBlock:
     """One guest basic block, translated."""
 
     start_va: int
-    items: List[Tuple[str, Instruction]]  # ("native" | "callout", ins)
+    items: List[Tuple[bool, Instruction]]  # (is_callout, ins)
     code_gfns: Set[int] = field(default_factory=set)
 
 
@@ -112,7 +120,7 @@ class BTEngine:
         during execution (guest faults, shadow fills) propagate to the
         hypervisor, which services them and re-enters here.
         """
-        vm = self.vcpu.vm
+        stats = self.vcpu.vm.stats
         cpu = self.vcpu.cpu
         start_cycles = cpu.cycles
         prev_block_va: Optional[int] = None
@@ -132,7 +140,7 @@ class BTEngine:
                 break
             if max_cycles is not None and cpu.cycles - start_cycles >= max_cycles:
                 return "budget"
-            key = self._key(cpu.pc)
+            key = (cpu.mmu.guest_root, cpu.pc)
             block = self._cache.get(key) if self.cache_enabled else None
             if block is None:
                 block = self._translate(cpu.pc)
@@ -142,19 +150,19 @@ class BTEngine:
                     # vector. Re-dispatch from there.
                     prev_block_va = None
                     continue
-                vm.stats.bt_block_misses += 1
+                stats.bt_block_misses += 1
                 if self.cache_enabled:
                     self._cache[key] = block
                     for gfn in block.code_gfns:
                         self._gfn_blocks.setdefault(gfn, set()).add(key)
                     self._watch_block(block)
             else:
-                vm.stats.bt_block_hits += 1
+                _block_hits(stats).value += 1
             # Dispatch cost, unless chained from the previous block.
             if prev_block_va is not None:
                 link = (prev_block_va, block.start_va)
                 if self.chaining_enabled and link in self._chains:
-                    vm.stats.bt_chained += 1
+                    _chained(stats).value += 1
                 else:
                     cpu.cycles += self.costs.bt_dispatch_cycles
                     if self.chaining_enabled:
@@ -216,9 +224,6 @@ class BTEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _key(self, va: int) -> Tuple[Optional[int], int]:
-        return (self.vcpu.cpu.mmu.guest_root, va)
-
     def _translate(self, va: int) -> Optional[TranslatedBlock]:
         """Decode one basic block starting at ``va``.
 
@@ -237,8 +242,10 @@ class BTEngine:
         """
         cpu = self.vcpu.cpu
         vm = self.vcpu.vm
-        items: List[Tuple[str, Instruction]] = []
-        code_gfns: Set[int] = set()
+        mmu = cpu.mmu
+        items: List[Tuple[bool, Instruction]] = []
+        #: vpn -> gfn of every page a byte of the block lies on.
+        code_pages: Dict[int, int] = {}
         cursor = va
         for _ in range(MAX_BLOCK_INSTRUCTIONS):
             try:
@@ -262,14 +269,15 @@ class BTEngine:
                     TrapInfo(Cause.PF_EXEC, fault.vaddr, epc=cursor)
                 )
                 return None
-            mmu = cpu.mmu
-            if mmu.guest_root is not None:
-                code_gfns.add(mmu._guest_walk(cursor, AccessType.EXEC).gfn)
-            else:
+            # The last byte too: an 8-byte instruction may straddle.
+            for vpn in (cursor >> 12, (cursor + ins.length - 1) >> 12):
+                if vpn in code_pages:
+                    continue
                 # Guest paging off: VA is the guest-physical address.
-                code_gfns.add(cursor >> 12)
+                code_pages[vpn] = vpn if mmu.guest_root is None else (
+                    mmu._guest_walk(vpn << 12, AccessType.EXEC).gfn)
             if ins.op > LAST_BRANCH_OP:  # system op: monitor callout
-                items.append(("callout", ins))
+                items.append((True, ins))
                 if ins.op in (Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK):
                     break
                 if (ins.op is Op.CSRW
@@ -281,13 +289,15 @@ class BTEngine:
                     # under the new root, exactly like hardware.
                     break
             else:
-                items.append(("native", ins))
+                items.append((False, ins))
                 if ins.op in BRANCH_OPS:
                     break
             cursor += ins.length
         cpu.cycles += self.costs.bt_translate_cycles * len(items)
         vm.stats.bt_translated_instructions += len(items)
-        return TranslatedBlock(start_va=va, items=items, code_gfns=code_gfns)
+        return TranslatedBlock(
+            start_va=va, items=items, code_gfns=set(code_pages.values())
+        )
 
     def _execute_block(self, block: TranslatedBlock, events) -> None:
         """Walk the block item by item.
@@ -297,28 +307,27 @@ class BTEngine:
         exact retire edge instead of the block boundary.
         """
         cpu = self.vcpu.cpu
-        costs = self.costs
+        execute = cpu.execute
+        instr_cycles = self.costs.instr_cycles
+        callout_cycles = self.costs.bt_callout_cycles
         epoch = self._epoch
         e0 = epoch[0]
-        last = block.items[-1]
-        for item in block.items:
-            kind, ins = item
+        for is_callout, ins in block.items:
             if events is not None and cpu.instret >= events.next_due:
                 events.fire_due(cpu.instret)
                 if self.inject_virq(self.vcpu):
                     return
-            if kind == "native":
-                cpu.cycles += costs.instr_cycles
-                cpu.execute(ins)  # VMExit may propagate (guest fault)
+            if is_callout:
+                cpu.cycles += callout_cycles
+                if self._callout(ins):
+                    return
+            else:
+                cpu.cycles += instr_cycles
+                execute(ins)  # VMExit may propagate (guest fault)
                 # The store may have rewritten translated code (ours
                 # included): stop at the boundary so the next fetch
                 # re-translates from the new bytes.
-                if ins.op in STORE_OPS and epoch[0] != e0 and item is not last:
-                    return
-            else:
-                cpu.cycles += costs.bt_callout_cycles
-                stop = self._callout(ins)
-                if stop:
+                if ins.stores and epoch[0] != e0:
                     return
 
     def _callout(self, ins: Instruction) -> bool:
@@ -329,8 +338,8 @@ class BTEngine:
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
-        vm = vcpu.vm
-        vm.stats.bt_callouts += 1
+        stats = vcpu.vm.stats
+        _callouts(stats).value += 1
         # A rewritten instruction retires like any other guest
         # instruction. Under hardware assist the same instruction bumps
         # instret in the core before its intercept exit is serviced
@@ -345,7 +354,7 @@ class BTEngine:
         if op is Op.VMCALL:
             if self.hypercall_handler is None:
                 raise RuntimeError("BT guest issued VMCALL with no handler")
-            vm.stats.hypercalls += 1
+            stats.hypercalls += 1
             cpu.cycles += self.costs.hypercall_cycles
             self.hypercall_handler(
                 vcpu, ins.simm12 & 0xFFF, (cpu.pc + ins.length) & 0xFFFFFFFF

@@ -49,17 +49,21 @@ from repro.cpu.isa import (
     LAST_MEM_OP,
     MODE_KERNEL,
     MODE_USER,
-    OPS,
     Op,
     READONLY_CSRS,
-    SENSITIVE_UNPRIV_OPS,
     decode,
-    is_privileged,
 )
 from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
+
+#: What the oracle names on every instruction, bound once: spelled
+#: ``CSR.MODE`` / ``AccessType.EXEC`` / ``Op.LD``, each is a lookup
+#: through the enum's metaclass (~90 ns) on every execution.
+_MODE, _IE = int(CSR.MODE), int(CSR.IE)
+_EXEC, _READ, _WRITE = AccessType.EXEC, AccessType.READ, AccessType.WRITE
+_LD, _ST, _JAL = Op.LD, Op.ST, Op.JAL
 
 #: IRQ delivery priority (first match wins).
 _IRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
@@ -190,16 +194,6 @@ class CPUCore:
         self.cycles += cyc
         self.mmu.physmem.write_u32(pa, value)
 
-    def load_u8(self, va: int) -> int:
-        pa, cyc = self.mmu.translate(va, AccessType.READ, self.user_mode)
-        self.cycles += cyc
-        return self.mmu.physmem.read_u8(pa)
-
-    def store_u8(self, va: int, value: int) -> None:
-        pa, cyc = self.mmu.translate(va, AccessType.WRITE, self.user_mode)
-        self.cycles += cyc
-        self.mmu.physmem.write_u8(pa, value)
-
     # -- trap machinery -----------------------------------------------------
 
     def enter_trap(self, h, info: TrapInfo) -> None:
@@ -276,21 +270,22 @@ class CPUCore:
         by them alone, so code a store (or DMA) has rewritten decodes
         as what is there now: nothing to invalidate.
         """
-        pa, cyc = self.mmu.translate(va, AccessType.EXEC, self.user_mode)
+        mmu = self.mmu
+        user = self.csr[_MODE] == MODE_USER
+        pa, cyc = mmu.translate(va, _EXEC, user)
         self.cycles += cyc
-        word = self.mmu.physmem.read_u32(pa)
+        read_u32 = mmu.physmem.read_u32
+        word = read_u32(pa)
         if not (word >> 24) & 0x80:
             return DECODED.get(word) or decode(word)
         if (va & 0xFFF) + 8 > 0x1000:
             # The immediate word is on the next page: its own EXEC
             # translation, charged on every fetch.
-            imm_pa, cyc = self.mmu.translate(
-                va + 4, AccessType.EXEC, self.user_mode
-            )
+            imm_pa, cyc = mmu.translate(va + 4, _EXEC, user)
             self.cycles += cyc
         else:
             imm_pa = pa + 4
-        imm_word = self.mmu.physmem.read_u32(imm_pa)
+        imm_word = read_u32(imm_pa)
         return DECODED.get((word, imm_word)) or decode(word, imm_word)
 
     def _on_code_write(self, pfn: int) -> None:
@@ -304,7 +299,7 @@ class CPUCore:
 
     def step(self) -> None:
         """Execute one instruction (or deliver one pending interrupt)."""
-        if self.csr[CSR.IE] and self.pending_irqs:
+        if self.csr[_IE] and self.pending_irqs:
             for cause in _IRQ_PRIORITY:
                 if cause in self.pending_irqs:
                     self.pending_irqs.discard(cause)
@@ -347,35 +342,39 @@ class CPUCore:
         regs = self.regs
 
         if op <= LAST_ALU_OP:  # ALU / moves
-            spec = OPS[op]
-            if spec.fn is not None:  # not NOP
-                is_imm, b = ins.operand_b
-                if not is_imm:
-                    b = regs[b]
-                if spec.extra:
-                    self.cycles += getattr(self.costs, spec.extra)
+            fn = ins.fn
+            if fn is not None:  # not NOP
+                b = ins.imm32 if ins.b_imm else regs[ins.rb]
+                if ins.extra:
+                    self.cycles += getattr(self.costs, ins.extra)
                     if not b and op in DIV_OPS:
                         self.trap(Cause.DIV0, 0, epc=pc)
                         return
-                self.write_reg(ins.rd, spec.fn(regs[ins.ra], b))
+                if ins.rd:
+                    regs[ins.rd] = fn(regs[ins.ra], b)  # a row's fn is u32
             self.pc = next_pc
             return
 
         if op <= LAST_MEM_OP:  # loads/stores
             addr = (regs[ins.ra] + ins.simm12) & 0xFFFFFFFF
+            mmu = self.mmu
+            pm = mmu.physmem
             try:
-                if op is Op.LD:
-                    self.write_reg(ins.rd, self.load_u32(addr))
-                elif op is Op.ST:
-                    self.store_u32(addr, regs[ins.rb])
-                elif op is Op.LDB:
-                    self.write_reg(ins.rd, self.load_u8(addr))
+                pa, cyc = mmu.translate(
+                    addr, _WRITE if ins.stores else _READ,
+                    self.csr[_MODE] == MODE_USER,
+                )
+                self.cycles += cyc
+                if ins.stores:  # a byte store keeps the low byte
+                    (pm.write_u32 if op is _ST else pm.write_u8)(pa, regs[ins.rb])
                 else:
-                    self.store_u8(addr, regs[ins.rb] & 0xFF)
+                    value = (pm.read_u32 if op is _LD else pm.read_u8)(pa)
+                    if ins.rd:
+                        regs[ins.rd] = value
             except PageFault as fault:
                 cause = (
                     Cause.PF_WRITE
-                    if fault.access is AccessType.WRITE
+                    if fault.access is _WRITE
                     else Cause.PF_READ
                 )
                 self.trap(cause, fault.vaddr, epc=pc, ins=ins)
@@ -393,33 +392,33 @@ class CPUCore:
             return
 
         if op <= LAST_BRANCH_OP:  # control transfer
-            taken = OPS[op].fn
+            taken = ins.fn
             if taken is not None:
                 if taken(regs[ins.ra], regs[ins.rb]):
                     next_pc = ins.imm32
                 self.pc = next_pc
                 return
-            target = ins.imm32 if op is Op.JAL else regs[ins.ra]
-            self.write_reg(ins.rd, next_pc)
+            target = ins.imm32 if op is _JAL else regs[ins.ra]
+            if ins.rd:
+                regs[ins.rd] = next_pc
             self.pc = target
             return
 
         # System instruction. Privilege and the row's extra charge are
         # the executing core's business; what the instruction then does
         # is system()'s, against this core's own privileged state.
-        if self.csr[CSR.MODE] == MODE_USER:
-            if is_privileged(op, ins.simm12 & 0xFFF):
+        if self.csr[_MODE] == MODE_USER:
+            if ins.user_traps:
                 self.trap(Cause.PRIV, int(op), epc=pc, ins=ins)
                 return
-            if op in SENSITIVE_UNPRIV_OPS:
+            if ins.user_ignored:
                 # Non-trapping: silently ignored in user mode (the
                 # Popek-Goldberg violation). No control intercepts it:
                 # a deprivileged guest kernel really loses the write.
                 self.pc = next_pc
                 return
-        extra = OPS[op].extra
-        if extra:
-            self.cycles += getattr(self.costs, extra)
+        if ins.extra:
+            self.cycles += getattr(self.costs, ins.extra)
         self.system(self, self.controls, ins, op, pc, next_pc)
 
     def run(

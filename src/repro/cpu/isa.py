@@ -322,9 +322,14 @@ REG_ALIASES: Dict[int, str] = {
 }
 
 
+def _derived():  # a field read off the OPS row: no part of == / hash
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Instruction:
-    """A decoded instruction."""
+    """A decoded instruction, resolved against its :data:`OPS` row once
+    so that whoever executes or compiles it need not ask the table."""
 
     op: Op
     rd: int
@@ -334,17 +339,27 @@ class Instruction:
     imm32: int  # meaningful only when has_imm32
     has_imm32: bool
     length: int  # 4 or 8 bytes
+    #: The B operand is ``imm32``, else ``regs[rb]``: an ``imm`` form
+    #: reads the immediate word even when :data:`IMM_FLAG` is clear (0).
+    b_imm: bool = _derived()
+    fn: Optional[Callable[[int, int], int]] = _derived()  # OpSpec.fn
+    extra: str = _derived()  # OpSpec.extra
+    #: User mode traps ``Cause.PRIV`` on it (:func:`is_privileged`, for
+    #: its own CSR number) / silently ignores it (``SENSITIVE``).
+    user_traps: bool = _derived()
+    user_ignored: bool = _derived()
+    stores: bool = _derived()  # it is in STORE_OPS
 
-    @property
-    def operand_b(self) -> Tuple[bool, int]:
-        """(is_immediate, value-or-register): the B operand source.
-
-        An ``imm`` form reads the immediate word whether or not
-        :data:`IMM_FLAG` was set (then it is 0).
-        """
-        if self.has_imm32 or "imm" in OPS[self.op].slots:
-            return True, self.imm32
-        return False, self.rb
+    def __post_init__(self):
+        spec = OPS[self.op]
+        self.__dict__.update(  # frozen, so not through __setattr__
+            b_imm=self.has_imm32 or "imm" in spec.slots,
+            fn=spec.fn,
+            extra=spec.extra,
+            user_traps=is_privileged(self.op, self.simm12 & 0xFFF),
+            user_ignored=spec.klass == SENSITIVE,
+            stores="[ra+simm]" in spec.slots and "rb" in spec.slots,
+        )
 
 
 class DecodeError(Exception):
@@ -388,8 +403,9 @@ def encode(
 
 #: Every instruction this process has decoded, by content: ``word`` for
 #: a 4-byte instruction, ``(word, imm_word)`` for an 8-byte one. A
-#: decoded instruction is a pure function of those bytes and frozen, so
-#: every core, the block compiler and the translator share one object;
+#: decoded instruction is a pure function of those bytes (and of
+#: :data:`OPS`) and frozen, so every core, the block compiler and the
+#: translator share one object;
 #: whoever holds the bytes it just read (``CPUCore.fetch``) may probe
 #: this directly. Cleared wholesale when full (:func:`decode` refills).
 DECODED: Dict[object, Instruction] = {}

@@ -1,13 +1,14 @@
 """Host-side block compiler: guest basic blocks become Python closures.
 
-The interpreter pays a per-instruction host tax -- fetch, two dict
-probes, an ``Op`` dispatch chain -- for every simulated instruction.
-This module applies the binary-translation idea one level down: decode a
-guest basic block **once**, then emit a single specialized Python
-function for it with operands, immediates and dispatch resolved at
-compile time. Constant cycle charges (fetch hit, base instruction cost,
-MUL/DIV extras) are pre-summed per block; only dynamic MMU charges are
-accumulated at run time.
+The interpreter pays a per-instruction host tax -- a fetch (one
+translation, one probe of the decode memo), the opcode-class tests of
+``CPUCore.execute``, a call of the row's ``fn`` -- for every simulated
+instruction. This module applies the binary-translation idea one level
+down: decode a guest basic block **once**, then emit a single
+specialized Python function for it with operands, immediates and
+dispatch resolved at compile time. Constant cycle charges (fetch hit,
+base instruction cost, MUL/DIV extras) are pre-summed per block; only
+dynamic MMU charges are accumulated at run time.
 
 Three fast-path layers stack on top of the block closures (see
 DESIGN.md, "JIT memory fast path"):
@@ -74,10 +75,8 @@ from repro.cpu.isa import (
     MEM_OPS,
     OPS,
     Op,
-    SENSITIVE_UNPRIV_OPS,
     STORE_OPS,
     decode,
-    is_privileged,
 )
 from repro.cpu.mmu import BareMMU
 from repro.mem.paging import AccessType, PageFault, PTE_DIRTY, PTE_WRITABLE
@@ -131,8 +130,7 @@ def _addr_expr(ins: Instruction) -> str:
 
 def _ab(ins: Instruction) -> Tuple[str, str]:
     """An ALU instruction's ``{a}``/``{b}`` for its :data:`OPS` expr."""
-    is_imm, b = ins.operand_b
-    return _r(ins.ra), str(b) if is_imm else _r(b)
+    return _r(ins.ra), str(ins.imm32) if ins.b_imm else _r(ins.rb)
 
 
 class _Src:
@@ -157,7 +155,7 @@ _COST_FIELDS = ("instr_cycles", "tlb_hit_cycles", "tlb_miss_cycles") + tuple(
 def _item_const_cycles(costs, ins: Instruction, fetch_c: int) -> int:
     """One block item's charge on every path through it (a system
     instruction's ``extra`` comes after its privilege test)."""
-    extra = OPS[ins.op].extra if ins.op <= LAST_BRANCH_OP else ""
+    extra = ins.extra if ins.op <= LAST_BRANCH_OP else ""
     return costs.instr_cycles + fetch_c + (getattr(costs, extra) if extra else 0)
 
 
@@ -622,16 +620,16 @@ def _emit_block(
             if guarded:
                 src.emit(depth, "_n = -1")  # as for DIV0: ours no more
             user = ""  # what user mode does instead: trap, or ignore it
-            if is_privileged(op, ins.simm12 & 0xFFF):
+            if ins.user_traps:
                 user = f"cpu.trap(_PRIV, {int(op)}, {va}, _T)"
-            elif op in SENSITIVE_UNPRIV_OPS:
+            elif ins.user_ignored:
                 user = f"cpu.pc = {nxt}"
             if user:
                 src.emit(depth, "if cpu.csr[0] == 1:")
                 src.emit(depth + 1, user)
                 src.emit(depth + 1, "return")
-            if OPS[op].extra:
-                src.emit(depth, f"cpu.cycles += {getattr(costs, OPS[op].extra)}")
+            if ins.extra:
+                src.emit(depth, f"cpu.cycles += {getattr(costs, ins.extra)}")
             src.emit(depth, f"cpu.system(cpu, cpu.controls, _T, _T.op, {va}, {nxt})")
             src.emit(depth, "return")
             continue

@@ -60,6 +60,8 @@ from repro.mem.tlb import TLB
 from repro.util.units import PAGE_SHIFT
 
 _WD = PTE_WRITABLE | PTE_DIRTY
+#: Bound once: an enum member is a metaclass lookup on every use.
+_WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC
 
 #: Second-stage entry flags of a guest frame the host has backed.
 GSTAGE_BACKED = PTE_PRESENT | PTE_USER | PTE_WRITABLE
@@ -152,8 +154,8 @@ class BareMMU(MMUBase):
         pte = tlb._entries.get(vpn)
         if pte is not None and (
             (not user or pte & PTE_USER)
-            and (access is not AccessType.WRITE or pte & _WD == _WD)
-            and (access is not AccessType.EXEC or not pte & PTE_NOEXEC)
+            and (access is not _WRITE or pte & _WD == _WD)
+            and (access is not _EXEC or not pte & PTE_NOEXEC)
         ):
             tlb._entries.move_to_end(vpn)
             tlb.stats.hits += 1

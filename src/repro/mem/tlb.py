@@ -19,6 +19,9 @@ from repro.mem.paging import (
     PTE_WRITABLE,
 )
 
+#: Bound once: an enum member is a metaclass lookup on every use.
+_WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC
+
 
 @dataclass
 class TLBStats:
@@ -90,12 +93,12 @@ class TLB:
         if user and not pte & PTE_USER:
             self.stats.misses += 1
             return None
-        if access is AccessType.WRITE and (
+        if access is _WRITE and (
             not pte & PTE_WRITABLE or not pte & PTE_DIRTY
         ):
             self.stats.misses += 1
             return None
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
+        if access is _EXEC and pte & PTE_NOEXEC:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(vpn)
@@ -114,11 +117,11 @@ class TLB:
             return None
         if user and not pte & PTE_USER:
             return None
-        if access is AccessType.WRITE and (
+        if access is _WRITE and (
             not pte & PTE_WRITABLE or not pte & PTE_DIRTY
         ):
             return None
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
+        if access is _EXEC and pte & PTE_NOEXEC:
             return None
         return pte
 

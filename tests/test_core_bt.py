@@ -277,3 +277,61 @@ def test_ptbr_write_ends_translated_block():
     assert cpu.regs[7] != 0xdead  # the stale tail never executed
     assert cpu.regs[2] == int(Cause.PF_EXEC)  # ECAUSE seen by the vector
     assert cpu.regs[3] == cpu.regs[5]  # EVAL == VA of the stale tail
+
+
+# `site` is an 8-byte jump at page offset 0xFFC: its target word is the
+# first word of the next page, and the loop's second pass rewrites it.
+STRADDLING_JUMP = """
+    li a1, 0
+    jmp site
+    .space 0xfec
+site:
+    jmp first
+    .space 0xffc
+first:
+    add a1, a1, 1
+    li t2, 2
+    beq a1, t2, fail
+    li t0, second
+    li t1, 0x2000
+    st [t1+0], t0        ; site now jumps to `second`
+    jmp site
+second:
+    li a2, 0xAA
+    li a0, 1
+    out 0xf0, a0
+    hlt
+fail:
+    li a2, 0xBB
+    li a0, 1
+    out 0xf0, a0
+    hlt
+"""
+
+
+def test_store_to_the_second_page_of_a_straddling_instruction():
+    """A translated block depends on every page its bytes lie on, not
+    only on the page each instruction starts in: a store to the
+    immediate word of a page-straddling jump must drop the translation
+    of that jump."""
+    prog = Assembler().assemble(".org 0x1000\n" + STRADDLING_JUMP)
+    assert prog.symbols["site"] == 0x1FFC
+    states = {}
+    for label, virt_mode, mmu_mode in (
+        ("hw-shadow", VirtMode.HW_ASSIST, MMUVirtMode.SHADOW),
+        ("hw-nested", VirtMode.HW_ASSIST, MMUVirtMode.NESTED),
+        ("trap-emulate", VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW),
+        ("bin-transl", VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW),
+    ):
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = hv.create_vm(
+            GuestConfig(name="vm", memory_bytes=GUEST_MEM,
+                        virt_mode=virt_mode, mmu_mode=mmu_mode))
+        hv.load_program(vm, prog)
+        hv.reset_vcpu(vm, 0x1000)
+        outcome = hv.run(vm, max_guest_instructions=1_000)
+        states[label] = (outcome, tuple(vm.vcpus[0].cpu.regs))
+    outcome, regs = states["hw-shadow"]
+    assert outcome is RunOutcome.SHUTDOWN
+    assert (regs[2], regs[3]) == (1, 0xAA)
+    assert all(state == states["hw-shadow"] for state in states.values()), states

@@ -2,10 +2,12 @@
 
 import ast
 import dataclasses
+import enum
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cpu import isa
 from repro.cpu.assembler import Assembler
 from repro.cpu.disasm import format_instruction
 from repro.cpu.isa import (
@@ -18,6 +20,8 @@ from repro.cpu.isa import (
     MEM_OPS,
     OPS,
     Op,
+    OpSpec,
+    PRIVILEGED,
     PRIVILEGED_OPS,
     PUBLIC_CSRS,
     READONLY_CSRS,
@@ -48,8 +52,7 @@ class TestEncodeDecode:
         ins = _decode_bytes(encode(Op.ADD, rd=1, ra=2, imm32=0xDEADBEEF))
         assert ins.has_imm32 and ins.length == 8
         assert ins.imm32 == 0xDEADBEEF
-        is_imm, value = ins.operand_b
-        assert is_imm and value == 0xDEADBEEF
+        assert ins.b_imm
 
     def test_simm12_sign_extension(self):
         ins = _decode_bytes(encode(Op.LD, rd=1, ra=2, simm12=-4))
@@ -59,8 +62,7 @@ class TestEncodeDecode:
 
     def test_operand_b_register_form(self):
         ins = _decode_bytes(encode(Op.SUB, rd=1, ra=2, rb=7))
-        is_imm, value = ins.operand_b
-        assert not is_imm and value == 7
+        assert not ins.b_imm and ins.rb == 7
 
     def test_register_range_checked(self):
         with pytest.raises(ValueError):
@@ -201,6 +203,59 @@ class TestOpsTable:
             imm = int.from_bytes(data[4:8], "little") if len(data) > 4 else 0
             text = format_instruction(decode(word, imm))
             assert Assembler().assemble(text).data == data, text
+
+
+class TestResolvedRecord:
+    """What ``decode`` writes on an ``Instruction`` beside the encoded
+    fields is what the table and the opcode sets say: they stay the
+    source of truth, the record is their memo."""
+
+    @pytest.mark.parametrize("op", sorted(Op), ids=lambda op: op.name)
+    def test_derived_fields_follow_the_table(self, op):
+        spec = OPS[op]
+        # A public and a private CSR number where the row is BY_CSR;
+        # elsewhere the 12-bit field must not matter.
+        for number in (int(CSR.MODE), int(CSR.PTBR)):
+            for imm32 in (None, 0x12345678):
+                ins = _decode_bytes(
+                    encode(op, rd=3, ra=5, rb=7, simm12=number, imm32=imm32))
+                assert ins.b_imm == (imm32 is not None or "imm" in spec.slots)
+                assert ins.fn is spec.fn and ins.extra == spec.extra
+                assert ins.user_traps == is_privileged(op, number)
+                assert ins.user_ignored == (op in SENSITIVE_UNPRIV_OPS)
+                assert ins.stores == (op in STORE_OPS)
+                assert not (ins.user_traps and ins.user_ignored)
+
+    def test_identity_is_the_encoded_fields_alone(self):
+        data = encode(Op.ADD, rd=1, ra=2, imm32=0xDEADBEEF)
+        before = _decode_bytes(data)
+        isa.DECODED.clear()
+        after = _decode_bytes(data)
+        assert after is not before
+        assert after == before and hash(after) == hash(before)
+        derived = {f.name for f in dataclasses.fields(before) if not f.compare}
+        assert derived == {"b_imm", "fn", "extra", "user_traps",
+                           "user_ignored", "stores"}
+
+    def test_a_new_row_resolves_with_no_other_edit(self, monkeypatch):
+        members = {m.name: m.value for m in Op}
+        members["STP"] = 0x14
+        wider = enum.IntEnum("Op", members)
+        row = OpSpec("stp", "[ra+simm], rb", extra="mul_extra_cycles",
+                     klass=PRIVILEGED)
+        monkeypatch.setattr(isa, "Op", wider)
+        monkeypatch.setattr(isa, "OPS", {**OPS, wider.STP: row})
+        isa.DECODED.clear()
+        try:
+            ins = decode((0x14 << 24) | (7 << 12))
+            assert ins.op is wider.STP and ins.length == 4
+            assert (ins.b_imm, ins.fn, ins.extra) == (False, None, row.extra)
+            assert (ins.user_traps, ins.user_ignored, ins.stores) == (
+                True, False, True)
+            # An existing row still resolves from the copied table.
+            assert decode((int(Op.ADD) << 24) | (1 << 20)).fn is OPS[Op.ADD].fn
+        finally:
+            isa.DECODED.clear()  # records resolved against the copy
 
 
 def test_cause_values_distinct():
