@@ -34,18 +34,23 @@ def test_host_throughput_quick(benchmark, show):
             assert (f"vmm/{config}", workload, "compiled") in layers
     assert {layer.split("/")[0] for layer, _w, _e in layers} == {"native", "vmm"}
 
-    # The exit rows: the same port-write loop on the bare core and under
-    # each config. An exit is never free, and a translator callout (no
-    # world switch on the host either) is the cheapest of the six.
-    assert ("native", "port_storm", "compiled") in layers
-    for config in configs:
+    # The exit rows: a port-write loop and its exit-free twin under each
+    # config. An exit is never free on the host...
+    for config in configs + ("hw-nested/pumped",):
         assert (f"vmm/{config}", "port_storm", "compiled") in layers
-        assert 0.0 < result.speedups[f"exit/{config}"] < 1.5
-    assert result.speedups["exit/bin-transl"] > result.speedups["exit/hw-nested"]
-    # The same guest with every exit sent back to the pump (the harness
-    # raises if its simulated numbers differ from the resumed run's).
-    assert ("vmm/hw-nested/pumped", "port_storm", "compiled") in layers
-    assert 0.0 < result.speedups["exit/hw-nested/pumped"] < 1.5
+        assert (f"vmm/{config}", "plain_loop", "compiled") in layers
+        assert result.exit_costs[f"exit/{config}"] > 0.0
+    # ...and in simulated cycles a translator callout is the cheaper way
+    # to intercept a port write (bt_callout + emulate, 40 + 150, against
+    # vmexit + emulate, 1200 + 150, plus the OUT's port charge): the
+    # trade-off the paper's CPU-virtualization numbers are about.
+    # Both rows make the same number of writes.
+    sim = {(row.layer, row.workload): row.sim_cycles for row in result.rows}
+
+    def cycles_of_the_writes(config):
+        return sim[f"vmm/{config}", "port_storm"] - sim[f"vmm/{config}", "plain_loop"]
+
+    assert cycles_of_the_writes("bin-transl") < cycles_of_the_writes("hw-nested")
 
     # Compute-bound code is where closure compilation pays off most;
     # this ratio is stable even at quick scale, under a VMM too.

@@ -10,23 +10,25 @@ host wall-clock second each execution engine retires. Two comparisons:
   six VMM rows of ``MODE_MATRIX``; under binary translation the
   user-mode half runs on the core), the vCPU's ``jit_enabled`` off
   vs. on;
-* ``exit/<config>`` rows -- what a VM exit costs the host: the time the
-  bare compiled core takes for ``port_storm`` (one port write in every
-  three instructions, no NanoOS) over the time the same guest takes
-  under the config, where every write is an exit (under binary
-  translation, a callout). 1.0 would be a free exit. These guests
-  resume in place after every exit (DESIGN.md "The exit path");
-  ``exit/hw-nested/pumped`` is the same run with a watchdog that cannot
-  trip, so every exit goes back to the pump -- what a guest with an
-  armed timer pays on each exit.
+* ``exit/<config>`` rows -- what a VM exit costs the host, absolutely:
+  the host time ``port_storm`` (one port write in every three
+  instructions, no NanoOS) takes under the config beyond the time its
+  exit-free twin takes there, per write (under binary translation a
+  write is a callout, not an exit), times the same run's
+  ``native/cpu_bound`` interpreter MIPS -- the cost of one exit in
+  interpreted instructions, so it reads the same on a faster host;
+  lower is better. These guests resume in place after every exit
+  (DESIGN.md "The exit path"); ``exit/hw-nested/pumped`` is the same
+  run with a watchdog that cannot trip, so every exit goes back to the
+  pump -- what a guest with an armed timer pays on each exit.
 
 Every interp/compiled pair is also a differential test: the simulated
 cycles, instret, and workload result must be bit-identical between
 engines, so the bench fails loudly if the fast path ever diverges from
 the oracle. Results are emitted as ``BENCH_HOST.json`` (schema
 ``pyvisor.bench.host/1``) for the CI regression gate, which compares
-*ratios* (hardware-independent; higher is better) against a committed
-baseline.
+the hardware-independent numbers against a committed baseline: the
+speedup *ratios* against floors, the exit costs against ceilings.
 """
 
 import gc
@@ -47,7 +49,6 @@ from repro.bench.common import (
 )
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
-from repro.core.machine import MachineOutcome
 from repro.cpu.assembler import Program
 from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, boot_native, boot_vm, build_kernel
@@ -98,11 +99,11 @@ _VMM_CONFIGS = tuple(
     for label, virt_mode, mmu_mode, pv in MODE_MATRIX[1:]
 )
 
-#: Port writes of the ``exit/<config>`` guest, and how many times each
-#: side runs it: the runs are short, the best one counts.
+#: Port writes of the ``exit/<config>`` guest, and how many times it and
+#: its exit-free twin run: the runs are short, the best of each counts.
 _PORT_STORM_WRITES_QUICK = 5_000
 _PORT_STORM_WRITES_FULL = 30_000
-_PORT_STORM_RUNS = 3
+_PORT_STORM_RUNS = 5
 
 #: The config that also gets an ``exit/<config>/pumped`` row.
 _PUMPED_CONFIG = "hw-nested"
@@ -138,9 +139,11 @@ class HostBenchResult:
 
     quick: bool
     rows: List[EngineRow]
-    #: "<layer>/<workload>" -> compiled/interp guest-MIPS;
-    #: "exit/<config>[/pumped]" -> bare/VMM host time of port_storm.
+    #: "<layer>/<workload>" -> compiled/interp guest-MIPS.
     speedups: Dict[str, float]
+    #: "exit/<config>[/pumped]" -> host time of one exit, in
+    #: ``native/cpu_bound`` interpreted instructions.
+    exit_costs: Dict[str, float]
     jit_counters: Dict[str, int]
     table: Table
     metrics: Optional[MetricsRegistry] = None
@@ -162,6 +165,7 @@ class HostBenchResult:
             },
             "rows": [row.to_json() for row in self.rows],
             "speedups": {k: round(v, 4) for k, v in self.speedups.items()},
+            "exit_costs": {k: round(v, 4) for k, v in self.exit_costs.items()},
             "jit": dict(self.jit_counters),
         }
         if self.profile is not None:
@@ -178,52 +182,41 @@ class HostBenchResult:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
-    def check_baseline(self, baseline: Dict[str, Any]) -> List[str]:
-        """Compare speedup ratios against a committed baseline.
+    def _gates(self, baseline: Dict[str, Any]):
+        """``(key, gate, measured or None, ok)`` for every gated row.
 
-        Returns a list of failure strings (empty = pass). Only ratios
-        are compared -- absolute guest-MIPS depend on the host machine.
-        Floors under ``speedups`` are always gated; floors under
-        ``speedups_full`` only gate full (non-quick) runs, for ratios
-        that quick runs cannot measure honestly (short quick runs are
-        dominated by one-time block-compile cost).
+        Only host-independent numbers are gated. A speedup floor
+        (``speedups``: every run; ``speedups_full``: full runs only, for
+        ratios short quick runs cannot measure honestly) fails more than
+        20 % below it; an exit-cost ceiling (``ceilings``) fails above
+        it -- its margin is in the number.
         """
-        failures = []
-        gated = dict(baseline.get("speedups", {}))
+        floors = dict(baseline.get("speedups", {}))
         if not self.quick:
-            gated.update(baseline.get("speedups_full", {}))
-        for key, floor in sorted(gated.items()):
+            floors.update(baseline.get("speedups_full", {}))
+        for key, floor in sorted(floors.items()):
             got = self.speedups.get(key)
-            if got is None:
-                failures.append(f"{key}: missing from this run")
-                continue
-            if got < floor * REGRESSION_TOLERANCE:
-                failures.append(
-                    f"{key}: ratio {got:.2f}x is more than 20% below "
-                    f"the baseline {floor:.2f}x"
-                )
-        return failures
+            bound = floor * REGRESSION_TOLERANCE
+            yield key, f">= {bound:.2f}x", got, got is not None and got >= bound
+        for key, ceiling in sorted(baseline.get("ceilings", {}).items()):
+            got = self.exit_costs.get(key)
+            yield key, f"<= {ceiling:.2f}", got, got is not None and got <= ceiling
+
+    def check_baseline(self, baseline: Dict[str, Any]) -> List[str]:
+        """One failure string per gated row that fails (empty = pass)."""
+        return [f"{key}: {'missing' if got is None else f'{got:.2f}'}, "
+                f"gate {gate}"
+                for key, gate, got, ok in self._gates(baseline) if not ok]
 
     def baseline_table(self, baseline: Dict[str, Any]) -> str:
-        """Render a floors-vs-measured diff table for every gated row
-        (the CI failure artifact: shows *which* floor regressed and by
-        how much, not just that one did)."""
-        gated = dict(baseline.get("speedups", {}))
-        if not self.quick:
-            gated.update(baseline.get("speedups_full", {}))
-        header = (f"{'workload':>24} | {'floor':>7} | {'min ok':>7} | "
-                  f"{'measured':>8} | status")
+        """Every gated row against its gate (the CI failure artifact:
+        shows *which* row failed and by how much, not just that one did)."""
+        header = f"{'row':>24} | {'gate':>9} | {'measured':>8} | status"
         lines = [header, "-" * len(header)]
-        for key, floor in sorted(gated.items()):
-            got = self.speedups.get(key)
-            min_ok = floor * REGRESSION_TOLERANCE
-            if got is None:
-                measured, status = "missing", "FAIL"
-            else:
-                measured = f"{got:.2f}x"
-                status = "ok" if got >= min_ok else "FAIL"
-            lines.append(f"{key:>24} | {floor:>6.2f}x | {min_ok:>6.2f}x | "
-                         f"{measured:>8} | {status}")
+        for key, gate, got, ok in self._gates(baseline):
+            measured = "missing" if got is None else f"{got:.2f}"
+            lines.append(f"{key:>24} | {gate:>9} | {measured:>8} | "
+                         f"{'ok' if ok else 'FAIL'}")
         return "\n".join(lines)
 
 
@@ -297,59 +290,48 @@ _WALL = attrgetter("wall_s")
 
 
 def _run_port_storm(
-    layer: str, config: Optional[Tuple[VirtMode, MMUVirtMode]], image: Program,
+    layer: str, config: Tuple[VirtMode, MMUVirtMode], image: Program,
     writes: int, pumped: bool = False,
 ) -> EngineRow:
-    """``port_storm`` once: on the bare compiled core (``config`` None)
-    or under a VMM config; ``pumped`` passes ``Hypervisor.run`` a
-    watchdog that cannot trip, which sends every exit back to the pump
-    and changes no simulated number."""
-    if config is None:
-        machine = Machine(memory_bytes=GUEST_MEMORY, jit=True)
-        machine.load_program(image)
-        machine.cpu.reset(image.entry)
-        _settle()
-        start = perf_counter()
-        off = machine.run(max_instructions=200_000_000) is MachineOutcome.SHUTDOWN
-        wall = perf_counter() - start
-        cpu, console = machine.cpu, machine.console
-        sim_cycles = cpu.cycles
-    else:
-        hv = Hypervisor(memory_bytes=HOST_MEMORY)
-        vm = hv.create_vm(GuestConfig(
-            name="hostbench", memory_bytes=GUEST_MEMORY,
-            virt_mode=config[0], mmu_mode=config[1]))
-        hv.load_program(vm, image)
-        hv.reset_vcpu(vm, image.entry)
-        watchdog = (GuestProgressWatchdog(idle_pump_limit=1 << 60)
-                    if pumped else None)
-        _settle()
-        start = perf_counter()
-        off = hv.run(vm, max_guest_instructions=200_000_000,
-                     watchdog=watchdog) is RunOutcome.SHUTDOWN
-        wall = perf_counter() - start
-        cpu, console = vm.vcpus[0].cpu, vm.devices["console"]
-        sim_cycles = cpu.cycles + vm.stats.vmm_cycles
-    if not off or console.chars_written != writes:
+    """``image`` (``port_storm`` or, ``writes`` 0, its twin) once under
+    a VMM config; ``pumped`` passes ``Hypervisor.run`` a watchdog that
+    cannot trip, which sends every exit back to the pump and changes no
+    simulated number."""
+    hv = Hypervisor(memory_bytes=HOST_MEMORY)
+    vm = hv.create_vm(GuestConfig(
+        name="hostbench", memory_bytes=GUEST_MEMORY,
+        virt_mode=config[0], mmu_mode=config[1]))
+    hv.load_program(vm, image)
+    hv.reset_vcpu(vm, image.entry)
+    watchdog = (GuestProgressWatchdog(idle_pump_limit=1 << 60)
+                if pumped else None)
+    _settle()
+    start = perf_counter()
+    off = hv.run(vm, max_guest_instructions=200_000_000,
+                 watchdog=watchdog) is RunOutcome.SHUTDOWN
+    wall = perf_counter() - start
+    cpu = vm.vcpus[0].cpu
+    if not off or vm.devices["console"].chars_written != writes:
         raise GuestError(f"host bench {layer} port_storm run unclean")
-    row = _row(layer, True, wall, cpu, sim_cycles)
-    row.workload = "port_storm"
+    row = _row(layer, True, wall, cpu, cpu.cycles + vm.stats.vmm_cycles)
+    row.workload = "port_storm" if writes else "plain_loop"
     return row
 
 
-def _measure_exit_pair(
+def _measure_exit(
     layer: str, config: Tuple[VirtMode, MMUVirtMode], writes: int,
     pumped: bool = False,
 ) -> Tuple[EngineRow, EngineRow]:
-    """(bare row, VMM row) for one ``exit/<config>`` ratio: the runs
-    alternate, so both sides see the same stretch of host speed, and
-    the best run of each side counts."""
-    image = workloads.port_storm(writes)
-    bare, under = [], []
+    """(``port_storm`` row, twin row) under one config: the runs
+    alternate, so both see the same stretch of host speed, and the best
+    run of each counts."""
+    images = (workloads.port_storm(writes),
+              workloads.port_storm(writes, writes=False))
+    storm, twin = [], []
     for _ in range(_PORT_STORM_RUNS):
-        bare.append(_run_port_storm("native", None, image, writes))
-        under.append(_run_port_storm(layer, config, image, writes, pumped))
-    return min(bare, key=_WALL), min(under, key=_WALL)
+        storm.append(_run_port_storm(layer, config, images[0], writes, pumped))
+        twin.append(_run_port_storm(layer, config, images[1], 0, pumped))
+    return min(storm, key=_WALL), min(twin, key=_WALL)
 
 
 def _assert_identical(name: str, first: EngineRow, second: EngineRow) -> None:
@@ -464,23 +446,28 @@ def run_host_throughput(
             )
 
     writes = _PORT_STORM_WRITES_QUICK if quick else _PORT_STORM_WRITES_FULL
-    bare_rows = []
+    # Interpreted instructions per microsecond, this run: the unit that
+    # makes an exit's host time comparable across hosts.
+    interp_mips = next(row.guest_mips for row in rows if (
+        row.layer, row.workload, row.engine) == ("native", "cpu_bound", "interp"))
+    exit_costs: Dict[str, float] = {}
+    us_per_exit: Dict[str, float] = {}
 
-    def exit_pair(label: str, config, pumped: bool = False) -> EngineRow:
-        key = label + "/pumped" if pumped else label
-        bare_row, row = _measure_exit_pair(f"vmm/{key}", config, writes, pumped)
-        bare_rows.append(bare_row)
-        rows.append(row)
-        speedups[f"exit/{key}"] = bare_row.wall_s / row.wall_s
-        return row
+    def exit_row(label: str, config, pumped: bool = False) -> EngineRow:
+        name = label + "/pumped" if pumped else label
+        storm, twin = _measure_exit(f"vmm/{name}", config, writes, pumped)
+        rows.extend((storm, twin))
+        key = f"exit/{name}"
+        us_per_exit[key] = (storm.wall_s - twin.wall_s) / writes * 1e6
+        exit_costs[key] = us_per_exit[key] * interp_mips
+        return storm
 
     for label, virt_mode, mmu_mode, _pv in _VMM_CONFIGS:
         config = (virt_mode, mmu_mode)
-        row = exit_pair(label, config)
+        row = exit_row(label, config)
         if label == _PUMPED_CONFIG:
             _assert_identical(
-                f"exit/{label}/pumped", row, exit_pair(label, config, pumped=True))
-    rows.append(min(bare_rows, key=_WALL))
+                f"exit/{label}/pumped", row, exit_row(label, config, pumped=True))
 
     hotspots: Optional[List[Dict[str, Any]]] = None
     if profiler is not None:
@@ -499,10 +486,12 @@ def run_host_throughput(
         ],
     )
     for row in rows:
-        if row.workload == "port_storm":
-            ratio = speedups.get("exit/" + row.layer.partition("/")[2])
+        if row.workload == "port_storm":  # the exit cost, in instructions
+            ratio = f"{exit_costs['exit/' + row.layer.partition('/')[2]]:.2f} ins"
+        elif row.workload == "plain_loop" or row.engine == "interp":
+            ratio = ""
         else:
-            ratio = speedups[f"{row.layer}/{row.workload}"]
+            ratio = f"{speedups[f'{row.layer}/{row.workload}']:.2f}x"
         table.add_row(
             row.workload,
             row.layer,
@@ -510,15 +499,16 @@ def run_host_throughput(
             f"{row.wall_s:.3f}",
             row.instructions,
             f"{row.guest_mips:.3f}",
-            f"{ratio:.2f}x" if ratio and row.engine == "compiled" else "",
+            ratio,
         )
     return HostBenchResult(
         quick=quick,
         rows=rows,
         speedups=speedups,
+        exit_costs=exit_costs,
         jit_counters=jit_counters,
         table=table,
         metrics=registry,
-        raw={"results": results},
+        raw={"results": results, "us_per_exit": us_per_exit},
         profile=hotspots,
     )
