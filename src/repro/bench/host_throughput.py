@@ -183,14 +183,10 @@ class HostBenchResult:
             fh.write(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
     def _gates(self, baseline: Dict[str, Any]):
-        """``(key, gate, measured or None, ok)`` for every gated row.
-
-        Only host-independent numbers are gated. A speedup floor
-        (``speedups``: every run; ``speedups_full``: full runs only, for
-        ratios short quick runs cannot measure honestly) fails more than
-        20 % below it; an exit-cost ceiling (``ceilings``) fails above
-        it -- its margin is in the number.
-        """
+        """``(key, gate, measured or None, ok)`` for every gated row: a
+        speedup floor (``speedups``; ``speedups_full`` in full runs only,
+        which quick runs cannot measure honestly) fails more than 20 %
+        below it, an exit-cost ceiling (``ceilings``) above it."""
         floors = dict(baseline.get("speedups", {}))
         if not self.quick:
             floors.update(baseline.get("speedups_full", {}))
@@ -204,8 +200,7 @@ class HostBenchResult:
 
     def check_baseline(self, baseline: Dict[str, Any]) -> List[str]:
         """One failure string per gated row that fails (empty = pass)."""
-        return [f"{key}: {'missing' if got is None else f'{got:.2f}'}, "
-                f"gate {gate}"
+        return [f"{key}: {'missing' if got is None else f'{got:.2f}'}, gate {gate}"
                 for key, gate, got, ok in self._gates(baseline) if not ok]
 
     def baseline_table(self, baseline: Dict[str, Any]) -> str:
@@ -451,15 +446,12 @@ def run_host_throughput(
     interp_mips = next(row.guest_mips for row in rows if (
         row.layer, row.workload, row.engine) == ("native", "cpu_bound", "interp"))
     exit_costs: Dict[str, float] = {}
-    us_per_exit: Dict[str, float] = {}
 
     def exit_row(label: str, config, pumped: bool = False) -> EngineRow:
         name = label + "/pumped" if pumped else label
         storm, twin = _measure_exit(f"vmm/{name}", config, writes, pumped)
         rows.extend((storm, twin))
-        key = f"exit/{name}"
-        us_per_exit[key] = (storm.wall_s - twin.wall_s) / writes * 1e6
-        exit_costs[key] = us_per_exit[key] * interp_mips
+        exit_costs[f"exit/{name}"] = (storm.wall_s - twin.wall_s) / writes * 1e6 * interp_mips
         return storm
 
     for label, virt_mode, mmu_mode, _pv in _VMM_CONFIGS:
@@ -509,6 +501,6 @@ def run_host_throughput(
         jit_counters=jit_counters,
         table=table,
         metrics=registry,
-        raw={"results": results, "us_per_exit": us_per_exit},
+        raw={"results": results},
         profile=hotspots,
     )

@@ -54,6 +54,11 @@ _block_hits = VMStats.bt_block_hits.bound
 _chained = VMStats.bt_chained.bound
 _callouts = VMStats.bt_callouts.bound
 
+#: Named per item, bound once (an ``Op.X`` spelling is an enum lookup).
+_VMCALL, _CSRW, _PTBR = Op.VMCALL, Op.CSRW, int(CSR.PTBR)
+_IO_OPS, _TRAP_OPS = frozenset((Op.IN, Op.OUT)), frozenset((Op.SYSCALL, Op.BRK))
+_BLOCK_ENDERS = frozenset((Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK))
+
 
 @dataclass
 class TranslatedBlock:
@@ -278,10 +283,9 @@ class BTEngine:
                     mmu._guest_walk(vpn << 12, AccessType.EXEC).gfn)
             if ins.op > LAST_BRANCH_OP:  # system op: monitor callout
                 items.append((True, ins))
-                if ins.op in (Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK):
+                if ins.op in _BLOCK_ENDERS:
                     break
-                if (ins.op is Op.CSRW
-                        and ins.simm12 & 0xFFF == int(CSR.PTBR)):
+                if ins.op is _CSRW and ins.simm12 & 0xFFF == _PTBR:
                     # A PTBR write changes instruction-fetch translation;
                     # the rest of this block was decoded under the old
                     # root. End the block so dispatch re-fetches (and, if
@@ -351,7 +355,7 @@ class BTEngine:
         cpu.instret += 1
         op = ins.op
 
-        if op is Op.VMCALL:
+        if op is _VMCALL:
             if self.hypercall_handler is None:
                 raise RuntimeError("BT guest issued VMCALL with no handler")
             stats.hypercalls += 1
@@ -360,9 +364,9 @@ class BTEngine:
                 vcpu, ins.simm12 & 0xFFF, (cpu.pc + ins.length) & 0xFFFFFFFF
             )
         else:
-            if op in (Op.IN, Op.OUT):
+            if op in _IO_OPS:
                 cpu.cycles += self.costs.emulate_cycles
-            elif op in (Op.SYSCALL, Op.BRK):
+            elif op in _TRAP_OPS:
                 cpu.cycles += self.costs.trap_cycles
             pc = cpu.pc
             if cpu.system(vcpu, None, ins, op, pc,

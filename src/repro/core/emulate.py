@@ -14,6 +14,8 @@ from repro.mem.paging import AccessType
 from repro.util.errors import GuestError
 from repro.util.units import PAGE_SHIFT
 
+_ST, _WRITE = Op.ST, AccessType.WRITE  # bound once: each is an enum lookup
+
 
 def emulate_privileged(vcpu, ins: Instruction) -> str:
     """Apply one privileged/sensitive guest instruction to virtual state.
@@ -41,15 +43,15 @@ def emulate_guest_store(vcpu, ins: Instruction, guest_mem, shadow) -> int:
     written guest-physical address.
     """
     cpu = vcpu.cpu
-    if ins.op not in (Op.ST, Op.STB):
+    if not ins.stores:
         raise GuestError(
             f"PT write trap on non-store instruction {ins.op.name} "
             f"at pc={cpu.pc:#x}"
         )
     va = (cpu.regs[ins.ra] + ins.simm12) & 0xFFFFFFFF
-    walk = shadow._guest_walk(va, AccessType.WRITE)
+    walk = shadow._guest_walk(va, _WRITE)
     gpa = (walk.gfn << PAGE_SHIFT) | (va & 0xFFF)
-    if ins.op is Op.ST:
+    if ins.op is _ST:
         guest_mem.write_u32(gpa, cpu.regs[ins.rb])
     else:
         guest_mem.write_u8(gpa, cpu.regs[ins.rb] & 0xFF)

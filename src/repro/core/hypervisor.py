@@ -33,7 +33,7 @@ from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
-    CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, Op,
+    CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Op,
 )
 from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice
@@ -95,6 +95,10 @@ class HypercallNumbers(enum.IntEnum):
     BALLOON_TAKE = 11
 
 
+#: Hypercall number -> name: the exit-table detail, and what dispatch compares.
+_HYPERCALL_NAMES = {int(call): call.name.lower() for call in HypercallNumbers}
+
+
 class RunOutcome(enum.Enum):
     HALTED = "halted"  # guest idle with no wakeup source
     SHUTDOWN = "shutdown"  # guest requested power-off
@@ -110,8 +114,26 @@ def shared_info_gfn(vm: VirtualMachine) -> int:
 
 _SHARED_IE_OFFSET = 0
 
+
+def _shared_ie_gpa(vm: VirtualMachine) -> int:
+    """Where a PV guest's virtual IE lives: plain loads and stores."""
+    return (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET
+
+
 #: Exit-table detail of a reflected or injected guest trap, by cause.
 _CAUSE_DETAIL = {cause: cause.name.lower() for cause in Cause}
+
+#: Named on every exit, bound once (each spelling is an enum-metaclass
+#: lookup), like the counters bumped per exit (``counter_attr.bound``).
+_GUEST_TRAP, _VMCALL, _PAGE_FAULT, _TRIPLE_FAULT = (
+    ExitReason.GUEST_TRAP, ExitReason.VMCALL, ExitReason.PAGE_FAULT, ExitReason.TRIPLE_FAULT)
+_OUT, _IN, _HLT, _CSRW, _PRIV = Op.OUT, Op.IN, Op.HLT, Op.CSRW, Cause.PRIV
+_MODE, _IE, _VBAR, _PTBR, _ECAUSE, _EVAL, _EPC = map(int, (
+    CSR.MODE, CSR.IE, CSR.VBAR, CSR.PTBR, CSR.ECAUSE, CSR.EVAL, CSR.EPC))
+_VIRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
+_HW_ASSIST, _PARAVIRT = VirtMode.HW_ASSIST, VirtMode.PARAVIRT
+_world_switches, _vmm_cycles, _hypercalls = (
+    VMStats.world_switches.bound, VMStats.vmm_cycles.bound, VMStats.hypercalls.bound)
 
 
 @lru_cache(maxsize=None)  # one entry per port number: 12 bits
@@ -337,6 +359,8 @@ class Hypervisor:
             cpu.controls = HW_ASSIST_NESTED
 
         self._attach_devices(vm)
+        # An intercepted IN / OUT is run by the core, on the VM's bus.
+        cpu.port_bus = vm.port_bus
 
         if config.virt_mode is VirtMode.BINARY_TRANSLATION:
             vm.bt = BTEngine(
@@ -351,9 +375,7 @@ class Hypervisor:
         if config.virt_mode is VirtMode.PARAVIRT:
             # Shared info page: the guest reads/writes its virtual IE
             # here with plain loads/stores -- zero exits.
-            guest_mem.write_u32(
-                (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET, 0
-            )
+            guest_mem.write_u32(_shared_ie_gpa(vm), 0)
 
         self.vms[config.name] = vm
         return vm
@@ -504,10 +526,11 @@ class Hypervisor:
         injects a pending virq, evaluates the ``vcpu.stall`` site, beats
         the watchdog, then enters the guest for at most ``PUMP_SLICE``
         instructions. A VM exit does not come back here as such: the
-        core calls ``service`` (below) where it catches one, and the
-        guest resumes in place unless the pump could act on what the
-        handler left behind (DESIGN.md "The exit path"). The pump runs
-        once per slice and once per exit ``service`` answers False to.
+        core calls ``service`` (below) at the intercept, or where it
+        catches an exit that had to unwind, and the guest resumes where
+        it was unless the pump could act on what the handler left behind
+        (DESIGN.md "The exit path"). The pump runs once per slice and
+        once per exit ``service`` answers False to.
 
         ``watchdog`` (a
         :class:`~repro.faults.watchdog.GuestProgressWatchdog`) is beat
@@ -530,10 +553,10 @@ class Hypervisor:
         vmm = VMStats.vmm_cycles.bound(vm.stats)
         stalled_pumps = 0
 
-        def service(exit_: VMExit) -> bool:
-            """Service ``exit_``; may the guest resume without the pump?"""
+        def service(reason, ins, pc, arg) -> bool:
+            """:meth:`_exit`; may the guest resume without the pump?"""
             before = vmm.value
-            self._handle_exit(vm, vcpu, exit_)
+            self._exit(vm, vcpu, reason, ins, pc, arg)
             if (
                 power.shutdown_requested  # the pump returns SHUTDOWN
                 or vcpu.halted or cpu.halted  # idle / wake / HALTED: pump's call
@@ -554,8 +577,10 @@ class Hypervisor:
                 if cpu.cycles + vmm.value - start_cycles >= max_cycles:
                     return False
                 # VM time = core cycles + VMM cycles: what this exit
-                # cost the VMM comes off the core's ceiling.
+                # cost the VMM comes off the core's ceiling, which its
+                # run loop re-reads where this answer unwinds to.
                 cpu.charge_cycle_budget(vmm.value - before)
+                return False
             return True
 
         while True:
@@ -640,9 +665,9 @@ class Hypervisor:
             try:
                 vm.bt.run(max_cycles=bt_budget)
             except VMExit as exit_:
-                # These exits leave the translator, not the core: same
-                # service, and the pump follows whatever it answers.
-                service(exit_)
+                # These leave the translator, not the core: serviced
+                # through the unwinding route, and the pump follows.
+                self._handle_exit(vm, vcpu, exit_)
             return
         # A per-entry cycle bound keeps ``max_cycles`` honest even when
         # the guest burns cycles without retiring instructions inside
@@ -679,21 +704,19 @@ class Hypervisor:
     # -- virtual interrupt injection ----------------------------------------
 
     def _guest_ie(self, vm: VirtualMachine, vcpu: VCPU) -> int:
-        if vm.config.virt_mode is VirtMode.PARAVIRT:
-            return vm.guest_mem.read_u32(
-                (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET
-            )
-        return vcpu.vcsr[CSR.IE]
+        if vm.config.virt_mode is _PARAVIRT:
+            return vm.guest_mem.read_u32(_shared_ie_gpa(vm))
+        return vcpu.vcsr[_IE]
 
     def _maybe_inject(self, vm: VirtualMachine, vcpu: VCPU) -> bool:
         """Deliver one pending virq (timer before device) if the guest's
         virtual IE allows; True if it injected."""
         if not vm.pending_virqs or not self._guest_ie(vm, vcpu):
             return False
-        for cause in (Cause.IRQ_TIMER, Cause.IRQ_DEVICE):
+        for cause in _VIRQ_PRIORITY:
             if cause in vm.pending_virqs:
                 vm.pending_virqs.discard(cause)
-                self._reflect(vm, vcpu, TrapInfo(cause, 0, epc=vcpu.cpu.pc))
+                self._reflect(vm, vcpu, TrapInfo(cause, 0, vcpu.cpu.pc))
                 vm.stats.injected_irqs += 1
                 vcpu.halted = False
                 vcpu.cpu.halted = False
@@ -701,12 +724,12 @@ class Hypervisor:
         return False
 
     def _reflect(self, vm: VirtualMachine, vcpu: VCPU, info: TrapInfo) -> None:
-        pv = vm.config.virt_mode is VirtMode.PARAVIRT
+        pv = vm.config.virt_mode is _PARAVIRT
         shared_gpa = (shared_info_gfn(vm) << PAGE_SHIFT) if pv else 0
         if pv:
             # The shared page is the PV source of truth for IE; sync it
             # into vcsr so ESTATUS snapshots the right prior value.
-            vcpu.vcsr[CSR.IE] = vm.guest_mem.read_u32(
+            vcpu.vcsr[_IE] = vm.guest_mem.read_u32(
                 shared_gpa + _SHARED_IE_OFFSET
             )
         vcpu.reflect_trap(info)
@@ -714,9 +737,9 @@ class Hypervisor:
             # Publish the trap block and disable events, Xen-style: the
             # guest reads cause/value/epc with plain loads (no exits).
             vm.guest_mem.write_u32(shared_gpa + _SHARED_IE_OFFSET, 0)
-            vm.guest_mem.write_u32(shared_gpa + 4, vcpu.vcsr[CSR.ECAUSE])
-            vm.guest_mem.write_u32(shared_gpa + 8, vcpu.vcsr[CSR.EVAL])
-            vm.guest_mem.write_u32(shared_gpa + 12, vcpu.vcsr[CSR.EPC])
+            vm.guest_mem.write_u32(shared_gpa + 4, vcpu.vcsr[_ECAUSE])
+            vm.guest_mem.write_u32(shared_gpa + 8, vcpu.vcsr[_EVAL])
+            vm.guest_mem.write_u32(shared_gpa + 12, vcpu.vcsr[_EPC])
 
     # -- H-mode fault hooks -------------------------------------------------
 
@@ -747,26 +770,51 @@ class Hypervisor:
     def _vm_time(self, vm: VirtualMachine) -> int:
         return vm.vcpus[0].cpu.cycles + vm.stats.vmm_cycles
 
-    def _handle_exit(self, vm: VirtualMachine, vcpu: VCPU, exit_: VMExit) -> None:
-        """Service one VM exit: the world-switch charge, the reason's
-        handler (``_EXIT_HANDLERS``), then the accounting."""
+    def _exit(self, vm: VirtualMachine, vcpu: VCPU, reason: ExitReason,
+              ins, pc: int, arg) -> None:
+        """The VMM's side of one exit, called or unwound: the world-switch
+        charge, the reason's own code, the accounting. ``ins`` / ``pc``:
+        the exiting instruction (or None) and its address; ``arg``: a
+        GUEST_TRAP's trap, the :class:`VMExit` of a PAGE_FAULT or
+        TRIPLE_FAULT. The core has run an intercepted system instruction
+        before it gets here: what is left is the VMM's own record."""
         costs = self.costs
         stats = vm.stats
-        reason = exit_.reason
-        if reason is ExitReason.VMCALL:
+        if reason is _VMCALL:
             switch = costs.hypercall_cycles
-            VMStats.hypercalls.bound(stats).value += 1
+            _hypercalls(stats).value += 1
         elif vm.bt is not None:
             switch = costs.bt_reflect_cycles
         else:
             switch = costs.vmexit_cycles
-        VMStats.world_switches.bound(stats).value += 1
-        # Where an intercepted instruction resumes once emulated: past
-        # its real encoding (4 bytes, or 8 with an immediate word).
-        next_pc = (vcpu.cpu.pc + exit_.instruction_length) & 0xFFFFFFFF
+        _world_switches(stats).value += 1
         try:
-            detail, handler_cycles = self._EXIT_HANDLERS[reason](
-                self, vm, vcpu, exit_, next_pc)
+            if reason is _GUEST_TRAP:
+                detail, cycles = self._exit_guest_trap(vm, vcpu, ins, arg)
+            elif reason is _VMCALL:
+                detail = self._do_hypercall(
+                    vm, vcpu, ins.simm12 & 0xFFF, (pc + ins.length) & 0xFFFFFFFF)
+                cycles = 0
+            elif reason is _PAGE_FAULT:
+                detail, cycles = self._handle_memory_exit(vm, vcpu, arg)
+            elif reason is _TRIPLE_FAULT:
+                raise GuestError(
+                    f"VM {vm.name}: triple fault (cause={arg.qual('cause')}, "
+                    f"value={arg.qual('value'):#x}, pc={arg.guest_pc:#x})")
+            else:  # IO_OUT, IO_IN, CSR_WRITE, PRIV_INSTR (INVLPG), HLT
+                op = ins.op
+                cycles = costs.emulate_cycles
+                if op is _OUT or op is _IN:
+                    if op is _IN:
+                        # The re-fetch of the IN: a TLB probe (hits, LRU,
+                        # hit cycles) every engine's numbers include.
+                        vcpu.cpu.fetch(pc)
+                    detail = _port_detail(ins.simm12 & 0xFFF)
+                elif op is _HLT:
+                    vcpu.halted = True  # the VMM's own record of the halt
+                    detail, cycles = "hlt", 0
+                else:
+                    detail = "ptbr" if op is _CSRW else "invlpg"
         except VMExit as nested:
             # Servicing an exit can itself exit -- e.g. the emulator
             # reflects a trap into a guest whose vector is gone (triple
@@ -774,34 +822,45 @@ class Hypervisor:
             # reflection can produce is TRIPLE_FAULT, which is terminal.
             self._handle_exit(vm, vcpu, nested)
             return
-        VMStats.vmm_cycles.bound(stats).value += switch + handler_cycles
-        vm.exit_stats.record(reason, switch + handler_cycles, detail)
+        cycles += switch
+        _vmm_cycles(stats).value += cycles
+        vm.exit_stats.record(reason, cycles, detail)
         if self.trace is not None:
             self.trace.emit(
                 self._vm_time(vm), "vmexit", reason.value,
-                vm=vm.name, detail=detail, pc=vcpu.cpu.pc,
-                cycles=switch + handler_cycles,
+                vm=vm.name, detail=detail, pc=vcpu.cpu.pc, cycles=cycles,
             )
 
-    # One handler per ExitReason: (vm, vcpu, exit_, next_pc) ->
-    # (detail for the exit table, handler cycles on top of the switch).
+    def _handle_exit(self, vm: VirtualMachine, vcpu: VCPU, exit_: VMExit) -> None:
+        """Service an exit that unwound: an intercepted instruction raised
+        before it ran (no service was lent), so the core finishes it
+        first -- a hypercall or a guest trap is the VMM's own -- and then
+        :meth:`_exit` as for a call."""
+        cpu = vcpu.cpu
+        reason, pc, q = exit_.reason, cpu.pc, exit_.qualification
+        ins = q.get("ins")
+        if ins is not None and reason is not _GUEST_TRAP and reason is not _VMCALL:
+            cpu.system(cpu, None, ins, ins.op, pc, (pc + ins.length) & 0xFFFFFFFF)
+        self._exit(vm, vcpu, reason, ins, pc, q.get("trap", exit_))
 
-    def _exit_guest_trap(self, vm, vcpu, exit_, _next_pc):
+    def _exit_guest_trap(self, vm, vcpu, ins, info: TrapInfo):
+        """A GUEST_TRAP: (detail, handler cycles)."""
         costs = self.costs
-        info: TrapInfo = exit_.qualification["trap"]
-        if vm.config.virt_mode is VirtMode.HW_ASSIST:
+        cpu = vcpu.cpu
+        if vm.config.virt_mode is _HW_ASSIST:
             # H-mode: a non-delegated guest trap (or a delegation
             # miss injected by the fault site). Inject it exactly as
             # hardware event injection on VM entry would: the core's
             # own delivery microcode runs against real guest state,
             # so the result is bit-identical to native delegation.
-            vcpu.cpu.deliver_trap(info)
+            cpu.deliver_trap(info)
             detail = _CAUSE_DETAIL[info.cause]
-            if exit_.qualification["deleg_miss"]:
+            if not (cpu.controls.trap_exits >> info.cause) & 1:
+                # A delegated cause leaves only through a delegation miss.
                 detail = f"deleg_miss.{detail}"
             self.registry.counter("core.hmode.trap_exits").inc()
             return detail, costs.emulate_cycles
-        if info.cause is Cause.PRIV and not vcpu.virtual_user:
+        if info.cause is _PRIV and vcpu.vcsr[_MODE] != MODE_USER:
             # Only the guest *kernel* (deprivileged onto real user
             # mode) gets its privileged instructions emulated. A
             # PRIV trap raised while the virtual mode is user is the
@@ -809,59 +868,13 @@ class Hypervisor:
             # hardware answer is a trap into the guest kernel, so
             # reflect it -- emulating here would be a guest-level
             # privilege escalation (and diverges from HW_ASSIST).
-            ins = exit_.qualification["ins"]
             if ins is None:
-                ins = vcpu.cpu.fetch(vcpu.cpu.pc)
+                ins = cpu.fetch(cpu.pc)
             return emulate_privileged(vcpu, ins), costs.emulate_cycles
         self._reflect(vm, vcpu, info)
         return _CAUSE_DETAIL[info.cause], costs.trap_cycles
 
-    def _exit_vmcall(self, vm, vcpu, exit_, next_pc):
-        return self._do_hypercall(vm, vcpu, exit_.qualification["num"], next_pc), 0
-
-    def _exit_io_out(self, vm, vcpu, exit_, next_pc):
-        port = exit_.qualification["port"]
-        vm.port_bus.io_out(port, exit_.qualification["value"])
-        vcpu.cpu.pc = next_pc
-        return _port_detail(port), self.costs.emulate_cycles
-
-    def _exit_io_in(self, vm, vcpu, exit_, next_pc):
-        port = exit_.qualification["port"]
-        cpu = vcpu.cpu
-        ins = cpu.fetch(cpu.pc)
-        cpu.write_reg(ins.rd, vm.port_bus.io_in(port))
-        cpu.pc = next_pc
-        return _port_detail(port), self.costs.emulate_cycles
-
-    def _exit_csr_write(self, vm, vcpu, exit_, next_pc):
-        # HW-assist + shadow: intercepted PTBR write.
-        value = exit_.qualification["value"]
-        vcpu.cpu.csr[CSR.PTBR] = value & 0xFFFFFFFF
-        vcpu.cpu.mmu.switch_guest_root(value)
-        vcpu.cpu.pc = next_pc
-        return "ptbr", self.costs.emulate_cycles
-
-    def _exit_priv_instr(self, vm, vcpu, exit_, next_pc):
-        if exit_.qualification["op"] is not Op.INVLPG:
-            raise GuestError(f"unhandled VM exit {exit_!r}")
-        vcpu.cpu.mmu.invlpg(exit_.qualification["va"])
-        vcpu.cpu.pc = next_pc
-        return "invlpg", self.costs.emulate_cycles
-
-    def _exit_hlt(self, vm, vcpu, exit_, next_pc):
-        vcpu.cpu.pc = next_pc
-        vcpu.cpu.halted = True
-        vcpu.halted = True
-        return "hlt", 0
-
-    def _exit_triple_fault(self, vm, vcpu, exit_, _next_pc):
-        raise GuestError(
-            f"VM {vm.name}: triple fault (cause="
-            f"{exit_.qual('cause')}, value={exit_.qual('value'):#x}, "
-            f"pc={exit_.guest_pc:#x})"
-        )
-
-    def _handle_memory_exit(self, vm, vcpu, exit_, _next_pc):
+    def _handle_memory_exit(self, vm, vcpu, exit_):
         costs = self.costs
         kind = exit_.qual("kind")
         mmu = vcpu.cpu.mmu
@@ -910,18 +923,6 @@ class Hypervisor:
             return "ept_violation", costs.shadow_fill_cycles
         raise GuestError(f"unknown memory exit kind {kind!r}")
 
-    _EXIT_HANDLERS = {
-        ExitReason.GUEST_TRAP: _exit_guest_trap,
-        ExitReason.VMCALL: _exit_vmcall,
-        ExitReason.IO_OUT: _exit_io_out,
-        ExitReason.IO_IN: _exit_io_in,
-        ExitReason.CSR_WRITE: _exit_csr_write,
-        ExitReason.PRIV_INSTR: _exit_priv_instr,
-        ExitReason.HLT: _exit_hlt,
-        ExitReason.PAGE_FAULT: _handle_memory_exit,
-        ExitReason.TRIPLE_FAULT: _exit_triple_fault,
-    }
-
     # -- hypercalls ---------------------------------------------------------
 
     def _do_hypercall(self, vm: VirtualMachine, vcpu: VCPU, num: int,
@@ -929,22 +930,20 @@ class Hypervisor:
         """Service hypercall ``num``; ``next_pc`` is the pc past the VMCALL."""
         cpu = vcpu.cpu
         a0, a1 = cpu.regs[1], cpu.regs[2]
-        advance = True
-        try:
-            call = HypercallNumbers(num)
-        except ValueError:
+        call = _HYPERCALL_NAMES.get(num)
+        if call is None:
             cpu.write_reg(1, 0xFFFFFFFF)  # unknown hypercall: -1
             cpu.pc = next_pc
             return "unknown"
-
-        if call is HypercallNumbers.SET_VBAR:
-            vcpu.vcsr[CSR.VBAR] = a0
-        elif call is HypercallNumbers.SET_PTBR:
-            vcpu.vcsr[CSR.PTBR] = a0
+        advance = True
+        if call == "set_vbar":
+            vcpu.vcsr[_VBAR] = a0
+        elif call == "set_ptbr":
+            vcpu.vcsr[_PTBR] = a0
             cpu.mmu.set_root(a0)
-        elif call is HypercallNumbers.MMU_BATCH:
+        elif call == "mmu_batch":
             count = a1
-            vmm = VMStats.vmm_cycles.bound(vm.stats)
+            vmm = _vmm_cycles(vm.stats)
             for i in range(count):
                 gpa = vm.guest_mem.read_u32(a0 + i * 8)
                 value = vm.guest_mem.read_u32(a0 + i * 8 + 4)
@@ -953,44 +952,30 @@ class Hypervisor:
                     cpu.mmu.handle_guest_pt_write(gpa)
                 vmm.value += 2 * self.costs.mem_ref_cycles
             cpu.write_reg(1, count)
-        elif call is HypercallNumbers.SET_IE:
-            vcpu.vcsr[CSR.IE] = a0 & 1
-            if vm.config.virt_mode is VirtMode.PARAVIRT:
-                vm.guest_mem.write_u32(
-                    (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET,
-                    a0 & 1,
-                )
-        elif call is HypercallNumbers.IRET:
+        elif call == "set_ie":
+            vcpu.vcsr[_IE] = a0 & 1
+            if vm.config.virt_mode is _PARAVIRT:
+                vm.guest_mem.write_u32(_shared_ie_gpa(vm), a0 & 1)
+        elif call == "iret":
             cpu.leave_trap(vcpu)
-            if vm.config.virt_mode is VirtMode.PARAVIRT:
-                vm.guest_mem.write_u32(
-                    (shared_info_gfn(vm) << PAGE_SHIFT) + _SHARED_IE_OFFSET,
-                    vcpu.vcsr[CSR.IE],
-                )
+            if vm.config.virt_mode is _PARAVIRT:
+                vm.guest_mem.write_u32(_shared_ie_gpa(vm), vcpu.vcsr[_IE])
             advance = False
-        elif call is HypercallNumbers.CONSOLE_PUTC:
+        elif call == "console_putc":
             vm.devices["console"].port_write(CONSOLE_BASE, a0)
-        elif call is HypercallNumbers.YIELD:
+        elif call == "yield":
             pass  # scheduling hint; meaningful under the DES scheduler
-        elif call is HypercallNumbers.HALT:
+        elif call == "halt":
             vcpu.halted = True
-        elif call is HypercallNumbers.INVLPG:
+        elif call == "invlpg":
             cpu.mmu.invlpg(a0)
-        elif call is HypercallNumbers.BALLOON_GIVE:
-            self._balloon_give(vm, vcpu, a0)
-        elif call is HypercallNumbers.BALLOON_TAKE:
-            self._balloon_take(vm, vcpu, a0)
+        elif call == "balloon_give":
+            cpu.write_reg(1, 0 if self.balloon_give(vm, a0) else 0xFFFFFFFF)
+        elif call == "balloon_take":
+            cpu.write_reg(1, 0 if self.balloon_take(vm, a0) else 0xFFFFFFFF)
         if advance:
             cpu.pc = next_pc
-        return call.name.lower()
-
-    def _balloon_give(self, vm: VirtualMachine, vcpu: VCPU, gfn: int) -> None:
-        ok = self.balloon_give(vm, gfn)
-        vcpu.cpu.write_reg(1, 0 if ok else 0xFFFFFFFF)
-
-    def _balloon_take(self, vm: VirtualMachine, vcpu: VCPU, gfn: int) -> None:
-        ok = self.balloon_take(vm, gfn)
-        vcpu.cpu.write_reg(1, 0 if ok else 0xFFFFFFFF)
+        return call
 
     def balloon_give(self, vm: VirtualMachine, gfn: int) -> bool:
         """Balloon mechanism: surrender one backed guest frame.

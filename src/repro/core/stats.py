@@ -32,18 +32,19 @@ class ExitStats:
         self.metrics = metrics if metrics is not None else _private_scope()
         # Hot path: one dict hit per recorded exit -- no registry walk,
         # and the "reason:detail" name is built once per distinct pair.
-        self._pairs: Dict[Tuple[ExitReason, str],
-                          Tuple[ObsCounter, ObsCounter]] = {}
+        # Keyed by the reason's value: an Enum member hashes in Python.
+        self._pairs: Dict[Tuple[str, str], Tuple[ObsCounter, ObsCounter]] = {}
 
     def _pair(self, key: str) -> Tuple[ObsCounter, ObsCounter]:
         return (self.metrics.counter(_EXITS + key),
                 self.metrics.counter(_EXIT_CYCLES + key))
 
     def record(self, reason: ExitReason, cycles: int, detail: str = "") -> None:
-        pair = self._pairs.get((reason, detail))
+        value = reason._value_
+        pair = self._pairs.get((value, detail))
         if pair is None:
-            pair = self._pairs[reason, detail] = self._pair(
-                f"{reason.value}:{detail}" if detail else reason.value)
+            pair = self._pairs[value, detail] = self._pair(
+                f"{value}:{detail}" if detail else value)
         count, spent = pair
         count.value += 1
         spent.value += cycles
@@ -63,9 +64,6 @@ class ExitStats:
     @property
     def total_cycles(self) -> int:
         return sum(self.cycles.values())
-
-    def by_reason(self) -> Dict[str, int]:
-        return dict(self.counts)
 
     def merge(self, other: "ExitStats") -> None:
         for key, value in other.counts.items():
@@ -99,10 +97,3 @@ class VMStats:
     @property
     def total_cycles(self) -> int:
         return self.guest_cycles + self.vmm_cycles
-
-    @property
-    def overhead_ratio(self) -> float:
-        """VMM cycles per guest cycle (0 = no virtualization tax)."""
-        if self.guest_cycles == 0:
-            return 0.0
-        return self.vmm_cycles / self.guest_cycles

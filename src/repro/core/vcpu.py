@@ -23,6 +23,9 @@ from repro.core.stats import VMStats
 from repro.cpu.interp import CPUCore, TrapInfo
 from repro.cpu.isa import CSR, MODE_KERNEL, MODE_USER
 
+#: Named on every trap a monitor reflects, bound once (enum lookups).
+_MODE, _HW_ASSIST = int(CSR.MODE), VirtMode.HW_ASSIST
+
 
 class VCPU:
     """One virtual CPU of a VM."""
@@ -54,7 +57,7 @@ class VCPU:
     def csr(self) -> List[int]:
         """The list that holds this guest's privileged registers: the
         core's own under HW_ASSIST, ``vcsr`` when deprivileged."""
-        if self.vm.config.virt_mode is VirtMode.HW_ASSIST:
+        if self.vm.config.virt_mode is _HW_ASSIST:
             return self.cpu.csr
         return self.vcsr
 
@@ -70,15 +73,15 @@ class VCPU:
 
     @property
     def virtual_mode(self) -> int:
-        return self.vcsr[CSR.MODE]
+        return self.vcsr[_MODE]
 
     @property
     def virtual_user(self) -> bool:
-        return self.vcsr[CSR.MODE] == MODE_USER
+        return self.vcsr[_MODE] == MODE_USER
 
     def set_mode(self, mode: int) -> None:
-        if self.vcsr[CSR.MODE] != mode:
-            self.vcsr[CSR.MODE] = mode
+        if self.vcsr[_MODE] != mode:
+            self.vcsr[_MODE] = mode
             if self.on_virtual_mode_change is not None:
                 self.on_virtual_mode_change(mode == MODE_KERNEL)
 

@@ -4,13 +4,15 @@ On real hardware these are defined by the virtualization extension
 (VT-x exit reasons / SVM exit codes); placing them in the CPU package
 mirrors that. Which events exit is register state the VMM programs once
 (:class:`ExecControls`: VT-x execution controls, RISC-V
-``hedeleg``/``hideleg``), not code the core calls out to. The
-interpreter tests the record and raises :class:`VMExit` at an exit
-point. The core's run loop catches it and hands it to the exit service
-its caller lent it for that run (``CPUCore.run(on_exit=...)``); the
-service -- ``Hypervisor.run``'s -- handles the exit and says whether the
-guest may resume in place or the VMM's pump must see it first. Without
-a service the exception reaches whoever called ``run``.
+``hedeleg``/``hideleg``), not code the core calls out to. Where the
+core itself tests an intercept (an intercepted system
+instruction, a trap the controls send out) it *calls* the exit service
+its caller lent it for the run (``CPUCore.run(on_exit=...)``) and
+returns into the step or compiled block that made it; only the
+service's "no" unwinds (:class:`ExitUnwind`). What has to unwind is a
+:class:`VMExit`: an exit from inside ``mmu.translate``, a triple fault,
+and every exit of a core with no service lent (a bare ``cpu.run()``,
+the translator's own loop), which reaches whoever called ``run``.
 """
 
 import enum
@@ -56,17 +58,17 @@ class ExecControls:
     #: costs ``CostModel.hmode_deleg_extra_cycles``.
     hmode: bool = False
     #: The ``hmode.delegation_miss`` fault hook: when it returns True
-    #: one delegated trap exits anyway (tagged ``deleg_miss``) and the
-    #: VMM re-injects it.
+    #: one delegated trap exits anyway (the VMM tells a miss by its
+    #: clear ``trap_exits`` bit) and the VMM re-injects it.
     delegation_miss: Optional[Callable[[], bool]] = None
 
 
 class VMExit(Exception):
-    """Raised inside guest execution to transfer control to the VMM.
+    """Raised inside guest execution where an exit has to unwind.
 
     ``qualification`` carries reason-specific detail (faulting address,
-    port number, CSR index, ...), mirroring the VMCS exit-qualification
-    field.
+    the intercepted instruction, the trap, ...), mirroring the VMCS
+    exit-qualification field.
     """
 
     def __init__(
@@ -76,8 +78,8 @@ class VMExit(Exception):
         instruction_length: int = 0,
         **qualification: Any,
     ):
-        # No super().__init__: one of these is built per exit, and
-        # __str__ below is all the base class would have kept.
+        # No super().__init__: __str__ below is all the base class
+        # would have kept.
         self.reason = reason
         self.guest_pc = guest_pc
         self.instruction_length = instruction_length
@@ -94,3 +96,7 @@ class VMExit(Exception):
             f"<VMExit {self.reason.value} @ {self.guest_pc:#x} "
             f"{self.qualification}>"
         )
+
+
+class ExitUnwind(Exception):
+    """An exit service's "no": unwinds to ``CPUCore.run``'s loop."""

@@ -5,12 +5,11 @@ port bus, charging cycles from a :class:`~repro.mem.costs.CostModel`.
 Virtualization interposes through ``CPUCore.controls``, an immutable
 :class:`~repro.cpu.exits.ExecControls` record the VMM programs once: at
 each architecturally sensitive point (trap delivery, PTBR write, I/O,
-HLT, VMCALL, INVLPG) the core tests the matching field and either
-applies bare-hardware semantics or raises
-:class:`~repro.cpu.exits.VMExit` -- a world switch to the VMM. Which
-instructions leave the guest is therefore plain data, readable without
-executing anything. ALU, memory and branch instructions never consult
-the record.
+HLT, VMCALL, INVLPG) the core tests the matching field and, when it
+intercepts, calls the VMM's exit service once the instruction has done
+what bare hardware does (:mod:`repro.cpu.exits`). Which instructions
+leave the guest is therefore plain data, readable without executing
+anything. ALU, memory and branch instructions never consult the record.
 
 With ``controls=None`` the core is exactly a bare machine; this is the
 "native" baseline in experiment E1.
@@ -35,9 +34,9 @@ the same instruction against virtual state.
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
-from repro.cpu.exits import ExecControls, ExitReason, VMExit
+from repro.cpu.exits import ExecControls, ExitReason, ExitUnwind, VMExit
 from repro.cpu.isa import (
     CSR,
     Cause,
@@ -58,19 +57,26 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PageFault
 from repro.util.errors import GuestError
 
-#: What the oracle names on every instruction, bound once: spelled
-#: ``CSR.MODE`` / ``AccessType.EXEC`` / ``Op.LD``, each is a lookup
-#: through the enum's metaclass (~90 ns) on every execution.
-_MODE, _IE = int(CSR.MODE), int(CSR.IE)
+#: What the oracle, trap entry and the system arms name on every
+#: execution, bound once: spelled ``CSR.MODE`` / ``AccessType.EXEC`` /
+#: ``Op.LD``, each is a lookup through the enum's metaclass (~90 ns).
+_MODE, _IE, _VBAR, _PTBR, _ESTATUS, _EPC, _ECAUSE, _EVAL, _CYCLES, _INSTRET = map(int, (
+    CSR.MODE, CSR.IE, CSR.VBAR, CSR.PTBR, CSR.ESTATUS, CSR.EPC, CSR.ECAUSE, CSR.EVAL,
+    CSR.CYCLES, CSR.INSTRET))
 _EXEC, _READ, _WRITE = AccessType.EXEC, AccessType.READ, AccessType.WRITE
-_LD, _ST, _JAL = Op.LD, Op.ST, Op.JAL
+_LD, _ST, _JAL, _SYSCALL, _BRK, _IRET, _CSRR, _CSRW, _OUT, _IN, _STI, _CLI, _HLT, _INVLPG = (
+    Op.LD, Op.ST, Op.JAL, Op.SYSCALL, Op.BRK, Op.IRET, Op.CSRR, Op.CSRW, Op.OUT, Op.IN,
+    Op.STI, Op.CLI, Op.HLT, Op.INVLPG)
+_ILLEGAL, _PRIV, _SYSCALL_TRAP, _BREAK_TRAP = Cause.ILLEGAL, Cause.PRIV, Cause.SYSCALL, Cause.BREAK
+_GUEST_TRAP, _TRIPLE_FAULT, _IO_OUT, _IO_IN, _CSR_WRITE, _PRIV_INSTR, _HLT_EXIT, _VMCALL = (
+    ExitReason.GUEST_TRAP, ExitReason.TRIPLE_FAULT, ExitReason.IO_OUT, ExitReason.IO_IN,
+    ExitReason.CSR_WRITE, ExitReason.PRIV_INSTR, ExitReason.HLT, ExitReason.VMCALL)
 
 #: IRQ delivery priority (first match wins).
 _IRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
 
 
-@dataclass(frozen=True)
-class TrapInfo:
+class TrapInfo(NamedTuple):
     """A trap that is about to be (or was) delivered."""
 
     cause: Cause
@@ -135,6 +141,9 @@ class CPUCore:
         #: run loops' own cycle ceiling (:meth:`charge_cycle_budget`).
         self._loop_stop = 1 << 62
         self._cycle_stop = 1 << 62
+        #: The exit service lent to the run in progress (``run``'s
+        #: ``on_exit``), which an intercept calls; None outside one.
+        self._service = None
 
         #: Frames holding compiled blocks; the physmem write watcher
         #: fires :meth:`_on_code_write` for these.
@@ -151,14 +160,10 @@ class CPUCore:
 
     @property
     def mode(self) -> int:
-        return self.csr[CSR.MODE]
-
-    @property
-    def user_mode(self) -> bool:
-        return self.csr[CSR.MODE] == MODE_USER
+        return self.csr[_MODE]
 
     def set_mode(self, mode: int) -> None:
-        self.csr[CSR.MODE] = mode
+        self.csr[_MODE] = mode
 
     def write_reg(self, index: int, value: int) -> None:
         if index != 0:
@@ -182,49 +187,37 @@ class CPUCore:
         self.pending_irqs.clear()
         self.halted = False
 
-    # -- memory access (through the MMU) -------------------------------------
-
-    def load_u32(self, va: int) -> int:
-        pa, cyc = self.mmu.translate(va, AccessType.READ, self.user_mode)
-        self.cycles += cyc
-        return self.mmu.physmem.read_u32(pa)
-
-    def store_u32(self, va: int, value: int) -> None:
-        pa, cyc = self.mmu.translate(va, AccessType.WRITE, self.user_mode)
-        self.cycles += cyc
-        self.mmu.physmem.write_u32(pa, value)
-
     # -- trap machinery -----------------------------------------------------
 
     def enter_trap(self, h, info: TrapInfo) -> None:
         """Trap entry against holder ``h``: save MODE/IE in ESTATUS, enter
         kernel mode with interrupts off, record EPC/ECAUSE/EVAL, vector."""
         csr = h.csr
-        vbar = csr[CSR.VBAR]
+        vbar = csr[_VBAR]
         if vbar == 0:
             if self.controls is not None:
-                raise VMExit(ExitReason.TRIPLE_FAULT, guest_pc=self.pc,
+                raise VMExit(_TRIPLE_FAULT, guest_pc=self.pc,
                              cause=info.cause, value=info.value)
             raise GuestError(
                 f"triple fault: trap {info.cause.name} with no vector "
                 f"installed (pc={self.pc:#x}, value={info.value:#x})"
             )
-        csr[CSR.ESTATUS] = csr[CSR.MODE] | (csr[CSR.IE] << 1)
+        csr[_ESTATUS] = csr[_MODE] | (csr[_IE] << 1)
         h.set_mode(MODE_KERNEL)
-        csr[CSR.IE] = 0
-        csr[CSR.EPC] = info.epc & 0xFFFFFFFF
-        csr[CSR.ECAUSE] = int(info.cause)
-        csr[CSR.EVAL] = info.value & 0xFFFFFFFF
+        csr[_IE] = 0
+        csr[_EPC] = info.epc & 0xFFFFFFFF
+        csr[_ECAUSE] = int(info.cause)
+        csr[_EVAL] = info.value & 0xFFFFFFFF
         self.pc = vbar
 
     def leave_trap(self, h) -> None:
         """IRET against holder ``h``: restore MODE/IE from ESTATUS, resume
         at EPC."""
         csr = h.csr
-        estatus = csr[CSR.ESTATUS]
+        estatus = csr[_ESTATUS]
         h.set_mode(estatus & 1)
-        csr[CSR.IE] = (estatus >> 1) & 1
-        self.pc = csr[CSR.EPC]
+        csr[_IE] = (estatus >> 1) & 1
+        self.pc = csr[_EPC]
 
     def deliver_trap(self, info: TrapInfo) -> None:
         """Unconditionally vector a trap into the (guest) kernel.
@@ -242,23 +235,22 @@ class CPUCore:
         ctl = self.controls
         if ctl is not None:
             exits = (ctl.trap_exits >> cause) & 1
-            deleg_miss = False
             if ctl.hmode and not exits:
                 # Delegated. Charged whether delivery completes natively
                 # or via the injected-after-spurious-exit path: the
                 # guest cycle stream stays identical either way.
                 self.cycles += self.costs.hmode_deleg_extra_cycles
-                deleg_miss = (ctl.delegation_miss is not None
-                              and ctl.delegation_miss())
-            if exits or deleg_miss:
-                raise VMExit(
-                    ExitReason.GUEST_TRAP,
-                    self.pc,
-                    ins.length if ins is not None else 0,
-                    trap=info,
-                    ins=ins,
-                    deleg_miss=deleg_miss,
-                )
+                exits = (ctl.delegation_miss is not None
+                         and ctl.delegation_miss())
+            if exits:
+                service = self._service
+                if service is None:
+                    raise VMExit(_GUEST_TRAP, self.pc,
+                                 ins.length if ins is not None else 0,
+                                 trap=info, ins=ins)
+                if not service(_GUEST_TRAP, ins, self.pc, info):
+                    raise ExitUnwind
+                return
         self.deliver_trap(info)
 
     # -- fetch/decode ---------------------------------------------------------
@@ -310,7 +302,7 @@ class CPUCore:
             ins = self.fetch(pc)
         except PageFault as fault:
             self.cycles += self.costs.instr_cycles
-            if pc == self.csr[CSR.VBAR] and not self.user_mode:
+            if pc == self.csr[_VBAR] and self.csr[_MODE] != MODE_USER:
                 # The kernel-mode fetch of the trap vector itself faulted:
                 # delivering PF_EXEC would re-enter the vector with
                 # identical translation state and fault again, forever
@@ -318,7 +310,7 @@ class CPUCore:
                 # retires). Same terminal condition as a trap with no
                 # vector installed.
                 if self.controls is not None:
-                    raise VMExit(ExitReason.TRIPLE_FAULT, guest_pc=pc,
+                    raise VMExit(_TRIPLE_FAULT, guest_pc=pc,
                                  cause=Cause.PF_EXEC, value=fault.vaddr)
                 raise GuestError(
                     f"triple fault: PF_EXEC fetching the trap vector "
@@ -409,7 +401,7 @@ class CPUCore:
         # is system()'s, against this core's own privileged state.
         if self.csr[_MODE] == MODE_USER:
             if ins.user_traps:
-                self.trap(Cause.PRIV, int(op), epc=pc, ins=ins)
+                self.trap(_PRIV, int(op), pc, ins)
                 return
             if ins.user_ignored:
                 # Non-trapping: silently ignored in user mode (the
@@ -425,7 +417,7 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
-        on_exit: Optional[Callable[[VMExit], bool]] = None,
+        on_exit: Optional[Callable[..., bool]] = None,
     ) -> RunResult:
         """Run until halt, a limit, or an event stop.
 
@@ -433,22 +425,28 @@ class CPUCore:
         loops stop at the same retire edge with the same state, under
         every MMU and controls record.
 
-        ``on_exit`` is a VMM's exit service, lent for this call only
-        (nothing is kept on the core). The loop calls it with each
-        :class:`VMExit` where it catches it. True: the exit is serviced
-        and the guest resumes at the loop-top, which polls due events,
-        halt, both budgets and pending IRQs exactly as after any other
-        instruction. False: the run returns :data:`StopReason.EVENT`.
-        Without a service a :class:`VMExit` propagates to the caller.
+        ``on_exit`` is a VMM's exit service, lent for this call only.
+        An intercept calls it as ``on_exit(reason, ins, pc, trap)`` once
+        the instruction has run; the loop hands it each :class:`VMExit`
+        it catches as ``on_exit(reason, None, pc, exit_)``. True: the
+        guest resumes where it was. False unwinds to the loop, which
+        resumes at its top if the service lowered the cycle ceiling
+        (:meth:`charge_cycle_budget`), else returns
+        :data:`StopReason.EVENT`. Without a service every exit is a
+        :class:`VMExit`, raised before the instruction did anything.
         """
-        if self.jit_enabled:
-            jit = self._jit
-            if jit is None:
-                from repro.cpu.jit import BlockJIT
+        self._service = on_exit
+        try:
+            if self.jit_enabled:
+                jit = self._jit
+                if jit is None:
+                    from repro.cpu.jit import BlockJIT
 
-                jit = self._jit = BlockJIT(self)
-            return self._run_compiled(jit, max_instructions, max_cycles, on_exit)
-        return self._run_interp(max_instructions, max_cycles, on_exit)
+                    jit = self._jit = BlockJIT(self)
+                return self._run_compiled(jit, max_instructions, max_cycles, on_exit)
+            return self._run_interp(max_instructions, max_cycles, on_exit)
+        finally:
+            self._service = None
 
     def charge_cycle_budget(self, cycles: int) -> None:
         """Count ``cycles`` spent outside the core against ``max_cycles``
@@ -457,7 +455,8 @@ class CPUCore:
         An exit service whose caller budgets in VM time (core cycles +
         VMM cycles) calls this with what the exit cost the VMM, so the
         budget ends on the same retire edge as if the core had been left
-        and re-entered with the remainder.
+        and re-entered with the remainder, and then answers False: the
+        run loop re-reads its ceiling where the unwind lands.
         """
         self._cycle_stop -= cycles
 
@@ -466,7 +465,7 @@ class CPUCore:
         jit,
         max_instructions: Optional[int],
         max_cycles: Optional[int],
-        on_exit: Optional[Callable[[VMExit], bool]],
+        on_exit: Optional[Callable[..., bool]],
     ) -> RunResult:
         """Block-at-a-time loop; falls back to :meth:`step` per slow case.
 
@@ -501,8 +500,6 @@ class CPUCore:
         lookup = jit.lookup
         step = self.step
         csr = self.csr
-        ie = int(CSR.IE)
-        mo = int(CSR.MODE)
         cold_pc = cold_end = -1  # a cold block's next pc, and its end
         while True:
             if events is not None and self.instret >= events.next_due:
@@ -512,7 +509,7 @@ class CPUCore:
                     stop = StopReason.EVENT
                     break
             if self.halted:
-                if csr[ie] and self.pending_irqs:
+                if csr[_IE] and self.pending_irqs:
                     self.halted = False
                 else:
                     stop = StopReason.HALT
@@ -524,12 +521,12 @@ class CPUCore:
                 stop = StopReason.CYCLE_LIMIT
                 break
             try:
-                if csr[ie] and self.pending_irqs:
+                if csr[_IE] and self.pending_irqs:
                     step()
                     continue
                 pc = self.pc
                 if pc != cold_pc:
-                    blk = lookup(pc, csr[mo])
+                    blk = lookup(pc, csr[_MODE])
                     if blk.__class__ is int:
                         cold_end = blk  # interpret to there (0: one step)
                     elif (
@@ -543,17 +540,24 @@ class CPUCore:
                     else:
                         blk[0](self)
                         continue
-                cold_pc = -1  # a trap, a taken branch, a VMExit end the run
+                cold_pc = -1  # a trap, a taken branch, an unwind end the run
                 step()
                 if pc < self.pc < cold_end:
                     cold_pc = self.pc
+                continue
+            except ExitUnwind:
+                pass
             except VMExit as exit_:
                 if on_exit is None:
                     raise
-                if not on_exit(exit_):
-                    stop = StopReason.EVENT
-                    break
-                cycle_stop = self._cycle_stop  # charge_cycle_budget
+                if on_exit(exit_.reason, None, self.pc, exit_):
+                    continue
+            # The service said no: the pump's turn, unless it lowered the
+            # cycle ceiling instead -- then resume under the new one.
+            if self._cycle_stop == cycle_stop:
+                stop = StopReason.EVENT
+                break
+            cycle_stop = self._cycle_stop
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
@@ -585,7 +589,7 @@ class CPUCore:
         self,
         max_instructions: Optional[int] = None,
         max_cycles: Optional[int] = None,
-        on_exit: Optional[Callable[[VMExit], bool]] = None,
+        on_exit: Optional[Callable[..., bool]] = None,
     ) -> RunResult:
         """The reference interpreter loop (the correctness oracle)."""
         start_instr = self.instret
@@ -609,7 +613,7 @@ class CPUCore:
                     stop = StopReason.EVENT
                     break
             if self.halted:
-                if self.csr[CSR.IE] and self.pending_irqs:
+                if self.csr[_IE] and self.pending_irqs:
                     self.halted = False
                 else:
                     stop = StopReason.HALT
@@ -622,13 +626,18 @@ class CPUCore:
                 break
             try:
                 self.step()
+                continue
+            except ExitUnwind:
+                pass
             except VMExit as exit_:
                 if on_exit is None:
                     raise
-                if not on_exit(exit_):
-                    stop = StopReason.EVENT
-                    break
-                cycle_stop = self._cycle_stop  # charge_cycle_budget
+                if on_exit(exit_.reason, None, self.pc, exit_):
+                    continue
+            if self._cycle_stop == cycle_stop:  # see _run_compiled
+                stop = StopReason.EVENT
+                break
+            cycle_stop = self._cycle_stop
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
@@ -643,76 +652,87 @@ class CPUCore:
         core with ``ctl`` its installed controls when the instruction
         runs natively, a vCPU with ``ctl=None`` when a monitor emulates
         it. The caller has checked privilege and charged the row.
+
+        An intercept does not change what the arm does (a VMCALL's arm
+        is the hypercall, the VMM's): the run's exit service is called
+        after it -- or, none lent, the :class:`VMExit` raised before it.
         """
-        if op is Op.SYSCALL:
+        if op is _SYSCALL:
             # EPC points past the instruction so IRET resumes after it.
-            h.trap(Cause.SYSCALL, ins.simm12 & 0xFFF, next_pc, ins)
+            h.trap(_SYSCALL_TRAP, ins.simm12 & 0xFFF, next_pc, ins)
             return True
-        if op is Op.BRK:
-            h.trap(Cause.BREAK, 0, next_pc, ins)
+        if op is _BRK:
+            h.trap(_BREAK_TRAP, 0, next_pc, ins)
             return True
-        if op is Op.IRET:
+        if op is _IRET:
             self.leave_trap(h)
             return False
-        if op is Op.CSRR:
+        reason = None  # the intercept met, reported once the arm has run
+        if op is _CSRR:
             n = ins.simm12 & 0xFFF
             csr = h.csr
-            if n == CSR.CYCLES:
+            if n == _CYCLES:
                 value = self.cycles & 0xFFFFFFFF
-            elif n == CSR.INSTRET:
+            elif n == _INSTRET:
                 value = self.instret & 0xFFFFFFFF
             elif n < len(csr):
                 value = csr[n]
             else:
-                h.trap(Cause.ILLEGAL, n, pc, ins)
+                h.trap(_ILLEGAL, n, pc, ins)
                 return True
             self.write_reg(ins.rd, value)
-        elif op is Op.CSRW:
+        elif op is _CSRW:
             n = ins.simm12 & 0xFFF
             csr = h.csr
-            value = self.regs[ins.ra]
-            if ctl is not None and ctl.paging and n == CSR.PTBR:
-                raise VMExit(ExitReason.CSR_WRITE, pc, ins.length,
-                             csr=n, value=value)
-            if n in READONLY_CSRS or n >= len(csr):
-                h.trap(Cause.ILLEGAL, n, pc, ins)
+            if ctl is not None and ctl.paging and n == _PTBR:
+                if self._service is None:
+                    raise VMExit(_CSR_WRITE, pc, ins.length, ins=ins)
+                reason = _CSR_WRITE
+            elif n in READONLY_CSRS or n >= len(csr):
+                h.trap(_ILLEGAL, n, pc, ins)
                 return True
-            csr[n] = value & 0xFFFFFFFF
-            if n == CSR.PTBR:
-                self.mmu.set_root(value)
-        elif op is Op.OUT:
-            port = ins.simm12 & 0xFFF
             value = self.regs[ins.ra]
+            csr[n] = value & 0xFFFFFFFF
+            if n == _PTBR:
+                self.mmu.set_root(value)
+        elif op is _OUT:
             if ctl is not None and ctl.io:
-                raise VMExit(ExitReason.IO_OUT, pc, ins.length,
-                             port=port, value=value)
+                if self._service is None:
+                    raise VMExit(_IO_OUT, pc, ins.length, ins=ins)
+                reason = _IO_OUT
             bus = h.port_bus
             if bus is not None:
-                bus.io_out(port, value)
-        elif op is Op.IN:
-            port = ins.simm12 & 0xFFF
+                bus.io_out(ins.simm12 & 0xFFF, self.regs[ins.ra])
+        elif op is _IN:
             if ctl is not None and ctl.io:
-                raise VMExit(ExitReason.IO_IN, pc, ins.length,
-                             port=port, value=0)
+                if self._service is None:
+                    raise VMExit(_IO_IN, pc, ins.length, ins=ins)
+                reason = _IO_IN
             bus = h.port_bus
-            self.write_reg(ins.rd, bus.io_in(port) if bus is not None else 0)
-        elif op is Op.STI or op is Op.CLI:
-            h.csr[CSR.IE] = 1 if op is Op.STI else 0
-        elif op is Op.HLT:
+            self.write_reg(ins.rd, 0 if bus is None
+                           else bus.io_in(ins.simm12 & 0xFFF))
+        elif op is _STI or op is _CLI:
+            h.csr[_IE] = 1 if op is _STI else 0
+        elif op is _HLT:
             if ctl is not None and ctl.hlt:
-                raise VMExit(ExitReason.HLT, pc, ins.length)
+                if self._service is None:
+                    raise VMExit(_HLT_EXIT, pc, ins.length, ins=ins)
+                reason = _HLT_EXIT
             h.halted = True
-        elif op is Op.INVLPG:
-            va = self.regs[ins.ra]
+        elif op is _INVLPG:
             if ctl is not None and ctl.paging:
-                raise VMExit(ExitReason.PRIV_INSTR, pc, ins.length,
-                             op=op, va=va)
-            self.mmu.invlpg(va)
+                if self._service is None:
+                    raise VMExit(_PRIV_INSTR, pc, ins.length, ins=ins)
+                reason = _PRIV_INSTR
+            self.mmu.invlpg(self.regs[ins.ra])
         else:  # VMCALL
-            if ctl is not None and ctl.vmcall:
-                raise VMExit(ExitReason.VMCALL, pc, ins.length,
-                             num=ins.simm12 & 0xFFF)
-            h.trap(Cause.ILLEGAL, 0, pc, ins)
-            return True
+            if ctl is None or not ctl.vmcall:
+                h.trap(_ILLEGAL, 0, pc, ins)
+                return True
+            if self._service is None:
+                raise VMExit(_VMCALL, pc, ins.length, ins=ins)
+            reason = _VMCALL
         self.pc = next_pc
+        if reason is not None and not self._service(reason, ins, pc, None):
+            raise ExitUnwind
         return False

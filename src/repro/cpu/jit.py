@@ -561,10 +561,10 @@ def _emit_block(
             src.emit(depth + 1, f"cpu.pc = {va}")
             if guarded:
                 # Everything is committed (the DIV0 retires, as in
-                # CPUCore.execute).  Under deprivileged
-                # controls trap raises VMExit(GUEST_TRAP), which would
-                # land in our own except-_VX handler and roll state
-                # back to the last *memory* op's boundary -- disarm it.
+                # CPUCore.execute). Under deprivileged controls the trap
+                # exits, and what unwinds out of it would land in our own
+                # handlers and roll state back to the last *memory* op's
+                # boundary -- disarm them.
                 src.emit(depth + 1, "_n = -1")
             src.emit(depth + 1, f"cpu.trap(_DIV0, 0, {va})")
             src.emit(depth + 1, "return")
@@ -630,6 +630,7 @@ def _emit_block(
                 src.emit(depth + 1, "return")
             if ins.extra:
                 src.emit(depth, f"cpu.cycles += {getattr(costs, ins.extra)}")
+            # An exit is a call that returns here (a "no" unwinds).
             src.emit(depth, f"cpu.system(cpu, cpu.controls, _T, _T.op, {va}, {nxt})")
             src.emit(depth, "return")
             continue

@@ -143,8 +143,10 @@ class TestIO:
 
     def test_io_reaches_the_vms_own_bus(self, vcpu):
         # Nothing is handed in: the vCPU, as the privileged-state holder,
-        # knows its VM's bus (the core's own port_bus stays None).
-        assert vcpu.cpu.port_bus is None
+        # knows its VM's bus (the core's own, the same bus -- an
+        # intercepted IN / OUT runs on it -- is taken away to show it).
+        assert vcpu.cpu.port_bus is vcpu.vm.port_bus
+        vcpu.cpu.port_bus = None
         assert vcpu.port_bus is vcpu.vm.port_bus
         vcpu.cpu.regs[1] = ord("Q")
         assert emulate_privileged(vcpu, ins(Op.OUT, ra=1, simm12=0x10)) == "out"

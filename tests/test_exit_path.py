@@ -8,6 +8,9 @@ exit -- its beat cadence is per guest entry -- which is the path every
 exit took before: unwind to the pump, loop-top, re-entry. So every test
 here runs a guest twice, once plainly and once under a watchdog that
 can never trip, and compares everything the simulation can observe.
+
+The last section holds the two routes an exit takes into the VMM to one
+answer: a call from the intercept, and a ``VMExit`` that unwound.
 """
 
 import inspect
@@ -20,6 +23,7 @@ from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore
+from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, build_kernel
 from repro.guest import workloads as programs
@@ -318,3 +322,125 @@ def test_service_is_lent_for_the_call_only():
     assert info.value.guest_pc == cpu.pc
     assert (cpu.pc, cpu.instret) != (pc, instret)
     assert vm.exit_stats.total_exits == 2
+
+
+# -- both routes: an exit by call, and the same exit unwound -------------------
+#
+# Hypervisor.run lends the core its service, and each intercept the core
+# tests calls it. Without one the same exit is a VMExit raised before
+# the instruction did anything; Hypervisor._handle_exit has the core
+# finish it and then runs the same per-reason code and accounting. Each
+# scenario below runs a guest both ways and compares everything.
+
+
+def _serviced_by_unwinding(hv, vm):
+    """Run ``vm`` on a bare ``cpu.run()`` (no service lent), servicing
+    each VMExit that escapes it through the unwinding route."""
+    vcpu = vm.vcpus[0]
+    cpu = vcpu.cpu
+    power = vm.devices["power"]
+    for exits in range(100_000):
+        if power.shutdown_requested or cpu.halted or vcpu.halted:
+            return exits
+        try:
+            cpu.run(max_instructions=2_000_000)
+        except VMExit as exit_:
+            hv._handle_exit(vm, vcpu, exit_)
+    raise AssertionError("the guest never finished on the unwinding route")
+
+
+IO_IN_LOOP = """
+    li   s0, 25
+loop:
+    in   a2, 0x11            ; console status
+    add  s1, s1, a2
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   t0, 1
+    out  0xf0, t0
+"""
+
+VMCALL_LOOP = """
+    li   s0, 25
+loop:
+    vmcall 7                 ; YIELD
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   t0, 1
+    out  0xf0, t0
+"""
+
+
+def _miss_every_other_delegated_trap(hv, _vm):
+    hv.injector = FaultInjector(FaultPlan(specs=[
+        FaultSpec("hmode.delegation_miss", rate=0.5)]))
+
+
+#: name -> (row, loader, host setup or None, the exit-table entries the
+#: scenario must produce).
+ROUTES = {
+    "io_out": ("hw+nested", _alone(lambda: programs.port_storm(30)), None,
+               ["io_out:port_0x10"]),
+    "io_in": ("hw+nested", _alone(lambda: _bare(IO_IN_LOOP)), None,
+              ["io_in:port_0x11"]),
+    "csrw_ptbr_and_invlpg": (
+        "hw+shadow", _nanoos(lambda: programs.pt_mix(12, 80, 8, 3)), None,
+        ["csr_write:ptbr", "priv_instr:invlpg"]),
+    "hlt": ("hw+nested", _alone(lambda: _bare(HLT_NO_WAKE)), None, ["hlt:hlt"]),
+    "vmcall": ("hw+nested", _alone(lambda: _bare(VMCALL_LOOP)), None,
+               ["vmcall:yield"]),
+    "guest_trap": ("trap-emulate",
+                   _nanoos(lambda: programs.syscall_storm(30)), None,
+                   ["guest_trap:syscall", "guest_trap:iret"]),
+    "hypercalls_and_guest_traps": (
+        "paravirt", _nanoos(lambda: programs.syscall_storm(30)), None,
+        ["vmcall:iret", "guest_trap:syscall"]),
+    "guest_trap_deleg_miss": (
+        "hw+hmode", _nanoos(lambda: programs.syscall_storm(30)),
+        _miss_every_other_delegated_trap, ["guest_trap:deleg_miss.syscall"]),
+}
+
+
+@pytest.mark.parametrize("jit", [True, False], ids=["compiled", "interp"])
+@pytest.mark.parametrize("scenario", list(ROUTES))
+def test_call_and_unwinding_give_one_answer(scenario, jit):
+    label, load, setup, expected = ROUTES[scenario]
+    states = []
+    for unwinding in (False, True):
+        hv, vm = _create(label, jit)
+        if setup is not None:
+            setup(hv, vm)
+        load(hv, vm, BY_LABEL[label][3])
+        if unwinding:
+            assert _serviced_by_unwinding(hv, vm) == vm.exit_stats.total_exits
+        else:
+            _run_to_end(hv, vm, None)
+        states.append(_full_state(vm, None))
+    called, unwound = states
+    differing = [k for k in called if called[k] != unwound[k]]
+    assert not differing, f"{scenario}: " + ", ".join(
+        f"{k} ({called[k]!r} != {unwound[k]!r})"
+        for k in differing if k != "memory")
+    for entry in expected:
+        assert called["exits"].get(entry, 0) > 0, (entry, called["exits"])
+
+
+@pytest.mark.parametrize("jit", [True, False], ids=["compiled", "interp"])
+@pytest.mark.parametrize("label", [row for row in ROW_IDS if row != "bin-transl"])
+def test_port_storm_builds_no_vmexit(label, jit, monkeypatch):
+    # Every exiting row takes its port writes as calls: an OUT exit on
+    # the hardware-assist rows, a PRIV trap the monitor emulates on the
+    # deprivileged ones. Not one exception object is built.
+    built = []
+    init = VMExit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VMExit, "__init__", counting_init)
+    hv, vm = _create(label, jit)
+    _alone(lambda: programs.port_storm(300))(hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
+    assert vm.exit_stats.total_exits == 301
+    assert built == []

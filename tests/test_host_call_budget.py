@@ -6,7 +6,8 @@ cold code); the number of Python functions it enters per instruction
 can, because it repeats exactly. Each scenario runs under
 ``sys.setprofile`` and counts ``call`` events (C calls are not
 counted); the ceilings are the counts measured when the decode memo
-began handing executors a resolved record, plus 0.25.
+began handing executors a resolved record -- (e)'s, when an exit
+became a call -- plus 0.25.
 
 A count over its ceiling means a helper call came back into the
 per-instruction path (a property, a table probe behind a function, a
@@ -15,6 +16,8 @@ descriptor read-modify-write): look at what ``execute`` / ``fetch`` /
 """
 
 import sys
+
+import pytest
 
 from repro.bench.common import GUEST_MEMORY
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
@@ -139,6 +142,25 @@ def test_cold_code_under_hardware_assist(monkeypatch):
     calls, instret = _run_vm(hv, vm)
     assert vm.vcpus[0].cpu.jit_stats()["blocks_compiled"] == 0
     assert calls / instret <= 10.47 + SLACK
+
+
+@pytest.mark.parametrize("virt_mode, mmu_mode, ceiling", [
+    (VirtMode.HW_ASSIST, MMUVirtMode.NESTED, 12.08),
+    (VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW, 23.08),
+])
+def test_an_intercepted_port_write(virt_mode, mmu_mode, ceiling):
+    """(e) ``port_storm``'s shape under a hardware-assist row and a
+    deprivileged one (an OUT exit; a PRIV trap the monitor emulates):
+    one intercepted OUT in every three instructions, counted per write,
+    on the second run (the first compiles the loop). The intercept calls
+    the exit service and returns into the block that made it; when it
+    raised a ``VMExit`` for the run loop to catch instead, these counted
+    18.09 and 29.09."""
+    _run_vm(*_vm(virt_mode, mmu_mode, _port_loop(2)))
+    hv, vm = _vm(virt_mode, mmu_mode, _port_loop(2))
+    calls, _instret = _run_vm(hv, vm)
+    assert vm.devices["console"].chars_written == ITERATIONS
+    assert calls / ITERATIONS <= ceiling + SLACK
 
 
 def test_the_count_repeats_exactly():

@@ -10,9 +10,10 @@ user mode x the controls records the hypervisor programs
 
 The machine is a bare core with paging on (so the TLB columns mean
 something) and the controls installed by hand; the exit service below
-stands in for a VMM and, like ``Hypervisor._handle_exit``, resumes from
-``cpu.pc`` -- not from the exit's ``guest_pc`` -- so a terminator that
-left ``pc`` at its block's head would show in ``instret``.
+stands in for a VMM. The core calls it once it has run the intercepted
+instruction, so it only re-injects guest traps and lets the guest resume
+where the core left it: a terminator that left ``pc`` at its block's
+head would show in ``instret``.
 """
 
 import pytest
@@ -166,19 +167,14 @@ def _run(cpu):
     """Run to a stop with a stand-in VMM; return everything observable."""
     exits = []
 
-    def service(exit_):
-        qual = {k: v for k, v in exit_.qualification.items() if k != "ins"}
-        exits.append((exit_.reason, exit_.guest_pc, exit_.instruction_length,
-                      repr(sorted(qual.items()))))
-        if exit_.reason is ExitReason.TRIPLE_FAULT:
+    def service(reason, ins, pc, arg):
+        exits.append((reason, pc, ins.length if ins is not None else 0,
+                      repr(arg)))
+        if reason is ExitReason.TRIPLE_FAULT:
             return False
-        if exit_.reason is ExitReason.GUEST_TRAP:
-            cpu.deliver_trap(exit_.qualification["trap"])  # re-inject
-            return True
-        if exit_.reason is ExitReason.HLT:
-            cpu.halted = True
-        # Emulated: resume past it, from where the core says it is.
-        cpu.pc = (cpu.pc + exit_.instruction_length) & 0xFFFFFFFF
+        if reason is ExitReason.GUEST_TRAP:
+            cpu.deliver_trap(arg)  # re-inject
+        # Anything else the core has run (a hypercall: skipped past).
         return True
 
     error = None
