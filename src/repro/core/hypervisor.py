@@ -59,7 +59,7 @@ from repro.devices.virtio import (
     VirtioNetDevice,
 )
 from repro.mem.costs import CostModel
-from repro.mem.paging import AddressSpace
+from repro.mem.paging import AccessType, AddressSpace
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ConfigError, GuestError, MemoryError_
@@ -132,6 +132,7 @@ _MODE, _IE, _VBAR, _PTBR, _ECAUSE, _EVAL, _EPC = map(int, (
     CSR.MODE, CSR.IE, CSR.VBAR, CSR.PTBR, CSR.ECAUSE, CSR.EVAL, CSR.EPC))
 _VIRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
 _HW_ASSIST, _PARAVIRT = VirtMode.HW_ASSIST, VirtMode.PARAVIRT
+_READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
 _world_switches, _vmm_cycles, _hypercalls = (
     VMStats.world_switches.bound, VMStats.vmm_cycles.bound, VMStats.hypercalls.bound)
 
@@ -168,19 +169,19 @@ class Hypervisor:
         #: when the caller (tests, ad-hoc scripts) does not share one.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.vms: Dict[str, VirtualMachine] = {}
-        #: Per-VM dirty-page callbacks (registered by live migration):
-        #: called with (vm, gfn) on each dirty-log exit.
+        #: Per-VM dirty-page callbacks (live migration), called with
+        #: (vm, gfn) by :meth:`_fault` per write let through or gfn backed.
         self.dirty_handlers: Dict[str, Callable] = {}
         #: Composable EPT-fault dispatch chain: ``(name, handler)``
-        #: entries consulted in registration order on every EPT
-        #: violation for an unbacked gfn. A handler returns True to
+        #: entries consulted in registration order on every access to
+        #: an unbacked gfn (:meth:`_fault`). A handler returns True to
         #: *claim* the fault (and must leave the gfn mapped) or False
         #: to decline, passing it down the chain. Fallback-tier
         #: handlers run after every normal handler has declined; if
         #: nobody claims, the hypervisor demand-zeroes the page.
         self._ept_fault_handlers: List[Tuple[str, Callable]] = []
         self._ept_fault_fallbacks: List[Tuple[str, Callable]] = []
-        #: Write-fault (dirty-log exit) dispatch chain, same claim /
+        #: Write-fault (write-protected gfn) dispatch chain, same claim /
         #: decline contract with ``(vm, gfn) -> bool`` handlers. The
         #: page sharer's copy-on-write break lives here.
         self._write_fault_handlers: List[Tuple[str, Callable]] = []
@@ -254,26 +255,54 @@ class Hypervisor:
                 return True
         return False
 
-    def _dispatch_ept_fault(self, vm: VirtualMachine, gfn: int, access) -> str:
-        """Walk the chain until a handler claims; demand-zero otherwise.
+    def _fault(self, vm: VirtualMachine, gfn: int, access) -> Tuple[str, int]:
+        """One step of making ``gfn`` accessible, behind the CPU's memory
+        exits and :class:`GuestMemory`'s slow path alike: (exit detail,
+        what an exit for the step costs).
 
-        Returns the claiming handler's name (``core.ept_dispatch.*``
-        counts claims per owner, the raw table behind the E7 routing
-        regression test). New backing is new content as far as a
-        pre-copy destination knows, so it is logged dirty.
+        A write to a write-protected gfn is logged dirty, offered to the
+        write-fault chain (COW break), and otherwise unprotected.
+        Anything else is backed and mapped: an unbacked gfn goes down
+        the EPT-fault chain (``core.ept_dispatch.*`` counts claims per
+        owner) or is demand-zeroed, and new backing is logged dirty.
         """
-        chain = self._ept_fault_handlers + self._ept_fault_fallbacks
-        for name, handler in chain:
-            if handler(vm, gfn, access):
-                break
-        else:
-            name = "demand_zero"
-            vm.guest_mem.map_page(gfn, self.allocator.alloc())
-        self.registry.counter(f"core.ept_dispatch.{name}").inc()
+        mem = vm.guest_mem
+        mmu = vm.vcpus[0].cpu.mmu
         dirty_handler = self.dirty_handlers.get(vm.name)
-        if dirty_handler is not None:
-            dirty_handler(vm, gfn)
-        return name
+        if access is _WRITE_ACCESS and gfn in mem.write_protected and gfn in mem.map:
+            if dirty_handler is not None:
+                dirty_handler(vm, gfn)  # dirty logging sees every write, COW too
+            for name, handler in self._write_fault_handlers:
+                if handler(vm, gfn):
+                    return name, self.costs.shadow_fill_cycles
+            mmu.unprotect_gfn(gfn)
+            return "dirty_log", self.costs.emulate_cycles
+        if gfn not in mem.map:
+            for name, handler in self._ept_fault_handlers + self._ept_fault_fallbacks:
+                if handler(vm, gfn, access):
+                    break
+            else:
+                name = "demand_zero"
+                mem.map_page(gfn, self.allocator.alloc())
+            self.registry.counter(f"core.ept_dispatch.{name}").inc()
+            if dirty_handler is not None:
+                dirty_handler(vm, gfn)
+            # Whatever re-backed the page, the balloon no longer holds it.
+            vm.ballooned_gfns.discard(gfn)
+            if gfn not in mem.map:
+                raise MemoryError_(f"EPT fault handler {name!r} left gfn "
+                                   f"{gfn} unmapped in {vm.name}")
+        # Backed, but not in the G-stage yet (the claim, a post-copy push).
+        mmu.map_gfn(gfn, mem.map[gfn])
+        return "ept_violation", self.costs.shadow_fill_cycles
+
+    def _vmm_fault(self, vm: VirtualMachine, gfn: int, write: bool) -> None:
+        """:class:`GuestMemory`'s slow path: the VMM's own access takes the
+        steps of :meth:`_fault` a guest's would, each charged to
+        ``vmm_cycles`` as its exit would be but recorded as no exit."""
+        mem, vmm = vm.guest_mem, _vmm_cycles(vm.stats)
+        while gfn not in mem.map or write and gfn in mem.write_protected:
+            vmm.value += self._fault(vm, gfn, _WRITE_ACCESS if write else _READ_ACCESS)[1]
 
     # -- VM construction --------------------------------------------------
 
@@ -314,6 +343,7 @@ class Hypervisor:
             config, guest_mem, metrics=self.registry.scope(f"vm.{config.name}")
         )
         self.registry.counter("core.vms_created").inc()
+        guest_mem.fault = partial(self._vmm_fault, vm)
 
         if gstage is None:
             mmu = ShadowMMU(
@@ -482,6 +512,7 @@ class Hypervisor:
         if why is not None:
             raise ConfigError(f"cannot recycle VM {vm.name!r}: {why}")
         gstage = self._dismantle(vm)
+        guest_mem.write_protected.clear()  # as the rolled-back G-stage
         for hpa, nbytes in guest_mem.host_runs(0, guest_mem.size):
             self.physmem.write_bytes(hpa, bytes(nbytes))
         return self._build_machine(vm.config, guest_mem, gstage)
@@ -887,41 +918,16 @@ class Hypervisor:
             emulate_guest_store(vcpu, ins, vm.guest_mem, mmu)
             VMStats.shadow_pt_writes.bound(vm.stats).value += 1
             return "pt_write", costs.shadow_ptwrite_cycles
-        if kind == "dirty_log":
-            gfn = exit_.qual("gfn")
-            handler = self.dirty_handlers.get(vm.name)
-            if handler is not None:
-                handler(vm, gfn)  # dirty logging sees every write, COW too
-            for name, wf_handler in self._write_fault_handlers:
-                if wf_handler(vm, gfn):
-                    return name, costs.shadow_fill_cycles
-            mmu.unprotect_gfn(gfn)
-            return "dirty_log", costs.emulate_cycles
         if kind == "ept_violation":
             gpa = exit_.qual("gpa")
-            gfn = gpa >> PAGE_SHIFT
             VMStats.ept_violations.bound(vm.stats).value += 1
-            if gfn >= vm.num_pages:
+            if gpa >> PAGE_SHIFT >= vm.num_pages:
                 raise GuestError(
                     f"VM {vm.name}: access to gPA {gpa:#x} beyond guest RAM"
                 )
-            if not vm.guest_mem.is_mapped(gfn):
-                claimant = self._dispatch_ept_fault(
-                    vm, gfn, exit_.qual("access")
-                )
-                # Whatever re-backed the page (swap-in, post-copy
-                # fetch, demand zero), the balloon no longer holds it.
-                vm.ballooned_gfns.discard(gfn)
-            hfn = vm.guest_mem.map.get(gfn)
-            if hfn is None:
-                raise MemoryError_(
-                    f"EPT fault handler {claimant!r} left gfn {gfn} "
-                    f"unmapped in {vm.name}"
-                )
-            if mmu.ept.lookup(gfn << PAGE_SHIFT) is None:
-                mmu.map_gfn(gfn, hfn)
-            return "ept_violation", costs.shadow_fill_cycles
-        raise GuestError(f"unknown memory exit kind {kind!r}")
+        elif kind != "dirty_log":
+            raise GuestError(f"unknown memory exit kind {kind!r}")
+        return self._fault(vm, exit_.qual("gfn"), exit_.qual("access"))
 
     # -- hypercalls ---------------------------------------------------------
 

@@ -15,8 +15,8 @@ shadow tables. Coherence with the guest's own tables is maintained by:
   VMM through batched hypercalls;
 * **lazy dirty bits** -- shadow entries are first mapped read-only even
   for guest-writable pages; the first write faults, the VMM sets the
-  guest PTE's D bit and upgrades the shadow entry. This is also the
-  hook live migration uses for dirty logging (``write_protected_gfns``).
+  guest PTE's D bit and upgrades the shadow entry. ``GuestMemory.
+  write_protected`` gfns (dirty logging, COW) are never mapped writable.
 
 **Ring compression**: under deprivileged execution the guest kernel runs
 in real user mode, so its kernel-only pages must be user-accessible in
@@ -47,8 +47,9 @@ from repro.mem.paging import (
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB
-from repro.util.errors import MemoryError_
 from repro.util.units import PAGE_SHIFT
+
+_WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC  # bound once: enum lookups
 
 
 class _GuestWalk:
@@ -96,11 +97,6 @@ class ShadowMMU(MMUBase):
 
         self._spaces: Dict[Tuple[int, bool], AddressSpace] = {}
         self.pt_gfns: Set[int] = set()
-        #: Migration dirty-logging: writes to these gfns exit.
-        self.write_protected_gfns: Set[int] = set()
-        #: Optional host page-in hook for swapped/shared frames:
-        #: called with gfn, must leave guest_mem mapped or raise.
-        self.page_in_hook = None
 
         #: gfn -> every (space key, page va) a fill mapped it at; what
         #: drop / rebind / write-protect of a guest frame has to visit.
@@ -118,7 +114,13 @@ class ShadowMMU(MMUBase):
         va &= 0xFFFFFFFF
         if self.guest_root is None:
             # Guest paging off ("real mode"): VA == gPA, direct map.
-            return self.guest_mem.gpa_to_hpa(va), 0
+            mem = self.guest_mem
+            gfn = va >> PAGE_SHIFT
+            hfn = mem.map.get(gfn)
+            if hfn is None or access is _WRITE and gfn in mem.write_protected:
+                raise VMExit(ExitReason.PAGE_FAULT, gpa=va, gfn=gfn, access=access,
+                             kind="ept_violation" if hfn is None else "dirty_log")
+            return (hfn << PAGE_SHIFT) | (va & 0xFFF), 0
         vpn = va >> PAGE_SHIFT
         pte = self.tlb.lookup(vpn, access, user)
         if pte is not None:
@@ -140,7 +142,7 @@ class ShadowMMU(MMUBase):
         return self.guest_root is not None
 
     def real_pa(self, pc: int) -> int:
-        return self.guest_mem.gpa_to_hpa(pc & 0xFFFFFFFF)
+        return self.translate(pc, _EXEC, False)[0]  # guest paging off
 
     @property
     def translate_bound(self) -> int:
@@ -187,13 +189,7 @@ class ShadowMMU(MMUBase):
         va &= 0xFFFFFFFF
         walk = self._guest_walk(va, access)
         gfn = walk.gfn
-        if not self.guest_mem.is_mapped(gfn) and self.page_in_hook is not None:
-            self.page_in_hook(gfn)
-        hfn = self.guest_mem.map.get(gfn)
-        if hfn is None:
-            raise MemoryError_(
-                f"shadow fill: guest frame {gfn} has no host backing"
-            )
+        mem = self.guest_mem
 
         # Propagate accessed (and on writes, dirty) into the *guest* PTE,
         # as hardware would have done were the guest running bare.
@@ -203,9 +199,9 @@ class ShadowMMU(MMUBase):
             new_pte |= PTE_DIRTY
             writable = True
         if new_pte != walk.pte:
-            self.guest_mem.write_u32(walk.pte_gpa, new_pte)
+            mem.write_u32(walk.pte_gpa, new_pte)
         if walk.pde & PTE_ACCESSED == 0:
-            self.guest_mem.write_u32(walk.pde_gpa, walk.pde | PTE_ACCESSED)
+            mem.write_u32(walk.pde_gpa, walk.pde | PTE_ACCESSED)
 
         flags = PTE_PRESENT
         if walk.pte & PTE_NOEXEC:
@@ -221,14 +217,16 @@ class ShadowMMU(MMUBase):
                     "fill(WRITE) on a guest PT page must go through "
                     "the pt_write handler"
                 )
-            if gfn not in self.write_protected_gfns:
+            if gfn not in mem.write_protected:
                 flags |= PTE_WRITABLE | PTE_DIRTY
         # Shadow A/D set by the hardware walker as it goes.
 
         space = self._current_space()
         space_key = self._space_key()
         page_va = va & ~0xFFF
-        space.map(page_va, hfn << PAGE_SHIFT, flags)
+        # Resolved last: the write-backs above may have re-pointed it (COW
+        # break of a page table that maps itself); an unbacked one comes in.
+        space.map(page_va, mem.backing(gfn) << PAGE_SHIFT, flags)
         self.tlb.invalidate(va >> PAGE_SHIFT)
         self._fills.setdefault(gfn, set()).add((space_key, page_va))
         self._pt_backrefs.setdefault(walk.pt_gfn, set()).add(
@@ -259,11 +257,11 @@ class ShadowMMU(MMUBase):
 
     def write_protect_gfn(self, gfn: int) -> None:
         """Start dirty-logging ``gfn`` (live migration)."""
-        self.write_protected_gfns.add(gfn)
+        self.guest_mem.write_protected.add(gfn)
         self._downgrade_writable(gfn)
 
     def unprotect_gfn(self, gfn: int) -> None:
-        self.write_protected_gfns.discard(gfn)
+        self.guest_mem.write_protected.discard(gfn)
 
     def map_gfn(self, gfn: int, hfn: int) -> None:
         """The host backed ``gfn``: nothing to do, shadows fill lazily."""
@@ -281,9 +279,9 @@ class ShadowMMU(MMUBase):
         """``gfn`` is now backed by ``hfn``: refill from there, lazily."""
         self.drop_gfn(gfn)
         if writable:
-            self.write_protected_gfns.discard(gfn)
+            self.guest_mem.write_protected.discard(gfn)
         else:
-            self.write_protected_gfns.add(gfn)
+            self.guest_mem.write_protected.add(gfn)
 
     def destroy(self) -> None:
         for space in self._spaces.values():
@@ -312,7 +310,7 @@ class ShadowMMU(MMUBase):
                     gpa=(gfn_written << PAGE_SHIFT) | (va & 0xFFF),
                     access=access,
                 )
-            if gfn_written in self.write_protected_gfns:
+            if gfn_written in self.guest_mem.write_protected:
                 raise VMExit(
                     ExitReason.PAGE_FAULT,
                     kind="dirty_log",
@@ -336,13 +334,13 @@ class ShadowMMU(MMUBase):
             effective_user = self.guest_user_mode if self.ring_compression else False
         assert self.guest_root is not None
         pde_gpa = self.guest_root + (va >> 22) * 4
-        pde = self._read_guest_u32(pde_gpa)
+        pde = self.guest_mem.read_u32(pde_gpa)
         if not pde & PTE_PRESENT:
             raise PageFault(va, access, effective_user, present=False)
         pt_gfn = pte_frame(pde)
         self._register_pt_gfn(pt_gfn)
         pte_gpa = (pt_gfn << PAGE_SHIFT) + ((va >> 12) & 0x3FF) * 4
-        pte = self._read_guest_u32(pte_gpa)
+        pte = self.guest_mem.read_u32(pte_gpa)
         if not pte & PTE_PRESENT:
             raise PageFault(va, access, effective_user, present=False)
         combined = pde & pte
@@ -353,14 +351,6 @@ class ShadowMMU(MMUBase):
         if access is AccessType.EXEC and pte & PTE_NOEXEC:
             raise PageFault(va, access, effective_user, present=True)
         return _GuestWalk(pde_gpa, pte_gpa, pde, pte, pte_frame(pte), pt_gfn)
-
-    def _read_guest_u32(self, gpa: int) -> int:
-        """Read guest memory during a software walk, paging in swapped
-        page-table frames through the host hook when needed."""
-        gfn = gpa >> PAGE_SHIFT
-        if not self.guest_mem.is_mapped(gfn) and self.page_in_hook is not None:
-            self.page_in_hook(gfn)
-        return self.guest_mem.read_u32(gpa)
 
     def _register_pt_gfn(self, gfn: int) -> None:
         if gfn in self.pt_gfns:

@@ -1,9 +1,9 @@
 """Virtual machine objects: configuration, guest-physical memory, the VM.
 
 :class:`GuestMemory` is the gPA -> hPA indirection every other piece
-builds on: shadow paging resolves guest frame numbers through it, device
-DMA goes through it (and marks pages dirty for migration), ballooning
-unmaps through it, page sharing re-points it.
+builds on. The host side reaches guest memory through its accessors --
+device DMA, the VMM's own emulation -- under the mapping state a guest
+access obeys; ballooning, swap and page sharing re-point it.
 """
 
 from dataclasses import dataclass
@@ -58,9 +58,9 @@ class GuestMemory:
     """Guest-physical address space: a gfn -> hfn map over host RAM.
 
     All byte accessors accept arbitrary (possibly page-crossing) ranges.
-    Writes optionally invoke ``write_hook(gfn)`` -- the dirty-tracking
-    tap used by live migration for device DMA (CPU stores are tracked
-    through page-table dirty bits instead).
+    Reaching a gfn the map lacks, or writing one in ``write_protected``,
+    first calls ``fault(gfn, write)``: the hypervisor's routine a guest
+    access reaches (swap-in, post-copy fetch, dirty log, COW break).
     """
 
     def __init__(self, host_physmem: PhysicalMemory, num_pages: int):
@@ -69,7 +69,11 @@ class GuestMemory:
         self.host = host_physmem
         self.num_pages = num_pages
         self.map: Dict[int, int] = {}  # gfn -> hfn
-        self.write_hook: Optional[Callable[[int], None]] = None
+        #: gfns whose writes the host intercepts (dirty logging, COW):
+        #: the one copy, read by both MMU classes and the accessors.
+        self.write_protected: Set[int] = set()
+        #: Set by ``Hypervisor._build_machine``.
+        self.fault: Optional[Callable[[int, bool], None]] = None
 
     @property
     def size(self) -> int:
@@ -90,12 +94,21 @@ class GuestMemory:
     def is_mapped(self, gfn: int) -> bool:
         return gfn in self.map
 
-    def gpa_to_hpa(self, gpa: int) -> int:
+    def gpa_to_hpa(self, gpa: int, write: bool = False) -> int:
+        """Host address of ``gpa``, once the access may proceed."""
         gfn = gpa >> PAGE_SHIFT
         hfn = self.map.get(gfn)
-        if hfn is None:
-            raise MemoryError_(f"guest-physical {gpa:#x} not backed (gfn {gfn})")
+        if hfn is None or write and gfn in self.write_protected:
+            if self.fault is not None and gfn < self.num_pages:
+                self.fault(gfn, write)
+            hfn = self.map.get(gfn)
+            if hfn is None:
+                raise MemoryError_(f"guest-physical {gpa:#x} not backed (gfn {gfn})")
         return (hfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1))
+
+    def backing(self, gfn: int) -> int:
+        """The host frame behind ``gfn``, once it may be read."""
+        return self.gpa_to_hpa(gfn << PAGE_SHIFT) >> PAGE_SHIFT
 
     # -- scalar accessors ------------------------------------------------
 
@@ -103,15 +116,13 @@ class GuestMemory:
         return self.host.read_u32(self.gpa_to_hpa(gpa))
 
     def write_u32(self, gpa: int, value: int) -> None:
-        self.host.write_u32(self.gpa_to_hpa(gpa), value)
-        self._note_write(gpa >> PAGE_SHIFT)
+        self.host.write_u32(self.gpa_to_hpa(gpa, True), value)
 
     def read_u8(self, gpa: int) -> int:
         return self.host.read_u8(self.gpa_to_hpa(gpa))
 
     def write_u8(self, gpa: int, value: int) -> None:
-        self.host.write_u8(self.gpa_to_hpa(gpa), value)
-        self._note_write(gpa >> PAGE_SHIFT)
+        self.host.write_u8(self.gpa_to_hpa(gpa, True), value)
 
     # -- bulk accessors (page-crossing safe) --------------------------------
 
@@ -119,7 +130,7 @@ class GuestMemory:
         """Yield ``(hpa, nbytes)`` for each host-contiguous run backing
         ``[gpa, gpa + length)``: one per page at worst, one for the
         whole range when consecutive gfns sit in consecutive frames (a
-        preallocated guest). Raises where :meth:`gpa_to_hpa` would."""
+        preallocated guest), each begun by :meth:`gpa_to_hpa`."""
         gfn_to_hfn = self.map.get
         while length > 0:
             hpa = self.gpa_to_hpa(gpa)
@@ -140,16 +151,14 @@ class GuestMemory:
 
     def write_bytes(self, gpa: int, data: bytes) -> None:
         if 0 < len(data) <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
-            self.host.write_bytes(self.gpa_to_hpa(gpa), data)
-            self._note_write(gpa >> PAGE_SHIFT)
+            self.host.write_bytes(self.gpa_to_hpa(gpa, True), data)
             return
         offset = 0
         while offset < len(data):
             in_page = min(
                 len(data) - offset, PAGE_SIZE - (gpa & (PAGE_SIZE - 1))
             )
-            self.host.write_bytes(self.gpa_to_hpa(gpa), data[offset : offset + in_page])
-            self._note_write(gpa >> PAGE_SHIFT)
+            self.host.write_bytes(self.gpa_to_hpa(gpa, True), data[offset : offset + in_page])
             gpa += in_page
             offset += in_page
 
@@ -159,12 +168,7 @@ class GuestMemory:
     def write_gfn(self, gfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise MemoryError_("write_gfn needs exactly one page of data")
-        self.host.write_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT), data)
-        self._note_write(gfn)
-
-    def _note_write(self, gfn: int) -> None:
-        if self.write_hook is not None:
-            self.write_hook(gfn)
+        self.host.write_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT, True), data)
 
 
 class VirtualMachine:

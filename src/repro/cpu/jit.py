@@ -848,7 +848,7 @@ class BlockJIT:
         else:
             try:
                 pa = mmu.real_pa(pc)
-            except MemoryError_:
+            except (MemoryError_, VMExit):
                 self.fallback_steps += 1
                 return 0  # the step's fetch raises it
             ent = self._pc_real.get(pc)

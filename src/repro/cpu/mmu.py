@@ -30,7 +30,8 @@ of branching on its class:
 * ``drop_gfn(gfn)`` -- forget every translation of a guest frame before
   the host takes its backing away (balloon, swap);
 * ``write_protect_gfn(gfn)`` / ``unprotect_gfn(gfn)`` -- dirty logging
-  and copy-on-write (the next write raises a ``dirty_log`` exit).
+  and copy-on-write (the next write raises a ``dirty_log`` exit); both
+  MMUs keep the guest's one set, ``GuestMemory.write_protected``.
 
 Teardown is where they differ: shadow tables are derived from the
 guest's and die with the MMU (``ShadowMMU.destroy()``); the second-stage
@@ -38,7 +39,7 @@ table is the host's own record of the guest's backing, so the
 hypervisor frees -- or, recycling a VM, keeps -- ``TwoStageMMU.ept``.
 """
 
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
 from repro.mem.costs import CostModel
@@ -106,7 +107,7 @@ class MMUBase:
     def real_pa(self, pc: int) -> int:
         """Physical address of ``pc`` while :attr:`tlb_active` is False.
 
-        Side-effect free; raises ``MemoryError_`` where a fetch would.
+        Side-effect free; raises where a fetch would.
         """
         raise NotImplementedError
 
@@ -239,8 +240,6 @@ class TwoStageMMU(MMUBase):
                     else AddressSpace(host_physmem, host_allocator))
         self.walker = TwoStageWalker(host_physmem, gstage_ad=hmode)
         self.guest_root: Optional[int] = None
-        #: gfns whose EPT entry is write-protected for dirty logging.
-        self.write_protected_gfns: Set[int] = set()
         #: Optional fault-injection hook (``hmode.gstage_stall``):
         #: called once per two-stage TLB miss, returns extra cycles (at
         #: most ``GSTAGE_STALL_REFS`` G-stage references' worth).
@@ -250,6 +249,7 @@ class TwoStageMMU(MMUBase):
 
     def map_gfn(self, gfn: int, hfn: int) -> None:
         """Back guest frame ``gfn`` with host frame ``hfn`` in the EPT."""
+        self.guest_mem.write_protected.discard(gfn)
         self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0,
                               (hfn << PAGE_SHIFT) | GSTAGE_BACKED)
 
@@ -257,9 +257,9 @@ class TwoStageMMU(MMUBase):
         """``gfn`` is now backed by ``hfn``, whatever backed it before."""
         leaf = (hfn << PAGE_SHIFT) | GSTAGE_BACKED
         if writable:
-            self.write_protected_gfns.discard(gfn)
+            self.guest_mem.write_protected.discard(gfn)
         else:
-            self.write_protected_gfns.add(gfn)
+            self.guest_mem.write_protected.add(gfn)
             leaf &= ~PTE_WRITABLE
         self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0, leaf)
         self.tlb.flush()  # conservatively drop combined translations
@@ -271,11 +271,11 @@ class TwoStageMMU(MMUBase):
 
     def write_protect_gfn(self, gfn: int) -> None:
         if self.ept.rewrite_leaf(gfn << PAGE_SHIFT, ~PTE_WRITABLE, 0):
-            self.write_protected_gfns.add(gfn)
+            self.guest_mem.write_protected.add(gfn)
             self.tlb.flush()
 
     def unprotect_gfn(self, gfn: int) -> None:
-        self.write_protected_gfns.discard(gfn)
+        self.guest_mem.write_protected.discard(gfn)
         self.ept.rewrite_leaf(gfn << PAGE_SHIFT, -1, PTE_WRITABLE)
 
     # -- MMUBase interface ----------------------------------------------------
@@ -352,7 +352,7 @@ class TwoStageMMU(MMUBase):
         gfn = fault.gpa >> PAGE_SHIFT
         kind = (
             "dirty_log"
-            if fault.present and gfn in self.write_protected_gfns
+            if fault.present and gfn in self.guest_mem.write_protected
             else "ept_violation"
         )
         return VMExit(

@@ -1,8 +1,8 @@
 """Functional live migration of instruction-engine VMs.
 
-This is real pre-copy over real state: dirty logging uses the shadow /
-EPT write-protection machinery (CPU stores) plus the guest-memory write
-hook (VMM-mediated writes: PT updates, hypercall batches, device DMA),
+This is real pre-copy over real state: dirty logging is the
+hypervisor's write protection, which guest stores and VMM-mediated
+writes (PT updates, hypercall batches, device DMA) both fault on,
 rounds interleave with actual guest execution, and the destination VM
 resumes from copied vCPU + device state. Transfer *timing* is modeled
 (cycles per byte); transfer *content* is exact.
@@ -29,7 +29,6 @@ from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.snapshot import apply_state, capture_state
 from repro.core.vm import VirtualMachine
 from repro.faults.recovery import RetryPolicy
-from repro.mem.paging import AccessType
 from repro.util.errors import LinkError, MemoryError_, MigrationError
 from repro.util.units import PAGE_SIZE
 
@@ -114,8 +113,6 @@ class LiveMigrator:
 
         dirty: Set[int] = set()
         src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)
-        old_hook = vm.guest_mem.write_hook
-        vm.guest_mem.write_hook = dirty.add
 
         def protect(gfns):
             for gfn in gfns:
@@ -175,25 +172,19 @@ class LiveMigrator:
 
             # Stop-and-copy the residue plus machine state: the downtime.
             final_batch = sorted(g for g in dirty if vm.guest_mem.is_mapped(g))
+            # What the host holds elsewhere (swap) comes in as it is read:
+            # making room for one page may evict another, sent by then.
             absent = [g for g in range(vm.num_pages)
                       if not (vm.guest_mem.is_mapped(g)
                               or g in vm.ballooned_gfns)]
+            pending = deque(final_batch + absent)
             with self._span("migration.stop_and_copy", vm=vm.name):
-                sent = self._send_with_retry(vm, dst_vm, deque(final_batch),
-                                             stats)
-                # What the host holds elsewhere (swap) comes in and goes
-                # out page by page: making room for one may evict
-                # another, which by then has been sent.
-                for gfn in absent:
-                    try:
-                        src._dispatch_ept_fault(vm, gfn, AccessType.READ)
-                    except MemoryError_ as err:
-                        raise MigrationError(
-                            f"migration of {vm.name} abandoned: gfn {gfn} "
-                            f"cannot be made resident to be sent"
-                        ) from err
-                    sent += self._send_with_retry(vm, dst_vm, deque([gfn]),
-                                                  stats)
+                try:
+                    sent = self._send_with_retry(vm, dst_vm, pending, stats)
+                except MemoryError_ as err:
+                    raise MigrationError(
+                        f"migration of {vm.name} abandoned: gfn {pending[0]} "
+                        f"cannot be made resident to be sent") from err
             downtime = self._cycles(sent * PAGE_SIZE + CPU_STATE_BYTES)
             transfer_cycles += downtime
             pages_copied += sent
@@ -203,9 +194,8 @@ class LiveMigrator:
         finally:
             # Detach logging from the source -- on success (the source
             # is now dead) and on an abandoned migration alike, so the
-            # still-running source never leaks a dirty hook.
+            # still-running source never leaks a dirty handler.
             src.dirty_handlers.pop(vm.name, None)
-            vm.guest_mem.write_hook = old_hook
 
         m = self.metrics
         m.counter("migrations").inc()

@@ -1,14 +1,14 @@
 """Host-level swapping of guest frames.
 
 The host evicts a guest frame by stashing its contents in a host-side
-store and unmapping it everywhere. The next guest touch faults --
-through the shadow fill path (``page_in_hook``) or an EPT violation --
-and the page is brought back in, evicting something else if the host is
-still tight. EPT faults arrive through the hypervisor's composable
-dispatch chain: the swap-in handler claims only gfns it actually holds,
-and a fallback-tier handler demand-allocates (and LRU-tracks) whatever
-every other owner declined, so host swap composes with post-copy
-migration instead of stealing its faults.
+store and unmapping it everywhere. The next access to it -- the guest's
+own under any MMU, the shadow walker's read of a page table, device DMA,
+a migrator reading the page -- reaches the hypervisor's EPT-fault
+dispatch chain, and the page is brought back in, evicting something
+else if the host is still tight. The swap-in handler claims only gfns
+it actually holds, and a fallback-tier handler demand-allocates (and
+LRU-tracks) whatever every other owner declined, so host swap composes
+with post-copy migration instead of stealing its faults.
 
 This is the transparent last-resort mechanism of the overcommit stack:
 correct for any guest, but each fault costs a "disk" access, which is
@@ -17,10 +17,9 @@ still perform.
 """
 
 from collections import OrderedDict
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.core.hypervisor import Hypervisor
-from repro.core.shadow import ShadowMMU
 from repro.core.vm import VirtualMachine
 from repro.obs.registry import counter_attr
 from repro.util.errors import MemoryError_
@@ -43,27 +42,16 @@ class HostSwap:
         self._resident_lru: "OrderedDict[Tuple[str, int], VirtualMachine]" = (
             OrderedDict()
         )
-        #: VM names already wired by :meth:`install` (idempotence).
-        self._installed: Set[str] = set()
         hypervisor.register_ept_fault_handler(self._ept_fault, name="swap_in")
         hypervisor.register_ept_fault_handler(
             self._demand_alloc, name="swap_demand", fallback=True
         )
 
     def install(self, vm: VirtualMachine) -> None:
-        """Wire the page-in path for one VM and seed the LRU.
-
-        Idempotent per VM: a second install neither re-seeds (which
-        would scramble eviction order) nor double-wires the hook.
-        """
-        if vm.name in self._installed:
-            return
-        self._installed.add(vm.name)
-        mmu = vm.vcpus[0].cpu.mmu
-        if isinstance(mmu, ShadowMMU):
-            mmu.page_in_hook = lambda gfn, _vm=vm: self.swap_in(_vm, gfn)
+        """Seed the LRU with one VM's resident pages; a page already in
+        it keeps its place (a second install changes no eviction order)."""
         for gfn in vm.guest_mem.map:
-            self._resident_lru[(vm.name, gfn)] = vm
+            self._resident_lru.setdefault((vm.name, gfn), vm)
 
     # -- eviction -----------------------------------------------------------
 

@@ -116,18 +116,36 @@ class TestGuestMemory:
         with pytest.raises(MemoryError_, match="gfn 4"):
             gm.read_bytes(0, 5 * P)
 
-    def test_write_hook_fires_per_touched_page(self, gm):
-        touched = []
-        gm.write_hook = touched.append
+    def test_fault_runs_per_protected_write_and_unbacked_page(self, gm):
+        seen = []
+
+        def fault(gfn, write):  # what the hypervisor's routine leaves
+            seen.append((gfn, write))
+            gm.write_protected.discard(gfn)
+            if gfn not in gm.map:
+                gm.map_page(gfn, gfn + 100)
+
+        gm.fault = fault
+        gm.write_protected.update({0, 1, 2, 5})
         gm.write_bytes(PAGE_SIZE - 4, b"12345678")  # spans pages 0 and 1
-        assert touched == [0, 1]
-        touched.clear()
+        assert seen == [(0, True), (1, True)]
+        seen.clear()
         gm.write_u32(5 * PAGE_SIZE, 1)
-        assert touched == [5]
-        # reads never fire the hook
-        touched.clear()
-        gm.read_bytes(0, PAGE_SIZE)
-        assert touched == []
+        gm.write_u32(5 * PAGE_SIZE, 2)  # unprotected by the first
+        assert seen == [(5, True)]
+        # reads of a protected page and writes of an unprotected one
+        # take the fast path
+        seen.clear()
+        gm.read_bytes(0, 3 * PAGE_SIZE)
+        gm.write_u8(3 * PAGE_SIZE, 1)
+        assert seen == []
+        gm.unmap_page(6)
+        assert gm.read_gfn(6) == bytes(PAGE_SIZE)
+        assert seen == [(6, False)] and gm.map[6] == 106
+        # beyond guest RAM there is nothing to ask
+        with pytest.raises(MemoryError_, match="not backed"):
+            gm.read_u8(16 * PAGE_SIZE)
+        assert seen == [(6, False)]
 
     def test_gfn_page_accessors(self, gm):
         gm.write_gfn(2, b"q" * PAGE_SIZE)

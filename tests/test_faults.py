@@ -402,7 +402,6 @@ def test_migration_error_after_budget_chains_link_error():
     assert isinstance(excinfo.value.__cause__, LinkError)
     # The abandoned migration must not leak dirty logging onto the
     # still-running source.
-    assert vm.guest_mem.write_hook is None
     assert vm.name not in src.dirty_handlers
 
 

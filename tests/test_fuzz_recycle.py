@@ -150,12 +150,11 @@ def _make(hv, name="vm", mmu_mode=MMUVirtMode.NESTED, **kw):
         mmu_mode=mmu_mode, **kw))
 
 
-def _assert_refused_and_runnable(hv, vm, match, load=True):
+def _assert_refused_and_runnable(hv, vm, match):
     with pytest.raises(ConfigError, match=match):
         hv.recycle_vm(vm)
     assert hv.vms[vm.name] is vm
-    if load:
-        hv.load_program(vm, _HALT_WITH_7)
+    hv.load_program(vm, _HALT_WITH_7)
     hv.reset_vcpu(vm, 0x1000)
     hv.run(vm, max_guest_instructions=100)
     assert vm.vcpus[0].cpu.regs[1] == 7
@@ -196,13 +195,12 @@ class TestRecycleVM:
         for vm in (a, b):
             vm.guest_mem.write_bytes(5 * PAGE_SIZE, b"same" * 1024)
         b.guest_mem.write_bytes(9 * PAGE_SIZE, b"only b")
-        # Loaded before the scan: a host-side write into a merged page
-        # goes through to its sharers (ROADMAP item 1, open).
-        hv.load_program(a, _HALT_WITH_7)
         assert PageSharer(hv).scan().pages_merged > 0
         before = b.guest_mem.read_bytes(0, 1 * MIB)
-        _assert_refused_and_runnable(hv, a, "page sharing", load=False)
-        # a's frames were not zeroed under the VM that shares them.
+        # Loads a program into a merged page of a, then runs it.
+        _assert_refused_and_runnable(hv, a, "page sharing")
+        # Neither the load nor zeroing a's frames reached the VM that
+        # shares them.
         assert b.guest_mem.read_bytes(0, 1 * MIB) == before
 
     def test_refuses_a_vm_being_dirty_logged(self):

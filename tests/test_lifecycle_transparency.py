@@ -47,18 +47,13 @@ HW_NESTED = "hw+nested"
 CUTS = {"1/4": 1, "1/2": 2, "3/4": 3}
 
 #: (program, engine row, cut, path). Every program at every cut through
-#: a blob and through pre-copy on hw-nested; through a blob at one cut
-#: on the other five rows; post-copy for the two programs that do no
-#: device DMA -- a device model reads guest memory through
-#: GuestMemory.gpa_to_hpa, which raises for a page that has not arrived
-#: yet instead of fetching it (ROADMAP, "Known and open").
+#: a blob, pre-copy and post-copy on hw-nested; through a blob at one
+#: cut on the other five rows.
 CASES = [(program, HW_NESTED, cut, path)
          for program in PROGRAMS for cut in CUTS
-         for path in ("blob", "precopy")]
+         for path in ("blob", "precopy", "postcopy")]
 CASES += [(program, row, "1/2", "blob")
           for program in PROGRAMS for row in ROWS if row != HW_NESTED]
-CASES += [(program, HW_NESTED, cut, "postcopy")
-          for program in ("hello", "syscall_storm") for cut in CUTS]
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,16 +15,17 @@ from repro.overcommit import (
     PageSharer,
 )
 from repro.util.errors import ConfigError
-from repro.util.units import MIB
+from repro.util.units import MIB, PAGE_SIZE
 
 GUEST_MEM = 16 * MIB
 ADMIT_FRAMES = (GUEST_MEM >> 12) + 128
 
 
-def boot(hv, name, pages=64, passes=2, warmup=0):
+def boot(hv, name, pages=64, passes=2, warmup=0,
+         mmu_mode=MMUVirtMode.NESTED):
     vm = hv.create_vm(GuestConfig(name=name, memory_bytes=GUEST_MEM,
                                   virt_mode=VirtMode.HW_ASSIST,
-                                  mmu_mode=MMUVirtMode.NESTED))
+                                  mmu_mode=mmu_mode))
     kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEM))
     hv.load_program(vm, kernel)
     hv.load_program(vm, workloads.memtouch(pages, passes))
@@ -127,31 +128,36 @@ class TestDispatchChainComposition:
             fault_vm.guest_mem.map_page(gfn, hv.allocator.alloc())
             return True
 
+        def claims(name):
+            return hv.registry.counter(f"core.ept_dispatch.{name}").value
+
         hv.register_ept_fault_handler(handler, name="single_owner")
-        assert hv._dispatch_ept_fault(vm, 7, "w") == "single_owner"
-        assert seen == [7]
+        vm.guest_mem.write_u32(7 * PAGE_SIZE, 1)
+        assert seen == [7] and claims("single_owner") == 1
         assert hv.unregister_ept_fault_handler(handler)
-        assert hv._dispatch_ept_fault(vm, 8, "w") == "demand_zero"
+        vm.guest_mem.write_u32(8 * PAGE_SIZE, 1)
+        assert seen == [7] and claims("demand_zero") == 1
         assert vm.guest_mem.is_mapped(8)
 
 
 class TestMemoryPressureController:
-    def _admit(self, hv, controller, n):
+    def _admit(self, hv, controller, n, mmu_mode=MMUVirtMode.NESTED):
         vms = []
         for i in range(n):
             controller.reclaim(ADMIT_FRAMES)
-            vm = boot(hv, f"oc{i}")
+            vm = boot(hv, f"oc{i}", mmu_mode=mmu_mode)
             controller.manage(vm)
             vms.append(vm)
         return vms
 
-    def test_overcommitted_admission_without_swap(self):
+    def test_overcommitted_admission_without_swap(
+            self, mmu_mode=MMUVirtMode.NESTED):
         """Three 16 MiB guests on a 36 MiB host: balloon + sharing must
         make room with zero last-resort swap-ins, and every guest stays
         bit-correct."""
         hv = Hypervisor(memory_bytes=36 * MIB)
         controller = MemoryPressureController(hv)
-        vms = self._admit(hv, controller, 3)
+        vms = self._admit(hv, controller, 3, mmu_mode)
         outcomes = run_all(hv, vms, controller)
         assert all(o is RunOutcome.SHUTDOWN for o in outcomes.values())
         assert_correct(vms)
@@ -161,6 +167,11 @@ class TestMemoryPressureController:
                         for r in controller.tick_log)
         assert merged > 0
         assert ballooned > 0
+
+    def test_shadow_paged_guests_are_ballooned_too(self):
+        # A ballooned page refaults through the EPT-fault chain under
+        # shadow paging as well: the demand-zero tail rebuilds it.
+        self.test_overcommitted_admission_without_swap(MMUVirtMode.SHADOW)
 
     def test_targets_converge_under_static_wss(self):
         hv = Hypervisor(memory_bytes=36 * MIB)
