@@ -23,14 +23,8 @@ from repro.bench.e8_scale import run_e8_scale
 from repro.bench.e9_ablation import run_e9_exit_cost, run_e9_bt
 from repro.bench.e10_resilience import run_e10, run_e10_cascade
 from repro.bench.e11_crossover import run_e11
-from repro.bench.host_throughput import HostBenchResult, run_host_throughput
-from repro.bench.shard_scaling import ShardBenchResult, run_shard_scaling
 
 __all__ = [
-    "HostBenchResult",
-    "run_host_throughput",
-    "ShardBenchResult",
-    "run_shard_scaling",
     "ExperimentResult",
     "ModeMetrics",
     "run_guest_workload",

@@ -144,58 +144,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.bench.host_throughput import run_host_throughput
-
-    result = run_host_throughput(
-        quick=args.quick,
-        profile_top=25 if getattr(args, "profile", False) else 0,
-    )
-    result.write(args.out)
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
-        print(f"\nwrote {args.out}")
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = result.check_baseline(baseline)
-        if failures:
-            for failure in failures:
-                print(f"perf regression: {failure}", file=sys.stderr)
-            print(result.baseline_table(baseline), file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.baseline})", file=sys.stderr)
-    return 0
-
-
-def _cmd_shardbench(args) -> int:
-    from repro.bench.shard_scaling import run_shard_scaling
-
-    result = run_shard_scaling(quick=args.quick)
-    result.write(args.out)
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
-        print(f"\nwrote {args.out}")
-    if not result.parity_ok:
-        print("shardbench: manifest parity broken across --jobs values",
-              file=sys.stderr)
-        return 1
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = result.check_baseline(baseline)
-        if failures:
-            for failure in failures:
-                print(f"shard scaling regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.baseline})", file=sys.stderr)
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import load_corpus, replay_entry, run_campaign
     from repro.fuzz.bugs import known_bugs
@@ -350,39 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="e8s only: run one fleet size instead of "
                             "the default sweep")
 
-    perf_p = sub.add_parser(
-        "perf", help="measure host throughput (guest-MIPS, interp vs jit)"
-    )
-    perf_p.add_argument("--quick", action="store_true",
-                        help="small CI-friendly workloads")
-    perf_p.add_argument("--out", default="BENCH_HOST.json",
-                        help="output JSON path (default BENCH_HOST.json)")
-    perf_p.add_argument("--json", action="store_true",
-                        help="print the JSON payload instead of the table")
-    perf_p.add_argument("--baseline",
-                        help="baseline JSON; exit 1 if any speedup ratio "
-                             "regresses more than 20%% below it")
-    perf_p.add_argument("--profile", action="store_true",
-                        help="wrap the measurement in cProfile and embed "
-                             "the top-25 hotspots (cumtime) in the output "
-                             "manifest; for diagnosis, not for gating")
-
-    shard_p = sub.add_parser(
-        "shardbench",
-        help="measure sharded-cluster wall-clock vs --jobs and check "
-             "manifest parity",
-    )
-    shard_p.add_argument("--quick", action="store_true",
-                         help="small CI-friendly configuration")
-    shard_p.add_argument("--out", default="BENCH_SHARD.json",
-                         help="output JSON path (default BENCH_SHARD.json)")
-    shard_p.add_argument("--json", action="store_true",
-                         help="print the JSON payload instead of the table")
-    shard_p.add_argument("--baseline",
-                         help="baseline JSON; exit 1 on parity breakage or "
-                              "(same-core-count machines only) speedups "
-                              "more than 20%% below it")
-
     boot_p = sub.add_parser("boot", help="boot NanoOS with a workload")
     boot_p.add_argument("--mode", default="hw-nested")
     boot_p.add_argument("--workload", default="hello")
@@ -435,10 +350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_list(args)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "shardbench":
-        return _cmd_shardbench(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     if args.command == "faults":

@@ -94,6 +94,7 @@ class BTEngine:
         self.inject_virq = inject_virq
         self.cache_enabled = cache_enabled
         self.chaining_enabled = chaining_enabled
+        self._power = vcpu.vm.devices["power"]
 
         self._cache: Dict[Tuple[Optional[int], int], TranslatedBlock] = {}
         self._chains: Set[Tuple[int, int]] = set()
@@ -120,10 +121,11 @@ class BTEngine:
     def run(self, max_cycles: Optional[int] = None) -> str:
         """Execute translated guest-kernel code until a stop condition.
 
-        Returns ``"mode_switch"`` (guest dropped to virtual user mode),
-        ``"halted"`` (virtual HLT), or ``"budget"``. VMExits raised
-        during execution (guest faults, shadow fills) propagate to the
-        hypervisor, which services them and re-enters here.
+        Returns ``"mode_switch"`` (guest dropped to virtual user mode or
+        powered off), ``"halted"`` (virtual HLT), or ``"budget"``.
+        VMExits raised during execution (guest faults, shadow fills)
+        propagate to the hypervisor, which services them and re-enters
+        here.
         """
         stats = self.vcpu.vm.stats
         cpu = self.vcpu.cpu
@@ -141,7 +143,8 @@ class BTEngine:
                 # (the same edge the hardware-assist core delivers at).
                 prev_block_va = None
                 continue
-            if self.vcpu.virtual_mode != MODE_KERNEL or self.vcpu.halted:
+            if (self.vcpu.virtual_mode != MODE_KERNEL or self.vcpu.halted
+                    or self._power.shutdown_requested):
                 break
             if max_cycles is not None and cpu.cycles - start_cycles >= max_cycles:
                 return "budget"
@@ -338,7 +341,7 @@ class BTEngine:
         """Run monitor logic for one rewritten instruction.
 
         Returns True when the block must stop (privilege change, halt,
-        trap reflection).
+        power-off, trap reflection).
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
@@ -375,7 +378,8 @@ class BTEngine:
                 # CSR): pc is at the vector, the rest of this block is
                 # not what executes next.
                 return True
-        if vcpu.halted or vcpu.virtual_mode != MODE_KERNEL:
+        if (vcpu.halted or vcpu.virtual_mode != MODE_KERNEL
+                or self._power.shutdown_requested):
             return True
         return self._post_retire_inject()
 

@@ -378,22 +378,21 @@ def hello() -> Program:
 """)
 
 
-def port_storm(iterations: int, writes: bool = True) -> Program:
+def port_storm(iterations: int) -> Program:
     """A guest without NanoOS: a kernel-mode loop that writes the
     console port ``iterations`` times and powers off (code 1).
 
     One intercepted instruction in every three, where NanoOS's densest
     path (a block request) manages one in ten: the exit path measured
     almost alone. Self-validating through the console's
-    ``chars_written`` and the power-off code. ``writes=False`` is its
-    exit-free twin: the same loop with an ``add`` for the ``out``.
+    ``chars_written`` and the power-off code.
     """
     return Assembler().assemble(f"""
 .org {L.KERNEL_BASE:#x}
 start:
     li   s0, {iterations}
 loop:
-    {"out  0x10, s0" if writes else "add  s1, s1, s0"}
+    out  0x10, s0
     sub  s0, s0, 1
     bnez s0, loop
     li   t0, 1

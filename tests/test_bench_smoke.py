@@ -14,7 +14,6 @@ from repro.bench import (
     run_e8,
     run_e8_scale,
     run_e9_bt,
-    run_shard_scaling,
 )
 from repro.sim.kernel import SEC
 
@@ -72,18 +71,6 @@ def test_e8_scale_small():
     manifest = result.manifest()
     assert manifest["experiment"] == "E8s"
     assert manifest["extra"]["cluster_sharded"]["shards"] == 2
-
-
-def test_shard_scaling_small():
-    result = run_shard_scaling(quick=True, fleet_size=60, shards=2,
-                               epochs=2, jobs_list=[1, 2])
-    assert result.parity_ok
-    assert result.points[0]["jobs"] == 1
-    payload = result.to_json()
-    assert payload["schema"] == "pyvisor.bench.shard/1"
-    assert payload["cpu_count"] >= 1
-    # Same machine, same run: the baseline check passes against itself.
-    assert result.check_baseline(payload) == []
 
 
 def test_e9b_small():

@@ -107,19 +107,6 @@ def test_fuzz_text_report_carries_the_wall_clock(capsys):
     assert "elapsed" not in manifest and "cases/s" not in manifest
 
 
-def test_shardbench_writes_payload(tmp_path, capsys):
-    out = tmp_path / "BENCH_SHARD.json"
-    baseline = tmp_path / "baseline.json"
-    assert main(["shardbench", "--quick", "--out", str(out), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["parity_ok"] is True
-    assert out.exists()
-    # The run gates cleanly against its own payload as baseline.
-    baseline.write_text(out.read_text())
-    assert main(["shardbench", "--quick", "--out", str(out),
-                 "--baseline", str(baseline)]) == 0
-
-
 def test_fuzz_events_on_by_default_and_no_events_flag(capsys):
     assert main(["fuzz", "--seed", "1", "--cases", "2", "--json"]) == 0
     manifest = json.loads(capsys.readouterr().out)

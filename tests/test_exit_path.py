@@ -203,6 +203,20 @@ def test_scenarios_end_the_way_their_names_say():
             assert not vm.vcpus[0].cpu.pending_irqs
 
 
+def test_power_off_ends_every_row_at_one_edge():
+    # The translator runs guest kernel mode itself: it must stop at the
+    # power-off too, not run on to the end of its cycle budget.
+    ends = {}
+    for label in ROW_IDS:
+        hv, vm = _create(label, True)
+        SCENARIOS["power_off_mid_slice"][0](hv, vm, False)
+        assert _run_to_end(hv, vm, None) == [RunOutcome.SHUTDOWN]
+        ends[label] = (vm.vcpus[0].cpu.instret, vm.vcpus[0].cpu.pc,
+                       vm.devices["console"].text)
+    assert set(ends.values()) == {ends["hw+nested"]}, ends
+    assert ends["hw+nested"][0] == 18 and len(ends["hw+nested"][2]) == 5
+
+
 def _load_exit_dense(hv, vm, label):
     """A guest whose exits reach ``cpu.run`` under ``label``, positioned
     in its loop. The translator runs guest kernel mode itself, so under
