@@ -47,7 +47,6 @@ from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.core.snapshot import VMSnapshot, restore_vm, snapshot_vm
 from repro.faults import (
-    DeviceTimeoutMonitor,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -97,7 +96,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "GuestProgressWatchdog",
-    "DeviceTimeoutMonitor",
     "MicroRebooter",
     "RetryPolicy",
     # observability

@@ -42,8 +42,6 @@ from repro.cluster.placement import (
     FailoverReport,
     failover,
     first_fit,
-    best_fit,
-    worst_fit,
     place,
     plan_consolidation,
     reservation_satisfied,
@@ -60,7 +58,6 @@ from repro.cluster.balancer import (
 from repro.cluster.workgen import (
     DEFAULT_CATALOGUE,
     VMClass,
-    fleet_summary,
     generate_fleet,
 )
 
@@ -85,8 +82,6 @@ __all__ = [
     "reservation_satisfied",
     "failover",
     "first_fit",
-    "best_fit",
-    "worst_fit",
     "place",
     "plan_consolidation",
     "host_performance",
@@ -101,5 +96,4 @@ __all__ = [
     "VMClass",
     "DEFAULT_CATALOGUE",
     "generate_fleet",
-    "fleet_summary",
 ]

@@ -245,6 +245,3 @@ class Placement:
     def domain_of(self, vm_name: str) -> Optional[str]:
         host = self.host_of(vm_name)
         return host.domain if host is not None else None
-
-    def utilization_stats(self) -> List[float]:
-        return [h.cpu_utilization for h in self.hosts if h.vms]

@@ -306,22 +306,6 @@ def first_fit(
     return place(vms, hosts, PlacementPolicy.FIRST_FIT, constraints)
 
 
-def best_fit(
-    vms: Sequence[VMSpec], hosts: List[Host],
-    constraints: Optional[ConstraintSet] = None,
-) -> Placement:
-    """Tightest fit: the candidate with the least free memory left."""
-    return place(vms, hosts, PlacementPolicy.BEST_FIT, constraints)
-
-
-def worst_fit(
-    vms: Sequence[VMSpec], hosts: List[Host],
-    constraints: Optional[ConstraintSet] = None,
-) -> Placement:
-    """Loosest fit: spread load onto the emptiest candidate."""
-    return place(vms, hosts, PlacementPolicy.WORST_FIT, constraints)
-
-
 @dataclass
 class EvacuationConfig:
     """Platform parameters pricing one failover pass's migrations.

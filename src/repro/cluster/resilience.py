@@ -72,10 +72,6 @@ class ResilienceReport:
     def lost_names(self) -> List[str]:
         return [vm.name for vm in self.lost]
 
-    @property
-    def all_failures(self) -> List[str]:
-        return self.initial_failures + self.cascade_failures
-
 
 class ResilienceController:
     """Drives a placement back to quiescence under continuous faults."""

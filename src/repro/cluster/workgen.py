@@ -69,13 +69,3 @@ def generate_fleet(
             )
         )
     return fleet
-
-
-def fleet_summary(fleet: Sequence[VMSpec]) -> dict:
-    """Aggregate demand figures the placement experiments report."""
-    return {
-        "count": len(fleet),
-        "total_cpu": round(sum(vm.cpu_demand for vm in fleet), 3),
-        "total_memory_gib": sum(vm.memory_bytes for vm in fleet) / GIB,
-        "interactive": sum(1 for vm in fleet if vm.interactive),
-    }

@@ -37,16 +37,8 @@ from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.core.vcpu import VCPU
 from repro.core.shadow import ShadowMMU
 from repro.core.hypervisor import Hypervisor, HypercallNumbers
-from repro.core.nestedvirt import (
-    AliasedPhysicalMemory,
-    NestedHost,
-    build_nested_host,
-    create_l2_vm,
-    guest_ram_window,
-)
 from repro.core.machine import Machine
 from repro.core.snapshot import VMSnapshot, restore_vm, snapshot_vm
-from repro.core.schedule import ScheduleReport, VMScheduler
 
 __all__ = [
     "VirtMode",
@@ -60,15 +52,8 @@ __all__ = [
     "ShadowMMU",
     "Hypervisor",
     "HypercallNumbers",
-    "AliasedPhysicalMemory",
-    "NestedHost",
-    "build_nested_host",
-    "create_l2_vm",
-    "guest_ram_window",
     "Machine",
     "VMSnapshot",
     "snapshot_vm",
     "restore_vm",
-    "VMScheduler",
-    "ScheduleReport",
 ]

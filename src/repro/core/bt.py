@@ -14,7 +14,11 @@ basic blocks on first touch, classifies each instruction, and caches a
   removes the trap-per-instruction tax of trap-and-emulate.
 
 Which of the two an item is is decided at translate time, and a write
-to any guest page a byte of the block lies on drops the block.
+to any guest page a byte of the block lies on drops the block. A write
+to a guest page table the block was fetched through makes the block
+*suspect*: its next hit re-walks the guest tables (without side
+effects) and drops it if a page now comes from another frame or leaf
+table, or not at all -- an accessed / dirty write-back costs no miss.
 Blocks end at control transfers. Block dispatch costs
 ``bt_dispatch_cycles`` (translation-cache hash lookup) unless the
 (predecessor, successor) pair has been *chained*, after which dispatch
@@ -66,7 +70,12 @@ class TranslatedBlock:
 
     start_va: int
     items: List[Tuple[bool, Instruction]]  # (is_callout, ins)
-    code_gfns: Set[int] = field(default_factory=set)
+    #: vpn -> (gfn, gfn of the page table mapping it) of every page a
+    #: byte of the block lies on; (vpn, None) with guest paging off.
+    pages: Dict[int, Tuple[int, Optional[int]]] = field(default_factory=dict)
+    #: A page table on the way to ``pages`` was written since the block
+    #: was cached or last re-walked.
+    suspect: bool = False
 
 
 class BTEngine:
@@ -106,6 +115,12 @@ class BTEngine:
         #: backed by the written frame's guest page(s).
         self._watched_hfns: Set[int] = set()
         self._hfn_gfns: Dict[int, Set[int]] = {}
+        #: The same for the guest page tables (directory and leaf) the
+        #: cached blocks were fetched through; a write there makes the
+        #: blocks of ``_table_blocks[gfn]`` suspect (and empties it: a
+        #: block re-walked and kept is registered again).
+        self._hfn_tables: Dict[int, Set[int]] = {}
+        self._table_blocks: Dict[int, Set[Tuple[Optional[int], int]]] = {}
         #: Invalidation epoch: bumped on every cache invalidation so an
         #: in-flight block can bail at the store that rewrote
         #: translated code. The next fetch then re-translates from the
@@ -150,6 +165,8 @@ class BTEngine:
                 return "budget"
             key = (cpu.mmu.guest_root, cpu.pc)
             block = self._cache.get(key) if self.cache_enabled else None
+            if block is not None and block.suspect:
+                block = self._recheck(key, block)
             if block is None:
                 block = self._translate(cpu.pc)
                 if block is None:
@@ -161,9 +178,7 @@ class BTEngine:
                 stats.bt_block_misses += 1
                 if self.cache_enabled:
                     self._cache[key] = block
-                    for gfn in block.code_gfns:
-                        self._gfn_blocks.setdefault(gfn, set()).add(key)
-                    self._watch_block(block)
+                    self._watch_block(key, block)
             else:
                 _block_hits(stats).value += 1
             # Dispatch cost, unless chained from the previous block.
@@ -185,8 +200,14 @@ class BTEngine:
         """Drop translations backed by a guest frame (self-modifying or
         re-used code pages)."""
         keys = self._gfn_blocks.pop(gfn, None)
-        if not keys:
-            return
+        if keys:
+            self._drop(keys)
+
+    @property
+    def cached_blocks(self) -> int:
+        return len(self._cache)
+
+    def _drop(self, keys) -> None:
         self._epoch[0] += 1
         for key in keys:
             self._cache.pop(key, None)
@@ -200,35 +221,56 @@ class BTEngine:
             if link[0] not in dropped and link[1] not in dropped
         }
 
-    def flush(self) -> None:
-        self._epoch[0] += 1
-        self._cache.clear()
-        self._chains.clear()
-        self._gfn_blocks.clear()
-        self._watched_hfns.clear()
-        self._hfn_gfns.clear()
-
-    @property
-    def cached_blocks(self) -> int:
-        return len(self._cache)
-
-    def _watch_block(self, block: TranslatedBlock) -> None:
-        """Arm write-watching for the frames backing a cached block."""
+    def _watch_block(self, key, block: TranslatedBlock) -> None:
+        """Arm write-watching for the frames backing a cached block and
+        for the guest page tables it was fetched through."""
         guest_map = self.vcpu.vm.guest_mem.map
-        for gfn in block.code_gfns:
+        watched = self._watched_hfns
+        tables = set()
+        for gfn, table in block.pages.values():
+            self._gfn_blocks.setdefault(gfn, set()).add(key)
             hfn = guest_map.get(gfn)
-            if hfn is None:
-                continue
-            self._hfn_gfns.setdefault(hfn, set()).add(gfn)
-            self._watched_hfns.add(hfn)
+            if hfn is not None:
+                self._hfn_gfns.setdefault(hfn, set()).add(gfn)
+                watched.add(hfn)
+            if table is not None:
+                tables.update((table, key[0] >> 12))
+        for gfn in tables:
+            self._table_blocks.setdefault(gfn, set()).add(key)
+            hfn = guest_map.get(gfn)
+            if hfn is not None:
+                self._hfn_tables.setdefault(hfn, set()).add(gfn)
+                watched.add(hfn)
 
     def _on_code_write(self, hfn: int) -> None:
-        """Physmem write watcher: a store landed on translated code."""
+        """Physmem write watcher: a store landed on translated code, or
+        on a page table translated code was fetched through."""
+        tables = self._hfn_tables.get(hfn)
+        if tables:
+            cache = self._cache
+            for gfn in tables:
+                for key in self._table_blocks.pop(gfn, ()):
+                    block = cache.get(key)
+                    if block is not None:
+                        block.suspect = True
+        else:
+            self._watched_hfns.discard(hfn)
         gfns = self._hfn_gfns.pop(hfn, None)
-        self._watched_hfns.discard(hfn)
         if gfns:
             for gfn in gfns:
                 self.invalidate_gfn(gfn)
+
+    def _recheck(self, key, block: TranslatedBlock) -> Optional[TranslatedBlock]:
+        """A suspect block's next hit: keep it (and watch its tables
+        again) if every page is still fetched from the same frame through
+        the same leaf table, else drop it (None: translate afresh)."""
+        fetch = self.vcpu.cpu.mmu.kernel_fetch_gfn
+        if all(fetch(vpn << 12) == page for vpn, page in block.pages.items()):
+            block.suspect = False
+            self._watch_block(key, block)
+            return block
+        self._drop((key,))
+        return None
 
     # -- internals -------------------------------------------------------
 
@@ -252,8 +294,7 @@ class BTEngine:
         vm = self.vcpu.vm
         mmu = cpu.mmu
         items: List[Tuple[bool, Instruction]] = []
-        #: vpn -> gfn of every page a byte of the block lies on.
-        code_pages: Dict[int, int] = {}
+        code_pages: Dict[int, Tuple[int, Optional[int]]] = {}
         cursor = va
         for _ in range(MAX_BLOCK_INSTRUCTIONS):
             try:
@@ -281,9 +322,12 @@ class BTEngine:
             for vpn in (cursor >> 12, (cursor + ins.length - 1) >> 12):
                 if vpn in code_pages:
                     continue
-                # Guest paging off: VA is the guest-physical address.
-                code_pages[vpn] = vpn if mmu.guest_root is None else (
-                    mmu._guest_walk(vpn << 12, AccessType.EXEC).gfn)
+                if mmu.guest_root is None:
+                    # Guest paging off: VA is the guest-physical address.
+                    code_pages[vpn] = (vpn, None)
+                else:
+                    walk = mmu._guest_walk(vpn << 12, AccessType.EXEC)
+                    code_pages[vpn] = (walk.gfn, walk.pt_gfn)
             if ins.op > LAST_BRANCH_OP:  # system op: monitor callout
                 items.append((True, ins))
                 if ins.op in _BLOCK_ENDERS:
@@ -302,9 +346,7 @@ class BTEngine:
             cursor += ins.length
         cpu.cycles += self.costs.bt_translate_cycles * len(items)
         vm.stats.bt_translated_instructions += len(items)
-        return TranslatedBlock(
-            start_va=va, items=items, code_gfns=set(code_pages.values())
-        )
+        return TranslatedBlock(start_va=va, items=items, pages=code_pages)
 
     def _execute_block(self, block: TranslatedBlock, events) -> None:
         """Walk the block item by item.

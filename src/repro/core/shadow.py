@@ -352,6 +352,24 @@ class ShadowMMU(MMUBase):
             raise PageFault(va, access, effective_user, present=True)
         return _GuestWalk(pde_gpa, pte_gpa, pde, pte, pte_frame(pte), pt_gfn)
 
+    def kernel_fetch_gfn(self, va: int) -> Optional[Tuple[int, int]]:
+        """``(gfn, pt_gfn)`` of a virtual-kernel fetch of ``va``, or None
+        where it would fault: ``_guest_walk`` without its side effects
+        (no page table registered, no unbacked table faulted in -- None
+        then too). The binary translator re-checks a cached block with it."""
+        mem = self.guest_mem
+        table = self.guest_root >> PAGE_SHIFT
+        for index in (va >> 22, (va >> 12) & 0x3FF):
+            hfn = mem.map.get(table)
+            if hfn is None:
+                return None
+            pt_gfn = table
+            entry = self.physmem.read_u32((hfn << PAGE_SHIFT) + index * 4)
+            if not entry & PTE_PRESENT:
+                return None
+            table = pte_frame(entry)
+        return None if entry & PTE_NOEXEC else (table, pt_gfn)
+
     def _register_pt_gfn(self, gfn: int) -> None:
         if gfn in self.pt_gfns:
             return

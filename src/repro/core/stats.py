@@ -10,26 +10,21 @@ same numbers visible to cross-layer tooling and run manifests.
 """
 
 from collections import Counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cpu.exits import ExitReason
-from repro.obs.registry import MetricsRegistry, MetricsScope, counter_attr
+from repro.obs.registry import MetricsScope, counter_attr
 from repro.obs.registry import Counter as ObsCounter
 
 _EXITS = "exits."
 _EXIT_CYCLES = "exit_cycles."
 
 
-def _private_scope() -> MetricsScope:
-    """Standalone stats (no hypervisor) get their own tiny registry."""
-    return MetricsRegistry().scope("vm")
-
-
 class ExitStats:
     """Per-reason exit counts and the cycles the VMM spent on them."""
 
-    def __init__(self, metrics: Optional[MetricsScope] = None):
-        self.metrics = metrics if metrics is not None else _private_scope()
+    def __init__(self, metrics: MetricsScope):
+        self.metrics = metrics
         # Hot path: one dict hit per recorded exit -- no registry walk,
         # and the "reason:detail" name is built once per distinct pair.
         # Keyed by the reason's value: an Enum member hashes in Python.
@@ -65,12 +60,6 @@ class ExitStats:
     def total_cycles(self) -> int:
         return sum(self.cycles.values())
 
-    def merge(self, other: "ExitStats") -> None:
-        for key, value in other.counts.items():
-            self._pair(key)[0].value += value
-        for key, value in other.cycles.items():
-            self._pair(key)[1].value += value
-
 
 class VMStats:
     """Whole-VM accounting (registry-backed ``int`` attributes)."""
@@ -91,8 +80,8 @@ class VMStats:
     bt_block_misses = counter_attr()
     bt_chained = counter_attr()
 
-    def __init__(self, metrics: Optional[MetricsScope] = None):
-        self.metrics = metrics if metrics is not None else _private_scope()
+    def __init__(self, metrics: MetricsScope):
+        self.metrics = metrics
 
     @property
     def total_cycles(self) -> int:

@@ -43,9 +43,7 @@ class BlockDevice(PortDevice):
     Fault sites (evaluated when an ``injector`` is attached):
     ``block.io_error`` completes the command with ``STATUS_ERROR``
     (transient media error -- the driver retries); ``block.stuck``
-    wedges the device: commands are accepted but never complete until
-    the host :meth:`reset`\\ s it (the
-    :class:`~repro.faults.watchdog.DeviceTimeoutMonitor` recovery path).
+    wedges the device: commands are accepted but never complete.
     """
 
     STATE = ("data", "_sector", "_count", "_dma", "status")
@@ -54,7 +52,6 @@ class BlockDevice(PortDevice):
     writes = counter_attr()
     io_errors = counter_attr()
     stalled_commands = counter_attr()
-    resets = counter_attr()
     commands = counter_attr()
     completions = counter_attr()
     sectors_transferred = counter_attr()
@@ -73,27 +70,8 @@ class BlockDevice(PortDevice):
         self._sector = 0
         self._count = 1
         self._dma = 0
-        self._last_cmd = None
         self.status = STATUS_READY
         self.stuck = False
-
-    # -- detection/recovery contract (DeviceTimeoutMonitor) -----------------
-
-    @property
-    def ops_submitted(self) -> int:
-        return self.commands
-
-    @property
-    def ops_completed(self) -> int:
-        return self.completions
-
-    def reset(self) -> None:
-        """Host-side device reset: clear the wedge, replay the last command."""
-        self.resets += 1
-        self.stuck = False
-        self.status = STATUS_READY
-        if self._last_cmd is not None:
-            self._execute(self._last_cmd, replay=True)
 
     # -- direct host-side access (test setup, image loading) ---------------
 
@@ -135,17 +113,15 @@ class BlockDevice(PortDevice):
         else:
             raise DeviceError(f"block device has no writable port {port:#x}")
 
-    def _execute(self, cmd: int, replay: bool = False) -> None:
-        if not replay:
-            self.commands += 1
-            self._last_cmd = cmd
-            if self.injector is not None and not self.stuck and (
-                self.injector.fires("block.stuck")
-            ):
-                self.stuck = True
+    def _execute(self, cmd: int) -> None:
+        self.commands += 1
+        if self.injector is not None and not self.stuck and (
+            self.injector.fires("block.stuck")
+        ):
+            self.stuck = True
         if self.stuck:
             self.stalled_commands += 1
-            return  # wedged: no completion, no interrupt -- until reset()
+            return  # wedged: no completion, no interrupt
         if self.injector is not None and self.injector.fires("block.io_error"):
             self.io_errors += 1
             self.status = STATUS_ERROR

@@ -86,8 +86,8 @@ class PortDevice:
     it, and therefore what a snapshot, a micro-reboot and a migration
     carry (:func:`capture_fields` / :func:`apply_fields`). Telemetry
     (``reads``, ``kicks``: a recreated VM counts from zero) and
-    hypervisor-private fault state (``stuck``, ``_last_cmd``: a rebuild
-    clears it by construction) stay out.
+    hypervisor-private fault state (``stuck``: a rebuild clears it by
+    construction) stay out.
     """
 
     STATE: Optional[Tuple[str, ...]] = None

@@ -68,8 +68,6 @@ class InterruptController(PortDevice):
                         else MetricsRegistry().scope("dev.irq"))
         self.pending: List[bool] = [False] * NUM_LINES
         self.raised_count = 0
-        #: Per-line raise tallies (the storm watchdog's rate source).
-        self.raise_counts: List[int] = [0] * NUM_LINES
         self.lost_count = 0
         self.coalesced_count = 0
         self.spurious_count = 0
@@ -94,7 +92,6 @@ class InterruptController(PortDevice):
             self.metrics.counter(f"coalesced.line{number}").inc()
         self.pending[number] = True
         self.raised_count += 1
-        self.raise_counts[number] += 1
         self.metrics.counter(f"delivered.line{number}").inc()
         if self.sink is not None:
             cause = Cause.IRQ_TIMER if number == IRQ_TIMER_LINE else Cause.IRQ_DEVICE

@@ -197,14 +197,11 @@ class VirtioBlockDevice(_VirtQueuePorts):
     Fault site ``virtio.ring_stuck`` (with an ``injector`` attached):
     the device stops draining its ring -- kicks are counted but ignored,
     exactly the symptom of a lost interrupt or a wedged backend thread.
-    The host-side :meth:`reset` clears the wedge and serves the backlog
-    (:class:`~repro.faults.watchdog.DeviceTimeoutMonitor` drives it).
     """
 
     STATE = _VirtQueuePorts.STATE + ("data",)
 
     stalled_kicks = counter_attr()
-    resets = counter_attr()
     completions = counter_attr()
     reads = counter_attr()
     writes = counter_attr()
@@ -218,22 +215,6 @@ class VirtioBlockDevice(_VirtQueuePorts):
         self.injector = injector
         self.data = bytearray(capacity_sectors * SECTOR_SIZE)
         self.stuck = False
-
-    # -- detection/recovery contract (DeviceTimeoutMonitor) -----------------
-
-    @property
-    def ops_submitted(self) -> int:
-        return self.queue.kicks
-
-    @property
-    def ops_completed(self) -> int:
-        return self.completions
-
-    def reset(self) -> None:
-        """Clear a stuck ring and drain whatever the guest posted."""
-        self.resets += 1
-        self.stuck = False
-        self._drain()
 
     def load_image(self, data: bytes, sector: int = 0) -> None:
         offset = sector * SECTOR_SIZE
@@ -258,7 +239,7 @@ class VirtioBlockDevice(_VirtQueuePorts):
             self.stuck = True
         if self.stuck:
             # Ring wedged: the kick is swallowed, requests sit in the
-            # avail ring untouched until the host reset()s the device.
+            # avail ring untouched.
             self.stalled_kicks += 1
             return
         processed = 0

@@ -7,8 +7,7 @@ as by its happy path. This package provides the three layers:
   evaluated at named injection points across every runtime subsystem
   (devices, links, migration, the hypervisor run loop, cluster hosts).
 * :mod:`repro.faults.watchdog` -- detection: the guest-progress
-  watchdog (hung-VM detection over the retired-instruction heartbeat)
-  and per-device operation timeouts with a reset path.
+  watchdog (hung-VM detection over the retired-instruction heartbeat).
 * :mod:`repro.faults.recovery` -- recovery: ReHype-style micro-reboot
   from/with snapshots, and the shared capped-exponential-backoff retry
   policy used by migration. Host failover lives with the placement
@@ -19,27 +18,17 @@ from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    known_sites,
-    register_site,
     site_catalog,
 )
 from repro.faults.recovery import MicroRebooter, RetryPolicy
-from repro.faults.watchdog import (
-    DeviceTimeoutMonitor,
-    GuestProgressWatchdog,
-    IRQLineWatchdog,
-)
+from repro.faults.watchdog import GuestProgressWatchdog
 
 __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
-    "known_sites",
-    "register_site",
     "site_catalog",
     "GuestProgressWatchdog",
-    "DeviceTimeoutMonitor",
-    "IRQLineWatchdog",
     "MicroRebooter",
     "RetryPolicy",
 ]

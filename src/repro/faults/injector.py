@@ -11,17 +11,16 @@ same faults (assert with :meth:`FaultInjector.trace_bytes`).
 Site names are validated against a central registry at plan-build time:
 a :class:`FaultSpec` naming an unknown site (say, a misspelling of
 ``migrate.link_drop``) raises :class:`~repro.util.errors.ConfigError`
-instead of silently never firing. Subsystems defining new injection
-points declare them with :func:`register_site` at import time.
+instead of silently never firing. A new injection point adds its row
+to ``_KNOWN_SITES`` and to the table below.
 
 Known sites (unplanned-but-registered sites never fire):
 
 ========================  ====================================================
 ``block.io_error``        emulated disk completes a command with an I/O error
 ``block.stuck``           emulated disk wedges: accepts commands, never
-                          completes them (cleared by ``reset()``)
-``virtio.ring_stuck``     virtio device ignores kicks; the ring stalls until
-                          the device is reset
+                          completes them
+``virtio.ring_stuck``     virtio device ignores kicks; the ring stalls
 ``link.drop``             in-flight transfer dies partway (LinkError)
 ``link.degrade``          transfer runs at a fraction of link bandwidth
 ``link.partition``        link goes down for ``partition_ticks``
@@ -71,12 +70,11 @@ from repro.util.rng import DeterministicRNG
 _MASK64 = (1 << 64) - 1
 
 
-#: The central site registry. Seeded with every site the tree defines
-#: today; subsystems adding injection points call :func:`register_site`.
+#: The central site registry: every site the tree defines.
 _KNOWN_SITES: Dict[str, str] = {
     "block.io_error": "emulated disk completes a command with an I/O error",
-    "block.stuck": "emulated disk wedges until reset()",
-    "virtio.ring_stuck": "virtio device ignores kicks until reset",
+    "block.stuck": "emulated disk wedges: commands never complete",
+    "virtio.ring_stuck": "virtio device ignores kicks: the ring stalls",
     "link.drop": "in-flight transfer dies partway",
     "link.degrade": "transfer runs at a fraction of link bandwidth",
     "link.partition": "link goes down for partition_ticks",
@@ -97,34 +95,11 @@ _KNOWN_SITES: Dict[str, str] = {
 }
 
 
-def register_site(site: str, description: str = "") -> None:
-    """Declare a fault-injection site so plans may target it.
-
-    Idempotent for an identical re-registration; re-registering with a
-    *different* description is a likely copy-paste bug and rejected.
-    """
-    if not site:
-        raise ConfigError("fault site name must be non-empty")
-    existing = _KNOWN_SITES.get(site)
-    if existing is not None and description and existing != description:
-        raise ConfigError(
-            f"fault site {site!r} already registered with a different "
-            f"description"
-        )
-    if existing is None or description:
-        _KNOWN_SITES[site] = description or existing or ""
-
-
-def known_sites() -> Tuple[str, ...]:
-    """All registered site names, sorted."""
-    return tuple(sorted(_KNOWN_SITES))
-
-
 def site_catalog() -> Tuple[Tuple[str, str], ...]:
     """Every registered site as ``(name, description)``, sorted by name.
 
     The ``repro faults --list`` CLI renders this so fault schedules can
-    be authored without grepping the tree for register_site calls.
+    be authored without grepping the tree for injection points.
     """
     return tuple(sorted(_KNOWN_SITES.items()))
 
@@ -169,8 +144,7 @@ class FaultSpec:
         if self.site not in _KNOWN_SITES:
             raise ConfigError(
                 f"unknown fault site {self.site!r}; registered sites: "
-                f"{', '.join(known_sites())} "
-                f"(declare new ones with faults.injector.register_site)"
+                f"{', '.join(sorted(_KNOWN_SITES))}"
             )
 
 

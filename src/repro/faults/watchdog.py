@@ -1,26 +1,14 @@
-"""Failure detection: guest-progress watchdog, device operation timeouts.
+"""Failure detection: the guest-progress watchdog.
 
 Detection is deliberately cheap and hypervisor-side, as in real
-platforms: the guest is never trusted to report its own death.
-
-* :class:`GuestProgressWatchdog` -- heartbeat is the vCPU's retired-
-  instruction counter, observed once per run-loop pump. A VM whose
-  counter freezes for ``idle_pump_limit`` consecutive pumps is declared
-  hung (the run loop returns ``RunOutcome.HUNG``); recovery is a
-  ReHype-style micro-reboot (:mod:`repro.faults.recovery`).
-* :class:`DeviceTimeoutMonitor` -- per-device operation timeout: a
-  device that keeps accepting operations but stops completing them is
-  reset after ``stall_checks`` stalled polls, which clears the wedge
-  and drains the backlog.
-* :class:`IRQLineWatchdog` -- per-line interrupt health over an
-  :class:`~repro.devices.irq.InterruptController`: a line that stays
-  pending for ``stuck_polls`` consecutive polls is declared stuck and
-  force-acknowledged (a guest that lost the interrupt, or a device
-  whose raise was never serviced); a line whose raise count jumps by
-  ``storm_threshold`` or more between polls is flagged as storming.
+platforms: the guest is never trusted to report its own death. The
+heartbeat is the vCPU's retired-instruction counter, observed once per
+run-loop pump. A VM whose counter freezes for ``idle_pump_limit``
+consecutive pumps is declared hung (the run loop returns
+``RunOutcome.HUNG``); recovery is a ReHype-style micro-reboot
+(:mod:`repro.faults.recovery`).
 """
 
-from repro.devices.irq import NUM_LINES
 from repro.obs.registry import MetricsRegistry, counter_attr
 from repro.util.errors import ConfigError
 
@@ -62,140 +50,3 @@ class GuestProgressWatchdog:
     def __repr__(self) -> str:
         return (f"<GuestProgressWatchdog idle={self.idle_pumps}/"
                 f"{self.idle_pump_limit} hangs={self.hangs_detected}>")
-
-
-class DeviceTimeoutMonitor:
-    """Operation timeout + reset path for one device.
-
-    The device contract is three members: ``ops_submitted`` and
-    ``ops_completed`` monotonic counters, and ``reset()`` which clears
-    any wedge and serves the backlog. ``check()`` is polled by the host
-    (tests and E10 poll it per device pump); after ``stall_checks``
-    consecutive polls with outstanding-but-unprogressing work the device
-    is reset.
-    """
-
-    timeouts = counter_attr()  # resets this monitor fired
-
-    def __init__(self, device, stall_checks: int = 2, metrics=None):
-        if stall_checks <= 0:
-            raise ConfigError("stall_checks must be positive")
-        for member in ("ops_submitted", "ops_completed", "reset"):
-            if not hasattr(device, member):
-                raise ConfigError(
-                    f"{type(device).__name__} lacks {member!r}; cannot monitor"
-                )
-        self.device = device
-        self.stall_checks = stall_checks
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("faults.timeout"))
-        self._completed = device.ops_completed
-        self._submitted = device.ops_submitted
-        # Attaching to an already-wedged device counts its backlog.
-        self._outstanding = device.ops_submitted > device.ops_completed
-        self._stalled = 0
-
-    def check(self) -> bool:
-        """Poll once; True when the poll timed out and reset the device."""
-        submitted = self.device.ops_submitted
-        completed = self.device.ops_completed
-        if completed > self._completed:
-            # Progress: everything up to the seen submissions is assumed
-            # to be completing normally.
-            self._completed = completed
-            self._submitted = submitted
-            self._outstanding = False
-            self._stalled = 0
-            return False
-        if submitted > self._submitted:
-            self._submitted = submitted
-            self._outstanding = True
-        if not self._outstanding:
-            return False
-        self._stalled += 1
-        if self._stalled < self.stall_checks:
-            return False
-        self.timeouts += 1
-        self.device.reset()
-        # Resync: the reset typically completes the backlog synchronously.
-        self._completed = self.device.ops_completed
-        self._submitted = self.device.ops_submitted
-        self._outstanding = False
-        self._stalled = 0
-        return True
-
-    def __repr__(self) -> str:
-        return (f"<DeviceTimeoutMonitor {type(self.device).__name__} "
-                f"stalled={self._stalled}/{self.stall_checks} "
-                f"timeouts={self.timeouts}>")
-
-
-class IRQLineWatchdog:
-    """Stuck-line and interrupt-storm detector for one PIC.
-
-    ``check()`` is polled host-side (per device pump, like
-    :class:`DeviceTimeoutMonitor`). Two per-line conditions:
-
-    * **stuck**: the line has stayed pending for ``stuck_polls``
-      consecutive polls with no new raises landing on it -- the
-      interrupt was raised but never serviced (guest lost it, masked
-      forever, or the handler died). Recovery force-acknowledges the
-      line so a level-triggered device can re-raise.
-    * **storm**: the line's raise count grew by at least
-      ``storm_threshold`` since the previous poll -- a device (or an
-      injected ``irq.storm`` fault) is hammering the line faster than
-      any guest can service it.
-
-    Returns the list of ``("stuck"|"storm", line)`` events this poll.
-    """
-
-    stuck_lines = counter_attr()
-    storms_detected = counter_attr()
-
-    def __init__(self, controller, stuck_polls: int = 4,
-                 storm_threshold: int = 8, metrics=None):
-        if stuck_polls <= 0:
-            raise ConfigError("stuck_polls must be positive")
-        if storm_threshold <= 0:
-            raise ConfigError("storm_threshold must be positive")
-        for member in ("pending", "raise_counts"):
-            if not hasattr(controller, member):
-                raise ConfigError(
-                    f"{type(controller).__name__} lacks {member!r}; "
-                    f"cannot watch"
-                )
-        self.controller = controller
-        self.stuck_polls = stuck_polls
-        self.storm_threshold = storm_threshold
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("faults.irqwatch"))
-        self._pending_streak = [0] * NUM_LINES
-        self._seen_raises = list(controller.raise_counts)
-
-    def check(self):
-        """Poll once; returns the detection events for this poll."""
-        events = []
-        pic = self.controller
-        for line in range(NUM_LINES):
-            raises = pic.raise_counts[line]
-            delta = raises - self._seen_raises[line]
-            self._seen_raises[line] = raises
-            if delta >= self.storm_threshold:
-                self.storms_detected += 1
-                self.metrics.counter(f"storm.line{line}").inc()
-                events.append(("storm", line))
-            if pic.pending[line] and delta == 0:
-                self._pending_streak[line] += 1
-                if self._pending_streak[line] >= self.stuck_polls:
-                    self.stuck_lines += 1
-                    self.metrics.counter(f"stuck.line{line}").inc()
-                    pic.pending[line] = False  # force-ack to unwedge
-                    self._pending_streak[line] = 0
-                    events.append(("stuck", line))
-            else:
-                self._pending_streak[line] = 0
-        return events
-
-    def __repr__(self) -> str:
-        return (f"<IRQLineWatchdog stuck={self.stuck_lines} "
-                f"storms={self.storms_detected}>")

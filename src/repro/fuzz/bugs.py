@@ -75,7 +75,7 @@ def _bt_stale_smc() -> Iterator[None]:
     from repro.core import bt as btmod
 
     orig = btmod.BTEngine._watch_block
-    btmod.BTEngine._watch_block = lambda self, block: None
+    btmod.BTEngine._watch_block = lambda self, key, block: None
     try:
         yield
     finally:

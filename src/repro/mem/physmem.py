@@ -1,7 +1,7 @@
 """Byte-addressable physical memory and the frame allocator."""
 
 import struct
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from repro.util.errors import MemoryError_
 from repro.util.units import PAGE_SHIFT, PAGE_SIZE
@@ -131,8 +131,7 @@ class FrameAllocator:
     """Free-list allocator over a :class:`PhysicalMemory`.
 
     Frames below ``reserved_frames`` are never handed out (firmware /
-    VMM-owned low memory). Supports single-frame alloc/free and
-    contiguous runs (for kernel images loaded at fixed physical bases).
+    VMM-owned low memory).
     """
 
     def __init__(self, physmem: PhysicalMemory, reserved_frames: int = 0):
@@ -164,38 +163,8 @@ class FrameAllocator:
             self.physmem.zero_frame(pfn)
         return pfn
 
-    def alloc_contiguous(self, count: int, zero: bool = True) -> int:
-        """Allocate ``count`` physically contiguous frames; returns first PFN.
-
-        Linear scan over the free set -- fine at simulator scale, and only
-        used at boot time for kernel images.
-        """
-        if count <= 0:
-            raise MemoryError_("contiguous allocation needs count >= 1")
-        free = set(self._free)
-        candidates = sorted(free)
-        run_start: Optional[int] = None
-        run_len = 0
-        for pfn in candidates:
-            if run_start is not None and pfn == run_start + run_len:
-                run_len += 1
-            else:
-                run_start, run_len = pfn, 1
-            if run_len == count:
-                first = run_start
-                for p in range(first, first + count):
-                    self._free.remove(p)
-                    self._allocated.add(p)
-                    if zero:
-                        self.physmem.zero_frame(p)
-                return first
-        raise MemoryError_(f"no contiguous run of {count} frames available")
-
     def free(self, pfn: int) -> None:
         if pfn not in self._allocated:
             raise MemoryError_(f"double free or foreign frame {pfn}")
         self._allocated.remove(pfn)
         self._free.append(pfn)
-
-    def is_allocated(self, pfn: int) -> bool:
-        return pfn in self._allocated

@@ -33,24 +33,6 @@ class TLBStats:
     invalidations: int = 0
     evictions: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-    def reset(self) -> "TLBStats":
-        snapshot = TLBStats(
-            self.hits, self.misses, self.flushes, self.invalidations, self.evictions
-        )
-        self.hits = self.misses = self.flushes = 0
-        self.invalidations = self.evictions = 0
-        return snapshot
-
 
 class TLB:
     """Fixed-capacity, fully-associative, LRU translation cache."""

@@ -31,10 +31,6 @@ class BalloonTarget:
         """Pages the guest balloon should give up (0 if deflating)."""
         return max(0, self.current_pages - self.target_pages)
 
-    @property
-    def deflate_pages(self) -> int:
-        return max(0, self.target_pages - self.current_pages)
-
 
 @dataclass(frozen=True)
 class _VMEntry:

@@ -157,5 +157,3 @@ class CreditScheduler(Scheduler):
     def _enqueue(self, task: VCpuTask) -> None:
         self._queues[self._priority(task)].append(task)
 
-    def credits_of(self, name: str) -> float:
-        return self._credits[name]

@@ -22,7 +22,7 @@ from repro.sim.kernel import (
     MSEC,
     SEC,
 )
-from repro.sim.resources import Resource, TokenBucket
+from repro.sim.resources import Resource
 from repro.sim.link import NetworkLink, TransferResult
 from repro.sim.shard import (
     COORDINATOR,
@@ -44,7 +44,6 @@ __all__ = [
     "MSEC",
     "SEC",
     "Resource",
-    "TokenBucket",
     "NetworkLink",
     "TransferResult",
     "COORDINATOR",

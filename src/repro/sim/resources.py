@@ -1,14 +1,13 @@
 """Shared resources for simulated processes.
 
 :class:`Resource` is a counted semaphore with FIFO queueing (models CPU
-slots, disk queue depth, migration worker threads). :class:`TokenBucket`
-models rate limits (e.g. a capped vCPU, a throttled migration stream).
+slots, disk queue depth, migration worker threads).
 """
 
 from collections import deque
 from typing import Deque, Generator
 
-from repro.sim.kernel import SimEvent, Simulator, Timeout, WaitEvent
+from repro.sim.kernel import SimEvent, Simulator, WaitEvent
 
 
 class Resource:
@@ -56,52 +55,3 @@ class Resource:
 
     def __repr__(self) -> str:
         return f"<Resource {self.in_use}/{self.capacity}, {len(self._waiters)} waiting>"
-
-
-class TokenBucket:
-    """Token-bucket rate limiter over simulated time.
-
-    ``rate`` is tokens per second of simulated time; ``burst`` is the
-    bucket depth. ``consume(n)`` is a generator that waits until the
-    tokens are available and then takes them.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, burst: float):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._last = sim.now
-
-    def _refill(self) -> None:
-        from repro.sim.kernel import SEC
-
-        elapsed = self.sim.now - self._last
-        self._last = self.sim.now
-        self._tokens = min(self.burst, self._tokens + self.rate * elapsed / SEC)
-
-    def peek(self) -> float:
-        """Current token level (after refill)."""
-        self._refill()
-        return self._tokens
-
-    def consume(self, tokens: float) -> Generator:
-        """Generator to ``yield from``; waits until tokens are available."""
-        from repro.sim.kernel import SEC
-
-        if tokens <= 0:
-            raise ValueError("tokens must be positive")
-        if tokens > self.burst:
-            raise ValueError(f"request {tokens} exceeds burst {self.burst}")
-        while True:
-            self._refill()
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return
-            deficit = tokens - self._tokens
-            wait = int(deficit / self.rate * SEC) + 1
-            yield Timeout(wait)
-
-

@@ -3,12 +3,12 @@
 This package is dependency-free (standard library only) and provides:
 
 * :mod:`repro.util.errors` -- the exception hierarchy.
-* :mod:`repro.util.units` -- byte-size and cycle-count helpers.
+* :mod:`repro.util.units` -- byte and page sizes.
 * :mod:`repro.util.rng` -- the deterministic random number generator that
   every stochastic component must use (no ``random`` / ``numpy.random``
   module-level state anywhere in measurement paths).
 * :mod:`repro.util.stats` -- summary statistics, percentiles, Jain's
-  fairness index, and running accumulators.
+  fairness index.
 * :mod:`repro.util.eventlog` -- a bounded structured trace buffer.
 * :mod:`repro.util.table` -- a plain-text table renderer used by the
   benchmark harness to print paper-style tables.
@@ -29,15 +29,11 @@ from repro.util.units import (
     GIB,
     PAGE_SIZE,
     PAGE_SHIFT,
-    pages_to_bytes,
     bytes_to_pages,
-    fmt_bytes,
-    fmt_cycles,
 )
 from repro.util.rng import DeterministicRNG
 from repro.util.stats import (
     Summary,
-    RunningStats,
     percentile,
     jain_fairness,
     geomean,
@@ -59,13 +55,9 @@ __all__ = [
     "GIB",
     "PAGE_SIZE",
     "PAGE_SHIFT",
-    "pages_to_bytes",
     "bytes_to_pages",
-    "fmt_bytes",
-    "fmt_cycles",
     "DeterministicRNG",
     "Summary",
-    "RunningStats",
     "percentile",
     "jain_fairness",
     "geomean",

@@ -79,12 +79,6 @@ class DeterministicRNG:
             raise ValueError("cannot choose from an empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
-    def shuffle(self, items: List[_T]) -> None:
-        """Fisher-Yates shuffle in place."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
     def sample_zipf(self, n: int, alpha: float = 1.0) -> int:
         """Return an index in [0, n) with a Zipf(alpha) popularity skew.
 
@@ -131,12 +125,3 @@ class DeterministicRNG:
             cdf[-1] = 1.0
             cache[key] = cdf
         return cdf
-
-    def expovariate(self, rate: float) -> float:
-        """Return an exponential deviate with the given rate (1/mean)."""
-        import math
-
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        u = 1.0 - self.random()  # avoid log(0)
-        return -math.log(u) / rate

@@ -79,89 +79,6 @@ class Summary:
             maximum=max(data),
         )
 
-    @classmethod
-    def from_values(cls, values: Iterable[float]) -> "Summary":
-        """Alias of :meth:`of`; reads better at manifest call sites."""
-        return cls.of(values)
-
     def to_dict(self) -> Dict[str, float]:
         """Plain JSON-serializable mapping (field name -> value)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "Summary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
-
-class RunningStats:
-    """Welford accumulator: mean/variance without storing the sample.
-
-    Used on hot paths (per-instruction, per-event) where materializing a
-    list would dominate memory.
-    """
-
-    def __init__(self):
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._m2 / self._n
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._max
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel Welford)."""
-        if other._n == 0:
-            return
-        if self._n == 0:
-            self._n, self._mean, self._m2 = other._n, other._mean, other._m2
-            self._min, self._max = other._min, other._max
-            return
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._n * other._n / n
-        self._mean += delta * other._n / n
-        self._n = n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)

@@ -1,4 +1,4 @@
-"""Byte-size and cycle-count units and formatting helpers.
+"""Byte and page sizes.
 
 The whole platform uses a 4 KiB page; changing :data:`PAGE_SIZE` is not
 supported because guest page-table formats encode the 10/10/12 split of
@@ -17,35 +17,6 @@ PAGE_SHIFT = 12
 assert 1 << PAGE_SHIFT == PAGE_SIZE
 
 
-def pages_to_bytes(pages: int) -> int:
-    """Return the byte count covered by ``pages`` whole pages."""
-    return pages << PAGE_SHIFT
-
-
 def bytes_to_pages(nbytes: int) -> int:
     """Return the number of pages needed to hold ``nbytes`` (rounds up)."""
     return (nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT
-
-
-def fmt_bytes(nbytes: int) -> str:
-    """Render a byte count with a binary suffix, e.g. ``"512.0 MiB"``."""
-    value = float(nbytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} B"
-            return f"{value:.1f} {suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def fmt_cycles(cycles: int) -> str:
-    """Render a cycle count compactly, e.g. ``"1.2 Mcyc"``."""
-    value = float(cycles)
-    for suffix in ("cyc", "Kcyc", "Mcyc", "Gcyc"):
-        if abs(value) < 1000.0 or suffix == "Gcyc":
-            if suffix == "cyc":
-                return f"{int(value)} cyc"
-            return f"{value:.1f} {suffix}"
-        value /= 1000.0
-    raise AssertionError("unreachable")

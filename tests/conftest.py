@@ -7,6 +7,7 @@ builds are assembled once per session.
 import pytest
 
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
+from repro.core.hypervisor import RunOutcome
 from repro.guest import KernelOptions, build_kernel
 from repro.mem.costs import CostModel
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
@@ -64,3 +65,24 @@ def make_vm(hv, name="vm", virt_mode=VirtMode.HW_ASSIST,
         GuestConfig(name=name, memory_bytes=GUEST_MEM,
                     virt_mode=virt_mode, mmu_mode=mmu_mode, **kwargs)
     )
+
+
+def round_robin(hv, vms, quantum, watchdogs=None):
+    """Run ``vms`` one ``quantum`` of cycles each, in turn, until each
+    ends with anything but ``CYCLE_LIMIT``: the budgeted, unwind-per-exit
+    path of ``Hypervisor.run`` over interleaved VMs. Returns every VM's
+    outcome and dispatch count by name, and the order they finished in."""
+    outcomes, dispatches, finished = {}, {vm.name: 0 for vm in vms}, []
+    live = list(vms)
+    for _ in range(100_000):
+        if not live:
+            break
+        for vm in list(live):
+            watchdog = watchdogs[vm.name] if watchdogs else None
+            outcome = hv.run(vm, max_cycles=quantum, watchdog=watchdog)
+            dispatches[vm.name] += 1
+            if outcome is not RunOutcome.CYCLE_LIMIT:
+                outcomes[vm.name] = outcome
+                finished.append(vm.name)
+                live.remove(vm)
+    return outcomes, dispatches, finished

@@ -16,14 +16,12 @@ from repro.cluster import (
     PowerModel,
     VMSpec,
     ResilienceController,
-    best_fit,
     consolidation_savings,
     failover,
     first_fit,
     host_performance,
     place,
     plan_consolidation,
-    worst_fit,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sim.kernel import Simulator
@@ -91,13 +89,13 @@ class TestPlacement:
     def test_best_fit_packs_tightest(self):
         hosts = self._hosts(2)
         hosts[0].place(vm("pre", mem=10 * GIB))
-        best_fit([vm("new", mem=4 * GIB)], hosts)
+        place([vm("new", mem=4 * GIB)], hosts, PlacementPolicy.BEST_FIT)
         assert "new" in hosts[0].vms  # squeezed into the fuller host
 
     def test_worst_fit_spreads(self):
         hosts = self._hosts(2)
         hosts[0].place(vm("pre", mem=10 * GIB))
-        worst_fit([vm("new", mem=4 * GIB)], hosts)
+        place([vm("new", mem=4 * GIB)], hosts, PlacementPolicy.WORST_FIT)
         assert "new" in hosts[1].vms
 
     def test_placement_failure(self):
@@ -416,6 +414,7 @@ class TestPlaceMatchesScan:
         for n in (2, 3, 5, 8, 13, 64, 70):
             hosts = [Host(SPEC, i) for i in range(n)]
             hosts[0].fail()
-            worst_fit([vm(f"v{i}") for i in range(n - 1)], hosts)
+            place([vm(f"v{i}") for i in range(n - 1)], hosts,
+                  PlacementPolicy.WORST_FIT)
             assert ([list(h.vms) for h in hosts]
                     == [[]] + [[f"v{i}"] for i in range(n - 1)])

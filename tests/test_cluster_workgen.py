@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import (
     DEFAULT_CATALOGUE,
     HostSpec,
-    fleet_summary,
     generate_fleet,
     plan_consolidation,
 )
@@ -52,14 +51,6 @@ def test_generated_fleet_is_placeable():
     placement = plan_consolidation(fleet, spec, cpu_overcommit=1.5)
     assert placement.total_vms == 60
     assert placement.hosts_used < 60
-
-
-def test_summary():
-    fleet = generate_fleet(30, seed=2)
-    summary = fleet_summary(fleet)
-    assert summary["count"] == 30
-    assert summary["total_cpu"] > 0
-    assert summary["interactive"] >= 1
 
 
 def test_validation():

@@ -1,8 +1,13 @@
 """Binary-translation engine: correctness, caching, chaining, callouts."""
 
+import pytest
+
+from repro.bench.common import MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.cpu.assembler import Assembler
+from repro.cpu.isa import Cause, Reg
+from repro.mem.paging import PTE_ACCESSED, PTE_DIRTY
 from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
@@ -134,17 +139,6 @@ def test_invalidate_gfn_drops_translations():
     hv.run(vm, max_guest_instructions=200_000)
     assert vm.bt.cached_blocks > 0
     vm.bt.invalidate_gfn(1)  # kernel code lives in gfn 1
-    assert vm.bt.cached_blocks == 0
-
-
-def test_flush_clears_everything():
-    hv = Hypervisor(memory_bytes=64 * MIB)
-    vm = bt_vm(hv)
-    prog = Assembler().assemble(".org 0x1000\n" + BASIC)
-    hv.load_program(vm, prog)
-    hv.reset_vcpu(vm, 0x1000)
-    hv.run(vm, max_guest_instructions=200_000)
-    vm.bt.flush()
     assert vm.bt.cached_blocks == 0
 
 
@@ -335,3 +329,99 @@ def test_store_to_the_second_page_of_a_straddling_instruction():
     assert outcome is RunOutcome.SHUTDOWN
     assert (regs[2], regs[3]) == (1, 0xAA)
     assert all(state == states["hw-shadow"] for state in states.values()), states
+
+
+# Paging on, vpn 4 is called twice (s0 sums the a3 each call leaves),
+# one word is stored -- the PTE of vpn 4, or a data word -- and INVLPG
+# runs before the third call.
+REMAP_CODE_PAGE = """
+    li a0, 0x20000
+    li a1, 0x21003
+    st [a0+0], a1        ; PD[0] -> the page table at 0x21000
+    li a0, 0x21000
+    li a1, 0x1003
+    st [a0+4], a1        ; vpn 1 -> this code
+    li a1, 0x5003
+    st [a0+16], a1       ; vpn 4 -> frame 0x5000: li a3, 1; ret
+    li a1, 0x21003
+    st [a0+0x84], a1     ; vpn 0x21 -> the page table, to edit it below
+    li a1, 0x30003
+    st [a0+0xc0], a1     ; vpn 0x30 -> a data page
+    li a0, vec
+    csrw VBAR, a0
+    li t1, 0x20000
+    csrw PTBR, t1
+    li s0, 0
+    li t0, 0x4000
+    jalr lr, t0
+    add s0, s0, a3
+    jalr lr, t0
+    add s0, s0, a3
+    li a0, {address}
+    li a1, {value}
+    st [a0+0], a1
+    invlpg t0
+    jalr lr, t0          ; must fetch through the PTE as it is now
+    add s0, s0, a3
+    li a0, 1
+    out 0xf0, a0
+    hlt
+vec:
+    csrr s1, ECAUSE
+    li a0, 1
+    out 0xf0, a0
+    hlt
+"""
+PTE_OF_VPN_4 = 0x21010
+
+
+def run_remap(virt_mode, mmu_mode, address, value):
+    hv = Hypervisor(memory_bytes=64 * MIB)
+    vm = hv.create_vm(GuestConfig(name="vm", memory_bytes=GUEST_MEM,
+                                  virt_mode=virt_mode, mmu_mode=mmu_mode))
+    hv.load_program(vm, Assembler().assemble(
+        ".org 0x1000\n" + REMAP_CODE_PAGE.format(address=address,
+                                                 value=value)))
+    for frame, a3 in ((0x5000, 1), (0x6000, 2)):
+        hv.load_program(vm, Assembler().assemble(
+            f".org {frame:#x}\n    li a3, {a3}\n    ret\n"))
+    hv.reset_vcpu(vm, 0x1000)
+    outcome = hv.run(vm, max_guest_instructions=1_000)
+    return outcome, vm
+
+
+@pytest.mark.parametrize("pte, s0, ecause", [
+    (0x6003, 4, 0),              # remapped: the third call runs 0x6000
+    (0, 2, int(Cause.PF_EXEC)),  # unmapped: the third call faults
+], ids=["remap", "unmap"])
+def test_remapped_code_page_is_fetched_through_the_new_pte(pte, s0, ecause):
+    """A translated block depends on the PTE it was fetched through, not
+    only on its code bytes: a cache hit after the guest re-points or
+    clears that PTE must not run the old frame's translation."""
+    states = {}
+    for label, virt_mode, mmu_mode, _pv in MODE_MATRIX[1:]:
+        outcome, vm = run_remap(virt_mode, mmu_mode, PTE_OF_VPN_4, pte)
+        cpu = vm.vcpus[0].cpu
+        states[label] = (outcome, cpu.instret, tuple(cpu.regs))
+    outcome, _instret, regs = states["hw+shadow"]
+    assert outcome is RunOutcome.SHUTDOWN
+    assert (regs[Reg.S0], regs[Reg.S1]) == (s0, ecause)
+    assert all(state == states["hw+shadow"] for state in states.values()), states
+
+
+def test_pte_write_keeping_frame_and_fetch_costs_no_miss():
+    """Setting accessed / dirty in the PTE of translated code (what the
+    shadow MMU's write-back does) leaves the block cached: as many
+    misses as a store to a data page, one fewer than a remap."""
+    bt = (VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW)
+    misses = {}
+    for label, address, value in (
+            ("data", 0x30000, 0x1234),
+            ("accessed-dirty", PTE_OF_VPN_4,
+             0x5003 | PTE_ACCESSED | PTE_DIRTY),
+            ("remap", PTE_OF_VPN_4, 0x6003)):
+        outcome, vm = run_remap(*bt, address, value)
+        assert outcome is RunOutcome.SHUTDOWN
+        misses[label] = vm.stats.bt_block_misses
+    assert misses["accessed-dirty"] == misses["data"]
+    assert misses["remap"] == misses["data"] + 1

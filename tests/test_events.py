@@ -25,10 +25,10 @@ from repro.devices.irq import (
     InterruptController,
 )
 from repro.devices.schedule import NEVER, EventSchedule, attach_schedule
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, IRQLineWatchdog
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
-from repro.util.errors import ConfigError, DeviceError
+from repro.util.errors import DeviceError
 
 MEM = 0x40000
 ENTRY = 0x1000
@@ -110,7 +110,9 @@ class TestEventSchedule:
         assert s.next_due == 5
         assert s.fire_due(10) == 3
         assert s.next_due == 20
-        assert pic.raise_counts[0] == 2 and pic.raise_counts[3] == 1
+        delivered = pic.metrics.counter
+        assert delivered("delivered.line0").value == 2
+        assert delivered("delivered.line3").value == 1
         assert s.fire_due(25) == 1
         assert s.next_due == NEVER
         assert len(s) == 0
@@ -377,7 +379,7 @@ class TestIRQFaultSites:
         assert s.deferred_count == 1
         assert 5 < s.next_due <= 5 + 8
         assert s.fire_due(s.next_due) == 1  # lands late, not lost
-        assert pic.raise_counts[0] == 1
+        assert pic.metrics.counter("delivered.line0").value == 1
 
     def test_storm_requeues_consecutive_edges(self):
         inj = _injector(_pin("irq.storm"))
@@ -402,59 +404,6 @@ class TestIRQFaultSites:
         a.run(max_instructions=10_000)
         b.run(max_instructions=10_000)
         assert _snapshot(a) == _snapshot(b)
-
-
-# -- IRQLineWatchdog --------------------------------------------------------
-
-
-class TestIRQLineWatchdog:
-    def test_stuck_line_is_detected_and_force_acked(self):
-        pic = InterruptController()
-        dog = IRQLineWatchdog(pic, stuck_polls=3)
-        pic.raise_line(4)
-        assert dog.check() == []  # raise visible this poll: not stuck
-        assert dog.check() == []
-        assert dog.check() == []
-        assert dog.check() == [("stuck", 4)]
-        assert not pic.pending[4]  # recovery: force-acknowledged
-        assert dog.stuck_lines == 1
-        assert dog.metrics.counter("stuck.line4").value == 1
-
-    def test_serviced_line_never_trips(self):
-        pic = InterruptController()
-        dog = IRQLineWatchdog(pic, stuck_polls=2)
-        pic.raise_line(4)
-        dog.check()
-        pic.port_write(PIC_STATUS, 1 << 4)  # guest acks in time
-        assert dog.check() == []
-        assert dog.stuck_lines == 0
-
-    def test_fresh_raises_reset_the_streak(self):
-        pic = InterruptController()
-        dog = IRQLineWatchdog(pic, stuck_polls=2)
-        pic.raise_line(4)
-        dog.check()
-        pic.raise_line(4)  # still being raised: line is live, not stuck
-        assert dog.check() == []
-
-    def test_storm_detected_from_raise_rate(self):
-        pic = InterruptController()
-        dog = IRQLineWatchdog(pic, storm_threshold=8)
-        for _ in range(8):
-            pic.raise_line(2)
-        events = dog.check()
-        assert ("storm", 2) in events
-        assert dog.storms_detected == 1
-        assert dog.check() == [] or dog.check()[0][0] == "stuck"
-
-    def test_config_validation(self):
-        pic = InterruptController()
-        with pytest.raises(ConfigError):
-            IRQLineWatchdog(pic, stuck_polls=0)
-        with pytest.raises(ConfigError):
-            IRQLineWatchdog(pic, storm_threshold=0)
-        with pytest.raises(ConfigError):
-            IRQLineWatchdog(object())
 
 
 # -- console RX path --------------------------------------------------------

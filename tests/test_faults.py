@@ -16,7 +16,6 @@ from repro.devices.block import (
     STATUS_READY,
 )
 from repro.faults import (
-    DeviceTimeoutMonitor,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -110,26 +109,6 @@ def test_unknown_site_rejected_at_plan_build():
         FaultInjector(FaultPlan.from_rates(seed=1, rates={"nope.site": 0.5}))
 
 
-def test_register_site_extends_registry():
-    from repro.faults.injector import known_sites, register_site
-
-    assert "migrate.link_drop" in known_sites()
-    register_site("test.custom_site", "unit-test-only site")
-    try:
-        FaultPlan(
-            seed=1, specs=[FaultSpec("test.custom_site", rate=1.0)]
-        ).validate()
-        # Idempotent re-registration is fine; a conflicting description
-        # is rejected.
-        register_site("test.custom_site", "unit-test-only site")
-        with pytest.raises(ConfigError):
-            register_site("test.custom_site", "a different description")
-    finally:
-        from repro.faults import injector as _inj
-
-        _inj._KNOWN_SITES.pop("test.custom_site", None)
-
-
 def test_docstring_site_table_matches_catalog():
     # Every ``subsystem.point`` token in the module docstring must be a
     # registered site and vice versa, so the docs can't drift from the
@@ -203,7 +182,7 @@ def test_hmode_sites_pin_like_any_other():
     assert inj.fired("hmode.delegation_miss") == 1
 
 
-# -- watchdog + device timeout monitor ---------------------------------------
+# -- watchdog, wedged devices ------------------------------------------------
 
 
 def test_watchdog_fires_only_on_flatlined_progress():
@@ -216,7 +195,7 @@ def test_watchdog_fires_only_on_flatlined_progress():
     assert not wd.beat(400)  # re-armed, progress again
 
 
-def test_device_timeout_monitor_resets_stuck_block_device(hypervisor):
+def test_block_stuck_fault_wedges_the_device(hypervisor):
     inj = _injector(FaultSpec("block.stuck", rate=1.0, after=1, count=1))
     vm = make_vm(hypervisor, with_emulated_io=True)
     dev = vm.devices["block"]
@@ -226,18 +205,14 @@ def test_device_timeout_monitor_resets_stuck_block_device(hypervisor):
     dev.port_write(BLK_COUNT, 1)
     dev.port_write(BLK_DMA, 0x2000)
     dev.port_write(BLK_CMD, CMD_READ)  # completes fine
-    assert dev.ops_completed == 1
-
-    dev.port_write(BLK_CMD, CMD_READ)  # wedges: accepted, never completes
-    assert dev.stuck and dev.ops_completed == 1
-
-    monitor = DeviceTimeoutMonitor(dev, stall_checks=2)
-    assert not monitor.check()  # first poll: outstanding, not yet stalled
-    assert monitor.check()  # second poll: timeout -> reset + replay
-    assert monitor.timeouts == 1
-    assert dev.resets == 1 and not dev.stuck
-    assert dev.ops_completed == 2  # the wedged command was replayed
+    assert (dev.commands, dev.completions) == (1, 1)
     assert dev.status == STATUS_READY
+
+    for _ in range(2):  # wedged: accepted, never completed
+        dev.port_write(BLK_CMD, CMD_READ)
+    assert dev.stuck
+    assert (dev.commands, dev.completions) == (3, 1)
+    assert dev.stalled_commands == 2
 
 
 def test_block_io_error_fault_completes_with_error_status(hypervisor):
@@ -255,7 +230,7 @@ def test_block_io_error_fault_completes_with_error_status(hypervisor):
     assert dev.port_read(BLK_STATUS) == STATUS_READY
 
 
-def test_virtio_stuck_ring_recovers_on_reset(hypervisor):
+def test_virtio_stuck_fault_wedges_the_ring(hypervisor):
     inj = _injector(FaultSpec("virtio.ring_stuck", rate=1.0, count=1))
     vm = make_vm(hypervisor, name="vring", with_virtio=True)
     dev = vm.devices["virtio_blk"]
@@ -265,12 +240,10 @@ def test_virtio_stuck_ring_recovers_on_reset(hypervisor):
         0x1000, 0x2000, 0x3000,
     )
     dev.queue.size = 8
-    dev._drain()  # kick path: the injected fault wedges the ring
-    assert dev.stuck and dev.stalled_kicks == 1
-    monitor = DeviceTimeoutMonitor(dev, stall_checks=1)
-    dev.queue.kicks += 1  # monitor sees an outstanding kick
-    assert monitor.check()
-    assert not dev.stuck and dev.resets == 1
+    for _ in range(2):  # kick path: the injected fault wedges the ring
+        dev._drain()
+    assert dev.stuck and dev.stalled_kicks == 2
+    assert dev.completions == 0
 
 
 # -- error-cause chaining at subsystem boundaries ----------------------------

@@ -70,12 +70,12 @@ CALLS = {
     "trap-emulate/compiled/cpu_bound": 1.0427,
     "trap-emulate/compiled/memtouch": 4.7826,
     "trap-emulate/compiled/syscall_storm": 2.4440,
-    "bin-transl/interp/cpu_bound": 5.4731,
-    "bin-transl/interp/memtouch": 4.8601,
-    "bin-transl/interp/syscall_storm": 4.5580,
-    "bin-transl/compiled/cpu_bound": 2.1211,
-    "bin-transl/compiled/memtouch": 4.5283,
-    "bin-transl/compiled/syscall_storm": 4.5290,
+    "bin-transl/interp/cpu_bound": 5.4736,
+    "bin-transl/interp/memtouch": 4.8815,
+    "bin-transl/interp/syscall_storm": 4.5600,
+    "bin-transl/compiled/cpu_bound": 2.1216,
+    "bin-transl/compiled/memtouch": 4.5497,
+    "bin-transl/compiled/syscall_storm": 4.5310,
     "paravirt/interp/cpu_bound": 7.7407,
     "paravirt/interp/memtouch": 8.6745,
     "paravirt/interp/syscall_storm": 8.8980,

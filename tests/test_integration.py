@@ -11,7 +11,6 @@ from repro.core import (
     Hypervisor,
     MMUVirtMode,
     VirtMode,
-    VMScheduler,
     restore_vm,
     snapshot_vm,
 )
@@ -21,6 +20,7 @@ from repro.guest.workloads import expected_memtouch
 from repro.migration import LiveMigrator, PostCopyMigrator
 from repro.overcommit import HostSwap, PageSharer
 from repro.util.units import MIB
+from tests.conftest import round_robin
 
 GUEST_MEM = 16 * MIB
 PAGES, PASSES = 20, 2500
@@ -115,8 +115,8 @@ def test_snapshot_then_migrate_the_clone():
 
 
 def test_postcopy_into_a_scheduled_host():
-    # Destination host is already running another guest under the VM
-    # scheduler; the post-copied arrival joins and both finish.
+    # Destination host is already running another guest; the
+    # post-copied arrival joins and both finish.
     src = Hypervisor(memory_bytes=64 * MIB)
     dst = Hypervisor(memory_bytes=64 * MIB)
     resident = start(dst, "resident", warmup=50_000)
@@ -132,10 +132,7 @@ def test_scheduler_runs_shared_guests():
     hv = Hypervisor(memory_bytes=96 * MIB)
     vms = [start(hv, f"g{i}", warmup=60_000) for i in range(2)]
     PageSharer(hv).scan()
-    sched = VMScheduler(hv, quantum_cycles=30_000)
+    outcomes, _dispatches, _finished = round_robin(hv, vms, 30_000)
     for vm in vms:
-        sched.add(vm)
-    report = sched.run()
-    for vm in vms:
-        assert report.outcomes[vm.name] is RunOutcome.SHUTDOWN
+        assert outcomes[vm.name] is RunOutcome.SHUTDOWN
         assert read_diag(vm.guest_mem).user_result == EXPECTED

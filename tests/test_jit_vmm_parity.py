@@ -23,7 +23,6 @@ from repro.bench.common import GUEST_MEMORY, MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor
 from repro.core.emulate import emulate_guest_store
 from repro.core.hypervisor import RunOutcome
-from repro.core.schedule import VMScheduler
 from repro.core.snapshot import restore_vm, snapshot_vm
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
@@ -35,6 +34,7 @@ from repro.guest.layout import GuestLayout
 from repro.migration import LiveMigrator
 from repro.overcommit import HostSwap, PageSharer
 from repro.util.units import MIB
+from tests.conftest import round_robin
 from tests.test_core_bt import BASIC, TWO_PAGE
 
 #: Host RAM per guest: its 16 MiB, the translation tables, some slack.
@@ -316,24 +316,23 @@ def test_cycle_budget_stops_at_the_same_retire_edge(label, quantum):
 
 
 def test_scheduler_report_matches_interpreter():
+    # Three VMs on one host, interleaved in cycle quanta (every run ends
+    # on its budget mid-block, unwinding at its first serviced exit).
     reports = []
     for jit in (False, True):
         hv = Hypervisor(memory_bytes=3 * HOST_PER_GUEST)
-        sched = VMScheduler(hv, quantum_cycles=20_011)
         vms = []
         for k, (label, program) in enumerate([("hw+nested", "cpu_bound"),
                                                ("hw+shadow", "memtouch"),
                                                ("trap-emulate", "syscall_storm")]):
             _hv, vm = _create(label, jit, name=f"vm{k}", hv=hv)
             _load(hv, vm, label, program)
-            sched.add(vm, weight=128 * (k + 1))
             vms.append(vm)
-        report = sched.run()
-        reports.append((report.cycles, report.instructions, report.dispatches,
-                        report.finish_order, report.outcomes,
+        outcomes, dispatches, finished = round_robin(hv, vms, 20_011)
+        reports.append((outcomes, dispatches, finished,
                         [_state(vm) for vm in vms]))
     assert reports[0] == reports[1]
-    assert len(reports[0][3]) == 3
+    assert len(reports[0][2]) == 3
 
 
 # -- invalidation sources that do not exist on bare metal --------------------

@@ -122,22 +122,6 @@ class TestFrameAllocator:
         with pytest.raises(MemoryError_):
             alloc.free(0)
 
-    def test_contiguous_allocation(self):
-        pm = PhysicalMemory(16 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
-        first = alloc.alloc_contiguous(4)
-        assert all(alloc.is_allocated(first + i) for i in range(4))
-
-    def test_contiguous_respects_fragmentation(self):
-        pm = PhysicalMemory(6 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
-        frames = [alloc.alloc() for _ in range(6)]
-        # free a non-contiguous pattern: 0, 2, 4
-        for pfn in sorted(frames)[::2]:
-            alloc.free(pfn)
-        with pytest.raises(MemoryError_):
-            alloc.alloc_contiguous(2)
-
     def test_counters(self):
         pm = PhysicalMemory(4 * PAGE_SIZE)
         alloc = FrameAllocator(pm, reserved_frames=1)

@@ -93,19 +93,6 @@ def test_reinsert_updates_in_place():
     assert pte >> 12 == 2
 
 
-def test_hit_rate_and_reset():
-    tlb = TLB(4)
-    tlb.insert(1, entry())
-    tlb.lookup(1, AccessType.READ, user=False)
-    tlb.lookup(2, AccessType.READ, user=False)
-    assert tlb.stats.accesses == 2
-    assert tlb.stats.hit_rate == pytest.approx(0.5)
-    snap = tlb.stats.reset()
-    assert snap.hits == 1
-    assert tlb.stats.accesses == 0
-    assert TLB(1).stats.hit_rate == 0.0
-
-
 def test_capacity_validation():
     with pytest.raises(ValueError):
         TLB(0)

@@ -7,12 +7,16 @@ from repro.core import (
     Hypervisor,
     MMUVirtMode,
     VirtMode,
-    VMScheduler,
 )
 from repro.core.hypervisor import RunOutcome
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.exits import ExitReason
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    GuestProgressWatchdog,
+)
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_cpu_bound
 from repro.obs import (
@@ -29,6 +33,7 @@ from repro.sim.kernel import Simulator, Timeout
 from repro.util.errors import ConfigError
 from repro.util.eventlog import EventLog
 from repro.util.units import MIB
+from tests.conftest import round_robin
 
 GUEST_MEM = 16 * MIB
 
@@ -278,16 +283,18 @@ class TestHypervisorIntegration:
             ]),
             metrics=reg.scope("faults"),
         )
-        sched = VMScheduler(hv, quantum_cycles=20_000, watchdog_limit=4)
-        sched.add(stalls)
-        sched.add(healthy)
-        report = sched.run()
-        assert report.outcomes["stalls"] is RunOutcome.HUNG
-        assert report.outcomes["healthy"] is RunOutcome.SHUTDOWN
+        # One watchdog per VM: the hung guest cannot confuse hang
+        # detection for its neighbour, which runs on to the end.
+        watchdogs = {vm.name: GuestProgressWatchdog(
+            4, metrics=reg.scope(f"faults.watchdog.{vm.name}"))
+            for vm in (stalls, healthy)}
+        outcomes, _dispatches, _finished = round_robin(
+            hv, [stalls, healthy], 20_000, watchdogs)
+        assert outcomes["stalls"] is RunOutcome.HUNG
+        assert outcomes["healthy"] is RunOutcome.SHUTDOWN
         assert read_diag(healthy.guest_mem).user_result == (
             expected_cpu_bound(iterations)
         )
-        assert reg.value("sched.vmsched.hangs") == 1
         assert reg.value("faults.watchdog.stalls.hangs_detected") == 1
         assert reg.value("faults.watchdog.healthy.hangs_detected") == 0
         assert reg.value("faults.injected.vcpu.stall") == 1

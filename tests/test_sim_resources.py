@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.kernel import SEC, Simulator, Timeout
-from repro.sim.resources import Resource, TokenBucket
+from repro.sim.kernel import Simulator, Timeout
+from repro.sim.resources import Resource
 
 
 def test_resource_serializes_holders():
@@ -71,63 +71,3 @@ def test_resource_available_accounting():
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
-
-
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=10.0, burst=5.0)  # 10 tokens/sec
-        times = []
-
-        def consumer():
-            for _ in range(3):
-                yield from bucket.consume(5.0)
-                times.append(sim.now)
-
-        proc = sim.spawn(consumer())
-        sim.run_until_process(proc)
-        assert times[0] == 0  # burst satisfies the first request
-        # Each further 5-token request needs ~0.5 simulated seconds.
-        assert times[1] == pytest.approx(0.5 * SEC, rel=0.01)
-        assert times[2] == pytest.approx(1.0 * SEC, rel=0.01)
-
-    def test_request_above_burst_rejected(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=1.0, burst=2.0)
-
-        def consumer():
-            yield from bucket.consume(3.0)
-
-        sim.spawn(consumer())
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_nonpositive_consume_rejected(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=1.0, burst=1.0)
-
-        def consumer():
-            yield from bucket.consume(0)
-
-        sim.spawn(consumer())
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_peek_refills_over_time(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=2.0, burst=10.0)
-
-        def consumer():
-            yield from bucket.consume(10.0)
-            yield Timeout(1 * SEC)
-
-        proc = sim.spawn(consumer())
-        sim.run_until_process(proc)
-        assert bucket.peek() == pytest.approx(2.0, rel=0.01)
-
-    def test_invalid_parameters(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=0, burst=1)
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=1, burst=0)

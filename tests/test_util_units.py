@@ -1,4 +1,4 @@
-"""Units and formatting."""
+"""Units."""
 
 import pytest
 
@@ -9,9 +9,6 @@ from repro.util.units import (
     PAGE_SHIFT,
     PAGE_SIZE,
     bytes_to_pages,
-    fmt_bytes,
-    fmt_cycles,
-    pages_to_bytes,
 )
 
 
@@ -22,28 +19,9 @@ def test_constants_consistent():
     assert PAGE_SIZE == 1 << PAGE_SHIFT == 4096
 
 
-def test_pages_to_bytes_roundtrip():
-    assert pages_to_bytes(0) == 0
-    assert pages_to_bytes(3) == 3 * PAGE_SIZE
-    assert bytes_to_pages(pages_to_bytes(7)) == 7
-
-
 @pytest.mark.parametrize(
     "nbytes,pages",
     [(0, 0), (1, 1), (PAGE_SIZE, 1), (PAGE_SIZE + 1, 2), (10 * PAGE_SIZE, 10)],
 )
 def test_bytes_to_pages_rounds_up(nbytes, pages):
     assert bytes_to_pages(nbytes) == pages
-
-
-def test_fmt_bytes_suffixes():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(2048) == "2.0 KiB"
-    assert fmt_bytes(512 * MIB) == "512.0 MiB"
-    assert fmt_bytes(3 * GIB) == "3.0 GiB"
-
-
-def test_fmt_cycles_suffixes():
-    assert fmt_cycles(999) == "999 cyc"
-    assert fmt_cycles(1500) == "1.5 Kcyc"
-    assert fmt_cycles(2_500_000) == "2.5 Mcyc"
