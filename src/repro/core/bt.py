@@ -4,7 +4,10 @@ Guest **kernel** code never executes directly: the translator decodes
 basic blocks on first touch, classifies each instruction, and caches a
 *translated block*:
 
-* innocuous instructions are executed natively (``CPUCore.execute``);
+* innocuous instructions run natively: walked through
+  ``CPUCore.execute`` while the block is cold, and once it is hot each
+  run of them between two callouts is one closure of the block compiler
+  (:mod:`repro.cpu.jit`), charged as the walk charges;
 * privileged and sensitive instructions become **inline callouts** that
   run the core's own :meth:`~repro.cpu.interp.CPUCore.system` against
   the vCPU's virtual state -- no hardware world switch, cost
@@ -14,7 +17,8 @@ basic blocks on first touch, classifies each instruction, and caches a
   removes the trap-per-instruction tax of trap-and-emulate.
 
 Which of the two an item is is decided at translate time, and a write
-to any guest page a byte of the block lies on drops the block. A write
+to any guest page a byte of the block lies on drops the block; the
+watch follows a guest page to whatever host frame backs it now. A write
 to a guest page table the block was fetched through makes the block
 *suspect*: its next hit re-walks the guest tables (without side
 effects) and drops it if a page now comes from another frame or leaf
@@ -30,10 +34,13 @@ translator on virtual privilege transitions.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.stats import VMStats
 from repro.core.vcpu import VCPU
+from repro.cpu import jit
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
 from repro.cpu.isa import (
@@ -52,14 +59,14 @@ from repro.mem.paging import AccessType, PageFault
 #: Maximum instructions per translated block.
 MAX_BLOCK_INSTRUCTIONS = 32
 
-#: The per-block and per-callout counters, bumped through their
-#: registry ``Counter`` (``counter_attr.bound``; created on first bump).
-_block_hits = VMStats.bt_block_hits.bound
-_chained = VMStats.bt_chained.bound
-_callouts = VMStats.bt_callouts.bound
+#: The translator's counters, bumped through their registry ``Counter``
+#: (``counter_attr.bound``; created on first bump).
+_block_hits, _misses, _chained, _callouts, _translated = (attr.bound for attr in (
+    VMStats.bt_block_hits, VMStats.bt_block_misses, VMStats.bt_chained,
+    VMStats.bt_callouts, VMStats.bt_translated_instructions))
 
 #: Named per item, bound once (an ``Op.X`` spelling is an enum lookup).
-_VMCALL, _CSRW, _PTBR = Op.VMCALL, Op.CSRW, int(CSR.PTBR)
+_VMCALL, _CSRW, _PTBR, _MODE = Op.VMCALL, Op.CSRW, int(CSR.PTBR), int(CSR.MODE)
 _IO_OPS, _TRAP_OPS = frozenset((Op.IN, Op.OUT)), frozenset((Op.SYSCALL, Op.BRK))
 _BLOCK_ENDERS = frozenset((Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK))
 
@@ -76,6 +83,10 @@ class TranslatedBlock:
     #: A page table on the way to ``pages`` was written since the block
     #: was cached or last re-walked.
     suspect: bool = False
+    #: Dispatches left before it compiles, then what runs instead of
+    #: ``items`` (:meth:`BTEngine._compile`).
+    heat: int = 0
+    code: Optional[list] = None
 
 
 class BTEngine:
@@ -91,8 +102,6 @@ class BTEngine:
         costs: CostModel,
         inject_virq: Callable[[VCPU], bool],
         hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
-        cache_enabled: bool = True,
-        chaining_enabled: bool = True,
     ):
         self.vcpu = vcpu
         self.costs = costs
@@ -101,35 +110,34 @@ class BTEngine:
         #: IRQ if the guest's virtual IE allows; True if it injected
         #: (guest pc now at its vector).
         self.inject_virq = inject_virq
-        self.cache_enabled = cache_enabled
-        self.chaining_enabled = chaining_enabled
+        #: E9's ablations switch these off.
+        self.cache_enabled = True
+        self.chaining_enabled = True
         self._power = vcpu.vm.devices["power"]
+        self._sig = jit._cost_sig(costs)  # in compiled runs' heads
+        #: Native runs made closures (host-side, like ``jit_stats``).
+        self.runs_compiled = 0
 
         self._cache: Dict[Tuple[Optional[int], int], TranslatedBlock] = {}
         self._chains: Set[Tuple[int, int]] = set()
+        #: Code gfn -> keys of the blocks with a byte on it (a write drops
+        #: them); page-table gfn -> keys of the blocks fetched through it
+        #: (a write makes them suspect; a block kept is registered again).
         self._gfn_blocks: Dict[int, Set[Tuple[Optional[int], int]]] = {}
-        #: Self-modifying-code protection: host frames backing translated
-        #: guest code, watched for writes on the physical memory (stores
-        #: the translator runs natively, hypercall side effects and
-        #: device DMA all land there). A write drops every translation
-        #: backed by the written frame's guest page(s).
-        self._watched_hfns: Set[int] = set()
-        self._hfn_gfns: Dict[int, Set[int]] = {}
-        #: The same for the guest page tables (directory and leaf) the
-        #: cached blocks were fetched through; a write there makes the
-        #: blocks of ``_table_blocks[gfn]`` suspect (and empties it: a
-        #: block re-walked and kept is registered again).
-        self._hfn_tables: Dict[int, Set[int]] = {}
         self._table_blocks: Dict[int, Set[Tuple[Optional[int], int]]] = {}
+        #: Self-modifying-code protection: each watched gfn's host frame,
+        #: and the watched frames' gfns, whose keys physical memory tests
+        #: on every write (native stores, hypercalls and DMA all land there).
+        self._frame: Dict[int, int] = {}
+        self._watched: Dict[int, Set[int]] = {}
         #: Invalidation epoch: bumped on every cache invalidation so an
         #: in-flight block can bail at the store that rewrote
         #: translated code. The next fetch then re-translates from the
         #: new bytes -- same strict SMC-visible-at-next-fetch rule the
-        #: bare-core JIT enforces.
+        #: bare-core JIT enforces. Compiled runs test the same cell.
         self._epoch = [0]
-        self.vcpu.cpu.mmu.physmem.watch_writes(
-            self._watched_hfns, self._on_code_write
-        )
+        vcpu.cpu.mmu.physmem.watch_writes(self._watched.keys(), self._on_code_write)
+        vcpu.cpu.mmu.on_move = self._moved
 
     # -- public API ------------------------------------------------------
 
@@ -140,61 +148,132 @@ class BTEngine:
         powered off), ``"halted"`` (virtual HLT), or ``"budget"``.
         VMExits raised during execution (guest faults, shadow fills)
         propagate to the hypervisor, which services them and re-enters
-        here.
+        here. Block hits and misses, chained dispatches and callouts are
+        counted in locals and added to their counters on the way out.
         """
-        stats = self.vcpu.vm.stats
-        cpu = self.vcpu.cpu
-        start_cycles = cpu.cycles
-        prev_block_va: Optional[int] = None
+        vcpu = self.vcpu
+        cpu = vcpu.cpu
+        vcsr = vcpu.vcsr
+        stats = vcpu.vm.stats
+        virqs = vcpu.vm.pending_virqs
+        inject = self.inject_virq
+        power = self._power
         events = cpu.events
-        while True:
-            if events is not None and cpu.instret >= events.next_due:
-                # Retire-edge event firing, before the halt check: a
-                # raise can wake a virtually-halted guest, exactly as
-                # the hardware-assist core wakes in its run loop.
-                events.fire_due(cpu.instret)
-            if self.inject_virq(self.vcpu):
-                # Unmasked pending virq: delivered before the next fetch
-                # (the same edge the hardware-assist core delivers at).
-                prev_block_va = None
-                continue
-            if (self.vcpu.virtual_mode != MODE_KERNEL or self.vcpu.halted
-                    or self._power.shutdown_requested):
-                break
-            if max_cycles is not None and cpu.cycles - start_cycles >= max_cycles:
-                return "budget"
-            key = (cpu.mmu.guest_root, cpu.pc)
-            block = self._cache.get(key) if self.cache_enabled else None
-            if block is not None and block.suspect:
-                block = self._recheck(key, block)
-            if block is None:
-                block = self._translate(cpu.pc)
-                if block is None:
-                    # First fetch of the block faulted: the PF_EXEC was
-                    # reflected into the guest, whose pc now sits at its
-                    # vector. Re-dispatch from there.
+        epoch = self._epoch
+        execute = cpu.execute
+        callout = self._callout
+        cache = self._cache if self.cache_enabled else None
+        chains = self._chains if self.chaining_enabled else None
+        costs = self.costs
+        instr_cycles = costs.instr_cycles
+        callout_cycles = costs.bt_callout_cycles
+        dispatch_cycles = costs.bt_dispatch_cycles
+        stop = cpu.cycles + (max_cycles if max_cycles is not None else 1 << 62)
+        compiling = cpu.jit_enabled and cache is not None
+        # Each lap of a self-looping run is a dispatch of its own.
+        cpu._loop_stop = 0
+        prev_block_va: Optional[int] = None
+        hits = misses = chained = callouts = 0
+        try:
+            while True:
+                if events is not None and cpu.instret >= events.next_due:
+                    # Retire-edge event firing, before the halt check: a
+                    # raise can wake a virtually-halted guest, exactly as
+                    # the hardware-assist core wakes in its run loop.
+                    events.fire_due(cpu.instret)
+                if virqs and inject(vcpu):
+                    # Unmasked pending virq: delivered before the next
+                    # fetch (the same edge the hardware-assist core
+                    # delivers at).
                     prev_block_va = None
                     continue
-                stats.bt_block_misses += 1
-                if self.cache_enabled:
-                    self._cache[key] = block
-                    self._watch_block(key, block)
-            else:
-                _block_hits(stats).value += 1
-            # Dispatch cost, unless chained from the previous block.
-            if prev_block_va is not None:
-                link = (prev_block_va, block.start_va)
-                if self.chaining_enabled and link in self._chains:
-                    _chained(stats).value += 1
+                if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
+                        or power.shutdown_requested):
+                    break
+                if cpu.cycles >= stop:
+                    return "budget"
+                key = (cpu.mmu.guest_root, cpu.pc)
+                block = cache.get(key) if cache is not None else None
+                if block is not None and block.suspect:
+                    block = self._recheck(key, block)
+                if block is None:
+                    block = self._translate(cpu.pc)
+                    if block is None:
+                        # First fetch of the block faulted: the PF_EXEC
+                        # was reflected into the guest, whose pc now sits
+                        # at its vector. Re-dispatch from there.
+                        prev_block_va = None
+                        continue
+                    misses += 1
+                    if cache is not None:
+                        cache[key] = block
+                        self._watch_block(key, block)
                 else:
-                    cpu.cycles += self.costs.bt_dispatch_cycles
-                    if self.chaining_enabled:
-                        self._chains.add(link)
-            else:
-                cpu.cycles += self.costs.bt_dispatch_cycles
-            prev_block_va = block.start_va
-            self._execute_block(block, events)
-        return "halted" if self.vcpu.halted else "mode_switch"
+                    hits += 1
+                # Dispatch cost, unless chained from the previous block.
+                if prev_block_va is None:
+                    cpu.cycles += dispatch_cycles
+                elif chains is not None and (prev_block_va, block.start_va) in chains:
+                    chained += 1
+                else:
+                    cpu.cycles += dispatch_cycles
+                    if chains is not None:
+                        chains.add((prev_block_va, block.start_va))
+                prev_block_va = block.start_va
+                code = block.code
+                if code is None:
+                    code = block.items
+                    if compiling:
+                        block.heat -= 1
+                        if block.heat <= 0:
+                            code = block.code = self._compile(block)
+                e0 = epoch[0]
+                while code is not None:
+                    todo, code = code, None
+                    for kind, ins in todo:
+                        if events is not None and cpu.instret >= events.next_due:
+                            # An edge inside the block fires at its item
+                            # boundary, and an unmasked virq is delivered
+                            # there instead of at the block's end.
+                            events.fire_due(cpu.instret)
+                            if virqs and inject(vcpu):
+                                break
+                        if kind is True:  # a callout
+                            callouts += 1
+                            cpu.cycles += callout_cycles
+                            if callout(ins):
+                                break
+                        elif kind is False:  # a native item, walked
+                            cpu.cycles += instr_cycles
+                            execute(ins)  # VMExit may propagate (guest fault)
+                            # The store may have rewritten translated code
+                            # (ours included): stop at the boundary so the
+                            # next fetch re-translates from the new bytes.
+                            if ins.stores and epoch[0] != e0:
+                                break
+                        elif epoch[0] == e0 and (
+                                events is None
+                                or cpu.instret + kind[1] <= events.next_due):
+                            kind[0](cpu)  # a compiled run (see _compile)
+                            # It bailed at a store that invalidated code,
+                            # or ended with one: so does the block.
+                            if epoch[0] != e0 and (kind[3] or cpu.pc != kind[4]):
+                                break
+                        else:
+                            # An event is due inside the run, or a callout
+                            # invalidated code: walk on from here.
+                            code = block.items[kind[2]:]
+                            break
+            return "halted" if vcpu.halted else "mode_switch"
+        finally:
+            if hits:
+                _block_hits(stats).value += hits
+            if misses:
+                _misses(stats).value += misses
+            if chained:
+                _chained(stats).value += chained
+            if callouts:
+                _callouts(stats).value += callouts
 
     def invalidate_gfn(self, gfn: int) -> None:
         """Drop translations backed by a guest frame (self-modifying or
@@ -203,62 +282,66 @@ class BTEngine:
         if keys:
             self._drop(keys)
 
-    @property
-    def cached_blocks(self) -> int:
-        return len(self._cache)
-
     def _drop(self, keys) -> None:
         self._epoch[0] += 1
         for key in keys:
             self._cache.pop(key, None)
         # Drop only chains touching an invalidated block's entry point
         # (as predecessor or successor); unrelated links keep their
-        # free-dispatch status instead of being rebuilt from scratch.
+        # free-dispatch status. In place: a running dispatch holds it.
         dropped = {key[1] for key in keys}
-        self._chains = {
-            link
-            for link in self._chains
-            if link[0] not in dropped and link[1] not in dropped
-        }
+        self._chains.difference_update([
+            link for link in self._chains
+            if link[0] in dropped or link[1] in dropped])
 
     def _watch_block(self, key, block: TranslatedBlock) -> None:
         """Arm write-watching for the frames backing a cached block and
         for the guest page tables it was fetched through."""
-        guest_map = self.vcpu.vm.guest_mem.map
-        watched = self._watched_hfns
         tables = set()
         for gfn, table in block.pages.values():
             self._gfn_blocks.setdefault(gfn, set()).add(key)
-            hfn = guest_map.get(gfn)
-            if hfn is not None:
-                self._hfn_gfns.setdefault(hfn, set()).add(gfn)
-                watched.add(hfn)
             if table is not None:
                 tables.update((table, key[0] >> 12))
         for gfn in tables:
             self._table_blocks.setdefault(gfn, set()).add(key)
+        self._watch(tables.union(gfn for gfn, _table in block.pages.values()))
+
+    def _watch(self, gfns) -> None:
+        """Watch the host frames behind ``gfns`` (none for an unbacked one)."""
+        guest_map = self.vcpu.vm.guest_mem.map
+        for gfn in gfns:
             hfn = guest_map.get(gfn)
             if hfn is not None:
-                self._hfn_tables.setdefault(hfn, set()).add(gfn)
-                watched.add(hfn)
+                self._frame[gfn] = hfn
+                self._watched.setdefault(hfn, set()).add(gfn)
+
+    def _moved(self, gfn: int, hfn: Optional[int]) -> None:
+        """The host re-backed ``gfn`` with frame ``hfn``, or left it
+        unbacked (None): a sharing merge, a COW break, swap, the balloon
+        (``ShadowMMU.on_move``). Its watch goes with it, so a store into
+        the new frame is seen and one into the frame it left is not."""
+        old = self._frame.pop(gfn, None)
+        if old is not None:
+            gfns = self._watched[old]
+            gfns.discard(gfn)
+            if not gfns:
+                del self._watched[old]
+        if hfn is not None and (gfn in self._gfn_blocks or gfn in self._table_blocks):
+            self._watch((gfn,))
 
     def _on_code_write(self, hfn: int) -> None:
         """Physmem write watcher: a store landed on translated code, or
         on a page table translated code was fetched through."""
-        tables = self._hfn_tables.get(hfn)
-        if tables:
-            cache = self._cache
-            for gfn in tables:
-                for key in self._table_blocks.pop(gfn, ()):
-                    block = cache.get(key)
-                    if block is not None:
-                        block.suspect = True
-        else:
-            self._watched_hfns.discard(hfn)
-        gfns = self._hfn_gfns.pop(hfn, None)
-        if gfns:
-            for gfn in gfns:
-                self.invalidate_gfn(gfn)
+        gfns = self._watched.pop(hfn)
+        cache = self._cache
+        for gfn in gfns:
+            del self._frame[gfn]
+            for key in self._table_blocks.pop(gfn, ()):
+                block = cache.get(key)
+                if block is not None:
+                    block.suspect = True
+        for gfn in gfns:
+            self.invalidate_gfn(gfn)
 
     def _recheck(self, key, block: TranslatedBlock) -> Optional[TranslatedBlock]:
         """A suspect block's next hit: keep it (and watch its tables
@@ -296,6 +379,7 @@ class BTEngine:
         items: List[Tuple[bool, Instruction]] = []
         code_pages: Dict[int, Tuple[int, Optional[int]]] = {}
         cursor = va
+        head = None  # of the first native run, as _compile registers it
         for _ in range(MAX_BLOCK_INSTRUCTIONS):
             try:
                 ins = cpu.fetch(cursor)  # may raise VMExit (shadow fill)
@@ -341,54 +425,54 @@ class BTEngine:
                     break
             else:
                 items.append((False, ins))
+                if head is None:
+                    head = (cursor, ins, self._sig)
                 if ins.op in BRANCH_OPS:
                     break
             cursor += ins.length
         cpu.cycles += self.costs.bt_translate_cycles * len(items)
-        vm.stats.bt_translated_instructions += len(items)
-        return TranslatedBlock(start_va=va, items=items, pages=code_pages)
+        _translated(vm.stats).value += len(items)
+        # The compiler's tier: a block whose head the process holds code
+        # for compiles on its first dispatch, any other after HOT.
+        return TranslatedBlock(start_va=va, items=items, pages=code_pages,
+                               heat=0 if head in jit._HEADS else jit.HOT)
 
-    def _execute_block(self, block: TranslatedBlock, events) -> None:
-        """Walk the block item by item.
-
-        When a scheduled edge lands inside the block, the item boundary
-        it is due at fires it and delivers an unmasked virq at that
-        exact retire edge instead of the block boundary.
+    def _compile(self, block: TranslatedBlock) -> list:
+        """A hot block's code: its callouts, and each native run between
+        them as ``(fn, n, index, tail_store, end)`` -- a block-compiler
+        closure, the run's length and first item's index, whether its last
+        item stores, the pc it falls through to. ``paging=False`` is the
+        walk's charge (no fetch; data through ``mmu.translate``); the
+        closures' SMC cell is the translator's epoch.
         """
-        cpu = self.vcpu.cpu
-        execute = cpu.execute
-        instr_cycles = self.costs.instr_cycles
-        callout_cycles = self.costs.bt_callout_cycles
-        epoch = self._epoch
-        e0 = epoch[0]
-        for is_callout, ins in block.items:
-            if events is not None and cpu.instret >= events.next_due:
-                events.fire_due(cpu.instret)
-                if self.inject_virq(self.vcpu):
-                    return
+        items = block.items
+        vas = list(accumulate((ins.length for _, ins in items),
+                              initial=block.start_va))
+        code: list = []
+        index = 0
+        for is_callout, group in groupby(items, itemgetter(0)):
+            group = list(group)
+            n = len(group)
             if is_callout:
-                cpu.cycles += callout_cycles
-                if self._callout(ins):
-                    return
+                code += group
             else:
-                cpu.cycles += instr_cycles
-                execute(ins)  # VMExit may propagate (guest fault)
-                # The store may have rewritten translated code (ours
-                # included): stop at the boundary so the next fetch
-                # re-translates from the new bytes.
-                if ins.stores and epoch[0] != e0:
-                    return
+                run = [(ins, vas[index + k]) for k, (_, ins) in enumerate(group)]
+                make = jit._block_code(self.costs, run,
+                                       head=(run[0][1], run[0][0], self._sig))[0]
+                code.append(((make(self._epoch, None, 0), n, index,
+                              run[-1][0].stores, vas[index + n] & 0xFFFFFFFF), None))
+                self.runs_compiled += 1
+            index += n
+        return code
 
     def _callout(self, ins: Instruction) -> bool:
         """Run monitor logic for one rewritten instruction.
 
         Returns True when the block must stop (privilege change, halt,
-        power-off, trap reflection).
+        power-off, trap reflection, a virq delivered at its retire edge).
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
-        stats = vcpu.vm.stats
-        _callouts(stats).value += 1
         # A rewritten instruction retires like any other guest
         # instruction. Under hardware assist the same instruction bumps
         # instret in the core before its intercept exit is serviced
@@ -403,7 +487,7 @@ class BTEngine:
         if op is _VMCALL:
             if self.hypercall_handler is None:
                 raise RuntimeError("BT guest issued VMCALL with no handler")
-            stats.hypercalls += 1
+            vcpu.vm.stats.hypercalls += 1
             cpu.cycles += self.costs.hypercall_cycles
             self.hypercall_handler(
                 vcpu, ins.simm12 & 0xFFF, (cpu.pc + ins.length) & 0xFFFFFFFF
@@ -420,24 +504,15 @@ class BTEngine:
                 # CSR): pc is at the vector, the rest of this block is
                 # not what executes next.
                 return True
-        if (vcpu.halted or vcpu.virtual_mode != MODE_KERNEL
+        if (vcpu.halted or vcpu.vcsr[_MODE] != MODE_KERNEL
                 or self._power.shutdown_requested):
             return True
-        return self._post_retire_inject()
-
-    def _post_retire_inject(self) -> bool:
-        """Delivery edge after a non-stopping callout retires.
-
-        First fire any schedule event due at this retire edge (device
-        raises from the emulated instruction itself come first, matching
-        the hardware core's execute-then-fire order -- and keeping the
-        timer-vs-device priority race identical), then deliver an
-        unmasked pending virq before the next item executes. Returns
-        True when an injection redirected the pc (the block must stop).
-        """
-        vcpu = self.vcpu
-        cpu = vcpu.cpu
+        # The delivery edge after it retires: fire what is due there
+        # first (device raises from the emulated instruction itself come
+        # first, matching the hardware core's execute-then-fire order --
+        # and keeping the timer-vs-device priority race identical), then
+        # deliver an unmasked pending virq before the next item.
         events = cpu.events
         if events is not None and cpu.instret >= events.next_due:
             events.fire_due(cpu.instret)
-        return self.inject_virq(vcpu)
+        return bool(vcpu.vm.pending_virqs) and self.inject_virq(vcpu)

@@ -597,7 +597,7 @@ class Hypervisor:
                 or (self.injector is not None  # draws once per guest entry
                     and self.injector.plans("vcpu.stall"))
                 # The translator, not the core, runs BT guest-kernel mode.
-                or (vm.bt is not None and vcpu.virtual_mode == MODE_KERNEL)
+                or (vm.bt is not None and vcpu.vcsr[_MODE] == MODE_KERNEL)
                 # A spent budget: the pump returns before anything due
                 # at this edge fires.
                 or (max_guest_instructions is not None and
@@ -687,7 +687,7 @@ class Hypervisor:
             return
         if (
             vm.bt is not None
-            and vcpu.virtual_mode == MODE_KERNEL
+            and vcpu.vcsr[_MODE] == MODE_KERNEL
             and not vcpu.halted
         ):
             bt_budget = slice_ * 4

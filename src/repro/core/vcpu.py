@@ -65,15 +65,9 @@ class VCPU:
     def port_bus(self):
         return self.vm.port_bus
 
-    # The virtual privilege level stays on ``vcsr`` rather than going
-    # through ``csr``: only the deprivileged engines consult it, and the
-    # translator reads it at every block dispatch, where the accessor's
-    # cost shows. Under HW_ASSIST nothing reads it; the one writer there
-    # is a PV IRET hypercall issued by an HVM guest.
-
-    @property
-    def virtual_mode(self) -> int:
-        return self.vcsr[_MODE]
+    # The virtual privilege level is ``vcsr[MODE]``, read there directly
+    # (the translator does at every dispatch). Under HW_ASSIST its one
+    # writer is a PV IRET hypercall issued by an HVM guest.
 
     @property
     def virtual_user(self) -> bool:

@@ -50,17 +50,17 @@ instruction-budget boundaries -- restores the precise architectural
 boundary state and either delivers the trap exactly as the interpreter
 would or falls back to :meth:`CPUCore.step`.
 
-One consumer: :class:`BlockJIT`, the per-core engine behind
-``CPUCore.run()``. Blocks are keyed by *physical* start address
+Two consumers. :class:`BlockJIT`, the per-core engine behind
+``CPUCore.run()``: blocks keyed by *physical* start address
 (content-addressed), validated against physmem write watchers
 (self-modifying code) and a per-pc dispatch cache revalidated by PTE
 compare (so ``set_root``, ``invlpg``, flushes and evictions all stop the
-fast path until the next successful re-probe). The binary translator's
-kernel-mode half does not come here (DESIGN.md, "Why the translator has
-no compiled path"); its user-mode half does, through ``cpu.run``.
+fast path until the next successful re-probe). And the binary
+translator, whose hot blocks' native runs are closures of
+:func:`_block_code` (``paging=False``; DESIGN.md, "How translated runs
+compile"); its guest's user-mode half comes through ``cpu.run``.
 """
 
-import struct
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import VMExit
@@ -114,8 +114,6 @@ _WD = PTE_WRITABLE | PTE_DIRTY
 #: Negative-cache marker for "starts with something we cannot compile".
 _UNCOMPILABLE: Tuple = ()
 
-_U32 = struct.Struct("<I")
-
 
 def _r(index: int) -> str:
     """Register read expression; r0 folds to the literal 0."""
@@ -147,7 +145,7 @@ class _Src:
 
 
 #: Every cost the emitted source embeds as a literal.
-_COST_FIELDS = ("instr_cycles", "tlb_hit_cycles", "tlb_miss_cycles") + tuple(
+_COST_FIELDS = ("instr_cycles", "tlb_hit_cycles") + tuple(
     sorted({s.extra for s in OPS.values() if s.extra})
 )
 
@@ -209,9 +207,8 @@ def _emit_block(
     ``paging`` says fetches and data accesses go through the TLB
     (``mmu.tlb_active``): fetch hits are then counted and charged.
     ``bare`` says the MMU is the plain hardware one (``BareMMU``): only
-    then is a real-mode address its own physical address, and only then
-    may the reference walk be inlined (``deep``). Every other MMU is
-    reached through ``mmu.translate``.
+    then is a real-mode address its own physical address. Every other
+    MMU is reached through ``mmu.translate``.
     """
     n = len(items)
     vpn = items[0][1] >> 12
@@ -249,15 +246,6 @@ def _emit_block(
         and OPS[last_ins.op].expr != ""
         and last_ins.imm32 == items[0][1]
     )
-    # Self-looping blocks are hot by construction, so their IC-miss
-    # slow path additionally inlines the whole reference translate
-    # (TLB probe + 2-level walk + insert/evict bookkeeping) straight
-    # into the closure, replicating translate/walker.walk/TLB.insert
-    # statement for statement -- BareMMU's, so only over it.
-    # Dispatcher-bound blocks keep the plain `tr()` call: their
-    # preamble must stay cheap.
-    deep = fast_mem and selfloop and bare
-    miss_c = costs.tlb_miss_cycles
 
     # Static forwarding plan: memory op k may reuse the translation of
     # the previous memory op (cross-iteration in self-looping blocks:
@@ -318,15 +306,6 @@ def _emit_block(
         src.emit(1, "if u is not _ic[0]:")
         src.emit(2, "_ic[1:] = _ICR")
         src.emit(2, "_ic[0] = u")
-        if deep:
-            src.emit(1, "_e = te._entries")
-            src.emit(1, "_wk = mmu.walker")
-            src.emit(1, "_rpa = mmu.root_pa")
-            src.emit(1, "_cap = te.capacity")
-            src.emit(1, "_mb = pm._data")
-            src.emit(1, "_msz = pm.size")
-            src.emit(1, "pr32 = pm.read_u32")
-            src.emit(1, "pw32 = pm.write_u32")
         if need_fwd:
             src.emit(1, "_lp = -1")
             src.emit(1, "_lb = 0")
@@ -457,89 +436,19 @@ def _emit_block(
                 src.emit(depth + 1, access_stmt(f"_ic[{b + 2}] | (_va & 0xFFF)"))
             smc_bail(depth + 1)
             src.emit(depth, "else:")
-            if deep:
-                # Inline replica of BareMMU.translate on this access
-                # class: probe (reference lookup conditions + stats +
-                # LRU), then walker.walk (raw reads, fault order, A/D
-                # write visibility), then TLB.insert (LRU refresh or
-                # evict + epoch), then the IC/forwarding fill.
-                hit_cond = "not u or _pte & 4"
-                if is_store:
-                    hit_cond = f"({hit_cond}) and _pte & 18 == 18"
-                src.emit(depth + 1, "_pte = _e.get(_vp)")
-                src.emit(depth + 1, f"if _pte is not None and ({hit_cond}):")
-                src.emit(depth + 2, "mv(_vp)")
-                src.emit(depth + 2, "st.hits += 1")
-                if hit_c:
-                    src.emit(depth + 2, f"mc += {hit_c}")
-                src.emit(depth + 2, "_fb = _pte & 0xFFFFF000")
-                src.emit(depth + 1, "else:")
-                d = depth + 2
-                src.emit(d, "st.misses += 1")
-                src.emit(d, "_wk.walks += 1")
-                src.emit(d, "_p1 = _rpa + ((_va >> 22) & 0x3FF) * 4")
-                src.emit(d, "if _p1 + 4 > _msz:")
-                src.emit(d + 1, "pr32(_p1)")
-                src.emit(d, "_pde = _up(_mb, _p1)[0]")
-                src.emit(d, "if not _pde & 1:")
-                src.emit(d + 1, "_wk.faults += 1")
-                src.emit(d + 1, f"raise _PF(_va, {at}, u, False)")
-                src.emit(d, "_p2 = (_pde >> 12 << 12) + ((_va >> 12) & 0x3FF) * 4")
-                src.emit(d, "if _p2 + 4 > _msz:")
-                src.emit(d + 1, "pr32(_p2)")
-                src.emit(d, "_pte = _up(_mb, _p2)[0]")
-                src.emit(d, "if not _pte & 1:")
-                src.emit(d + 1, "_wk.faults += 1")
-                src.emit(d + 1, f"raise _PF(_va, {at}, u, False)")
-                src.emit(d, "if u and not _pde & _pte & 4:")
-                src.emit(d + 1, "_wk.faults += 1")
-                src.emit(d + 1, f"raise _PF(_va, {at}, u, True)")
-                if is_store:
-                    src.emit(d, "if not _pde & _pte & 2:")
-                    src.emit(d + 1, "_wk.faults += 1")
-                    src.emit(d + 1, f"raise _PF(_va, {at}, u, True)")
-                src.emit(d, "if not _pde & 8:")
-                src.emit(d + 1, "pw32(_p1, _pde | 8)")
-                src.emit(d, f"_t = _pte | {24 if is_store else 8}")
-                src.emit(d, "if _t != _pte:")
-                src.emit(d + 1, "pw32(_p2, _t)")
-                src.emit(d + 1, "_pte = _t")
-                src.emit(d, "if _vp in _e:")
-                src.emit(d + 1, "mv(_vp)")
-                src.emit(d + 1, "if _e[_vp] != _pte:")
-                src.emit(d + 2, "te.epoch += 1")
-                src.emit(d + 1, "_e[_vp] = _pte")
-                src.emit(d, "else:")
-                src.emit(d + 1, "if len(_e) >= _cap:")
-                src.emit(d + 2, "_e.popitem(last=False)")
-                src.emit(d + 2, "st.evictions += 1")
-                src.emit(d + 2, "te.epoch += 1")
-                src.emit(d + 1, "_e[_vp] = _pte")
-                src.emit(d, f"mc += {miss_c}")
-                src.emit(d, "_fb = _pte & 0xFFFFF000")
-                src.emit(depth + 1, f"_ic[{b}] = _vp")
-                src.emit(depth + 1, f"_ic[{b + 1}] = _pte")
-                src.emit(depth + 1, f"_ic[{b + 2}] = _fb")
-                if need_fwd:
-                    src.emit(depth + 1, "_lp = _vp")
-                    src.emit(depth + 1, "_lb = _fb")
-                    if need_lt:
-                        src.emit(depth + 1, "_lt = _pte")
-                src.emit(depth + 1, access_stmt("_fb | (_va & 0xFFF)"))
+            src.emit(depth + 1, f"_a, _c = tr(_va, {at}, u)")
+            src.emit(depth + 1, "mc += _c")
+            src.emit(depth + 1, f"_ic[{b}] = _vp")
+            if need_lt:
+                src.emit(depth + 1, "_lt = eg(_vp)")
+                src.emit(depth + 1, f"_ic[{b + 1}] = _lt")
             else:
-                src.emit(depth + 1, f"_a, _c = tr(_va, {at}, u)")
-                src.emit(depth + 1, "mc += _c")
-                src.emit(depth + 1, f"_ic[{b}] = _vp")
-                if need_lt:
-                    src.emit(depth + 1, "_lt = eg(_vp)")
-                    src.emit(depth + 1, f"_ic[{b + 1}] = _lt")
-                else:
-                    src.emit(depth + 1, f"_ic[{b + 1}] = eg(_vp)")
-                src.emit(depth + 1, f"_ic[{b + 2}] = _a & 0xFFFFF000")
-                if need_fwd:
-                    src.emit(depth + 1, "_lp = _vp")
-                    src.emit(depth + 1, f"_lb = _ic[{b + 2}]")
-                src.emit(depth + 1, access_stmt("_a"))
+                src.emit(depth + 1, f"_ic[{b + 1}] = eg(_vp)")
+            src.emit(depth + 1, f"_ic[{b + 2}] = _a & 0xFFFFF000")
+            if need_fwd:
+                src.emit(depth + 1, "_lp = _vp")
+                src.emit(depth + 1, f"_lb = _ic[{b + 2}]")
+            src.emit(depth + 1, access_stmt("_a"))
             # The translate may have evicted or changed the executing
             # code page's entry (so the next fetch would miss); stores
             # may also have hit compiled code. Bail at the boundary.
@@ -706,7 +615,6 @@ def _emit_block(
         "_DIV0": Cause.DIV0,
         "_PRIV": Cause.PRIV,
         "_ICR": (-1, 0, 0) * len(mem_indices),
-        "_up": _U32.unpack_from,
     }
     exec(compile(make.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
     return ns["_make"], pre[n], len(mem_indices)

@@ -5,9 +5,13 @@ import pytest
 from repro.bench.common import MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.isa import Cause, Reg
+from repro.devices.irq import IRQ_TIMER_LINE
+from repro.devices.schedule import EventSchedule
 from repro.mem.paging import PTE_ACCESSED, PTE_DIRTY
+from repro.overcommit import HostSwap, PageSharer
 from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
@@ -137,9 +141,9 @@ def test_invalidate_gfn_drops_translations():
     hv.load_program(vm, prog)
     hv.reset_vcpu(vm, 0x1000)
     hv.run(vm, max_guest_instructions=200_000)
-    assert vm.bt.cached_blocks > 0
+    assert len(vm.bt._cache) > 0
     vm.bt.invalidate_gfn(1)  # kernel code lives in gfn 1
-    assert vm.bt.cached_blocks == 0
+    assert len(vm.bt._cache) == 0
 
 
 TWO_PAGE = """
@@ -170,14 +174,14 @@ def test_unrelated_invalidation_keeps_chains():
     outcome = hv.run(vm, max_guest_instructions=100)
     assert outcome is RunOutcome.INSTR_LIMIT
 
-    blocks_before = vm.bt.cached_blocks
+    blocks_before = len(vm.bt._cache)
     chains_before = set(vm.bt._chains)
     assert blocks_before > 0 and chains_before
 
     # Invalidate the frame holding only `far`; gfn-1 blocks and the
     # chains that link them must survive untouched.
     vm.bt.invalidate_gfn(2)
-    assert 0 < vm.bt.cached_blocks < blocks_before
+    assert 0 < len(vm.bt._cache) < blocks_before
     surviving = set(vm.bt._chains)
     assert surviving  # chained dispatch in gfn 1 still wired up
     assert surviving <= chains_before
@@ -185,9 +189,9 @@ def test_unrelated_invalidation_keeps_chains():
         assert src_va >> 12 != 2 and dst_va >> 12 != 2
 
     # A frame with no translations at all is a strict no-op.
-    blocks_now, chains_now = vm.bt.cached_blocks, set(vm.bt._chains)
+    blocks_now, chains_now = len(vm.bt._cache), set(vm.bt._chains)
     vm.bt.invalidate_gfn(7)
-    assert vm.bt.cached_blocks == blocks_now
+    assert len(vm.bt._cache) == blocks_now
     assert set(vm.bt._chains) == chains_now
 
     # Resuming after the partial invalidation retranslates `far` and
@@ -425,3 +429,255 @@ def test_pte_write_keeping_frame_and_fetch_costs_no_miss():
         misses[label] = vm.stats.bt_block_misses
     assert misses["accessed-dirty"] == misses["data"]
     assert misses["remap"] == misses["data"] + 1
+
+
+# -- the write watch follows a guest page to its host frame ------------------
+#
+# Paging off, 2 MiB guests. The guest calls f (li a3, 1; ret), which
+# translates it, spins until the host sets FLAG, copies g (li a3, 2; ret)
+# over f and calls f again: s0 ends at 1 + 2. In between, the host moves
+# the guest's pages to other frames. F_OWN puts f on a page of its own,
+# F_SHARED on the page of the code that copies over it.
+
+F_OWN, F_SHARED, G, FLAG = 0x2000, 0x1800, 0x3000, 0x4000
+SMALL = 2 * MIB
+
+
+def _copy_over(f):
+    return f"""
+    li   s0, 0
+    li   t0, {f:#x}
+    jalr lr, t0
+    add  s0, s0, a3
+    li   t1, {FLAG:#x}
+wait:
+    ld   t2, [t1+0]
+    beqz t2, wait
+    li   t1, {G:#x}
+    li   t2, {f:#x}
+    ld   t3, [t1+0]
+    st   [t2+0], t3
+    ld   t3, [t1+4]
+    st   [t2+4], t3
+    ld   t3, [t1+8]
+    st   [t2+8], t3
+    li   t0, {f:#x}
+    jalr lr, t0
+    add  s0, s0, a3
+    li   a0, 1
+    out  0xf0, a0
+"""
+
+
+SMC_ROWS = {
+    "trap-emulate": VirtMode.TRAP_EMULATE,
+    "bin-transl": VirtMode.BINARY_TRANSLATION,
+    "hw-shadow": VirtMode.HW_ASSIST,
+}
+
+
+def spinning_vm(hv, row, f, name="vm"):
+    """A guest of ``row`` that has called f once and now spins on FLAG."""
+    vm = hv.create_vm(GuestConfig(name=name, memory_bytes=SMALL,
+                                  virt_mode=SMC_ROWS[row],
+                                  mmu_mode=MMUVirtMode.SHADOW))
+    for base, source in ((0x1000, _copy_over(f)), (f, "li a3, 1\n    ret"),
+                         (G, "li a3, 2\n    ret")):
+        hv.load_program(vm, Assembler().assemble(
+            f".org {base:#x}\n    {source}\n"))
+    hv.reset_vcpu(vm, 0x1000)
+    assert hv.run(vm, max_guest_instructions=300) is RunOutcome.INSTR_LIMIT
+    assert vm.vcpus[0].cpu.regs[Reg.S0] == 1
+    return vm
+
+
+def finish(hv, vm):
+    """Let the guest past FLAG and run it to power-off."""
+    vm.guest_mem.write_u32(FLAG, 1)
+    assert hv.run(vm, max_guest_instructions=10_000) is RunOutcome.SHUTDOWN
+    cpu = vm.vcpus[0].cpu
+    return (cpu.regs[Reg.S0], cpu.cycles, cpu.instret,
+            vm.stats.bt_block_misses, vm.stats.bt_block_hits)
+
+
+def merged_pair(row, f):
+    hv = Hypervisor(memory_bytes=8 * MIB)
+    a, b = (spinning_vm(hv, row, f, name) for name in "ab")
+    assert PageSharer(hv).scan().pages_merged > 0
+    return hv, a, b
+
+
+def swapped_pair(row, gfns):
+    """Two spinning guests; the host swaps out ``(vm name, gfn)`` in
+    order, then holds the frame the last one freed."""
+    hv = Hypervisor(memory_bytes=8 * MIB)
+    vms = {name: spinning_vm(hv, row, F_SHARED, name) for name in "ab"}
+    swap = HostSwap(hv)
+    for name, gfn in gfns:
+        swap.swap_out(vms[name], gfn)
+    return hv, vms["a"], vms["b"]
+
+
+@pytest.mark.parametrize("row", list(SMC_ROWS))
+def test_store_into_a_merged_then_copied_code_page(row):
+    """The COW break moves f's gfn to a new frame, and the copy stores
+    into that one: the translator must watch the new frame."""
+    hv, a, _b = merged_pair(row, F_OWN)
+    assert finish(hv, a)[0] == 3
+
+
+@pytest.mark.parametrize("row", list(SMC_ROWS))
+def test_store_into_a_swapped_in_code_page(row):
+    """Swap-in brings f's page back at another frame."""
+    hv = Hypervisor(memory_bytes=8 * MIB)
+    vm = spinning_vm(hv, row, F_OWN)
+    HostSwap(hv).swap_out(vm, F_OWN >> 12)
+    hv.allocator.alloc(zero=False)  # the frame it left stays as it was
+    assert finish(hv, vm)[0] == 3
+
+
+@pytest.mark.parametrize("row", list(SMC_ROWS))
+def test_a_frame_a_merged_code_page_left_is_not_watched(row):
+    """After the merge, b's old code frame is free; a's COW copy of the
+    same page lands in it. b must not see a's writes there."""
+    alone = finish(*merged_pair(row, F_SHARED)[::2])
+    hv, a, b = merged_pair(row, F_SHARED)
+    assert finish(hv, a)[0] == 3
+    assert finish(hv, b) == alone
+    assert alone[0] == 3
+
+
+@pytest.mark.parametrize("row", list(SMC_ROWS))
+def test_a_frame_a_swapped_code_page_left_is_not_watched(row):
+    """b's code page is swapped out after a's page of g; a's swap-in of
+    g gets the frame b's code left. b must not see a's writes there."""
+    order = [("a", G >> 12), ("b", F_SHARED >> 12)]
+    alone = finish(*swapped_pair(row, order)[::2])
+    hv, a, b = swapped_pair(row, order)
+    assert finish(hv, a)[0] == 3
+    assert finish(hv, b) == alone
+    assert alone[0] == 3
+
+
+# -- compiled runs are the walk ----------------------------------------------
+#
+# Each guest runs twice, every block compiled on its first dispatch and
+# with the translator's item walk (``jit_enabled = False``); everything
+# simulated must match.
+
+
+@pytest.fixture
+def compile_on_first_visit(monkeypatch):
+    monkeypatch.setattr(jitmod, "HOT", 1)
+    monkeypatch.setattr(jitmod, "_CODE", {})
+    monkeypatch.setattr(jitmod, "_HEADS", set())
+
+
+def walked_and_compiled(source, prepare=lambda hv, vm: None):
+    states = []
+    for compiled in (False, True):
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = bt_vm(hv)
+        cpu = vm.vcpus[0].cpu
+        cpu.jit_enabled = compiled
+        hv.load_program(vm, Assembler().assemble(".org 0x1000\n" + source))
+        hv.reset_vcpu(vm, 0x1000)
+        prepare(hv, vm)
+        outcome = hv.run(vm, max_guest_instructions=200_000)
+        tlb = cpu.mmu.tlb.stats
+        stats = vm.stats
+        states.append({
+            "outcome": outcome, "cycles": cpu.cycles, "instret": cpu.instret,
+            "regs": tuple(cpu.regs), "hits": stats.bt_block_hits,
+            "chained": stats.bt_chained, "misses": stats.bt_block_misses,
+            "tlb": (tlb.hits, tlb.misses, tlb.flushes, tlb.invalidations,
+                    tlb.evictions),
+        })
+    assert vm.bt.runs_compiled > 0
+    assert states[0]["outcome"] is RunOutcome.SHUTDOWN
+    return states
+
+
+def test_a_self_looping_run_laps_once_per_dispatch(compile_on_first_visit):
+    """The loop's block is one run that branches back to its own start:
+    every lap is a dispatch (a hit and a chained dispatch), not a lap
+    inside the closure."""
+    walked, compiled = walked_and_compiled("""
+    li   s0, 50
+loop:
+    add  s1, s1, s0
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   a0, 1
+    out  0xf0, a0
+""")
+    assert walked["hits"] >= 48 and walked["chained"] >= 47
+    assert compiled == walked
+
+
+def test_an_event_due_inside_a_run_fires_at_its_edge(compile_on_first_visit):
+    """A timer event due in the middle of a lap of the loop's run is
+    delivered there (the vector records EPC in s2)."""
+    def schedule(hv, vm):
+        vm.vcpus[0].cpu.events = EventSchedule([(4 + 6 * 5 + 3, IRQ_TIMER_LINE)],
+                                               vm.pic)
+
+    walked, compiled = walked_and_compiled("""
+    li   a0, vec
+    csrw VBAR, a0
+    sti
+    li   s0, 40
+loop:
+    add  s1, s1, 1
+    add  s1, s1, 2
+    add  s1, s1, 3
+    add  s1, s1, 4
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   a0, 1
+    out  0xf0, a0
+vec:
+    csrr s2, EPC
+    li   a0, 1
+    out  0xf0, a0
+""", schedule)
+    assert walked["regs"][Reg.S1] == 5 * 10 + 1 + 2 + 3
+    assert compiled == walked
+
+
+def test_a_callout_that_rewrites_code_stops_the_block_at_the_next_store(
+        compile_on_first_visit):
+    """The block's OUT starts a disk read whose DMA lands on f, which is
+    translated: the block stops after its next store, which is inside
+    the native run that follows the OUT, not at the run's end."""
+    def disk(hv, vm):
+        vm.devices["block"].load_image(Assembler().assemble(
+            ".org 0x3000\n    li a3, 2\n    ret\n").data)
+        hv.load_program(vm, Assembler().assemble(
+            ".org 0x3000\n    li a3, 1\n    ret\n"))
+
+    walked, compiled = walked_and_compiled("""
+    li   t0, 0x3000
+    jalr lr, t0
+    mov  s0, a3
+    li   a0, 0
+    out  0x50, a0        ; sector 0
+    li   a0, 1
+    out  0x51, a0        ; one sector
+    li   a0, 0x3000
+    out  0x52, a0        ; DMA onto f
+    li   t1, 0x8000
+    li   a0, 1
+    out  0x53, a0        ; read: f is rewritten
+    add  s1, s1, 1
+    st   [t1+0], s1      ; the block stops here ...
+    add  s2, s2, 1       ; ... not after these
+    add  s2, s2, 2
+    li   t0, 0x3000
+    jalr lr, t0
+    add  s0, s0, a3
+    li   a0, 1
+    out  0xf0, a0
+""", disk)
+    assert walked["regs"][Reg.S0] == 3
+    assert compiled == walked

@@ -113,7 +113,7 @@ class TestModeChanges:
         vcpu.vcsr[CSR.EPC] = 0x200000
         name = emulate_privileged(vcpu, ins(Op.IRET))
         assert name == "iret"
-        assert vcpu.virtual_mode == MODE_USER
+        assert vcpu.vcsr[CSR.MODE] == MODE_USER
         assert vcpu.vcsr[CSR.IE] == 1
         assert vcpu.cpu.pc == 0x200000
         assert vcpu.cpu.mode == MODE_USER  # real mode was already user

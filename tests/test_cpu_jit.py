@@ -741,10 +741,9 @@ class TestEngineManagement:
         assert jit.stats()["blocks_cached"] == 0
 
     def test_miss_cost_change_flushes_paging_self_loop(self):
-        # A self-looping paging block inlines the reference walk and
-        # with it the TLB-miss charge as a literal; a new miss cost
-        # must reach it. 80 pages through a 64-entry TLB: every
-        # iteration's store walks.
+        # A self-looping paging block compiled at one miss cost must
+        # charge a new one (its worst-case charge embeds it too). 80
+        # pages through a 64-entry TLB: every iteration's store walks.
         import dataclasses
 
         image = _asm(
