@@ -6,7 +6,7 @@ from repro.bench import run_e2
 def test_e2_mmu_virtualization(benchmark, show):
     result = benchmark.pedantic(
         run_e2,
-        kwargs={"pt_cycles": 250, "walk_pages": 256, "walk_accesses": 10000},
+        kwargs={"pt_cycles": 250, "walk_accesses": 10000},
         iterations=1, rounds=1,
     )
     show(result)

@@ -6,8 +6,7 @@ from repro.bench import run_e3
 def test_e3_tlb_curve(benchmark, show):
     result = benchmark.pedantic(
         run_e3,
-        kwargs={"working_sets": (8, 32, 64, 128, 256, 512),
-                "accesses": 9000, "baseline_accesses": 3000},
+        kwargs={"accesses": 9000, "baseline_accesses": 3000},
         iterations=1, rounds=1,
     )
     show(result)

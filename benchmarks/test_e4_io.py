@@ -4,8 +4,7 @@ from repro.bench import run_e4
 
 
 def test_e4_io_virtualization(benchmark, show):
-    result = benchmark.pedantic(run_e4, kwargs={"requests": 64},
-                                iterations=1, rounds=1)
+    result = benchmark.pedantic(run_e4, iterations=1, rounds=1)
     show(result)
     cases = result.raw["cases"]
     requests = result.raw["requests"]

@@ -43,7 +43,7 @@ def main() -> None:
           f"{hv.allocator.free_frames:,}")
 
     print("\n-- working-set estimation (access-bit sampling) --")
-    samples = estimate_wss(hv, vms[0], sample_instructions=20_000, samples=3)
+    samples = estimate_wss(hv, vms[0])
     print(f"  {vms[0].name}: pages touched per interval: {samples}")
 
     print("\n-- content-based page sharing --")

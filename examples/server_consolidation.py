@@ -15,7 +15,6 @@ from repro.cluster import (
     HostSpec,
     LoadBalancer,
     Placement,
-    PowerModel,
     VMSpec,
     consolidation_savings,
     host_performance,
@@ -51,8 +50,8 @@ def main() -> None:
         before_hosts.append(host)
     before = Placement(hosts=before_hosts)
 
-    after = plan_consolidation(vms, spec, cpu_overcommit=1.5)
-    savings = consolidation_savings(before, after, PowerModel())
+    after = plan_consolidation(vms, spec)
+    savings = consolidation_savings(before, after)
 
     print(f"hosts: {savings.hosts_before} -> {savings.hosts_after} "
           f"({savings.consolidation_ratio:.1f}:1 consolidation)")
@@ -74,8 +73,8 @@ def main() -> None:
     spare_base = len(after.hosts)
     after.hosts.extend(Host(spec, index=spare_base + i) for i in range(2))
     sim = Simulator()
-    link = NetworkLink(sim, bandwidth_bytes_per_sec=125 * MIB, latency=100)
-    balancer = LoadBalancer(link, high_watermark=0.95, low_watermark=0.85)
+    link = NetworkLink(sim, bandwidth_bytes_per_sec=125 * MIB)
+    balancer = LoadBalancer(link)
     report = balancer.rebalance(after)
     print(f"\nrebalancing: {report.migration_count} migrations, "
           f"imbalance {report.imbalance_before:.3f} -> "

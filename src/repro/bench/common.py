@@ -91,7 +91,7 @@ class ExperimentResult:
     def render(self) -> str:
         return self.table.render()
 
-    def manifest(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def manifest(self) -> Dict[str, Any]:
         """The run's metrics as a JSON-ready manifest.
 
         Experiments that did not thread a registry still produce a
@@ -102,7 +102,11 @@ class ExperimentResult:
         if self.manifest_data is not None:
             return self.manifest_data
         registry = self.metrics if self.metrics is not None else new_run_registry()
-        return build_manifest(registry, experiment=self.experiment, extra=extra)
+        return build_manifest(registry, experiment=self.experiment)
+
+
+#: Instruction budget of one experiment boot.
+_MAX_INSTRUCTIONS = 30_000_000
 
 
 def run_guest_workload(
@@ -112,19 +116,15 @@ def run_guest_workload(
     mmu_mode: Optional[MMUVirtMode],
     pv: bool,
     costs: Optional[CostModel] = None,
-    timer_period: int = 0,
-    max_instructions: int = 30_000_000,
     bt_cache: bool = True,
     bt_chaining: bool = True,
     registry: Optional[MetricsRegistry] = None,
 ) -> ModeMetrics:
     """Boot NanoOS with ``workload`` in the given mode; return metrics."""
-    kernel = build_kernel(
-        KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY, timer_period=timer_period)
-    )
+    kernel = build_kernel(KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY))
     if virt_mode is None:
-        machine = Machine(memory_bytes=GUEST_MEMORY, costs=costs)
-        diag = boot_native(machine, kernel, workload, max_instructions)
+        machine = Machine(memory_bytes=GUEST_MEMORY)
+        diag = boot_native(machine, kernel, workload, _MAX_INSTRUCTIONS)
         if not diag.clean:
             raise GuestError(f"native run unclean: {diag}")
         return ModeMetrics(
@@ -149,7 +149,7 @@ def run_guest_workload(
     if vm.bt is not None:
         vm.bt.cache_enabled = bt_cache
         vm.bt.chaining_enabled = bt_chaining
-    diag = boot_vm(hv, vm, kernel, workload, max_instructions)
+    diag = boot_vm(hv, vm, kernel, workload, _MAX_INSTRUCTIONS)
     if not diag.clean:
         raise GuestError(f"{label} run unclean: {diag}")
     cpu = vm.vcpus[0].cpu

@@ -31,7 +31,6 @@ from repro.bench.common import (
 from repro.cluster import (
     AdmissionError,
     ConstraintSet,
-    EvacuationConfig,
     Host,
     HostSpec,
     Placement,
@@ -54,7 +53,6 @@ from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.migration import LiveMigrator
 from repro.obs.registry import MetricsRegistry
-from repro.sim.shard import parallel_map
 from repro.util.errors import GuestError
 from repro.util.table import Table
 from repro.util.units import GIB
@@ -86,7 +84,7 @@ def _migration_plan() -> FaultPlan:
     ])
 
 
-def _migrate_once(pages: int, passes: int, injector, registry=None):
+def _migrate_once(pages: int, passes: int, injector, registry):
     src = Hypervisor(memory_bytes=HOST_MEMORY, registry=registry)
     dst = Hypervisor(memory_bytes=HOST_MEMORY, registry=registry)
     vm = _boot_memtouch(src, "e10-mig", pages, passes)
@@ -101,9 +99,9 @@ def _migrate_once(pages: int, passes: int, injector, registry=None):
 
 
 def _migration_scenario(pages: int, passes: int,
-                        registry=None) -> Dict[str, object]:
+                        registry) -> Dict[str, object]:
     expected = expected_memtouch(pages, passes)
-    faults_scope = registry.scope("faults") if registry is not None else None
+    faults_scope = registry.scope("faults")
     baseline, b_out, b_diag = _migrate_once(pages, passes, None, registry)
 
     inj = FaultInjector(_migration_plan(), metrics=faults_scope)
@@ -138,7 +136,7 @@ def _migration_scenario(pages: int, passes: int,
 
 
 def _watchdog_scenario(pages: int, passes: int,
-                       registry=None) -> Dict[str, object]:
+                       registry) -> Dict[str, object]:
     hv = Hypervisor(memory_bytes=HOST_MEMORY, registry=registry)
     vm = _boot_memtouch(hv, "e10-hang", pages, passes)
     hv.injector = FaultInjector(FaultPlan(seed=E10_SEED, specs=[
@@ -152,9 +150,7 @@ def _watchdog_scenario(pages: int, passes: int,
     rebooter.checkpoint(vm)
     instret_before_hang = vm.vcpus[0].cpu.instret
 
-    watchdog = GuestProgressWatchdog(
-        idle_pump_limit=6, metrics=hv.registry.scope("faults.watchdog")
-    )
+    watchdog = GuestProgressWatchdog(hv.registry.scope("faults.watchdog"))
     outcome = hv.run(vm, max_guest_instructions=80_000_000, watchdog=watchdog)
     hung_detected = outcome is RunOutcome.HUNG
 
@@ -179,26 +175,22 @@ def _watchdog_scenario(pages: int, passes: int,
     }
 
 
-def _failover_scenario(n_hosts: int = 6, n_vms: int = 12,
-                       registry=None) -> Dict[str, object]:
+def _failover_scenario(registry) -> Dict[str, object]:
+    """Six 8-core hosts, twelve 2 GiB VMs first-fit, the fullest dies."""
     spec = HostSpec(name="host", cores=8, cpu_capacity=8.0,
                     memory_bytes=16 * GIB)
-    cluster = registry.scope("cluster") if registry is not None else None
-    hosts = [
-        Host(spec, i,
-             metrics=(cluster.scope(f"host.{spec.name}-{i}")
-                      if cluster is not None else None))
-        for i in range(n_hosts)
-    ]
+    cluster = registry.scope("cluster")
+    hosts = [Host(spec, i, metrics=cluster.scope(f"host.{spec.name}-{i}"))
+             for i in range(6)]
     vms = [VMSpec(name=f"vm{i:02d}", cpu_demand=1.0, memory_bytes=2 * GIB)
-           for i in range(n_vms)]
+           for i in range(12)]
     placement = first_fit(vms, hosts)
 
     injector = FaultInjector(FaultPlan(seed=E10_SEED, specs=[
         # after=0, count=1: the first host polled dies -- the one
         # first-fit packed fullest.
         FaultSpec("host.crash", rate=1.0, after=0, count=1),
-    ]), metrics=registry.scope("faults") if registry is not None else None)
+    ]), metrics=registry.scope("faults"))
     crashed = [h.name for h in hosts if h.maybe_crash(injector)]
     stranded = sum(len(h.vms) for h in hosts if not h.alive)
     report = failover(placement)
@@ -221,7 +213,7 @@ def run_e10(quick: bool = False) -> ExperimentResult:
     registry = new_run_registry()
     migration = _migration_scenario(pages, passes, registry)
     watchdog = _watchdog_scenario(pages, passes, registry)
-    fail = _failover_scenario(registry=registry)
+    fail = _failover_scenario(registry)
 
     table = Table(
         "E10: fault injection / detection / recovery "
@@ -291,7 +283,7 @@ def _cascade_case(k: int, protected: bool,
     cascade, recovered by a :class:`ResilienceController`."""
     hosts, vms, groups = _cascade_fleet()
     constraints = (
-        ConstraintSet(anti_affinity_groups=groups, max_per_domain=1,
+        ConstraintSet(anti_affinity_groups=groups,
                       reserve_failures=1)
         if protected else None
     )
@@ -317,9 +309,8 @@ def _cascade_case(k: int, protected: bool,
     ]), metrics=registry.scope("faults") if registry is not None else None)
     controller = ResilienceController(
         placement,
+        injector,
         constraints=constraints,
-        evacuate=EvacuationConfig(),
-        injector=injector,
         metrics=(registry.scope("cluster.resilience")
                  if registry is not None else None),
     )
@@ -341,23 +332,7 @@ def _cascade_case(k: int, protected: bool,
     }
 
 
-def _cascade_case_with_registry(task):
-    """Worker-side sweep point: runs one case against its own fresh
-    registry, which the parent folds into the run registry in sweep
-    order -- the shared-registry result, reconstructed shard by shard
-    (counters add, gauges take the later value, histograms extend)."""
-    k, protected = task
-    registry = MetricsRegistry()
-    case = _cascade_case(k, protected, registry)
-    return case, registry
-
-
-def _cascade_shard(tasks):
-    return [_cascade_case_with_registry(t) for t in tasks]
-
-
-def run_e10_cascade(quick: bool = False, shards: int = 1,
-                    jobs: int = 1) -> ExperimentResult:
+def run_e10_cascade(quick: bool = False) -> ExperimentResult:
     """E10-cascade: availability vs simultaneous-failure count.
 
     For each ``k``, the unconstrained baseline is recovered next to a
@@ -368,17 +343,10 @@ def run_e10_cascade(quick: bool = False, shards: int = 1,
     (asserted by the benchmark suite as ``raw['dominates']``).
 
     Cases are pure in ``(k, protected)``: each runs against a private
-    registry, and the parent merges per-case registries in sweep order,
-    so ``shards``/``jobs`` fan the sweep out without changing a byte.
+    registry, merged into the run's in sweep order (counters add, gauges
+    take the later value, histograms extend).
     """
     ks = (1, 2) if quick else (1, 2, 3)
-    cases = [(k, protected) for k in ks for protected in (False, True)]
-    groups = [tuple(cases[s::shards]) for s in range(shards)]
-    flat = [r for group in parallel_map(_cascade_shard, groups, jobs=jobs)
-            for r in group]
-    by_case = {case: result
-               for case, result in zip([c for g in groups for c in g], flat)}
-
     registry = new_run_registry()
     table = Table(
         "E10-cascade: k simultaneous host failures + 1 mid-recovery "
@@ -390,7 +358,8 @@ def run_e10_cascade(quick: bool = False, shards: int = 1,
     raw: Dict[str, object] = {"baseline": {}, "protected": {}}
     for k in ks:
         for label, protected in (("baseline", False), ("protected", True)):
-            case, case_registry = by_case[(k, protected)]
+            case_registry = MetricsRegistry()
+            case = _cascade_case(k, protected, case_registry)
             registry.merge(case_registry)
             raw[label][k] = case
             report = case["report"]

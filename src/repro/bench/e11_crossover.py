@@ -21,7 +21,7 @@ must win the low-churn end, H-mode the high-churn end, and the raw
 result records where the lines cross.
 """
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.bench.common import (
     ExperimentResult,
@@ -40,11 +40,12 @@ from repro.util.table import Table
 #: NanoOS's frame pool is a bump allocator (unmap does not recycle), so
 #: the sweep's top end plus the working-set demand faults must stay
 #: inside the pool; 448 churn cycles + 256 demand pages leaves margin.
-DEFAULT_SWEEP: Tuple[int, ...] = (8, 48, 192, 448)
+SWEEP: Tuple[int, ...] = (8, 48, 192, 448)
 
 
-def run_e11(maps_sweep: Sequence[int] = DEFAULT_SWEEP,
-            accesses: int = 12000, pages: int = 256) -> ExperimentResult:
+def run_e11() -> ExperimentResult:
+    """pt_mix over ``SWEEP`` at 12,000 accesses across 256 pages."""
+    accesses, pages = 12000, 256
     registry = new_run_registry()
     table = Table(
         "E11: software vs hardware MMU crossover (hw-assist CPU)",
@@ -56,7 +57,7 @@ def run_e11(maps_sweep: Sequence[int] = DEFAULT_SWEEP,
     points = []
     crossover_maps = None
     crossover_rate = None
-    for maps in maps_sweep:
+    for maps in SWEEP:
         expected = workloads.expected_pt_mix(maps, accesses, pages)
         metrics = {}
         for mmu_label, mmode in (("shadow", MMUVirtMode.SHADOW),

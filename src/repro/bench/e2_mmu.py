@@ -18,11 +18,11 @@ from repro.guest import workloads
 from repro.util.table import Table
 
 
-def run_e2(pt_cycles: int = 300, walk_pages: int = 256,
+def run_e2(pt_cycles: int = 300,
            walk_accesses: int = 12000) -> ExperimentResult:
     cases = {
         "pt_stress": lambda: workloads.pt_stress(pt_cycles),
-        "random_walk": lambda: workloads.random_walk(walk_pages, walk_accesses),
+        "random_walk": lambda: workloads.random_walk(256, walk_accesses),
     }
     raw = {}
     table = Table(

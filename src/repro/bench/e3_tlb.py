@@ -7,7 +7,7 @@ from shadow/native's 2-reference walk -- the curve flattens to the
 walk-cost ratio (Bhargava et al., ASPLOS'08).
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.common import ExperimentResult, run_guest_workload
 from repro.core import MMUVirtMode, VirtMode
@@ -16,8 +16,11 @@ from repro.util.chart import ascii_chart
 from repro.util.table import Table
 
 
+#: Working sets swept, in pages.
+WORKING_SETS = (8, 32, 64, 128, 256, 512)
+
+
 def run_e3(
-    working_sets: List[int] = (8, 32, 64, 128, 256, 512),
     accesses: int = 10000,
     baseline_accesses: int = 2000,
 ) -> ExperimentResult:
@@ -33,7 +36,7 @@ def run_e3(
         ["pages", "native", "shadow", "nested", "nested/native",
          "nested/shadow"],
     )
-    for pages in working_sets:
+    for pages in WORKING_SETS:
         row: Dict[str, float] = {}
         for label, vmode, mmode in (
             ("native", None, None),
@@ -63,7 +66,7 @@ def run_e3(
     result = ExperimentResult("E3", table, raw=raw)
     result.raw["chart"] = ascii_chart(
         {
-            mode: [(pages, raw[pages][mode]) for pages in working_sets]
+            mode: [(pages, raw[pages][mode]) for pages in WORKING_SETS]
             for mode in ("native", "shadow", "nested")
         },
         title="Figure 3: cycles/access vs working set (log x)",

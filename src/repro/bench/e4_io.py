@@ -16,15 +16,17 @@ from repro.guest import workloads
 from repro.util.table import Table
 
 
-def run_e4(requests: int = 64) -> ExperimentResult:
+def run_e4() -> ExperimentResult:
+    """64 requests / frames through each emulated and virtio device."""
+    requests = 64
     cases = {
         "blk-emulated": (lambda: workloads.blk_write(requests), requests),
         "blk-virtio-b1": (lambda: workloads.vblk_write(requests, 1), requests),
         "blk-virtio-b4": (
             lambda: workloads.vblk_write(requests // 4, 4), requests),
-        "net-emulated": (lambda: workloads.net_send(requests), requests),
+        "net-emulated": (lambda: workloads.net_send(), requests),
         "net-virtio-b8": (
-            lambda: workloads.vnet_send(requests // 8, 8), requests),
+            lambda: workloads.vnet_send(requests // 8), requests),
     }
     raw: Dict[str, Dict[str, ModeMetrics]] = {}
     table = Table(

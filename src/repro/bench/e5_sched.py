@@ -21,7 +21,7 @@ from repro.sched import (
     run_schedule,
 )
 from repro.bench.common import ExperimentResult, new_run_registry
-from repro.sim.kernel import MSEC, SEC
+from repro.sim.kernel import SEC
 from repro.util.table import Table
 
 
@@ -67,7 +67,7 @@ def run_e5(duration_us: int = 10 * SEC) -> ExperimentResult:
             VCpuTask(
                 "io",
                 weight=256,
-                workload=InteractiveWork(burst_us=500, block_us=5 * MSEC),
+                workload=InteractiveWork(),
             )
         ]
         stats = run_schedule(

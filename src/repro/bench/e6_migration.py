@@ -11,7 +11,7 @@ Hines VEE'09).
 VM mid-workload and reports round sizes and correctness.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.bench.common import (
     ExperimentResult,
@@ -33,52 +33,35 @@ from repro.migration import (
 )
 from repro.sim.kernel import Simulator
 from repro.sim.link import NetworkLink
-from repro.sim.shard import parallel_map
 from repro.util.chart import ascii_chart
 from repro.util.errors import GuestError
 from repro.util.table import Table
 from repro.util.units import MIB
 
 
+#: The sweep: dirty rates (pages/s) of a 512 MiB guest.
+DIRTY_RATES = (0, 2000, 8000, 16000, 24000, 32000, 40000)
+VM_PAGES = 131072
+
+
 def _fresh_link():
     sim = Simulator()
-    return NetworkLink(sim, bandwidth_bytes_per_sec=125 * MIB, latency=100)
+    return NetworkLink(sim, bandwidth_bytes_per_sec=125 * MIB)
 
 
-def _e6_point(task):
-    """One sweep point; pure in (rate, vm_pages) -- each model gets a
-    fresh simulator and link, so points parallelize freely."""
-    rate, vm_pages = task
-    cfg = MigrationConfig(vm_pages=vm_pages, dirty_rate_pps=float(rate))
-    return rate, {
+def _e6_point(rate):
+    """One sweep point: each model gets a fresh simulator and link."""
+    cfg = MigrationConfig(vm_pages=VM_PAGES, dirty_rate_pps=float(rate))
+    return {
         "pre": simulate_precopy(cfg, _fresh_link()),
         "post": simulate_postcopy(cfg, _fresh_link()),
         "stop_copy": simulate_stop_and_copy(cfg, _fresh_link()),
     }
 
 
-def _e6_shard(tasks):
-    return [_e6_point(t) for t in tasks]
-
-
-def run_e6(
-    dirty_rates: List[int] = (0, 2000, 8000, 16000, 24000, 32000, 40000),
-    vm_pages: int = 131072,
-    shards: int = 1,
-    jobs: int = 1,
-) -> ExperimentResult:
-    """The dirty-rate sweep, optionally fanned out over workers.
-
-    ``shards`` partitions the sweep points round-robin into
-    independently runnable groups and ``jobs`` maps groups over
-    processes; both default to the historical inline path, and neither
-    changes a byte of the results (points never share state).
-    """
-    groups = [tuple((rate, vm_pages) for rate in dirty_rates[s::shards])
-              for s in range(shards)]
-    point_results = [p for group in parallel_map(_e6_shard, groups, jobs=jobs)
-                     for p in group]
-    by_rate = dict(point_results)
+def run_e6() -> ExperimentResult:
+    """The dirty-rate sweep."""
+    by_rate = {rate: _e6_point(rate) for rate in DIRTY_RATES}
 
     raw: Dict[int, Dict[str, object]] = {}
     table = Table(
@@ -86,7 +69,7 @@ def run_e6(
         ["dirty pages/s", "pre down", "pre total", "pre rounds", "converged",
          "post down", "post degraded", "s&c down"],
     )
-    for rate in dirty_rates:
+    for rate in DIRTY_RATES:
         pre = by_rate[rate]["pre"]
         post = by_rate[rate]["post"]
         sc = by_rate[rate]["stop_copy"]
@@ -102,7 +85,7 @@ def run_e6(
             sc.downtime_us / 1e6,
         )
     result = ExperimentResult("E6", table, raw=raw)
-    positive_rates = [r for r in dirty_rates if r > 0]
+    positive_rates = [r for r in DIRTY_RATES if r > 0]
     result.raw["chart"] = ascii_chart(
         {
             "pre-copy": [
@@ -122,17 +105,14 @@ def run_e6(
     return result
 
 
-def run_e6_functional(
-    virt_mode: VirtMode = VirtMode.HW_ASSIST,
-    mmu_mode: MMUVirtMode = MMUVirtMode.NESTED,
-    pages: int = 40,
-    passes: int = 3000,
-) -> ExperimentResult:
+def run_e6_functional() -> ExperimentResult:
+    """Pre-copy of a hw-nested guest halfway through memtouch(40, 3000)."""
+    pages, passes = 40, 3000
     src = Hypervisor(memory_bytes=HOST_MEMORY)
     dst = Hypervisor(memory_bytes=HOST_MEMORY)
     vm = src.create_vm(
         GuestConfig(name="mig-src", memory_bytes=GUEST_MEMORY,
-                    virt_mode=virt_mode, mmu_mode=mmu_mode)
+                    virt_mode=VirtMode.HW_ASSIST, mmu_mode=MMUVirtMode.NESTED)
     )
     kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEMORY))
     src.load_program(vm, kernel)
@@ -153,7 +133,7 @@ def run_e6_functional(
         )
     table = Table(
         "E6-functional: real pre-copy of a running guest "
-        f"({virt_mode.value}/{mmu_mode.value})",
+        f"({VirtMode.HW_ASSIST.value}/{MMUVirtMode.NESTED.value})",
         ["rounds", "round sizes", "downtime cyc", "pages copied",
          "guest instr during", "result correct"],
     )
@@ -184,11 +164,11 @@ def _drop_plan(drops: int) -> FaultPlan:
     return FaultPlan(seed=E6_FAULT_SEED, specs=specs)
 
 
-def run_e6_faults(
-    drop_counts: Sequence[int] = (0, 1, 2, 4, 6, 8),
-    dirty_rate: float = 8000.0,
-    vm_pages: int = 131072,
-) -> ExperimentResult:
+#: Pinned consecutive stream drops per E6-faults point.
+DROP_COUNTS = (0, 1, 2, 4, 6, 8)
+
+
+def run_e6_faults() -> ExperimentResult:
     """E6-faults: the pre-copy retry/giveup curve under injected drops.
 
     Sweeps a pinned number of consecutive ``migrate.link_drop`` firings
@@ -205,7 +185,8 @@ def run_e6_faults(
     registry = new_run_registry()
     mig_scope = registry.scope("migration")
     faults_scope = registry.scope("faults")
-    cfg = MigrationConfig(vm_pages=vm_pages, dirty_rate_pps=dirty_rate)
+    dirty_rate = 8000.0
+    cfg = MigrationConfig(vm_pages=VM_PAGES, dirty_rate_pps=dirty_rate)
 
     baseline = simulate_precopy(cfg, _fresh_link())
     plain = simulate_precopy(cfg, _fresh_link(), metrics=mig_scope,
@@ -220,7 +201,7 @@ def run_e6_faults(
         ["drops", "retries", "backoff ms", "stalls", "total s",
          "downtime ms", "rounds", "gave up", "deterministic"],
     )
-    for drops in drop_counts:
+    for drops in DROP_COUNTS:
         if drops == 0:
             raw[0] = {
                 "result": plain,

@@ -10,7 +10,7 @@ Functional part: two real VMs, a scan pass, measured frames freed and
 COW breaks with both guests still computing correct results.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bench.common import ExperimentResult, GUEST_MEMORY, new_run_registry
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
@@ -31,26 +31,23 @@ from repro.util.table import Table
 from repro.util.units import GIB, MIB
 
 
-def run_e7(
-    vm_counts: List[int] = (2, 4, 6, 8, 10, 12),
-    host_pages: int = (4 * GIB) >> 12,
-    vm_pages: int = (1 * GIB) >> 12,
-    wss_fraction: float = 0.4,
-    shareable: float = 0.5,
-) -> ExperimentResult:
+def run_e7() -> ExperimentResult:
+    """The policy model: 2-12 VMs of 1 GiB (40 % WSS, 50 % shareable
+    content) on a 4 GiB host."""
+    host_pages, vm_pages = (4 * GIB) >> 12, (1 * GIB) >> 12
     raw: Dict[int, Dict[PolicyKind, object]] = {}
     table = Table(
         "E7: 1 GiB VMs on a 4 GiB host; min per-VM throughput by policy",
         ["VMs", "overcommit", "swap-only", "balloon", "balloon+share",
          "shared saved (MiB)"],
     )
-    for n in vm_counts:
+    for n in (2, 4, 6, 8, 10, 12):
         vms = [
             VMDemand(
                 name=f"vm{i}",
                 configured_pages=vm_pages,
-                wss_pages=int(vm_pages * wss_fraction),
-                shareable_fraction=shareable,
+                wss_pages=int(vm_pages * 0.4),
+                shareable_fraction=0.5,
             )
             for i in range(n)
         ]
@@ -71,7 +68,9 @@ def run_e7(
     return ExperimentResult("E7", table, raw=raw)
 
 
-def run_e7_functional(pages: int = 16, passes: int = 1500) -> ExperimentResult:
+def run_e7_functional() -> ExperimentResult:
+    """A sharing scan over two hw-nested guests inside memtouch(16, 1500)."""
+    pages, passes = 16, 1500
     hv = Hypervisor(memory_bytes=96 * MIB)
     kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEMORY))
     vms = []
@@ -233,8 +232,7 @@ def _e7c_case(
     return case
 
 
-def run_e7_controller(quick: bool = False,
-                      passes: int = 40) -> ExperimentResult:
+def run_e7_controller(quick: bool = False) -> ExperimentResult:
     """E7-controller: closed-loop pressure control vs static swap-only.
 
     Sweeps N identical 16 MiB guests on a 36 MiB host. The swap-only
@@ -251,6 +249,7 @@ def run_e7_controller(quick: bool = False,
     trace (``fault_replay_identical``).
     """
     vm_counts = (3, 4) if quick else (3, 4, 5, 6)
+    passes = 40
     registry = new_run_registry()
     host_pages = _E7C_HOST >> 12
     raw: Dict[object, object] = {}

@@ -9,14 +9,13 @@ by first-fit decreasing -- hosts used, consolidation ratio, and annual
 power+cooling cost saving.
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.common import ExperimentResult
 from repro.cluster import (
     Host,
     HostSpec,
     Placement,
-    PowerModel,
     VMSpec,
     consolidation_savings,
     host_performance,
@@ -27,10 +26,13 @@ from repro.util.table import Table
 from repro.util.units import GIB
 
 
-def run_e8(
-    densities: List[int] = (1, 2, 3, 4, 5, 6, 8),
-    fleet_size: int = 50,
-) -> ExperimentResult:
+#: VMs per host in E8a.
+DENSITIES = (1, 2, 3, 4, 5, 6, 8)
+
+
+def run_e8() -> ExperimentResult:
+    """E8a: 1-8 one-core VMs on a 4-core host; E8b: consolidating 50."""
+    fleet_size = 50
     knee_spec = HostSpec(cores=4, cpu_capacity=4.0, memory_bytes=64 * GIB)
     raw: Dict[str, object] = {"knee": {}}
     table = Table(
@@ -38,7 +40,7 @@ def run_e8(
         ["VMs/host", "aggregate thpt", "per-VM thpt", "latency factor",
          "saturated"],
     )
-    for n in densities:
+    for n in DENSITIES:
         host = Host(knee_spec, 0)
         for i in range(n):
             host.place(VMSpec(f"v{i}", cpu_demand=1.0, memory_bytes=1 * GIB,
@@ -66,8 +68,8 @@ def run_e8(
         host.place(vm)
         before_hosts.append(host)
     before = Placement(hosts=before_hosts)
-    after = plan_consolidation(vms, fleet_spec, cpu_overcommit=1.5)
-    savings = consolidation_savings(before, after, PowerModel())
+    after = plan_consolidation(vms, fleet_spec)
+    savings = consolidation_savings(before, after)
     raw["savings"] = savings
 
     fleet_table = Table(
@@ -89,11 +91,11 @@ def run_e8(
     result.raw["chart"] = ascii_chart(
         {
             "aggregate": [
-                (n, raw["knee"][n].aggregate_throughput) for n in densities
+                (n, raw["knee"][n].aggregate_throughput) for n in DENSITIES
             ],
             "per-VM": [
                 (n, raw["knee"][n].throughput[f"v{min(n - 1, 1)}"])
-                for n in densities
+                for n in DENSITIES
             ],
         },
         title="Figure 8: throughput vs VMs per 4-core host",

@@ -11,7 +11,7 @@ sha256 that the shard-parity CI job byte-compares across ``--jobs``
 values.
 """
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.bench.common import ExperimentResult
 from repro.cluster.coordinator import ClusterSimConfig, run_sharded_cluster
@@ -33,10 +33,8 @@ def _scale_config(fleet_size: int, shards: int, epochs: int) -> ClusterSimConfig
 
 
 def run_e8_scale(
-    fleet_sizes: Optional[Sequence[int]] = None,
     shards: int = 8,
     jobs: int = 1,
-    epochs: int = 6,
     quick: bool = False,
 ) -> ExperimentResult:
     """Sweep fleet sizes through the sharded cluster simulation.
@@ -45,10 +43,8 @@ def run_e8_scale(
     RNG streams); ``jobs`` is pure mechanism and never changes a byte
     of the output. ``quick`` shrinks the sweep for CI.
     """
-    if fleet_sizes is None:
-        fleet_sizes = (200, 1000) if quick else (200, 1000, 4000, 10000)
-    if quick:
-        epochs = min(epochs, 4)
+    fleet_sizes = (200, 1000) if quick else (200, 1000, 4000, 10000)
+    epochs = 4 if quick else 6
 
     table = Table(
         f"E8s: sharded cluster simulation (shards={shards}, jobs={jobs}, "

@@ -11,7 +11,7 @@ block chaining each removed, measuring re-translation work and dispatch
 cost (Adams & Agesen's translator structure).
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.common import ExperimentResult, run_guest_workload
 from repro.core import MMUVirtMode, VirtMode
@@ -20,17 +20,15 @@ from repro.mem.costs import CostModel
 from repro.util.table import Table
 
 
-def run_e9_exit_cost(
-    exit_costs: List[int] = (300, 600, 1200, 2400, 4800),
-    syscalls: int = 150,
-) -> ExperimentResult:
+def run_e9_exit_cost() -> ExperimentResult:
+    """syscall_storm(150) under five world-switch costs."""
     raw: Dict[int, Dict[str, int]] = {}
     table = Table(
         "E9a: total cycles vs world-switch cost (syscall workload)",
         ["exit cyc", "trap-emulate", "paravirt", "hw+nested", "bin-transl",
          "t&e/pv"],
     )
-    for cost in exit_costs:
+    for cost in (300, 600, 1200, 2400, 4800):
         costs = CostModel().with_(
             vmexit_cycles=cost, hypercall_cycles=int(cost * 0.75)
         )
@@ -42,7 +40,7 @@ def run_e9_exit_cost(
             ("bin-transl", VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW, False),
         ):
             m = run_guest_workload(
-                f"e9-{label}-{cost}", workloads.syscall_storm(syscalls),
+                f"e9-{label}-{cost}", workloads.syscall_storm(150),
                 vmode, mmode, pv, costs=costs,
             )
             row[label] = m.total_cycles
@@ -58,7 +56,8 @@ def run_e9_exit_cost(
     return ExperimentResult("E9a", table, raw=raw)
 
 
-def run_e9_bt(syscalls: int = 300) -> ExperimentResult:
+def run_e9_bt() -> ExperimentResult:
+    """syscall_storm(300) with the translation cache / chaining off."""
     raw = {}
     table = Table(
         "E9b: binary-translation ablation (syscall workload)",
@@ -71,7 +70,7 @@ def run_e9_bt(syscalls: int = 300) -> ExperimentResult:
         ("no cache", False, True),
     ):
         m = run_guest_workload(
-            f"e9b-{label}", workloads.syscall_storm(syscalls),
+            f"e9b-{label}", workloads.syscall_storm(300),
             VirtMode.BINARY_TRANSLATION, MMUVirtMode.SHADOW, False,
             bt_cache=cache, bt_chaining=chain,
         )

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.bench import (
     run_e1,
@@ -60,10 +60,10 @@ EXPERIMENTS: Dict[str, Callable] = {
 #: Experiments accepting a ``quick`` kwarg (smaller, CI-friendly run).
 QUICK_AWARE = {"e10", "e10c", "e7c", "e8s"}
 
-#: Experiments accepting ``shards``/``jobs`` kwargs. For e8s the shard
-#: count is part of the experiment identity (it partitions the RNG
-#: streams); ``jobs`` never changes any experiment's output.
-SHARD_AWARE = {"e6", "e8s", "e10c"}
+#: Experiments accepting ``shards``/``jobs`` kwargs. The shard count is
+#: part of the experiment identity (it partitions the RNG streams);
+#: ``jobs`` never changes any experiment's output.
+SHARD_AWARE = {"e8s"}
 
 #: Default fault-schedule rate for fuzz campaigns (see --no-faults).
 DEFAULT_FUZZ_FAULT_RATE = 0.05
@@ -117,8 +117,6 @@ def _cmd_run(args) -> int:
                 kwargs["shards"] = args.shards
             if getattr(args, "jobs", None):
                 kwargs["jobs"] = args.jobs
-        if key == "e8s" and getattr(args, "fleet", None):
-            kwargs["fleet_sizes"] = [args.fleet]
         if profiler is not None:
             profiler.enable()
         result = fn(**kwargs)
@@ -264,7 +262,7 @@ def _cmd_boot(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="pyvisor experiment and guest runner"
     )
@@ -284,19 +282,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="dump a cProfile report (top 25 by cumulative "
                             "time) to stderr after the run")
     run_p.add_argument("--shards", type=int, default=None,
-                       help="shard count for shard-aware experiments "
-                            "(e6, e8s, e10c); for e8s this is part of "
-                            "the run's identity")
+                       help="e8s only: shard count, part of the run's "
+                            "identity")
     run_p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for shard-aware "
-                            "experiments; results are independent of "
-                            "this, and it does not pay yet: each epoch "
+                       help="e8s only: worker processes; results are "
+                            "independent of this, and it does not pay "
+                            "yet: each epoch "
                             "pickles every shard both ways, a fixed "
                             "+0.2-0.5 s on e8s's 4,000-10,000 VM "
                             "points (default 1)")
-    run_p.add_argument("--fleet", type=int, default=None,
-                       help="e8s only: run one fleet size instead of "
-                            "the default sweep")
 
     boot_p = sub.add_parser("boot", help="boot NanoOS with a workload")
     boot_p.add_argument("--mode", default="hw-nested")
@@ -358,4 +352,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

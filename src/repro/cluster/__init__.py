@@ -36,7 +36,6 @@ from repro.cluster.coordinator import (
 from repro.cluster.placement import (
     AdmissionError,
     ConstraintSet,
-    EvacuationConfig,
     PlacementPolicy,
     RELAX_ORDER,
     FailoverReport,
@@ -48,7 +47,7 @@ from repro.cluster.placement import (
 )
 from repro.cluster.resilience import ResilienceController, ResilienceReport
 from repro.cluster.interference import host_performance, HostPerformance
-from repro.cluster.power import PowerModel, ConsolidationSavings, consolidation_savings
+from repro.cluster.power import ConsolidationSavings, consolidation_savings, host_watts
 from repro.cluster.balancer import (
     LoadBalancer,
     BalanceReport,
@@ -73,7 +72,6 @@ __all__ = [
     "run_sharded_cluster",
     "AdmissionError",
     "ConstraintSet",
-    "EvacuationConfig",
     "PlacementPolicy",
     "RELAX_ORDER",
     "FailoverReport",
@@ -86,7 +84,7 @@ __all__ = [
     "plan_consolidation",
     "host_performance",
     "HostPerformance",
-    "PowerModel",
+    "host_watts",
     "ConsolidationSavings",
     "consolidation_savings",
     "LoadBalancer",

@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.host import Host, HostSummary, Placement, VMSpec
-from repro.cluster.placement import ConstraintSet
 from repro.migration.model import MigrationConfig, simulate_precopy
 from repro.obs.clock import SimClock
 from repro.obs.registry import MetricsRegistry
 from repro.sim.link import NetworkLink
-from repro.util.errors import ConfigError
 from repro.util.units import PAGE_SIZE
 
 
@@ -48,31 +46,20 @@ def _imbalance(placement: Placement) -> float:
 class LoadBalancer:
     """Greedy migration-based rebalancer."""
 
-    def __init__(
-        self,
-        link: NetworkLink,
-        high_watermark: float = 0.85,
-        low_watermark: float = 0.70,
-        max_migrations: int = 32,
-        dirty_rate_pps: float = 2000.0,
-        constraints: Optional[ConstraintSet] = None,
-        metrics=None,
-    ):
-        if not 0 < low_watermark <= high_watermark <= 1.5:
-            raise ConfigError("watermarks must satisfy 0 < low <= high")
+    #: A host above ``high`` utilization sheds a VM to the least-loaded
+    #: host that stays at or below ``low``.
+    high = 0.95
+    low = 0.85
+    #: Migration budget of one pass.
+    max_migrations = 32
+    #: Dirty rate each migrated VM is costed at.
+    dirty_rate_pps = 2000.0
+
+    def __init__(self, link: NetworkLink):
         self.link = link
-        self.high = high_watermark
-        self.low = low_watermark
-        self.max_migrations = max_migrations
-        self.dirty_rate_pps = dirty_rate_pps
-        #: Anti-affinity constraints; unlike placement/failover the
-        #: balancer never relaxes them -- rebalancing is an
-        #: optimization, so a move that would break spread is skipped.
-        self.constraints = constraints
         #: ``cluster.balancer.*``: passes, migrations, time moved.
-        self.metrics = (metrics if metrics is not None else
-                        MetricsRegistry(clock=SimClock(link.sim)).scope(
-                            "cluster.balancer"))
+        self.metrics = MetricsRegistry(clock=SimClock(link.sim)).scope(
+            "cluster.balancer")
 
     def rebalance(self, placement: Placement) -> BalanceReport:
         """Migrate VMs until no host exceeds the high watermark (or the
@@ -122,29 +109,11 @@ class LoadBalancer:
             if h is not source
             and h.fits(vm)
             and (h.cpu_demand + vm.cpu_demand) / h.spec.cpu_capacity <= self.low
-            and self._spread_ok(vm, h, placement)
         ]
         if not targets:
             return None
         target = min(targets, key=lambda h: h.cpu_demand / h.spec.cpu_capacity)
         return vm, source, target
-
-    def _spread_ok(self, vm: VMSpec, target: Host,
-                   placement: Placement) -> bool:
-        """Strict (never-relaxed) anti-affinity check for one move."""
-        if self.constraints is None:
-            return True
-        peers = self.constraints.peers_of(vm.name)
-        if not peers:
-            return True
-        in_domain = sum(
-            1
-            for h in placement.hosts
-            if h.alive and h.domain == target.domain
-            for name in h.vms
-            if name in peers
-        )
-        return in_domain < self.constraints.max_per_domain
 
     def _migrate(self, vm: VMSpec):
         cfg = MigrationConfig(
@@ -184,10 +153,13 @@ class _WorkingHost:
         return self.cpu_demand / self.summary.cpu_capacity
 
 
-def plan_rebalance(summaries: Sequence[HostSummary],
-                   high_watermark: float = 0.85,
-                   low_watermark: float = 0.70,
-                   max_moves: int = 8) -> List[RebalanceMove]:
+#: plan_rebalance's watermarks and its move budget per barrier.
+PLAN_HIGH_WATERMARK = 0.85
+PLAN_LOW_WATERMARK = 0.70
+PLAN_MAX_MOVES = 8
+
+
+def plan_rebalance(summaries: Sequence[HostSummary]) -> List[RebalanceMove]:
     """The :meth:`LoadBalancer._pick_move` greedy, lifted to summaries.
 
     The sharded coordinator cannot touch live hosts, so it plans
@@ -198,11 +170,10 @@ def plan_rebalance(summaries: Sequence[HostSummary],
     the first candidate in ``summaries`` order, which callers keep in
     (shard, host index) order.
     """
-    if not 0 < low_watermark <= high_watermark <= 1.5:
-        raise ConfigError("watermarks must satisfy 0 < low <= high")
+    high_watermark = PLAN_HIGH_WATERMARK
     hosts = [_WorkingHost(s) for s in summaries]
     moves: List[RebalanceMove] = []
-    for _ in range(max_moves):
+    for _ in range(PLAN_MAX_MOVES):
         overloaded = [h for h in hosts
                       if h.summary.alive and h.vms
                       and h.utilization > high_watermark]
@@ -222,7 +193,7 @@ def plan_rebalance(summaries: Sequence[HostSummary],
             and h.summary.alive
             and vm.memory_bytes <= h.memory_free
             and ((h.cpu_demand + vm.cpu_demand)
-                 / h.summary.cpu_capacity) <= low_watermark
+                 / h.summary.cpu_capacity) <= PLAN_LOW_WATERMARK
         ]
         if not targets:
             break

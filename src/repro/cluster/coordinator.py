@@ -77,9 +77,24 @@ __all__ = [
     "run_sharded_cluster",
 ]
 
-#: Default host for sharded runs: a 16-core/64 GiB blade.
+#: The host of sharded runs: a 16-core/64 GiB blade.
 DEFAULT_HOST_SPEC = HostSpec(
     name="blade", cores=16, cpu_capacity=16.0, memory_bytes=64 * GIB)
+#: Simulated length of one epoch (the barrier cadence).
+EPOCH_US = 1_000_000
+#: Provisioned memory slack over the fleet's aggregate demand; sets the
+#: host count (rounded up to a multiple of ``shards``).
+MEMORY_HEADROOM = 1.35
+#: Per-epoch uniform demand wobble around each VM's nominal demand
+#: (non-compounding: always relative to the base, never the jittered
+#: value, so long runs do not drift).
+DEMAND_JITTER = 0.25
+#: Barrier cadence of the consolidation lower-bound estimate.
+CONSOLIDATION_EVERY = 2
+#: CPU overcommit the consolidation lower bound assumes.
+CPU_OVERCOMMIT = 1.5
+#: Summary-level N+R admission reserve.
+RESERVE_FAILURES = 1
 
 
 @dataclass(frozen=True)
@@ -90,58 +105,23 @@ class ClusterSimConfig:
     shards: int = 4
     epochs: int = 6
     seed: int = 1
-    #: Simulated length of one epoch (the barrier cadence).
-    epoch_us: int = 1_000_000
-    host_spec: HostSpec = DEFAULT_HOST_SPEC
-    #: Provisioned memory slack over the fleet's aggregate demand; sets
-    #: the host count (rounded up to a multiple of ``shards``).
-    memory_headroom: float = 1.35
-    #: Per-epoch uniform demand wobble around each VM's nominal demand
-    #: (non-compounding: always relative to the base, never the jittered
-    #: value, so long runs do not drift).
-    demand_jitter: float = 0.25
-    virt_overhead: float = 0.05
     #: Per-opportunity host-crash probability (one opportunity per host
     #: per epoch); 0 disables fault injection entirely.
     crash_rate: float = 0.0
     #: New VMs submitted to admission control at every barrier.
     arrivals_per_epoch: int = 0
-    balance: bool = True
-    high_watermark: float = 0.85
-    low_watermark: float = 0.70
-    max_moves_per_epoch: int = 8
-    #: Barrier cadence of the consolidation lower-bound estimate.
-    consolidation_every: int = 2
-    cpu_overcommit: float = 1.5
-    #: Summary-level N+R admission reserve (0 disables the check).
-    reserve_failures: int = 1
 
     def validate(self) -> None:
-        self.host_spec.validate()
         if self.fleet_size <= 0:
             raise ConfigError("fleet_size must be positive")
         if self.shards <= 0:
             raise ConfigError("shards must be positive")
         if self.epochs <= 0:
             raise ConfigError("epochs must be positive")
-        if self.epoch_us <= 0:
-            raise ConfigError("epoch_us must be positive")
-        if self.memory_headroom < 1.0:
-            raise ConfigError("memory_headroom must be >= 1")
-        if not 0.0 <= self.demand_jitter < 1.0:
-            raise ConfigError("demand_jitter must be in [0, 1)")
         if not 0.0 <= self.crash_rate <= 1.0:
             raise ConfigError("crash_rate must be in [0, 1]")
         if self.arrivals_per_epoch < 0:
             raise ConfigError("arrivals_per_epoch must be non-negative")
-        if not 0 < self.low_watermark <= self.high_watermark:
-            raise ConfigError("watermarks must satisfy 0 < low <= high")
-        if self.consolidation_every <= 0:
-            raise ConfigError("consolidation_every must be positive")
-        if self.cpu_overcommit <= 0:
-            raise ConfigError("cpu_overcommit must be positive")
-        if self.reserve_failures < 0:
-            raise ConfigError("reserve_failures must be non-negative")
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe config block for the manifest's ``extra``."""
@@ -150,16 +130,16 @@ class ClusterSimConfig:
             "shards": self.shards,
             "epochs": self.epochs,
             "seed": self.seed,
-            "epoch_us": self.epoch_us,
+            "epoch_us": EPOCH_US,
             "host": {
-                "name": self.host_spec.name,
-                "cores": self.host_spec.cores,
-                "memory_gib": self.host_spec.memory_bytes / GIB,
+                "name": DEFAULT_HOST_SPEC.name,
+                "cores": DEFAULT_HOST_SPEC.cores,
+                "memory_gib": DEFAULT_HOST_SPEC.memory_bytes / GIB,
             },
-            "demand_jitter": self.demand_jitter,
+            "demand_jitter": DEMAND_JITTER,
             "crash_rate": self.crash_rate,
             "arrivals_per_epoch": self.arrivals_per_epoch,
-            "balance": self.balance,
+            "balance": True,
         }
 
 
@@ -174,17 +154,13 @@ class ShardState:
 
     def __init__(self, shard_id: int, hosts: List[Host],
                  registry: MetricsRegistry, rng: DeterministicRNG,
-                 injector: Optional[FaultInjector],
-                 epoch_us: int, demand_jitter: float, virt_overhead: float):
+                 injector: Optional[FaultInjector]):
         self.shard_id = shard_id
         self.hosts = hosts
         self.host_by_name: Dict[str, Host] = {h.name: h for h in hosts}
         self.registry = registry
         self.rng = rng
         self.injector = injector
-        self.epoch_us = epoch_us
-        self.demand_jitter = demand_jitter
-        self.virt_overhead = virt_overhead
         #: VM name -> nominal demand the jitter wobbles around.
         self.base_demand: Dict[str, float] = {
             vm.name: vm.cpu_demand
@@ -222,7 +198,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
        summaries for the coordinator.
     """
     state, epoch, inbox = task
-    t1 = (epoch + 1) * state.epoch_us
+    t1 = (epoch + 1) * EPOCH_US
     scope = state.scope
     out: List[ShardMessage] = []
 
@@ -256,17 +232,15 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
             raise ConfigError(f"shard {state.shard_id} cannot handle "
                               f"message kind {msg.kind!r}")
 
-    jitter = state.demand_jitter
-    if jitter > 0.0:
-        for host in state.hosts:
-            if not host.alive:
+    for host in state.hosts:
+        if not host.alive:
+            continue
+        for name in sorted(host.vms):
+            base = state.base_demand.get(name)
+            if base is None:
                 continue
-            for name in sorted(host.vms):
-                base = state.base_demand.get(name)
-                if base is None:
-                    continue
-                factor = 1.0 + (state.rng.random() * 2.0 - 1.0) * jitter
-                host.set_demand(name, round(base * factor, 3))
+            factor = 1.0 + (state.rng.random() * 2.0 - 1.0) * DEMAND_JITTER
+            host.set_demand(name, round(base * factor, 3))
 
     if state.injector is not None:
         for host in state.hosts:
@@ -284,7 +258,7 @@ def run_cluster_shard_epoch(task) -> Tuple["ShardState",
     for host in state.hosts:
         if not host.alive or not host.vms:
             continue
-        perf = host_performance(host, virt_overhead=state.virt_overhead)
+        perf = host_performance(host)
         aggregate += perf.aggregate_throughput
         if perf.saturated:
             scope.counter("perf.saturated_host_epochs").inc()
@@ -346,12 +320,11 @@ class _BarrierHost:
             vms=tuple(self.vms[n] for n in sorted(self.vms)))
 
 
-def _reserve_satisfied(hosts: Sequence[_BarrierHost], reserve: int) -> bool:
-    """Summary-level N+R: can the ``reserve`` most-loaded alive hosts
-    evacuate into the free memory of the rest?"""
+def _reserve_satisfied(hosts: Sequence[_BarrierHost]) -> bool:
+    """Summary-level N+R: can the ``RESERVE_FAILURES`` most-loaded alive
+    hosts evacuate into the free memory of the rest?"""
     alive = [h for h in hosts if h.alive]
-    if reserve <= 0:
-        return True
+    reserve = RESERVE_FAILURES
     if len(alive) <= reserve:
         return False
     doomed = sorted(alive, key=lambda h: (-h.memory_used, h.name))[:reserve]
@@ -387,7 +360,7 @@ def _build_shards(config: ClusterSimConfig) -> List[ShardState]:
     """Generate the fleet, provision hosts, and run initial placement.
 
     Runs in the parent before any fan-out. The fleet and the host
-    count depend only on (fleet_size, seed, host_spec, headroom), so
+    count depend only on (fleet_size, seed), so
     two runs with different shard counts provision identical hardware
     -- only the partition and the per-shard RNG streams differ.
     """
@@ -395,8 +368,8 @@ def _build_shards(config: ClusterSimConfig) -> List[ShardState]:
     total_mem = sum(vm.memory_bytes for vm in fleet)
     host_count = max(
         config.shards,
-        math.ceil(total_mem * config.memory_headroom
-                  / config.host_spec.memory_bytes),
+        math.ceil(total_mem * MEMORY_HEADROOM
+                  / DEFAULT_HOST_SPEC.memory_bytes),
     )
     host_count = ((host_count + config.shards - 1)
                   // config.shards) * config.shards
@@ -417,18 +390,16 @@ def _build_shards(config: ClusterSimConfig) -> List[ShardState]:
         hosts = []
         for i in range(per_shard):
             index = shard_id * per_shard + i
-            name = f"{config.host_spec.name}-{index}"
+            name = f"{DEFAULT_HOST_SPEC.name}-{index}"
             hosts.append(Host(
-                config.host_spec, index,
+                DEFAULT_HOST_SPEC, index,
                 metrics=registry.scope(
                     f"cluster.shard.{shard_id:03d}.host.{name}")))
         all_hosts.extend(hosts)
         states.append(ShardState(
             shard_id=shard_id, hosts=hosts, registry=registry,
             rng=root.fork(0x5AA0 + shard_id),
-            injector=injector, epoch_us=config.epoch_us,
-            demand_jitter=config.demand_jitter,
-            virt_overhead=config.virt_overhead))
+            injector=injector))
 
     # Global initial placement across the whole fleet of hosts; the
     # resulting per-host VM sets land in the owning shard's registry.
@@ -467,7 +438,7 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                      for s in range(shards)]
             results = executor.map(run_cluster_shard_epoch, tasks)
             states = [r[0] for r in results]
-            barrier_time = (epoch + 1) * config.epoch_us
+            barrier_time = (epoch + 1) * EPOCH_US
 
             outgoing: List[ShardMessage] = []
             for _state, _summaries, msgs in results:
@@ -514,21 +485,15 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
 
             # 2. Rebalancing: the DRS greedy over summaries; each move
             # becomes a depart/arrive pair delivered next epoch.
-            if config.balance:
-                moves = plan_rebalance(
-                    [h.summary() for h in work],
-                    high_watermark=config.high_watermark,
-                    low_watermark=config.low_watermark,
-                    max_moves=config.max_moves_per_epoch)
-                for move in moves:
-                    src, dst = by_name[move.src], by_name[move.dst]
-                    src.drop(move.vm.name)
-                    dst.add(move.vm)
-                    send("depart", move.src_shard, (move.vm.name, move.src))
-                    send("arrive", move.dst_shard, (move.vm, move.dst))
-                    coord.counter("balancer.moves").inc()
-                    coord.counter("balancer.moved_bytes").inc(
-                        move.vm.memory_bytes)
+            for move in plan_rebalance([h.summary() for h in work]):
+                src, dst = by_name[move.src], by_name[move.dst]
+                src.drop(move.vm.name)
+                dst.add(move.vm)
+                send("depart", move.src_shard, (move.vm.name, move.src))
+                send("arrive", move.dst_shard, (move.vm, move.dst))
+                coord.counter("balancer.moves").inc()
+                coord.counter("balancer.moved_bytes").inc(
+                    move.vm.memory_bytes)
 
             # 3. Admission: new arrivals clear a summary-level N+R
             # reserve check before they are placed first-fit.
@@ -545,7 +510,7 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                     coord.counter("admission.rejected.capacity").inc()
                     continue
                 target.add(vm)
-                if not _reserve_satisfied(work, config.reserve_failures):
+                if not _reserve_satisfied(work):
                     target.drop(vm.name)
                     coord.counter("admission.rejected.reserve").inc()
                     continue
@@ -555,14 +520,14 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
             # 4. Consolidation floor: the cheap capacity lower bound
             # (FFD planning is O(V*H) -- far too hot for a 10k-VM
             # barrier; the bound is what the periodic report needs).
-            if (epoch + 1) % config.consolidation_every == 0:
+            if (epoch + 1) % CONSOLIDATION_EVERY == 0:
                 vms = [vm for h in work for vm in h.vms.values()]
                 if vms:
                     mem_lb = math.ceil(sum(v.memory_bytes for v in vms)
-                                       / config.host_spec.memory_bytes)
+                                       / DEFAULT_HOST_SPEC.memory_bytes)
                     cpu_lb = math.ceil(sum(v.cpu_demand for v in vms)
-                                       / (config.host_spec.cpu_capacity
-                                          * config.cpu_overcommit))
+                                       / (DEFAULT_HOST_SPEC.cpu_capacity
+                                          * CPU_OVERCOMMIT))
                     coord.gauge("consolidation.lower_bound_hosts").set(
                         max(mem_lb, cpu_lb))
                     coord.counter("consolidation.estimates").inc()
@@ -573,7 +538,7 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                 raise ConfigError("coordinator addressed itself")
 
     coord.counter("evac.unplaced_at_end").inc(len(pending_evac))
-    coord_registry.clock.set(config.epochs * config.epoch_us)
+    coord_registry.clock.set(config.epochs * EPOCH_US)
 
     partials = [build_manifest(state.registry, experiment=experiment,
                                samples=True)

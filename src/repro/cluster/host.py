@@ -19,9 +19,6 @@ class HostSpec:
     memory_bytes: int = 16 * GIB
     idle_watts: float = 120.0
     peak_watts: float = 280.0
-    #: Failure domain (rack / power feed): hosts sharing a domain are
-    #: assumed to fail together. Per-host override via ``Host(domain=)``.
-    failure_domain: str = "fd0"
 
     def validate(self) -> None:
         if self.cores <= 0 or self.cpu_capacity <= 0:
@@ -61,9 +58,9 @@ class Host:
         self.spec = spec
         self.index = index
         self.name = f"{spec.name}-{index}"
-        #: Failure domain this host lives in; hosts of one shared spec
-        #: can still land in different racks via the ``domain`` override.
-        self.domain = domain if domain is not None else spec.failure_domain
+        #: Failure domain (rack / power feed) this host lives in: hosts
+        #: sharing a domain are assumed to fail together.
+        self.domain = domain if domain is not None else "fd0"
         #: ``cluster.host.<name>.*``; pass a shared scope to aggregate a
         #: whole cluster into one registry.
         self.metrics = (metrics if metrics is not None else

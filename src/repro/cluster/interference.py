@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.cluster.host import Host
-from repro.util.errors import ConfigError
 
 #: Utilization ceiling for the latency formula (avoids division by 0).
 _RHO_CAP = 0.99
@@ -45,11 +44,13 @@ class HostPerformance:
         return self.cpu_demand > self.cpu_capacity
 
 
-def host_performance(host: Host, virt_overhead: float = 0.05) -> HostPerformance:
+#: The flat per-VM virtualization tax on a host's CPU capacity.
+VIRT_OVERHEAD = 0.05
+
+
+def host_performance(host: Host) -> HostPerformance:
     """Evaluate delivered throughput and latency factors on one host."""
-    if virt_overhead < 0:
-        raise ConfigError("virt_overhead must be non-negative")
-    effective_capacity = host.spec.cpu_capacity / (1.0 + virt_overhead)
+    effective_capacity = host.spec.cpu_capacity / (1.0 + VIRT_OVERHEAD)
     demand = host.cpu_demand
     scale = 1.0 if demand <= effective_capacity else effective_capacity / demand
     rho = min(_RHO_CAP, demand / effective_capacity)

@@ -22,12 +22,7 @@ from typing import (
 )
 
 from repro.cluster.host import Host, HostSpec, Placement, VMSpec
-from repro.faults.recovery import RetryPolicy
-from repro.migration.model import MigrationConfig, simulate_precopy
-from repro.sim.kernel import Simulator
-from repro.sim.link import NetworkLink
 from repro.util.errors import ConfigError
-from repro.util.units import MIB, PAGE_SIZE
 
 
 class PlacementPolicy(enum.Enum):
@@ -64,7 +59,7 @@ class ConstraintSet:
 
     ``anti_affinity_groups`` maps a group (service) name to the VM
     names that replicate it; members of one group spread across
-    failure domains, at most ``max_per_domain`` of them per domain.
+    failure domains, at most one of them per domain.
     ``reserve_failures`` is N+R admission control: a placement is
     admitted only if, afterwards, the fleet could still evacuate its
     ``reserve_failures`` most-loaded hosts into the remaining free
@@ -72,15 +67,10 @@ class ConstraintSet:
     evacuation may still strand a straggler).
     """
 
-    anti_affinity_groups: Mapping[str, Sequence[str]] = field(
-        default_factory=dict
-    )
-    max_per_domain: int = 1
+    anti_affinity_groups: Mapping[str, Sequence[str]]
     reserve_failures: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_per_domain < 1:
-            raise ConfigError("max_per_domain must be at least 1")
         if self.reserve_failures < 0:
             raise ConfigError("reserve_failures must be non-negative")
         self._group_of: Dict[str, str] = {}
@@ -108,12 +98,9 @@ class ConstraintSet:
 
 
 def reservation_satisfied(
-    hosts: Sequence[Host],
-    reserve: int,
-    candidate: Optional[Host] = None,
-    vm: Optional[VMSpec] = None,
+    hosts: Sequence[Host], reserve: int, candidate: Host, vm: VMSpec,
 ) -> bool:
-    """N+R capacity check, optionally with ``vm`` pre-placed on ``candidate``.
+    """N+R capacity check with ``vm`` pre-placed on ``candidate``.
 
     True iff the free memory on the alive hosts *outside* the
     ``reserve`` most-loaded ones can absorb everything those
@@ -126,7 +113,7 @@ def reservation_satisfied(
         return False  # nobody would be left to evacuate onto
 
     def used(h: Host) -> int:
-        extra = vm.memory_bytes if (vm is not None and h is candidate) else 0
+        extra = vm.memory_bytes if h is candidate else 0
         return h.memory_used + extra
 
     doomed = sorted(alive, key=lambda h: (-used(h), h.index))[:reserve]
@@ -152,14 +139,13 @@ def _constrained_candidates(
                     continue  # a dead host's VMs are stranded, not running
                 count = sum(1 for name in h.vms if name in peers)
                 census[h.domain] = census.get(h.domain, 0) + count
-            fits = [h for h in fits
-                    if census.get(h.domain, 0) < constraints.max_per_domain]
+            fits = [h for h in fits if not census.get(h.domain, 0)]
         else:  # level 1: peers may share a domain but never a host
             fits = [h for h in fits if not peers.intersection(h.vms)]
     if constraints.reserve_failures > 0:
         fits = [h for h in fits
                 if reservation_satisfied(hosts, constraints.reserve_failures,
-                                         candidate=h, vm=vm)]
+                                         h, vm)]
     return fits
 
 
@@ -307,41 +293,6 @@ def first_fit(
 
 
 @dataclass
-class EvacuationConfig:
-    """Platform parameters pricing one failover pass's migrations.
-
-    Every move in an ``evacuate=`` failover is charged through
-    :func:`repro.migration.model.simulate_precopy` over one shared
-    management link (moves serialize, as on a real management network);
-    an injector threaded into the model can drop the stream
-    (``migrate.link_drop``) or stall rounds (``migrate.round_stall``),
-    and ``retry_policy`` bounds the backoff-resume attempts before a
-    VM's evacuation is abandoned.
-    """
-
-    bandwidth_bytes_per_sec: float = 125 * MIB
-    latency_us: int = 100
-    dirty_rate_pps: float = 2000.0
-    max_rounds: int = 12
-    threshold_pages: int = 64
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def make_link(self, injector=None, metrics=None) -> NetworkLink:
-        sim = Simulator()
-        return NetworkLink(sim, self.bandwidth_bytes_per_sec,
-                           latency=self.latency_us, name="evacuation",
-                           injector=injector, metrics=metrics)
-
-    def migration_config(self, vm: VMSpec) -> MigrationConfig:
-        return MigrationConfig(
-            vm_pages=max(1, vm.memory_bytes // PAGE_SIZE),
-            dirty_rate_pps=self.dirty_rate_pps,
-            max_rounds=self.max_rounds,
-            threshold_pages=self.threshold_pages,
-        )
-
-
-@dataclass
 class FailoverReport:
     """Outcome of one failover pass over a placement."""
 
@@ -352,55 +303,24 @@ class FailoverReport:
     lost: List[VMSpec] = field(default_factory=list)
     #: (vm, from_host, to_host) for every successful re-placement.
     moves: List[Tuple[str, str, str]] = field(default_factory=list)
-    #: VM name -> relax level for constrained re-placements that had to
-    #: fall down the ladder.
-    relaxations: Dict[str, str] = field(default_factory=dict)
-    #: Evacuation pricing (``evacuate=`` mode only; zero otherwise).
-    evacuation_time_us: int = 0
-    evacuation_downtime_us: int = 0
-    evacuation_retries: int = 0
-    evacuation_backoff_us: int = 0
-    #: VMs whose evacuation exhausted its retry budget (also in lost).
-    gave_up: List[str] = field(default_factory=list)
 
     @property
     def lost_names(self) -> List[str]:
         return [vm.name for vm in self.lost]
 
 
-def failover(
-    placement: Placement,
-    policy: PlacementPolicy = PlacementPolicy.WORST_FIT,
-    constraints: Optional[ConstraintSet] = None,
-    evacuate: Optional[EvacuationConfig] = None,
-    injector=None,
-    metrics=None,
-) -> FailoverReport:
+def failover(placement: Placement) -> FailoverReport:
     """Re-place every VM stranded on dead hosts onto the survivors.
 
     Stranded VMs are drained largest-first (better packing under
     pressure; name-ordered within a size tie, so the move sequence is
-    deterministic). A VM no survivor can hold is reported in ``lost``
-    with its full spec -- capacity exhaustion is a real outcome, not an
-    exception: the caller decides whether lost VMs warrant paging an
-    operator or spinning up hosts.
-
-    With ``constraints``, re-placement walks the same relax ladder as
-    initial placement (reservation is *not* enforced here: recovering a
-    stranded VM always beats preserving headroom). With ``evacuate``,
-    each move is priced through the pre-copy model -- under an
-    ``injector``, moves can retry with backoff and, once the
-    :class:`RetryPolicy` budget is spent, the VM is abandoned to
-    ``lost`` (and ``gave_up``).
+    deterministic) onto the emptiest survivor. A VM no survivor can
+    hold is reported in ``lost`` with its full spec -- capacity
+    exhaustion is a real outcome, not an exception: the caller decides
+    whether lost VMs warrant paging an operator or spinning up hosts.
+    :class:`~repro.cluster.resilience.ResilienceController` is the loop
+    that also prices moves, keeps anti-affinity and survives cascades.
     """
-    replace_constraints = None
-    if constraints is not None and constraints.anti_affinity_groups:
-        # Reservation-free view: failover never refuses for headroom.
-        replace_constraints = ConstraintSet(
-            anti_affinity_groups=constraints.anti_affinity_groups,
-            max_per_domain=constraints.max_per_domain,
-        )
-    link = evacuate.make_link(injector=injector) if evacuate else None
     report = FailoverReport(
         failed_hosts=[h.name for h in placement.hosts if not h.alive]
     )
@@ -413,49 +333,29 @@ def failover(
         )
         for vm in stranded:
             host.remove(vm.name)
-            target, level = choose_host(vm, placement.hosts, policy,
-                                        replace_constraints)
+            target, _level = choose_host(vm, placement.hosts,
+                                         PlacementPolicy.WORST_FIT)
             if target is None:
                 report.lost.append(vm)
                 continue
-            if evacuate is not None:
-                result = simulate_precopy(
-                    evacuate.migration_config(vm), link,
-                    injector=injector,
-                    retry_policy=evacuate.retry_policy,
-                    metrics=metrics,
-                )
-                report.evacuation_time_us += result.total_time_us
-                report.evacuation_downtime_us += result.downtime_us
-                report.evacuation_retries += result.retries
-                report.evacuation_backoff_us += result.backoff_us
-                if result.gave_up:
-                    report.gave_up.append(vm.name)
-                    report.lost.append(vm)
-                    continue
             target.place(vm)
-            if level != RELAX_ORDER[0]:
-                report.relaxations[vm.name] = level
             report.recovered.append(vm.name)
             report.moves.append((vm.name, host.name, target.name))
-    if metrics is not None:
-        metrics.counter("failovers").inc()
-        metrics.counter("recovered").inc(len(report.recovered))
-        metrics.counter("lost").inc(len(report.lost))
     return report
+
+
+#: CPU demand :func:`plan_consolidation` packs per unit of capacity
+#: (consolidation accepts some contention).
+CPU_OVERCOMMIT = 1.5
 
 
 def plan_consolidation(
     vms: Sequence[VMSpec],
     host_spec: HostSpec,
-    cpu_overcommit: float = 1.0,
 ) -> Placement:
     """Minimize hosts: first-fit decreasing by memory, opening hosts on
-    demand. ``cpu_overcommit`` > 1 allows packing CPU demand beyond
-    capacity (consolidation accepts some contention).
+    demand, up to ``CPU_OVERCOMMIT`` x capacity of CPU demand each.
     """
-    if cpu_overcommit <= 0:
-        raise ConfigError("cpu_overcommit must be positive")
     ordered = sorted(vms, key=lambda v: v.memory_bytes, reverse=True)
     hosts: List[Host] = []
     for vm in ordered:
@@ -464,7 +364,7 @@ def plan_consolidation(
         for host in hosts:
             if host.fits(vm) and (
                 host.cpu_demand + vm.cpu_demand
-                <= host.spec.cpu_capacity * cpu_overcommit
+                <= host.spec.cpu_capacity * CPU_OVERCOMMIT
             ):
                 target = host
                 break

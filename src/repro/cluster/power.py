@@ -8,31 +8,30 @@ from repro.util.errors import ConfigError
 HOURS_PER_YEAR = 24 * 365
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Linear power model + electricity price.
+#: Electricity price, EUR per kWh.
+PRICE_PER_KWH = 0.18
+#: PUE-style multiplier for the cooling energy spent per IT watt (1.6
+#: means 0.6 W of cooling per watt).
+COOLING_OVERHEAD = 1.6
 
-    ``cooling_overhead`` is the PUE-style multiplier for the cooling
-    energy spent per IT watt (1.6 means 0.6 W of cooling per watt).
-    """
 
-    price_per_kwh: float = 0.18
-    cooling_overhead: float = 1.6
+def host_watts(host: Host) -> float:
+    """Linear power model: idle to peak with CPU utilization."""
+    if not host.vms:
+        return 0.0  # powered off
+    spec = host.spec
+    return spec.idle_watts + (
+        spec.peak_watts - spec.idle_watts
+    ) * host.cpu_utilization
 
-    def host_watts(self, host: Host) -> float:
-        if not host.vms:
-            return 0.0  # powered off
-        spec = host.spec
-        return spec.idle_watts + (
-            spec.peak_watts - spec.idle_watts
-        ) * host.cpu_utilization
 
-    def placement_watts(self, placement: Placement) -> float:
-        return sum(self.host_watts(h) for h in placement.hosts)
+def placement_watts(placement: Placement) -> float:
+    return sum(host_watts(h) for h in placement.hosts)
 
-    def annual_cost(self, watts: float) -> float:
-        kwh = watts * self.cooling_overhead * HOURS_PER_YEAR / 1000.0
-        return kwh * self.price_per_kwh
+
+def annual_cost(watts: float) -> float:
+    kwh = watts * COOLING_OVERHEAD * HOURS_PER_YEAR / 1000.0
+    return kwh * PRICE_PER_KWH
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class ConsolidationSavings:
 
 
 def consolidation_savings(
-    before: Placement, after: Placement, model: PowerModel = None
+    before: Placement, after: Placement
 ) -> ConsolidationSavings:
     """Compare power/cost of two placements of the same VMs."""
     if before.total_vms != after.total_vms:
@@ -73,14 +72,13 @@ def consolidation_savings(
             f"placements hold different VM counts "
             f"({before.total_vms} vs {after.total_vms})"
         )
-    model = model or PowerModel()
-    wb = model.placement_watts(before)
-    wa = model.placement_watts(after)
+    wb = placement_watts(before)
+    wa = placement_watts(after)
     return ConsolidationSavings(
         hosts_before=before.hosts_used,
         hosts_after=after.hosts_used,
         watts_before=wb,
         watts_after=wa,
-        annual_cost_before=model.annual_cost(wb),
-        annual_cost_after=model.annual_cost(wa),
+        annual_cost_before=annual_cost(wb),
+        annual_cost_after=annual_cost(wa),
     )

@@ -11,10 +11,11 @@ world keeps failing while it recovers:
   mid-failover;
 * a move whose target host died before the move landed is re-planned
   against the remaining survivors (counted in ``replans``);
-* each move is priced through the pre-copy DES model when an
-  :class:`~repro.cluster.placement.EvacuationConfig` is supplied, so
-  ``migrate.link_drop`` / ``migrate.round_stall`` faults produce real
-  retry/giveup behaviour per VM;
+* each move is priced through the pre-copy DES model over one shared
+  management link (moves serialize, as on a real management network),
+  so ``migrate.link_drop`` / ``migrate.round_stall`` faults produce real
+  retry/giveup behaviour per VM, bounded by a default
+  :class:`~repro.faults.recovery.RetryPolicy`;
 * anti-affinity constraints are honored on re-placement via the same
   relax ladder as initial placement, and VMs nobody can hold keep
   their full spec in ``lost`` so placement can be retried once
@@ -32,12 +33,23 @@ from repro.cluster.placement import (
     RELAX_ORDER,
     AdmissionError,
     ConstraintSet,
-    EvacuationConfig,
     PlacementPolicy,
     choose_host,
 )
-from repro.migration.model import simulate_precopy
+from repro.faults.recovery import RetryPolicy
+from repro.migration.model import MigrationConfig, simulate_precopy
 from repro.obs.registry import MetricsRegistry
+from repro.sim.kernel import Simulator
+from repro.sim.link import NetworkLink
+from repro.util.units import MIB, PAGE_SIZE
+
+#: Detect->evacuate rounds before the controller stops trying.
+MAX_ROUNDS = 32
+#: What one evacuation is priced at: the management link's bandwidth,
+#: the dirty rate of a moved VM, and its pre-copy round budget.
+EVAC_BANDWIDTH = 125 * MIB
+EVAC_DIRTY_RATE_PPS = 2000.0
+EVAC_MAX_ROUNDS = 12
 
 
 @dataclass
@@ -79,31 +91,23 @@ class ResilienceController:
     def __init__(
         self,
         placement: Placement,
-        policy: PlacementPolicy = PlacementPolicy.WORST_FIT,
+        injector,
         constraints: Optional[ConstraintSet] = None,
-        evacuate: Optional[EvacuationConfig] = None,
-        injector=None,
         metrics=None,
-        max_rounds: int = 32,
     ):
         self.placement = placement
-        self.policy = policy
         # Re-placement never refuses for headroom: strip reservation,
         # keep the spread constraints.
         self.constraints = None
         if constraints is not None and constraints.anti_affinity_groups:
-            self.constraints = ConstraintSet(
-                anti_affinity_groups=constraints.anti_affinity_groups,
-                max_per_domain=constraints.max_per_domain,
-            )
-        self.evacuate = evacuate
+            self.constraints = ConstraintSet(constraints.anti_affinity_groups)
         self.injector = injector
         #: ``cluster.resilience.*`` counters/histograms.
         self.metrics = (metrics if metrics is not None else
                         MetricsRegistry().scope("cluster.resilience"))
-        self.max_rounds = max_rounds
-        self._link = (evacuate.make_link(injector=injector)
-                      if evacuate is not None else None)
+        self._link = NetworkLink(Simulator(), EVAC_BANDWIDTH,
+                                 name="evacuation", injector=injector)
+        self._retry_policy = RetryPolicy()
 
     # -- detect --------------------------------------------------------------
 
@@ -119,8 +123,8 @@ class ResilienceController:
 
     def _pick_target(self, vm: VMSpec):
         try:
-            return choose_host(vm, self.placement.hosts, self.policy,
-                               self.constraints)
+            return choose_host(vm, self.placement.hosts,
+                               PlacementPolicy.WORST_FIT, self.constraints)
         except AdmissionError:  # pragma: no cover - reservation stripped
             return None, RELAX_ORDER[-1]
 
@@ -133,21 +137,25 @@ class ResilienceController:
                 report.lost.append(vm)
                 self.metrics.counter("lost").inc()
                 return False
-            if self.evacuate is not None:
-                result = simulate_precopy(
-                    self.evacuate.migration_config(vm), self._link,
-                    injector=self.injector,
-                    retry_policy=self.evacuate.retry_policy,
-                )
-                report.evacuation_time_us += result.total_time_us
-                report.evacuation_retries += result.retries
-                report.evacuation_backoff_us += result.backoff_us
-                if result.gave_up:
-                    report.gave_up.append(vm.name)
-                    report.lost.append(vm)
-                    self.metrics.counter("gave_up").inc()
-                    self.metrics.counter("lost").inc()
-                    return False
+            result = simulate_precopy(
+                MigrationConfig(
+                    vm_pages=max(1, vm.memory_bytes // PAGE_SIZE),
+                    dirty_rate_pps=EVAC_DIRTY_RATE_PPS,
+                    max_rounds=EVAC_MAX_ROUNDS,
+                ),
+                self._link,
+                injector=self.injector,
+                retry_policy=self._retry_policy,
+            )
+            report.evacuation_time_us += result.total_time_us
+            report.evacuation_retries += result.retries
+            report.evacuation_backoff_us += result.backoff_us
+            if result.gave_up:
+                report.gave_up.append(vm.name)
+                report.lost.append(vm)
+                self.metrics.counter("gave_up").inc()
+                self.metrics.counter("lost").inc()
+                return False
             # The cascade window: hosts may die while the move is in
             # flight. A freshly dead target means the move never
             # landed -- plan again against whoever is left.
@@ -175,7 +183,7 @@ class ResilienceController:
             initial_failures=[h.name for h in self.placement.hosts
                               if not h.alive]
         )
-        while report.rounds < self.max_rounds:
+        while report.rounds < MAX_ROUNDS:
             stranded_on = self.stranded_hosts()
             if not stranded_on:
                 break

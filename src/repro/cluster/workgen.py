@@ -7,7 +7,7 @@ platform's deterministic RNG, so fleets are reproducible from a seed.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.cluster.host import VMSpec
 from repro.util.errors import ConfigError
@@ -36,30 +36,22 @@ DEFAULT_CATALOGUE: Tuple[VMClass, ...] = (
 )
 
 
-def generate_fleet(
-    count: int,
-    seed: int = 1,
-    catalogue: Sequence[VMClass] = DEFAULT_CATALOGUE,
-    skew: float = 1.0,
-    jitter: float = 0.2,
-) -> List[VMSpec]:
-    """Generate ``count`` reproducible VM specs.
+#: Each VM's CPU demand is its class's, scaled uniformly in
+#: ``[1-JITTER, 1+JITTER]`` so same-class VMs are not identical.
+JITTER = 0.2
 
-    ``skew`` is the Zipf exponent over the catalogue order; ``jitter``
-    scales each VM's CPU demand uniformly in ``[1-jitter, 1+jitter]``
-    so same-class VMs are not identical.
-    """
+
+def generate_fleet(count: int, seed: int = 1) -> List[VMSpec]:
+    """Generate ``count`` reproducible VM specs: classes drawn Zipf(1)
+    over ``DEFAULT_CATALOGUE``'s order."""
     if count <= 0:
         raise ConfigError("count must be positive")
-    if not catalogue:
-        raise ConfigError("catalogue must not be empty")
-    if not 0.0 <= jitter < 1.0:
-        raise ConfigError("jitter must be in [0, 1)")
+    catalogue = DEFAULT_CATALOGUE
     rng = DeterministicRNG(seed)
     fleet: List[VMSpec] = []
     for index in range(count):
-        klass = catalogue[rng.sample_zipf(len(catalogue), alpha=skew)]
-        factor = 1.0 + (rng.random() * 2.0 - 1.0) * jitter
+        klass = catalogue[rng.sample_zipf(len(catalogue))]
+        factor = 1.0 + (rng.random() * 2.0 - 1.0) * JITTER
         fleet.append(
             VMSpec(
                 name=f"{klass.name}-{index:03d}",

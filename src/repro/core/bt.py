@@ -101,7 +101,7 @@ class BTEngine:
         vcpu: VCPU,
         costs: CostModel,
         inject_virq: Callable[[VCPU], bool],
-        hypercall_handler: Optional[Callable[[VCPU, int, int], None]] = None,
+        hypercall_handler: Callable[[VCPU, int, int], None],
     ):
         self.vcpu = vcpu
         self.costs = costs
@@ -485,8 +485,6 @@ class BTEngine:
         op = ins.op
 
         if op is _VMCALL:
-            if self.hypercall_handler is None:
-                raise RuntimeError("BT guest issued VMCALL with no handler")
             vcpu.vm.stats.hypercalls += 1
             cpu.cycles += self.costs.hypercall_cycles
             self.hypercall_handler(

@@ -38,9 +38,9 @@ def emulate_privileged(vcpu, ins: Instruction) -> str:
 def emulate_guest_store(vcpu, ins: Instruction, guest_mem, shadow) -> int:
     """Emulate a trapped guest store to a write-protected PT page.
 
-    Performs the store in guest-physical memory, tells the shadow MMU to
-    invalidate the affected entries, and advances the pc. Returns the
-    written guest-physical address.
+    Performs the store in guest-physical memory (whose table route
+    invalidates the affected shadow entries) and advances the pc.
+    Returns the written guest-physical address.
     """
     cpu = vcpu.cpu
     if not ins.stores:
@@ -55,7 +55,6 @@ def emulate_guest_store(vcpu, ins: Instruction, guest_mem, shadow) -> int:
         guest_mem.write_u32(gpa, cpu.regs[ins.rb])
     else:
         guest_mem.write_u8(gpa, cpu.regs[ins.rb] & 0xFF)
-    shadow.handle_guest_pt_write(gpa)
     cpu.pc = (cpu.pc + ins.length) & 0xFFFFFFFF
     # The trapped store retires here (the faulting attempt rolled its
     # increment back before exiting), keeping instret honest vs. a

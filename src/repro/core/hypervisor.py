@@ -150,19 +150,12 @@ class Hypervisor:
         self,
         memory_bytes: int = 128 * MIB,
         costs: Optional[CostModel] = None,
-        tlb_entries: int = 64,
         registry: Optional[MetricsRegistry] = None,
-        physmem: Optional[PhysicalMemory] = None,
     ):
         self.costs = costs or CostModel()
         self.costs.validate()
-        #: ``physmem`` lets a caller supply the backing store -- the
-        #: hypervisor-under-hypervisor scenario aliases an *inner*
-        #: hypervisor's "physical" memory onto a slice of an H-mode
-        #: guest's RAM (memory_bytes is then ignored).
-        self.physmem = physmem if physmem is not None else PhysicalMemory(memory_bytes)
+        self.physmem = PhysicalMemory(memory_bytes)
         self.allocator = FrameAllocator(self.physmem, reserved_frames=16)
-        self.tlb_entries = tlb_entries
         #: The run's metrics registry; every VM gets a ``vm.<name>``
         #: scope in it, and hypervisor-level counters live under
         #: ``core.*`` / ``overcommit.*``. A private registry is made
@@ -233,19 +226,17 @@ class Hypervisor:
         return False
 
     def register_write_fault_handler(
-        self, handler: Callable, name: Optional[str] = None,
+        self, handler: Callable, name: str,
     ) -> Callable:
         """Add ``handler(vm, gfn) -> bool`` to the write-fault chain.
 
         Consulted on dirty-log exits after per-VM dirty logging; a
-        claiming handler owns the fault (the sharer's COW break). The
-        returned name labels the exit detail, so register COW breakers
-        with ``name="cow_break"`` to keep exit tables stable.
+        claiming handler owns the fault (the sharer's COW break).
+        ``name`` labels the exit detail.
         """
-        label = name if name else getattr(handler, "__qualname__", "handler")
         if any(h == handler for _n, h in self._write_fault_handlers):
-            raise ConfigError(f"write fault handler {label!r} already registered")
-        self._write_fault_handlers.append((label, handler))
+            raise ConfigError(f"write fault handler {name!r} already registered")
+        self._write_fault_handlers.append((name, handler))
         return handler
 
     def unregister_write_fault_handler(self, handler: Callable) -> bool:
@@ -345,16 +336,18 @@ class Hypervisor:
         self.registry.counter("core.vms_created").inc()
         guest_mem.fault = partial(self._vmm_fault, vm)
 
+        guest_mem.tables, guest_mem.tables_written = set(), None
         if gstage is None:
             mmu = ShadowMMU(
                 self.physmem,
                 self.allocator,
                 guest_mem,
                 self.costs,
-                tlb_entries=self.tlb_entries,
                 ring_compression=config.virt_mode is not VirtMode.HW_ASSIST,
                 trap_pt_writes=config.virt_mode is not VirtMode.PARAVIRT,
             )
+            guest_mem.tables = mmu.pt_gfns
+            guest_mem.tables_written = mmu.tables_written
         else:
             hmode = config.mmu_mode is MMUVirtMode.HMODE
             mmu = TwoStageMMU(
@@ -362,15 +355,14 @@ class Hypervisor:
                 self.allocator,
                 guest_mem,
                 self.costs,
-                tlb_entries=self.tlb_entries,
                 hmode=hmode,
                 ept=gstage,
             )
             if hmode:
                 mmu.stall_fn = self._hmode_stall_cycles
 
-        cpu = CPUCore(mmu, self.costs, port_bus=None, cpu_id=0)
-        vcpu = VCPU(vm, cpu, index=0)
+        cpu = CPUCore(mmu, port_bus=None)
+        vcpu = VCPU(vm, cpu)
         vm.vcpus.append(vcpu)
 
         if config.virt_mode is not VirtMode.HW_ASSIST:
@@ -521,7 +513,7 @@ class Hypervisor:
         """Copy an assembled image into guest-physical memory."""
         vm.guest_mem.write_bytes(program.base, program.data)
 
-    def reset_vcpu(self, vm: VirtualMachine, entry: int, index: int = 0) -> None:
+    def reset_vcpu(self, vm: VirtualMachine, entry: int) -> None:
         """Architectural reset of a vCPU to begin guest boot at ``entry``.
 
         Under HW_ASSIST the core really starts in kernel mode. Under the
@@ -529,7 +521,7 @@ class Hypervisor:
         guest kernel never gets the hardware privilege) while the vCPU's
         virtual mode starts at kernel.
         """
-        vcpu = vm.vcpus[index]
+        vcpu = vm.vcpus[0]
         cpu = vcpu.cpu
         cpu.reset(entry)
         vcpu.halted = False
@@ -953,9 +945,7 @@ class Hypervisor:
             for i in range(count):
                 gpa = vm.guest_mem.read_u32(a0 + i * 8)
                 value = vm.guest_mem.read_u32(a0 + i * 8 + 4)
-                vm.guest_mem.write_u32(gpa, value)
-                if isinstance(cpu.mmu, ShadowMMU):
-                    cpu.mmu.handle_guest_pt_write(gpa)
+                vm.guest_mem.write_u32(gpa, value)  # shadows: tables_written
                 vmm.value += 2 * self.costs.mem_ref_cycles
             cpu.write_reg(1, count)
         elif call == "set_ie":

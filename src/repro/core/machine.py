@@ -52,16 +52,14 @@ class Machine:
     def __init__(
         self,
         memory_bytes: int = 16 * MIB,
-        costs: Optional[CostModel] = None,
-        tlb_entries: int = 64,
         jit: Optional[bool] = None,
     ):
-        self.costs = costs or CostModel()
+        self.costs = CostModel()
         self.physmem = PhysicalMemory(memory_bytes)
         self.allocator = FrameAllocator(self.physmem, reserved_frames=16)
         self.port_bus = PortBus()
-        self.mmu = BareMMU(self.physmem, self.costs, tlb_entries=tlb_entries)
-        self.cpu = CPUCore(self.mmu, self.costs, port_bus=self.port_bus, jit=jit)
+        self.mmu = BareMMU(self.physmem, self.costs)
+        self.cpu = CPUCore(self.mmu, port_bus=self.port_bus, jit=jit)
 
         self.pic = InterruptController(sink=self.cpu)
         self.port_bus.register(self.pic, PIC_BASE, 1)

@@ -9,10 +9,16 @@ shadow tables. Coherence with the guest's own tables is maintained by:
   access (a "shadow fill" VM exit);
 * **write protection of guest page tables** -- frames discovered to hold
   guest page tables are mapped read-only in the shadow, so guest PT
-  updates trap and the VMM applies them plus the matching shadow
-  invalidation (the "PT-update tax" of experiment E2). Paravirtual
-  guests disable this (``trap_pt_writes=False``) and instead notify the
-  VMM through batched hypercalls;
+  updates trap and the VMM applies them (the "PT-update tax" of
+  experiment E2). Paravirtual guests disable this
+  (``trap_pt_writes=False``) and instead write their tables through
+  batched hypercalls; their own stores to a table are not seen (the
+  PV contract);
+* **one invalidation route** -- every write the host makes into a
+  table gfn through :class:`~repro.core.vm.GuestMemory` (the emulated
+  store, the ``mmu_batch`` hypercall, device DMA) calls
+  :meth:`ShadowMMU.tables_written`, which drops the shadow entries the
+  written words fed;
 * **lazy dirty bits** -- shadow entries are first mapped read-only even
   for guest-writable pages; the first write faults, the VMM sets the
   guest PTE's D bit and upgrades the shadow entry. ``GuestMemory.
@@ -46,7 +52,7 @@ from repro.mem.paging import (
     pte_frame,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
-from repro.mem.tlb import TLB
+from repro.mem.tlb import TLB, TLB_ENTRIES
 from repro.util.units import PAGE_SHIFT
 
 _WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC  # bound once: enum lookups
@@ -75,7 +81,6 @@ class ShadowMMU(MMUBase):
         host_allocator: FrameAllocator,
         guest_mem,
         costs: CostModel,
-        tlb_entries: int = 64,
         ring_compression: bool = True,
         trap_pt_writes: bool = True,
     ):
@@ -84,7 +89,7 @@ class ShadowMMU(MMUBase):
         self.guest_mem = guest_mem
         self.costs = costs
         self.walker = PageTableWalker(host_physmem)
-        self.tlb = TLB(tlb_entries)
+        self.tlb = TLB(TLB_ENTRIES)
         self.ring_compression = ring_compression
         self.trap_pt_writes = trap_pt_writes
 
@@ -109,7 +114,6 @@ class ShadowMMU(MMUBase):
         self.fills = 0
         self.view_switches = 0
         self.root_switches = 0
-        self.pt_invalidations = 0
 
     # -- MMUBase interface ----------------------------------------------------
 
@@ -195,16 +199,18 @@ class ShadowMMU(MMUBase):
         mem = self.guest_mem
 
         # Propagate accessed (and on writes, dirty) into the *guest* PTE,
-        # as hardware would have done were the guest running bare.
+        # as hardware would have done were the guest running bare. Past
+        # GuestMemory's table route: A/D bits invalidate nothing.
         new_pte = walk.pte | PTE_ACCESSED
         writable = False
         if access is AccessType.WRITE:
             new_pte |= PTE_DIRTY
             writable = True
         if new_pte != walk.pte:
-            mem.write_u32(walk.pte_gpa, new_pte)
+            self.physmem.write_u32(mem.gpa_to_hpa(walk.pte_gpa, True), new_pte)
         if walk.pde & PTE_ACCESSED == 0:
-            mem.write_u32(walk.pde_gpa, walk.pde | PTE_ACCESSED)
+            self.physmem.write_u32(mem.gpa_to_hpa(walk.pde_gpa, True),
+                                   walk.pde | PTE_ACCESSED)
 
         flags = PTE_PRESENT
         if walk.pte & PTE_NOEXEC:
@@ -236,11 +242,20 @@ class ShadowMMU(MMUBase):
             (space_key, va >> 22))
         self.fills += 1
 
+    def tables_written(self, gpa: int, length: int) -> None:
+        """``[gpa, gpa + length)`` of guest page tables was written:
+        drop what every written entry of a table in use fed."""
+        entry, end = gpa & ~3, gpa + length
+        pt_gfns = self.pt_gfns
+        while entry < end:
+            if entry >> PAGE_SHIFT in pt_gfns:
+                self.handle_guest_pt_write(entry)
+            entry += 4
+
     def handle_guest_pt_write(self, gpa: int) -> None:
-        """A trapped guest PT update was applied; invalidate shadows."""
+        """The guest PT entry at ``gpa`` changed; invalidate shadows."""
         gfn = gpa >> PAGE_SHIFT
         entry_index = (gpa & 0xFFF) >> 2
-        self.pt_invalidations += 1
         if self.guest_root is not None and gfn == self.guest_root >> PAGE_SHIFT:
             # Page-directory update: drop the whole 4 MiB subtree in
             # every view of this root.

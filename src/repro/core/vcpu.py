@@ -30,10 +30,9 @@ _MODE, _HW_ASSIST = int(CSR.MODE), VirtMode.HW_ASSIST
 class VCPU:
     """One virtual CPU of a VM."""
 
-    def __init__(self, vm, cpu: CPUCore, index: int = 0):
+    def __init__(self, vm, cpu: CPUCore):
         self.vm = vm
         self.cpu = cpu
-        self.index = index
         #: Virtual CSR file (deprivileged modes only).
         self.vcsr: List[int] = [0] * 16
         self.vcsr[CSR.MODE] = MODE_KERNEL
@@ -79,7 +78,7 @@ class VCPU:
             if self.on_virtual_mode_change is not None:
                 self.on_virtual_mode_change(mode == MODE_KERNEL)
 
-    def trap(self, cause, value: int, epc: int, ins=None) -> None:
+    def trap(self, cause, value: int, epc: int, ins) -> None:
         self.reflect_trap(TrapInfo(cause, value, epc))
 
     def reflect_trap(self, info: TrapInfo) -> None:
@@ -109,4 +108,4 @@ class VCPU:
                 self.on_virtual_mode_change(not self.virtual_user)
 
     def __repr__(self) -> str:
-        return f"<VCPU {self.vm.name}#{self.index} pc={self.cpu.pc:#x}>"
+        return f"<VCPU {self.vm.name} pc={self.cpu.pc:#x}>"

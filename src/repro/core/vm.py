@@ -12,7 +12,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.isa import Cause
-from repro.obs.registry import MetricsRegistry
 from repro.mem.physmem import PhysicalMemory
 from repro.util.errors import ConfigError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE
@@ -60,7 +59,11 @@ class GuestMemory:
     All byte accessors accept arbitrary (possibly page-crossing) ranges.
     Reaching a gfn the map lacks, or writing one in ``write_protected``,
     first calls ``fault(gfn, write)``: the hypervisor's routine a guest
-    access reaches (swap-in, post-copy fetch, dirty log, COW break).
+    access reaches (swap-in, post-copy fetch, dirty log, COW break). A
+    write into a gfn in ``tables`` then calls ``tables_written(gpa,
+    length)``: under shadow paging those are the guest's page tables,
+    and whoever wrote one (device DMA, an emulated store, a hypercall)
+    has changed translations the shadows were derived from.
     """
 
     def __init__(self, host_physmem: PhysicalMemory, num_pages: int):
@@ -74,6 +77,10 @@ class GuestMemory:
         self.write_protected: Set[int] = set()
         #: Set by ``Hypervisor._build_machine``.
         self.fault: Optional[Callable[[int, bool], None]] = None
+        #: A shadow MMU's ``pt_gfns`` and ``tables_written``; set by
+        #: ``Hypervisor._build_machine`` (empty under two-stage paging).
+        self.tables: Set[int] = set()
+        self.tables_written: Optional[Callable[[int, int], None]] = None
 
     @property
     def size(self) -> int:
@@ -117,12 +124,16 @@ class GuestMemory:
 
     def write_u32(self, gpa: int, value: int) -> None:
         self.host.write_u32(self.gpa_to_hpa(gpa, True), value)
+        if gpa >> PAGE_SHIFT in self.tables:
+            self.tables_written(gpa, 4)
 
     def read_u8(self, gpa: int) -> int:
         return self.host.read_u8(self.gpa_to_hpa(gpa))
 
     def write_u8(self, gpa: int, value: int) -> None:
         self.host.write_u8(self.gpa_to_hpa(gpa, True), value)
+        if gpa >> PAGE_SHIFT in self.tables:
+            self.tables_written(gpa, 1)
 
     # -- bulk accessors (page-crossing safe) --------------------------------
 
@@ -152,6 +163,8 @@ class GuestMemory:
     def write_bytes(self, gpa: int, data: bytes) -> None:
         if 0 < len(data) <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
             self.host.write_bytes(self.gpa_to_hpa(gpa, True), data)
+            if gpa >> PAGE_SHIFT in self.tables:
+                self.tables_written(gpa, len(data))
             return
         offset = 0
         while offset < len(data):
@@ -159,6 +172,8 @@ class GuestMemory:
                 len(data) - offset, PAGE_SIZE - (gpa & (PAGE_SIZE - 1))
             )
             self.host.write_bytes(self.gpa_to_hpa(gpa, True), data[offset : offset + in_page])
+            if gpa >> PAGE_SHIFT in self.tables:
+                self.tables_written(gpa, in_page)
             gpa += in_page
             offset += in_page
 
@@ -169,6 +184,8 @@ class GuestMemory:
         if len(data) != PAGE_SIZE:
             raise MemoryError_("write_gfn needs exactly one page of data")
         self.host.write_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT, True), data)
+        if gfn in self.tables:
+            self.tables_written(gfn << PAGE_SHIFT, PAGE_SIZE)
 
 
 class VirtualMachine:
@@ -179,8 +196,7 @@ class VirtualMachine:
     the MMU, attaches devices, and registers the VM.
     """
 
-    def __init__(self, config: GuestConfig, guest_mem: GuestMemory,
-                 metrics=None):
+    def __init__(self, config: GuestConfig, guest_mem: GuestMemory, metrics):
         config.validate()
         self.config = config
         self.name = config.name
@@ -190,8 +206,6 @@ class VirtualMachine:
         self.pic = None  # virtual InterruptController
         self.bt = None  # BTEngine under BINARY_TRANSLATION
         self.devices: Dict[str, object] = {}
-        if metrics is None:
-            metrics = MetricsRegistry().scope(f"vm.{config.name}")
         #: this VM's namespace (``vm.<name>``) in the run's registry
         self.metrics = metrics
         self.exit_stats = ExitStats(metrics)

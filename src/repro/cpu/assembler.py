@@ -94,11 +94,10 @@ class Program:
     def size(self) -> int:
         return len(self.data)
 
-    def load(self, physmem, pa: Optional[int] = None) -> int:
+    def load(self, physmem) -> int:
         """Copy the image into physical memory; returns the load address."""
-        addr = self.base if pa is None else pa
-        physmem.write_bytes(addr, self.data)
-        return addr
+        physmem.write_bytes(self.base, self.data)
+        return self.base
 
 
 @dataclass
@@ -155,12 +154,12 @@ class Assembler:
         self._origin: Optional[int] = None
         self._pc = 0
 
-    def assemble(self, source: str, base: int = 0) -> Program:
-        """Assemble ``source``; ``base`` is used unless ``.org`` appears."""
+    def assemble(self, source: str) -> Program:
+        """Assemble ``source`` at 0, or at its ``.org``."""
         self._symbols = {}
         self._statements = []
         self._origin = None
-        self._pc = base
+        self._pc = 0
 
         for line_no, raw in enumerate(source.splitlines(), start=1):
             self._parse_line(line_no, raw)
@@ -179,7 +178,7 @@ class Assembler:
                 )
             chunks.append(data)
 
-        origin = self._origin if self._origin is not None else base
+        origin = self._origin if self._origin is not None else 0
         program = Program(
             base=origin,
             data=b"".join(chunks),

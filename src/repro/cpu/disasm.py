@@ -54,7 +54,7 @@ def disassemble_one(data: bytes, offset: int = 0) -> Tuple[str, int]:
     return format_instruction(ins), ins.length
 
 
-def disassemble(data: bytes, base: int = 0) -> List[str]:
+def disassemble(data: bytes, base: int) -> List[str]:
     """Disassemble a whole image; one "addr: text" line per instruction."""
     lines: List[str] = []
     offset = 0

@@ -88,8 +88,8 @@ class VMExit(Exception):
     def __str__(self) -> str:
         return self.reason.value
 
-    def qual(self, key: str, default: Optional[Any] = None) -> Any:
-        return self.qualification.get(key, default)
+    def qual(self, key: str) -> Any:
+        return self.qualification.get(key)
 
     def __repr__(self) -> str:
         return (

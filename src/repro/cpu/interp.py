@@ -110,21 +110,19 @@ class CPUCore:
     def __init__(
         self,
         mmu: MMUBase,
-        costs: Optional[CostModel] = None,
         port_bus=None,
-        cpu_id: int = 0,
         jit: Optional[bool] = None,
     ):
         self.mmu = mmu
-        self.costs = costs or CostModel()
+        #: The cost model is the MMU's: one table prices the whole core.
+        self.costs = mmu.costs
         self.port_bus = port_bus
         #: Which events exit to a VMM; None = bare machine.
         self.controls: Optional[ExecControls] = None
 
         self.regs: List[int] = [0] * 16
         self.pc = 0
-        self.csr: List[int] = [0] * 16
-        self.csr[CSR.CPUID] = cpu_id
+        self.csr: List[int] = [0] * 16  # CPUID 0: one core per machine
         self.cycles = 0
         self.instret = 0
         self.pending_irqs = set()
@@ -180,9 +178,7 @@ class CPUCore:
         """Architectural reset: kernel mode, paging off, IRQs clear."""
         self.regs = [0] * 16
         self.pc = pc & 0xFFFFFFFF
-        cpu_id = self.csr[CSR.CPUID]
         self.csr = [0] * 16
-        self.csr[CSR.CPUID] = cpu_id
         self.csr[CSR.MODE] = MODE_KERNEL
         self.pending_irqs.clear()
         self.halted = False
@@ -478,7 +474,6 @@ class CPUCore:
         block ends) the core is stepped on up to there -- each
         instruction behind the full loop-top -- before it is asked again.
         """
-        jit.check_costs()
         start_instr = self.instret
         start_cycles = self.cycles
         events = self.events
@@ -587,9 +582,9 @@ class CPUCore:
 
     def _run_interp(
         self,
-        max_instructions: Optional[int] = None,
-        max_cycles: Optional[int] = None,
-        on_exit: Optional[Callable[..., bool]] = None,
+        max_instructions: Optional[int],
+        max_cycles: Optional[int],
+        on_exit: Optional[Callable[..., bool]],
     ) -> RunResult:
         """The reference interpreter loop (the correctness oracle)."""
         start_instr = self.instret

@@ -652,8 +652,7 @@ class BlockJIT:
         self._frame_keys: Dict[int, set] = {}
         #: Dispatch caches: (pc << 1) | mode -> (block, vpn, pte) under
         #: paging; pc -> (block, pa) in real mode. Entries
-        #: self-invalidate by PTE / pa compare; SMC and cost changes
-        #: clear them wholesale.
+        #: self-invalidate by PTE / pa compare; SMC clears them wholesale.
         self._pc_pg: Dict[int, Tuple] = {}
         self._pc_real: Dict[int, Tuple] = {}
         #: Block key -> dispatches while cold (the hotness tier).
@@ -662,40 +661,16 @@ class BlockJIT:
         #: Shared across closures: data accesses served by inline caches
         #: or forwarding (host-side telemetry; sim stats are unaffected).
         self._ic_cell = [0]
-        self._cpu_costs, self._mmu_costs = cpu.costs, cpu.mmu.costs
-        self._costs_sig = self._sig()
+        #: Every cost a compiled block embeds: a core's cost model is
+        #: fixed for its life, so this is computed once.
+        self._costs_sig = (_cost_sig(cpu.costs)
+                           + (self.mmu.translate_bound,))
         self.blocks_compiled = 0
         self.blocks_invalidated = 0
         self.fallback_steps = 0
         self.cold_steps = 0
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _sig(self) -> Tuple[int, ...]:
-        return _cost_sig(self.cpu.costs) + (self.mmu.translate_bound,)
-
-    def check_costs(self) -> None:
-        """Drop compiled code if the cost model changed since compile.
-
-        A ``CostModel`` is frozen, so the signature is a function of
-        which two objects are installed: it is rebuilt only when one
-        was swapped (this runs on every guest entry).
-        """
-        cpu_costs, mmu_costs = self.cpu.costs, self.mmu.costs
-        if cpu_costs is self._cpu_costs and mmu_costs is self._mmu_costs:
-            return
-        self._cpu_costs, self._mmu_costs = cpu_costs, mmu_costs
-        sig = self._sig()
-        if sig != self._costs_sig:
-            self._costs_sig = sig
-            self.flush()
-
-    def flush(self) -> None:
-        self._blocks.clear()
-        self._frame_keys.clear()
-        self._pc_pg.clear()
-        self._pc_real.clear()
-        self._epoch_cell[0] += 1
 
     def invalidate_pfn(self, pfn: int) -> None:
         """A store hit a frame with compiled code: drop its blocks."""

@@ -57,7 +57,7 @@ from repro.mem.paging import (
     TwoStageWalker,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
-from repro.mem.tlb import TLB
+from repro.mem.tlb import TLB, TLB_ENTRIES
 from repro.util.units import PAGE_SHIFT
 
 _WD = PTE_WRITABLE | PTE_DIRTY
@@ -130,16 +130,11 @@ class BareMMU(MMUBase):
     runs before enabling paging.
     """
 
-    def __init__(
-        self,
-        physmem: PhysicalMemory,
-        costs: CostModel,
-        tlb_entries: int = 64,
-    ):
+    def __init__(self, physmem: PhysicalMemory, costs: CostModel):
         self.physmem = physmem
         self.costs = costs
         self.walker = PageTableWalker(physmem)
-        self.tlb = TLB(tlb_entries)
+        self.tlb = TLB(TLB_ENTRIES)
         self.root_pa = 0
         self.paging_enabled = False
 
@@ -223,21 +218,18 @@ class TwoStageMMU(MMUBase):
         host_allocator: FrameAllocator,
         guest_mem,
         costs: CostModel,
-        tlb_entries: int = 64,
         *,
         hmode: bool,
-        ept: Optional[AddressSpace] = None,
+        ept: AddressSpace,
     ):
         self.physmem = host_physmem
         self.costs = costs
         self.guest_mem = guest_mem
         self.hmode = hmode
-        self.tlb = TLB(tlb_entries)
-        #: The second-stage table (gPA -> hPA), host-owned: built here,
-        #: empty, unless the host hands over one that already maps the
-        #: guest (it outlives this MMU when a VM is recycled).
-        self.ept = (ept if ept is not None
-                    else AddressSpace(host_physmem, host_allocator))
+        self.tlb = TLB(TLB_ENTRIES)
+        #: The second-stage table (gPA -> hPA), host-owned: it outlives
+        #: this MMU when a VM is recycled.
+        self.ept = ept
         self.walker = TwoStageWalker(host_physmem, gstage_ad=hmode)
         self.guest_root: Optional[int] = None
         #: Optional fault-injection hook (``hmode.gstage_stall``):

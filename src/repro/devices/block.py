@@ -29,6 +29,8 @@ BLK_STATUS = BLOCK_BASE + 4
 BLK_NSECT = BLOCK_BASE + 5
 
 SECTOR_SIZE = 512
+#: Every disk's capacity: 1 MiB.
+DISK_SECTORS = 2048
 
 CMD_READ = 1
 CMD_WRITE = 2
@@ -56,14 +58,13 @@ class BlockDevice(PortDevice):
     completions = counter_attr()
     sectors_transferred = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, capacity_sectors: int = 2048,
-                 injector=None, metrics=None):
-        if capacity_sectors <= 0:
-            raise DeviceError("disk needs at least one sector")
+    def __init__(self, mem, irq: IRQLine, metrics=None):
+        capacity_sectors = DISK_SECTORS
         self.mem = mem
         self.irq = irq
         self.capacity_sectors = capacity_sectors
-        self.injector = injector
+        #: ``block.stuck`` / ``block.io_error`` draw from this, when set.
+        self.injector = None
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry().scope("dev.block"))
         self.data = bytearray(capacity_sectors * SECTOR_SIZE)

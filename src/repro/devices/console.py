@@ -28,9 +28,10 @@ class ConsoleDevice(PortDevice):
     #: (its IRQ line travels with the PIC's ``pending``).
     STATE = ("text", "chars_written", "_rx", "chars_received")
 
-    def __init__(self, capacity: int = 1 << 20, irq=None):
+    def __init__(self, irq=None):
         self._chars = []
-        self.capacity = capacity
+        #: characters kept in ``text``; later output is counted only.
+        self.capacity = 1 << 20
         self.chars_written = 0
         self.irq = irq
         self._rx = []

@@ -2,7 +2,7 @@
 
 Like the block device, every frame costs several register accesses:
 address, length, command, status -- four exits per packet under a VMM.
-Frames are delivered to a host-side callback (or queued for tests).
+Sent frames are kept in ``sent``; received ones wait in a host-fed queue.
 
 Ports (base = :data:`NET_BASE`)::
 
@@ -16,7 +16,7 @@ Ports (base = :data:`NET_BASE`)::
 """
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque
 
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
@@ -36,7 +36,7 @@ MAX_FRAME = 9000  # jumbo-sized sanity cap
 
 
 class NetDevice(PortDevice):
-    """Port-programmed NIC with host-side tx sink and rx queue."""
+    """Port-programmed NIC with a host-side tx tap and rx queue."""
 
     STATE = ("_tx_addr", "_tx_len", "_rx_addr", "_rx_len", "_rx_queue")
 
@@ -44,12 +44,9 @@ class NetDevice(PortDevice):
     tx_bytes = counter_attr()
     rx_frames = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine,
-                 tx_sink: Optional[Callable[[bytes], None]] = None,
-                 metrics=None):
+    def __init__(self, mem, irq: IRQLine, metrics=None):
         self.mem = mem
         self.irq = irq
-        self.tx_sink = tx_sink
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry().scope("dev.net"))
         self.sent: Deque[bytes] = deque(maxlen=1024)  # tap for tests
@@ -98,8 +95,6 @@ class NetDevice(PortDevice):
         self.tx_frames += 1
         self.tx_bytes += len(frame)
         self.sent.append(frame)
-        if self.tx_sink is not None:
-            self.tx_sink(frame)
 
     def _receive(self) -> None:
         if not self._rx_queue:

@@ -39,9 +39,9 @@ The NIC claims two consecutive 6-port blocks (tx queue at base, rx
 queue at base+8).
 """
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.devices.block import SECTOR_SIZE
+from repro.devices.block import DISK_SECTORS, SECTOR_SIZE
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
 from repro.obs.registry import MetricsRegistry, counter_attr
@@ -77,10 +77,9 @@ class VirtQueue:
     kicks = counter_attr()
     requests = counter_attr()
 
-    def __init__(self, mem, metrics=None):
+    def __init__(self, mem, metrics):
         self.mem = mem
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.virtq"))
+        self.metrics = metrics
         self.desc_gpa = 0
         self.avail_gpa = 0
         self.used_gpa = 0
@@ -207,13 +206,13 @@ class VirtioBlockDevice(_VirtQueuePorts):
     writes = counter_attr()
     errors = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, capacity_sectors: int = 2048,
-                 base: int = VIRTIO_BLK_BASE, injector=None, metrics=None):
-        super().__init__(mem, base, metrics=metrics)
+    def __init__(self, mem, irq: IRQLine, metrics=None):
+        super().__init__(mem, VIRTIO_BLK_BASE, metrics=metrics)
         self.irq = irq
-        self.capacity_sectors = capacity_sectors
-        self.injector = injector
-        self.data = bytearray(capacity_sectors * SECTOR_SIZE)
+        self.capacity_sectors = DISK_SECTORS
+        #: ``virtio.ring_stuck`` draws from this, when set.
+        self.injector = None
+        self.data = bytearray(DISK_SECTORS * SECTOR_SIZE)
         self.stuck = False
 
     def load_image(self, data: bytes, sector: int = 0) -> None:
@@ -264,12 +263,12 @@ class VirtioBlockDevice(_VirtQueuePorts):
     def _process(self, head: int) -> None:
         chain = self.queue.collect_chain(head)
         if len(chain) != 3:
-            self._complete(head, chain, BLK_S_ERROR)
+            self._complete(head, chain, BLK_S_ERROR, 0)
             return
         hdr_addr, hdr_len, _ = chain[0]
         data_addr, data_len, data_flags = chain[1]
         if hdr_len < 12:
-            self._complete(head, chain, BLK_S_ERROR)
+            self._complete(head, chain, BLK_S_ERROR, 0)
             return
         req_type = self.queue.mem.read_u32(hdr_addr)
         sector = self.queue.mem.read_u32(hdr_addr + 4)
@@ -280,14 +279,14 @@ class VirtioBlockDevice(_VirtQueuePorts):
             or count * SECTOR_SIZE > data_len
         ):
             self.errors += 1
-            self._complete(head, chain, BLK_S_ERROR)
+            self._complete(head, chain, BLK_S_ERROR, 0)
             return
         off = sector * SECTOR_SIZE
         nbytes = count * SECTOR_SIZE
         if req_type == BLK_T_READ:
             if not data_flags & DESC_F_WRITE:
                 self.errors += 1
-                self._complete(head, chain, BLK_S_ERROR)
+                self._complete(head, chain, BLK_S_ERROR, 0)
                 return
             self.queue.mem.write_bytes(data_addr, bytes(self.data[off : off + nbytes]))
             self.reads += 1
@@ -296,11 +295,11 @@ class VirtioBlockDevice(_VirtQueuePorts):
             self.writes += 1
         else:
             self.errors += 1
-            self._complete(head, chain, BLK_S_ERROR)
+            self._complete(head, chain, BLK_S_ERROR, 0)
             return
-        self._complete(head, chain, BLK_S_OK, written=nbytes)
+        self._complete(head, chain, BLK_S_OK, nbytes)
 
-    def _complete(self, head: int, chain, status: int, written: int = 0) -> None:
+    def _complete(self, head: int, chain, status: int, written: int) -> None:
         status_addr, _status_len, _ = chain[-1]
         self.queue.mem.write_bytes(status_addr, bytes([status]))
         self.queue.push_used(head, written + 1)
@@ -317,12 +316,9 @@ class VirtioNetDevice(PortDevice):
     rx_frames = counter_attr()
     rx_dropped = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine,
-                 tx_sink: Optional[Callable[[bytes], None]] = None,
-                 base: int = VIRTIO_NET_BASE, metrics=None):
-        self.base = base
+    def __init__(self, mem, irq: IRQLine, metrics=None):
+        base = self.base = VIRTIO_NET_BASE
         self.irq = irq
-        self.tx_sink = tx_sink
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry().scope("dev.virtio_net"))
         self.tx = _VirtQueuePorts(mem, base, metrics=self.metrics.scope("tx"))
@@ -358,8 +354,6 @@ class VirtioNetDevice(PortDevice):
             self.tx_frames += 1
             self.tx_bytes += len(frame)
             self.sent.append(frame)
-            if self.tx_sink is not None:
-                self.tx_sink(frame)
             self.tx.queue.push_used(head, 0)
             processed += 1
         if processed:

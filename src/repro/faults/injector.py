@@ -153,7 +153,7 @@ class FaultPlan:
     """A seed plus one :class:`FaultSpec` per site."""
 
     seed: int = 1
-    specs: List[FaultSpec] = field(default_factory=list)
+    specs: List[FaultSpec] = field(kw_only=True)
 
     def validate(self) -> None:
         seen = set()

@@ -24,26 +24,27 @@ from repro.util.units import PAGE_SIZE
 _ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 
+#: Backoff before the first retry, and the cap every later one doubles to.
+BACKOFF_BASE_CYCLES = 10_000
+BACKOFF_CAP_CYCLES = 160_000
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Capped exponential backoff: base * 2^(attempt-1), clamped to cap."""
 
     max_retries: int = 4
-    backoff_base_cycles: int = 10_000
-    backoff_cap_cycles: int = 160_000
 
     def validate(self) -> None:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
-        if self.backoff_base_cycles <= 0 or self.backoff_cap_cycles <= 0:
-            raise ConfigError("backoff cycles must be positive")
 
     def backoff_cycles(self, attempt: int) -> int:
         """Backoff before retry ``attempt`` (1-based)."""
         if attempt <= 0:
             raise ConfigError("retry attempts are 1-based")
-        return min(self.backoff_cap_cycles,
-                   self.backoff_base_cycles << (attempt - 1))
+        return min(BACKOFF_CAP_CYCLES,
+                   BACKOFF_BASE_CYCLES << (attempt - 1))
 
     def cumulative_backoff_cycles(self, attempts: int) -> int:
         """Total backoff spent across retries 1..``attempts``.
@@ -66,9 +67,7 @@ class MicroRebooter:
     * guest memory and vCPU/device state are taken from the *live* VM
       (ReHype: the guest outlives the hypervisor fault), except
     * pages previously reported via :meth:`mark_corrupted`, which are
-      restored from the latest checkpoint instead;
-    * ``from_checkpoint=True`` abandons the live state entirely and
-      rolls the whole VM back to the checkpoint.
+      restored from the latest checkpoint instead.
     """
 
     reboots = counter_attr()
@@ -94,15 +93,12 @@ class MicroRebooter:
         """Report guest pages whose contents can no longer be trusted."""
         self._corrupted.setdefault(vm_name, set()).update(gfns)
 
-    def reboot(self, vm, from_checkpoint: bool = False):
+    def reboot(self, vm):
         """Micro-reboot ``vm``; returns the recovered (paused) VM."""
         corrupted = self._corrupted.pop(vm.name, set())
-        if from_checkpoint:
-            snap = self._restore_checkpoint(vm.name)
-        else:
-            snap = snapshot_vm(vm)  # the guest survives the reboot
-            if corrupted:
-                self._patch_corrupted(vm.name, snap, corrupted)
+        snap = snapshot_vm(vm)  # the guest survives the reboot
+        if corrupted:
+            self._patch_corrupted(vm.name, snap, corrupted)
         name = vm.name
         self.hv.destroy_vm(vm)
         recovered = restore_vm(self.hv, snap, name=name)

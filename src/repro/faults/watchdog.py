@@ -9,8 +9,7 @@ consecutive pumps is declared hung (the run loop returns
 (:mod:`repro.faults.recovery`).
 """
 
-from repro.obs.registry import MetricsRegistry, counter_attr
-from repro.util.errors import ConfigError
+from repro.obs.registry import counter_attr
 
 
 class GuestProgressWatchdog:
@@ -23,12 +22,11 @@ class GuestProgressWatchdog:
 
     hangs_detected = counter_attr()
 
-    def __init__(self, idle_pump_limit: int = 8, metrics=None):
-        if idle_pump_limit <= 0:
-            raise ConfigError("idle_pump_limit must be positive")
-        self.idle_pump_limit = idle_pump_limit
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("faults.watchdog"))
+    def __init__(self, metrics):
+        #: Consecutive pumps without a retired instruction that declare
+        #: the guest hung.
+        self.idle_pump_limit = 6
+        self.metrics = metrics
         self.last_instret = None
         self.idle_pumps = 0
         self.pumps = 0

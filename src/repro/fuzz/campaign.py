@@ -17,7 +17,7 @@ under the ``fuzz.*`` metrics scope.
 import json
 import multiprocessing
 import os
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.fuzz.corpus import make_entry, save_entry, write_repro_script
 from repro.fuzz.diff import default_opts, run_case
@@ -31,13 +31,12 @@ def _run_one(args) -> Dict:
     return run_case(root_seed, index, opts)
 
 
-def run_campaign(root_seed: int, cases: int, jobs: int = 1,
-                 opts: Optional[Dict] = None, shrink: bool = True,
-                 out_dir: Optional[str] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 log=None) -> Dict:
-    """Run a campaign; returns ``{"manifest", "results", "failures"}``."""
-    opts = {**default_opts(), **(opts or {})}
+def run_campaign(root_seed: int, cases: int, jobs: int, opts: Dict,
+                 log: Callable[[str], None], shrink: bool = True,
+                 out_dir: Optional[str] = None) -> Dict:
+    """Run a campaign; returns ``{"manifest", "results", "failures"}``.
+    ``log`` gets one line per failure and per shrunk repro."""
+    opts = {**default_opts(), **opts}
     work = [(root_seed, i, opts) for i in range(cases)]
 
     if jobs > 1:
@@ -51,10 +50,9 @@ def run_campaign(root_seed: int, cases: int, jobs: int = 1,
     results.sort(key=lambda r: r["index"])
 
     failures = [r for r in results if r["verdict"]["kind"] != "ok"]
-    if log and failures:
-        for f in failures:
-            log(f"case {f['index']}: {f['verdict']['kind']} "
-                f"({f['verdict']['group']}, fields={f['verdict']['fields']})")
+    for f in failures:
+        log(f"case {f['index']}: {f['verdict']['kind']} "
+            f"({f['verdict']['group']}, fields={f['verdict']['fields']})")
 
     shrunk: List[Dict] = []
     if shrink:
@@ -65,13 +63,12 @@ def run_campaign(root_seed: int, cases: int, jobs: int = 1,
                                opts, s["result"]["verdict"],
                                shrink_evals=s["evals"])
             shrunk.append({"entry": entry, "stats": s})
-            if log:
-                log(f"case {failure['index']}: shrunk "
-                    f"{s['original_cells']} -> {s['shrunk_cells']} cells "
-                    f"({s['body_instructions']} instructions, "
-                    f"{s['evals']} probes)")
+            log(f"case {failure['index']}: shrunk "
+                f"{s['original_cells']} -> {s['shrunk_cells']} cells "
+                f"({s['body_instructions']} instructions, "
+                f"{s['evals']} probes)")
 
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     scope = registry.scope("fuzz")
     scope.counter("cases").inc(len(results))
     scope.counter("divergences").inc(

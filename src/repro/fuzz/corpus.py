@@ -64,7 +64,7 @@ def load_entry(path: str) -> Dict:
         return json.load(fh)
 
 
-def replay_entry(entry: Dict, with_bug: bool = True) -> Dict:
+def replay_entry(entry: Dict, with_bug: bool) -> Dict:
     """Re-execute a corpus entry; ``with_bug=False`` replays at HEAD
     behaviour (shim stripped), which committed repros must pass."""
     opts = dict(entry.get("opts") or {})
@@ -115,7 +115,7 @@ ENTRY = {{
 
 
 def main() -> int:
-    result = corpus.replay_entry(ENTRY)
+    result = corpus.replay_entry(ENTRY, with_bug=True)
     verdict = result["verdict"]
     print("verdict:", json.dumps(verdict, sort_keys=True))
     print("outcomes:", json.dumps(result["outcomes"], sort_keys=True))

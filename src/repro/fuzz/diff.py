@@ -130,8 +130,8 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
     pm = PhysicalMemory(gen.MEM_BYTES)
     for addr in sorted(segments):
         pm.write_bytes(addr, segments[addr])
-    mmu = BareMMU(pm, costs, tlb_entries=64)
-    cpu = CPUCore(mmu, costs, port_bus=None, jit=jit)
+    mmu = BareMMU(pm, costs)
+    cpu = CPUCore(mmu, port_bus=None, jit=jit)
     cpu.reset(gen.PRE_BASE)
     if event_seed is not None:
         # A bare machine still has a PIC in front of the core: the
@@ -208,8 +208,7 @@ def build_machine(config_name: str) -> Tuple[Hypervisor, VirtualMachine]:
             f"unknown VMM config {config_name!r}; known: {list(modes)}"
         )
     virt_mode, mmu_mode = modes[config_name]
-    hv = Hypervisor(memory_bytes=8 * gen.MEM_BYTES, costs=CostModel(),
-                    tlb_entries=64)
+    hv = Hypervisor(memory_bytes=8 * gen.MEM_BYTES, costs=CostModel())
     return hv, hv.create_vm(GuestConfig(
         name="fuzz", memory_bytes=gen.MEM_BYTES, virt_mode=virt_mode,
         mmu_mode=mmu_mode, prealloc=True,
@@ -247,7 +246,7 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
 
 
 def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
-           max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+           max_instructions: int,
            fault_rate: float = 0.0, fault_seed: int = 0,
            event_seed: Optional[int] = None) -> Dict:
     """Run one case on ``vm``, a power-on machine of ``hv`` from
@@ -379,9 +378,10 @@ def default_opts() -> Dict:
             "fault_rate": 0.0, "bug": None, "events": True}
 
 
-def run_case_spec(spec: gen.CaseSpec, opts: Optional[Dict] = None) -> Dict:
-    """Execute one generated (or shrunk) case everywhere and compare."""
-    opts = {**default_opts(), **(opts or {})}
+def run_case_spec(spec: gen.CaseSpec, opts: Dict) -> Dict:
+    """Execute one generated (or shrunk) case everywhere and compare;
+    ``opts`` over :func:`default_opts`."""
+    opts = {**default_opts(), **opts}
     segments = gen.build_image(spec)
     max_instructions = opts["max_instructions"]
     fault_seed = spec.root_seed ^ (spec.case_index * 2654435761)
@@ -434,7 +434,6 @@ def run_case_spec(spec: gen.CaseSpec, opts: Optional[Dict] = None) -> Dict:
     }
 
 
-def run_case(root_seed: int, case_index: int,
-             opts: Optional[Dict] = None) -> Dict:
+def run_case(root_seed: int, case_index: int, opts: Dict) -> Dict:
     """Generate + execute case ``case_index``; pure in its arguments."""
     return run_case_spec(gen.generate_case(root_seed, case_index), opts)

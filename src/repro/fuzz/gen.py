@@ -391,8 +391,9 @@ class _BodyGen:
 
     # helpers
 
-    def _reg(self, lo=1, hi=13) -> int:
-        return self.rng.randint(lo, hi)
+    def _reg(self) -> int:
+        """r1..r13: never zero, the stack pointer or the link register."""
+        return self.rng.randint(1, 13)
 
     def _target_cell(self) -> int:
         # ncells == the tail cell, a legal branch target

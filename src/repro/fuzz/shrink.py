@@ -28,14 +28,11 @@ def _verdict_key(result: Dict):
     return (result["verdict"]["kind"], result["verdict"]["group"])
 
 
-def shrink_case(root_seed: int, case_index: int,
-                opts: Optional[Dict] = None,
-                original: Optional[Dict] = None,
-                max_evals: int = MAX_EVALS) -> Dict:
-    """Shrink one failing case; returns the minimal cells + stats."""
+def shrink_case(root_seed: int, case_index: int, opts: Dict,
+                original: Dict) -> Dict:
+    """Shrink one failing case (``original`` is its result); returns the
+    minimal cells + stats."""
     spec = gen.generate_case(root_seed, case_index)
-    if original is None:
-        original = run_case_spec(spec, opts)
     key = _verdict_key(original)
     if key[0] == "ok":
         raise ValueError("shrink_case called on a passing case")
@@ -44,7 +41,7 @@ def shrink_case(root_seed: int, case_index: int,
 
     def probe(cells: List[bytes]) -> Optional[Dict]:
         nonlocal evals
-        if evals >= max_evals:
+        if evals >= MAX_EVALS:
             return None
         evals += 1
         candidate = gen.CaseSpec(root_seed=root_seed, case_index=case_index,

@@ -43,12 +43,6 @@ class KernelOptions:
     pv: bool = False
     #: Periodic timer period in cycles (0 = leave the timer off).
     timer_period: int = 0
-    #: Emit the boot banner over the console port.
-    banner: bool = True
-    #: Run the sensitive-instruction correctness probes.
-    probes: bool = True
-    #: Configure the virtio queues at boot.
-    virtio: bool = True
     #: Guest memory size (locates the PV shared-info page).
     memory_bytes: int = 16 * MIB
 
@@ -109,9 +103,9 @@ def asm_header() -> str:
     return "\n".join(lines)
 
 
-def build_kernel(options: KernelOptions = None) -> Program:
-    """Assemble the NanoOS kernel image."""
-    opts = options or KernelOptions()
+def build_kernel(opts: KernelOptions) -> Program:
+    """Assemble the NanoOS kernel image: boot banner, the sensitive-
+    instruction probes (HVM build), virtio queues configured."""
     if opts.memory_bytes < L.MIN_MEMORY:
         raise ValueError(
             f"NanoOS layout needs at least {L.MIN_MEMORY} bytes of guest "
@@ -172,7 +166,7 @@ def _kernel_source(opts: KernelOptions) -> str:
     set_vbar = "    vmcall 1" if pv else "    csrw VBAR, a0"
     set_ptbr = "    vmcall 2" if pv else "    csrw PTBR, a0"
 
-    if opts.probes and not pv:
+    if not pv:
         probes = """
     ; --- Popek-Goldberg probes (sensitive non-trapping instructions) ---
     ; CSRR MODE must read the *virtual* privilege (kernel = 0).
@@ -198,15 +192,12 @@ mode_probe_done:
     st   [t1+12], t2
 """
 
-    if opts.banner:
-        banner = """
+    banner = """
     li   t0, 78              ; 'N'
     out  0x10, t0
     li   t0, 10              ; newline
     out  0x10, t0
 """
-    else:
-        banner = ""
 
     if opts.timer_period > 0:
         timer = f"""
@@ -218,8 +209,7 @@ mode_probe_done:
     else:
         timer = ""
 
-    if opts.virtio:
-        virtio_init = """
+    virtio_init = """
     ; configure virtio-blk queue
     li   t0, VQ_DESC
     out  0x70, t0
@@ -239,8 +229,6 @@ mode_probe_done:
     li   t0, QUEUE_SIZE
     out  0x83, t0
 """
-    else:
-        virtio_init = ""
 
     # Runtime page-table update routines -----------------------------------
     if not pv:

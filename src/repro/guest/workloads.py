@@ -46,7 +46,7 @@ loop:
 """)
 
 
-def expected_cpu_bound(iterations: int = 20000) -> int:
+def expected_cpu_bound(iterations: int) -> int:
     """Host-side oracle for :func:`cpu_bound`'s exit value."""
     acc = 0
     for i in range(iterations, 0, -1):
@@ -265,16 +265,17 @@ loop:
 """)
 
 
-def blk_write(requests: int = 64, sectors_per_request: int = 1) -> Program:
-    """Sequential writes through the *emulated* disk (port-programmed)."""
+def blk_write(requests: int = 64) -> Program:
+    """Sequential one-sector writes through the *emulated* disk
+    (port-programmed)."""
     return _assemble(f"""
     li   s0, {requests}
     li   s1, 0                ; sector cursor
 loop:
     mov  a0, s1
-    li   a1, {sectors_per_request}
+    li   a1, 1
     syscall 7                 ; SYS_BLK_WRITE
-    add  s1, s1, {sectors_per_request}
+    add  s1, s1, 1
     sub  s0, s0, 1
     bnez s0, loop
     li   a0, {requests}
@@ -301,32 +302,31 @@ loop:
 """)
 
 
-def net_send(frames: int = 64, length: int = 64) -> Program:
-    """Frame sends through the *emulated* NIC (3 port writes each)."""
-    return _assemble(f"""
-    li   s0, {frames}
+def net_send() -> Program:
+    """64 frames of 64 bytes through the *emulated* NIC (3 port writes
+    each)."""
+    return _assemble("""
+    li   s0, 64
 loop:
-    li   a0, {length}
+    li   a0, 64
     syscall 9                 ; SYS_NET_SEND
     sub  s0, s0, 1
     bnez s0, loop
-    li   a0, {frames}
+    li   a0, 64
     syscall 0
 """)
 
 
-def vnet_send(batches: int = 16, batch_size: int = 8) -> Program:
-    """Frame sends through *virtio-net*: one kick per batch."""
-    if batch_size > L.QUEUE_SIZE:
-        raise ValueError("batch exceeds ring size")
+def vnet_send(batches: int = 16) -> Program:
+    """Frame sends through *virtio-net*: one kick per batch of 8."""
     return _assemble(f"""
     li   s0, {batches}
 loop:
-    li   a0, {batch_size}
+    li   a0, 8
     syscall 10                ; SYS_VNET_SEND_BATCH
     sub  s0, s0, 1
     bnez s0, loop
-    li   a0, {batches * batch_size}
+    li   a0, {batches * 8}
     syscall 0
 """)
 

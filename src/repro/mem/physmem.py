@@ -134,7 +134,7 @@ class FrameAllocator:
     VMM-owned low memory).
     """
 
-    def __init__(self, physmem: PhysicalMemory, reserved_frames: int = 0):
+    def __init__(self, physmem: PhysicalMemory, reserved_frames: int):
         if reserved_frames < 0 or reserved_frames > physmem.num_frames:
             raise MemoryError_(
                 f"reserved_frames {reserved_frames} out of range "

@@ -23,6 +23,10 @@ from repro.mem.paging import (
 _WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC
 
 
+#: Entries in every MMU's TLB.
+TLB_ENTRIES = 64
+
+
 @dataclass
 class TLBStats:
     """Hit/miss/flush accounting."""
@@ -37,7 +41,7 @@ class TLBStats:
 class TLB:
     """Fixed-capacity, fully-associative, LRU translation cache."""
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity

@@ -21,7 +21,6 @@ Two complementary implementations:
 from repro.migration.model import (
     MigrationConfig,
     MigrationResult,
-    PreCopyStopPolicy,
     simulate_precopy,
     simulate_postcopy,
     simulate_stop_and_copy,
@@ -35,7 +34,6 @@ __all__ = [
     "PostCopyResult",
     "MigrationConfig",
     "MigrationResult",
-    "PreCopyStopPolicy",
     "simulate_precopy",
     "simulate_postcopy",
     "simulate_stop_and_copy",

@@ -68,7 +68,6 @@ class LiveMigrator:
         bytes_per_cycle: float = 1.0,
         injector=None,
         retry_policy: Optional[RetryPolicy] = None,
-        metrics=None,
         tracer=None,
     ):
         if bytes_per_cycle <= 0:
@@ -78,10 +77,8 @@ class LiveMigrator:
         self.bytes_per_cycle = bytes_per_cycle
         self.injector = injector
         self.retry_policy = retry_policy or RetryPolicy()
-        #: ``migration.*`` scope; defaults into the source hypervisor's
-        #: registry so standalone migrations still publish somewhere.
-        self.metrics = (metrics if metrics is not None
-                        else source.registry.scope("migration"))
+        #: ``migration.*`` in the source hypervisor's registry.
+        self.metrics = source.registry.scope("migration")
         self.tracer = tracer
 
     def _span(self, name: str, **attrs):
@@ -93,7 +90,6 @@ class LiveMigrator:
     def migrate(
         self,
         vm: VirtualMachine,
-        dest_name: Optional[str] = None,
         quantum_instructions: int = 20000,
         max_rounds: int = 12,
         threshold_pages: int = 8,
@@ -109,7 +105,7 @@ class LiveMigrator:
         mmu = vcpu.cpu.mmu
 
         dst_vm = self.destination.create_vm(replace(
-            vm.config, name=dest_name or f"{vm.name}-dst", prealloc=True))
+            vm.config, name=f"{vm.name}-dst", prealloc=True))
 
         dirty: Set[int] = set()
         src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)

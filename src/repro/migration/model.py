@@ -18,7 +18,6 @@ pages like any elapsed time). Without an injector the model is
 bit-identical to its fault-free form.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
@@ -30,12 +29,16 @@ from repro.util.errors import MigrationError
 from repro.util.units import KIB, PAGE_SIZE
 
 
-class PreCopyStopPolicy(enum.Enum):
-    """When pre-copy gives up iterating and takes the downtime hit."""
-
-    THRESHOLD = "threshold"  # residual dirty set below a page threshold
-    MAX_ROUNDS = "max_rounds"  # fixed round budget
-    DIMINISHING = "diminishing"  # stop when a round shrinks < 10 %
+#: The hot/cold dirtying model: the share of pages in the hot set, and
+#: the share of writes that land there.
+HOT_FRACTION = 0.1
+HOT_WRITE_FRACTION = 0.9
+#: CPU and device state shipped while the guest is paused.
+CPU_STATE_BYTES = 64 * KIB
+#: Pre-copy stops iterating once a round dirties at most this many pages.
+THRESHOLD_PAGES = 64
+#: Post-copy: guest page-touch rate while degraded (first touches).
+TOUCH_RATE_PPS = 20000.0
 
 
 @dataclass
@@ -44,22 +47,11 @@ class MigrationConfig:
 
     vm_pages: int = 131072  # 512 MiB
     dirty_rate_pps: float = 5000.0  # page writes per second
-    hot_fraction: float = 0.1  # fraction of pages in the hot set
-    hot_write_fraction: float = 0.9  # fraction of writes to the hot set
-    cpu_state_bytes: int = 64 * KIB
     max_rounds: int = 30
-    threshold_pages: int = 64
-    stop_policy: PreCopyStopPolicy = PreCopyStopPolicy.THRESHOLD
-    #: Post-copy: guest page-touch rate while degraded (first touches).
-    touch_rate_pps: float = 20000.0
 
     def validate(self) -> None:
         if self.vm_pages <= 0:
             raise MigrationError("vm_pages must be positive")
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise MigrationError("hot_fraction must be in [0, 1]")
-        if not 0.0 <= self.hot_write_fraction <= 1.0:
-            raise MigrationError("hot_write_fraction must be in [0, 1]")
         if self.dirty_rate_pps < 0:
             raise MigrationError("dirty rate must be non-negative")
 
@@ -95,10 +87,10 @@ def unique_pages_dirtied(cfg: MigrationConfig, interval_us: int) -> int:
     if interval_us <= 0 or cfg.dirty_rate_pps == 0:
         return 0
     t = interval_us / SEC
-    hot_pages = max(1, int(cfg.vm_pages * cfg.hot_fraction))
+    hot_pages = max(1, int(cfg.vm_pages * HOT_FRACTION))
     cold_pages = max(1, cfg.vm_pages - hot_pages)
-    hot_rate = cfg.dirty_rate_pps * cfg.hot_write_fraction
-    cold_rate = cfg.dirty_rate_pps * (1.0 - cfg.hot_write_fraction)
+    hot_rate = cfg.dirty_rate_pps * HOT_WRITE_FRACTION
+    cold_rate = cfg.dirty_rate_pps * (1.0 - HOT_WRITE_FRACTION)
     unique_hot = hot_pages * (1.0 - math.exp(-hot_rate * t / hot_pages))
     unique_cold = cold_pages * (1.0 - math.exp(-cold_rate * t / cold_pages))
     return min(cfg.vm_pages, int(round(unique_hot + unique_cold)))
@@ -136,7 +128,6 @@ class _GiveUp(Exception):
 def simulate_precopy(
     cfg: MigrationConfig,
     link: NetworkLink,
-    sim: Optional[Simulator] = None,
     metrics=None,
     injector=None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -157,8 +148,7 @@ def simulate_precopy(
       dirties pages like any other elapsed time.
     """
     cfg.validate()
-    if sim is None:
-        sim = link.sim
+    sim = link.sim
     rp = retry_policy if retry_policy is not None else RetryPolicy()
     stats = {"retries": 0, "backoff_us": 0, "stalls": 0, "stall_us": 0}
 
@@ -235,23 +225,17 @@ def simulate_precopy(
             dirtied = unique_pages_dirtied(
                 cfg, result.duration + wasted + stalled
             )
-            stop = False
-            if cfg.stop_policy is PreCopyStopPolicy.THRESHOLD:
-                stop = dirtied <= cfg.threshold_pages
-            elif cfg.stop_policy is PreCopyStopPolicy.DIMINISHING:
-                stop = dirtied <= cfg.threshold_pages or dirtied > 0.9 * to_send
+            stop = dirtied <= THRESHOLD_PAGES
             if rounds >= cfg.max_rounds:
                 stop = True
-                converged = dirtied <= cfg.threshold_pages
-            if cfg.stop_policy is PreCopyStopPolicy.DIMINISHING and dirtied > 0.9 * to_send and rounds > 1:
-                converged = dirtied <= cfg.threshold_pages
+                converged = dirtied <= THRESHOLD_PAGES
             if stop:
                 # Stop the VM, ship the residue plus the CPU state. A
                 # drop here resumes the guest on the source during the
                 # backoff, so only the successful attempt is downtime.
                 try:
                     down, _ = yield from attempt_transfer(
-                        dirtied * PAGE_SIZE + cfg.cpu_state_bytes
+                        dirtied * PAGE_SIZE + CPU_STATE_BYTES
                     )
                 except _GiveUp:
                     return abandoned()
@@ -277,12 +261,7 @@ def simulate_precopy(
     return result
 
 
-def simulate_postcopy(
-    cfg: MigrationConfig,
-    link: NetworkLink,
-    sim: Optional[Simulator] = None,
-    metrics=None,
-) -> MigrationResult:
+def simulate_postcopy(cfg: MigrationConfig, link: NetworkLink) -> MigrationResult:
     """Post-copy: ship CPU state, resume remotely, push + demand-fetch.
 
     Degradation model: pages are background-pushed in (effectively)
@@ -294,28 +273,27 @@ def simulate_postcopy(
     window accordingly.
     """
     cfg.validate()
-    if sim is None:
-        sim = link.sim
+    sim = link.sim
 
     def process():
         start = sim.now
         # Downtime: only the CPU/device state ships while paused.
-        down = yield from link.transfer(cfg.cpu_state_bytes)
+        down = yield from link.transfer(CPU_STATE_BYTES)
 
         push_time = link.transmission_time(cfg.vm_pages * PAGE_SIZE)
         # Expected remote faults: E = sum over pages of
         # P(first touch before push arrival). With touch rate lambda_p
         # per page and uniform push arrival in [0, T]:
         #   P = (1 - (1 - exp(-l T)) / (l T))   per page.
-        hot_pages = max(1, int(cfg.vm_pages * cfg.hot_fraction))
+        hot_pages = max(1, int(cfg.vm_pages * HOT_FRACTION))
         cold_pages = max(1, cfg.vm_pages - hot_pages)
         t_sec = push_time / SEC
         faults = 0.0
         for pages, share in (
-            (hot_pages, cfg.hot_write_fraction),
-            (cold_pages, 1.0 - cfg.hot_write_fraction),
+            (hot_pages, HOT_WRITE_FRACTION),
+            (cold_pages, 1.0 - HOT_WRITE_FRACTION),
         ):
-            lam = cfg.touch_rate_pps * share / pages  # per-page touch rate
+            lam = TOUCH_RATE_PPS * share / pages  # per-page touch rate
             if lam <= 0 or t_sec <= 0:
                 continue
             lt = lam * t_sec
@@ -339,26 +317,19 @@ def simulate_postcopy(
             degraded_time_us=degraded,
         )
 
-    result = _run(sim, process())
-    _record(metrics, result)
-    return result
+    return _run(sim, process())
 
 
-def simulate_stop_and_copy(
-    cfg: MigrationConfig,
-    link: NetworkLink,
-    sim: Optional[Simulator] = None,
-    metrics=None,
-) -> MigrationResult:
+def simulate_stop_and_copy(cfg: MigrationConfig,
+                           link: NetworkLink) -> MigrationResult:
     """The naive baseline: freeze, copy everything, resume."""
     cfg.validate()
-    if sim is None:
-        sim = link.sim
+    sim = link.sim
 
     def process():
         start = sim.now
         result = yield from link.transfer(
-            cfg.vm_pages * PAGE_SIZE + cfg.cpu_state_bytes
+            cfg.vm_pages * PAGE_SIZE + CPU_STATE_BYTES
         )
         return MigrationResult(
             technique="stop_and_copy",
@@ -368,6 +339,4 @@ def simulate_stop_and_copy(
             rounds=1,
         )
 
-    result = _run(sim, process())
-    _record(metrics, result)
-    return result
+    return _run(sim, process())

@@ -14,7 +14,7 @@ fetch trigger); that matches reality — production post-copy (userfaultd
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional, Set
+from typing import Set
 
 from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.modes import MMUVirtMode, VirtMode
@@ -46,6 +46,16 @@ class PostCopyResult:
         return self.remote_faults / self.total_pages
 
 
+#: A remote page fault's round trip to the source.
+FETCH_LATENCY_CYCLES = 3000
+#: The background push: pages per batch, between guest quanta of this
+#: many instructions.
+PUSH_BATCH_PAGES = 64
+PUSH_QUANTUM_INSTRUCTIONS = 5000
+#: The destination run's instruction budget.
+MAX_GUEST_INSTRUCTIONS = 50_000_000
+
+
 class PostCopyMigrator:
     """Move a VM by resuming first and fetching memory on demand."""
 
@@ -54,32 +64,17 @@ class PostCopyMigrator:
         source: Hypervisor,
         destination: Hypervisor,
         bytes_per_cycle: float = 1.0,
-        fetch_latency_cycles: int = 3000,
-        push_batch_pages: int = 64,
-        push_quantum_instructions: int = 5000,
-        metrics=None,
     ):
         if bytes_per_cycle <= 0:
             raise MigrationError("bytes_per_cycle must be positive")
-        if push_batch_pages <= 0 or push_quantum_instructions <= 0:
-            raise MigrationError("push parameters must be positive")
         self.source = source
         self.destination = destination
         self.bytes_per_cycle = bytes_per_cycle
-        self.fetch_latency_cycles = fetch_latency_cycles
-        self.push_batch_pages = push_batch_pages
-        self.push_quantum = push_quantum_instructions
         #: ``migration.*`` scope shared with pre-copy; post-copy specific
         #: counters live one level down under ``migration.postcopy.*``.
-        self.metrics = (metrics if metrics is not None
-                        else source.registry.scope("migration"))
+        self.metrics = source.registry.scope("migration")
 
-    def migrate_and_run(
-        self,
-        vm: VirtualMachine,
-        dest_name: Optional[str] = None,
-        max_guest_instructions: int = 50_000_000,
-    ) -> PostCopyResult:
+    def migrate_and_run(self, vm: VirtualMachine) -> PostCopyResult:
         """Switch execution to the destination and run to completion.
 
         Unlike pre-copy, post-copy cannot hand back a paused VM and
@@ -93,7 +88,7 @@ class PostCopyMigrator:
             )
         src_mem = vm.guest_mem
         dst_vm = self.destination.create_vm(replace(
-            vm.config, name=dest_name or f"{vm.name}-dst",
+            vm.config, name=f"{vm.name}-dst",
             virt_mode=VirtMode.HW_ASSIST, mmu_mode=MMUVirtMode.NESTED,
             prealloc=False))
 
@@ -118,7 +113,7 @@ class PostCopyMigrator:
             stats["faults"] += 1
             # A remote fault stalls the vCPU for a network round trip.
             fault_vm.stats.vmm_cycles += (
-                self.fetch_latency_cycles
+                FETCH_LATENCY_CYCLES
                 + int(PAGE_SIZE / self.bytes_per_cycle)
             )
             return True
@@ -138,9 +133,9 @@ class PostCopyMigrator:
             dst_cpu = dst_vm.vcpus[0].cpu
             outcome = RunOutcome.INSTR_LIMIT
             executed = 0
-            while executed < max_guest_instructions:
-                quantum = min(self.push_quantum,
-                              max_guest_instructions - executed)
+            while executed < MAX_GUEST_INSTRUCTIONS:
+                quantum = min(PUSH_QUANTUM_INSTRUCTIONS,
+                              MAX_GUEST_INSTRUCTIONS - executed)
                 retired_before = dst_cpu.instret
                 outcome = self.destination.run(
                     dst_vm, max_guest_instructions=quantum
@@ -153,7 +148,7 @@ class PostCopyMigrator:
                     break
                 if remaining:
                     batch = [remaining.pop() for _ in
-                             range(min(self.push_batch_pages, len(remaining)))]
+                             range(min(PUSH_BATCH_PAGES, len(remaining)))]
                     for gfn in batch:
                         remaining.add(gfn)  # fetch() discards
                         fetch(gfn)

@@ -29,9 +29,9 @@ class Clock:
 class ManualClock(Clock):
     """Explicitly advanced clock; the default when no world is attached."""
 
-    def __init__(self, timebase: str = "ticks", start: int = 0):
+    def __init__(self, timebase: str = "ticks"):
         self.timebase = timebase
-        self._now = start
+        self._now = 0
 
     def now(self) -> int:
         return self._now

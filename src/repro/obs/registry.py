@@ -188,13 +188,11 @@ class MetricsRegistry:
         for name in self.names(prefix):
             yield name, self._metrics[name]
 
-    def values(self, prefix: str = "", strip: bool = False) -> Dict[str, float]:
-        """Counter/gauge values under ``prefix`` (histograms excluded).
-
-        With ``strip=True`` keys are relative to the prefix -- the shape
-        the :class:`ExitStats`-style views rebuild their dicts from.
-        """
-        cut = len(prefix) if strip else 0
+    def values(self, prefix: str = "") -> Dict[str, float]:
+        """Counter/gauge values under ``prefix`` (histograms excluded),
+        keyed relative to it -- the shape the :class:`ExitStats`-style
+        views rebuild their dicts from."""
+        cut = len(prefix)
         return {
             name[cut:]: metric.value
             for name, metric in self.items(prefix)
@@ -219,20 +217,19 @@ class MetricsRegistry:
             del self._metrics[name]
         return len(doomed)
 
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Fold ``other`` into this registry, optionally under ``prefix``.
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` into this registry.
 
         Counters add, gauges take the incoming (newer) value, histograms
-        concatenate samples. Lets per-shard registries roll up into one.
+        concatenate samples. Lets per-case registries roll up into one.
         """
-        base = prefix + "." if prefix else ""
         for name, metric in other.items():
             if isinstance(metric, Counter):
-                self.counter(base + name).inc(metric.value)
+                self.counter(name).inc(metric.value)
             elif isinstance(metric, Gauge):
-                self.gauge(base + name).set(metric.value)
+                self.gauge(name).set(metric.value)
             else:
-                mine = self.histogram(base + name)
+                mine = self.histogram(name)
                 mine.values.extend(metric.values)
                 if metric.last_time is not None:
                     mine.last_time = metric.last_time
@@ -283,12 +280,13 @@ class MetricsScope:
     def value(self, name: str, default: float = 0) -> float:
         return self.registry.value(self._qualify(name), default)
 
-    def values(self, prefix: str = "") -> Dict[str, float]:
-        """Relative-name counter/gauge values under this scope."""
-        full = self._qualify(prefix) if prefix else self.prefix + "."
-        if prefix and not full.endswith("."):
+    def values(self, prefix: str) -> Dict[str, float]:
+        """Relative-name counter/gauge values under this scope's
+        ``prefix``."""
+        full = self._qualify(prefix)
+        if not full.endswith("."):
             full += "."
-        return self.registry.values(full, strip=True)
+        return self.registry.values(full)
 
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self.registry, self._qualify(prefix))
@@ -324,7 +322,7 @@ class counter_attr:
             cache[self._key] = ctr
         return ctr
 
-    def __get__(self, obj, objtype=None):
+    def __get__(self, obj, objtype):
         if obj is None:
             return self
         return self.bound(obj).value

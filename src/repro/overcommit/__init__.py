@@ -34,11 +34,7 @@ from repro.overcommit.wss import (
     estimate_wss,
 )
 from repro.overcommit.balloon import BalloonPolicy, BalloonTarget
-from repro.overcommit.controller import (
-    ControllerConfig,
-    MemoryPressureController,
-    TickRecord,
-)
+from repro.overcommit.controller import MemoryPressureController, TickRecord
 from repro.overcommit.model import (
     PolicyOutcome,
     VMDemand,
@@ -51,7 +47,6 @@ __all__ = [
     "ScanResult",
     "HostSwap",
     "MemoryPressureController",
-    "ControllerConfig",
     "TickRecord",
     "accessed_gfns",
     "estimate_wss",

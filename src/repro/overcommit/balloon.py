@@ -6,10 +6,10 @@ per-VM configured sizes, working-set estimates, and the host's free
 memory, compute how many pages each VM's balloon driver should inflate
 (give up) or deflate (take back).
 
-The allocation rule is VMware-style proportional sharing: each VM keeps
-its working set plus a share of the remaining memory proportional to
-its shares (weight), and idle memory is taxed -- memory neither VM's
-WSS claims is reclaimed first from the VMs holding the most idle pages.
+The allocation rule is VMware-style sharing: each VM keeps its working
+set plus an equal share of the remaining memory, and idle memory is
+taxed -- memory neither VM's WSS claims is reclaimed first from the VMs
+holding the most idle pages.
 """
 
 from dataclasses import dataclass
@@ -37,45 +37,35 @@ class _VMEntry:
     name: str
     current_pages: int
     wss_pages: int
-    shares: int
+
+
+#: The tax on idle memory: the share of a VM's idle pages it gives up.
+IDLE_TAX = 0.75
 
 
 class BalloonPolicy:
     """Idle-memory-tax proportional allocator."""
 
-    def __init__(self, host_pages: int, reserve_pages: int = 0,
-                 idle_tax: float = 0.75):
+    def __init__(self, host_pages: int):
         if host_pages <= 0:
             raise ConfigError("host_pages must be positive")
-        if not 0 <= reserve_pages < host_pages:
-            raise ConfigError(
-                f"reserve_pages {reserve_pages} must be in [0, host_pages); "
-                f"host has {host_pages} pages"
-            )
-        if not 0.0 <= idle_tax <= 1.0:
-            raise ConfigError("idle_tax must be in [0, 1]")
         self.host_pages = host_pages
-        self.reserve_pages = reserve_pages
-        self.idle_tax = idle_tax
         self._vms: List[_VMEntry] = []
 
-    def add_vm(self, name: str, current_pages: int, wss_pages: int,
-               shares: int = 1000) -> None:
+    def add_vm(self, name: str, current_pages: int, wss_pages: int) -> None:
         if any(vm.name == name for vm in self._vms):
             raise ConfigError(f"duplicate VM name {name!r} in balloon policy")
         if current_pages < 0 or wss_pages < 0:
             raise ConfigError("current_pages and wss_pages must be >= 0")
         if wss_pages > current_pages:
             wss_pages = current_pages
-        if shares <= 0:
-            raise ConfigError("shares must be positive")
-        self._vms.append(_VMEntry(name, current_pages, wss_pages, shares))
+        self._vms.append(_VMEntry(name, current_pages, wss_pages))
 
     def compute_targets(self) -> List[BalloonTarget]:
         """Compute per-VM page targets under current pressure."""
         if not self._vms:
             return []
-        available = self.host_pages - self.reserve_pages
+        available = self.host_pages
         total_wss = sum(vm.wss_pages for vm in self._vms)
         total_current = sum(vm.current_pages for vm in self._vms)
 
@@ -90,7 +80,7 @@ class BalloonPolicy:
         if total_wss >= available:
             # Even working sets do not fit: scale WSS proportionally
             # (the remainder will hit host swap). ``available`` is
-            # positive here (reserve < host), so total_wss > 0.
+            # positive here, so total_wss > 0.
             for vm in self._vms:
                 targets[vm.name] = max(
                     1, int(available * vm.wss_pages / total_wss)
@@ -108,14 +98,13 @@ class BalloonPolicy:
                     if overshoot <= 0:
                         break
         else:
-            # Working sets fit. Distribute the surplus by shares, after
-            # taxing idle memory (current - wss) at idle_tax.
+            # Working sets fit. Distribute the surplus evenly, after
+            # taxing idle memory (current - wss) at IDLE_TAX.
             surplus = available - total_wss
-            total_shares = sum(vm.shares for vm in self._vms)
             for vm in self._vms:
                 idle = vm.current_pages - vm.wss_pages
-                keep_idle = int(idle * (1.0 - self.idle_tax))
-                share_part = int(surplus * vm.shares / total_shares)
+                keep_idle = int(idle * (1.0 - IDLE_TAX))
+                share_part = int(surplus / len(self._vms))
                 target = vm.wss_pages + min(keep_idle + share_part, idle)
                 targets[vm.name] = min(target, vm.current_pages)
             # Never exceed what is available in aggregate.

@@ -2,7 +2,7 @@
 
 E7 measures the overcommit mechanisms -- ballooning, content-based
 sharing, host swap -- in isolation; this module closes the loop the
-experiment implies. On a configurable tick the controller:
+experiment implies. On every tick the controller:
 
 1. samples per-VM working sets by access-bit scan
    (:func:`repro.overcommit.wss.count_accessed` over what accrued since
@@ -36,7 +36,7 @@ byte-reproducible manifest.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.core.hypervisor import Hypervisor
 from repro.core.vm import VirtualMachine
@@ -48,32 +48,16 @@ from repro.util.errors import ConfigError, GuestError
 from repro.util.units import PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Tunables for one :class:`MemoryPressureController`."""
-
-    #: ignore inflate deltas at or below this many pages (hysteresis).
-    hysteresis_pages: int = 8
-    #: run a sharing scan every this many ticks (0 disables scanning).
-    scan_period_ticks: int = 4
-    #: swap-evict down to this many free frames only as a last resort.
-    free_low_watermark: int = 16
-    #: cap on pages ballooned out of one VM in one tick.
-    max_balloon_per_tick: int = 256
-    #: BalloonPolicy idle-memory tax.
-    idle_tax: float = 0.75
-    #: host pages the policy must leave unallocated to guests.
-    reserve_pages: int = 0
-
-    def validate(self) -> None:
-        if self.hysteresis_pages < 0:
-            raise ConfigError("hysteresis_pages must be >= 0")
-        if self.scan_period_ticks < 0:
-            raise ConfigError("scan_period_ticks must be >= 0")
-        if self.free_low_watermark < 0:
-            raise ConfigError("free_low_watermark must be >= 0")
-        if self.max_balloon_per_tick <= 0:
-            raise ConfigError("max_balloon_per_tick must be positive")
+#: Ignore inflate deltas at or below this many pages (hysteresis).
+HYSTERESIS_PAGES = 8
+#: Run a sharing scan every this many ticks.
+SCAN_PERIOD_TICKS = 4
+#: Swap-evict down to this many free frames, only as a last resort.
+FREE_LOW_WATERMARK = 16
+#: Cap on pages ballooned out of one VM in one tick.
+MAX_BALLOON_PER_TICK = 256
+#: Ticks :meth:`MemoryPressureController.reclaim` tries before swapping.
+RECLAIM_TICKS = 8
 
 
 @dataclass
@@ -112,18 +96,10 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 class MemoryPressureController:
     """Drive balloon, sharing, and swap from working-set feedback."""
 
-    def __init__(
-        self,
-        hypervisor: Hypervisor,
-        config: Optional[ControllerConfig] = None,
-        sharer: Optional[PageSharer] = None,
-        swap: Optional[HostSwap] = None,
-    ):
+    def __init__(self, hypervisor: Hypervisor):
         self.hv = hypervisor
-        self.config = config if config is not None else ControllerConfig()
-        self.config.validate()
-        self.sharer = sharer if sharer is not None else PageSharer(hypervisor)
-        self.swap = swap if swap is not None else HostSwap(hypervisor)
+        self.sharer = PageSharer(hypervisor)
+        self.swap = HostSwap(hypervisor)
         self.metrics = hypervisor.registry.scope("overcommit.controller")
         self.ticks = 0
         self.tick_log: List[TickRecord] = []
@@ -162,8 +138,7 @@ class MemoryPressureController:
         if vms:
             self._apply_balloon_targets(vms, cold, record)
 
-        period = self.config.scan_period_ticks
-        if period and self.ticks % period == 0 and len(vms) > 1:
+        if self.ticks % SCAN_PERIOD_TICKS == 0 and len(vms) > 1:
             if self._fires("overcommit.scan_stall"):
                 record.scan_stalled = True
                 self.metrics.counter("scan_stalls").inc()
@@ -172,7 +147,7 @@ class MemoryPressureController:
                 record.scan_ran = True
                 record.pages_merged = scan.pages_merged
 
-        shortfall = self.config.free_low_watermark - self.hv.allocator.free_frames
+        shortfall = FREE_LOW_WATERMARK - self.hv.allocator.free_frames
         if shortfall > 0:
             record.swap_evictions = self.swap.evict_some(shortfall)
             self.metrics.counter("swap_evictions").inc(record.swap_evictions)
@@ -183,16 +158,16 @@ class MemoryPressureController:
         self.tick_log.append(record)
         return record
 
-    def reclaim(self, pages: int, max_ticks: int = 8) -> int:
+    def reclaim(self, pages: int) -> int:
         """Tick until at least ``pages`` frames are free (best effort).
 
         This is the admission path: before a new VM is created the host
         asks the controller to make room. Ballooning and sharing are
         tried first (cheap demand-zero refaults); whatever is still
-        missing after ``max_ticks`` is swap-evicted (expensive faults).
+        missing after ``RECLAIM_TICKS`` is swap-evicted (expensive faults).
         Returns the number of free frames afterwards.
         """
-        for _ in range(max_ticks):
+        for _ in range(RECLAIM_TICKS):
             if self.hv.allocator.free_frames >= pages:
                 break
             self.tick()
@@ -230,11 +205,7 @@ class MemoryPressureController:
         host_pages = (
             self.hv.physmem.num_frames - self.hv.allocator.reserved_frames
         )
-        policy = BalloonPolicy(
-            host_pages=host_pages,
-            reserve_pages=self.config.reserve_pages,
-            idle_tax=self.config.idle_tax,
-        )
+        policy = BalloonPolicy(host_pages)
         for vm in vms:
             policy.add_vm(
                 vm.name,
@@ -245,7 +216,7 @@ class MemoryPressureController:
         for target in policy.compute_targets():
             record.targets[target.name] = target.target_pages
             delta = target.inflate_pages
-            if delta <= self.config.hysteresis_pages:
+            if delta <= HYSTERESIS_PAGES:
                 continue
             vm = by_name[target.name]
             if self._fires("overcommit.balloon_refuse"):
@@ -263,7 +234,7 @@ class MemoryPressureController:
         A refault of one takes the EPT dispatch chain under every MMU,
         whose demand-zero tail rebuilds the page bit-identically.
         """
-        want = min(want, self.config.max_balloon_per_tick)
+        want = min(want, MAX_BALLOON_PER_TICK)
         given = 0
         sharing = self.hv.sharing
         for gfn in sorted(cold):

@@ -69,16 +69,20 @@ class PolicyOutcome:
         return min(self.throughput.values())
 
 
+#: A miss costs this many hits' worth of time.
+MISS_PENALTY = 1000.0
+#: Host swapping keeps at most this share of a VM's hot set resident.
+LRU_EFFICIENCY = 0.9
+
+
 def evaluate_policy(
     host_pages: int,
     vms: List[VMDemand],
     policy: PolicyKind,
-    miss_penalty: float = 1000.0,
-    lru_efficiency: float = 0.9,
 ) -> PolicyOutcome:
     """Evaluate one policy stack on one host configuration.
 
-    ``lru_efficiency`` models host-level swapping's blindness: without
+    ``LRU_EFFICIENCY`` models host-level swapping's blindness: without
     guest cooperation the host's global LRU keeps only this fraction of
     each VM's hot set resident once swapping is active (double paging,
     guest/host replacement conflicts -- Waldspurger's motivation for
@@ -87,8 +91,6 @@ def evaluate_policy(
     """
     if host_pages <= 0:
         raise ConfigError("host_pages must be positive")
-    if not 0.0 < lru_efficiency <= 1.0:
-        raise ConfigError("lru_efficiency must be in (0, 1]")
     for vm in vms:
         vm.validate()
     configured = {vm.name: vm.configured_pages for vm in vms}
@@ -151,8 +153,8 @@ def evaluate_policy(
             have = resident[vm.name]
         h = min(1.0, have / vm.wss_pages)
         if policy is PolicyKind.SWAP_ONLY and swapping_active:
-            h = min(h, lru_efficiency)
-        throughput[vm.name] = 1.0 / (h + (1.0 - h) * miss_penalty)
+            h = min(h, LRU_EFFICIENCY)
+        throughput[vm.name] = 1.0 / (h + (1.0 - h) * MISS_PENALTY)
 
     return PolicyOutcome(
         policy=policy,

@@ -25,15 +25,18 @@ from repro.obs.registry import counter_attr
 from repro.util.errors import MemoryError_
 
 
+#: What bringing one page back from the swap device costs the VMM.
+SWAP_IN_CYCLES = 200_000
+
+
 class HostSwap:
     """Per-hypervisor swap device with LRU-ish victim selection."""
 
     swap_outs = counter_attr()
     swap_ins = counter_attr()
 
-    def __init__(self, hypervisor: Hypervisor, swap_in_cost_cycles: int = 200_000):
+    def __init__(self, hypervisor: Hypervisor):
         self.hv = hypervisor
-        self.swap_in_cost_cycles = swap_in_cost_cycles
         self.metrics = hypervisor.registry.scope("overcommit.swap")
         self._ops = hypervisor.registry.counter("overcommit.operations")
         self._store: Dict[Tuple[str, int], bytes] = {}
@@ -121,7 +124,7 @@ class HostSwap:
         self.hv.physmem.write_frame(hfn, content)
         vm.guest_mem.map_page(gfn, hfn)
         self._resident_lru[key] = vm
-        vm.stats.vmm_cycles += self.swap_in_cost_cycles
+        vm.stats.vmm_cycles += SWAP_IN_CYCLES
         self.swap_ins += 1
         self._ops.inc()
 

@@ -86,17 +86,16 @@ def accessed_gfns(vm: VirtualMachine) -> Set[int]:
 def estimate_wss(
     hypervisor: Hypervisor,
     vm: VirtualMachine,
-    sample_instructions: int = 50_000,
-    samples: int = 3,
 ) -> List[int]:
-    """Run ``samples`` sampling intervals; returns pages touched in each.
+    """Run three sampling intervals of 20,000 guest instructions each;
+    returns pages touched in each.
 
     The max (or a high percentile) of the returned list is the
     working-set estimate the balloon policy consumes.
     """
     touched: List[int] = []
-    for _ in range(samples):
+    for _ in range(3):
         clear_access_bits(vm)
-        hypervisor.run(vm, max_guest_instructions=sample_instructions)
+        hypervisor.run(vm, max_guest_instructions=20_000)
         touched.append(count_accessed(vm))
     return touched

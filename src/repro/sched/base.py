@@ -42,10 +42,6 @@ class Scheduler:
         """True if a just-woken task should interrupt a running one."""
         return False
 
-    def limit_slice(self, task: VCpuTask) -> Optional[int]:
-        """Upper bound (us) for this dispatch beyond the quantum, or None."""
-        return None
-
 
 @dataclass(frozen=True)
 class SchedStats:
@@ -62,10 +58,11 @@ class SchedStats:
 
     @classmethod
     def collect(
-        cls, tasks: Sequence[VCpuTask], duration_us: int, num_cores: int = 1
+        cls, tasks: Sequence[VCpuTask], duration_us: int
     ) -> "SchedStats":
+        """Shares of one core's ``duration_us``."""
         total_weight = sum(t.weight for t in tasks)
-        capacity = duration_us * num_cores
+        capacity = duration_us
         cpu_time = {t.name: t.cpu_time for t in tasks}
         achieved = {t.name: t.cpu_time / capacity for t in tasks}
         expected = {t.name: t.weight / total_weight for t in tasks}

@@ -19,50 +19,34 @@ class TaskState(enum.Enum):
 
 
 class CpuBoundWork:
-    """Always-runnable compute, optionally bounded in total CPU time."""
-
-    def __init__(self, total_us: Optional[int] = None):
-        self.total_us = total_us
+    """Always-runnable compute."""
 
     def phases(self) -> Iterator[Tuple[str, int]]:
-        if self.total_us is None:
-            while True:
-                yield (RUN, 10 * MSEC)
-        else:
-            yield (RUN, self.total_us)
+        while True:
+            yield (RUN, 10 * MSEC)
 
 
 class InteractiveWork:
-    """Burst-then-block workload (an I/O-bound or latency-sensitive vCPU)."""
+    """Burst-then-block workload (an I/O-bound or latency-sensitive
+    vCPU): 0.5 ms of CPU, then 5 ms blocked, forever."""
 
-    def __init__(self, burst_us: int = 1 * MSEC, block_us: int = 10 * MSEC,
-                 repeats: Optional[int] = None):
-        if burst_us <= 0 or block_us < 0:
-            raise SchedulerError("burst must be positive, block non-negative")
-        self.burst_us = burst_us
-        self.block_us = block_us
-        self.repeats = repeats
+    burst_us = 500
+    block_us = 5 * MSEC
 
     def phases(self) -> Iterator[Tuple[str, int]]:
-        count = 0
-        while self.repeats is None or count < self.repeats:
+        while True:
             yield (RUN, self.burst_us)
             yield (BLOCK, self.block_us)
-            count += 1
 
 
 class VCpuTask:
     """One schedulable virtual CPU."""
 
-    def __init__(self, name: str, weight: int = 256,
-                 cap_percent: Optional[int] = None, workload=None):
+    def __init__(self, name: str, weight: int = 256, workload=None):
         if weight <= 0:
             raise SchedulerError(f"weight must be positive, got {weight}")
-        if cap_percent is not None and not 0 < cap_percent <= 100:
-            raise SchedulerError(f"cap must be in 1..100, got {cap_percent}")
         self.name = name
         self.weight = weight
-        self.cap_percent = cap_percent
         self.workload = workload or CpuBoundWork()
 
         self.state = TaskState.READY

@@ -7,10 +7,10 @@ and the preempted task is requeued. This is the mechanism behind the
 credit scheduler's BOOST latency win in experiment E5.
 """
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.clock import SimClock
-from repro.obs.registry import MetricsRegistry, counter_attr
+from repro.obs.registry import counter_attr
 from repro.sched.base import Scheduler, SchedStats
 from repro.sched.credit import CreditScheduler
 from repro.sched.entities import BLOCK, RUN, TaskState, VCpuTask
@@ -23,21 +23,13 @@ IDLE_POLL_US = 100
 
 
 class SchedHost:
-    """One host with ``num_cores`` physical CPUs and one scheduler."""
+    """One host with one physical CPU and one scheduler."""
 
     preempt_interrupts = counter_attr()
 
-    def __init__(self, sim: Simulator, scheduler: Scheduler, num_cores: int = 1,
-                 metrics=None):
-        if num_cores <= 0:
-            raise SchedulerError("need at least one core")
+    def __init__(self, sim: Simulator, scheduler: Scheduler, metrics):
         self.sim = sim
         self.scheduler = scheduler
-        self.num_cores = num_cores
-        if metrics is None:
-            # Private registry stamped in sim-time; pass a shared
-            # ``sched`` scope to publish into a run's registry instead.
-            metrics = MetricsRegistry(clock=SimClock(sim)).scope("sched")
         #: ``sched.<policy>`` scope: dispatches, preemptions, wake
         #: latency histogram, all stamped in simulator microseconds.
         self.metrics = metrics.scope(scheduler.metrics_name)
@@ -59,12 +51,9 @@ class SchedHost:
     def run(self, duration_us: int) -> SchedStats:
         """Simulate for ``duration_us`` and return the statistics."""
         self._end_time = self.sim.now + duration_us
-        for core in range(self.num_cores):
-            self._core_procs[core] = self.sim.spawn(
-                self._core_loop(core), name=f"core-{core}"
-            )
+        self._core_procs[0] = self.sim.spawn(self._core_loop(0), name="core-0")
         self.sim.run(until=self._end_time)
-        return SchedStats.collect(self.tasks, duration_us, self.num_cores)
+        return SchedStats.collect(self.tasks, duration_us)
 
     # -- internals -------------------------------------------------------
 
@@ -95,14 +84,6 @@ class SchedHost:
             )
             if self._end_time - sim.now <= 0:
                 return
-            limit = sched.limit_slice(task)
-            if limit is not None:
-                slice_ = min(slice_, limit)
-            if slice_ <= 0:
-                # Capped out between pick and dispatch: treat like a
-                # zero-length run so accounting parks it.
-                sched.account(task, 0, sim.now)
-                continue
             self._running[core_id] = task
             start = sim.now
             try:
@@ -137,23 +118,24 @@ class SchedHost:
         task.state = TaskState.BLOCKED
         task.blocks += 1
         self.scheduler.on_block(task, sim.now)
+        sim.call_after(amount, partial(self._wake, task))
 
-        def wake(t=task):
-            follow = t._advance_phase()
-            if follow is None:
-                return
-            f_kind, _amount = follow
-            if f_kind != RUN:
-                raise SchedulerError(
-                    f"{t.name}: workload yielded consecutive BLOCK phases"
-                )
-            t.note_ready(sim.now)
-            if isinstance(self.scheduler, CreditScheduler):
-                self.scheduler.wake(t, sim.now)
-            self.scheduler.on_ready(t, sim.now)
-            self._tickle(t)
-
-        sim.call_after(amount, wake)
+    def _wake(self, t: VCpuTask) -> None:
+        """``t``'s BLOCK phase ended: make it runnable again."""
+        now = self.sim.now
+        follow = t._advance_phase()
+        if follow is None:
+            return
+        f_kind, _amount = follow
+        if f_kind != RUN:
+            raise SchedulerError(
+                f"{t.name}: workload yielded consecutive BLOCK phases"
+            )
+        t.note_ready(now)
+        if isinstance(self.scheduler, CreditScheduler):
+            self.scheduler.wake(t, now)
+        self.scheduler.on_ready(t, now)
+        self._tickle(t)
 
     def _tickle(self, woken: VCpuTask) -> None:
         """Preempt a core if the scheduler ranks the woken task higher."""
@@ -161,7 +143,7 @@ class SchedHost:
         # running lower-priority task needs an explicit interrupt.
         for core_id, running in list(self._running.items()):
             if self.scheduler.should_preempt(woken, running):
-                self._core_procs[core_id].interrupt("tickle")
+                self._core_procs[core_id].interrupt()
                 return
 
 
@@ -169,12 +151,11 @@ def run_schedule(
     scheduler: Scheduler,
     tasks: Sequence[VCpuTask],
     duration_us: int,
-    num_cores: int = 1,
-    metrics=None,
+    metrics,
 ) -> SchedStats:
     """Convenience wrapper: fresh sim, add tasks, run, return stats."""
     sim = Simulator()
-    host = SchedHost(sim, scheduler, num_cores=num_cores, metrics=metrics)
+    host = SchedHost(sim, scheduler, metrics)
     for task in tasks:
         host.add_task(task)
     return host.run(duration_us)

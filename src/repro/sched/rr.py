@@ -13,8 +13,9 @@ class RoundRobinScheduler(Scheduler):
 
     metrics_name = "rr"
 
-    def __init__(self, quantum_us: int = 30 * MSEC):
-        self.quantum_us = quantum_us
+    quantum_us = 30 * MSEC
+
+    def __init__(self):
         self._queue: Deque[VCpuTask] = deque()
 
     def add_task(self, task: VCpuTask, now: int) -> None:

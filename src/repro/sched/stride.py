@@ -21,10 +21,9 @@ class StrideScheduler(Scheduler):
 
     metrics_name = "stride"
 
-    def __init__(self, quantum_us: int = 10 * MSEC):
-        if quantum_us <= 0:
-            raise SchedulerError("quantum must be positive")
-        self.quantum_us = quantum_us
+    quantum_us = 10 * MSEC
+
+    def __init__(self):
         self._pass: Dict[str, float] = {}
         self._stride: Dict[str, float] = {}
         self._heap: List[Tuple[float, int, VCpuTask]] = []

@@ -29,7 +29,6 @@ from repro.sim.shard import (
     ShardMessage,
     ShardExecutor,
     route_messages,
-    parallel_map,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "ShardMessage",
     "ShardExecutor",
     "route_messages",
-    "parallel_map",
 ]

@@ -36,9 +36,8 @@ SEC = 1000 * MSEC
 class Interrupted(Exception):
     """Thrown into a process generator by :meth:`Process.interrupt`."""
 
-    def __init__(self, reason: Any = None):
-        super().__init__(reason)
-        self.reason = reason
+    def __init__(self):
+        super().__init__("tickle")
 
 
 class SimEvent:
@@ -132,7 +131,7 @@ class Process:
         self._timer_entry: Optional[list] = None
         self._waiting_on: Optional[SimEvent] = None
 
-    def interrupt(self, reason: Any = None) -> None:
+    def interrupt(self) -> None:
         """Throw :class:`Interrupted` into the process at its wait point."""
         if not self.alive:
             return
@@ -142,7 +141,7 @@ class Process:
         if self._timer_entry is not None:
             self._timer_entry[0] = None  # cancel the pending timer resume
             self._timer_entry = None
-        self.sim._schedule_throw(self, Interrupted(reason))
+        self.sim._schedule_throw(self, Interrupted())
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "done"
@@ -210,21 +209,12 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_until_process(self, proc: Process, limit: Optional[int] = None) -> Any:
-        """Run until ``proc`` terminates; return its result.
-
-        ``limit`` bounds simulated time as a safety net; exceeding it
-        raises ``RuntimeError`` (the process is genuinely stuck or the
-        workload was mis-sized).
-        """
+    def run_until_process(self, proc: Process) -> Any:
+        """Run until ``proc`` terminates; return its result."""
         while proc.alive and self._queue:
             time, _seq, cell = heapq.heappop(self._queue)
             if cell[0] is None:
                 continue
-            if limit is not None and time > limit:
-                raise RuntimeError(
-                    f"process {proc.name} still alive at time limit {limit}"
-                )
             self.now = time
             cell[0]()
         if proc.alive:

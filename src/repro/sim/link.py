@@ -49,37 +49,30 @@ class NetworkLink:
     degraded_transfers = counter_attr()
     partitions = counter_attr()
 
+    #: One-way propagation delay, in ticks.
+    latency = 100
+    #: ``link.degrade`` slows a transfer by this factor.
+    degrade_factor = 4.0
+    #: ``link.partition`` takes the link down for this long.
+    partition_ticks = 50 * 1000
+
     def __init__(
         self,
         sim: Simulator,
         bandwidth_bytes_per_sec: float,
-        latency: int = 0,
         name: str = "link",
         injector=None,
-        degrade_factor: float = 4.0,
-        partition_ticks: int = 50 * 1000,
-        metrics=None,
     ):
         if bandwidth_bytes_per_sec <= 0:
             raise ConfigError("bandwidth must be positive")
-        if latency < 0:
-            raise ConfigError("latency must be non-negative")
-        if degrade_factor < 1.0:
-            raise ConfigError("degrade_factor must be >= 1")
-        if partition_ticks < 0:
-            raise ConfigError("partition_ticks must be non-negative")
         self.sim = sim
         self.bandwidth = bandwidth_bytes_per_sec
-        self.latency = latency
         self.name = name
         self.injector = injector
-        self.degrade_factor = degrade_factor
-        self.partition_ticks = partition_ticks
         #: ``sim.link.<name>.*`` counters, stamped in sim microseconds.
-        self.metrics = (metrics if metrics is not None else
-                        MetricsRegistry(clock=SimClock(sim)).scope(
-                            f"sim.link.{name}"))
-        self._channel = Resource(sim, capacity=1)
+        self.metrics = MetricsRegistry(clock=SimClock(sim)).scope(
+            f"sim.link.{name}")
+        self._channel = Resource(sim)
         self._partitioned_until = 0
 
     def transmission_time(self, nbytes: int) -> int:

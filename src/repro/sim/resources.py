@@ -22,11 +22,11 @@ class Resource:
             resource.release()
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    #: Holders at a time: a resource is a mutex.
+    capacity = 1
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.in_use = 0
         self._waiters: Deque[SimEvent] = deque()
 

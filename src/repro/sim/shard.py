@@ -35,7 +35,6 @@ __all__ = [
     "ShardMessage",
     "route_messages",
     "ShardExecutor",
-    "parallel_map",
 ]
 
 _T = TypeVar("_T")
@@ -131,15 +130,3 @@ class ShardExecutor:
         # events each), so dispatch overhead is negligible and eager
         # per-shard distribution beats batching.
         return self._pool.map(fn, tasks, chunksize=1)
-
-
-def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T],
-                 jobs: int = 1) -> List[_R]:
-    """One-shot ordered parallel map for independent work items.
-
-    The convenience form for bench sweeps that fan out once (no
-    epoch loop): partitions ``items`` across a short-lived pool and
-    returns results in item order. ``jobs=1`` runs inline.
-    """
-    with ShardExecutor(jobs=jobs) as executor:
-        return executor.map(fn, items)

@@ -16,8 +16,6 @@ Point = Tuple[float, float]
 
 def ascii_chart(
     series: Dict[str, Sequence[Point]],
-    width: int = 64,
-    height: int = 16,
     title: str = "",
     x_label: str = "",
     y_label: str = "",
@@ -32,8 +30,7 @@ def ascii_chart(
     """
     if not series:
         raise ValueError("ascii_chart needs at least one series")
-    if width < 16 or height < 4:
-        raise ValueError("chart too small to be legible")
+    width, height = 64, 16
 
     def tx(v: float) -> float:
         if log_x:

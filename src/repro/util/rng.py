@@ -79,21 +79,17 @@ class DeterministicRNG:
             raise ValueError("cannot choose from an empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
-    def sample_zipf(self, n: int, alpha: float = 1.0) -> int:
-        """Return an index in [0, n) with a Zipf(alpha) popularity skew.
+    def sample_zipf(self, n: int) -> int:
+        """Return an index in [0, n) with a Zipf(1) popularity skew.
 
-        Used by workload generators to produce realistic hot/cold page
-        access patterns. Implemented by inverse-CDF over the harmonic
-        weights; O(n) set-up cost is avoided by rejection sampling for
-        alpha == 1 and small n is handled directly.
+        Used by workload generators to produce realistic hot/cold
+        popularity. Implemented by inverse-CDF over the harmonic weights.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         if n == 1:
             return 0
-        # Rejection sampling (Devroye) works for alpha > 0 generally but
-        # is fiddly; for simulator purposes a cached-CDF approach is fine.
-        cdf = self._zipf_cdf(n, alpha)
+        cdf = self._zipf_cdf(n)
         u = self.random()
         lo, hi = 0, n - 1
         while lo < hi:
@@ -105,17 +101,16 @@ class DeterministicRNG:
         return lo
 
     # A tiny per-instance cache: workloads call sample_zipf in a loop with
-    # constant (n, alpha), and recomputing the CDF per draw would be O(n)
-    # per sample.
-    def _zipf_cdf(self, n: int, alpha: float) -> List[float]:
-        key = (n, alpha)
+    # constant n, and recomputing the CDF per draw would be O(n) per
+    # sample.
+    def _zipf_cdf(self, n: int) -> List[float]:
         cache = getattr(self, "_zipf_cache", None)
         if cache is None:
             cache = {}
             self._zipf_cache = cache
-        cdf = cache.get(key)
+        cdf = cache.get(n)
         if cdf is None:
-            weights = [1.0 / (i + 1) ** alpha for i in range(n)]
+            weights = [1.0 / (i + 1) for i in range(n)]
             total = sum(weights)
             acc = 0.0
             cdf = []
@@ -123,5 +118,5 @@ class DeterministicRNG:
                 acc += w / total
                 cdf.append(acc)
             cdf[-1] = 1.0
-            cache[key] = cdf
+            cache[n] = cdf
         return cdf

@@ -5,7 +5,7 @@ text table so ``pytest benchmarks/ --benchmark-only -s`` output can be
 compared side by side with the paper.
 """
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 class Table:
@@ -48,7 +48,7 @@ class Table:
         return self.render()
 
 
-def _fmt(cell: Any, float_digits: Optional[int] = 3) -> str:
+def _fmt(cell: Any) -> str:
     if isinstance(cell, bool):
         return "yes" if cell else "no"
     if isinstance(cell, float):
@@ -58,7 +58,7 @@ def _fmt(cell: Any, float_digits: Optional[int] = 3) -> str:
         if magnitude >= 1000:
             return f"{cell:,.0f}"
         if magnitude >= 1:
-            return f"{cell:.{float_digits}g}" if float_digits else str(cell)
+            return f"{cell:.3g}"
         return f"{cell:.3g}"
     if isinstance(cell, int):
         return f"{cell:,}"

@@ -65,7 +65,7 @@ def test_boot_bad_arguments(capsys):
 
 def test_run_e8s_sharded_json(capsys):
     assert main(["run", "e8s", "--quick", "--shards", "2", "--jobs", "2",
-                 "--fleet", "80", "--json"]) == 0
+                 "--json"]) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["schema"] == "pyvisor.metrics.manifest/1"
     assert manifest["experiment"] == "E8s"

@@ -96,10 +96,10 @@ def test_books_balance_through_a_run(crash_rate, moved, monkeypatch):
         audits["shard"] += 1
         return result
 
-    def audited_reserve(work, count):
+    def audited_reserve(work):
         assert balanced(work)
         audits["barrier"] += 1
-        return reserve(work, count)
+        return reserve(work)
 
     monkeypatch.setattr(coordinator, "run_cluster_shard_epoch", audited_epoch)
     monkeypatch.setattr(coordinator, "_reserve_satisfied", audited_reserve)
@@ -142,7 +142,7 @@ E8S_SHAS = {200: "ac912e0f7ff7", 1000: "80f26952a123",
 def test_e8s_manifest_shas_are_pinned():
     reports = run_e8_scale().raw["reports"]
     assert {n: r.sha256[:12] for n, r in reports.items()} == E8S_SHAS
-    pooled = run_e8_scale(fleet_sizes=[10000], jobs=2).raw["reports"]
+    pooled = run_e8_scale(jobs=2).raw["reports"]
     assert pooled[10000].sha256 == reports[10000].sha256
 
 
@@ -204,9 +204,7 @@ def test_plan_rebalance_moves_load_off_hot_host():
     for i in range(4):
         hot.place(VMSpec(f"v{i}", cpu_demand=1.0, memory_bytes=1 * GIB))
     cold = Host(spec, 1)
-    moves = plan_rebalance([hot.summary(0), cold.summary(1)],
-                           high_watermark=0.85, low_watermark=0.70,
-                           max_moves=4)
+    moves = plan_rebalance([hot.summary(0), cold.summary(1)])
     assert moves and moves[0].src == hot.name and moves[0].dst == cold.name
     assert moves[0].src_shard == 0 and moves[0].dst_shard == 1
     # Planned end state respects the high watermark on the source.
@@ -224,8 +222,6 @@ def test_plan_rebalance_respects_memory_and_budget():
     full.place(VMSpec("filler", cpu_demand=0.1, memory_bytes=3 * GIB))
     # No target has 4 GiB free: no moves.
     assert plan_rebalance([hot.summary(0), full.summary(0)]) == []
-    with pytest.raises(ConfigError):
-        plan_rebalance([], high_watermark=0.5, low_watermark=0.9)
 
 
 def test_config_validation():
@@ -233,7 +229,5 @@ def test_config_validation():
         ClusterSimConfig(fleet_size=0).validate()
     with pytest.raises(ConfigError):
         ClusterSimConfig(shards=0).validate()
-    with pytest.raises(ConfigError):
-        ClusterSimConfig(demand_jitter=1.5).validate()
     with pytest.raises(ConfigError):
         run_sharded_cluster(ClusterSimConfig(fleet_size=10, epochs=1), jobs=0)

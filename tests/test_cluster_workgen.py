@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import (
-    DEFAULT_CATALOGUE,
     HostSpec,
     generate_fleet,
     plan_consolidation,
@@ -39,16 +38,10 @@ def test_jitter_varies_demand_within_class():
     assert all(base * 0.8 <= d <= base * 1.2 for d in utils)
 
 
-def test_zero_jitter_exact_catalogue_values():
-    fleet = generate_fleet(50, seed=1, jitter=0.0)
-    allowed = {k.cpu_demand for k in DEFAULT_CATALOGUE}
-    assert all(vm.cpu_demand in allowed for vm in fleet)
-
-
 def test_generated_fleet_is_placeable():
     fleet = generate_fleet(60, seed=11)
     spec = HostSpec(cores=16, cpu_capacity=16.0, memory_bytes=64 * GIB)
-    placement = plan_consolidation(fleet, spec, cpu_overcommit=1.5)
+    placement = plan_consolidation(fleet, spec)
     assert placement.total_vms == 60
     assert placement.hosts_used < 60
 
@@ -56,7 +49,3 @@ def test_generated_fleet_is_placeable():
 def test_validation():
     with pytest.raises(ConfigError):
         generate_fleet(0)
-    with pytest.raises(ConfigError):
-        generate_fleet(5, catalogue=[])
-    with pytest.raises(ConfigError):
-        generate_fleet(5, jitter=1.5)

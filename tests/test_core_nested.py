@@ -5,7 +5,6 @@ The module-level tests run under ``TwoStageMMU(hmode=False)``
 under ``hmode=True`` (``HModeMMU``).
 """
 
-from functools import partial
 
 import pytest
 
@@ -15,6 +14,7 @@ from repro.cpu.mmu import TwoStageMMU
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
+    AddressSpace,
     PTE_ACCESSED,
     PTE_DIRTY,
     PTE_PRESENT,
@@ -27,8 +27,15 @@ from repro.mem.paging import (
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB
 
-NestedMMU = partial(TwoStageMMU, hmode=False)
-HModeMMU = partial(TwoStageMMU, hmode=True)
+def _two_stage(hmode):
+    def make(physmem, allocator, guest_mem, costs):
+        return TwoStageMMU(physmem, allocator, guest_mem, costs, hmode=hmode,
+                           ept=AddressSpace(physmem, allocator))
+    return make
+
+
+NestedMMU = _two_stage(False)
+HModeMMU = _two_stage(True)
 
 GUEST_PAGES = 64
 ROOT_GPA = 0x10000

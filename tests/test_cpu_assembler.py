@@ -7,8 +7,8 @@ from repro.cpu.disasm import disassemble_one
 from repro.cpu.isa import Op, decode
 
 
-def assemble(src, base=0):
-    return Assembler().assemble(src, base=base)
+def assemble(src):
+    return Assembler().assemble(src)
 
 
 def first_instruction(prog):
@@ -229,6 +229,7 @@ def test_movi_without_the_immediate_flag_loads_zero(jit):
     pm = PhysicalMemory(1 * MIB)
     # 40 laps so the loop block gets hot and really is compiled.
     pm.write_bytes(0x1000, assemble("""
+        .org 0x1000
         li   s0, 40
     loop:
         li   a0, 0x55
@@ -236,7 +237,7 @@ def test_movi_without_the_immediate_flag_loads_zero(jit):
         sub  s0, s0, 1
         bnez s0, loop
         hlt
-    """, base=0x1000).data)
+    """).data)
     pm.write_bytes(0x1010, encode(Op.MOVI, rd=1, rb=2))  # over the nop
     cpu = CPUCore(BareMMU(pm, CostModel()), jit=jit)
     cpu.reset(0x1000)

@@ -53,11 +53,6 @@ class TestPortBus:
         assert bus.io_in(0x99) == 0
         bus.io_out(0x99, 1)  # discarded
 
-    def test_strict_mode_raises(self):
-        bus = PortBus(strict=True)
-        with pytest.raises(DeviceError):
-            bus.io_in(0x99)
-
     def test_overlapping_registration_rejected(self):
         bus = PortBus()
         bus.register(PortDevice(), 0x10, 4)
@@ -153,7 +148,8 @@ class TestConsole:
         assert console.port_read(CONS_STATUS) == 1
 
     def test_capacity_bound(self):
-        console = ConsoleDevice(capacity=2)
+        console = ConsoleDevice()
+        console.capacity = 2
         for ch in b"abcd":
             console.port_write(CONS_TX, ch)
         assert console.text == "ab"

@@ -51,7 +51,7 @@ def env():
 class TestBlockDevice:
     def test_write_then_read_roundtrip(self, env):
         pm, pic, sink = env
-        disk = BlockDevice(pm, pic.line(1), capacity_sectors=16)
+        disk = BlockDevice(pm, pic.line(1))
         payload = bytes(range(256)) * 2  # one sector
         pm.write_bytes(0x4000, payload)
         disk.port_write(BLK_SECTOR, 3)
@@ -69,7 +69,7 @@ class TestBlockDevice:
 
     def test_multi_sector_transfer(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), capacity_sectors=16)
+        disk = BlockDevice(pm, pic.line(1))
         data = b"AB" * (SECTOR_SIZE)  # two sectors worth
         pm.write_bytes(0x4000, data)
         disk.port_write(BLK_SECTOR, 0)
@@ -81,8 +81,8 @@ class TestBlockDevice:
 
     def test_out_of_range_sets_error_status(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), capacity_sectors=4)
-        disk.port_write(BLK_SECTOR, 3)
+        disk = BlockDevice(pm, pic.line(1))
+        disk.port_write(BLK_SECTOR, 2047)
         disk.port_write(BLK_COUNT, 2)  # runs past the end
         disk.port_write(BLK_DMA, 0x4000)
         disk.port_write(BLK_CMD, CMD_READ)
@@ -97,28 +97,28 @@ class TestBlockDevice:
 
     def test_capacity_port(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), capacity_sectors=77)
-        assert disk.port_read(BLK_NSECT) == 77
+        disk = BlockDevice(pm, pic.line(1))
+        assert disk.port_read(BLK_NSECT) == 2048
 
     def test_load_image(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), capacity_sectors=4)
+        disk = BlockDevice(pm, pic.line(1))
         disk.load_image(b"boot", sector=1)
         assert disk.read_sectors(1, 1)[:4] == b"boot"
         with pytest.raises(DeviceError):
-            disk.load_image(b"x" * (5 * SECTOR_SIZE))
+            disk.load_image(b"x" * (2049 * SECTOR_SIZE))
 
 
 class TestNetDevice:
     def test_transmit(self, env):
         pm, pic, _ = env
-        sent = []
-        nic = NetDevice(pm, pic.line(2), tx_sink=sent.append)
+        nic = NetDevice(pm, pic.line(2))
+        sent = nic.sent
         pm.write_bytes(0x4000, b"hello frame")
         nic.port_write(NET_TX_ADDR, 0x4000)
         nic.port_write(NET_TX_LEN, 11)
         nic.port_write(NET_TX_CMD, 1)
-        assert sent == [b"hello frame"]
+        assert list(sent) == [b"hello frame"]
         assert nic.tx_frames == 1 and nic.tx_bytes == 11
 
     def test_receive_path(self, env):

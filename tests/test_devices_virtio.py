@@ -27,6 +27,7 @@ from repro.devices.virtio import (
     VirtioNetDevice,
 )
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.registry import MetricsRegistry
 from repro.util.errors import DeviceError
 from repro.util.units import MIB
 
@@ -93,7 +94,7 @@ def blk_request(pm, req_index, req_type, sector, count=1):
 class TestVirtQueue:
     def test_chain_collection_and_loop_detection(self, env):
         pm, _, _ = env
-        queue = VirtQueue(pm)
+        queue = VirtQueue(pm, MetricsRegistry().scope("dev.virtq"))
         queue.desc_gpa, queue.avail_gpa, queue.used_gpa, queue.size = (
             DESC, AVAIL, USED, 16)
         write_desc(pm, 0, 0x100, 10, DESC_F_NEXT, 1)
@@ -107,7 +108,7 @@ class TestVirtQueue:
 
     def test_pop_avail_in_order(self, env):
         pm, _, _ = env
-        queue = VirtQueue(pm)
+        queue = VirtQueue(pm, MetricsRegistry().scope("dev.virtq"))
         queue.desc_gpa, queue.avail_gpa, queue.used_gpa, queue.size = (
             DESC, AVAIL, USED, 16)
         publish(pm, [4, 9])
@@ -122,7 +123,7 @@ class TestVirtQueue:
         # wedged the host in the kick drain loop forever. More pending
         # entries than the ring holds is always driver corruption.
         pm, _, _ = env
-        queue = VirtQueue(pm)
+        queue = VirtQueue(pm, MetricsRegistry().scope("dev.virtq"))
         queue.desc_gpa, queue.avail_gpa, queue.used_gpa, queue.size = (
             DESC, AVAIL, USED, 16)
         pm.write_u32(AVAIL, 17)  # 17 pending > 16 slots
@@ -136,7 +137,7 @@ class TestVirtQueue:
 
     def test_push_used_advances_index(self, env):
         pm, _, _ = env
-        queue = VirtQueue(pm)
+        queue = VirtQueue(pm, MetricsRegistry().scope("dev.virtq"))
         queue.desc_gpa, queue.avail_gpa, queue.used_gpa, queue.size = (
             DESC, AVAIL, USED, 16)
         queue.push_used(7, 100)
@@ -148,7 +149,7 @@ class TestVirtQueue:
 class TestVirtioBlock:
     def test_write_and_read(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3), capacity_sectors=32)
+        dev = VirtioBlockDevice(pm, pic.line(3))
         configure(dev, VIRTIO_BLK_BASE, pm)
         assert dev.port_read(VIRTIO_BLK_BASE + OFF_STATUS) == 1
 
@@ -171,7 +172,7 @@ class TestVirtioBlock:
 
     def test_batch_processes_all_with_one_kick_one_irq(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3), capacity_sectors=32)
+        dev = VirtioBlockDevice(pm, pic.line(3))
         configure(dev, VIRTIO_BLK_BASE, pm)
         pm.write_bytes(DATA, b"Z" * 512)
         heads = [blk_request(pm, i, BLK_T_WRITE, sector=i) for i in range(4)]
@@ -184,9 +185,9 @@ class TestVirtioBlock:
 
     def test_out_of_range_request_errors(self, env):
         pm, pic, _ = env
-        dev = VirtioBlockDevice(pm, pic.line(3), capacity_sectors=4)
+        dev = VirtioBlockDevice(pm, pic.line(3))
         configure(dev, VIRTIO_BLK_BASE, pm)
-        head = blk_request(pm, 0, BLK_T_WRITE, sector=100)
+        head = blk_request(pm, 0, BLK_T_WRITE, sector=2048)
         publish(pm, [head])
         dev.port_write(VIRTIO_BLK_BASE + OFF_KICK, 0)
         assert pm.read_u8(STATUS_BUF) == 1  # BLK_S_ERROR
@@ -202,8 +203,8 @@ class TestVirtioBlock:
 class TestVirtioNet:
     def test_tx_batch(self, env):
         pm, pic, sink = env
-        sent = []
-        dev = VirtioNetDevice(pm, pic.line(4), tx_sink=sent.append)
+        dev = VirtioNetDevice(pm, pic.line(4))
+        sent = dev.sent
         configure(dev, VIRTIO_NET_BASE, pm)  # tx queue
         pm.write_bytes(DATA, b"frame-a!")
         for i in range(3):

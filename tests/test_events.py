@@ -28,6 +28,7 @@ from repro.devices.schedule import NEVER, EventSchedule, attach_schedule
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
+from repro.mem.tlb import TLB
 from repro.util.errors import DeviceError
 
 MEM = 0x40000
@@ -70,8 +71,8 @@ def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
     pm = PhysicalMemory(MEM)
     for addr, data in image.items():
         pm.write_bytes(addr, data)
-    cpu = CPUCore(BareMMU(pm, costs, tlb_entries=16), costs,
-                  port_bus=None, jit=jit)
+    cpu = CPUCore(BareMMU(pm, costs), port_bus=None, jit=jit)
+    cpu.mmu.tlb = TLB(16)
     cpu.reset(ENTRY)
     if events is not None:
         pic = InterruptController(sink=cpu, injector=injector)

@@ -28,6 +28,7 @@ from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, build_kernel
 from repro.guest import workloads as programs
 from repro.guest.layout import GuestLayout
+from repro.obs.registry import MetricsRegistry
 from repro.util.errors import GuestError
 from tests.test_jit_vmm_parity import (
     BY_LABEL, ROW_IDS, _create, _kernel, _state,
@@ -40,7 +41,9 @@ def compile_on_first_visit(monkeypatch):
 
 
 def _never_trips():
-    return GuestProgressWatchdog(idle_pump_limit=1 << 60)
+    watchdog = GuestProgressWatchdog(MetricsRegistry().scope("watchdog"))
+    watchdog.idle_pump_limit = 1 << 60
+    return watchdog
 
 
 def _bare(body):

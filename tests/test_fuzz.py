@@ -33,6 +33,10 @@ PR5_SEED, PR5_CASE = 1, 15
 # -- generator determinism --------------------------------------------------
 
 
+def _quiet(_line):
+    """A campaign log that prints nothing."""
+
+
 class TestGeneratorDeterminism:
     def test_same_seed_same_cases(self):
         for index in range(8):
@@ -147,8 +151,8 @@ class TestCampaign:
         # Worker fan-out is an implementation detail: the manifest
         # (minus wall-clock timing) must be byte-identical.
         opts = default_opts()
-        serial = run_campaign(61, 10, jobs=1, opts=opts)
-        fanned = run_campaign(61, 10, jobs=2, opts=opts)
+        serial = run_campaign(61, 10, jobs=1, opts=opts, log=_quiet)
+        fanned = run_campaign(61, 10, jobs=2, opts=opts, log=_quiet)
         assert (manifest_identity(serial["manifest"])
                 == manifest_identity(fanned["manifest"]))
 
@@ -162,13 +166,13 @@ class TestCampaign:
                 counts[k] = counts.get(k, 0) + v
         assert counts.get("ic_loop", 0) >= 5
         opts = default_opts()
-        serial = run_campaign(61, 10, jobs=1, opts=opts)
-        fanned = run_campaign(61, 10, jobs=3, opts=opts)
+        serial = run_campaign(61, 10, jobs=1, opts=opts, log=_quiet)
+        fanned = run_campaign(61, 10, jobs=3, opts=opts, log=_quiet)
         assert (manifest_identity(serial["manifest"])
                 == manifest_identity(fanned["manifest"]))
 
     def test_clean_campaign_has_no_failures(self):
-        out = run_campaign(61, 6, jobs=1, opts=default_opts())
+        out = run_campaign(61, 6, jobs=1, opts=default_opts(), log=_quiet)
         assert out["failures"] == []
         fz = out["manifest"]["extra"]["fuzz"]
         assert fz["cases"] == 6
@@ -184,7 +188,7 @@ class TestCampaign:
         opts = default_opts()
         opts["bug"] = "pr5-vector-loop"
         out = run_campaign(PR5_SEED, PR5_CASE + 1, jobs=1, opts=opts,
-                           shrink=True, out_dir=str(tmp_path))
+                           log=_quiet, shrink=True, out_dir=str(tmp_path))
         assert out["failures"]
         names = sorted(os.listdir(tmp_path))
         assert "manifest.json" in names

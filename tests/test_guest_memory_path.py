@@ -16,10 +16,13 @@ so each of these holds under every engine that can reach it:
 
 import pytest
 
+from repro.bench.common import MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.cpu.assembler import Assembler
+from repro.cpu.isa import Reg
 from repro.devices.block import BLK_CMD, BLK_COUNT, BLK_DMA, BLK_SECTOR, CMD_READ
+from repro.devices.net import NET_RX_ADDR, NET_RX_CMD
 from repro.devices.power import POWER_BASE
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.migration import LiveMigrator
@@ -196,3 +199,57 @@ def test_swapped_page_tables_under_shadow_paging():
     assert read_diag(vm.guest_mem).user_result == 200
     assert vm.stats.shadow_pt_writes > pt_writes
     assert swap.swap_ins == len(page_tables)
+
+
+# Paging on, vpn 4 -> a frame holding 0xAAAA, read once. The NIC then
+# DMAs a new PTE into the page table itself, mapping vpn 4 to a frame
+# holding 0xBBBB; PTBR is reloaded and vpn 4 read again.
+DMA_INTO_A_PAGE_TABLE = """
+.org 0x1000
+    li a0, 0x20000
+    li a1, 0x21003
+    st [a0+0], a1        ; PD[0] -> the page table at 0x21000
+    li a0, 0x21000
+    li a1, 0x1003
+    st [a0+4], a1        ; vpn 1 -> this code
+    li a1, 0x5003
+    st [a0+16], a1       ; vpn 4 -> frame 0x5000
+    li t1, 0x20000
+    csrw PTBR, t1
+    li t0, 0x4000
+    ld s0, [t0+0]
+    li a0, 0x21010       ; the PTE of vpn 4
+    out {rx_addr:#x}, a0
+    li a0, 1
+    out {rx_cmd:#x}, a0  ; pop the queued frame into it
+    csrw PTBR, t1
+    ld s1, [t0+0]
+    li a0, 1
+    out {power:#x}, a0
+    hlt
+"""
+
+
+def _dma_into_a_page_table(virt_mode, mmu_mode):
+    hv = Hypervisor(memory_bytes=64 * MIB)
+    vm = hv.create_vm(GuestConfig(name="vm", memory_bytes=16 * MIB,
+                                  virt_mode=virt_mode, mmu_mode=mmu_mode))
+    hv.load_program(vm, Assembler().assemble(DMA_INTO_A_PAGE_TABLE.format(
+        rx_addr=NET_RX_ADDR, rx_cmd=NET_RX_CMD, power=POWER_BASE)))
+    vm.guest_mem.write_u32(0x5000, 0xAAAA)
+    vm.guest_mem.write_u32(0x6000, 0xBBBB)
+    vm.devices["net"].inject_rx((0x6003).to_bytes(4, "little"))
+    hv.reset_vcpu(vm, 0x1000)
+    outcome = hv.run(vm, max_guest_instructions=1_000)
+    regs = vm.vcpus[0].cpu.regs
+    return outcome, regs[Reg.S0], regs[Reg.S1]
+
+
+def test_device_dma_into_a_page_table_reaches_the_shadow_mmu():
+    """A DMA write into a guest page table changes what the guest's
+    next access translates to under every engine, shadow paging
+    included: GuestMemory's table route drops the stale shadow entry."""
+    seen = {label: _dma_into_a_page_table(virt_mode, mmu_mode)
+            for label, virt_mode, mmu_mode, _pv in MODE_MATRIX[1:]}
+    assert seen["hw+nested"] == (RunOutcome.SHUTDOWN, 0xAAAA, 0xBBBB)
+    assert all(result == seen["hw+nested"] for result in seen.values()), seen

@@ -121,18 +121,14 @@ class TestBlockIO:
 
 class TestNetIO:
     def test_emulated_send(self, kernel):
-        machine, diag = run_native(kernel, workloads.net_send(6, 64))
-        assert machine.net.tx_frames == 6
-        assert machine.net.tx_bytes == 6 * 64
+        machine, diag = run_native(kernel, workloads.net_send())
+        assert machine.net.tx_frames == 64
+        assert machine.net.tx_bytes == 64 * 64
 
     def test_virtio_send_batch(self, kernel):
-        machine, diag = run_native(kernel, workloads.vnet_send(2, 8))
+        machine, diag = run_native(kernel, workloads.vnet_send(2))
         assert diag.user_result == 16
         assert machine.virtio_net.tx_frames == 16
-
-    def test_virtio_net_batch_limit(self):
-        with pytest.raises(ValueError):
-            workloads.vnet_send(1, 17)
 
     def test_net_echo_roundtrip_native(self, kernel):
         machine = Machine(memory_bytes=GUEST_MEM)

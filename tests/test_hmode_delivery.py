@@ -70,8 +70,7 @@ def _run_bare(due):
     pm = PhysicalMemory(MEM)
     for addr, data in _image().items():
         pm.write_bytes(addr, data)
-    cpu = CPUCore(BareMMU(pm, costs, tlb_entries=64), costs,
-                  port_bus=None, jit=False)
+    cpu = CPUCore(BareMMU(pm, costs), port_bus=None, jit=False)
     cpu.reset(ENTRY)
     pic = InterruptController(sink=cpu)
     attach_schedule(cpu, EventSchedule([(due, IRQ_TIMER_LINE)], pic))
@@ -80,7 +79,7 @@ def _run_bare(due):
 
 
 def _run_hmode(due):
-    hv = Hypervisor(memory_bytes=8 * MEM, costs=_costs(), tlb_entries=64)
+    hv = Hypervisor(memory_bytes=8 * MEM, costs=_costs())
     vm = hv.create_vm(GuestConfig(
         name="t", memory_bytes=MEM, virt_mode=VirtMode.HW_ASSIST,
         mmu_mode=MMUVirtMode.HMODE, prealloc=True))

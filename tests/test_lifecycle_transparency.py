@@ -142,8 +142,7 @@ def test_moved_guest_finishes_like_the_uninterrupted_one(program, row, cut,
             assert result.guest_instructions_during == 80
             outcome = dst.run(result.dest_vm, max_guest_instructions=BUDGET)
         else:
-            result = PostCopyMigrator(src, dst).migrate_and_run(
-                vm, max_guest_instructions=BUDGET)
+            result = PostCopyMigrator(src, dst).migrate_and_run(vm)
             outcome = result.outcome
         moved, sent = result.dest_vm, wire(vm)
     assert observed(moved, outcome, sent) == expected

@@ -84,7 +84,7 @@ class TestFrameAllocator:
 
     def test_alloc_zeroes_by_default(self):
         pm = PhysicalMemory(4 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
+        alloc = FrameAllocator(pm, 0)
         pfn = alloc.alloc()
         pm.write_frame(pfn, b"x" * PAGE_SIZE)
         alloc.free(pfn)
@@ -94,7 +94,7 @@ class TestFrameAllocator:
 
     def test_alloc_no_zero(self):
         pm = PhysicalMemory(4 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
+        alloc = FrameAllocator(pm, 0)
         pfn = alloc.alloc()
         pm.write_frame(pfn, b"x" * PAGE_SIZE)
         alloc.free(pfn)
@@ -102,7 +102,7 @@ class TestFrameAllocator:
 
     def test_exhaustion(self):
         pm = PhysicalMemory(2 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
+        alloc = FrameAllocator(pm, 0)
         alloc.alloc()
         alloc.alloc()
         with pytest.raises(MemoryError_):
@@ -110,7 +110,7 @@ class TestFrameAllocator:
 
     def test_double_free_detected(self):
         pm = PhysicalMemory(2 * PAGE_SIZE)
-        alloc = FrameAllocator(pm)
+        alloc = FrameAllocator(pm, 0)
         pfn = alloc.alloc()
         alloc.free(pfn)
         with pytest.raises(MemoryError_):

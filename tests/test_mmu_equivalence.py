@@ -17,6 +17,7 @@ from repro.cpu.exits import VMExit
 from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
+    AddressSpace,
     PTE_NOEXEC,
     PTE_PRESENT,
     PTE_USER,
@@ -131,7 +132,8 @@ class TestShadowNestedEquivalence:
         two_stage = []
         for name, hmode in (("nested", False), ("hmode", True)):
             pm_n, alloc_n, gm_n = build_guest(mappings)
-            mmu = TwoStageMMU(pm_n, alloc_n, gm_n, CostModel(), hmode=hmode)
+            mmu = TwoStageMMU(pm_n, alloc_n, gm_n, CostModel(), hmode=hmode,
+                              ept=AddressSpace(pm_n, alloc_n))
             for gfn, hfn in gm_n.map.items():
                 mmu.map_gfn(gfn, hfn)
             mmu.set_root(ROOT_GPA)

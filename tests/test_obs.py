@@ -67,7 +67,7 @@ class TestRegistry:
         reg.counter("vm.a.exits.vmcall").inc(2)
         reg.counter("vm.a.exits.io_out").inc(1)
         reg.counter("vm.b.exits.vmcall").inc(9)
-        assert reg.values("vm.a.exits.", strip=True) == {
+        assert reg.values("vm.a.exits.") == {
             "vmcall": 2, "io_out": 1,
         }
 
@@ -76,7 +76,8 @@ class TestRegistry:
         dev = reg.scope("vm").scope("web").scope("dev")
         dev.counter("block.reads").inc()
         assert reg.value("vm.web.dev.block.reads") == 1
-        assert dev.values() == {"block.reads": 1}
+        assert reg.scope("vm").scope("web").values("dev") == {
+            "block.reads": 1}
 
     def test_reset_drops_only_the_prefix(self):
         reg = MetricsRegistry()
@@ -96,12 +97,6 @@ class TestRegistry:
         assert a.value("migration.rounds") == 5
         assert a.value("overcommit.balloon.pages") == 7
         assert a.histogram("span.round").count == 1
-
-    def test_merge_under_prefix(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("faults.injected.total").inc(4)
-        a.merge(b, prefix="host0")
-        assert a.value("host0.faults.injected.total") == 4
 
 
 class TestClocks:
@@ -254,7 +249,7 @@ class TestHypervisorIntegration:
         assert reg.value("core.vms_created") == 1
         assert reg.value("devices.attached") == len(vm.devices)
         total_exits = sum(
-            reg.values("vm.obs.exits.", strip=True).values()
+            reg.values("vm.obs.exits.").values()
         )
         assert total_exits == vm.exit_stats.total_exits
 
@@ -286,8 +281,10 @@ class TestHypervisorIntegration:
         # One watchdog per VM: the hung guest cannot confuse hang
         # detection for its neighbour, which runs on to the end.
         watchdogs = {vm.name: GuestProgressWatchdog(
-            4, metrics=reg.scope(f"faults.watchdog.{vm.name}"))
+            reg.scope(f"faults.watchdog.{vm.name}"))
             for vm in (stalls, healthy)}
+        for watchdog in watchdogs.values():
+            watchdog.idle_pump_limit = 4
         outcomes, _dispatches, _finished = round_robin(
             hv, [stalls, healthy], 20_000, watchdogs)
         assert outcomes["stalls"] is RunOutcome.HUNG

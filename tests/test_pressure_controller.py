@@ -8,12 +8,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.migration import PostCopyMigrator
-from repro.overcommit import (
-    ControllerConfig,
-    HostSwap,
-    MemoryPressureController,
-    PageSharer,
-)
+from repro.overcommit import HostSwap, MemoryPressureController, PageSharer
 from repro.util.errors import ConfigError
 from repro.util.units import MIB, PAGE_SIZE
 
@@ -221,10 +216,3 @@ class TestMemoryPressureController:
         controller.manage(vm)
         with pytest.raises(ConfigError):
             controller.manage(vm)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ControllerConfig(hysteresis_pages=-1).validate()
-        with pytest.raises(ConfigError):
-            ControllerConfig(max_balloon_per_tick=0).validate()
-        ControllerConfig().validate()

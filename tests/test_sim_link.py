@@ -10,14 +10,14 @@ from repro.util.units import MIB
 
 def test_transmission_time_formula():
     sim = Simulator()
-    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB, latency=250)
-    assert link.transmission_time(0) == 250
-    assert link.transmission_time(1 * MIB) == SEC + 250
+    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB)
+    assert link.transmission_time(0) == 100
+    assert link.transmission_time(1 * MIB) == SEC + 100
 
 
 def test_transfer_advances_time_and_counts():
     sim = Simulator()
-    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB, latency=0)
+    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB)
 
     def proc():
         result = yield from link.transfer(512 * 1024)
@@ -25,14 +25,14 @@ def test_transfer_advances_time_and_counts():
 
     p = sim.spawn(proc())
     result = sim.run_until_process(p)
-    assert result.duration == SEC // 2
+    assert result.duration == SEC // 2 + 100
     assert link.bytes_sent == 512 * 1024
     assert link.transfers == 1
 
 
 def test_concurrent_transfers_serialize():
     sim = Simulator()
-    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB, latency=0)
+    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB)
     finished = []
 
     def sender(name, nbytes):
@@ -42,12 +42,12 @@ def test_concurrent_transfers_serialize():
     sim.spawn(sender("a", 1 * MIB))
     sim.spawn(sender("b", 1 * MIB))
     sim.run()
-    assert finished == [("a", SEC), ("b", 2 * SEC)]
+    assert finished == [("a", SEC + 100), ("b", 2 * (SEC + 100))]
 
 
 def test_zero_byte_transfer_with_latency():
     sim = Simulator()
-    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB, latency=100)
+    link = NetworkLink(sim, bandwidth_bytes_per_sec=1 * MIB)
 
     def proc():
         result = yield from link.transfer(0)
@@ -64,8 +64,6 @@ def test_invalid_parameters():
     sim = Simulator()
     with pytest.raises(ConfigError):
         NetworkLink(sim, bandwidth_bytes_per_sec=0)
-    with pytest.raises(ConfigError):
-        NetworkLink(sim, bandwidth_bytes_per_sec=1, latency=-1)
     link = NetworkLink(sim, bandwidth_bytes_per_sec=1)
     with pytest.raises(ConfigError):
         link.transmission_time(-5)

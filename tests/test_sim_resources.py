@@ -8,7 +8,7 @@ from repro.sim.resources import Resource
 
 def test_resource_serializes_holders():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     log = []
 
     def worker(name, hold):
@@ -27,23 +27,6 @@ def test_resource_serializes_holders():
     ]
 
 
-def test_resource_capacity_two_admits_two():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    entered = []
-
-    def worker(name):
-        yield from res.acquire()
-        entered.append((name, sim.now))
-        yield Timeout(10)
-        res.release()
-
-    for name in "abc":
-        sim.spawn(worker(name))
-    sim.run()
-    assert entered == [("a", 0), ("b", 0), ("c", 10)]
-
-
 def test_release_without_acquire_rejected():
     sim = Simulator()
     res = Resource(sim)
@@ -53,21 +36,16 @@ def test_release_without_acquire_rejected():
 
 def test_resource_available_accounting():
     sim = Simulator()
-    res = Resource(sim, capacity=3)
+    res = Resource(sim)
 
     def worker():
         yield from res.acquire()
         yield Timeout(5)
         res.release()
 
-    assert res.available == 3
+    assert res.available == 1
     sim.spawn(worker())
     sim.run(until=1)
-    assert res.available == 2
+    assert res.available == 0
     sim.run()
-    assert res.available == 3
-
-
-def test_invalid_capacity():
-    with pytest.raises(ValueError):
-        Resource(Simulator(), capacity=0)
+    assert res.available == 1

@@ -8,7 +8,6 @@ from repro.sim.shard import (
     COORDINATOR,
     ShardExecutor,
     ShardMessage,
-    parallel_map,
     route_messages,
 )
 from repro.util.errors import ConfigError
@@ -54,12 +53,6 @@ def test_message_pickles():
 
 def _square(x):
     return x * x
-
-
-def test_parallel_map_matches_inline_and_preserves_order():
-    items = list(range(20))
-    assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
-    assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
 
 
 def test_executor_persists_across_maps():

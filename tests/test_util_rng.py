@@ -66,7 +66,7 @@ def test_zipf_skews_toward_low_indices():
     rng = DeterministicRNG(13)
     counts = [0] * 16
     for _ in range(4000):
-        counts[rng.sample_zipf(16, alpha=1.0)] += 1
+        counts[rng.sample_zipf(16)] += 1
     assert counts[0] > counts[8] > 0
     assert sum(counts) == 4000
 
@@ -75,6 +75,6 @@ def test_zipf_bounds_and_errors():
     rng = DeterministicRNG(17)
     assert rng.sample_zipf(1) == 0
     for _ in range(100):
-        assert 0 <= rng.sample_zipf(5, alpha=0.5) < 5
+        assert 0 <= rng.sample_zipf(5) < 5
     with pytest.raises(ValueError):
         rng.sample_zipf(0)
