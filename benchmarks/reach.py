@@ -94,37 +94,13 @@ PERF_WORKLOADS = ("guest_compute", "guest_exits", "fuzz_campaign",
                   "vm_lifecycle", "cluster_sweep")
 
 
-def defined():
-    """Every function and method under src/repro, keyed by what a frame
-    shows of it: ``{(file, first line, name): "path:qualname"}``."""
-    functions = {}
-    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"),
-                                 recursive=True)):
-        with open(path, encoding="utf-8") as fh:
-            module = compile(fh.read(), path, "exec")
-        codes, stack = [], [module]
-        while stack:
-            for const in stack.pop().co_consts:
-                if hasattr(const, "co_code"):
-                    stack.append(const)
-                    # Class bodies lack CO_NEWLOCALS; lambdas, generator
-                    # expressions and comprehensions are named <...>.
-                    if const.co_flags & 0x2 and const.co_name[0] != "<":
-                        codes.append(const)
-        rel = os.path.relpath(path, SRC)
-        count = {}
-        for code in sorted(codes, key=lambda c: c.co_firstlineno):
-            n = count[code.co_qualname] = count.get(code.co_qualname, 0) + 1
-            functions[(path, code.co_firstlineno, code.co_name)] = (
-                f"{rel}:{code.co_qualname}" + (f"#{n}" if n > 1 else ""))
-    return functions
-
-
 @functools.lru_cache(maxsize=None)
 def sources():
     """Every function and method under src/repro, read from the source:
     ``[(file, first line, name, "path:qualname", ast node), ...]``. The
-    same keys as ``defined()``, on any Python 3 (no ``co_qualname``)."""
+    first three are what a frame's code object shows of it (the first
+    line is the first decorator's, as in ``co_firstlineno``); this one
+    enumeration keys both the reach gate and the options gate."""
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"),
                                  recursive=True)):
@@ -426,7 +402,8 @@ def main():
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(ROOT)
 
-    functions = defined()
+    functions = {(path, line, name): key
+                 for path, line, name, key, _node in sources()}
     values = {}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:

@@ -82,19 +82,23 @@ def test_demand_faults_hit_the_working_set_first():
     assert result.fetch_fraction < 0.05
 
 
-def test_memory_identity_after_migration():
+def test_memory_identity_after_migration(monkeypatch):
+    from repro.migration import postcopy
+
+    # One instruction on the destination: almost every page then
+    # arrives by the push that finishes after the run, not by a fault.
+    monkeypatch.setattr(postcopy, "MAX_GUEST_INSTRUCTIONS", 1)
     src, dst, vm = start_guest()
     marker_gpa = 0x9000 + 64
     vm.guest_mem.write_u32(marker_gpa, 0x5117_BEEF & 0xFFFFFFFF)
     migrator = PostCopyMigrator(src, dst, bytes_per_cycle=4.0)
-    code = {gfn: vm.guest_mem.read_gfn(gfn) for gfn in range(1, 8)}
     result = migrator.migrate_and_run(vm)
-    # Pages the guest never wrote arrive intact by the time the
-    # background push completes: the marker's page and the kernel image.
-    dest = result.dest_vm.guest_mem
-    assert dest.read_u32(marker_gpa) == 0x5117_BEEF
-    for gfn, content in code.items():
-        assert dest.read_gfn(gfn) == content, gfn
+    assert result.pushed_pages > result.total_pages - 8
+    # Even pages the guest never touched must be identical once the
+    # background push completes.
+    for gfn in vm.guest_mem.map:
+        assert (result.dest_vm.guest_mem.read_gfn(gfn)
+                == vm.guest_mem.read_gfn(gfn)), gfn
 
 
 def test_requires_hw_assist():
