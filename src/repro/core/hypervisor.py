@@ -137,6 +137,11 @@ _world_switches, _vmm_cycles, _hypercalls = (
     VMStats.world_switches.bound, VMStats.vmm_cycles.bound, VMStats.hypercalls.bound)
 
 
+@lru_cache(maxsize=1)
+def _zeros(nbytes: int) -> memoryview:  # what recycle_vm zero-fills from
+    return memoryview(bytes(nbytes))
+
+
 @lru_cache(maxsize=None)  # one entry per port number: 12 bits
 def _port_detail(port: int) -> str:
     """Exit-table detail of an intercepted IN/OUT."""
@@ -506,7 +511,7 @@ class Hypervisor:
         gstage = self._dismantle(vm)
         guest_mem.write_protected.clear()  # as the rolled-back G-stage
         for hpa, nbytes in guest_mem.host_runs(0, guest_mem.size):
-            self.physmem.write_bytes(hpa, bytes(nbytes))
+            self.physmem.write_bytes(hpa, _zeros(guest_mem.size)[:nbytes])
         return self._build_machine(vm.config, guest_mem, gstage)
 
     def load_program(self, vm: VirtualMachine, program) -> None:

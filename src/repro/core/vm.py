@@ -141,8 +141,14 @@ class GuestMemory:
         """Yield ``(hpa, nbytes)`` for each host-contiguous run backing
         ``[gpa, gpa + length)``: one per page at worst, one for the
         whole range when consecutive gfns sit in consecutive frames (a
-        preallocated guest), each begun by :meth:`gpa_to_hpa`."""
+        preallocated guest; tested in C first), each begun by
+        :meth:`gpa_to_hpa`."""
         gfn_to_hfn = self.map.get
+        gfns = range(gpa >> PAGE_SHIFT, ((gpa + length - 1) >> PAGE_SHIFT) + 1)
+        hfn = gfn_to_hfn(gfns.start, -1)
+        if length > 0 and list(map(gfn_to_hfn, gfns)) == list(range(hfn, hfn + len(gfns))):
+            yield (hfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1)), length
+            return
         while length > 0:
             hpa = self.gpa_to_hpa(gpa)
             run = PAGE_SIZE - (gpa & (PAGE_SIZE - 1))  # to the page's end

@@ -285,8 +285,8 @@ class CPUCore:
 
     # -- execution -------------------------------------------------------------
 
-    def step(self) -> None:
-        """Execute one instruction (or deliver one pending interrupt)."""
+    def step(self) -> Optional[Instruction]:
+        """Execute one instruction and return it (None: an IRQ or a fetch fault)."""
         if self.csr[_IE] and self.pending_irqs:
             for cause in _IRQ_PRIORITY:
                 if cause in self.pending_irqs:
@@ -316,6 +316,7 @@ class CPUCore:
             return
         self.cycles += self.costs.instr_cycles
         self.execute(ins)
+        return ins
 
     def execute(self, ins: Instruction) -> None:
         """Execute one decoded instruction at the current pc.
@@ -470,9 +471,10 @@ class CPUCore:
         event edge and its worst-case charge fits the cycle budget --
         then every instruction in it starts inside the budget, as the
         reference loop requires of each step; otherwise one ``step()``.
-        Where ``lookup`` answers a va instead (a cold head: where its
-        block ends) the core is stepped on up to there -- each
-        instruction behind the full loop-top -- before it is asked again.
+        Where ``lookup`` answers a count instead (1, or ``jit.COLD``: a
+        cold head) the core is stepped, each step behind the full loop-top,
+        until what ``step()`` ran ends a block by ``_compile``'s rule or the
+        next pc is a head already heating (``jit.heating``); then it asks.
         """
         start_instr = self.instret
         start_cycles = self.cycles
@@ -493,9 +495,10 @@ class CPUCore:
             else limit_stop
         )
         lookup = jit.lookup
+        heating = jit.heating
         step = self.step
         csr = self.csr
-        cold_pc = cold_end = -1  # a cold block's next pc, and its end
+        cold_pc, left = -1, 0  # a cold run's next pc, and its steps left
         while True:
             if events is not None and self.instret >= events.next_due:
                 fired = events.fire_due(self.instret)
@@ -523,7 +526,7 @@ class CPUCore:
                 if pc != cold_pc:
                     blk = lookup(pc, csr[_MODE])
                     if blk.__class__ is int:
-                        cold_end = blk  # interpret to there (0: one step)
+                        left = blk
                     elif (
                         self.instret + blk[1] > instr_stop
                         or self.cycles + blk[2] >= cycle_stop
@@ -531,14 +534,16 @@ class CPUCore:
                         # No straight-line block may retire past a budget
                         # or a due event edge: step, so the edge lands
                         # between instructions.
-                        cold_end = 0
+                        left = 1
                     else:
                         blk[0](self)
                         continue
-                cold_pc = -1  # a trap, a taken branch, an unwind end the run
-                step()
-                if pc < self.pc < cold_end:
-                    cold_pc = self.pc
+                cold_pc = -1  # an unwind ends the run
+                ins = step()
+                nxt = self.pc
+                if (left > 1 and ins is not None and ins.op <= LAST_MEM_OP and nxt not in heating
+                        and nxt == pc + ins.length and nxt >> 12 == pc >> 12):
+                    cold_pc, left = nxt, left - 1
                 continue
             except ExitUnwind:
                 pass
@@ -561,24 +566,15 @@ class CPUCore:
         """Host-compiler counters (all zero when the JIT never engaged).
 
         ``cold_steps``: entries of a block whose head was not hot yet
-        (one probe, then interpreted to its end). ``fallback_steps``:
+        (one probe, then stepped to where the block ends). ``fallback_steps``:
         single steps where no block could start (EXEC translation not
         cached, nothing compilable); budget misfits are not counted.
         """
-        stats = {
-            "enabled": int(self.jit_enabled),
-            "active": int(bool(self._jit)),
-            "blocks_compiled": 0,
-            "blocks_invalidated": 0,
-            "fallback_steps": 0,
-            "cold_steps": 0,
-            "blocks_cached": 0,
-            "ic_hits": 0,
-            "pc_cache_entries": 0,
-        }
-        if self._jit:
-            stats.update(self._jit.stats())
-        return stats
+        from repro.cpu.jit import BlockJIT
+
+        jit = self._jit or BlockJIT(self)  # a new engine's counters are zero
+        return {"enabled": int(self.jit_enabled), "active": int(bool(self._jit)),
+                **jit.stats()}
 
     def _run_interp(
         self,

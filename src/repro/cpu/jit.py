@@ -61,6 +61,7 @@ translator, whose hot blocks' native runs are closures of
 compile"); its guest's user-mode half comes through ``cpu.run``.
 """
 
+import struct
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import VMExit
@@ -111,8 +112,8 @@ _HEADS: Set[Tuple] = set()
 #: reference lookup misses and walks to set D).
 _WD = PTE_WRITABLE | PTE_DIRTY
 
-#: Negative-cache marker for "starts with something we cannot compile".
-_UNCOMPILABLE: Tuple = ()
+#: ``lookup``'s answer for a head not hot yet: the most steps before it asks again.
+COLD = MAX_BLOCK_INSTRUCTIONS
 
 
 def _r(index: int) -> str:
@@ -657,6 +658,8 @@ class BlockJIT:
         self._pc_real: Dict[int, Tuple] = {}
         #: Block key -> dispatches while cold (the hotness tier).
         self._heat: Dict[Tuple[int, int, bool], int] = {}
+        #: The vas of ``_heat``'s keys: a cold run stops before one.
+        self.heating: Set[int] = set()
         self._epoch_cell = [0]
         #: Shared across closures: data accesses served by inline caches
         #: or forwarding (host-side telemetry; sim stats are unaffected).
@@ -701,13 +704,10 @@ class BlockJIT:
 
     def lookup(self, pc: int, mode: int = 0):
         """Return ``(closure, n_instructions, worst_cycles)``, or an int:
-        the va to interpret up to before asking again.
-
-        0 is one ``step()`` (compiled code may start at the very next
-        pc): EXEC translation not cached right now (the step will walk
-        and refill), or nothing here compiles (undecodable or
-        page-straddling code). Otherwise the head is still cold and the
-        va is where its block ends, so heat counts block entries.
+        how many instructions to step before asking again. 1: EXEC
+        translation not cached (the step walks and refills), or nothing
+        here compiles. :data:`COLD`: the head is not hot yet, and is
+        stepped to where its block ends, so heat counts block entries.
         ``mode`` is the live MODE csr (privilege is part of the key).
         """
         mmu = self.mmu
@@ -721,7 +721,7 @@ class BlockJIT:
                 pte = mmu.tlb.peek(vpn, AccessType.EXEC, mode == 1)
                 if pte is None:
                     self.fallback_steps += 1
-                    return 0
+                    return 1
                 blk = self._block_at((pte >> 12 << 12) | (pc & 0xFFF), pc, True)
                 if blk.__class__ is int:
                     return blk
@@ -733,7 +733,7 @@ class BlockJIT:
                 pa = mmu.real_pa(pc)
             except (MemoryError_, VMExit):
                 self.fallback_steps += 1
-                return 0  # the step's fetch raises it
+                return 1  # the step's fetch raises it
             ent = self._pc_real.get(pc)
             if ent is not None and ent[1] == pa:
                 blk = ent[0]
@@ -747,18 +747,18 @@ class BlockJIT:
         if blk:
             return blk
         self.fallback_steps += 1
-        return 0
+        return 1
 
     def _block_at(self, pa: int, va: int, paging: bool):
         """This core's block for ``(pa, va)`` (``()`` if nothing there
-        compiles); while its head is cold, the va it would end at."""
+        compiles), or :data:`COLD` while its head is not hot."""
         key = (pa, va, paging)
         blk = self._blocks.get(key)
         if blk is not None:
             return blk
         try:
-            word = self.physmem.read_u32(pa)
-        except MemoryError_:
+            word = struct.unpack_from("<I", self.physmem._data, pa)[0]
+        except struct.error:  # past the end of RAM
             word = -1
         # The tier, decided before any decode: hot enough, or a head
         # the process already holds code for.
@@ -767,42 +767,36 @@ class BlockJIT:
         if heat < HOT and head not in _HEADS:
             if len(self._heat) > _PC_CACHE_MAX:
                 self._heat.clear()
+                self.heating.clear()
             self._heat[key] = heat
+            self.heating.add(va)
             self.cold_steps += 1
-            # To where _compile would stop, or to a head already heating
-            # (a run resumed mid-block must not step past it).
-            return va + self._line(pa, va, paging, self._heat)[-1]
+            return COLD
         self._heat.pop(key, None)
+        self.heating.discard(va)
         return self._compile(key, pa, va, paging, head)
 
-    def _line(self, pa: int, va: int, paging: bool, heads=()) -> List[int]:
-        """Byte offsets of the block that starts at ``(pa, va)``: where
-        each instruction begins, then where the block ends. Read off the
-        opcode bytes (top byte: class and length): the first branch or
-        system instruction ends it, as do ``MAX_BLOCK_INSTRUCTIONS``, the
-        page (one that straddles it is the interpreter's) and a key in
-        ``heads``."""
-        data, off, offs = self.physmem._data, 0, [0]
-        room = 0x1000 - (va & 0xFFF) if pa < len(data) else 0
-        while off + 4 <= room and len(offs) <= MAX_BLOCK_INSTRUCTIONS:
-            opcode = data[pa + off + 3]
-            off += 8 if opcode & 0x80 else 4
-            if off > room:
-                break
-            offs.append(off)
-            if (opcode & 0x7F > LAST_MEM_OP
-                    or (pa + off, va + off, paging) in heads):
-                break
-        return offs
-
     def _compile(self, key, pa: int, va: int, paging: bool, head) -> Tuple:
+        """Build, cache and return the block at ``(pa, va)``. What ends
+        a block: the first branch or system instruction (an op past
+        ``LAST_MEM_OP``), ``MAX_BLOCK_INSTRUCTIONS``, the page (one that
+        straddles it is the interpreter's) and an undecodable word."""
         read_u32 = self.physmem.read_u32
         items: List[Tuple[Instruction, int]] = []
-        offs = self._line(pa, va, paging)
+        blk: Tuple = ()  # nothing here compiles
+        room = 0x1000 - (va & 0xFFF) if pa < self.physmem.size else 0
+        off = 0
         try:
-            for off, end in zip(offs, offs[1:]):
-                imm_word = read_u32(pa + off + 4) if end - off == 8 else 0
-                items.append((decode(read_u32(pa + off), imm_word), va + off))
+            while off + 4 <= room and len(items) < MAX_BLOCK_INSTRUCTIONS:
+                word = read_u32(pa + off)
+                length = 8 if word >> 31 else 4
+                if off + length > room:
+                    break
+                ins = decode(word, read_u32(pa + off + 4) if length == 8 else 0)
+                items.append((ins, va + off))
+                off += length
+                if ins.op > LAST_MEM_OP:
+                    break
         except DecodeError:
             pass  # undecodable tail: the block ends before it
         if items:
@@ -813,11 +807,8 @@ class BlockJIT:
             # What the block charges if every access walks: the
             # dispatcher's test that it fits a cycle budget.
             worst = static_cycles + mem_ops * self.mmu.translate_bound
-            fn = make(self._epoch_cell, self._ic_cell, worst)
-            blk: Tuple = (fn, len(items), worst)
+            blk = (make(self._epoch_cell, self._ic_cell, worst), len(items), worst)
             self.blocks_compiled += 1
-        else:
-            blk = _UNCOMPILABLE
         self._blocks[key] = blk
         pfn = pa >> 12
         self._frame_keys.setdefault(pfn, set()).add(key)

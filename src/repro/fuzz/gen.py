@@ -36,6 +36,7 @@ stays engine-independent. The vector stub irets in place for IRQ
 causes, which also restores the interrupted IE state.
 """
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -327,12 +328,12 @@ def _build_page_tables(layout: Layout) -> Dict[int, bytes]:
             entries[vpn] = _pte(vpn, flags)
         for vpage, frame, fl0, fl1 in layout.aliases:
             entries[vpage] = _pte(frame, fl1 if restricted else fl0)
-        return b"".join(e.to_bytes(4, "little") for e in entries)
+        return struct.pack("<1024I", *entries)
 
     def root(leaf_pa: int) -> bytes:
         entries = [0] * 1024
         entries[0] = _pte(leaf_pa >> 12, P | W | U)
-        return b"".join(e.to_bytes(4, "little") for e in entries)
+        return struct.pack("<1024I", *entries)
 
     return {
         ROOT0: root(LEAF0), LEAF0: leaf(False),

@@ -102,6 +102,7 @@ class TestGuestMemory:
         assert list(gm.host_runs(P + 5, 3 * P)) == [
             (11 * P + 5, 2 * P - 5), (20 * P, P + 5)]
         assert list(gm.host_runs(2 * P + 8, 16)) == [(12 * P + 8, 16)]
+        assert list(gm.host_runs(5, 3 * P - 10)) == [(10 * P + 5, 3 * P - 10)]
         assert list(gm.host_runs(3 * P, 0)) == []
         # read_bytes over runs equals the page-at-a-time read.
         for hfn in gm.map.values():

@@ -1048,6 +1048,24 @@ over:
         assert probed[:3] == [0x1000, VEC, 0x1008]
         assert cpu.regs[15] > 1
 
+    def test_a_trap_to_a_vector_further_down_the_page_ends_the_run(self):
+        # Not the sequential successor, though straight ahead on the page.
+        source = """
+.org 0x1000
+    li s0, 3
+    divu s1, s0, s2         ; s2 = 0: DIV0
+    add s2, s1, 1
+    hlt
+vec:
+    add k0, k0, 1
+    hlt
+"""
+        vec = Assembler().assemble(source).symbols["vec"]
+        cpu, probed, _ = self._pair(
+            source, lambda cpu: cpu.csr.__setitem__(CSR.VBAR, vec),
+            max_instructions=100)
+        assert probed == [0x1000, vec] and cpu.regs[15] == 1
+
     def test_a_store_that_rewrites_the_next_instruction_is_what_runs(self):
         # Nothing of a cold run is kept but where to ask again: every
         # instruction is fetched by step(), so the new word executes.
@@ -1102,11 +1120,15 @@ patch:
         assert cpu.jit_stats()["blocks_compiled"] == 0
 
     def test_a_cold_extent_is_the_block_compile_builds(self, monkeypatch):
-        # One walker (``BlockJIT._line``) says what ends a block; the cold
-        # answer and ``_compile`` both read it. Random decodable code,
-        # heads all over the page: short lines, lines longer than
-        # MAX_BLOCK_INSTRUCTIONS, lines cut by the page end, with and
-        # without an instruction that straddles it.
+        # The compiler says what ends a block (``BlockJIT._compile``);
+        # the dispatcher ends a cold run by what the instruction it just
+        # stepped was. Random decodable code, heads all over the page:
+        # short lines, lines longer than MAX_BLOCK_INSTRUCTIONS, lines
+        # cut by the page end, with and without an instruction that
+        # straddles it. Each head gets a fresh engine, so no other head
+        # is heating, and a stand-in ``step`` that runs every instruction
+        # as straight-line code, so only the instruction's kind (never a
+        # taken branch, a trap or a wild access) can end the run.
         import random
 
         built = []
@@ -1116,10 +1138,14 @@ patch:
             built.append(items)
             return real(costs, items, **kwargs)
 
+        class Asked(Exception):
+            """The dispatcher probed again: the cold run is over."""
+
         monkeypatch.setattr(jitmod, "_block_code", spy)
         rng = random.Random(23)
         enders = [Op.JAL, Op.BEQ, Op.JALR, Op.OUT, Op.SYSCALL, Op.HLT, Op.IRET]
         plain = [Op.ADD, Op.XOR, Op.MUL, Op.LD, Op.ST, Op.MOVI, Op.NOP]
+        straddled = 0
         for _ in range(15):
             cpu, pm = _make_cpu(True)
             code = bytearray()
@@ -1129,21 +1155,71 @@ patch:
                 code += encode(op, rd=rng.randrange(16), ra=rng.randrange(16),
                                rb=rng.randrange(16), imm32=imm)
             pm.write_bytes(0x1000, bytes(code))
-            engine = jitmod.BlockJIT(cpu)
+
+            def straight(cpu=cpu):
+                ins = cpu.fetch(cpu.pc)
+                cpu.pc += ins.length
+                cpu.instret += 1
+                return ins
+
+            cpu.step = straight
             va = 0x1000
             while va < 0x1000 + PAGE_SIZE:
                 length = 8 if pm.read_u8(va + 3) & 0x80 else 4
                 if rng.random() < 0.1 or va + length >= 0x1000 + PAGE_SIZE - 8:
-                    end = engine._block_at(va, va, False)
-                    assert end.__class__ is int  # cold: first time asked
-                    engine._heat.clear()
+                    engine = cpu._jit = jitmod.BlockJIT(cpu)
+                    probed = []
+
+                    def lookup(pc, mode, real=engine.lookup, probed=probed):
+                        probed.append(pc)
+                        if len(probed) > 1:
+                            raise Asked
+                        return real(pc, mode)
+
+                    engine.lookup = lookup
+                    cpu.pc = va
+                    with pytest.raises(Asked):
+                        cpu.run(max_instructions=100)
+                    assert probed[0] == va and engine.cold_steps == 1
                     del built[:]
                     blk = engine._compile((va, va, False), va, va, False, None)
                     items = built[0] if blk else []
                     assert not items or items[0][1] == va
-                    assert end == va + sum(ins.length for ins, _v in items)
+                    end = va + sum(ins.length for ins, _v in items)
                     assert end <= 0x1000 + PAGE_SIZE
+                    in_line = not items or items[-1][0].op <= jitmod.LAST_MEM_OP
+                    if (in_line and len(items) < jitmod.MAX_BLOCK_INSTRUCTIONS
+                            and end + 8 > 0x1000 + PAGE_SIZE > end
+                            and pm.read_u8(end + 3) & 0x80):
+                        # The block stops short of an instruction that
+                        # straddles the page, which no block can hold:
+                        # the run steps it too and ends past the page.
+                        straddled += 1
+                        end += 8
+                    assert probed[1] == end
                 va += length
+        assert straddled
+
+    def test_a_run_stops_at_a_head_already_heating(self):
+        # ``over`` heats first (the jump); the run from ``start`` then
+        # reaches it in line and must stop there, so its second entry is
+        # probed -- the block from ``start`` ends before it.
+        source = """
+.org 0x1000
+    jal zero, over
+start:
+    add s1, s1, 1
+over:
+    add s2, s2, 1
+    bnez s1, done
+    jal zero, start
+done:
+    hlt
+"""
+        _cpu, probed, _ = self._pair(source, max_instructions=100)
+        at = Assembler().assemble(source).symbols
+        start, over, done = at["start"], at["over"], at["done"]
+        assert probed == [0x1000, over, done - 8, start, over, done]
 
     def test_tlb_miss_fallback_takes_one_step_and_asks_again(self):
         # No EXEC translation cached: not "cold" -- compiled code may

@@ -55,6 +55,41 @@ class TestGeneratorDeterminism:
         spec = gen.generate_case(43, 5)
         assert gen.derive_layout(43, 5) == spec.layout
 
+    def test_page_tables_pack_as_entry_by_entry(self):
+        # The tables are packed by one struct call; byte-equal to the
+        # entry-at-a-time form they replaced, on 60 layouts.
+        def tables(layout):
+            def leaf(restricted):
+                entries = [0] * 1024
+                for vpn, flags in gen._BASE_MAP.items():
+                    if restricted:
+                        if vpn in (12, 13, 14, 15):
+                            continue
+                        if vpn in (10, 11):
+                            flags &= ~gen.W
+                        if vpn == 9:
+                            flags &= ~gen.U
+                        if vpn == 5:
+                            flags |= gen.NX
+                    entries[vpn] = gen._pte(vpn, flags)
+                for vpage, frame, fl0, fl1 in layout.aliases:
+                    entries[vpage] = gen._pte(frame, fl1 if restricted else fl0)
+                return b"".join(e.to_bytes(4, "little") for e in entries)
+
+            def root(leaf_pa):
+                entries = [0] * 1024
+                entries[0] = gen._pte(leaf_pa >> 12, gen.P | gen.W | gen.U)
+                return b"".join(e.to_bytes(4, "little") for e in entries)
+
+            return {gen.ROOT0: root(gen.LEAF0), gen.LEAF0: leaf(False),
+                    gen.ROOT1: root(gen.LEAF1), gen.LEAF1: leaf(True)}
+
+        layouts = [gen.derive_layout(seed, index)
+                   for seed in (1, 9) for index in range(30)]
+        assert any(layout.aliases for layout in layouts)
+        for layout in layouts:
+            assert gen._build_page_tables(layout) == tables(layout)
+
     def test_image_segments_fit_memory(self):
         for index in range(6):
             spec = gen.generate_case(44, index)
