@@ -60,7 +60,7 @@ from repro.devices.virtio import (
 )
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, AddressSpace
-from repro.mem.physmem import FrameAllocator, PhysicalMemory
+from repro.mem.physmem import FrameAllocator, PhysicalMemory, WriteLog
 from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ConfigError, GuestError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, bytes_to_pages
@@ -135,11 +135,6 @@ _HW_ASSIST, _PARAVIRT = VirtMode.HW_ASSIST, VirtMode.PARAVIRT
 _READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
 _world_switches, _vmm_cycles, _hypercalls = (
     VMStats.world_switches.bound, VMStats.vmm_cycles.bound, VMStats.hypercalls.bound)
-
-
-@lru_cache(maxsize=1)
-def _zeros(nbytes: int) -> memoryview:  # what recycle_vm zero-fills from
-    return memoryview(bytes(nbytes))
 
 
 @lru_cache(maxsize=None)  # one entry per port number: 12 bits
@@ -469,6 +464,8 @@ class Hypervisor:
         gstage = self._dismantle(vm)
         if gstage is not None:
             gstage.destroy()
+        if vm.guest_mem.write_log is not None:
+            vm.guest_mem.write_log.close()
         for gfn in list(vm.guest_mem.map):
             hfn = vm.guest_mem.unmap_page(gfn)
             if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
@@ -481,10 +478,12 @@ class Hypervisor:
 
         Equal to ``destroy_vm(vm)`` + ``create_vm(vm.config)`` on a
         host where that hands back the same frames, without freeing,
-        reallocating and remapping them: the frames are zeroed where
-        they are, a G-stage is rolled back to its as-built bytes, and
-        everything above them is built anew by :meth:`_build_machine`,
-        so no state of the old machine can survive by being forgotten.
+        reallocating and remapping them: the frames its write log saw
+        written are zeroed where they are (all, on the first recycle or
+        once a gfn was re-backed), a G-stage is rolled back to its
+        as-built bytes, and all above them is built anew by
+        :meth:`_build_machine`, so no state of the old machine can
+        survive by being forgotten.
         Refused, with ``vm`` untouched, when its frames are not this
         VM's alone to zero or are not all there.
         """
@@ -510,8 +509,13 @@ class Hypervisor:
             raise ConfigError(f"cannot recycle VM {vm.name!r}: {why}")
         gstage = self._dismantle(vm)
         guest_mem.write_protected.clear()  # as the rolled-back G-stage
-        for hpa, nbytes in guest_mem.host_runs(0, guest_mem.size):
-            self.physmem.write_bytes(hpa, _zeros(guest_mem.size)[:nbytes])
+        log = guest_mem.write_log
+        if log is None or log.frames != guest_mem.map:
+            # The first recycle, or a gfn re-backed since (balloon, swap).
+            if log is not None:
+                log.close()
+            log = guest_mem.write_log = WriteLog(self.physmem, guest_mem.map)
+        log.zero_written()
         return self._build_machine(vm.config, guest_mem, gstage)
 
     def load_program(self, vm: VirtualMachine, program) -> None:

@@ -7,12 +7,12 @@ access obeys; ballooning, swap and page sharing re-point it.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.isa import Cause
-from repro.mem.physmem import PhysicalMemory
+from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ConfigError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE
 
@@ -81,6 +81,8 @@ class GuestMemory:
         #: ``Hypervisor._build_machine`` (empty under two-stage paging).
         self.tables: Set[int] = set()
         self.tables_written: Optional[Callable[[int, int], None]] = None
+        #: What ``Hypervisor.recycle_vm`` zeroes (None before the first).
+        self.write_log: Optional[WriteLog] = None
 
     @property
     def size(self) -> int:
@@ -137,46 +139,19 @@ class GuestMemory:
 
     # -- bulk accessors (page-crossing safe) --------------------------------
 
-    def host_runs(self, gpa: int, length: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(hpa, nbytes)`` for each host-contiguous run backing
-        ``[gpa, gpa + length)``: one per page at worst, one for the
-        whole range when consecutive gfns sit in consecutive frames (a
-        preallocated guest; tested in C first), each begun by
-        :meth:`gpa_to_hpa`."""
-        gfn_to_hfn = self.map.get
-        gfns = range(gpa >> PAGE_SHIFT, ((gpa + length - 1) >> PAGE_SHIFT) + 1)
-        hfn = gfn_to_hfn(gfns.start, -1)
-        if length > 0 and list(map(gfn_to_hfn, gfns)) == list(range(hfn, hfn + len(gfns))):
-            yield (hfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1)), length
-            return
-        while length > 0:
-            hpa = self.gpa_to_hpa(gpa)
-            run = PAGE_SIZE - (gpa & (PAGE_SIZE - 1))  # to the page's end
-            while (run < length and gfn_to_hfn((gpa + run) >> PAGE_SHIFT)
-                   == (hpa + run) >> PAGE_SHIFT):
-                run += PAGE_SIZE
-            run = min(run, length)
-            yield hpa, run
-            gpa += run
-            length -= run
-
     def read_bytes(self, gpa: int, length: int) -> bytes:
-        if 0 < length <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
-            return self.host.read_bytes(self.gpa_to_hpa(gpa), length)
-        read = self.host.read_bytes
-        return b"".join([read(hpa, n) for hpa, n in self.host_runs(gpa, length)])
+        chunks = []
+        while length > 0:
+            in_page = min(length, PAGE_SIZE - (gpa & (PAGE_SIZE - 1)))
+            chunks.append(self.host.read_bytes(self.gpa_to_hpa(gpa), in_page))
+            gpa += in_page
+            length -= in_page
+        return b"".join(chunks)
 
     def write_bytes(self, gpa: int, data: bytes) -> None:
-        if 0 < len(data) <= PAGE_SIZE - (gpa & (PAGE_SIZE - 1)):
-            self.host.write_bytes(self.gpa_to_hpa(gpa, True), data)
-            if gpa >> PAGE_SHIFT in self.tables:
-                self.tables_written(gpa, len(data))
-            return
         offset = 0
         while offset < len(data):
-            in_page = min(
-                len(data) - offset, PAGE_SIZE - (gpa & (PAGE_SIZE - 1))
-            )
+            in_page = min(len(data) - offset, PAGE_SIZE - (gpa & (PAGE_SIZE - 1)))
             self.host.write_bytes(self.gpa_to_hpa(gpa, True), data[offset : offset + in_page])
             if gpa >> PAGE_SHIFT in self.tables:
                 self.tables_written(gpa, in_page)
@@ -189,9 +164,7 @@ class GuestMemory:
     def write_gfn(self, gfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise MemoryError_("write_gfn needs exactly one page of data")
-        self.host.write_bytes(self.gpa_to_hpa(gfn << PAGE_SHIFT, True), data)
-        if gfn in self.tables:
-            self.tables_written(gfn << PAGE_SHIFT, PAGE_SIZE)
+        self.write_bytes(gfn << PAGE_SHIFT, data)
 
 
 class VirtualMachine:
@@ -231,8 +204,6 @@ class VirtualMachine:
     # the VMM reflects it at the next exit boundary, respecting the
     # guest's *virtual* IE.
     def assert_irq(self, cause: Cause) -> None:
-        from repro.core.modes import VirtMode
-
         if self.config.virt_mode is VirtMode.HW_ASSIST:
             for vcpu in self.vcpus:
                 vcpu.cpu.assert_irq(cause)

@@ -5,15 +5,17 @@ Two comparison groups run the same guest image:
 * **bare** -- the reference interpreter vs. the block JIT on a raw
   :class:`~repro.cpu.mmu.BareMMU` machine. The JIT's contract is
   bit-identical state *including* cycles, instret, TLB statistics and
-  the full memory image, so everything is compared exactly.
+  the memory image, so everything is compared exactly. Memory is
+  compared by page: ``mem`` maps each page a run wrote that is not all
+  zero to its bytes, which are equal exactly when the images are.
 * **vmm** -- four full-virtualization configs under the hypervisor:
   hardware-assist with shadow paging, hardware-assist with nested
   paging, hardware-assist with H-mode two-stage paging (delegated
   traps deliver natively, with no VM exit in between), and
   binary translation (shadow). Only *guest-visible* state is
   compared: registers, pc, the guest CSR view, halt state, pending
-  interrupt causes, console output, and guest memory with the
-  page-table span masked (the walker sets accessed/dirty bits at
+  interrupt causes, console output, and guest memory less the pages
+  of the page-table span (the walker sets accessed/dirty bits at
   TLB-miss time, which legitimately differs between shadow fills,
   nested walks and the hardware two-stage walker). Cycle counts are
   never compared across configs -- cost models differ by design.
@@ -54,7 +56,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.fuzz import gen
 from repro.mem.costs import CostModel
 from repro.mem.paging import PageFault
-from repro.mem.physmem import PhysicalMemory
+from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ReproError
 
 DEFAULT_MAX_INSTRUCTIONS = 600
@@ -105,27 +107,41 @@ def vmm_cycle_guard(max_instructions: int) -> int:
     return max_instructions * 4_000 + 400_000
 
 
-def _irq_injector(fault_rate: float, fault_seed: int) -> Optional[FaultInjector]:
+def _injector(sites: Tuple[str, ...], fault_rate: float,
+              fault_seed: int) -> Optional[FaultInjector]:
     if fault_rate <= 0.0:
         return None
     return FaultInjector(FaultPlan(
         seed=fault_seed,
-        specs=[FaultSpec(site, rate=fault_rate) for site in IRQ_FAULT_SITES],
+        specs=[FaultSpec(site, rate=fault_rate) for site in sites],
     ))
 
 
 # -- bare group -------------------------------------------------------------
+
+#: The bare group's one memory, kept for the life of the process like
+#: ``_HOSTS``; each run starts by zeroing what the last one wrote.
+_BARE: Optional[WriteLog] = None
+
+
+def _bare_memory() -> WriteLog:
+    global _BARE
+    if _BARE is None:
+        pm = PhysicalMemory(gen.MEM_BYTES)
+        _BARE = WriteLog(pm, {pfn: pfn for pfn in range(pm.num_frames)})
+    _BARE.zero_written()
+    return _BARE
 
 
 def run_bare(segments: Dict[int, bytes], jit: bool,
              max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
              event_seed: Optional[int] = None,
              fault_rate: float = 0.0, fault_seed: int = 0) -> Dict:
-    costs = CostModel()
-    pm = PhysicalMemory(gen.MEM_BYTES)
+    log = _bare_memory()
+    pm = log.physmem
     for addr in sorted(segments):
         pm.write_bytes(addr, segments[addr])
-    mmu = BareMMU(pm, costs)
+    mmu = BareMMU(pm, CostModel())
     cpu = CPUCore(mmu, port_bus=None, jit=jit)
     cpu.reset(gen.PRE_BASE)
     if event_seed is not None:
@@ -133,7 +149,7 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
         # schedule raises lines on it and the sink latches causes. No
         # port bus, so lines stay pending -- irrelevant to comparison,
         # which sees only the latched causes.
-        injector = _irq_injector(fault_rate, fault_seed)
+        injector = _injector(IRQ_FAULT_SITES, fault_rate, fault_seed)
         pic = InterruptController(sink=cpu, injector=injector)
         cpu.events = EventSchedule.seeded(
             event_seed, horizon=max_instructions, controller=pic,
@@ -152,6 +168,7 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
     except _ABORTS as exc:
         outcome = "abort"
         abort = f"{type(exc).__name__}: {exc}"
+    pm.unwatch_writes(cpu._on_code_write)  # the memory outlives the core
 
     return {
         "name": "jit" if jit else "interp",
@@ -164,15 +181,9 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
         "pending": sorted(c.name for c in cpu.pending_irqs),
         "cycles": cpu.cycles,
         "instret": cpu.instret,
-        "tlb": {
-            "hits": mmu.tlb.stats.hits,
-            "misses": mmu.tlb.stats.misses,
-            "flushes": mmu.tlb.stats.flushes,
-            "invalidations": mmu.tlb.stats.invalidations,
-            "evictions": mmu.tlb.stats.evictions,
-        },
+        "tlb": dict(vars(mmu.tlb.stats)),
         "walker": {"walks": mmu.walker.walks, "faults": mmu.walker.faults},
-        "mem": pm.read_bytes(0, gen.MEM_BYTES),
+        "mem": log.nonzero(log.frames.items()),
     }
 
 
@@ -196,7 +207,7 @@ def compare_bare(a: Dict, b: Dict) -> List[str]:
 
 def build_machine(config_name: str) -> Tuple[Hypervisor, VirtualMachine]:
     """A new host with the one VM (``"fuzz"``) a case of this config
-    runs on, at power-on."""
+    runs on, at power-on: recycled once, as a pooled one per case."""
     modes = {n: (v, m) for n, v, m in VMM_CONFIGS}
     if config_name not in modes:
         raise ValueError(
@@ -204,11 +215,11 @@ def build_machine(config_name: str) -> Tuple[Hypervisor, VirtualMachine]:
         )
     virt_mode, mmu_mode = modes[config_name]
     hv = Hypervisor(memory_bytes=8 * gen.MEM_BYTES, costs=CostModel())
-    return hv, hv.create_vm(GuestConfig(
+    return hv, hv.recycle_vm(hv.create_vm(GuestConfig(
         name="fuzz", memory_bytes=gen.MEM_BYTES, virt_mode=virt_mode,
         mmu_mode=mmu_mode, prealloc=True,
         with_virtio=True, with_emulated_io=False,
-    ))
+    )))
 
 
 #: Config name -> the host its cases run on, built on first use and kept
@@ -222,11 +233,9 @@ _HOSTS: Dict[str, Hypervisor] = {}
 
 def pooled_machine(config_name: str) -> Tuple[Hypervisor, VirtualMachine]:
     """This process's machine for ``config_name``, at power-on."""
-    hv = _HOSTS.get(config_name)
-    if hv is None:
-        hv, vm = build_machine(config_name)
-        _HOSTS[config_name] = hv
-        return hv, vm
+    if config_name not in _HOSTS:
+        _HOSTS[config_name] = build_machine(config_name)[0]
+    hv = _HOSTS[config_name]
     return hv, hv.recycle_vm(hv.vms["fuzz"])
 
 
@@ -246,19 +255,13 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
            event_seed: Optional[int] = None) -> Dict:
     """Run one case on ``vm``, a power-on machine of ``hv`` from
     :func:`build_machine` or :func:`pooled_machine`."""
-    virt_mode = vm.config.virt_mode
-    injector = None
-    if fault_rate > 0.0:
-        # All sites key to architected points (virtio kicks are
-        # synchronous, IRQ faults draw per line raise / retire edge,
-        # hmode sites per trap delivery / two-stage fill), so the same
-        # plan fires identically in every config.
-        injector = FaultInjector(FaultPlan(
-            seed=fault_seed,
-            specs=[FaultSpec("virtio.ring_stuck", rate=fault_rate)]
-            + [FaultSpec(site, rate=fault_rate) for site in IRQ_FAULT_SITES]
-            + [FaultSpec(site, rate=fault_rate) for site in HMODE_FAULT_SITES],
-        ))
+    hw = vm.config.virt_mode is VirtMode.HW_ASSIST
+    # All sites key to architected points (virtio kicks are synchronous,
+    # IRQ faults draw per line raise / retire edge, hmode sites per trap
+    # delivery / two-stage fill), so the same plan fires identically in
+    # every config.
+    injector = _injector(("virtio.ring_stuck",) + IRQ_FAULT_SITES
+                         + HMODE_FAULT_SITES, fault_rate, fault_seed)
     vm.devices["virtio_blk"].injector = injector
     vm.pic.injector = injector
     # The host outlives the case: None must replace the last plan too.
@@ -276,27 +279,21 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         cpu.events = EventSchedule.seeded(
             event_seed, horizon=max_instructions, controller=vm.pic,
             console=vm.devices["console"], injector=injector,
-            exit_on_fire=virt_mode is not VirtMode.HW_ASSIST,
+            exit_on_fire=not hw,
         )
-    hw = virt_mode is VirtMode.HW_ASSIST
     outcome, abort = None, None
     try:
         res = hv.run(vm, max_guest_instructions=max_instructions,
                      max_cycles=vmm_cycle_guard(max_instructions))
-        outcome = {
-            "halted": "halted",
-            "shutdown": "shutdown",
-            "instr_limit": "instr_limit",
-            "cycle_limit": "hang",
-            "hung": "hang",
-        }[res.value]
+        # The cycle guard tripped or the watchdog fired: either is a hang.
+        outcome = {"cycle_limit": "hang", "hung": "hang"}.get(res.value, res.value)
     except _ABORTS as exc:
         outcome = "abort"
         abort = f"{type(exc).__name__}: {exc}"
 
     pending = cpu.pending_irqs if hw else vm.pending_virqs
     return {
-        "name": _CONFIG_NAMES[virt_mode, vm.config.mmu_mode],
+        "name": _CONFIG_NAMES[vm.config.virt_mode, vm.config.mmu_mode],
         "outcome": outcome,
         "abort": abort,
         "pc": cpu.pc,
@@ -306,7 +303,7 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         "pending": sorted(c.name for c in pending),
         "console": vm.devices["console"].text,
         "instret": cpu.instret,
-        "mem": vm.guest_mem.read_bytes(0, gen.MEM_BYTES),
+        "mem": vm.guest_mem.write_log.nonzero(vm.guest_mem.map.items()),
     }
 
 
@@ -337,23 +334,22 @@ def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
         # classes are all we require.
         return None, [], None
 
-    lo, hi = gen.PT_SPAN
+    pt_pages = range(gen.PT_SPAN[0] // gen.PAGE, gen.PT_SPAN[1] // gen.PAGE)
 
-    def diff_state(a: Dict, b: Dict, with_instret: bool) -> List[str]:
+    def diff_state(a: Dict, b: Dict) -> List[str]:
         fields = [f for f in _VMM_FIELDS if a[f] != b[f]]
-        # Equal images are equal masked; else the bytes around the page-table
-        # span are compared in place, to tell A/D-bit noise from a difference.
-        mem, other = a["mem"], memoryview(b["mem"])
-        if mem != b["mem"] and not (mem.startswith(other[:lo])
-                                    and mem.endswith(other[hi:])):
+        # The page-table span's pages are dropped: A/D-bit noise.
+        mem_a, mem_b = ({gfn: page for gfn, page in r["mem"].items()
+                         if gfn not in pt_pages} for r in (a, b))
+        if mem_a != mem_b:
             fields.append("mem")
-        if with_instret and a["instret"] != b["instret"]:
+        if a["instret"] != b["instret"]:
             fields.append("instret")
         return fields
 
     hw_s, bt = by_name["hw-shadow"], by_name["bt-shadow"]
     for other_name in ("hw-nested", "hw-hmode"):
-        fields = diff_state(hw_s, by_name[other_name], with_instret=True)
+        fields = diff_state(hw_s, by_name[other_name])
         if fields:
             return "divergence", fields, ("hw-shadow", other_name)
     if outcome == "halted":
@@ -362,7 +358,7 @@ def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
         # cycle-bounded), so BT state is only checked on clean exits.
         # instret is compared too: monitor callouts retire exactly like
         # their intercepted-and-emulated hardware-assist counterparts.
-        fields = diff_state(hw_s, bt, with_instret=True)
+        fields = diff_state(hw_s, bt)
         if fields:
             return "divergence", fields, ("hw-shadow", "bt-shadow")
     return None, [], None
@@ -381,27 +377,18 @@ def run_case_spec(spec: gen.CaseSpec, opts: Dict) -> Dict:
     ``opts`` over :func:`default_opts`."""
     opts = {**default_opts(), **opts}
     segments = gen.build_image(spec)
-    max_instructions = opts["max_instructions"]
     fault_seed = spec.root_seed ^ (spec.case_index * 2654435761)
     # A distinct stream from the fault plan: the schedule's shape must
     # not correlate with which faults fire on it.
     event_seed = (fault_seed ^ 0x9E3779B9) if opts["events"] else None
+    common = dict(max_instructions=opts["max_instructions"], event_seed=event_seed,
+                  fault_rate=opts["fault_rate"], fault_seed=fault_seed)
 
     from repro.fuzz.bugs import apply_bug
 
     with apply_bug(opts.get("bug")):
-        interp = run_bare(segments, jit=False, max_instructions=max_instructions,
-                          event_seed=event_seed,
-                          fault_rate=opts["fault_rate"], fault_seed=fault_seed)
-        jit = run_bare(segments, jit=True, max_instructions=max_instructions,
-                       event_seed=event_seed,
-                       fault_rate=opts["fault_rate"], fault_seed=fault_seed)
-        vmm = [
-            run_vmm(segments, name, max_instructions=max_instructions,
-                    fault_rate=opts["fault_rate"], fault_seed=fault_seed,
-                    event_seed=event_seed)
-            for name, _v, _m in VMM_CONFIGS
-        ]
+        interp, jit = [run_bare(segments, jit=j, **common) for j in (False, True)]
+        vmm = [run_vmm(segments, name, **common) for name, _v, _m in VMM_CONFIGS]
 
     verdict = {"kind": "ok", "group": None, "fields": [], "pair": None}
     bare_fields = compare_bare(interp, jit)

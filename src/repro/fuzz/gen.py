@@ -70,8 +70,9 @@ LEAF1 = 0x25000
 
 #: Guest-physical span holding page tables. The walker sets A/D bits in
 #: these pages at *TLB-miss* time, which legitimately differs between
-#: shadow and nested paging; differential comparison masks this span.
+#: shadow and nested paging; differential comparison drops its pages.
 PT_SPAN = (0x20000, 0x28000)
+assert not (PT_SPAN[0] | PT_SPAN[1]) % PAGE, "PT_SPAN is whole pages"
 
 CELL = 32  # bytes per body cell (8 words), templates are NOP-padded
 MAX_CELLS = 40

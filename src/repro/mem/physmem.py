@@ -1,12 +1,13 @@
 """Byte-addressable physical memory and the frame allocator."""
 
 import struct
-from typing import Callable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.util.errors import MemoryError_
 from repro.util.units import PAGE_SHIFT, PAGE_SIZE
 
 _U32 = struct.Struct("<I")
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class PhysicalMemory:
@@ -108,8 +109,9 @@ class PhysicalMemory:
 
     def zero_frame(self, pfn: int) -> None:
         base = pfn << PAGE_SHIFT
-        self._check(base, PAGE_SIZE)
-        self._data[base : base + PAGE_SIZE] = b"\x00" * PAGE_SIZE
+        if base < 0 or base + PAGE_SIZE > self.size:
+            self._check(base, PAGE_SIZE)
+        self._data[base : base + PAGE_SIZE] = ZERO_PAGE
         if self._watchers:
             self._notify(base, PAGE_SIZE)
 
@@ -125,6 +127,41 @@ class PhysicalMemory:
                 f"physical access [{pa:#x}, {pa + length:#x}) outside "
                 f"RAM of {self.size:#x} bytes"
             )
+
+
+class WriteLog:
+    """Which of ``frames`` (``{key: pfn}``) were stored to since the last
+    :meth:`zero_written` (all of them before the first): a write watcher
+    that moves a frame out of ``unwritten`` on its first store, so is not
+    called for it again. Exact while every store reaches ``_notify`` and
+    nothing outside :class:`PhysicalMemory` writes ``_data``."""
+
+    def __init__(self, physmem: PhysicalMemory, frames: Dict[int, int]):
+        self.physmem, self.frames = physmem, dict(frames)
+        self.unwritten: Set[int] = set()
+        self.written: List[int] = list(self.frames.values())
+        physmem.watch_writes(self.unwritten, self._first_store)
+
+    def _first_store(self, pfn: int) -> None:
+        self.unwritten.remove(pfn)
+        self.written.append(pfn)
+
+    def zero_written(self) -> None:
+        for pfn in self.written:
+            self.physmem.zero_frame(pfn)
+        self.unwritten.update(self.written)
+        self.written.clear()
+
+    def nonzero(self, frames: Iterable[Tuple[int, int]]) -> Dict[int, bytes]:
+        """``{key: frame bytes}`` of the ``(key, pfn)`` pairs whose frame is
+        not all zero; a frame still unwritten is not read."""
+        view, unwritten = self.physmem._view, self.unwritten
+        pages = {key: bytes(view[pfn << PAGE_SHIFT : (pfn + 1) << PAGE_SHIFT])
+                 for key, pfn in frames if pfn not in unwritten}
+        return {key: page for key, page in pages.items() if page != ZERO_PAGE}
+
+    def close(self) -> None:
+        self.physmem.unwatch_writes(self._first_store)
 
 
 class FrameAllocator:

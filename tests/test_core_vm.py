@@ -90,28 +90,21 @@ class TestGuestMemory:
         assert pm.read_bytes(50 * PAGE_SIZE + PAGE_SIZE - 100, 100) == b"x" * 100
         assert pm.read_bytes(10 * PAGE_SIZE, 100) == b"y" * 100
 
-    def test_host_runs_coalesce_adjacent_frames(self):
+    def test_read_bytes_walks_pages(self):
         pm = PhysicalMemory(1 * MIB)
         gm = GuestMemory(pm, num_pages=7)
         for gfn, hfn in enumerate([10, 11, 12, 20, 21, 5, 6]):
             gm.map_page(gfn, hfn)
         P = PAGE_SIZE
-        assert list(gm.host_runs(0, 7 * P)) == [
-            (10 * P, 3 * P), (20 * P, 2 * P), (5 * P, 2 * P)]
-        # Unaligned at both ends, ending inside a run and inside a page.
-        assert list(gm.host_runs(P + 5, 3 * P)) == [
-            (11 * P + 5, 2 * P - 5), (20 * P, P + 5)]
-        assert list(gm.host_runs(2 * P + 8, 16)) == [(12 * P + 8, 16)]
-        assert list(gm.host_runs(5, 3 * P - 10)) == [(10 * P + 5, 3 * P - 10)]
-        assert list(gm.host_runs(3 * P, 0)) == []
-        # read_bytes over runs equals the page-at-a-time read.
         for hfn in gm.map.values():
             pm.write_frame(hfn, bytes([hfn]) * P)
         whole = b"".join(gm.read_gfn(gfn) for gfn in range(7))
         assert gm.read_bytes(0, 7 * P) == whole
+        # Unaligned at both ends, ending inside a page.
         assert gm.read_bytes(P + 5, 3 * P) == whole[P + 5:4 * P + 5]
+        assert gm.read_bytes(2 * P + 8, 16) == whole[2 * P + 8:2 * P + 24]
         assert gm.read_bytes(3 * P, 0) == b""
-        # A hole ends the run before it and raises when reached.
+        # A hole raises when reached, not before.
         gm.unmap_page(4)
         assert gm.read_bytes(0, 4 * P) == whole[:4 * P]
         with pytest.raises(MemoryError_, match="gfn 4"):

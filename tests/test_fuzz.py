@@ -12,12 +12,14 @@ import os
 
 import pytest
 
-from repro.fuzz import gen
+from repro.fuzz import diff, gen
 from repro.fuzz.bugs import apply_bug, known_bugs
 from repro.fuzz.campaign import manifest_identity, run_campaign
 from repro.fuzz.corpus import load_corpus, replay_entry
 from repro.fuzz.diff import default_opts, run_case
 from repro.fuzz.shrink import shrink_case
+from repro.mem.physmem import ZERO_PAGE
+from tests.test_fuzz_recycle import _case
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -176,6 +178,87 @@ class TestInterruptTemplates:
                 differed = True
                 break
         assert differed
+
+
+# -- memory compared by page -------------------------------------------------
+
+
+def _six_runs(seed, index):
+    """A case's six results in ``run_case_spec``'s order, each with the
+    image its machine holds after the run, read whole: the reference
+    its sparse ``mem`` stands for."""
+    segments, common = _case(seed, index, 0.05)
+    runs = []
+    for jit in (False, True):
+        result = diff.run_bare(segments, jit=jit, **common)
+        runs.append((result, diff._BARE.physmem.read_bytes(0, gen.MEM_BYTES)))
+    for name, _v, _m in diff.VMM_CONFIGS:
+        result = diff.run_vmm(segments, name, **common)
+        mem = diff._HOSTS[name].vms["fuzz"].guest_mem
+        runs.append((result, mem.read_bytes(0, gen.MEM_BYTES)))
+    return runs
+
+
+def _dense(mem):
+    """A run's ``mem`` expanded to the image it stands for."""
+    image = bytearray(gen.MEM_BYTES)
+    for number, page in mem.items():
+        image[number * gen.PAGE:(number + 1) * gen.PAGE] = page
+    return bytes(image)
+
+
+def _byte_masked(results, images):
+    """``results`` with each ``mem`` replaced by its image less the bytes
+    of ``gen.PT_SPAN``, as one page outside the span: ``compare_vmm``
+    gives them the verdict of comparing the masked images."""
+    lo, hi = gen.PT_SPAN
+    return [{**r, "mem": {0: image[:lo] + image[hi:]}}
+            for r, image in zip(results, images)]
+
+
+def _plant(results, images, k, gfn, offset):
+    """Run ``k`` with one byte of page ``gfn`` flipped, in both forms."""
+    page = bytearray(results[k]["mem"].get(gfn, ZERO_PAGE))
+    page[offset] ^= 1
+    mem = {**results[k]["mem"], gfn: bytes(page)}
+    image = bytearray(images[k])
+    image[gfn * gen.PAGE + offset] ^= 1
+    return ([*results[:k], {**results[k], "mem": mem}, *results[k + 1:]],
+            [*images[:k], bytes(image), *images[k + 1:]])
+
+
+class TestMemoryByPage:
+    CASES = [(seed, index) for seed in (1, 17, 23) for index in range(12)]
+
+    def test_the_pages_are_the_image(self):
+        for seed, index in self.CASES:
+            for result, image in _six_runs(seed, index):
+                what = (seed, index, result["name"])
+                assert _dense(result["mem"]) == image, what
+                assert ZERO_PAGE not in result["mem"].values(), what
+
+    def test_compare_vmm_gives_the_byte_masked_verdict(self):
+        span = range(gen.PT_SPAN[0] // gen.PAGE, gen.PT_SPAN[1] // gen.PAGE)
+        planted = 0
+        for seed, index in self.CASES:
+            runs = _six_runs(seed, index)[2:]
+            results, images = [r for r, _ in runs], [i for _, i in runs]
+            verdict = diff.compare_vmm(results)
+            assert verdict == diff.compare_vmm(_byte_masked(results, images))
+            if verdict[0] is not None or results[0]["outcome"] != "halted":
+                continue
+            # hw-nested (held to hw-shadow on every outcome) and bt-shadow
+            # (on halts): a byte just inside and just outside each edge.
+            for k in (1, 3):
+                for gfn in (span[0] - 1, span[0], span[-1], span[-1] + 1):
+                    for offset in (0, gen.PAGE - 1):
+                        sparse, dense = _plant(results, images, k, gfn, offset)
+                        verdict = diff.compare_vmm(sparse)
+                        assert verdict == diff.compare_vmm(
+                            _byte_masked(sparse, dense))
+                        assert (verdict[0] is None) == (gfn in span)
+                        planted += 1
+        assert planted >= 16
 
 
 # -- campaign ---------------------------------------------------------------

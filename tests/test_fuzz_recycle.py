@@ -119,7 +119,8 @@ def test_same_case_twice_on_the_pool(config):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_recycling_leaks_no_write_watcher(config):
     # A watcher left behind is walked by every later store: a slow leak
-    # no simulated number shows.
+    # no simulated number shows. The core's, the translator's under
+    # bt-shadow, and the guest memory's write log.
     segments, common = _case(1, 0, 0.0)
     counts = []
     for runs in (1, 50):
@@ -127,7 +128,19 @@ def test_recycling_leaks_no_write_watcher(config):
             hv, vm = diff.pooled_machine(config)
             diff.run_on(hv, vm, segments, **common)
         counts.append(len(hv.physmem._watchers))
-    assert counts[0] == counts[1] == (2 if config == "bt-shadow" else 1)
+    assert counts[0] == counts[1] == (3 if config == "bt-shadow" else 2)
+
+
+@pytest.mark.parametrize("jit", [False, True])
+def test_the_bare_pool_leaks_no_write_watcher(jit):
+    # A dead core's watcher comes off after its run; the log stays.
+    segments, common = _case(1, 0, 0.0)
+    counts = []
+    for runs in (1, 50):
+        for _ in range(runs):
+            diff.run_bare(segments, jit=jit, **common)
+        counts.append(len(diff._BARE.physmem._watchers))
+    assert counts[0] == counts[1] == 1
 
 
 def test_unknown_config_is_a_value_error():

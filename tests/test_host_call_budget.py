@@ -410,8 +410,9 @@ def test_a_fuzz_case(monkeypatch):
     """(g) One differential fuzz case: six runs of up to 600 guest
     instructions, mostly cold code, and their comparison. Seed 1's
     cases 0-19, per case, counted on the second pass (the first fills
-    the memos and this process's pooled hosts)."""
+    the memos and this process's pooled hosts and bare memory)."""
     monkeypatch.setattr(diff, "_HOSTS", {})
+    monkeypatch.setattr(diff, "_BARE", None)
 
     def cases():
         for index in range(20):
