@@ -141,15 +141,19 @@ class BTEngine:
 
     # -- public API ------------------------------------------------------
 
-    def run(self, max_cycles: Optional[int] = None) -> str:
-        """Execute translated guest-kernel code until a stop condition.
+    def run(self, max_instructions: int, max_cycles: Optional[int]) -> None:
+        """Execute translated guest-kernel code until the guest leaves
+        virtual kernel mode, halts or powers off, or a budget is spent.
 
-        Returns ``"mode_switch"`` (guest dropped to virtual user mode or
-        powered off), ``"halted"`` (virtual HLT), or ``"budget"``.
-        VMExits raised during execution (guest faults, shadow fills)
-        propagate to the hypervisor, which services them and re-enters
-        here. Block hits and misses, chained dispatches and callouts are
-        counted in locals and added to their counters on the way out.
+        The budgets are :meth:`CPUCore.run <repro.cpu.interp.CPUCore.run>`'s:
+        it stops on the retire edge ``max_instructions`` past entry, cutting
+        a block there if it must, with what is due at that edge fired and no
+        virq delivered; and enters no block once ``max_cycles`` (None: no
+        ceiling) are spent. VMExits raised during execution (guest faults,
+        shadow fills) propagate to the hypervisor, which services them and
+        re-enters here. Block hits and misses, chained dispatches and
+        callouts are counted in locals and added to their counters on the
+        way out.
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
@@ -168,6 +172,7 @@ class BTEngine:
         instr_cycles = costs.instr_cycles
         callout_cycles = costs.bt_callout_cycles
         dispatch_cycles = costs.bt_dispatch_cycles
+        limit = cpu.instret + max_instructions
         stop = cpu.cycles + (max_cycles if max_cycles is not None else 1 << 62)
         compiling = cpu.jit_enabled and cache is not None
         # Each lap of a self-looping run is a dispatch of its own.
@@ -181,6 +186,8 @@ class BTEngine:
                     # raise can wake a virtually-halted guest, exactly as
                     # the hardware-assist core wakes in its run loop.
                     events.fire_due(cpu.instret)
+                if cpu.instret >= limit:
+                    return  # the core's loop-top order: nothing delivered
                 if virqs and inject(vcpu):
                     # Unmasked pending virq: delivered before the next
                     # fetch (the same edge the hardware-assist core
@@ -188,10 +195,8 @@ class BTEngine:
                     prev_block_va = None
                     continue
                 if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
-                        or power.shutdown_requested):
-                    break
-                if cpu.cycles >= stop:
-                    return "budget"
+                        or power.shutdown_requested or cpu.cycles >= stop):
+                    return
                 key = (cpu.mmu.guest_root, cpu.pc)
                 block = cache.get(key) if cache is not None else None
                 if block is not None and block.suspect:
@@ -236,12 +241,18 @@ class BTEngine:
                             # boundary, and an unmasked virq is delivered
                             # there instead of at the block's end.
                             events.fire_due(cpu.instret)
-                            if virqs and inject(vcpu):
+                            if virqs and cpu.instret < limit and inject(vcpu):
                                 break
+                        if cpu.instret >= limit:
+                            break  # the block is cut at the budget's edge
                         if kind is True:  # a callout
                             callouts += 1
                             cpu.cycles += callout_cycles
-                            if callout(ins):
+                            # After it retires, an unmasked pending virq is
+                            # delivered before the next item, unless the
+                            # budget ends on this edge.
+                            if callout(ins) or (virqs and cpu.instret < limit
+                                                and inject(vcpu)):
                                 break
                         elif kind is False:  # a native item, walked
                             cpu.cycles += instr_cycles
@@ -251,7 +262,7 @@ class BTEngine:
                             # next fetch re-translates from the new bytes.
                             if ins.stores and epoch[0] != e0:
                                 break
-                        elif epoch[0] == e0 and (
+                        elif epoch[0] == e0 and cpu.instret + kind[1] <= limit and (
                                 events is None
                                 or cpu.instret + kind[1] <= events.next_due):
                             kind[0](cpu)  # a compiled run (see _compile)
@@ -260,11 +271,10 @@ class BTEngine:
                             if epoch[0] != e0 and (kind[3] or cpu.pc != kind[4]):
                                 break
                         else:
-                            # An event is due inside the run, or a callout
-                            # invalidated code: walk on from here.
+                            # The budget or an event is due inside the run,
+                            # or a callout invalidated code: walk on from here.
                             code = block.items[kind[2]:]
                             break
-            return "halted" if vcpu.halted else "mode_switch"
         finally:
             if hits:
                 _block_hits(stats).value += hits
@@ -469,7 +479,8 @@ class BTEngine:
         """Run monitor logic for one rewritten instruction.
 
         Returns True when the block must stop (privilege change, halt,
-        power-off, trap reflection, a virq delivered at its retire edge).
+        power-off, trap reflection). What is due at its retire edge has
+        fired; a pending virq is the caller's to deliver.
         """
         vcpu = self.vcpu
         cpu = vcpu.cpu
@@ -506,11 +517,10 @@ class BTEngine:
                 or self._power.shutdown_requested):
             return True
         # The delivery edge after it retires: fire what is due there
-        # first (device raises from the emulated instruction itself come
-        # first, matching the hardware core's execute-then-fire order --
-        # and keeping the timer-vs-device priority race identical), then
-        # deliver an unmasked pending virq before the next item.
+        # (device raises from the emulated instruction itself come first,
+        # matching the hardware core's execute-then-fire order -- and
+        # keeping the timer-vs-device priority race identical).
         events = cpu.events
         if events is not None and cpu.instret >= events.next_due:
             events.fire_due(cpu.instret)
-        return bool(vcpu.vm.pending_virqs) and self.inject_virq(vcpu)
+        return False

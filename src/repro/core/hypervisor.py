@@ -691,11 +691,8 @@ class Hypervisor:
             and vcpu.vcsr[_MODE] == MODE_KERNEL
             and not vcpu.halted
         ):
-            bt_budget = slice_ * 4
-            if cycle_budget is not None:
-                bt_budget = min(bt_budget, cycle_budget)
             try:
-                vm.bt.run(max_cycles=bt_budget)
+                vm.bt.run(slice_, cycle_budget)
             except VMExit as exit_:
                 # These leave the translator, not the core: serviced
                 # through the unwinding route, and the pump follows.

@@ -21,8 +21,8 @@ Two comparison groups run the same guest image:
   never compared across configs -- cost models differ by design.
   instret *is* comparable everywhere (BT monitor callouts retire,
   mirroring intercepted-and-emulated instructions under hardware
-  assist), though against BT only on clean halts: at an instruction
-  limit BT overshoots to a block boundary.
+  assist), on every outcome: the translator, like the core, stops on
+  exactly the retire edge its instruction budget ends at.
 
 Each case also carries a seeded :class:`~repro.devices.schedule.
 EventSchedule` (``opts["events"]``, on by default): timer, virtio and
@@ -318,7 +318,6 @@ def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
     failure_kind is None (agreement), "hang" (any backend tripped the
     cycle guard), or "divergence".
     """
-    by_name = {r["name"]: r for r in results}
     if any(r["outcome"] == "hang" for r in results):
         hung = [r["name"] for r in results if r["outcome"] == "hang"]
         return "hang", ["outcome"], (hung[0], hung[0])
@@ -328,39 +327,27 @@ def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
         if other["outcome"] != base["outcome"]:
             return "divergence", ["outcome"], (base["name"], other["name"])
 
-    outcome = base["outcome"]
-    if outcome in ("abort", "shutdown"):
+    if base["outcome"] in ("abort", "shutdown"):
         # Abort details and shutdown points are backend-timed; symmetric
         # classes are all we require.
         return None, [], None
 
     pt_pages = range(gen.PT_SPAN[0] // gen.PAGE, gen.PT_SPAN[1] // gen.PAGE)
-
-    def diff_state(a: Dict, b: Dict) -> List[str]:
-        fields = [f for f in _VMM_FIELDS if a[f] != b[f]]
-        # The page-table span's pages are dropped: A/D-bit noise.
-        mem_a, mem_b = ({gfn: page for gfn, page in r["mem"].items()
-                         if gfn not in pt_pages} for r in (a, b))
-        if mem_a != mem_b:
+    # The page-table span's pages are dropped: A/D-bit noise.
+    mem = [{gfn: page for gfn, page in r["mem"].items() if gfn not in pt_pages}
+           for r in results]
+    # Every engine stops on the same retire edge, at a halt and at the
+    # instruction limit alike, so instret is compared too: monitor
+    # callouts retire exactly like their intercepted-and-emulated
+    # hardware-assist counterparts.
+    for other, other_mem in zip(results[1:], mem[1:]):
+        fields = [f for f in _VMM_FIELDS if base[f] != other[f]]
+        if mem[0] != other_mem:
             fields.append("mem")
-        if a["instret"] != b["instret"]:
+        if base["instret"] != other["instret"]:
             fields.append("instret")
-        return fields
-
-    hw_s, bt = by_name["hw-shadow"], by_name["bt-shadow"]
-    for other_name in ("hw-nested", "hw-hmode"):
-        fields = diff_state(hw_s, by_name[other_name])
         if fields:
-            return "divergence", fields, ("hw-shadow", other_name)
-    if outcome == "halted":
-        # BT stops at the same architectural point on a halt; at an
-        # instruction limit it legitimately overshoots (its run loop is
-        # cycle-bounded), so BT state is only checked on clean exits.
-        # instret is compared too: monitor callouts retire exactly like
-        # their intercepted-and-emulated hardware-assist counterparts.
-        fields = diff_state(hw_s, bt)
-        if fields:
-            return "divergence", fields, ("hw-shadow", "bt-shadow")
+            return "divergence", fields, (base["name"], other["name"])
     return None, [], None
 
 

@@ -17,6 +17,7 @@ import inspect
 
 import pytest
 
+from repro.core.bt import BTEngine
 from repro.core.hypervisor import PUMP_SLICE, RunOutcome
 from repro.bench.common import GUEST_MEMORY
 from repro.cpu import jit as jitmod
@@ -265,10 +266,13 @@ def test_instruction_budget_spent_on_an_exit_edge(label):
         hv, vm = _create(label, True)
         _alone(lambda: programs.port_storm(50))(hv, vm, False)
         cpu = vm.vcpus[0].cpu
+        spent = cpu.instret
         trail = []
         for budget in (2, 3, 3, 1, 7, 3):
             outcome = hv.run(vm, max_guest_instructions=budget,
                              watchdog=_never_trips() if watchdog else None)
+            spent += budget
+            assert cpu.instret == spent, (watchdog, budget)
             trail.append((outcome, cpu.cycles, cpu.instret, cpu.pc,
                           vm.stats.vmm_cycles, vm.stats.world_switches))
         trails.append(trail)
@@ -296,19 +300,34 @@ def test_triple_fault_text_is_the_same(label):
 
 def test_core_entries_scale_with_slices_not_exits(monkeypatch):
     entries = []
-    core_run = CPUCore.run
 
-    def counting_run(self, *args, **kwargs):
-        entries.append(self.instret)
-        return core_run(self, *args, **kwargs)
+    def count(engine):
+        engine_run = engine.run
 
-    monkeypatch.setattr(CPUCore, "run", counting_run)
+        def counting_run(self, *args, **kwargs):
+            entries.append(engine)
+            return engine_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", counting_run)
+
+    count(CPUCore)
     hv, vm = _create("hw+nested", True)
     _alone(lambda: programs.port_storm(3000))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
     instret = vm.vcpus[0].cpu.instret
     assert vm.exit_stats.total_exits == 3001
     assert len(entries) <= instret // PUMP_SLICE + 2
+
+    # The translator's callouts are not exits, and it runs on the same
+    # instruction slices as the core: one entry a slice.
+    del entries[:]
+    count(BTEngine)
+    hv, vm = _create("bin-transl", True)
+    _alone(lambda: programs.port_storm(3000))(hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
+    instret = vm.vcpus[0].cpu.instret
+    assert vm.exit_stats.total_exits == 0
+    assert entries.count(BTEngine) <= instret // PUMP_SLICE + 2
 
     # With the timer armed the pump follows every exit, as before.
     del entries[:]

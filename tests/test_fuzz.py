@@ -9,6 +9,7 @@ against and must pass clean at HEAD.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -239,16 +240,18 @@ class TestMemoryByPage:
 
     def test_compare_vmm_gives_the_byte_masked_verdict(self):
         span = range(gen.PT_SPAN[0] // gen.PAGE, gen.PT_SPAN[1] // gen.PAGE)
-        planted = 0
+        planted = Counter()
         for seed, index in self.CASES:
             runs = _six_runs(seed, index)[2:]
             results, images = [r for r, _ in runs], [i for _, i in runs]
             verdict = diff.compare_vmm(results)
             assert verdict == diff.compare_vmm(_byte_masked(results, images))
-            if verdict[0] is not None or results[0]["outcome"] != "halted":
+            outcome = results[0]["outcome"]
+            if verdict[0] is not None or outcome in ("abort", "shutdown"):
                 continue
-            # hw-nested (held to hw-shadow on every outcome) and bt-shadow
-            # (on halts): a byte just inside and just outside each edge.
+            # hw-nested and bt-shadow, held to hw-shadow on every outcome
+            # that compares state: a byte just inside and just outside
+            # each edge.
             for k in (1, 3):
                 for gfn in (span[0] - 1, span[0], span[-1], span[-1] + 1):
                     for offset in (0, gen.PAGE - 1):
@@ -257,8 +260,8 @@ class TestMemoryByPage:
                         assert verdict == diff.compare_vmm(
                             _byte_masked(sparse, dense))
                         assert (verdict[0] is None) == (gfn in span)
-                        planted += 1
-        assert planted >= 16
+                        planted[outcome] += 1
+        assert planted["halted"] >= 16 and planted["instr_limit"] >= 16, planted
 
 
 # -- campaign ---------------------------------------------------------------
