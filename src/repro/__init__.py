@@ -2,7 +2,7 @@
 
 Subpackages (see README.md for the architecture overview):
 
-* :mod:`repro.util` -- units, RNG, statistics, tracing, tables.
+* :mod:`repro.util` -- units, RNG, statistics, tables.
 * :mod:`repro.sim` -- the discrete-event simulation kernel.
 * :mod:`repro.cpu` -- the VISA ISA: interpreter, assembler, MMU interface.
 * :mod:`repro.mem` -- physical memory, page tables, TLB, cost model.
@@ -20,7 +20,7 @@ Subpackages (see README.md for the architecture overview):
 * :mod:`repro.faults` -- deterministic fault injection, watchdogs, and
   recovery (micro-reboot, retry/backoff).
 * :mod:`repro.obs` -- the shared observability substrate: metrics
-  registry, dual-timebase clocks, span tracing, run manifests.
+  registry, dual-timebase clocks, run manifests.
 * :mod:`repro.bench` -- experiment runners (E1-E10).
 
 Command line: ``python -m repro list | run <exp> | boot``.
@@ -56,12 +56,10 @@ from repro.faults import (
 )
 from repro.migration import LiveMigrator, LiveMigrationResult
 from repro.obs import (
-    CycleClock,
     ManualClock,
     MetricsRegistry,
     MetricsScope,
     SimClock,
-    Tracer,
     build_manifest,
 )
 
@@ -102,8 +100,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "ManualClock",
-    "CycleClock",
     "SimClock",
-    "Tracer",
     "build_manifest",
 ]

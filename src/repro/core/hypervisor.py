@@ -182,8 +182,8 @@ class Hypervisor:
         #: cross-subsystem shared-frame refcount protocol (swap and
         #: teardown consult it before freeing frames).
         self.sharing = None
-        #: Optional repro.util.eventlog.EventLog: when set, every VM
-        #: exit is traced with its reason, handler detail, and guest pc.
+        #: None, or a ``collections.deque`` (give it a ``maxlen``): every
+        #: VM exit appends ``(vm time, reason, vm, detail, pc, cycles)``.
         self.trace = None
         #: Optional repro.faults.injector.FaultInjector: when set, the
         #: run loop evaluates the ``vcpu.stall`` site each pump (a hung
@@ -553,8 +553,8 @@ class Hypervisor:
     ) -> RunOutcome:
         """Run vCPU 0 of ``vm`` until halt/shutdown/budget.
 
-        The loop below is the *pump*: each pass checks shutdown and the
-        budgets, ticks the timer, fires due events, decides idle/wake,
+        The loop below is the *pump*: each pass checks shutdown, fires
+        due events, checks the budgets, ticks the timer, decides idle/wake,
         injects a pending virq, evaluates the ``vcpu.stall`` site, beats
         the watchdog, then enters the guest for at most ``PUMP_SLICE``
         instructions. A VM exit does not come back here as such: the
@@ -599,8 +599,8 @@ class Hypervisor:
                     and self.injector.plans("vcpu.stall"))
                 # The translator, not the core, runs BT guest-kernel mode.
                 or (vm.bt is not None and vcpu.vcsr[_MODE] == MODE_KERNEL)
-                # A spent budget: the pump returns before anything due
-                # at this edge fires.
+                # A spent budget: the pump fires what is due at this
+                # edge, then returns.
                 or (max_guest_instructions is not None and
                     cpu.instret - start_instret >= max_guest_instructions)
             ):
@@ -618,6 +618,16 @@ class Hypervisor:
         while True:
             if power.shutdown_requested:
                 return RunOutcome.SHUTDOWN
+            # Retire-edge events due at the boundary we exited on fire
+            # first, as at the core's loop-top: before a spent budget
+            # returns (nothing is delivered then) and before the idle
+            # check -- an intercepted instruction (e.g. a HLT exit)
+            # leaves the core's own run loop before its poll can see an
+            # event due at that exact edge, and a raise may be the only
+            # thing that wakes the guest.
+            events = cpu.events
+            if events is not None and cpu.instret >= events.next_due:
+                events.fire_due(cpu.instret)
             if max_guest_instructions is not None and (
                 cpu.instret - start_instret >= max_guest_instructions
             ):
@@ -629,16 +639,6 @@ class Hypervisor:
 
             timer.rebase_if_armed(cpu.cycles)
             timer.tick(cpu.cycles)
-
-            # Retire-edge events due at the boundary we exited on must
-            # fire before the idle check: an intercepted instruction
-            # (e.g. a HLT exit) leaves the core's own run loop before
-            # its top-of-loop poll can see an event due at that exact
-            # edge, and a raise may be the only thing that wakes the
-            # guest.
-            events = cpu.events
-            if events is not None and cpu.instret >= events.next_due:
-                events.fire_due(cpu.instret)
 
             if self._vm_idle(vm, vcpu):
                 deadline = timer.next_deadline()
@@ -855,10 +855,8 @@ class Hypervisor:
         _vmm_cycles(stats).value += cycles
         vm.exit_stats.record(reason, cycles, detail)
         if self.trace is not None:
-            self.trace.emit(
-                self._vm_time(vm), "vmexit", reason.value,
-                vm=vm.name, detail=detail, pc=vcpu.cpu.pc, cycles=cycles,
-            )
+            self.trace.append((self._vm_time(vm), reason.value, vm.name,
+                               detail, vcpu.cpu.pc, cycles))
 
     def _handle_exit(self, vm: VirtualMachine, vcpu: VCPU, exit_: VMExit) -> None:
         """Service an exit that unwound: an intercepted instruction raised

@@ -8,10 +8,11 @@ manifest is byte-identical for ``--jobs 1`` and ``--jobs 8`` (modulo
 the manifest's wall-clock timing block, which identity comparison
 strips -- see :func:`manifest_identity`).
 
-Failing cases are shrunk (optional) and written to the output
-directory as corpus JSON plus standalone repro scripts; the manifest
-summarizes outcomes, per-template coverage counters and shrink stats
-under the ``fuzz.*`` metrics scope.
+Each failing case is located (:func:`~repro.fuzz.diff.locate`: the
+retire edge where its pair first parts), shrunk (optional) and written
+to the output directory as corpus JSON plus standalone repro scripts;
+the manifest summarizes outcomes, per-template coverage counters and
+shrink stats under the ``fuzz.*`` metrics scope.
 """
 
 import json
@@ -19,8 +20,9 @@ import multiprocessing
 import os
 from typing import Callable, Dict, List, Optional
 
+from repro.fuzz import gen
 from repro.fuzz.corpus import make_entry, save_entry, write_repro_script
-from repro.fuzz.diff import default_opts, run_case
+from repro.fuzz.diff import default_opts, locate, run_case
 from repro.fuzz.shrink import shrink_case
 from repro.obs.manifest import build_manifest
 from repro.obs.registry import MetricsRegistry
@@ -35,7 +37,8 @@ def run_campaign(root_seed: int, cases: int, jobs: int, opts: Dict,
                  log: Callable[[str], None], shrink: bool = True,
                  out_dir: Optional[str] = None) -> Dict:
     """Run a campaign; returns ``{"manifest", "results", "failures"}``.
-    ``log`` gets one line per failure and per shrunk repro."""
+    ``log`` gets one message per failure (with its edge) and per shrunk
+    repro."""
     opts = {**default_opts(), **opts}
     work = [(root_seed, i, opts) for i in range(cases)]
 
@@ -51,8 +54,11 @@ def run_campaign(root_seed: int, cases: int, jobs: int, opts: Dict,
 
     failures = [r for r in results if r["verdict"]["kind"] != "ok"]
     for f in failures:
+        f["edge"] = locate(gen.generate_case(root_seed, f["index"]), opts,
+                           f["verdict"])
         log(f"case {f['index']}: {f['verdict']['kind']} "
-            f"({f['verdict']['group']}, fields={f['verdict']['fields']})")
+            f"({f['verdict']['group']}, fields={f['verdict']['fields']})"
+            + _describe(f["edge"]))
 
     shrunk: List[Dict] = []
     if shrink:
@@ -94,7 +100,8 @@ def run_campaign(root_seed: int, cases: int, jobs: int, opts: Dict,
             "failures": [
                 {"index": r["index"],
                  "verdict": r["verdict"],
-                 "outcomes": r["outcomes"]}
+                 "outcomes": r["outcomes"],
+                 "edge": r["edge"]}
                 for r in failures
             ],
             "shrunk": [
@@ -122,6 +129,19 @@ def run_campaign(root_seed: int, cases: int, jobs: int, opts: Dict,
 
     return {"manifest": manifest, "results": results,
             "failures": failures, "shrunk": shrunk}
+
+
+def _describe(edge: Optional[Dict]) -> str:
+    """A located edge as log lines: each row's pc, the instruction there
+    and its exit tail (``reason/detail@pc``)."""
+    if edge is None:
+        return ", not located"
+    lines = [f" at edge {edge['n']} (fields={edge['fields']})"]
+    for name, row in edge["rows"].items():
+        exits = " ".join(f"{e[1]}/{e[3]}@{e[4]:#x}" for e in row.get("exits", ()))
+        lines.append(f"  {name:9s} pc={row['pc']:#x} {row['ins']}"
+                     + (f"; exits: {exits}" if exits else ""))
+    return "\n".join(lines)
 
 
 def _outcome_histogram(results: List[Dict]) -> Dict[str, int]:

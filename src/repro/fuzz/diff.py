@@ -42,11 +42,13 @@ unprivileged instructions make it architecturally *wrong* (that is the
 paper's point), so differential equality cannot hold there.
 """
 
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import (
     GuestConfig, Hypervisor, MMUVirtMode, VirtMode, VirtualMachine,
 )
+from repro.cpu.disasm import disassemble_one
 from repro.cpu.interp import CPUCore, StopReason
 from repro.cpu.isa import CSR, DecodeError
 from repro.cpu.mmu import BareMMU
@@ -136,7 +138,10 @@ def _bare_memory() -> WriteLog:
 def run_bare(segments: Dict[int, bytes], jit: bool,
              max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
              event_seed: Optional[int] = None,
-             fault_rate: float = 0.0, fault_seed: int = 0) -> Dict:
+             fault_rate: float = 0.0, fault_seed: int = 0,
+             budget: Optional[int] = None) -> Dict:
+    """Run one case on a bare core; a ``budget`` below
+    ``max_instructions`` stops it at that retire edge of the full run."""
     log = _bare_memory()
     pm = log.physmem
     for addr in sorted(segments):
@@ -158,8 +163,9 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
 
     outcome, abort = None, None
     try:
-        result = cpu.run(max_instructions=max_instructions,
-                         max_cycles=bare_cycle_guard(max_instructions))
+        result = cpu.run(
+            max_instructions=max_instructions if budget is None else budget,
+            max_cycles=bare_cycle_guard(max_instructions))
         outcome = {
             StopReason.HALT: "halted",
             StopReason.INSTR_LIMIT: "instr_limit",
@@ -252,9 +258,11 @@ def run_vmm(segments: Dict[int, bytes], config_name: str,
 def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
            max_instructions: int,
            fault_rate: float = 0.0, fault_seed: int = 0,
-           event_seed: Optional[int] = None) -> Dict:
+           event_seed: Optional[int] = None,
+           budget: Optional[int] = None) -> Dict:
     """Run one case on ``vm``, a power-on machine of ``hv`` from
-    :func:`build_machine` or :func:`pooled_machine`."""
+    :func:`build_machine` or :func:`pooled_machine`; ``budget`` as in
+    :func:`run_bare`."""
     hw = vm.config.virt_mode is VirtMode.HW_ASSIST
     # All sites key to architected points (virtio kicks are synchronous,
     # IRQ faults draw per line raise / retire edge, hmode sites per trap
@@ -283,8 +291,9 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         )
     outcome, abort = None, None
     try:
-        res = hv.run(vm, max_guest_instructions=max_instructions,
-                     max_cycles=vmm_cycle_guard(max_instructions))
+        res = hv.run(
+            vm, max_guest_instructions=max_instructions if budget is None else budget,
+            max_cycles=vmm_cycle_guard(max_instructions))
         # The cycle guard tripped or the watchdog fired: either is a hang.
         outcome = {"cycle_limit": "hang", "hung": "hang"}.get(res.value, res.value)
     except _ABORTS as exc:
@@ -354,22 +363,30 @@ def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
 # -- one full case ----------------------------------------------------------
 
 
+_DEFAULTS = {"max_instructions": DEFAULT_MAX_INSTRUCTIONS,
+             "fault_rate": 0.0, "bug": None, "events": True}
+
+
 def default_opts() -> Dict:
-    return {"max_instructions": DEFAULT_MAX_INSTRUCTIONS,
-            "fault_rate": 0.0, "bug": None, "events": True}
+    return dict(_DEFAULTS)
+
+
+def _inputs(spec: gen.CaseSpec, opts: Dict) -> Tuple[Dict[int, bytes], Dict]:
+    """The image and the run arguments every row of a case shares."""
+    fault_seed = spec.root_seed ^ (spec.case_index * 2654435761)
+    # A distinct stream from the fault plan: the schedule's shape must
+    # not correlate with which faults fire on it.
+    event_seed = (fault_seed ^ 0x9E3779B9) if opts["events"] else None
+    return gen.build_image(spec), dict(
+        max_instructions=opts["max_instructions"], event_seed=event_seed,
+        fault_rate=opts["fault_rate"], fault_seed=fault_seed)
 
 
 def run_case_spec(spec: gen.CaseSpec, opts: Dict) -> Dict:
     """Execute one generated (or shrunk) case everywhere and compare;
     ``opts`` over :func:`default_opts`."""
-    opts = {**default_opts(), **opts}
-    segments = gen.build_image(spec)
-    fault_seed = spec.root_seed ^ (spec.case_index * 2654435761)
-    # A distinct stream from the fault plan: the schedule's shape must
-    # not correlate with which faults fire on it.
-    event_seed = (fault_seed ^ 0x9E3779B9) if opts["events"] else None
-    common = dict(max_instructions=opts["max_instructions"], event_seed=event_seed,
-                  fault_rate=opts["fault_rate"], fault_seed=fault_seed)
+    opts = {**_DEFAULTS, **opts}
+    segments, common = _inputs(spec, opts)
 
     from repro.fuzz.bugs import apply_bug
 
@@ -409,3 +426,86 @@ def run_case_spec(spec: gen.CaseSpec, opts: Dict) -> Dict:
 def run_case(root_seed: int, case_index: int, opts: Dict) -> Dict:
     """Generate + execute case ``case_index``; pure in its arguments."""
     return run_case_spec(gen.generate_case(root_seed, case_index), opts)
+
+
+# -- locating a failure -----------------------------------------------------
+
+#: Exits of each VMM row a located failure keeps (the row's trace ring).
+EXIT_TAIL = 8
+
+
+def _row(name: str, segments: Dict[int, bytes], common: Dict,
+         budget: int) -> Dict:
+    """Run row ``name`` of a case to ``budget``; a VMM row's host has its
+    ``trace`` armed for this run only, and the row carries its tail as
+    ``exits``."""
+    if name in ("interp", "jit"):
+        return run_bare(segments, jit=name == "jit", budget=budget, **common)
+    hv, vm = pooled_machine(name)
+    hv.trace = deque(maxlen=EXIT_TAIL)
+    try:
+        row = run_on(hv, vm, segments, budget=budget, **common)
+        return {**row, "exits": list(map(list, hv.trace))}
+    finally:
+        hv.trace = None  # the pooled host outlives this run
+
+
+def _parts(a: Dict, b: Dict) -> List[str]:
+    """The fields in which two rows of one group differ."""
+    if a["name"] in ("interp", "jit"):
+        return compare_bare(a, b)
+    return compare_vmm([a, b])[1]
+
+
+def _ins_at(row: Dict) -> str:
+    """The instruction at the row's pc, read from its memory image."""
+    pc, empty = row["pc"], bytes(gen.PAGE)
+    code = row["mem"].get(pc >> 12, empty) + row["mem"].get((pc >> 12) + 1, empty)
+    try:
+        return disassemble_one(code, pc & 0xFFF)[0]
+    except DecodeError:
+        return "(undecodable)"
+
+
+def locate(spec: gen.CaseSpec, opts: Dict, verdict: Dict) -> Optional[Dict]:
+    """The retire edge where a failing case's pair first parts.
+
+    A divergence is bisected: the smallest budget N after which the
+    verdict's pair differs, over whole ``run(N)``s (stepping would stop
+    the JIT compiling blocks) that keep the full run's event schedule,
+    fault plan and cycle guard. The low end only ever moves to a budget
+    the pair agrees at, so the pair agrees at N - 1. A hang's edge is
+    its hung row's instret when the guard tripped. Returns ``{"n",
+    "fields", "rows"}``, ``rows`` giving each row's pc, the instruction
+    there and, for a VMM row, its last :data:`EXIT_TAIL` exits; None
+    when there is nothing to locate.
+    """
+    if verdict["kind"] == "ok":
+        return None
+    opts = {**_DEFAULTS, **opts}
+    segments, common = _inputs(spec, opts)
+    names = list(dict.fromkeys(verdict["pair"]))
+    lo, hi = -1, common["max_instructions"]
+
+    from repro.fuzz.bugs import apply_bug
+
+    with apply_bug(opts["bug"]):
+        if verdict["kind"] == "hang":
+            rows = [r for r in (_row(name, segments, common, hi) for name in names)
+                    if r["outcome"] == "hang"][:1]
+            n, fields = (rows[0]["instret"], ["outcome"]) if rows else (0, [])
+        else:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _parts(*(_row(name, segments, common, mid) for name in names)):
+                    hi = mid
+                else:
+                    lo = mid
+            n, rows = hi, [_row(name, segments, common, hi) for name in names]
+            fields = _parts(*rows)
+    if not fields:
+        return None
+    return {"n": n, "fields": fields, "rows": {
+        r["name"]: {"pc": r["pc"], "ins": _ins_at(r),
+                    **({"exits": r["exits"]} if "exits" in r else {})}
+        for r in rows}}

@@ -21,7 +21,6 @@ to the final :class:`~repro.util.errors.LinkError`.
 
 import zlib
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Set
 
@@ -68,7 +67,6 @@ class LiveMigrator:
         bytes_per_cycle: float = 1.0,
         injector=None,
         retry_policy: Optional[RetryPolicy] = None,
-        tracer=None,
     ):
         if bytes_per_cycle <= 0:
             raise MigrationError("bytes_per_cycle must be positive")
@@ -79,13 +77,6 @@ class LiveMigrator:
         self.retry_policy = retry_policy or RetryPolicy()
         #: ``migration.*`` in the source hypervisor's registry.
         self.metrics = source.registry.scope("migration")
-        self.tracer = tracer
-
-    def _span(self, name: str, **attrs):
-        """A tracer span when tracing is on, else a no-op context."""
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, **attrs)
 
     def migrate(
         self,
@@ -131,8 +122,7 @@ class LiveMigrator:
 
         try:
             # Round 0: full copy while logging.
-            with self._span("migration.round", vm=vm.name, round=0):
-                sent = self._send_with_retry(vm, dst_vm, deque(all_gfns), stats)
+            sent = self._send_with_retry(vm, dst_vm, deque(all_gfns), stats)
             transfer_cycles += self._cycles(sent * PAGE_SIZE)
             pages_copied += sent
             round_sizes.append(sent)
@@ -157,9 +147,7 @@ class LiveMigrator:
                     stats["stall_cycles"] += stall
                     transfer_cycles += stall
                 batch = sorted(g for g in dirty if vm.guest_mem.is_mapped(g))
-                with self._span("migration.round", vm=vm.name, round=rounds):
-                    sent = self._send_with_retry(vm, dst_vm, deque(batch),
-                                                 stats)
+                sent = self._send_with_retry(vm, dst_vm, deque(batch), stats)
                 transfer_cycles += self._cycles(sent * PAGE_SIZE)
                 pages_copied += sent
                 round_sizes.append(sent)
@@ -174,13 +162,12 @@ class LiveMigrator:
                       if not (vm.guest_mem.is_mapped(g)
                               or g in vm.ballooned_gfns)]
             pending = deque(final_batch + absent)
-            with self._span("migration.stop_and_copy", vm=vm.name):
-                try:
-                    sent = self._send_with_retry(vm, dst_vm, pending, stats)
-                except MemoryError_ as err:
-                    raise MigrationError(
-                        f"migration of {vm.name} abandoned: gfn {pending[0]} "
-                        f"cannot be made resident to be sent") from err
+            try:
+                sent = self._send_with_retry(vm, dst_vm, pending, stats)
+            except MemoryError_ as err:
+                raise MigrationError(
+                    f"migration of {vm.name} abandoned: gfn {pending[0]} "
+                    f"cannot be made resident to be sent") from err
             downtime = self._cycles(sent * PAGE_SIZE + CPU_STATE_BYTES)
             transfer_cycles += downtime
             pages_copied += sent

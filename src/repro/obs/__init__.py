@@ -2,12 +2,11 @@
 
 One :class:`MetricsRegistry` per run, dotted-path namespaced, stamped by
 a :class:`Clock` whose timebase matches the world that owns it
-(:class:`CycleClock` for the instruction engine, :class:`SimClock` for
-the DES side), with :class:`Tracer` spans riding the existing
-:class:`~repro.util.eventlog.EventLog`.
+(:class:`SimClock` for the DES side, :class:`ManualClock` elsewhere).
+The one trace is the hypervisor's exit log, ``Hypervisor.trace``.
 """
 
-from repro.obs.clock import Clock, CycleClock, ManualClock, SimClock
+from repro.obs.clock import Clock, ManualClock, SimClock
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     SUBSYSTEMS,
@@ -23,11 +22,9 @@ from repro.obs.registry import (
     MetricsScope,
     counter_attr,
 )
-from repro.obs.tracing import Tracer
 
 __all__ = [
     "Clock",
-    "CycleClock",
     "ManualClock",
     "SimClock",
     "Counter",
@@ -36,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "counter_attr",
-    "Tracer",
     "MANIFEST_SCHEMA",
     "SUBSYSTEMS",
     "build_manifest",

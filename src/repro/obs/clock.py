@@ -4,13 +4,11 @@ pyvisor has two execution worlds with incompatible notions of time: the
 functional hypervisor counts *cycles* (``cpu.cycles`` plus VMM overhead)
 while the discrete-event side runs on :class:`repro.sim.kernel.Simulator`
 *microseconds*. A :class:`Clock` names its timebase explicitly so every
-registry snapshot and span carries a declared unit instead of an ambiguous
+registry snapshot carries a declared unit instead of an ambiguous
 integer.
 """
 
-from typing import Callable
-
-__all__ = ["Clock", "ManualClock", "CycleClock", "SimClock"]
+__all__ = ["Clock", "ManualClock", "SimClock"]
 
 
 class Clock:
@@ -45,23 +43,6 @@ class ManualClock(Clock):
         if now < self._now:
             raise ValueError("clocks do not run backwards")
         self._now = now
-
-
-class CycleClock(Clock):
-    """Cycle-time clock for the instruction engine.
-
-    ``source`` is any zero-argument callable returning the current cycle
-    count -- typically ``lambda: vcpu.cpu.cycles + vm.stats.vmm_cycles``
-    or a hypervisor's virtual-time accessor.
-    """
-
-    timebase = "cycles"
-
-    def __init__(self, source: Callable[[], int]):
-        self._source = source
-
-    def now(self) -> int:
-        return int(self._source())
 
 
 class SimClock(Clock):

@@ -9,7 +9,6 @@ This package is dependency-free (standard library only) and provides:
   module-level state anywhere in measurement paths).
 * :mod:`repro.util.stats` -- summary statistics, percentiles, Jain's
   fairness index.
-* :mod:`repro.util.eventlog` -- a bounded structured trace buffer.
 * :mod:`repro.util.table` -- a plain-text table renderer used by the
   benchmark harness to print paper-style tables.
 """
@@ -38,7 +37,6 @@ from repro.util.stats import (
     jain_fairness,
     geomean,
 )
-from repro.util.eventlog import EventLog, Event
 from repro.util.table import Table
 from repro.util.chart import ascii_chart
 
@@ -61,8 +59,6 @@ __all__ = [
     "percentile",
     "jain_fairness",
     "geomean",
-    "EventLog",
-    "Event",
     "Table",
     "ascii_chart",
 ]

@@ -350,6 +350,92 @@ class TestBugShims:
         assert a["evals"] == b["evals"]
 
 
+# -- locating a failure -----------------------------------------------------
+
+#: bt-stale-smc's first failing case of seed 1: hw-shadow and bt-shadow
+#: part at retire edge 46 (bt-shadow runs a stale translation).
+SMC_SEED, SMC_CASE = 1, 1
+
+
+class TestLocate:
+    def test_smc_edge_is_the_first_differing_budget(self):
+        opts = {**default_opts(), "bug": "bt-stale-smc"}
+        result = run_case(SMC_SEED, SMC_CASE, opts)
+        assert result["verdict"]["pair"] == ("hw-shadow", "bt-shadow")
+        edge = diff.locate(gen.generate_case(SMC_SEED, SMC_CASE), opts,
+                           result["verdict"])
+        segments, common = _case(SMC_SEED, SMC_CASE, 0.0)
+
+        def parts(n):
+            return diff.compare_vmm([
+                diff.run_on(*diff.pooled_machine(name), segments, budget=n,
+                            **common)
+                for name in result["verdict"]["pair"]])[1]
+
+        with apply_bug("bt-stale-smc"):
+            first = next(n for n in range(1, 601) if parts(n))
+            assert parts(first - 1) == []
+        assert edge["n"] == first == 46
+        assert edge["fields"] == ["pc", "regs"]
+        assert {name: row["pc"] for name, row in edge["rows"].items()} == {
+            "hw-shadow": 0x3010, "bt-shadow": 0x3060}
+        assert all(len(row["exits"]) <= diff.EXIT_TAIL
+                   for row in edge["rows"].values())
+
+    def test_vector_loop_edge_is_the_stall(self):
+        opts = {**default_opts(), "bug": "pr5-vector-loop"}
+        result = run_case(PR5_SEED, PR5_CASE, opts)
+        edge = diff.locate(gen.generate_case(PR5_SEED, PR5_CASE), opts,
+                           result["verdict"])
+        assert edge["n"] == 87
+        assert edge["rows"]["interp"]["pc"] == 0x500
+        # Independently: the 87th instruction retires, the 88th never does.
+        segments, common = _case(PR5_SEED, PR5_CASE, 0.0)
+        with apply_bug("pr5-vector-loop"):
+            at = diff.run_bare(segments, jit=False, budget=87, **common)
+            past = diff.run_bare(segments, jit=False, budget=88, **common)
+        assert (at["outcome"], at["instret"]) == ("instr_limit", 87)
+        assert (past["outcome"], past["instret"], past["pc"]) == (
+            "hang", 87, 0x500)
+
+    def test_clean_case_has_no_edge(self):
+        opts = default_opts()
+        spec = gen.generate_case(SMC_SEED, SMC_CASE)
+        result = run_case(SMC_SEED, SMC_CASE, opts)
+        assert diff.locate(spec, opts, result["verdict"]) is None
+        # Told the pair diverges, the locator finds nowhere it does.
+        claimed = {"kind": "divergence", "pair": ("hw-shadow", "bt-shadow")}
+        assert diff.locate(spec, opts, claimed) is None
+
+    def test_failing_campaign_disarms_every_trace(self):
+        opts = {**default_opts(), "bug": "bt-stale-smc"}
+        out = run_campaign(SMC_SEED, SMC_CASE + 1, jobs=1, opts=opts,
+                           log=_quiet)
+        assert out["failures"][0]["edge"]["n"] == 46
+        assert diff._HOSTS
+        assert all(hv.trace is None for hv in diff._HOSTS.values())
+
+    def test_located_manifest_is_jobs_independent(self):
+        opts = {**default_opts(), "bug": "bt-stale-smc"}
+        serial = run_campaign(SMC_SEED, 5, jobs=1, opts=opts, log=_quiet)
+        fanned = run_campaign(SMC_SEED, 5, jobs=2, opts=opts, log=_quiet)
+        failures = serial["manifest"]["extra"]["fuzz"]["failures"]
+        assert failures and all(f["edge"] for f in failures)
+        assert (manifest_identity(serial["manifest"])
+                == manifest_identity(fanned["manifest"]))
+
+    def test_due_events_fire_before_the_budget_returns(self):
+        # Seed 1, case 46 at budget 36 ends on an exit edge with a timer
+        # event due: every row fires it (delivering nothing) before the
+        # limit returns, bt-shadow included.
+        segments, common = _case(1, 46, 0.02)
+        rows = [diff.run_on(*diff.pooled_machine(name), segments, budget=36,
+                            **common)
+                for name, _v, _m in diff.VMM_CONFIGS]
+        assert [r["pending"] for r in rows] == [["IRQ_TIMER"]] * 4
+        assert diff.compare_vmm(rows) == (None, [], None)
+
+
 # -- committed corpus -------------------------------------------------------
 
 

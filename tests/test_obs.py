@@ -20,18 +20,15 @@ from repro.faults import (
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_cpu_bound
 from repro.obs import (
-    CycleClock,
     ManualClock,
     MetricsRegistry,
     SimClock,
-    Tracer,
     build_manifest,
     register_baseline,
     subsystem_of,
 )
 from repro.sim.kernel import Simulator, Timeout
 from repro.util.errors import ConfigError
-from repro.util.eventlog import EventLog
 from repro.util.units import MIB
 from tests.conftest import round_robin
 
@@ -109,13 +106,6 @@ class TestClocks:
         with pytest.raises(ValueError):
             clk.set(3)
 
-    def test_cycle_clock_tracks_source(self):
-        cycles = [0]
-        clk = CycleClock(lambda: cycles[0])
-        assert clk.timebase == "cycles"
-        cycles[0] = 1234
-        assert clk.now() == 1234
-
     def test_sim_clock_tracks_simulator(self):
         sim = Simulator()
         clk = SimClock(sim)
@@ -137,47 +127,6 @@ class TestClocks:
         snap = reg.snapshot()
         assert snap["timebase"] == "ticks"
         assert snap["time"] == 42
-
-
-class TestTracer:
-    def test_span_nesting_depths_in_eventlog(self):
-        log = EventLog(capacity=64)
-        clk = ManualClock()
-        tracer = Tracer(log=log, clock=clk)
-        with tracer.span("migration.round", vm="web"):
-            clk.advance(10)
-            with tracer.span("migration.batch"):
-                clk.advance(5)
-        events = list(tracer.spans())
-        phases = [(e.message, e.payload["phase"], e.payload["depth"])
-                  for e in events]
-        assert phases == [
-            ("migration.round", "begin", 0),
-            ("migration.batch", "begin", 1),
-            ("migration.batch", "end", 1),
-            ("migration.round", "end", 0),
-        ]
-        assert events[-1].payload["duration"] == 15
-        assert events[-1].payload["vm"] == "web"
-        assert tracer.depth == 0
-
-    def test_span_durations_land_in_metrics(self):
-        reg = MetricsRegistry()
-        clk = ManualClock()
-        tracer = Tracer(clock=clk, metrics=reg)
-        with tracer.span("migration.round"):
-            clk.advance(7)
-        hist = reg.histogram("span.migration.round")
-        assert hist.values == [7]
-
-    def test_span_closes_on_exception(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("inside")
-        assert tracer.depth == 0
-        phases = [e.payload["phase"] for e in tracer.spans("boom")]
-        assert phases == ["begin", "end"]
 
 
 class TestStatsViews:
