@@ -371,9 +371,7 @@ class Hypervisor:
                 vcpu.on_virtual_mode_change = mmu.set_view
                 mmu.set_view(kernel=True)
         elif config.mmu_mode is MMUVirtMode.HMODE:
-            cpu.controls = hmode_controls(
-                HEDELEG_ALL, HIDELEG_ALL, self._hmode_deleg_miss
-            )
+            cpu.controls = hmode_controls(HEDELEG_ALL, HIDELEG_ALL)
             self.registry.counter("core.hmode.vms_created").inc()
         elif config.mmu_mode is MMUVirtMode.SHADOW:
             cpu.controls = HW_ASSIST_SHADOW
@@ -783,17 +781,6 @@ class Hypervisor:
             return GSTAGE_STALL_REFS * self.costs.gstage_ref_cycles
         return 0
 
-    def _hmode_deleg_miss(self) -> bool:
-        """``hmode.delegation_miss`` site: one delegated trap exits anyway.
-
-        The exit handler re-injects the trap, so the guest converges to
-        the same architectural state; only the host pays a world switch.
-        """
-        if self.injector is not None and self.injector.fires("hmode.delegation_miss"):
-            self.registry.counter("core.hmode.delegation_misses").inc()
-            return True
-        return False
-
     # -- exit dispatch -----------------------------------------------------
 
     def _vm_time(self, vm: VirtualMachine) -> int:
@@ -875,18 +862,13 @@ class Hypervisor:
         costs = self.costs
         cpu = vcpu.cpu
         if vm.config.virt_mode is _HW_ASSIST:
-            # H-mode: a non-delegated guest trap (or a delegation
-            # miss injected by the fault site). Inject it exactly as
-            # hardware event injection on VM entry would: the core's
-            # own delivery microcode runs against real guest state,
-            # so the result is bit-identical to native delegation.
+            # H-mode: a cause the host did not delegate. Inject it
+            # exactly as hardware event injection on VM entry would:
+            # the core's own delivery microcode runs against real guest
+            # state, so the result is bit-identical to native delegation.
             cpu.deliver_trap(info)
-            detail = _CAUSE_DETAIL[info.cause]
-            if not (cpu.controls.trap_exits >> info.cause) & 1:
-                # A delegated cause leaves only through a delegation miss.
-                detail = f"deleg_miss.{detail}"
             self.registry.counter("core.hmode.trap_exits").inc()
-            return detail, costs.emulate_cycles
+            return _CAUSE_DETAIL[info.cause], costs.emulate_cycles
         if info.cause is _PRIV and vcpu.vcsr[_MODE] != MODE_USER:
             # Only the guest *kernel* (deprivileged onto real user
             # mode) gets its privileged instructions emulated. A

@@ -14,11 +14,13 @@ Which guest events become VM exits is an immutable
   straight into the guest kernel through the core's own
   ``deliver_trap``, so the guest-visible CSR/cycle effects are
   bit-identical to a bare machine; only non-delegated causes exit, and
-  the VMM re-injects them. The masks are the *host's*: they live in the
-  record, while the guest's own HEDELEG/HIDELEG CSRs are plain storage
-  in the core's CSR file as on every other engine, so a guest cannot
-  grant itself delegation. Paging is never intercepted (the G-stage
-  MMU handles memory virtualization in hardware).
+  the VMM re-injects them through the same ``deliver_trap``. The masks
+  are the *host's*: they live in the record (``create_vm`` delegates
+  everything; the fuzzer draws narrower masks per case), while the
+  guest's own HEDELEG/HIDELEG CSRs are plain storage in the core's CSR
+  file as on every other engine, so a guest cannot grant itself
+  delegation. Paging is never intercepted (the G-stage MMU handles
+  memory virtualization in hardware).
 * deprivileged (:data:`DEPRIVILEGED`) -- trap-and-emulate, binary
   translation and paravirt. The guest runs entirely in real user mode,
   so *every* trap exits to the VMM (which reflects or emulates), and
@@ -31,7 +33,6 @@ Which guest events become VM exits is an immutable
 """
 
 from dataclasses import replace
-from typing import Callable
 
 from repro.cpu.exits import ExecControls
 
@@ -40,12 +41,7 @@ HW_ASSIST_SHADOW = replace(HW_ASSIST_NESTED, paging=True)
 DEPRIVILEGED = ExecControls(vmcall=True, trap_exits=0xFFFFFFFF)
 
 
-def hmode_controls(hedeleg: int, hideleg: int,
-                   delegation_miss: Callable[[], bool]) -> ExecControls:
+def hmode_controls(hedeleg: int, hideleg: int) -> ExecControls:
     """Hardware assist with every cause outside the two masks exiting."""
-    return replace(
-        HW_ASSIST_NESTED,
-        trap_exits=~(hedeleg | hideleg) & 0xFFFFFFFF,
-        hmode=True,
-        delegation_miss=delegation_miss,
-    )
+    return replace(HW_ASSIST_NESTED,
+                   trap_exits=~(hedeleg | hideleg) & 0xFFFFFFFF)

@@ -17,7 +17,7 @@ the translator's own loop), which reaches whoever called ``run``.
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict
 
 
 class ExitReason(enum.Enum):
@@ -54,13 +54,6 @@ class ExecControls:
     #: Bit per :class:`~repro.cpu.isa.Cause`: a set bit makes that trap
     #: exit with GUEST_TRAP instead of vectoring into the guest.
     trap_exits: int = 0
-    #: H-mode delegation: a trap that stays in the guest additionally
-    #: costs ``CostModel.hmode_deleg_extra_cycles``.
-    hmode: bool = False
-    #: The ``hmode.delegation_miss`` fault hook: when it returns True
-    #: one delegated trap exits anyway (the VMM tells a miss by its
-    #: clear ``trap_exits`` bit) and the VMM re-injects it.
-    delegation_miss: Optional[Callable[[], bool]] = None
 
 
 class VMExit(Exception):

@@ -229,24 +229,15 @@ class CPUCore:
              ins: Optional[Instruction] = None) -> None:
         info = TrapInfo(cause, value, epc)
         ctl = self.controls
-        if ctl is not None:
-            exits = (ctl.trap_exits >> cause) & 1
-            if ctl.hmode and not exits:
-                # Delegated. Charged whether delivery completes natively
-                # or via the injected-after-spurious-exit path: the
-                # guest cycle stream stays identical either way.
-                self.cycles += self.costs.hmode_deleg_extra_cycles
-                exits = (ctl.delegation_miss is not None
-                         and ctl.delegation_miss())
-            if exits:
-                service = self._service
-                if service is None:
-                    raise VMExit(_GUEST_TRAP, self.pc,
-                                 ins.length if ins is not None else 0,
-                                 trap=info, ins=ins)
-                if not service(_GUEST_TRAP, ins, self.pc, info):
-                    raise ExitUnwind
-                return
+        if ctl is not None and (ctl.trap_exits >> cause) & 1:
+            service = self._service
+            if service is None:
+                raise VMExit(_GUEST_TRAP, self.pc,
+                             ins.length if ins is not None else 0,
+                             trap=info, ins=ins)
+            if not service(_GUEST_TRAP, ins, self.pc, info):
+                raise ExitUnwind
+            return
         self.deliver_trap(info)
 
     # -- fetch/decode ---------------------------------------------------------

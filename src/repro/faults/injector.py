@@ -52,9 +52,6 @@ Known sites (unplanned-but-registered sites never fire):
                           storm on that line)
 ``irq.delayed``           a due schedule event is pushed back a drawn
                           number of retire edges before firing
-``hmode.delegation_miss`` a delegated H-mode trap spuriously exits to the
-                          VMM anyway (microarchitectural delegation miss);
-                          the VMM re-injects, so only host timing changes
 ``hmode.gstage_stall``    a hardware two-stage walk stalls: extra cycles
                           charged on one combined-TLB miss
 ========================  ====================================================
@@ -90,7 +87,6 @@ _KNOWN_SITES: Dict[str, str] = {
     "irq.spurious": "PIC asserts a device cause with no pending line behind it",
     "irq.storm": "schedule event re-queues at the next consecutive retire edges",
     "irq.delayed": "due schedule event pushed back a drawn number of edges",
-    "hmode.delegation_miss": "delegated H-mode trap spuriously exits to the VMM",
     "hmode.gstage_stall": "hardware two-stage walk stalls on a TLB miss",
 }
 

@@ -11,8 +11,11 @@ Two comparison groups run the same guest image:
 * **vmm** -- four full-virtualization configs under the hypervisor:
   hardware-assist with shadow paging, hardware-assist with nested
   paging, hardware-assist with H-mode two-stage paging (delegated
-  traps deliver natively, with no VM exit in between), and
-  binary translation (shadow). Only *guest-visible* state is
+  traps deliver natively, with no VM exit in between; each case draws
+  the host's delegation masks, so the causes it leaves out exit and
+  the VMM re-injects them), and binary translation (shadow). The
+  other three rows deliver every trap as full delegation would, so
+  they are the H-mode row's oracle. Only *guest-visible* state is
   compared: registers, pc, the guest CSR view, halt state, pending
   interrupt causes, console output, and guest memory less the pages
   of the page-table span (the walker sets accessed/dirty bits at
@@ -48,9 +51,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import (
     GuestConfig, Hypervisor, MMUVirtMode, VirtMode, VirtualMachine,
 )
+from repro.core.policies import hmode_controls
 from repro.cpu.disasm import disassemble_one
 from repro.cpu.interp import CPUCore, StopReason
-from repro.cpu.isa import CSR, DecodeError
+from repro.cpu.isa import CSR, HEDELEG_ALL, HIDELEG_ALL, DecodeError
 from repro.cpu.mmu import BareMMU
 from repro.devices.irq import InterruptController
 from repro.devices.schedule import EventSchedule
@@ -60,6 +64,7 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import PageFault
 from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ReproError
+from repro.util.rng import DeterministicRNG
 
 DEFAULT_MAX_INSTRUCTIONS = 600
 
@@ -70,11 +75,14 @@ DEFAULT_MAX_INSTRUCTIONS = 600
 IRQ_FAULT_SITES = ("irq.lost", "irq.spurious", "irq.storm", "irq.delayed")
 
 #: H-mode fault sites armed in *every* config's plan. Per-site forked
-#: streams mean the extra specs perturb nothing: configs without an
-#: H-mode vCPU never evaluate these sites, and where they do fire the
-#: effects are host-timing-only (``gstage_stall``) or re-injected
-#: bit-identically (``delegation_miss``), so guest state still agrees.
-HMODE_FAULT_SITES = ("hmode.delegation_miss", "hmode.gstage_stall")
+#: streams mean the extra spec perturbs nothing: configs without an
+#: H-mode vCPU never evaluate it, and where it fires the effect is
+#: host timing only, so guest state still agrees.
+HMODE_FAULT_SITES = ("hmode.gstage_stall",)
+
+#: Salt of the stream a case's H-mode delegation masks are drawn from:
+#: a fork of its fault seed, uncorrelated with the faults it plans.
+_DELEG_SALT = 0xDE1E6A7E
 
 #: CSRs that form the guest-visible control state (counters excluded).
 #: HEDELEG/HIDELEG are plain storage to a guest in every engine --
@@ -280,6 +288,12 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
 
     vcpu = vm.vcpus[0]
     cpu = vcpu.cpu
+    if vm.config.mmu_mode is MMUVirtMode.HMODE:
+        # The host's delegation masks: each cause kept with probability
+        # 1/2. The causes left out exit and the VMM re-injects them.
+        rng = DeterministicRNG(fault_seed).fork(_DELEG_SALT)
+        cpu.controls = hmode_controls(HEDELEG_ALL & rng.next_u64(),
+                                      HIDELEG_ALL & rng.next_u64())
     if event_seed is not None:
         # Hardware-assist delivers natively from cpu.pending_irqs; the
         # other modes must bounce to the pump so the monitor can inject

@@ -64,11 +64,6 @@ class CostModel:
     #: reference cost; ablations model a dedicated nested-walk cache by
     #: lowering it independently of ``mem_ref_cycles``.
     gstage_ref_cycles: int = 30
-    #: Extra hardware cost of delivering a *delegated* trap directly in
-    #: the guest (H-mode, no VMM involvement). Zero by default so the
-    #: guest-visible cycle stream matches the architected trap cost;
-    #: crossover ablations can charge a premium here.
-    hmode_deleg_extra_cycles: int = 0
 
     @property
     def tlb_miss_cycles(self) -> int:

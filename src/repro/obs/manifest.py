@@ -41,7 +41,7 @@ MANIFEST_SCHEMA = "pyvisor.metrics.manifest/1"
 #: Canonical subsystem groups, in the order the manifest reports them.
 SUBSYSTEMS = (
     "core", "devices", "sched", "migration", "overcommit", "faults",
-    "fuzz", "cluster", "sim", "trace", "host",
+    "fuzz", "cluster", "sim", "host",
 )
 
 #: One always-present counter per subsystem (incremented by the layer
@@ -68,8 +68,6 @@ def subsystem_of(name: str) -> str:
     head = name.split(".", 1)[0]
     if head == "dev":
         return "devices"
-    if head == "span":
-        return "trace"
     return head if head in SUBSYSTEMS else "other"
 
 

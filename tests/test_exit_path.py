@@ -19,12 +19,13 @@ import pytest
 
 from repro.core.bt import BTEngine
 from repro.core.hypervisor import PUMP_SLICE, RunOutcome
+from repro.core.policies import hmode_controls
 from repro.bench.common import GUEST_MEMORY
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore
-from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
+from repro.cpu.isa import HEDELEG_ALL, HIDELEG_ALL, Cause
 from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, build_kernel
 from repro.guest import workloads as programs
@@ -407,9 +408,9 @@ loop:
 """
 
 
-def _miss_every_other_delegated_trap(hv, _vm):
-    hv.injector = FaultInjector(FaultPlan(specs=[
-        FaultSpec("hmode.delegation_miss", rate=0.5)]))
+def _syscall_not_delegated(_hv, vm):
+    vm.vcpus[0].cpu.controls = hmode_controls(
+        HEDELEG_ALL & ~(1 << Cause.SYSCALL), HIDELEG_ALL)
 
 
 #: name -> (row, loader, host setup or None, the exit-table entries the
@@ -431,9 +432,9 @@ ROUTES = {
     "hypercalls_and_guest_traps": (
         "paravirt", _nanoos(lambda: programs.syscall_storm(30)), None,
         ["vmcall:iret", "guest_trap:syscall"]),
-    "guest_trap_deleg_miss": (
+    "guest_trap_undelegated": (
         "hw+hmode", _nanoos(lambda: programs.syscall_storm(30)),
-        _miss_every_other_delegated_trap, ["guest_trap:deleg_miss.syscall"]),
+        _syscall_not_delegated, ["guest_trap:syscall"]),
 }
 
 

@@ -139,7 +139,6 @@ def test_catalog_names_and_subsystem_tags_are_consistent():
     for name, description in sites:
         assert re.fullmatch(r"[a-z_]+\.[a-z_]+", name), name
         assert description, f"{name} has no description"
-    assert "hmode.delegation_miss" in names
     assert "hmode.gstage_stall" in names
 
 
@@ -150,25 +149,22 @@ def test_cli_faults_list_shows_hmode_sites(capsys):
 
     assert _cmd_faults(argparse.Namespace(list=True)) == 0
     out = capsys.readouterr().out
-    assert "hmode.delegation_miss" in out
     assert "hmode.gstage_stall" in out
     assert "[hmode]" in out
 
 
 def test_hmode_sites_have_forked_streams_like_irq():
-    # Planning the hmode sites must not shift any other site's
+    # Planning the hmode site must not shift any other site's
     # schedule: per-site streams are forked, so the irq.lost sequence
-    # is identical with and without the hmode specs in the plan.
+    # is identical with and without the hmode spec in the plan.
     without = _injector(FaultSpec("irq.lost", rate=0.5))
     with_hmode = _injector(
         FaultSpec("irq.lost", rate=0.5),
-        FaultSpec("hmode.delegation_miss", rate=0.5),
         FaultSpec("hmode.gstage_stall", rate=0.5),
     )
     seq_a = [without.fires("irq.lost") for _ in range(100)]
     seq_b = []
     for _ in range(100):
-        with_hmode.fires("hmode.delegation_miss")
         with_hmode.fires("hmode.gstage_stall")
         seq_b.append(with_hmode.fires("irq.lost"))
     assert seq_a == seq_b
@@ -177,10 +173,10 @@ def test_hmode_sites_have_forked_streams_like_irq():
 
 def test_hmode_sites_pin_like_any_other():
     inj = _injector(
-        FaultSpec("hmode.delegation_miss", rate=1.0, after=3, count=1))
-    fired_at = [i for i in range(8) if inj.fires("hmode.delegation_miss")]
+        FaultSpec("hmode.gstage_stall", rate=1.0, after=3, count=1))
+    fired_at = [i for i in range(8) if inj.fires("hmode.gstage_stall")]
     assert fired_at == [3]
-    assert inj.fired("hmode.delegation_miss") == 1
+    assert inj.fired("hmode.gstage_stall") == 1
 
 
 # -- watchdog, wedged devices ------------------------------------------------

@@ -13,6 +13,10 @@ from collections import Counter
 
 import pytest
 
+from repro.core import Hypervisor, VirtMode
+from repro.core.policies import hmode_controls
+from repro.cpu.interp import CPUCore
+from repro.cpu.isa import HEDELEG_ALL, HIDELEG_ALL, Cause
 from repro.fuzz import diff, gen
 from repro.fuzz.bugs import apply_bug, known_bugs
 from repro.fuzz.campaign import manifest_identity, run_campaign
@@ -434,6 +438,80 @@ class TestLocate:
                 for name, _v, _m in diff.VMM_CONFIGS]
         assert [r["pending"] for r in rows] == [["IRQ_TIMER"]] * 4
         assert diff.compare_vmm(rows) == (None, [], None)
+
+
+# -- per-case delegation masks ----------------------------------------------
+
+#: The causes the generator raises: every delegable one but ILLEGAL.
+RAISED = {c for c in Cause if (HEDELEG_ALL | HIDELEG_ALL) >> c & 1} - {
+    Cause.ILLEGAL}
+
+
+def _hmode_row(segments, common):
+    """Run the hw-hmode row; (result, cycles, guest_trap exits by cause,
+    the drawn ``trap_exits``)."""
+    hv, vm = diff.pooled_machine("hw-hmode")
+    row = diff.run_on(hv, vm, segments, **common)
+    exits = Counter({Cause[k.split(":", 1)[1].upper()]: n
+                     for k, n in vm.exit_stats.counts.items()
+                     if k.startswith("guest_trap:")})
+    return row, vm.vcpus[0].cpu.cycles, exits, vm.vcpus[0].cpu.controls.trap_exits
+
+
+class TestDelegationMasks:
+    def test_drawn_masks_change_only_who_delivers(self, monkeypatch):
+        # Re-injection runs the core's own delivery: a case under its
+        # drawn masks ends where it ends under full delegation, guest
+        # cycles included, and exits once per trap it left out.
+        delivered = Counter()
+        deliver = CPUCore.deliver_trap
+
+        def counting(cpu, info):
+            delivered[info.cause] += 1
+            deliver(cpu, info)
+
+        monkeypatch.setattr(CPUCore, "deliver_trap", counting)
+        undelegated = 0
+        for index in range(40):
+            segments, common = _case(1, index, 0.0)
+            drawn, cycles, exits, trap_exits = _hmode_row(segments, common)
+            with monkeypatch.context() as full_masks:
+                full_masks.setattr(diff, "hmode_controls", lambda *_: (
+                    hmode_controls(HEDELEG_ALL, HIDELEG_ALL)))
+                delivered.clear()
+                full, full_cycles, full_exits, _ = _hmode_row(segments, common)
+            assert not full_exits
+            assert drawn == full, index
+            assert cycles == full_cycles, index
+            assert exits == Counter({c: n for c, n in delivered.items()
+                                     if trap_exits >> c & 1}), index
+            undelegated += sum(exits.values())
+        assert undelegated
+
+    def test_every_raised_cause_exits_undelegated(self):
+        exited = set()
+        for index in range(24):
+            result = run_case(5, index, default_opts())
+            assert result["verdict"]["kind"] == "ok", (index, result["verdict"])
+            counts = diff._HOSTS["hw-hmode"].vms["fuzz"].exit_stats.counts
+            exited |= {Cause[k.split(":", 1)[1].upper()]
+                       for k in counts if k.startswith("guest_trap:")}
+        assert exited == RAISED
+
+    def test_a_lost_reinjected_value_is_caught_and_shrinks(self, monkeypatch):
+        exit_guest_trap = Hypervisor._exit_guest_trap
+
+        def drop_value(hv, vm, vcpu, ins, info):
+            if vm.config.virt_mode is VirtMode.HW_ASSIST:
+                info = info._replace(value=0)
+            return exit_guest_trap(hv, vm, vcpu, ins, info)
+
+        monkeypatch.setattr(Hypervisor, "_exit_guest_trap", drop_value)
+        opts = default_opts()
+        result = run_case(1, 2, opts)
+        assert result["verdict"]["pair"] == ("hw-shadow", "hw-hmode")
+        shrunk = shrink_case(1, 2, opts, result)
+        assert len(shrunk["cells"]) <= 2
 
 
 # -- committed corpus -------------------------------------------------------

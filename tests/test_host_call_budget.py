@@ -69,7 +69,9 @@ CALLS = {
     # reading its block's extent off the code bytes, and its head word
     # through a Python accessor; on an interpreted one, the count before
     # the shadow MMU's A/D write-back stopped going through
-    # GuestMemory's write accessor.
+    # GuestMemory's write accessor. A "was" on a hw+hmode cell names the
+    # count when every delegated trap also read a zero-cycle delegation
+    # premium and asked a fault hook whether to exit anyway.
     "native/interp/cpu_bound": 6.8232,
     "native/interp/memtouch": 6.9754,
     "native/interp/syscall_storm": 7.0444,
@@ -108,12 +110,12 @@ CALLS = {
     "hw+nested/compiled/cpu_bound": 0.6034,  # was 0.6198
     "hw+nested/compiled/memtouch": 3.0233,  # was 3.1440
     "hw+nested/compiled/syscall_storm": 1.2102,  # was 1.2291
-    "hw+hmode/interp/cpu_bound": 7.9368,
-    "hw+hmode/interp/memtouch": 8.2632,
-    "hw+hmode/interp/syscall_storm": 8.3784,
-    "hw+hmode/compiled/cpu_bound": 0.6077,  # was 0.6241
-    "hw+hmode/compiled/memtouch": 3.0442,  # was 3.1649
-    "hw+hmode/compiled/syscall_storm": 1.2217,  # was 1.2406
+    "hw+hmode/interp/cpu_bound": 7.9366,  # was 7.9368
+    "hw+hmode/interp/memtouch": 8.2601,  # was 8.2632
+    "hw+hmode/interp/syscall_storm": 8.3714,  # was 8.3784
+    "hw+hmode/compiled/cpu_bound": 0.6076,  # was 0.6077
+    "hw+hmode/compiled/memtouch": 3.0410,  # was 3.0442
+    "hw+hmode/compiled/syscall_storm": 1.2147,  # was 1.2217
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,

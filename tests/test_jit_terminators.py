@@ -113,26 +113,14 @@ def _image(pre, body):
     return _asm(CODE, f"{pre}{body}    li t0, 77\n    add t1, t0, 1\n    hlt\n")
 
 
-def _every_second_call():
-    calls = [0]
-
-    def miss():
-        calls[0] += 1
-        return calls[0] % 2 == 0
-
-    return miss
-
-
-#: name -> a fresh controls record (the hmode hook keeps a count).
+#: name -> the controls record a row runs under.
 CONTROLS = {
-    "bare": lambda: None,
-    "hw-shadow": lambda: HW_ASSIST_SHADOW,
-    "hw-nested": lambda: HW_ASSIST_NESTED,
-    # ILLEGAL is not delegated (it exits); the rest deliver natively
-    # except every second one, which the injected miss sends out.
-    "hmode": lambda: hmode_controls(
-        HEDELEG_ALL & ~(1 << Cause.ILLEGAL), HIDELEG_ALL, _every_second_call()),
-    "deprivileged": lambda: DEPRIVILEGED,
+    "bare": None,
+    "hw-shadow": HW_ASSIST_SHADOW,
+    "hw-nested": HW_ASSIST_NESTED,
+    # ILLEGAL is not delegated (it exits); the rest deliver natively.
+    "hmode": hmode_controls(HEDELEG_ALL & ~(1 << Cause.ILLEGAL), HIDELEG_ALL),
+    "deprivileged": DEPRIVILEGED,
 }
 
 
@@ -206,7 +194,7 @@ def _assert_parity(controls, mode, pre, body, what, bus=None):
     image = _image(pre, body)
     outcomes = []
     for jit in (False, True):
-        cpu, _pm = _machine(jit, CONTROLS[controls](), mode, image,
+        cpu, _pm = _machine(jit, CONTROLS[controls], mode, image,
                             bus=bus() if bus else None)
         outcomes.append(_run(cpu))
     reference, compiled = outcomes

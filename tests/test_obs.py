@@ -161,7 +161,6 @@ class TestManifest:
         assert subsystem_of("vm.web.exits.vmcall") == "core"
         assert subsystem_of("vm.web.dev.block.reads") == "devices"
         assert subsystem_of("sched.credit.preemptions") == "sched"
-        assert subsystem_of("span.migration.round") == "trace"
         assert subsystem_of("surprise.counter") == "other"
 
     def test_baseline_covers_six_subsystems(self):
