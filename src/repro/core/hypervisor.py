@@ -447,11 +447,9 @@ class Hypervisor:
         which is backing, not machine: the caller frees or keeps it.
         """
         cpu = vm.vcpus[0].cpu
-        # The core (and the translator) watch host memory for writes to
-        # their code pages; the host outlives them.
+        # The core watches host memory for writes to its compiled and
+        # translated code; the host outlives it.
         self.physmem.unwatch_writes(cpu._on_code_write)
-        if vm.bt is not None:
-            self.physmem.unwatch_writes(vm.bt._on_code_write)
         if isinstance(cpu.mmu, ShadowMMU):
             cpu.mmu.destroy()
             return None
@@ -595,8 +593,6 @@ class Hypervisor:
                 or watchdog is not None  # beats once per guest entry
                 or (self.injector is not None  # draws once per guest entry
                     and self.injector.plans("vcpu.stall"))
-                # The translator, not the core, runs BT guest-kernel mode.
-                or (vm.bt is not None and vcpu.vcsr[_MODE] == MODE_KERNEL)
                 # A spent budget: the pump fires what is due at this
                 # edge, then returns.
                 or (max_guest_instructions is not None and
@@ -683,18 +679,6 @@ class Hypervisor:
             # A hung guest: wall-clock time passes but nothing retires.
             # The watchdog sees instret flat-lining and declares a hang.
             cpu.cycles += slice_
-            return
-        if (
-            vm.bt is not None
-            and vcpu.vcsr[_MODE] == MODE_KERNEL
-            and not vcpu.halted
-        ):
-            try:
-                vm.bt.run(slice_, cycle_budget)
-            except VMExit as exit_:
-                # These leave the translator, not the core: serviced
-                # through the unwinding route, and the pump follows.
-                self._handle_exit(vm, vcpu, exit_)
             return
         # A per-entry cycle bound keeps ``max_cycles`` honest even when
         # the guest burns cycles without retiring instructions inside

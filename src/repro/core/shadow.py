@@ -33,7 +33,7 @@ switches on virtual privilege transitions, flushing the TLB each time --
 a real, measured cost of software virtualization.
 """
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.mmu import MMUBase
@@ -107,9 +107,6 @@ class ShadowMMU(MMUBase):
         #: drop / rebind / write-protect of a guest frame has to visit.
         self._fills: Dict[int, Set[Tuple[Tuple[int, bool], int]]] = {}
         self._pt_backrefs: Dict[int, Set[Tuple[Tuple[int, bool], int]]] = {}
-        #: The translator's ``on_move(gfn, hfn)``: the host re-backed
-        #: ``gfn`` with ``hfn`` (None: left unbacked) through this surface.
-        self.on_move: Optional[Callable[[int, Optional[int]], None]] = None
 
         self.fills = 0
         self.view_switches = 0
@@ -283,8 +280,6 @@ class ShadowMMU(MMUBase):
 
     def map_gfn(self, gfn: int, hfn: int) -> None:
         """The host backed ``gfn``: shadows fill lazily."""
-        if self.on_move is not None:
-            self.on_move(gfn, hfn)
 
     def drop_gfn(self, gfn: int) -> None:
         """Remove every shadow mapping of a guest frame (balloon, swap,
@@ -294,8 +289,6 @@ class ShadowMMU(MMUBase):
             if space is not None:
                 space.unmap(page_va)
         self.tlb.flush()
-        if self.on_move is not None:
-            self.on_move(gfn, None)
 
     def rebind_gfn(self, gfn: int, hfn: int, writable: bool) -> None:
         """``gfn`` is now backed by ``hfn``: refill from there, lazily."""
@@ -304,7 +297,6 @@ class ShadowMMU(MMUBase):
             self.guest_mem.write_protected.discard(gfn)
         else:
             self.guest_mem.write_protected.add(gfn)
-        self.map_gfn(gfn, hfn)
 
     def destroy(self) -> None:
         for space in self._spaces.values():

@@ -143,13 +143,17 @@ class CPUCore:
         #: ``on_exit``), which an intercept calls; None outside one.
         self._service = None
 
-        #: Frames holding compiled blocks; the physmem write watcher
-        #: fires :meth:`_on_code_write` for these.
+        #: Frames holding compiled or translated code (or a page table
+        #: translated code was fetched through); the core's one physmem
+        #: write watcher fires :meth:`_on_code_write` for these.
         self._code_pfns: Set[int] = set()
         #: True/False = explicit; None = default on. False is the
         #: reference run the differential tests compare against.
         self.jit_enabled = True if jit is None else jit
         self._jit = None  # lazily: BlockJIT
+        #: The binary translator that runs a guest's virtual kernel mode
+        #: (:class:`~repro.core.bt.BTEngine`, see :meth:`run`), or None.
+        self.translator = None
         physmem = getattr(mmu, "physmem", None)
         if physmem is not None and hasattr(physmem, "watch_writes"):
             physmem.watch_writes(self._code_pfns, self._on_code_write)
@@ -268,7 +272,7 @@ class CPUCore:
         return DECODED.get((word, imm_word)) or decode(word, imm_word)
 
     def _on_code_write(self, pfn: int) -> None:
-        """Physmem write watcher: a store landed on compiled code."""
+        """Physmem write watcher: a store landed on a watched frame."""
         jit = self._jit
         if jit:
             jit.invalidate_pfn(pfn)
@@ -422,16 +426,25 @@ class CPUCore:
         (:meth:`charge_cycle_budget`), else returns
         :data:`StopReason.EVENT`. Without a service every exit is a
         :class:`VMExit`, raised before the instruction did anything.
+
+        With a ``translator`` a run covers one virtual privilege level,
+        and ends (:data:`StopReason.EVENT`) where the guest leaves it. In
+        virtual kernel mode it dispatches translated blocks, and lends no
+        service: an exit is a :class:`VMExit`, handed to ``on_exit`` as
+        the core finished it, that ends the run.
         """
-        self._service = on_exit
+        translator = self.translator
+        kernel = translator is not None and translator.vcpu.vcsr[_MODE] == MODE_KERNEL
+        self._service = None if kernel else on_exit
         try:
-            if self.jit_enabled:
+            if self.jit_enabled or kernel:
                 jit = self._jit
                 if jit is None:
                     from repro.cpu.jit import BlockJIT
 
                     jit = self._jit = BlockJIT(self)
-                return self._run_compiled(jit, max_instructions, max_cycles, on_exit)
+                return self._run_compiled(jit, max_instructions, max_cycles,
+                                          on_exit, kernel)
             return self._run_interp(max_instructions, max_cycles, on_exit)
         finally:
             self._service = None
@@ -454,6 +467,7 @@ class CPUCore:
         max_instructions: Optional[int],
         max_cycles: Optional[int],
         on_exit: Optional[Callable[..., bool]],
+        kernel: bool,
     ) -> RunResult:
         """Block-at-a-time loop; falls back to :meth:`step` per slow case.
 
@@ -466,6 +480,12 @@ class CPUCore:
         cold head) the core is stepped, each step behind the full loop-top,
         until what ``step()`` ran ends a block by ``_compile``'s rule or the
         next pc is a head already heating (``jit.heating``); then it asks.
+
+        A ``kernel`` run dispatches translated blocks instead, charged as
+        :mod:`repro.core.bt` says. Its loop top fires what is due without
+        stopping for it and delivers a pending virq; inside a block an
+        edge fires at its item boundary, where an unmasked virq is
+        delivered, and the instruction limit cuts the block.
         """
         start_instr = self.instret
         start_cycles = self.cycles
@@ -480,75 +500,177 @@ class CPUCore:
         # Self-looping closures honour both ceilings at every loop edge;
         # folding the next event edge into _loop_stop is the irq-poll
         # guard: the closure returns to this dispatcher exactly at the
-        # due edge.
+        # due edge. Under the translator each lap is a dispatch of its own.
         instr_stop = self._loop_stop = (
-            min(limit_stop, events.next_due) if events is not None
-            else limit_stop
+            0 if kernel else min(limit_stop, events.next_due)
+            if events is not None else limit_stop
         )
         lookup = jit.lookup
         heating = jit.heating
         step = self.step
         csr = self.csr
         cold_pc, left = -1, 0  # a cold run's next pc, and its steps left
-        while True:
-            if events is not None and self.instret >= events.next_due:
-                fired = events.fire_due(self.instret)
-                instr_stop = self._loop_stop = min(limit_stop, events.next_due)
-                if fired and events.exit_on_fire:
+        bt = self.translator
+        vcsr = None if bt is None else bt.vcpu.vcsr
+        hits = misses = chained = callouts = 0
+        if kernel:
+            vcpu, execute, callout, epoch = bt.vcpu, self.execute, bt.callout, jit._epoch_cell
+            virqs, inject, power = vcpu.vm.pending_virqs, bt.inject_virq, bt.power
+            backing = vcpu.vm.guest_mem.map.get
+            translated = jit.translated if bt.cache_enabled else None
+            chains = jit.chains if bt.chaining_enabled else None
+            compiling = self.jit_enabled and translated is not None
+            instr_c, callout_c, dispatch_c = (
+                self.costs.instr_cycles, self.costs.bt_callout_cycles,
+                self.costs.bt_dispatch_cycles)
+            prev = None  # the start va of the block dispatched last
+        try:
+            while True:
+                if events is not None and self.instret >= events.next_due:
+                    fired = events.fire_due(self.instret)
+                    if not kernel:
+                        instr_stop = self._loop_stop = min(limit_stop, events.next_due)
+                        if fired and events.exit_on_fire:
+                            stop = StopReason.EVENT
+                            break
+                if self.halted:
+                    if csr[_IE] and self.pending_irqs:
+                        self.halted = False
+                    else:
+                        stop = StopReason.HALT
+                        break
+                if self.instret >= limit_stop:
+                    stop = StopReason.INSTR_LIMIT
+                    break
+                if kernel:
+                    try:
+                        if virqs and inject(vcpu):
+                            prev = None
+                            continue
+                        if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
+                                or power.shutdown_requested or self.cycles >= cycle_stop):
+                            stop = StopReason.EVENT
+                            break
+                        key = (self.mmu.guest_root, self.pc)
+                        block = translated.get(key) if translated is not None else None
+                        if block is not None and (
+                                block.suspect or tuple(map(backing, block.gfns)) != block.frames):
+                            block = bt.recheck(key, block)
+                        if block is None:
+                            block = bt.translate(self.pc)
+                            if block is None:  # a fetch fault took the guest to its vector
+                                prev = None
+                                continue
+                            misses += 1
+                            if translated is not None:
+                                translated[key] = block
+                                bt.watch(key, block)
+                        else:
+                            hits += 1
+                        link = None if prev is None or chains is None else (prev, block.start_va)
+                        if link is not None and link in chains:
+                            chained += 1
+                        else:
+                            self.cycles += dispatch_c
+                            if link is not None:
+                                chains.add(link)
+                        prev = block.start_va
+                        code = block.code
+                        if code is None:
+                            code = block.items
+                            block.heat -= 1
+                            if compiling and block.heat <= 0:
+                                code = block.code = jit.translated_code(block)
+                        e0 = epoch[0]
+                        while code is not None:
+                            todo, code = code, None
+                            for kind, ins in todo:
+                                if events is not None and self.instret >= events.next_due:
+                                    events.fire_due(self.instret)
+                                    if virqs and self.instret < limit_stop and inject(vcpu):
+                                        break
+                                if self.instret >= limit_stop:
+                                    break
+                                if kind is True:  # a callout
+                                    callouts += 1
+                                    self.cycles += callout_c
+                                    if callout(ins) or (virqs and self.instret < limit_stop
+                                                        and inject(vcpu)):
+                                        break
+                                elif kind is False:  # a native item, walked
+                                    self.cycles += instr_c
+                                    execute(ins)
+                                    # A store that dropped code: the next
+                                    # fetch translates the new bytes.
+                                    if ins.stores and epoch[0] != e0:
+                                        break
+                                elif epoch[0] == e0 and self.instret + kind[1] <= limit_stop and (
+                                        events is None
+                                        or self.instret + kind[1] <= events.next_due):
+                                    kind[0](self)  # a compiled run, which may bail so too
+                                    if epoch[0] != e0 and (kind[3] or self.pc != kind[4]):
+                                        break
+                                else:  # an edge inside the run, or code dropped
+                                    code = block.items[kind[2]:]
+                                    break
+                    except VMExit as exit_:
+                        if on_exit is None:
+                            raise
+                        # Serviced as the core finished it; the caller's loop is next.
+                        q = exit_.qualification
+                        on_exit(exit_.reason, q.get("ins"), self.pc, q.get("trap", exit_))
+                        stop = StopReason.EVENT
+                        break
+                    continue
+                if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
+                    stop = StopReason.EVENT  # an exit took the guest into its kernel
+                    break
+                if self.cycles >= cycle_stop:
+                    stop = StopReason.CYCLE_LIMIT
+                    break
+                try:
+                    if csr[_IE] and self.pending_irqs:
+                        step()
+                        continue
+                    pc = self.pc
+                    if pc != cold_pc:
+                        blk = lookup(pc, csr[_MODE])
+                        if blk.__class__ is int:
+                            left = blk
+                        elif (
+                            self.instret + blk[1] > instr_stop
+                            or self.cycles + blk[2] >= cycle_stop
+                        ):
+                            # No straight-line block may retire past a budget
+                            # or a due event edge: step, so the edge lands
+                            # between instructions.
+                            left = 1
+                        else:
+                            blk[0](self)
+                            continue
+                    cold_pc = -1  # an unwind ends the run
+                    ins = step()
+                    nxt = self.pc
+                    if (left > 1 and ins is not None and ins.op <= LAST_MEM_OP and nxt not in heating
+                            and nxt == pc + ins.length and nxt >> 12 == pc >> 12):
+                        cold_pc, left = nxt, left - 1
+                    continue
+                except ExitUnwind:
+                    pass
+                except VMExit as exit_:
+                    if on_exit is None:
+                        raise
+                    if on_exit(exit_.reason, None, self.pc, exit_):
+                        continue
+                # The service said no: the pump's turn, unless it lowered the
+                # cycle ceiling instead -- then resume under the new one.
+                if self._cycle_stop == cycle_stop:
                     stop = StopReason.EVENT
                     break
-            if self.halted:
-                if csr[_IE] and self.pending_irqs:
-                    self.halted = False
-                else:
-                    stop = StopReason.HALT
-                    break
-            if self.instret >= limit_stop:
-                stop = StopReason.INSTR_LIMIT
-                break
-            if self.cycles >= cycle_stop:
-                stop = StopReason.CYCLE_LIMIT
-                break
-            try:
-                if csr[_IE] and self.pending_irqs:
-                    step()
-                    continue
-                pc = self.pc
-                if pc != cold_pc:
-                    blk = lookup(pc, csr[_MODE])
-                    if blk.__class__ is int:
-                        left = blk
-                    elif (
-                        self.instret + blk[1] > instr_stop
-                        or self.cycles + blk[2] >= cycle_stop
-                    ):
-                        # No straight-line block may retire past a budget
-                        # or a due event edge: step, so the edge lands
-                        # between instructions.
-                        left = 1
-                    else:
-                        blk[0](self)
-                        continue
-                cold_pc = -1  # an unwind ends the run
-                ins = step()
-                nxt = self.pc
-                if (left > 1 and ins is not None and ins.op <= LAST_MEM_OP and nxt not in heating
-                        and nxt == pc + ins.length and nxt >> 12 == pc >> 12):
-                    cold_pc, left = nxt, left - 1
-                continue
-            except ExitUnwind:
-                pass
-            except VMExit as exit_:
-                if on_exit is None:
-                    raise
-                if on_exit(exit_.reason, None, self.pc, exit_):
-                    continue
-            # The service said no: the pump's turn, unless it lowered the
-            # cycle ceiling instead -- then resume under the new one.
-            if self._cycle_stop == cycle_stop:
-                stop = StopReason.EVENT
-                break
-            cycle_stop = self._cycle_stop
+                cycle_stop = self._cycle_stop
+        finally:
+            if kernel:
+                bt.tally(hits, misses, chained, callouts)
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
@@ -584,6 +706,7 @@ class CPUCore:
         cycle_stop = self._cycle_stop = (
             start_cycles + max_cycles if max_cycles is not None else 1 << 62
         )
+        vcsr = None if self.translator is None else self.translator.vcpu.vcsr
         while True:
             if events is not None and self.instret >= events.next_due:
                 # The architected delivery rule: an event due at retire
@@ -602,6 +725,9 @@ class CPUCore:
                     break
             if self.instret >= limit_stop:
                 stop = StopReason.INSTR_LIMIT
+                break
+            if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
+                stop = StopReason.EVENT  # see _run_compiled
                 break
             if self.cycles >= cycle_stop:
                 stop = StopReason.CYCLE_LIMIT

@@ -50,18 +50,19 @@ instruction-budget boundaries -- restores the precise architectural
 boundary state and either delivers the trap exactly as the interpreter
 would or falls back to :meth:`CPUCore.step`.
 
-Two consumers. :class:`BlockJIT`, the per-core engine behind
-``CPUCore.run()``: blocks keyed by *physical* start address
-(content-addressed), validated against physmem write watchers
-(self-modifying code) and a per-pc dispatch cache revalidated by PTE
-compare (so ``set_root``, ``invlpg``, flushes and evictions all stop the
-fast path until the next successful re-probe). And the binary
-translator, whose hot blocks' native runs are closures of
-:func:`_block_code` (``paging=False``; DESIGN.md, "How translated runs
-compile"); its guest's user-mode half comes through ``cpu.run``.
+:class:`BlockJIT` is the per-core engine behind ``CPUCore.run()``:
+blocks keyed by *physical* start address (content-addressed), a per-pc
+dispatch cache revalidated by PTE compare (so ``set_root``, ``invlpg``,
+flushes and evictions all stop the fast path until the next successful
+re-probe), and -- under binary translation -- the translated blocks of
+:mod:`repro.core.bt`, whose hot native runs are ``paging=False``
+closures (DESIGN.md, "How translated blocks run"). Both kinds sit under
+the core's one physmem write watch and one SMC epoch.
 """
 
 import struct
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cpu.exits import VMExit
@@ -660,14 +661,23 @@ class BlockJIT:
         self._heat: Dict[Tuple[int, int, bool], int] = {}
         #: The vas of ``_heat``'s keys: a cold run stops before one.
         self.heating: Set[int] = set()
+        #: The SMC epoch: bumped whenever blocks are dropped, so a block
+        #: running now stops at its next store (compiled and translated).
         self._epoch_cell = [0]
         #: Shared across closures: data accesses served by inline caches
         #: or forwarding (host-side telemetry; sim stats are unaffected).
         self._ic_cell = [0]
         #: Every cost a compiled block embeds: a core's cost model is
         #: fixed for its life, so this is computed once.
-        self._costs_sig = (_cost_sig(cpu.costs)
-                           + (self.mmu.translate_bound,))
+        self.sig = _cost_sig(cpu.costs)
+        self._costs_sig = self.sig + (self.mmu.translate_bound,)
+        #: Binary translation's blocks (``repro.core.bt``), keyed (guest
+        #: root, pc); the (va, va) pairs dispatch has chained; frame ->
+        #: keys of the translated blocks fetched through a page table on
+        #: it (a store there makes them suspect).
+        self.translated: Dict[Tuple[Optional[int], int], object] = {}
+        self.chains: Set[Tuple[int, int]] = set()
+        self._table_keys: Dict[int, set] = {}
         self.blocks_compiled = 0
         self.blocks_invalidated = 0
         self.fallback_steps = 0
@@ -675,19 +685,75 @@ class BlockJIT:
 
     # -- bookkeeping -----------------------------------------------------
 
+    def watch(self, key, frames, tables) -> None:
+        """A store into one of ``frames`` drops block ``key``; one into
+        one of ``tables`` makes translated block ``key`` suspect."""
+        for pfn in frames:
+            self._frame_keys.setdefault(pfn, set()).add(key)
+        for pfn in tables:
+            self._table_keys.setdefault(pfn, set()).add(key)
+        self.cpu._code_pfns.update(frames, tables)
+
     def invalidate_pfn(self, pfn: int) -> None:
-        """A store hit a frame with compiled code: drop its blocks."""
+        """A store hit a watched frame: the translated blocks fetched
+        through a page table on it are suspect, the blocks with a byte on
+        it are dropped."""
+        translated = self.translated
+        for key in self._table_keys.pop(pfn, ()):
+            block = translated.get(key)
+            if block is not None:
+                block.suspect = True
         keys = self._frame_keys.pop(pfn, None)
-        if not keys:
-            return
-        blocks = self._blocks
+        if keys:
+            self.drop(keys)
+
+    def drop(self, keys) -> None:
+        """Forget the blocks ``keys`` name and bump the epoch. A
+        translated block's key is (root, pc); the chains into and out of
+        its pc go with it, whatever the root."""
+        blocks, translated = self._blocks, self.translated
+        vas = set()
         for key in keys:
-            if blocks.pop(key, None):
+            if len(key) == 2:
+                translated.pop(key, None)
+                vas.add(key[1])
+            elif blocks.pop(key, None):
                 self.blocks_invalidated += 1
+        if vas:  # in place: a running dispatch holds the set
+            self.chains.difference_update([
+                link for link in self.chains if link[0] in vas or link[1] in vas])
         # The dispatch caches hold direct references to dropped blocks.
         self._pc_pg.clear()
         self._pc_real.clear()
         self._epoch_cell[0] += 1
+
+    def translated_code(self, block) -> list:
+        """A hot translated block's code: its callouts, and each native
+        run between them as ``(fn, n, index, tail_store, end)`` -- a
+        closure of :func:`_block_code`, the run's length and first item's
+        index, whether its last item stores, the pc it falls through to.
+        ``paging=False`` is the walk's charge (no fetch; data through
+        ``mmu.translate``); the closures' SMC cell is the epoch.
+        """
+        items = block.items
+        vas = list(accumulate((ins.length for _, ins in items),
+                              initial=block.start_va))
+        code: list = []
+        index = 0
+        for is_callout, group in groupby(items, itemgetter(0)):
+            group = list(group)
+            n = len(group)
+            if is_callout:
+                code += group
+            else:
+                run = [(ins, vas[index + k]) for k, (_, ins) in enumerate(group)]
+                make = _block_code(self.cpu.costs, run,
+                                   head=(run[0][1], run[0][0], self.sig))[0]
+                code.append(((make(self._epoch_cell, None, 0), n, index,
+                              run[-1][0].stores, vas[index + n] & 0xFFFFFFFF), None))
+                self.cpu.translator.runs_compiled += 1
+            index += n
+        return code
 
     def stats(self) -> Dict[str, int]:
         return {

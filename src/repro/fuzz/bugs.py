@@ -43,7 +43,7 @@ def _pr5_vector_loop() -> Iterator[None]:
     from repro.core import bt as btmod
 
     orig_step = CPUCore.step
-    orig_translate = btmod.BTEngine._translate
+    orig_translate = btmod.BTEngine.translate
 
     def translate_without_guard(self, va):
         # Strip the matching BT-side guard: reflect the vector-fetch
@@ -58,28 +58,29 @@ def _pr5_vector_loop() -> Iterator[None]:
             raise
 
     CPUCore.step = _step_without_triple_fault_guard
-    btmod.BTEngine._translate = translate_without_guard
+    btmod.BTEngine.translate = translate_without_guard
     try:
         yield
     finally:
         CPUCore.step = orig_step
-        btmod.BTEngine._translate = orig_translate
+        btmod.BTEngine.translate = orig_translate
 
 
 @contextlib.contextmanager
 def _bt_stale_smc() -> Iterator[None]:
-    """Binary translator without self-modifying-code invalidation: the
-    write watcher never fires, so stores into already-translated guest
-    code keep executing the stale translation (the VMM trio diverges:
-    both hardware-assist configs see the new code, BT does not)."""
+    """Binary translator without self-modifying-code invalidation: no
+    translated block is put under the core's write watch, so stores into
+    already-translated guest code keep executing the stale translation
+    (the VMM trio diverges: both hardware-assist configs see the new
+    code, BT does not)."""
     from repro.core import bt as btmod
 
-    orig = btmod.BTEngine._watch_block
-    btmod.BTEngine._watch_block = lambda self, key, block: None
+    orig = btmod.BTEngine.watch
+    btmod.BTEngine.watch = lambda self, key, block: None
     try:
         yield
     finally:
-        btmod.BTEngine._watch_block = orig
+        btmod.BTEngine.watch = orig
 
 
 _BUGS: Dict[str, object] = {

@@ -141,9 +141,9 @@ def test_invalidate_gfn_drops_translations():
     hv.load_program(vm, prog)
     hv.reset_vcpu(vm, 0x1000)
     hv.run(vm, max_guest_instructions=200_000)
-    assert len(vm.bt._cache) > 0
+    assert len(vm.bt.jit.translated) > 0
     vm.bt.invalidate_gfn(1)  # kernel code lives in gfn 1
-    assert len(vm.bt._cache) == 0
+    assert len(vm.bt.jit.translated) == 0
 
 
 TWO_PAGE = """
@@ -174,25 +174,25 @@ def test_unrelated_invalidation_keeps_chains():
     outcome = hv.run(vm, max_guest_instructions=100)
     assert outcome is RunOutcome.INSTR_LIMIT
 
-    blocks_before = len(vm.bt._cache)
-    chains_before = set(vm.bt._chains)
+    blocks_before = len(vm.bt.jit.translated)
+    chains_before = set(vm.bt.jit.chains)
     assert blocks_before > 0 and chains_before
 
     # Invalidate the frame holding only `far`; gfn-1 blocks and the
     # chains that link them must survive untouched.
     vm.bt.invalidate_gfn(2)
-    assert 0 < len(vm.bt._cache) < blocks_before
-    surviving = set(vm.bt._chains)
+    assert 0 < len(vm.bt.jit.translated) < blocks_before
+    surviving = set(vm.bt.jit.chains)
     assert surviving  # chained dispatch in gfn 1 still wired up
     assert surviving <= chains_before
     for src_va, dst_va in surviving:
         assert src_va >> 12 != 2 and dst_va >> 12 != 2
 
     # A frame with no translations at all is a strict no-op.
-    blocks_now, chains_now = len(vm.bt._cache), set(vm.bt._chains)
+    blocks_now, chains_now = len(vm.bt.jit.translated), set(vm.bt.jit.chains)
     vm.bt.invalidate_gfn(7)
-    assert len(vm.bt._cache) == blocks_now
-    assert set(vm.bt._chains) == chains_now
+    assert len(vm.bt.jit.translated) == blocks_now
+    assert set(vm.bt.jit.chains) == chains_now
 
     # Resuming after the partial invalidation retranslates `far` and
     # finishes the remaining iterations correctly.

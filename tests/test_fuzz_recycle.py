@@ -119,8 +119,8 @@ def test_same_case_twice_on_the_pool(config):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_recycling_leaks_no_write_watcher(config):
     # A watcher left behind is walked by every later store: a slow leak
-    # no simulated number shows. The core's, the translator's under
-    # bt-shadow, and the guest memory's write log.
+    # no simulated number shows. The core's (its translated blocks'
+    # too, under bt-shadow) and the guest memory's write log.
     segments, common = _case(1, 0, 0.0)
     counts = []
     for runs in (1, 50):
@@ -128,7 +128,7 @@ def test_recycling_leaks_no_write_watcher(config):
             hv, vm = diff.pooled_machine(config)
             diff.run_on(hv, vm, segments, **common)
         counts.append(len(hv.physmem._watchers))
-    assert counts[0] == counts[1] == (3 if config == "bt-shadow" else 2)
+    assert counts[0] == counts[1] == 2
 
 
 @pytest.mark.parametrize("jit", [False, True])

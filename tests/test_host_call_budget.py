@@ -37,7 +37,7 @@ lowers a count lowers its entry, and names the parent's count where it
 says why. A count over its ceiling means a helper call
 came back into a per-instruction or per-exit path (a property, a table
 probe behind a function, a descriptor read-modify-write): look at what
-``execute`` / ``fetch`` / ``BTEngine.run`` / ``Hypervisor._exit``
+``execute`` / ``fetch`` / ``CPUCore._run_compiled`` / ``Hypervisor._exit``
 call, not at the clock.
 """
 
@@ -71,7 +71,9 @@ CALLS = {
     # the shadow MMU's A/D write-back stopped going through
     # GuestMemory's write accessor. A "was" on a hw+hmode cell names the
     # count when every delegated trap also read a zero-cycle delegation
-    # premium and asked a fault hook whether to exit anyway.
+    # premium and asked a fault hook whether to exit anyway. A "was" on
+    # a bin-transl cpu_bound cell names the count when the translator
+    # had a dispatch loop, block cache and write watch of its own.
     "native/interp/cpu_bound": 6.8232,
     "native/interp/memtouch": 6.9754,
     "native/interp/syscall_storm": 7.0444,
@@ -86,10 +88,10 @@ CALLS = {
     "trap-emulate/compiled/cpu_bound": 1.0221,  # was 1.0395
     "trap-emulate/compiled/memtouch": 4.6389,  # was 4.7783
     "trap-emulate/compiled/syscall_storm": 2.4183,  # was 2.4375
-    "bin-transl/interp/cpu_bound": 4.9686,  # was 4.9694
+    "bin-transl/interp/cpu_bound": 4.9636,  # was 4.9686
     "bin-transl/interp/memtouch": 4.0605,  # was 4.062
     "bin-transl/interp/syscall_storm": 3.7392,  # was 3.7401
-    "bin-transl/compiled/cpu_bound": 0.6376,  # was 0.6385
+    "bin-transl/compiled/cpu_bound": 0.631,  # was 0.6376
     "bin-transl/compiled/memtouch": 2.5879,  # was 2.5902
     "bin-transl/compiled/syscall_storm": 2.3515,  # was 2.3525
     "paravirt/interp/cpu_bound": 7.7396,  # was 7.7407
