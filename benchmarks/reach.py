@@ -89,7 +89,7 @@ EXPERIMENTS = ("e1", "e2", "e3", "e4", "e5", "e6", "e6f", "e6x", "e7",
 MODES = ("native", "trap-emulate", "bin-transl", "paravirt", "hw-shadow",
          "hw-nested", "hw-hmode")
 WORKLOADS = ("hello", "cpu_bound", "memtouch", "syscall_storm", "pt_stress",
-             "blk_write", "vblk_write", "net_send", "vnet_send")
+             "blk_write", "vblk_write", "net_send", "vnet_send", "idle_ticks")
 PERF_WORKLOADS = ("guest_compute", "guest_exits", "fuzz_campaign",
                   "vm_lifecycle", "cluster_sweep")
 

@@ -119,9 +119,12 @@ def run_guest_workload(
     bt_cache: bool = True,
     bt_chaining: bool = True,
     registry: Optional[MetricsRegistry] = None,
+    timer_period: int = 0,
 ) -> ModeMetrics:
-    """Boot NanoOS with ``workload`` in the given mode; return metrics."""
-    kernel = build_kernel(KernelOptions(pv=pv, memory_bytes=GUEST_MEMORY))
+    """Boot NanoOS (its periodic timer off unless ``timer_period``) with
+    ``workload`` in the given mode; return metrics."""
+    kernel = build_kernel(KernelOptions(pv=pv, timer_period=timer_period,
+                                        memory_bytes=GUEST_MEMORY))
     if virt_mode is None:
         machine = Machine(memory_bytes=GUEST_MEMORY)
         diag = boot_native(machine, kernel, workload, _MAX_INSTRUCTIONS)

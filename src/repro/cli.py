@@ -80,7 +80,7 @@ MODES = {
 
 WORKLOADS = [
     "hello", "cpu_bound", "memtouch", "syscall_storm", "pt_stress",
-    "blk_write", "vblk_write", "net_send", "vnet_send",
+    "blk_write", "vblk_write", "net_send", "vnet_send", "idle_ticks",
 ]
 
 
@@ -244,7 +244,10 @@ def _cmd_boot(args) -> int:
     vmode = VirtMode(vmode_name) if vmode_name else None
     mmode = MMUVirtMode(mmode_name) if mmode_name else None
     workload = getattr(wl, args.workload)()
-    metrics = run_guest_workload(args.mode, workload, vmode, mmode, pv)
+    # The one workload that waits on the timer gets a ticking kernel.
+    period = wl.IDLE_TICKS_TIMER_PERIOD if args.workload == "idle_ticks" else 0
+    metrics = run_guest_workload(args.mode, workload, vmode, mmode, pv,
+                                 timer_period=period)
     diag = metrics.diag
     print(f"mode              : {args.mode}")
     print(f"workload          : {args.workload}")

@@ -172,8 +172,8 @@ class BTEngine:
     def callout(self, ins: Instruction) -> bool:
         """Monitor logic for one rewritten instruction. True: the block
         stops here (privilege change, halt, power-off, a trap reflected).
-        What is due at its retire edge has fired; a pending virq is the
-        caller's to deliver."""
+        Its retire edge -- what is due there, a pending virq -- is the
+        run loop's."""
         vcpu = self.vcpu
         cpu = vcpu.cpu
         cpu.instret += 1  # it retires, as an intercepted one does under hw assist
@@ -190,11 +190,5 @@ class BTEngine:
             pc = cpu.pc
             if cpu.system(vcpu, None, ins, op, pc, (pc + ins.length) & 0xFFFFFFFF):
                 return True  # it trapped into the guest: pc is at the vector
-        if (vcpu.halted or vcpu.vcsr[_MODE] != MODE_KERNEL
-                or self.power.shutdown_requested):
-            return True
-        # Its retire edge: after what it raised (execute-then-fire, as in hardware).
-        events = cpu.events
-        if events is not None and cpu.instret >= events.next_due:
-            events.fire_due(cpu.instret)
-        return False
+        return (vcpu.halted or vcpu.vcsr[_MODE] != MODE_KERNEL
+                or self.power.shutdown_requested)

@@ -549,9 +549,10 @@ class Hypervisor:
     ) -> RunOutcome:
         """Run vCPU 0 of ``vm`` until halt/shutdown/budget.
 
-        The loop below is the *pump*: each pass checks shutdown, fires
-        due events, checks the budgets, ticks the timer, decides idle/wake,
-        injects a pending virq, evaluates the ``vcpu.stall`` site, beats
+        The loop below is the *pump*: each pass checks shutdown and
+        the budgets (the core fired what was due at the edge it
+        returned on), ticks the timer, decides idle/wake, injects a
+        pending virq, evaluates the ``vcpu.stall`` site, beats
         the watchdog, then enters the guest for at most ``PUMP_SLICE``
         instructions. A VM exit does not come back here as such: the
         core calls ``service`` (below) at the intercept, or where it
@@ -593,8 +594,7 @@ class Hypervisor:
                 or watchdog is not None  # beats once per guest entry
                 or (self.injector is not None  # draws once per guest entry
                     and self.injector.plans("vcpu.stall"))
-                # A spent budget: the pump fires what is due at this
-                # edge, then returns.
+                # A spent budget: the pump returns it.
                 or (max_guest_instructions is not None and
                     cpu.instret - start_instret >= max_guest_instructions)
             ):
@@ -603,25 +603,13 @@ class Hypervisor:
                 if cpu.cycles + vmm.value - start_cycles >= max_cycles:
                     return False
                 # VM time = core cycles + VMM cycles: what this exit
-                # cost the VMM comes off the core's ceiling, which its
-                # run loop re-reads where this answer unwinds to.
+                # cost the VMM comes off the core's ceiling.
                 cpu.charge_cycle_budget(vmm.value - before)
-                return False
             return True
 
         while True:
             if power.shutdown_requested:
                 return RunOutcome.SHUTDOWN
-            # Retire-edge events due at the boundary we exited on fire
-            # first, as at the core's loop-top: before a spent budget
-            # returns (nothing is delivered then) and before the idle
-            # check -- an intercepted instruction (e.g. a HLT exit)
-            # leaves the core's own run loop before its poll can see an
-            # event due at that exact edge, and a raise may be the only
-            # thing that wakes the guest.
-            events = cpu.events
-            if events is not None and cpu.instret >= events.next_due:
-                events.fire_due(cpu.instret)
             if max_guest_instructions is not None and (
                 cpu.instret - start_instret >= max_guest_instructions
             ):
@@ -904,10 +892,12 @@ class Hypervisor:
             cpu.pc = next_pc
             return "unknown"
         advance = True
+        # They act on the guest's privileged state: the core's own
+        # under hardware assist, the vCPU's virtual state otherwise.
         if call == "set_vbar":
-            vcpu.vcsr[_VBAR] = a0
+            vcpu.csr[_VBAR] = a0
         elif call == "set_ptbr":
-            vcpu.vcsr[_PTBR] = a0
+            vcpu.csr[_PTBR] = a0
             cpu.mmu.set_root(a0)
         elif call == "mmu_batch":
             count = a1
@@ -919,11 +909,11 @@ class Hypervisor:
                 vmm.value += 2 * self.costs.mem_ref_cycles
             cpu.write_reg(1, count)
         elif call == "set_ie":
-            vcpu.vcsr[_IE] = a0 & 1
+            vcpu.csr[_IE] = a0 & 1
             if vm.config.virt_mode is _PARAVIRT:
                 vm.guest_mem.write_u32(_shared_ie_gpa(vm), a0 & 1)
         elif call == "iret":
-            cpu.leave_trap(vcpu)
+            cpu.leave_trap(cpu if vm.config.virt_mode is _HW_ASSIST else vcpu)
             if vm.config.virt_mode is _PARAVIRT:
                 vm.guest_mem.write_u32(_shared_ie_gpa(vm), vcpu.vcsr[_IE])
             advance = False

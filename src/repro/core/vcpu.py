@@ -7,9 +7,8 @@ privileged state -- its MODE, IE, VBAR, PTBR, trap CSRs -- lives here in
 the real core's CSRs belong to the host.
 
 Under HW_ASSIST the hardware tracks guest state natively, so the real
-core's CSR file *is* the guest's; ``vcsr`` is then written only by the
-PV hypercalls that name it (``SET_VBAR`` / ``SET_PTBR`` / ``SET_IE``
-from an HVM guest's PV driver) and still travels in the snapshot blob.
+core's CSR file *is* the guest's (``csr``, which the PV hypercalls
+write too); ``vcsr`` still travels in the snapshot blob.
 
 A :class:`VCPU` is a privileged-state holder in the sense of
 :mod:`repro.cpu.interp`: the monitor emulates a system instruction, a
@@ -65,8 +64,7 @@ class VCPU:
         return self.vm.port_bus
 
     # The virtual privilege level is ``vcsr[MODE]``, read there directly
-    # (the translator does at every dispatch). Under HW_ASSIST its one
-    # writer is a PV IRET hypercall issued by an HVM guest.
+    # (the translator does at every dispatch).
 
     @property
     def virtual_user(self) -> bool:

@@ -9,10 +9,12 @@ core itself tests an intercept (an intercepted system
 instruction, a trap the controls send out) it *calls* the exit service
 its caller lent it for the run (``CPUCore.run(on_exit=...)``) and
 returns into the step or compiled block that made it; only the
-service's "no" unwinds (:class:`ExitUnwind`). What has to unwind is a
-:class:`VMExit`: an exit from inside ``mmu.translate``, a triple fault,
-and every exit of a core with no service lent (a bare ``cpu.run()``,
-the translator's own loop), which reaches whoever called ``run``.
+service's "no" -- the pump's turn -- unwinds (:class:`ExitUnwind`). A
+cycle budget is no reason to: the service lowers the core's ceiling
+and answers True. What has to unwind is a :class:`VMExit`: an exit from
+inside ``mmu.translate``, a triple fault, and every exit of a run with
+no service lent (a bare ``cpu.run()``, a translated run in virtual
+kernel mode), which reaches whoever called ``run``.
 """
 
 import enum

@@ -18,9 +18,9 @@ With ``controls=None`` the core is exactly a bare machine; this is the
 under every MMU and every controls record: a block spells out ALU,
 memory and branch instructions only and *calls* :meth:`CPUCore.system`
 for the system instruction that ends it, so each intercept is still
-tested in :meth:`CPUCore.trap` / :meth:`CPUCore.system`. The reference
-loop :meth:`CPUCore._run_interp` (``jit_enabled = False``) stays the
-oracle.
+tested in :meth:`CPUCore.trap` / :meth:`CPUCore.system`. With
+``jit_enabled = False`` the same loop steps every instruction:
+:meth:`CPUCore.step` is the oracle.
 
 What a system instruction, trap entry and IRET *do* is written once,
 in :meth:`CPUCore.system` / :meth:`CPUCore.enter_trap` /
@@ -132,13 +132,13 @@ class CPUCore:
         #: fired at exact instruction edges by every run loop. None
         #: means no schedule (the common case).
         self.events = None
-        #: Budget ceilings published for self-looping compiled blocks:
-        #: absolute instret/cycles values past which a block must return
-        #: to the dispatcher instead of looping in place. Set per run;
-        #: the sentinel means "no budget". ``_cycle_stop`` is also the
-        #: run loops' own cycle ceiling (:meth:`charge_cycle_budget`).
-        self._loop_stop = 1 << 62
-        self._cycle_stop = 1 << 62
+        #: The run's ceilings, absolute instret/cycles values (the
+        #: sentinel: none). ``_loop_stop`` is the folded stop,
+        #: min(``_limit_stop``, the next due event edge), which
+        #: :meth:`_retire_edge` republishes; the run loop and a
+        #: self-looping compiled block test it and ``_cycle_stop`` (which
+        #: :meth:`charge_cycle_budget` lowers) before going on.
+        self._limit_stop = self._loop_stop = self._cycle_stop = 1 << 62
         #: The exit service lent to the run in progress (``run``'s
         #: ``on_exit``), which an intercept calls; None outside one.
         self._service = None
@@ -413,104 +413,72 @@ class CPUCore:
     ) -> RunResult:
         """Run until halt, a limit, or an event stop.
 
-        Executes compiled blocks unless ``jit_enabled`` is False; both
-        loops stop at the same retire edge with the same state, under
-        every MMU and controls record.
+        One loop for every engine. It runs compiled blocks, or with
+        ``jit_enabled`` False steps every instruction and builds no
+        :class:`~repro.cpu.jit.BlockJIT`: :meth:`step` is the oracle the
+        blocks are held to, and both stop at the same retire edge with
+        the same state, under every MMU and controls record. A block is
+        entered only if it cannot retire past the folded stop and its
+        worst-case charge fits the cycle budget -- then every instruction
+        in it starts inside the budget, as a step does; otherwise one
+        ``step()``. Where ``lookup`` answers a count instead (1, or
+        ``jit.COLD``: a cold head) the core is stepped, each step behind
+        the full loop-top, until what ``step()`` ran ends a block by
+        ``_compile``'s rule or the next pc is a head already heating
+        (``jit.heating``); then it asks.
+
+        Every retire edge is :meth:`_retire_edge`'s: the loop-top, a
+        translated block's item boundaries, and the edge a run returns
+        on, so a run never leaves an event due behind it.
 
         ``on_exit`` is a VMM's exit service, lent for this call only.
         An intercept calls it as ``on_exit(reason, ins, pc, trap)`` once
         the instruction has run; the loop hands it each :class:`VMExit`
         it catches as ``on_exit(reason, None, pc, exit_)``. True: the
-        guest resumes where it was. False unwinds to the loop, which
-        resumes at its top if the service lowered the cycle ceiling
-        (:meth:`charge_cycle_budget`), else returns
-        :data:`StopReason.EVENT`. Without a service every exit is a
-        :class:`VMExit`, raised before the instruction did anything.
+        guest resumes where it was (a service that lowered the cycle
+        ceiling, :meth:`charge_cycle_budget`, answers True too: the loop
+        reads the ceiling at its next test). False unwinds to the loop,
+        which returns :data:`StopReason.EVENT`. Without a service every
+        exit is a :class:`VMExit`, raised before the instruction did
+        anything.
 
         With a ``translator`` a run covers one virtual privilege level,
         and ends (:data:`StopReason.EVENT`) where the guest leaves it. In
-        virtual kernel mode it dispatches translated blocks, and lends no
-        service: an exit is a :class:`VMExit`, handed to ``on_exit`` as
-        the core finished it, that ends the run.
-        """
-        translator = self.translator
-        kernel = translator is not None and translator.vcpu.vcsr[_MODE] == MODE_KERNEL
-        self._service = None if kernel else on_exit
-        try:
-            if self.jit_enabled or kernel:
-                jit = self._jit
-                if jit is None:
-                    from repro.cpu.jit import BlockJIT
-
-                    jit = self._jit = BlockJIT(self)
-                return self._run_compiled(jit, max_instructions, max_cycles,
-                                          on_exit, kernel)
-            return self._run_interp(max_instructions, max_cycles, on_exit)
-        finally:
-            self._service = None
-
-    def charge_cycle_budget(self, cycles: int) -> None:
-        """Count ``cycles`` spent outside the core against ``max_cycles``
-        of the run in progress.
-
-        An exit service whose caller budgets in VM time (core cycles +
-        VMM cycles) calls this with what the exit cost the VMM, so the
-        budget ends on the same retire edge as if the core had been left
-        and re-entered with the remainder, and then answers False: the
-        run loop re-reads its ceiling where the unwind lands.
-        """
-        self._cycle_stop -= cycles
-
-    def _run_compiled(
-        self,
-        jit,
-        max_instructions: Optional[int],
-        max_cycles: Optional[int],
-        on_exit: Optional[Callable[..., bool]],
-        kernel: bool,
-    ) -> RunResult:
-        """Block-at-a-time loop; falls back to :meth:`step` per slow case.
-
-        Same loop-top order as :meth:`_run_interp`. A block is entered
-        only if it cannot retire past the instruction limit or the next
-        event edge and its worst-case charge fits the cycle budget --
-        then every instruction in it starts inside the budget, as the
-        reference loop requires of each step; otherwise one ``step()``.
-        Where ``lookup`` answers a count instead (1, or ``jit.COLD``: a
-        cold head) the core is stepped, each step behind the full loop-top,
-        until what ``step()`` ran ends a block by ``_compile``'s rule or the
-        next pc is a head already heating (``jit.heating``); then it asks.
-
-        A ``kernel`` run dispatches translated blocks instead, charged as
-        :mod:`repro.core.bt` says. Its loop top fires what is due without
+        virtual kernel mode it dispatches translated blocks, charged as
+        :mod:`repro.core.bt` says, and lends no service: an exit is a
+        :class:`VMExit`, handed to ``on_exit`` as the core finished it,
+        that ends the run. Its loop top fires what is due without
         stopping for it and delivers a pending virq; inside a block an
         edge fires at its item boundary, where an unmasked virq is
         delivered, and the instruction limit cuts the block.
         """
+        bt = self.translator
+        kernel = bt is not None and bt.vcpu.vcsr[_MODE] == MODE_KERNEL
+        jit = self._jit
+        if jit is None and (self.jit_enabled or kernel):
+            from repro.cpu.jit import BlockJIT
+
+            jit = self._jit = BlockJIT(self)
         start_instr = self.instret
         start_cycles = self.cycles
-        events = self.events
-        limit_stop = (
+        limit_stop = self._limit_stop = (
             start_instr + max_instructions
             if max_instructions is not None else 1 << 62
         )
-        cycle_stop = self._cycle_stop = (
+        self._cycle_stop = (
             start_cycles + max_cycles if max_cycles is not None else 1 << 62
         )
-        # Self-looping closures honour both ceilings at every loop edge;
-        # folding the next event edge into _loop_stop is the irq-poll
-        # guard: the closure returns to this dispatcher exactly at the
-        # due edge. Under the translator each lap is a dispatch of its own.
-        instr_stop = self._loop_stop = (
-            0 if kernel else min(limit_stop, events.next_due)
-            if events is not None else limit_stop
-        )
-        lookup = jit.lookup
-        heating = jit.heating
+        events = self.events
+        # A run starts on a retire edge: under a schedule the loop-top's
+        # first test calls _retire_edge, which folds in the next due edge.
+        self._loop_stop = limit_stop if events is None else 0
+        bounce = not kernel and events is not None and events.exit_on_fire
+        self._service = None if kernel else on_exit
+        stepping = not self.jit_enabled
+        lookup, heating = (None, None) if jit is None else (jit.lookup, jit.heating)
         step = self.step
         csr = self.csr
         cold_pc, left = -1, 0  # a cold run's next pc, and its steps left
-        bt = self.translator
         vcsr = None if bt is None else bt.vcpu.vcsr
         hits = misses = chained = callouts = 0
         if kernel:
@@ -526,13 +494,9 @@ class CPUCore:
             prev = None  # the start va of the block dispatched last
         try:
             while True:
-                if events is not None and self.instret >= events.next_due:
-                    fired = events.fire_due(self.instret)
-                    if not kernel:
-                        instr_stop = self._loop_stop = min(limit_stop, events.next_due)
-                        if fired and events.exit_on_fire:
-                            stop = StopReason.EVENT
-                            break
+                if self.instret >= self._loop_stop and self._retire_edge() and bounce:
+                    stop = StopReason.EVENT
+                    break
                 if self.halted:
                     if csr[_IE] and self.pending_irqs:
                         self.halted = False
@@ -542,13 +506,14 @@ class CPUCore:
                 if self.instret >= limit_stop:
                     stop = StopReason.INSTR_LIMIT
                     break
-                if kernel:
-                    try:
+                try:
+                    if kernel:
                         if virqs and inject(vcpu):
                             prev = None
                             continue
                         if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
-                                or power.shutdown_requested or self.cycles >= cycle_stop):
+                                or power.shutdown_requested
+                                or self.cycles >= self._cycle_stop):
                             stop = StopReason.EVENT
                             break
                         key = (self.mmu.guest_root, self.pc)
@@ -585,17 +550,19 @@ class CPUCore:
                         while code is not None:
                             todo, code = code, None
                             for kind, ins in todo:
-                                if events is not None and self.instret >= events.next_due:
-                                    events.fire_due(self.instret)
-                                    if virqs and self.instret < limit_stop and inject(vcpu):
+                                if self.instret >= self._loop_stop:
+                                    self._retire_edge()
+                                    if self.instret >= limit_stop or virqs and inject(vcpu):
                                         break
-                                if self.instret >= limit_stop:
-                                    break
                                 if kind is True:  # a callout
                                     callouts += 1
                                     self.cycles += callout_c
-                                    if callout(ins) or (virqs and self.instret < limit_stop
-                                                        and inject(vcpu)):
+                                    if callout(ins):
+                                        break
+                                    # Its retire edge, after what it raised.
+                                    if self.instret >= self._loop_stop:
+                                        self._retire_edge()
+                                    if virqs and self.instret < limit_stop and inject(vcpu):
                                         break
                                 elif kind is False:  # a native item, walked
                                     self.cycles += instr_c
@@ -604,32 +571,21 @@ class CPUCore:
                                     # fetch translates the new bytes.
                                     if ins.stores and epoch[0] != e0:
                                         break
-                                elif epoch[0] == e0 and self.instret + kind[1] <= limit_stop and (
-                                        events is None
-                                        or self.instret + kind[1] <= events.next_due):
+                                elif epoch[0] == e0 and self.instret + kind[1] <= self._loop_stop:
                                     kind[0](self)  # a compiled run, which may bail so too
                                     if epoch[0] != e0 and (kind[3] or self.pc != kind[4]):
                                         break
                                 else:  # an edge inside the run, or code dropped
                                     code = block.items[kind[2]:]
                                     break
-                    except VMExit as exit_:
-                        if on_exit is None:
-                            raise
-                        # Serviced as the core finished it; the caller's loop is next.
-                        q = exit_.qualification
-                        on_exit(exit_.reason, q.get("ins"), self.pc, q.get("trap", exit_))
-                        stop = StopReason.EVENT
+                        continue
+                    if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
+                        stop = StopReason.EVENT  # an exit took the guest into its kernel
                         break
-                    continue
-                if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
-                    stop = StopReason.EVENT  # an exit took the guest into its kernel
-                    break
-                if self.cycles >= cycle_stop:
-                    stop = StopReason.CYCLE_LIMIT
-                    break
-                try:
-                    if csr[_IE] and self.pending_irqs:
+                    if self.cycles >= self._cycle_stop:
+                        stop = StopReason.CYCLE_LIMIT
+                        break
+                    if stepping or csr[_IE] and self.pending_irqs:
                         step()
                         continue
                     pc = self.pc
@@ -638,8 +594,8 @@ class CPUCore:
                         if blk.__class__ is int:
                             left = blk
                         elif (
-                            self.instret + blk[1] > instr_stop
-                            or self.cycles + blk[2] >= cycle_stop
+                            self.instret + blk[1] > self._loop_stop
+                            or self.cycles + blk[2] >= self._cycle_stop
                         ):
                             # No straight-line block may retire past a budget
                             # or a due event edge: step, so the edge lands
@@ -660,20 +616,50 @@ class CPUCore:
                 except VMExit as exit_:
                     if on_exit is None:
                         raise
-                    if on_exit(exit_.reason, None, self.pc, exit_):
+                    if kernel:  # serviced as the core finished it
+                        q = exit_.qualification
+                        on_exit(exit_.reason, q.get("ins"), self.pc, q.get("trap", exit_))
+                    elif on_exit(exit_.reason, None, self.pc, exit_):
                         continue
-                # The service said no: the pump's turn, unless it lowered the
-                # cycle ceiling instead -- then resume under the new one.
-                if self._cycle_stop == cycle_stop:
-                    stop = StopReason.EVENT
-                    break
-                cycle_stop = self._cycle_stop
+                # The pump's turn, on an edge with nothing due.
+                if self.instret >= self._loop_stop:
+                    self._retire_edge()
+                stop = StopReason.EVENT
+                break
         finally:
+            self._service = None
             if kernel:
                 bt.tally(hits, misses, chained, callouts)
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
+
+    def _retire_edge(self) -> int:
+        """The retire edge the run loop stops at: fire what is due here
+        (DESIGN.md "Asynchronous event delivery") and republish the
+        folded stop, min(instruction limit, next due edge), that every
+        test of the loop compares against. Returns how many fired.
+
+        Callers test ``instret >= _loop_stop`` first; an edge with
+        nothing due fires nothing."""
+        events = self.events
+        if events is None:
+            self._loop_stop = self._limit_stop
+            return 0
+        fired = events.fire_due(self.instret)
+        self._loop_stop = min(self._limit_stop, events.next_due)
+        return fired
+
+    def charge_cycle_budget(self, cycles: int) -> None:
+        """Count ``cycles`` spent outside the core against ``max_cycles``
+        of the run in progress.
+
+        An exit service whose caller budgets in VM time (core cycles +
+        VMM cycles) calls this with what the exit cost the VMM, so the
+        budget ends on the same retire edge as if the core had been left
+        and re-entered with the remainder.
+        """
+        self._cycle_stop -= cycles
 
     def jit_stats(self) -> Dict[str, int]:
         """Host-compiler counters (all zero when the JIT never engaged).
@@ -688,67 +674,6 @@ class CPUCore:
         jit = self._jit or BlockJIT(self)  # a new engine's counters are zero
         return {"enabled": int(self.jit_enabled), "active": int(bool(self._jit)),
                 **jit.stats()}
-
-    def _run_interp(
-        self,
-        max_instructions: Optional[int],
-        max_cycles: Optional[int],
-        on_exit: Optional[Callable[..., bool]],
-    ) -> RunResult:
-        """The reference interpreter loop (the correctness oracle)."""
-        start_instr = self.instret
-        start_cycles = self.cycles
-        events = self.events
-        limit_stop = (
-            start_instr + max_instructions
-            if max_instructions is not None else 1 << 62
-        )
-        cycle_stop = self._cycle_stop = (
-            start_cycles + max_cycles if max_cycles is not None else 1 << 62
-        )
-        vcsr = None if self.translator is None else self.translator.vcpu.vcsr
-        while True:
-            if events is not None and self.instret >= events.next_due:
-                # The architected delivery rule: an event due at retire
-                # edge N is raised after instruction N retires and, if
-                # unmasked, delivered (inside step) before the fetch of
-                # N+1. Firing precedes the halt check so a raise can
-                # wake a halted core.
-                if events.fire_due(self.instret) and events.exit_on_fire:
-                    stop = StopReason.EVENT
-                    break
-            if self.halted:
-                if self.csr[_IE] and self.pending_irqs:
-                    self.halted = False
-                else:
-                    stop = StopReason.HALT
-                    break
-            if self.instret >= limit_stop:
-                stop = StopReason.INSTR_LIMIT
-                break
-            if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
-                stop = StopReason.EVENT  # see _run_compiled
-                break
-            if self.cycles >= cycle_stop:
-                stop = StopReason.CYCLE_LIMIT
-                break
-            try:
-                self.step()
-                continue
-            except ExitUnwind:
-                pass
-            except VMExit as exit_:
-                if on_exit is None:
-                    raise
-                if on_exit(exit_.reason, None, self.pc, exit_):
-                    continue
-            if self._cycle_stop == cycle_stop:  # see _run_compiled
-                stop = StopReason.EVENT
-                break
-            cycle_stop = self._cycle_stop
-        return RunResult(
-            stop, self.instret - start_instr, self.cycles - start_cycles
-        )
 
     # -- system instructions --------------------------------------------------
 

@@ -60,6 +60,7 @@ closures (DESIGN.md, "How translated blocks run"). Both kinds sit under
 the core's one physmem write watch and one SMC epoch.
 """
 
+import math
 import struct
 from itertools import accumulate, groupby
 from operator import itemgetter
@@ -733,7 +734,9 @@ class BlockJIT:
         closure of :func:`_block_code`, the run's length and first item's
         index, whether its last item stores, the pc it falls through to.
         ``paging=False`` is the walk's charge (no fetch; data through
-        ``mmu.translate``); the closures' SMC cell is the epoch.
+        ``mmu.translate``); the closures' SMC cell is the epoch. Their
+        worst charge fits no cycle budget: a run never laps in place,
+        each lap of a guest loop is a dispatch of its own.
         """
         items = block.items
         vas = list(accumulate((ins.length for _, ins in items),
@@ -749,7 +752,7 @@ class BlockJIT:
                 run = [(ins, vas[index + k]) for k, (_, ins) in enumerate(group)]
                 make = _block_code(self.cpu.costs, run,
                                    head=(run[0][1], run[0][0], self.sig))[0]
-                code.append(((make(self._epoch_cell, None, 0), n, index,
+                code.append(((make(self._epoch_cell, None, math.inf), n, index,
                               run[-1][0].stores, vas[index + n] & 0xFFFFFFFF), None))
                 self.cpu.translator.runs_compiled += 1
             index += n

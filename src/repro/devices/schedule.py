@@ -6,9 +6,9 @@ function of *how often the host polls* -- different in every engine. An
 :class:`EventSchedule` removes the host from the loop: events are keyed
 on the guest's **retire count** (``instret``), the one time base every
 engine advances identically, and every execution engine polls the
-schedule at each instruction edge (the interpreter and hardware-assist
-cores per step, the block JIT and BT translator via edge-gated
-dispatch). An event due at retire edge N is therefore raised after
+schedule at each instruction edge: the core's one run loop, stepping,
+running compiled blocks or dispatching translated ones, reaches every
+edge through ``CPUCore._retire_edge``. An event due at retire edge N is therefore raised after
 instruction N retires and -- if IE is set -- delivered before the fetch
 of instruction N+1, in every engine, bit-for-bit.
 
@@ -55,10 +55,8 @@ _DELAY_MAX_EDGES = 8
 class EventSchedule:
     """A sorted queue of (due_retire_count, line) interrupt events.
 
-    ``next_due`` is maintained as a plain int attribute so execution
-    engines can poll it with one attribute load per instruction edge
-    (or fold it into an existing budget ceiling, as the block JIT does
-    with ``_loop_stop``).
+    ``next_due`` is maintained as a plain int attribute, which the run
+    loop folds into its instruction limit (``CPUCore._loop_stop``).
     """
 
     def __init__(

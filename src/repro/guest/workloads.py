@@ -353,12 +353,19 @@ recv_loop:
 """)
 
 
-def idle_ticks(ticks: int = 5) -> Program:
-    """Spin on SYS_GETTICKS until the timer has fired ``ticks`` times."""
-    return _assemble(f"""
+#: Cycles between timer ticks of the NanoOS ``repro boot --workload
+#: idle_ticks`` builds: the periodic timer that program waits on.
+IDLE_TICKS_TIMER_PERIOD = 20_000
+
+
+def idle_ticks() -> Program:
+    """Spin on SYS_GETTICKS until the timer has fired five times (a
+    kernel built with ``timer_period``, such as
+    :data:`IDLE_TICKS_TIMER_PERIOD`)."""
+    return _assemble("""
 loop:
     syscall 3                 ; SYS_GETTICKS -> a0
-    li   t0, {ticks}
+    li   t0, 5
     bltu a0, t0, loop
     syscall 0                 ; exit with the tick count in a0
 """)

@@ -81,6 +81,14 @@ def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
     return cpu
 
 
+def _run_core(cpu, max_instructions):
+    """``cpu.run``, and the edge it stopped on: nothing is left due
+    there (the run fired it), so no caller has anything to fire."""
+    res = cpu.run(max_instructions=max_instructions)
+    assert cpu.events.next_due > cpu.instret
+    return res
+
+
 def _snapshot(cpu):
     return (cpu.pc, cpu.halted, list(cpu.regs), list(cpu.csr),
             sorted(c.name for c in cpu.pending_irqs),
@@ -145,7 +153,7 @@ class TestEventSchedule:
 class TestDeliveryRule:
     def test_interp_delivers_pinned_event(self):
         cpu = _cpu(_sti_loop_image(40), jit=False, events=[(10, 0)])
-        res = cpu.run(max_instructions=10_000)
+        res = _run_core(cpu, 10_000)
         assert res.stop is StopReason.HALT
         assert cpu.regs[5] == 1  # exactly one handler round-trip
         assert cpu.csr[CSR.ECAUSE] == int(Cause.IRQ_TIMER)
@@ -153,7 +161,7 @@ class TestDeliveryRule:
     def test_exit_on_fire_stops_at_the_exact_edge(self):
         cpu = _cpu(_sti_loop_image(40), jit=False, events=[(10, 0)],
                    exit_on_fire=True)
-        res = cpu.run(max_instructions=10_000)
+        res = _run_core(cpu, 10_000)
         assert res.stop is StopReason.EVENT
         assert cpu.instret == 10  # edge N, before the fetch of N+1
         assert Cause.IRQ_TIMER in cpu.pending_irqs
@@ -163,8 +171,8 @@ class TestDeliveryRule:
         image = _sti_loop_image(40)
         a = _cpu(image, jit=False, events=[(due, 0), (due + 13, 3)])
         b = _cpu(image, jit=True, events=[(due, 0), (due + 13, 3)])
-        ra = a.run(max_instructions=10_000)
-        rb = b.run(max_instructions=10_000)
+        ra = _run_core(a, 10_000)
+        rb = _run_core(b, 10_000)
         assert ra.stop == rb.stop
         assert _snapshot(a) == _snapshot(b)
         assert a.regs[5] >= 1  # the schedule actually preempted
@@ -183,7 +191,7 @@ class TestDeliveryRule:
         }
         for jit in (False, True):
             cpu = _cpu(image, jit=jit, events=[(4, 0)])
-            res = cpu.run(max_instructions=100)
+            res = _run_core(cpu, 100)
             assert res.stop is StopReason.HALT
             assert cpu.regs[5] == 1
             assert cpu.instret == 7  # 4 + handler ADD/IRET + final HLT
@@ -197,7 +205,7 @@ class TestDeliveryRule:
             E(Op.HLT),
         ])}
         cpu = _cpu(image, jit=False, events=[(2, 0)])
-        res = cpu.run(max_instructions=100)
+        res = _run_core(cpu, 100)
         # assert_irq unhalts, but with IE clear nothing delivers and the
         # core halts again at the skid HLT... there is none: pc runs off
         # into zero words -- so bound the run instead.
@@ -271,6 +279,8 @@ class TestHLTAtDueEdgeVMM:
         assert out is RunOutcome.HALTED
         assert cpu.regs[5] == 1
         assert not cpu.pending_irqs
+        # The pump fires nothing: every run returns past what is due.
+        assert cpu.events.next_due > cpu.instret
 
     @pytest.mark.parametrize("name,virt_mode,mmu_mode", CONFIGS,
                              ids=[c[0] for c in CONFIGS])
@@ -283,7 +293,7 @@ class TestHLTAtDueEdgeVMM:
         # emulated instructions).
         bare = _cpu(self._sleep_image(), jit=False,
                     events=[(self.HLT_EDGE, IRQ_TIMER_LINE)])
-        bare.run(max_instructions=100)
+        _run_core(bare, 100)
         assert bare.instret == 7
         out, cpu = self._run(virt_mode, mmu_mode, self.HLT_EDGE)
         assert out is RunOutcome.HALTED
@@ -402,8 +412,8 @@ class TestIRQFaultSites:
                  injector=_injector(*specs, seed=99))
         b = _cpu(image, jit=True, events=events,
                  injector=_injector(*specs, seed=99))
-        a.run(max_instructions=10_000)
-        b.run(max_instructions=10_000)
+        _run_core(a, 10_000)
+        _run_core(b, 10_000)
         assert _snapshot(a) == _snapshot(b)
 
 

@@ -22,9 +22,9 @@ from repro.core.policies import hmode_controls
 from repro.bench.common import GUEST_MEMORY
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
-from repro.cpu.exits import ExitReason, VMExit
+from repro.cpu.exits import ExitReason, ExitUnwind, VMExit
 from repro.cpu.interp import CPUCore
-from repro.cpu.isa import HEDELEG_ALL, HIDELEG_ALL, Cause
+from repro.cpu.isa import CSR, HEDELEG_ALL, HIDELEG_ALL, Cause
 from repro.faults.watchdog import GuestProgressWatchdog
 from repro.guest import KernelOptions, build_kernel
 from repro.guest import workloads as programs
@@ -96,6 +96,19 @@ loop:
 """
 
 
+#: SET_VBAR, then a trap: the vector the hypercall installed takes it.
+SET_VBAR_THEN_TRAP = """
+    li   a0, vec
+    vmcall 1                 ; SET_VBAR
+    li   a1, 7
+    syscall 3
+    li   a1, 9
+vec:
+    li   t0, 1
+    out  0xf0, t0
+"""
+
+
 def _nanoos(program, **kernel_options):
     """Scenario: NanoOS (built with ``kernel_options``) + one program."""
     def load(hv, vm, pv):
@@ -138,7 +151,7 @@ SCENARIOS = {
     "vblk_write": (_nanoos(lambda: programs.vblk_write(2, 3)), _run_to_end),
     "port_storm": (_alone(lambda: programs.port_storm(60)), _run_to_end),
     # Timer armed: the pump follows every exit, as it always did.
-    "timer_kernel": (_nanoos(lambda: programs.idle_ticks(3),
+    "timer_kernel": (_nanoos(programs.idle_ticks,
                              timer_period=6_000), _run_to_end),
     "console_rx": (_nanoos(lambda: programs.syscall_storm(30)),
                    _run_with_console_input),
@@ -219,6 +232,18 @@ def test_power_off_ends_every_row_at_one_edge():
                        vm.devices["console"].text)
     assert set(ends.values()) == {ends["hw+nested"]}, ends
     assert ends["hw+nested"][0] == 18 and len(ends["hw+nested"][2]) == 5
+
+
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_hypercalls_write_the_guests_privileged_state(label):
+    # Under hardware assist that is the core's own CSR file: a SET_VBAR
+    # written anywhere else leaves the trap with no vector.
+    hv, vm = _create(label, True)
+    _alone(lambda: _bare(SET_VBAR_THEN_TRAP))(hv, vm, False)
+    assert hv.run(vm, max_guest_instructions=1_000) is RunOutcome.SHUTDOWN
+    vcpu = vm.vcpus[0]
+    assert vcpu.cpu.regs[2] == 7
+    assert vcpu.csr[CSR.ECAUSE] == Cause.SYSCALL
 
 
 def _load_exit_dense(hv, vm, label):
@@ -465,17 +490,29 @@ def test_call_and_unwinding_give_one_answer(scenario, jit):
 def test_port_storm_builds_no_vmexit(label, jit, monkeypatch):
     # Every exiting row takes its port writes as calls: an OUT exit on
     # the hardware-assist rows, a PRIV trap the monitor emulates on the
-    # deprivileged ones. Not one exception object is built.
-    built = []
-    init = VMExit.__init__
+    # deprivileged ones. Not one exception object is built, and a cycle
+    # budget unwinds no exit: the service lowers the core's ceiling and
+    # answers True. The one unwind is the power-off, the pump's turn.
+    built, unwound = [], []
+    init, unwind_init = VMExit.__init__, ExitUnwind.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_unwind(self, *args):
+        unwound.append(args)
+        unwind_init(self, *args)
+
     monkeypatch.setattr(VMExit, "__init__", counting_init)
-    hv, vm = _create(label, jit)
-    _alone(lambda: programs.port_storm(300))(hv, vm, False)
-    assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
-    assert vm.exit_stats.total_exits == 301
-    assert built == []
+    monkeypatch.setattr(ExitUnwind, "__init__", counting_unwind)
+    for max_cycles in (None, 10_000_000):
+        hv, vm = _create(label, jit)
+        _alone(lambda: programs.port_storm(300))(hv, vm, False)
+        outcome = hv.run(vm, max_guest_instructions=100_000,
+                         max_cycles=max_cycles)
+        assert outcome is RunOutcome.SHUTDOWN
+        assert vm.exit_stats.total_exits == 301
+        assert built == []
+        assert len(unwound) == 1, max_cycles
+        unwound.clear()

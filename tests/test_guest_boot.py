@@ -77,7 +77,7 @@ def test_demand_paging_counts_heap_faults():
 def test_timer_ticks_reach_guest():
     _, vm, diag = boot_in_mode(
         "ticks", VirtMode.HW_ASSIST, MMUVirtMode.NESTED, False,
-        workloads.idle_ticks(3), timer_period=100_000,
+        workloads.idle_ticks(), timer_period=100_000,
     )
     assert diag.ticks >= 3
     assert diag.user_result >= 3
@@ -86,7 +86,7 @@ def test_timer_ticks_reach_guest():
 def test_timer_ticks_under_trap_emulate():
     _, vm, diag = boot_in_mode(
         "ticks-te", VirtMode.TRAP_EMULATE, MMUVirtMode.SHADOW, False,
-        workloads.idle_ticks(2), timer_period=100_000,
+        workloads.idle_ticks(), timer_period=100_000,
         max_instructions=20_000_000,
     )
     assert diag.ticks >= 2

@@ -80,7 +80,7 @@ def test_pv_shared_info_page_carries_trap_state():
 
 
 def test_pv_timer_ticks():
-    hv, vm, diag = boot_pv(workloads.idle_ticks(2), timer_period=150_000,
+    hv, vm, diag = boot_pv(workloads.idle_ticks(), timer_period=150_000,
                            max_instructions=30_000_000)
     assert diag.ticks >= 2
 

@@ -37,7 +37,7 @@ lowers a count lowers its entry, and names the parent's count where it
 says why. A count over its ceiling means a helper call
 came back into a per-instruction or per-exit path (a property, a table
 probe behind a function, a descriptor read-modify-write): look at what
-``execute`` / ``fetch`` / ``CPUCore._run_compiled`` / ``Hypervisor._exit``
+``execute`` / ``fetch`` / ``CPUCore.run`` / ``Hypervisor._exit``
 call, not at the clock.
 """
 
@@ -121,14 +121,16 @@ CALLS = {
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,
-    # not every PUMP_SLICE retired instructions.
+    # not every PUMP_SLICE retired instructions. The "was" on the pumped
+    # cell names the count when CPUCore.run called its loop as a method
+    # of its own: one call more per guest entry.
     "trap-emulate/port_write": 23,
     "bin-transl/port_write": 6.0,  # was 6.1
     "paravirt/port_write": 23,
     "hw+shadow/port_write": 18,
     "hw+nested/port_write": 12,
     "hw+hmode/port_write": 12,
-    "hw+nested/pumped/port_write": 20,  # was 21
+    "hw+nested/pumped/port_write": 19,  # was 20
     # (a), (c) and (d) per retired instruction, (f) per request
     "bare/interp/cpu_bound": 6.7558,
     "bin-transl/item_walk": 3.0290,  # was 3.0656
