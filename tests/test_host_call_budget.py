@@ -39,15 +39,25 @@ came back into a per-instruction or per-exit path (a property, a table
 probe behind a function, a descriptor read-modify-write): look at what
 ``execute`` / ``fetch`` / ``CPUCore.run`` / ``Hypervisor._exit``
 call, not at the clock.
+
+Each count is also split by layer: the file of the function entered,
+through ``LAYERS``. ``benchmarks/host_layers.txt`` records every cell's
+split, and a layer fails above its recorded share x ``SLACK``, so a
+call that moves from one layer into another fails too. To rewrite the
+record (a change that lowers a layer), run this file with
+``HOST_LAYERS_OUT=benchmarks/host_layers.txt``.
 """
 
 import gc
+import os
+import subprocess
 import sys
 
 import pytest
 
 from repro.bench.common import GUEST_MEMORY, MODE_MATRIX
 from repro.core import GuestConfig, Hypervisor, Machine
+from repro.core import hypervisor as hvmod
 from repro.core.hypervisor import PUMP_SLICE, RunOutcome
 from repro.cpu import isa, jit as jitmod
 from repro.cpu.assembler import Assembler
@@ -61,6 +71,23 @@ from repro.util.units import MIB
 
 ITERATIONS = 2_000
 SLACK = 1.02
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "benchmarks", "host_layers.txt")
+
+#: Which layer a Python call is charged to: the first whose file names
+#: match the entered function's ``co_filename``; "rest" takes the others
+#: (this file, the guest builders, ``fuzz``, ``util``, the stdlib).
+#: Compiled blocks are the block compiler's (``<pyvisor-jit>``).
+LAYERS = (
+    ("interp", ("repro/cpu/interp.py", "repro/cpu/isa.py")),
+    ("jit", ("repro/cpu/jit.py", "<pyvisor-jit>")),
+    ("translation", ("repro/cpu/mmu.py", "repro/core/shadow.py", "repro/mem/")),
+    ("exits", ("repro/core/hypervisor.py", "repro/cpu/exits.py")),
+    ("monitor", ("repro/core/emulate.py", "repro/core/bt.py")),
+    ("devices", ("repro/devices/",)),
+    ("obs", ("repro/obs/",)),
+)
+LAYER_NAMES = [name for name, _files in LAYERS] + ["rest"]
 
 #: The committed record: Python calls measured on 3.11, per cell.
 CALLS = {
@@ -160,19 +187,33 @@ def fresh_memos(monkeypatch):
     visit, say) must not change it."""
     gc.collect()  # what earlier tests left, hypervisors included
     isa.DECODED.clear()
+    hvmod._port_detail.cache_clear()
     monkeypatch.setattr(jitmod, "_CODE", {})
     monkeypatch.setattr(jitmod, "_HEADS", set())
 
 
-def count_calls(run):
-    """(Python-level calls made by ``run()``, what it returned). The
-    cyclic collector is off meanwhile: a collection would run the
-    finalizers of whatever garbage earlier tests left, inside the count."""
-    calls = [0]
+class _LayerOf(dict):
+    """``co_filename`` -> layer name, worked out once a file."""
 
-    def profiler(_frame, event, _arg):
+    def __missing__(self, filename):
+        path = filename.replace(os.sep, "/")
+        layer = self[filename] = next(
+            (name for name, files in LAYERS if any(f in path for f in files)),
+            "rest")
+        return layer
+
+
+def count_calls(run):
+    """(Python-level calls made by ``run()``, ``{layer: calls}``; what it
+    returned). The cyclic collector is off meanwhile: a collection would
+    run the finalizers of whatever garbage earlier tests left, inside
+    the count."""
+    calls = dict.fromkeys(LAYER_NAMES, 0)
+    layer_of = _LayerOf()
+
+    def profiler(frame, event, _arg):
         if event == "call":
-            calls[0] += 1
+            calls[layer_of[frame.f_code.co_filename]] += 1
 
     gc.disable()
     previous = sys.getprofile()
@@ -182,12 +223,73 @@ def count_calls(run):
     finally:
         sys.setprofile(previous)
         gc.enable()
-    return calls[0], result
+    return calls, result
 
 
-def within_budget(key, count):
+def read_record(path=RECORD):
+    """``{cell: (per, total, {layer: calls})}`` of a layer record."""
+    record = {}
+    with open(path) as f:
+        for line in f:
+            if line.startswith("#") or not line.strip():
+                continue
+            cell, per, total, *counts = line.split()
+            if cell == "cell":  # the column heads
+                assert counts == LAYER_NAMES, f"{path}: columns {counts}"
+                continue
+            record[cell] = (int(per), int(total),
+                            dict(zip(LAYER_NAMES, map(int, counts))))
+    return record
+
+
+#: What this process measured: ``{cell: (per, {layer: calls})}``.
+MEASURED = {}
+
+
+def within_budget(key, calls, per):
+    """Gate cell ``key``: ``calls`` (``{layer: calls}``) made for ``per``
+    retired instructions, port writes, requests or cases."""
+    MEASURED[key] = per, calls
+    count = sum(calls.values()) / per
     assert count <= CALLS[key] * SLACK, (
         f"{key}: {count:.3f} Python calls, ceiling {CALLS[key]} x {SLACK}")
+    record_per, _total, recorded = read_record()[key]
+    over = {}
+    for layer, n in calls.items():
+        share = recorded[layer] / record_per
+        if n / per > share + abs(share) * (SLACK - 1):
+            over[layer] = (round(n / per, 4), round(share, 4))
+    assert not over, f"{key}: layers over their record (now, recorded): {over}"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def write_record():
+    """With ``HOST_LAYERS_OUT`` set, write what the module measured there,
+    in the record's format."""
+    yield
+    out = os.environ.get("HOST_LAYERS_OUT")
+    if not out:
+        return
+    rows = [["cell", "per", "total", *LAYER_NAMES]]
+    for key in CALLS:
+        if key in MEASURED:
+            per, calls = MEASURED[key]
+            rows.append([key, per, sum(calls.values()),
+                         *(calls[layer] for layer in LAYER_NAMES)])
+    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
+    with open(out, "w") as f:
+        f.write(_RECORD_HEAD)
+        for row in rows:
+            f.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+
+
+_RECORD_HEAD = """\
+# Python calls of each cell of tests/test_host_call_budget.py, split by
+# the layer of the function entered (LAYERS there). A cell's count is
+# total / per (per: the retired instructions, port writes, requests or
+# cases it is counted over); the layers sum to total. Written by running
+# that file with HOST_LAYERS_OUT set to this file's path.
+"""
 
 
 _KERNELS = {}
@@ -213,7 +315,7 @@ def _create(label, image=None):
 
 
 def _run_vm(hv, vm, watchdog=None):
-    """(calls, instret) of ``hv.run`` to the guest's power-off."""
+    """(``{layer: calls}``, instret) of ``hv.run`` to the guest's power-off."""
     calls, outcome = count_calls(lambda: hv.run(
         vm, max_guest_instructions=1_000_000, watchdog=watchdog))
     assert outcome is RunOutcome.SHUTDOWN
@@ -221,7 +323,7 @@ def _run_vm(hv, vm, watchdog=None):
 
 
 def _boot(label, compiled, image):
-    """(calls, core) of one NanoOS boot of ``image`` under row ``label``,
+    """(``{layer: calls}``, core) of one NanoOS boot of ``image`` under row ``label``,
     the block compiler on or off."""
     kernel = _kernel(ROWS[label][2])
     if ROWS[label][0] is None:
@@ -243,7 +345,7 @@ def _boot(label, compiled, image):
 def test_per_retired_instruction(label, engine, program):
     _boot(label, engine == "compiled", PROGRAMS[program]())
     calls, cpu = _boot(label, engine == "compiled", PROGRAMS[program]())
-    within_budget(f"{label}/{engine}/{program}", calls / cpu.instret)
+    within_budget(f"{label}/{engine}/{program}", calls, cpu.instret)
 
 
 #: What the block compiler decides at the real ``jit.HOT``: (blocks
@@ -275,6 +377,11 @@ def test_compile_decisions(label):
     assert seen == COMPILED[label]
 
 
+def _minus(calls, base):
+    """``{layer: calls}`` of a longer run over a shorter one's."""
+    return {layer: n - base[layer] for layer, n in calls.items()}
+
+
 def _port_storm_calls(label, writes, pumped):
     hv, vm = _create(label, programs.port_storm(writes))
     watchdog = None
@@ -296,10 +403,10 @@ def test_an_intercepted_port_write(label, pumped):
     writes cost, per write, once both lengths have run."""
     for writes in (200, 400):
         _port_storm_calls(label, writes, pumped)
-    calls = (_port_storm_calls(label, 400, pumped)
-             - _port_storm_calls(label, 200, pumped))
+    calls = _minus(_port_storm_calls(label, 400, pumped),
+                   _port_storm_calls(label, 200, pumped))
     key = f"{label}/pumped/port_write" if pumped else f"{label}/port_write"
-    within_budget(key, calls / 200)
+    within_budget(key, calls, 200)
 
 
 def _vm(label, source):
@@ -318,7 +425,7 @@ def test_bare_interpreter():
     calls, result = count_calls(
         lambda: machine.cpu.run(max_instructions=retire))
     assert result.instructions == retire
-    within_budget("bare/interp/cpu_bound", calls / retire)
+    within_budget("bare/interp/cpu_bound", calls, retire)
 
 
 def _port_loop(natives):
@@ -348,8 +455,9 @@ ADDED_PASSES = ADDED // PUMP_SLICE
 
 
 def _translator_loops(compiled):
-    """(calls, instret) of ``_port_loop(2)`` and of ``_port_loop(10)``
-    under the translator, its native runs compiled or walked."""
+    """(``{layer: calls}`` and instret of ``_port_loop(2)``, calls per
+    instruction ``_port_loop(10)`` adds) under the translator, its
+    native runs compiled or walked."""
     runs = []
     for natives in (2, 10):
         hv, vm = _vm("bin-transl", _port_loop(natives))
@@ -357,7 +465,8 @@ def _translator_loops(compiled):
         runs.append(_run_vm(hv, vm))
     (calls, instret), (calls_wide, instret_wide) = runs
     assert instret_wide - instret == ADDED
-    return calls / instret, (calls_wide - calls) / (instret_wide - instret)
+    added = sum(_minus(calls_wide, calls).values())
+    return calls, instret, added / (instret_wide - instret)
 
 
 def test_translator_item_walk():
@@ -370,8 +479,8 @@ def test_translator_item_walk():
     translator's entry and exit (about 11), and a cut tail of at most
     ten items translated (three calls an item, about six to cache and
     watch it)."""
-    per_instruction, per_added_item = _translator_loops(compiled=False)
-    within_budget("bin-transl/item_walk", per_instruction)
+    calls, instret, per_added_item = _translator_loops(compiled=False)
+    within_budget("bin-transl/item_walk", calls, instret)
     assert 2.0 <= per_added_item < 2.0 + (3 * 8 + ADDED_PASSES * 64) / ADDED
 
 
@@ -382,8 +491,8 @@ def test_translator_compiled_runs():
     compile (about 620 calls), and the added pump passes: each the 64
     calls above, and the cut iteration's native items walked, at most
     ten at two calls each."""
-    per_instruction, per_added_item = _translator_loops(compiled=True)
-    within_budget("bin-transl/compiled_runs", per_instruction)
+    calls, instret, per_added_item = _translator_loops(compiled=True)
+    within_budget("bin-transl/compiled_runs", calls, instret)
     assert per_added_item < (640 + ADDED_PASSES * (64 + 20)) / ADDED
 
 
@@ -400,7 +509,7 @@ def test_cold_code_under_hardware_assist():
         "    li   t0, 1", "    out  0xf0, t0", "    hlt"]))
     calls, instret = _run_vm(hv, vm)
     assert vm.vcpus[0].cpu.jit_stats()["blocks_compiled"] == 0
-    within_budget("hw+nested/cold", calls / instret)
+    within_budget("hw+nested/cold", calls, instret)
 
 
 def _nanoos_calls(program):
@@ -428,8 +537,8 @@ def test_a_device_request(name, build, per_kick, monkeypatch):
     short, long_ = build(16 // per_kick), build(32 // per_kick)
     _nanoos_calls(short)
     _nanoos_calls(long_)
-    calls = _nanoos_calls(long_) - _nanoos_calls(short)
-    within_budget(f"hw+nested/{name}", calls / 16)
+    calls = _minus(_nanoos_calls(long_), _nanoos_calls(short))
+    within_budget(f"hw+nested/{name}", calls, 16)
 
 
 def test_a_fuzz_case(monkeypatch):
@@ -446,7 +555,7 @@ def test_a_fuzz_case(monkeypatch):
 
     cases()
     calls, _ = count_calls(cases)
-    within_budget("fuzz/case", calls / 20)
+    within_budget("fuzz/case", calls, 20)
 
 
 def test_the_count_repeats_exactly():
@@ -454,3 +563,46 @@ def test_the_count_repeats_exactly():
     runs of one guest make the same number of calls."""
     runs = [_run_vm(*_vm("bin-transl", _port_loop(2))) for _ in range(3)]
     assert runs[1] == runs[2]
+
+
+def test_the_record_splits_every_cell():
+    """``benchmarks/host_layers.txt`` splits every cell once, in ``CALLS``
+    order; its layers sum exactly to the cell's total, and that total is
+    within the cell's ceiling."""
+    record = read_record()
+    assert list(record) == list(CALLS)
+    for cell, (per, total, layers) in record.items():
+        assert sum(layers.values()) == total, cell
+        assert total / per <= CALLS[cell] * SLACK, cell
+
+
+#: The cells split again under two hash seeds, in processes of their own:
+#: a fuzz case (sets of written frames, pooled hosts), cold code, shadow
+#: paging's spaces and fills, the translator's exits, and virtio's rings.
+HASH_SEED_CELLS = [
+    "test_a_fuzz_case",
+    "test_cold_code_under_hardware_assist",
+    "test_per_retired_instruction[hw+shadow-interp-memtouch]",
+    "test_an_intercepted_port_write[bin-transl]",
+    "test_a_device_request[vblk_write]",
+]
+
+
+def test_the_split_ignores_the_hash_seed(tmp_path):
+    """What ``HASH_SEED_CELLS`` measure, layer by layer, is the same under
+    ``PYTHONHASHSEED`` 0 and 1."""
+    runs = []
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   HOST_LAYERS_OUT=str(tmp_path / f"{seed}.txt"),
+                   PYTHONPATH=os.path.join(ROOT, "src"))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(f"{__file__}::{cell}" for cell in HASH_SEED_CELLS)],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT))
+    for run in runs:
+        output = run.communicate()[0].decode()
+        assert run.returncode == 0, output
+    splits = [read_record(tmp_path / f"{seed}.txt") for seed in (0, 1)]
+    assert len(splits[0]) == len(HASH_SEED_CELLS)
+    assert splits[0] == splits[1]
