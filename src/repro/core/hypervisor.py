@@ -36,7 +36,7 @@ from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Op,
 )
 from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
-from repro.devices.block import BLOCK_BASE, BlockDevice
+from repro.devices.block import BLOCK_BASE, BlockDevice, DiskImage
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
 from repro.devices.irq import (
@@ -318,14 +318,15 @@ class Hypervisor:
             for gfn, hfn in guest_mem.map.items():
                 gstage.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, GSTAGE_BACKED)
             gstage.checkpoint()
-        return self._build_machine(config, guest_mem, gstage)
+        return self._build_machine(config, guest_mem, gstage, {})
 
     def _build_machine(
         self, config: GuestConfig, guest_mem: GuestMemory,
-        gstage: Optional[AddressSpace],
+        gstage: Optional[AddressSpace], disks: Dict[str, DiskImage],
     ) -> VirtualMachine:
         """Everything above the frames, new: MMU (TLB, shadow spaces),
-        core, vCPU, PIC and devices, translator, ``vm.<name>.*``."""
+        core, vCPU, PIC and devices, translator, ``vm.<name>.*``; a disk
+        named in ``disks`` gets that (zeroed) image."""
         # A VM recreated under the same name (micro-reboot, snapshot
         # restore, recycling) starts its telemetry from zero, exactly
         # as the old per-VM stat structs did.
@@ -378,7 +379,7 @@ class Hypervisor:
         else:
             cpu.controls = HW_ASSIST_NESTED
 
-        self._attach_devices(vm)
+        self._attach_devices(vm, disks)
         # An intercepted IN / OUT is run by the core, on the VM's bus.
         cpu.port_bus = vm.port_bus
 
@@ -400,7 +401,7 @@ class Hypervisor:
         self.vms[config.name] = vm
         return vm
 
-    def _attach_devices(self, vm: VirtualMachine) -> None:
+    def _attach_devices(self, vm: VirtualMachine, disks: Dict[str, DiskImage]) -> None:
         vm.port_bus = PortBus()
         dev_scope = vm.metrics.scope("dev")
         vm.pic = InterruptController(sink=vm, metrics=dev_scope.scope("irq"))
@@ -422,6 +423,7 @@ class Hypervisor:
         mem = vm.guest_mem
         if vm.config.with_emulated_io:
             block = BlockDevice(mem, vm.pic.line(IRQ_BLOCK_LINE),
+                                disks.get("block") or DiskImage(),
                                 metrics=dev_scope.scope("block"))
             vm.port_bus.register(block, BLOCK_BASE, 6)
             vm.devices["block"] = block
@@ -431,6 +433,7 @@ class Hypervisor:
             vm.devices["net"] = net
         if vm.config.with_virtio:
             vblock = VirtioBlockDevice(mem, vm.pic.line(IRQ_VIRTIO_BLK_LINE),
+                                       disks.get("virtio_blk") or DiskImage(),
                                        metrics=dev_scope.scope("virtio_blk"))
             vm.port_bus.register(vblock, VIRTIO_BLK_BASE, 6)
             vm.devices["virtio_blk"] = vblock
@@ -479,7 +482,8 @@ class Hypervisor:
         once a gfn was re-backed), a G-stage is rolled back to its
         as-built bytes, and all above them is built anew by
         :meth:`_build_machine`, so no state of the old machine can
-        survive by being forgotten.
+        survive by being forgotten -- except the disk images, each
+        handed to its new device zeroed where it was written.
         Refused, with ``vm`` untouched, when its frames are not this
         VM's alone to zero or are not all there.
         """
@@ -512,7 +516,9 @@ class Hypervisor:
                 log.close()
             log = guest_mem.write_log = WriteLog(self.physmem, guest_mem.map)
         log.zero_written()
-        return self._build_machine(vm.config, guest_mem, gstage)
+        disks = {name: vm.devices[name].data.zero_written()
+                 for name in ("block", "virtio_blk") if name in vm.devices}
+        return self._build_machine(vm.config, guest_mem, gstage, disks)
 
     def load_program(self, vm: VirtualMachine, program) -> None:
         """Copy an assembled image into guest-physical memory."""

@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.cpu.interp import CPUCore
 from repro.cpu.mmu import BareMMU
-from repro.devices.block import BLOCK_BASE, BlockDevice
+from repro.devices.block import BLOCK_BASE, BlockDevice, DiskImage
 from repro.devices.bus import PortBus
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
 from repro.devices.irq import (
@@ -69,12 +69,12 @@ class Machine:
         self.port_bus.register(self.timer, TIMER_BASE, 3)
         self.power = PowerControl()
         self.port_bus.register(self.power, POWER_BASE, 1)
-        self.block = BlockDevice(self.physmem, self.pic.line(IRQ_BLOCK_LINE))
+        self.block = BlockDevice(self.physmem, self.pic.line(IRQ_BLOCK_LINE), DiskImage())
         self.port_bus.register(self.block, BLOCK_BASE, 6)
         self.net = NetDevice(self.physmem, self.pic.line(IRQ_NET_LINE))
         self.port_bus.register(self.net, NET_BASE, 7)
         self.virtio_blk = VirtioBlockDevice(
-            self.physmem, self.pic.line(IRQ_VIRTIO_BLK_LINE)
+            self.physmem, self.pic.line(IRQ_VIRTIO_BLK_LINE), DiskImage()
         )
         self.port_bus.register(self.virtio_blk, VIRTIO_BLK_BASE, 6)
         self.virtio_net = VirtioNetDevice(

@@ -128,7 +128,7 @@ class ShadowMMU(MMUBase):
         vpn = va >> PAGE_SHIFT
         pte = self.tlb.lookup(vpn, access, user)
         if pte is not None:
-            return (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
+            return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         space = self._current_space()
         try:
             pte = self.walker.walk(space.root_pa, va, access, user)
@@ -137,7 +137,7 @@ class ShadowMMU(MMUBase):
             raise AssertionError("unreachable")
         self.tlb.insert(vpn, pte)
         return (
-            (pte_frame(pte) << PAGE_SHIFT) | (va & 0xFFF),
+            (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF),
             self.costs.tlb_hit_cycles + 2 * self.costs.mem_ref_cycles,
         )
 

@@ -33,6 +33,7 @@ the same instruction against virtual state.
 """
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
@@ -54,8 +55,9 @@ from repro.cpu.isa import (
 )
 from repro.cpu.mmu import MMUBase
 from repro.mem.costs import CostModel
-from repro.mem.paging import AccessType, PageFault
+from repro.mem.paging import AccessType, PTE_DIRTY, PTE_NOEXEC, PTE_USER, PTE_WRITABLE, PageFault
 from repro.util.errors import GuestError
+from repro.util.units import PAGE_SHIFT
 
 #: What the oracle, trap entry and the system arms name on every
 #: execution, bound once: spelled ``CSR.MODE`` / ``AccessType.EXEC`` /
@@ -71,6 +73,9 @@ _ILLEGAL, _PRIV, _SYSCALL_TRAP, _BREAK_TRAP = Cause.ILLEGAL, Cause.PRIV, Cause.S
 _GUEST_TRAP, _TRIPLE_FAULT, _IO_OUT, _IO_IN, _CSR_WRITE, _PRIV_INSTR, _HLT_EXIT, _VMCALL = (
     ExitReason.GUEST_TRAP, ExitReason.TRIPLE_FAULT, ExitReason.IO_OUT, ExitReason.IO_IN,
     ExitReason.CSR_WRITE, ExitReason.PRIV_INSTR, ExitReason.HLT, ExitReason.VMCALL)
+
+_WD = PTE_WRITABLE | PTE_DIRTY
+_u32 = struct.Struct("<I").unpack_from
 
 #: IRQ delivery priority (first match wins).
 _IRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
@@ -251,14 +256,24 @@ class CPUCore:
 
         The bytes are read on every fetch and the decode memo is keyed
         by them alone, so code a store (or DMA) has rewritten decodes
-        as what is there now: nothing to invalidate.
+        as what is there now: nothing to invalidate. A TLB hit is taken
+        here by ``TLB.lookup``'s rule (a load's or store's in
+        :meth:`execute`); a miss, and real mode, are ``mmu.translate``'s.
         """
         mmu = self.mmu
         user = self.csr[_MODE] == MODE_USER
-        pa, cyc = mmu.translate(va, _EXEC, user)
-        self.cycles += cyc
-        read_u32 = mmu.physmem.read_u32
-        word = read_u32(pa)
+        tlb = mmu.tlb
+        pte = tlb._entries.get(va >> PAGE_SHIFT)
+        if pte is not None and (not user or pte & PTE_USER) and not pte & PTE_NOEXEC:
+            tlb._entries.move_to_end(va >> PAGE_SHIFT)
+            tlb.stats.hits += 1
+            self.cycles += self.costs.tlb_hit_cycles
+            pa = (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF)
+        else:
+            pa, cyc = mmu.translate(va, _EXEC, user)
+            self.cycles += cyc
+        pm = mmu.physmem
+        word = _u32(pm._data, pa)[0] if pa + 4 <= pm.size else pm.read_u32(pa)
         if not (word >> 24) & 0x80:
             return DECODED.get(word) or decode(word)
         if (va & 0xFFF) + 8 > 0x1000:
@@ -268,7 +283,7 @@ class CPUCore:
             self.cycles += cyc
         else:
             imm_pa = pa + 4
-        imm_word = read_u32(imm_pa)
+        imm_word = _u32(pm._data, imm_pa)[0] if imm_pa + 4 <= pm.size else pm.read_u32(imm_pa)
         return DECODED.get((word, imm_word)) or decode(word, imm_word)
 
     def _on_code_write(self, pfn: int) -> None:
@@ -343,16 +358,24 @@ class CPUCore:
             addr = (regs[ins.ra] + ins.simm12) & 0xFFFFFFFF
             mmu = self.mmu
             pm = mmu.physmem
+            user = self.csr[_MODE] == MODE_USER
+            tlb = mmu.tlb  # a hit is fetch()'s test, for R or W
+            pte = tlb._entries.get(addr >> PAGE_SHIFT)
             try:
-                pa, cyc = mmu.translate(
-                    addr, _WRITE if ins.stores else _READ,
-                    self.csr[_MODE] == MODE_USER,
-                )
-                self.cycles += cyc
+                if pte is not None and (not user or pte & PTE_USER) and (
+                        not ins.stores or pte & _WD == _WD):
+                    tlb._entries.move_to_end(addr >> PAGE_SHIFT)
+                    tlb.stats.hits += 1
+                    self.cycles += self.costs.tlb_hit_cycles
+                    pa = (pte >> PAGE_SHIFT << PAGE_SHIFT) | (addr & 0xFFF)
+                else:
+                    pa, cyc = mmu.translate(addr, _WRITE if ins.stores else _READ, user)
+                    self.cycles += cyc
                 if ins.stores:  # a byte store keeps the low byte
                     (pm.write_u32 if op is _ST else pm.write_u8)(pa, regs[ins.rb])
-                else:
-                    value = (pm.read_u32 if op is _LD else pm.read_u8)(pa)
+                else:  # past RAM, the accessor raises
+                    value = (_u32(pm._data, pa)[0] if op is _LD and pa + 4 <= pm.size
+                             else (pm.read_u32 if op is _LD else pm.read_u8)(pa))
                     if ins.rd:
                         regs[ins.rd] = value
             except PageFault as fault:

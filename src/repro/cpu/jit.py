@@ -82,7 +82,7 @@ from repro.cpu.isa import (
     decode,
 )
 from repro.cpu.mmu import BareMMU
-from repro.mem.paging import AccessType, PageFault, PTE_DIRTY, PTE_WRITABLE
+from repro.mem.paging import AccessType, PageFault, PTE_DIRTY, PTE_NOEXEC, PTE_USER, PTE_WRITABLE
 from repro.util.errors import MemoryError_
 
 __all__ = ["BlockJIT"]
@@ -787,8 +787,10 @@ class BlockJIT:
                 blk = ent[0]
             else:
                 vpn = pc >> 12
-                pte = mmu.tlb.peek(vpn, AccessType.EXEC, mode == 1)
-                if pte is None:
+                # What TLB.lookup would hit for this fetch, without its
+                # side effects (stats, LRU order): those are the step's.
+                pte = mmu.tlb.entry_get(vpn)
+                if pte is None or mode == 1 and not pte & PTE_USER or pte & PTE_NOEXEC:
                     self.fallback_steps += 1
                     return 1
                 blk = self._block_at((pte >> 12 << 12) | (pc & 0xFFF), pc, True)

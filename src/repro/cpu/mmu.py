@@ -1,8 +1,8 @@
 """MMU interface between the interpreter and the memory system.
 
-The CPU calls :meth:`MMUBase.translate` for every fetch, load, and
-store. Swapping the MMU object is how the hypervisor interposes on
-address translation:
+The CPU probes ``mmu.tlb`` itself and calls :meth:`MMUBase.translate`
+on a TLB miss of a fetch, load, or store. Swapping the MMU object is how
+the hypervisor interposes on address translation:
 
 * :class:`BareMMU` -- native execution: walks the tables named by PTBR
   directly.
@@ -49,7 +49,6 @@ from repro.mem.paging import (
     GStageFault,
     PTE_ACCESSED,
     PTE_DIRTY,
-    PTE_NOEXEC,
     PTE_PRESENT,
     PTE_USER,
     PTE_WRITABLE,
@@ -60,9 +59,8 @@ from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB, TLB_ENTRIES
 from repro.util.units import PAGE_SHIFT
 
-_WD = PTE_WRITABLE | PTE_DIRTY
 #: Bound once: an enum member is a metaclass lookup on every use.
-_WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC
+_WRITE = AccessType.WRITE
 
 #: Second-stage entry flags of a guest frame the host has backed.
 GSTAGE_BACKED = PTE_PRESENT | PTE_USER | PTE_WRITABLE
@@ -73,7 +71,11 @@ GSTAGE_STALL_REFS = 8
 
 
 class MMUBase:
-    """Abstract translation interface used by :class:`CPUCore`."""
+    """Abstract translation interface used by :class:`CPUCore`, which
+    takes hits on ``tlb`` itself: ``translate`` inserts only after a walk
+    with :attr:`tlb_active` True, so while it is False the TLB is empty."""
+
+    tlb: TLB
 
     def translate(self, va: int, access: AccessType, user: bool) -> Tuple[int, int]:
         """Translate ``va``; return (pa, cycles). May raise PageFault/VMExit."""
@@ -143,22 +145,11 @@ class BareMMU(MMUBase):
             return va & 0xFFFFFFFF, 0
         va &= 0xFFFFFFFF
         vpn = va >> PAGE_SHIFT
-        # Inlined TLB.lookup (this is the hottest call chain in the
-        # whole simulator): same hit conditions, same hit/miss stats,
-        # same LRU touch.
-        tlb = self.tlb
-        pte = tlb._entries.get(vpn)
-        if pte is not None and (
-            (not user or pte & PTE_USER)
-            and (access is not _WRITE or pte & _WD == _WD)
-            and (access is not _EXEC or not pte & PTE_NOEXEC)
-        ):
-            tlb._entries.move_to_end(vpn)
-            tlb.stats.hits += 1
+        pte = self.tlb.lookup(vpn, access, user)
+        if pte is not None:
             return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
-        tlb.stats.misses += 1
         pte = self.walker.walk(self.root_pa, va, access, user)
-        tlb.insert(vpn, pte)
+        self.tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 
     @property
@@ -287,7 +278,7 @@ class TwoStageMMU(MMUBase):
             costs.gstage_ref_cycles if self.hmode else costs.mem_ref_cycles
         )
         flags = PTE_PRESENT | PTE_ACCESSED
-        if access is AccessType.WRITE:
+        if access is _WRITE:
             # Lazy-W: cache write permission only once D is set, so the
             # next write after a dirty-log round re-walks.
             flags |= PTE_WRITABLE | PTE_DIRTY

@@ -15,6 +15,8 @@ Ports (base = :data:`BLOCK_BASE`)::
     +5 BLK_NSECT  : total sectors (read-only)
 """
 
+from typing import List, Tuple
+
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
 from repro.obs.registry import MetricsRegistry, counter_attr
@@ -39,6 +41,57 @@ STATUS_READY = 0
 STATUS_ERROR = 2
 
 
+class DiskImage(bytearray):
+    """A disk's :data:`DISK_SECTORS` sectors, zero when made. Every write
+    is a slice assignment (DMA, :meth:`load_image`, ``apply_fields``) that
+    records its range, so recycling a VM zeroes only those and keeps the
+    1 MiB, as ``WriteLog.zero_written`` does for frames."""
+
+    def __init__(self):
+        super().__init__(DISK_SECTORS * SECTOR_SIZE)
+        self.written: List[Tuple[int, int]] = []
+
+    def __setitem__(self, where: slice, value) -> None:
+        start, stop, step = where.indices(len(self))
+        if step != 1 or len(value) != max(stop - start, 0):
+            raise DeviceError("a disk image is written one byte range at a time, in place")
+        self.written.append((start, stop))
+        super().__setitem__(where, value)
+
+    def zero_written(self) -> "DiskImage":
+        for start, stop in self.written:
+            super().__setitem__(slice(start, stop), bytes(stop - start))
+        self.written.clear()
+        return self
+
+    def fits(self, sector: int, count: int) -> bool:
+        return count > 0 and sector >= 0 and sector + count <= DISK_SECTORS
+
+    def dma(self, mem, gpa: int, sector: int, count: int, to_disk: bool) -> None:
+        """Copy ``count`` sectors from ``sector`` between the disk and
+        guest memory at ``gpa``, into the disk when ``to_disk``."""
+        off, nbytes = sector * SECTOR_SIZE, count * SECTOR_SIZE
+        if to_disk:  # __setitem__'s record, without its call
+            self.written.append((off, off + nbytes))
+            super().__setitem__(slice(off, off + nbytes), mem.read_bytes(gpa, nbytes))
+        else:
+            mem.write_bytes(gpa, bytes(self[off : off + nbytes]))
+
+    # -- direct host-side access (test setup, image loading) ---------------
+
+    def load_image(self, data: bytes, sector: int = 0) -> None:
+        offset = sector * SECTOR_SIZE
+        if offset + len(data) > len(self):
+            raise DeviceError("image larger than disk")
+        self[offset : offset + len(data)] = data
+
+    def read_sectors(self, sector: int, count: int) -> bytes:
+        if not self.fits(sector, count):
+            raise DeviceError(f"sectors [{sector}, {sector + count}) outside the disk")
+        off = sector * SECTOR_SIZE
+        return bytes(self[off : off + count * SECTOR_SIZE])
+
+
 class BlockDevice(PortDevice):
     """Sector-addressed disk with port-programmed DMA.
 
@@ -58,34 +111,19 @@ class BlockDevice(PortDevice):
     completions = counter_attr()
     sectors_transferred = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, metrics=None):
-        capacity_sectors = DISK_SECTORS
+    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics=None):
         self.mem = mem
         self.irq = irq
-        self.capacity_sectors = capacity_sectors
         #: ``block.stuck`` / ``block.io_error`` draw from this, when set.
         self.injector = None
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry().scope("dev.block"))
-        self.data = bytearray(capacity_sectors * SECTOR_SIZE)
+        self.data = data
         self._sector = 0
         self._count = 1
         self._dma = 0
         self.status = STATUS_READY
         self.stuck = False
-
-    # -- direct host-side access (test setup, image loading) ---------------
-
-    def load_image(self, data: bytes, sector: int = 0) -> None:
-        offset = sector * SECTOR_SIZE
-        if offset + len(data) > len(self.data):
-            raise DeviceError("image larger than disk")
-        self.data[offset : offset + len(data)] = data
-
-    def read_sectors(self, sector: int, count: int) -> bytes:
-        self._check_range(sector, count)
-        off = sector * SECTOR_SIZE
-        return bytes(self.data[off : off + count * SECTOR_SIZE])
 
     # -- port interface -----------------------------------------------------
 
@@ -93,7 +131,7 @@ class BlockDevice(PortDevice):
         if port == BLK_STATUS:
             return self.status
         if port == BLK_NSECT:
-            return self.capacity_sectors
+            return DISK_SECTORS
         if port == BLK_SECTOR:
             return self._sector
         if port == BLK_COUNT:
@@ -123,47 +161,26 @@ class BlockDevice(PortDevice):
         if self.stuck:
             self.stalled_commands += 1
             return  # wedged: no completion, no interrupt
+        # Every command that is not wedged completes, with an interrupt.
+        status = STATUS_ERROR
         if self.injector is not None and self.injector.fires("block.io_error"):
             self.io_errors += 1
-            self.status = STATUS_ERROR
-            self.completions += 1
-            self.irq.raise_()
-            return
-        try:
-            self._check_range(self._sector, self._count)
-        except DeviceError:
-            self.status = STATUS_ERROR
-            self.completions += 1
-            self.irq.raise_()
-            return
-        nbytes = self._count * SECTOR_SIZE
-        off = self._sector * SECTOR_SIZE
-        try:
+        elif cmd in (CMD_READ, CMD_WRITE) and self.data.fits(self._sector, self._count):
+            try:
+                self.data.dma(self.mem, self._dma, self._sector, self._count,
+                              to_disk=cmd == CMD_WRITE)
+            except MemoryError_ as err:
+                # Subsystem boundary: DMA target outside guest RAM surfaces
+                # as a device error with the memory fault as the cause.
+                raise DeviceError(
+                    f"block DMA at gpa {self._dma:#x} references bad guest memory"
+                ) from err
             if cmd == CMD_READ:
-                self.mem.write_bytes(self._dma, bytes(self.data[off : off + nbytes]))
                 self.reads += 1
-            elif cmd == CMD_WRITE:
-                self.data[off : off + nbytes] = self.mem.read_bytes(self._dma, nbytes)
+            else:
                 self.writes += 1
-        except MemoryError_ as err:
-            # Subsystem boundary: DMA target outside guest RAM surfaces
-            # as a device error with the memory fault as the cause.
-            raise DeviceError(
-                f"block DMA at gpa {self._dma:#x} references bad guest memory"
-            ) from err
-        if cmd not in (CMD_READ, CMD_WRITE):
-            self.status = STATUS_ERROR
-            self.completions += 1
-            self.irq.raise_()
-            return
-        self.sectors_transferred += self._count
-        self.status = STATUS_READY
+            self.sectors_transferred += self._count
+            status = STATUS_READY
+        self.status = status
         self.completions += 1
         self.irq.raise_()
-
-    def _check_range(self, sector: int, count: int) -> None:
-        if count <= 0 or sector < 0 or sector + count > self.capacity_sectors:
-            raise DeviceError(
-                f"sector range [{sector}, {sector + count}) outside disk "
-                f"of {self.capacity_sectors} sectors"
-            )

@@ -28,9 +28,9 @@ def capture_fields(obj, names=None) -> Dict[str, object]:
 
     A member with a ``STATE`` of its own (a virtqueue) is captured
     recursively; a list or deque is copied into a list; a bytearray (a
-    disk image) becomes ``bytes``, ``b""`` when it is all zeros -- which
-    a freshly built device already is, so an untouched disk costs
-    nothing to store.
+    disk image) becomes ``bytes``, ``b""`` when it is all zeros -- as a
+    new device's is, and a recycled VM's (``DiskImage`` zeroes what was
+    written), so an untouched disk costs nothing to store.
     """
     state = {}
     for name in names or _declared(obj):
@@ -47,7 +47,8 @@ def capture_fields(obj, names=None) -> Dict[str, object]:
 
 def apply_fields(obj, state, names=None) -> None:
     """Write a :func:`capture_fields` tree into a freshly built ``obj``
-    (whose disk image is still zeros: an elided one is left alone).
+    (whose disk image is still zeros: an elided one is left alone; a
+    ``DiskImage`` records the slice written, for its next recycle).
 
     The tree must name exactly the attributes captured: one written by
     a build whose declaration differs fails here instead of dropping a

@@ -20,14 +20,15 @@ bound (both registered in :mod:`repro.faults.injector`):
 
 Per-line ``dev.irq`` observability counters (``delivered.line<n>``,
 ``coalesced.line<n>``, ``lost.line<n>``, ``spurious``) feed the
-stuck-line/storm watchdog in :mod:`repro.faults.watchdog`.
+stuck-line/storm watchdog in :mod:`repro.faults.watchdog`. Each is made
+in the registry at its first bump and kept by the controller.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.isa import Cause
 from repro.devices.bus import PortDevice
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.util.errors import DeviceError
 
 #: Port: read = bitmask of pending lines; write = acknowledge (clear) mask.
@@ -71,6 +72,13 @@ class InterruptController(PortDevice):
         self.lost_count = 0
         self.coalesced_count = 0
         self.spurious_count = 0
+        #: ``(kind, line)`` -> its ``<kind>.line<n>`` counter, once bumped.
+        self._counters: Dict[Tuple[str, int], Counter] = {}
+
+    def _counter(self, kind: str, number: int) -> Counter:
+        """Make the ``<kind>.line<number>`` counter, at its first bump."""
+        counter = self._counters[kind, number] = self.metrics.counter(f"{kind}.line{number}")
+        return counter
 
     def line(self, number: int) -> IRQLine:
         if not 0 <= number < NUM_LINES:
@@ -80,19 +88,19 @@ class InterruptController(PortDevice):
     def raise_line(self, number: int) -> None:
         if not 0 <= number < NUM_LINES:
             raise DeviceError(f"no IRQ line {number}")
-        injector = self.injector
+        injector, counters = self.injector, self._counters
         if injector is not None and injector.fires("irq.lost"):
             self.lost_count += 1
-            self.metrics.counter(f"lost.line{number}").inc()
+            (counters.get(("lost", number)) or self._counter("lost", number)).value += 1
             return
         if self.pending[number]:
             # Level-ish coalescing: the line is already pending; the
             # handler will service both raises with one status read.
             self.coalesced_count += 1
-            self.metrics.counter(f"coalesced.line{number}").inc()
+            (counters.get(("coalesced", number)) or self._counter("coalesced", number)).value += 1
         self.pending[number] = True
         self.raised_count += 1
-        self.metrics.counter(f"delivered.line{number}").inc()
+        (counters.get(("delivered", number)) or self._counter("delivered", number)).value += 1
         if self.sink is not None:
             cause = Cause.IRQ_TIMER if number == IRQ_TIMER_LINE else Cause.IRQ_DEVICE
             self.sink.assert_irq(cause)

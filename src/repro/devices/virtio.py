@@ -41,7 +41,7 @@ queue at base+8).
 
 from typing import List, Optional, Tuple
 
-from repro.devices.block import DISK_SECTORS, SECTOR_SIZE
+from repro.devices.block import SECTOR_SIZE, DiskImage
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
 from repro.obs.registry import MetricsRegistry, counter_attr
@@ -206,24 +206,13 @@ class VirtioBlockDevice(_VirtQueuePorts):
     writes = counter_attr()
     errors = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, metrics=None):
+    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics=None):
         super().__init__(mem, VIRTIO_BLK_BASE, metrics=metrics)
         self.irq = irq
-        self.capacity_sectors = DISK_SECTORS
         #: ``virtio.ring_stuck`` draws from this, when set.
         self.injector = None
-        self.data = bytearray(DISK_SECTORS * SECTOR_SIZE)
+        self.data = data
         self.stuck = False
-
-    def load_image(self, data: bytes, sector: int = 0) -> None:
-        offset = sector * SECTOR_SIZE
-        if offset + len(data) > len(self.data):
-            raise DeviceError("image larger than disk")
-        self.data[offset : offset + len(data)] = data
-
-    def read_sectors(self, sector: int, count: int) -> bytes:
-        off = sector * SECTOR_SIZE
-        return bytes(self.data[off : off + count * SECTOR_SIZE])
 
     def port_read(self, port: int) -> int:
         return self.queue_port_read(port - self.base)
@@ -262,42 +251,26 @@ class VirtioBlockDevice(_VirtQueuePorts):
 
     def _process(self, head: int) -> None:
         chain = self.queue.collect_chain(head)
-        if len(chain) != 3:
+        if len(chain) != 3 or chain[0][1] < 12:  # header: type, sector, count
             self._complete(head, chain, BLK_S_ERROR, 0)
             return
-        hdr_addr, hdr_len, _ = chain[0]
-        data_addr, data_len, data_flags = chain[1]
-        if hdr_len < 12:
-            self._complete(head, chain, BLK_S_ERROR, 0)
-            return
-        req_type = self.queue.mem.read_u32(hdr_addr)
-        sector = self.queue.mem.read_u32(hdr_addr + 4)
-        count = self.queue.mem.read_u32(hdr_addr + 8)
-        if (
-            count <= 0
-            or sector + count > self.capacity_sectors
-            or count * SECTOR_SIZE > data_len
-        ):
+        (hdr_addr, _, _), (data_addr, data_len, data_flags), _ = chain
+        mem = self.queue.mem
+        req_type = mem.read_u32(hdr_addr)
+        sector = mem.read_u32(hdr_addr + 4)
+        count = mem.read_u32(hdr_addr + 8)
+        if (not self.data.fits(sector, count) or count * SECTOR_SIZE > data_len
+                or req_type not in (BLK_T_READ, BLK_T_WRITE)
+                or req_type == BLK_T_READ and not data_flags & DESC_F_WRITE):
             self.errors += 1
             self._complete(head, chain, BLK_S_ERROR, 0)
             return
-        off = sector * SECTOR_SIZE
-        nbytes = count * SECTOR_SIZE
+        self.data.dma(mem, data_addr, sector, count, to_disk=req_type == BLK_T_WRITE)
         if req_type == BLK_T_READ:
-            if not data_flags & DESC_F_WRITE:
-                self.errors += 1
-                self._complete(head, chain, BLK_S_ERROR, 0)
-                return
-            self.queue.mem.write_bytes(data_addr, bytes(self.data[off : off + nbytes]))
             self.reads += 1
-        elif req_type == BLK_T_WRITE:
-            self.data[off : off + nbytes] = self.queue.mem.read_bytes(data_addr, nbytes)
-            self.writes += 1
         else:
-            self.errors += 1
-            self._complete(head, chain, BLK_S_ERROR, 0)
-            return
-        self._complete(head, chain, BLK_S_OK, nbytes)
+            self.writes += 1
+        self._complete(head, chain, BLK_S_OK, count * SECTOR_SIZE)
 
     def _complete(self, head: int, chain, status: int, written: int) -> None:
         status_addr, _status_len, _ = chain[-1]

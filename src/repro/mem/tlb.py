@@ -5,6 +5,11 @@ are *not* kept per access type; permission bits are re-checked from the
 cached PTE on every hit, exactly as hardware does, so a write to a page
 cached by a read still faults (or misses to set the dirty bit -- see
 ``write_requires_dirty``).
+
+:meth:`TLB.lookup` is the reference hit test. ``CPUCore.fetch`` and
+``CPUCore.execute`` repeat it inline for every fetch, load and store
+(same test, hit count and LRU touch) and leave a miss to the MMU's
+``translate``, which calls it again and counts the miss.
 """
 
 from collections import OrderedDict
@@ -21,6 +26,7 @@ from repro.mem.paging import (
 
 #: Bound once: an enum member is a metaclass lookup on every use.
 _WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC
+_WD = PTE_WRITABLE | PTE_DIRTY
 
 
 #: Entries in every MMU's TLB.
@@ -54,8 +60,9 @@ class TLB:
         self.epoch = 0
         #: Bound alias of ``self._entries.get``: the cached leaf PTE for
         #: a vpn (or None) with no permission check, no stats, no LRU
-        #: touch. The JIT's inline caches revalidate by comparing this
-        #: against the PTE they cached at fill time -- equality implies
+        #: touch. The block dispatcher probes a fetch with it (testing U
+        #: and NX itself); the JIT's inline caches revalidate by comparing
+        #: it against the PTE they cached at fill time -- equality implies
         #: the reference :meth:`lookup` would hit with the identical
         #: outcome for the same (access, user), because the permission
         #: result is a pure function of the PTE value. Any invalidation
@@ -73,42 +80,13 @@ class TLB:
         migration dirty-tracking code relies on.
         """
         pte = self._entries.get(vpn)
-        if pte is None:
-            self.stats.misses += 1
-            return None
-        if user and not pte & PTE_USER:
-            self.stats.misses += 1
-            return None
-        if access is _WRITE and (
-            not pte & PTE_WRITABLE or not pte & PTE_DIRTY
-        ):
-            self.stats.misses += 1
-            return None
-        if access is _EXEC and pte & PTE_NOEXEC:
+        if (pte is None or user and not pte & PTE_USER
+                or access is _WRITE and pte & _WD != _WD
+                or access is _EXEC and pte & PTE_NOEXEC):
             self.stats.misses += 1
             return None
         self._entries.move_to_end(vpn)
         self.stats.hits += 1
-        return pte
-
-    def peek(self, vpn: int, access: AccessType, user: bool) -> Optional[int]:
-        """Like :meth:`lookup` but with **no side effects**.
-
-        Does not count a hit or miss and does not refresh LRU order, so
-        callers (the block-compiler's fetch memo) can probe the TLB
-        without perturbing the simulated replacement behaviour.
-        """
-        pte = self._entries.get(vpn)
-        if pte is None:
-            return None
-        if user and not pte & PTE_USER:
-            return None
-        if access is _WRITE and (
-            not pte & PTE_WRITABLE or not pte & PTE_DIRTY
-        ):
-            return None
-        if access is _EXEC and pte & PTE_NOEXEC:
-            return None
         return pte
 
     def insert(self, vpn: int, pte: int) -> None:

@@ -651,7 +651,7 @@ def test_a_callout_that_rewrites_code_stops_the_block_at_the_next_store(
     translated: the block stops after its next store, which is inside
     the native run that follows the OUT, not at the run's end."""
     def disk(hv, vm):
-        vm.devices["block"].load_image(Assembler().assemble(
+        vm.devices["block"].data.load_image(Assembler().assemble(
             ".org 0x3000\n    li a3, 2\n    ret\n").data)
         hv.load_program(vm, Assembler().assemble(
             ".org 0x3000\n    li a3, 1\n    ret\n"))

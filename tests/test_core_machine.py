@@ -113,4 +113,4 @@ def test_block_device_dma_native():
     out 0xf0, a0
     hlt
 """)
-    assert machine.block.read_sectors(0, 1)[:4] == bytes.fromhex("44332211")
+    assert machine.block.data.read_sectors(0, 1)[:4] == bytes.fromhex("44332211")

@@ -221,8 +221,8 @@ def programmed_vm(hv):
     vm.devices["net"].port_write(NET_RX_CMD, 1)
     vm.devices["timer"].rebase_if_armed(1000)
     vm.devices["timer"].tick(1000 + 3 * vm.devices["timer"].period)
-    vm.devices["block"].load_image(b"emulated disk", sector=3)
-    vm.devices["virtio_blk"].load_image(b"virtio disk", sector=5)
+    vm.devices["block"].data.load_image(b"emulated disk", sector=3)
+    vm.devices["virtio_blk"].data.load_image(b"virtio disk", sector=5)
     vm.devices["block"].port_write(BLK_CMD, 99)
     return vm
 
@@ -239,8 +239,8 @@ def visible(vm):
     seen["console"] = (console.text, console.chars_written,
                        console.chars_received)
     seen["power.code"] = vm.devices["power"].code
-    seen["disks"] = (vm.devices["block"].read_sectors(0, 8),
-                     vm.devices["virtio_blk"].read_sectors(0, 8))
+    seen["disks"] = (vm.devices["block"].data.read_sectors(0, 8),
+                     vm.devices["virtio_blk"].data.read_sectors(0, 8))
     return seen
 
 

@@ -10,6 +10,7 @@ from repro.devices.block import (
     BLK_SECTOR,
     BLK_STATUS,
     BlockDevice,
+    DiskImage,
     CMD_READ,
     CMD_WRITE,
     SECTOR_SIZE,
@@ -51,7 +52,7 @@ def env():
 class TestBlockDevice:
     def test_write_then_read_roundtrip(self, env):
         pm, pic, sink = env
-        disk = BlockDevice(pm, pic.line(1))
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
         payload = bytes(range(256)) * 2  # one sector
         pm.write_bytes(0x4000, payload)
         disk.port_write(BLK_SECTOR, 3)
@@ -59,7 +60,7 @@ class TestBlockDevice:
         disk.port_write(BLK_DMA, 0x4000)
         disk.port_write(BLK_CMD, CMD_WRITE)
         assert disk.port_read(BLK_STATUS) == STATUS_READY
-        assert disk.read_sectors(3, 1) == payload
+        assert disk.data.read_sectors(3, 1) == payload
         # read back to a different buffer
         disk.port_write(BLK_DMA, 0x5000)
         disk.port_write(BLK_CMD, CMD_READ)
@@ -69,19 +70,19 @@ class TestBlockDevice:
 
     def test_multi_sector_transfer(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1))
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
         data = b"AB" * (SECTOR_SIZE)  # two sectors worth
         pm.write_bytes(0x4000, data)
         disk.port_write(BLK_SECTOR, 0)
         disk.port_write(BLK_COUNT, 2)
         disk.port_write(BLK_DMA, 0x4000)
         disk.port_write(BLK_CMD, CMD_WRITE)
-        assert disk.read_sectors(0, 2) == data
+        assert disk.data.read_sectors(0, 2) == data
         assert disk.sectors_transferred == 2
 
     def test_out_of_range_sets_error_status(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1))
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
         disk.port_write(BLK_SECTOR, 2047)
         disk.port_write(BLK_COUNT, 2)  # runs past the end
         disk.port_write(BLK_DMA, 0x4000)
@@ -90,23 +91,23 @@ class TestBlockDevice:
 
     def test_bad_command_is_error(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1))
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
         disk.port_write(BLK_COUNT, 1)
         disk.port_write(BLK_CMD, 99)
         assert disk.port_read(BLK_STATUS) == STATUS_ERROR
 
     def test_capacity_port(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1))
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
         assert disk.port_read(BLK_NSECT) == 2048
 
     def test_load_image(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1))
-        disk.load_image(b"boot", sector=1)
-        assert disk.read_sectors(1, 1)[:4] == b"boot"
+        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk.data.load_image(b"boot", sector=1)
+        assert disk.data.read_sectors(1, 1)[:4] == b"boot"
         with pytest.raises(DeviceError):
-            disk.load_image(b"x" * (2049 * SECTOR_SIZE))
+            disk.data.load_image(b"x" * (2049 * SECTOR_SIZE))
 
 
 class TestNetDevice:

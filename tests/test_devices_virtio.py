@@ -7,6 +7,7 @@ read completions from the used ring.
 
 import pytest
 
+from repro.devices.block import DiskImage
 from repro.devices.irq import InterruptController
 from repro.devices.virtio import (
     BLK_S_OK,
@@ -149,7 +150,7 @@ class TestVirtQueue:
 class TestVirtioBlock:
     def test_write_and_read(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3))
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
         configure(dev, VIRTIO_BLK_BASE, pm)
         assert dev.port_read(VIRTIO_BLK_BASE + OFF_STATUS) == 1
 
@@ -158,7 +159,7 @@ class TestVirtioBlock:
         head = blk_request(pm, 0, BLK_T_WRITE, sector=5)
         publish(pm, [head])
         dev.port_write(VIRTIO_BLK_BASE + OFF_KICK, 0)
-        assert dev.read_sectors(5, 1) == payload
+        assert dev.data.read_sectors(5, 1) == payload
         assert pm.read_u8(STATUS_BUF) == BLK_S_OK
         assert pm.read_u32(USED) == 1
         assert sink.count == 1
@@ -172,7 +173,7 @@ class TestVirtioBlock:
 
     def test_batch_processes_all_with_one_kick_one_irq(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3))
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
         configure(dev, VIRTIO_BLK_BASE, pm)
         pm.write_bytes(DATA, b"Z" * 512)
         heads = [blk_request(pm, i, BLK_T_WRITE, sector=i) for i in range(4)]
@@ -185,7 +186,7 @@ class TestVirtioBlock:
 
     def test_out_of_range_request_errors(self, env):
         pm, pic, _ = env
-        dev = VirtioBlockDevice(pm, pic.line(3))
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
         configure(dev, VIRTIO_BLK_BASE, pm)
         head = blk_request(pm, 0, BLK_T_WRITE, sector=2048)
         publish(pm, [head])
@@ -195,7 +196,7 @@ class TestVirtioBlock:
 
     def test_kick_before_configuration_rejected(self, env):
         pm, pic, _ = env
-        dev = VirtioBlockDevice(pm, pic.line(3))
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
         with pytest.raises(DeviceError):
             dev.port_write(VIRTIO_BLK_BASE + OFF_KICK, 0)
 

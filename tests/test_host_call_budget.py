@@ -23,12 +23,12 @@ The matrix covers every engine row:
 Beside the counts, ``COMPILED`` pins what the block compiler decides on
 NanoOS programs at the real hotness threshold.
 
-Every compiled cell is below its interpreted twin, 7.2-13x on
+Every compiled cell is below its interpreted twin, 5.0-8.1x on
 ``cpu_bound``, so a compiled path that silently stops engaging fails its
-row. Under binary translation the gap is smallest (1.6x on ``memtouch``
-and ``syscall_storm``): the translator's walk fetches and decodes
-nothing, and its compiled runs still take every kernel data access
-through ``mmu.translate``.
+row. Under binary translation the gap is smallest (1.3x on
+``syscall_storm``, 1.6x on ``memtouch``): the translator's walk fetches
+and decodes nothing, and its compiled runs still take every kernel data
+access through ``mmu.translate``.
 
 ``CALLS`` is the committed record: each entry is the count measured on
 CPython 3.11, and a cell fails above that count x ``SLACK`` (the counts
@@ -91,60 +91,53 @@ LAYER_NAMES = [name for name, _files in LAYERS] + ["rest"]
 
 #: The committed record: Python calls measured on 3.11, per cell.
 CALLS = {
-    # per retired instruction. A "was" on a compiled cell (and on
-    # hw+nested/cold) names the count before a cold probe stopped
-    # reading its block's extent off the code bytes, and its head word
-    # through a Python accessor; on an interpreted one, the count before
-    # the shadow MMU's A/D write-back stopped going through
-    # GuestMemory's write accessor. A "was" on a hw+hmode cell names the
-    # count when every delegated trap also read a zero-cycle delegation
-    # premium and asked a fault hook whether to exit anyway. A "was" on
-    # a bin-transl cpu_bound cell names the count when the translator
-    # had a dispatch loop, block cache and write watch of its own.
-    "native/interp/cpu_bound": 6.8232,
-    "native/interp/memtouch": 6.9754,
-    "native/interp/syscall_storm": 7.0444,
-    "native/compiled/cpu_bound": 0.7265,  # was 0.7432
-    # 2.9473 with the compiler's inlined walk on a bare self-looping
-    # block's inline-cache miss; a miss now calls BareMMU.translate.
-    "native/compiled/memtouch": 2.8437,  # was 2.9648
-    "native/compiled/syscall_storm": 1.414,  # was 1.4332
-    "trap-emulate/interp/cpu_bound": 7.7274,  # was 7.7282
-    "trap-emulate/interp/memtouch": 8.6296,  # was 8.6311
-    "trap-emulate/interp/syscall_storm": 8.7788,  # was 8.7796
-    "trap-emulate/compiled/cpu_bound": 1.0221,  # was 1.0395
-    "trap-emulate/compiled/memtouch": 4.6389,  # was 4.7783
-    "trap-emulate/compiled/syscall_storm": 2.4183,  # was 2.4375
-    "bin-transl/interp/cpu_bound": 4.9636,  # was 4.9686
-    "bin-transl/interp/memtouch": 4.0605,  # was 4.062
-    "bin-transl/interp/syscall_storm": 3.7392,  # was 3.7401
-    "bin-transl/compiled/cpu_bound": 0.631,  # was 0.6376
-    "bin-transl/compiled/memtouch": 2.5879,  # was 2.5902
-    "bin-transl/compiled/syscall_storm": 2.3515,  # was 2.3525
-    "paravirt/interp/cpu_bound": 7.7396,  # was 7.7407
-    "paravirt/interp/memtouch": 8.6726,  # was 8.6745
-    "paravirt/interp/syscall_storm": 8.8968,  # was 8.8980
-    "paravirt/compiled/cpu_bound": 1.0516,  # was 1.0682
-    "paravirt/compiled/memtouch": 4.996,  # was 5.1472
-    "paravirt/compiled/syscall_storm": 2.4598,  # was 2.4786
-    "hw+shadow/interp/cpu_bound": 7.7122,  # was 7.7130
-    "hw+shadow/interp/memtouch": 8.3640,  # was 8.3655
-    "hw+shadow/interp/syscall_storm": 8.2685,  # was 8.2694
-    "hw+shadow/compiled/cpu_bound": 1.0069,  # was 1.0239
-    "hw+shadow/compiled/memtouch": 4.3569,  # was 4.5022
-    "hw+shadow/compiled/syscall_storm": 1.732,  # was 1.7515
-    "hw+nested/interp/cpu_bound": 7.9325,
-    "hw+nested/interp/memtouch": 8.2424,
-    "hw+nested/interp/syscall_storm": 8.3669,
-    "hw+nested/compiled/cpu_bound": 0.6034,  # was 0.6198
-    "hw+nested/compiled/memtouch": 3.0233,  # was 3.1440
-    "hw+nested/compiled/syscall_storm": 1.2102,  # was 1.2291
-    "hw+hmode/interp/cpu_bound": 7.9366,  # was 7.9368
-    "hw+hmode/interp/memtouch": 8.2601,  # was 8.2632
-    "hw+hmode/interp/syscall_storm": 8.3714,  # was 8.3784
-    "hw+hmode/compiled/cpu_bound": 0.6076,  # was 0.6077
-    "hw+hmode/compiled/memtouch": 3.0410,  # was 3.0442
-    "hw+hmode/compiled/syscall_storm": 1.2147,  # was 1.2217
+    # per retired instruction. A "was" names the count before the core
+    # took a TLB hit itself and read a fetched or loaded word straight
+    # from host RAM: each fetch, load and store called mmu.translate and
+    # TLB.lookup, and each fetch and load a physmem accessor. Compiled
+    # cells fall too: their cold and single steps are step()s.
+    "native/interp/cpu_bound": 4.6561,  # was 6.8232
+    "native/interp/memtouch": 4.8136,  # was 6.9754
+    "native/interp/syscall_storm": 4.756,  # was 7.0444
+    "native/compiled/cpu_bound": 0.6676,  # was 0.7265
+    "native/compiled/memtouch": 1.9804,  # was 2.8437
+    "native/compiled/syscall_storm": 1.3593,  # was 1.414
+    "trap-emulate/interp/cpu_bound": 4.7596,  # was 7.7274
+    "trap-emulate/interp/memtouch": 5.6482,  # was 8.6296
+    "trap-emulate/interp/syscall_storm": 5.4155,  # was 8.7788
+    "trap-emulate/compiled/cpu_bound": 0.9302,  # was 1.0221
+    "trap-emulate/compiled/memtouch": 3.0335,  # was 4.6389
+    "trap-emulate/compiled/syscall_storm": 2.2667,  # was 2.4183
+    "bin-transl/interp/cpu_bound": 2.9854,  # was 4.9636
+    "bin-transl/interp/memtouch": 3.2237,  # was 4.0605
+    "bin-transl/interp/syscall_storm": 2.7901,  # was 3.7392
+    "bin-transl/compiled/cpu_bound": 0.5091,  # was 0.631
+    "bin-transl/compiled/memtouch": 2.0004,  # was 2.5879
+    "bin-transl/compiled/syscall_storm": 1.9755,  # was 2.3515
+    "paravirt/interp/cpu_bound": 4.7774,  # was 7.7396
+    "paravirt/interp/memtouch": 5.5189,  # was 8.6726
+    "paravirt/interp/syscall_storm": 5.4791,  # was 8.8968
+    "paravirt/compiled/cpu_bound": 0.9567,  # was 1.0516
+    "paravirt/compiled/memtouch": 3.1145,  # was 4.996
+    "paravirt/compiled/syscall_storm": 2.2982,  # was 2.4598
+    "hw+shadow/interp/cpu_bound": 4.7438,  # was 7.7122
+    "hw+shadow/interp/memtouch": 5.348,  # was 8.3640
+    "hw+shadow/interp/syscall_storm": 4.8498,  # was 8.2685
+    "hw+shadow/compiled/cpu_bound": 0.9142,  # was 1.0069
+    "hw+shadow/compiled/memtouch": 2.736,  # was 4.3569
+    "hw+shadow/compiled/syscall_storm": 1.6296,  # was 1.732
+    "hw+nested/interp/cpu_bound": 4.0332,  # was 7.9325
+    "hw+nested/interp/memtouch": 4.1135,  # was 8.2424
+    "hw+nested/interp/syscall_storm": 4.0904,  # was 8.3669
+    "hw+nested/compiled/cpu_bound": 0.4982,  # was 0.6034
+    "hw+nested/compiled/memtouch": 1.7535,  # was 3.0233
+    "hw+nested/compiled/syscall_storm": 1.1089,  # was 1.2102
+    "hw+hmode/interp/cpu_bound": 4.0374,  # was 7.9366
+    "hw+hmode/interp/memtouch": 4.1311,  # was 8.2601
+    "hw+hmode/interp/syscall_storm": 4.0948,  # was 8.3714
+    "hw+hmode/compiled/cpu_bound": 0.5023,  # was 0.6076
+    "hw+hmode/compiled/memtouch": 1.7712,  # was 3.0410
+    "hw+hmode/compiled/syscall_storm": 1.1133,  # was 1.2147
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,
@@ -158,17 +151,20 @@ CALLS = {
     "hw+nested/port_write": 12,
     "hw+hmode/port_write": 12,
     "hw+nested/pumped/port_write": 19,  # was 20
-    # (a), (c) and (d) per retired instruction, (f) per request
-    "bare/interp/cpu_bound": 6.7558,
-    "bin-transl/item_walk": 3.0290,  # was 3.0656
-    "bin-transl/compiled_runs": 2.0561,  # was 2.0928
-    "hw+nested/cold": 10.3999,  # was 10.4663
-    "hw+nested/blk_write": 271,
+    # (a), (c) and (d) per retired instruction, (f) per request: a "was"
+    # as above; a request also costs the disk image's range check and
+    # DMA copy now, and its interrupt no walk of the registry.
+    "bare/interp/cpu_bound": 5.0057,  # was 6.7558
+    "bin-transl/item_walk": 3.0262,  # was 3.0290
+    "bin-transl/compiled_runs": 2.0533,  # was 2.0561
+    "hw+nested/cold": 5.8712,  # was 10.3999
+    "hw+nested/blk_write": 261,  # was 271
     "hw+nested/vblk_write": 187.75,
-    # (g) per case. 18420 when a cold block's extent was read off its
-    # bytes at every probe and the fuzz images were built and compared
-    # through per-entry and per-page Python loops.
-    "fuzz/case": 15426,
+    # (g) per case: a "was" as above (15621 measured then). 18420 when a
+    # cold block's extent was read off its bytes at every probe and the
+    # fuzz images were built and compared through per-entry and per-page
+    # Python loops.
+    "fuzz/case": 11183.35,  # was 15426
 }
 
 ROWS = {label: (virt, mmu, pv) for label, virt, mmu, pv in MODE_MATRIX}
@@ -416,7 +412,7 @@ def _vm(label, source):
 
 def test_bare_interpreter():
     """(a) The reference loop on a bare core, paging off: step, fetch,
-    translate, one or two physmem reads, execute, the row's ``fn``."""
+    translate (real mode), execute, the row's ``fn``."""
     machine = Machine(memory_bytes=GUEST_MEMORY, jit=False)
     image = programs.cpu_bound(ITERATIONS)
     machine.load_program(image)

@@ -90,8 +90,8 @@ def observed(vm, outcome, sent_before=([], [])):
         "outcome": outcome,
         "result": read_diag(vm.guest_mem).user_result,
         "console": vm.devices["console"].text,
-        "disk": vm.devices["block"].read_sectors(0, 64),
-        "vdisk": vm.devices["virtio_blk"].read_sectors(0, 64),
+        "disk": vm.devices["block"].data.read_sectors(0, 64),
+        "vdisk": vm.devices["virtio_blk"].data.read_sectors(0, 64),
         "frames": (sent_before[0] + net, sent_before[1] + vnet),
         "instret": vm.vcpus[0].cpu.instret,
     }
