@@ -26,10 +26,10 @@ None are two values. The options that take one value are compared with
 gives there, which starts with one of ``OPTION_REASONS``.
 
 Only this process is traced: worker processes and the child processes of
-benchmarks/perf are not. So the entry points that take ``--jobs`` run
-with ``--jobs 1``, where the code the workers run runs inline; two small
-``--jobs 2`` forms of what CI runs with ``--jobs 4`` give that option
-its second value (the parent's call carries it).
+benchmarks/perf are not. So ``repro fuzz`` runs with ``--jobs 1``, where
+the code the workers run runs inline; a small ``--jobs 2`` form of what
+CI runs with ``--jobs 4`` gives that option its second value (the
+parent's call carries it).
 
 A function is ``<path under src/repro>:<qualname>``; a name defined twice
 in one module (a property's setter) gets ``#2`` on its second definition.
@@ -261,14 +261,14 @@ ENTRY_POINTS = (
         cli("fuzz", "--replay", os.path.join(ROOT, "tests", "fuzz_corpus"))),
        ("repro fuzz --no-faults --no-events --json",
         cli("fuzz", "--no-faults", "--no-events", "--json")),
-       # ci.yml runs its campaigns and the E8s sweep with --jobs 4 too:
-       # the same code in worker processes, which are not traced, but
-       # the parent's calls carry the value.
+       # ci.yml runs its campaigns with --jobs 4 too: the same code in
+       # worker processes, which are not traced, but the parent's calls
+       # carry the value.
        ("repro fuzz --cases 8 --jobs 2", cli("fuzz", "--cases", "8",
                                             "--jobs", "2")),
-       ("repro run e8s --quick --shards 4 --jobs 2 --json",
-        cli("run", "e8s", "--quick", "--shards", "4", "--jobs", "2",
-            "--json"))]
+       # The shard count is part of an e8s run's identity (README).
+       ("repro run e8s --quick --shards 4 --json",
+        cli("run", "e8s", "--quick", "--shards", "4", "--json"))]
     + [(f"repro boot --mode {m} --workload {w}",
         cli("boot", "--mode", m, "--workload", w))
        for m in MODES for w in WORKLOADS]

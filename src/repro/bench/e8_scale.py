@@ -7,8 +7,7 @@ evacuation, DRS rebalancing, admission control -- over fleets up to
 (:mod:`repro.cluster.coordinator`). The table reports the end state
 per fleet size; ``raw['reports']`` keeps the full
 :class:`ClusterSimReport` per point, including the merged-manifest
-sha256 that the shard-parity CI job byte-compares across ``--jobs``
-values.
+sha256 EXPERIMENTS.md pins.
 """
 
 from typing import Dict
@@ -34,29 +33,27 @@ def _scale_config(fleet_size: int, shards: int, epochs: int) -> ClusterSimConfig
 
 def run_e8_scale(
     shards: int = 8,
-    jobs: int = 1,
     quick: bool = False,
 ) -> ExperimentResult:
     """Sweep fleet sizes through the sharded cluster simulation.
 
     ``shards`` is part of the experiment's identity (it partitions the
-    RNG streams); ``jobs`` is pure mechanism and never changes a byte
-    of the output. ``quick`` shrinks the sweep for CI.
+    RNG streams). ``quick`` shrinks the sweep for CI.
     """
     fleet_sizes = (200, 1000) if quick else (200, 1000, 4000, 10000)
     epochs = 4 if quick else 6
 
     table = Table(
-        f"E8s: sharded cluster simulation (shards={shards}, jobs={jobs}, "
+        f"E8s: sharded cluster simulation (shards={shards}, "
         f"epochs={epochs}, seed={E8S_SEED}{', quick' if quick else ''})",
         ["VMs", "hosts", "alive", "resident", "messages", "faults",
          "balancer moves", "wall s", "manifest sha"],
     )
-    raw: Dict[str, object] = {"reports": {}, "shards": shards, "jobs": jobs}
+    raw: Dict[str, object] = {"reports": {}, "shards": shards}
     last_report = None
     for fleet_size in fleet_sizes:
         config = _scale_config(fleet_size, shards, epochs)
-        report = run_sharded_cluster(config, jobs=jobs, experiment="E8s")
+        report = run_sharded_cluster(config, experiment="E8s")
         raw["reports"][fleet_size] = report
         last_report = report
         metrics = report.manifest["metrics"]
@@ -79,8 +76,7 @@ def run_e8_scale(
 
     result = ExperimentResult(
         "E8s", table, raw=raw,
-        # The largest point's merged manifest stands for the run; the
-        # parity job byte-compares it across --jobs values.
+        # The largest point's merged manifest stands for the run.
         manifest_data=last_report.manifest if last_report else None,
     )
     return result

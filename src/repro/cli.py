@@ -60,9 +60,8 @@ EXPERIMENTS: Dict[str, Callable] = {
 #: Experiments accepting a ``quick`` kwarg (smaller, CI-friendly run).
 QUICK_AWARE = {"e10", "e10c", "e7c", "e8s"}
 
-#: Experiments accepting ``shards``/``jobs`` kwargs. The shard count is
-#: part of the experiment identity (it partitions the RNG streams);
-#: ``jobs`` never changes any experiment's output.
+#: Experiments accepting a ``shards`` kwarg. The shard count is part of
+#: the experiment identity (it partitions the RNG streams).
 SHARD_AWARE = {"e8s"}
 
 #: Default fault-schedule rate for fuzz campaigns (see --no-faults).
@@ -112,11 +111,8 @@ def _cmd_run(args) -> int:
         kwargs = {}
         if getattr(args, "quick", False) and key in QUICK_AWARE:
             kwargs["quick"] = True
-        if key in SHARD_AWARE:
-            if getattr(args, "shards", None):
-                kwargs["shards"] = args.shards
-            if getattr(args, "jobs", None):
-                kwargs["jobs"] = args.jobs
+        if key in SHARD_AWARE and getattr(args, "shards", None):
+            kwargs["shards"] = args.shards
         if profiler is not None:
             profiler.enable()
         result = fn(**kwargs)
@@ -287,13 +283,6 @@ def main(argv: List[str]) -> int:
     run_p.add_argument("--shards", type=int, default=None,
                        help="e8s only: shard count, part of the run's "
                             "identity")
-    run_p.add_argument("--jobs", type=int, default=None,
-                       help="e8s only: worker processes; results are "
-                            "independent of this, and it does not pay "
-                            "yet: each epoch "
-                            "pickles every shard both ways, a fixed "
-                            "+0.2-0.5 s on e8s's 4,000-10,000 VM "
-                            "points (default 1)")
 
     boot_p = sub.add_parser("boot", help="boot NanoOS with a workload")
     boot_p.add_argument("--mode", default="hw-nested")

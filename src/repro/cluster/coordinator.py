@@ -5,9 +5,8 @@ partitioned into :class:`ShardState` shards; each shard owns a private
 clock, a private RNG stream forked from the run seed, a private fault
 injector (seeded via :meth:`FaultPlan.for_shard`), and a private
 metrics registry. An epoch advances every shard independently --
-demand jitter, crash polling, per-host performance evaluation -- so
-shards fan out across worker processes via
-:class:`repro.sim.shard.ShardExecutor`.
+demand jitter, crash polling, per-host performance evaluation -- and
+the shards run one after another in this process.
 
 Everything global happens single-threaded at the **epoch barrier**:
 the coordinator receives :class:`HostSummary` snapshots plus
@@ -20,10 +19,7 @@ the *next* barrier.
 
 Determinism contract (tested in ``tests/test_cluster_sharded.py``):
 
-* the epoch step is a pure function of ``(shard state, epoch, inbox)``,
-  so worker scheduling cannot leak into results -- for a fixed shard
-  count the merged manifest is byte-identical for ``jobs=1`` and
-  ``jobs=N``;
+* the epoch step is a pure function of ``(shard state, epoch, inbox)``;
 * ``shards=1`` runs the identical code inline with one shard and
   reproduces the single-process results exactly;
 * changing the shard *count* legitimately changes results (it
@@ -61,7 +57,6 @@ from repro.obs.manifest import (
 from repro.obs.registry import MetricsRegistry
 from repro.sim.shard import (
     COORDINATOR,
-    ShardExecutor,
     ShardMessage,
     route_messages,
 )
@@ -339,21 +334,16 @@ class ClusterSimReport:
     """Outcome of one sharded run.
 
     ``manifest`` is the finalized merged manifest -- a pure function
-    of the configuration, so its ``sha256`` is comparable across
-    ``--jobs`` values. Wall-clock timing lives *outside* the manifest
-    (``wall_s``) for exactly that reason.
+    of the configuration, so its ``sha256`` is comparable run to run.
+    Wall-clock timing lives *outside* the manifest (``wall_s``) for
+    exactly that reason.
     """
 
     config: ClusterSimConfig
-    jobs: int
     manifest: Dict[str, object]
     sha256: str
     stats: Dict[str, object]
     wall_s: float = 0.0
-
-    @property
-    def bytes(self) -> bytes:
-        return manifest_bytes(self.manifest)
 
 
 def _build_shards(config: ClusterSimConfig) -> List[ShardState]:
@@ -414,7 +404,12 @@ def _build_shards(config: ClusterSimConfig) -> List[ShardState]:
 
 def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
                         experiment: Optional[str] = None) -> ClusterSimReport:
-    """Run the epoch-barrier loop and merge per-shard manifests."""
+    """Run the epoch-barrier loop and merge per-shard manifests.
+
+    The shards of an epoch run inline, in shard order. ``jobs`` (>= 1)
+    is accepted and ignored: callers written for the worker pool, which
+    never beat one process, still pass it.
+    """
     config.validate()
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
@@ -432,110 +427,108 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
     arrivals_index = 0
 
     inboxes: List[List[ShardMessage]] = [[] for _ in range(shards)]
-    with ShardExecutor(jobs=jobs) as executor:
-        for epoch in range(config.epochs):
-            tasks = [(states[s], epoch, tuple(inboxes[s]))
-                     for s in range(shards)]
-            results = executor.map(run_cluster_shard_epoch, tasks)
-            states = [r[0] for r in results]
-            barrier_time = (epoch + 1) * EPOCH_US
+    for epoch in range(config.epochs):
+        results = [run_cluster_shard_epoch((states[s], epoch, tuple(inboxes[s])))
+                   for s in range(shards)]
+        states = [r[0] for r in results]
+        barrier_time = (epoch + 1) * EPOCH_US
 
-            outgoing: List[ShardMessage] = []
-            for _state, _summaries, msgs in results:
-                outgoing.extend(msgs)
-            _inboxes, evac_msgs = route_messages(outgoing, shards)
-            # Shards never message each other directly today; every
-            # shard-originated message is an evacuation to us.
-            for shard_inbox in _inboxes:
-                if shard_inbox:
-                    raise ConfigError("unexpected direct shard-to-shard "
-                                      "message")
+        outgoing: List[ShardMessage] = []
+        for _state, _summaries, msgs in results:
+            outgoing.extend(msgs)
+        _inboxes, evac_msgs = route_messages(outgoing, shards)
+        # Shards never message each other directly today; every
+        # shard-originated message is an evacuation to us.
+        for shard_inbox in _inboxes:
+            if shard_inbox:
+                raise ConfigError("unexpected direct shard-to-shard "
+                                  "message")
 
-            work: List[_BarrierHost] = []
-            for result in results:
-                work.extend(_BarrierHost(s) for s in result[1])
-            by_name = {h.name: h for h in work}
+        work: List[_BarrierHost] = []
+        for result in results:
+            work.extend(_BarrierHost(s) for s in result[1])
+        by_name = {h.name: h for h in work}
 
-            decisions: List[ShardMessage] = []
+        decisions: List[ShardMessage] = []
 
-            def send(kind: str, dst_shard: int, payload: Tuple) -> None:
-                nonlocal coord_seq
-                coord_seq += 1
-                decisions.append(ShardMessage(
-                    time=barrier_time, src_shard=COORDINATOR,
-                    seq=coord_seq, kind=kind, dst_shard=dst_shard,
-                    payload=payload))
+        def send(kind: str, dst_shard: int, payload: Tuple) -> None:
+            nonlocal coord_seq
+            coord_seq += 1
+            decisions.append(ShardMessage(
+                time=barrier_time, src_shard=COORDINATOR,
+                seq=coord_seq, kind=kind, dst_shard=dst_shard,
+                payload=payload))
 
-            # 1. Evacuation re-placement: stranded VMs (this barrier's
-            # plus any still pending) go worst-fit onto survivors.
-            stranded = pending_evac + [m.payload[0] for m in evac_msgs]
-            pending_evac = []
-            coord.counter("evac.requests").inc(len(evac_msgs))
-            for vm in stranded:
-                candidates = [h for h in work if h.fits(vm)]
-                if candidates:
-                    target = max(candidates,
-                                 key=lambda h: (h.memory_free, h.name))
-                    target.add(vm)
-                    send("arrive", target.shard, (vm, target.name))
-                    coord.counter("evac.replaced").inc()
-                else:
-                    pending_evac.append(vm)
-                    coord.counter("evac.deferred").inc()
-
-            # 2. Rebalancing: the DRS greedy over summaries; each move
-            # becomes a depart/arrive pair delivered next epoch.
-            for move in plan_rebalance([h.summary() for h in work]):
-                src, dst = by_name[move.src], by_name[move.dst]
-                src.drop(move.vm.name)
-                dst.add(move.vm)
-                send("depart", move.src_shard, (move.vm.name, move.src))
-                send("arrive", move.dst_shard, (move.vm, move.dst))
-                coord.counter("balancer.moves").inc()
-                coord.counter("balancer.moved_bytes").inc(
-                    move.vm.memory_bytes)
-
-            # 3. Admission: new arrivals clear a summary-level N+R
-            # reserve check before they are placed first-fit.
-            for _ in range(config.arrivals_per_epoch):
-                klass: VMClass = DEFAULT_CATALOGUE[
-                    coord_rng.sample_zipf(len(DEFAULT_CATALOGUE))]
-                vm = VMSpec(name=f"new-{arrivals_index:04d}",
-                            cpu_demand=klass.cpu_demand,
-                            memory_bytes=klass.memory_bytes,
-                            interactive=klass.interactive)
-                arrivals_index += 1
-                target = next((h for h in work if h.fits(vm)), None)
-                if target is None:
-                    coord.counter("admission.rejected.capacity").inc()
-                    continue
+        # 1. Evacuation re-placement: stranded VMs (this barrier's
+        # plus any still pending) go worst-fit onto survivors.
+        stranded = pending_evac + [m.payload[0] for m in evac_msgs]
+        pending_evac = []
+        coord.counter("evac.requests").inc(len(evac_msgs))
+        for vm in stranded:
+            candidates = [h for h in work if h.fits(vm)]
+            if candidates:
+                target = max(candidates,
+                             key=lambda h: (h.memory_free, h.name))
                 target.add(vm)
-                if not _reserve_satisfied(work):
-                    target.drop(vm.name)
-                    coord.counter("admission.rejected.reserve").inc()
-                    continue
                 send("arrive", target.shard, (vm, target.name))
-                coord.counter("admission.accepted").inc()
+                coord.counter("evac.replaced").inc()
+            else:
+                pending_evac.append(vm)
+                coord.counter("evac.deferred").inc()
 
-            # 4. Consolidation floor: the cheap capacity lower bound
-            # (FFD planning is O(V*H) -- far too hot for a 10k-VM
-            # barrier; the bound is what the periodic report needs).
-            if (epoch + 1) % CONSOLIDATION_EVERY == 0:
-                vms = [vm for h in work for vm in h.vms.values()]
-                if vms:
-                    mem_lb = math.ceil(sum(v.memory_bytes for v in vms)
-                                       / DEFAULT_HOST_SPEC.memory_bytes)
-                    cpu_lb = math.ceil(sum(v.cpu_demand for v in vms)
-                                       / (DEFAULT_HOST_SPEC.cpu_capacity
-                                          * CPU_OVERCOMMIT))
-                    coord.gauge("consolidation.lower_bound_hosts").set(
-                        max(mem_lb, cpu_lb))
-                    coord.counter("consolidation.estimates").inc()
+        # 2. Rebalancing: the DRS greedy over summaries; each move
+        # becomes a depart/arrive pair delivered next epoch.
+        for move in plan_rebalance([h.summary() for h in work]):
+            src, dst = by_name[move.src], by_name[move.dst]
+            src.drop(move.vm.name)
+            dst.add(move.vm)
+            send("depart", move.src_shard, (move.vm.name, move.src))
+            send("arrive", move.dst_shard, (move.vm, move.dst))
+            coord.counter("balancer.moves").inc()
+            coord.counter("balancer.moved_bytes").inc(
+                move.vm.memory_bytes)
 
-            messages_total += len(outgoing) + len(decisions)
-            inboxes, leftover = route_messages(decisions, shards)
-            if leftover:
-                raise ConfigError("coordinator addressed itself")
+        # 3. Admission: new arrivals clear a summary-level N+R
+        # reserve check before they are placed first-fit.
+        for _ in range(config.arrivals_per_epoch):
+            klass: VMClass = DEFAULT_CATALOGUE[
+                coord_rng.sample_zipf(len(DEFAULT_CATALOGUE))]
+            vm = VMSpec(name=f"new-{arrivals_index:04d}",
+                        cpu_demand=klass.cpu_demand,
+                        memory_bytes=klass.memory_bytes,
+                        interactive=klass.interactive)
+            arrivals_index += 1
+            target = next((h for h in work if h.fits(vm)), None)
+            if target is None:
+                coord.counter("admission.rejected.capacity").inc()
+                continue
+            target.add(vm)
+            if not _reserve_satisfied(work):
+                target.drop(vm.name)
+                coord.counter("admission.rejected.reserve").inc()
+                continue
+            send("arrive", target.shard, (vm, target.name))
+            coord.counter("admission.accepted").inc()
+
+        # 4. Consolidation floor: the cheap capacity lower bound
+        # (FFD planning is O(V*H) -- far too hot for a 10k-VM
+        # barrier; the bound is what the periodic report needs).
+        if (epoch + 1) % CONSOLIDATION_EVERY == 0:
+            vms = [vm for h in work for vm in h.vms.values()]
+            if vms:
+                mem_lb = math.ceil(sum(v.memory_bytes for v in vms)
+                                   / DEFAULT_HOST_SPEC.memory_bytes)
+                cpu_lb = math.ceil(sum(v.cpu_demand for v in vms)
+                                   / (DEFAULT_HOST_SPEC.cpu_capacity
+                                      * CPU_OVERCOMMIT))
+                coord.gauge("consolidation.lower_bound_hosts").set(
+                    max(mem_lb, cpu_lb))
+                coord.counter("consolidation.estimates").inc()
+
+        messages_total += len(outgoing) + len(decisions)
+        inboxes, leftover = route_messages(decisions, shards)
+        if leftover:
+            raise ConfigError("coordinator addressed itself")
 
     coord.counter("evac.unplaced_at_end").inc(len(pending_evac))
     coord_registry.clock.set(config.epochs * EPOCH_US)
@@ -559,6 +552,6 @@ def run_sharded_cluster(config: ClusterSimConfig, jobs: int = 1,
         "evac_unplaced": len(pending_evac),
     }
     return ClusterSimReport(
-        config=config, jobs=jobs, manifest=manifest,
+        config=config, manifest=manifest,
         sha256=hashlib.sha256(payload).hexdigest(), stats=stats,
         wall_s=_time.monotonic() - started)

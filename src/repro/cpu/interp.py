@@ -17,8 +17,9 @@ With ``controls=None`` the core is exactly a bare machine; this is the
 :meth:`CPUCore.run` executes compiled blocks (:mod:`repro.cpu.jit`)
 under every MMU and every controls record: a block spells out ALU,
 memory and branch instructions only and *calls* :meth:`CPUCore.system`
-for the system instruction that ends it, so each intercept is still
-tested in :meth:`CPUCore.trap` / :meth:`CPUCore.system`. With
+for a system instruction (the one that ends it, or port I/O), so each
+intercept is still tested in :meth:`CPUCore.trap` /
+:meth:`CPUCore.system`. With
 ``jit_enabled = False`` the same loop steps every instruction:
 :meth:`CPUCore.step` is the oracle.
 
@@ -630,7 +631,7 @@ class CPUCore:
                     cold_pc = -1  # an unwind ends the run
                     ins = step()
                     nxt = self.pc
-                    if (left > 1 and ins is not None and ins.op <= LAST_MEM_OP and nxt not in heating
+                    if (left > 1 and ins is not None and not ins.ends_block and nxt not in heating
                             and nxt == pc + ins.length and nxt >> 12 == pc >> 12):
                         cold_pc, left = nxt, left - 1
                     continue

@@ -349,6 +349,11 @@ class Instruction:
     user_traps: bool = _derived()
     user_ignored: bool = _derived()
     stores: bool = _derived()  # it is in STORE_OPS
+    #: A compiled block ends after it: a branch, or a system instruction
+    #: other than port I/O (OUT/IN, the ``port`` forms), after which a
+    #: block goes on if the run loop's top would (DESIGN.md "What ends a
+    #: block").
+    ends_block: bool = _derived()
 
     def __post_init__(self):
         spec = OPS[self.op]
@@ -359,6 +364,7 @@ class Instruction:
             user_traps=is_privileged(self.op, self.simm12 & 0xFFF),
             user_ignored=spec.klass == SENSITIVE,
             stores="[ra+simm]" in spec.slots and "rb" in spec.slots,
+            ends_block=self.op > LAST_MEM_OP and "port" not in spec.slots,
         )
 
 

@@ -32,12 +32,13 @@ DESIGN.md, "JIT memory fast path"):
   dispatcher publishes on the core (``_loop_stop`` / ``_cycle_stop``).
 
 One compiler serves every MMU (bare, shadow, two-stage) and every
-controls record: a system instruction ends its block, which commits the
-boundary and calls ``CPUCore.system`` / ``trap`` with the instruction
-already decoded, so intercepts are tested where the interpreter tests
-them, and the MMU is reached through ``translate`` plus the three
-dispatcher facts on ``MMUBase`` (DESIGN.md, "Compiled execution under a
-VMM"). Compilation is paid for by a process-wide cache of code objects
+controls record: at a system instruction the block commits the boundary
+and calls ``CPUCore.system`` / ``trap`` with the instruction already
+decoded, so intercepts are tested where the interpreter tests them;
+only after port I/O does the block go on, while every test of the run
+loop's top still would. The MMU is reached through ``translate`` plus
+the three dispatcher facts on ``MMUBase`` (DESIGN.md, "Compiled
+execution under a VMM"). Compilation is paid for by a process-wide cache of code objects
 and a hotness tier counted per block entry (``_block_code``,
 ``BlockJIT._block_at``).
 
@@ -204,9 +205,12 @@ def _emit_block(
     """Generate and compile one block's closure factory.
 
     ``items`` is a list of (instruction, va) in which only the last may
-    be a branch or a system instruction; the cycle/instret/trap
+    end a block (``Instruction.ends_block``); the cycle/instret/trap
     semantics produced are bit-identical to the reference path
-    (``CPUCore.step``).
+    (``CPUCore.step``). A port instruction before the last commits its
+    boundary, runs as a terminator would, and goes on only while every
+    test of the run loop's top still would (DESIGN.md "What ends a
+    block").
     ``paging`` says fetches and data accesses go through the TLB
     (``mmu.tlb_active``): fetch hits are then counted and charged.
     ``bare`` says the MMU is the plain hardware one (``BareMMU``): only
@@ -223,8 +227,12 @@ def _emit_block(
     hit_c = costs.tlb_hit_cycles
 
     pre = [0]
-    for ins, _va in items:
+    # Port I/O the block goes on after: its guards read the mode, the
+    # epoch and the code page's entry the block was entered under.
+    has_io = False
+    for k, (ins, _va) in enumerate(items):
         pre.append(pre[-1] + _item_const_cycles(costs, ins, fetch_c))
+        has_io = has_io or k < n - 1 and ins.op > LAST_BRANCH_OP
 
     mem_indices = [
         k for k, (ins, _va) in enumerate(items) if ins.op in MEM_OPS
@@ -280,10 +288,12 @@ def _emit_block(
         src.emit(1, "te = cpu.mmu.tlb")
         src.emit(1, "st = te.stats")
         src.emit(1, "mv = te._entries.move_to_end")
-        if has_mem:
+        if has_mem or has_io:
             src.emit(1, "eg = te.entry_get")
-    if smc_check:
+    if smc_check or has_io:
         src.emit(1, "j0 = _jw[0]")
+    if has_io:
+        src.emit(1, "_m = cpu.csr[0]")
     if has_mem:
         if via_tr:
             src.emit(1, "mmu = cpu.mmu")
@@ -301,11 +311,12 @@ def _emit_block(
             src.emit(1, "r8 = pm.read_u8")
         if Op.STB in ops_used:
             src.emit(1, "w8 = pm.write_u8")
-    if fast_mem:
+    if fast_mem or paging and has_io:
         # Entry guards: snapshot the code page's cached PTE (every fetch
         # in the block must keep hitting exactly this translation) and
         # drop the site caches if the privilege mode changed since fill.
         src.emit(1, f"cpte = eg({vpn})")
+    if fast_mem:
         src.emit(1, "if u is not _ic[0]:")
         src.emit(2, "_ic[1:] = _ICR")
         src.emit(2, "_ic[0] = u")
@@ -331,6 +342,12 @@ def _emit_block(
         src.emit(depth, "_h = 0")
     if guarded:
         src.emit(depth, "_n = -1")
+    # The fetch hits a handler commits are counted from the last port
+    # instruction the block went on after (``base``, statically).
+    hits_base = guarded and paging and has_io
+    if hits_base:
+        src.emit(depth, "_g = 0")
+    base = 0  # items committed by the last port instruction emitted
 
     def counters(d: int, j: int, mv_mode: Optional[str]) -> None:
         """Commit cycles/instret (+TLB fetch stats) at boundary ``j``
@@ -340,14 +357,14 @@ def _emit_block(
             src.emit(d, f"cpu.cycles = c0 + {pre[j]} + mc{hits_extra}")
             src.emit(d, f"cpu.instret = i0 + {j}")
         else:
-            src.emit(d, f"cpu.cycles += {pre[j]}")
-            src.emit(d, f"cpu.instret += {j}")
+            src.emit(d, f"cpu.cycles += {pre[j] - pre[base]}")
+            src.emit(d, f"cpu.instret += {j - base}")
         if paging:
             if fast_mem:
-                src.emit(d, f"st.hits += {j} + _h")
+                src.emit(d, f"st.hits += {j - base} + _h")
                 src.emit(d, "_ich[0] += _h")
             else:
-                src.emit(d, f"st.hits += {j}")
+                src.emit(d, f"st.hits += {j - base}")
             if mv_mode == "plain":
                 src.emit(d, f"mv({vpn})")
             elif mv_mode == "guarded":
@@ -524,27 +541,72 @@ def _emit_block(
             continue
 
         if op > LAST_BRANCH_OP:
-            # Ends the block: commit the boundary as before a branch,
-            # then what CPUCore.execute does after fetch. Block keys
-            # carry no mode, so privilege is a run-time test.
-            counters(depth, n, "plain" if paging else None)
+            # Commit the boundary as before a branch, then what
+            # CPUCore.execute does after fetch. Block keys carry no
+            # mode, so privilege is a run-time test.
+            counters(depth, k + 1, "plain" if paging else None)
             src.emit(depth, f"cpu.pc = {va}")
             if guarded:
                 src.emit(depth, "_n = -1")  # as for DIV0: ours no more
-            user = ""  # what user mode does instead: trap, or ignore it
-            if ins.user_traps:
-                user = f"cpu.trap(_PRIV, {int(op)}, {va}, _T)"
-            elif ins.user_ignored:
-                user = f"cpu.pc = {nxt}"
-            if user:
-                src.emit(depth, "if cpu.csr[0] == 1:")
-                src.emit(depth + 1, user)
-                src.emit(depth + 1, "return")
-            if ins.extra:
-                src.emit(depth, f"cpu.cycles += {getattr(costs, ins.extra)}")
+            t = f"_I[{k}]"
             # An exit is a call that returns here (a "no" unwinds).
-            src.emit(depth, f"cpu.system(cpu, cpu.controls, _T, _T.op, {va}, {nxt})")
-            src.emit(depth, "return")
+            arm = [f"cpu.system(cpu, cpu.controls, {t}, {t}.op, {va}, {nxt})"]
+            if ins.extra:
+                arm.insert(0, f"cpu.cycles += {getattr(costs, ins.extra)}")
+            if ins.ends_block or last:
+                user = ""  # what user mode does instead: trap, or ignore it
+                if ins.user_traps:
+                    user = f"cpu.trap(_PRIV, {int(op)}, {va}, {t})"
+                elif ins.user_ignored:
+                    user = f"cpu.pc = {nxt}"
+                if user:
+                    src.emit(depth, "if cpu.csr[0] == 1:")
+                    src.emit(depth + 1, user)
+                    src.emit(depth + 1, "return")
+                for line in arm:
+                    src.emit(depth, line)
+                src.emit(depth, "return")
+                continue
+            # Port I/O: the same arms, then on only where the run loop's
+            # top would be. Under a translator a user-mode one is always
+            # reflected into the guest's kernel, which that top stops at.
+            src.emit(depth, "if _m == 1:")
+            src.emit(depth + 1, f"cpu.trap(_PRIV, {int(op)}, {va}, {t})")
+            src.emit(depth + 1, "if cpu.translator is not None:")
+            src.emit(depth + 2, "return")
+            src.emit(depth, "else:")
+            for line in arm:
+                src.emit(depth + 1, line)
+            stop = [f"cpu.pc != {nxt}", "cpu.csr[0] != _m", "cpu.halted",
+                    "cpu.csr[3] and cpu.pending_irqs", "_jw[0] != j0"]  # csr 3: IE
+            if paging:
+                stop.append(f"eg({vpn}) != cpte")
+            stop += [f"cpu.instret + {n - k - 1} > cpu._loop_stop",
+                     "cpu.cycles + _W >= cpu._cycle_stop"]
+            src.emit(depth, f"if {' or '.join(stop)}:")
+            src.emit(depth + 1, "return")
+            if not paging and not bare:
+                # Shadow real mode: the host may have re-backed the frame.
+                src.emit(depth, "try:")
+                src.emit(depth + 1,
+                         f"if cpu.mmu.real_pa({nxt}) != _pa + {nxt - items[0][1]}:")
+                src.emit(depth + 2, "return")
+                src.emit(depth, "except _RX:")
+                src.emit(depth + 1, "return")
+            base = k + 1
+            if snapshot:
+                src.emit(depth, f"c0 = cpu.cycles - {pre[base]}")
+                src.emit(depth, f"i0 = cpu.instret - {base}")
+                src.emit(depth, "mc = 0")
+            if fast_mem:
+                src.emit(depth, "_h = 0")
+            if need_fwd:
+                src.emit(depth, "_lp = -1")  # the service may have touched the TLB
+            if hits_base:
+                src.emit(depth, f"_g = {base}")
+            if selfloop:
+                src.emit(depth, "_is = cpu._loop_stop")
+                src.emit(depth, "_cs = cpu._cycle_stop")
             continue
 
         # Pure ALU / moves.
@@ -583,11 +645,12 @@ def _emit_block(
             src.emit(2, f"cpu.cycles = c0 + _P[_n + 1] + mc{hits_extra}")
             src.emit(2, f"cpu.instret = i0 + {retired}")
             if paging:
+                hits = "_n + 1 - _g" if hits_base else "_n + 1"
                 if fast_mem:
-                    src.emit(2, "st.hits += _n + 1 + _h")
+                    src.emit(2, f"st.hits += {hits} + _h")
                     src.emit(2, "_ich[0] += _h")
                 else:
-                    src.emit(2, "st.hits += _n + 1")
+                    src.emit(2, f"st.hits += {hits}")
                 src.emit(2, f"if {vpn} in te._entries:")
                 src.emit(3, f"mv({vpn})")
             src.emit(2, "cpu.pc = _V[_n]")
@@ -598,7 +661,7 @@ def _emit_block(
     # Everything per core arrives as an argument of the factory; the
     # module namespace holds only what every instance can share.
     make = _Src()
-    make.emit(0, "def _make(_jw, _ich, _W):")
+    make.emit(0, "def _make(_jw, _ich, _W, _pa=0):")
     if fast_mem:
         # [mode, site0_vpn, site0_pte, site0_base, site1_vpn, ...]
         make.emit(1, f"_ic = [False] + [-1, 0, 0] * {len(mem_indices)}")
@@ -608,7 +671,6 @@ def _emit_block(
         "_P": tuple(pre),
         "_V": tuple(va for _, va in items),
         "_I": tuple(ins for ins, _ in items),
-        "_T": last_ins,
         "_PF": PageFault,
         "_VX": VMExit,
         "_AW": AccessType.WRITE,
@@ -617,6 +679,7 @@ def _emit_block(
         "_PFR": Cause.PF_READ,
         "_DIV0": Cause.DIV0,
         "_PRIV": Cause.PRIV,
+        "_RX": (MemoryError_, VMExit),
         "_ICR": (-1, 0, 0) * len(mem_indices),
     }
     exec(compile(make.text(), "<pyvisor-jit>", "exec"), ns)  # noqa: S102
@@ -849,9 +912,10 @@ class BlockJIT:
 
     def _compile(self, key, pa: int, va: int, paging: bool, head) -> Tuple:
         """Build, cache and return the block at ``(pa, va)``. What ends
-        a block: the first branch or system instruction (an op past
-        ``LAST_MEM_OP``), ``MAX_BLOCK_INSTRUCTIONS``, the page (one that
-        straddles it is the interpreter's) and an undecodable word."""
+        a block: the first instruction that ``ends_block`` (a branch or a
+        system instruction other than OUT/IN), ``MAX_BLOCK_INSTRUCTIONS``,
+        the page (one that straddles it is the interpreter's) and an
+        undecodable word."""
         read_u32 = self.physmem.read_u32
         items: List[Tuple[Instruction, int]] = []
         blk: Tuple = ()  # nothing here compiles
@@ -866,7 +930,7 @@ class BlockJIT:
                 ins = decode(word, read_u32(pa + off + 4) if length == 8 else 0)
                 items.append((ins, va + off))
                 off += length
-                if ins.op > LAST_MEM_OP:
+                if ins.ends_block:
                     break
         except DecodeError:
             pass  # undecodable tail: the block ends before it
@@ -878,7 +942,7 @@ class BlockJIT:
             # What the block charges if every access walks: the
             # dispatcher's test that it fits a cycle budget.
             worst = static_cycles + mem_ops * self.mmu.translate_bound
-            blk = (make(self._epoch_cell, self._ic_cell, worst), len(items), worst)
+            blk = (make(self._epoch_cell, self._ic_cell, worst, pa), len(items), worst)
             self.blocks_compiled += 1
         self._blocks[key] = blk
         pfn = pa >> 12

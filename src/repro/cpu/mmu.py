@@ -71,63 +71,36 @@ GSTAGE_STALL_REFS = 8
 
 
 class MMUBase:
-    """Abstract translation interface used by :class:`CPUCore`, which
-    takes hits on ``tlb`` itself: ``translate`` inserts only after a walk
-    with :attr:`tlb_active` True, so while it is False the TLB is empty."""
+    """What :class:`CPUCore` and the block compiler's dispatcher ask of
+    an MMU. Every subclass provides all of it:
+
+    * ``tlb``, which the CPU probes itself; ``translate`` inserts only
+      after a walk with ``tlb_active`` True, so while it is False the TLB
+      is empty.
+    * ``translate(va, access, user) -> (pa, cycles)`` on a TLB miss of a
+      fetch, load or store; it may raise PageFault or VMExit.
+    * ``set_root(root_pa)`` (CSRW PTBR), ``invlpg(va)`` (INVLPG) and
+      ``flush()`` (the whole TLB).
+    * ``tlb_active``: is the TLB in front of instruction fetches right
+      now? True: a fetch probes ``tlb``, and a compiled block is valid
+      only while the entry it was dispatched under is still cached.
+      False ("real mode"): fetches bypass the TLB, and ``real_pa(pc)``
+      names the code's physical address (side-effect free; it raises
+      where a fetch would).
+    * ``translate_bound``: an upper bound on the cycles one successful
+      ``translate`` returns. The dispatcher admits a block under a cycle
+      budget only when every access in it could be this slow and still
+      fit.
+    """
 
     tlb: TLB
-
-    def translate(self, va: int, access: AccessType, user: bool) -> Tuple[int, int]:
-        """Translate ``va``; return (pa, cycles). May raise PageFault/VMExit."""
-        raise NotImplementedError
-
-    def set_root(self, root_pa: int) -> None:
-        """Install a new page-table base (CSRW PTBR)."""
-        raise NotImplementedError
-
-    def invlpg(self, va: int) -> None:
-        """Invalidate one TLB entry (INVLPG)."""
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Invalidate the whole TLB."""
-        raise NotImplementedError
-
-    # -- what the block compiler's dispatcher asks ---------------------------
-
-    @property
-    def tlb_active(self) -> bool:
-        """Is the TLB in front of instruction fetches right now?
-
-        True: a fetch probes ``self.tlb`` and a compiled block is valid
-        only while the entry it was dispatched under is still cached.
-        False ("real mode"): fetches bypass the TLB and
-        :meth:`real_pa` names the code's physical address.
-        """
-        raise NotImplementedError
-
-    def real_pa(self, pc: int) -> int:
-        """Physical address of ``pc`` while :attr:`tlb_active` is False.
-
-        Side-effect free; raises where a fetch would.
-        """
-        raise NotImplementedError
-
-    @property
-    def translate_bound(self) -> int:
-        """Upper bound on the cycles one successful ``translate`` returns.
-
-        The dispatcher admits a block under a cycle budget only when
-        every access in it could be this slow and still fit.
-        """
-        raise NotImplementedError
 
 
 class BareMMU(MMUBase):
     """Directly walks the page tables named by the current root.
 
     This is "the hardware MMU": a TLB in front of a 2-level walker.
-    With ``paging_enabled`` False (reset state, before the kernel loads
+    With ``tlb_active`` False (reset state, before the kernel loads
     PTBR) addresses pass through untranslated, which is how boot code
     runs before enabling paging.
     """
@@ -138,10 +111,12 @@ class BareMMU(MMUBase):
         self.walker = PageTableWalker(physmem)
         self.tlb = TLB(TLB_ENTRIES)
         self.root_pa = 0
-        self.paging_enabled = False
+        #: Paging is on (a plain attribute: the dispatcher reads it at
+        #: every block dispatch).
+        self.tlb_active = False
 
     def translate(self, va: int, access: AccessType, user: bool) -> Tuple[int, int]:
-        if not self.paging_enabled:
+        if not self.tlb_active:
             return va & 0xFFFFFFFF, 0
         va &= 0xFFFFFFFF
         vpn = va >> PAGE_SHIFT
@@ -152,10 +127,6 @@ class BareMMU(MMUBase):
         self.tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 
-    @property
-    def tlb_active(self) -> bool:
-        return self.paging_enabled
-
     def real_pa(self, pc: int) -> int:
         return pc & 0xFFFFFFFF
 
@@ -165,7 +136,7 @@ class BareMMU(MMUBase):
 
     def set_root(self, root_pa: int) -> None:
         self.root_pa = root_pa & ~0xFFF
-        self.paging_enabled = True
+        self.tlb_active = True
         self.tlb.flush()
 
     def invlpg(self, va: int) -> None:

@@ -27,7 +27,6 @@ from repro.sim.link import NetworkLink, TransferResult
 from repro.sim.shard import (
     COORDINATOR,
     ShardMessage,
-    ShardExecutor,
     route_messages,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "TransferResult",
     "COORDINATOR",
     "ShardMessage",
-    "ShardExecutor",
     "route_messages",
 ]

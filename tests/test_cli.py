@@ -64,8 +64,7 @@ def test_boot_bad_arguments(capsys):
 
 
 def test_run_e8s_sharded_json(capsys):
-    assert main(["run", "e8s", "--quick", "--shards", "2", "--jobs", "2",
-                 "--json"]) == 0
+    assert main(["run", "e8s", "--quick", "--shards", "2", "--json"]) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["schema"] == "pyvisor.metrics.manifest/1"
     assert manifest["experiment"] == "E8s"
@@ -74,9 +73,9 @@ def test_run_e8s_sharded_json(capsys):
 
 
 def test_run_shard_flags_ignored_for_unaware_experiments(capsys):
-    # --shards/--jobs only reach shard-aware experiments; others run as
+    # --shards only reaches shard-aware experiments; others run as
     # before.
-    assert main(["run", "e5", "--shards", "4", "--jobs", "2"]) == 0
+    assert main(["run", "e5", "--shards", "4"]) == 0
     assert "E5a" in capsys.readouterr().out
 
 

@@ -16,6 +16,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.host import Host, HostSpec, VMSpec
 from repro.faults.injector import FaultInjector, FaultPlan, FaultSpec
+from repro.obs.manifest import manifest_bytes
 from repro.sim.shard import COORDINATOR, ShardMessage
 from repro.util.errors import ConfigError
 from repro.util.units import GIB
@@ -26,10 +27,11 @@ CFG = ClusterSimConfig(fleet_size=80, shards=4, epochs=4, seed=11,
 
 
 def test_jobs_invariance_byte_identical():
-    # The tentpole invariant: fixed shards, any jobs -> same bytes.
+    # ``jobs`` is accepted (the frozen benchmark passes it) and changes
+    # no byte: the shards run inline whatever it says.
     r1 = run_sharded_cluster(CFG, jobs=1)
     r2 = run_sharded_cluster(CFG, jobs=4)
-    assert r1.bytes == r2.bytes
+    assert manifest_bytes(r1.manifest) == manifest_bytes(r2.manifest)
     assert r1.sha256 == r2.sha256
     assert r1.stats == r2.stats
 
@@ -37,8 +39,8 @@ def test_jobs_invariance_byte_identical():
 def test_single_shard_reproducible():
     cfg = ClusterSimConfig(fleet_size=60, shards=1, epochs=3, seed=5,
                            crash_rate=0.05)
-    assert (run_sharded_cluster(cfg, jobs=1).bytes
-            == run_sharded_cluster(cfg, jobs=1).bytes)
+    assert (manifest_bytes(run_sharded_cluster(cfg, jobs=1).manifest)
+            == manifest_bytes(run_sharded_cluster(cfg, jobs=1).manifest))
 
 
 def test_shard_count_is_part_of_identity():
@@ -142,8 +144,6 @@ E8S_SHAS = {200: "ac912e0f7ff7", 1000: "80f26952a123",
 def test_e8s_manifest_shas_are_pinned():
     reports = run_e8_scale().raw["reports"]
     assert {n: r.sha256[:12] for n, r in reports.items()} == E8S_SHAS
-    pooled = run_e8_scale(jobs=2).raw["reports"]
-    assert pooled[10000].sha256 == reports[10000].sha256
 
 
 def test_per_shard_fault_plans_are_decoupled_and_reproducible():

@@ -225,6 +225,9 @@ class TestResolvedRecord:
                 assert ins.user_ignored == (op in SENSITIVE_UNPRIV_OPS)
                 assert ins.stores == (op in STORE_OPS)
                 assert not (ins.user_traps and ins.user_ignored)
+                # Branches and system ops end a compiled block, bar OUT/IN.
+                assert ins.ends_block == (op in BRANCH_OPS or op > Op.BGEU
+                                          and op not in (Op.OUT, Op.IN))
 
     def test_identity_is_the_encoded_fields_alone(self):
         data = encode(Op.ADD, rd=1, ra=2, imm32=0xDEADBEEF)
@@ -235,7 +238,7 @@ class TestResolvedRecord:
         assert after == before and hash(after) == hash(before)
         derived = {f.name for f in dataclasses.fields(before) if not f.compare}
         assert derived == {"b_imm", "fn", "extra", "user_traps",
-                           "user_ignored", "stores"}
+                           "user_ignored", "stores", "ends_block"}
 
     def test_a_new_row_resolves_with_no_other_edit(self, monkeypatch):
         members = {m.name: m.value for m in Op}

@@ -188,7 +188,7 @@ vec:
         cpu.reset(0x1000)
         cpu.regs[1] = space.root_pa
         cpu.run(max_instructions=10)
-        assert cpu.mmu.paging_enabled
+        assert cpu.mmu.tlb_active
         assert cpu.mmu.root_pa == space.root_pa
 
 

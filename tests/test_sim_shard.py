@@ -1,4 +1,4 @@
-"""Shard messaging and the epoch executor."""
+"""Shard messaging."""
 
 import pickle
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.shard import (
     COORDINATOR,
-    ShardExecutor,
     ShardMessage,
     route_messages,
 )
@@ -49,18 +48,3 @@ def test_message_pickles():
     msg = ShardMessage(time=1, src_shard=0, seq=1, kind="arrive",
                        dst_shard=1, payload=("vm", "host"))
     assert pickle.loads(pickle.dumps(msg)) == msg
-
-
-def _square(x):
-    return x * x
-
-
-def test_executor_persists_across_maps():
-    with ShardExecutor(jobs=2) as executor:
-        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert executor.map(_square, [4, 5]) == [16, 25]
-
-
-def test_executor_rejects_bad_jobs():
-    with pytest.raises(ConfigError):
-        ShardExecutor(jobs=0)
