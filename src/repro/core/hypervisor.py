@@ -773,15 +773,18 @@ class Hypervisor:
         TRIPLE_FAULT. The core has run an intercepted system instruction
         before it gets here: what is left is the VMM's own record."""
         costs = self.costs
-        stats = vm.stats
+        counters = vm.exit_counters
+        if counters is None:  # bound at the VM's first exit
+            counters = vm.exit_counters = (
+                _world_switches(vm.stats), _vmm_cycles(vm.stats))
         if reason is _VMCALL:
             switch = costs.hypercall_cycles
-            _hypercalls(stats).value += 1
+            _hypercalls(vm.stats).value += 1
         elif vm.bt is not None:
             switch = costs.bt_reflect_cycles
         else:
             switch = costs.vmexit_cycles
-        _world_switches(stats).value += 1
+        counters[0].value += 1
         try:
             if reason is _GUEST_TRAP:
                 detail, cycles = self._exit_guest_trap(vm, vcpu, ins, arg)
@@ -817,7 +820,7 @@ class Hypervisor:
             self._handle_exit(vm, vcpu, nested)
             return
         cycles += switch
-        _vmm_cycles(stats).value += cycles
+        counters[1].value += cycles
         vm.exit_stats.record(reason, cycles, detail)
         if self.trace is not None:
             self.trace.append((self._vm_time(vm), reason.value, vm.name,

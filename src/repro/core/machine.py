@@ -34,7 +34,7 @@ from repro.devices.virtio import (
     VirtioNetDevice,
 )
 from repro.mem.costs import CostModel
-from repro.mem.physmem import FrameAllocator, PhysicalMemory
+from repro.mem.physmem import PhysicalMemory
 from repro.util.units import MIB
 
 
@@ -56,7 +56,6 @@ class Machine:
     ):
         self.costs = CostModel()
         self.physmem = PhysicalMemory(memory_bytes)
-        self.allocator = FrameAllocator(self.physmem, reserved_frames=16)
         self.port_bus = PortBus()
         self.mmu = BareMMU(self.physmem, self.costs)
         self.cpu = CPUCore(self.mmu, port_bus=self.port_bus, jit=jit)

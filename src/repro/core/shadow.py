@@ -146,7 +146,13 @@ class ShadowMMU(MMUBase):
         return self.guest_root is not None
 
     def real_pa(self, pc: int) -> int:
-        return self.translate(pc, _EXEC, False)[0]  # guest paging off
+        """Guest paging off: :meth:`translate`'s real-mode arm for a fetch."""
+        pc &= 0xFFFFFFFF
+        hfn = self.guest_mem.map.get(pc >> PAGE_SHIFT)
+        if hfn is None:
+            raise VMExit(ExitReason.PAGE_FAULT, gpa=pc, gfn=pc >> PAGE_SHIFT,
+                         access=_EXEC, kind="ept_violation")
+        return (hfn << PAGE_SHIFT) | (pc & 0xFFF)
 
     @property
     def translate_bound(self) -> int:

@@ -30,12 +30,12 @@ from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.vm import GuestConfig, VirtualMachine
 from repro.cpu.isa import Cause
 from repro.devices.bus import apply_fields, capture_fields
+from repro.mem.physmem import ZERO_PAGE as _ZERO_PAGE
 from repro.util.errors import ConfigError
 from repro.util.units import PAGE_SIZE
 
 _MAGIC = b"PVSN"
 _VERSION = 2
-_ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 _U32 = struct.Struct("<I")
 

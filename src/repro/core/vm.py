@@ -189,6 +189,8 @@ class VirtualMachine:
         self.metrics = metrics
         self.exit_stats = ExitStats(metrics)
         self.stats = VMStats(metrics)
+        #: (world_switches, vmm_cycles) counters, bound at the first exit.
+        self.exit_counters = None
         #: virtual IRQ causes awaiting injection (deprivileged modes).
         self.pending_virqs: Set[Cause] = set()
         #: set by the balloon driver: gfns surrendered to the host.

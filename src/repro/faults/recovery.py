@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.core.snapshot import VMSnapshot, restore_vm, snapshot_vm
+from repro.mem.physmem import ZERO_PAGE as _ZERO_PAGE
 from repro.obs.registry import counter_attr
 from repro.util.errors import ConfigError
-from repro.util.units import PAGE_SIZE
-
-_ZERO_PAGE = b"\x00" * PAGE_SIZE
 
 
 #: Backoff before the first retry, and the cap every later one doubles to.

@@ -23,7 +23,6 @@ from repro.mem.paging import (
     PTE_NOEXEC,
     make_pte,
     pte_frame,
-    split_vaddr,
     AccessType,
     PageFault,
     PageTableWalker,
@@ -43,7 +42,6 @@ __all__ = [
     "PTE_NOEXEC",
     "make_pte",
     "pte_frame",
-    "split_vaddr",
     "AccessType",
     "PageFault",
     "PageTableWalker",

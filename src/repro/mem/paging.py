@@ -16,7 +16,7 @@ successful walk; the dirty bit is set at the leaf on writes.
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.errors import MemoryError_
@@ -80,12 +80,6 @@ def make_pte(pfn: int, flags: int) -> int:
 def pte_frame(pte: int) -> int:
     """Extract the frame number from an entry."""
     return pte >> PAGE_SHIFT
-
-
-def split_vaddr(va: int) -> Tuple[int, int, int]:
-    """Split a 32-bit virtual address into (dir index, table index, offset)."""
-    va &= 0xFFFFFFFF
-    return (va >> 22) & 0x3FF, (va >> 12) & 0x3FF, va & 0xFFF
 
 
 class PageTableWalker:
@@ -308,7 +302,7 @@ class TwoStageWalker:
 
 
 class AddressSpace:
-    """Owns one page-table tree and provides map/unmap/protect.
+    """Owns one page-table tree and provides map/unmap.
 
     Used by the guest kernel builder (to construct guest page tables in
     guest-physical memory) and by the VMM (to construct shadow and nested
@@ -323,7 +317,7 @@ class AddressSpace:
         self._table_frames = [self.root_pfn]
         self.mapped_pages = 0
         #: Table bytes as of :meth:`checkpoint`, one per table frame;
-        #: None once map / unmap / protect / clear_pde edits the tree.
+        #: None once map / unmap / rewrite_leaf / clear_pde edits the tree.
         self._checkpoint: Optional[List[bytes]] = None
 
     @property
@@ -333,11 +327,11 @@ class AddressSpace:
     def rewrite_leaf(self, va: int, keep: int, put: int) -> int:
         """Find the leaf of ``va`` once and store ``(leaf & keep) | put``.
 
-        The one edit under :meth:`map`, :meth:`unmap`, :meth:`protect`
-        and the MMUs' host memory control. An absent leaf reads as 0
-        and one absent before and after is not written; one made
-        present gets its inner table allocated. Returns the leaf as it
-        was (0 when absent).
+        The one edit under :meth:`map`, :meth:`unmap` and the MMUs' host
+        memory control. An absent leaf reads as 0 and one absent before
+        and after is not written; one made present gets its inner table
+        allocated. Returns the leaf as it was (0 when absent): a ``keep``
+        of -1 and a ``put`` of 0 only read it.
         """
         pm = self.physmem
         pde_pa = (self.root_pfn << PAGE_SHIFT) + ((va >> 20) & 0xFFC)
@@ -376,12 +370,6 @@ class AddressSpace:
         """Remove a mapping (leaves inner tables in place)."""
         self.rewrite_leaf(va, 0, 0)
 
-    def protect(self, va: int, flags: int) -> None:
-        """Replace the flag bits of an existing mapping."""
-        if self.lookup(va) is None:
-            raise MemoryError_(f"protect of unmapped address {va:#x}")
-        self.rewrite_leaf(va, _FRAME_MASK, (flags | PTE_PRESENT) & _FLAGS_MASK)
-
     def clear_pde(self, dir_idx: int) -> None:
         """Drop one directory entry and its whole 4 MiB leaf table.
 
@@ -404,22 +392,6 @@ class AddressSpace:
         if table_pfn in self._table_frames:
             self._table_frames.remove(table_pfn)
             self.allocator.free(table_pfn)
-
-    def lookup(self, va: int) -> Optional[int]:
-        """Return the PTE for ``va`` (no side effects), or None."""
-        return self.rewrite_leaf(va, -1, 0) or None
-
-    def mappings(self) -> Iterator[Tuple[int, int]]:
-        """Yield (va, pte) for every present leaf mapping."""
-        for dir_idx in range(ENTRIES_PER_TABLE):
-            pde = self.physmem.read_u32(self.root_pa + dir_idx * 4)
-            if not pde & PTE_PRESENT:
-                continue
-            table_pa = pte_frame(pde) << PAGE_SHIFT
-            for tbl_idx in range(ENTRIES_PER_TABLE):
-                pte = self.physmem.read_u32(table_pa + tbl_idx * 4)
-                if pte & PTE_PRESENT:
-                    yield ((dir_idx << 22) | (tbl_idx << 12), pte)
 
     def checkpoint(self) -> None:
         """Remember the tables' bytes as they are now (:meth:`rollback`)."""

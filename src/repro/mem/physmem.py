@@ -1,5 +1,6 @@
 """Byte-addressable physical memory and the frame allocator."""
 
+import mmap
 import struct
 from typing import Callable, Dict, Iterable, List, Set, Tuple
 
@@ -11,7 +12,10 @@ ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class PhysicalMemory:
-    """A flat physical address space backed by one ``bytearray``.
+    """A flat physical address space backed by a private anonymous
+    mapping: it reads as zero, and the host backs a page only when it is
+    first written, as a hypervisor backs guest RAM. Private, so a forked
+    worker's stores stay its own.
 
     All accessors bounds-check and raise :class:`MemoryError_` on
     out-of-range addresses -- a guest must never be able to corrupt the
@@ -26,7 +30,7 @@ class PhysicalMemory:
             )
         self.size = nbytes
         self.num_frames = nbytes >> PAGE_SHIFT
-        self._data = bytearray(nbytes)
+        self._data = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         #: The same bytes, sliceable without a copy (bulk reads make one).
         self._view = memoryview(self._data)
         #: Write watchers: (watched pfn set, callback(pfn)). The caller
@@ -168,7 +172,10 @@ class FrameAllocator:
     """Free-list allocator over a :class:`PhysicalMemory`.
 
     Frames below ``reserved_frames`` are never handed out (firmware /
-    VMM-owned low memory).
+    VMM-owned low memory). A frame handed out with ``zero`` reads zero,
+    but only a frame back from :meth:`free` is zero-filled: only the
+    allocator's callers store to ``physmem``, so a fresh frame already
+    reads zero and is not touched (unbacked until stored to).
     """
 
     def __init__(self, physmem: PhysicalMemory, reserved_frames: int):
@@ -179,12 +186,15 @@ class FrameAllocator:
             )
         self.physmem = physmem
         self.reserved_frames = reserved_frames
-        self._free: List[int] = list(range(physmem.num_frames - 1, reserved_frames - 1, -1))
+        #: Frames given back, handed out again last-in, first-out.
+        self._freed: List[int] = []
+        #: The lowest frame never handed out; all above it are free too.
+        self._fresh = reserved_frames
         self._allocated = set()
 
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return len(self._freed) + self.physmem.num_frames - self._fresh
 
     @property
     def allocated_frames(self) -> int:
@@ -192,16 +202,19 @@ class FrameAllocator:
 
     def alloc(self, zero: bool = True) -> int:
         """Allocate one frame; returns its PFN."""
-        if not self._free:
+        if self._freed:
+            pfn = self._freed.pop()
+            if zero:
+                self.physmem.zero_frame(pfn)
+        elif self._fresh < self.physmem.num_frames:
+            pfn, self._fresh = self._fresh, self._fresh + 1
+        else:
             raise MemoryError_("out of physical frames")
-        pfn = self._free.pop()
         self._allocated.add(pfn)
-        if zero:
-            self.physmem.zero_frame(pfn)
         return pfn
 
     def free(self, pfn: int) -> None:
         if pfn not in self._allocated:
             raise MemoryError_(f"double free or foreign frame {pfn}")
         self._allocated.remove(pfn)
-        self._free.append(pfn)
+        self._freed.append(pfn)

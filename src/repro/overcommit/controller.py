@@ -40,12 +40,12 @@ from typing import Dict, List, Set
 
 from repro.core.hypervisor import Hypervisor
 from repro.core.vm import VirtualMachine
+from repro.mem.physmem import ZERO_PAGE as _ZERO_PAGE
 from repro.overcommit.balloon import BalloonPolicy
 from repro.overcommit.sharing import PageSharer
 from repro.overcommit.swap import HostSwap
 from repro.overcommit.wss import accessed_gfns, clear_access_bits
 from repro.util.errors import ConfigError, GuestError
-from repro.util.units import PAGE_SIZE
 
 
 #: Ignore inflate deltas at or below this many pages (hysteresis).
@@ -88,9 +88,6 @@ class TickRecord:
             "swap_evictions": self.swap_evictions,
             "free_frames_after": self.free_frames_after,
         }
-
-
-_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class MemoryPressureController:

@@ -4,17 +4,46 @@ Kernel images are pure functions of their options, so the two common
 builds are assembled once per session.
 """
 
+import struct
+
 import pytest
 
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.guest import KernelOptions, build_kernel
 from repro.mem.costs import CostModel
+from repro.mem.paging import PTE_PRESENT, pte_frame
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
 HOST_MEM = 64 * MIB
+_TABLE = struct.Struct("<1024I")
+
+
+def split_vaddr(va):
+    """A 32-bit virtual address as (dir index, table index, offset)."""
+    va &= 0xFFFFFFFF
+    return (va >> 22) & 0x3FF, (va >> 12) & 0x3FF, va & 0xFFF
+
+
+def lookup(space, va):
+    """The present leaf PTE of ``va`` in an ``AddressSpace``, or None:
+    the read half of its one edit, ``rewrite_leaf``, which keeps every
+    bit and so writes nothing."""
+    return space.rewrite_leaf(va, -1, 0) or None
+
+
+def mappings(space):
+    """[(va, pte)] of every present leaf of an ``AddressSpace``, read off
+    its tables in physical memory."""
+    pm, found = space.physmem, []
+    for d, pde in enumerate(_TABLE.unpack(pm.read_frame(space.root_pfn))):
+        if pde & PTE_PRESENT:
+            for t, pte in enumerate(_TABLE.unpack(pm.read_frame(pte_frame(pde)))):
+                if pte & PTE_PRESENT:
+                    found.append(((d << 22) | (t << 12), pte))
+    return found
 
 
 @pytest.fixture

@@ -22,10 +22,10 @@ from repro.mem.paging import (
     PTE_WRITABLE,
     PageFault,
     make_pte,
-    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB
+from tests.conftest import lookup, split_vaddr
 
 def _two_stage(hmode):
     def make(physmem, allocator, guest_mem, costs):
@@ -251,6 +251,6 @@ def test_gstage_ad_bits_only_under_hmode():
     for make_mmu, expect_ad in ((NestedMMU, False), (HModeMMU, True)):
         env = NestedEnv(make_mmu)
         env.mmu.translate(0x2000, AccessType.WRITE, user=False)
-        pte = env.mmu.ept.lookup(0x2000)
+        pte = lookup(env.mmu.ept, 0x2000)
         assert bool(pte & PTE_ACCESSED) is expect_ad
         assert bool(pte & PTE_DIRTY) is expect_ad

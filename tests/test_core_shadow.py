@@ -15,10 +15,10 @@ from repro.mem.paging import (
     PTE_WRITABLE,
     PageFault,
     make_pte,
-    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.units import MIB, PAGE_SIZE
+from tests.conftest import split_vaddr
 
 GUEST_PAGES = 64
 ROOT_GPA = 0x10000  # gfn 16

@@ -98,49 +98,53 @@ CALLS = {
     # cells fall too: their cold and single steps are step()s. A "then"
     # names the count while OUT and IN ended a compiled block (a cold
     # run stopped at them too: more probes) and the bare MMU answered
-    # tlb_active through a property (a call at every dispatch).
+    # tlb_active through a property (a call at every dispatch). A "last"
+    # names the count while every VM exit bound its world-switch and
+    # VMM-cycle counters through two counter_attr.bound calls,
+    # ShadowMMU.real_pa went through translate (two calls for one map
+    # lookup) and the allocator zero-filled a frame never handed out.
     "native/interp/cpu_bound": 4.6561,  # was 6.8232
     "native/interp/memtouch": 4.8136,  # was 6.9754
     "native/interp/syscall_storm": 4.756,  # was 7.0444
     "native/compiled/cpu_bound": 0.5621,  # was 0.7265, then 0.6676
     "native/compiled/memtouch": 1.8044,  # was 2.8437, then 1.9804
     "native/compiled/syscall_storm": 1.1786,  # was 1.414, then 1.3593
-    "trap-emulate/interp/cpu_bound": 4.7596,  # was 7.7274
-    "trap-emulate/interp/memtouch": 5.6482,  # was 8.6296
-    "trap-emulate/interp/syscall_storm": 5.4155,  # was 8.7788
-    "trap-emulate/compiled/cpu_bound": 0.9247,  # was 1.0221, then 0.9302
-    "trap-emulate/compiled/memtouch": 3.0272,  # was 4.6389, then 3.0335
-    "trap-emulate/compiled/syscall_storm": 2.2608,  # was 2.4183, then 2.2667
+    "trap-emulate/interp/cpu_bound": 4.7513,  # was 7.7274, last 4.7596
+    "trap-emulate/interp/memtouch": 5.6016,  # was 8.6296, last 5.6482
+    "trap-emulate/interp/syscall_storm": 5.3517,  # was 8.7788, last 5.4155
+    "trap-emulate/compiled/cpu_bound": 0.8196,  # was 1.0221, then 0.9302, last 0.9247
+    "trap-emulate/compiled/memtouch": 2.8683,  # was 4.6389, then 3.0335, last 3.0272
+    "trap-emulate/compiled/syscall_storm": 2.0936,  # was 2.4183, then 2.2667, last 2.2608
     "bin-transl/interp/cpu_bound": 2.9854,  # was 4.9636
-    "bin-transl/interp/memtouch": 3.2237,  # was 4.0605
-    "bin-transl/interp/syscall_storm": 2.7901,  # was 3.7392
-    "bin-transl/compiled/cpu_bound": 0.5091,  # was 0.631
-    "bin-transl/compiled/memtouch": 2.0004,  # was 2.5879
-    "bin-transl/compiled/syscall_storm": 1.9755,  # was 2.3515
-    "paravirt/interp/cpu_bound": 4.7774,  # was 7.7396
-    "paravirt/interp/memtouch": 5.5189,  # was 8.6726
-    "paravirt/interp/syscall_storm": 5.4791,  # was 8.8968
-    "paravirt/compiled/cpu_bound": 0.9513,  # was 1.0516, then 0.9567
-    "paravirt/compiled/memtouch": 3.1086,  # was 4.996, then 3.1145
-    "paravirt/compiled/syscall_storm": 2.2925,  # was 2.4598, then 2.2982
-    "hw+shadow/interp/cpu_bound": 4.7438,  # was 7.7122
-    "hw+shadow/interp/memtouch": 5.348,  # was 8.3640
-    "hw+shadow/interp/syscall_storm": 4.8498,  # was 8.2685
-    "hw+shadow/compiled/cpu_bound": 0.9087,  # was 1.0069, then 0.9142
-    "hw+shadow/compiled/memtouch": 2.7297,  # was 4.3569, then 2.736
-    "hw+shadow/compiled/syscall_storm": 1.6238,  # was 1.732, then 1.6296
+    "bin-transl/interp/memtouch": 3.2018,  # was 4.0605, last 3.2237
+    "bin-transl/interp/syscall_storm": 2.7737,  # was 3.7392, last 2.7901
+    "bin-transl/compiled/cpu_bound": 0.5065,  # was 0.631, last 0.5091
+    "bin-transl/compiled/memtouch": 1.9784,  # was 2.5879, last 2.0004
+    "bin-transl/compiled/syscall_storm": 1.959,  # was 2.3515, last 1.9755
+    "paravirt/interp/cpu_bound": 4.7691,  # was 7.7396, last 4.7774
+    "paravirt/interp/memtouch": 5.4867,  # was 8.6726, last 5.5189
+    "paravirt/interp/syscall_storm": 5.4435,  # was 8.8968, last 5.4791
+    "paravirt/compiled/cpu_bound": 0.8456,  # was 1.0516, then 0.9567, last 0.9513
+    "paravirt/compiled/memtouch": 2.9709,  # was 4.996, then 3.1145, last 3.1086
+    "paravirt/compiled/syscall_storm": 2.1542,  # was 2.4598, then 2.2982, last 2.2925
+    "hw+shadow/interp/cpu_bound": 4.7383,  # was 7.7122, last 4.7438
+    "hw+shadow/interp/memtouch": 5.3286,  # was 8.3640, last 5.348
+    "hw+shadow/interp/syscall_storm": 4.844,  # was 8.2685, last 4.8498
+    "hw+shadow/compiled/cpu_bound": 0.8065,  # was 1.0069, then 0.9142, last 0.9087
+    "hw+shadow/compiled/memtouch": 2.598,  # was 4.3569, then 2.736, last 2.7297
+    "hw+shadow/compiled/syscall_storm": 1.5146,  # was 1.732, then 1.6296, last 1.6238
     "hw+nested/interp/cpu_bound": 4.0332,  # was 7.9325
     "hw+nested/interp/memtouch": 4.1135,  # was 8.2424
     "hw+nested/interp/syscall_storm": 4.0904,  # was 8.3669
-    "hw+nested/compiled/cpu_bound": 0.4949,  # was 0.6034, then 0.4982
-    "hw+nested/compiled/memtouch": 1.7498,  # was 3.0233, then 1.7535
-    "hw+nested/compiled/syscall_storm": 1.1055,  # was 1.2102, then 1.1089
+    "hw+nested/compiled/cpu_bound": 0.4917,  # was 0.6034, then 0.4982, last 0.4949
+    "hw+nested/compiled/memtouch": 1.7461,  # was 3.0233, then 1.7535, last 1.7498
+    "hw+nested/compiled/syscall_storm": 1.102,  # was 1.2102, then 1.1089, last 1.1055
     "hw+hmode/interp/cpu_bound": 4.0374,  # was 7.9366
     "hw+hmode/interp/memtouch": 4.1311,  # was 8.2601
     "hw+hmode/interp/syscall_storm": 4.0948,  # was 8.3714
-    "hw+hmode/compiled/cpu_bound": 0.4991,  # was 0.6076, then 0.5023
-    "hw+hmode/compiled/memtouch": 1.7675,  # was 3.0410, then 1.7712
-    "hw+hmode/compiled/syscall_storm": 1.1099,  # was 1.2147, then 1.1133
+    "hw+hmode/compiled/cpu_bound": 0.4959,  # was 0.6076, then 0.5023, last 0.4991
+    "hw+hmode/compiled/memtouch": 1.7638,  # was 3.0410, then 1.7712, last 1.7675
+    "hw+hmode/compiled/syscall_storm": 1.1065,  # was 1.2147, then 1.1133, last 1.1099
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,
@@ -150,28 +154,29 @@ CALLS = {
     # five names the count while an OUT ended its compiled block: each
     # write made two trips through the run loop's top and BlockJIT.lookup
     # (the pumped cell's exits return to the pump, so it did not move).
-    "trap-emulate/port_write": 15,  # was 23
+    # A "last" as above.
+    "trap-emulate/port_write": 12,  # was 23, last 15
     "bin-transl/port_write": 6.0,  # was 6.1
-    "paravirt/port_write": 15,  # was 23
-    "hw+shadow/port_write": 10,  # was 18
-    "hw+nested/port_write": 8,  # was 12
-    "hw+hmode/port_write": 8,  # was 12
-    "hw+nested/pumped/port_write": 19,  # was 20
-    # (a), (c) and (d) per retired instruction, (f) per request: a "was"
-    # and a "then" as above; a request also costs the disk image's range
+    "paravirt/port_write": 12,  # was 23, last 15
+    "hw+shadow/port_write": 7,  # was 18, last 10
+    "hw+nested/port_write": 6,  # was 12, last 8
+    "hw+hmode/port_write": 6,  # was 12, last 8
+    "hw+nested/pumped/port_write": 17,  # was 20, last 19
+    # (a), (c) and (d) per retired instruction, (f) per request: a "was",
+    # a "then" and a "last" as above; a request also costs the disk image's range
     # check and DMA copy now, and its interrupt no walk of the registry.
     "bare/interp/cpu_bound": 5.0057,  # was 6.7558
     "bin-transl/item_walk": 3.0262,  # was 3.0290
     "bin-transl/compiled_runs": 2.0533,  # was 2.0561
     "hw+nested/cold": 5.8712,  # was 10.3999
-    "hw+nested/blk_write": 247,  # was 271, then 261
-    "hw+nested/vblk_write": 186.25,  # was 187.75
-    # (g) per case: a "was" and a "then" as above (15621 measured at
+    "hw+nested/blk_write": 233,  # was 271, then 261, last 247
+    "hw+nested/vblk_write": 184.75,  # was 187.75, last 186.25
+    # (g) per case: a "was", a "then" and a "last" as above (15621 measured at
     # the "was"). 18420 when a
     # cold block's extent was read off its bytes at every probe and the
     # fuzz images were built and compared through per-entry and per-page
     # Python loops.
-    "fuzz/case": 11057.9,  # was 15426, then 11183.35
+    "fuzz/case": 10983.75,  # was 15426, then 11183.35, last 11057.9
 }
 
 ROWS = {label: (virt, mmu, pv) for label, virt, mmu, pv in MODE_MATRIX}

@@ -16,11 +16,11 @@ from repro.mem.paging import (
     PageTableWalker,
     make_pte,
     pte_frame,
-    split_vaddr,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.errors import MemoryError_
 from repro.util.units import MIB, PAGE_SIZE
+from tests.conftest import lookup, mappings, split_vaddr
 
 
 @pytest.fixture
@@ -57,10 +57,10 @@ class TestAddressSpace:
         space = AddressSpace(pm, alloc)
         frame = alloc.alloc()
         space.map(0x400000, frame * PAGE_SIZE, PTE_WRITABLE)
-        pte = space.lookup(0x400000)
+        pte = lookup(space, 0x400000)
         assert pte is not None
         assert pte_frame(pte) == frame
-        assert space.lookup(0x401000) is None
+        assert lookup(space, 0x401000) is None
         assert space.mapped_pages == 1
 
     def test_unaligned_rejected(self, env):
@@ -76,7 +76,7 @@ class TestAddressSpace:
         space = AddressSpace(pm, alloc)
         space.map(0x1000, 0x2000, 0)
         space.unmap(0x1000)
-        assert space.lookup(0x1000) is None
+        assert lookup(space, 0x1000) is None
         assert space.mapped_pages == 0
         space.unmap(0x999000)  # unmapping nothing is fine
 
@@ -86,17 +86,21 @@ class TestAddressSpace:
         space.map(0x1000, 0x2000, 0)
         space.map(0x1000, 0x3000, 0)
         assert space.mapped_pages == 1
-        assert pte_frame(space.lookup(0x1000)) == 3
+        assert pte_frame(lookup(space, 0x1000)) == 3
 
-    def test_protect_changes_flags(self, env):
+    def test_rewrite_leaf_changes_flags(self, env):
         pm, alloc = env
         space = AddressSpace(pm, alloc)
         space.map(0x1000, 0x2000, PTE_WRITABLE | PTE_USER)
-        space.protect(0x1000, PTE_USER)
-        pte = space.lookup(0x1000)
+        space.rewrite_leaf(0x1000, ~PTE_WRITABLE, 0)  # a write-protect
+        pte = lookup(space, 0x1000)
         assert not pte & PTE_WRITABLE and pte & PTE_USER
-        with pytest.raises(MemoryError_):
-            space.protect(0x5000, 0)
+        assert pte_frame(pte) == 2
+        # An absent leaf stays absent: nothing is mapped or allocated.
+        frames = alloc.free_frames
+        assert space.rewrite_leaf(0x5000, ~PTE_WRITABLE, 0) == 0
+        assert space.rewrite_leaf(0x800000, ~PTE_WRITABLE, 0) == 0
+        assert lookup(space, 0x5000) is None and alloc.free_frames == frames
 
     def test_mappings_iterates_all(self, env):
         pm, alloc = env
@@ -104,7 +108,7 @@ class TestAddressSpace:
         vas = [0x1000, 0x400000, 0x7FC00000]
         for i, va in enumerate(vas):
             space.map(va, (i + 1) * PAGE_SIZE, PTE_USER)
-        found = dict(space.mappings())
+        found = dict(mappings(space))
         assert sorted(found) == sorted(vas)
 
     def test_clear_pde_drops_subtree_and_frees_table(self, env):
@@ -114,7 +118,7 @@ class TestAddressSpace:
         space.map(0x400000 + PAGE_SIZE, 0x2000, 0)
         before = alloc.allocated_frames
         space.clear_pde(1)  # 0x400000 >> 22 == 1
-        assert space.lookup(0x400000) is None
+        assert lookup(space, 0x400000) is None
         assert space.mapped_pages == 0
         assert alloc.allocated_frames == before - 1  # PT page returned
 
@@ -125,24 +129,24 @@ class TestAddressSpace:
         space.map(0x1000, 0x2000, PTE_WRITABLE)
         space.map(0x400000, 0x3000, PTE_WRITABLE)
         space.checkpoint()
-        as_built = dict(space.mappings())
+        as_built = dict(mappings(space))
         # A hardware walk sets accessed / dirty behind the space's back.
         PageTableWalker(pm).walk(space.root_pa, 0x1000, AccessType.WRITE, False)
-        assert dict(space.mappings()) != as_built
+        assert dict(mappings(space)) != as_built
         assert space.rollback() is True
-        assert dict(space.mappings()) == as_built
+        assert dict(mappings(space)) == as_built
         assert space.rollback() is True  # the checkpoint stands
         # An edit through the space is its owner's intent: it discards
         # the checkpoint rather than be undone by a later rollback.
         for edit in (lambda: space.map(0x5000, 0x6000, 0),
                      lambda: space.unmap(0x1000),
-                     lambda: space.protect(0x400000, PTE_USER),
+                     lambda: space.rewrite_leaf(0x400000, ~PTE_WRITABLE, 0),
                      lambda: space.clear_pde(1)):
             space.checkpoint()
             edit()
-            after_edit = dict(space.mappings())
+            after_edit = dict(mappings(space))
             assert space.rollback() is False
-            assert dict(space.mappings()) == after_edit
+            assert dict(mappings(space)) == after_edit
 
     def test_destroy_frees_table_frames(self, env):
         pm, alloc = env
@@ -167,7 +171,7 @@ class TestWalker:
         pm, space, frame = self._space(env)
         walker = PageTableWalker(pm)
         pte = walker.walk(space.root_pa, 0x1004, AccessType.READ, user=True)
-        assert pte == space.lookup(0x1000)  # the leaf, accessed bit set
+        assert pte == lookup(space, 0x1000)  # the leaf, accessed bit set
         assert pte_frame(pte) == frame and pte & PTE_ACCESSED
         assert walker.walks == 1 and walker.faults == 0
 
@@ -205,10 +209,10 @@ class TestWalker:
         pm, space, _ = self._space(env)
         walker = PageTableWalker(pm)
         walker.walk(space.root_pa, 0x1000, AccessType.READ, user=False)
-        pte = space.lookup(0x1000)
+        pte = lookup(space, 0x1000)
         assert pte & PTE_ACCESSED and not pte & PTE_DIRTY
         walker.walk(space.root_pa, 0x1000, AccessType.WRITE, user=False)
-        pte = space.lookup(0x1000)
+        pte = lookup(space, 0x1000)
         assert pte & PTE_DIRTY
 
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),

@@ -29,6 +29,7 @@ from repro.mem.paging import pte_frame
 from repro.overcommit.sharing import PageSharer
 from repro.overcommit.swap import HostSwap
 from repro.util.units import MIB
+from tests.conftest import mappings
 
 GUEST = 16 * MIB
 PAGES, PASSES = 48, 30
@@ -48,9 +49,9 @@ def _boot(hv, name, virt_mode, mmu_mode, instructions):
 def _tables(mmu):
     """Every leaf word the MMU's tables hold, and their page count."""
     if isinstance(mmu, TwoStageMMU):
-        return {"ept": sorted(mmu.ept.mappings())}, mmu.ept.mapped_pages
+        return {"ept": sorted(mappings(mmu.ept))}, mmu.ept.mapped_pages
     spaces = sorted(mmu._spaces.items())
-    return ({f"{root:#x}/{view}": sorted(space.mappings())
+    return ({f"{root:#x}/{view}": sorted(mappings(space))
              for (root, view), space in spaces},
             sum(space.mapped_pages for _key, space in spaces))
 
@@ -176,7 +177,7 @@ def _sweep_drop(mmu, gfn):
     """Reference: visit every leaf of every shadow table."""
     hfn = mmu.guest_mem.map.get(gfn, -1)
     for space in mmu._spaces.values():
-        for va, pte in list(space.mappings()):
+        for va, pte in mappings(space):
             if pte_frame(pte) == hfn:
                 space.unmap(va)
     mmu.tlb.flush()
