@@ -250,13 +250,16 @@ ENTRY_POINTS = (
        for e in EXPERIMENTS]
     + [("repro fuzz", cli("fuzz")),
        ("repro fuzz --shrink --out", fuzz_out("--shrink")),
-       # Each bug's first failing case is below 20 (15 and 5): shrinking
-       # one is what reaches the shrinker, and shrinking all of them
-       # under the tracer takes minutes.
+       # Each bug's first failing case is below 20 (15, 5 and 8):
+       # shrinking one is what reaches the shrinker, and shrinking all of
+       # them under the tracer takes minutes.
        ("repro fuzz --bug pr5-vector-loop --cases 20 --shrink --out",
         fuzz_out("--bug", "pr5-vector-loop", "--cases", "20", "--shrink")),
        ("repro fuzz --bug bt-stale-smc --cases 20 --shrink --out",
         fuzz_out("--bug", "bt-stale-smc", "--cases", "20", "--shrink")),
+       ("repro fuzz --bug vm-console-rx-ready --cases 20 --shrink --out",
+        fuzz_out("--bug", "vm-console-rx-ready", "--cases", "20",
+                 "--shrink")),
        ("repro fuzz --replay tests/fuzz_corpus",
         cli("fuzz", "--replay", os.path.join(ROOT, "tests", "fuzz_corpus"))),
        ("repro fuzz --no-faults --no-events --json",

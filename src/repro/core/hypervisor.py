@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bt import BTEngine
 from repro.core.emulate import emulate_guest_store, emulate_privileged
+from repro.core.machine import attach_board
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.policies import (
     DEPRIVILEGED, HW_ASSIST_NESTED, HW_ASSIST_SHADOW, hmode_controls,
@@ -36,28 +37,10 @@ from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Op,
 )
 from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
-from repro.devices.block import BLOCK_BASE, BlockDevice, DiskImage
-from repro.devices.bus import PortBus
-from repro.devices.console import CONSOLE_BASE, ConsoleDevice
-from repro.devices.irq import (
-    IRQ_BLOCK_LINE,
-    IRQ_CONSOLE_LINE,
-    IRQ_NET_LINE,
-    IRQ_TIMER_LINE,
-    IRQ_VIRTIO_BLK_LINE,
-    IRQ_VIRTIO_NET_LINE,
-    InterruptController,
-    PIC_BASE,
-)
-from repro.devices.net import NetDevice, NET_BASE
-from repro.devices.power import POWER_BASE, PowerControl
-from repro.devices.timer import TIMER_BASE, TimerDevice
-from repro.devices.virtio import (
-    VIRTIO_BLK_BASE,
-    VIRTIO_NET_BASE,
-    VirtioBlockDevice,
-    VirtioNetDevice,
-)
+from repro.devices.block import DiskImage
+from repro.devices.console import CONSOLE_BASE
+from repro.devices.power import PowerControl
+from repro.devices.timer import TimerDevice
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, AddressSpace
 from repro.mem.physmem import FrameAllocator, PhysicalMemory, WriteLog
@@ -362,7 +345,7 @@ class Hypervisor:
             if hmode:
                 mmu.stall_fn = self._hmode_stall_cycles
 
-        cpu = CPUCore(mmu, port_bus=None)
+        cpu = CPUCore(mmu, port_bus=vm.port_bus)
         vcpu = VCPU(vm, cpu)
         vm.vcpus.append(vcpu)
 
@@ -379,9 +362,12 @@ class Hypervisor:
         else:
             cpu.controls = HW_ASSIST_NESTED
 
-        self._attach_devices(vm, disks)
-        # An intercepted IN / OUT is run by the core, on the VM's bus.
-        cpu.port_bus = vm.port_bus
+        # The board is on the VM's bus, which the core runs an
+        # intercepted IN / OUT on.
+        vm.pic, vm.devices = attach_board(
+            vm.port_bus, guest_mem, vm, vm.metrics.scope("dev"), disks,
+            config.with_emulated_io, config.with_virtio)
+        self.registry.counter("devices.attached").inc(len(vm.devices))
 
         if config.virt_mode is VirtMode.BINARY_TRANSLATION:
             vm.bt = BTEngine(
@@ -400,48 +386,6 @@ class Hypervisor:
 
         self.vms[config.name] = vm
         return vm
-
-    def _attach_devices(self, vm: VirtualMachine, disks: Dict[str, DiskImage]) -> None:
-        vm.port_bus = PortBus()
-        dev_scope = vm.metrics.scope("dev")
-        vm.pic = InterruptController(sink=vm, metrics=dev_scope.scope("irq"))
-        vm.port_bus.register(vm.pic, PIC_BASE, 1)
-
-        console = ConsoleDevice(irq=vm.pic.line(IRQ_CONSOLE_LINE))
-        vm.port_bus.register(console, CONSOLE_BASE, 2)
-        vm.devices["console"] = console
-
-        timer = TimerDevice(vm.pic.line(IRQ_TIMER_LINE),
-                            metrics=dev_scope.scope("timer"))
-        vm.port_bus.register(timer, TIMER_BASE, 3)
-        vm.devices["timer"] = timer
-
-        power = PowerControl()
-        vm.port_bus.register(power, POWER_BASE, 1)
-        vm.devices["power"] = power
-
-        mem = vm.guest_mem
-        if vm.config.with_emulated_io:
-            block = BlockDevice(mem, vm.pic.line(IRQ_BLOCK_LINE),
-                                disks.get("block") or DiskImage(),
-                                metrics=dev_scope.scope("block"))
-            vm.port_bus.register(block, BLOCK_BASE, 6)
-            vm.devices["block"] = block
-            net = NetDevice(mem, vm.pic.line(IRQ_NET_LINE),
-                            metrics=dev_scope.scope("net"))
-            vm.port_bus.register(net, NET_BASE, 7)
-            vm.devices["net"] = net
-        if vm.config.with_virtio:
-            vblock = VirtioBlockDevice(mem, vm.pic.line(IRQ_VIRTIO_BLK_LINE),
-                                       disks.get("virtio_blk") or DiskImage(),
-                                       metrics=dev_scope.scope("virtio_blk"))
-            vm.port_bus.register(vblock, VIRTIO_BLK_BASE, 6)
-            vm.devices["virtio_blk"] = vblock
-            vnet = VirtioNetDevice(mem, vm.pic.line(IRQ_VIRTIO_NET_LINE),
-                                   metrics=dev_scope.scope("virtio_net"))
-            vm.port_bus.register(vnet, VIRTIO_NET_BASE, 14)
-            vm.devices["virtio_net"] = vnet
-        self.registry.counter("devices.attached").inc(len(vm.devices))
 
     def _dismantle(self, vm: VirtualMachine) -> Optional[AddressSpace]:
         """Undo :meth:`_build_machine`; the guest's frames stay mapped.

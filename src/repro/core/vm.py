@@ -12,6 +12,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.isa import Cause
+from repro.devices.bus import PortBus
 from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ConfigError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE
@@ -181,7 +182,7 @@ class VirtualMachine:
         self.name = config.name
         self.guest_mem = guest_mem
         self.vcpus: List = []
-        self.port_bus = None  # virtual device bus (PortBus)
+        self.port_bus = PortBus()  # virtual device bus
         self.pic = None  # virtual InterruptController
         self.bt = None  # BTEngine under BINARY_TRANSLATION
         self.devices: Dict[str, object] = {}

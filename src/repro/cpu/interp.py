@@ -55,6 +55,7 @@ from repro.cpu.isa import (
     decode,
 )
 from repro.cpu.mmu import MMUBase
+from repro.devices.bus import PortBus
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PTE_DIRTY, PTE_NOEXEC, PTE_USER, PTE_WRITABLE, PageFault
 from repro.util.errors import GuestError
@@ -116,13 +117,14 @@ class CPUCore:
     def __init__(
         self,
         mmu: MMUBase,
-        port_bus=None,
+        port_bus: Optional[PortBus] = None,
         jit: Optional[bool] = None,
     ):
         self.mmu = mmu
         #: The cost model is the MMU's: one table prices the whole core.
         self.costs = mmu.costs
-        self.port_bus = port_bus
+        #: Where IN / OUT go; by default an empty bus (reads 0, drops writes).
+        self.port_bus = PortBus() if port_bus is None else port_bus
         #: Which events exit to a VMM; None = bare machine.
         self.controls: Optional[ExecControls] = None
 
@@ -757,17 +759,13 @@ class CPUCore:
                 if self._service is None:
                     raise VMExit(_IO_OUT, pc, ins.length, ins=ins)
                 reason = _IO_OUT
-            bus = h.port_bus
-            if bus is not None:
-                bus.io_out(ins.simm12 & 0xFFF, self.regs[ins.ra])
+            h.port_bus.io_out(ins.simm12 & 0xFFF, self.regs[ins.ra])
         elif op is _IN:
             if ctl is not None and ctl.io:
                 if self._service is None:
                     raise VMExit(_IO_IN, pc, ins.length, ins=ins)
                 reason = _IO_IN
-            bus = h.port_bus
-            self.write_reg(ins.rd, 0 if bus is None
-                           else bus.io_in(ins.simm12 & 0xFFF))
+            self.write_reg(ins.rd, h.port_bus.io_in(ins.simm12 & 0xFFF))
         elif op is _STI or op is _CLI:
             h.csr[_IE] = 1 if op is _STI else 0
         elif op is _HLT:

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
-from repro.obs.registry import MetricsRegistry, counter_attr
+from repro.obs.registry import counter_attr
 from repro.util.errors import DeviceError, MemoryError_
 
 BLOCK_BASE = 0x50
@@ -111,13 +111,12 @@ class BlockDevice(PortDevice):
     completions = counter_attr()
     sectors_transferred = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics=None):
+    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics):
         self.mem = mem
         self.irq = irq
         #: ``block.stuck`` / ``block.io_error`` draw from this, when set.
         self.injector = None
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.block"))
+        self.metrics = metrics
         self.data = data
         self._sector = 0
         self._count = 1

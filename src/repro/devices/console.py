@@ -9,8 +9,8 @@ Ports::
 
 Received characters arrive via :meth:`push_input` -- host-side test
 harnesses and the seeded :class:`~repro.devices.schedule.EventSchedule`
-use it to model console input interrupts at reproducible points. When
-an ``irq`` line is bound, each pushed character raises it.
+use it to model console input interrupts at reproducible points; each
+pushed character raises the console's ``irq`` line.
 """
 
 from repro.devices.bus import PortDevice
@@ -28,7 +28,7 @@ class ConsoleDevice(PortDevice):
     #: (its IRQ line travels with the PIC's ``pending``).
     STATE = ("text", "chars_written", "_rx", "chars_received")
 
-    def __init__(self, irq=None):
+    def __init__(self, irq):
         self._chars = []
         #: characters kept in ``text``; later output is counted only.
         self.capacity = 1 << 20
@@ -54,8 +54,7 @@ class ConsoleDevice(PortDevice):
     def push_input(self, value: int) -> None:
         """Queue one received byte and raise the console IRQ line."""
         self._rx.append(value & 0xFF)
-        if self.irq is not None:
-            self.irq.raise_()
+        self.irq.raise_()
 
     def port_read(self, port: int) -> int:
         if port == CONS_STATUS:

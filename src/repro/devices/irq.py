@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.isa import Cause
 from repro.devices.bus import PortDevice
-from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.registry import Counter
 from repro.util.errors import DeviceError
 
 #: Port: read = bitmask of pending lines; write = acknowledge (clear) mask.
@@ -62,11 +62,10 @@ class InterruptController(PortDevice):
 
     STATE = ("pending",)
 
-    def __init__(self, sink=None, injector=None, metrics=None):
+    def __init__(self, sink, metrics):
         self.sink = sink
-        self.injector = injector
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.irq"))
+        self.injector = None
+        self.metrics = metrics
         self.pending: List[bool] = [False] * NUM_LINES
         self.raised_count = 0
         self.lost_count = 0

@@ -20,7 +20,7 @@ from typing import Deque
 
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
-from repro.obs.registry import MetricsRegistry, counter_attr
+from repro.obs.registry import counter_attr
 from repro.util.errors import DeviceError
 
 NET_BASE = 0x60
@@ -44,11 +44,10 @@ class NetDevice(PortDevice):
     tx_bytes = counter_attr()
     rx_frames = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, metrics=None):
+    def __init__(self, mem, irq: IRQLine, metrics):
         self.mem = mem
         self.irq = irq
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.net"))
+        self.metrics = metrics
         self.sent: Deque[bytes] = deque(maxlen=1024)  # tap for tests
         self._rx_queue: Deque[bytes] = deque()
         self._tx_addr = 0

@@ -13,7 +13,7 @@ instruction N retires and -- if IE is set -- delivered before the fetch
 of instruction N+1, in every engine, bit-for-bit.
 
 The schedule raises numbered PIC lines on an
-:class:`~repro.devices.irq.InterruptController`; a bound console device
+:class:`~repro.devices.irq.InterruptController`; the console device
 additionally receives a deterministic input byte for console-line
 events, so the interrupt has device state behind it.
 
@@ -63,7 +63,7 @@ class EventSchedule:
         self,
         events: Iterable[Tuple[int, int]],
         controller: InterruptController,
-        console=None,
+        console,
         injector=None,
         exit_on_fire: bool = False,
     ):
@@ -123,7 +123,7 @@ class EventSchedule:
         return fired
 
     def _raise(self, line: int) -> None:
-        if line == IRQ_CONSOLE_LINE and self.console is not None:
+        if line == IRQ_CONSOLE_LINE:
             # Deterministic input byte: the interrupt announces data the
             # guest can actually IN from the console RX port.
             self.console.push_input(ord("k"))
@@ -135,7 +135,7 @@ class EventSchedule:
         seed: int,
         horizon: int,
         controller: InterruptController,
-        console=None,
+        console,
         injector=None,
         exit_on_fire: bool = False,
     ) -> "EventSchedule":

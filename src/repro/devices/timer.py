@@ -17,7 +17,7 @@ Ports::
 
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
-from repro.obs.registry import MetricsRegistry, counter_attr
+from repro.obs.registry import counter_attr
 from repro.util.errors import DeviceError
 
 TIMER_BASE = 0x40
@@ -39,10 +39,9 @@ class TimerDevice(PortDevice):
 
     expirations = counter_attr()
 
-    def __init__(self, irq: IRQLine, metrics=None):
+    def __init__(self, irq: IRQLine, metrics):
         self.irq = irq
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.timer"))
+        self.metrics = metrics
         self.period = 0
         self.mode = MODE_OFF
         self.deadline = None  # absolute cycle count

@@ -44,7 +44,7 @@ from typing import List, Optional, Tuple
 from repro.devices.block import SECTOR_SIZE, DiskImage
 from repro.devices.bus import PortDevice
 from repro.devices.irq import IRQLine
-from repro.obs.registry import MetricsRegistry, counter_attr
+from repro.obs.registry import counter_attr
 from repro.util.errors import DeviceError, MemoryError_
 
 VIRTIO_BLK_BASE = 0x70
@@ -149,9 +149,8 @@ class _VirtQueuePorts(PortDevice):
 
     STATE = ("queue",)
 
-    def __init__(self, mem, base: int, metrics=None):
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.virtio"))
+    def __init__(self, mem, base: int, metrics):
+        self.metrics = metrics
         self.queue = VirtQueue(mem, metrics=self.metrics.scope("queue"))
         self.base = base
 
@@ -206,7 +205,7 @@ class VirtioBlockDevice(_VirtQueuePorts):
     writes = counter_attr()
     errors = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics=None):
+    def __init__(self, mem, irq: IRQLine, data: DiskImage, metrics):
         super().__init__(mem, VIRTIO_BLK_BASE, metrics=metrics)
         self.irq = irq
         #: ``virtio.ring_stuck`` draws from this, when set.
@@ -289,11 +288,10 @@ class VirtioNetDevice(PortDevice):
     rx_frames = counter_attr()
     rx_dropped = counter_attr()
 
-    def __init__(self, mem, irq: IRQLine, metrics=None):
+    def __init__(self, mem, irq: IRQLine, metrics):
         base = self.base = VIRTIO_NET_BASE
         self.irq = irq
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry().scope("dev.virtio_net"))
+        self.metrics = metrics
         self.tx = _VirtQueuePorts(mem, base, metrics=self.metrics.scope("tx"))
         self.rx = _VirtQueuePorts(mem, base + 8,
                                   metrics=self.metrics.scope("rx"))

@@ -83,9 +83,35 @@ def _bt_stale_smc() -> Iterator[None]:
         btmod.BTEngine.watch = orig
 
 
+@contextlib.contextmanager
+def _vm_console_rx_ready() -> Iterator[None]:
+    """A VM's console model that disagrees with the device: its status
+    port reads RX-ready with nothing queued. Every VMM row's machine is
+    built by ``Hypervisor._build_machine``, so the four agree with each
+    other and only the native oracle sees it."""
+    from repro.core.hypervisor import Hypervisor
+    from repro.devices.console import CONS_STATUS
+
+    orig = Hypervisor._build_machine
+
+    def build(self, *args):
+        vm = orig(self, *args)
+        console = vm.devices["console"]
+        read = console.port_read
+        console.port_read = lambda port: 3 if port == CONS_STATUS else read(port)
+        return vm
+
+    Hypervisor._build_machine = build
+    try:
+        yield
+    finally:
+        Hypervisor._build_machine = orig
+
+
 _BUGS: Dict[str, object] = {
     "pr5-vector-loop": _pr5_vector_loop,
     "bt-stale-smc": _bt_stale_smc,
+    "vm-console-rx-ready": _vm_console_rx_ready,
 }
 
 

@@ -1,84 +1,67 @@
-"""Differential execution of one fuzz case across every backend.
+"""Differential execution of one fuzz case on every engine.
 
-Two comparison groups run the same guest image:
+The same guest image runs six times: natively, on this process's one
+recycled :class:`~repro.core.machine.Machine` -- the reference
+interpreter, then the block JIT -- and under the hypervisor on four
+full-virtualization rows: hardware assist with shadow, nested and
+H-mode two-stage paging (each case draws the H-mode host's delegation
+masks; the causes left out exit and the VMM re-injects them), and
+binary translation over shadow paging. The machine and the VMs have
+one device board (``core.machine.attach_board``); the one difference is
+that the fuzz VM has no emulated disk or NIC (``with_emulated_io=False``),
+and no template addresses their ports.
 
-* **bare** -- the reference interpreter vs. the block JIT on a raw
-  :class:`~repro.cpu.mmu.BareMMU` machine. The JIT's contract is
-  bit-identical state *including* cycles, instret, TLB statistics and
-  the memory image, so everything is compared exactly. Memory is
-  compared by page: ``mem`` maps each page a run wrote that is not all
-  zero to its bytes, which are equal exactly when the images are.
-* **vmm** -- four full-virtualization configs under the hypervisor:
-  hardware-assist with shadow paging, hardware-assist with nested
-  paging, hardware-assist with H-mode two-stage paging (delegated
-  traps deliver natively, with no VM exit in between; each case draws
-  the host's delegation masks, so the causes it leaves out exit and
-  the VMM re-injects them), and binary translation (shadow). The
-  other three rows deliver every trap as full delegation would, so
-  they are the H-mode row's oracle. Only *guest-visible* state is
-  compared: registers, pc, the guest CSR view, halt state, pending
-  interrupt causes, console output, and guest memory less the pages
-  of the page-table span (the walker sets accessed/dirty bits at
-  TLB-miss time, which legitimately differs between shadow fills,
-  nested walks and the hardware two-stage walker). Cycle counts are
-  never compared across configs -- cost models differ by design.
-  instret *is* comparable everywhere (BT monitor callouts retire,
-  mirroring intercepted-and-emulated instructions under hardware
-  assist), on every outcome: the translator, like the core, stops on
-  exactly the retire edge its instruction budget ends at.
+Two comparisons, one oracle:
 
-Each case also carries a seeded :class:`~repro.devices.schedule.
-EventSchedule` (``opts["events"]``, on by default): timer, virtio and
-console interrupts fire at fixed retire counts, so asynchronous
-delivery itself is differentially tested -- a pending, unmasked IRQ
-latched at retire edge N must be delivered before the fetch of
-instruction N+1 in *every* engine, and with a nonzero fault rate the
-``irq.*`` sites perturb that schedule identically across backends.
+* :func:`compare_bare` holds the JIT to the interpreter exactly --
+  cycles, TLB and walker counts and the memory image included (``mem``:
+  each written page that is not all zero).
+* :func:`compare_vmm` holds every VMM row to the interpreter (Popek and
+  Goldberg's equivalence): outcome, pc, registers, the guest CSR view,
+  halt state, pending interrupt causes, console output, instret, and
+  memory less the page-table span (the walkers set accessed/dirty bits
+  at TLB-miss time, which legitimately differs). Cycles differ by
+  design and are never compared; aborts must match as a class.
 
-Outcomes are normalized to classes first; a cycle-guard trip is a
-``hang`` (always a failure: some backend stopped making progress), and
-aborts (guest triple faults, runaway accesses past RAM) must at least
-be symmetric across a group.
+Each case carries a seeded :class:`~repro.devices.schedule.EventSchedule`
+(``opts["events"]``, on by default) and, with a nonzero fault rate, one
+fault plan over the ``irq.*``, virtio and H-mode sites; every site keys
+to an architected point, so both replay identically on every row. A
+cycle-guard trip is a ``hang``. CI runs seeds 1, 17 and 23 x 300 cases
+clean; ``tests/test_fuzz.py::TestLocate`` catches, locates and shrinks
+``vm-console-rx-ready`` (``fuzz.bugs``), which only the native oracle sees.
 
-TRAP_EMULATE is deliberately excluded: VISA's sensitive-but-
-unprivileged instructions make it architecturally *wrong* (that is the
-paper's point), so differential equality cannot hold there.
+TRAP_EMULATE is excluded: VISA's sensitive-but-unprivileged
+instructions make it architecturally *wrong* (the paper's point).
 """
 
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import (
-    GuestConfig, Hypervisor, MMUVirtMode, VirtMode, VirtualMachine,
+    GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode, VirtualMachine,
 )
 from repro.core.policies import hmode_controls
 from repro.cpu.disasm import disassemble_one
-from repro.cpu.interp import CPUCore, StopReason
+from repro.cpu.interp import StopReason
 from repro.cpu.isa import CSR, HEDELEG_ALL, HIDELEG_ALL, DecodeError
-from repro.cpu.mmu import BareMMU
-from repro.devices.irq import InterruptController
 from repro.devices.schedule import EventSchedule
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.fuzz import gen
 from repro.mem.costs import CostModel
 from repro.mem.paging import PageFault
-from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRNG
 
 DEFAULT_MAX_INSTRUCTIONS = 600
 
-#: IRQ-path fault sites armed (with the virtio site) when a case runs
-#: with a nonzero fault rate. All are keyed to architected points --
-#: line raises and retire-count edges -- so the same plan replays
-#: identically in every backend.
-IRQ_FAULT_SITES = ("irq.lost", "irq.spurious", "irq.storm", "irq.delayed")
-
-#: H-mode fault sites armed in *every* config's plan. Per-site forked
-#: streams mean the extra spec perturbs nothing: configs without an
-#: H-mode vCPU never evaluate it, and where it fires the effect is
-#: host timing only, so guest state still agrees.
-HMODE_FAULT_SITES = ("hmode.gstage_stall",)
+#: The fault sites a case with a nonzero fault rate arms, on every row.
+#: All are keyed to architected points -- virtio kicks, line raises,
+#: retire-count edges, H-mode trap deliveries and two-stage fills -- so
+#: the same plan fires identically everywhere; per-site forked streams
+#: mean a site a row never evaluates perturbs nothing.
+FAULT_SITES = ("virtio.ring_stuck", "irq.lost", "irq.spurious", "irq.storm",
+               "irq.delayed", "hmode.gstage_stall")
 
 #: Salt of the stream a case's H-mode delegation masks are drawn from:
 #: a fork of its fault seed, uncorrelated with the faults it plans.
@@ -117,30 +100,40 @@ def vmm_cycle_guard(max_instructions: int) -> int:
     return max_instructions * 4_000 + 400_000
 
 
-def _injector(sites: Tuple[str, ...], fault_rate: float,
-              fault_seed: int) -> Optional[FaultInjector]:
-    if fault_rate <= 0.0:
-        return None
-    return FaultInjector(FaultPlan(
-        seed=fault_seed,
-        specs=[FaultSpec(site, rate=fault_rate) for site in sites],
-    ))
+def _arm(cpu, pic, devices, max_instructions: int, fault_rate: float,
+         fault_seed: int, event_seed: Optional[int],
+         exit_on_fire: bool) -> Optional[FaultInjector]:
+    """Bind a case's fault plan to a power-on board and its event
+    schedule to the core; returns the plan's injector (None at rate 0)."""
+    injector = None
+    if fault_rate > 0.0:
+        injector = FaultInjector(FaultPlan(
+            seed=fault_seed,
+            specs=[FaultSpec(site, rate=fault_rate) for site in FAULT_SITES],
+        ))
+    devices["virtio_blk"].injector = pic.injector = injector
+    if event_seed is not None:
+        cpu.events = EventSchedule.seeded(
+            event_seed, horizon=max_instructions, controller=pic,
+            console=devices["console"], injector=injector,
+            exit_on_fire=exit_on_fire,
+        )
+    return injector
 
 
-# -- bare group -------------------------------------------------------------
+# -- native rows -----------------------------------------------------------
 
-#: The bare group's one memory, kept for the life of the process like
-#: ``_HOSTS``; each run starts by zeroing what the last one wrote.
-_BARE: Optional[WriteLog] = None
+#: The native rows' machine, kept for the life of the process like
+#: ``_HOSTS`` and recycled for every run.
+_NATIVE: Optional[Machine] = None
 
 
-def _bare_memory() -> WriteLog:
-    global _BARE
-    if _BARE is None:
-        pm = PhysicalMemory(gen.MEM_BYTES)
-        _BARE = WriteLog(pm, {pfn: pfn for pfn in range(pm.num_frames)})
-    _BARE.zero_written()
-    return _BARE
+def native_machine() -> Machine:
+    """This process's native machine, at power-on."""
+    global _NATIVE
+    if _NATIVE is None:
+        _NATIVE = Machine(memory_bytes=gen.MEM_BYTES)
+    return _NATIVE.recycle()
 
 
 def run_bare(segments: Dict[int, bytes], jit: bool,
@@ -148,26 +141,17 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
              event_seed: Optional[int] = None,
              fault_rate: float = 0.0, fault_seed: int = 0,
              budget: Optional[int] = None) -> Dict:
-    """Run one case on a bare core; a ``budget`` below
-    ``max_instructions`` stops it at that retire edge of the full run."""
-    log = _bare_memory()
-    pm = log.physmem
+    """Run one case natively, on :func:`native_machine`; a ``budget``
+    below ``max_instructions`` stops it at that retire edge of the full
+    run."""
+    machine = native_machine()
+    cpu = machine.cpu
+    cpu.jit_enabled = jit
     for addr in sorted(segments):
-        pm.write_bytes(addr, segments[addr])
-    mmu = BareMMU(pm, CostModel())
-    cpu = CPUCore(mmu, port_bus=None, jit=jit)
+        machine.physmem.write_bytes(addr, segments[addr])
     cpu.reset(gen.PRE_BASE)
-    if event_seed is not None:
-        # A bare machine still has a PIC in front of the core: the
-        # schedule raises lines on it and the sink latches causes. No
-        # port bus, so lines stay pending -- irrelevant to comparison,
-        # which sees only the latched causes.
-        injector = _injector(IRQ_FAULT_SITES, fault_rate, fault_seed)
-        pic = InterruptController(sink=cpu, injector=injector)
-        cpu.events = EventSchedule.seeded(
-            event_seed, horizon=max_instructions, controller=pic,
-            injector=injector,
-        )
+    _arm(cpu, machine.pic, machine.devices, max_instructions, fault_rate,
+         fault_seed, event_seed, exit_on_fire=False)
 
     outcome, abort = None, None
     try:
@@ -182,7 +166,6 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
     except _ABORTS as exc:
         outcome = "abort"
         abort = f"{type(exc).__name__}: {exc}"
-    pm.unwatch_writes(cpu._on_code_write)  # the memory outlives the core
 
     return {
         "name": "jit" if jit else "interp",
@@ -192,18 +175,21 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
         "halted": cpu.halted,
         "regs": list(cpu.regs),
         "csr": list(cpu.csr),
+        "csr_view": {c.name: cpu.csr[c] for c in GUEST_CSRS},
         "pending": sorted(c.name for c in cpu.pending_irqs),
+        "console": machine.console.text,
         "cycles": cpu.cycles,
         "instret": cpu.instret,
-        "tlb": dict(vars(mmu.tlb.stats)),
-        "walker": {"walks": mmu.walker.walks, "faults": mmu.walker.faults},
-        "mem": log.nonzero(log.frames.items()),
+        "tlb": dict(vars(machine.mmu.tlb.stats)),
+        "walker": {"walks": machine.mmu.walker.walks,
+                   "faults": machine.mmu.walker.faults},
+        "mem": machine.write_log.nonzero(),
     }
 
 
 #: fields compared exactly between the interpreter and the JIT.
-_BARE_FIELDS = ("pc", "halted", "regs", "csr", "pending", "cycles",
-                "instret", "tlb", "walker", "mem")
+_BARE_FIELDS = ("pc", "halted", "regs", "csr", "pending", "console",
+                "cycles", "instret", "tlb", "walker", "mem")
 
 
 def compare_bare(a: Dict, b: Dict) -> List[str]:
@@ -216,7 +202,7 @@ def compare_bare(a: Dict, b: Dict) -> List[str]:
     return [f for f in _BARE_FIELDS if a[f] != b[f]]
 
 
-# -- vmm group --------------------------------------------------------------
+# -- VMM rows ---------------------------------------------------------------
 
 
 def build_machine(config_name: str) -> Tuple[Hypervisor, VirtualMachine]:
@@ -272,16 +258,6 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
     :func:`build_machine` or :func:`pooled_machine`; ``budget`` as in
     :func:`run_bare`."""
     hw = vm.config.virt_mode is VirtMode.HW_ASSIST
-    # All sites key to architected points (virtio kicks are synchronous,
-    # IRQ faults draw per line raise / retire edge, hmode sites per trap
-    # delivery / two-stage fill), so the same plan fires identically in
-    # every config.
-    injector = _injector(("virtio.ring_stuck",) + IRQ_FAULT_SITES
-                         + HMODE_FAULT_SITES, fault_rate, fault_seed)
-    vm.devices["virtio_blk"].injector = injector
-    vm.pic.injector = injector
-    # The host outlives the case: None must replace the last plan too.
-    hv.injector = injector
     for addr in sorted(segments):
         vm.guest_mem.write_bytes(addr, segments[addr])
     hv.reset_vcpu(vm, gen.PRE_BASE)
@@ -294,15 +270,13 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         rng = DeterministicRNG(fault_seed).fork(_DELEG_SALT)
         cpu.controls = hmode_controls(HEDELEG_ALL & rng.next_u64(),
                                       HIDELEG_ALL & rng.next_u64())
-    if event_seed is not None:
-        # Hardware-assist delivers natively from cpu.pending_irqs; the
-        # other modes must bounce to the pump so the monitor can inject
-        # the virtual interrupt at the exact retire edge.
-        cpu.events = EventSchedule.seeded(
-            event_seed, horizon=max_instructions, controller=vm.pic,
-            console=vm.devices["console"], injector=injector,
-            exit_on_fire=not hw,
-        )
+    # Hardware assist delivers natively from cpu.pending_irqs; the other
+    # modes bounce to the pump, so the monitor injects the virtual
+    # interrupt at the exact retire edge. The host outlives the case:
+    # None must replace the last plan too.
+    hv.injector = _arm(cpu, vm.pic, vm.devices, max_instructions,
+                       fault_rate, fault_seed, event_seed,
+                       exit_on_fire=not hw)
     outcome, abort = None, None
     try:
         res = hv.run(
@@ -326,7 +300,7 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         "pending": sorted(c.name for c in pending),
         "console": vm.devices["console"].text,
         "instret": cpu.instret,
-        "mem": vm.guest_mem.write_log.nonzero(vm.guest_mem.map.items()),
+        "mem": vm.guest_mem.write_log.nonzero(),
     }
 
 
@@ -336,7 +310,8 @@ _VMM_FIELDS = ("pc", "halted", "regs", "csr_view", "pending", "console")
 
 def compare_vmm(results: List[Dict]) -> Tuple[Optional[str], List[str],
                                               Optional[Tuple[str, str]]]:
-    """Return (failure_kind, differing_fields, (name_a, name_b)).
+    """Hold every row to ``results[0]`` (the native interpreter, in a
+    full case); return (failure_kind, differing_fields, (name_a, name_b)).
 
     failure_kind is None (agreement), "hang" (any backend tripped the
     cycle guard), or "divergence".
@@ -417,7 +392,7 @@ def run_case_spec(spec: gen.CaseSpec, opts: Dict) -> Dict:
         verdict = {"kind": "divergence", "group": "bare",
                    "fields": bare_fields, "pair": ("interp", "jit")}
     else:
-        kind, fields, pair = compare_vmm(vmm)
+        kind, fields, pair = compare_vmm([interp] + vmm)
         if kind is not None:
             verdict = {"kind": kind, "group": "vmm", "fields": fields,
                        "pair": pair}
@@ -447,13 +422,15 @@ def run_case(root_seed: int, case_index: int, opts: Dict) -> Dict:
 #: Exits of each VMM row a located failure keeps (the row's trace ring).
 EXIT_TAIL = 8
 
+_NATIVE_ROWS = ("interp", "jit")
+
 
 def _row(name: str, segments: Dict[int, bytes], common: Dict,
          budget: int) -> Dict:
     """Run row ``name`` of a case to ``budget``; a VMM row's host has its
     ``trace`` armed for this run only, and the row carries its tail as
     ``exits``."""
-    if name in ("interp", "jit"):
+    if name in _NATIVE_ROWS:
         return run_bare(segments, jit=name == "jit", budget=budget, **common)
     hv, vm = pooled_machine(name)
     hv.trace = deque(maxlen=EXIT_TAIL)
@@ -465,8 +442,9 @@ def _row(name: str, segments: Dict[int, bytes], common: Dict,
 
 
 def _parts(a: Dict, b: Dict) -> List[str]:
-    """The fields in which two rows of one group differ."""
-    if a["name"] in ("interp", "jit"):
+    """The fields in which two rows differ: exactly when both are native,
+    by :func:`compare_vmm` when a VMM row is one of them."""
+    if a["name"] in _NATIVE_ROWS and b["name"] in _NATIVE_ROWS:
         return compare_bare(a, b)
     return compare_vmm([a, b])[1]
 

@@ -2,7 +2,7 @@
 
 import mmap
 import struct
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.util.errors import MemoryError_
 from repro.util.units import PAGE_SHIFT, PAGE_SIZE
@@ -142,6 +142,7 @@ class WriteLog:
 
     def __init__(self, physmem: PhysicalMemory, frames: Dict[int, int]):
         self.physmem, self.frames = physmem, dict(frames)
+        self._keys = {pfn: key for key, pfn in self.frames.items()}
         self.unwritten: Set[int] = set()
         self.written: List[int] = list(self.frames.values())
         physmem.watch_writes(self.unwritten, self._first_store)
@@ -156,12 +157,12 @@ class WriteLog:
         self.unwritten.update(self.written)
         self.written.clear()
 
-    def nonzero(self, frames: Iterable[Tuple[int, int]]) -> Dict[int, bytes]:
-        """``{key: frame bytes}`` of the ``(key, pfn)`` pairs whose frame is
-        not all zero; a frame still unwritten is not read."""
-        view, unwritten = self.physmem._view, self.unwritten
-        pages = {key: bytes(view[pfn << PAGE_SHIFT : (pfn + 1) << PAGE_SHIFT])
-                 for key, pfn in frames if pfn not in unwritten}
+    def nonzero(self) -> Dict[int, bytes]:
+        """``{key: frame bytes}`` of the frames written since the last
+        :meth:`zero_written` that are not all zero; no other frame is read."""
+        view, keys = self.physmem._view, self._keys
+        pages = {keys[pfn]: bytes(view[pfn << PAGE_SHIFT : (pfn + 1) << PAGE_SHIFT])
+                 for pfn in self.written}
         return {key: page for key, page in pages.items() if page != ZERO_PAGE}
 
     def close(self) -> None:

@@ -14,11 +14,17 @@ from repro.guest import KernelOptions, build_kernel
 from repro.mem.costs import CostModel
 from repro.mem.paging import PTE_PRESENT, pte_frame
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
+from repro.obs.registry import MetricsRegistry
 from repro.util.units import MIB
 
 GUEST_MEM = 16 * MIB
 HOST_MEM = 64 * MIB
 _TABLE = struct.Struct("<1024I")
+
+
+def dev_metrics():
+    """A device's metrics scope, in a registry of its own."""
+    return MetricsRegistry().scope("dev")
 
 
 def split_vaddr(va):

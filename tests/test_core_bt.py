@@ -620,7 +620,7 @@ def test_an_event_due_inside_a_run_fires_at_its_edge(compile_on_first_visit):
     delivered there (the vector records EPC in s2)."""
     def schedule(hv, vm):
         vm.vcpus[0].cpu.events = EventSchedule([(4 + 6 * 5 + 3, IRQ_TIMER_LINE)],
-                                               vm.pic)
+                                               vm.pic, vm.devices["console"])
 
     walked, compiled = walked_and_compiled("""
     li   a0, vec

@@ -1,7 +1,10 @@
 """Native machine: baseline semantics and device pump."""
 
+from repro.core import GuestConfig, Hypervisor
 from repro.core.machine import Machine, MachineOutcome
 from repro.cpu.assembler import Assembler
+from repro.devices.irq import IRQ_CONSOLE_LINE
+from repro.mem.physmem import ZERO_PAGE
 from repro.util.units import MIB
 
 
@@ -114,3 +117,55 @@ def test_block_device_dma_native():
     hlt
 """)
     assert machine.block.data.read_sectors(0, 1)[:4] == bytes.fromhex("44332211")
+
+
+def test_a_machine_and_a_default_vm_have_one_board():
+    machine = Machine(memory_bytes=1 * MIB)
+    vm = Hypervisor(memory_bytes=8 * MIB).create_vm(
+        GuestConfig(memory_bytes=1 * MIB))
+
+    def board(bus):
+        """Each claimed port's device class; IN / OUT ports are 12 bits."""
+        return {port: type(bus.device_at(port)) for port in range(1 << 12)
+                if bus.device_at(port) is not None}
+
+    assert board(machine.port_bus) == board(vm.port_bus)
+    assert list(machine.devices) == list(vm.devices)
+    assert machine.cpu.port_bus is machine.port_bus
+    assert vm.vcpus[0].cpu.port_bus is vm.port_bus
+    for pic, console in ((machine.pic, machine.console),
+                         (vm.pic, vm.devices["console"])):
+        assert (console.irq.controller, console.irq.line) == (pic, IRQ_CONSOLE_LINE)
+        console.push_input(ord("k"))
+        assert pic.pending[IRQ_CONSOLE_LINE]
+
+
+def test_a_recycled_machine_is_at_power_on_on_its_ram_and_disks():
+    machine, _ = run_native("""
+    li a0, 0x20000
+    li a1, 0x11223344
+    st [a0+0], a1
+    out 0x52, a0         ; DMA address
+    li a1, 0
+    out 0x50, a1         ; sector 0
+    li a1, 1
+    out 0x51, a1         ; one sector
+    li a1, 2
+    out 0x53, a1         ; write command
+    li a0, 0x41
+    out 0x10, a0
+    li a0, 1
+    out 0xf0, a0
+    hlt
+""")
+    cpu, disk = machine.cpu, machine.block.data
+    assert machine.console.text == "A" and any(disk)
+    assert machine.recycle() is machine
+    assert machine.cpu is not cpu and cpu.instret and not machine.cpu.instret
+    assert machine.block.data is disk and not any(disk)
+    assert machine.console.text == ""
+    assert not machine.power.shutdown_requested
+    # the core's write watcher went with it; the log stays
+    assert len(machine.physmem._watchers) == 2
+    assert all(machine.physmem.read_frame(pfn) == ZERO_PAGE
+               for pfn in range(machine.physmem.num_frames))

@@ -32,6 +32,7 @@ from repro.mem.paging import (
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB
 from repro.util.units import MIB, PAGE_SIZE
+from tests.conftest import dev_metrics
 
 VEC = 0x3000
 
@@ -999,8 +1000,8 @@ class TestColdRuns:
         def setup(cpu):
             cpu.csr[CSR.IE] = 1
             cpu.events = EventSchedule(
-                [(4, IRQ_TIMER_LINE)], InterruptController(sink=cpu),
-                exit_on_fire=exit_on_fire)
+                [(4, IRQ_TIMER_LINE)], InterruptController(cpu, dev_metrics()),
+                None, exit_on_fire=exit_on_fire)
 
         cpu, probed, out = self._pair(self._LINE, setup, max_instructions=100)
         if exit_on_fire:

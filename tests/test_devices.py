@@ -6,6 +6,7 @@ from repro.cpu.isa import Cause
 from repro.devices.bus import PortBus, PortDevice
 from repro.devices.console import CONS_STATUS, CONS_TX, ConsoleDevice
 from repro.devices.irq import (
+    IRQ_CONSOLE_LINE,
     IRQ_TIMER_LINE,
     InterruptController,
     PIC_STATUS,
@@ -18,6 +19,7 @@ from repro.devices.timer import (
     TimerDevice,
 )
 from repro.util.errors import DeviceError
+from tests.conftest import dev_metrics
 
 
 class SinkStub:
@@ -70,13 +72,13 @@ class TestPortBus:
 class TestInterruptController:
     def test_line_zero_is_timer_cause(self):
         sink = SinkStub()
-        pic = InterruptController(sink)
+        pic = InterruptController(sink, dev_metrics())
         pic.raise_line(0)
         pic.raise_line(3)
         assert sink.irqs == [Cause.IRQ_TIMER, Cause.IRQ_DEVICE]
 
     def test_status_port_and_ack(self):
-        pic = InterruptController(SinkStub())
+        pic = InterruptController(SinkStub(), dev_metrics())
         pic.raise_line(1)
         pic.raise_line(4)
         assert pic.port_read(PIC_STATUS) == (1 << 1) | (1 << 4)
@@ -85,7 +87,7 @@ class TestInterruptController:
         assert pic.highest_pending() == 4
 
     def test_line_bounds(self):
-        pic = InterruptController()
+        pic = InterruptController(None, dev_metrics())
         with pytest.raises(DeviceError):
             pic.raise_line(16)
         with pytest.raises(DeviceError):
@@ -93,7 +95,7 @@ class TestInterruptController:
 
     def test_irqline_handle(self):
         sink = SinkStub()
-        pic = InterruptController(sink)
+        pic = InterruptController(sink, dev_metrics())
         line = pic.line(IRQ_TIMER_LINE)
         line.raise_()
         assert pic.pending[0]
@@ -101,8 +103,8 @@ class TestInterruptController:
 
 class TestTimer:
     def _timer(self):
-        pic = InterruptController(SinkStub())
-        return TimerDevice(pic.line(0)), pic
+        pic = InterruptController(SinkStub(), dev_metrics())
+        return TimerDevice(pic.line(0), dev_metrics()), pic
 
     def test_oneshot_fires_once(self):
         timer, pic = self._timer()
@@ -138,9 +140,14 @@ class TestTimer:
         assert timer.tick(100) == 0
 
 
+def _console():
+    return ConsoleDevice(
+        InterruptController(None, dev_metrics()).line(IRQ_CONSOLE_LINE))
+
+
 class TestConsole:
     def test_captures_text(self):
-        console = ConsoleDevice()
+        console = _console()
         for ch in b"ok\n":
             console.port_write(CONS_TX, ch)
         assert console.text == "ok\n"
@@ -148,7 +155,7 @@ class TestConsole:
         assert console.port_read(CONS_STATUS) == 1
 
     def test_capacity_bound(self):
-        console = ConsoleDevice()
+        console = _console()
         console.capacity = 2
         for ch in b"abcd":
             console.port_write(CONS_TX, ch)
@@ -156,7 +163,7 @@ class TestConsole:
         assert console.chars_written == 4
 
     def test_clear(self):
-        console = ConsoleDevice()
+        console = _console()
         console.port_write(CONS_TX, ord("x"))
         console.clear()
         assert console.text == ""

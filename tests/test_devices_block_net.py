@@ -31,6 +31,7 @@ from repro.devices.net import (
 from repro.mem.physmem import PhysicalMemory
 from repro.util.errors import DeviceError
 from repro.util.units import MIB
+from tests.conftest import dev_metrics
 
 
 class SinkStub:
@@ -45,14 +46,14 @@ class SinkStub:
 def env():
     pm = PhysicalMemory(1 * MIB)
     sink = SinkStub()
-    pic = InterruptController(sink)
+    pic = InterruptController(sink, dev_metrics())
     return pm, pic, sink
 
 
 class TestBlockDevice:
     def test_write_then_read_roundtrip(self, env):
         pm, pic, sink = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         payload = bytes(range(256)) * 2  # one sector
         pm.write_bytes(0x4000, payload)
         disk.port_write(BLK_SECTOR, 3)
@@ -70,7 +71,7 @@ class TestBlockDevice:
 
     def test_multi_sector_transfer(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         data = b"AB" * (SECTOR_SIZE)  # two sectors worth
         pm.write_bytes(0x4000, data)
         disk.port_write(BLK_SECTOR, 0)
@@ -82,7 +83,7 @@ class TestBlockDevice:
 
     def test_out_of_range_sets_error_status(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         disk.port_write(BLK_SECTOR, 2047)
         disk.port_write(BLK_COUNT, 2)  # runs past the end
         disk.port_write(BLK_DMA, 0x4000)
@@ -91,19 +92,19 @@ class TestBlockDevice:
 
     def test_bad_command_is_error(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         disk.port_write(BLK_COUNT, 1)
         disk.port_write(BLK_CMD, 99)
         assert disk.port_read(BLK_STATUS) == STATUS_ERROR
 
     def test_capacity_port(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         assert disk.port_read(BLK_NSECT) == 2048
 
     def test_load_image(self, env):
         pm, pic, _ = env
-        disk = BlockDevice(pm, pic.line(1), DiskImage())
+        disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
         disk.data.load_image(b"boot", sector=1)
         assert disk.data.read_sectors(1, 1)[:4] == b"boot"
         with pytest.raises(DeviceError):
@@ -113,7 +114,7 @@ class TestBlockDevice:
 class TestNetDevice:
     def test_transmit(self, env):
         pm, pic, _ = env
-        nic = NetDevice(pm, pic.line(2))
+        nic = NetDevice(pm, pic.line(2), dev_metrics())
         sent = nic.sent
         pm.write_bytes(0x4000, b"hello frame")
         nic.port_write(NET_TX_ADDR, 0x4000)
@@ -124,7 +125,7 @@ class TestNetDevice:
 
     def test_receive_path(self, env):
         pm, pic, sink = env
-        nic = NetDevice(pm, pic.line(2))
+        nic = NetDevice(pm, pic.line(2), dev_metrics())
         nic.inject_rx(b"incoming")
         assert sink.count == 1
         assert nic.port_read(NET_STATUS) & 2  # rx waiting
@@ -136,14 +137,14 @@ class TestNetDevice:
 
     def test_rx_pop_when_empty(self, env):
         pm, pic, _ = env
-        nic = NetDevice(pm, pic.line(2))
+        nic = NetDevice(pm, pic.line(2), dev_metrics())
         nic.port_write(NET_RX_ADDR, 0x6000)
         nic.port_write(NET_RX_CMD, 1)
         assert nic.port_read(NET_RX_LEN) == 0
 
     def test_oversize_frames_rejected(self, env):
         pm, pic, _ = env
-        nic = NetDevice(pm, pic.line(2))
+        nic = NetDevice(pm, pic.line(2), dev_metrics())
         with pytest.raises(DeviceError):
             nic.inject_rx(b"x" * 10000)
         with pytest.raises(DeviceError):

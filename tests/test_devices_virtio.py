@@ -31,6 +31,7 @@ from repro.mem.physmem import PhysicalMemory
 from repro.obs.registry import MetricsRegistry
 from repro.util.errors import DeviceError
 from repro.util.units import MIB
+from tests.conftest import dev_metrics
 
 DESC = 0x10000
 AVAIL = 0x10100
@@ -52,7 +53,7 @@ class SinkStub:
 def env():
     pm = PhysicalMemory(1 * MIB)
     sink = SinkStub()
-    pic = InterruptController(sink)
+    pic = InterruptController(sink, dev_metrics())
     return pm, pic, sink
 
 
@@ -150,7 +151,7 @@ class TestVirtQueue:
 class TestVirtioBlock:
     def test_write_and_read(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage(), dev_metrics())
         configure(dev, VIRTIO_BLK_BASE, pm)
         assert dev.port_read(VIRTIO_BLK_BASE + OFF_STATUS) == 1
 
@@ -173,7 +174,7 @@ class TestVirtioBlock:
 
     def test_batch_processes_all_with_one_kick_one_irq(self, env):
         pm, pic, sink = env
-        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage(), dev_metrics())
         configure(dev, VIRTIO_BLK_BASE, pm)
         pm.write_bytes(DATA, b"Z" * 512)
         heads = [blk_request(pm, i, BLK_T_WRITE, sector=i) for i in range(4)]
@@ -186,7 +187,7 @@ class TestVirtioBlock:
 
     def test_out_of_range_request_errors(self, env):
         pm, pic, _ = env
-        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage(), dev_metrics())
         configure(dev, VIRTIO_BLK_BASE, pm)
         head = blk_request(pm, 0, BLK_T_WRITE, sector=2048)
         publish(pm, [head])
@@ -196,7 +197,7 @@ class TestVirtioBlock:
 
     def test_kick_before_configuration_rejected(self, env):
         pm, pic, _ = env
-        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage())
+        dev = VirtioBlockDevice(pm, pic.line(3), DiskImage(), dev_metrics())
         with pytest.raises(DeviceError):
             dev.port_write(VIRTIO_BLK_BASE + OFF_KICK, 0)
 
@@ -204,7 +205,7 @@ class TestVirtioBlock:
 class TestVirtioNet:
     def test_tx_batch(self, env):
         pm, pic, sink = env
-        dev = VirtioNetDevice(pm, pic.line(4))
+        dev = VirtioNetDevice(pm, pic.line(4), dev_metrics())
         sent = dev.sent
         configure(dev, VIRTIO_NET_BASE, pm)  # tx queue
         pm.write_bytes(DATA, b"frame-a!")
@@ -217,7 +218,7 @@ class TestVirtioNet:
 
     def test_rx_fill(self, env):
         pm, pic, _ = env
-        dev = VirtioNetDevice(pm, pic.line(4))
+        dev = VirtioNetDevice(pm, pic.line(4), dev_metrics())
         rx_base = VIRTIO_NET_BASE + 8
         configure_offsets = {
             OFF_DESC: DESC, OFF_AVAIL: AVAIL, OFF_USED: USED, OFF_SIZE: 16,
@@ -232,6 +233,6 @@ class TestVirtioNet:
 
     def test_rx_drop_without_buffers(self, env):
         pm, pic, _ = env
-        dev = VirtioNetDevice(pm, pic.line(4))
+        dev = VirtioNetDevice(pm, pic.line(4), dev_metrics())
         assert not dev.inject_rx(b"lost")
         assert dev.rx_dropped == 1

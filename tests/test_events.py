@@ -30,6 +30,7 @@ from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
 from repro.mem.tlb import TLB
 from repro.util.errors import DeviceError
+from tests.conftest import dev_metrics
 
 MEM = 0x40000
 ENTRY = 0x1000
@@ -75,9 +76,10 @@ def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
     cpu.mmu.tlb = TLB(16)
     cpu.reset(ENTRY)
     if events is not None:
-        pic = InterruptController(sink=cpu, injector=injector)
+        pic = InterruptController(cpu, dev_metrics())
+        pic.injector = injector
         attach_schedule(cpu, EventSchedule(
-            events, pic, injector=injector, exit_on_fire=exit_on_fire))
+            events, pic, None, injector=injector, exit_on_fire=exit_on_fire))
     return cpu
 
 
@@ -101,21 +103,21 @@ def _snapshot(cpu):
 class TestEventSchedule:
     def test_seeded_is_deterministic(self):
         def heap(seed):
-            s = EventSchedule.seeded(seed, 600, InterruptController())
+            s = EventSchedule.seeded(seed, 600, InterruptController(None, dev_metrics()), None)
             return sorted(s._heap)
 
         assert heap(42) == heap(42)
         assert heap(42) != heap(43)
 
     def test_seeded_stays_inside_horizon_timer_train(self):
-        s = EventSchedule.seeded(9, 600, InterruptController())
+        s = EventSchedule.seeded(9, 600, InterruptController(None, dev_metrics()), None)
         timer_dues = [d for d, _seq, ln in s._heap if ln == IRQ_TIMER_LINE]
         assert timer_dues, "horizon 600 always fits at least one timer"
         assert all(d < 600 for d in timer_dues)
 
     def test_fire_due_pops_everything_due(self):
-        pic = InterruptController()
-        s = EventSchedule([(5, 0), (5, 3), (9, 0), (20, 3)], pic)
+        pic = InterruptController(None, dev_metrics())
+        s = EventSchedule([(5, 0), (5, 3), (9, 0), (20, 3)], pic, None)
         assert s.next_due == 5
         assert s.fire_due(10) == 3
         assert s.next_due == 20
@@ -127,9 +129,9 @@ class TestEventSchedule:
         assert len(s) == 0
 
     def test_console_event_queues_an_input_byte(self):
-        console = ConsoleDevice()
-        pic = InterruptController()
-        s = EventSchedule([(1, IRQ_CONSOLE_LINE)], pic, console=console)
+        pic = InterruptController(None, dev_metrics())
+        console = ConsoleDevice(pic.line(IRQ_CONSOLE_LINE))
+        s = EventSchedule([(1, IRQ_CONSOLE_LINE)], pic, console)
         s.fire_due(1)
         assert console.port_read(CONS_STATUS) & 2
         assert console.port_read(CONS_TX) == ord("k")
@@ -141,8 +143,9 @@ class TestEventSchedule:
             def assert_irq(self, cause):
                 order.append(cause)
 
-        pic = InterruptController(sink=Sink())
-        s = EventSchedule([(4, IRQ_VIRTIO_BLK_LINE), (4, IRQ_TIMER_LINE)], pic)
+        pic = InterruptController(Sink(), dev_metrics())
+        s = EventSchedule([(4, IRQ_VIRTIO_BLK_LINE), (4, IRQ_TIMER_LINE)], pic,
+                          None)
         s.fire_due(4)
         assert order == [Cause.IRQ_DEVICE, Cause.IRQ_TIMER]
 
@@ -261,7 +264,7 @@ class TestHLTAtDueEdgeVMM:
         hv.reset_vcpu(vm, ENTRY)
         cpu = vm.vcpus[0].cpu
         cpu.events = EventSchedule(
-            [(due, IRQ_TIMER_LINE)], vm.pic,
+            [(due, IRQ_TIMER_LINE)], vm.pic, vm.devices["console"],
             exit_on_fire=virt_mode is not VirtMode.HW_ASSIST)
         out = hv.run(vm, max_guest_instructions=100, max_cycles=2_000_000)
         return out, cpu
@@ -306,13 +309,13 @@ class TestHLTAtDueEdgeVMM:
 
 class TestControllerEdges:
     def test_ack_of_never_raised_line_is_a_noop(self):
-        pic = InterruptController()
+        pic = InterruptController(None, dev_metrics())
         pic.port_write(PIC_STATUS, 1 << 9)
         assert pic.pending_mask() == 0
         assert pic.raised_count == 0
 
     def test_out_of_range_lines_rejected(self):
-        pic = InterruptController()
+        pic = InterruptController(None, dev_metrics())
         with pytest.raises(DeviceError):
             pic.raise_line(NUM_LINES)
         with pytest.raises(DeviceError):
@@ -321,7 +324,7 @@ class TestControllerEdges:
             pic.line(NUM_LINES)
 
     def test_double_raise_is_idempotent_and_counted(self):
-        pic = InterruptController()
+        pic = InterruptController(None, dev_metrics())
         pic.raise_line(3)
         pic.raise_line(3)
         assert pic.pending_mask() == 1 << 3
@@ -336,7 +339,7 @@ class TestControllerEdges:
                  VEC: encode(Op.IRET)}
         cpu = _cpu(image, jit=False)
         cpu.csr[CSR.VBAR] = VEC
-        pic = InterruptController(sink=cpu)
+        pic = InterruptController(cpu, dev_metrics())
         pic.raise_line(IRQ_VIRTIO_BLK_LINE)
         pic.raise_line(IRQ_TIMER_LINE)
         cpu.csr[CSR.IE] = 1
@@ -361,7 +364,8 @@ class TestIRQFaultSites:
                 causes.append(cause)
 
         inj = _injector(_pin("irq.lost"))
-        pic = InterruptController(sink=Sink(), injector=inj)
+        pic = InterruptController(Sink(), dev_metrics())
+        pic.injector = inj
         pic.raise_line(0)
         pic.raise_line(0)
         assert pic.lost_count == 1
@@ -376,7 +380,8 @@ class TestIRQFaultSites:
                 causes.append(cause)
 
         inj = _injector(_pin("irq.spurious"))
-        pic = InterruptController(sink=Sink(), injector=inj)
+        pic = InterruptController(Sink(), dev_metrics())
+        pic.injector = inj
         pic.raise_line(IRQ_TIMER_LINE)
         assert pic.spurious_count == 1
         assert causes == [Cause.IRQ_TIMER, Cause.IRQ_DEVICE]
@@ -384,8 +389,8 @@ class TestIRQFaultSites:
 
     def test_delayed_pushes_the_event_back(self):
         inj = _injector(_pin("irq.delayed"))
-        pic = InterruptController()
-        s = EventSchedule([(5, 0)], pic, injector=inj)
+        pic = InterruptController(None, dev_metrics())
+        s = EventSchedule([(5, 0)], pic, None, injector=inj)
         assert s.fire_due(5) == 0
         assert s.deferred_count == 1
         assert 5 < s.next_due <= 5 + 8
@@ -394,8 +399,8 @@ class TestIRQFaultSites:
 
     def test_storm_requeues_consecutive_edges(self):
         inj = _injector(_pin("irq.storm"))
-        pic = InterruptController()
-        s = EventSchedule([(5, 0)], pic, injector=inj)
+        pic = InterruptController(None, dev_metrics())
+        s = EventSchedule([(5, 0)], pic, None, injector=inj)
         assert s.fire_due(5) == 1
         assert 1 <= s.storm_extra <= 4
         assert len(s) == s.storm_extra
@@ -422,7 +427,8 @@ class TestIRQFaultSites:
 
 class TestConsoleRX:
     def test_rx_queue_and_status_bit(self):
-        console = ConsoleDevice()
+        console = ConsoleDevice(
+            InterruptController(None, dev_metrics()).line(IRQ_CONSOLE_LINE))
         assert console.port_read(CONS_STATUS) == 1  # TX ready, no RX
         console.push_input(0x41)
         console.push_input(0x42)
@@ -433,7 +439,7 @@ class TestConsoleRX:
         assert console.port_read(CONS_TX) == 0  # empty: reads as zero
 
     def test_push_raises_bound_irq_line(self):
-        pic = InterruptController()
-        console = ConsoleDevice(irq=pic.line(IRQ_CONSOLE_LINE))
+        pic = InterruptController(None, dev_metrics())
+        console = ConsoleDevice(pic.line(IRQ_CONSOLE_LINE))
         console.push_input(0x6B)
         assert pic.pending_mask() == 1 << IRQ_CONSOLE_LINE

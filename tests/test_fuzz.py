@@ -196,7 +196,7 @@ def _six_runs(seed, index):
     runs = []
     for jit in (False, True):
         result = diff.run_bare(segments, jit=jit, **common)
-        runs.append((result, diff._BARE.physmem.read_bytes(0, gen.MEM_BYTES)))
+        runs.append((result, diff._NATIVE.physmem.read_bytes(0, gen.MEM_BYTES)))
     for name, _v, _m in diff.VMM_CONFIGS:
         result = diff.run_vmm(segments, name, **common)
         mem = diff._HOSTS[name].vms["fuzz"].guest_mem
@@ -329,6 +329,7 @@ class TestBugShims:
     def test_known_bugs_listed(self):
         assert "pr5-vector-loop" in known_bugs()
         assert "bt-stale-smc" in known_bugs()
+        assert "vm-console-rx-ready" in known_bugs()
 
     def test_unknown_bug_rejected(self):
         with pytest.raises(ValueError):
@@ -356,25 +357,29 @@ class TestBugShims:
 
 # -- locating a failure -----------------------------------------------------
 
-#: bt-stale-smc's first failing case of seed 1: hw-shadow and bt-shadow
-#: part at retire edge 46 (bt-shadow runs a stale translation).
+#: bt-stale-smc's first failing case of seed 1: native and bt-shadow part
+#: at retire edge 46 (bt-shadow runs a stale translation).
 SMC_SEED, SMC_CASE = 1, 1
+
+#: vm-console-rx-ready's first failing case of seed 1: the guest reads the
+#: console's status port, and every VMM row reads RX-ready.
+CONSOLE_SEED, CONSOLE_CASE = 1, 8
 
 
 class TestLocate:
     def test_smc_edge_is_the_first_differing_budget(self):
         opts = {**default_opts(), "bug": "bt-stale-smc"}
         result = run_case(SMC_SEED, SMC_CASE, opts)
-        assert result["verdict"]["pair"] == ("hw-shadow", "bt-shadow")
+        assert result["verdict"]["pair"] == ("interp", "bt-shadow")
         edge = diff.locate(gen.generate_case(SMC_SEED, SMC_CASE), opts,
                            result["verdict"])
         segments, common = _case(SMC_SEED, SMC_CASE, 0.0)
 
         def parts(n):
             return diff.compare_vmm([
-                diff.run_on(*diff.pooled_machine(name), segments, budget=n,
-                            **common)
-                for name in result["verdict"]["pair"]])[1]
+                diff.run_bare(segments, jit=False, budget=n, **common),
+                diff.run_on(*diff.pooled_machine("bt-shadow"), segments,
+                            budget=n, **common)])[1]
 
         with apply_bug("bt-stale-smc"):
             first = next(n for n in range(1, 601) if parts(n))
@@ -382,9 +387,9 @@ class TestLocate:
         assert edge["n"] == first == 46
         assert edge["fields"] == ["pc", "regs"]
         assert {name: row["pc"] for name, row in edge["rows"].items()} == {
-            "hw-shadow": 0x3010, "bt-shadow": 0x3060}
-        assert all(len(row["exits"]) <= diff.EXIT_TAIL
-                   for row in edge["rows"].values())
+            "interp": 0x3010, "bt-shadow": 0x3060}
+        assert "exits" not in edge["rows"]["interp"]
+        assert len(edge["rows"]["bt-shadow"]["exits"]) <= diff.EXIT_TAIL
 
     def test_vector_loop_edge_is_the_stall(self):
         opts = {**default_opts(), "bug": "pr5-vector-loop"}
@@ -427,6 +432,32 @@ class TestLocate:
         assert failures and all(f["edge"] for f in failures)
         assert (manifest_identity(serial["manifest"])
                 == manifest_identity(fanned["manifest"]))
+
+    def test_a_bug_only_native_sees_is_caught_located_and_shrunk(self):
+        # Every VMM row builds the same wrong console, so the four agree;
+        # held to native, each of them differs.
+        opts = {**default_opts(), "bug": "vm-console-rx-ready"}
+        segments, common = _case(CONSOLE_SEED, CONSOLE_CASE, 0.0)
+        with apply_bug("vm-console-rx-ready"):
+            vmm = [diff.run_vmm(segments, name, **common)
+                   for name, _v, _m in diff.VMM_CONFIGS]
+        assert diff.compare_vmm(vmm) == (None, [], None)
+        result = run_case(CONSOLE_SEED, CONSOLE_CASE, opts)
+        assert result["verdict"] == {"kind": "divergence", "group": "vmm",
+                                     "fields": ["regs"],
+                                     "pair": ("interp", "hw-shadow")}
+        edge = diff.locate(gen.generate_case(CONSOLE_SEED, CONSOLE_CASE),
+                           opts, result["verdict"])
+        # The edge is the IN from the console's status port.
+        assert (edge["n"], edge["fields"]) == (42, ["regs"])
+        assert set(edge["rows"]) == {"interp", "hw-shadow"}
+        assert edge["rows"]["hw-shadow"]["exits"][-1][1:4] == [
+            "io_in", "fuzz", "port_0x11"]
+        shrunk = shrink_case(CONSOLE_SEED, CONSOLE_CASE, opts, result)
+        assert shrunk["result"]["verdict"]["pair"] == ("interp", "hw-shadow")
+        assert len(shrunk["cells"]) == 1
+        clean = run_case(CONSOLE_SEED, CONSOLE_CASE, default_opts())
+        assert clean["verdict"]["kind"] == "ok"
 
     def test_due_events_fire_before_the_budget_returns(self):
         # Seed 1, case 46 at budget 36 ends on an exit edge with a timer
@@ -509,7 +540,7 @@ class TestDelegationMasks:
         monkeypatch.setattr(Hypervisor, "_exit_guest_trap", drop_value)
         opts = default_opts()
         result = run_case(1, 2, opts)
-        assert result["verdict"]["pair"] == ("hw-shadow", "hw-hmode")
+        assert result["verdict"]["pair"] == ("interp", "hw-hmode")
         shrunk = shrink_case(1, 2, opts, result)
         assert len(shrunk["cells"]) <= 2
 

@@ -137,14 +137,14 @@ def test_recycling_leaks_no_write_watcher(config):
 
 @pytest.mark.parametrize("jit", [False, True])
 def test_the_bare_pool_leaks_no_write_watcher(jit):
-    # A dead core's watcher comes off after its run; the log stays.
+    # A dead core's watcher comes off at the recycle; the log stays.
     segments, common = _case(1, 0, 0.0)
     counts = []
     for runs in (1, 50):
         for _ in range(runs):
             diff.run_bare(segments, jit=jit, **common)
-        counts.append(len(diff._BARE.physmem._watchers))
-    assert counts[0] == counts[1] == 1
+        counts.append(len(diff._NATIVE.physmem._watchers))
+    assert counts[0] == counts[1] == 2
 
 
 def test_unknown_config_is_a_value_error():

@@ -24,6 +24,7 @@ from repro.devices.irq import IRQ_TIMER_LINE, InterruptController
 from repro.devices.schedule import EventSchedule, attach_schedule
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
+from tests.conftest import dev_metrics
 
 MEM = 0x100000
 ENTRY = 0x1000
@@ -72,8 +73,8 @@ def _run_bare(due):
         pm.write_bytes(addr, data)
     cpu = CPUCore(BareMMU(pm, costs), port_bus=None, jit=False)
     cpu.reset(ENTRY)
-    pic = InterruptController(sink=cpu)
-    attach_schedule(cpu, EventSchedule([(due, IRQ_TIMER_LINE)], pic))
+    pic = InterruptController(cpu, dev_metrics())
+    attach_schedule(cpu, EventSchedule([(due, IRQ_TIMER_LINE)], pic, None))
     cpu.run(max_instructions=LIMIT)
     return cpu
 
@@ -87,7 +88,8 @@ def _run_hmode(due):
         vm.guest_mem.write_bytes(addr, data)
     hv.reset_vcpu(vm, ENTRY)
     cpu = vm.vcpus[0].cpu
-    cpu.events = EventSchedule([(due, IRQ_TIMER_LINE)], vm.pic)
+    cpu.events = EventSchedule([(due, IRQ_TIMER_LINE)], vm.pic,
+                               vm.devices["console"])
     out = hv.run(vm, max_guest_instructions=LIMIT, max_cycles=10_000_000)
     return out, cpu
 

@@ -91,7 +91,7 @@ def _machine(label, jit, source=LOOP, events=EVENTS):
     hv.load_program(vm, image)
     hv.reset_vcpu(vm, image.entry)
     vm.vcpus[0].cpu.events = EventSchedule(
-        events, vm.pic,
+        events, vm.pic, vm.devices["console"],
         exit_on_fire=BY_LABEL[label][1] is not VirtMode.HW_ASSIST)
     return hv, vm
 

@@ -226,7 +226,8 @@ _ADD7 = Assembler().assemble(".org 0\n    add s1, s1, 7\n").data
 def _due_event(g, edges):
     # A schedule attached by the device, due ``edges`` after the OUT,
     # published as the run loop publishes the folded stop.
-    g.cpu.events = EventSchedule([(g.cpu.instret + edges, IRQ_TIMER_LINE)], g.pic)
+    g.cpu.events = EventSchedule([(g.cpu.instret + edges, IRQ_TIMER_LINE)],
+                                 g.pic, None)
     g.cpu._retire_edge()
 
 

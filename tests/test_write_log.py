@@ -1,6 +1,6 @@
 """The write log: recycling zeroes exactly the frames a case wrote.
 
-``Hypervisor.recycle_vm`` and the fuzzer's bare pool zero only the
+``Hypervisor.recycle_vm`` and ``Machine.recycle`` zero only the
 frames their :class:`~repro.mem.physmem.WriteLog` saw stored to, and a
 run's ``mem`` reads only those. That is exact as long as every store
 reaches ``PhysicalMemory._notify``. Held here four ways: one test per
@@ -18,11 +18,8 @@ import pytest
 from repro.core.hypervisor import HypercallNumbers, RunOutcome
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
-from repro.cpu.interp import CPUCore
-from repro.cpu.mmu import BareMMU
 from repro.devices.virtio import BLK_T_READ, OFF_KICK, VIRTIO_BLK_BASE
 from repro.fuzz import diff, gen
-from repro.mem.costs import CostModel
 from repro.mem.paging import (
     PTE_ACCESSED, PTE_DIRTY, PTE_PRESENT, PTE_WRITABLE, make_pte,
 )
@@ -129,22 +126,20 @@ def test_a_guest_accessed_dirty_write_back_is_logged(config):
 
 
 def test_the_bare_walkers_accessed_dirty_write_back_is_logged(monkeypatch):
-    monkeypatch.setattr(diff, "_BARE", None)  # a pool of the test's own
-    log = diff._bare_memory()
-    pm = log.physmem
+    monkeypatch.setattr(diff, "_NATIVE", None)  # a pool of the test's own
+    machine = diff.native_machine()
+    log, pm, cpu = machine.write_log, machine.physmem, machine.cpu
     _page_tables(pm.write_u32, 0)
     pm.write_bytes(0x1000, Assembler().assemble(
         ".org 0x1000\n" + PAGED_STORE + "    hlt\n").data)
     tables = [ROOT >> PAGE_SHIFT, LEAF >> PAGE_SHIFT]
     _forget(log, tables)
-    cpu = CPUCore(BareMMU(pm, CostModel()), port_bus=None)
     cpu.reset(0x1000)
     cpu.run(max_instructions=100)
-    pm.unwatch_writes(cpu._on_code_write)
     assert cpu.halted
     for pfn in tables:
         assert pm.read_frame(pfn) != ZERO_PAGE and pfn in log.written
-    assert diff._bare_memory() is log
+    assert diff.native_machine().write_log is log
     assert all(pm.read_frame(pfn) == ZERO_PAGE for pfn in tables)
 
 
@@ -280,7 +275,7 @@ def test_every_frame_is_zero_after_every_recycle(config):
         for index in range(40):
             segments, common = _case(seed, index, 0.05)
             if config == "bare":
-                assert diff._bare_memory().physmem.read_bytes(0, gen.MEM_BYTES) == zero
+                assert diff.native_machine().physmem.read_bytes(0, gen.MEM_BYTES) == zero
                 for jit in (False, True):
                     diff.run_bare(segments, jit=jit, **common)
                 continue
