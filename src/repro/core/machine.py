@@ -12,6 +12,7 @@ import enum
 from typing import Dict, Optional, Tuple
 
 from repro.cpu.interp import CPUCore
+from repro.cpu.isa import CSR
 from repro.cpu.mmu import BareMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice, DiskImage
 from repro.devices.bus import PortBus, PortDevice
@@ -148,7 +149,8 @@ class Machine:
                 return MachineOutcome.INSTR_LIMIT
             self.timer.rebase_if_armed(cpu.cycles)
             self.timer.tick(cpu.cycles)
-            if cpu.halted and not cpu.pending_irqs:
+            # IE clear: a pending IRQ cannot wake it (``_vm_idle``'s rule).
+            if cpu.halted and not (cpu.pending_irqs and cpu.csr[CSR.IE]):
                 deadline = self.timer.next_deadline()
                 if deadline is None:
                     return MachineOutcome.HALTED

@@ -15,6 +15,7 @@ Ports (base = :data:`BLOCK_BASE`)::
     +5 BLK_NSECT  : total sectors (read-only)
 """
 
+import mmap
 from typing import List, Tuple
 
 from repro.devices.bus import PortDevice
@@ -41,14 +42,18 @@ STATUS_READY = 0
 STATUS_ERROR = 2
 
 
-class DiskImage(bytearray):
-    """A disk's :data:`DISK_SECTORS` sectors, zero when made. Every write
-    is a slice assignment (DMA, :meth:`load_image`, ``apply_fields``) that
-    records its range, so recycling a VM zeroes only those and keeps the
-    1 MiB, as ``WriteLog.zero_written`` does for frames."""
+class DiskImage(mmap.mmap):
+    """A disk's :data:`DISK_SECTORS` sectors, demand-backed and private
+    like ``PhysicalMemory`` (compare ``image[:]``: an ``mmap`` compares by
+    identity). Every write is a slice assignment (DMA, :meth:`load_image`,
+    ``apply_fields``) that records its range, so recycling a VM zeroes
+    only those and keeps the image, as ``WriteLog.zero_written`` does."""
+
+    def __new__(cls):
+        return super().__new__(cls, -1, DISK_SECTORS * SECTOR_SIZE,
+                               flags=mmap.MAP_PRIVATE)
 
     def __init__(self):
-        super().__init__(DISK_SECTORS * SECTOR_SIZE)
         self.written: List[Tuple[int, int]] = []
 
     def __setitem__(self, where: slice, value) -> None:
@@ -75,7 +80,7 @@ class DiskImage(bytearray):
             self.written.append((off, off + nbytes))
             super().__setitem__(slice(off, off + nbytes), mem.read_bytes(gpa, nbytes))
         else:
-            mem.write_bytes(gpa, bytes(self[off : off + nbytes]))
+            mem.write_bytes(gpa, self[off : off + nbytes])
 
     # -- direct host-side access (test setup, image loading) ---------------
 
@@ -89,7 +94,7 @@ class DiskImage(bytearray):
         if not self.fits(sector, count):
             raise DeviceError(f"sectors [{sector}, {sector + count}) outside the disk")
         off = sector * SECTOR_SIZE
-        return bytes(self[off : off + count * SECTOR_SIZE])
+        return self[off : off + count * SECTOR_SIZE]
 
 
 class BlockDevice(PortDevice):

@@ -5,6 +5,7 @@ the VMM's I/O exit handler) calls :meth:`PortBus.io_in` /
 :meth:`PortBus.io_out`.
 """
 
+import mmap
 from collections import deque
 from typing import Dict, Optional, Tuple
 
@@ -27,18 +28,20 @@ def capture_fields(obj, names=None) -> Dict[str, object]:
     declares), as a tree of plain values.
 
     A member with a ``STATE`` of its own (a virtqueue) is captured
-    recursively; a list or deque is copied into a list; a bytearray (a
-    disk image) becomes ``bytes``, ``b""`` when it is all zeros -- as a
+    recursively; a list or deque is copied into a list; an ``mmap`` (a
+    ``DiskImage``) becomes ``bytes``, ``b""`` when it is all zeros -- as a
     new device's is, and a recycled VM's (``DiskImage`` zeroes what was
-    written), so an untouched disk costs nothing to store.
+    written): one with no range written is not read at all.
     """
     state = {}
     for name in names or _declared(obj):
         value = getattr(obj, name)
         if hasattr(type(value), "STATE"):
             value = capture_fields(value)
-        elif isinstance(value, bytearray):
-            value = b"" if value == bytes(len(value)) else bytes(value)
+        elif isinstance(value, mmap.mmap):
+            value = value[:] if value.written else b""
+            if value == bytes(len(value)):
+                value = b""
         elif isinstance(value, (list, deque)):
             value = list(value)
         state[name] = value
@@ -65,7 +68,7 @@ def apply_fields(obj, state, names=None) -> None:
         current = getattr(obj, name)
         if hasattr(type(current), "STATE"):
             apply_fields(current, value)
-        elif isinstance(current, bytearray):
+        elif isinstance(current, mmap.mmap):
             if len(value) not in (0, len(current)):
                 raise ConfigError(
                     f"{type(obj).__name__}.{name}: image of {len(value)} "

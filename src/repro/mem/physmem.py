@@ -119,12 +119,6 @@ class PhysicalMemory:
         if self._watchers:
             self._notify(base, PAGE_SIZE)
 
-    def frame_fingerprint(self, pfn: int) -> int:
-        """Cheap content hash of one frame (used by the sharing scanner)."""
-        base = pfn << PAGE_SHIFT
-        self._check(base, PAGE_SIZE)
-        return hash(bytes(self._view[base : base + PAGE_SIZE]))
-
     def _check(self, pa: int, length: int) -> None:
         if pa < 0 or pa + length > self.size:
             raise MemoryError_(

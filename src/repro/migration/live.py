@@ -14,7 +14,8 @@ exponential backoff (:class:`~repro.faults.recovery.RetryPolicy`) and
 resumes from that suffix plus whatever the dirty bitmap has since
 accumulated -- never from scratch. Pages corrupted on the wire
 (``migration.page_corrupt``) are caught by a CRC check against the
-source page and resent. Only an exhausted retry budget escalates to
+source page and resent (an untouched copy is not checksummed). Only an
+exhausted retry budget escalates to
 :class:`~repro.util.errors.MigrationError`, chained (``raise ... from``)
 to the final :class:`~repro.util.errors.LinkError`.
 """
@@ -28,6 +29,7 @@ from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.snapshot import apply_state, capture_state
 from repro.core.vm import VirtualMachine
 from repro.faults.recovery import RetryPolicy
+from repro.mem.physmem import ZERO_PAGE
 from repro.util.errors import LinkError, MemoryError_, MigrationError
 from repro.util.units import PAGE_SIZE
 
@@ -99,6 +101,8 @@ class LiveMigrator:
             vm.config, name=f"{vm.name}-dst", prealloc=True))
 
         dirty: Set[int] = set()
+        #: Destination gfns written so far; the rest still read zero.
+        written: Set[int] = set()
         src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)
 
         def protect(gfns):
@@ -122,7 +126,8 @@ class LiveMigrator:
 
         try:
             # Round 0: full copy while logging.
-            sent = self._send_with_retry(vm, dst_vm, deque(all_gfns), stats)
+            sent = self._send_with_retry(vm, dst_vm, deque(all_gfns), stats,
+                                         written)
             transfer_cycles += self._cycles(sent * PAGE_SIZE)
             pages_copied += sent
             round_sizes.append(sent)
@@ -147,7 +152,8 @@ class LiveMigrator:
                     stats["stall_cycles"] += stall
                     transfer_cycles += stall
                 batch = sorted(g for g in dirty if vm.guest_mem.is_mapped(g))
-                sent = self._send_with_retry(vm, dst_vm, deque(batch), stats)
+                sent = self._send_with_retry(vm, dst_vm, deque(batch), stats,
+                                             written)
                 transfer_cycles += self._cycles(sent * PAGE_SIZE)
                 pages_copied += sent
                 round_sizes.append(sent)
@@ -163,7 +169,8 @@ class LiveMigrator:
                               or g in vm.ballooned_gfns)]
             pending = deque(final_batch + absent)
             try:
-                sent = self._send_with_retry(vm, dst_vm, pending, stats)
+                sent = self._send_with_retry(vm, dst_vm, pending, stats,
+                                             written)
             except MemoryError_ as err:
                 raise MigrationError(
                     f"migration of {vm.name} abandoned: gfn {pending[0]} "
@@ -219,6 +226,7 @@ class LiveMigrator:
         dst_vm: VirtualMachine,
         pending: Deque[int],
         stats: Dict[str, int],
+        written: Set[int],
     ) -> int:
         """Stream ``pending`` to the destination, retrying on link drops.
 
@@ -229,57 +237,43 @@ class LiveMigrator:
         :class:`MigrationError` chained to the last :class:`LinkError`
         once :class:`RetryPolicy.max_retries` is exhausted.
         """
-        sent_box = [0]  # survives a LinkError mid-batch: those pages landed
-        attempt = 0
-        while True:
-            try:
-                self._send_batch(vm, dst_vm, pending, stats, sent_box)
-                return sent_box[0]
-            except LinkError as err:
+        sent = attempt = 0
+        while pending:
+            if self.injector is not None and (
+                self.injector.fires("migration.xfer_drop")
+            ):
+                drop = LinkError(f"migration stream for {vm.name} dropped "
+                                 f"with {len(pending)} pages pending")
                 attempt += 1
                 if attempt > self.retry_policy.max_retries:
                     raise MigrationError(
                         f"migration of {vm.name} abandoned: transfer "
                         f"dropped {attempt} times with {len(pending)} "
                         f"pages still pending"
-                    ) from err
+                    ) from drop
                 stats["retries"] += 1
                 stats["backoff_cycles"] += self.retry_policy.backoff_cycles(
                     attempt
                 )
-
-    def _send_batch(
-        self,
-        vm: VirtualMachine,
-        dst_vm: VirtualMachine,
-        pending: Deque[int],
-        stats: Dict[str, int],
-        sent_box: List[int],
-    ) -> None:
-        """One attempt at draining ``pending``; raises LinkError on drop."""
-        while pending:
-            if self.injector is not None and (
-                self.injector.fires("migration.xfer_drop")
-            ):
-                raise LinkError(
-                    f"migration stream for {vm.name} dropped with "
-                    f"{len(pending)} pages pending"
-                )
+                continue
             gfn = pending[0]
-            intact = self._send_page(vm, dst_vm, gfn)
+            intact = self._send_page(vm, dst_vm, gfn, written)
             pending.popleft()
-            sent_box[0] += 1
+            sent += 1
             if not intact:
                 # The per-page CRC caught wire corruption: queue a
                 # resend. The corrupt copy never reaches guest-visible
                 # state uncorrected.
                 stats["corrupt_pages"] += 1
                 pending.append(gfn)
+        return sent
 
     def _send_page(
-        self, vm: VirtualMachine, dst_vm: VirtualMachine, gfn: int
+        self, vm: VirtualMachine, dst_vm: VirtualMachine, gfn: int,
+        written: Set[int],
     ) -> bool:
-        """Copy one page; returns False when it was corrupted in flight."""
+        """Copy one page; returns False when it was corrupted in flight.
+        Zeros are not stored over a gfn not yet ``written``: it reads zero."""
         data = vm.guest_mem.read_gfn(gfn)
         wire = data
         if self.injector is not None and (
@@ -291,5 +285,7 @@ class LiveMigrator:
             corrupted = bytearray(data)
             corrupted[pos] ^= 0xFF
             wire = bytes(corrupted)
-        dst_vm.guest_mem.write_gfn(gfn, wire)
-        return zlib.crc32(wire) == zlib.crc32(data)
+        if gfn in written or wire != ZERO_PAGE:
+            dst_vm.guest_mem.write_gfn(gfn, wire)
+            written.add(gfn)
+        return wire is data or zlib.crc32(wire) == zlib.crc32(data)

@@ -20,6 +20,7 @@ from repro.core.hypervisor import Hypervisor, RunOutcome
 from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.snapshot import apply_state, capture_state
 from repro.core.vm import VirtualMachine
+from repro.mem.physmem import ZERO_PAGE
 from repro.util.errors import MigrationError
 from repro.util.units import PAGE_SIZE
 
@@ -97,9 +98,12 @@ class PostCopyMigrator:
         stats = {"faults": 0, "pushed": 0}
 
         def fetch(gfn: int) -> None:
-            """Copy one page from source into fresh destination backing."""
-            hfn = self.destination.allocator.alloc(zero=False)
-            self.destination.physmem.write_frame(hfn, src_mem.read_gfn(gfn))
+            """Copy one page from source into fresh destination backing
+            (a page of zeros: a frame that reads zero, and no copy)."""
+            page = src_mem.read_gfn(gfn)
+            hfn = self.destination.allocator.alloc(zero=page == ZERO_PAGE)
+            if page != ZERO_PAGE:
+                self.destination.physmem.write_frame(hfn, page)
             dst_vm.guest_mem.map_page(gfn, hfn)
             remaining.discard(gfn)
 

@@ -1,10 +1,10 @@
 """Content-based page sharing with copy-on-write.
 
-The scanner fingerprints mapped guest frames across every registered
-VM, verifies candidate pairs byte-for-byte (fingerprints can collide),
-re-points duplicate gfns at one canonical host frame, frees the
-duplicates, and write-protects every sharer. A write to a shared page
-takes the dirty-log exit path; the sharer claims it off the
+The scanner reads each mapped guest frame across every registered VM
+once, groups the frames by their bytes (a dict: its key equality is the
+byte-for-byte check), re-points duplicate gfns at one canonical host
+frame, frees the duplicates, and write-protects every sharer. A write to
+a shared page takes the dirty-log exit path; the sharer claims it off the
 hypervisor's write-fault dispatch chain and
 :meth:`PageSharer.on_write_fault` breaks the share with a private copy.
 """
@@ -63,16 +63,16 @@ class PageSharer:
         if vms is None:
             vms = list(self.hv.vms.values())
         result = ScanResult()
-        by_print: Dict[int, List[Tuple[VirtualMachine, int, int]]] = {}
+        read_frame = self.hv.physmem.read_frame
+        by_content: Dict[bytes, List[Tuple[VirtualMachine, int, int]]] = {}
         for vm in vms:
             for gfn, hfn in sorted(vm.guest_mem.map.items()):
                 result.frames_scanned += 1
-                fp = self.hv.physmem.frame_fingerprint(hfn)
-                by_print.setdefault(fp, []).append((vm, gfn, hfn))
-        for candidates in by_print.values():
-            if len(candidates) < 2:
-                continue
-            self._merge_group(candidates, result)
+                by_content.setdefault(read_frame(hfn), []).append(
+                    (vm, gfn, hfn))
+        for group in by_content.values():
+            if len(group) > 1:
+                self._merge_group(group, result)
         result.shared_frames = len(self.refcount)
         m = self.metrics
         m.counter("scans").inc()
@@ -82,55 +82,47 @@ class PageSharer:
         self._ops.inc()
         return result
 
-    def _merge_group(self, candidates, result: ScanResult) -> None:
-        # Group by exact content (fingerprints may collide).
-        by_content: Dict[bytes, List] = {}
-        for vm, gfn, hfn in candidates:
-            by_content.setdefault(self.hv.physmem.read_frame(hfn), []).append(
-                (vm, gfn, hfn)
-            )
-        for group in by_content.values():
-            if len(group) < 2:
+    def _merge_group(self, group, result: ScanResult) -> None:
+        """Merge ``group``'s byte-identical frames into its first."""
+        # Within-group mapping counts per frame: a pre-existing
+        # alias (two gfns already sharing one *untracked* frame)
+        # must only be freed once its last group reference drops.
+        alias_refs: Dict[int, int] = {}
+        for _vm, _gfn, hfn in group:
+            alias_refs[hfn] = alias_refs.get(hfn, 0) + 1
+        canon_vm, canon_gfn, canon_hfn = group[0]
+        self._mmu(canon_vm).write_protect_gfn(canon_gfn)
+        self.refcount.setdefault(canon_hfn, 1)
+        self._sharers.add((canon_vm.name, canon_gfn))
+        for vm, gfn, hfn in group[1:]:
+            if hfn == canon_hfn:
+                # Already aliasing the canonical frame. It still
+                # must be write-protected, refcounted, and tracked:
+                # an untracked alias lets a guest write mutate the
+                # shared frame under every other sharer.
+                if (vm.name, gfn) not in self._sharers:
+                    self.refcount[canon_hfn] += 1
+                    self._mmu(vm).write_protect_gfn(gfn)
+                    self._sharers.add((vm.name, gfn))
+                    result.pages_merged += 1
                 continue
-            # Within-group mapping counts per frame: a pre-existing
-            # alias (two gfns already sharing one *untracked* frame)
-            # must only be freed once its last group reference drops.
-            alias_refs: Dict[int, int] = {}
-            for _vm, _gfn, hfn in group:
-                alias_refs[hfn] = alias_refs.get(hfn, 0) + 1
-            canon_vm, canon_gfn, canon_hfn = group[0]
-            self._mmu(canon_vm).write_protect_gfn(canon_gfn)
-            self.refcount.setdefault(canon_hfn, 1)
-            self._sharers.add((canon_vm.name, canon_gfn))
-            for vm, gfn, hfn in group[1:]:
-                if hfn == canon_hfn:
-                    # Already aliasing the canonical frame. It still
-                    # must be write-protected, refcounted, and tracked:
-                    # an untracked alias lets a guest write mutate the
-                    # shared frame under every other sharer.
-                    if (vm.name, gfn) not in self._sharers:
-                        self.refcount[canon_hfn] += 1
-                        self._mmu(vm).write_protect_gfn(gfn)
-                        self._sharers.add((vm.name, gfn))
-                        result.pages_merged += 1
-                    continue
-                self._sharers.discard((vm.name, gfn))
-                alias_refs[hfn] -= 1
-                if hfn in self.refcount:
-                    # Previously shared: the refcount protocol decides.
-                    if self.release_frame(hfn):
-                        self.hv.allocator.free(hfn)
-                        result.frames_freed += 1
-                elif alias_refs[hfn] == 0:
-                    # Untracked frame: free once the last group alias
-                    # is gone (usually immediately -- aliases are rare).
+            self._sharers.discard((vm.name, gfn))
+            alias_refs[hfn] -= 1
+            if hfn in self.refcount:
+                # Previously shared: the refcount protocol decides.
+                if self.release_frame(hfn):
                     self.hv.allocator.free(hfn)
                     result.frames_freed += 1
-                vm.guest_mem.map_page(gfn, canon_hfn)
-                self.refcount[canon_hfn] += 1
-                self._mmu(vm).rebind_gfn(gfn, canon_hfn, writable=False)
-                self._sharers.add((vm.name, gfn))
-                result.pages_merged += 1
+            elif alias_refs[hfn] == 0:
+                # Untracked frame: free once the last group alias
+                # is gone (usually immediately -- aliases are rare).
+                self.hv.allocator.free(hfn)
+                result.frames_freed += 1
+            vm.guest_mem.map_page(gfn, canon_hfn)
+            self.refcount[canon_hfn] += 1
+            self._mmu(vm).rebind_gfn(gfn, canon_hfn, writable=False)
+            self._sharers.add((vm.name, gfn))
+            result.pages_merged += 1
 
     # -- write-fault interception (claimed off the dispatch chain) --------
 

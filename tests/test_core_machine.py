@@ -1,6 +1,9 @@
 """Native machine: baseline semantics and device pump."""
 
+import signal
+
 from repro.core import GuestConfig, Hypervisor
+from repro.core.hypervisor import RunOutcome
 from repro.core.machine import Machine, MachineOutcome
 from repro.cpu.assembler import Assembler
 from repro.devices.irq import IRQ_CONSOLE_LINE
@@ -29,6 +32,36 @@ def test_shutdown_outcome():
 def test_halted_outcome_without_wakeups():
     _, outcome = run_native("    hlt\n")
     assert outcome is MachineOutcome.HALTED
+
+
+def test_a_dead_halt_is_halted_natively_and_in_a_vm():
+    """A core halted with IE clear cannot be woken by a pending PIC line:
+    ``Machine.run`` returns HALTED, as the hw-nested VM's run does, and
+    does not spin (an alarm bounds the test if it does)."""
+
+    def spun(_signum, _frame):
+        raise TimeoutError("run() spun on a halt nothing can wake")
+
+    program = Assembler().assemble(".org 0x1000\n    hlt\n")
+    previous = signal.signal(signal.SIGALRM, spun)
+    signal.alarm(20)
+    try:
+        machine = Machine(memory_bytes=16 * MIB)
+        machine.load_program(program)
+        machine.cpu.reset(0x1000)
+        machine.pic.raise_line(1)
+        native = machine.run(max_instructions=100_000)
+        hv = Hypervisor(memory_bytes=32 * MIB)
+        vm = hv.create_vm(GuestConfig(memory_bytes=16 * MIB))
+        hv.load_program(vm, program)
+        hv.reset_vcpu(vm, 0x1000)
+        vm.pic.raise_line(1)
+        nested = hv.run(vm, max_guest_instructions=100_000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert native is MachineOutcome.HALTED and nested is RunOutcome.HALTED
+    assert machine.cpu.instret == vm.vcpus[0].cpu.instret == 1
 
 
 def test_instruction_limit_outcome():

@@ -156,3 +156,19 @@ def test_a_fresh_hypervisor_is_not_resident():
     grown = _resident_bytes() - before
     assert vm.guest_mem.map and hv.physmem.size == 256 * MIB
     assert grown < 16 * MIB
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the resident set from /proc/self/statm")
+def test_a_default_vm_and_its_disks_are_not_resident():
+    """A default VM has both disks (1 MiB images each, demand-backed
+    like host RAM): building one grows the resident set by < 1 MiB,
+    averaged over a few to ride out the heap's own growth."""
+    hv = Hypervisor(memory_bytes=64 * MIB)
+    hv.create_vm(GuestConfig(name="warm"))
+    gc.collect()
+    before = _resident_bytes()
+    vms = [hv.create_vm(GuestConfig(name=f"d{i}")) for i in range(8)]
+    grown = _resident_bytes() - before
+    assert all({"block", "virtio_blk"} <= set(vm.devices) for vm in vms)
+    assert grown < len(vms) * MIB

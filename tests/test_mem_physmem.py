@@ -51,13 +51,16 @@ class TestPhysicalMemory:
         with pytest.raises(MemoryError_):
             pm.write_frame(0, b"short")
 
-    def test_fingerprint_tracks_content(self):
+    def test_read_frame_groups_frames_by_content(self):
+        # The sharing scan's grouping: one read per frame, keyed by bytes.
         pm = PhysicalMemory(4 * PAGE_SIZE)
         pm.write_frame(0, b"a" * PAGE_SIZE)
         pm.write_frame(1, b"a" * PAGE_SIZE)
         pm.write_frame(2, b"b" * PAGE_SIZE)
-        assert pm.frame_fingerprint(0) == pm.frame_fingerprint(1)
-        assert pm.frame_fingerprint(0) != pm.frame_fingerprint(2)
+        groups = {}
+        for pfn in range(pm.num_frames):
+            groups.setdefault(pm.read_frame(pfn), []).append(pfn)
+        assert list(groups.values()) == [[0, 1], [2], [3]]
 
     @given(st.integers(min_value=0, max_value=PAGE_SIZE - 4),
            st.integers(min_value=0, max_value=0xFFFFFFFF))

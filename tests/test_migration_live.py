@@ -4,9 +4,13 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.core.vm import GuestMemory
+from repro.cpu.assembler import Assembler
 from repro.devices.console import CONS_STATUS, CONS_TX
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
+from repro.mem.physmem import ZERO_PAGE
 from repro.migration import LiveMigrator
 from repro.overcommit.swap import HostSwap
 from repro.util.errors import MemoryError_, MigrationError
@@ -169,3 +173,91 @@ def test_invalid_bandwidth_rejected():
     dst = Hypervisor(memory_bytes=64 * MIB)
     with pytest.raises(MigrationError):
         LiveMigrator(src, dst, bytes_per_cycle=0)
+
+
+# -- one copy per page that holds data ----------------------------------------
+
+
+@pytest.fixture
+def page_writes(monkeypatch):
+    """Every ``GuestMemory.write_gfn`` made: ``(memory, gfn, all zeros)``."""
+    log = []
+    write_gfn = GuestMemory.write_gfn
+
+    def logged(mem, gfn, data):
+        log.append((mem, gfn, data == ZERO_PAGE))
+        write_gfn(mem, gfn, data)
+
+    monkeypatch.setattr(GuestMemory, "write_gfn", logged)
+    return log
+
+
+def assert_moved(vm, result, page_writes):
+    """The destination holds the source's bytes on every gfn, and a page
+    of zeros was written only over a gfn written before."""
+    dest = result.dest_vm.guest_mem
+    for gfn in sorted(vm.guest_mem.map):
+        assert dest.read_gfn(gfn) == vm.guest_mem.read_gfn(gfn), gfn
+    seen = set()
+    for mem, gfn, zero in page_writes:
+        if mem is dest:
+            assert not zero or gfn in seen, gfn
+            seen.add(gfn)
+    return [(gfn, zero) for mem, gfn, zero in page_writes if mem is dest]
+
+
+def _injector(spec):
+    return FaultInjector(FaultPlan(seed=3, specs=[spec]))
+
+
+@pytest.mark.parametrize("mmode", [MMUVirtMode.NESTED, MMUVirtMode.SHADOW])
+def test_a_zero_page_corrupted_on_the_wire_is_written_then_resent(
+        mmode, page_writes):
+    src, dst, vm = start_guest(VirtMode.HW_ASSIST, mmode)
+    order = sorted(vm.guest_mem.map)
+    zero_gfn = next(g for g in order[len(order) // 2:]
+                    if vm.guest_mem.read_gfn(g) == ZERO_PAGE)
+    spec = FaultSpec("migration.page_corrupt", rate=1.0,
+                     after=order.index(zero_gfn), count=1)
+    result = LiveMigrator(src, dst, bytes_per_cycle=4.0,
+                          injector=_injector(spec)).migrate(
+        vm, quantum_instructions=30_000, max_rounds=3)
+    assert result.corrupt_pages_detected == 1
+    writes = assert_moved(vm, result, page_writes)
+    # The corrupt copy landed, then the resend put the zeros back.
+    assert [w for w in writes if w[0] == zero_gfn] == [
+        (zero_gfn, False), (zero_gfn, True)]
+
+
+def test_a_page_the_guest_zeroes_after_round_0_is_zero_on_arrival(
+        page_writes):
+    src = Hypervisor(memory_bytes=64 * MIB)
+    dst = Hypervisor(memory_bytes=64 * MIB)
+    vm = src.create_vm(GuestConfig(name="z", memory_bytes=1 * MIB))
+    src.load_program(vm, Assembler().assemble("""
+.org 0x1000
+    li a0, 0x20000
+    li a1, 0
+    st [a0+0], a1
+spin: jmp spin
+"""))
+    src.reset_vcpu(vm, 0x1000)
+    vm.guest_mem.write_u32(0x20000, 0x11223344)  # round 0 sends this
+    result = LiveMigrator(src, dst, bytes_per_cycle=4.0).migrate(
+        vm, quantum_instructions=500, max_rounds=3)
+    writes = assert_moved(vm, result, page_writes)
+    assert [w for w in writes if w[0] == 0x20] == [(0x20, False), (0x20, True)]
+    assert result.dest_vm.guest_mem.read_gfn(0x20) == ZERO_PAGE
+
+
+@pytest.mark.parametrize("after", [0, 100, 4000])
+def test_a_dropped_stream_resumes_to_identical_memory(after, page_writes):
+    src, dst, vm = start_guest(VirtMode.HW_ASSIST, MMUVirtMode.NESTED)
+    spec = FaultSpec("migration.xfer_drop", rate=1.0, after=after, count=2)
+    result = LiveMigrator(src, dst, bytes_per_cycle=4.0,
+                          injector=_injector(spec)).migrate(
+        vm, quantum_instructions=30_000, max_rounds=3)
+    assert result.retries == 2
+    writes = assert_moved(vm, result, page_writes)
+    # Round 0's pages of zeros were not written at all.
+    assert len(writes) < result.pages_copied

@@ -7,6 +7,7 @@ from repro.core.hypervisor import RunOutcome
 from repro.devices.console import CONS_STATUS, CONS_TX
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
+from repro.mem.physmem import ZERO_PAGE
 from repro.migration import LiveMigrator, PostCopyMigrator
 from repro.util.errors import MigrationError
 from repro.util.units import MIB
@@ -99,6 +100,28 @@ def test_memory_identity_after_migration(monkeypatch):
     for gfn in vm.guest_mem.map:
         assert (result.dest_vm.guest_mem.read_gfn(gfn)
                 == vm.guest_mem.read_gfn(gfn)), gfn
+
+
+def test_a_recycled_frame_behind_a_zero_page_reads_zero(monkeypatch):
+    from repro.migration import postcopy
+
+    monkeypatch.setattr(postcopy, "MAX_GUEST_INSTRUCTIONS", 1)
+    src, dst, vm = start_guest()
+    # Leave the destination host a free list of frames holding data:
+    # the pages fetched next get them back, zeros and data alike.
+    old = dst.create_vm(GuestConfig(name="old", memory_bytes=GUEST_MEM))
+    for gfn in old.guest_mem.map:
+        old.guest_mem.write_gfn(gfn, b"\xa5" * 4096)
+    recycled = set(old.guest_mem.map.values())
+    dst.destroy_vm(old)
+    result = PostCopyMigrator(src, dst, bytes_per_cycle=4.0).migrate_and_run(vm)
+    dest = result.dest_vm.guest_mem
+    zero_on_recycled = [gfn for gfn, hfn in dest.map.items()
+                        if hfn in recycled
+                        and vm.guest_mem.read_gfn(gfn) == ZERO_PAGE]
+    assert len(zero_on_recycled) > 1000
+    for gfn in vm.guest_mem.map:
+        assert dest.read_gfn(gfn) == vm.guest_mem.read_gfn(gfn), gfn
 
 
 def test_requires_hw_assist():

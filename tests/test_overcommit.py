@@ -1,5 +1,7 @@
 """Overcommit: sharing, swap, WSS estimation, balloon policy, model."""
 
+import hashlib
+
 import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
@@ -312,6 +314,35 @@ class TestSharerAliases:
         for name, gfn in sharer._sharers:
             hfn = hv.vms[name].guest_mem.map[gfn]
             assert hfn in sharer.refcount, (name, gfn)
+
+
+    def test_merges_frees_and_refcounts_are_pinned(self):
+        """Three guests (nested, hmode, shadow) and a forged alias,
+        scanned three times with runs between: each scan's counts, the
+        free frames, COW breaks and a digest of refcounts, sharers and
+        every gfn -> hfn map, as taken when the scan still hashed each
+        frame and regrouped candidates by bytes."""
+        hv = Hypervisor(memory_bytes=96 * MIB)
+        vms = [start_vm(hv, f"s{i}", mmu_mode=mode, passes=1200)
+               for i, mode in enumerate([MMUVirtMode.NESTED, MMUVirtMode.HMODE,
+                                         MMUVirtMode.SHADOW])]
+        self._forge_alias(hv, vms[0], *sorted(vms[0].guest_mem.map)[-2:])
+        sharer = PageSharer(hv)
+        scans = []
+        for _ in range(3):
+            r = sharer.scan()
+            scans.append((r.frames_scanned, r.pages_merged, r.frames_freed,
+                          r.shared_frames))
+            for vm in vms:
+                hv.run(vm, max_guest_instructions=150_000)
+        assert scans == [(12288, 12264, 12263, 23), (12288, 37, 37, 23),
+                         (12288, 0, 0, 23)]
+        assert (hv.allocator.free_frames, sharer.cow_breaks) == (24523, 54)
+        state = repr((sorted(sharer.refcount.items()), sorted(sharer._sharers),
+                      [sorted(vm.guest_mem.map.items()) for vm in vms],
+                      hv.allocator.free_frames, sharer.cow_breaks))
+        assert hashlib.sha256(state.encode()).hexdigest() == (
+            "7163a0d17ded26a86fc19c8059223c1dd7d385b8711564c54d5c08c90b66ae4c")
 
 
 class TestHostSwapEdgeCases:
