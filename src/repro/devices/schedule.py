@@ -125,9 +125,11 @@ class EventSchedule:
     def _raise(self, line: int) -> None:
         if line == IRQ_CONSOLE_LINE:
             # Deterministic input byte: the interrupt announces data the
-            # guest can actually IN from the console RX port.
+            # guest can actually IN from the console RX port. Pushing it
+            # raises the console's line, once.
             self.console.push_input(ord("k"))
-        self.controller.raise_line(line)
+        else:
+            self.controller.raise_line(line)
 
     @classmethod
     def seeded(

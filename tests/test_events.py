@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.core.machine import Machine
 from repro.cpu.interp import CPUCore, StopReason
 from repro.cpu.isa import CSR, Cause, Op, encode
 from repro.cpu.mmu import BareMMU
@@ -135,6 +136,13 @@ class TestEventSchedule:
         s.fire_due(1)
         assert console.port_read(CONS_STATUS) & 2
         assert console.port_read(CONS_TX) == ord("k")
+
+    def test_console_event_raises_its_line_once(self):
+        machine = Machine()
+        s = EventSchedule([(1, IRQ_CONSOLE_LINE)], machine.pic, machine.console)
+        s.fire_due(1)
+        assert machine.pic.raised_count == 1
+        assert machine.pic.coalesced_count == 0
 
     def test_tie_at_one_edge_fires_in_insertion_order(self):
         order = []
