@@ -77,7 +77,6 @@ class BTEngine:
         #: E9's ablations switch these off.
         self.cache_enabled = True
         self.chaining_enabled = True
-        self.power = vcpu.vm.devices["power"]
         #: Native runs made closures (host-side, like ``jit_stats``).
         self.runs_compiled = 0
         vcpu.cpu.translator = self
@@ -171,9 +170,9 @@ class BTEngine:
 
     def callout(self, ins: Instruction) -> bool:
         """Monitor logic for one rewritten instruction. True: the block
-        stops here (privilege change, halt, power-off, a trap reflected).
-        Its retire edge -- what is due there, a pending virq -- is the
-        run loop's."""
+        stops here (privilege change, halt, a trap reflected). Its retire
+        edge -- what is due there, a pending virq, the end of the run a
+        power-off asked for -- is the run loop's."""
         vcpu = self.vcpu
         cpu = vcpu.cpu
         cpu.instret += 1  # it retires, as an intercepted one does under hw assist
@@ -190,5 +189,4 @@ class BTEngine:
             pc = cpu.pc
             if cpu.system(vcpu, None, ins, op, pc, (pc + ins.length) & 0xFFFFFFFF):
                 return True  # it trapped into the guest: pc is at the vector
-        return (vcpu.halted or vcpu.vcsr[_MODE] != MODE_KERNEL
-                or self.power.shutdown_requested)
+        return vcpu.halted or vcpu.vcsr[_MODE] != MODE_KERNEL

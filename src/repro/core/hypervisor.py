@@ -39,8 +39,6 @@ from repro.cpu.isa import (
 from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
 from repro.devices.block import DiskImage
 from repro.devices.console import CONSOLE_BASE
-from repro.devices.power import PowerControl
-from repro.devices.timer import TimerDevice
 from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, AddressSpace
 from repro.mem.physmem import FrameAllocator, PhysicalMemory, WriteLog
@@ -48,7 +46,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ConfigError, GuestError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, bytes_to_pages
 
-#: Instructions to run between device pumps.
+#: Instructions per guest entry: how often the pump beats the watchdog,
+#: draws ``vcpu.stall`` and injects a virq no exit brought back to it.
 PUMP_SLICE = 4000
 
 #: Without a watchdog attached, a stalled vCPU still terminates the run
@@ -351,6 +350,7 @@ class Hypervisor:
 
         if config.virt_mode is not VirtMode.HW_ASSIST:
             cpu.controls = DEPRIVILEGED
+            cpu.virqs = vm.pending_virqs
             if isinstance(mmu, ShadowMMU):
                 vcpu.on_virtual_mode_change = mmu.set_view
                 mmu.set_view(kernel=True)
@@ -365,7 +365,7 @@ class Hypervisor:
         # The board is on the VM's bus, which the core runs an
         # intercepted IN / OUT on.
         vm.pic, vm.devices = attach_board(
-            vm.port_bus, guest_mem, vm, vm.metrics.scope("dev"), disks,
+            cpu, guest_mem, vm, vm.metrics.scope("dev"), disks,
             config.with_emulated_io, config.with_virtio)
         self.registry.counter("devices.attached").inc(len(vm.devices))
 
@@ -501,8 +501,9 @@ class Hypervisor:
 
         The loop below is the *pump*: each pass checks shutdown and
         the budgets (the core fired what was due at the edge it
-        returned on), ticks the timer, decides idle/wake, injects a
-        pending virq, evaluates the ``vcpu.stall`` site, beats
+        returned on, events and the timer alike), decides idle/wake
+        (an idle VM sleeps to the timer's deadline, ``CPUCore.sleep``),
+        injects a pending virq, evaluates the ``vcpu.stall`` site, beats
         the watchdog, then enters the guest for at most ``PUMP_SLICE``
         instructions. A VM exit does not come back here as such: the
         core calls ``service`` (below) at the intercept, or where it
@@ -527,8 +528,7 @@ class Hypervisor:
         cpu = vcpu.cpu
         start_instret = cpu.instret
         start_cycles = self._vm_time(vm)
-        timer: TimerDevice = vm.devices["timer"]
-        power: PowerControl = vm.devices["power"]
+        power = vm.devices["power"]
         vmm = VMStats.vmm_cycles.bound(vm.stats)
         stalled_pumps = 0
 
@@ -537,9 +537,7 @@ class Hypervisor:
             before = vmm.value
             self._exit(vm, vcpu, reason, ins, pc, arg)
             if (
-                power.shutdown_requested  # the pump returns SHUTDOWN
-                or vcpu.halted or cpu.halted  # idle / wake / HALTED: pump's call
-                or timer.deadline is not None  # tick cadence is simulated state
+                vcpu.halted or cpu.halted  # idle / wake / HALTED: pump's call
                 or vm.pending_virqs  # deprivileged: the pump injects
                 or watchdog is not None  # beats once per guest entry
                 or (self.injector is not None  # draws once per guest entry
@@ -569,16 +567,8 @@ class Hypervisor:
             ):
                 return RunOutcome.CYCLE_LIMIT
 
-            timer.rebase_if_armed(cpu.cycles)
-            timer.tick(cpu.cycles)
-
-            if self._vm_idle(vm, vcpu):
-                deadline = timer.next_deadline()
-                if deadline is None:
-                    return RunOutcome.HALTED
-                # Fast-forward idle time to the next timer expiry.
-                cpu.cycles = max(cpu.cycles, deadline)
-                timer.tick(cpu.cycles)
+            if self._vm_idle(vm, vcpu) and not cpu.sleep():
+                return RunOutcome.HALTED
 
             if vm.config.virt_mode is not VirtMode.HW_ASSIST:
                 self._maybe_inject(vm, vcpu)

@@ -11,11 +11,10 @@ here against the same workload in a VM isolates the virtualization tax.
 import enum
 from typing import Dict, Optional, Tuple
 
-from repro.cpu.interp import CPUCore
-from repro.cpu.isa import CSR
+from repro.cpu.interp import CPUCore, StopReason
 from repro.cpu.mmu import BareMMU
 from repro.devices.block import BLOCK_BASE, BlockDevice, DiskImage
-from repro.devices.bus import PortBus, PortDevice
+from repro.devices.bus import PortDevice
 from repro.devices.console import CONSOLE_BASE, ConsoleDevice
 from repro.devices.irq import (
     IRQ_BLOCK_LINE,
@@ -50,21 +49,24 @@ _PORTS = {
 }
 
 
-def attach_board(bus: PortBus, mem, sink, metrics,
+def attach_board(cpu: CPUCore, mem, sink, metrics,
                  disks: Dict[str, DiskImage], emulated_io: bool,
                  virtio: bool) -> Tuple[InterruptController, Dict[str, PortDevice]]:
     """A machine's PIC (raising on ``sink``) and devices (DMA through
-    ``mem``), registered on ``bus``: console, timer and power always, the
-    emulated disk and NIC and the virtio pair when asked. A disk named in
+    ``mem``), registered on ``cpu``'s port bus: console, timer and power
+    always, the emulated disk and NIC and the virtio pair when asked. The
+    timer's deadline and a power-off stop ``cpu``. A disk named in
     ``disks`` gets that image. Returns ``(pic, {name: device})``."""
+    bus = cpu.port_bus
     pic = InterruptController(sink=sink, metrics=metrics.scope("irq"))
     bus.register(pic, PIC_BASE, 1)
     devices = {
         "console": ConsoleDevice(irq=pic.line(IRQ_CONSOLE_LINE)),
         "timer": TimerDevice(pic.line(IRQ_TIMER_LINE),
-                             metrics=metrics.scope("timer")),
-        "power": PowerControl(),
+                             metrics=metrics.scope("timer"), core=cpu),
+        "power": PowerControl(cpu),
     }
+    cpu.timer = devices["timer"]
     if emulated_io:
         devices["block"] = BlockDevice(mem, pic.line(IRQ_BLOCK_LINE),
                                        disks.get("block") or DiskImage(),
@@ -94,8 +96,6 @@ class Machine:
     """Physical machine: CPU + RAM + every device, no hypervisor. Each
     device is an attribute too (``machine.console``)."""
 
-    PUMP_SLICE = 4000
-
     def __init__(
         self,
         memory_bytes: int = 16 * MIB,
@@ -114,7 +114,7 @@ class Machine:
         self.cpu = CPUCore(self.mmu, jit=jit)
         self.port_bus = self.cpu.port_bus
         self.pic, self.devices = attach_board(
-            self.port_bus, self.physmem, self.cpu,
+            self.cpu, self.physmem, self.cpu,
             MetricsRegistry().scope("dev"), disks, True, True)
         vars(self).update(self.devices)
 
@@ -137,31 +137,9 @@ class Machine:
         program.load(self.physmem)
 
     def run(self, max_instructions: Optional[int] = None) -> MachineOutcome:
-        """Run until shutdown, true idle, or the instruction budget."""
-        cpu = self.cpu
-        start = cpu.instret
-        while True:
-            if self.power.shutdown_requested:
-                return MachineOutcome.SHUTDOWN
-            if max_instructions is not None and (
-                cpu.instret - start >= max_instructions
-            ):
-                return MachineOutcome.INSTR_LIMIT
-            self.timer.rebase_if_armed(cpu.cycles)
-            self.timer.tick(cpu.cycles)
-            # IE clear: a pending IRQ cannot wake it (``_vm_idle``'s rule).
-            if cpu.halted and not (cpu.pending_irqs and cpu.csr[CSR.IE]):
-                deadline = self.timer.next_deadline()
-                if deadline is None:
-                    return MachineOutcome.HALTED
-                cpu.cycles = max(cpu.cycles, deadline)
-                self.timer.tick(cpu.cycles)
-                continue
-            slice_ = self.PUMP_SLICE
-            if max_instructions is not None:
-                slice_ = min(slice_, max_instructions - (cpu.instret - start))
-            deadline = self.timer.next_deadline()
-            if deadline is not None and deadline > cpu.cycles:
-                cpu.run(max_instructions=slice_, max_cycles=deadline - cpu.cycles)
-            else:
-                cpu.run(max_instructions=slice_)
+        """Run until power-off, a halt nothing can wake, or the
+        instruction budget: one ``cpu.run``."""
+        stop = None if self.power.shutdown_requested else self.cpu.run(max_instructions).stop
+        if self.power.shutdown_requested:
+            return MachineOutcome.SHUTDOWN
+        return MachineOutcome.HALTED if stop is StopReason.HALT else MachineOutcome.INSTR_LIMIT

@@ -82,7 +82,9 @@ def apply_state(vm: VirtualMachine, tree: Dict[str, object]) -> None:
     apply_fields(vcpu.cpu, tree["cpu"], _CPU_FIELDS)
     apply_fields(vcpu, tree["vcpu"], _VCPU_FIELDS)
     vcpu.cpu.pending_irqs = {Cause(c) for c in tree["pending_irqs"]}
-    vm.pending_virqs = {Cause(c) for c in tree["pending_virqs"]}
+    # In place: a deprivileged core holds the set (``CPUCore.virqs``).
+    vm.pending_virqs.clear()
+    vm.pending_virqs.update(Cause(c) for c in tree["pending_virqs"])
     vm.ballooned_gfns = set(tree["ballooned_gfns"])
     apply_fields(vm.pic, tree["pic"])
     for name, device in vm.devices.items():

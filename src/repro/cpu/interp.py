@@ -96,9 +96,9 @@ class StopReason(enum.Enum):
     INSTR_LIMIT = "instr_limit"
     CYCLE_LIMIT = "cycle_limit"
     #: The caller (a VMM pump) gets control before re-entry: an attached
-    #: EventSchedule fired with ``exit_on_fire`` set (the pump injects),
-    #: or the exit service passed to :meth:`CPUCore.run` serviced a VM
-    #: exit and answered that the guest may not simply resume.
+    #: EventSchedule fired with ``exit_on_fire`` set, or the timer left
+    #: a virq pending (the pump injects), or the exit service passed to
+    #: :meth:`CPUCore.run` answered that the guest may not simply resume.
     EVENT = "event"
 
 
@@ -140,13 +140,17 @@ class CPUCore:
         #: fired at exact instruction edges by every run loop. None
         #: means no schedule (the common case).
         self.events = None
+        #: The board's timer, whose deadline (in this core's cycles) stops
+        #: the run; a deprivileged guest's virq queue, which its VMM
+        #: injects (None: interrupts reach this core).
+        self.timer = self.virqs = None
         #: The run's ceilings, absolute instret/cycles values (the
-        #: sentinel: none). ``_loop_stop`` is the folded stop,
-        #: min(``_limit_stop``, the next due event edge), which
-        #: :meth:`_retire_edge` republishes; the run loop and a
-        #: self-looping compiled block test it and ``_cycle_stop`` (which
-        #: :meth:`charge_cycle_budget` lowers) before going on.
-        self._limit_stop = self._loop_stop = self._cycle_stop = 1 << 62
+        #: sentinel: none), and the folded stops, recomputed, never saved:
+        #: ``_loop_stop`` = min(``_limit_stop``, the next due event edge)
+        #: (:meth:`_retire_edge`), ``_cycle_stop`` = min(``_cycle_limit``,
+        #: the timer's deadline) (:meth:`fold_deadline`). The run loop and
+        #: a self-looping compiled block test both before going on.
+        self._limit_stop = self._loop_stop = self._cycle_limit = self._cycle_stop = 1 << 62
         #: The exit service lent to the run in progress (``run``'s
         #: ``on_exit``), which an intercept calls; None outside one.
         self._service = None
@@ -455,7 +459,9 @@ class CPUCore:
 
         Every retire edge is :meth:`_retire_edge`'s: the loop-top, a
         translated block's item boundaries, and the edge a run returns
-        on, so a run never leaves an event due behind it.
+        on, so a run never leaves an event due behind it. The first
+        loop-top at or past the timer's deadline fires it, and a halt
+        nothing else wakes sleeps to it (:meth:`sleep`).
 
         ``on_exit`` is a VMM's exit service, lent for this call only.
         An intercept calls it as ``on_exit(reason, ins, pc, trap)`` once
@@ -487,17 +493,19 @@ class CPUCore:
             jit = self._jit = BlockJIT(self)
         start_instr = self.instret
         start_cycles = self.cycles
-        limit_stop = self._limit_stop = (
+        self._limit_stop = (
             start_instr + max_instructions
             if max_instructions is not None else 1 << 62
         )
-        self._cycle_stop = (
+        self._cycle_limit = self._cycle_stop = (
             start_cycles + max_cycles if max_cycles is not None else 1 << 62
         )
+        if self.timer is not None and self.timer.deadline is not None:
+            self.fold_deadline()
         events = self.events
         # A run starts on a retire edge: under a schedule the loop-top's
         # first test calls _retire_edge, which folds in the next due edge.
-        self._loop_stop = limit_stop if events is None else 0
+        self._loop_stop = self._limit_stop if events is None else 0
         bounce = not kernel and events is not None and events.exit_on_fire
         self._service = None if kernel else on_exit
         stepping = not self.jit_enabled
@@ -509,7 +517,7 @@ class CPUCore:
         hits = misses = chained = callouts = 0
         if kernel:
             vcpu, execute, callout, epoch = bt.vcpu, self.execute, bt.callout, jit._epoch_cell
-            virqs, inject, power = vcpu.vm.pending_virqs, bt.inject_virq, bt.power
+            virqs, inject = self.virqs, bt.inject_virq
             backing = vcpu.vm.guest_mem.map.get
             translated = jit.translated if bt.cache_enabled else None
             chains = jit.chains if bt.chaining_enabled else None
@@ -526,10 +534,10 @@ class CPUCore:
                 if self.halted:
                     if csr[_IE] and self.pending_irqs:
                         self.halted = False
-                    else:
+                    elif not self.sleep():
                         stop = StopReason.HALT
                         break
-                if self.instret >= limit_stop:
+                if self.instret >= self._limit_stop:
                     stop = StopReason.INSTR_LIMIT
                     break
                 try:
@@ -538,10 +546,12 @@ class CPUCore:
                             prev = None
                             continue
                         if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
-                                or power.shutdown_requested
-                                or self.cycles >= self._cycle_stop):
+                                or self.cycles >= self._cycle_limit):
                             stop = StopReason.EVENT
                             break
+                        if self.cycles >= self._cycle_stop:  # the timer's deadline
+                            self.timer.tick(self.cycles)  # injected at the top
+                            continue
                         key = (self.mmu.guest_root, self.pc)
                         block = translated.get(key) if translated is not None else None
                         if block is not None and (
@@ -578,7 +588,7 @@ class CPUCore:
                             for kind, ins in todo:
                                 if self.instret >= self._loop_stop:
                                     self._retire_edge()
-                                    if self.instret >= limit_stop or virqs and inject(vcpu):
+                                    if self.instret >= self._limit_stop or virqs and inject(vcpu):
                                         break
                                 if kind is True:  # a callout
                                     callouts += 1
@@ -588,7 +598,7 @@ class CPUCore:
                                     # Its retire edge, after what it raised.
                                     if self.instret >= self._loop_stop:
                                         self._retire_edge()
-                                    if virqs and self.instret < limit_stop and inject(vcpu):
+                                    if virqs and self.instret < self._limit_stop and inject(vcpu):
                                         break
                                 elif kind is False:  # a native item, walked
                                     self.cycles += instr_c
@@ -609,8 +619,14 @@ class CPUCore:
                         stop = StopReason.EVENT  # an exit took the guest into its kernel
                         break
                     if self.cycles >= self._cycle_stop:
-                        stop = StopReason.CYCLE_LIMIT
-                        break
+                        if self.cycles >= self._cycle_limit:
+                            stop = StopReason.CYCLE_LIMIT
+                            break
+                        self.timer.tick(self.cycles)
+                        if self.virqs:  # the VMM injects: its pump's turn
+                            stop = StopReason.EVENT
+                            break
+                        continue
                     if stepping or csr[_IE] and self.pending_irqs:
                         step()
                         continue
@@ -683,9 +699,30 @@ class CPUCore:
         An exit service whose caller budgets in VM time (core cycles +
         VMM cycles) calls this with what the exit cost the VMM, so the
         budget ends on the same retire edge as if the core had been left
-        and re-entered with the remainder.
+        and re-entered with the remainder. The timer's deadline stays.
         """
-        self._cycle_stop -= cycles
+        self._cycle_limit -= cycles
+        self._cycle_stop = min(self._cycle_stop, self._cycle_limit)
+
+    def fold_deadline(self) -> None:
+        """Republish ``_cycle_stop`` after the timer's deadline moved."""
+        deadline = self.timer.deadline
+        self._cycle_stop = min(self._cycle_limit, 1 << 62 if deadline is None else deadline)
+
+    def sleep(self) -> bool:
+        """Idle a halted core to the timer's deadline and fire it; False
+        (nothing moved) when the timer is off: no tick will wake it."""
+        timer = self.timer
+        if timer is None or timer.deadline is None:
+            return False
+        self.cycles = max(self.cycles, timer.deadline)
+        timer.tick(self.cycles)
+        return True
+
+    def end_run(self) -> None:
+        """A power-off: the run in progress ends on this retire edge, as
+        at its instruction limit."""
+        self._limit_stop = self._loop_stop = self.instret
 
     def jit_stats(self) -> Dict[str, int]:
         """Host-compiler counters (all zero when the JIT never engaged).

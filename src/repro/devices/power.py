@@ -1,7 +1,9 @@
 """Power control: how a guest (or native kernel) requests shutdown.
 
 Port (base = :data:`POWER_BASE`): write any nonzero value to request
-power-off; read returns 1 once requested.
+power-off, which ends the run of the core the latch is wired to on the
+write's own retire edge (``CPUCore.end_run``); read returns 1 once
+requested.
 """
 
 from repro.devices.bus import PortDevice
@@ -11,11 +13,12 @@ POWER_BASE = 0xF0
 
 
 class PowerControl(PortDevice):
-    """One-port power-off latch."""
+    """One-port power-off latch of ``core``."""
 
     STATE = ("shutdown_requested", "code")
 
-    def __init__(self):
+    def __init__(self, core):
+        self.core = core
         self.shutdown_requested = False
         self.code = 0  # value written at shutdown (guest exit status)
 
@@ -30,3 +33,4 @@ class PowerControl(PortDevice):
         if value:
             self.shutdown_requested = True
             self.code = value
+            self.core.end_run()

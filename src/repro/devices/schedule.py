@@ -1,16 +1,14 @@
 """Seeded, retire-indexed asynchronous event schedules.
 
-The cycle-deadline :class:`~repro.devices.timer.TimerDevice` fires from
-host pump loops (``tick(now_cycles)``), which makes delivery timing a
-function of *how often the host polls* -- different in every engine. An
-:class:`EventSchedule` removes the host from the loop: events are keyed
-on the guest's **retire count** (``instret``), the one time base every
-engine advances identically, and every execution engine polls the
-schedule at each instruction edge: the core's one run loop, stepping,
-running compiled blocks or dispatching translated ones, reaches every
-edge through ``CPUCore._retire_edge``. An event due at retire edge N is therefore raised after
-instruction N retires and -- if IE is set -- delivered before the fetch
-of instruction N+1, in every engine, bit-for-bit.
+An :class:`EventSchedule` drives device interrupts from the guest's
+**retire count** (``instret``), the one time base every engine advances
+identically (the :class:`~repro.devices.timer.TimerDevice` keeps its
+deadline in the core's cycles, a stop of the same run loop). The core's
+one run loop, stepping, running compiled blocks or dispatching
+translated ones, reaches every edge through ``CPUCore._retire_edge``.
+An event due at retire edge N is therefore raised after instruction N
+retires and -- if IE is set -- delivered before the fetch of
+instruction N+1, in every engine, bit-for-bit.
 
 The schedule raises numbered PIC lines on an
 :class:`~repro.devices.irq.InterruptController`; the console device

@@ -1,10 +1,11 @@
 """Programmable interval timer.
 
-Deadlines are expressed in CPU *cycles* (the deterministic time base of
-the instruction-accurate engine). The machine run loop calls
-:meth:`TimerDevice.tick` with the CPU's current cycle count between
-execution slices; when a programmed deadline has passed, the timer
-raises IRQ line 0.
+Deadlines are expressed in the *cycles* of the core the timer is wired
+to (the deterministic time base of the instruction-accurate engine),
+and arming reads that counter at the arming write. The deadline is a
+stop of the core's run loop (``CPUCore.fold_deadline``): at the first
+retire edge at or past it the core calls :meth:`TimerDevice.tick`,
+which raises IRQ line 0, on every engine alike.
 
 Ports::
 
@@ -31,7 +32,7 @@ MODE_PERIODIC = 2
 
 
 class TimerDevice(PortDevice):
-    """Cycle-driven interval timer."""
+    """Cycle-driven interval timer of ``core``."""
 
     #: ``deadline`` is absolute: the cycle counter it is measured
     #: against travels with the vCPU.
@@ -39,9 +40,10 @@ class TimerDevice(PortDevice):
 
     expirations = counter_attr()
 
-    def __init__(self, irq: IRQLine, metrics):
+    def __init__(self, irq: IRQLine, metrics, core):
         self.irq = irq
         self.metrics = metrics
+        self.core = core
         self.period = 0
         self.mode = MODE_OFF
         self.deadline = None  # absolute cycle count
@@ -49,14 +51,16 @@ class TimerDevice(PortDevice):
     def program(self, period: int, periodic: bool, now_cycles: int) -> None:
         """Arm the timer ``period`` cycles from ``now_cycles``."""
         if period <= 0:
-            raise DeviceError("timer period must be positive")
+            raise DeviceError("timer armed with no period")
         self.period = period
         self.mode = MODE_PERIODIC if periodic else MODE_ONESHOT
         self.deadline = now_cycles + period
+        self.core.fold_deadline()
 
     def disarm(self) -> None:
         self.mode = MODE_OFF
         self.deadline = None
+        self.core.fold_deadline()
 
     def tick(self, now_cycles: int) -> int:
         """Fire any elapsed deadlines; returns the number fired."""
@@ -68,17 +72,11 @@ class TimerDevice(PortDevice):
             if self.mode == MODE_PERIODIC:
                 self.deadline += self.period
             else:
-                self.disarm()
-                break
+                self.mode, self.deadline = MODE_OFF, None
+        self.core.fold_deadline()
         return fired
 
-    def next_deadline(self):
-        """Absolute cycle count of the next expiry, or None."""
-        return self.deadline
-
     # -- port interface -----------------------------------------------------
-    # The guest programs the timer relative to its own CYCLES counter; the
-    # machine loop re-bases via pending_program.
 
     def port_read(self, port: int) -> int:
         if port == TIMER_PERIOD:
@@ -99,16 +97,7 @@ class TimerDevice(PortDevice):
                 return
             if value not in (MODE_ONESHOT, MODE_PERIODIC):
                 raise DeviceError(f"bad timer mode {value}")
-            if self.period <= 0:
-                raise DeviceError("timer armed with no period")
-            self.mode = value
-            # Deadline is rebased by the machine loop on the next tick()
-            # call; mark it as "arm at next tick".
-            self.deadline = -1
+            # Armed from the core's cycles at this write.
+            self.program(self.period, value == MODE_PERIODIC, self.core.cycles)
             return
         raise DeviceError(f"timer has no writable port {port:#x}")
-
-    def rebase_if_armed(self, now_cycles: int) -> None:
-        """Called by the machine loop right after a port arm (deadline==-1)."""
-        if self.deadline == -1:
-            self.deadline = now_cycles + self.period

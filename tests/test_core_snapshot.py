@@ -155,8 +155,8 @@ class TestDroppedState:
         assert console.chars_written == vm.devices["console"].chars_written
 
     def test_pause_right_after_the_timer_is_armed(self):
-        # Between the guest's OUT to TIMER_CTRL and the pump's next
-        # rebase the deadline is the -1 "arm at next tick" marker.
+        # The guest's OUT to TIMER_CTRL arms the deadline at once: the
+        # core's cycles at the OUT + the period.
         hv = Hypervisor(memory_bytes=64 * MIB)
         vm = hv.create_vm(GuestConfig(name="t", memory_bytes=GUEST_MEM))
         kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEM,
@@ -164,17 +164,18 @@ class TestDroppedState:
         hv.load_program(vm, kernel)
         hv.load_program(vm, workloads.hello())
         hv.reset_vcpu(vm, kernel.entry)
+        cpu = vm.vcpus[0].cpu
         for _ in range(20_000):
-            if vm.devices["timer"].deadline == -1:
+            if vm.devices["timer"].deadline is not None:
                 break
             hv.run(vm, max_guest_instructions=1)
-        assert vm.devices["timer"].deadline == -1
+        assert vm.devices["timer"].deadline == cpu.cycles + 5000
         snap = snapshot_vm(vm)
         decoded = VMSnapshot.from_bytes(snap.to_bytes())
         assert decoded == snap
         hv2 = Hypervisor(memory_bytes=64 * MIB)
         clone = restore_vm(hv2, decoded)
-        assert clone.devices["timer"].deadline == -1
+        assert clone.devices["timer"].deadline == cpu.cycles + 5000
         finished = []
         for host, guest in ((hv, vm), (hv2, clone)):
             outcome = host.run(guest, max_guest_instructions=1_000_000)
@@ -219,8 +220,8 @@ def programmed_vm(hv):
     vm.devices["net"].inject_rx(b"first frame")
     vm.devices["net"].inject_rx(b"second")
     vm.devices["net"].port_write(NET_RX_CMD, 1)
-    vm.devices["timer"].rebase_if_armed(1000)
-    vm.devices["timer"].tick(1000 + 3 * vm.devices["timer"].period)
+    vm.devices["timer"].tick(vm.devices["timer"].deadline
+                             + 2 * vm.devices["timer"].period)
     vm.devices["block"].data.load_image(b"emulated disk", sector=3)
     vm.devices["virtio_blk"].data.load_image(b"virtio disk", sector=5)
     vm.devices["block"].port_write(BLK_CMD, 99)

@@ -219,7 +219,8 @@ def test_a_bare_machine_in_real_mode_caches_nothing():
     machine.cpu.reset(image.entry)
     _empty_while_inactive(machine.mmu)
     machine.cpu.run(max_instructions=100)
-    assert machine.cpu.halted and machine.cpu.instret > 4
+    # The power-off ends the run on its edge: the HLT behind it never runs.
+    assert machine.power.shutdown_requested and machine.cpu.instret > 4
     assert not machine.mmu.tlb_active
     _empty_while_inactive(machine.mmu)
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cpu.interp import CPUCore
 from repro.cpu.isa import Cause
+from repro.cpu.mmu import BareMMU
 from repro.devices.bus import PortBus, PortDevice
 from repro.devices.console import CONS_STATUS, CONS_TX, ConsoleDevice
 from repro.devices.irq import (
@@ -18,8 +20,15 @@ from repro.devices.timer import (
     TIMER_PERIOD,
     TimerDevice,
 )
+from repro.mem.costs import CostModel
+from repro.mem.physmem import PhysicalMemory
 from repro.util.errors import DeviceError
 from tests.conftest import dev_metrics
+
+
+def bare_core():
+    """A core with no board: what the timer and power latch are wired to."""
+    return CPUCore(BareMMU(PhysicalMemory(4096), CostModel()))
 
 
 class SinkStub:
@@ -104,7 +113,9 @@ class TestInterruptController:
 class TestTimer:
     def _timer(self):
         pic = InterruptController(SinkStub(), dev_metrics())
-        return TimerDevice(pic.line(0), dev_metrics()), pic
+        core = bare_core()
+        core.timer = TimerDevice(pic.line(0), dev_metrics(), core)  # attach_board's wiring
+        return core.timer, pic
 
     def test_oneshot_fires_once(self):
         timer, pic = self._timer()
@@ -118,15 +129,25 @@ class TestTimer:
         timer, pic = self._timer()
         timer.program(100, periodic=True, now_cycles=0)
         assert timer.tick(350) == 3  # 100, 200, 300 all elapsed
-        assert timer.next_deadline() == 400
+        assert timer.deadline == 400
 
-    def test_port_interface_arms_via_rebase(self):
+    def test_port_interface_arms_from_the_core_cycles(self):
         timer, pic = self._timer()
+        timer.core.cycles = 1000
         timer.port_write(TIMER_PERIOD, 200)
         timer.port_write(TIMER_CTRL, MODE_PERIODIC)
-        timer.rebase_if_armed(1000)
-        assert timer.next_deadline() == 1200
+        assert timer.deadline == 1200
         assert timer.port_read(TIMER_CTRL) == 1
+
+    def test_the_deadline_is_the_core_cycle_stop(self):
+        timer, _ = self._timer()
+        core = timer.core
+        timer.program(300, periodic=True, now_cycles=100)
+        assert core._cycle_stop == 400
+        timer.tick(400)
+        assert core._cycle_stop == 700
+        timer.disarm()
+        assert core._cycle_stop == core._cycle_limit
 
     def test_arming_without_period_rejected(self):
         timer, _ = self._timer()
@@ -171,13 +192,13 @@ class TestConsole:
 
 class TestPower:
     def test_latch(self):
-        power = PowerControl()
+        power = PowerControl(bare_core())
         assert power.port_read(POWER_BASE) == 0
         power.port_write(POWER_BASE, 3)
         assert power.shutdown_requested and power.code == 3
         assert power.port_read(POWER_BASE) == 1
 
     def test_zero_write_ignored(self):
-        power = PowerControl()
+        power = PowerControl(bare_core())
         power.port_write(POWER_BASE, 0)
         assert not power.shutdown_requested

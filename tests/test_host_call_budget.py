@@ -103,48 +103,51 @@ CALLS = {
     # VMM-cycle counters through two counter_attr.bound calls,
     # ShadowMMU.real_pa went through translate (two calls for one map
     # lookup) and the allocator zero-filled a frame never handed out.
-    "native/interp/cpu_bound": 4.6561,  # was 6.8232
-    "native/interp/memtouch": 4.8136,  # was 6.9754
-    "native/interp/syscall_storm": 4.756,  # was 7.0444
-    "native/compiled/cpu_bound": 0.5621,  # was 0.7265, then 0.6676
-    "native/compiled/memtouch": 1.8044,  # was 2.8437, then 1.9804
-    "native/compiled/syscall_storm": 1.1786,  # was 1.414, then 1.3593
-    "trap-emulate/interp/cpu_bound": 4.7513,  # was 7.7274, last 4.7596
-    "trap-emulate/interp/memtouch": 5.6016,  # was 8.6296, last 5.6482
-    "trap-emulate/interp/syscall_storm": 5.3517,  # was 8.7788, last 5.4155
-    "trap-emulate/compiled/cpu_bound": 0.8196,  # was 1.0221, then 0.9302, last 0.9247
-    "trap-emulate/compiled/memtouch": 2.8683,  # was 4.6389, then 3.0335, last 3.0272
-    "trap-emulate/compiled/syscall_storm": 2.0936,  # was 2.4183, then 2.2667, last 2.2608
-    "bin-transl/interp/cpu_bound": 2.9854,  # was 4.9636
-    "bin-transl/interp/memtouch": 3.2018,  # was 4.0605, last 3.2237
-    "bin-transl/interp/syscall_storm": 2.7737,  # was 3.7392, last 2.7901
-    "bin-transl/compiled/cpu_bound": 0.5065,  # was 0.631, last 0.5091
-    "bin-transl/compiled/memtouch": 1.9784,  # was 2.5879, last 2.0004
-    "bin-transl/compiled/syscall_storm": 1.959,  # was 2.3515, last 1.9755
-    "paravirt/interp/cpu_bound": 4.7691,  # was 7.7396, last 4.7774
-    "paravirt/interp/memtouch": 5.4867,  # was 8.6726, last 5.5189
-    "paravirt/interp/syscall_storm": 5.4435,  # was 8.8968, last 5.4791
-    "paravirt/compiled/cpu_bound": 0.8456,  # was 1.0516, then 0.9567, last 0.9513
-    "paravirt/compiled/memtouch": 2.9709,  # was 4.996, then 3.1145, last 3.1086
-    "paravirt/compiled/syscall_storm": 2.1542,  # was 2.4598, then 2.2982, last 2.2925
-    "hw+shadow/interp/cpu_bound": 4.7383,  # was 7.7122, last 4.7438
-    "hw+shadow/interp/memtouch": 5.3286,  # was 8.3640, last 5.348
-    "hw+shadow/interp/syscall_storm": 4.844,  # was 8.2685, last 4.8498
-    "hw+shadow/compiled/cpu_bound": 0.8065,  # was 1.0069, then 0.9142, last 0.9087
-    "hw+shadow/compiled/memtouch": 2.598,  # was 4.3569, then 2.736, last 2.7297
-    "hw+shadow/compiled/syscall_storm": 1.5146,  # was 1.732, then 1.6296, last 1.6238
-    "hw+nested/interp/cpu_bound": 4.0332,  # was 7.9325
-    "hw+nested/interp/memtouch": 4.1135,  # was 8.2424
-    "hw+nested/interp/syscall_storm": 4.0904,  # was 8.3669
-    "hw+nested/compiled/cpu_bound": 0.4917,  # was 0.6034, then 0.4982, last 0.4949
-    "hw+nested/compiled/memtouch": 1.7461,  # was 3.0233, then 1.7535, last 1.7498
-    "hw+nested/compiled/syscall_storm": 1.102,  # was 1.2102, then 1.1089, last 1.1055
-    "hw+hmode/interp/cpu_bound": 4.0374,  # was 7.9366
-    "hw+hmode/interp/memtouch": 4.1311,  # was 8.2601
-    "hw+hmode/interp/syscall_storm": 4.0948,  # was 8.3714
-    "hw+hmode/compiled/cpu_bound": 0.4959,  # was 0.6076, then 0.5023, last 0.4991
-    "hw+hmode/compiled/memtouch": 1.7638,  # was 3.0410, then 1.7712, last 1.7675
-    "hw+hmode/compiled/syscall_storm": 1.1065,  # was 1.2147, then 1.1133, last 1.1099
+    # A "polled" names the count while the pump and Machine.run polled
+    # the timer on every pass (rebase_if_armed, tick, next_deadline; the
+    # timer is off here) and Machine.run cut its run into slices.
+    "native/interp/cpu_bound": 4.6551,  # was 6.8232, polled 4.6561
+    "native/interp/memtouch": 4.8124,  # was 6.9754, polled 4.8136
+    "native/interp/syscall_storm": 4.755,  # was 7.0444, polled 4.756
+    "native/compiled/cpu_bound": 0.557,  # was 0.7265, then 0.6676, polled 0.5621
+    "native/compiled/memtouch": 1.7971,  # was 2.8437, then 1.9804, polled 1.8044
+    "native/compiled/syscall_storm": 1.1677,  # was 1.414, then 1.3593, polled 1.1786
+    "trap-emulate/interp/cpu_bound": 4.751,  # was 7.7274, last 4.7596, polled 4.7513
+    "trap-emulate/interp/memtouch": 5.6013,  # was 8.6296, last 5.6482, polled 5.6016
+    "trap-emulate/interp/syscall_storm": 5.3514,  # was 8.7788, last 5.4155, polled 5.3517
+    "trap-emulate/compiled/cpu_bound": 0.8193,  # was 1.0221, then 0.9302, last 0.9247, polled 0.8196
+    "trap-emulate/compiled/memtouch": 2.8679,  # was 4.6389, then 3.0335, last 3.0272, polled 2.8683
+    "trap-emulate/compiled/syscall_storm": 2.0933,  # was 2.4183, then 2.2667, last 2.2608, polled 2.0936
+    "bin-transl/interp/cpu_bound": 2.9815,  # was 4.9636, polled 2.9854
+    "bin-transl/interp/memtouch": 3.1816,  # was 4.0605, last 3.2237, polled 3.2018
+    "bin-transl/interp/syscall_storm": 2.7449,  # was 3.7392, last 2.7901, polled 2.7737
+    "bin-transl/compiled/cpu_bound": 0.5052,  # was 0.631, last 0.5091, polled 0.5065
+    "bin-transl/compiled/memtouch": 1.9583,  # was 2.5879, last 2.0004, polled 1.9784
+    "bin-transl/compiled/syscall_storm": 1.9302,  # was 2.3515, last 1.9755, polled 1.959
+    "paravirt/interp/cpu_bound": 4.7688,  # was 7.7396, last 4.7774, polled 4.7691
+    "paravirt/interp/memtouch": 5.4863,  # was 8.6726, last 5.5189, polled 5.4867
+    "paravirt/interp/syscall_storm": 5.4431,  # was 8.8968, last 5.4791, polled 5.4435
+    "paravirt/compiled/cpu_bound": 0.8453,  # was 1.0516, then 0.9567, last 0.9513, polled 0.8456
+    "paravirt/compiled/memtouch": 2.9706,  # was 4.996, then 3.1145, last 3.1086, polled 2.9709
+    "paravirt/compiled/syscall_storm": 2.1538,  # was 2.4598, then 2.2982, last 2.2925, polled 2.1542
+    "hw+shadow/interp/cpu_bound": 4.738,  # was 7.7122, last 4.7438, polled 4.7383
+    "hw+shadow/interp/memtouch": 5.3282,  # was 8.3640, last 5.348, polled 5.3286
+    "hw+shadow/interp/syscall_storm": 4.8436,  # was 8.2685, last 4.8498, polled 4.844
+    "hw+shadow/compiled/cpu_bound": 0.8062,  # was 1.0069, then 0.9142, last 0.9087, polled 0.8065
+    "hw+shadow/compiled/memtouch": 2.5976,  # was 4.3569, then 2.736, last 2.7297, polled 2.598
+    "hw+shadow/compiled/syscall_storm": 1.5142,  # was 1.732, then 1.6296, last 1.6238, polled 1.5146
+    "hw+nested/interp/cpu_bound": 4.0297,  # was 7.9325, polled 4.0332
+    "hw+nested/interp/memtouch": 4.1094,  # was 8.2424, polled 4.1135
+    "hw+nested/interp/syscall_storm": 4.0866,  # was 8.3669, polled 4.0904
+    "hw+nested/compiled/cpu_bound": 0.4914,  # was 0.6034, then 0.4982, last 0.4949, polled 0.4917
+    "hw+nested/compiled/memtouch": 1.7457,  # was 3.0233, then 1.7535, last 1.7498, polled 1.7461
+    "hw+nested/compiled/syscall_storm": 1.1017,  # was 1.2102, then 1.1089, last 1.1055, polled 1.102
+    "hw+hmode/interp/cpu_bound": 4.0339,  # was 7.9366, polled 4.0374
+    "hw+hmode/interp/memtouch": 4.127,  # was 8.2601, polled 4.1311
+    "hw+hmode/interp/syscall_storm": 4.091,  # was 8.3714, polled 4.0948
+    "hw+hmode/compiled/cpu_bound": 0.4956,  # was 0.6076, then 0.5023, last 0.4991, polled 0.4959
+    "hw+hmode/compiled/memtouch": 1.7634,  # was 3.0410, then 1.7712, last 1.7675, polled 1.7638
+    "hw+hmode/compiled/syscall_storm": 1.1061,  # was 1.2147, then 1.1133, last 1.1099, polled 1.1065
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,
@@ -154,14 +157,14 @@ CALLS = {
     # five names the count while an OUT ended its compiled block: each
     # write made two trips through the run loop's top and BlockJIT.lookup
     # (the pumped cell's exits return to the pump, so it did not move).
-    # A "last" as above.
+    # A "last" and a "polled" as above.
     "trap-emulate/port_write": 12,  # was 23, last 15
     "bin-transl/port_write": 6.0,  # was 6.1
     "paravirt/port_write": 12,  # was 23, last 15
     "hw+shadow/port_write": 7,  # was 18, last 10
     "hw+nested/port_write": 6,  # was 12, last 8
     "hw+hmode/port_write": 6,  # was 12, last 8
-    "hw+nested/pumped/port_write": 17,  # was 20, last 19
+    "hw+nested/pumped/port_write": 15,  # was 20, last 19, polled 17
     # (a), (c) and (d) per retired instruction, (f) per request: a "was",
     # a "then" and a "last" as above; a request also costs the disk image's range
     # check and DMA copy now, and its interrupt no walk of the registry.
@@ -178,8 +181,9 @@ CALLS = {
     # Python loops.
     # 10983.75 while the native rows ran on a core with no port bus: they
     # now run the device models the VMM rows always ran, on a recycled
-    # Machine whose core and board are rebuilt per run.
-    "fuzz/case": 11342.45,  # was 10983.75 (15426, then 11183.35, 11057.9)
+    # Machine whose core and board are rebuilt per run. A "polled" as
+    # above: each VMM row's pump passes made two timer calls each.
+    "fuzz/case": 11295.95,  # was 10983.75 (15426, then 11183.35, 11057.9), polled 11342.45
 }
 
 ROWS = {label: (virt, mmu, pv) for label, virt, mmu, pv in MODE_MATRIX}
@@ -367,7 +371,8 @@ def test_per_retired_instruction(label, engine, program):
 #: ``HOT = 1``, and fewer probes make fewer calls).
 #: Cold entries were (in this order) 497, 282, 77, 350, 377 / 547, 300,
 #: 79, 416, 382 / 202, 351, 378 while OUT and IN ended a block, and so a
-#: cold run: each was one probe more.
+#: cold run: each was one probe more. Native's were 191, 340, 367 while
+#: Machine.run cut its run into 4,000-instruction slices.
 COMPILED = {
     "hw+nested": {"vblk_write": (7, 463), "blk_write": (4, 216),
                   "cpu_bound": (5, 67), "memtouch": (5, 340),
@@ -375,8 +380,8 @@ COMPILED = {
     "hw+shadow": {"vblk_write": (7, 513), "blk_write": (4, 234),
                   "cpu_bound": (5, 69), "memtouch": (5, 406),
                   "syscall_storm": (14, 372)},
-    "native": {"cpu_bound": (5, 191), "memtouch": (5, 340),
-               "syscall_storm": (14, 367)},
+    "native": {"cpu_bound": (5, 190), "memtouch": (5, 325),
+               "syscall_storm": (14, 340)},
 }
 
 
