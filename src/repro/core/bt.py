@@ -41,6 +41,7 @@ _block_hits, _misses, _chained, _callouts, _translated = (attr.bound for attr in
 
 #: Named per item, bound once (an ``Op.X`` spelling is an enum lookup).
 _VMCALL, _CSRW, _PTBR, _MODE = Op.VMCALL, Op.CSRW, int(CSR.PTBR), int(CSR.MODE)
+_EXEC = AccessType.EXEC
 _IO_OPS, _TRAP_OPS = frozenset((Op.IN, Op.OUT)), frozenset((Op.SYSCALL, Op.BRK))
 _BLOCK_ENDERS = frozenset((Op.IRET, Op.HLT, Op.SYSCALL, Op.VMCALL, Op.BRK))
 
@@ -101,13 +102,24 @@ class BTEngine:
     def recheck(self, key, block: TranslatedBlock) -> Optional[TranslatedBlock]:
         """A hit on a suspect or re-backed block: keep it (watched again)
         if every page still comes from the same frame through the same
-        leaf table, else drop it (None: translate afresh)."""
-        fetch = self.vcpu.cpu.mmu.kernel_fetch_gfn
-        if tuple(map(self.vcpu.vm.guest_mem.map.get, block.gfns)) == block.frames and all(
-                fetch(vpn << 12) == page for vpn, page in block.pages.items()):
-            block.suspect = False
-            self.watch(key, block)
-            return block
+        leaf table, else drop it (None: translate afresh). A page is
+        re-walked as a kernel fetch with no side effect
+        (``ShadowMMU.peek_walker``): a fault, or an unbacked table
+        (KeyError), drops the block too."""
+        mmu = self.vcpu.cpu.mmu
+        if tuple(map(self.vcpu.vm.guest_mem.map.get, block.gfns)) == block.frames:
+            for vpn, page in block.pages.items():
+                try:
+                    pde, pte = mmu.peek_walker.walk(mmu.guest_root, vpn << 12, _EXEC,
+                                                    False, False)
+                except (PageFault, KeyError):
+                    break
+                if (pte >> 12, pde >> 12) != page:
+                    break
+            else:
+                block.suspect = False
+                self.watch(key, block)
+                return block
         self.jit.drop((key,))
         return None
 
@@ -144,9 +156,10 @@ class BTEngine:
                 if mmu.guest_root is None:  # guest paging off: va is the gpa
                     pages[vpn] = (vpn, None)
                 else:
-                    walk = mmu._guest_walk(vpn << 12, AccessType.EXEC)
-                    pages[vpn] = (walk.gfn, walk.pt_gfn)
-                    tables.update((walk.pt_gfn, mmu.guest_root >> 12))
+                    pde, pte = mmu.guest_walker.walk(mmu.guest_root, vpn << 12, _EXEC,
+                                                     mmu.guest_user_mode, False)
+                    pages[vpn] = (pte >> 12, pde >> 12)
+                    tables.update((pde >> 12, mmu.guest_root >> 12))
             if ins.op > LAST_BRANCH_OP:  # system op: monitor callout
                 items.append((True, ins))
                 # After a PTBR write the rest was decoded under the old root.

@@ -49,8 +49,9 @@ def emulate_guest_store(vcpu, ins: Instruction, guest_mem, shadow) -> int:
             f"at pc={cpu.pc:#x}"
         )
     va = (cpu.regs[ins.ra] + ins.simm12) & 0xFFFFFFFF
-    walk = shadow._guest_walk(va, _WRITE)
-    gpa = (walk.gfn << PAGE_SHIFT) | (va & 0xFFF)
+    pte = shadow.guest_walker.walk(shadow.guest_root, va, _WRITE,
+                                   shadow.guest_user_mode, False)[1]
+    gpa = (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF)
     if ins.op is _ST:
         guest_mem.write_u32(gpa, cpu.regs[ins.rb])
     else:

@@ -34,7 +34,7 @@ from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import CPUCore, StopReason, TrapInfo
 from repro.cpu.isa import (
-    CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Op,
+    CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Instruction, Op,
 )
 from repro.cpu.mmu import GSTAGE_BACKED, GSTAGE_STALL_REFS, TwoStageMMU
 from repro.devices.block import DiskImage
@@ -113,6 +113,13 @@ _OUT, _IN, _HLT, _CSRW, _PRIV = Op.OUT, Op.IN, Op.HLT, Op.CSRW, Cause.PRIV
 _MODE, _IE, _VBAR, _PTBR, _ECAUSE, _EVAL, _EPC = map(int, (
     CSR.MODE, CSR.IE, CSR.VBAR, CSR.PTBR, CSR.ECAUSE, CSR.EVAL, CSR.EPC))
 _VIRQ_PRIORITY = (Cause.IRQ_TIMER, Cause.IRQ_DEVICE)
+#: What set_vbar / set_ptbr / set_ie(a0) do is the guest's own
+#: instruction, run by ``CPUCore.system``: CSRW of a0 (register 1), and
+#: CLI / STI for IE, which takes a0's one bit where CSRW stores the word.
+_SET_CSR = {"set_vbar": Instruction(Op.CSRW, 0, 1, 0, _VBAR, 0, False, 4),
+            "set_ptbr": Instruction(Op.CSRW, 0, 1, 0, _PTBR, 0, False, 4)}
+_CLI_STI = (Instruction(Op.CLI, 0, 0, 0, 0, 0, False, 4),
+            Instruction(Op.STI, 0, 0, 0, 0, 0, False, 4))
 _HW_ASSIST, _PARAVIRT = VirtMode.HW_ASSIST, VirtMode.PARAVIRT
 _READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
 _world_switches, _vmm_cycles, _hypercalls = (
@@ -837,11 +844,13 @@ class Hypervisor:
         advance = True
         # They act on the guest's privileged state: the core's own
         # under hardware assist, the vCPU's virtual state otherwise.
-        if call == "set_vbar":
-            vcpu.csr[_VBAR] = a0
-        elif call == "set_ptbr":
-            vcpu.csr[_PTBR] = a0
-            cpu.mmu.set_root(a0)
+        if call in _SET_CSR:
+            cpu.system(vcpu, None, _SET_CSR[call], _CSRW, cpu.pc, next_pc)
+        elif call == "set_ie":
+            ins = _CLI_STI[a0 & 1]
+            cpu.system(vcpu, None, ins, ins.op, cpu.pc, next_pc)
+            if vm.config.virt_mode is _PARAVIRT:  # the shared IE word follows
+                vm.guest_mem.write_u32(_shared_ie_gpa(vm), a0 & 1)
         elif call == "mmu_batch":
             count = a1
             vmm = _vmm_cycles(vm.stats)
@@ -851,10 +860,6 @@ class Hypervisor:
                 vm.guest_mem.write_u32(gpa, value)  # shadows: tables_written
                 vmm.value += 2 * self.costs.mem_ref_cycles
             cpu.write_reg(1, count)
-        elif call == "set_ie":
-            vcpu.csr[_IE] = a0 & 1
-            if vm.config.virt_mode is _PARAVIRT:
-                vm.guest_mem.write_u32(_shared_ie_gpa(vm), a0 & 1)
         elif call == "iret":
             cpu.leave_trap(cpu if vm.config.virt_mode is _HW_ASSIST else vcpu)
             if vm.config.virt_mode is _PARAVIRT:

@@ -41,7 +41,6 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import (
     AccessType,
     AddressSpace,
-    PTE_ACCESSED,
     PTE_DIRTY,
     PTE_NOEXEC,
     PTE_PRESENT,
@@ -49,27 +48,12 @@ from repro.mem.paging import (
     PTE_WRITABLE,
     PageFault,
     PageTableWalker,
-    pte_frame,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB, TLB_ENTRIES
 from repro.util.units import PAGE_SHIFT
 
 _WRITE, _EXEC = AccessType.WRITE, AccessType.EXEC  # bound once: enum lookups
-
-
-class _GuestWalk:
-    """Result of a software walk of the guest's own page tables."""
-
-    __slots__ = ("pde_gpa", "pte_gpa", "pde", "pte", "gfn", "pt_gfn")
-
-    def __init__(self, pde_gpa, pte_gpa, pde, pte, gfn, pt_gfn):
-        self.pde_gpa = pde_gpa
-        self.pte_gpa = pte_gpa
-        self.pde = pde
-        self.pte = pte
-        self.gfn = gfn  # target guest frame
-        self.pt_gfn = pt_gfn  # guest frame holding the leaf page table
 
 
 class ShadowMMU(MMUBase):
@@ -89,6 +73,18 @@ class ShadowMMU(MMUBase):
         self.guest_mem = guest_mem
         self.costs = costs
         self.walker = PageTableWalker(host_physmem)
+        #: The same walk of the guest's own tables, in guest-physical
+        #: space (no one reads its counters): each entry is reached
+        #: through ``gpa_to_hpa``, which faults an unbacked table in, and
+        #: each leaf table is registered as the walk reaches it.
+        self.guest_walker = PageTableWalker(host_physmem, guest_mem.gpa_to_hpa,
+                                            self._register_pt_gfn)
+        #: And with no side effect at all (BT's re-check of a block): an
+        #: unbacked table raises KeyError, and nothing is registered.
+        gmap = guest_mem.map
+        self.peek_walker = PageTableWalker(
+            host_physmem,
+            lambda gpa, _access: (gmap[gpa >> PAGE_SHIFT] << PAGE_SHIFT) | (gpa & 0xFFF))
         self.tlb = TLB(TLB_ENTRIES)
         self.ring_compression = ring_compression
         self.trap_pt_writes = trap_pt_writes
@@ -131,7 +127,7 @@ class ShadowMMU(MMUBase):
             return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
         space = self._current_space()
         try:
-            pte = self.walker.walk(space.root_pa, va, access, user)
+            pte = self.walker.walk(space.root_pa, va, access, user)[1]
         except PageFault:
             self._miss(va, access, user)  # always raises
             raise AssertionError("unreachable")
@@ -195,35 +191,22 @@ class ShadowMMU(MMUBase):
         self.view_switches += 1
 
     def fill(self, va: int, access: AccessType) -> None:
-        """Service a shadow-fill exit: create/upgrade the shadow entry."""
+        """Service a shadow-fill exit: create/upgrade the shadow entry.
+
+        The guest walk writes accessed (and on writes, dirty) back into
+        the *guest's* entries, as hardware would were the guest running
+        bare -- past GuestMemory's table route: A/D bits invalidate
+        nothing."""
         va &= 0xFFFFFFFF
-        walk = self._guest_walk(va, access)
-        gfn = walk.gfn
+        pde, pte = self.guest_walker.walk(self.guest_root, va, access,
+                                          self.guest_user_mode, True)
+        gfn = pte >> PAGE_SHIFT
         mem = self.guest_mem
 
-        # Propagate accessed (and on writes, dirty) into the *guest* PTE,
-        # as hardware would have done were the guest running bare. Past
-        # GuestMemory's table route: A/D bits invalidate nothing.
-        new_pte = walk.pte | PTE_ACCESSED
-        writable = False
-        if access is AccessType.WRITE:
-            new_pte |= PTE_DIRTY
-            writable = True
-        if new_pte != walk.pte:
-            self.physmem.write_u32(mem.gpa_to_hpa(walk.pte_gpa, True), new_pte)
-        if walk.pde & PTE_ACCESSED == 0:
-            self.physmem.write_u32(mem.gpa_to_hpa(walk.pde_gpa, True),
-                                   walk.pde | PTE_ACCESSED)
-
-        flags = PTE_PRESENT
-        if walk.pte & PTE_NOEXEC:
-            flags |= PTE_NOEXEC
-        if self.ring_compression:
-            flags |= PTE_USER if self.kernel_view else (walk.pde & walk.pte & PTE_USER)
-        else:
-            flags |= walk.pde & walk.pte & PTE_USER
+        flags = PTE_PRESENT | (pte & PTE_NOEXEC) | (
+            PTE_USER if self.ring_compression and self.kernel_view else pde & pte & PTE_USER)
         # Lazy dirty technique: map read-only until the first write.
-        if writable:
+        if access is _WRITE:
             if gfn in self.pt_gfns and self.trap_pt_writes:
                 raise AssertionError(
                     "fill(WRITE) on a guest PT page must go through "
@@ -241,7 +224,7 @@ class ShadowMMU(MMUBase):
         space.map(page_va, mem.backing(gfn) << PAGE_SHIFT, flags)
         self.tlb.invalidate(va >> PAGE_SHIFT)
         self._fills.setdefault(gfn, set()).add((space_key, page_va))
-        self._pt_backrefs.setdefault(walk.pt_gfn, set()).add(
+        self._pt_backrefs.setdefault(pde >> PAGE_SHIFT, set()).add(
             (space_key, va >> 22))
         self.fills += 1
 
@@ -312,17 +295,13 @@ class ShadowMMU(MMUBase):
 
     # -- internals ---------------------------------------------------------
 
-    def _effective_user(self, real_user: bool) -> bool:
-        if self.ring_compression:
-            return self.guest_user_mode
-        return real_user
-
     def _miss(self, va: int, access: AccessType, real_user: bool) -> None:
         """Shadow walk failed: classify into guest fault or VMM work."""
-        effective_user = self._effective_user(real_user)
-        walk = self._guest_walk(va, access, effective_user)  # may raise PageFault
-        gfn_written = walk.gfn
-        if access is AccessType.WRITE:
+        user = self.guest_user_mode if self.ring_compression else real_user
+        # May raise PageFault, with the *virtual* privilege.
+        pte = self.guest_walker.walk(self.guest_root, va, access, user, False)[1]
+        gfn_written = pte >> PAGE_SHIFT
+        if access is _WRITE:
             if gfn_written in self.pt_gfns and self.trap_pt_writes:
                 raise VMExit(
                     ExitReason.PAGE_FAULT,
@@ -342,54 +321,6 @@ class ShadowMMU(MMUBase):
         raise VMExit(
             ExitReason.PAGE_FAULT, kind="shadow_fill", va=va, access=access
         )
-
-    def _guest_walk(
-        self, va: int, access: AccessType, effective_user: Optional[bool] = None
-    ) -> _GuestWalk:
-        """Software walk of the guest's tables in guest-physical space.
-
-        Raises :class:`PageFault` (guest-visible, with the *virtual*
-        privilege) when the guest's own tables forbid the access.
-        """
-        if effective_user is None:
-            effective_user = self.guest_user_mode if self.ring_compression else False
-        assert self.guest_root is not None
-        pde_gpa = self.guest_root + (va >> 22) * 4
-        pde = self.guest_mem.read_u32(pde_gpa)
-        if not pde & PTE_PRESENT:
-            raise PageFault(va, access, effective_user, present=False)
-        pt_gfn = pte_frame(pde)
-        self._register_pt_gfn(pt_gfn)
-        pte_gpa = (pt_gfn << PAGE_SHIFT) + ((va >> 12) & 0x3FF) * 4
-        pte = self.guest_mem.read_u32(pte_gpa)
-        if not pte & PTE_PRESENT:
-            raise PageFault(va, access, effective_user, present=False)
-        combined = pde & pte
-        if effective_user and not combined & PTE_USER:
-            raise PageFault(va, access, effective_user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            raise PageFault(va, access, effective_user, present=True)
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
-            raise PageFault(va, access, effective_user, present=True)
-        return _GuestWalk(pde_gpa, pte_gpa, pde, pte, pte_frame(pte), pt_gfn)
-
-    def kernel_fetch_gfn(self, va: int) -> Optional[Tuple[int, int]]:
-        """``(gfn, pt_gfn)`` of a virtual-kernel fetch of ``va``, or None
-        where it would fault: ``_guest_walk`` without its side effects
-        (no page table registered, no unbacked table faulted in -- None
-        then too). The binary translator re-checks a cached block with it."""
-        mem = self.guest_mem
-        table = self.guest_root >> PAGE_SHIFT
-        for index in (va >> 22, (va >> 12) & 0x3FF):
-            hfn = mem.map.get(table)
-            if hfn is None:
-                return None
-            pt_gfn = table
-            entry = self.physmem.read_u32((hfn << PAGE_SHIFT) + index * 4)
-            if not entry & PTE_PRESENT:
-                return None
-            table = pte_frame(entry)
-        return None if entry & PTE_NOEXEC else (table, pt_gfn)
 
     def _register_pt_gfn(self, gfn: int) -> None:
         if gfn in self.pt_gfns:

@@ -13,9 +13,12 @@ from repro.core.modes import MMUVirtMode, VirtMode
 from repro.core.stats import ExitStats, VMStats
 from repro.cpu.isa import Cause
 from repro.devices.bus import PortBus
+from repro.mem.paging import AccessType
 from repro.mem.physmem import PhysicalMemory, WriteLog
 from repro.util.errors import ConfigError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, PAGE_SIZE
+
+_READ, _WRITE = AccessType.READ, AccessType.WRITE  # bound once: enum lookups
 
 
 @dataclass
@@ -104,13 +107,14 @@ class GuestMemory:
     def is_mapped(self, gfn: int) -> bool:
         return gfn in self.map
 
-    def gpa_to_hpa(self, gpa: int, write: bool = False) -> int:
-        """Host address of ``gpa``, once the access may proceed."""
+    def gpa_to_hpa(self, gpa: int, access: AccessType = _READ) -> int:
+        """Host address of ``gpa``, once an ``access`` (READ or WRITE) of
+        it may proceed: the shadow MMU's step for walking guest tables."""
         gfn = gpa >> PAGE_SHIFT
         hfn = self.map.get(gfn)
-        if hfn is None or write and gfn in self.write_protected:
+        if hfn is None or access is _WRITE and gfn in self.write_protected:
             if self.fault is not None and gfn < self.num_pages:
-                self.fault(gfn, write)
+                self.fault(gfn, access is _WRITE)
             hfn = self.map.get(gfn)
             if hfn is None:
                 raise MemoryError_(f"guest-physical {gpa:#x} not backed (gfn {gfn})")
@@ -126,7 +130,7 @@ class GuestMemory:
         return self.host.read_u32(self.gpa_to_hpa(gpa))
 
     def write_u32(self, gpa: int, value: int) -> None:
-        self.host.write_u32(self.gpa_to_hpa(gpa, True), value)
+        self.host.write_u32(self.gpa_to_hpa(gpa, _WRITE), value)
         if gpa >> PAGE_SHIFT in self.tables:
             self.tables_written(gpa, 4)
 
@@ -134,7 +138,7 @@ class GuestMemory:
         return self.host.read_u8(self.gpa_to_hpa(gpa))
 
     def write_u8(self, gpa: int, value: int) -> None:
-        self.host.write_u8(self.gpa_to_hpa(gpa, True), value)
+        self.host.write_u8(self.gpa_to_hpa(gpa, _WRITE), value)
         if gpa >> PAGE_SHIFT in self.tables:
             self.tables_written(gpa, 1)
 
@@ -153,7 +157,7 @@ class GuestMemory:
         offset = 0
         while offset < len(data):
             in_page = min(len(data) - offset, PAGE_SIZE - (gpa & (PAGE_SIZE - 1)))
-            self.host.write_bytes(self.gpa_to_hpa(gpa, True), data[offset : offset + in_page])
+            self.host.write_bytes(self.gpa_to_hpa(gpa, _WRITE), data[offset : offset + in_page])
             if gpa >> PAGE_SHIFT in self.tables:
                 self.tables_written(gpa, in_page)
             gpa += in_page

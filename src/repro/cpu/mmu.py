@@ -47,13 +47,14 @@ from repro.mem.paging import (
     AccessType,
     AddressSpace,
     GStageFault,
+    GStageWalker,
     PTE_ACCESSED,
     PTE_DIRTY,
+    PTE_NOEXEC,
     PTE_PRESENT,
     PTE_USER,
     PTE_WRITABLE,
     PageTableWalker,
-    TwoStageWalker,
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.mem.tlb import TLB, TLB_ENTRIES
@@ -123,7 +124,7 @@ class BareMMU(MMUBase):
         pte = self.tlb.lookup(vpn, access, user)
         if pte is not None:
             return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_hit_cycles
-        pte = self.walker.walk(self.root_pa, va, access, user)
+        pte = self.walker.walk(self.root_pa, va, access, user)[1]
         self.tlb.insert(vpn, pte)
         return (pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), self.costs.tlb_miss_cycles
 
@@ -151,10 +152,11 @@ class TwoStageMMU(MMUBase):
 
     Guest VA -> guest PA through the guest's own tables, guest PA ->
     host PA through the second-stage table (``ept``; the G-stage of the
-    H-mode extension), both walked by the
-    :class:`~repro.mem.paging.TwoStageWalker` with combined translations
-    cached in one TLB. The guest keeps PTBR/INVLPG native (no MMU
-    exits). For 2-level tables on both sides a cold walk is
+    H-mode extension): the one walk, :class:`~repro.mem.paging.
+    PageTableWalker`, with :meth:`~repro.mem.paging.GStageWalker.walk`
+    as its table-access step; combined translations are cached in one
+    TLB. The guest keeps PTBR/INVLPG native (no MMU exits). For 2-level
+    tables on both sides a cold walk is
 
         2 guest levels x (2 EPT refs + 1 entry read) + 2 final EPT refs = 8
 
@@ -192,7 +194,8 @@ class TwoStageMMU(MMUBase):
         #: The second-stage table (gPA -> hPA), host-owned: it outlives
         #: this MMU when a VM is recycled.
         self.ept = ept
-        self.walker = TwoStageWalker(host_physmem, gstage_ad=hmode)
+        self.gstage = GStageWalker(host_physmem, ept.root_pa, ad=hmode)
+        self.walker = PageTableWalker(host_physmem, self.gstage.walk)
         self.guest_root: Optional[int] = None
         #: Optional fault-injection hook (``hmode.gstage_stall``):
         #: called once per two-stage TLB miss, returns extra cycles (at
@@ -253,20 +256,24 @@ class TwoStageMMU(MMUBase):
             # Lazy-W: cache write permission only once D is set, so the
             # next write after a dirty-log round re-walks.
             flags |= PTE_WRITABLE | PTE_DIRTY
+        gstage = self.gstage
+        gstage_walks = gstage.walks
         try:
             if self.guest_root is None:
                 # Guest paging off: VA is a gPA; one EPT walk.
-                hpa = self.walker.gstage_walk(self.ept.root_pa, va, access)
+                hpa = gstage.walk(va, access)
                 flags |= PTE_USER
-                walk_cycles = 2 * ept_ref_cycles
+                walk_cycles = 0
             else:
-                hpa, perms, refs = self.walker.walk(
-                    self.ept.root_pa, self.guest_root, va, access, user
-                )
-                flags |= perms
-                walk_cycles = 2 * costs.mem_ref_cycles + refs * ept_ref_cycles
+                # Every guest entry read and A/D write-back is a G-stage
+                # walk, and so is the data's gPA: 6, 8 or 10 references.
+                pde, pte = self.walker.walk(self.guest_root, va, access, user)
+                hpa = gstage.walk((pte >> PAGE_SHIFT << PAGE_SHIFT) | (va & 0xFFF), access)
+                flags |= (pde & pte & PTE_USER) | (pte & PTE_NOEXEC)
+                walk_cycles = 2 * costs.mem_ref_cycles
         except GStageFault as fault:
             raise self._ept_exit(fault) from None
+        walk_cycles += 2 * (gstage.walks - gstage_walks) * ept_ref_cycles
         self.tlb.insert(vpn, (hpa >> PAGE_SHIFT << PAGE_SHIFT) | flags)
         return hpa, costs.tlb_hit_cycles + walk_cycles + stall
 

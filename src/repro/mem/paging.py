@@ -1,4 +1,4 @@
-"""Two-level page tables: entry format, walker, address-space builder.
+"""Two-level page tables: entry format, the one walk, address-space builder.
 
 The PTE/PDE format (one 32-bit word)::
 
@@ -11,6 +11,13 @@ Permissions combine across levels the way modern x86 does: an access is
 allowed only if *both* the PDE and the PTE allow it (W for writes, U for
 user-mode accesses). Accessed bits are set at both levels on a
 successful walk; the dirty bit is set at the leaf on writes.
+
+That rule is :class:`PageTableWalker`, and every MMU walks guest or host
+tables with it: the bare MMU and the shadow tables directly, the guest
+stage of two-stage paging through :class:`GStageWalker` (whose own rule
+is the second stage's), the shadow MMU's walk of the guest's tables
+through the guest's gpa -> hpa map. ``tests/test_mem_walk_reference.py``
+holds every one of those walks to a reference written out separately.
 """
 
 import enum
@@ -45,6 +52,9 @@ class AccessType(enum.Enum):
     WRITE = "write"
     EXEC = "exec"
 
+
+#: Bound once: an enum member is a metaclass lookup on every use.
+_READ, _WRITE, _EXEC = AccessType.READ, AccessType.WRITE, AccessType.EXEC
 
 @dataclass
 class PageFault(Exception):
@@ -83,62 +93,83 @@ def pte_frame(pte: int) -> int:
 
 
 class PageTableWalker:
-    """Walks 2-level tables stored in a :class:`PhysicalMemory`."""
+    """VISA's page-table rule, written once: every walk of a 2-level tree.
 
-    def __init__(self, physmem: PhysicalMemory):
+    The PDE, then the PTE, must be present; then a user access needs
+    USER in PDE & PTE, a write WRITABLE in PDE & PTE, a fetch a PTE
+    without NOEXEC. The first test that fails raises :class:`PageFault`.
+    A successful walk may write ACCESSED back into both entries, PDE
+    first, and DIRTY into the leaf of a write.
+
+    Walks differ only in how a table entry is reached: ``step(addr,
+    access)`` turns an entry's address into a host address, with
+    ``access`` READ for an entry read and WRITE for an A/D write-back.
+    ``step`` is None (the identity, inline) for tables in host-physical
+    memory: the bare MMU's, the shadow tables. Under two-stage paging it
+    is :meth:`GStageWalker.walk`; for the shadow MMU's walk of the
+    guest's own tables, the guest's gpa -> hpa map. ``tables``, if set,
+    is called with the leaf table's frame after the PDE admits it and
+    before the PTE is read (the shadow MMU registers guest tables there).
+    """
+
+    def __init__(self, physmem: PhysicalMemory, step=None, tables=None):
         self.physmem = physmem
+        self.step = step
+        self.tables = tables
         self.walks = 0
         self.faults = 0
 
-    def walk(self, root_pa: int, va: int, access: AccessType, user: bool) -> int:
-        """Translate ``va``; return the leaf PTE, accessed/dirty bits set.
+    def walk(self, root: int, va: int, access: AccessType, user: bool,
+             ad: bool = True) -> Tuple[int, int]:
+        """``(pde, pte)`` of ``va`` under the directory at ``root``, as
+        they stand after the walk; A/D is written back only with ``ad``.
 
-        ``root_pa`` is the physical address of the page directory,
-        ``user`` the privilege of the access (True = user mode); the
+        ``user`` is the privilege of the access (True = user mode); the
         translation is the leaf's frame plus ``va``'s page offset.
-        Raises :class:`PageFault` on failure. Entries are read straight
-        from the backing buffer (out of RAM raises through ``read_u32``);
-        A/D updates go through ``write_u32`` so write watchers (SMC
-        invalidation, dirty tracking) observe them.
+        Entries are read straight from the backing buffer (out of RAM
+        raises through ``read_u32``); A/D updates go through
+        ``write_u32`` so write watchers (SMC invalidation, dirty
+        tracking) observe them.
         """
         self.walks += 1
         pm = self.physmem
-        buf = pm._data
         size = pm.size
-        pde_pa = root_pa + ((va >> 20) & 0xFFC)
-        if pde_pa + 4 > size:
-            pm.read_u32(pde_pa)  # out of RAM: raise the canonical error
-        pde = _U32.unpack_from(buf, pde_pa)[0]
+        step = self.step
+        pde_pa = root + ((va >> 20) & 0xFFC)
+        pde_at = pde_pa if step is None else step(pde_pa, _READ)
+        if pde_at + 4 > size:
+            pm.read_u32(pde_at)  # out of RAM: raise the canonical error
+        pde = _U32.unpack_from(pm._data, pde_at)[0]
         if not pde & PTE_PRESENT:
             self.faults += 1
             raise PageFault(va, access, user, present=False)
+        if self.tables is not None:
+            self.tables(pde >> PAGE_SHIFT)
         pte_pa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
-        if pte_pa + 4 > size:
-            pm.read_u32(pte_pa)
-        pte = _U32.unpack_from(buf, pte_pa)[0]
+        pte_at = pte_pa if step is None else step(pte_pa, _READ)
+        if pte_at + 4 > size:
+            pm.read_u32(pte_at)
+        pte = _U32.unpack_from(pm._data, pte_at)[0]
         if not pte & PTE_PRESENT:
             self.faults += 1
             raise PageFault(va, access, user, present=False)
         combined = pde & pte
-        if user and not combined & PTE_USER:
+        if (user and not combined & PTE_USER
+                or access is _WRITE and not combined & PTE_WRITABLE
+                or access is _EXEC and pte & PTE_NOEXEC):
             self.faults += 1
             raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and pte & PTE_NOEXEC:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        new_pde = pde | PTE_ACCESSED
-        if new_pde != pde:
-            pm.write_u32(pde_pa, new_pde)
-        new_pte = pte | PTE_ACCESSED
-        if access is AccessType.WRITE:
-            new_pte |= PTE_DIRTY
-        if new_pte != pte:
-            pm.write_u32(pte_pa, new_pte)
-            pte = new_pte
-        return pte
+        if ad:
+            if not pde & PTE_ACCESSED:
+                pde |= PTE_ACCESSED
+                pm.write_u32(pde_pa if step is None else step(pde_pa, _WRITE), pde)
+            new_pte = pte | PTE_ACCESSED
+            if access is _WRITE:
+                new_pte |= PTE_DIRTY
+            if new_pte != pte:
+                pte = new_pte
+                pm.write_u32(pte_pa if step is None else step(pte_pa, _WRITE), pte)
+        return pde, pte
 
 
 @dataclass
@@ -165,140 +196,63 @@ class GStageFault(Exception):
         )
 
 
-class TwoStageWalker:
-    """Hardware-walked two-stage translation (guest stage over G-stage/EPT).
+class GStageWalker:
+    """The second stage (G-stage, EPT) of two-stage translation: gPA -> hPA.
 
-    Both stages are ordinary 2-level tables in the same PTE format. The
-    guest stage lives in guest-physical memory, so each of its entry
-    reads is itself G-stage translated; with 2-level tables on both
-    sides a cold walk costs ``2 x (2 + 1) + 2 = 8`` entry references --
-    the (n+1)(m+1)-1 amplification of nested paging -- walked "in
-    hardware": no exits. With ``gstage_ad`` (the H-mode
-    walker) accessed/dirty bits are maintained at *both* stages; without
-    it (VT-x-style nested paging) the G-stage entries are left untouched.
+    Its tables are ordinary 2-level tables at ``root_pa`` in host
+    memory, but its rule is its own: present, and WRITABLE in PDE & PTE
+    for a write -- no USER, no NOEXEC -- else :class:`GStageFault`; A/D
+    are maintained only with ``ad`` (the H-mode walker), not under
+    VT-x-style nested paging. :meth:`walk` is also the guest stage's
+    table-access step (a :class:`PageTableWalker` with ``step=walk``), so
+    with 2-level tables on both sides a cold walk costs ``2 x (2 + 1) +
+    2 = 8`` entry references -- the (n+1)(m+1)-1 amplification of nested
+    paging -- walked "in hardware": no exits.
     """
 
-    def __init__(self, physmem: PhysicalMemory, gstage_ad: bool):
+    def __init__(self, physmem: PhysicalMemory, root_pa: int, ad: bool):
         self.physmem = physmem
-        self.gstage_ad = gstage_ad
-        self.walks = 0
+        self.root_pa = root_pa
+        self.ad = ad
+        self.walks = 0  # two entry references each
         self.faults = 0
-        self.gstage_faults = 0
 
-    def gstage_walk(self, gstage_root: int, gpa: int, access: AccessType) -> int:
-        """Translate one gPA through the G-stage: two entry references.
-
-        Raises :class:`GStageFault` when unmapped or when a write hits
-        a non-writable entry. On success, under ``gstage_ad``, sets
-        ACCESSED at both G-stage levels and DIRTY at the leaf for writes.
-        Reads and writes memory the way :meth:`PageTableWalker.walk` does.
-        """
+    def walk(self, gpa: int, access: AccessType) -> int:
+        """The host address of ``gpa``, read and written the way
+        :meth:`PageTableWalker.walk` does; under ``ad``, ACCESSED set at
+        both levels and DIRTY at the leaf of a write."""
+        self.walks += 1
         pm = self.physmem
         buf = pm._data
         size = pm.size
-        pde_pa = gstage_root + ((gpa >> 20) & 0xFFC)
+        pde_pa = self.root_pa + ((gpa >> 20) & 0xFFC)
         if pde_pa + 4 > size:
             pm.read_u32(pde_pa)  # out of RAM: raise the canonical error
         pde = _U32.unpack_from(buf, pde_pa)[0]
         if not pde & PTE_PRESENT:
-            self.gstage_faults += 1
+            self.faults += 1
             raise GStageFault(gpa, access, present=False)
         pte_pa = (pde & _FRAME_MASK) + ((gpa >> 10) & 0xFFC)
         if pte_pa + 4 > size:
             pm.read_u32(pte_pa)
         pte = _U32.unpack_from(buf, pte_pa)[0]
         if not pte & PTE_PRESENT:
-            self.gstage_faults += 1
+            self.faults += 1
             raise GStageFault(gpa, access, present=False)
-        if access is AccessType.WRITE and not pde & pte & PTE_WRITABLE:
-            self.gstage_faults += 1
+        if access is _WRITE and not pde & pte & PTE_WRITABLE:
+            self.faults += 1
             raise GStageFault(gpa, access, present=True)
-        if self.gstage_ad:
+        if self.ad:
             new_pde = pde | PTE_ACCESSED
             if new_pde != pde:
                 pm.write_u32(pde_pa, new_pde)
             new_pte = pte | PTE_ACCESSED
-            if access is AccessType.WRITE:
+            if access is _WRITE:
                 new_pte |= PTE_DIRTY
             if new_pte != pte:
                 pm.write_u32(pte_pa, new_pte)
                 pte = new_pte
         return (pte & _FRAME_MASK) | (gpa & 0xFFF)
-
-    def walk(
-        self,
-        gstage_root: int,
-        guest_root: int,
-        va: int,
-        access: AccessType,
-        user: bool,
-    ) -> Tuple[int, int, int]:
-        """Full two-stage translation of a guest virtual address.
-
-        Returns ``(hpa, perms, gstage_refs)``: the host-physical address
-        of the data, the guest's verdict a TLB must keep (USER of
-        PDE & PTE, NOEXEC of the PTE) and the G-stage entry references
-        made -- 6, plus 2 per guest entry whose A/D bits were written
-        back; the guest's own two entry reads are on top.
-
-        Guest-visible behaviour (fault order, guest A/D updates) is
-        identical to :class:`PageTableWalker`; every guest table access
-        additionally passes through the G-stage, including the write-back
-        of guest A/D bits (so dirty logging captures page-table pages).
-        """
-        self.walks += 1
-        pm = self.physmem
-        size = pm.size
-        gstage_walk = self.gstage_walk
-        gstage_refs = 6
-
-        pde_gpa = guest_root + ((va >> 20) & 0xFFC)
-        pde_hpa = gstage_walk(gstage_root, pde_gpa, AccessType.READ)
-        if pde_hpa + 4 > size:
-            pm.read_u32(pde_hpa)  # out of RAM: raise the canonical error
-        pde = _U32.unpack_from(pm._data, pde_hpa)[0]
-        if not pde & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        pte_gpa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
-        pte_hpa = gstage_walk(gstage_root, pte_gpa, AccessType.READ)
-        if pte_hpa + 4 > size:
-            pm.read_u32(pte_hpa)
-        gpte = _U32.unpack_from(pm._data, pte_hpa)[0]
-        if not gpte & PTE_PRESENT:
-            self.faults += 1
-            raise PageFault(va, access, user, present=False)
-
-        combined = pde & gpte
-        if user and not combined & PTE_USER:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.WRITE and not combined & PTE_WRITABLE:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-        if access is AccessType.EXEC and gpte & PTE_NOEXEC:
-            self.faults += 1
-            raise PageFault(va, access, user, present=True)
-
-        # Guest A/D write-back: a guest-physical *write*, re-walked
-        # through the G-stage with write permission.
-        if not pde & PTE_ACCESSED:
-            pm.write_u32(gstage_walk(gstage_root, pde_gpa, AccessType.WRITE),
-                         pde | PTE_ACCESSED)
-            gstage_refs += 2
-        new_gpte = gpte | PTE_ACCESSED
-        if access is AccessType.WRITE:
-            new_gpte |= PTE_DIRTY
-        if new_gpte != gpte:
-            pm.write_u32(gstage_walk(gstage_root, pte_gpa, AccessType.WRITE),
-                         new_gpte)
-            gstage_refs += 2
-            gpte = new_gpte
-
-        gpa = (gpte & _FRAME_MASK) | (va & 0xFFF)
-        return (gstage_walk(gstage_root, gpa, access),
-                (combined & PTE_USER) | (gpte & PTE_NOEXEC), gstage_refs)
 
 
 class AddressSpace:

@@ -106,48 +106,54 @@ CALLS = {
     # A "polled" names the count while the pump and Machine.run polled
     # the timer on every pass (rebase_if_armed, tick, next_deadline; the
     # timer is off here) and Machine.run cut its run into slices.
+    # A "paged" names the count while the shadow MMU walked the guest's
+    # tables with a copy of the page-table rule of its own (three calls
+    # an entry, GuestMemory.read_u32, where gpa_to_hpa is one), the
+    # translator re-checked a block through ShadowMMU.kernel_fetch_gfn,
+    # and the two-stage MMU read ept.root_pa through a property on every
+    # TLB miss.
     "native/interp/cpu_bound": 4.6551,  # was 6.8232, polled 4.6561
     "native/interp/memtouch": 4.8124,  # was 6.9754, polled 4.8136
     "native/interp/syscall_storm": 4.755,  # was 7.0444, polled 4.756
     "native/compiled/cpu_bound": 0.557,  # was 0.7265, then 0.6676, polled 0.5621
     "native/compiled/memtouch": 1.7971,  # was 2.8437, then 1.9804, polled 1.8044
     "native/compiled/syscall_storm": 1.1677,  # was 1.414, then 1.3593, polled 1.1786
-    "trap-emulate/interp/cpu_bound": 4.751,  # was 7.7274, last 4.7596, polled 4.7513
-    "trap-emulate/interp/memtouch": 5.6013,  # was 8.6296, last 5.6482, polled 5.6016
-    "trap-emulate/interp/syscall_storm": 5.3514,  # was 8.7788, last 5.4155, polled 5.3517
-    "trap-emulate/compiled/cpu_bound": 0.8193,  # was 1.0221, then 0.9302, last 0.9247, polled 0.8196
-    "trap-emulate/compiled/memtouch": 2.8679,  # was 4.6389, then 3.0335, last 3.0272, polled 2.8683
-    "trap-emulate/compiled/syscall_storm": 2.0933,  # was 2.4183, then 2.2667, last 2.2608, polled 2.0936
-    "bin-transl/interp/cpu_bound": 2.9815,  # was 4.9636, polled 2.9854
-    "bin-transl/interp/memtouch": 3.1816,  # was 4.0605, last 3.2237, polled 3.2018
-    "bin-transl/interp/syscall_storm": 2.7449,  # was 3.7392, last 2.7901, polled 2.7737
-    "bin-transl/compiled/cpu_bound": 0.5052,  # was 0.631, last 0.5091, polled 0.5065
-    "bin-transl/compiled/memtouch": 1.9583,  # was 2.5879, last 2.0004, polled 1.9784
-    "bin-transl/compiled/syscall_storm": 1.9302,  # was 2.3515, last 1.9755, polled 1.959
-    "paravirt/interp/cpu_bound": 4.7688,  # was 7.7396, last 4.7774, polled 4.7691
-    "paravirt/interp/memtouch": 5.4863,  # was 8.6726, last 5.5189, polled 5.4867
-    "paravirt/interp/syscall_storm": 5.4431,  # was 8.8968, last 5.4791, polled 5.4435
-    "paravirt/compiled/cpu_bound": 0.8453,  # was 1.0516, then 0.9567, last 0.9513, polled 0.8456
-    "paravirt/compiled/memtouch": 2.9706,  # was 4.996, then 3.1145, last 3.1086, polled 2.9709
-    "paravirt/compiled/syscall_storm": 2.1538,  # was 2.4598, then 2.2982, last 2.2925, polled 2.1542
-    "hw+shadow/interp/cpu_bound": 4.738,  # was 7.7122, last 4.7438, polled 4.7383
-    "hw+shadow/interp/memtouch": 5.3282,  # was 8.3640, last 5.348, polled 5.3286
-    "hw+shadow/interp/syscall_storm": 4.8436,  # was 8.2685, last 4.8498, polled 4.844
-    "hw+shadow/compiled/cpu_bound": 0.8062,  # was 1.0069, then 0.9142, last 0.9087, polled 0.8065
-    "hw+shadow/compiled/memtouch": 2.5976,  # was 4.3569, then 2.736, last 2.7297, polled 2.598
-    "hw+shadow/compiled/syscall_storm": 1.5142,  # was 1.732, then 1.6296, last 1.6238, polled 1.5146
-    "hw+nested/interp/cpu_bound": 4.0297,  # was 7.9325, polled 4.0332
-    "hw+nested/interp/memtouch": 4.1094,  # was 8.2424, polled 4.1135
-    "hw+nested/interp/syscall_storm": 4.0866,  # was 8.3669, polled 4.0904
-    "hw+nested/compiled/cpu_bound": 0.4914,  # was 0.6034, then 0.4982, last 0.4949, polled 0.4917
-    "hw+nested/compiled/memtouch": 1.7457,  # was 3.0233, then 1.7535, last 1.7498, polled 1.7461
-    "hw+nested/compiled/syscall_storm": 1.1017,  # was 1.2102, then 1.1089, last 1.1055, polled 1.102
-    "hw+hmode/interp/cpu_bound": 4.0339,  # was 7.9366, polled 4.0374
-    "hw+hmode/interp/memtouch": 4.127,  # was 8.2601, polled 4.1311
-    "hw+hmode/interp/syscall_storm": 4.091,  # was 8.3714, polled 4.0948
-    "hw+hmode/compiled/cpu_bound": 0.4956,  # was 0.6076, then 0.5023, last 0.4991, polled 0.4959
-    "hw+hmode/compiled/memtouch": 1.7634,  # was 3.0410, then 1.7712, last 1.7675, polled 1.7638
-    "hw+hmode/compiled/syscall_storm": 1.1061,  # was 1.2147, then 1.1133, last 1.1099, polled 1.1065
+    "trap-emulate/interp/cpu_bound": 4.7413,  # was 7.7274, last 4.7596, polled 4.7513, paged 4.751
+    "trap-emulate/interp/memtouch": 5.4777,  # was 8.6296, last 5.6482, polled 5.6016, paged 5.6013
+    "trap-emulate/interp/syscall_storm": 5.3411,  # was 8.7788, last 5.4155, polled 5.3517, paged 5.3514
+    "trap-emulate/compiled/cpu_bound": 0.8097,  # was 1.0221, then 0.9302, last 0.9247, polled 0.8196, paged 0.8193
+    "trap-emulate/compiled/memtouch": 2.7444,  # was 4.6389, then 3.0335, last 3.0272, polled 2.8683, paged 2.8679
+    "trap-emulate/compiled/syscall_storm": 2.083,  # was 2.4183, then 2.2667, last 2.2608, polled 2.0936, paged 2.0933
+    "bin-transl/interp/cpu_bound": 2.9641,  # was 4.9636, polled 2.9854, paged 2.9815
+    "bin-transl/interp/memtouch": 3.0166,  # was 4.0605, last 3.2237, polled 3.2018, paged 3.1816
+    "bin-transl/interp/syscall_storm": 2.7207,  # was 3.7392, last 2.7901, polled 2.7737, paged 2.7449
+    "bin-transl/compiled/cpu_bound": 0.4877,  # was 0.631, last 0.5091, polled 0.5065, paged 0.5052
+    "bin-transl/compiled/memtouch": 1.7932,  # was 2.5879, last 2.0004, polled 1.9784, paged 1.9583
+    "bin-transl/compiled/syscall_storm": 1.906,  # was 2.3515, last 1.9755, polled 1.959, paged 1.9302
+    "paravirt/interp/cpu_bound": 4.7571,  # was 7.7396, last 4.7774, polled 4.7691, paged 4.7688
+    "paravirt/interp/memtouch": 5.4109,  # was 8.6726, last 5.5189, polled 5.4867, paged 5.4863
+    "paravirt/interp/syscall_storm": 5.4308,  # was 8.8968, last 5.4791, polled 5.4435, paged 5.4431
+    "paravirt/compiled/cpu_bound": 0.8336,  # was 1.0516, then 0.9567, last 0.9513, polled 0.8456, paged 0.8453
+    "paravirt/compiled/memtouch": 2.8952,  # was 4.996, then 3.1145, last 3.1086, polled 2.9709, paged 2.9706
+    "paravirt/compiled/syscall_storm": 2.1415,  # was 2.4598, then 2.2982, last 2.2925, polled 2.1542, paged 2.1538
+    "hw+shadow/interp/cpu_bound": 4.7284,  # was 7.7122, last 4.7438, polled 4.7383, paged 4.738
+    "hw+shadow/interp/memtouch": 5.2047,  # was 8.3640, last 5.348, polled 5.3286, paged 5.3282
+    "hw+shadow/interp/syscall_storm": 4.8333,  # was 8.2685, last 4.8498, polled 4.844, paged 4.8436
+    "hw+shadow/compiled/cpu_bound": 0.7966,  # was 1.0069, then 0.9142, last 0.9087, polled 0.8065, paged 0.8062
+    "hw+shadow/compiled/memtouch": 2.4741,  # was 4.3569, then 2.736, last 2.7297, polled 2.598, paged 2.5976
+    "hw+shadow/compiled/syscall_storm": 1.5039,  # was 1.732, then 1.6296, last 1.6238, polled 1.5146, paged 1.5142
+    "hw+nested/interp/cpu_bound": 4.0281,  # was 7.9325, polled 4.0332, paged 4.0297
+    "hw+nested/interp/memtouch": 4.101,  # was 8.2424, polled 4.1135, paged 4.1094
+    "hw+nested/interp/syscall_storm": 4.0849,  # was 8.3669, polled 4.0904, paged 4.0866
+    "hw+nested/compiled/cpu_bound": 0.4898,  # was 0.6034, then 0.4982, last 0.4949, polled 0.4917, paged 0.4914
+    "hw+nested/compiled/memtouch": 1.7373,  # was 3.0233, then 1.7535, last 1.7498, polled 1.7461, paged 1.7457
+    "hw+nested/compiled/syscall_storm": 1.1,  # was 1.2102, then 1.1089, last 1.1055, polled 1.102, paged 1.1017
+    "hw+hmode/interp/cpu_bound": 4.0322,  # was 7.9366, polled 4.0374, paged 4.0339
+    "hw+hmode/interp/memtouch": 4.1187,  # was 8.2601, polled 4.1311, paged 4.127
+    "hw+hmode/interp/syscall_storm": 4.0893,  # was 8.3714, polled 4.0948, paged 4.091
+    "hw+hmode/compiled/cpu_bound": 0.494,  # was 0.6076, then 0.5023, last 0.4991, polled 0.4959, paged 0.4956
+    "hw+hmode/compiled/memtouch": 1.755,  # was 3.0410, then 1.7712, last 1.7675, polled 1.7638, paged 1.7634
+    "hw+hmode/compiled/syscall_storm": 1.1044,  # was 1.2147, then 1.1133, last 1.1099, polled 1.1065, paged 1.1061
     # per intercepted port write. A "was" on a bin-transl cell names the
     # count when the translator's slice was a cycle budget (four cycles
     # per slice instruction): a pump pass every 16,000 of its cycles,
@@ -166,12 +172,12 @@ CALLS = {
     "hw+hmode/port_write": 6,  # was 12, last 8
     "hw+nested/pumped/port_write": 15,  # was 20, last 19, polled 17
     # (a), (c) and (d) per retired instruction, (f) per request: a "was",
-    # a "then" and a "last" as above; a request also costs the disk image's range
+    # a "then", a "last" and a "paged" as above; a request also costs the disk image's range
     # check and DMA copy now, and its interrupt no walk of the registry.
     "bare/interp/cpu_bound": 5.0057,  # was 6.7558
     "bin-transl/item_walk": 3.0262,  # was 3.0290
     "bin-transl/compiled_runs": 2.0533,  # was 2.0561
-    "hw+nested/cold": 5.8712,  # was 10.3999
+    "hw+nested/cold": 5.8692,  # was 10.3999, paged 5.8712
     "hw+nested/blk_write": 233,  # was 271, then 261, last 247
     "hw+nested/vblk_write": 184.75,  # was 187.75, last 186.25
     # (g) per case: a "was", a "then" and a "last" as above (15621 measured at
@@ -182,8 +188,9 @@ CALLS = {
     # 10983.75 while the native rows ran on a core with no port bus: they
     # now run the device models the VMM rows always ran, on a recycled
     # Machine whose core and board are rebuilt per run. A "polled" as
-    # above: each VMM row's pump passes made two timer calls each.
-    "fuzz/case": 11295.95,  # was 10983.75 (15426, then 11183.35, 11057.9), polled 11342.45
+    # above: each VMM row's pump passes made two timer calls each. A
+    # "paged" as above.
+    "fuzz/case": 10967.2,  # was 10983.75 (15426, then 11183.35, 11057.9), polled 11342.45, paged 11295.95
 }
 
 ROWS = {label: (virt, mmu, pv) for label, virt, mmu, pv in MODE_MATRIX}

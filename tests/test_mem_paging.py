@@ -170,8 +170,9 @@ class TestWalker:
     def test_successful_walk(self, env):
         pm, space, frame = self._space(env)
         walker = PageTableWalker(pm)
-        pte = walker.walk(space.root_pa, 0x1004, AccessType.READ, user=True)
+        pde, pte = walker.walk(space.root_pa, 0x1004, AccessType.READ, user=True)
         assert pte == lookup(space, 0x1000)  # the leaf, accessed bit set
+        assert pde == pm.read_u32(space.root_pa) and pde & PTE_ACCESSED
         assert pte_frame(pte) == frame and pte & PTE_ACCESSED
         assert walker.walks == 1 and walker.faults == 0
 
@@ -229,6 +230,6 @@ class TestWalker:
             mapping[vpn] = i + 100
         walker = PageTableWalker(pm)
         for vpn, frame in mapping.items():
-            pte = walker.walk(space.root_pa, vpn * PAGE_SIZE,
-                              AccessType.READ, user=True)
+            _pde, pte = walker.walk(space.root_pa, vpn * PAGE_SIZE,
+                                    AccessType.READ, user=True)
             assert pte_frame(pte) == frame
