@@ -13,7 +13,8 @@ file. That list names every function that stays although nothing reaches
 it, one a line, with the reason it stays. The gate fails when the two
 differ in either direction, and prints each difference: a function that
 an entry point now reaches, or that was deleted, leaves the list; a new
-unreached one joins it with a reason, or goes.
+unreached one joins it with a reason, or goes. The reason starts with one
+of ``FUNCTION_REASONS``: being something tests call is not one.
 
 The same run records the values every option takes. An option is a
 parameter with a default of a reached function, or a field with a default
@@ -65,6 +66,21 @@ OPTION_REASONS = (
     "a fingerprinted format carries it",
     "a CostModel field",
     "the base of ROADMAP item",
+)
+#: The only reasons a function may stay although no entry point calls
+#: it: the reason given in unreached.txt starts with one of these.
+FUNCTION_REASONS = (
+    "protocol method",
+    "interface",
+    "guest-visible device behaviour",
+    "branch of reached code",
+    "error path",
+    "teardown path",
+    "fault path",
+    "inverse of a reached call",
+    "input case",
+    "input validation",
+    "assembler directive",
 )
 #: The config dataclasses whose fields are options, by module.
 CONFIGS = {
@@ -424,6 +440,11 @@ def main():
     kept, options = read_list(), read_list(OPTIONS)
     status = compare(unreached, kept, "unreached.txt", "UNREACHED",
                      "reached")
+    for key in sorted(k for k, why in kept.items()
+                      if why and not why.startswith(FUNCTION_REASONS)):
+        print(f"in unreached.txt with a reason that is not one of "
+              f"FUNCTION_REASONS: {key}")
+        status = 1
     if not status:
         print(f"unreached.txt matches: {len(kept)} functions, each with "
               "its reason")

@@ -300,10 +300,6 @@ class _BarrierHost:
     def memory_free(self) -> int:
         return self.memory_bytes - self.memory_used
 
-    @property
-    def cpu_demand(self) -> float:
-        return sum(vm.cpu_demand for vm in self.vms.values())
-
     def fits(self, vm: VMSpec) -> bool:
         return self.alive and vm.memory_bytes <= self.memory_free
 

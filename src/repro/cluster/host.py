@@ -195,20 +195,12 @@ class HostSummary:
         return sum(vm.cpu_demand for vm in self.vms)
 
     @property
-    def cpu_utilization(self) -> float:
-        return min(1.0, self.cpu_demand / self.cpu_capacity)
-
-    @property
     def memory_used(self) -> int:
         return sum(vm.memory_bytes for vm in self.vms)
 
     @property
     def memory_free(self) -> int:
         return self.memory_bytes - self.memory_used
-
-    def fits(self, vm: VMSpec) -> bool:
-        """Same contract as :meth:`Host.fits`: memory-hard, CPU-soft."""
-        return self.alive and vm.memory_bytes <= self.memory_free
 
 
 @dataclass
@@ -234,11 +226,3 @@ class Placement:
                 return host
         return None
 
-    @property
-    def domains(self) -> List[str]:
-        """Sorted unique failure domains across all hosts."""
-        return sorted({h.domain for h in self.hosts})
-
-    def domain_of(self, vm_name: str) -> Optional[str]:
-        host = self.host_of(vm_name)
-        return host.domain if host is not None else None

@@ -198,9 +198,9 @@ class _FreeIndex:
 
     Lives for one :func:`place` pass. A dead host is keyed -1 and a VM
     needs at least one byte, so "free >= need" is exactly
-    :meth:`Host.fits`. Both queries descend left-first, which resolves
-    ties to the leftmost list position -- what ``cs[0]`` and
-    ``max(cs, key=memory_free)`` over the filtered scan return.
+    :meth:`Host.fits`. The query descends left-first, which resolves
+    ties to the leftmost list position -- what ``cs[0]`` over the
+    filtered scan returns.
     """
 
     def __init__(self, hosts: Sequence[Host]):
@@ -226,11 +226,6 @@ class _FreeIndex:
             if tree[node] < need:
                 node += 1
         return node - self.size
-
-    def emptiest(self, need: int) -> Optional[int]:
-        """Leftmost position holding the most free memory, if ``need``
-        fits there (worst-fit)."""
-        return self.first(max(need, self.tree[1]))
 
     def update(self, pos: int, free: int) -> None:
         tree = self.tree
@@ -259,19 +254,17 @@ def place(
 ) -> Placement:
     """Place ``vms`` in order onto ``hosts`` under ``policy``.
 
-    Unconstrained first-fit and worst-fit ask a :class:`_FreeIndex`
-    built for this pass; best-fit and constrained placement pick each
-    VM's host with :func:`choose_host`.
+    Unconstrained first-fit asks a :class:`_FreeIndex` built for this
+    pass; every other policy and constrained placement pick each VM's
+    host with :func:`choose_host`.
     """
     relaxations: Dict[str, str] = {}
-    if (policy is not PlacementPolicy.BEST_FIT
+    if (policy is PlacementPolicy.FIRST_FIT
             and (constraints is None or constraints.is_empty())):
         index = _FreeIndex(hosts)
-        find = (index.first if policy is PlacementPolicy.FIRST_FIT
-                else index.emptiest)
         for vm in vms:
             vm.validate()
-            pos = find(vm.memory_bytes)
+            pos = index.first(vm.memory_bytes)
             _commit(vm, None if pos is None else hosts[pos])
             index.update(pos, hosts[pos].memory_free)
     else:

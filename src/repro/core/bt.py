@@ -89,12 +89,6 @@ class BTEngine:
             if n:
                 bound(self.vcpu.vm.stats).value += n
 
-    def invalidate_gfn(self, gfn: int) -> None:
-        """Drop what came from guest frame ``gfn``, as a store into it would."""
-        hfn = self.vcpu.vm.guest_mem.map.get(gfn)
-        if hfn is not None:
-            self.jit.invalidate_pfn(hfn)
-
     def watch(self, key, block: TranslatedBlock) -> None:
         """Put a cached block under the core's write watch."""
         self.jit.watch(key, block.frames[:block.ncode], block.frames[block.ncode:])

@@ -4,9 +4,9 @@ Since the ``repro.obs`` refactor these structs no longer own their
 storage: every count lives in the run's :class:`MetricsRegistry` under
 the VM's scope (``vm.<name>.exits.<reason>``, ``vm.<name>.vmm_cycles``,
 ...). :class:`ExitStats` and :class:`VMStats` are thin views that keep
-the original public API -- ``record``, ``counts``/``cycles`` Counters,
-plain ``int`` attributes -- byte-for-byte compatible while making the
-same numbers visible to cross-layer tooling and run manifests.
+the original public API -- ``record``, the ``counts`` Counter, plain
+``int`` attributes -- byte-for-byte compatible while making the same
+numbers visible to cross-layer tooling and run manifests.
 """
 
 from collections import Counter
@@ -49,16 +49,8 @@ class ExitStats:
         return Counter(self.metrics.values(_EXITS))
 
     @property
-    def cycles(self) -> Counter:
-        return Counter(self.metrics.values(_EXIT_CYCLES))
-
-    @property
     def total_exits(self) -> int:
         return sum(self.counts.values())
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(self.cycles.values())
 
 
 class VMStats:
@@ -82,7 +74,3 @@ class VMStats:
 
     def __init__(self, metrics: MetricsScope):
         self.metrics = metrics
-
-    @property
-    def total_cycles(self) -> int:
-        return self.guest_cycles + self.vmm_cycles

@@ -134,9 +134,6 @@ class GuestMemory:
         if gpa >> PAGE_SHIFT in self.tables:
             self.tables_written(gpa, 4)
 
-    def read_u8(self, gpa: int) -> int:
-        return self.host.read_u8(self.gpa_to_hpa(gpa))
-
     def write_u8(self, gpa: int, value: int) -> None:
         self.host.write_u8(self.gpa_to_hpa(gpa, _WRITE), value)
         if gpa >> PAGE_SHIFT in self.tables:
@@ -219,15 +216,6 @@ class VirtualMachine:
             self.pending_virqs.add(cause)
             for vcpu in self.vcpus:
                 vcpu.halted = False
-
-    def device(self, name: str):
-        try:
-            return self.devices[name]
-        except KeyError:
-            raise ConfigError(
-                f"VM {self.name!r} has no device {name!r}; "
-                f"available: {sorted(self.devices)}"
-            ) from None
 
     def __repr__(self) -> str:
         return (

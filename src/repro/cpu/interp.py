@@ -172,10 +172,6 @@ class CPUCore:
 
     # -- architectural helpers ----------------------------------------------
 
-    @property
-    def mode(self) -> int:
-        return self.csr[_MODE]
-
     def set_mode(self, mode: int) -> None:
         self.csr[_MODE] = mode
 

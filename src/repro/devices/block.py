@@ -45,9 +45,9 @@ STATUS_ERROR = 2
 class DiskImage(mmap.mmap):
     """A disk's :data:`DISK_SECTORS` sectors, demand-backed and private
     like ``PhysicalMemory`` (compare ``image[:]``: an ``mmap`` compares by
-    identity). Every write is a slice assignment (DMA, :meth:`load_image`,
-    ``apply_fields``) that records its range, so recycling a VM zeroes
-    only those and keeps the image, as ``WriteLog.zero_written`` does."""
+    identity). Every write is a slice assignment (DMA, ``apply_fields``)
+    that records its range, so recycling a VM zeroes only those and keeps
+    the image, as ``WriteLog.zero_written`` does."""
 
     def __new__(cls):
         return super().__new__(cls, -1, DISK_SECTORS * SECTOR_SIZE,
@@ -81,20 +81,6 @@ class DiskImage(mmap.mmap):
             super().__setitem__(slice(off, off + nbytes), mem.read_bytes(gpa, nbytes))
         else:
             mem.write_bytes(gpa, self[off : off + nbytes])
-
-    # -- direct host-side access (test setup, image loading) ---------------
-
-    def load_image(self, data: bytes, sector: int = 0) -> None:
-        offset = sector * SECTOR_SIZE
-        if offset + len(data) > len(self):
-            raise DeviceError("image larger than disk")
-        self[offset : offset + len(data)] = data
-
-    def read_sectors(self, sector: int, count: int) -> bytes:
-        if not self.fits(sector, count):
-            raise DeviceError(f"sectors [{sector}, {sector + count}) outside the disk")
-        off = sector * SECTOR_SIZE
-        return self[off : off + count * SECTOR_SIZE]
 
 
 class BlockDevice(PortDevice):

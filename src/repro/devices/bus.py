@@ -109,7 +109,8 @@ class PortBus:
     """Routes port accesses to registered devices."""
 
     def __init__(self):
-        self._ports: Dict[int, PortDevice] = {}
+        #: Each claimed port's device.
+        self.ports: Dict[int, PortDevice] = {}
         self.reads = 0
         self.writes = 0
 
@@ -118,23 +119,20 @@ class PortBus:
         if count <= 0:
             raise DeviceError("port range must be non-empty")
         for port in range(base, base + count):
-            if port in self._ports:
+            if port in self.ports:
                 raise DeviceError(f"port {port:#x} already claimed")
-            self._ports[port] = device
-
-    def device_at(self, port: int) -> Optional[PortDevice]:
-        return self._ports.get(port)
+            self.ports[port] = device
 
     def io_in(self, port: int) -> int:
         self.reads += 1
-        device = self._ports.get(port)
+        device = self.ports.get(port)
         if device is None:
             return 0  # unclaimed: an open bus reads 0
         return device.port_read(port) & 0xFFFFFFFF
 
     def io_out(self, port: int, value: int) -> None:
         self.writes += 1
-        device = self._ports.get(port)
+        device = self.ports.get(port)
         if device is None:
             return  # unclaimed: discarded
         device.port_write(port, value & 0xFFFFFFFF)

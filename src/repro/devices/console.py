@@ -45,12 +45,6 @@ class ConsoleDevice(PortDevice):
     def text(self, value: str) -> None:
         self._chars = list(value)
 
-    def lines(self):
-        return self.text.splitlines()
-
-    def clear(self) -> None:
-        self._chars = []
-
     def push_input(self, value: int) -> None:
         """Queue one received byte and raise the console IRQ line."""
         self._rx.append(value & 0xFF)

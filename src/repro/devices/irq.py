@@ -24,7 +24,7 @@ stuck-line/storm watchdog in :mod:`repro.faults.watchdog`. Each is made
 in the registry at its first bump and kept by the controller.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cpu.isa import Cause
 from repro.devices.bus import PortDevice
@@ -117,12 +117,6 @@ class InterruptController(PortDevice):
             if p:
                 mask |= 1 << i
         return mask
-
-    def highest_pending(self) -> Optional[int]:
-        for i, p in enumerate(self.pending):
-            if p:
-                return i
-        return None
 
     # -- port interface (read status, write-1-to-acknowledge) ----------------
 

@@ -55,13 +55,6 @@ class NetDevice(PortDevice):
         self._rx_addr = 0
         self._rx_len = 0
 
-    def inject_rx(self, frame: bytes) -> None:
-        """Host side: queue a frame for the guest and interrupt it."""
-        if len(frame) > MAX_FRAME:
-            raise DeviceError(f"frame of {len(frame)} bytes exceeds {MAX_FRAME}")
-        self._rx_queue.append(bytes(frame))
-        self.irq.raise_()
-
     def port_read(self, port: int) -> int:
         if port == NET_STATUS:
             return 1 | (2 if self._rx_queue else 0)

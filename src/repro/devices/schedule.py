@@ -28,7 +28,7 @@ identically across engines and across ``--jobs`` fan-out.
 """
 
 import heapq
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.devices.irq import (
     IRQ_CONSOLE_LINE,
@@ -167,8 +167,3 @@ class EventSchedule:
             )
         return cls(events, controller, console=console, injector=injector,
                    exit_on_fire=exit_on_fire)
-
-
-def attach_schedule(cpu, schedule: Optional[EventSchedule]) -> None:
-    """Bind (or clear, with None) a schedule on a CPU core."""
-    cpu.events = schedule

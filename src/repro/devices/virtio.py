@@ -23,8 +23,7 @@ virtio-blk request = 3-descriptor chain, as in the real spec:
 3. status byte (device-writable): 0 = OK, 1 = error.
 
 virtio-net: tx queue posts device-readable frame buffers; rx queue
-posts device-writable empty buffers that :meth:`VirtioNetDevice.inject_rx`
-fills.
+posts device-writable empty buffers for the host side to fill.
 
 Ports (per device, base +0..+5)::
 
@@ -285,8 +284,6 @@ class VirtioNetDevice(PortDevice):
 
     tx_frames = counter_attr()
     tx_bytes = counter_attr()
-    rx_frames = counter_attr()
-    rx_dropped = counter_attr()
 
     def __init__(self, mem, irq: IRQLine, metrics):
         base = self.base = VIRTIO_NET_BASE
@@ -329,29 +326,3 @@ class VirtioNetDevice(PortDevice):
             processed += 1
         if processed:
             self.irq.raise_()
-
-    def inject_rx(self, frame: bytes) -> bool:
-        """Host side: copy a frame into the next posted rx buffer.
-
-        Returns False (and counts a drop) when the guest has no buffers
-        posted -- exactly how a real NIC overruns.
-        """
-        queue = self.rx.queue
-        if not queue.configured:
-            self.rx_dropped += 1
-            return False
-        head = queue.pop_avail()
-        if head is None:
-            self.rx_dropped += 1
-            return False
-        chain = queue.collect_chain(head)
-        addr, length, flags = chain[0]
-        if not flags & DESC_F_WRITE or len(frame) > length:
-            self.rx_dropped += 1
-            queue.push_used(head, 0)
-            return False
-        self.mem.write_bytes(addr, frame)
-        queue.push_used(head, len(frame))
-        self.rx_frames += 1
-        self.irq.raise_()
-        return True

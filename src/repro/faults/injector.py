@@ -253,14 +253,6 @@ class FaultInjector:
             return 0.0
         return state.rng.random()
 
-    def opportunities(self, site: str) -> int:
-        state = self._sites.get(site)
-        return state.opportunities if state is not None else 0
-
-    def fired(self, site: str) -> int:
-        state = self._sites.get(site)
-        return state.fired if state is not None else 0
-
     def trace_bytes(self) -> bytes:
         """The decision log, serialized deterministically."""
         lines = [

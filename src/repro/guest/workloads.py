@@ -5,9 +5,6 @@ loaded at ``USER_BASE``. Workloads end with ``syscall SYS_EXIT`` and an
 exit value (usually a checksum the host verifies), so every run is
 self-validating: a virtualization mode that corrupts guest state
 produces the wrong exit value, not just different timing.
-
-:func:`port_storm` is the exception: a guest *without* NanoOS, loaded
-at ``KERNEL_BASE`` and run from reset to power-off.
 """
 
 from repro.cpu.assembler import Assembler, Program
@@ -244,27 +241,6 @@ def expected_pt_mix(maps: int = 64, accesses: int = 4096, pages: int = 256,
     return (total + maps) & 0xFFFFFFFF
 
 
-def map_batch(batches: int = 32, batch_size: int = 8) -> Program:
-    """Map heap pages in batches (PV MMU_BATCH amortization)."""
-    total = batches * batch_size
-    if total > 1024:
-        raise ValueError("pool holds at most 1024 frames")
-    return _assemble(f"""
-    li   s0, {batches}
-    li   s1, HEAP_BASE
-loop:
-    mov  a0, s1
-    li   a1, {batch_size}
-    syscall 6                 ; SYS_MAP_BATCH
-    li   t0, {batch_size * 4096}
-    add  s1, s1, t0
-    sub  s0, s0, 1
-    bnez s0, loop
-    li   a0, {total}
-    syscall 0
-""")
-
-
 def blk_write(requests: int = 64) -> Program:
     """Sequential one-sector writes through the *emulated* disk
     (port-programmed)."""
@@ -331,28 +307,6 @@ loop:
 """)
 
 
-def net_echo(frames: int = 4) -> Program:
-    """Receive ``frames`` frames and echo each back (emulated NIC).
-
-    Polls SYS_NET_RECV until a frame arrives, re-sends it at the same
-    length, and exits with the total bytes received. The host injects
-    the frames (before or during the run) and can compare the echoes.
-    """
-    return _assemble(f"""
-    li   s0, {frames}
-    li   s1, 0                ; total bytes
-recv_loop:
-    syscall 12                ; SYS_NET_RECV -> a0 = length (0 = none)
-    beqz a0, recv_loop
-    add  s1, s1, a0
-    syscall 9                 ; SYS_NET_SEND of a0 bytes from DMA_BUF
-    sub  s0, s0, 1
-    bnez s0, recv_loop
-    mov  a0, s1
-    syscall 0
-""")
-
-
 #: Cycles between timer ticks of the NanoOS ``repro boot --workload
 #: idle_ticks`` builds: the periodic timer that program waits on.
 IDLE_TICKS_TIMER_PERIOD = 20_000
@@ -382,26 +336,4 @@ def hello() -> Program:
     syscall 1
     li   a0, 42
     syscall 0
-""")
-
-
-def port_storm(iterations: int) -> Program:
-    """A guest without NanoOS: a kernel-mode loop that writes the
-    console port ``iterations`` times and powers off (code 1).
-
-    One intercepted instruction in every three, where NanoOS's densest
-    path (a block request) manages one in ten: the exit path measured
-    almost alone. Self-validating through the console's
-    ``chars_written`` and the power-off code.
-    """
-    return Assembler().assemble(f"""
-.org {L.KERNEL_BASE:#x}
-start:
-    li   s0, {iterations}
-loop:
-    out  0x10, s0
-    sub  s0, s0, 1
-    bnez s0, loop
-    li   t0, 1
-    out  0xf0, t0            ; power off
 """)

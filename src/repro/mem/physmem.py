@@ -191,10 +191,6 @@ class FrameAllocator:
     def free_frames(self) -> int:
         return len(self._freed) + self.physmem.num_frames - self._fresh
 
-    @property
-    def allocated_frames(self) -> int:
-        return len(self._allocated)
-
     def alloc(self, zero: bool = True) -> int:
         """Allocate one frame; returns its PFN."""
         if self._freed:

@@ -40,12 +40,6 @@ class PostCopyResult:
     #: cycles of guest progress made while pages were still remote.
     degraded_cycles: int
 
-    @property
-    def fetch_fraction(self) -> float:
-        if self.total_pages == 0:
-            return 0.0
-        return self.remote_faults / self.total_pages
-
 
 #: A remote page fault's round trip to the source.
 FETCH_LATENCY_CYCLES = 3000

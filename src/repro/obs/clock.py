@@ -34,11 +34,6 @@ class ManualClock(Clock):
     def now(self) -> int:
         return self._now
 
-    def advance(self, ticks: int = 1) -> None:
-        if ticks < 0:
-            raise ValueError("clocks do not run backwards")
-        self._now += ticks
-
     def set(self, now: int) -> None:
         if now < self._now:
             raise ValueError("clocks do not run backwards")

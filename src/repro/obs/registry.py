@@ -172,15 +172,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def value(self, name: str, default: float = 0) -> float:
-        metric = self._metrics.get(name)
-        if metric is None or isinstance(metric, Histogram):
-            return default
-        return metric.value
-
     def names(self, prefix: str = "") -> List[str]:
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
@@ -271,14 +262,8 @@ class MetricsScope:
     def gauge(self, name: str) -> Gauge:
         return self.registry.gauge(self._qualify(name))
 
-    def histogram(self, name: str) -> Histogram:
-        return self.registry.histogram(self._qualify(name))
-
     def observe(self, name: str, value: float) -> None:
         self.registry.observe(self._qualify(name), value)
-
-    def value(self, name: str, default: float = 0) -> float:
-        return self.registry.value(self._qualify(name), default)
 
     def values(self, prefix: str) -> Dict[str, float]:
         """Relative-name counter/gauge values under this scope's

@@ -61,10 +61,6 @@ class PolicyOutcome:
     throughput: Dict[str, float]
 
     @property
-    def aggregate_throughput(self) -> float:
-        return sum(self.throughput.values())
-
-    @property
     def min_throughput(self) -> float:
         return min(self.throughput.values())
 

@@ -178,10 +178,6 @@ class PageSharer:
         self.refcount[hfn] = count
         return False
 
-    @property
-    def shared_mappings(self) -> int:
-        return len(self._sharers)
-
     # -- MMU plumbing ------------------------------------------------------
 
     def _mmu(self, vm: VirtualMachine):

@@ -107,7 +107,7 @@ class HostSwap:
             raise MemoryError_(
                 f"host out of frames backing gfn {gfn} of {vm.name}: "
                 f"nothing evictable ({len(self._resident_lru)} LRU entries, "
-                f"{self.swapped_pages} already swapped)"
+                f"{len(self._store)} already swapped)"
             )
         return self.hv.allocator.alloc(zero=zero)
 
@@ -130,10 +130,6 @@ class HostSwap:
 
     def is_swapped(self, vm: VirtualMachine, gfn: int) -> bool:
         return (vm.name, gfn) in self._store
-
-    @property
-    def swapped_pages(self) -> int:
-        return len(self._store)
 
     # -- EPT-fault chain entries --------------------------------------------
 

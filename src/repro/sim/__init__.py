@@ -3,7 +3,7 @@
 This is the timing engine behind the long-horizon experiments (scheduling,
 live migration, overcommit, consolidation). It is a small simpy-style
 kernel: processes are generator coroutines that ``yield`` commands
-(:class:`Timeout`, :class:`WaitEvent`, ...) to the :class:`Simulator`.
+(:class:`Timeout`, a :class:`SimEvent`) to the :class:`Simulator`.
 
 Simulated time is an integer number of **microseconds** so that event
 ordering is exact and runs are deterministic; helpers convert to/from
@@ -15,8 +15,6 @@ from repro.sim.kernel import (
     Process,
     SimEvent,
     Timeout,
-    WaitEvent,
-    WaitProcess,
     Interrupted,
     USEC,
     MSEC,
@@ -35,8 +33,6 @@ __all__ = [
     "Process",
     "SimEvent",
     "Timeout",
-    "WaitEvent",
-    "WaitProcess",
     "Interrupted",
     "USEC",
     "MSEC",

@@ -9,10 +9,9 @@ Design notes
 * A :class:`Process` wraps a generator. The generator yields *commands*:
 
   - ``Timeout(delay)`` -- resume after ``delay`` ticks.
-  - ``WaitEvent(ev)``  -- resume when ``ev.succeed(value)`` fires; the
-    ``yield`` expression evaluates to ``value``.
-  - ``WaitProcess(p)`` -- resume when process ``p`` terminates; evaluates
-    to its return value.
+  - ``ev`` (a :class:`SimEvent`) -- resume when ``ev.succeed(value)``
+    fires; the ``yield`` expression evaluates to ``value``. (What a
+    contended :class:`~repro.sim.resources.Resource` waits on.)
 
 * ``Process.interrupt(reason)`` throws :class:`Interrupted` into the
   generator at its current wait point (used e.g. to cancel a migration
@@ -41,38 +40,26 @@ class Interrupted(Exception):
 
 
 class SimEvent:
-    """A one-shot event that processes can wait on.
+    """A one-shot event: a process yields it to wait, before it fires;
+    ``succeed(value)`` wakes every waiter."""
 
-    ``succeed(value)`` wakes every waiter; waiting on an already-succeeded
-    event resumes immediately with the stored value.
-    """
-
-    __slots__ = ("sim", "fired", "value", "_waiters")
+    __slots__ = ("sim", "fired", "_waiters")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.fired = False
-        self.value: Any = None
         self._waiters: List["Process"] = []
 
     def succeed(self, value: Any = None) -> None:
         if self.fired:
             raise RuntimeError("event already fired")
         self.fired = True
-        self.value = value
         waiters, self._waiters = self._waiters, []
+        sim = self.sim
         for proc in waiters:
-            self.sim._schedule_resume(proc, value)
-
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.fired:
-            self.sim._schedule_resume(proc, self.value)
-        else:
-            self._waiters.append(proc)
-
-    def _remove_waiter(self, proc: "Process") -> None:
-        if proc in self._waiters:
-            self._waiters.remove(proc)
+            proc._waiting_on = None
+            sim._push(sim.now,
+                      lambda proc=proc: sim._step(proc, ("send", value)))
 
 
 class Timeout:
@@ -86,24 +73,6 @@ class Timeout:
         self.delay = int(delay)
 
 
-class WaitEvent:
-    """Yield command: resume when the event fires."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event: SimEvent):
-        self.event = event
-
-
-class WaitProcess:
-    """Yield command: resume when another process terminates."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process"):
-        self.process = process
-
-
 class Process:
     """A running generator coroutine inside the simulator."""
 
@@ -113,7 +82,6 @@ class Process:
         "_gen",
         "alive",
         "result",
-        "done_event",
         "_timer_entry",
         "_waiting_on",
     )
@@ -124,7 +92,6 @@ class Process:
         self._gen = gen
         self.alive = True
         self.result: Any = None
-        self.done_event = SimEvent(sim)
         # The queue cell of a scheduled timer resume; cancelling an
         # interrupted sleep nulls the cell so the stale entry is skipped
         # without even advancing the clock.
@@ -136,7 +103,7 @@ class Process:
         if not self.alive:
             return
         if self._waiting_on is not None:
-            self._waiting_on._remove_waiter(self)
+            self._waiting_on._waiters.remove(self)
             self._waiting_on = None
         if self._timer_entry is not None:
             self._timer_entry[0] = None  # cancel the pending timer resume
@@ -174,10 +141,6 @@ class Simulator:
         self.processes[name] = proc
         self._push(self.now, lambda: self._step(proc, ("send", None)))
         return proc
-
-    def event(self) -> SimEvent:
-        """Create a fresh one-shot event bound to this simulator."""
-        return SimEvent(self)
 
     def call_at(self, time: int, fn: Callable[[], None]) -> None:
         """Run a plain callback at an absolute simulated time."""
@@ -229,10 +192,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, self._seq, cell))
         return cell
 
-    def _schedule_resume(self, proc: Process, value: Any) -> None:
-        proc._waiting_on = None
-        self._push(self.now, lambda: self._step(proc, ("send", value)))
-
     def _schedule_throw(self, proc: Process, exc: BaseException) -> None:
         self._push(self.now, lambda: self._step(proc, ("throw", exc)))
 
@@ -263,24 +222,16 @@ class Simulator:
                 self.now + command.delay,
                 lambda: self._step(proc, ("timer", None)),
             )
-        elif isinstance(command, WaitEvent):
-            proc._waiting_on = command.event
-            command.event._add_waiter(proc)
-        elif isinstance(command, WaitProcess):
-            target = command.process
-            if not target.alive:
-                self._schedule_resume(proc, target.result)
-            else:
-                proc._waiting_on = target.done_event
-                target.done_event._add_waiter(proc)
+        elif isinstance(command, SimEvent):
+            proc._waiting_on = command
+            command._waiters.append(proc)
         else:
             raise TypeError(
                 f"process {proc.name} yielded {command!r}; expected "
-                "Timeout, WaitEvent, or WaitProcess"
+                "a Timeout or a SimEvent"
             )
 
     def _finish(self, proc: Process, result: Any) -> None:
         proc.alive = False
         proc.result = result
-        proc.done_event.succeed(result)
         self.processes.pop(proc.name, None)

@@ -99,10 +99,6 @@ class NetworkLink:
             self._partitioned_until, self.sim.now + duration
         )
 
-    def heal(self) -> None:
-        """Clear any active partition immediately."""
-        self._partitioned_until = 0
-
     # -- transfers -----------------------------------------------------------
 
     def transfer(self, nbytes: int) -> Generator:

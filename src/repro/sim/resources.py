@@ -7,7 +7,7 @@ slots, disk queue depth, migration worker threads).
 from collections import deque
 from typing import Deque, Generator
 
-from repro.sim.kernel import SimEvent, Simulator, WaitEvent
+from repro.sim.kernel import SimEvent, Simulator
 
 
 class Resource:
@@ -30,18 +30,14 @@ class Resource:
         self.in_use = 0
         self._waiters: Deque[SimEvent] = deque()
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
     def acquire(self) -> Generator:
         """Generator to ``yield from``; returns once a unit is held."""
         if self.in_use < self.capacity:
             self.in_use += 1
             return
-        ev = self.sim.event()
+        ev = SimEvent(self.sim)
         self._waiters.append(ev)
-        yield WaitEvent(ev)
+        yield ev
         # The releaser transferred its unit to us; in_use stays constant.
 
     def release(self) -> None:

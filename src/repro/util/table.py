@@ -26,10 +26,6 @@ class Table:
             )
         self._rows.append([_fmt(c) for c in cells])
 
-    @property
-    def rows(self) -> List[List[str]]:
-        return [list(r) for r in self._rows]
-
     def render(self) -> str:
         """Return the table as an aligned multi-line string."""
         widths = [len(c) for c in self.columns]

@@ -10,7 +10,11 @@ import pytest
 
 from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
+from repro.cpu.assembler import Assembler
+from repro.devices.virtio import DESC_F_WRITE
 from repro.guest import KernelOptions, build_kernel
+from repro.guest.layout import GuestLayout
+from repro.guest.workloads import _assemble
 from repro.mem.costs import CostModel
 from repro.mem.paging import PTE_PRESENT, pte_frame
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
@@ -121,3 +125,87 @@ def round_robin(hv, vms, quantum, watchdogs=None):
                 finished.append(vm.name)
                 live.remove(vm)
     return outcomes, dispatches, finished
+
+
+# -- what no entry point does: guests and host sides only tests run ---------
+
+
+def map_batch(batches=32, batch_size=8):
+    """A NanoOS program: map heap pages in batches (PV MMU_BATCH
+    amortization); exits with the number of pages mapped."""
+    total = batches * batch_size
+    if total > 1024:
+        raise ValueError("pool holds at most 1024 frames")
+    return _assemble(f"""
+    li   s0, {batches}
+    li   s1, HEAP_BASE
+loop:
+    mov  a0, s1
+    li   a1, {batch_size}
+    syscall 6                 ; SYS_MAP_BATCH
+    li   t0, {batch_size * 4096}
+    add  s1, s1, t0
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   a0, {total}
+    syscall 0
+""")
+
+
+def net_echo(frames=4):
+    """A NanoOS program: poll SYS_NET_RECV for ``frames`` frames, send
+    each back at its length, exit with the bytes received."""
+    return _assemble(f"""
+    li   s0, {frames}
+    li   s1, 0                ; total bytes
+recv_loop:
+    syscall 12                ; SYS_NET_RECV -> a0 = length (0 = none)
+    beqz a0, recv_loop
+    add  s1, s1, a0
+    syscall 9                 ; SYS_NET_SEND of a0 bytes from DMA_BUF
+    sub  s0, s0, 1
+    bnez s0, recv_loop
+    mov  a0, s1
+    syscall 0
+""")
+
+
+def port_storm(iterations):
+    """A guest without NanoOS: a kernel-mode loop that writes the
+    console port ``iterations`` times and powers off (code 1) -- one
+    intercepted instruction in three, the exit path almost alone."""
+    return Assembler().assemble(f"""
+.org {GuestLayout.KERNEL_BASE:#x}
+start:
+    li   s0, {iterations}
+loop:
+    out  0x10, s0
+    sub  s0, s0, 1
+    bnez s0, loop
+    li   t0, 1
+    out  0xf0, t0            ; power off
+""")
+
+
+def inject_rx(nic, frame):
+    """The host side of the emulated NIC: queue ``frame`` for the guest
+    and raise the NIC's line."""
+    nic._rx_queue.append(bytes(frame))
+    nic.irq.raise_()
+
+
+def inject_virtio_rx(dev, frame):
+    """The host side of virtio-net: copy ``frame`` into the next posted
+    rx buffer and raise the line; False when no buffer takes it."""
+    queue = dev.rx.queue
+    head = queue.pop_avail() if queue.configured else None
+    if head is None:
+        return False
+    addr, length, flags = queue.collect_chain(head)[0]
+    if not flags & DESC_F_WRITE or len(frame) > length:
+        queue.push_used(head, 0)
+        return False
+    dev.mem.write_bytes(addr, frame)
+    queue.push_used(head, len(frame))
+    dev.irq.raise_()
+    return True

@@ -55,7 +55,7 @@ def test_e6_small():
 
 def test_e7_small():
     result = run_e7()
-    assert len(result.table.rows) == 6
+    assert len(result.table.render().splitlines()) == 4 + 6  # + title, header
 
 
 def test_e8_small():

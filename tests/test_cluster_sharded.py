@@ -193,8 +193,8 @@ def test_host_summary_round_trip():
     assert [vm.name for vm in summary.vms] == ["a", "b"]  # sorted
     assert summary.cpu_demand == host.cpu_demand
     assert summary.memory_free == host.memory_free
-    assert summary.fits(VMSpec("c", memory_bytes=8 * GIB))
-    assert not summary.fits(VMSpec("d", memory_bytes=16 * GIB))
+    assert summary.alive and 8 * GIB <= summary.memory_free
+    assert not 16 * GIB <= summary.memory_free
     assert pickle.loads(pickle.dumps(summary)) == summary
 
 

@@ -7,7 +7,7 @@ from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.cpu import jit as jitmod
 from repro.cpu.assembler import Assembler
-from repro.cpu.isa import Cause, Reg
+from repro.cpu.isa import CSR, Cause, Reg
 from repro.devices.irq import IRQ_TIMER_LINE
 from repro.devices.schedule import EventSchedule
 from repro.mem.paging import PTE_ACCESSED, PTE_DIRTY
@@ -75,7 +75,7 @@ def test_sensitive_instructions_are_corrected():
     assert cpu.regs[2] == 1  # IE observed as set
     assert cpu.regs[3] == 0  # MODE observed as kernel
     assert cpu.regs[4] == 0  # CLI observed
-    assert cpu.mode == 1  # yet the real core never left user mode
+    assert cpu.csr[CSR.MODE] == 1  # yet the real core never left user mode
 
 
 def test_block_cache_hits_on_reexecution():
@@ -134,6 +134,13 @@ vec:
     assert cpu.regs[4] == 123
 
 
+def _store_into(vm, gfn):
+    """A host store into guest frame ``gfn`` that leaves its bytes as
+    they were: the core's write watch drops what came from the frame."""
+    gpa = gfn << 12
+    vm.guest_mem.write_bytes(gpa, vm.guest_mem.read_bytes(gpa, 4))
+
+
 def test_invalidate_gfn_drops_translations():
     hv = Hypervisor(memory_bytes=64 * MIB)
     vm = bt_vm(hv)
@@ -142,7 +149,7 @@ def test_invalidate_gfn_drops_translations():
     hv.reset_vcpu(vm, 0x1000)
     hv.run(vm, max_guest_instructions=200_000)
     assert len(vm.bt.jit.translated) > 0
-    vm.bt.invalidate_gfn(1)  # kernel code lives in gfn 1
+    _store_into(vm, 1)  # kernel code lives in gfn 1
     assert len(vm.bt.jit.translated) == 0
 
 
@@ -163,7 +170,7 @@ far:
 
 
 def test_unrelated_invalidation_keeps_chains():
-    """invalidate_gfn must only drop chains touching the invalidated
+    """A store into one frame must only drop chains touching that
     frame's blocks -- not every chain in the engine (regression)."""
     hv = Hypervisor(memory_bytes=64 * MIB)
     vm = bt_vm(hv)
@@ -180,7 +187,7 @@ def test_unrelated_invalidation_keeps_chains():
 
     # Invalidate the frame holding only `far`; gfn-1 blocks and the
     # chains that link them must survive untouched.
-    vm.bt.invalidate_gfn(2)
+    _store_into(vm, 2)
     assert 0 < len(vm.bt.jit.translated) < blocks_before
     surviving = set(vm.bt.jit.chains)
     assert surviving  # chained dispatch in gfn 1 still wired up
@@ -190,7 +197,7 @@ def test_unrelated_invalidation_keeps_chains():
 
     # A frame with no translations at all is a strict no-op.
     blocks_now, chains_now = len(vm.bt.jit.translated), set(vm.bt.jit.chains)
-    vm.bt.invalidate_gfn(7)
+    _store_into(vm, 7)
     assert len(vm.bt.jit.translated) == blocks_now
     assert set(vm.bt.jit.chains) == chains_now
 
@@ -651,8 +658,8 @@ def test_a_callout_that_rewrites_code_stops_the_block_at_the_next_store(
     translated: the block stops after its next store, which is inside
     the native run that follows the OUT, not at the run's end."""
     def disk(hv, vm):
-        vm.devices["block"].data.load_image(Assembler().assemble(
-            ".org 0x3000\n    li a3, 2\n    ret\n").data)
+        image = Assembler().assemble(".org 0x3000\n    li a3, 2\n    ret\n").data
+        vm.devices["block"].data[:len(image)] = image
         hv.load_program(vm, Assembler().assemble(
             ".org 0x3000\n    li a3, 1\n    ret\n"))
 

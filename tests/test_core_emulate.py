@@ -1,12 +1,18 @@
 """Direct tests of the in-monitor instruction emulator."""
 
+import struct
+
 import pytest
 
-from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
+from repro.core import GuestConfig, Hypervisor, Machine, MMUVirtMode, VirtMode
+from repro.core.hypervisor import RunOutcome
+from repro.core.machine import MachineOutcome
 from repro.core.emulate import emulate_guest_store, emulate_privileged
+from repro.cpu.assembler import Assembler
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.interp import TrapInfo
-from repro.cpu.isa import CSR, Cause, MODE_USER, Op, decode, encode
+from repro.cpu.isa import CSR, Cause, MODE_USER, Op, Reg, decode, encode
+from repro.mem.paging import PTE_PRESENT, PTE_WRITABLE
 from repro.util.errors import GuestError
 from repro.util.units import MIB
 
@@ -116,7 +122,7 @@ class TestModeChanges:
         assert vcpu.vcsr[CSR.MODE] == MODE_USER
         assert vcpu.vcsr[CSR.IE] == 1
         assert vcpu.cpu.pc == 0x200000
-        assert vcpu.cpu.mode == MODE_USER  # real mode was already user
+        assert vcpu.cpu.csr[CSR.MODE] == MODE_USER  # real mode was already user
 
     def test_iret_triggers_view_switch(self, vcpu):
         mmu = vcpu.cpu.mmu
@@ -165,3 +171,65 @@ class TestGuestStore:
     def test_unemulatable_op_rejected(self, vcpu):
         with pytest.raises(GuestError):
             emulate_privileged(vcpu, ins(Op.ADD))
+
+
+#: Paging on, over identity tables the host wrote: the guest loads from
+#: page 5, points the page's leaf PTE at frame 0x16 with two byte stores
+#: (its bits 16..23, then 8..15), drops the stale translation and loads
+#: again. Under a shadow MMU each store traps as a page-table write.
+BYTE_STORES_INTO_A_PTE = """
+    li t0, 0x10000
+    csrw PTBR, t0
+    li t1, 0x5000
+    ld a0, [t1+0]
+    li t2, 0x11014       ; the leaf PTE of page 5
+    li t3, 0x01
+    stb [t2+2], t3
+    li t3, 0x60
+    stb [t2+1], t3
+    invlpg t1
+    ld a1, [t1+0]
+    li t0, 1
+    out 0xf0, t0
+"""
+
+
+def _identity_tables_and_data():
+    flags = PTE_PRESENT | PTE_WRITABLE
+    leaf = [(vpn << 12) | flags for vpn in range(32)] + [0] * (1024 - 32)
+    root = [0x11000 | flags] + [0] * 1023
+    return {0x10000: struct.pack("<1024I", *root),
+            0x11000: struct.pack("<1024I", *leaf),
+            0x5000: (0x55).to_bytes(4, "little"),
+            0x16000: (0x77).to_bytes(4, "little")}
+
+
+@pytest.mark.parametrize("virt_mode", [
+    VirtMode.TRAP_EMULATE, VirtMode.HW_ASSIST, VirtMode.BINARY_TRANSLATION,
+], ids=["trap-emulate", "hw+shadow", "bin-transl"])
+def test_byte_stores_into_a_guest_page_table(virt_mode):
+    program = Assembler().assemble(".org 0x1000\n" + BYTE_STORES_INTO_A_PTE)
+    machine = Machine(memory_bytes=16 * MIB)
+    machine.load_program(program)
+    for addr, data in _identity_tables_and_data().items():
+        machine.physmem.write_bytes(addr, data)
+    machine.cpu.reset(0x1000)
+    assert machine.run(max_instructions=1000) is MachineOutcome.SHUTDOWN
+    native = machine.cpu
+
+    hv = Hypervisor(memory_bytes=64 * MIB)
+    vm = hv.create_vm(GuestConfig(name="stb", memory_bytes=16 * MIB,
+                                  virt_mode=virt_mode,
+                                  mmu_mode=MMUVirtMode.SHADOW))
+    hv.load_program(vm, program)
+    for addr, data in _identity_tables_and_data().items():
+        vm.guest_mem.write_bytes(addr, data)
+    hv.reset_vcpu(vm, 0x1000)
+    assert hv.run(vm, max_guest_instructions=1000) is RunOutcome.SHUTDOWN
+    cpu = vm.vcpus[0].cpu
+    assert native.regs[Reg.A0] == 0x55 and native.regs[Reg.A1] == 0x77
+    assert cpu.regs == native.regs
+    assert cpu.instret == native.instret
+    pt_writes = sum(n for key, n in vm.exit_stats.counts.items()
+                    if key.endswith(":pt_write"))
+    assert pt_writes == 2

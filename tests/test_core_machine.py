@@ -149,7 +149,7 @@ def test_block_device_dma_native():
     out 0xf0, a0
     hlt
 """)
-    assert machine.block.data.read_sectors(0, 1)[:4] == bytes.fromhex("44332211")
+    assert machine.block.data[:4] == bytes.fromhex("44332211")
 
 
 def test_a_machine_and_a_default_vm_have_one_board():
@@ -159,8 +159,8 @@ def test_a_machine_and_a_default_vm_have_one_board():
 
     def board(bus):
         """Each claimed port's device class; IN / OUT ports are 12 bits."""
-        return {port: type(bus.device_at(port)) for port in range(1 << 12)
-                if bus.device_at(port) is not None}
+        return {port: type(device) for port, device in bus.ports.items()
+                if port < 1 << 12}
 
     assert board(machine.port_bus) == board(vm.port_bus)
     assert list(machine.devices) == list(vm.devices)

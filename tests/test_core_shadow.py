@@ -234,6 +234,6 @@ def test_destroy_returns_table_frames():
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.enable()
     env.translate_with_fill(0x40000000, AccessType.READ)
-    allocated_before = env.alloc.allocated_frames
+    free_before = env.alloc.free_frames
     env.mmu.destroy()
-    assert env.alloc.allocated_frames < allocated_before
+    assert env.alloc.free_frames > free_before

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.hypervisor import HypercallNumbers, RunOutcome
 from repro.core.snapshot import apply_state, capture_state
-from repro.devices.block import BLK_CMD
+from repro.devices.block import BLK_CMD, SECTOR_SIZE
 from repro.devices.bus import PortDevice
 from repro.devices.console import CONS_STATUS, CONS_TX
 from repro.devices.net import NET_RX_ADDR, NET_RX_CMD, NET_TX_CMD
@@ -27,6 +27,7 @@ from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.util.errors import ConfigError, DeviceError
 from repro.util.units import MIB
+from tests.conftest import inject_rx
 
 GUEST_MEM = 16 * MIB
 
@@ -193,7 +194,7 @@ COMMAND_PORTS = {BLK_CMD, NET_TX_CMD, NET_RX_CMD, VIRTIO_BLK_BASE + OFF_KICK,
 
 def claimed_ports(vm):
     for port in range(0x100):
-        device = vm.port_bus.device_at(port)
+        device = vm.port_bus.ports.get(port)
         if device is not None:
             yield port, device
 
@@ -217,13 +218,15 @@ def programmed_vm(hv):
     vm.devices["console"].push_input(0x40)
     vm.devices["console"].push_input(0x41)
     assert vm.devices["console"].port_read(CONS_TX) == 0x40
-    vm.devices["net"].inject_rx(b"first frame")
-    vm.devices["net"].inject_rx(b"second")
+    inject_rx(vm.devices["net"], b"first frame")
+    inject_rx(vm.devices["net"], b"second")
     vm.devices["net"].port_write(NET_RX_CMD, 1)
     vm.devices["timer"].tick(vm.devices["timer"].deadline
                              + 2 * vm.devices["timer"].period)
-    vm.devices["block"].data.load_image(b"emulated disk", sector=3)
-    vm.devices["virtio_blk"].data.load_image(b"virtio disk", sector=5)
+    for name, sector, image in (("block", 3, b"emulated disk"),
+                                ("virtio_blk", 5, b"virtio disk")):
+        start = sector * SECTOR_SIZE
+        vm.devices[name].data[start:start + len(image)] = image
     vm.devices["block"].port_write(BLK_CMD, 99)
     return vm
 
@@ -240,8 +243,8 @@ def visible(vm):
     seen["console"] = (console.text, console.chars_written,
                        console.chars_received)
     seen["power.code"] = vm.devices["power"].code
-    seen["disks"] = (vm.devices["block"].data.read_sectors(0, 8),
-                     vm.devices["virtio_blk"].data.read_sectors(0, 8))
+    seen["disks"] = (vm.devices["block"].data[:8 * SECTOR_SIZE],
+                     vm.devices["virtio_blk"].data[:8 * SECTOR_SIZE])
     return seen
 
 
@@ -284,7 +287,7 @@ class TestMachineState:
         vm.pic.port_write(0x20, 0xFFFF)
         vm.vcpus[0].cpu.regs[3] = 77
         vm.devices["console"].push_input(0x42)
-        vm.devices["net"].inject_rx(b"later")
+        inject_rx(vm.devices["net"], b"later")
         assert tree == reference
 
     def test_device_without_a_declaration_is_refused(self):

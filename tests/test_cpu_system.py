@@ -67,7 +67,7 @@ vec:
         cpu.run(max_instructions=100)
         assert cpu.regs[2] == 0  # inside handler
         assert cpu.regs[3] == 1  # restored after iret
-        assert cpu.mode == MODE_KERNEL
+        assert cpu.csr[CSR.MODE] == MODE_KERNEL
 
     def test_estatus_encodes_prior_state(self):
         cpu, _ = build("""
@@ -117,7 +117,7 @@ user:
         )
         cpu.run(max_instructions=100)
         assert cpu.regs[2] == int(Cause.PRIV)
-        assert cpu.mode == MODE_KERNEL
+        assert cpu.csr[CSR.MODE] == MODE_KERNEL
 
     def test_privileged_csr_read_traps_in_user_mode(self):
         cpu = self._user_setup(

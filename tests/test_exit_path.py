@@ -31,6 +31,7 @@ from repro.guest import workloads as programs
 from repro.guest.layout import GuestLayout
 from repro.obs.registry import MetricsRegistry
 from repro.util.errors import GuestError
+from tests.conftest import port_storm
 from tests.test_jit_vmm_parity import (
     BY_LABEL, ROW_IDS, _create, _kernel, _state,
 )
@@ -149,7 +150,7 @@ SCENARIOS = {
     "pt_mix": (_nanoos(lambda: programs.pt_mix(12, 80, 8, 3)), _run_to_end),
     "blk_write": (_nanoos(lambda: programs.blk_write(4)), _run_to_end),
     "vblk_write": (_nanoos(lambda: programs.vblk_write(2, 3)), _run_to_end),
-    "port_storm": (_alone(lambda: programs.port_storm(60)), _run_to_end),
+    "port_storm": (_alone(lambda: port_storm(60)), _run_to_end),
     # Timer armed: the core fires it, whoever services the exits.
     "timer_kernel": (_nanoos(programs.idle_ticks,
                              timer_period=6_000), _run_to_end),
@@ -166,7 +167,7 @@ def _full_state(vm, outcomes):
     return {
         **_state(vm),
         "outcomes": outcomes,
-        "exit_cycles": dict(vm.exit_stats.cycles),
+        "exit_cycles": vm.exit_stats.metrics.values("exit_cycles"),
         "world_switches": vm.stats.world_switches,
         "hypercalls": vm.stats.hypercalls,
         "reflected_traps": vm.stats.reflected_traps,
@@ -252,7 +253,7 @@ def _load_exit_dense(hv, vm, label):
     it that is NanoOS's *user* half making syscalls; elsewhere the
     kernel-mode port loop."""
     if label != "bin-transl":
-        _alone(lambda: programs.port_storm(400))(hv, vm, False)
+        _alone(lambda: port_storm(400))(hv, vm, False)
         return
     _nanoos(lambda: programs.syscall_storm(400))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=8_000) is RunOutcome.INSTR_LIMIT
@@ -289,7 +290,7 @@ def test_instruction_budget_spent_on_an_exit_edge(label):
     trails = []
     for watchdog in (False, True):
         hv, vm = _create(label, True)
-        _alone(lambda: programs.port_storm(50))(hv, vm, False)
+        _alone(lambda: port_storm(50))(hv, vm, False)
         cpu = vm.vcpus[0].cpu
         spent = cpu.instret
         trail = []
@@ -337,7 +338,7 @@ def test_core_entries_scale_with_slices_not_exits(monkeypatch):
 
     count(CPUCore)
     hv, vm = _create("hw+nested", True)
-    _alone(lambda: programs.port_storm(3000))(hv, vm, False)
+    _alone(lambda: port_storm(3000))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
     instret = vm.vcpus[0].cpu.instret
     assert vm.exit_stats.total_exits == 3001
@@ -347,7 +348,7 @@ def test_core_entries_scale_with_slices_not_exits(monkeypatch):
     # core's, on the same instruction slices: one entry a slice.
     del entries[:]
     hv, vm = _create("bin-transl", True)
-    _alone(lambda: programs.port_storm(3000))(hv, vm, False)
+    _alone(lambda: port_storm(3000))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
     instret = vm.vcpus[0].cpu.instret
     assert vm.exit_stats.total_exits == 0
@@ -367,7 +368,7 @@ def test_core_entries_scale_with_slices_not_exits(monkeypatch):
 
 def test_service_is_lent_for_the_call_only():
     hv, vm = _create("hw+nested", True)
-    _alone(lambda: programs.port_storm(5))(hv, vm, False)
+    _alone(lambda: port_storm(5))(hv, vm, False)
     cpu = vm.vcpus[0].cpu
     attributes = set(vars(cpu))
     assert hv.run(vm, max_guest_instructions=5) is RunOutcome.INSTR_LIMIT
@@ -442,7 +443,7 @@ def _syscall_not_delegated(_hv, vm):
 #: name -> (row, loader, host setup or None, the exit-table entries the
 #: scenario must produce).
 ROUTES = {
-    "io_out": ("hw+nested", _alone(lambda: programs.port_storm(30)), None,
+    "io_out": ("hw+nested", _alone(lambda: port_storm(30)), None,
                ["io_out:port_0x10"]),
     "io_in": ("hw+nested", _alone(lambda: _bare(IO_IN_LOOP)), None,
               ["io_in:port_0x11"]),
@@ -512,7 +513,7 @@ def test_port_storm_builds_no_vmexit(label, jit, monkeypatch):
     monkeypatch.setattr(ExitUnwind, "__init__", counting_unwind)
     for max_cycles in (None, 10_000_000):
         hv, vm = _create(label, jit)
-        _alone(lambda: programs.port_storm(300))(hv, vm, False)
+        _alone(lambda: port_storm(300))(hv, vm, False)
         outcome = hv.run(vm, max_guest_instructions=100_000,
                          max_cycles=max_cycles)
         assert outcome is RunOutcome.SHUTDOWN

@@ -14,6 +14,7 @@ from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
 from repro.core.hypervisor import RunOutcome
 from repro.core.snapshot import VMSnapshot, capture_state, restore_vm, snapshot_vm
 from repro.cpu.assembler import Assembler
+from repro.devices.block import SECTOR_SIZE
 from repro.devices.bus import capture_fields
 from repro.fuzz import diff, gen
 from repro.fuzz.bugs import apply_bug
@@ -51,7 +52,7 @@ def _run(machine, segments, common):
         "tlb": dict(vars(cpu.mmu.tlb.stats)),
         "exits": dict(vm.exit_stats.counts),
         "registry": hv.registry.values("vm.fuzz."),
-        "frames": hv.allocator.allocated_frames,
+        "frames": hv.allocator.free_frames,
     }
 
 
@@ -182,7 +183,7 @@ class TestRecycleVM:
     def test_recycled_vm_is_at_power_on(self, mmu_mode):
         hv = Hypervisor(memory_bytes=8 * MIB)
         vm = _make(hv, mmu_mode=mmu_mode)
-        power_on, frames = capture_state(vm), hv.allocator.allocated_frames
+        power_on, frames = capture_state(vm), hv.allocator.free_frames
         hv.load_program(vm, _HALT_WITH_7)
         hv.reset_vcpu(vm, 0x1000)
         hv.run(vm, max_guest_instructions=100)
@@ -191,8 +192,8 @@ class TestRecycleVM:
         assert new.guest_mem is vm.guest_mem
         assert new.guest_mem.read_bytes(0, 1 * MIB) == bytes(1 * MIB)
         assert capture_state(new) == power_on
-        assert hv.allocator.allocated_frames == frames
-        assert hv.registry.value("vm.vm.instructions", 0) == 0
+        assert hv.allocator.free_frames == frames
+        assert hv.registry.values().get("vm.vm.instructions", 0) == 0
 
     def test_refuses_a_stale_handle(self):
         # recycle_vm returns the VM's successor; the old handle names
@@ -293,7 +294,8 @@ def _by_dma(hv, vm, device, kernel):
 
 
 def _by_load_image(hv, vm, device, _kernel):
-    vm.devices[device].data.load_image(b"\xa5" * 3000, sector=7)
+    start = 7 * SECTOR_SIZE  # the host loads an image: a slice write
+    vm.devices[device].data[start:start + 3000] = b"\xa5" * 3000
     return vm
 
 
@@ -308,7 +310,7 @@ def _by_restore(hv, vm, device, kernel):
 @pytest.mark.parametrize("write", [_by_dma, _by_load_image, _by_restore],
                          ids=["dma", "load_image", "restore"])
 def test_a_recycled_disk_reads_zeros(write, device, hvm_kernel):
-    """Written by a guest's DMA request, by ``load_image`` or by
+    """Written by a guest's DMA request, by the host loading an image or by
     restoring a snapshot that carries it, a disk is zero once its VM is
     recycled: ``capture_fields`` elides it, and the VM's snapshot blob
     is a fresh VM's. The recycled device keeps the image it had."""

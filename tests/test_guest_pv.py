@@ -9,6 +9,7 @@ from repro.guest import (
     workloads,
 )
 from repro.util.units import MIB
+from tests.conftest import map_batch
 
 GUEST_MEM = 16 * MIB
 
@@ -54,8 +55,8 @@ def test_pv_has_no_pt_write_traps():
 def test_pv_batching_amortizes_map_exits():
     # Mapping 32 pages one-per-call vs 8-per-batch: the batched path
     # takes roughly 1/8th the MMU hypercalls.
-    _, single, _ = boot_pv(workloads.map_batch(batches=32, batch_size=1))
-    _, batched, _ = boot_pv(workloads.map_batch(batches=4, batch_size=8))
+    _, single, _ = boot_pv(map_batch(batches=32, batch_size=1))
+    _, batched, _ = boot_pv(map_batch(batches=4, batch_size=8))
     one = single.exit_stats.counts.get("vmcall:mmu_batch", 0)
     eight = batched.exit_stats.counts.get("vmcall:mmu_batch", 0)
     assert one >= 32

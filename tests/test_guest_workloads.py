@@ -12,6 +12,7 @@ from repro.guest import (
 )
 from repro.guest.workloads import expected_cpu_bound, expected_memtouch
 from repro.util.units import MIB
+from tests.conftest import inject_rx, map_batch, net_echo
 
 GUEST_MEM = 16 * MIB
 
@@ -87,13 +88,13 @@ class TestPtStress:
 
 class TestMapBatch:
     def test_batches(self, kernel):
-        _, diag = run_native(kernel, workloads.map_batch(8, 4))
+        _, diag = run_native(kernel, map_batch(8, 4))
         assert diag.user_result == 32
         assert diag.syscalls == 9
 
     def test_pool_limit_enforced(self):
         with pytest.raises(ValueError):
-            workloads.map_batch(batches=200, batch_size=8)
+            map_batch(batches=200, batch_size=8)
 
 
 class TestBlockIO:
@@ -134,9 +135,9 @@ class TestNetIO:
         machine = Machine(memory_bytes=GUEST_MEM)
         frames = [b"ping-%d!" % i + bytes(8) for i in range(3)]
         for frame in frames:
-            machine.net.inject_rx(frame)
+            inject_rx(machine.net, frame)
         from repro.guest import boot_native
-        diag = boot_native(machine, kernel, workloads.net_echo(3))
+        diag = boot_native(machine, kernel, net_echo(3))
         assert diag.user_result == sum(len(f) for f in frames)
         assert machine.net.rx_frames == 3
         assert machine.net.tx_frames == 3
@@ -148,9 +149,9 @@ class TestNetIO:
                                       virt_mode=VirtMode.HW_ASSIST,
                                       mmu_mode=MMUVirtMode.NESTED))
         nic = vm.devices["net"]
-        nic.inject_rx(b"hello vm")
+        inject_rx(nic, b"hello vm")
         from repro.guest import boot_vm
-        diag = boot_vm(hv, vm, kernel, workloads.net_echo(1))
+        diag = boot_vm(hv, vm, kernel, net_echo(1))
         assert diag.user_result == 8
         assert list(nic.sent) == [b"hello vm"]
 
@@ -167,7 +168,7 @@ class TestProgramSizes:
             workloads.hello, workloads.cpu_bound, workloads.memtouch,
             lambda: workloads.random_walk(16, 10),
             workloads.syscall_storm, workloads.pt_stress,
-            workloads.map_batch, workloads.blk_write,
+            map_batch, workloads.blk_write,
             workloads.vblk_write, workloads.net_send, workloads.vnet_send,
             workloads.idle_ticks,
         ):

@@ -21,7 +21,7 @@ from repro.cpu.interp import CPUCore
 from repro.cpu.isa import CSR, Cause, Op, encode
 from repro.cpu.mmu import BareMMU
 from repro.devices.irq import IRQ_TIMER_LINE, InterruptController
-from repro.devices.schedule import EventSchedule, attach_schedule
+from repro.devices.schedule import EventSchedule
 from repro.mem.costs import CostModel
 from repro.mem.physmem import PhysicalMemory
 from tests.conftest import dev_metrics
@@ -74,7 +74,7 @@ def _run_bare(due):
     cpu = CPUCore(BareMMU(pm, costs), port_bus=None, jit=False)
     cpu.reset(ENTRY)
     pic = InterruptController(cpu, dev_metrics())
-    attach_schedule(cpu, EventSchedule([(due, IRQ_TIMER_LINE)], pic, None))
+    cpu.events = EventSchedule([(due, IRQ_TIMER_LINE)], pic, None)
     cpu.run(max_instructions=LIMIT)
     return cpu
 

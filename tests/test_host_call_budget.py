@@ -68,6 +68,7 @@ from repro.guest import workloads as programs
 from repro.guest.layout import GuestLayout
 from repro.obs.registry import MetricsRegistry
 from repro.util.units import MIB
+from tests.conftest import port_storm
 
 ITERATIONS = 2_000
 SLACK = 1.02
@@ -409,7 +410,7 @@ def _minus(calls, base):
 
 
 def _port_storm_calls(label, writes, pumped):
-    hv, vm = _create(label, programs.port_storm(writes))
+    hv, vm = _create(label, port_storm(writes))
     watchdog = None
     if pumped:  # one that cannot trip: every exit goes back to the pump
         watchdog = GuestProgressWatchdog(MetricsRegistry().scope("watchdog"))

@@ -22,6 +22,7 @@ from repro.core import (
     snapshot_vm,
 )
 from repro.core.hypervisor import RunOutcome
+from repro.devices.block import SECTOR_SIZE
 from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.migration import LiveMigrator, PostCopyMigrator
 from repro.util.units import MIB
@@ -90,8 +91,8 @@ def observed(vm, outcome, sent_before=([], [])):
         "outcome": outcome,
         "result": read_diag(vm.guest_mem).user_result,
         "console": vm.devices["console"].text,
-        "disk": vm.devices["block"].data.read_sectors(0, 64),
-        "vdisk": vm.devices["virtio_blk"].data.read_sectors(0, 64),
+        "disk": vm.devices["block"].data[:64 * SECTOR_SIZE],
+        "vdisk": vm.devices["virtio_blk"].data[:64 * SECTOR_SIZE],
         "frames": (sent_before[0] + net, sent_before[1] + vnet),
         "instret": vm.vcpus[0].cpu.instret,
     }

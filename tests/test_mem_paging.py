@@ -116,11 +116,11 @@ class TestAddressSpace:
         space = AddressSpace(pm, alloc)
         space.map(0x400000, 0x1000, 0)
         space.map(0x400000 + PAGE_SIZE, 0x2000, 0)
-        before = alloc.allocated_frames
+        before = alloc.free_frames
         space.clear_pde(1)  # 0x400000 >> 22 == 1
         assert lookup(space, 0x400000) is None
         assert space.mapped_pages == 0
-        assert alloc.allocated_frames == before - 1  # PT page returned
+        assert alloc.free_frames == before + 1  # PT page returned
 
     def test_rollback_undoes_walker_writes_only(self, env):
         pm, alloc = env
@@ -150,12 +150,12 @@ class TestAddressSpace:
 
     def test_destroy_frees_table_frames(self, env):
         pm, alloc = env
-        before = alloc.allocated_frames
+        before = alloc.free_frames
         space = AddressSpace(pm, alloc)
         space.map(0x1000, 0x2000, 0)
         space.map(0x40000000, 0x3000, 0)
         space.destroy()
-        assert alloc.allocated_frames == before
+        assert alloc.free_frames == before
 
 
 class TestWalker:

@@ -130,9 +130,9 @@ class TestFrameAllocator:
         alloc = FrameAllocator(pm, reserved_frames=1)
         assert alloc.free_frames == 3
         pfn = alloc.alloc()
-        assert alloc.free_frames == 2 and alloc.allocated_frames == 1
+        assert alloc.free_frames == 2
         alloc.free(pfn)
-        assert alloc.free_frames == 3 and alloc.allocated_frames == 0
+        assert alloc.free_frames == 3
 
     def test_invalid_reserved(self):
         pm = PhysicalMemory(2 * PAGE_SIZE)

@@ -109,7 +109,7 @@ def test_share_balloon_swap_sequence_leaves_the_same_state(mmu_mode):
             entries.append([vm.name, tables, mapped,
                             sorted(vm.guest_mem.write_protected), len(mmu.tlb)])
         entries.append([sorted(sharer.refcount.items()),
-                        sharer.shared_mappings, sharer.cow_breaks,
+                        len(sharer._sharers), sharer.cow_breaks,
                         hv.allocator.free_frames])
 
     def warm(vm, mmu):

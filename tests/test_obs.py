@@ -41,7 +41,7 @@ class TestRegistry:
         a = reg.counter("vm.web.exits.vmcall")
         a.inc(3)
         assert reg.counter("vm.web.exits.vmcall") is a
-        assert reg.value("vm.web.exits.vmcall") == 3
+        assert reg.values()["vm.web.exits.vmcall"] == 3
 
     def test_kind_clash_rejected(self):
         reg = MetricsRegistry()
@@ -72,7 +72,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         dev = reg.scope("vm").scope("web").scope("dev")
         dev.counter("block.reads").inc()
-        assert reg.value("vm.web.dev.block.reads") == 1
+        assert reg.values()["vm.web.dev.block.reads"] == 1
         assert reg.scope("vm").scope("web").values("dev") == {
             "block.reads": 1}
 
@@ -82,7 +82,7 @@ class TestRegistry:
         reg.counter("vm.ab.exits.vmcall").inc()
         assert reg.reset("vm.a.") == 1
         assert "vm.a.exits.vmcall" not in reg
-        assert reg.value("vm.ab.exits.vmcall") == 1
+        assert reg.values()["vm.ab.exits.vmcall"] == 1
 
     def test_merge_adds_counters_and_extends_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -91,20 +91,18 @@ class TestRegistry:
         b.gauge("overcommit.balloon.pages").set(7)
         b.histogram("span.round").observe(1.0)
         a.merge(b)
-        assert a.value("migration.rounds") == 5
-        assert a.value("overcommit.balloon.pages") == 7
+        assert a.values()["migration.rounds"] == 5
+        assert a.values()["overcommit.balloon.pages"] == 7
         assert a.histogram("span.round").count == 1
 
 
 class TestClocks:
     def test_manual_clock_rejects_regression(self):
         clk = ManualClock()
-        clk.advance(5)
+        clk.set(5)
         assert clk.now() == 5
         with pytest.raises(ValueError):
-            clk.advance(-1)
-        with pytest.raises(ValueError):
-            clk.set(3)
+            clk.set(4)
 
     def test_sim_clock_tracks_simulator(self):
         sim = Simulator()
@@ -121,7 +119,7 @@ class TestClocks:
     def test_histogram_stamped_with_registry_clock(self):
         clk = ManualClock()
         reg = MetricsRegistry(clock=clk)
-        clk.advance(42)
+        clk.set(42)
         reg.observe("sched.wake_latency_us", 3.0)
         assert reg.histogram("sched.wake_latency_us").last_time == 42
         snap = reg.snapshot()
@@ -137,11 +135,11 @@ class TestStatsViews:
         stats.record(ExitReason.VMCALL, 50)
         stats.record(ExitReason.IO_OUT, 30, detail="console")
         assert stats.counts["vmcall"] == 2
-        assert stats.cycles["vmcall"] == 150
+        assert reg.values("vm.web.exit_cycles.")["vmcall"] == 150
         assert stats.total_exits == 3
         # The view and the registry agree on storage.
-        assert reg.value("vm.web.exits.vmcall") == 2
-        assert reg.value("vm.web.exit_cycles.io_out:console") == 30
+        assert reg.values()["vm.web.exits.vmcall"] == 2
+        assert reg.values()["vm.web.exit_cycles.io_out:console"] == 30
 
     def test_vm_stats_attrs_are_registry_counters(self):
         reg = MetricsRegistry()
@@ -150,10 +148,10 @@ class TestStatsViews:
         stats.vmm_cycles += 500
         stats.guest_cycles = 1000  # assignment (snapshot restore path)
         assert stats.world_switches == 2
-        assert reg.value("vm.web.world_switches") == 2
-        assert reg.value("vm.web.vmm_cycles") == 500
-        assert reg.value("vm.web.guest_cycles") == 1000
-        assert stats.total_cycles == 1500
+        assert reg.values()["vm.web.world_switches"] == 2
+        assert reg.values()["vm.web.vmm_cycles"] == 500
+        assert reg.values()["vm.web.guest_cycles"] == 1000
+        assert stats.guest_cycles + stats.vmm_cycles == 1500
 
 
 class TestManifest:
@@ -193,9 +191,9 @@ class TestHypervisorIntegration:
         outcome = hv.run(vm, max_guest_instructions=80_000_000)
         assert outcome is RunOutcome.SHUTDOWN
         # Views and registry agree.
-        assert reg.value("vm.obs.vmm_cycles") == vm.stats.vmm_cycles
-        assert reg.value("core.vms_created") == 1
-        assert reg.value("devices.attached") == len(vm.devices)
+        assert reg.values()["vm.obs.vmm_cycles"] == vm.stats.vmm_cycles
+        assert reg.values()["core.vms_created"] == 1
+        assert reg.values()["devices.attached"] == len(vm.devices)
         total_exits = sum(
             reg.values("vm.obs.exits.").values()
         )
@@ -206,7 +204,7 @@ class TestHypervisorIntegration:
         hv = Hypervisor(memory_bytes=96 * MIB, registry=reg)
         vm = _make_guest(hv, "cycle", workloads.cpu_bound(2_000))
         hv.run(vm, max_guest_instructions=80_000_000)
-        assert reg.value("vm.cycle.world_switches") > 0
+        assert reg.values()["vm.cycle.world_switches"] > 0
         hv.destroy_vm(vm)
         vm2 = _make_guest(hv, "cycle", workloads.cpu_bound(2_000))
         # Same name, fresh telemetry: exactly the pre-registry behaviour.
@@ -240,6 +238,6 @@ class TestHypervisorIntegration:
         assert read_diag(healthy.guest_mem).user_result == (
             expected_cpu_bound(iterations)
         )
-        assert reg.value("faults.watchdog.stalls.hangs_detected") == 1
-        assert reg.value("faults.watchdog.healthy.hangs_detected") == 0
-        assert reg.value("faults.injected.vcpu.stall") == 1
+        assert reg.values()["faults.watchdog.stalls.hangs_detected"] == 1
+        assert reg.values().get("faults.watchdog.healthy.hangs_detected", 0) == 0
+        assert reg.values()["faults.injected.vcpu.stall"] == 1

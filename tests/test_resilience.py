@@ -58,8 +58,9 @@ class TestConstraintSet:
         # One domain for every host not given one.
         assert Host(SPEC, 9).domain == "fd0"
         placement = first_fit([vm("a")], hosts)
-        assert placement.domain_of("a") == "rack0"
-        assert placement.domains == ["rack0", "rack1"]
+        assert placement.host_of("a").domain == "rack0"
+        assert sorted({h.domain for h in placement.hosts}) == [
+            "rack0", "rack1"]
 
 
 class TestConstrainedPlacement:
@@ -67,7 +68,7 @@ class TestConstrainedPlacement:
         hosts = racked_hosts()
         cs = ConstraintSet(anti_affinity_groups={"svc": ["a", "b"]})
         placement = first_fit([vm("a"), vm("b")], hosts, constraints=cs)
-        assert placement.domain_of("a") != placement.domain_of("b")
+        assert placement.host_of("a").domain != placement.host_of("b").domain
         assert placement.relaxations == {}
 
     def test_relaxes_to_host_spread_then_unconstrained(self):
@@ -267,7 +268,7 @@ class TestResilienceController:
         # Reservation is stripped on re-placement (liveness first);
         # spread is kept: "a" lands away from "b"'s rack.
         assert report.recovered == ["a"]
-        assert placement.domain_of("a") != placement.domain_of("b")
+        assert placement.host_of("a").domain != placement.host_of("b").domain
         assert report.verified
 
     def test_controller_metrics_scope(self):

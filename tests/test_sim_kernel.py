@@ -4,10 +4,9 @@ import pytest
 
 from repro.sim.kernel import (
     Interrupted,
+    SimEvent,
     Simulator,
     Timeout,
-    WaitEvent,
-    WaitProcess,
 )
 
 
@@ -29,11 +28,11 @@ def test_timeout_advances_clock():
 
 def test_events_wake_waiters_with_value():
     sim = Simulator()
-    ev = sim.event()
+    ev = SimEvent(sim)
     got = []
 
     def waiter():
-        value = yield WaitEvent(ev)
+        value = yield ev
         got.append((sim.now, value))
 
     def firer():
@@ -46,24 +45,9 @@ def test_events_wake_waiters_with_value():
     assert got == [(7, "payload")]
 
 
-def test_wait_on_already_fired_event_resumes_immediately():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(123)
-    got = []
-
-    def waiter():
-        value = yield WaitEvent(ev)
-        got.append(value)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [123]
-
-
 def test_event_double_fire_rejected():
     sim = Simulator()
-    ev = sim.event()
+    ev = SimEvent(sim)
     ev.succeed()
     with pytest.raises(RuntimeError):
         ev.succeed()
@@ -76,16 +60,9 @@ def test_wait_process_returns_result():
         yield Timeout(3)
         return 42
 
-    results = []
-
-    def parent():
-        proc = sim.spawn(child(), name="child")
-        value = yield WaitProcess(proc)
-        results.append((sim.now, value))
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [(3, 42)]
+    proc = sim.spawn(child(), name="child")
+    assert sim.run_until_process(proc) == 42
+    assert sim.now == 3
 
 
 def test_wait_on_finished_process():
@@ -95,14 +72,10 @@ def test_wait_on_finished_process():
         return 9
         yield  # pragma: no cover
 
-    def parent():
-        proc = sim.spawn(child())
-        yield Timeout(5)
-        value = yield WaitProcess(proc)
-        return value
-
-    p = sim.spawn(parent())
-    assert sim.run_until_process(p) == 9
+    proc = sim.spawn(child())
+    sim.run()
+    assert not proc.alive
+    assert sim.run_until_process(proc) == 9
 
 
 def test_interrupt_cancels_timeout():
@@ -188,7 +161,7 @@ def test_run_until_process_deadlock_detected():
     sim = Simulator()
 
     def waiter():
-        yield WaitEvent(sim.event())  # nobody will fire it
+        yield SimEvent(sim)  # nobody will fire it
 
     proc = sim.spawn(waiter())
     with pytest.raises(RuntimeError, match="deadlock"):

@@ -43,9 +43,9 @@ def test_resource_available_accounting():
         yield Timeout(5)
         res.release()
 
-    assert res.available == 1
+    assert res.capacity - res.in_use == 1
     sim.spawn(worker())
     sim.run(until=1)
-    assert res.available == 0
+    assert res.capacity - res.in_use == 0
     sim.run()
-    assert res.available == 1
+    assert res.capacity - res.in_use == 1

@@ -41,3 +41,10 @@ def test_every_option_keeps_an_allowed_reason():
     bad = sorted(key for key, why in listed.items()
                  if not why.startswith(reach.OPTION_REASONS))
     assert not bad, f"options.txt reasons outside OPTION_REASONS: {bad}"
+
+
+def test_every_unreached_function_keeps_an_allowed_reason():
+    listed = reach.read_list(reach.LIST)
+    bad = sorted(key for key, why in listed.items()
+                 if not why.startswith(reach.FUNCTION_REASONS))
+    assert not bad, f"unreached.txt reasons outside FUNCTION_REASONS: {bad}"
