@@ -42,8 +42,8 @@ def test_e9b_bt_ablation(benchmark, show):
     assert no_chain.bt_translated_instructions == full.bt_translated_instructions
     assert no_chain.total_cycles > full.total_cycles
     assert full.bt_chained > 0 and no_chain.bt_chained == 0
-    # The translator is sliced in instructions, not in its own cycles:
-    # dearer dispatches leave the same block sequence, so the same
+    # No run of the translator ends on its own cycles: dearer
+    # dispatches leave the same block sequence, so the same
     # (predecessor, successor) pairs chain.
     assert no_cache.bt_chained == full.bt_chained
 

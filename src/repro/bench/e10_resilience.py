@@ -40,7 +40,7 @@ from repro.cluster import (
     first_fit,
 )
 from repro.core import GuestConfig, Hypervisor, MMUVirtMode, VirtMode
-from repro.core.hypervisor import RunOutcome
+from repro.core.hypervisor import BEAT_CYCLES, RunOutcome
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -140,14 +140,13 @@ def _watchdog_scenario(pages: int, passes: int,
     hv = Hypervisor(memory_bytes=HOST_MEMORY, registry=registry)
     vm = _boot_memtouch(hv, "e10-hang", pages, passes)
     hv.injector = FaultInjector(FaultPlan(seed=E10_SEED, specs=[
-        # The first run consumes 5 pump opportunities; the stall lands
-        # a few pumps into the watched run.
-        FaultSpec("vcpu.stall", rate=1.0, after=8, count=1),
+        # The first run beats twice (a beat every BEAT_CYCLES of VM
+        # time); the stall lands on the watched run's first beat.
+        FaultSpec("vcpu.stall", rate=1.0, after=2, count=1),
     ]), metrics=hv.registry.scope("faults"))
     rebooter = MicroRebooter(hv)
 
-    hv.run(vm, max_guest_instructions=20_000)  # healthy progress first
-    rebooter.checkpoint(vm)
+    hv.run(vm, max_cycles=3 * BEAT_CYCLES)  # healthy progress first
     instret_before_hang = vm.vcpus[0].cpu.instret
 
     watchdog = GuestProgressWatchdog(hv.registry.scope("faults.watchdog"))

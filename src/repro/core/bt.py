@@ -80,6 +80,9 @@ class BTEngine:
         self.chaining_enabled = True
         #: Native runs made closures (host-side, like ``jit_stats``).
         self.runs_compiled = 0
+        #: (pc, last block's va, a block's cache key, the block, its rest)
+        #: where a limit stopped a translated run (``CPUCore._run_translated``).
+        self.resume = None
         vcpu.cpu.translator = self
         self.jit = vcpu.cpu._jit = jit.BlockJIT(vcpu.cpu)
 

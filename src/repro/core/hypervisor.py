@@ -32,7 +32,7 @@ from repro.core.stats import VMStats
 from repro.core.vcpu import VCPU
 from repro.core.vm import GuestConfig, GuestMemory, VirtualMachine
 from repro.cpu.exits import ExitReason, VMExit
-from repro.cpu.interp import CPUCore, StopReason, TrapInfo
+from repro.cpu.interp import CPUCore, TrapInfo
 from repro.cpu.isa import (
     CSR, Cause, HEDELEG_ALL, HIDELEG_ALL, MODE_KERNEL, MODE_USER, Instruction, Op,
 )
@@ -46,15 +46,15 @@ from repro.obs.registry import MetricsRegistry
 from repro.util.errors import ConfigError, GuestError, MemoryError_
 from repro.util.units import MIB, PAGE_SHIFT, bytes_to_pages
 
-#: Instructions per guest entry: how often the pump beats the watchdog,
-#: draws ``vcpu.stall`` and injects a virq no exit brought back to it.
-PUMP_SLICE = 4000
+#: VM cycles from one beat of the pump to the next, on a grid of VM
+#: time: when a watchdog or a planned ``vcpu.stall`` needs beats, each
+#: grid point is a cycle stop of the core's run.
+BEAT_CYCLES = 10_000
 
-#: Without a watchdog attached, a stalled vCPU still terminates the run
-#: loop after this many consecutive no-progress pumps (safety net so an
-#: instruction budget -- which a stalled vCPU can never spend -- does
-#: not spin forever).
-STALL_HUNG_PUMPS = 64
+#: Without a watchdog attached, a stalled vCPU still ends the run after
+#: this many consecutive beats (safety net so an instruction budget --
+#: which a stalled vCPU can never spend -- does not spin forever).
+STALL_HUNG_BEATS = 64
 
 
 class HypercallNumbers(enum.IntEnum):
@@ -175,7 +175,7 @@ class Hypervisor:
         #: VM exit appends ``(vm time, reason, vm, detail, pc, cycles)``.
         self.trace = None
         #: Optional repro.faults.injector.FaultInjector: when set, the
-        #: run loop evaluates the ``vcpu.stall`` site each pump (a hung
+        #: run loop evaluates the ``vcpu.stall`` site each beat (a hung
         #: guest: the vCPU burns cycles but retires nothing).
         self.injector = None
 
@@ -486,6 +486,8 @@ class Hypervisor:
         vcpu = vm.vcpus[0]
         cpu = vcpu.cpu
         cpu.reset(entry)
+        if vm.bt is not None:
+            vm.bt.resume = None  # a reset dispatches afresh
         vcpu.halted = False
         vcpu.vcsr = [0] * 16
         vcpu.vcsr[CSR.MODE] = MODE_KERNEL
@@ -506,30 +508,26 @@ class Hypervisor:
     ) -> RunOutcome:
         """Run vCPU 0 of ``vm`` until halt/shutdown/budget.
 
-        The loop below is the *pump*: each pass checks shutdown and
-        the budgets (the core fired what was due at the edge it
-        returned on, events and the timer alike), decides idle/wake
-        (an idle VM sleeps to the timer's deadline, ``CPUCore.sleep``),
-        injects a pending virq, evaluates the ``vcpu.stall`` site, beats
-        the watchdog, then enters the guest for at most ``PUMP_SLICE``
-        instructions. A VM exit does not come back here as such: the
-        core calls ``service`` (below) at the intercept, or where it
-        catches an exit that had to unwind, and the guest resumes where
-        it was unless the pump could act on what the handler left behind
-        (DESIGN.md "The exit path"). The pump runs once per slice and
-        once per exit ``service`` answers False to.
+        The loop below is the *pump*, ``Machine.run``'s shape: each pass
+        checks shutdown and the budgets (the core fired what was due at
+        the edge it returned on), decides idle/wake (an idle VM sleeps to
+        the timer's deadline, ``CPUCore.sleep``), injects a pending virq,
+        then makes one ``cpu.run`` for what is left of the budgets. The
+        core calls ``service`` (below) at each exit, and the guest
+        resumes in place unless the pump can act on what the handler
+        left (DESIGN.md "The exit path"); a fire or a tick that leaves a
+        virq pending returns too. So a paravirtual guest that unmasks its
+        virtual IE with a plain store to the shared-info word gets a
+        pending virq at its next exit or hypercall, as a Xen guest does
+        (NanoOS unmasks through the IRET and SET_IE hypercalls).
 
-        ``watchdog`` (a
-        :class:`~repro.faults.watchdog.GuestProgressWatchdog`) is beat
-        with the retired-instruction counter immediately before each
-        guest entry -- a legally idle (halted) VM never reaches that
-        point without pending work, so it cannot false-positive. When
-        the watchdog declares a hang, ``run`` returns
-        :data:`RunOutcome.HUNG` and leaves the VM as-is for recovery
-        (see :class:`~repro.faults.recovery.MicroRebooter`). A watchdog,
-        like an injector that plans ``vcpu.stall``, counts guest
-        entries: with either present every exit returns to the pump, so
-        both see one entry per exit and one per slice.
+        A ``watchdog`` (:class:`~repro.faults.watchdog.GuestProgressWatchdog`)
+        or a planned ``vcpu.stall`` needs beats: every ``BEAT_CYCLES`` of
+        VM time is then a cycle stop too, where ``vcpu.stall`` draws and
+        the watchdog sees the retired-instruction counter; a stalled
+        vCPU's cycles jump to the next beat. A hang returns
+        :data:`RunOutcome.HUNG`, the VM left as-is for recovery
+        (:class:`~repro.faults.recovery.MicroRebooter`).
         """
         vcpu = vm.vcpus[0]
         cpu = vcpu.cpu
@@ -537,25 +535,20 @@ class Hypervisor:
         start_cycles = self._vm_time(vm)
         power = vm.devices["power"]
         vmm = VMStats.vmm_cycles.bound(vm.stats)
-        stalled_pumps = 0
+        beats = watchdog is not None or vcpu.stalled or (
+            self.injector is not None and self.injector.plans("vcpu.stall"))
+        next_beat = (start_cycles // BEAT_CYCLES + 1) * BEAT_CYCLES
+        stalled_beats = 0
+        stop_at = None  # the VM time the core's run stops at: budget or beat
 
         def service(reason, ins, pc, arg) -> bool:
             """:meth:`_exit`; may the guest resume without the pump?"""
             before = vmm.value
             self._exit(vm, vcpu, reason, ins, pc, arg)
-            if (
-                vcpu.halted or cpu.halted  # idle / wake / HALTED: pump's call
-                or vm.pending_virqs  # deprivileged: the pump injects
-                or watchdog is not None  # beats once per guest entry
-                or (self.injector is not None  # draws once per guest entry
-                    and self.injector.plans("vcpu.stall"))
-                # A spent budget: the pump returns it.
-                or (max_guest_instructions is not None and
-                    cpu.instret - start_instret >= max_guest_instructions)
-            ):
-                return False
-            if max_cycles is not None:
-                if cpu.cycles + vmm.value - start_cycles >= max_cycles:
+            if vcpu.halted or cpu.halted or vm.pending_virqs:
+                return False  # idle, wake, HALTED or an injection: the pump's
+            if stop_at is not None:
+                if cpu.cycles + vmm.value >= stop_at:
                     return False
                 # VM time = core cycles + VMM cycles: what this exit
                 # cost the VMM comes off the core's ceiling.
@@ -582,51 +575,31 @@ class Hypervisor:
                 if self._vm_idle(vm, vcpu):
                     continue  # injection refused (virtual IE off): idle again
 
-            if self.injector is not None and not vcpu.stalled and (
-                self.injector.fires("vcpu.stall")
-            ):
-                vcpu.stalled = True
+            stop_at = None if max_cycles is None else start_cycles + max_cycles
+            if beats:
+                now = self._vm_time(vm)
+                if now >= next_beat:
+                    next_beat = (now // BEAT_CYCLES + 1) * BEAT_CYCLES
+                    if self.injector is not None and not vcpu.stalled and (
+                        self.injector.fires("vcpu.stall")
+                    ):
+                        vcpu.stalled = True
+                    if watchdog is not None and watchdog.beat(cpu.instret):
+                        return RunOutcome.HUNG
+                    stalled_beats = stalled_beats + 1 if vcpu.stalled else 0
+                    if watchdog is None and stalled_beats >= STALL_HUNG_BEATS:
+                        return RunOutcome.HUNG
+                stop_at = next_beat if stop_at is None else min(stop_at, next_beat)
+                if vcpu.stalled:
+                    # A hung guest: VM time passes but nothing retires.
+                    cpu.cycles += max(stop_at - now, 0)
+                    continue
 
-            if watchdog is not None and watchdog.beat(cpu.instret):
-                return RunOutcome.HUNG
-            if vcpu.stalled:
-                stalled_pumps += 1
-                if watchdog is None and stalled_pumps >= STALL_HUNG_PUMPS:
-                    return RunOutcome.HUNG
-            else:
-                stalled_pumps = 0
-
-            cycle_budget = None
-            if max_cycles is not None:
-                cycle_budget = max_cycles - (self._vm_time(vm) - start_cycles)
-            self._enter_guest(vm, vcpu, max_guest_instructions,
-                              start_instret, cycle_budget, service)
-
-    def _enter_guest(self, vm, vcpu, max_guest_instructions, start_instret,
-                     cycle_budget, service) -> None:
-        cpu = vcpu.cpu
-        slice_ = PUMP_SLICE
-        if max_guest_instructions is not None:
-            slice_ = min(
-                slice_, max_guest_instructions - (cpu.instret - start_instret)
-            )
-        if vcpu.stalled:
-            # A hung guest: wall-clock time passes but nothing retires.
-            # The watchdog sees instret flat-lining and declares a hang.
-            cpu.cycles += slice_
-            return
-        # A per-entry cycle bound keeps ``max_cycles`` honest even when
-        # the guest burns cycles without retiring instructions inside
-        # one slice (trap-delivery livelock): without it the
-        # instruction-bounded core run would never come back to the
-        # pump loop's cycle check.
-        result = cpu.run(max_instructions=slice_, max_cycles=cycle_budget,
-                         on_exit=service)
-        if result.stop is StopReason.HALT:
-            # Native HLT semantics can only be reached by HW_ASSIST
-            # guests with nested paging and HLT interception off; treat
-            # as a virtual halt either way.
-            vcpu.halted = True
+            # Every engine intercepts HLT: a halt comes back as an exit.
+            cpu.run(max_instructions=None if max_guest_instructions is None
+                    else max_guest_instructions - (cpu.instret - start_instret),
+                    max_cycles=None if stop_at is None else stop_at - self._vm_time(vm),
+                    on_exit=service)
 
     def _vm_idle(self, vm: VirtualMachine, vcpu: VCPU) -> bool:
         if vm.config.virt_mode is VirtMode.HW_ASSIST:
@@ -662,6 +635,8 @@ class Hypervisor:
         for cause in _VIRQ_PRIORITY:
             if cause in vm.pending_virqs:
                 vm.pending_virqs.discard(cause)
+                if vm.bt is not None:
+                    vm.bt.resume = None  # the translator dispatches afresh
                 self._reflect(vm, vcpu, TrapInfo(cause, 0, vcpu.cpu.pc))
                 vm.stats.injected_irqs += 1
                 vcpu.halted = False

@@ -56,7 +56,6 @@ from repro.cpu.isa import (
 )
 from repro.cpu.mmu import MMUBase
 from repro.devices.bus import PortBus
-from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, PTE_DIRTY, PTE_NOEXEC, PTE_USER, PTE_WRITABLE, PageFault
 from repro.util.errors import GuestError
 from repro.util.units import PAGE_SHIFT
@@ -95,10 +94,10 @@ class StopReason(enum.Enum):
     HALT = "halt"
     INSTR_LIMIT = "instr_limit"
     CYCLE_LIMIT = "cycle_limit"
-    #: The caller (a VMM pump) gets control before re-entry: an attached
-    #: EventSchedule fired with ``exit_on_fire`` set, or the timer left
-    #: a virq pending (the pump injects), or the exit service passed to
-    #: :meth:`CPUCore.run` answered that the guest may not simply resume.
+    #: The caller (a VMM pump) gets control before re-entry: a fire of
+    #: the EventSchedule or the timer left a virq pending (the pump
+    #: injects), or the exit service passed to :meth:`CPUCore.run`
+    #: answered that the guest may not simply resume.
     EVENT = "event"
 
 
@@ -453,9 +452,10 @@ class CPUCore:
         ``_compile``'s rule or the next pc is a head already heating
         (``jit.heating``); then it asks.
 
-        Every retire edge is :meth:`_retire_edge`'s: the loop-top, a
-        translated block's item boundaries, and the edge a run returns
-        on, so a run never leaves an event due behind it. The first
+        Every retire edge is :meth:`_retire_edge`'s, the edge a run
+        returns on too, so a run never leaves an event due behind it; a
+        fire or a tick that leaves a virq pending (``virqs``) returns
+        :data:`StopReason.EVENT`, for the VMM to inject. The first
         loop-top at or past the timer's deadline fires it, and a halt
         nothing else wakes sleeps to it (:meth:`sleep`).
 
@@ -471,14 +471,8 @@ class CPUCore:
         anything.
 
         With a ``translator`` a run covers one virtual privilege level,
-        and ends (:data:`StopReason.EVENT`) where the guest leaves it. In
-        virtual kernel mode it dispatches translated blocks, charged as
-        :mod:`repro.core.bt` says, and lends no service: an exit is a
-        :class:`VMExit`, handed to ``on_exit`` as the core finished it,
-        that ends the run. Its loop top fires what is due without
-        stopping for it and delivers a pending virq; inside a block an
-        edge fires at its item boundary, where an unmasked virq is
-        delivered, and the instruction limit cuts the block.
+        and ends (:data:`StopReason.EVENT`) where the guest leaves it;
+        virtual kernel mode is :meth:`_run_translated`'s.
         """
         bt = self.translator
         kernel = bt is not None and bt.vcpu.vcsr[_MODE] == MODE_KERNEL
@@ -487,45 +481,30 @@ class CPUCore:
             from repro.cpu.jit import BlockJIT
 
             jit = self._jit = BlockJIT(self)
-        start_instr = self.instret
-        start_cycles = self.cycles
-        self._limit_stop = (
-            start_instr + max_instructions
-            if max_instructions is not None else 1 << 62
-        )
+        start_instr, start_cycles = self.instret, self.cycles
+        self._limit_stop = 1 << 62 if max_instructions is None else start_instr + max_instructions
         self._cycle_limit = self._cycle_stop = (
-            start_cycles + max_cycles if max_cycles is not None else 1 << 62
-        )
+            1 << 62 if max_cycles is None else start_cycles + max_cycles)
         if self.timer is not None and self.timer.deadline is not None:
             self.fold_deadline()
-        events = self.events
         # A run starts on a retire edge: under a schedule the loop-top's
         # first test calls _retire_edge, which folds in the next due edge.
-        self._loop_stop = self._limit_stop if events is None else 0
-        bounce = not kernel and events is not None and events.exit_on_fire
-        self._service = None if kernel else on_exit
+        self._loop_stop = self._limit_stop if self.events is None else 0
+        if kernel:
+            return RunResult(self._run_translated(bt, jit, on_exit),
+                             self.instret - start_instr, self.cycles - start_cycles)
+        virqs = self.virqs
+        self._service = on_exit
         stepping = not self.jit_enabled
         lookup, heating = (None, None) if jit is None else (jit.lookup, jit.heating)
         step = self.step
         csr = self.csr
         cold_pc, left = -1, 0  # a cold run's next pc, and its steps left
         vcsr = None if bt is None else bt.vcpu.vcsr
-        hits = misses = chained = callouts = 0
-        if kernel:
-            vcpu, execute, callout, epoch = bt.vcpu, self.execute, bt.callout, jit._epoch_cell
-            virqs, inject = self.virqs, bt.inject_virq
-            backing = vcpu.vm.guest_mem.map.get
-            translated = jit.translated if bt.cache_enabled else None
-            chains = jit.chains if bt.chaining_enabled else None
-            compiling = self.jit_enabled and translated is not None
-            instr_c, callout_c, dispatch_c = (
-                self.costs.instr_cycles, self.costs.bt_callout_cycles,
-                self.costs.bt_dispatch_cycles)
-            prev = None  # the start va of the block dispatched last
         try:
             while True:
-                if self.instret >= self._loop_stop and self._retire_edge() and bounce:
-                    stop = StopReason.EVENT
+                if self.instret >= self._loop_stop and self._retire_edge() and virqs:
+                    stop = StopReason.EVENT  # the VMM injects: its pump's turn
                     break
                 if self.halted:
                     if csr[_IE] and self.pending_irqs:
@@ -537,80 +516,6 @@ class CPUCore:
                     stop = StopReason.INSTR_LIMIT
                     break
                 try:
-                    if kernel:
-                        if virqs and inject(vcpu):
-                            prev = None
-                            continue
-                        if (vcsr[_MODE] != MODE_KERNEL or vcpu.halted
-                                or self.cycles >= self._cycle_limit):
-                            stop = StopReason.EVENT
-                            break
-                        if self.cycles >= self._cycle_stop:  # the timer's deadline
-                            self.timer.tick(self.cycles)  # injected at the top
-                            continue
-                        key = (self.mmu.guest_root, self.pc)
-                        block = translated.get(key) if translated is not None else None
-                        if block is not None and (
-                                block.suspect or tuple(map(backing, block.gfns)) != block.frames):
-                            block = bt.recheck(key, block)
-                        if block is None:
-                            block = bt.translate(self.pc)
-                            if block is None:  # a fetch fault took the guest to its vector
-                                prev = None
-                                continue
-                            misses += 1
-                            if translated is not None:
-                                translated[key] = block
-                                bt.watch(key, block)
-                        else:
-                            hits += 1
-                        link = None if prev is None or chains is None else (prev, block.start_va)
-                        if link is not None and link in chains:
-                            chained += 1
-                        else:
-                            self.cycles += dispatch_c
-                            if link is not None:
-                                chains.add(link)
-                        prev = block.start_va
-                        code = block.code
-                        if code is None:
-                            code = block.items
-                            block.heat -= 1
-                            if compiling and block.heat <= 0:
-                                code = block.code = jit.translated_code(block)
-                        e0 = epoch[0]
-                        while code is not None:
-                            todo, code = code, None
-                            for kind, ins in todo:
-                                if self.instret >= self._loop_stop:
-                                    self._retire_edge()
-                                    if self.instret >= self._limit_stop or virqs and inject(vcpu):
-                                        break
-                                if kind is True:  # a callout
-                                    callouts += 1
-                                    self.cycles += callout_c
-                                    if callout(ins):
-                                        break
-                                    # Its retire edge, after what it raised.
-                                    if self.instret >= self._loop_stop:
-                                        self._retire_edge()
-                                    if virqs and self.instret < self._limit_stop and inject(vcpu):
-                                        break
-                                elif kind is False:  # a native item, walked
-                                    self.cycles += instr_c
-                                    execute(ins)
-                                    # A store that dropped code: the next
-                                    # fetch translates the new bytes.
-                                    if ins.stores and epoch[0] != e0:
-                                        break
-                                elif epoch[0] == e0 and self.instret + kind[1] <= self._loop_stop:
-                                    kind[0](self)  # a compiled run, which may bail so too
-                                    if epoch[0] != e0 and (kind[3] or self.pc != kind[4]):
-                                        break
-                                else:  # an edge inside the run, or code dropped
-                                    code = block.items[kind[2]:]
-                                    break
-                        continue
                     if vcsr is not None and vcsr[_MODE] == MODE_KERNEL:
                         stop = StopReason.EVENT  # an exit took the guest into its kernel
                         break
@@ -619,7 +524,7 @@ class CPUCore:
                             stop = StopReason.CYCLE_LIMIT
                             break
                         self.timer.tick(self.cycles)
-                        if self.virqs:  # the VMM injects: its pump's turn
+                        if virqs:  # the VMM injects: its pump's turn
                             stop = StopReason.EVENT
                             break
                         continue
@@ -654,10 +559,7 @@ class CPUCore:
                 except VMExit as exit_:
                     if on_exit is None:
                         raise
-                    if kernel:  # serviced as the core finished it
-                        q = exit_.qualification
-                        on_exit(exit_.reason, q.get("ins"), self.pc, q.get("trap", exit_))
-                    elif on_exit(exit_.reason, None, self.pc, exit_):
+                    if on_exit(exit_.reason, None, self.pc, exit_):
                         continue
                 # The pump's turn, on an edge with nothing due.
                 if self.instret >= self._loop_stop:
@@ -666,11 +568,131 @@ class CPUCore:
                 break
         finally:
             self._service = None
-            if kernel:
-                bt.tally(hits, misses, chained, callouts)
         return RunResult(
             stop, self.instret - start_instr, self.cycles - start_cycles
         )
+
+    def _run_translated(self, bt, jit, on_exit) -> StopReason:
+        """:meth:`run` in a translator's virtual kernel mode: translated
+        blocks, charged as :mod:`repro.core.bt` says. No service is lent:
+        an exit is a :class:`VMExit`, handed to ``on_exit`` as the core
+        finished it, that ends the run. Every edge is the loop top's, in
+        one order: what is due fires, the limits stop, a virq is
+        delivered. Items go on while no edge is due (a compiled run only
+        if it cannot cross one) and no callout left a virq pending; else
+        the top takes the edge and the block goes on with its rest. A
+        limit leaves that rest and the block dispatched last in
+        ``bt.resume``: the next run at that pc goes on as this one would
+        have, translating and charging nothing again.
+        """
+        vcpu, execute, callout, epoch = bt.vcpu, self.execute, bt.callout, jit._epoch_cell
+        vcsr, virqs, inject, timer = vcpu.vcsr, self.virqs, bt.inject_virq, self.timer
+        backing = vcpu.vm.guest_mem.map.get
+        translated = jit.translated if bt.cache_enabled else None
+        chains = jit.chains if bt.chaining_enabled else None
+        compiling = self.jit_enabled and translated is not None
+        instr_c, callout_c, dispatch_c = (
+            self.costs.instr_cycles, self.costs.bt_callout_cycles, self.costs.bt_dispatch_cycles)
+        # The start va of the block dispatched last, that block's cache
+        # key, the block, and the rest of it to go on with (None:
+        # dispatch at pc).
+        prev = key = block = rest = None
+        resume, bt.resume = bt.resume, None
+        if resume is not None and resume[0] == self.pc:
+            prev, key, block, rest = resume[1:]
+            if rest is not None and (block.suspect or translated is not None and translated.get(
+                    key) is not block or tuple(map(backing, block.gfns)) != block.frames):
+                rest = None  # its code moved or was dropped: dispatch at pc
+        e0 = epoch[0]  # the code epoch ``rest`` runs under
+        hits = misses = chained = callouts = 0
+        try:
+            while True:
+                if self.instret >= self._loop_stop:
+                    self._retire_edge()
+                if self.cycles >= self._cycle_stop:
+                    timer.tick(self.cycles)  # its deadline, or the limit: a no-op
+                if self.instret >= self._limit_stop or self.cycles >= self._cycle_limit:
+                    bt.resume = (self.pc, prev, key, block, rest)
+                    return (StopReason.INSTR_LIMIT if self.instret >= self._limit_stop
+                            else StopReason.CYCLE_LIMIT)
+                if virqs and inject(vcpu):
+                    prev = rest = None
+                    continue
+                if vcsr[_MODE] != MODE_KERNEL or vcpu.halted:
+                    return StopReason.EVENT
+                if rest is None:
+                    key = (self.mmu.guest_root, self.pc)
+                    block = translated.get(key) if translated is not None else None
+                    if block is not None and (
+                            block.suspect or tuple(map(backing, block.gfns)) != block.frames):
+                        block = bt.recheck(key, block)
+                    if block is None:
+                        block = bt.translate(self.pc)
+                        if block is None:  # a fetch fault took the guest to its vector
+                            prev = None
+                            continue
+                        misses += 1
+                        if translated is not None:
+                            translated[key] = block
+                            bt.watch(key, block)
+                    else:
+                        hits += 1
+                    link = None if prev is None or chains is None else (prev, block.start_va)
+                    if link is not None and link in chains:
+                        chained += 1
+                    else:
+                        self.cycles += dispatch_c
+                        if link is not None:
+                            chains.add(link)
+                    prev = block.start_va
+                    rest = block.code
+                    if rest is None:
+                        rest = block.items
+                        block.heat -= 1
+                        if compiling and block.heat <= 0:
+                            rest = block.code = jit.translated_code(block)
+                    e0 = epoch[0]
+                code, rest = rest, None
+                while code is not None:
+                    todo, code = iter(code), None
+                    for kind, ins in todo:
+                        if self.instret >= self._loop_stop or self.cycles >= self._cycle_stop:
+                            rest = [(kind, ins), *todo]  # the edge is the top's
+                            break
+                        if kind is True:  # a callout
+                            callouts += 1
+                            self.cycles += callout_c
+                            if callout(ins):
+                                break
+                            if virqs:  # injected at its edge, if it unmasked them
+                                rest = list(todo) or None
+                                break
+                        elif kind is False:  # a native item, walked
+                            self.cycles += instr_c
+                            execute(ins)
+                            # A store that dropped code: the next
+                            # fetch translates the new bytes.
+                            if ins.stores and epoch[0] != e0:
+                                break
+                        elif (epoch[0] == e0 and self.instret + kind[1] <= self._loop_stop
+                              and self.cycles + kind[5] < self._cycle_stop):
+                            kind[0](self)  # a compiled run, which may bail so too
+                            if epoch[0] != e0 and (kind[3] or self.pc != kind[4]):
+                                break
+                        else:  # it would cross a stop, or code dropped
+                            code = block.items[kind[2]:]
+                            break
+        except VMExit as exit_:
+            if on_exit is None:
+                raise
+            q = exit_.qualification  # serviced as the core finished it
+            on_exit(exit_.reason, q.get("ins"), self.pc, q.get("trap", exit_))
+            # The pump's turn, on an edge with nothing due.
+            if self.instret >= self._loop_stop:
+                self._retire_edge()
+            return StopReason.EVENT
+        finally:
+            bt.tally(hits, misses, chained, callouts)
 
     def _retire_edge(self) -> int:
         """The retire edge the run loop stops at: fire what is due here

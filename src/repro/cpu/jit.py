@@ -793,13 +793,13 @@ class BlockJIT:
 
     def translated_code(self, block) -> list:
         """A hot translated block's code: its callouts, and each native
-        run between them as ``(fn, n, index, tail_store, end)`` -- a
-        closure of :func:`_block_code`, the run's length and first item's
-        index, whether its last item stores, the pc it falls through to.
-        ``paging=False`` is the walk's charge (no fetch; data through
-        ``mmu.translate``); the closures' SMC cell is the epoch. Their
-        worst charge fits no cycle budget: a run never laps in place,
-        each lap of a guest loop is a dispatch of its own.
+        run between them as ``(fn, n, index, tail_store, end, worst)`` --
+        a closure of :func:`_block_code`, the run's length and first
+        item's index, whether its last item stores, the pc it falls
+        through to, its charge if every access walks. ``paging=False`` is
+        the walk's charge (no fetch; data through ``mmu.translate``); the
+        closures' SMC cell is the epoch. A run never laps in place: each
+        lap of a guest loop is a dispatch of its own.
         """
         items = block.items
         vas = list(accumulate((ins.length for _, ins in items),
@@ -813,10 +813,11 @@ class BlockJIT:
                 code += group
             else:
                 run = [(ins, vas[index + k]) for k, (_, ins) in enumerate(group)]
-                make = _block_code(self.cpu.costs, run,
-                                   head=(run[0][1], run[0][0], self.sig))[0]
+                make, static_cycles, mem_ops = _block_code(
+                    self.cpu.costs, run, head=(run[0][1], run[0][0], self.sig))
                 code.append(((make(self._epoch_cell, None, math.inf), n, index,
-                              run[-1][0].stores, vas[index + n] & 0xFFFFFFFF), None))
+                              run[-1][0].stores, vas[index + n] & 0xFFFFFFFF,
+                              static_cycles + mem_ops * self.mmu.translate_bound), None))
                 self.cpu.translator.runs_compiled += 1
             index += n
         return code

@@ -63,15 +63,10 @@ class EventSchedule:
         controller: InterruptController,
         console,
         injector=None,
-        exit_on_fire: bool = False,
     ):
         self.controller = controller
         self.console = console
         self.injector = injector
-        #: When True, a run loop that fired events should return to its
-        #: pump (StopReason.EVENT) so the VMM can inject virtual IRQs
-        #: before re-entering direct execution.
-        self.exit_on_fire = exit_on_fire
         self.fired_count = 0
         self.deferred_count = 0
         self.storm_extra = 0
@@ -137,7 +132,6 @@ class EventSchedule:
         controller: InterruptController,
         console,
         injector=None,
-        exit_on_fire: bool = False,
     ) -> "EventSchedule":
         """A reproducible mixed-device schedule over ``[0, horizon)``.
 
@@ -165,5 +159,4 @@ class EventSchedule:
             events.append(
                 (cons.randint(24, max(25, horizon - 1)), IRQ_CONSOLE_LINE)
             )
-        return cls(events, controller, console=console, injector=injector,
-                   exit_on_fire=exit_on_fire)
+        return cls(events, controller, console=console, injector=injector)

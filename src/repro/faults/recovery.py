@@ -14,7 +14,7 @@ subsystem with transient faults).
 
 from dataclasses import dataclass
 
-from repro.core.snapshot import VMSnapshot, restore_vm, snapshot_vm
+from repro.core.snapshot import restore_vm, snapshot_vm
 from repro.obs.registry import counter_attr
 from repro.util.errors import ConfigError
 
@@ -55,25 +55,16 @@ class RetryPolicy:
 class MicroRebooter:
     """Per-hypervisor micro-reboot service.
 
-    ``checkpoint(vm)`` takes the VM's snapshot, as a crash-consistent
-    backup would. ``reboot(vm)`` tears the wedged VM down and restores
-    it into a fresh container, taking guest memory and vCPU/device
-    state from the *live* VM (ReHype: the guest outlives the hypervisor
-    fault).
+    ``reboot(vm)`` tears the wedged VM down and restores it into a fresh
+    container, taking guest memory and vCPU/device state from the
+    *live* VM (ReHype: the guest outlives the hypervisor fault).
     """
 
     reboots = counter_attr()
-    checkpoints_taken = counter_attr()
 
     def __init__(self, hypervisor):
         self.hv = hypervisor
         self.metrics = hypervisor.registry.scope("faults.recovery")
-
-    def checkpoint(self, vm) -> VMSnapshot:
-        """Take (and return) a fresh snapshot of ``vm``."""
-        snap = snapshot_vm(vm)
-        self.checkpoints_taken += 1
-        return snap
 
     def reboot(self, vm):
         """Micro-reboot ``vm``; returns the recovered (paused) VM."""

@@ -101,8 +101,7 @@ def vmm_cycle_guard(max_instructions: int) -> int:
 
 
 def _arm(cpu, pic, devices, max_instructions: int, fault_rate: float,
-         fault_seed: int, event_seed: Optional[int],
-         exit_on_fire: bool) -> Optional[FaultInjector]:
+         fault_seed: int, event_seed: Optional[int]) -> Optional[FaultInjector]:
     """Bind a case's fault plan to a power-on board and its event
     schedule to the core; returns the plan's injector (None at rate 0)."""
     injector = None
@@ -116,7 +115,6 @@ def _arm(cpu, pic, devices, max_instructions: int, fault_rate: float,
         cpu.events = EventSchedule.seeded(
             event_seed, horizon=max_instructions, controller=pic,
             console=devices["console"], injector=injector,
-            exit_on_fire=exit_on_fire,
         )
     return injector
 
@@ -151,7 +149,7 @@ def run_bare(segments: Dict[int, bytes], jit: bool,
         machine.physmem.write_bytes(addr, segments[addr])
     cpu.reset(gen.PRE_BASE)
     _arm(cpu, machine.pic, machine.devices, max_instructions, fault_rate,
-         fault_seed, event_seed, exit_on_fire=False)
+         fault_seed, event_seed)
 
     outcome, abort = None, None
     try:
@@ -270,13 +268,12 @@ def run_on(hv: Hypervisor, vm: VirtualMachine, segments: Dict[int, bytes],
         rng = DeterministicRNG(fault_seed).fork(_DELEG_SALT)
         cpu.controls = hmode_controls(HEDELEG_ALL & rng.next_u64(),
                                       HIDELEG_ALL & rng.next_u64())
-    # Hardware assist delivers natively from cpu.pending_irqs; the other
-    # modes bounce to the pump, so the monitor injects the virtual
-    # interrupt at the exact retire edge. The host outlives the case:
-    # None must replace the last plan too.
+    # Hardware assist delivers natively from cpu.pending_irqs; on the
+    # other modes a fire that leaves a virq pending returns to the pump,
+    # so the monitor injects it at the exact retire edge. The host
+    # outlives the case: None must replace the last plan too.
     hv.injector = _arm(cpu, vm.pic, vm.devices, max_instructions,
-                       fault_rate, fault_seed, event_seed,
-                       exit_on_fire=not hw)
+                       fault_rate, fault_seed, event_seed)
     outcome, abort = None, None
     try:
         res = hv.run(

@@ -7,7 +7,7 @@ slots, disk queue depth, migration worker threads).
 from collections import deque
 from typing import Deque, Generator
 
-from repro.sim.kernel import SimEvent, Simulator
+from repro.sim.kernel import Interrupted, SimEvent, Simulator
 
 
 class Resource:
@@ -37,7 +37,16 @@ class Resource:
             return
         ev = SimEvent(self.sim)
         self._waiters.append(ev)
-        yield ev
+        try:
+            yield ev
+        except Interrupted:
+            # An interrupted waiter leaves the queue; a unit already
+            # handed to it goes on to the next.
+            if ev.fired:
+                self.release()
+            else:
+                self._waiters.remove(ev)
+            raise
         # The releaser transferred its unit to us; in_use stays constant.
 
     def release(self) -> None:

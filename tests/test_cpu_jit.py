@@ -992,21 +992,29 @@ class TestColdRuns:
             stops.add(out[0])
         assert stops == {StopReason.CYCLE_LIMIT, StopReason.HALT}
 
-    @pytest.mark.parametrize("exit_on_fire", [False, True])
-    def test_event_due_inside_a_cold_run(self, exit_on_fire):
+    @pytest.mark.parametrize("deprivileged", [False, True])
+    def test_event_due_inside_a_cold_run(self, deprivileged):
         from repro.devices.irq import IRQ_TIMER_LINE, InterruptController
         from repro.devices.schedule import EventSchedule
 
+        class VirqQueue(set):  # a deprivileged guest's, for its VMM
+            def assert_irq(self, cause):
+                self.add(cause)
+
         def setup(cpu):
             cpu.csr[CSR.IE] = 1
+            if deprivileged:
+                cpu.virqs = VirqQueue()
             cpu.events = EventSchedule(
-                [(4, IRQ_TIMER_LINE)], InterruptController(cpu, dev_metrics()),
-                None, exit_on_fire=exit_on_fire)
+                [(4, IRQ_TIMER_LINE)],
+                InterruptController(cpu.virqs if deprivileged else cpu, dev_metrics()),
+                None)
 
         cpu, probed, out = self._pair(self._LINE, setup, max_instructions=100)
-        if exit_on_fire:
+        if deprivileged:
+            # The virq is left pending at edge 4: the VMM's to inject.
             assert out[0] is StopReason.EVENT and out[1] == 4
-            assert probed == [0x1000]
+            assert probed == [0x1000] and cpu.virqs == {Cause.IRQ_TIMER}
         else:
             # Delivered at edge 4: the vector's block, then the rest of
             # the line from where the handler returned to.

@@ -68,7 +68,15 @@ def _sti_loop_image(trips):
     return {ENTRY: head + body, VEC: vec}
 
 
-def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
+class _VirqQueue(set):
+    """A deprivileged guest's virq queue: the PIC's lines land here, for
+    a VMM to inject, instead of on the core."""
+
+    def assert_irq(self, cause):
+        self.add(cause)
+
+
+def _cpu(image, jit, events=None, injector=None, deprivileged=False):
     costs = CostModel()
     pm = PhysicalMemory(MEM)
     for addr, data in image.items():
@@ -76,11 +84,12 @@ def _cpu(image, jit, events=None, injector=None, exit_on_fire=False):
     cpu = CPUCore(BareMMU(pm, costs), port_bus=None, jit=jit)
     cpu.mmu.tlb = TLB(16)
     cpu.reset(ENTRY)
+    if deprivileged:
+        cpu.virqs = _VirqQueue()
     if events is not None:
-        pic = InterruptController(cpu, dev_metrics())
+        pic = InterruptController(cpu.virqs if deprivileged else cpu, dev_metrics())
         pic.injector = injector
-        cpu.events = EventSchedule(
-            events, pic, None, injector=injector, exit_on_fire=exit_on_fire)
+        cpu.events = EventSchedule(events, pic, None, injector=injector)
     return cpu
 
 
@@ -169,13 +178,13 @@ class TestDeliveryRule:
         assert cpu.regs[5] == 1  # exactly one handler round-trip
         assert cpu.csr[CSR.ECAUSE] == int(Cause.IRQ_TIMER)
 
-    def test_exit_on_fire_stops_at_the_exact_edge(self):
+    def test_a_virq_left_pending_stops_at_the_exact_edge(self):
         cpu = _cpu(_sti_loop_image(40), jit=False, events=[(10, 0)],
-                   exit_on_fire=True)
+                   deprivileged=True)
         res = _run_core(cpu, 10_000)
         assert res.stop is StopReason.EVENT
         assert cpu.instret == 10  # edge N, before the fetch of N+1
-        assert Cause.IRQ_TIMER in cpu.pending_irqs
+        assert cpu.virqs == {Cause.IRQ_TIMER} and not cpu.pending_irqs
 
     @pytest.mark.parametrize("due", [1, 9, 10, 11, 37, 100])
     def test_jit_matches_interp_bit_for_bit(self, due):
@@ -272,8 +281,7 @@ class TestHLTAtDueEdgeVMM:
         hv.reset_vcpu(vm, ENTRY)
         cpu = vm.vcpus[0].cpu
         cpu.events = EventSchedule(
-            [(due, IRQ_TIMER_LINE)], vm.pic, vm.devices["console"],
-            exit_on_fire=virt_mode is not VirtMode.HW_ASSIST)
+            [(due, IRQ_TIMER_LINE)], vm.pic, vm.devices["console"])
         out = hv.run(vm, max_guest_instructions=100, max_cycles=2_000_000)
         return out, cpu
 

@@ -2,22 +2,26 @@
 
 ``Hypervisor.run`` lends the core its exit service (``cpu.run(...,
 on_exit=service)``); where nothing the pump's loop-top looks at has
-changed, the guest resumes inside the same ``cpu.run`` call. A
-``watchdog`` passed to ``run`` makes the service answer False on every
-exit -- its beat cadence is per guest entry -- which is the path every
-exit took before: unwind to the pump, loop-top, re-entry. So every test
-here runs a guest twice, once plainly and once under a watchdog that
-can never trip, and compares everything the simulation can observe.
+changed, the guest resumes inside the same ``cpu.run`` call. The
+*pumped* route (:func:`_pumped`, a wrapper around ``CPUCore.run``) lends
+the core a service that answers False once it has serviced the exit:
+the path every exit took before, unwind to the pump, loop-top,
+re-entry. So every test here runs a guest both ways and compares
+everything the simulation can observe. A watchdog that can never trip
+beats at cycle stops of the core's run, and changes no simulated number
+either.
 
 The last section holds the two routes an exit takes into the VMM to one
 answer: a call from the intercept, and a ``VMExit`` that unwound.
 """
 
+import contextlib
 import inspect
+from unittest import mock
 
 import pytest
 
-from repro.core.hypervisor import PUMP_SLICE, RunOutcome
+from repro.core.hypervisor import RunOutcome
 from repro.core.policies import hmode_controls
 from repro.bench.common import GUEST_MEMORY
 from repro.cpu import jit as jitmod
@@ -44,8 +48,25 @@ def compile_on_first_visit(monkeypatch):
 
 def _never_trips():
     watchdog = GuestProgressWatchdog(MetricsRegistry().scope("watchdog"))
-    watchdog.idle_pump_limit = 1 << 60
+    watchdog.idle_beat_limit = 1 << 60
     return watchdog
+
+
+@contextlib.contextmanager
+def _pumped(pumped=True):
+    """Every exit back to the pump: ``CPUCore.run`` lends a service that
+    answers False once the VMM's service has run."""
+    if not pumped:
+        yield
+        return
+    run = CPUCore.run
+
+    def pumping_run(cpu, max_instructions=None, max_cycles=None, on_exit=None):
+        service = on_exit and (lambda *exit_: on_exit(*exit_) and False)
+        return run(cpu, max_instructions, max_cycles, service)
+
+    with mock.patch.object(CPUCore, "run", pumping_run):
+        yield
 
 
 def _bare(body):
@@ -81,8 +102,8 @@ vec:
     out  0xf0, a0
 """
 
-#: Power-off in the middle of a slice, with code after it that must
-#: not run.
+#: Power-off in the middle of a run, with code after it that must not
+#: run.
 POWER_OFF_MID_SLICE = """
     li   s0, 5
 loop:
@@ -174,15 +195,24 @@ def _full_state(vm, outcomes):
     }
 
 
-def _both_paths(label, jit, load, drive):
+def _both_paths(label, jit, load, drive, watched=False):
     """[state with exits resumed in place, state with the pump after
-    every exit]."""
+    every exit -- or, ``watched``, under a watchdog that never trips]."""
     states = []
-    for watchdog in (None, _never_trips()):
+    for second in (False, True):
         hv, vm = _create(label, jit)
         load(hv, vm, BY_LABEL[label][3])
-        states.append(_full_state(vm, drive(hv, vm, watchdog)))
+        with _pumped(second and not watched):
+            outcomes = drive(hv, vm, _never_trips() if second and watched else None)
+        states.append(_full_state(vm, outcomes))
     return states
+
+
+def _assert_same(label, scenario, first, second):
+    differing = [k for k in first if first[k] != second[k]]
+    assert not differing, f"{label}/{scenario}: " + ", ".join(
+        f"{k} ({second[k]!r} != {first[k]!r})"
+        for k in differing if k != "memory")
 
 
 @pytest.mark.parametrize("jit", [True, False], ids=["compiled", "interp"])
@@ -190,13 +220,19 @@ def _both_paths(label, jit, load, drive):
 @pytest.mark.parametrize("label", ROW_IDS)
 def test_resume_in_place_equals_pump(label, scenario, jit):
     resumed, pumped = _both_paths(label, jit, *SCENARIOS[scenario])
-    differing = [k for k in pumped if pumped[k] != resumed[k]]
-    assert not differing, f"{label}/{scenario}: " + ", ".join(
-        f"{k} ({pumped[k]!r} != {resumed[k]!r})"
-        for k in differing if k != "memory")
+    _assert_same(label, scenario, resumed, pumped)
     # (The translator runs guest kernel mode itself: its port writes
     # are callouts, not exits.)
     assert sum(pumped["exits"].values()) > 0 or label == "bin-transl"
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_a_watchdog_changes_no_simulated_number(label, scenario):
+    # Its beats are cycle stops of the core's run: the run is split
+    # there, and a split run costs what the unsplit one costs.
+    _assert_same(label, scenario, *_both_paths(label, True, *SCENARIOS[scenario],
+                                               watched=True))
 
 
 def test_scenarios_end_the_way_their_names_say():
@@ -266,15 +302,15 @@ def test_cycle_budget_stops_at_the_same_edge(label, quantum):
     # core's own ceiling drops by what each exit charged the VMM, so
     # six budgets in a row end where six pump-serviced ones do.
     trails = []
-    for watchdog in (False, True):
+    for pumped in (False, True):
         hv, vm = _create(label, True)
         _load_exit_dense(hv, vm, label)
         cpu = vm.vcpus[0].cpu
         before = vm.stats.world_switches
         trail = []
         for _ in range(6):
-            outcome = hv.run(vm, max_cycles=quantum,
-                             watchdog=_never_trips() if watchdog else None)
+            with _pumped(pumped):
+                outcome = hv.run(vm, max_cycles=quantum)
             trail.append((outcome, cpu.cycles, cpu.instret, cpu.pc,
                           vm.stats.vmm_cycles, vm.stats.world_switches))
         trails.append(trail)
@@ -288,17 +324,17 @@ def test_instruction_budget_spent_on_an_exit_edge(label):
     # The budget runs out exactly as an intercepted OUT retires: the
     # pump returns before anything due at that edge fires, either way.
     trails = []
-    for watchdog in (False, True):
+    for pumped in (False, True):
         hv, vm = _create(label, True)
         _alone(lambda: port_storm(50))(hv, vm, False)
         cpu = vm.vcpus[0].cpu
         spent = cpu.instret
         trail = []
         for budget in (2, 3, 3, 1, 7, 3):
-            outcome = hv.run(vm, max_guest_instructions=budget,
-                             watchdog=_never_trips() if watchdog else None)
+            with _pumped(pumped):
+                outcome = hv.run(vm, max_guest_instructions=budget)
             spent += budget
-            assert cpu.instret == spent, (watchdog, budget)
+            assert cpu.instret == spent, (pumped, budget)
             trail.append((outcome, cpu.cycles, cpu.instret, cpu.pc,
                           vm.stats.vmm_cycles, vm.stats.world_switches))
         trails.append(trail)
@@ -313,57 +349,51 @@ def test_triple_fault_text_is_the_same(label):
     # which the service re-dispatches once. Hardware-assist rows: the
     # core's own delivery exits with TRIPLE_FAULT directly.
     texts = []
-    for watchdog in (None, _never_trips()):
+    for pumped in (False, True):
         hv, vm = _create(label, True)
         _alone(lambda: _bare("    out  0x10, a0\n    syscall 3\n"))(
             hv, vm, False)
-        with pytest.raises(GuestError, match="triple fault") as info:
-            hv.run(vm, max_guest_instructions=100, watchdog=watchdog)
+        with pytest.raises(GuestError, match="triple fault") as info, _pumped(pumped):
+            hv.run(vm, max_guest_instructions=100)
         texts.append((str(info.value), vm.stats.world_switches,
                       dict(vm.exit_stats.counts)))
     assert texts[0] == texts[1]
 
 
-def test_core_entries_scale_with_slices_not_exits(monkeypatch):
+def test_core_entries_do_not_scale_with_exits(monkeypatch):
     entries = []
+    run = CPUCore.run
 
-    def count(engine):
-        engine_run = engine.run
+    def counting_run(cpu, *args, **kwargs):
+        entries.append(cpu)
+        return run(cpu, *args, **kwargs)
 
-        def counting_run(self, *args, **kwargs):
-            entries.append(engine)
-            return engine_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "run", counting_run)
-
-    count(CPUCore)
+    monkeypatch.setattr(CPUCore, "run", counting_run)
+    # 3,001 exits, all resumed in place: one entry, to the power-off.
     hv, vm = _create("hw+nested", True)
     _alone(lambda: port_storm(3000))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
-    instret = vm.vcpus[0].cpu.instret
     assert vm.exit_stats.total_exits == 3001
-    assert len(entries) <= instret // PUMP_SLICE + 2
+    assert len(entries) == 1
 
-    # The translator's callouts are not exits, and its runs are the
-    # core's, on the same instruction slices: one entry a slice.
+    # The translator's callouts are not exits: one entry too.
     del entries[:]
     hv, vm = _create("bin-transl", True)
     _alone(lambda: port_storm(3000))(hv, vm, False)
     assert hv.run(vm, max_guest_instructions=100_000) is RunOutcome.SHUTDOWN
-    instret = vm.vcpus[0].cpu.instret
     assert vm.exit_stats.total_exits == 0
-    assert len(entries) <= instret // PUMP_SLICE + 2
+    assert len(entries) == 1
 
     # With the timer armed exits resume without the pump too: the core
-    # fires the timer itself, on the edge its deadline falls on.
+    # fires the timer itself, on the edge its deadline falls on. What
+    # comes back is each HLT the guest idles in, for the pump to sleep.
     del entries[:]
     hv, vm = _create("hw+nested", True)
     SCENARIOS["timer_kernel"][0](hv, vm, False)
     assert hv.run(vm, max_guest_instructions=2_000_000) is RunOutcome.SHUTDOWN
-    instret = vm.vcpus[0].cpu.instret
     assert vm.devices["timer"].expirations >= 3
     assert vm.exit_stats.total_exits > 20
-    assert len(entries) <= instret // PUMP_SLICE + 2
+    assert len(entries) == vm.exit_stats.counts["hlt"] + 1
 
 
 def test_service_is_lent_for_the_call_only():

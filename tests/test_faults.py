@@ -184,7 +184,7 @@ def test_hmode_sites_pin_like_any_other():
 
 def test_watchdog_fires_only_on_flatlined_progress():
     wd = GuestProgressWatchdog(MetricsRegistry().scope("faults.watchdog"))
-    wd.idle_pump_limit = 3
+    wd.idle_beat_limit = 3
     assert not any(wd.beat(instret) for instret in (100, 200, 300))
     assert not wd.beat(300)
     assert not wd.beat(300)
@@ -405,11 +405,10 @@ def test_watchdog_detects_stalled_vcpu_and_microreboot_recovers(hypervisor):
         FaultSpec("vcpu.stall", rate=1.0, after=2, count=1)
     )
     rebooter = MicroRebooter(hypervisor)
-    rebooter.checkpoint(vm)
     instret_before = vm.vcpus[0].cpu.instret
 
     wd = GuestProgressWatchdog(MetricsRegistry().scope("faults.watchdog"))
-    wd.idle_pump_limit = 4
+    wd.idle_beat_limit = 4
     outcome = hypervisor.run(vm, max_guest_instructions=80_000_000,
                              watchdog=wd)
     assert outcome is RunOutcome.HUNG

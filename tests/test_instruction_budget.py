@@ -21,7 +21,7 @@ from repro.devices.irq import IRQ_TIMER_LINE
 from repro.devices.schedule import EventSchedule
 from repro.fuzz.diff import GUEST_CSRS
 from repro.guest.layout import GuestLayout
-from tests.test_jit_vmm_parity import BY_LABEL, ROW_IDS, _create, _state
+from tests.test_jit_vmm_parity import ROW_IDS, _create, _state
 
 
 @pytest.fixture(autouse=True)
@@ -90,9 +90,7 @@ def _machine(label, jit, source=LOOP, events=EVENTS):
     image = Assembler().assemble(source)
     hv.load_program(vm, image)
     hv.reset_vcpu(vm, image.entry)
-    vm.vcpus[0].cpu.events = EventSchedule(
-        events, vm.pic, vm.devices["console"],
-        exit_on_fire=BY_LABEL[label][1] is not VirtMode.HW_ASSIST)
+    vm.vcpus[0].cpu.events = EventSchedule(events, vm.pic, vm.devices["console"])
     return hv, vm
 
 

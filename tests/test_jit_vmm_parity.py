@@ -541,6 +541,25 @@ def test_code_overwritten_by_device_dma(label):
     _assert_same(*states, what=label)
 
 
+@pytest.mark.parametrize("edge", [31, 32, 38])
+def test_code_overwritten_between_runs_is_fetched_next(edge):
+    # A run stopped before a loop iteration, or after its OUT (the
+    # translator then carries the rest of the block into the next run),
+    # and the loop's decrement patched while the count is even: the new
+    # code runs from the next fetch on, as on hw-nested, which fetches
+    # every instruction.
+    gpa, new_bytes = _port_loop_patch()
+    states = []
+    for label in ("hw+nested", "bin-transl"):
+        hv, vm = _create(label, True)
+        _load(hv, vm, label, "port_loop")
+        assert hv.run(vm, max_guest_instructions=edge) is RunOutcome.INSTR_LIMIT
+        vm.guest_mem.write_bytes(gpa, new_bytes)
+        state = _finish(hv, vm)
+        states.append({k: state[k] for k in ("instret", "pc", "regs", "console")})
+    assert states[0] == states[1]
+
+
 @pytest.mark.parametrize("label", ["trap-emulate", "bin-transl", "hw+shadow"])
 def test_code_overwritten_by_an_emulated_store(label):
     # emulate_guest_store finishes a trapped guest store in the monitor

@@ -230,7 +230,7 @@ class TestHypervisorIntegration:
             reg.scope(f"faults.watchdog.{vm.name}"))
             for vm in (stalls, healthy)}
         for watchdog in watchdogs.values():
-            watchdog.idle_pump_limit = 4
+            watchdog.idle_beat_limit = 4
         outcomes, _dispatches, _finished = round_robin(
             hv, [stalls, healthy], 20_000, watchdogs)
         assert outcomes["stalls"] is RunOutcome.HUNG
