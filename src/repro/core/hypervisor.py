@@ -255,7 +255,7 @@ class Hypervisor:
             for name, handler in self._write_fault_handlers:
                 if handler(vm, gfn):
                     return name, self.costs.shadow_fill_cycles
-            mmu.unprotect_gfn(gfn)
+            mmu.unprotect_gfns((gfn,))
             return "dirty_log", self.costs.emulate_cycles
         if gfn not in mem.map:
             for name, handler in self._ept_fault_handlers + self._ept_fault_fallbacks:
@@ -273,7 +273,7 @@ class Hypervisor:
                 raise MemoryError_(f"EPT fault handler {name!r} left gfn "
                                    f"{gfn} unmapped in {vm.name}")
         # Backed, but not in the G-stage yet (the claim, a post-copy push).
-        mmu.map_gfn(gfn, mem.map[gfn])
+        mmu.map_gfns({gfn: mem.map[gfn]})
         return "ept_violation", self.costs.shadow_fill_cycles
 
     def _vmm_fault(self, vm: VirtualMachine, gfn: int, write: bool) -> None:
@@ -299,13 +299,13 @@ class Hypervisor:
             raise ConfigError(f"duplicate VM name {config.name!r}")
         guest_mem = GuestMemory(self.physmem, bytes_to_pages(config.memory_bytes))
         if config.prealloc:
-            for gfn in range(guest_mem.num_pages):
-                guest_mem.map_page(gfn, self.allocator.alloc())
+            guest_mem.map.update(enumerate(
+                self.allocator.alloc_many(guest_mem.num_pages)))
         gstage = None
         if config.mmu_mode is not MMUVirtMode.SHADOW:
             gstage = AddressSpace(self.physmem, self.allocator)
-            for gfn, hfn in guest_mem.map.items():
-                gstage.map(gfn << PAGE_SHIFT, hfn << PAGE_SHIFT, GSTAGE_BACKED)
+            gstage.rewrite_leaves(0, {gfn: (hfn << PAGE_SHIFT) | GSTAGE_BACKED
+                                      for gfn, hfn in guest_mem.map.items()})
             gstage.checkpoint()
         return self._build_machine(config, guest_mem, gstage, {})
 
@@ -866,7 +866,7 @@ class Hypervisor:
         """
         if gfn >= vm.num_pages or not vm.guest_mem.is_mapped(gfn):
             return False
-        vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
+        vm.vcpus[0].cpu.mmu.drop_gfns((gfn,))
         hfn = vm.guest_mem.unmap_page(gfn)
         if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
             self.allocator.free(hfn)
@@ -882,7 +882,7 @@ class Hypervisor:
         hfn = self.allocator.alloc()
         vm.guest_mem.map_page(gfn, hfn)
         vm.ballooned_gfns.discard(gfn)
-        vm.vcpus[0].cpu.mmu.map_gfn(gfn, hfn)
+        vm.vcpus[0].cpu.mmu.map_gfns({gfn: hfn})
         self.registry.counter("overcommit.balloon.deflations").inc()
         self.registry.counter("overcommit.operations").inc()
         return True

@@ -33,7 +33,7 @@ switches on virtual privilege transitions, flushing the TLB each time --
 a real, measured cost of software virtualization.
 """
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Collection, Dict, Optional, Set, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
 from repro.cpu.mmu import MMUBase
@@ -259,33 +259,35 @@ class ShadowMMU(MMUBase):
             space.unmap(va)
             self.tlb.invalidate(va >> PAGE_SHIFT)
 
-    def write_protect_gfn(self, gfn: int) -> None:
-        """Start dirty-logging ``gfn`` (live migration)."""
-        self.guest_mem.write_protected.add(gfn)
-        self._downgrade_writable(gfn)
+    def write_protect_gfns(self, gfns: Collection[int]) -> None:
+        """Start dirty-logging ``gfns`` (live migration, sharing)."""
+        if gfns:
+            self.guest_mem.write_protected.update(gfns)
+            self._downgrade_writable(gfns)
+            self.tlb.flush()
 
-    def unprotect_gfn(self, gfn: int) -> None:
-        self.guest_mem.write_protected.discard(gfn)
+    def unprotect_gfns(self, gfns: Collection[int]) -> None:
+        self.guest_mem.write_protected.difference_update(gfns)
 
-    def map_gfn(self, gfn: int, hfn: int) -> None:
-        """The host backed ``gfn``: shadows fill lazily."""
+    def map_gfns(self, hfns: Dict[int, int]) -> None:
+        """The host backed ``hfns``: shadows fill lazily."""
 
-    def drop_gfn(self, gfn: int) -> None:
-        """Remove every shadow mapping of a guest frame (balloon, swap,
-        sharing break)."""
-        for space_key, page_va in self._fills.pop(gfn, ()):
-            space = self._spaces.get(space_key)
-            if space is not None:
-                space.unmap(page_va)
-        self.tlb.flush()
+    def drop_gfns(self, gfns: Collection[int]) -> None:
+        """Remove every shadow mapping of guest frames (balloon, swap,
+        restore, sharing)."""
+        if gfns:
+            for space, vpns in self._filled(gfns, self._fills.pop).items():
+                space.rewrite_leaves(0, vpns)
+            self.tlb.flush()
 
-    def rebind_gfn(self, gfn: int, hfn: int, writable: bool) -> None:
-        """``gfn`` is now backed by ``hfn``: refill from there, lazily."""
-        self.drop_gfn(gfn)
+    def rebind_gfns(self, hfns: Dict[int, int], writable: bool) -> None:
+        """Each gfn of ``hfns`` is now backed by its hfn: refill from
+        there, lazily."""
+        self.drop_gfns(hfns)
         if writable:
-            self.guest_mem.write_protected.discard(gfn)
+            self.guest_mem.write_protected.difference_update(hfns)
         else:
-            self.guest_mem.write_protected.add(gfn)
+            self.guest_mem.write_protected.update(hfns)
 
     def destroy(self) -> None:
         for space in self._spaces.values():
@@ -326,17 +328,27 @@ class ShadowMMU(MMUBase):
         if gfn in self.pt_gfns:
             return
         self.pt_gfns.add(gfn)
-        if self.trap_pt_writes:
-            self._downgrade_writable(gfn)
+        if self.trap_pt_writes and gfn in self._fills:
+            self._downgrade_writable((gfn,))
 
-    def _downgrade_writable(self, gfn: int) -> None:
-        """Make every existing writable shadow mapping of gfn read-only."""
-        for space_key, page_va in self._fills.get(gfn, ()):
-            space = self._spaces.get(space_key)
-            if space is not None and (
-                space.rewrite_leaf(page_va, ~PTE_WRITABLE, 0) & PTE_WRITABLE
-            ):
-                self.tlb.invalidate(page_va >> PAGE_SHIFT)
+    def _downgrade_writable(self, gfns: Collection[int]) -> None:
+        """Make every existing writable shadow mapping of ``gfns``
+        read-only."""
+        for space, vpns in self._filled(gfns, self._fills.get).items():
+            for vpn, old in space.rewrite_leaves(~PTE_WRITABLE, vpns).items():
+                if old & PTE_WRITABLE:
+                    self.tlb.invalidate(vpn)
+
+    def _filled(self, gfns: Collection[int], fills) -> Dict[AddressSpace, Dict[int, int]]:
+        """``{shadow space: {vpn: 0}}`` of every entry a fill of ``gfns``
+        made, each gfn's fills taken by ``fills(gfn, ())``."""
+        spaces: Dict[AddressSpace, Dict[int, int]] = {}
+        for gfn in gfns:
+            for space_key, page_va in fills(gfn, ()):
+                space = self._spaces.get(space_key)
+                if space is not None:
+                    spaces.setdefault(space, {})[page_va >> PAGE_SHIFT] = 0
+        return spaces
 
     def _space_key(self) -> Tuple[int, bool]:
         view = self.kernel_view if self.ring_compression else True

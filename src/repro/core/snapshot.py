@@ -170,16 +170,23 @@ class VMSnapshot:
 
 
 def snapshot_vm(vm: VirtualMachine) -> VMSnapshot:
-    """Capture a paused VM (the caller must not run it concurrently)."""
+    """Capture a paused VM (the caller must not run it concurrently).
+
+    Resident frames are read by hfn; a gfn the host holds elsewhere
+    (swap) is read through the guest accessor, which brings it back: it
+    is the guest's memory as much as a resident one. Ballooned gfns
+    stay out."""
+    mem = vm.guest_mem
+    reads = [(gfn, mem.host.read_frame, hfn) for gfn, hfn in mem.map.items()]
+    reads += [(gfn, mem.read_gfn, gfn) for gfn in range(vm.num_pages)
+              if gfn not in mem.map and gfn not in vm.ballooned_gfns]
     pages: Dict[int, bytes] = {}
-    mapped: Set[int] = set()
-    for gfn in vm.guest_mem.map:
-        mapped.add(gfn)
-        content = vm.guest_mem.read_gfn(gfn)
+    for gfn, read, frame in reads:
+        content = read(frame)
         if content != _ZERO_PAGE:
             pages[gfn] = content
-    return VMSnapshot(config=vm.config, state=capture_state(vm),
-                      pages=pages, mapped_gfns=mapped)
+    return VMSnapshot(config=vm.config, state=capture_state(vm), pages=pages,
+                      mapped_gfns={gfn for gfn, _read, _frame in reads})
 
 
 def restore_vm(hypervisor, snapshot: VMSnapshot,
@@ -188,12 +195,14 @@ def restore_vm(hypervisor, snapshot: VMSnapshot,
     vm = hypervisor.create_vm(replace(
         snapshot.config, name=name or snapshot.config.name, prealloc=True))
     # Drop frames that were not mapped at snapshot time (balloon).
-    for gfn in list(vm.guest_mem.map):
-        if gfn not in snapshot.mapped_gfns:
-            vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
-            hypervisor.allocator.free(vm.guest_mem.unmap_page(gfn))
+    mem = vm.guest_mem
+    gone = [gfn for gfn in mem.map if gfn not in snapshot.mapped_gfns]
+    vm.vcpus[0].cpu.mmu.drop_gfns(gone)
+    for gfn in gone:
+        hypervisor.allocator.free(mem.unmap_page(gfn))
+    write_frame = hypervisor.physmem.write_frame
     for gfn, content in snapshot.pages.items():
-        vm.guest_mem.write_gfn(gfn, content)
+        write_frame(mem.map[gfn], content)
     try:
         apply_state(vm, snapshot.state)
     except ConfigError:

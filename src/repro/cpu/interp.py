@@ -36,6 +36,7 @@ the same instruction against virtual state.
 import enum
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.cpu.exits import ExecControls, ExitReason, ExitUnwind, VMExit
@@ -88,6 +89,11 @@ class TrapInfo(NamedTuple):
     cause: Cause
     value: int
     epc: int
+
+
+#: ``TrapInfo((cause, value, epc))`` with no Python-level call (the
+#: NamedTuple's generated ``__new__`` is one): what ``CPUCore.trap`` uses.
+_trap_info = partial(tuple.__new__, TrapInfo)
 
 
 class StopReason(enum.Enum):
@@ -238,7 +244,7 @@ class CPUCore:
 
     def trap(self, cause: Cause, value: int, epc: int,
              ins: Optional[Instruction] = None) -> None:
-        info = TrapInfo(cause, value, epc)
+        info = _trap_info((cause, value, epc))
         ctl = self.controls
         if ctl is not None and (ctl.trap_exits >> cause) & 1:
             service = self._service

@@ -22,16 +22,27 @@ The two virtualized MMUs also share one **host memory-control surface**,
 so the hypervisor, overcommit and migration code call the MMU instead
 of branching on its class:
 
-* ``map_gfn(gfn, hfn)`` -- the host backed a guest frame (eager under
-  two-stage paging; a no-op under shadow, which refills lazily);
-* ``rebind_gfn(gfn, hfn, writable)`` -- ``gfn`` is now backed by
-  ``hfn``, whatever backed it before, and a write to it does or does
-  not raise a ``dirty_log`` exit (sharing: merge and copy-on-write);
-* ``drop_gfn(gfn)`` -- forget every translation of a guest frame before
-  the host takes its backing away (balloon, swap);
-* ``write_protect_gfn(gfn)`` / ``unprotect_gfn(gfn)`` -- dirty logging
-  and copy-on-write (the next write raises a ``dirty_log`` exit); both
-  MMUs keep the guest's one set, ``GuestMemory.write_protected``.
+* ``map_gfns({gfn: hfn})`` -- the host backed guest frames (eager
+  under two-stage paging; a no-op under shadow, which refills lazily);
+* ``rebind_gfns({gfn: hfn}, writable)`` -- each ``gfn`` is now backed
+  by its ``hfn``, whatever backed it before, and a write to it does or
+  does not raise a ``dirty_log`` exit (sharing: merge and copy-on-write);
+* ``drop_gfns(gfns)`` -- forget every translation of guest frames
+  before the host takes their backing away (balloon, swap, restore);
+* ``write_protect_gfns(gfns)`` / ``unprotect_gfns(gfns)`` -- dirty
+  logging and copy-on-write (the next write raises a ``dirty_log``
+  exit); both MMUs keep the guest's one set,
+  ``GuestMemory.write_protected``, which every gfn named joins or
+  leaves, backed or not.
+
+Every call takes a set (one gfn is a set of one), and no guest runs
+while it edits: the second stage is one
+:meth:`~repro.mem.paging.AddressSpace.rewrite_leaves`, which reaches
+each leaf table once, and the TLB is flushed at most once -- by
+``rebind_gfns`` and the shadow ``drop_gfns`` / ``write_protect_gfns``
+of a non-empty set, by the two-stage ones when a named leaf was
+present. ``tests/test_memory_control_sets.py`` holds each call to the
+same calls made one gfn at a time.
 
 Teardown is where they differ: shadow tables are derived from the
 guest's and die with the MMU (``ShadowMMU.destroy()``); the second-stage
@@ -39,7 +50,7 @@ table is the host's own record of the guest's backing, so the
 hypervisor frees -- or, recycling a VM, keeps -- ``TwoStageMMU.ept``.
 """
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Collection, Dict, Optional, Tuple
 
 from repro.cpu.exits import ExitReason, VMExit
 from repro.mem.costs import CostModel
@@ -204,36 +215,46 @@ class TwoStageMMU(MMUBase):
 
     # -- host memory control ---------------------------------------------------
 
-    def map_gfn(self, gfn: int, hfn: int) -> None:
-        """Back guest frame ``gfn`` with host frame ``hfn`` in the EPT."""
-        self.guest_mem.write_protected.discard(gfn)
-        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0,
-                              (hfn << PAGE_SHIFT) | GSTAGE_BACKED)
+    def map_gfns(self, hfns: Dict[int, int]) -> None:
+        """Back each guest frame ``gfn`` of ``hfns`` with host frame
+        ``hfns[gfn]`` in the EPT."""
+        self.guest_mem.write_protected.difference_update(hfns)
+        leaves = {}
+        for gfn, hfn in hfns.items():
+            leaves[gfn] = (hfn << PAGE_SHIFT) | GSTAGE_BACKED
+        self.ept.rewrite_leaves(0, leaves)
 
-    def rebind_gfn(self, gfn: int, hfn: int, writable: bool) -> None:
-        """``gfn`` is now backed by ``hfn``, whatever backed it before."""
-        leaf = (hfn << PAGE_SHIFT) | GSTAGE_BACKED
+    def rebind_gfns(self, hfns: Dict[int, int], writable: bool) -> None:
+        """Each ``gfn`` of ``hfns`` is now backed by ``hfns[gfn]``,
+        whatever backed it before."""
+        if not hfns:
+            return
+        flags = GSTAGE_BACKED
         if writable:
-            self.guest_mem.write_protected.discard(gfn)
+            self.guest_mem.write_protected.difference_update(hfns)
         else:
-            self.guest_mem.write_protected.add(gfn)
-            leaf &= ~PTE_WRITABLE
-        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0, leaf)
+            self.guest_mem.write_protected.update(hfns)
+            flags &= ~PTE_WRITABLE
+        leaves = {}
+        for gfn, hfn in hfns.items():
+            leaves[gfn] = (hfn << PAGE_SHIFT) | flags
+        self.ept.rewrite_leaves(0, leaves)
         self.tlb.flush()  # conservatively drop combined translations
 
-    def drop_gfn(self, gfn: int) -> None:
-        """Unmap ``gfn`` from the EPT; its next access is an EPT violation."""
-        if self.ept.rewrite_leaf(gfn << PAGE_SHIFT, 0, 0):
+    def drop_gfns(self, gfns: Collection[int]) -> None:
+        """Unmap ``gfns`` from the EPT; the next access of each is an EPT
+        violation."""
+        if self.ept.rewrite_leaves(0, dict.fromkeys(gfns, 0)):
             self.tlb.flush()  # conservatively drop combined translations
 
-    def write_protect_gfn(self, gfn: int) -> None:
-        if self.ept.rewrite_leaf(gfn << PAGE_SHIFT, ~PTE_WRITABLE, 0):
-            self.guest_mem.write_protected.add(gfn)
+    def write_protect_gfns(self, gfns: Collection[int]) -> None:
+        self.guest_mem.write_protected.update(gfns)
+        if self.ept.rewrite_leaves(~PTE_WRITABLE, dict.fromkeys(gfns, 0)):
             self.tlb.flush()
 
-    def unprotect_gfn(self, gfn: int) -> None:
-        self.guest_mem.write_protected.discard(gfn)
-        self.ept.rewrite_leaf(gfn << PAGE_SHIFT, -1, PTE_WRITABLE)
+    def unprotect_gfns(self, gfns: Collection[int]) -> None:
+        self.guest_mem.write_protected.difference_update(gfns)
+        self.ept.rewrite_leaves(-1, dict.fromkeys(gfns, PTE_WRITABLE))
 
     # -- MMUBase interface ----------------------------------------------------
 

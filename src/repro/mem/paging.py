@@ -22,8 +22,9 @@ holds every one of those walks to a reference written out separately.
 
 import enum
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.util.errors import MemoryError_
@@ -271,46 +272,74 @@ class AddressSpace:
         self._table_frames = [self.root_pfn]
         self.mapped_pages = 0
         #: Table bytes as of :meth:`checkpoint`, one per table frame;
-        #: None once map / unmap / rewrite_leaf / clear_pde edits the tree.
+        #: None once map / unmap / rewrite_leaves / clear_pde edits the tree.
         self._checkpoint: Optional[List[bytes]] = None
 
     @property
     def root_pa(self) -> int:
         return self.root_pfn << PAGE_SHIFT
 
-    def rewrite_leaf(self, va: int, keep: int, put: int) -> int:
-        """Find the leaf of ``va`` once and store ``(leaf & keep) | put``.
+    def rewrite_leaves(self, keep: int, puts: Dict[int, int]) -> Dict[int, int]:
+        """Store ``(leaf & keep) | puts[vpn]`` into the leaf of each page
+        number ``vpn`` in ``puts``.
 
         The one edit under :meth:`map`, :meth:`unmap` and the MMUs' host
-        memory control. An absent leaf reads as 0 and one absent before
-        and after is not written; one made present gets its inner table
-        allocated. Returns the leaf as it was (0 when absent): a ``keep``
-        of -1 and a ``put`` of 0 only read it.
+        memory control. Each leaf table is reached once: its directory
+        entry read once, the leaves from its lowest to its highest edited
+        one read in one piece and, if any changed, written back in one
+        store. An absent leaf reads as 0 and one absent before and after
+        is not written; a table a present leaf needs is allocated.
+        Returns ``{vpn: leaf}`` of the edited leaves that were present,
+        as they were: a ``keep`` of -1 and puts of 0 only read them.
         """
         pm = self.physmem
-        pde_pa = (self.root_pfn << PAGE_SHIFT) + ((va >> 20) & 0xFFC)
-        pde = _U32.unpack_from(pm._data, pde_pa)[0]
-        if not pde & PTE_PRESENT:
-            if not put & PTE_PRESENT:
-                return 0
-            table_pfn = self.allocator.alloc(zero=True)
-            self._table_frames.append(table_pfn)
-            # Directory entries carry the union of permissions; leaf PTEs
-            # then restrict. Granting W|U here matches common kernels.
-            pde = make_pte(table_pfn, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
-            pm.write_u32(pde_pa, pde)
-        pte_pa = (pde & _FRAME_MASK) + ((va >> 10) & 0xFFC)
-        old = _U32.unpack_from(pm._data, pte_pa)[0]
-        if not old & PTE_PRESENT:
-            old = 0
-        new = (old & keep) | put
-        if not new & PTE_PRESENT:
-            new = 0
-        if new != old:
-            self._checkpoint = None
-            self.mapped_pages += (new & PTE_PRESENT) - (old & PTE_PRESENT)
-            pm.write_u32(pte_pa, new)
-        return old
+        data = pm._data
+        root = self.root_pfn << PAGE_SHIFT
+        vpns = sorted(puts)
+        olds = {}
+        start, end = 0, len(vpns)
+        while start < end:
+            dir_idx = vpns[start] >> 10
+            stop = bisect_left(vpns, (dir_idx + 1) << 10, start)
+            run = vpns[start:stop]
+            start = stop
+            pde_pa = root + 4 * dir_idx
+            pde = _U32.unpack_from(data, pde_pa)[0]
+            if not pde & PTE_PRESENT:
+                for vpn in run:
+                    if puts[vpn] & PTE_PRESENT:
+                        break
+                else:
+                    continue
+                table_pfn = self.allocator.alloc(zero=True)
+                self._table_frames.append(table_pfn)
+                # Directory entries carry the union of permissions; leaf
+                # PTEs then restrict. Granting W|U matches common kernels.
+                pde = make_pte(table_pfn, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
+                pm.write_u32(pde_pa, pde)
+            first = run[0] & 0x3FF
+            span_pa = (pde & _FRAME_MASK) + 4 * first
+            span = f"<{(run[-1] & 0x3FF) - first + 1}I"
+            leaves = list(struct.unpack_from(span, data, span_pa))
+            changed = False
+            for vpn in run:
+                at = (vpn & 0x3FF) - first
+                old = leaves[at]
+                if old & PTE_PRESENT:
+                    olds[vpn] = old
+                else:
+                    old = 0
+                new = (old & keep) | puts[vpn]
+                if not new & PTE_PRESENT:
+                    new = 0
+                if new != old:
+                    changed = True
+                    self.mapped_pages += (new & PTE_PRESENT) - (old & PTE_PRESENT)
+                    leaves[at] = new
+            if changed:
+                self._checkpoint = None
+                pm.write_bytes(span_pa, struct.pack(span, *leaves))
+        return olds
 
     def map(self, va: int, pa: int, flags: int) -> None:
         """Install a 4 KiB mapping; allocates an inner table if needed."""
@@ -318,11 +347,12 @@ class AddressSpace:
             raise MemoryError_(f"physical address {pa:#x} not page-aligned")
         if va & _FLAGS_MASK:
             raise MemoryError_(f"virtual address {va:#x} not page-aligned")
-        self.rewrite_leaf(va, 0, make_pte(pa >> PAGE_SHIFT, flags | PTE_PRESENT))
+        self.rewrite_leaves(0, {va >> PAGE_SHIFT: make_pte(pa >> PAGE_SHIFT,
+                                                            flags | PTE_PRESENT)})
 
     def unmap(self, va: int) -> None:
         """Remove a mapping (leaves inner tables in place)."""
-        self.rewrite_leaf(va, 0, 0)
+        self.rewrite_leaves(0, {va >> PAGE_SHIFT: 0})
 
     def clear_pde(self, dir_idx: int) -> None:
         """Drop one directory entry and its whole 4 MiB leaf table.

@@ -204,6 +204,22 @@ class FrameAllocator:
         self._allocated.add(pfn)
         return pfn
 
+    def alloc_many(self, count: int) -> List[int]:
+        """``count`` zeroed frames, the ones ``count`` calls of
+        :meth:`alloc` would hand out, in one pass (all or none)."""
+        reused = min(count, len(self._freed))
+        fresh = count - reused
+        if self._fresh + fresh > self.physmem.num_frames:
+            raise MemoryError_("out of physical frames")
+        pfns = self._freed[len(self._freed) - reused:][::-1]
+        del self._freed[len(self._freed) - reused:]
+        for pfn in pfns:
+            self.physmem.zero_frame(pfn)
+        pfns += range(self._fresh, self._fresh + fresh)
+        self._fresh += fresh
+        self._allocated.update(pfns)
+        return pfns
+
     def free(self, pfn: int) -> None:
         if pfn not in self._allocated:
             raise MemoryError_(f"double free or foreign frame {pfn}")

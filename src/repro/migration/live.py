@@ -106,10 +106,8 @@ class LiveMigrator:
         src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)
 
         def protect(gfns):
-            for gfn in gfns:
-                if vm.guest_mem.is_mapped(gfn):
-                    mmu.write_protect_gfn(gfn)
-            mmu.flush()
+            mmu.write_protect_gfns([gfn for gfn in gfns
+                                    if gfn in vm.guest_mem.map])
 
         all_gfns = sorted(vm.guest_mem.map)
         protect(all_gfns)

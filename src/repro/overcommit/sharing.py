@@ -65,6 +65,9 @@ class PageSharer:
         result = ScanResult()
         read_frame = self.hv.physmem.read_frame
         by_content: Dict[bytes, List[Tuple[VirtualMachine, int, int]]] = {}
+        #: Per VM, the gfns to write-protect and to rebind read-only:
+        #: each MMU is edited once, after every group is merged.
+        edits = {vm: (set(), {}) for vm in vms}
         for vm in vms:
             for gfn, hfn in sorted(vm.guest_mem.map.items()):
                 result.frames_scanned += 1
@@ -72,7 +75,10 @@ class PageSharer:
                     (vm, gfn, hfn))
         for group in by_content.values():
             if len(group) > 1:
-                self._merge_group(group, result)
+                self._merge_group(group, result, edits)
+        for vm, (protect, rebind) in edits.items():
+            self._mmu(vm).write_protect_gfns(protect)
+            self._mmu(vm).rebind_gfns(rebind, writable=False)
         result.shared_frames = len(self.refcount)
         m = self.metrics
         m.counter("scans").inc()
@@ -82,8 +88,9 @@ class PageSharer:
         self._ops.inc()
         return result
 
-    def _merge_group(self, group, result: ScanResult) -> None:
-        """Merge ``group``'s byte-identical frames into its first."""
+    def _merge_group(self, group, result: ScanResult, edits) -> None:
+        """Merge ``group``'s byte-identical frames into its first; the
+        MMU edits go to ``edits``."""
         # Within-group mapping counts per frame: a pre-existing
         # alias (two gfns already sharing one *untracked* frame)
         # must only be freed once its last group reference drops.
@@ -91,7 +98,7 @@ class PageSharer:
         for _vm, _gfn, hfn in group:
             alias_refs[hfn] = alias_refs.get(hfn, 0) + 1
         canon_vm, canon_gfn, canon_hfn = group[0]
-        self._mmu(canon_vm).write_protect_gfn(canon_gfn)
+        edits[canon_vm][0].add(canon_gfn)
         self.refcount.setdefault(canon_hfn, 1)
         self._sharers.add((canon_vm.name, canon_gfn))
         for vm, gfn, hfn in group[1:]:
@@ -102,7 +109,7 @@ class PageSharer:
                 # shared frame under every other sharer.
                 if (vm.name, gfn) not in self._sharers:
                     self.refcount[canon_hfn] += 1
-                    self._mmu(vm).write_protect_gfn(gfn)
+                    edits[vm][0].add(gfn)
                     self._sharers.add((vm.name, gfn))
                     result.pages_merged += 1
                 continue
@@ -120,7 +127,7 @@ class PageSharer:
                 result.frames_freed += 1
             vm.guest_mem.map_page(gfn, canon_hfn)
             self.refcount[canon_hfn] += 1
-            self._mmu(vm).rebind_gfn(gfn, canon_hfn, writable=False)
+            edits[vm][1][gfn] = canon_hfn
             self._sharers.add((vm.name, gfn))
             result.pages_merged += 1
 
@@ -145,7 +152,7 @@ class PageSharer:
         self.hv.physmem.write_frame(
             new_hfn, self.hv.physmem.read_frame(shared_hfn))
         vm.guest_mem.map_page(gfn, new_hfn)
-        self._mmu(vm).rebind_gfn(gfn, new_hfn, writable=True)
+        self._mmu(vm).rebind_gfns({gfn: new_hfn}, writable=True)
         self._sharers.discard((vm.name, gfn))
         self.cow_breaks += 1
         self._ops.inc()

@@ -65,7 +65,7 @@ class HostSwap:
         if self.hv.sharing is not None and self.hv.sharing.handles(vm, gfn):
             raise MemoryError_("cannot swap a shared page; break it first")
         content = vm.guest_mem.read_gfn(gfn)
-        vm.vcpus[0].cpu.mmu.drop_gfn(gfn)
+        vm.vcpus[0].cpu.mmu.drop_gfns((gfn,))
         hfn = vm.guest_mem.unmap_page(gfn)
         self.hv.allocator.free(hfn)
         self._store[(vm.name, gfn)] = content

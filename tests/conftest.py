@@ -39,9 +39,9 @@ def split_vaddr(va):
 
 def lookup(space, va):
     """The present leaf PTE of ``va`` in an ``AddressSpace``, or None:
-    the read half of its one edit, ``rewrite_leaf``, which keeps every
+    the read half of its one edit, ``rewrite_leaves``, which keeps every
     bit and so writes nothing."""
-    return space.rewrite_leaf(va, -1, 0) or None
+    return space.rewrite_leaves(-1, {va >> 12: 0}).get(va >> 12)
 
 
 def mappings(space):

@@ -52,7 +52,7 @@ class NestedEnv:
             for gfn in range(GUEST_PAGES):
                 hfn = self.alloc.alloc()
                 self.gm.map_page(gfn, hfn)
-                self.mmu.map_gfn(gfn, hfn)
+                self.mmu.map_gfns({gfn: hfn})
 
     def guest_map(self, va, gfn, flags):
         dir_idx, tbl_idx, _ = split_vaddr(va)
@@ -139,14 +139,14 @@ def test_dirty_log_protect_and_unprotect(make_mmu):
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
-    env.mmu.write_protect_gfn(5)
+    env.mmu.write_protect_gfns({5})
     with pytest.raises(VMExit) as info:
         env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
     assert info.value.qual("kind") == "dirty_log"
     assert info.value.qual("gfn") == 5
     # reads still fine
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
-    env.mmu.unprotect_gfn(5)
+    env.mmu.unprotect_gfns({5})
     env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
 
 
@@ -157,7 +157,7 @@ def test_dirty_logging_catches_guest_pt_pages_via_ad_writes(make_mmu):
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     pt_gfn = PT_GPA >> 12
-    env.mmu.write_protect_gfn(pt_gfn)
+    env.mmu.write_protect_gfns({pt_gfn})
     with pytest.raises(VMExit) as info:
         env.mmu.translate(0x40000000, AccessType.READ, user=True)
     assert info.value.qual("kind") == "dirty_log"
@@ -169,7 +169,7 @@ def test_ept_unmap_forces_refault(make_mmu):
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
-    env.mmu.drop_gfn(5)
+    env.mmu.drop_gfns({5})
     with pytest.raises(VMExit):
         env.mmu.translate(0x40000000, AccessType.READ, user=True)
 
@@ -191,7 +191,7 @@ def test_lazy_write_caching_after_dirty_round(make_mmu):
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.mmu.set_root(ROOT_GPA)
     env.mmu.translate(0x40000000, AccessType.READ, user=True)
-    env.mmu.write_protect_gfn(5)
+    env.mmu.write_protect_gfns({5})
     with pytest.raises(VMExit):
         env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
 

@@ -157,13 +157,13 @@ def test_dirty_log_exit_kind():
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.enable()
     env.translate_with_fill(0x40000000, AccessType.WRITE)
-    env.mmu.write_protect_gfn(5)
+    env.mmu.write_protect_gfns({5})
     with pytest.raises(VMExit) as info:
         env.mmu.translate(0x40000000, AccessType.WRITE, user=True)
     assert info.value.qual("kind") == "dirty_log"
     assert info.value.qual("gfn") == 5
     # after unprotecting, the write goes through (via a fill)
-    env.mmu.unprotect_gfn(5)
+    env.mmu.unprotect_gfns({5})
     env.translate_with_fill(0x40000000, AccessType.WRITE)
 
 
@@ -213,7 +213,7 @@ def test_drop_gfn_removes_mappings():
     env.guest_map(0x40000000, gfn=5, flags=PTE_WRITABLE | PTE_USER)
     env.enable()
     env.translate_with_fill(0x40000000, AccessType.WRITE)
-    env.mmu.drop_gfn(5)
+    env.mmu.drop_gfns({5})
     # Next access must fault back to the VMM (fill), not use stale maps.
     with pytest.raises(VMExit):
         env.mmu.translate(0x40000000, AccessType.READ, user=True)

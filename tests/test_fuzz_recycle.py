@@ -233,7 +233,7 @@ class TestRecycleVM:
         vm = _make(hv, prealloc=False)
         hfn = hv.allocator.alloc()  # the page the test program loads into
         vm.guest_mem.map_page(1, hfn)
-        vm.vcpus[0].cpu.mmu.map_gfn(1, hfn)
+        vm.vcpus[0].cpu.mmu.map_gfns({1: hfn})
         _assert_refused_and_runnable(hv, vm, "demand-paged")
 
     @pytest.mark.parametrize("mmu_mode", list(MMUVirtMode))

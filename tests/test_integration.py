@@ -85,21 +85,24 @@ def test_migrate_a_guest_with_shared_pages():
 
 
 def test_snapshot_a_partially_swapped_guest_fails_loudly_or_works():
-    # Snapshotting requires all pages resident; swap them back first.
-    hv = Hypervisor(memory_bytes=64 * MIB)
-    vm = start(hv, "s")
-    swap = HostSwap(hv)
-    swap.install(vm)
-    swap.swap_out(vm, 2000)
-    # swapped page is absent from the snapshot's mapped set
-    snap = snapshot_vm(vm)
-    assert 2000 not in snap.mapped_gfns
-    swap.swap_in(vm, 2000)
-    snap_full = snapshot_vm(vm)
-    assert 2000 in snap_full.mapped_gfns
-    clone = restore_vm(hv, snap_full, name="sc")
-    finish_ok(hv, clone)
-    finish_ok(hv, vm)
+    # A gfn the host holds in swap is guest memory: the snapshot brings
+    # it back and captures it, and a clone on another host finishes.
+    for mmu in (MMUVirtMode.NESTED, MMUVirtMode.SHADOW):
+        hv = Hypervisor(memory_bytes=64 * MIB)
+        vm = start(hv, "s", mmu=mmu)
+        swap = HostSwap(hv)
+        swap.install(vm)
+        swapped = [gfn for gfn in sorted(vm.guest_mem.map)
+                   if any(vm.guest_mem.read_gfn(gfn))][:8]
+        contents = {gfn: vm.guest_mem.read_gfn(gfn) for gfn in swapped}
+        for gfn in swapped:
+            swap.swap_out(vm, gfn)
+        snap = snapshot_vm(vm)
+        assert set(swapped) <= snap.mapped_gfns
+        assert {gfn: snap.pages[gfn] for gfn in swapped} == contents
+        host = Hypervisor(memory_bytes=64 * MIB)
+        finish_ok(host, restore_vm(host, snap, name="sc"))
+        finish_ok(hv, vm)
 
 
 def test_snapshot_then_migrate_the_clone():

@@ -419,8 +419,7 @@ def test_write_protect_round_under_a_store_inline_cache(label):
         dirtied = []
         hv.dirty_handlers[vm.name] = lambda _vm, gfn: dirtied.append(gfn)
         mmu = vm.vcpus[0].cpu.mmu
-        for gfn in sorted(vm.guest_mem.map):
-            mmu.write_protect_gfn(gfn)
+        mmu.write_protect_gfns(set(vm.guest_mem.map))
         state = _finish(hv, vm)
         state["dirtied"] = dirtied
         states.append(state)
@@ -431,7 +430,7 @@ def test_write_protect_round_under_a_store_inline_cache(label):
 @pytest.mark.parametrize("victim", ["code", "data"])
 @pytest.mark.parametrize("label", ["hw+shadow", "hw+nested", "hw+hmode"])
 def test_swap_out_of_a_frame_in_use(label, victim):
-    # drop_gfn (swap, balloon, COW break) takes a frame away: the one
+    # drop_gfns (swap, balloon, COW break) takes a frame away: the one
     # holding the hot block, or the ones behind the load and store
     # inline caches. They come back at other host frames.
     states = []
@@ -460,7 +459,7 @@ def test_swap_out_of_a_frame_in_use(label, victim):
 
 @pytest.mark.parametrize("label", ["hw+nested", "hw+hmode"])
 def test_page_sharing_and_cow_break_mid_loop(label):
-    # (Shadow paging's drop_gfn is the swap test's: a whole-guest scan
+    # (Shadow paging's drop_gfns is the swap test's: a whole-guest scan
     # under it sweeps every shadow space once per merged page.)
     states = []
     for jit in (False, True):

@@ -92,14 +92,13 @@ class TestAddressSpace:
         pm, alloc = env
         space = AddressSpace(pm, alloc)
         space.map(0x1000, 0x2000, PTE_WRITABLE | PTE_USER)
-        space.rewrite_leaf(0x1000, ~PTE_WRITABLE, 0)  # a write-protect
+        space.rewrite_leaves(~PTE_WRITABLE, {0x1: 0})  # a write-protect
         pte = lookup(space, 0x1000)
         assert not pte & PTE_WRITABLE and pte & PTE_USER
         assert pte_frame(pte) == 2
         # An absent leaf stays absent: nothing is mapped or allocated.
         frames = alloc.free_frames
-        assert space.rewrite_leaf(0x5000, ~PTE_WRITABLE, 0) == 0
-        assert space.rewrite_leaf(0x800000, ~PTE_WRITABLE, 0) == 0
+        assert space.rewrite_leaves(~PTE_WRITABLE, {0x5: 0, 0x800: 0}) == {}
         assert lookup(space, 0x5000) is None and alloc.free_frames == frames
 
     def test_mappings_iterates_all(self, env):
@@ -140,7 +139,7 @@ class TestAddressSpace:
         # the checkpoint rather than be undone by a later rollback.
         for edit in (lambda: space.map(0x5000, 0x6000, 0),
                      lambda: space.unmap(0x1000),
-                     lambda: space.rewrite_leaf(0x400000, ~PTE_WRITABLE, 0),
+                     lambda: space.rewrite_leaves(~PTE_WRITABLE, {0x400: 0}),
                      lambda: space.clear_pde(1)):
             space.checkpoint()
             edit()

@@ -1,7 +1,7 @@
 """The host memory-control surface of the virtualized MMUs.
 
-``map_gfn`` / ``rebind_gfn`` / ``drop_gfn`` / ``write_protect_gfn`` /
-``unprotect_gfn`` are how page sharing, ballooning, host swap and
+``map_gfns`` / ``rebind_gfns`` / ``drop_gfns`` / ``write_protect_gfns``
+/ ``unprotect_gfns`` are how page sharing, ballooning, host swap and
 migration edit a guest's backing without knowing which MMU it has.
 Two things are pinned here:
 
@@ -11,7 +11,7 @@ Two things are pinned here:
   it left before the surface did each edit in one leaf write (the
   digests were taken at the commit before), with the TLB empty after
   every edit;
-* ``ShadowMMU.drop_gfn`` finds a frame's shadow entries through its
+* ``ShadowMMU.drop_gfns`` finds a frame's shadow entries through its
   fill back-map and leaves what a sweep of every shadow table leaves.
 """
 
@@ -56,11 +56,12 @@ def _tables(mmu):
             sum(space.mapped_pages for _key, space in spaces))
 
 
-# Taken at the parent of the commit that introduced ``rebind_gfn``, by
+# Taken at the parent of the commit that introduced ``rebind_gfn`` (the
+# per-gfn form of ``rebind_gfns``), by
 # running this very scenario there: sha256 (first 16 hex digits) of the
 # JSON of everything ``note`` records at each step. The two-stage
 # "balloon", "swap-out" and "end" digests were retaken when the
-# write-protected set became one per guest: ``map_gfn`` now takes the
+# write-protected set became one per guest: ``map_gfns`` takes the
 # gfn it backs writable out of the set (the balloon's re-taken page),
 # and the new digests are the old scenario's with every gfn whose
 # G-stage leaf is writable left out of the recorded set.
@@ -170,7 +171,7 @@ def test_share_balloon_swap_sequence_leaves_the_same_state(mmu_mode):
     assert digests == GOLDEN[mmu_mode]
 
 
-# -- ShadowMMU.drop_gfn against the sweep it replaced -------------------------
+# -- ShadowMMU.drop_gfns against the sweep it replaced ------------------------
 
 
 def _sweep_drop(mmu, gfn):
@@ -212,7 +213,7 @@ def test_shadow_drop_gfn_leaves_what_the_sweep_leaves(virt_mode):
         assert len(before) == 2  # kernel and user view
 
     for gfn in targets:
-        mmu.drop_gfn(gfn)
+        mmu.drop_gfns({gfn})
         _sweep_drop(ref_mmu, gfn)
         assert _tables(mmu) == _tables(ref_mmu)
         assert len(mmu.tlb) == len(ref_mmu.tlb) == 0

@@ -134,8 +134,7 @@ class TestShadowNestedEquivalence:
             pm_n, alloc_n, gm_n = build_guest(mappings)
             mmu = TwoStageMMU(pm_n, alloc_n, gm_n, CostModel(), hmode=hmode,
                               ept=AddressSpace(pm_n, alloc_n))
-            for gfn, hfn in gm_n.map.items():
-                mmu.map_gfn(gfn, hfn)
+            mmu.map_gfns(gm_n.map)
             mmu.set_root(ROOT_GPA)
             two_stage.append((name, mmu, gm_n))
 

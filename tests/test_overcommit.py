@@ -241,7 +241,7 @@ class TestSharerAliases:
         """Map ``g2`` at ``g1``'s host frame, as a buggy balloon or
         migration path might leave behind; returns that frame."""
         h1 = vm.guest_mem.map[g1]
-        vm.vcpus[0].cpu.mmu.drop_gfn(g2)
+        vm.vcpus[0].cpu.mmu.drop_gfns({g2})
         hv.allocator.free(vm.guest_mem.unmap_page(g2))
         vm.guest_mem.map_page(g2, h1)
         return h1

@@ -138,7 +138,7 @@ class _Guest:
         hfn = self.hv.allocator.alloc(zero=False)
         self.hv.physmem.write_bytes(hfn * PAGE_SIZE, bytes(data))
         self.mem.map_page(gfn, hfn)
-        self.cpu.mmu.rebind_gfn(gfn, hfn, writable=True)
+        self.cpu.mmu.rebind_gfns({gfn: hfn}, writable=True)
 
     def observed(self):
         cpu = self.cpu
