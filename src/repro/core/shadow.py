@@ -260,11 +260,10 @@ class ShadowMMU(MMUBase):
             self.tlb.invalidate(va >> PAGE_SHIFT)
 
     def write_protect_gfns(self, gfns: Collection[int]) -> None:
-        """Start dirty-logging ``gfns`` (live migration, sharing)."""
-        if gfns:
-            self.guest_mem.write_protected.update(gfns)
-            self._downgrade_writable(gfns)
-            self.tlb.flush()
+        """Start dirty-logging ``gfns`` (live migration, sharing): each
+        shadow entry made writable goes from the TLB, nothing else."""
+        self.guest_mem.write_protected.update(gfns)
+        self._downgrade_writable(gfns)
 
     def unprotect_gfns(self, gfns: Collection[int]) -> None:
         self.guest_mem.write_protected.difference_update(gfns)

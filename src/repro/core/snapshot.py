@@ -24,6 +24,7 @@ Python versions.
 
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import Dict, Optional, Set
 
 from repro.core.modes import MMUVirtMode, VirtMode
@@ -172,21 +173,20 @@ class VMSnapshot:
 def snapshot_vm(vm: VirtualMachine) -> VMSnapshot:
     """Capture a paused VM (the caller must not run it concurrently).
 
-    Resident frames are read by hfn; a gfn the host holds elsewhere
-    (swap) is read through the guest accessor, which brings it back: it
-    is the guest's memory as much as a resident one. Ballooned gfns
-    stay out."""
+    Its memory is its resident frames, read by hfn, and the pages host
+    swap holds for it (``vm.swapped``), which stay swapped: the capture
+    changes nothing in the VM. Ballooned and never-backed gfns stay out,
+    and a restore leaves them unbacked."""
     mem = vm.guest_mem
-    reads = [(gfn, mem.host.read_frame, hfn) for gfn, hfn in mem.map.items()]
-    reads += [(gfn, mem.read_gfn, gfn) for gfn in range(vm.num_pages)
-              if gfn not in mem.map and gfn not in vm.ballooned_gfns]
+    resident = zip(mem.map, mem.host.read_frames(mem.map.values()))
     pages: Dict[int, bytes] = {}
-    for gfn, read, frame in reads:
-        content = read(frame)
+    mapped: Set[int] = set()
+    for gfn, content in chain(resident, vm.swapped.items()):
+        mapped.add(gfn)
         if content != _ZERO_PAGE:
             pages[gfn] = content
-    return VMSnapshot(config=vm.config, state=capture_state(vm), pages=pages,
-                      mapped_gfns={gfn for gfn, _read, _frame in reads})
+    return VMSnapshot(config=vm.config, state=capture_state(vm),
+                      pages=pages, mapped_gfns=mapped)
 
 
 def restore_vm(hypervisor, snapshot: VMSnapshot,

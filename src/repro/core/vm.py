@@ -197,6 +197,8 @@ class VirtualMachine:
         self.pending_virqs: Set[Cause] = set()
         #: set by the balloon driver: gfns surrendered to the host.
         self.ballooned_gfns: Set[int] = set()
+        #: set by host swap: gfn -> the page it holds for this VM.
+        self.swapped: Dict[int, bytes] = {}
 
     @property
     def num_pages(self) -> int:

@@ -32,17 +32,14 @@ of branching on its class:
 * ``write_protect_gfns(gfns)`` / ``unprotect_gfns(gfns)`` -- dirty
   logging and copy-on-write (the next write raises a ``dirty_log``
   exit); both MMUs keep the guest's one set,
-  ``GuestMemory.write_protected``, which every gfn named joins or
-  leaves, backed or not.
+  ``GuestMemory.write_protected``, which each gfn joins or leaves.
 
-Every call takes a set (one gfn is a set of one), and no guest runs
-while it edits: the second stage is one
-:meth:`~repro.mem.paging.AddressSpace.rewrite_leaves`, which reaches
-each leaf table once, and the TLB is flushed at most once -- by
-``rebind_gfns`` and the shadow ``drop_gfns`` / ``write_protect_gfns``
-of a non-empty set, by the two-stage ones when a named leaf was
-present. ``tests/test_memory_control_sets.py`` holds each call to the
-same calls made one gfn at a time.
+Each call takes a set (one gfn is a set of one) and edits the second
+stage in one :meth:`~repro.mem.paging.AddressSpace.rewrite_leaves`. It
+flushes the TLB at most once: a rebind, a shadow drop, and a two-stage
+drop or write-protect that found a leaf; a shadow write-protect drops
+only the entries it made read-only. ``tests/test_memory_control_sets.py``
+holds each call to the same calls made one gfn at a time.
 
 Teardown is where they differ: shadow tables are derived from the
 guest's and die with the MMU (``ShadowMMU.destroy()``); the second-stage

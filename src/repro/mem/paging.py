@@ -22,7 +22,6 @@ holds every one of those walks to a reference written out separately.
 
 import enum
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -256,6 +255,14 @@ class GStageWalker:
         return (pte & _FRAME_MASK) | (gpa & 0xFFF)
 
 
+def _store_leaves(pm: PhysicalMemory, pa: int, leaves: List[int]) -> None:
+    """Write adjacent leaf words from ``pa`` on, in one store."""
+    if len(leaves) == 1:
+        pm.write_u32(pa, leaves[0])
+    else:
+        pm.write_bytes(pa, struct.pack(f"<{len(leaves)}I", *leaves))
+
+
 class AddressSpace:
     """Owns one page-table tree and provides map/unmap.
 
@@ -284,32 +291,28 @@ class AddressSpace:
         number ``vpn`` in ``puts``.
 
         The one edit under :meth:`map`, :meth:`unmap` and the MMUs' host
-        memory control. Each leaf table is reached once: its directory
-        entry read once, the leaves from its lowest to its highest edited
-        one read in one piece and, if any changed, written back in one
-        store. An absent leaf reads as 0 and one absent before and after
-        is not written; a table a present leaf needs is allocated.
-        Returns ``{vpn: leaf}`` of the edited leaves that were present,
-        as they were: a ``keep`` of -1 and puts of 0 only read them.
+        memory control. The page numbers go in order, so each leaf
+        table's directory entry is read once, and each run of adjacent
+        leaves that change is stored in one write. An absent leaf reads
+        as 0 and one absent before and after is not written; a table a
+        present leaf needs is allocated. Returns ``{vpn: leaf}`` of the
+        edited leaves that were present, as they were: a ``keep`` of -1
+        and puts of 0 only read them.
         """
         pm = self.physmem
         data = pm._data
-        root = self.root_pfn << PAGE_SHIFT
-        vpns = sorted(puts)
         olds = {}
-        start, end = 0, len(vpns)
-        while start < end:
-            dir_idx = vpns[start] >> 10
-            stop = bisect_left(vpns, (dir_idx + 1) << 10, start)
-            run = vpns[start:stop]
-            start = stop
-            pde_pa = root + 4 * dir_idx
-            pde = _U32.unpack_from(data, pde_pa)[0]
+        dir_idx = None
+        bulk = len(puts) > 1
+        run_pa, run = 0, ()
+        for vpn in sorted(puts) if bulk else puts:
+            put = puts[vpn]
+            if vpn >> 10 != dir_idx:
+                dir_idx = vpn >> 10
+                pde_pa = (self.root_pfn << PAGE_SHIFT) + 4 * dir_idx
+                pde = _U32.unpack_from(data, pde_pa)[0]
             if not pde & PTE_PRESENT:
-                for vpn in run:
-                    if puts[vpn] & PTE_PRESENT:
-                        break
-                else:
+                if not put & PTE_PRESENT:
                     continue
                 table_pfn = self.allocator.alloc(zero=True)
                 self._table_frames.append(table_pfn)
@@ -317,28 +320,28 @@ class AddressSpace:
                 # PTEs then restrict. Granting W|U matches common kernels.
                 pde = make_pte(table_pfn, PTE_PRESENT | PTE_WRITABLE | PTE_USER)
                 pm.write_u32(pde_pa, pde)
-            first = run[0] & 0x3FF
-            span_pa = (pde & _FRAME_MASK) + 4 * first
-            span = f"<{(run[-1] & 0x3FF) - first + 1}I"
-            leaves = list(struct.unpack_from(span, data, span_pa))
-            changed = False
-            for vpn in run:
-                at = (vpn & 0x3FF) - first
-                old = leaves[at]
-                if old & PTE_PRESENT:
-                    olds[vpn] = old
-                else:
-                    old = 0
-                new = (old & keep) | puts[vpn]
-                if not new & PTE_PRESENT:
-                    new = 0
-                if new != old:
-                    changed = True
-                    self.mapped_pages += (new & PTE_PRESENT) - (old & PTE_PRESENT)
-                    leaves[at] = new
-            if changed:
+            pte_pa = (pde & _FRAME_MASK) + 4 * (vpn & 0x3FF)
+            old = _U32.unpack_from(data, pte_pa)[0]
+            if old & PTE_PRESENT:
+                olds[vpn] = old
+            else:
+                old = 0
+            new = (old & keep) | put
+            if not new & PTE_PRESENT:
+                new = 0
+            if new != old:
                 self._checkpoint = None
-                pm.write_bytes(span_pa, struct.pack(span, *leaves))
+                self.mapped_pages += (new & PTE_PRESENT) - (old & PTE_PRESENT)
+                if not bulk:
+                    pm.write_u32(pte_pa, new)
+                elif run and pte_pa == run_pa + 4 * len(run):
+                    run.append(new)
+                else:
+                    if run:
+                        _store_leaves(pm, run_pa, run)
+                    run_pa, run = pte_pa, [new]
+        if run:
+            _store_leaves(pm, run_pa, run)
         return olds
 
     def map(self, va: int, pa: int, flags: int) -> None:

@@ -2,7 +2,7 @@
 
 import mmap
 import struct
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.util.errors import MemoryError_
 from repro.util.units import PAGE_SHIFT, PAGE_SIZE
@@ -106,6 +106,14 @@ class PhysicalMemory:
     def read_frame(self, pfn: int) -> bytes:
         return self.read_bytes(pfn << PAGE_SHIFT, PAGE_SIZE)
 
+    def read_frames(self, pfns: Iterable[int]) -> Iterator[bytes]:
+        """:meth:`read_frame` of each of ``pfns`` in turn."""
+        view, end = self._view, self.num_frames
+        for pfn in pfns:
+            if not 0 <= pfn < end:
+                self._check(pfn << PAGE_SHIFT, PAGE_SIZE)
+            yield bytes(view[pfn << PAGE_SHIFT:(pfn + 1) << PAGE_SHIFT])
+
     def write_frame(self, pfn: int, data: bytes) -> None:
         if len(data) != PAGE_SIZE:
             raise MemoryError_(f"frame write needs {PAGE_SIZE} bytes, got {len(data)}")
@@ -205,19 +213,16 @@ class FrameAllocator:
         return pfn
 
     def alloc_many(self, count: int) -> List[int]:
-        """``count`` zeroed frames, the ones ``count`` calls of
-        :meth:`alloc` would hand out, in one pass (all or none)."""
-        reused = min(count, len(self._freed))
-        fresh = count - reused
+        """``count`` zeroed frames, the ones ``count`` calls of :meth:`alloc`
+        hand out: those back from :meth:`free` through it, the never
+        used ones in one step."""
+        fresh = max(0, count - len(self._freed))
         if self._fresh + fresh > self.physmem.num_frames:
             raise MemoryError_("out of physical frames")
-        pfns = self._freed[len(self._freed) - reused:][::-1]
-        del self._freed[len(self._freed) - reused:]
-        for pfn in pfns:
-            self.physmem.zero_frame(pfn)
+        pfns = [self.alloc() for _ in range(count - fresh)]
         pfns += range(self._fresh, self._fresh + fresh)
+        self._allocated.update(pfns[count - fresh:])
         self._fresh += fresh
-        self._allocated.update(pfns)
         return pfns
 
     def free(self, pfn: int) -> None:

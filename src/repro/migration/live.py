@@ -108,6 +108,7 @@ class LiveMigrator:
         def protect(gfns):
             mmu.write_protect_gfns([gfn for gfn in gfns
                                     if gfn in vm.guest_mem.map])
+            mmu.flush()
 
         all_gfns = sorted(vm.guest_mem.map)
         protect(all_gfns)

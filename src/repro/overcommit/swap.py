@@ -1,11 +1,11 @@
 """Host-level swapping of guest frames.
 
 The host evicts a guest frame by stashing its contents in a host-side
-store and unmapping it everywhere. The next access to it -- the guest's
-own under any MMU, the shadow walker's read of a page table, device DMA,
-a migrator reading the page -- reaches the hypervisor's EPT-fault
-dispatch chain, and the page is brought back in, evicting something
-else if the host is still tight. The swap-in handler claims only gfns
+store, the VM's ``swapped``, and unmapping it everywhere. The next
+access to it -- the guest's own under any MMU, the shadow walker's read
+of a page table, device DMA, a migrator reading the page -- reaches the
+hypervisor's EPT-fault dispatch chain, and the page is brought back in,
+evicting something else if the host is still tight. The swap-in handler claims only gfns
 it actually holds, and a fallback-tier handler demand-allocates (and
 LRU-tracks) whatever every other owner declined, so host swap composes
 with post-copy migration instead of stealing its faults.
@@ -17,7 +17,7 @@ still perform.
 """
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.hypervisor import Hypervisor
 from repro.core.vm import VirtualMachine
@@ -39,7 +39,6 @@ class HostSwap:
         self.hv = hypervisor
         self.metrics = hypervisor.registry.scope("overcommit.swap")
         self._ops = hypervisor.registry.counter("overcommit.operations")
-        self._store: Dict[Tuple[str, int], bytes] = {}
         #: Insertion-ordered map of resident (vm name, gfn) -> vm, used
         #: for victim selection when swapping in under pressure.
         self._resident_lru: "OrderedDict[Tuple[str, int], VirtualMachine]" = (
@@ -68,7 +67,7 @@ class HostSwap:
         vm.vcpus[0].cpu.mmu.drop_gfns((gfn,))
         hfn = vm.guest_mem.unmap_page(gfn)
         self.hv.allocator.free(hfn)
-        self._store[(vm.name, gfn)] = content
+        vm.swapped[gfn] = content
         self._resident_lru.pop((vm.name, gfn), None)
         self.swap_outs += 1
         self._ops.inc()
@@ -107,29 +106,28 @@ class HostSwap:
             raise MemoryError_(
                 f"host out of frames backing gfn {gfn} of {vm.name}: "
                 f"nothing evictable ({len(self._resident_lru)} LRU entries, "
-                f"{len(self._store)} already swapped)"
+                f"{len(vm.swapped)} of its pages already swapped)"
             )
         return self.hv.allocator.alloc(zero=zero)
 
     def swap_in(self, vm: VirtualMachine, gfn: int) -> None:
         """Bring a swapped page back (charging the fault cost)."""
-        key = (vm.name, gfn)
-        content = self._store.get(key)
+        content = vm.swapped.get(gfn)
         if content is None:
             raise MemoryError_(f"gfn {gfn} of {vm.name} is not swapped")
         # Allocate before popping the store: a failed eviction must not
         # lose the only copy of the page.
         hfn = self._alloc_or_evict(vm, gfn, zero=False)
-        del self._store[key]
+        del vm.swapped[gfn]
         self.hv.physmem.write_frame(hfn, content)
         vm.guest_mem.map_page(gfn, hfn)
-        self._resident_lru[key] = vm
+        self._resident_lru[(vm.name, gfn)] = vm
         vm.stats.vmm_cycles += SWAP_IN_CYCLES
         self.swap_ins += 1
         self._ops.inc()
 
     def is_swapped(self, vm: VirtualMachine, gfn: int) -> bool:
-        return (vm.name, gfn) in self._store
+        return gfn in vm.swapped
 
     # -- EPT-fault chain entries --------------------------------------------
 

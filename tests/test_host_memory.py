@@ -23,37 +23,28 @@ GFNS = range(40, 48)  # guest frames the tests fill; no VM's tables live there
 
 
 class Handouts:
-    """While installed: each frame ``FrameAllocator.alloc`` or
-    ``alloc_many`` handed out, as ``(pfn, zero asked, freed holding
-    data, reads zero)``, and the frames freed holding data that were not
-    handed out since."""
+    """While installed: each frame ``FrameAllocator.alloc`` handed out,
+    as ``(pfn, zero asked, freed holding data, reads zero)``, and the
+    frames freed holding data that were not handed out since."""
 
     def __init__(self, monkeypatch):
         self.log, self.stale = [], set()
         alloc, free = FrameAllocator.alloc, FrameAllocator.free
-        alloc_many = FrameAllocator.alloc_many
 
         def logged_free(allocator, pfn):
             if allocator.physmem.read_frame(pfn) != ZERO_PAGE:
                 self.stale.add(pfn)
             free(allocator, pfn)
 
-        def handed_out(allocator, pfn, zero):
+        def logged_alloc(allocator, zero=True):
+            pfn = alloc(allocator, zero)
             self.log.append((pfn, zero, pfn in self.stale,
                              allocator.physmem.read_frame(pfn) == ZERO_PAGE))
             self.stale.discard(pfn)
             return pfn
 
-        def logged_alloc(allocator, zero=True):
-            return handed_out(allocator, alloc(allocator, zero), zero)
-
-        def logged_alloc_many(allocator, count):
-            return [handed_out(allocator, pfn, True)
-                    for pfn in alloc_many(allocator, count)]
-
         monkeypatch.setattr(FrameAllocator, "free", logged_free)
         monkeypatch.setattr(FrameAllocator, "alloc", logged_alloc)
-        monkeypatch.setattr(FrameAllocator, "alloc_many", logged_alloc_many)
 
     def drain(self, allocator):
         """Hand out frames until every one freed holding data is out

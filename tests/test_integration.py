@@ -85,8 +85,9 @@ def test_migrate_a_guest_with_shared_pages():
 
 
 def test_snapshot_a_partially_swapped_guest_fails_loudly_or_works():
-    # A gfn the host holds in swap is guest memory: the snapshot brings
-    # it back and captures it, and a clone on another host finishes.
+    # A gfn the host holds in swap is guest memory: the snapshot
+    # captures it where swap keeps it, leaving it there, and a clone on
+    # another host finishes.
     for mmu in (MMUVirtMode.NESTED, MMUVirtMode.SHADOW):
         hv = Hypervisor(memory_bytes=64 * MIB)
         vm = start(hv, "s", mmu=mmu)
@@ -100,9 +101,33 @@ def test_snapshot_a_partially_swapped_guest_fails_loudly_or_works():
         snap = snapshot_vm(vm)
         assert set(swapped) <= snap.mapped_gfns
         assert {gfn: snap.pages[gfn] for gfn in swapped} == contents
+        assert vm.swapped == contents
         host = Hypervisor(memory_bytes=64 * MIB)
         finish_ok(host, restore_vm(host, snap, name="sc"))
         finish_ok(hv, vm)
+
+
+def test_a_snapshot_of_a_demand_paged_guest_changes_nothing_in_it():
+    # Never-backed gfns stay unbacked: no demand-zero, no VMM cycles.
+    hv = Hypervisor(memory_bytes=64 * MIB)
+    vm = hv.create_vm(GuestConfig(name="lazy", memory_bytes=GUEST_MEM,
+                                  virt_mode=VirtMode.HW_ASSIST,
+                                  mmu_mode=MMUVirtMode.NESTED, prealloc=False))
+    kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEM))
+    hv.load_program(vm, kernel)
+    hv.load_program(vm, workloads.memtouch(PAGES, PASSES))
+    hv.reset_vcpu(vm, kernel.entry)
+    hv.run(vm, max_guest_instructions=100_000)
+    backed = dict(vm.guest_mem.map)
+    assert len(backed) < vm.num_pages
+    counts = lambda: ({name: value for name, value in hv.registry.values().items()
+                       if value}, hv.allocator.free_frames)
+    before = counts()
+    snap = snapshot_vm(vm)
+    assert snap.mapped_gfns == set(backed)
+    assert vm.guest_mem.map == backed
+    assert counts() == before
+    finish_ok(hv, vm)
 
 
 def test_snapshot_then_migrate_the_clone():

@@ -7,16 +7,20 @@ second stage in one ``AddressSpace.rewrite_leaves``. Held here:
 * ``rewrite_leaves`` leaves what the same edits made one entry at a
   time leave -- every table byte, ``mapped_pages``, the frames it
   allocated, the leaves it returns, checkpoint / rollback -- and stores
-  into each leaf table it changes once;
+  each run of adjacent leaves it changes in one write;
 * on both MMUs, each call on a random set of gfns (across leaf tables,
   backed and not, writable and read-only) leaves the tables,
   ``mapped_pages``, ``write_protected`` and the TLB that the call on one
-  gfn at a time leaves, with one TLB flush where those made any;
+  gfn at a time leaves, with one TLB flush where those made any (a
+  shadow write-protect makes none: it drops only the entries it made
+  read-only, as the calls one gfn at a time do);
 * one rule for an unbacked gfn: it joins and leaves ``write_protected``
   like any other;
 * a hw-nested live migration: each ``protect`` round is one
-  second-stage edit and one flush, and so is the destination's
-  ``create_vm``.
+  second-stage edit and one flush (and the migrator's own flush, on an
+  empty TLB), and the destination's ``create_vm`` is one edit;
+* a sharing scan flushes a shadow guest only if it rebinds one of its
+  gfns.
 """
 
 import random
@@ -35,6 +39,7 @@ from repro.mem.paging import (
 )
 from repro.mem.physmem import FrameAllocator, PhysicalMemory
 from repro.migration import LiveMigrator
+from repro.overcommit import PageSharer
 from repro.util.units import MIB, PAGE_SHIFT
 from tests.conftest import lookup, mappings
 
@@ -81,11 +86,13 @@ def test_rewrite_leaves_leaves_what_one_entry_edits_leave(seed):
     keep = rng.choice((-1, 0, ~PTE_WRITABLE))
     puts = _random_puts(rng, keep)
     stores = []
-    write_bytes = pm.write_bytes
-    pm.write_bytes = lambda pa, data: (stores.append(pa >> PAGE_SHIFT),
+    write_bytes, write_u32 = pm.write_bytes, pm.write_u32
+    pm.write_bytes = lambda pa, data: (stores.append((pa, len(data))),
                                        write_bytes(pa, data))
+    pm.write_u32 = lambda pa, word: (stores.append((pa, 4)), write_u32(pa, word))
+    before = bytes(pm._data)
     olds = space.rewrite_leaves(keep, puts)
-    del pm.write_bytes
+    del pm.write_bytes, pm.write_u32
     ref_olds = {}
     for vpn in sorted(puts):
         ref_olds.update(ref.rewrite_leaves(keep, {vpn: puts[vpn]}))
@@ -94,7 +101,18 @@ def test_rewrite_leaves_leaves_what_one_entry_edits_leave(seed):
     assert bytes(pm._data) == bytes(ref_pm._data)
     assert space.mapped_pages == ref.mapped_pages
     assert space.allocator.free_frames == ref.allocator.free_frames
-    assert len(stores) == len(set(stores))  # one store a leaf table
+    # One store a run of adjacent leaves that changed, nothing else.
+    leaf_stores = sorted(store for store in stores
+                         if store[0] >> PAGE_SHIFT != space.root_pfn)
+    after = bytes(pm._data)
+    changed = [pa for frame in range(pm.size >> PAGE_SHIFT)
+               if frame != space.root_pfn and after[frame << PAGE_SHIFT:(frame + 1) << PAGE_SHIFT]
+               != before[frame << PAGE_SHIFT:(frame + 1) << PAGE_SHIFT]
+               for pa in range(frame << PAGE_SHIFT, (frame + 1) << PAGE_SHIFT, 4)
+               if after[pa:pa + 4] != before[pa:pa + 4]]
+    assert sum(n for _pa, n in leaf_stores) == 4 * len(changed)
+    assert all(pa + n < next_pa for (pa, n), (next_pa, _n)
+               in zip(leaf_stores, leaf_stores[1:]))
     assert space.rollback() == ref.rollback()
     assert bytes(pm._data) == bytes(ref_pm._data)
 
@@ -104,8 +122,8 @@ def test_rewrite_leaves_leaves_what_one_entry_edits_leave(seed):
 GUEST = 16 * MIB
 
 
-def _boot(hv, mmu_mode, passes=30):
-    vm = hv.create_vm(GuestConfig(name="g", memory_bytes=GUEST,
+def _boot(hv, mmu_mode, passes=30, name="g"):
+    vm = hv.create_vm(GuestConfig(name=name, memory_bytes=GUEST,
                                   virt_mode=VirtMode.HW_ASSIST, mmu_mode=mmu_mode))
     kernel = build_kernel(KernelOptions(memory_bytes=GUEST))
     hv.load_program(vm, kernel)
@@ -187,12 +205,15 @@ def test_each_call_on_a_set_is_the_calls_on_its_gfns(mmu_mode, seed):
                 space.checkpoint()
         flushes = [guest.vcpus[0].cpu.mmu.tlb.stats.flushes for guest in (vm, ref)]
         mmu = vm.vcpus[0].cpu.mmu
-        # The contract's flushes: a rebind always; a drop or a
-        # write-protect on shadow always, on two-stage if a leaf named
-        # was present; map and unprotect never.
-        flushing = name == "rebind_gfns" or name in ("drop_gfns", "write_protect_gfns") and (
-            not isinstance(mmu, TwoStageMMU)
-            or any(lookup(mmu.ept, gfn << PAGE_SHIFT) for gfn in arg))
+        # The contract's flushes: a rebind always; a drop on shadow
+        # always; a drop or a write-protect on two-stage if a leaf named
+        # was present; map, unprotect and a shadow write-protect (which
+        # drops the entries it made read-only) never.
+        two_stage = isinstance(mmu, TwoStageMMU)
+        flushing = (name == "rebind_gfns"
+                    or name == "drop_gfns" and not two_stage
+                    or name in ("drop_gfns", "write_protect_gfns") and two_stage
+                    and any(lookup(mmu.ept, gfn << PAGE_SHIFT) for gfn in arg))
         _call(vm, name, arg, *rest)
         for gfn in arg:
             _call(ref, name, {gfn: arg[gfn]} if isinstance(arg, dict) else {gfn},
@@ -252,21 +273,56 @@ def test_a_migration_edits_the_second_stage_once_a_round(monkeypatch):
     monkeypatch.setattr(AddressSpace, "rewrite_leaves", counted)
     mmu = vm.vcpus[0].cpu.mmu
     rounds = []
-    write_protect_gfns = mmu.write_protect_gfns
+    write_protect_gfns, flush = mmu.write_protect_gfns, mmu.flush
 
     def protect(gfns):
         flushes, count = mmu.tlb.stats.flushes, len(edits)
         write_protect_gfns(gfns)
-        rounds.append((len(edits) - count, mmu.tlb.stats.flushes - flushes))
+        rounds.append([len(edits) - count, mmu.tlb.stats.flushes - flushes])
 
-    mmu.write_protect_gfns = protect
+    def flushed():
+        flush()
+        rounds[-1].append(len(mmu.tlb))
+
+    mmu.write_protect_gfns, mmu.flush = protect, flushed
     result = LiveMigrator(src, dst, bytes_per_cycle=4.0).migrate(
         vm, quantum_instructions=5_000, threshold_pages=2)
     assert result.rounds >= 3
-    # Round 0 protects every gfn, and each later round its dirty batch
-    # (12 rounds, 12 flushes; one gfn at a time, the same run flushed
-    # 4,636 times).
-    assert rounds == [(1, 1)] * result.rounds
+    # Round 0 protects every gfn, and each later round its dirty batch:
+    # one edit and one flush, then the migrator's own flush finds the
+    # TLB empty (12 rounds, 24 flushes; one gfn at a time, the same run
+    # flushed 4,636 times).
+    assert rounds == [[1, 1, 0]] * result.rounds
     # The destination's G-stage was built in one edit of 4,096 leaves.
     ept = result.dest_vm.vcpus[0].cpu.mmu.ept
     assert [n for space, n in edits if space is ept] == [GUEST >> PAGE_SHIFT]
+
+
+# -- a sharing scan ------------------------------------------------------------
+
+
+def test_a_repeat_scan_flushes_only_the_shadow_guests_it_rebinds():
+    # A scan edits each guest's MMU in one write-protect and one rebind
+    # call. Under shadow paging a write-protect drops the entries it
+    # made read-only and flushes nothing, as when the scan edited one
+    # gfn at a time: only a guest that had a gfn rebound is flushed.
+    hv = Hypervisor(memory_bytes=96 * MIB)
+    vms = [_boot(hv, MMUVirtMode.SHADOW, name=f"g{i}") for i in range(3)]
+    sharer = PageSharer(hv)
+    sharer.scan()
+    # The second guest's stores break shares. The next scan merges its
+    # copies again, and only write-protects the first guest, whose
+    # frames are each group's canonical one.
+    hv.run(vms[1], max_guest_instructions=2_000)
+    protected = {}
+    for vm in vms:
+        mmu = vm.vcpus[0].cpu.mmu
+        mmu.write_protect_gfns = lambda gfns, vm=vm, call=mmu.write_protect_gfns: (
+            protected.__setitem__(vm.name, len(gfns)), call(gfns))
+    maps = [dict(vm.guest_mem.map) for vm in vms]
+    flushes = [vm.vcpus[0].cpu.mmu.tlb.stats.flushes for vm in vms]
+    sharer.scan()
+    for vm, old_map, before in zip(vms, maps, flushes):
+        rebound = vm.guest_mem.map != old_map
+        assert vm.vcpus[0].cpu.mmu.tlb.stats.flushes - before == rebound, vm.name
+    assert protected[vms[0].name] and vms[0].guest_mem.map == maps[0]

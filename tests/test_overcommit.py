@@ -364,7 +364,7 @@ class TestHostSwapEdgeCases:
             swap.swap_in(vm, gfn)
         # The only copy of the page must survive the failed page-in.
         assert swap.is_swapped(vm, gfn)
-        assert swap._store[(vm.name, gfn)] == content
+        assert vm.swapped[gfn] == content
 
     def test_install_is_idempotent(self):
         hv = Hypervisor(memory_bytes=64 * MIB)
