@@ -18,7 +18,7 @@ inside HVM guests.
 
 import enum
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.bt import BTEngine
 from repro.core.emulate import emulate_guest_store, emulate_privileged
@@ -43,7 +43,7 @@ from repro.mem.costs import CostModel
 from repro.mem.paging import AccessType, AddressSpace
 from repro.mem.physmem import FrameAllocator, PhysicalMemory, WriteLog
 from repro.obs.registry import MetricsRegistry
-from repro.util.errors import ConfigError, GuestError, MemoryError_
+from repro.util.errors import ConfigError, GuestError
 from repro.util.units import MIB, PAGE_SHIFT, bytes_to_pages
 
 #: VM cycles from one beat of the pump to the next, on a grid of VM
@@ -151,26 +151,13 @@ class Hypervisor:
         #: when the caller (tests, ad-hoc scripts) does not share one.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.vms: Dict[str, VirtualMachine] = {}
-        #: Per-VM dirty-page callbacks (live migration), called with
-        #: (vm, gfn) by :meth:`_fault` per write let through or gfn backed.
-        self.dirty_handlers: Dict[str, Callable] = {}
-        #: Composable EPT-fault dispatch chain: ``(name, handler)``
-        #: entries consulted in registration order on every access to
-        #: an unbacked gfn (:meth:`_fault`). A handler returns True to
-        #: *claim* the fault (and must leave the gfn mapped) or False
-        #: to decline, passing it down the chain. Fallback-tier
-        #: handlers run after every normal handler has declined; if
-        #: nobody claims, the hypervisor demand-zeroes the page.
-        self._ept_fault_handlers: List[Tuple[str, Callable]] = []
-        self._ept_fault_fallbacks: List[Tuple[str, Callable]] = []
-        #: Write-fault (write-protected gfn) dispatch chain, same claim /
-        #: decline contract with ``(vm, gfn) -> bool`` handlers. The
-        #: page sharer's copy-on-write break lives here.
-        self._write_fault_handlers: List[Tuple[str, Callable]] = []
         #: Installed by repro.overcommit.sharing.PageSharer: the
         #: cross-subsystem shared-frame refcount protocol (swap and
         #: teardown consult it before freeing frames).
         self.sharing = None
+        #: Installed by repro.overcommit.swap.HostSwap: the owner of the
+        #: pages ``vm.swapped`` holds, and LRU-tracked demand backing.
+        self.swap = None
         #: None, or a ``collections.deque`` (give it a ``maxlen``): every
         #: VM exit appends ``(vm time, reason, vm, detail, pc, cycles)``.
         self.trace = None
@@ -179,100 +166,49 @@ class Hypervisor:
         #: guest: the vCPU burns cycles but retires nothing).
         self.injector = None
 
-    # -- fault dispatch chains --------------------------------------------
-
-    def register_ept_fault_handler(
-        self, handler: Callable, name: Optional[str] = None,
-        fallback: bool = False,
-    ) -> Callable:
-        """Add ``handler`` to the EPT-fault dispatch chain.
-
-        ``handler(vm, gfn, access) -> bool`` claims the fault by
-        returning True (it must leave ``gfn`` mapped) or declines with
-        False so the next handler -- and ultimately the demand-zero
-        default -- sees it. ``fallback=True`` queues the handler after
-        every normal one (host swap's residency tracker uses this to
-        observe demand allocations without shadowing anyone). The
-        handler itself is the deregistration token. Multiple owners
-        (host swap, post-copy) compose instead of clobbering a single
-        hook slot.
-        """
-        label = name if name else getattr(handler, "__qualname__", "handler")
-        chain = (self._ept_fault_fallbacks if fallback
-                 else self._ept_fault_handlers)
-        if any(h == handler for _n, h in chain):
-            raise ConfigError(f"EPT fault handler {label!r} already registered")
-        chain.append((label, handler))
-        return handler
-
-    def unregister_ept_fault_handler(self, handler: Callable) -> bool:
-        """Remove ``handler`` from either chain tier; True if found."""
-        for chain in (self._ept_fault_handlers, self._ept_fault_fallbacks):
-            for i, (_name, h) in enumerate(chain):
-                if h == handler:
-                    del chain[i]
-                    return True
-        return False
-
-    def register_write_fault_handler(
-        self, handler: Callable, name: str,
-    ) -> Callable:
-        """Add ``handler(vm, gfn) -> bool`` to the write-fault chain.
-
-        Consulted on dirty-log exits after per-VM dirty logging; a
-        claiming handler owns the fault (the sharer's COW break).
-        ``name`` labels the exit detail.
-        """
-        if any(h == handler for _n, h in self._write_fault_handlers):
-            raise ConfigError(f"write fault handler {name!r} already registered")
-        self._write_fault_handlers.append((name, handler))
-        return handler
-
-    def unregister_write_fault_handler(self, handler: Callable) -> bool:
-        for i, (_name, h) in enumerate(self._write_fault_handlers):
-            if h == handler:
-                del self._write_fault_handlers[i]
-                return True
-        return False
+    # -- memory faults ----------------------------------------------------
 
     def _fault(self, vm: VirtualMachine, gfn: int, access) -> Tuple[str, int]:
         """One step of making ``gfn`` accessible, behind the CPU's memory
         exits and :class:`GuestMemory`'s slow path alike: (exit detail,
         what an exit for the step costs).
 
-        A write to a write-protected gfn is logged dirty, offered to the
-        write-fault chain (COW break), and otherwise unprotected.
-        Anything else is backed and mapped: an unbacked gfn goes down
-        the EPT-fault chain (``core.ept_dispatch.*`` counts claims per
-        owner) or is demand-zeroed, and new backing is logged dirty.
+        A write to a write-protected gfn is logged in ``vm.dirty_log``,
+        then breaks a copy-on-write share, or else is unprotected.
+        Anything else is backed and mapped, by the page's owner in this
+        order: a post-copy fetch (``vm.remote``), host swap's store
+        (``vm.swapped``), host swap's tracked demand allocation, a
+        demand-zero frame; ``core.ept_dispatch.*`` counts each.
         """
         mem = vm.guest_mem
         mmu = vm.vcpus[0].cpu.mmu
-        dirty_handler = self.dirty_handlers.get(vm.name)
+        dirty_log = vm.dirty_log
         if access is _WRITE_ACCESS and gfn in mem.write_protected and gfn in mem.map:
-            if dirty_handler is not None:
-                dirty_handler(vm, gfn)  # dirty logging sees every write, COW too
-            for name, handler in self._write_fault_handlers:
-                if handler(vm, gfn):
-                    return name, self.costs.shadow_fill_cycles
+            if dirty_log is not None:
+                dirty_log.add(gfn)  # dirty logging sees every write, COW too
+            if self.sharing is not None and self.sharing.handles(vm, gfn):
+                self.sharing.on_write_fault(vm, gfn)
+                return "cow_break", self.costs.shadow_fill_cycles
             mmu.unprotect_gfns((gfn,))
             return "dirty_log", self.costs.emulate_cycles
         if gfn not in mem.map:
-            for name, handler in self._ept_fault_handlers + self._ept_fault_fallbacks:
-                if handler(vm, gfn, access):
-                    break
+            if vm.remote is not None and vm.remote(gfn):
+                name = "postcopy_fetch"
+            elif gfn in vm.swapped:
+                name = "swap_in"
+                self.swap.swap_in(vm, gfn)
+            elif self.swap is not None:
+                name = "swap_demand"
+                self.swap.back(vm, gfn, zero=True)
             else:
                 name = "demand_zero"
                 mem.map_page(gfn, self.allocator.alloc())
             self.registry.counter(f"core.ept_dispatch.{name}").inc()
-            if dirty_handler is not None:
-                dirty_handler(vm, gfn)
+            if dirty_log is not None:
+                dirty_log.add(gfn)
             # Whatever re-backed the page, the balloon no longer holds it.
             vm.ballooned_gfns.discard(gfn)
-            if gfn not in mem.map:
-                raise MemoryError_(f"EPT fault handler {name!r} left gfn "
-                                   f"{gfn} unmapped in {vm.name}")
-        # Backed, but not in the G-stage yet (the claim, a post-copy push).
+        # Backed, but not in the G-stage yet (new backing, a post-copy push).
         mmu.map_gfns({gfn: mem.map[gfn]})
         return "ept_violation", self.costs.shadow_fill_cycles
 
@@ -421,7 +357,6 @@ class Hypervisor:
             if self.sharing is None or self.sharing.drop_mapping(vm, gfn, hfn):
                 self.allocator.free(hfn)
         self.vms.pop(vm.name, None)
-        self.dirty_handlers.pop(vm.name, None)
 
     def recycle_vm(self, vm: VirtualMachine) -> VirtualMachine:
         """A power-on machine on the frames ``vm`` holds; ``vm`` is gone.
@@ -444,8 +379,8 @@ class Hypervisor:
             why = "it is not (or no longer) a VM of this host"
         elif self.sharing is not None:
             why = "page sharing is installed on this host"
-        elif vm.name in self.dirty_handlers:
-            why = "a dirty-page handler is registered for it"
+        elif vm.dirty_log is not None:
+            why = "its dirty pages are being logged"
         elif not vm.config.prealloc:
             why = "it is demand-paged (prealloc=False)"
         elif len(guest_mem.map) != guest_mem.num_pages:  # balloon, swap

@@ -199,6 +199,11 @@ class VirtualMachine:
         self.ballooned_gfns: Set[int] = set()
         #: set by host swap: gfn -> the page it holds for this VM.
         self.swapped: Dict[int, bytes] = {}
+        #: set by live migration for its rounds: gfns written or backed.
+        self.dirty_log: Optional[Set[int]] = None
+        #: set by post-copy on its destination: ``remote(gfn)`` fetches
+        #: a page still at the source and is True, or is False.
+        self.remote: Optional[Callable[[int], bool]] = None
 
     @property
     def num_pages(self) -> int:

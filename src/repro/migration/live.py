@@ -103,7 +103,7 @@ class LiveMigrator:
         dirty: Set[int] = set()
         #: Destination gfns written so far; the rest still read zero.
         written: Set[int] = set()
-        src.dirty_handlers[vm.name] = lambda _vm, gfn: dirty.add(gfn)
+        vm.dirty_log = dirty
 
         def protect(gfns):
             mmu.write_protect_gfns([gfn for gfn in gfns
@@ -183,8 +183,8 @@ class LiveMigrator:
         finally:
             # Detach logging from the source -- on success (the source
             # is now dead) and on an abandoned migration alike, so the
-            # still-running source never leaks a dirty handler.
-            src.dirty_handlers.pop(vm.name, None)
+            # still-running source never keeps logging.
+            vm.dirty_log = None
 
         m = self.metrics
         m.counter("migrations").inc()

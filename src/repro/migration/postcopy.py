@@ -4,9 +4,12 @@ The destination VM is created with **no** backing frames
 (``prealloc=False``): the vCPU and device state move immediately (the
 only downtime), the guest resumes on the destination, and every first
 touch of a page raises an EPT violation that the migrator services by
-fetching the page from the source ("demand fetch"). A background
-"pusher" proactively transfers the remaining pages between execution
-quanta so the degradation window is bounded.
+fetching the page from the source ("demand fetch"): for the migration,
+the destination VM's ``remote`` is the fetch, which ``Hypervisor._fault``
+asks before any other owner. A background "pusher" proactively
+transfers the remaining pages between execution quanta so the
+degradation window is bounded. The pages host swap holds for the source
+(``vm.swapped``) travel too, read from its store.
 
 Requires nested paging on the destination (the EPT violation is the
 fetch trigger); that matches reality — production post-copy (userfaultd
@@ -88,37 +91,38 @@ class PostCopyMigrator:
             prealloc=False))
 
         remaining: Set[int] = set(src_mem.map)
+        remaining.update(vm.swapped)
         total_pages = len(remaining)
         stats = {"faults": 0, "pushed": 0}
 
         def fetch(gfn: int) -> None:
             """Copy one page from source into fresh destination backing
-            (a page of zeros: a frame that reads zero, and no copy)."""
-            page = src_mem.read_gfn(gfn)
+            (a page of zeros: a frame that reads zero, and no copy); a
+            swapped page is read from the store, and stays swapped."""
+            page = vm.swapped.get(gfn)
+            if page is None:
+                page = src_mem.read_gfn(gfn)
             hfn = self.destination.allocator.alloc(zero=page == ZERO_PAGE)
             if page != ZERO_PAGE:
                 self.destination.physmem.write_frame(hfn, page)
             dst_vm.guest_mem.map_page(gfn, hfn)
             remaining.discard(gfn)
 
-        def on_ept_fault(fault_vm, gfn, _access) -> bool:
-            if fault_vm is not dst_vm or gfn not in remaining:
-                # Not ours (another VM, a ballooned page): decline and
-                # let the rest of the chain -- host swap, demand zero
-                # -- service it.
+        def remote(gfn: int) -> bool:
+            if gfn not in remaining:
+                # Not at the source (a ballooned page): the destination's
+                # other owners -- host swap, demand zero -- back it.
                 return False
             fetch(gfn)
             stats["faults"] += 1
             # A remote fault stalls the vCPU for a network round trip.
-            fault_vm.stats.vmm_cycles += (
+            dst_vm.stats.vmm_cycles += (
                 FETCH_LATENCY_CYCLES
                 + int(PAGE_SIZE / self.bytes_per_cycle)
             )
             return True
 
-        self.destination.register_ept_fault_handler(
-            on_ept_fault, name="postcopy_fetch"
-        )
+        dst_vm.remote = remote
         try:
             # Downtime: vCPU + device state only.
             apply_state(dst_vm, capture_state(vm))
@@ -162,10 +166,10 @@ class PostCopyMigrator:
                 fetch(gfn)
                 stats["pushed"] += 1
         finally:
-            # Always retire the fetch handler: a destination run that
-            # raises (triple fault, MigrationError) must not leak a
-            # chain entry bound to a dead migrator.
-            self.destination.unregister_ept_fault_handler(on_ept_fault)
+            # Always retire the fetch: a destination run that raises
+            # (triple fault, MigrationError) must not leave the VM
+            # fetching through a dead migrator.
+            dst_vm.remote = None
         m = self.metrics
         m.counter("migrations").inc()
         pc = m.scope("postcopy")

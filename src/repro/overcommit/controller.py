@@ -228,8 +228,8 @@ class MemoryPressureController:
     def _inflate(self, vm: VirtualMachine, cold: Set[int], want: int) -> int:
         """Balloon out up to ``want`` cold, unshared, all-zero pages.
 
-        A refault of one takes the EPT dispatch chain under every MMU,
-        whose demand-zero tail rebuilds the page bit-identically.
+        A refault of one takes ``Hypervisor._fault`` under every MMU,
+        whose zeroed backing rebuilds the page bit-identically.
         """
         want = min(want, MAX_BALLOON_PER_TICK)
         given = 0

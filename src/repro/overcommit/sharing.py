@@ -3,10 +3,11 @@
 The scanner reads each mapped guest frame across every registered VM
 once, groups the frames by their bytes (a dict: its key equality is the
 byte-for-byte check), re-points duplicate gfns at one canonical host
-frame, frees the duplicates, and write-protects every sharer. A write to
-a shared page takes the dirty-log exit path; the sharer claims it off the
-hypervisor's write-fault dispatch chain and
-:meth:`PageSharer.on_write_fault` breaks the share with a private copy.
+frame, frees the duplicates, and write-protects every sharer. The sharer
+installs itself as ``hypervisor.sharing``: a write to a shared page takes
+the dirty-log exit path, ``Hypervisor._fault`` finds the gfn
+:meth:`PageSharer.handles`, and :meth:`PageSharer.on_write_fault` breaks
+the share with a private copy.
 """
 
 from dataclasses import dataclass
@@ -46,15 +47,7 @@ class PageSharer:
         self.refcount: Dict[int, int] = {}
         #: (vm name, gfn) pairs currently sharing a frame.
         self._sharers: Set[Tuple[str, int]] = set()
-        if hypervisor.sharing is not None:
-            # Replacing a previous sharer: retire its COW claim first.
-            hypervisor.unregister_write_fault_handler(
-                hypervisor.sharing._claim_write_fault
-            )
         hypervisor.sharing = self
-        hypervisor.register_write_fault_handler(
-            self._claim_write_fault, name="cow_break"
-        )
 
     # -- scanning ---------------------------------------------------------
 
@@ -131,17 +124,10 @@ class PageSharer:
             self._sharers.add((vm.name, gfn))
             result.pages_merged += 1
 
-    # -- write-fault interception (claimed off the dispatch chain) --------
+    # -- write-fault interception -----------------------------------------
 
     def handles(self, vm: VirtualMachine, gfn: int) -> bool:
         return (vm.name, gfn) in self._sharers
-
-    def _claim_write_fault(self, vm: VirtualMachine, gfn: int) -> bool:
-        """Write-fault chain entry: claim shared pages, decline the rest."""
-        if not self.handles(vm, gfn):
-            return False
-        self.on_write_fault(vm, gfn)
-        return True
 
     def on_write_fault(self, vm: VirtualMachine, gfn: int) -> None:
         """Break copy-on-write: give the writer a private copy."""

@@ -3,12 +3,11 @@
 The host evicts a guest frame by stashing its contents in a host-side
 store, the VM's ``swapped``, and unmapping it everywhere. The next
 access to it -- the guest's own under any MMU, the shadow walker's read
-of a page table, device DMA, a migrator reading the page -- reaches the
-hypervisor's EPT-fault dispatch chain, and the page is brought back in,
-evicting something else if the host is still tight. The swap-in handler claims only gfns
-it actually holds, and a fallback-tier handler demand-allocates (and
-LRU-tracks) whatever every other owner declined, so host swap composes
-with post-copy migration instead of stealing its faults.
+of a page table, device DMA, a migrator reading the page -- reaches
+``Hypervisor._fault``, which finds the gfn in ``vm.swapped`` and calls
+:meth:`HostSwap.swap_in`, evicting something else if the host is still
+tight. An unbacked gfn nobody holds (not swapped, not remote to a
+post-copy) is backed by :meth:`HostSwap.back`, which LRU-tracks it.
 
 This is the transparent last-resort mechanism of the overcommit stack:
 correct for any guest, but each fault costs a "disk" access, which is
@@ -22,7 +21,7 @@ from typing import Tuple
 from repro.core.hypervisor import Hypervisor
 from repro.core.vm import VirtualMachine
 from repro.obs.registry import counter_attr
-from repro.util.errors import MemoryError_
+from repro.util.errors import ConfigError, MemoryError_
 
 
 #: What bringing one page back from the swap device costs the VMM.
@@ -30,12 +29,16 @@ SWAP_IN_CYCLES = 200_000
 
 
 class HostSwap:
-    """Per-hypervisor swap device with LRU-ish victim selection."""
+    """Per-hypervisor swap device with LRU-ish victim selection; it
+    installs itself as ``hypervisor.swap``, one per host."""
 
     swap_outs = counter_attr()
     swap_ins = counter_attr()
 
     def __init__(self, hypervisor: Hypervisor):
+        if hypervisor.swap is not None:
+            raise ConfigError("a HostSwap is already installed on this host")
+        hypervisor.swap = self
         self.hv = hypervisor
         self.metrics = hypervisor.registry.scope("overcommit.swap")
         self._ops = hypervisor.registry.counter("overcommit.operations")
@@ -43,10 +46,6 @@ class HostSwap:
         #: for victim selection when swapping in under pressure.
         self._resident_lru: "OrderedDict[Tuple[str, int], VirtualMachine]" = (
             OrderedDict()
-        )
-        hypervisor.register_ept_fault_handler(self._ept_fault, name="swap_in")
-        hypervisor.register_ept_fault_handler(
-            self._demand_alloc, name="swap_demand", fallback=True
         )
 
     def install(self, vm: VirtualMachine) -> None:
@@ -92,8 +91,9 @@ class HostSwap:
 
     # -- page-in ------------------------------------------------------------
 
-    def _alloc_or_evict(self, vm: VirtualMachine, gfn: int, zero: bool) -> int:
-        """Allocate a frame, evicting one first when the host is dry.
+    def back(self, vm: VirtualMachine, gfn: int, zero: bool) -> int:
+        """Back ``gfn`` with a frame, evicting one first when the host is
+        dry, and LRU-track it.
 
         Eviction can legitimately find nothing (every resident page
         shared, or the LRU empty); surface that as a typed
@@ -108,39 +108,21 @@ class HostSwap:
                 f"nothing evictable ({len(self._resident_lru)} LRU entries, "
                 f"{len(vm.swapped)} of its pages already swapped)"
             )
-        return self.hv.allocator.alloc(zero=zero)
+        hfn = self.hv.allocator.alloc(zero=zero)
+        vm.guest_mem.map_page(gfn, hfn)
+        self._resident_lru[(vm.name, gfn)] = vm
+        return hfn
 
     def swap_in(self, vm: VirtualMachine, gfn: int) -> None:
         """Bring a swapped page back (charging the fault cost)."""
         content = vm.swapped.get(gfn)
         if content is None:
             raise MemoryError_(f"gfn {gfn} of {vm.name} is not swapped")
-        # Allocate before popping the store: a failed eviction must not
-        # lose the only copy of the page.
-        hfn = self._alloc_or_evict(vm, gfn, zero=False)
+        # Back the gfn before popping the store: a failed eviction must
+        # not lose the only copy of the page.
+        hfn = self.back(vm, gfn, zero=False)
         del vm.swapped[gfn]
         self.hv.physmem.write_frame(hfn, content)
-        vm.guest_mem.map_page(gfn, hfn)
-        self._resident_lru[(vm.name, gfn)] = vm
         vm.stats.vmm_cycles += SWAP_IN_CYCLES
         self.swap_ins += 1
         self._ops.inc()
-
-    def is_swapped(self, vm: VirtualMachine, gfn: int) -> bool:
-        return gfn in vm.swapped
-
-    # -- EPT-fault chain entries --------------------------------------------
-
-    def _ept_fault(self, vm: VirtualMachine, gfn: int, _access) -> bool:
-        """Claim faults on pages this swap actually holds."""
-        if not self.is_swapped(vm, gfn):
-            return False
-        self.swap_in(vm, gfn)
-        return True
-
-    def _demand_alloc(self, vm: VirtualMachine, gfn: int, _access) -> bool:
-        """Fallback tier: demand-allocate what every owner declined,
-        keeping the residency LRU complete."""
-        vm.guest_mem.map_page(gfn, self._alloc_or_evict(vm, gfn, zero=True))
-        self._resident_lru[(vm.name, gfn)] = vm
-        return True

@@ -31,10 +31,13 @@ def jain_fairness(shares: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 is perfectly fair, 1/n maximally unfair."""
     if not shares:
         raise ValueError("fairness of empty sequence")
-    total = sum(shares)
-    sq = sum(s * s for s in shares)
-    if sq == 0:
+    peak = max(map(abs, shares))
+    if peak == 0:
         return 1.0  # everyone got exactly zero: degenerate but "fair"
+    # Scaled to the largest share: the squares of tiny shares lose their
+    # precision to underflow, which lifts the index past 1.
+    total = sum(s / peak for s in shares)
+    sq = sum((s / peak) ** 2 for s in shares)
     return (total * total) / (len(shares) * sq)
 
 

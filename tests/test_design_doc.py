@@ -14,7 +14,7 @@ import re
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESIGN = os.path.join(ROOT, "DESIGN.md")
 #: The most DESIGN.md may hold, in bytes.
-MAX_BYTES = 92_426
+MAX_BYTES = 92_417
 CITATION = re.compile(r"`([\w./-]+\.py)::([\w.]+)`")
 
 

@@ -369,7 +369,7 @@ def test_migration_error_after_budget_chains_link_error():
     assert isinstance(excinfo.value.__cause__, LinkError)
     # The abandoned migration must not leak dirty logging onto the
     # still-running source.
-    assert vm.name not in src.dirty_handlers
+    assert vm.dirty_log is None
 
 
 def test_migration_detects_and_resends_corrupt_pages():

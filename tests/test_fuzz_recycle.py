@@ -222,11 +222,11 @@ class TestRecycleVM:
         assert b.guest_mem.read_bytes(0, 1 * MIB) == before
 
     def test_refuses_a_vm_being_dirty_logged(self):
-        # As LiveMigrator.migrate registers one for the rounds it runs.
+        # As LiveMigrator.migrate installs one for the rounds it runs.
         hv = Hypervisor(memory_bytes=8 * MIB)
         vm = _make(hv)
-        hv.dirty_handlers[vm.name] = lambda _vm, gfn: None
-        _assert_refused_and_runnable(hv, vm, "dirty-page handler")
+        vm.dirty_log = set()
+        _assert_refused_and_runnable(hv, vm, "dirty pages are being logged")
 
     def test_refuses_a_demand_paged_vm(self):
         hv = Hypervisor(memory_bytes=8 * MIB)

@@ -174,7 +174,7 @@ def test_a_swapped_page_reads_back_as_it_was(mmode):
     swap.swap_out(vm, 5)
     assert not vm.guest_mem.is_mapped(5)
     assert vm.guest_mem.read_bytes(5 * PAGE_SIZE, PAGE_SIZE) == content
-    assert swap.swap_ins == 1 and not swap.is_swapped(vm, 5)
+    assert swap.swap_ins == 1 and 5 not in vm.swapped
 
 
 def test_swapped_page_tables_under_shadow_paging():

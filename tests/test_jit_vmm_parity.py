@@ -409,6 +409,18 @@ def _gfn_of(vm, va):
 LIFECYCLE_ROWS = ["trap-emulate", "hw+shadow", "hw+nested", "hw+hmode"]
 
 
+class _OrderedLog(set):
+    """A ``vm.dirty_log`` that also records the order of its adds."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+
+    def add(self, gfn):
+        self.order.append(gfn)
+        super().add(gfn)
+
+
 @pytest.mark.parametrize("label", LIFECYCLE_ROWS)
 def test_write_protect_round_under_a_store_inline_cache(label):
     # A pre-copy round write-protects pages the guest is storing to; the
@@ -416,12 +428,11 @@ def test_write_protect_round_under_a_store_inline_cache(label):
     states = []
     for jit in (False, True):
         hv, vm = _mid_loop(label, jit)
-        dirtied = []
-        hv.dirty_handlers[vm.name] = lambda _vm, gfn: dirtied.append(gfn)
+        vm.dirty_log = _OrderedLog()
         mmu = vm.vcpus[0].cpu.mmu
         mmu.write_protect_gfns(set(vm.guest_mem.map))
         state = _finish(hv, vm)
-        state["dirtied"] = dirtied
+        state["dirtied"] = vm.dirty_log.order
         states.append(state)
     assert len(states[0]["dirtied"]) > 8
     _assert_same(*states, what=label)

@@ -119,7 +119,7 @@ def test_unbackable_page_abandons_the_migration():
     with pytest.raises(MigrationError) as info:
         LiveMigrator(src, dst, bytes_per_cycle=4.0).migrate(vm, max_rounds=1)
     assert isinstance(info.value.__cause__, MemoryError_)
-    assert vm.name not in src.dirty_handlers
+    assert vm.dirty_log is None
 
 
 def test_rounds_track_working_set():
@@ -165,7 +165,7 @@ def test_source_dirty_tracking_is_detached_after():
     src, dst, vm = start_guest(VirtMode.HW_ASSIST, MMUVirtMode.NESTED)
     migrator = LiveMigrator(src, dst, bytes_per_cycle=4.0)
     migrator.migrate(vm)
-    assert vm.name not in src.dirty_handlers
+    assert vm.dirty_log is None
 
 
 def test_invalid_bandwidth_rejected():

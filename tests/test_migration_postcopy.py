@@ -9,6 +9,7 @@ from repro.guest import KernelOptions, build_kernel, read_diag, workloads
 from repro.guest.workloads import expected_memtouch
 from repro.mem.physmem import ZERO_PAGE
 from repro.migration import LiveMigrator, PostCopyMigrator
+from repro.overcommit import HostSwap
 from repro.util.errors import MigrationError
 from repro.util.units import MIB
 
@@ -124,6 +125,33 @@ def test_a_recycled_frame_behind_a_zero_page_reads_zero(monkeypatch):
         assert dest.read_gfn(gfn) == vm.guest_mem.read_gfn(gfn), gfn
 
 
+def test_pages_host_swap_holds_travel():
+    # The source's swapped pages are fetched from the swap store, which
+    # keeps them: none of them comes back at the destination as zeros.
+    src = Hypervisor(memory_bytes=64 * MIB)
+    dst = Hypervisor(memory_bytes=64 * MIB)
+    vm = src.create_vm(GuestConfig(name="pc", memory_bytes=GUEST_MEM,
+                                   virt_mode=VirtMode.HW_ASSIST,
+                                   mmu_mode=MMUVirtMode.NESTED))
+    kernel = build_kernel(KernelOptions(memory_bytes=GUEST_MEM))
+    src.load_program(vm, kernel)
+    src.load_program(vm, workloads.memtouch(48, 30))
+    src.reset_vcpu(vm, kernel.entry)
+    src.run(vm, max_guest_instructions=30_000)
+    swap = HostSwap(src)
+    nonzero = [gfn for gfn in sorted(vm.guest_mem.map)
+               if vm.guest_mem.read_gfn(gfn) != ZERO_PAGE][:8]
+    held = {}
+    for gfn in nonzero:
+        held[gfn] = vm.guest_mem.read_gfn(gfn)
+        swap.swap_out(vm, gfn)
+    result = PostCopyMigrator(src, dst, bytes_per_cycle=4.0).migrate_and_run(vm)
+    assert result.total_pages == 4096
+    assert result.outcome is RunOutcome.SHUTDOWN
+    assert read_diag(result.dest_vm.guest_mem).user_result == expected_memtouch(48, 30)
+    assert vm.swapped == held and swap.swap_ins == 0
+
+
 def test_requires_hw_assist():
     src = Hypervisor(memory_bytes=64 * MIB)
     dst = Hypervisor(memory_bytes=64 * MIB)
@@ -142,15 +170,11 @@ def test_parameter_validation():
         PostCopyMigrator(src, dst, bytes_per_cycle=0)
 
 
-def _ept_chain_names(hv):
-    return [name for name, _ in hv._ept_fault_handlers]
-
-
 class TestFaultHandlerLifecycle:
     def test_fetch_handler_retired_after_migration(self):
         src, dst, vm = start_guest()
-        PostCopyMigrator(src, dst, bytes_per_cycle=4.0).migrate_and_run(vm)
-        assert "postcopy_fetch" not in _ept_chain_names(dst)
+        result = PostCopyMigrator(src, dst, bytes_per_cycle=4.0).migrate_and_run(vm)
+        assert result.dest_vm.remote is None
 
     def test_fetch_handler_retired_when_run_raises(self):
         src, dst, vm = start_guest()
@@ -162,9 +186,9 @@ class TestFaultHandlerLifecycle:
         dst.run = dying_run
         with pytest.raises(MigrationError):
             migrator.migrate_and_run(vm)
-        # The failed migration must not leak its fetch handler into the
-        # destination's dispatch chain (it would shadow later owners).
-        assert "postcopy_fetch" not in _ept_chain_names(dst)
+        # The failed migration must not leave the destination VM
+        # fetching through it (it would shadow the other owners).
+        assert dst.vms["pc-dst"].remote is None
 
     def test_two_sequential_migrations_share_a_destination(self):
         src, dst, vm = start_guest()

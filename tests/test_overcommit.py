@@ -121,7 +121,7 @@ class TestHostSwap:
         free_before = hv.allocator.free_frames
         swap.swap_out(vm, 2000)  # cold high page
         assert hv.allocator.free_frames == free_before + 1
-        assert swap.is_swapped(vm, 2000)
+        assert 2000 in vm.swapped
         assert not vm.guest_mem.is_mapped(2000)
 
     def test_swap_in_restores_content(self):
@@ -363,7 +363,7 @@ class TestHostSwapEdgeCases:
         with pytest.raises(MemoryError_, match="nothing evictable"):
             swap.swap_in(vm, gfn)
         # The only copy of the page must survive the failed page-in.
-        assert swap.is_swapped(vm, gfn)
+        assert gfn in vm.swapped
         assert vm.swapped[gfn] == content
 
     def test_install_is_idempotent(self):
@@ -382,7 +382,8 @@ class TestHostSwapEdgeCases:
         hv = Hypervisor(memory_bytes=64 * MIB)
         swap = HostSwap(hv)
         with pytest.raises(ConfigError):
-            hv.register_ept_fault_handler(swap._ept_fault, name="swap_in")
+            HostSwap(hv)
+        assert hv.swap is swap
 
 
 class TestBalloonPolicyValidation:

@@ -1,4 +1,4 @@
-"""Closed-loop pressure controller + EPT dispatch-chain composition."""
+"""Closed-loop pressure controller + the owners of a memory fault."""
 
 import pytest
 
@@ -59,10 +59,9 @@ class TestDispatchChainComposition:
     def test_concurrent_owners_route_every_fault_correctly(self):
         """HostSwap + PageSharer + an incoming post-copy migration on
         one destination hypervisor: every EPT fault must reach its
-        owner. Pre-chain, whichever owner installed ``ept_fault_hook``
-        last stole the others' faults -- a timeshared local guest's
-        swapped pages came back as fresh zero frames (silent
-        corruption) while a migration was in flight."""
+        owner, or a timeshared local guest's swapped pages come back
+        as fresh zero frames (silent corruption) while a migration is
+        in flight."""
         dst = Hypervisor(memory_bytes=96 * MIB)
         swap = HostSwap(dst)
         sharer = PageSharer(dst)
@@ -100,39 +99,36 @@ class TestDispatchChainComposition:
         assert local_outcome[0] is RunOutcome.SHUTDOWN
         assert_correct([result.dest_vm, local], pages=28, passes=2500)
 
-        # Both owners actually claimed faults off the shared chain.
+        # Each owner's count, pinned: a fault that reached another
+        # owner moves two of them.
         claims = {
             name: dst.registry.counter(f"core.ept_dispatch.{name}").value
-            for name in ("swap_in", "postcopy_fetch")
+            for name in ("swap_in", "postcopy_fetch", "swap_demand",
+                         "demand_zero")
         }
-        assert claims["swap_in"] > 0, claims
-        assert claims["postcopy_fetch"] > 0, claims
-        # And nothing of the migrant leaked into the chain afterwards.
-        assert "postcopy_fetch" not in [n for n, _ in dst._ept_fault_handlers]
+        assert claims == {"swap_in": 35, "postcopy_fetch": 32,
+                          "swap_demand": 0, "demand_zero": 0}
+        # And the migrant's fetch is gone from the destination VM.
+        assert result.dest_vm.remote is None
 
-    def test_handler_installs_then_restores(self):
+    def test_host_swap_takes_demand_backing(self):
         hv = Hypervisor(memory_bytes=64 * MIB)
         vm = hv.create_vm(GuestConfig(name="single", memory_bytes=GUEST_MEM,
                                       virt_mode=VirtMode.HW_ASSIST,
                                       mmu_mode=MMUVirtMode.NESTED,
                                       prealloc=False))
-        seen = []
-
-        def handler(fault_vm, gfn, access):
-            seen.append(gfn)
-            fault_vm.guest_mem.map_page(gfn, hv.allocator.alloc())
-            return True
 
         def claims(name):
             return hv.registry.counter(f"core.ept_dispatch.{name}").value
 
-        hv.register_ept_fault_handler(handler, name="single_owner")
         vm.guest_mem.write_u32(7 * PAGE_SIZE, 1)
-        assert seen == [7] and claims("single_owner") == 1
-        assert hv.unregister_ept_fault_handler(handler)
+        assert (claims("demand_zero"), claims("swap_demand")) == (1, 0)
+        swap = HostSwap(hv)
         vm.guest_mem.write_u32(8 * PAGE_SIZE, 1)
-        assert seen == [7] and claims("demand_zero") == 1
+        assert (claims("demand_zero"), claims("swap_demand")) == (1, 1)
         assert vm.guest_mem.is_mapped(8)
+        # Host swap tracks the page it backed, and not the one before.
+        assert list(swap._resident_lru) == [("single", 8)]
 
 
 class TestMemoryPressureController:
